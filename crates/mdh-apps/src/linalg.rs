@@ -208,7 +208,7 @@ def bmatmul(C, A, B):
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdh_backend::cpu::{CpuExecutor, ExecPath};
+    use mdh_backend::cpu::CpuExecutor;
     use mdh_core::eval::evaluate_recursive;
     use mdh_lowering::asm::DeviceKind;
     use mdh_lowering::heuristics::mdh_default_schedule;
@@ -254,20 +254,6 @@ mod tests {
     fn bmatmul_small_matches_reference() {
         let app = bmatmul(Scale::Small, 1).unwrap();
         check_against_reference(&app);
-    }
-
-    #[test]
-    fn linalg_apps_take_fast_path() {
-        let exec = CpuExecutor::new(2).unwrap();
-        for app in [
-            dot(Scale::Small, 1).unwrap(),
-            matvec(Scale::Small, 1).unwrap(),
-            matmul(Scale::Small, 1).unwrap(),
-            matmul_t(Scale::Small, 1).unwrap(),
-            bmatmul(Scale::Small, 1).unwrap(),
-        ] {
-            assert_eq!(exec.path_for(&app.program), ExecPath::Fast, "{}", app.name);
-        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ def mbbs(bbs, M):
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdh_backend::cpu::{CpuExecutor, ExecPath};
+    use mdh_backend::cpu::CpuExecutor;
     use mdh_core::eval::evaluate_recursive;
     use mdh_lowering::asm::DeviceKind;
     use mdh_lowering::schedule::{ReductionStrategy, Schedule};
@@ -80,7 +80,6 @@ mod tests {
     fn mbbs_parallel_scan_matches_reference() {
         let app = mbbs(Scale::Small, 2).unwrap();
         let exec = CpuExecutor::new(4).unwrap();
-        assert_eq!(exec.path_for(&app.program), ExecPath::Vm);
         let expect = reference(&app);
         // split the scan dimension across tasks: exercises scan stitching
         let mut s = Schedule::sequential(2, DeviceKind::Cpu);

@@ -95,7 +95,7 @@ def jacobi1d(y, x):
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdh_backend::cpu::{CpuExecutor, ExecPath};
+    use mdh_backend::cpu::CpuExecutor;
     use mdh_core::eval::evaluate_recursive;
     use mdh_lowering::asm::DeviceKind;
     use mdh_lowering::heuristics::mdh_default_schedule;
@@ -152,17 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn stencils_take_map_path_and_run_parallel() {
+    fn stencils_run_parallel() {
         let exec = CpuExecutor::new(4).unwrap();
-        // gaussian_2d/jacobi_3d are strict weighted sums and compile on the
-        // fast path; jacobi_1d's `0.333 * (a + b + c)` directive is not a
-        // strict weighted sum, so it stays on the legacy map kernel.
-        for (app, want) in [
-            (gaussian_2d(Scale::Small, 1).unwrap(), ExecPath::Fast),
-            (jacobi_3d(Scale::Small, 1).unwrap(), ExecPath::Fast),
-            (jacobi_1d(Scale::Small).unwrap(), ExecPath::Map),
+        for app in [
+            gaussian_2d(Scale::Small, 1).unwrap(),
+            jacobi_3d(Scale::Small, 1).unwrap(),
+            jacobi_1d(Scale::Small).unwrap(),
         ] {
-            assert_eq!(exec.path_for(&app.program), want, "{}", app.name);
             let expect = evaluate_recursive(&app.program, &app.inputs).unwrap();
             let s = mdh_default_schedule(&app.program, DeviceKind::Cpu, 4);
             let got = exec.run(&app.program, &s, &app.inputs).unwrap();

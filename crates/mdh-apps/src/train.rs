@@ -138,7 +138,7 @@ pub fn adjoints_of(id: StudyId, scale: Scale) -> Result<Vec<AppInstance>> {
 mod tests {
     use super::*;
     use mdh_ad::{eval_gradients, grad_all, oracle};
-    use mdh_backend::cpu::{CpuExecutor, ExecPath};
+    use mdh_backend::cpu::CpuExecutor;
     use mdh_core::eval::evaluate_recursive;
     use mdh_lowering::asm::DeviceKind;
     use mdh_lowering::heuristics::mdh_default_schedule;
@@ -162,10 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn histogram_takes_the_scatter_path() {
+    fn histogram_scatter_is_bit_identical_across_widths() {
         let app = histogram(Scale::Small, 1).unwrap();
-        let exec = CpuExecutor::new(2).unwrap();
-        assert_eq!(exec.path_for(&app.program), ExecPath::Scatter);
         // the scatter path's fixed combine tree sums chunks in a
         // different order than the recursive evaluator, so with real
         // float weights the comparison is approximate — but across pool

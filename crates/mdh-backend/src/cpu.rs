@@ -1,26 +1,29 @@
 //! The parallel CPU executor.
 //!
-//! Dispatches a scheduled program to the fastest applicable path:
+//! Routes a scheduled program to one of four paths, decided once per run:
 //!
-//! 1. [`Contraction`] — tight f32 loops for `Σ Π` tensor contractions,
-//! 2. [`MapKernel`] — direct-write f32 loops for reduction-free stencils,
-//! 3. the register-VM path (`vm_exec`) for everything with affine accesses
-//!    and scalar outputs (custom combine operators, records, `ps`),
-//! 4. the reference evaluator as a sequential fallback (always correct).
+//! 1. `Scatter` — programs with an `rbi` dimension: fixed-chunk private
+//!    partials folded by a fixed combine tree,
+//! 2. `Fast` — the tiled, vectorized f32 kernels [`fast::classify`]
+//!    admits (two-factor products, weighted sums),
+//! 3. `Vm` — the register-VM path (`vm_exec`) for everything else with
+//!    affine accesses and scalar outputs (custom combine operators,
+//!    records, f64, `ps`); also where a fast kernel that declines at run
+//!    time lands,
+//! 4. `Reference` — the sequential reference evaluator (always correct).
 //!
-//! All paths implement the same decomposition semantics, so results agree
-//! with `mdh_core::eval::evaluate_recursive` up to floating-point
-//! reassociation.
+//! `Fast` is bit-identical to `Vm` on the same plan — there is one f32
+//! fold order, the VM's. All paths implement the same decomposition
+//! semantics, so they agree with `mdh_core::eval::evaluate_recursive` up
+//! to the reassociation the plan's reduction splits introduce.
 
-use crate::fast;
-use crate::kernels::{f32_inputs, linearize_for, Contraction, MapKernel, PartialF32, SyncSlice};
+use crate::fast::{self, FastKernel};
 use crate::vm_exec;
 use mdh_core::buffer::Buffer;
 use mdh_core::combine::{BuiltinReduce, PwFunc};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::eval;
-use mdh_core::shape::Shape;
 use mdh_lowering::plan::{split_even, ExecutionPlan};
 use mdh_lowering::schedule::Schedule;
 use rayon::prelude::*;
@@ -29,10 +32,8 @@ use std::time::{Duration, Instant};
 /// Which execution path ran (exposed for tests and reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
-    /// Registry-compiled tiled/vectorized kernel (bit-identical to Vm).
+    /// Tiled/vectorized fast kernel (bit-identical to Vm).
     Fast,
-    Contraction,
-    Map,
     Vm,
     Scatter,
     Reference,
@@ -41,14 +42,21 @@ pub enum ExecPath {
 /// Fast-path routing policy (per executor, default [`FastMode::Auto`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FastMode {
-    /// Route eligible programs through the fast-kernel registry.
+    /// Route eligible programs through the fast kernels.
     #[default]
     Auto,
-    /// Never consult the registry; use the pre-registry path order.
-    Disabled,
     /// Route everything VM-applicable to `vm_exec` (differential
     /// baseline for the fast path — same plan, same bits expected).
     ForceVm,
+}
+
+/// A routing decision; `Fast` carries the kernel `classify` built so a
+/// run never classifies twice.
+enum Route {
+    Fast(FastKernel),
+    Vm,
+    Scatter,
+    Reference,
 }
 
 /// A thread-pooled CPU executor.
@@ -141,37 +149,29 @@ impl CpuExecutor {
         }
     }
 
-    /// Which path `run` would take for this program.
-    pub fn path_for(&self, prog: &DslProgram) -> ExecPath {
+    fn route(&self, prog: &DslProgram) -> Route {
         if prog.md_hom.has_rbi() {
-            return ExecPath::Scatter;
+            return Route::Scatter;
         }
-        match self.fast_mode {
-            FastMode::Auto => {
-                if fast::classify(prog).is_ok() {
-                    return ExecPath::Fast;
-                }
+        if self.fast_mode == FastMode::Auto {
+            if let Ok(kernel) = fast::classify(prog) {
+                return Route::Fast(kernel);
             }
-            FastMode::ForceVm => {
-                if vm_exec::vm_applicable(prog) {
-                    return ExecPath::Vm;
-                }
-            }
-            FastMode::Disabled => {}
         }
-        self.slow_path_for(prog)
+        if vm_exec::vm_applicable(prog) {
+            Route::Vm
+        } else {
+            Route::Reference
+        }
     }
 
-    /// The pre-registry path order — what a fast-path miss falls back to.
-    fn slow_path_for(&self, prog: &DslProgram) -> ExecPath {
-        if Contraction::try_build(prog).is_some() {
-            ExecPath::Contraction
-        } else if MapKernel::try_build(prog).is_some() {
-            ExecPath::Map
-        } else if vm_exec::vm_applicable(prog) {
-            ExecPath::Vm
-        } else {
-            ExecPath::Reference
+    /// Which path `run` would take for this program.
+    pub fn path_for(&self, prog: &DslProgram) -> ExecPath {
+        match self.route(prog) {
+            Route::Fast(_) => ExecPath::Fast,
+            Route::Vm => ExecPath::Vm,
+            Route::Scatter => ExecPath::Scatter,
+            Route::Reference => ExecPath::Reference,
         }
     }
 
@@ -195,51 +195,38 @@ impl CpuExecutor {
     pub fn run_planned(
         &self,
         prog: &DslProgram,
-        schedule: &Schedule,
+        _schedule: &Schedule,
         plan: &ExecutionPlan,
         inputs: &[Buffer],
     ) -> Result<Vec<Buffer>> {
         eval::check_inputs(prog, inputs)?;
-        let path = self.path_for(prog);
         // in Auto mode every non-rbi run either hits a kernel or counts
         // as a fallback, so hits/(hits+fallbacks) is fast-path coverage
-        if self.fast_mode == FastMode::Auto && path != ExecPath::Fast && !prog.md_hom.has_rbi() {
-            fast::registry().record_fallback();
-        }
-        self.run_on_path(path, prog, schedule, plan, inputs)
-    }
-
-    fn run_on_path(
-        &self,
-        path: ExecPath,
-        prog: &DslProgram,
-        schedule: &Schedule,
-        plan: &ExecutionPlan,
-        inputs: &[Buffer],
-    ) -> Result<Vec<Buffer>> {
-        match path {
-            ExecPath::Fast => {
-                if let Ok(kernel) = fast::registry().lookup_or_compile(prog, plan) {
-                    if let Some(outs) = kernel.run(prog, plan, inputs, &self.pool_for(plan))? {
-                        fast::registry().record_hit();
-                        return Ok(outs);
-                    }
+        let count_fallback = || {
+            if self.fast_mode == FastMode::Auto {
+                fast::registry().record_fallback();
+            }
+        };
+        match self.route(prog) {
+            Route::Fast(kernel) => {
+                let pool = self.pool_for(plan);
+                if let Some(outs) = kernel.run(prog, plan, inputs, &pool)? {
+                    fast::registry().record_hit();
+                    return Ok(outs);
                 }
                 // dynamic bail: transparent per-run fallback
                 fast::registry().record_fallback();
-                self.run_on_path(self.slow_path_for(prog), prog, schedule, plan, inputs)
+                vm_exec::run(prog, plan, inputs, &pool)
             }
-            ExecPath::Contraction => {
-                let c = Contraction::try_build(prog).unwrap();
-                self.run_contraction(&c, prog, plan, inputs, &schedule.inner_tiles)
+            Route::Vm => {
+                count_fallback();
+                vm_exec::run(prog, plan, inputs, &self.pool_for(plan))
             }
-            ExecPath::Map => {
-                let mk = MapKernel::try_build(prog).unwrap();
-                self.run_map(&mk, prog, plan, inputs)
+            Route::Scatter => self.run_scatter(prog, plan, inputs),
+            Route::Reference => {
+                count_fallback();
+                eval::evaluate_recursive(prog, inputs)
             }
-            ExecPath::Vm => vm_exec::run(prog, plan, inputs, &self.pool_for(plan)),
-            ExecPath::Scatter => self.run_scatter(prog, plan, inputs),
-            ExecPath::Reference => eval::evaluate_recursive(prog, inputs),
         }
     }
 
@@ -305,100 +292,6 @@ impl CpuExecutor {
         let out = self.run(prog, schedule, inputs)?;
         Ok((out, t0.elapsed()))
     }
-
-    fn run_contraction(
-        &self,
-        c: &Contraction,
-        prog: &DslProgram,
-        plan: &ExecutionPlan,
-        inputs: &[Buffer],
-        schedule_tiles: &[usize],
-    ) -> Result<Vec<Buffer>> {
-        let mut outputs = eval::alloc_outputs(prog)?;
-        let (in_acc, out_acc) = linearize_for(prog, inputs, &outputs)?;
-        let ins = f32_inputs(prog, inputs)?;
-
-        let tiles = schedule_tiles;
-        let mut partials: Vec<Option<PartialF32>> = Vec::new();
-        self.pool_for(plan).install(|| {
-            plan.tasks
-                .par_iter()
-                .map(|t| Some(c.run_task_tiled(&ins, &in_acc, &t.range, tiles)))
-                .collect_into_vec(&mut partials);
-        });
-
-        // combine split-reduction groups with pw(add)
-        let write_jobs: Vec<(usize, PartialF32)> = if plan.split_dims.is_empty() {
-            partials
-                .into_iter()
-                .enumerate()
-                .map(|(t, p)| (t, p.expect("partial")))
-                .collect()
-        } else {
-            let mut partials = partials;
-            plan.groups
-                .iter()
-                .map(|g| {
-                    let owner = g.task_ids[0];
-                    let mut acc = partials[owner].take().expect("owner partial");
-                    for &tid in &g.task_ids[1..] {
-                        let rhs = partials[tid].take().expect("member partial");
-                        acc.add_assign(&rhs);
-                    }
-                    (owner, acc)
-                })
-                .collect()
-        };
-
-        // write phase
-        let out_buf_idx = prog.out_view.accesses[0].buffer;
-        let out = outputs[out_buf_idx]
-            .as_f32_mut()
-            .ok_or_else(|| MdhError::Type("contraction output must be f32".into()))?;
-        let oacc = &out_acc[0];
-        for (owner, partial) in write_jobs {
-            let range = &plan.tasks[owner].range;
-            let shape = Shape::new(partial.extents.clone());
-            let mut idx = vec![0usize; prog.rank()];
-            for p in shape.iter() {
-                for (pp, &d) in c.preserved.iter().enumerate() {
-                    idx[d] = range.lo[d] + p[pp];
-                }
-                let off = oacc.offset(&idx);
-                if off < 0 {
-                    return Err(MdhError::Eval("negative output offset".into()));
-                }
-                out[off as usize] = partial.data[shape.linearize(&p)];
-            }
-        }
-        Ok(outputs)
-    }
-
-    fn run_map(
-        &self,
-        mk: &MapKernel,
-        prog: &DslProgram,
-        plan: &ExecutionPlan,
-        inputs: &[Buffer],
-    ) -> Result<Vec<Buffer>> {
-        let mut outputs = eval::alloc_outputs(prog)?;
-        let (in_acc, out_acc) = linearize_for(prog, inputs, &outputs)?;
-        let ins = f32_inputs(prog, inputs)?;
-        debug_assert!(plan.split_dims.is_empty(), "map kernels have no reductions");
-        let out_buf_idx = prog.out_view.accesses[0].buffer;
-        {
-            let out = outputs[out_buf_idx]
-                .as_f32_mut()
-                .ok_or_else(|| MdhError::Type("map output must be f32".into()))?;
-            let shared = SyncSlice::new(out);
-            self.pool_for(plan).install(|| {
-                plan.tasks.par_iter().for_each(|t| {
-                    mk.run_task(&ins, &in_acc, &out_acc[0], &t.range, &shared);
-                });
-            });
-        }
-        Ok(outputs)
-    }
 }
 
 /// Element-wise `add` of two identically-shaped output sets (rbi partial
@@ -421,6 +314,7 @@ mod tests {
     use mdh_core::dsl::DslBuilder;
     use mdh_core::expr::ScalarFunction;
     use mdh_core::index_fn::{AffineExpr, IndexFn};
+    use mdh_core::shape::Shape;
     use mdh_core::types::{BasicType, ScalarKind};
     use mdh_lowering::asm::DeviceKind;
     use mdh_lowering::heuristics::mdh_default_schedule;
@@ -453,13 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn matmul_via_contraction_path_matches_reference() {
+    fn matmul_via_fast_path_matches_reference() {
         let (i, j, k) = (10, 12, 9);
         let prog = matmul_prog(i, j, k);
         let inputs = matmul_inputs(i, j, k);
         let ex = exec();
         assert_eq!(ex.path_for(&prog), ExecPath::Fast);
-        assert_eq!(ex.slow_path_for(&prog), ExecPath::Contraction);
         let expect = eval::evaluate_recursive(&prog, &inputs).unwrap();
         // several schedules, with and without split reductions
         for (par, tree) in [
@@ -538,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn stencil_via_map_path_matches_reference() {
+    fn stencil_via_fast_path_matches_reference() {
         let n = 64;
         let prog = DslBuilder::new("jacobi1d", vec![n])
             .out_buffer("y", BasicType::F32)
@@ -560,7 +453,6 @@ mod tests {
         let inputs = vec![x];
         let ex = exec();
         assert_eq!(ex.path_for(&prog), ExecPath::Fast);
-        assert_eq!(ex.slow_path_for(&prog), ExecPath::Map);
         let expect = eval::evaluate_recursive(&prog, &inputs).unwrap();
         let mut s = Schedule::sequential(1, DeviceKind::Cpu);
         s.par_chunks = vec![4];
@@ -598,7 +490,7 @@ mod tests {
     #[test]
     fn default_schedule_end_to_end_large_dot() {
         // pure reduction with a split: exercises group combining in the
-        // contraction path
+        // fast contraction kernel
         let n = 100_000;
         let prog = DslBuilder::new("dot", vec![n])
             .out_buffer("res", BasicType::F32)

@@ -24,13 +24,13 @@
 //! Result bits therefore match `vm_exec` for every pool width.
 
 use crate::fast::line::{Line, LANES};
-use crate::kernels::{f32_inputs, linearize_for};
+use crate::fast::{f32_inputs, linearize_for};
 use crate::offsets::LinearAccess;
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::eval;
-use mdh_core::shape::{MdRange, Shape};
+use mdh_core::shape::MdRange;
 use mdh_lowering::plan::ExecutionPlan;
 use rayon::prelude::*;
 
@@ -137,24 +137,49 @@ impl FastContraction {
             let out = outputs[out_buf]
                 .as_f32_mut()
                 .ok_or_else(|| MdhError::Type("fast contraction output must be f32".into()))?;
-            let rank = prog.rank();
             for (owner, partial) in write_jobs {
-                let range = &plan.tasks[owner].range;
-                let shape = Shape::new(partial.extents.clone());
-                let mut idx = vec![0usize; rank];
-                for p in shape.iter() {
-                    for (pp, &d) in self.preserved.iter().enumerate() {
-                        idx[d] = range.lo[d] + p[pp];
-                    }
-                    let off = oacc.offset(&idx);
-                    if off < 0 {
-                        return Err(MdhError::Eval("negative output offset".into()));
-                    }
-                    out[off as usize] = partial.data[shape.linearize(&p)] as f32;
-                }
+                self.write_partial(&partial, &plan.tasks[owner].range, oacc, out)?;
             }
         }
         Ok(Some(outputs))
+    }
+
+    /// Round one task's partial to f32 and store it. The partial is
+    /// row-major over the preserved extents, so it is read front to back
+    /// while the output offset walks each row of the last preserved dim
+    /// by that dim's stride — no per-point index vectors.
+    fn write_partial(
+        &self,
+        partial: &PartialF64,
+        range: &MdRange,
+        oacc: &LinearAccess,
+        out: &mut [f32],
+    ) -> Result<()> {
+        if partial.extents.contains(&0) {
+            return Ok(());
+        }
+        let (outer, lane_d) = match self.preserved.split_last() {
+            Some((&lane_d, outer)) => (outer, Some(lane_d)),
+            None => (&[][..], None),
+        };
+        let lane_ext = lane_d.map_or(1, |d| range.extent(d));
+        let ostep = lane_d.map_or(0, |d| oacc.coeffs[d]);
+        // collapsed entries stay at `lo`: their output coefficients are zero
+        let mut idx = range.lo.clone();
+        for row in partial.data.chunks_exact(lane_ext) {
+            let obase = oacc.offset(&idx);
+            // affine in the lane index: the row's ends bound every store
+            if obase.min(obase + (lane_ext as i64 - 1) * ostep) < 0 {
+                return Err(MdhError::Eval("negative output offset".into()));
+            }
+            for (l, &v) in row.iter().enumerate() {
+                out[(obase + l as i64 * ostep) as usize] = v as f32;
+            }
+            if !advance(&mut idx, outer, range) {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Choose the loop arrangement from the factors' strides. The packed

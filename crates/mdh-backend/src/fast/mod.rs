@@ -17,13 +17,15 @@
 //! - a single affine f32 output access, all-affine all-f32 inputs,
 //! - combine ops restricted to `cc` and builtin `pw(add)`,
 //! - a scalar function the strict matchers in [`pattern`] accept:
-//!   a two-factor product (contraction family) or a left-nested
-//!   weighted sum (map family),
+//!   a two-factor product (contraction family — with or without a
+//!   reduction: an all-`cc` product is a one-term chain) or a
+//!   left-nested weighted sum, optionally under one literal scale
+//!   (map family),
 //! - contractions: the output access must not depend on reduced dims;
 //!   maps: the output access must be provably injective.
 //!
-//! Everything else falls back — transparently, per run — to the VM or
-//! the older f32 kernels via `CpuExecutor`.
+//! Everything else falls back — transparently, per run — to the VM via
+//! `CpuExecutor`.
 
 pub mod line;
 pub mod pattern;
@@ -34,14 +36,16 @@ mod registry;
 
 pub use contraction::FastContraction;
 pub use map::FastMap;
-pub use registry::{registry, FastRegistry, KernelSig};
+pub use registry::{registry, FastRegistry};
 
+use crate::offsets::{linearize_view, LinearAccess};
 use mdh_core::buffer::Buffer;
 use mdh_core::combine::{BuiltinReduce, CombineOp};
 use mdh_core::dsl::DslProgram;
-use mdh_core::error::Result;
+use mdh_core::error::{MdhError, Result};
 use mdh_core::types::BasicType;
 use mdh_lowering::plan::ExecutionPlan;
+use pattern::WeightedSum;
 
 /// A compiled fast-path kernel.
 #[derive(Debug, Clone)]
@@ -111,10 +115,7 @@ pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
         }
     }
     let nacc = prog.inp_view.accesses.len();
-    if has_pw {
-        let Some((f0, f1)) = pattern::strict_product2(&prog.md_hom.sf) else {
-            return Err("scalar function is not a strict two-factor product".into());
-        };
+    if let Some((f0, f1)) = pattern::strict_product2(&prog.md_hom.sf) {
         if f0 >= nacc || f1 >= nacc {
             return Err("product factor slot out of range".into());
         }
@@ -132,8 +133,11 @@ pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
             preserved: prog.md_hom.preserved_dims(),
             collapsed,
         }))
+    } else if has_pw {
+        Err("scalar function is not a strict two-factor product".into())
     } else {
-        let Some(terms) = pattern::strict_weighted_sum(&prog.md_hom.sf) else {
+        let Some(WeightedSum { terms, scale }) = pattern::strict_weighted_sum(&prog.md_hom.sf)
+        else {
             return Err("scalar function is not a strict weighted sum".into());
         };
         if terms.iter().any(|&(s, _)| s >= nacc) {
@@ -143,6 +147,34 @@ pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
         if out_access.index_fn.is_injective_over(&full, 1 << 14) != Some(true) {
             return Err("output access not provably injective".into());
         }
-        Ok(FastKernel::Map(FastMap { terms }))
+        Ok(FastKernel::Map(FastMap { terms, scale }))
     }
+}
+
+/// Linearise the input and output views against actual buffer shapes.
+pub(crate) fn linearize_for(
+    prog: &DslProgram,
+    inputs: &[Buffer],
+    outputs: &[Buffer],
+) -> Result<(Vec<LinearAccess>, Vec<LinearAccess>)> {
+    let rank = prog.rank();
+    let in_shapes: Vec<Vec<usize>> = inputs.iter().map(|b| b.shape.dims().to_vec()).collect();
+    let out_shapes: Vec<Vec<usize>> = outputs.iter().map(|b| b.shape.dims().to_vec()).collect();
+    let ia = linearize_view(&prog.inp_view, &in_shapes, rank)?;
+    let oa = linearize_view(&prog.out_view, &out_shapes, rank)?;
+    Ok((ia, oa))
+}
+
+/// Collect f32 slices for all input buffers.
+pub(crate) fn f32_inputs<'a>(prog: &DslProgram, inputs: &'a [Buffer]) -> Result<Vec<&'a [f32]>> {
+    // one slice per *access* (so kernels index by param slot directly)
+    prog.inp_view
+        .accesses
+        .iter()
+        .map(|a| {
+            inputs[a.buffer]
+                .as_f32()
+                .ok_or_else(|| MdhError::Type("expected f32 input".into()))
+        })
+        .collect()
 }

@@ -1,12 +1,12 @@
 //! Strict scalar-function pattern matchers for the fast path.
 //!
-//! `kernels.rs` recognises patterns up to reassociation, which is fine for
-//! the f32 `Contraction`/`MapKernel` paths that define their own fold
-//! order. The fast path instead promises *bit identity with the VM*, so
-//! its matchers are deliberately stricter: they accept only expression
-//! shapes whose evaluation the kernel reproduces operation-for-operation
-//! (left-nested additions, literal-times-parameter terms), and reject
-//! anything that would require reassociating floating-point arithmetic.
+//! The fast path promises *bit identity with the VM*, so its matchers
+//! accept only expression shapes whose evaluation the kernels reproduce
+//! operation-for-operation (left-nested additions, literal-times-parameter
+//! terms, one literal scale around the whole sum), and reject anything
+//! that would require reassociating floating-point arithmetic
+//! (`SfPattern::recognize` in `mdh-core`, by contrast, matches up to
+//! reassociation and is not used here).
 
 use mdh_core::expr::{BinOp, Expr, ScalarFunction, Stmt};
 use mdh_core::types::Value;
@@ -46,6 +46,15 @@ pub fn strict_product2(sf: &ScalarFunction) -> Option<(usize, usize)> {
     }
 }
 
+/// What [`strict_weighted_sum`] matched.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WeightedSum {
+    /// `(slot, weight)` pairs in fold order.
+    pub terms: Vec<(usize, f64)>,
+    /// The outer literal factor, applied once after the fold.
+    pub scale: Option<f64>,
+}
+
 /// Match a left-nested weighted sum `res = w_0*p_a + w_1*p_b + ...`
 /// exactly as the VM would evaluate it: terms in source order, additions
 /// left-associated. Each term is `lit * param`, `param * lit`, or a bare
@@ -55,11 +64,29 @@ pub fn strict_product2(sf: &ScalarFunction) -> Option<(usize, usize)> {
 /// finite data; f64 multiplication is bitwise commutative on finite
 /// values, covering the `param * lit` orientation).
 ///
-/// Returns `(slot, weight)` pairs in fold order.
-pub fn strict_weighted_sum(sf: &ScalarFunction) -> Option<Vec<(usize, f64)>> {
+/// The sum may carry one outer literal factor, `lit * (<sum>)` or
+/// `(<sum>) * lit` (Jacobi1D's `0.333 * (a + b + c)`): the VM folds the
+/// sum first and multiplies once, so the factor is returned as a scale
+/// to apply after the fold, never distributed over the terms.
+pub fn strict_weighted_sum(sf: &ScalarFunction) -> Option<WeightedSum> {
+    let body = single_assign(sf)?;
     let mut terms = Vec::new();
-    collect_sum(single_assign(sf)?, &mut terms)?;
-    Some(terms)
+    if collect_sum(body, &mut terms).is_some() {
+        return Some(WeightedSum { terms, scale: None });
+    }
+    let Expr::Bin(BinOp::Mul, a, b) = body else {
+        return None;
+    };
+    let (scale, sum) = match (a.as_ref(), b.as_ref()) {
+        (Expr::Lit(v), sum) | (sum, Expr::Lit(v)) => (lit_f64(v)?, sum),
+        _ => return None,
+    };
+    terms.clear();
+    collect_sum(sum, &mut terms)?;
+    Some(WeightedSum {
+        terms,
+        scale: Some(scale),
+    })
 }
 
 fn collect_sum(e: &Expr, out: &mut Vec<(usize, f64)>) -> Option<()> {
@@ -106,7 +133,8 @@ mod tests {
     #[test]
     fn weighted_sum_matches_in_fold_order() {
         let sf = ScalarFunction::weighted_sum("f", ScalarKind::F32, &[0.25, 0.5, 0.25]);
-        let terms = strict_weighted_sum(&sf).unwrap();
+        let WeightedSum { terms, scale } = strict_weighted_sum(&sf).unwrap();
+        assert_eq!(scale, None);
         assert_eq!(terms.len(), 3);
         assert_eq!(terms[0].0, 0);
         assert_eq!(terms[2].0, 2);
@@ -118,7 +146,11 @@ mod tests {
     #[test]
     fn identity_is_a_bare_param_sum() {
         let sf = ScalarFunction::identity("f", ScalarKind::F32);
-        assert_eq!(strict_weighted_sum(&sf), Some(vec![(0, 1.0)]));
+        let want = WeightedSum {
+            terms: vec![(0, 1.0)],
+            scale: None,
+        };
+        assert_eq!(strict_weighted_sum(&sf), Some(want));
     }
 
     #[test]
@@ -141,11 +173,8 @@ mod tests {
         assert!(strict_weighted_sum(&sf).is_none());
     }
 
-    #[test]
-    fn factor_times_sum_is_rejected() {
-        // res = 0.333 * (a + b + c) — jacobi1d's directive shape; the
-        // kernel would have to distribute the multiply, changing bits
-        let sf = ScalarFunction {
+    fn sf3(value: Expr) -> ScalarFunction {
+        ScalarFunction {
             name: "f".into(),
             params: vec![
                 ("a".into(), ScalarKind::F32.into()),
@@ -155,13 +184,30 @@ mod tests {
             results: vec![("res".into(), ScalarKind::F32.into())],
             body: vec![Stmt::Assign {
                 name: "res".into(),
-                value: Expr::mul(
-                    Expr::Lit(Value::F64(0.333)),
-                    Expr::add(Expr::add(Expr::Param(0), Expr::Param(1)), Expr::Param(2)),
-                ),
+                value,
             }],
-        };
-        assert!(strict_weighted_sum(&sf).is_none());
-        assert!(strict_product2(&sf).is_none());
+        }
+    }
+
+    #[test]
+    fn factor_times_sum_is_accepted_with_scale() {
+        // res = 0.333 * (a + b + c) — jacobi1d's directive shape: the
+        // multiply stays outside the fold, in either orientation
+        let sum = || Expr::add(Expr::add(Expr::Param(0), Expr::Param(1)), Expr::Param(2));
+        let want = Some(WeightedSum {
+            terms: vec![(0, 1.0), (1, 1.0), (2, 1.0)],
+            scale: Some(0.333),
+        });
+        let left = sf3(Expr::mul(Expr::Lit(Value::F64(0.333)), sum()));
+        assert_eq!(strict_weighted_sum(&left), want);
+        let right = sf3(Expr::mul(sum(), Expr::Lit(Value::F64(0.333))));
+        assert_eq!(strict_weighted_sum(&right), want);
+        assert!(strict_product2(&left).is_none());
+        // a right-nested sum under the scale is still a different fold
+        let nested = sf3(Expr::mul(
+            Expr::Lit(Value::F64(0.333)),
+            Expr::add(Expr::Param(0), Expr::add(Expr::Param(1), Expr::Param(2))),
+        ));
+        assert!(strict_weighted_sum(&nested).is_none());
     }
 }

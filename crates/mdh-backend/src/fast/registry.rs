@@ -1,110 +1,29 @@
-//! The process-wide fast-kernel registry.
+//! Process-wide fast-path traffic counters.
 //!
-//! Each eligible `(program structure, shape class, schedule tiles)`
-//! triple is classified once and the compiled [`FastKernel`] cached under
-//! a [`KernelSig`] — deliberately the same keying discipline as the
-//! runtime plan cache's `PlanKey` (structural signature + sizes +
-//! schedule), so one cached plan maps to one cached kernel. Hit and
-//! fallback counters feed `RuntimeStats`.
+//! A [`FastKernel`](crate::fast::FastKernel) depends on the program
+//! alone — not on sizes, tiles, or the plan — and classifying one is
+//! cheaper than building any key to cache it under, so there is no
+//! kernel cache: `CpuExecutor` classifies once per run. What is shared
+//! process-wide is the hit/fallback accounting that feeds `RuntimeStats`.
 
-use crate::fast::{classify, FastKernel};
-use mdh_core::dsl::DslProgram;
-use mdh_lowering::plan::ExecutionPlan;
-use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
-/// Cache key: program structure, iteration-space sizes (shape class), and
-/// the plan's tile geometry (the only schedule component a compiled
-/// kernel's loop structure depends on).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct KernelSig {
-    structure: String,
-    sizes: Vec<usize>,
-    tiles: Vec<usize>,
-}
-
-impl KernelSig {
-    pub fn of(prog: &DslProgram, plan: &ExecutionPlan) -> KernelSig {
-        KernelSig {
-            structure: structural_fingerprint(prog),
-            sizes: prog.md_hom.sizes.clone(),
-            tiles: plan.inner_tiles.clone(),
-        }
-    }
-}
-
-/// A stable rendering of what the program computes: combine ops, typed
-/// accesses with their index functions, and the scalar-function body.
-/// Over-keying (e.g. param names differing between otherwise identical
-/// programs) only costs a duplicate cache entry, never a wrong kernel.
-fn structural_fingerprint(prog: &DslProgram) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "ops=");
-    for op in &prog.md_hom.combine_ops {
-        let _ = write!(s, "{op},");
-    }
-    s.push_str(";in=");
-    for a in &prog.inp_view.accesses {
-        let decl = &prog.inp_view.buffers[a.buffer];
-        let _ = write!(s, "b{}:{}", a.buffer, decl.ty);
-        if let Some(shape) = &decl.declared_shape {
-            let _ = write!(s, "{shape:?}");
-        }
-        let _ = write!(s, "@{:?}+", a.index_fn);
-    }
-    s.push_str(";out=");
-    for a in &prog.out_view.accesses {
-        let decl = &prog.out_view.buffers[a.buffer];
-        let _ = write!(s, "b{}:{}", a.buffer, decl.ty);
-        if let Some(shape) = &decl.declared_shape {
-            let _ = write!(s, "{shape:?}");
-        }
-        let _ = write!(s, "@{:?}+", a.index_fn);
-    }
-    let _ = write!(s, ";sf={:?}", prog.md_hom.sf.body);
-    s
-}
-
-/// Compiled-kernel cache plus fast-path traffic counters.
+/// Fast-path traffic counters.
 pub struct FastRegistry {
-    kernels: Mutex<HashMap<KernelSig, Arc<FastKernel>>>,
     hits: AtomicU64,
     fallbacks: AtomicU64,
 }
 
 /// The process-wide registry.
 pub fn registry() -> &'static FastRegistry {
-    static REG: OnceLock<FastRegistry> = OnceLock::new();
-    REG.get_or_init(|| FastRegistry {
-        kernels: Mutex::new(HashMap::new()),
+    static REG: FastRegistry = FastRegistry {
         hits: AtomicU64::new(0),
         fallbacks: AtomicU64::new(0),
-    })
+    };
+    &REG
 }
 
 impl FastRegistry {
-    /// The cached kernel for this (program, plan), compiling on first
-    /// sight. `Err` carries the classification failure reason.
-    pub fn lookup_or_compile(
-        &self,
-        prog: &DslProgram,
-        plan: &ExecutionPlan,
-    ) -> std::result::Result<Arc<FastKernel>, String> {
-        let sig = KernelSig::of(prog, plan);
-        if let Some(k) = self.kernels.lock().unwrap().get(&sig) {
-            return Ok(Arc::clone(k));
-        }
-        let k = Arc::new(classify(prog)?);
-        self.kernels
-            .lock()
-            .unwrap()
-            .entry(sig)
-            .or_insert_with(|| Arc::clone(&k));
-        Ok(k)
-    }
-
     pub fn record_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
@@ -120,10 +39,5 @@ impl FastRegistry {
             self.hits.load(Ordering::Relaxed),
             self.fallbacks.load(Ordering::Relaxed),
         )
-    }
-
-    /// Number of distinct compiled kernels currently cached.
-    pub fn compiled_kernels(&self) -> usize {
-        self.kernels.lock().unwrap().len()
     }
 }

@@ -3,9 +3,9 @@
 //! Execution backends for scheduled MDH programs:
 //!
 //! * [`cpu::CpuExecutor`] — real multi-threaded execution on the host
-//!   (rayon pool), with specialised contraction/stencil kernels, a
-//!   compiling register VM for arbitrary scalar functions and custom
-//!   combine operators, and a reference fallback;
+//!   (rayon pool), with tiled contraction/stencil kernels bit-identical
+//!   to a compiling register VM, that VM for arbitrary scalar functions
+//!   and custom combine operators, and a reference fallback;
 //! * [`gpu::GpuSim`] — a functional GPU simulator with an A100-class
 //!   analytic cost model (the documented substitution for real CUDA
 //!   code generation).
@@ -17,7 +17,6 @@ pub mod cpu;
 pub mod cpu_model;
 pub mod fast;
 pub mod gpu;
-pub mod kernels;
 pub mod offsets;
 pub mod pipeline;
 pub mod transfer;

@@ -3,8 +3,10 @@
 //! The fast kernels promise: for any eligible program and any FIXED
 //! execution plan, their output is bitwise equal to `vm_exec` on that
 //! same plan, at every pool width. This harness generates random affine
-//! `cc`/`pw` contraction programs and random weighted-sum map programs —
-//! with deliberately inexact (non-binary-float) fills, so any fold-order
+//! `cc`/`pw` contraction programs (including reduction-free products:
+//! the AD adjoint shapes), and random weighted-sum map programs
+//! (including sums under one literal scale: Jacobi1D's shape) — with
+//! deliberately inexact (non-binary-float) fills, so any fold-order
 //! deviation must surface as a bit difference — and checks the kernel
 //! against the VM under pool widths 1, 2, and 4.
 //!
@@ -17,10 +19,10 @@ use mdh_backend::vm_exec;
 use mdh_core::buffer::{Buffer, BufferData};
 use mdh_core::combine::CombineOp;
 use mdh_core::dsl::{DslBuilder, DslProgram};
-use mdh_core::expr::ScalarFunction;
+use mdh_core::expr::{Expr, ScalarFunction, Stmt};
 use mdh_core::index_fn::{AffineExpr, IndexFn};
 use mdh_core::shape::Shape;
-use mdh_core::types::{BasicType, ScalarKind};
+use mdh_core::types::{BasicType, ScalarKind, Value};
 use mdh_lowering::plan::ExecutionPlan;
 use mdh_lowering::schedule::{ReductionStrategy, Schedule};
 use mdh_lowering::DeviceKind;
@@ -110,7 +112,7 @@ fn rand_access() -> impl Strategy<Value = RandAccess> {
 #[derive(Debug, Clone)]
 struct ContractionCase {
     sizes: Vec<usize>,
-    /// Bitmask of pw (reduced) dims; never 0.
+    /// Bitmask of pw (reduced) dims; 0 is a reduction-free product.
     pw_mask: usize,
     acc0: RandAccess,
     acc1: RandAccess,
@@ -123,28 +125,24 @@ fn contraction_case() -> impl Strategy<Value = ContractionCase> {
     (
         1usize..=MAX_RANK,
         prop::collection::vec(2usize..=7, MAX_RANK),
-        1usize..(1 << MAX_RANK),
+        0usize..(1 << MAX_RANK),
         rand_access(),
         rand_access(),
         prop::collection::vec(0usize..TILE_CHOICES.len(), MAX_RANK),
         prop::collection::vec(1usize..=2, MAX_RANK),
         0usize..1000,
     )
-        .prop_map(|(rank, sizes, mask, acc0, acc1, tiles, chunks, salt)| {
-            let mut pw_mask = mask & ((1 << rank) - 1);
-            if pw_mask == 0 {
-                pw_mask = 1;
-            }
-            ContractionCase {
+        .prop_map(
+            |(rank, sizes, mask, acc0, acc1, tiles, chunks, salt)| ContractionCase {
                 sizes: sizes[..rank].to_vec(),
-                pw_mask,
+                pw_mask: mask & ((1 << rank) - 1),
                 acc0: acc0.truncated(rank),
                 acc1: acc1.truncated(rank),
                 tiles: tiles[..rank].iter().map(|&t| TILE_CHOICES[t]).collect(),
                 chunks: chunks[..rank].to_vec(),
                 salt,
-            }
-        })
+            },
+        )
 }
 
 fn build_contraction(case: &ContractionCase) -> DslProgram {
@@ -185,10 +183,29 @@ struct MapCase {
     sizes: Vec<usize>,
     accs: Vec<RandAccess>,
     weights: Vec<f64>,
+    scale: Scale,
     tiles: Vec<usize>,
     chunks: Vec<usize>,
     salt: usize,
 }
+
+/// The literal factor around the whole sum, if any: either orientation,
+/// f32 or f64 literal (an f32 literal widens exactly in the VM).
+#[derive(Debug, Clone)]
+enum Scale {
+    None,
+    Left(Value),
+    Right(Value),
+}
+
+const SCALE_CHOICES: [Scale; 6] = [
+    Scale::None,
+    Scale::None,
+    Scale::Left(Value::F64(0.333)),
+    Scale::Right(Value::F64(0.333)),
+    Scale::Left(Value::F32(0.1)),
+    Scale::Right(Value::F32(-2.5)),
+];
 
 fn map_case() -> impl Strategy<Value = MapCase> {
     (
@@ -196,15 +213,17 @@ fn map_case() -> impl Strategy<Value = MapCase> {
         prop::collection::vec(2usize..=7, MAX_RANK),
         prop::collection::vec(rand_access(), 1..=3),
         prop::collection::vec(0usize..WEIGHT_CHOICES.len(), 3),
+        0usize..SCALE_CHOICES.len(),
         prop::collection::vec(0usize..TILE_CHOICES.len(), MAX_RANK),
         prop::collection::vec(1usize..=2, MAX_RANK),
         0usize..1000,
     )
         .prop_map(
-            |(rank, sizes, accs, weights, tiles, chunks, salt)| MapCase {
+            |(rank, sizes, accs, weights, scale, tiles, chunks, salt)| MapCase {
                 sizes: sizes[..rank].to_vec(),
                 accs: accs.iter().map(|a| a.truncated(rank)).collect(),
                 weights: weights.iter().map(|&w| WEIGHT_CHOICES[w]).collect(),
+                scale: SCALE_CHOICES[scale].clone(),
                 tiles: tiles[..rank].iter().map(|&t| TILE_CHOICES[t]).collect(),
                 chunks: chunks[..rank].to_vec(),
                 salt,
@@ -230,14 +249,19 @@ fn build_map(case: &MapCase) -> DslProgram {
             .inp_buffer(&name, BasicType::F32)
             .inp_access(&name, acc.index_fn());
     }
-    b.scalar_function(ScalarFunction::weighted_sum(
-        "f_ws",
-        ScalarKind::F32,
-        &weights,
-    ))
-    .combine_ops(ops)
-    .build()
-    .expect("valid random map")
+    let mut sf = ScalarFunction::weighted_sum("f_ws", ScalarKind::F32, &weights);
+    if let Stmt::Assign { value, .. } = &mut sf.body[0] {
+        let sum = value.clone();
+        *value = match case.scale.clone() {
+            Scale::None => sum,
+            Scale::Left(lit) => Expr::mul(Expr::Lit(lit), sum),
+            Scale::Right(lit) => Expr::mul(sum, Expr::Lit(lit)),
+        };
+    }
+    b.scalar_function(sf)
+        .combine_ops(ops)
+        .build()
+        .expect("valid random map")
 }
 
 /// Build inputs sized for the accesses, fill inexactly.
@@ -318,6 +342,38 @@ proptest! {
         let prog = build_map(&case);
         let accs: Vec<&RandAccess> = case.accs.iter().collect();
         let inputs = build_inputs(&prog, &accs, &case.sizes, case.salt);
+        let plan = build_plan(&prog, &case.chunks, &case.tiles);
+        assert_fast_matches_vm(&prog, &plan, &inputs);
+    }
+}
+
+/// The two reduction-free product shapes AD emits, pinned (the random
+/// generator only reaches them by chance): Dot's adjoint
+/// `x_bar[k] = res_bar[0] * y[k]` (a broadcast scalar factor) and
+/// MatVec's `M_bar[i, k] = w_bar[i] * v[k]` (an outer product — the
+/// packed arrangement with a one-step reduction), at sizes that leave
+/// lane and row remainders.
+#[test]
+fn adjoint_product_shapes_bit_identical_to_vm() {
+    let acc = |coeffs: &[i64]| RandAccess {
+        exprs: vec![(coeffs.to_vec(), 0)],
+    };
+    for (sizes, acc0, acc1) in [
+        (vec![37], acc(&[0]), acc(&[1])),
+        (vec![19, 23], acc(&[1, 0]), acc(&[0, 1])),
+    ] {
+        let rank = sizes.len();
+        let case = ContractionCase {
+            sizes,
+            pw_mask: 0,
+            acc0,
+            acc1,
+            tiles: vec![4; rank],
+            chunks: vec![2; rank],
+            salt: 7,
+        };
+        let prog = build_contraction(&case);
+        let inputs = build_inputs(&prog, &[&case.acc0, &case.acc1], &case.sizes, case.salt);
         let plan = build_plan(&prog, &case.chunks, &case.tiles);
         assert_fast_matches_vm(&prog, &plan, &inputs);
     }

@@ -196,6 +196,36 @@ impl DslProgram {
                 )));
             }
         }
+        // a declared shape must cover everything the buffer's affine
+        // accesses reach over the full iteration space: the executors
+        // allocate and index through the declaration, so an undersized one
+        // is an out-of-bounds access waiting for its kernel (the mirror of
+        // `check_inputs`' `have < need`). General index functions are
+        // data-dependent and keep their per-access bounds checks.
+        let full = self.md_hom.full_range();
+        if !full.is_empty() {
+            for (kind, view) in [("input", &self.inp_view), ("output", &self.out_view)] {
+                for (b, decl) in view.buffers.iter().enumerate() {
+                    let Some(declared) = &decl.declared_shape else {
+                        continue;
+                    };
+                    for need in view
+                        .accesses_of(b)
+                        .filter_map(|a| a.index_fn.inferred_extents(&full))
+                    {
+                        if declared.len() != need.len()
+                            || declared.iter().zip(&need).any(|(&have, &need)| have < need)
+                        {
+                            return Err(MdhError::Validation(format!(
+                                "program '{}': {kind} buffer '{}' is declared {declared:?} \
+                                 but its accesses need at least {need:?}",
+                                self.name, decl.name
+                            )));
+                        }
+                    }
+                }
+            }
+        }
         // every output buffer must be written by at least one access
         for (b, decl) in self.out_view.buffers.iter().enumerate() {
             if self.out_view.accesses_of(b).next().is_none() {
@@ -658,5 +688,31 @@ mod tests {
             vec![1, 2 * 2 + 3 - 1, 2 * 2 + 3 - 1, 2]
         );
         assert_eq!(prog.md_hom.reduction_dims(), vec![4, 5, 6]);
+    }
+
+    #[test]
+    fn declared_shape_must_cover_affine_accesses() {
+        use crate::index_fn::AffineExpr;
+        // y[i] = x[i + 2] over i < 8: y needs 8 elements, x needs 10
+        let build = |y: usize, x: usize| {
+            DslBuilder::new("shift", vec![8])
+                .out_buffer_with_shape("y", BasicType::F32, vec![y])
+                .out_access("y", IndexFn::identity(1, 1))
+                .inp_buffer_with_shape("x", BasicType::F32, vec![x])
+                .inp_access("x", IndexFn::affine(vec![AffineExpr::new(vec![1], 2)]))
+                .scalar_function(ScalarFunction::identity("id", ScalarKind::F32))
+                .combine_ops(vec![CombineOp::cc()])
+                .build()
+        };
+        assert!(build(8, 10).is_ok());
+        assert!(build(12, 16).is_ok(), "larger than needed is fine");
+        for (y, x, buffer) in [(4, 10, "'y'"), (8, 9, "'x'")] {
+            match build(y, x) {
+                Err(MdhError::Validation(msg)) => {
+                    assert!(msg.contains(buffer) && msg.contains("declared"), "{msg}")
+                }
+                other => panic!("y[{y}] x[{x}] must be rejected, got {other:?}"),
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Stencils: 3D Jacobi through the directive (reduction-free, cc-only)
-//! with the direct-write parallel map kernel.
+//! with the direct-write parallel fast map kernel.
 //!
 //! ```text
 //! cargo run --release --example stencil
@@ -7,7 +7,7 @@
 
 use mdh::apps::stencil::jacobi_3d;
 use mdh::apps::Scale;
-use mdh::backend::cpu::{CpuExecutor, ExecPath};
+use mdh::backend::cpu::CpuExecutor;
 use mdh::lowering::asm::DeviceKind;
 use mdh::lowering::heuristics::mdh_default_schedule;
 use mdh::lowering::schedule::Schedule;
@@ -20,7 +20,6 @@ fn main() {
     println!("Jacobi_3D: {} (7-point, stride-1)", app.sizes_desc);
 
     let exec = CpuExecutor::new(threads).expect("executor");
-    assert_eq!(exec.path_for(&app.program), ExecPath::Map);
 
     // sequential vs parallel map execution
     let seq = Schedule::sequential(3, DeviceKind::Cpu);

@@ -104,3 +104,62 @@ fn zero_sized_dimensions_are_handled() {
     let prog = compile(VALID, &env).unwrap();
     assert_eq!(prog.md_hom.points(), 0);
 }
+
+/// A declared buffer shape smaller than what the loop nest touches must
+/// stop at `validate` — both map kernels used to write such an output out
+/// of bounds (heap corruption in release builds, past the server's
+/// worker-panic isolation).
+#[test]
+fn declared_shapes_smaller_than_the_loop_are_rejected() {
+    use mdh::core::error::MdhError;
+    use mdh::directive::{compile_c, compile_fortran};
+    let env = DirectiveEnv::new().size("N", 100_000);
+    // Fortran, undersized output: the scaled-sum and the weighted-sum body
+    let f_scaled = "\
+!$mdh out(y: real[4]) inp(x: real[N + 2]) combine_ops(cc)
+do i = 1, N
+   y(i) = 0.333 * (x(i) + x(i + 1) + x(i + 2))
+end do
+";
+    let f_weighted = "\
+!$mdh out(y: real[4]) inp(x: real[N + 2]) combine_ops(cc)
+do i = 1, N
+   y(i) = 0.25 * x(i) + 0.5 * x(i + 1) + 0.25 * x(i + 2)
+end do
+";
+    // Fortran, undersized input
+    let f_input = "\
+!$mdh out(y: real[N]) inp(x: real[N]) combine_ops(cc)
+do i = 1, N
+   y(i) = 0.333 * (x(i) + x(i + 1) + x(i + 2))
+end do
+";
+    let c_output = "\
+#pragma mdh out(y: float[4]) inp(x: float[N + 2]) combine_ops(cc)
+for (int i = 0; i < N; i++)
+    y[i] = 0.25 * x[i] + 0.5 * x[i + 1] + 0.25 * x[i + 2];
+";
+    type Front = fn(&str, &DirectiveEnv) -> mdh::core::error::Result<mdh::core::dsl::DslProgram>;
+    let cases: [(&str, Front, &str, &str); 4] = [
+        ("fortran scaled sum", compile_fortran, f_scaled, "'y'"),
+        ("fortran weighted sum", compile_fortran, f_weighted, "'y'"),
+        ("fortran input", compile_fortran, f_input, "'x'"),
+        ("c pragma", compile_c, c_output, "'y'"),
+    ];
+    for (what, front, src, buffer) in cases {
+        // whether the front end validates itself or leaves it to the
+        // caller, the program must not survive `validate`
+        match front(src, &env).and_then(|p| p.validate()) {
+            Err(MdhError::Validation(msg)) => {
+                assert!(
+                    msg.contains(buffer) && msg.contains("declared"),
+                    "{what}: {msg}"
+                )
+            }
+            other => panic!("{what}: expected a Validation error, got {other:?}"),
+        }
+    }
+    // the same kernels with covering declarations still compile
+    let ok = f_scaled.replace("real[4]", "real[N]");
+    compile_fortran(&ok, &env).unwrap().validate().unwrap();
+}

@@ -198,6 +198,45 @@ fn malformed_input_corpus_answers_one_err_each_and_server_survives() {
     assert!(!sock.exists(), "socket file removed on clean shutdown");
 }
 
+/// A directive whose declared buffer is smaller than its loop writes
+/// (or reads) used to reach the map kernels and corrupt the heap in
+/// release builds; it must die at validation with an `err` reply, and the
+/// same server must keep serving.
+#[test]
+fn undersized_declared_shapes_are_answered_err_and_server_survives() {
+    const JACOBI: &str = "\
+!$mdh out(y: real[N]) inp(x: real[N + 2]) combine_ops(cc)
+do i = 1, N
+   y(i) = 0.333 * (x(i) + x(i + 1) + x(i + 2))
+end do
+";
+    let (sock, server) = start_server("undersized");
+    let n = [("N".to_string(), 100_000)];
+    for (what, src) in [
+        ("output", JACOBI.replace("y: real[N]", "y: real[4]")),
+        ("input", JACOBI.replace("x: real[N + 2]", "x: real[N]")),
+    ] {
+        let lines = client_submit(&sock, &src, DeviceKind::Cpu, 1, &n).unwrap();
+        assert_eq!(err_lines(&lines), 1, "undersized {what}: {lines:?}");
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.starts_with("err ") && l.contains("declared")),
+            "undersized {what}: {lines:?}"
+        );
+        assert!(!lines.iter().any(|l| l.starts_with("ok ")), "{lines:?}");
+        let lines = client_submit(&sock, JACOBI, DeviceKind::Cpu, 1, &n).unwrap();
+        assert_eq!(
+            lines.iter().filter(|l| l.starts_with("ok ")).count(),
+            1,
+            "next SUBMIT after undersized {what}: {lines:?}"
+        );
+    }
+    let bye = client_shutdown(&sock).unwrap();
+    assert!(bye[0].starts_with("ok"), "{bye:?}");
+    server.join().expect("server thread exits cleanly");
+}
+
 #[test]
 fn header_at_exactly_max_bytes_is_accepted_and_one_over_rejected() {
     let (sock, server) = start_server("hdrcap");
