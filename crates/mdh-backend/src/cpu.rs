@@ -1,16 +1,14 @@
 //! The parallel CPU executor.
 //!
-//! Routes a scheduled program to one of four paths, decided once per run:
+//! Routes a scheduled program to one of three paths, decided once per run:
 //!
-//! 1. `Scatter` — programs with an `rbi` dimension: fixed-chunk private
-//!    partials folded by a fixed combine tree,
-//! 2. `Fast` — the tiled, vectorized f32 kernels [`fast::classify`]
+//! 1. `Fast` — the tiled, vectorized f32 kernels [`fast::classify`]
 //!    admits (two-factor products, weighted sums),
-//! 3. `Vm` — the register-VM path (`vm_exec`) for everything else with
-//!    affine accesses and scalar outputs (custom combine operators,
-//!    records, f64, `ps`); also where a fast kernel that declines at run
-//!    time lands,
-//! 4. `Reference` — the sequential reference evaluator (always correct).
+//! 2. `Vm` — the lane-blocked register-VM path (`vm_exec`) for everything
+//!    else with affine input accesses and scalar outputs (custom combine
+//!    operators, records, f64, `ps` scans, `rbi` indexed reductions);
+//!    also where a fast kernel that declines at run time lands,
+//! 3. `Reference` — the sequential reference evaluator (always correct).
 //!
 //! `Fast` is bit-identical to `Vm` on the same plan — there is one f32
 //! fold order, the VM's. All paths implement the same decomposition
@@ -20,13 +18,11 @@
 use crate::fast::{self, FastKernel};
 use crate::vm_exec;
 use mdh_core::buffer::Buffer;
-use mdh_core::combine::{BuiltinReduce, PwFunc};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::eval;
-use mdh_lowering::plan::{split_even, ExecutionPlan};
+use mdh_lowering::plan::ExecutionPlan;
 use mdh_lowering::schedule::Schedule;
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 /// Which execution path ran (exposed for tests and reports).
@@ -35,7 +31,6 @@ pub enum ExecPath {
     /// Tiled/vectorized fast kernel (bit-identical to Vm).
     Fast,
     Vm,
-    Scatter,
     Reference,
 }
 
@@ -55,7 +50,6 @@ pub enum FastMode {
 enum Route {
     Fast(FastKernel),
     Vm,
-    Scatter,
     Reference,
 }
 
@@ -79,13 +73,6 @@ pub struct CpuExecutor {
 /// combines per-task results in task-index order, so the cutoff cannot
 /// change output bits.
 const SMALL_PLAN_POINTS: usize = 2048;
-
-/// Fixed number of chunks the scatter (`rbi`) path cuts the indexed
-/// dimension into. A *constant* — deliberately independent of the pool
-/// width — so the private-partial structure and the shape of the combine
-/// tree are identical at every thread count: result bits cannot depend on
-/// parallelism, only wall-clock does.
-const SCATTER_CHUNKS: usize = 16;
 
 impl CpuExecutor {
     /// Build an executor with its own dedicated pool of `threads`.
@@ -150,9 +137,6 @@ impl CpuExecutor {
     }
 
     fn route(&self, prog: &DslProgram) -> Route {
-        if prog.md_hom.has_rbi() {
-            return Route::Scatter;
-        }
         if self.fast_mode == FastMode::Auto {
             if let Ok(kernel) = fast::classify(prog) {
                 return Route::Fast(kernel);
@@ -170,7 +154,6 @@ impl CpuExecutor {
         match self.route(prog) {
             Route::Fast(_) => ExecPath::Fast,
             Route::Vm => ExecPath::Vm,
-            Route::Scatter => ExecPath::Scatter,
             Route::Reference => ExecPath::Reference,
         }
     }
@@ -200,8 +183,8 @@ impl CpuExecutor {
         inputs: &[Buffer],
     ) -> Result<Vec<Buffer>> {
         eval::check_inputs(prog, inputs)?;
-        // in Auto mode every non-rbi run either hits a kernel or counts
-        // as a fallback, so hits/(hits+fallbacks) is fast-path coverage
+        // in Auto mode every run either hits a kernel or counts as a
+        // fallback, so hits/(hits+fallbacks) is fast-path coverage
         let count_fallback = || {
             if self.fast_mode == FastMode::Auto {
                 fast::registry().record_fallback();
@@ -222,63 +205,11 @@ impl CpuExecutor {
                 count_fallback();
                 vm_exec::run(prog, plan, inputs, &self.pool_for(plan))
             }
-            Route::Scatter => self.run_scatter(prog, plan, inputs),
             Route::Reference => {
                 count_fallback();
                 eval::evaluate_recursive(prog, inputs)
             }
         }
-    }
-
-    /// Indexed-reduction (`rbi`) path: the rbi dimension is cut into
-    /// [`SCATTER_CHUNKS`] fixed intervals; each chunk scatters into its own
-    /// zero-initialised full-shape partial in ascending point order, and the
-    /// partials are folded with a fixed binary combine tree — pair (0,1),
-    /// (2,3), … per level, in chunk-index order. Both the chunk structure
-    /// and the tree shape depend only on the program, so outputs are
-    /// bit-identical across pool widths.
-    fn run_scatter(
-        &self,
-        prog: &DslProgram,
-        plan: &ExecutionPlan,
-        inputs: &[Buffer],
-    ) -> Result<Vec<Buffer>> {
-        let d = *prog
-            .md_hom
-            .rbi_dims()
-            .first()
-            .ok_or_else(|| MdhError::Eval("scatter path requires an rbi dimension".into()))?;
-        let full = prog.md_hom.full_range();
-        let intervals = split_even(prog.md_hom.sizes[d], SCATTER_CHUNKS);
-        let mut chunk_outs: Vec<Result<Vec<Buffer>>> = Vec::new();
-        self.pool_for(plan).install(|| {
-            intervals
-                .par_iter()
-                .map(|&(lo, hi)| {
-                    let mut range = full.clone();
-                    range.lo[d] = lo;
-                    range.hi[d] = hi;
-                    let mut outs = eval::alloc_outputs(prog)?;
-                    eval::scatter_range(prog, inputs, &range, &mut outs)?;
-                    Ok(outs)
-                })
-                .collect_into_vec(&mut chunk_outs);
-        });
-        let mut layer: Vec<Vec<Buffer>> = chunk_outs.into_iter().collect::<Result<_>>()?;
-        while layer.len() > 1 {
-            let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-            let mut it = layer.into_iter();
-            while let Some(mut lhs) = it.next() {
-                if let Some(rhs) = it.next() {
-                    add_outputs(&mut lhs, &rhs)?;
-                }
-                next.push(lhs);
-            }
-            layer = next;
-        }
-        layer
-            .pop()
-            .ok_or_else(|| MdhError::Eval("scatter produced no partials".into()))
     }
 
     /// Execute and report wall-clock time of the execution itself.
@@ -292,19 +223,6 @@ impl CpuExecutor {
         let out = self.run(prog, schedule, inputs)?;
         Ok((out, t0.elapsed()))
     }
-}
-
-/// Element-wise `add` of two identically-shaped output sets (rbi partial
-/// combining).
-fn add_outputs(acc: &mut [Buffer], rhs: &[Buffer]) -> Result<()> {
-    let add = PwFunc::builtin(BuiltinReduce::Add);
-    for (a, r) in acc.iter_mut().zip(rhs) {
-        for i in 0..a.len() {
-            let combined = add.combine(&vec![a.get_flat(i)], &vec![r.get_flat(i)])?;
-            a.set_flat(i, &combined[0])?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -375,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_via_scatter_path_bit_identical_across_widths() {
+    fn histogram_via_rbi_mode_bit_identical_across_widths() {
         // hist[key[i]] += w[i], integer-valued weights so addition is
         // exact; the real assertion is bitwise equality across pool
         // widths, which the fixed chunk structure must guarantee even
@@ -407,7 +325,7 @@ mod tests {
         let mut bits: Vec<Vec<u32>> = Vec::new();
         for width in [1usize, 2, 4] {
             let ex = CpuExecutor::new(width).unwrap();
-            assert_eq!(ex.path_for(&prog), ExecPath::Scatter);
+            assert_eq!(ex.path_for(&prog), ExecPath::Vm);
             let s = mdh_default_schedule(&prog, DeviceKind::Cpu, width);
             let got = ex.run(&prog, &s, &inputs).unwrap();
             assert_eq!(
@@ -426,7 +344,7 @@ mod tests {
         }
         assert!(
             bits.windows(2).all(|p| p[0] == p[1]),
-            "scatter output bits differ across widths"
+            "rbi output bits differ across widths"
         );
     }
 

@@ -25,7 +25,7 @@
 
 use crate::fast::line::{Line, LANES};
 use crate::fast::{f32_inputs, linearize_for};
-use crate::offsets::LinearAccess;
+use crate::offsets::{advance, LinearAccess};
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
@@ -762,23 +762,5 @@ pub(crate) fn walk_runs(
             }
             idx[d] = range.lo[d];
         }
-    }
-}
-
-/// Advance `idx` through `dims` (last fastest) within `range`; returns
-/// false once the odometer wraps back to the start.
-pub(crate) fn advance(idx: &mut [usize], dims: &[usize], range: &MdRange) -> bool {
-    let mut k = dims.len();
-    loop {
-        if k == 0 {
-            return false;
-        }
-        k -= 1;
-        let d = dims[k];
-        idx[d] += 1;
-        if idx[d] < range.hi[d] {
-            return true;
-        }
-        idx[d] = range.lo[d];
     }
 }

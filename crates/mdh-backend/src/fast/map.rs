@@ -12,10 +12,9 @@
 //!
 //! [`strict_weighted_sum`]: crate::fast::pattern::strict_weighted_sum
 
-use crate::fast::contraction::advance;
 use crate::fast::line::{Line, LANES};
 use crate::fast::{f32_inputs, linearize_for};
-use crate::offsets::LinearAccess;
+use crate::offsets::{advance, LinearAccess};
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};

@@ -13,7 +13,7 @@
 //! otherwise (surfaced as `fallback_reason` in benchmarks and stats).
 //!
 //! Eligibility (checked in this order):
-//! - no `rbi` dimension (those own the scatter path),
+//! - no `rbi` dimension (those are the VM's rbi mode),
 //! - a single affine f32 output access, all-affine all-f32 inputs,
 //! - combine ops restricted to `cc` and builtin `pw(add)`,
 //! - a scalar function the strict matchers in [`pattern`] accept:
@@ -75,7 +75,7 @@ impl FastKernel {
 /// The `Err` string is the fallback reason.
 pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
     if prog.md_hom.has_rbi() {
-        return Err("indexed reduction (rbi) runs on the scatter path".into());
+        return Err("indexed reduction (rbi) runs as the VM's rbi mode".into());
     }
     if prog.out_view.accesses.len() != 1 {
         return Err("more than one output access".into());
@@ -110,7 +110,7 @@ pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
             }
             CombineOp::Ps(_) => return Err("prefix scan (ps) needs the VM's scan combine".into()),
             CombineOp::Rbi(_) => {
-                return Err("indexed reduction (rbi) runs on the scatter path".into())
+                return Err("indexed reduction (rbi) runs as the VM's rbi mode".into())
             }
         }
     }

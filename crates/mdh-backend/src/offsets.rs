@@ -2,15 +2,16 @@
 //!
 //! Affine index functions compose with row-major buffer strides into a
 //! single linear form `flat = Σ_d coeff[d]·i_d + const`, evaluated (or
-//! updated incrementally) in the hot loops. Loaders move buffer elements
-//! into VM register banks; stores write result registers back to output
-//! buffers.
+//! updated incrementally) in the hot loops. Loaders move a block of
+//! buffer elements into the lanes of VM register banks; stores write
+//! result registers back to output buffers.
 
-use crate::vm::{ParamLoad, Reg};
+use crate::vm::{ParamLoad, Reg, LANES};
 use mdh_core::buffer::{Buffer, BufferData, Column};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::index_fn::IndexFn;
+use mdh_core::shape::MdRange;
 use mdh_core::types::ScalarKind;
 use mdh_core::views::View;
 
@@ -85,6 +86,24 @@ pub fn linearize_view(
         .collect()
 }
 
+/// Advance `idx` through `dims` (last fastest) within `range`; returns
+/// false once the odometer wraps back to the start.
+pub fn advance(idx: &mut [usize], dims: &[usize], range: &MdRange) -> bool {
+    let mut k = dims.len();
+    loop {
+        if k == 0 {
+            return false;
+        }
+        k -= 1;
+        let d = dims[k];
+        idx[d] += 1;
+        if idx[d] < range.hi[d] {
+            return true;
+        }
+        idx[d] = range.lo[d];
+    }
+}
+
 /// A typed column slice (primitive buffers are a single column).
 #[derive(Clone, Copy)]
 pub enum ColSlice<'a> {
@@ -96,28 +115,53 @@ pub enum ColSlice<'a> {
     Char(&'a [u8]),
 }
 
+/// `out[l] = cv(src[base + l·step])` — `step == 1` is a contiguous
+/// copy/convert, `step == 0` a splat, anything else a strided gather.
+#[inline]
+fn fill_lanes<T: Copy, U: Copy>(
+    src: &[T],
+    base: i64,
+    step: i64,
+    out: &mut [U],
+    cv: impl Fn(T) -> U,
+) {
+    match step {
+        1 => {
+            let run = &src[base as usize..base as usize + out.len()];
+            out.iter_mut().zip(run).for_each(|(o, &x)| *o = cv(x));
+        }
+        0 => out.fill(cv(src[base as usize])),
+        _ => out
+            .iter_mut()
+            .enumerate()
+            .for_each(|(l, o)| *o = cv(src[(base + l as i64 * step) as usize])),
+    }
+}
+
 impl<'a> ColSlice<'a> {
+    /// Fill f64 lanes from elements `base, base + step, …` of the column.
     #[inline]
-    pub fn get_f64(&self, i: usize) -> f64 {
+    pub fn fill_f64(&self, base: i64, step: i64, out: &mut [f64]) {
         match self {
-            ColSlice::F32(v) => v[i] as f64,
-            ColSlice::F64(v) => v[i],
-            ColSlice::I32(v) => v[i] as f64,
-            ColSlice::I64(v) => v[i] as f64,
-            ColSlice::Bool(v) => v[i] as i64 as f64,
-            ColSlice::Char(v) => v[i] as f64,
+            ColSlice::F32(v) => fill_lanes(v, base, step, out, |x| x as f64),
+            ColSlice::F64(v) => fill_lanes(v, base, step, out, |x| x),
+            ColSlice::I32(v) => fill_lanes(v, base, step, out, |x| x as f64),
+            ColSlice::I64(v) => fill_lanes(v, base, step, out, |x| x as f64),
+            ColSlice::Bool(v) => fill_lanes(v, base, step, out, |x| x as i64 as f64),
+            ColSlice::Char(v) => fill_lanes(v, base, step, out, |x| x as f64),
         }
     }
 
+    /// Fill i64 lanes from elements `base, base + step, …` of the column.
     #[inline]
-    pub fn get_i64(&self, i: usize) -> i64 {
+    pub fn fill_i64(&self, base: i64, step: i64, out: &mut [i64]) {
         match self {
-            ColSlice::F32(v) => v[i] as i64,
-            ColSlice::F64(v) => v[i] as i64,
-            ColSlice::I32(v) => v[i] as i64,
-            ColSlice::I64(v) => v[i],
-            ColSlice::Bool(v) => v[i] as i64,
-            ColSlice::Char(v) => v[i] as i64,
+            ColSlice::F32(v) => fill_lanes(v, base, step, out, |x| x as i64),
+            ColSlice::F64(v) => fill_lanes(v, base, step, out, |x| x as i64),
+            ColSlice::I32(v) => fill_lanes(v, base, step, out, |x| x as i64),
+            ColSlice::I64(v) => fill_lanes(v, base, step, out, |x| x),
+            ColSlice::Bool(v) => fill_lanes(v, base, step, out, |x| x as i64),
+            ColSlice::Char(v) => fill_lanes(v, base, step, out, |x| x as i64),
         }
     }
 
@@ -205,21 +249,23 @@ impl<'a> Loader<'a> {
             .collect()
     }
 
+    /// Load the access's elements at flat offsets `base, base + step, …`
+    /// into lanes `0..n` of its registers (`step` is the access's hoisted
+    /// stride along the blocked dimension; record lanes are a strided
+    /// gather through their column).
     #[inline]
-    pub fn load(&self, flat: usize, f: &mut [f64], i: &mut [i64]) {
+    pub fn load_block(&self, base: i64, step: i64, n: usize, f: &mut [f64], i: &mut [i64]) {
+        let mut fill = |col: &ColSlice, reg: Reg, base: i64, step: i64| match reg {
+            Reg::F(d) => col.fill_f64(base, step, &mut f[d * LANES..d * LANES + n]),
+            Reg::I(d) => col.fill_i64(base, step, &mut i[d * LANES..d * LANES + n]),
+        };
         match self {
             Loader::Unused => {}
-            Loader::Scalar { col, reg } => match reg {
-                Reg::F(d) => f[*d] = col.get_f64(flat),
-                Reg::I(d) => i[*d] = col.get_i64(flat),
-            },
+            Loader::Scalar { col, reg } => fill(col, *reg, base, step),
             Loader::Record { lanes } => {
                 for l in lanes {
-                    let idx = flat * l.lanes + l.lane;
-                    match l.reg {
-                        Reg::F(d) => f[d] = l.col.get_f64(idx),
-                        Reg::I(d) => i[d] = l.col.get_i64(idx),
-                    }
+                    let w = l.lanes as i64;
+                    fill(&l.col, l.reg, base * w + l.lane as i64, step * w);
                 }
             }
         }
@@ -243,6 +289,42 @@ pub fn store_result(buf: &mut Buffer, flat: usize, kind: ScalarKind, fval: f64, 
         (BufferData::Char(v), true) => v[flat] = fval as u8,
         (BufferData::Char(v), false) => v[flat] = ival as u8,
         (BufferData::Record(_), _) => {
+            unreachable!("record outputs excluded by the VM path preconditions")
+        }
+    }
+}
+
+/// `buf[flat] += v` for one `rbi` contribution, typed: `v` is the scalar
+/// function's result register rounded to its declared `kind`, and the sum
+/// is `prev + v` rounded to the buffer's element type exactly as the
+/// reference scatter of `mdh_core::eval` rounds it — in f64
+/// when either side is a float, as a wrapping i64 otherwise.
+#[inline]
+pub fn add_result(buf: &mut Buffer, flat: usize, kind: ScalarKind, fval: f64, ival: i64) {
+    let float = kind.is_float();
+    let k = match kind {
+        ScalarKind::I32 => ival as i32 as i64,
+        ScalarKind::Bool => (ival != 0) as i64,
+        ScalarKind::Char => ival as u8 as i64,
+        _ => ival,
+    };
+    let x = match kind {
+        ScalarKind::F32 => fval as f32 as f64,
+        ScalarKind::F64 => fval,
+        _ => k as f64,
+    };
+    match &mut buf.data {
+        BufferData::F32(v) => v[flat] = (v[flat] as f64 + x) as f32,
+        BufferData::F64(v) => v[flat] += x,
+        BufferData::I32(v) if float => v[flat] = (v[flat] as f64 + x) as i32,
+        BufferData::I32(v) => v[flat] = (v[flat] as i64).wrapping_add(k) as i32,
+        BufferData::I64(v) if float => v[flat] = (v[flat] as f64 + x) as i64,
+        BufferData::I64(v) => v[flat] = v[flat].wrapping_add(k),
+        BufferData::Bool(v) if float => v[flat] = v[flat] as i64 as f64 + x != 0.0,
+        BufferData::Bool(v) => v[flat] = (v[flat] as i64).wrapping_add(k) != 0,
+        BufferData::Char(v) if float => v[flat] = (v[flat] as f64 + x) as u8,
+        BufferData::Char(v) => v[flat] = (v[flat] as i64).wrapping_add(k) as u8,
+        BufferData::Record(_) => {
             unreachable!("record outputs excluded by the VM path preconditions")
         }
     }
@@ -284,10 +366,20 @@ mod tests {
     }
 
     #[test]
-    fn colslice_reads() {
-        let v = vec![1.0f32, 2.5];
+    fn colslice_fills_lanes_at_every_stride() {
+        let v = vec![1.0f32, 2.5, -3.0, 4.0, 5.5];
         let c = ColSlice::F32(&v);
-        assert_eq!(c.get_f64(1), 2.5);
-        assert_eq!(c.get_i64(1), 2);
+        let mut f = [0.0f64; 3];
+        c.fill_f64(1, 1, &mut f);
+        assert_eq!(f, [2.5, -3.0, 4.0]);
+        c.fill_f64(4, 0, &mut f);
+        assert_eq!(f, [5.5; 3]);
+        c.fill_f64(0, 2, &mut f);
+        assert_eq!(f, [1.0, -3.0, 5.5]);
+        c.fill_f64(4, -2, &mut f);
+        assert_eq!(f, [5.5, -3.0, 1.0]);
+        let mut i = [0i64; 2];
+        c.fill_i64(1, 1, &mut i);
+        assert_eq!(i, [2, -3]);
     }
 }

@@ -1,20 +1,39 @@
-//! A compiling register VM for scalar functions.
+//! A compiling, lane-blocked register VM for scalar functions.
 //!
 //! The real MDH pipeline generates CUDA/OpenCL source and compiles it with
 //! the vendor toolchain. Rust has no runtime code generation, so this VM is
 //! our documented substitution: a [`mdh_core::expr::ScalarFunction`] is
-//! *compiled once* into a flat program over typed register banks (f64 and
-//! i64), with static loops unrolled, record fields flattened to individual
-//! registers, and constant expressions folded. The hot loop then executes a
-//! `Vec<VmOp>` with no allocation, no hashing, and no dynamic dispatch per
-//! node — one or two orders of magnitude faster than tree interpretation,
-//! and shared by every system under test so relative comparisons remain
-//! fair.
+//! *compiled once* into a flat, **straight-line** program over typed
+//! register banks (f64 and i64), with static loops unrolled, record fields
+//! flattened to individual registers, constant expressions folded and
+//! conditionals if-converted into selects. The banks are
+//! structure-of-arrays: register `r` holds one value per *lane*, and every
+//! instruction runs as one tight loop over the lanes of a block of
+//! consecutive iteration points, so the interpreter's dispatch is paid
+//! once per block instead of once per point and the lane loops
+//! auto-vectorize. `md_hom` applies its scalar function to every point
+//! independently, so evaluating a block of points per dispatch is legal
+//! by definition and changes no value.
+//!
+//! If-conversion is value-preserving because scalar functions are pure
+//! and every instruction is total (integer division guards a zero
+//! divisor and wraps, casts saturate, math calls return NaN rather than
+//! trap): temporaries of both arms of an `if` land in fresh registers,
+//! and only assignments to already-bound variables are guarded — by a
+//! select on the path predicate — so the arm not taken changes nothing
+//! a later instruction can observe.
 
 use mdh_core::error::{MdhError, Result};
 use mdh_core::expr::{BinOp, Expr, MathFn, ScalarFunction, Stmt, UnOp};
 use mdh_core::types::{BasicType, FieldType, ScalarKind, Value};
 use std::collections::HashMap;
+
+/// Points per block of [`CompiledSf::run_block`]. A constant, picked by
+/// measurement (2 threads, `Scale::Medium`): PRL — 150 registers, the
+/// largest registered program, whose banks must stay L1-resident — runs
+/// 59 / 53 / 46 / 57 ns per pair at 8 / 16 / 32 / 64 lanes; f64 MatVec
+/// 2.3 / 1.1 / 1.0 / 1.0 ns per point.
+pub(crate) const LANES: usize = 32;
 
 /// A typed register reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,10 +75,11 @@ pub enum VmOp {
     // math calls on the f bank
     Call1(MathFn, usize, usize),
     Call2(MathFn, usize, usize, usize),
-    /// Jump to absolute pc if the i-register is zero.
-    JmpIfZero(usize, usize),
-    /// Unconditional jump to absolute pc.
-    Jmp(usize),
+    /// `f[dst] = if i[pred] != 0 { f[a] } else { f[b] }` — what an
+    /// if-converted assignment and `Expr::Select` compile to.
+    SelF(usize, usize, usize, usize),
+    /// `i[dst] = if i[pred] != 0 { i[a] } else { i[b] }`.
+    SelI(usize, usize, usize, usize),
     /// `f[dst] = f[a] * f[b] + f[c]` — the peephole superinstruction for
     /// an adjacent `FMul`+`FAdd` pair (the shape of every contraction
     /// SF). This fuses *dispatch*, not rounding: it computes with the
@@ -79,30 +99,6 @@ pub enum CmpKind {
     Ge,
 }
 
-impl CmpKind {
-    fn eval_f(self, a: f64, b: f64) -> bool {
-        match self {
-            CmpKind::Eq => a == b,
-            CmpKind::Ne => a != b,
-            CmpKind::Lt => a < b,
-            CmpKind::Le => a <= b,
-            CmpKind::Gt => a > b,
-            CmpKind::Ge => a >= b,
-        }
-    }
-
-    fn eval_i(self, a: i64, b: i64) -> bool {
-        match self {
-            CmpKind::Eq => a == b,
-            CmpKind::Ne => a != b,
-            CmpKind::Lt => a < b,
-            CmpKind::Le => a <= b,
-            CmpKind::Gt => a > b,
-            CmpKind::Ge => a >= b,
-        }
-    }
-}
-
 /// Where a parameter's value is delivered before execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamLoad {
@@ -119,16 +115,18 @@ pub enum ParamLoad {
 ///
 /// # Register invariant
 ///
-/// `ops`, `n_fregs` and `n_iregs` are private so that a `CompiledSf` can
-/// only be produced by [`compile_sf`], whose `finish` step *verifies*
-/// that every register index appearing in `ops` (and in `param_loads` /
-/// `result_regs`) is below the corresponding bank size, and that every
-/// jump target is `<= ops.len()`. [`CompiledSf::run`] relies on that
-/// invariant to use unchecked register access in the interpreter loop —
-/// it only re-checks the (two) bank lengths at entry, not each of the
-/// millions of per-element register accesses.
+/// `prologue`, `ops`, `n_fregs` and `n_iregs` are private so that a
+/// `CompiledSf` can only be produced by [`compile_sf`], whose `finish`
+/// step *verifies* that every register index appearing in the program
+/// (and in `param_loads` / `result_regs`) is below the corresponding bank
+/// size. The interpreter relies on that invariant to use unchecked
+/// register access — it only re-checks the (two) bank lengths at entry,
+/// not each of the millions of per-block register accesses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledSf {
+    /// Literal loads into registers nothing else writes: run once, when
+    /// the banks are built, instead of once per block.
+    prologue: Vec<VmOp>,
     ops: Vec<VmOp>,
     n_fregs: usize,
     n_iregs: usize,
@@ -141,121 +139,236 @@ pub struct CompiledSf {
 }
 
 impl CompiledSf {
-    /// The verified instruction stream (read-only: mutating it could
-    /// break the register invariant).
+    /// The verified per-block instruction stream (read-only: mutating it
+    /// could break the register invariant).
     pub fn ops(&self) -> &[VmOp] {
         &self.ops
     }
 
-    /// Size of the f64 register bank this program requires.
+    /// Number of f64 registers this program requires.
     pub fn n_fregs(&self) -> usize {
         self.n_fregs
     }
 
-    /// Size of the i64 register bank this program requires.
+    /// Number of i64 registers this program requires.
     pub fn n_iregs(&self) -> usize {
         self.n_iregs
     }
 
-    /// Execute the program on the given banks (caller loads params first).
-    ///
-    /// Bank lengths are checked once at entry; per-access bounds checks
-    /// are elided under the register invariant (see the type docs).
-    #[inline]
-    pub fn run(&self, f: &mut [f64], i: &mut [i64]) {
-        assert!(
-            f.len() >= self.n_fregs && i.len() >= self.n_iregs,
-            "register banks smaller than the compiled program requires"
+    /// Fresh banks for [`CompiledSf::run_block`], prologue constants
+    /// already in place. Structure-of-arrays: with `L = len / registers`
+    /// lanes per register, register `r`'s lane `l` lives at `r * L + l`.
+    pub fn banks(&self) -> (Vec<f64>, Vec<i64>) {
+        self.banks_of::<LANES>()
+    }
+
+    /// Fresh one-lane banks for [`CompiledSf::run_point`].
+    pub fn point_banks(&self) -> (Vec<f64>, Vec<i64>) {
+        self.banks_of::<1>()
+    }
+
+    fn banks_of<const L: usize>(&self) -> (Vec<f64>, Vec<i64>) {
+        let (mut f, mut i) = (vec![0.0; self.n_fregs * L], vec![0; self.n_iregs * L]);
+        exec::<L, true>(
+            &self.prologue,
+            self.n_fregs,
+            self.n_iregs,
+            &mut f,
+            &mut i,
+            L,
         );
-        macro_rules! fr {
-            ($x:expr) => {
-                *f.get_unchecked($x)
-            };
-        }
-        macro_rules! fw {
-            ($x:expr) => {
-                *f.get_unchecked_mut($x)
-            };
-        }
-        macro_rules! ir {
-            ($x:expr) => {
-                *i.get_unchecked($x)
-            };
-        }
-        macro_rules! iw {
-            ($x:expr) => {
-                *i.get_unchecked_mut($x)
-            };
-        }
-        let mut pc = 0usize;
-        let ops = self.ops.as_slice();
-        // SAFETY: `finish` verified every register index in `ops` against
-        // `n_fregs`/`n_iregs` (asserted to fit the banks above) and every
-        // jump target against `ops.len()`; the fields are private, so no
-        // unverified program can reach this loop.
-        unsafe {
-            while pc < ops.len() {
-                match *ops.get_unchecked(pc) {
-                    VmOp::ConstF(d, v) => fw!(d) = v,
-                    VmOp::ConstI(d, v) => iw!(d) = v,
-                    VmOp::MovF(d, s) => fw!(d) = fr!(s),
-                    VmOp::MovI(d, s) => iw!(d) = ir!(s),
-                    VmOp::FAdd(d, a, b) => fw!(d) = fr!(a) + fr!(b),
-                    VmOp::FSub(d, a, b) => fw!(d) = fr!(a) - fr!(b),
-                    VmOp::FMul(d, a, b) => fw!(d) = fr!(a) * fr!(b),
-                    VmOp::FDiv(d, a, b) => fw!(d) = fr!(a) / fr!(b),
-                    VmOp::FRem(d, a, b) => fw!(d) = fr!(a) % fr!(b),
-                    // two roundings on purpose — see the FMulAdd docs
-                    VmOp::FMulAdd(d, a, b, c) => fw!(d) = fr!(a) * fr!(b) + fr!(c),
-                    VmOp::IAdd(d, a, b) => iw!(d) = ir!(a).wrapping_add(ir!(b)),
-                    VmOp::ISub(d, a, b) => iw!(d) = ir!(a).wrapping_sub(ir!(b)),
-                    VmOp::IMul(d, a, b) => iw!(d) = ir!(a).wrapping_mul(ir!(b)),
-                    VmOp::IDiv(d, a, b) => iw!(d) = if ir!(b) != 0 { ir!(a) / ir!(b) } else { 0 },
-                    VmOp::IRem(d, a, b) => iw!(d) = if ir!(b) != 0 { ir!(a) % ir!(b) } else { 0 },
-                    VmOp::FNeg(d, a) => fw!(d) = -fr!(a),
-                    VmOp::INeg(d, a) => iw!(d) = -ir!(a),
-                    VmOp::FCmp(k, d, a, b) => iw!(d) = k.eval_f(fr!(a), fr!(b)) as i64,
-                    VmOp::ICmp(k, d, a, b) => iw!(d) = k.eval_i(ir!(a), ir!(b)) as i64,
-                    VmOp::And(d, a, b) => iw!(d) = ((ir!(a) != 0) && (ir!(b) != 0)) as i64,
-                    VmOp::Or(d, a, b) => iw!(d) = ((ir!(a) != 0) || (ir!(b) != 0)) as i64,
-                    VmOp::Not(d, a) => iw!(d) = (ir!(a) == 0) as i64,
-                    VmOp::IToF(d, a) => fw!(d) = ir!(a) as f64,
-                    VmOp::FToI(d, a) => iw!(d) = fr!(a) as i64,
-                    VmOp::Call1(mf, d, a) => {
-                        fw!(d) = match mf {
-                            MathFn::Sqrt => fr!(a).sqrt(),
-                            MathFn::Exp => fr!(a).exp(),
-                            MathFn::Log => fr!(a).ln(),
-                            MathFn::Abs => fr!(a).abs(),
-                            _ => unreachable!("unary call with binary fn"),
-                        }
-                    }
-                    VmOp::Call2(mf, d, a, b) => {
-                        fw!(d) = match mf {
-                            MathFn::Min => fr!(a).min(fr!(b)),
-                            MathFn::Max => fr!(a).max(fr!(b)),
-                            _ => unreachable!("binary call with unary fn"),
-                        }
-                    }
-                    VmOp::JmpIfZero(c, target) => {
-                        if ir!(c) == 0 {
-                            pc = target;
-                            continue;
-                        }
-                    }
-                    VmOp::Jmp(target) => {
-                        pc = target;
-                        continue;
-                    }
-                }
-                pc += 1;
-            }
+        (f, i)
+    }
+
+    /// Evaluate the function at lanes `0..n` of banks built by
+    /// [`CompiledSf::banks`] (caller fills the parameter registers'
+    /// lanes first; results are read from the result registers' lanes).
+    /// Lanes at and beyond `n` hold unspecified values afterwards.
+    #[inline]
+    pub fn run_block(&self, f: &mut [f64], i: &mut [i64], n: usize) {
+        if n == LANES {
+            exec::<LANES, true>(&self.ops, self.n_fregs, self.n_iregs, f, i, n);
+        } else {
+            exec::<LANES, false>(&self.ops, self.n_fregs, self.n_iregs, f, i, n);
         }
     }
 
-    /// Fresh register banks sized for this program.
-    pub fn banks(&self) -> (Vec<f64>, Vec<i64>) {
-        (vec![0.0; self.n_fregs], vec![0; self.n_iregs])
+    /// The one-lane instantiation of the same interpreter, on banks built
+    /// by [`CompiledSf::point_banks`]: the per-point step of a custom
+    /// combine function, whose fold is sequential by definition.
+    #[inline]
+    pub fn run_point(&self, f: &mut [f64], i: &mut [i64]) {
+        exec::<1, true>(&self.ops, self.n_fregs, self.n_iregs, f, i, 1);
+    }
+}
+
+/// The interpreter: run straight-line `ops` over lanes `0..n` of banks
+/// with `L` lanes per register (`FULL` promises `n == L`, which makes
+/// every lane loop a fixed-trip-count vector loop). Each instruction's
+/// arithmetic is written exactly once, here; [`LANES`]-wide blocks and
+/// the one-lane combine step are two instantiations of this function.
+///
+/// Operands are copied out before the destination is borrowed, so an
+/// instruction whose destination is also a source is well-defined: lane
+/// `l` of the result depends only on lane `l` of the sources.
+#[inline(always)]
+fn exec<const L: usize, const FULL: bool>(
+    ops: &[VmOp],
+    n_fregs: usize,
+    n_iregs: usize,
+    f: &mut [f64],
+    i: &mut [i64],
+    n: usize,
+) {
+    assert!(
+        f.len() >= n_fregs * L && i.len() >= n_iregs * L && n <= L,
+        "register banks smaller than the compiled program requires"
+    );
+    let m = if FULL { L } else { n.min(L) };
+    let (fp, ip) = (f.as_mut_ptr(), i.as_mut_ptr());
+    // SAFETY (all four macros): `finish` verified every register index
+    // in `ops` against `n_fregs`/`n_iregs`, and the banks were asserted
+    // above to hold `L` lanes per register, so `r * L .. r * L + L` is in
+    // bounds of the bank the pointer was derived from; the fields are
+    // private, so no unverified program can reach this loop. Sources are
+    // read by value before the one `&mut` to the destination is formed.
+    macro_rules! rf {
+        ($r:expr) => {
+            unsafe { *(fp.add($r * L) as *const [f64; L]) }
+        };
+    }
+    macro_rules! ri {
+        ($r:expr) => {
+            unsafe { *(ip.add($r * L) as *const [i64; L]) }
+        };
+    }
+    macro_rules! wf {
+        ($r:expr) => {
+            unsafe { &mut *(fp.add($r * L) as *mut [f64; L]) }
+        };
+    }
+    macro_rules! wi {
+        ($r:expr) => {
+            unsafe { &mut *(ip.add($r * L) as *mut [i64; L]) }
+        };
+    }
+    // one lane loop per instruction: `map2!(dst, a, b, |x, y| expr)`
+    macro_rules! map1 {
+        ($out:expr, $a:expr, |$x:ident| $e:expr) => {{
+            let a = $a;
+            let out = $out;
+            for l in 0..m {
+                let $x = a[l];
+                out[l] = $e;
+            }
+        }};
+    }
+    macro_rules! map2 {
+        ($out:expr, $a:expr, $b:expr, |$x:ident, $y:ident| $e:expr) => {{
+            let (a, b) = ($a, $b);
+            let out = $out;
+            for l in 0..m {
+                let ($x, $y) = (a[l], b[l]);
+                out[l] = $e;
+            }
+        }};
+    }
+    macro_rules! map3 {
+        ($out:expr, $a:expr, $b:expr, $c:expr, |$x:ident, $y:ident, $z:ident| $e:expr) => {{
+            let (a, b, c) = ($a, $b, $c);
+            let out = $out;
+            for l in 0..m {
+                let ($x, $y, $z) = (a[l], b[l], c[l]);
+                out[l] = $e;
+            }
+        }};
+    }
+    macro_rules! cmp {
+        ($k:expr, $d:expr, $a:expr, $b:expr) => {
+            match $k {
+                CmpKind::Eq => map2!(wi!($d), $a, $b, |x, y| (x == y) as i64),
+                CmpKind::Ne => map2!(wi!($d), $a, $b, |x, y| (x != y) as i64),
+                CmpKind::Lt => map2!(wi!($d), $a, $b, |x, y| (x < y) as i64),
+                CmpKind::Le => map2!(wi!($d), $a, $b, |x, y| (x <= y) as i64),
+                CmpKind::Gt => map2!(wi!($d), $a, $b, |x, y| (x > y) as i64),
+                CmpKind::Ge => map2!(wi!($d), $a, $b, |x, y| (x >= y) as i64),
+            }
+        };
+    }
+    for op in ops {
+        match *op {
+            VmOp::ConstF(d, v) => wf!(d)[..m].fill(v),
+            VmOp::ConstI(d, v) => wi!(d)[..m].fill(v),
+            VmOp::MovF(d, s) => map1!(wf!(d), rf!(s), |x| x),
+            VmOp::MovI(d, s) => map1!(wi!(d), ri!(s), |x| x),
+            VmOp::FAdd(d, a, b) => map2!(wf!(d), rf!(a), rf!(b), |x, y| x + y),
+            VmOp::FSub(d, a, b) => map2!(wf!(d), rf!(a), rf!(b), |x, y| x - y),
+            VmOp::FMul(d, a, b) => map2!(wf!(d), rf!(a), rf!(b), |x, y| x * y),
+            VmOp::FDiv(d, a, b) => map2!(wf!(d), rf!(a), rf!(b), |x, y| x / y),
+            VmOp::FRem(d, a, b) => map2!(wf!(d), rf!(a), rf!(b), |x, y| x % y),
+            // two roundings on purpose — see the FMulAdd docs
+            VmOp::FMulAdd(d, a, b, c) => {
+                map3!(wf!(d), rf!(a), rf!(b), rf!(c), |x, y, z| x * y + z)
+            }
+            // integer arithmetic wraps and a zero divisor yields 0: no
+            // operand a client can send makes the interpreter panic
+            VmOp::IAdd(d, a, b) => map2!(wi!(d), ri!(a), ri!(b), |x, y| x.wrapping_add(y)),
+            VmOp::ISub(d, a, b) => map2!(wi!(d), ri!(a), ri!(b), |x, y| x.wrapping_sub(y)),
+            VmOp::IMul(d, a, b) => map2!(wi!(d), ri!(a), ri!(b), |x, y| x.wrapping_mul(y)),
+            VmOp::IDiv(d, a, b) => {
+                map2!(wi!(d), ri!(a), ri!(b), |x, y| if y != 0 {
+                    x.wrapping_div(y)
+                } else {
+                    0
+                })
+            }
+            VmOp::IRem(d, a, b) => {
+                map2!(wi!(d), ri!(a), ri!(b), |x, y| if y != 0 {
+                    x.wrapping_rem(y)
+                } else {
+                    0
+                })
+            }
+            VmOp::FNeg(d, a) => map1!(wf!(d), rf!(a), |x| -x),
+            VmOp::INeg(d, a) => map1!(wi!(d), ri!(a), |x| x.wrapping_neg()),
+            VmOp::FCmp(k, d, a, b) => cmp!(k, d, rf!(a), rf!(b)),
+            VmOp::ICmp(k, d, a, b) => cmp!(k, d, ri!(a), ri!(b)),
+            VmOp::And(d, a, b) => {
+                map2!(wi!(d), ri!(a), ri!(b), |x, y| ((x != 0) & (y != 0)) as i64)
+            }
+            VmOp::Or(d, a, b) => {
+                map2!(wi!(d), ri!(a), ri!(b), |x, y| ((x != 0) | (y != 0)) as i64)
+            }
+            VmOp::Not(d, a) => map1!(wi!(d), ri!(a), |x| (x == 0) as i64),
+            VmOp::IToF(d, a) => map1!(wf!(d), ri!(a), |x| x as f64),
+            VmOp::FToI(d, a) => map1!(wi!(d), rf!(a), |x| x as i64),
+            VmOp::Call1(mf, d, a) => match mf {
+                MathFn::Sqrt => map1!(wf!(d), rf!(a), |x| x.sqrt()),
+                MathFn::Exp => map1!(wf!(d), rf!(a), |x| x.exp()),
+                MathFn::Log => map1!(wf!(d), rf!(a), |x| x.ln()),
+                MathFn::Abs => map1!(wf!(d), rf!(a), |x| x.abs()),
+                _ => unreachable!("unary call with binary fn"),
+            },
+            VmOp::Call2(mf, d, a, b) => match mf {
+                MathFn::Min => map2!(wf!(d), rf!(a), rf!(b), |x, y| x.min(y)),
+                MathFn::Max => map2!(wf!(d), rf!(a), rf!(b), |x, y| x.max(y)),
+                _ => unreachable!("binary call with unary fn"),
+            },
+            VmOp::SelF(d, p, a, b) => {
+                map3!(wf!(d), ri!(p), rf!(a), rf!(b), |c, x, y| if c != 0 {
+                    x
+                } else {
+                    y
+                })
+            }
+            VmOp::SelI(d, p, a, b) => {
+                map3!(wi!(d), ri!(p), ri!(a), ri!(b), |c, x, y| if c != 0 {
+                    x
+                } else {
+                    y
+                })
+            }
+        }
     }
 }
 
@@ -327,32 +440,24 @@ fn subst(e: &Expr, consts: &HashMap<String, i64>) -> Expr {
     }
 }
 
-/// Constant-fold an integer expression (after substitution).
+/// Constant-fold an integer expression (after substitution). Folds with
+/// checked arithmetic: an expression that overflows (or divides by zero)
+/// is not a constant.
 fn const_int(e: &Expr) -> Option<i64> {
     match e {
         Expr::Lit(v) => v.as_i64(),
         Expr::Bin(op, a, b) => {
             let (a, b) = (const_int(a)?, const_int(b)?);
-            Some(match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a / b
-                }
-                BinOp::Rem => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a % b
-                }
-                _ => return None,
-            })
+            match op {
+                BinOp::Add => a.checked_add(b),
+                BinOp::Sub => a.checked_sub(b),
+                BinOp::Mul => a.checked_mul(b),
+                BinOp::Div => a.checked_div(b),
+                BinOp::Rem => a.checked_rem(b),
+                _ => None,
+            }
         }
-        Expr::Un(UnOp::Neg, a) => Some(-const_int(a)?),
+        Expr::Un(UnOp::Neg, a) => const_int(a)?.checked_neg(),
         _ => None,
     }
 }
@@ -378,6 +483,9 @@ struct Compiler {
     /// record param metadata: param -> (field, lane) -> Reg
     rec_regs: Vec<HashMap<(usize, usize), Reg>>,
     param_types: Vec<BasicType>,
+    /// The i-register that is non-zero exactly on the path being
+    /// compiled (`None` outside every `if`).
+    pred: Option<usize>,
 }
 
 impl Compiler {
@@ -390,6 +498,7 @@ impl Compiler {
             param_loads: vec![ParamLoad::Unused; sf.params.len()],
             rec_regs: vec![HashMap::new(); sf.params.len()],
             param_types: sf.params.iter().map(|(_, t)| t.clone()).collect(),
+            pred: None,
         };
         // allocate parameter registers eagerly so loads have stable targets
         for (p, (name, ty)) in sf.params.iter().enumerate() {
@@ -480,17 +589,47 @@ impl Compiler {
         }
     }
 
+    fn alloc_i(&mut self) -> usize {
+        self.n_i += 1;
+        self.n_i - 1
+    }
+
+    /// `a && b` of two path predicates (`None` = always true).
+    fn and_pred(&mut self, outer: Option<usize>, c: usize) -> usize {
+        match outer {
+            None => c,
+            Some(o) => {
+                let d = self.alloc_i();
+                self.ops.push(VmOp::And(d, o, c));
+                d
+            }
+        }
+    }
+
+    /// Straight-line compilation: an `if` is if-converted. Both arms are
+    /// compiled unconditionally — their temporaries land in fresh
+    /// registers — and an assignment to an already-bound variable becomes
+    /// a select on the path predicate, so the arm not taken leaves every
+    /// observable register as it was.
     fn compile_block(&mut self, body: &[Stmt]) -> Result<()> {
         for s in body {
             match s {
                 Stmt::Let { name, value } | Stmt::Assign { name, value } => {
                     let v = self.compile_expr(value)?;
                     let v = self.expect_reg(v)?;
-                    match self.vars.get(name).copied() {
-                        Some(dst) => self.mov(dst, v),
-                        None => {
-                            // bind directly to the computed register kind
+                    match (self.vars.get(name).copied(), self.pred) {
+                        // bind directly to the computed register kind
+                        (None, _) => {
                             self.vars.insert(name.clone(), v);
+                        }
+                        (Some(dst), None) => self.mov(dst, v),
+                        (Some(Reg::F(d)), Some(p)) => {
+                            let x = self.as_f(v);
+                            self.ops.push(VmOp::SelF(d, p, x, d));
+                        }
+                        (Some(Reg::I(d)), Some(p)) => {
+                            let x = self.as_i(v);
+                            self.ops.push(VmOp::SelI(d, p, x, d));
                         }
                     }
                 }
@@ -501,22 +640,30 @@ impl Compiler {
                 } => {
                     let c = self.compile_expr(cond)?;
                     let c = self.expect_reg(c)?;
-                    let ci = self.as_i(c);
-                    let jz_at = self.ops.len();
-                    self.ops.push(VmOp::JmpIfZero(ci, usize::MAX));
-                    self.compile_block(then_branch)?;
-                    if else_branch.is_empty() {
-                        let end = self.ops.len();
-                        self.ops[jz_at] = VmOp::JmpIfZero(ci, end);
-                    } else {
-                        let jmp_at = self.ops.len();
-                        self.ops.push(VmOp::Jmp(usize::MAX));
-                        let else_start = self.ops.len();
-                        self.ops[jz_at] = VmOp::JmpIfZero(ci, else_start);
-                        self.compile_block(else_branch)?;
-                        let end = self.ops.len();
-                        self.ops[jmp_at] = VmOp::Jmp(end);
+                    let mut ci = self.as_i(c);
+                    // a condition that *is* a variable's register could be
+                    // reassigned inside the arms it guards: snapshot it
+                    if self.vars.values().any(|r| *r == Reg::I(ci)) {
+                        let d = self.alloc_i();
+                        self.ops.push(VmOp::MovI(d, ci));
+                        ci = d;
                     }
+                    let outer = self.pred;
+                    let then_p = self.and_pred(outer, ci);
+                    let else_p = if else_branch.is_empty() {
+                        None
+                    } else {
+                        let nc = self.alloc_i();
+                        self.ops.push(VmOp::Not(nc, ci));
+                        Some(self.and_pred(outer, nc))
+                    };
+                    self.pred = Some(then_p);
+                    self.compile_block(then_branch)?;
+                    if let Some(p) = else_p {
+                        self.pred = Some(p);
+                        self.compile_block(else_branch)?;
+                    }
+                    self.pred = outer;
                 }
                 Stmt::For { .. } => {
                     return Err(MdhError::Validation(
@@ -694,29 +841,27 @@ impl Compiler {
                 }
             }
             Expr::Select(c, a, b) => {
-                // compile as if/else into a fresh destination register
+                // both operands are evaluated; one select picks. The
+                // result takes `a`'s kind, `b` converts to it.
                 let cv = self.compile_expr(c)?;
                 let cv = self.expect_reg(cv)?;
                 let ci = self.as_i(cv);
-                // determine result kind by compiling a into a temp first
-                let jz_at = self.ops.len();
-                self.ops.push(VmOp::JmpIfZero(ci, usize::MAX));
                 let av = self.compile_expr(a)?;
                 let av = self.expect_reg(av)?;
-                let dst = match av {
-                    Reg::F(_) => self.alloc(true),
-                    Reg::I(_) => self.alloc(false),
-                };
-                self.mov(dst, av);
-                let jmp_at = self.ops.len();
-                self.ops.push(VmOp::Jmp(usize::MAX));
-                let else_start = self.ops.len();
-                self.ops[jz_at] = VmOp::JmpIfZero(ci, else_start);
                 let bv = self.compile_expr(b)?;
                 let bv = self.expect_reg(bv)?;
-                self.mov(dst, bv);
-                let end = self.ops.len();
-                self.ops[jmp_at] = VmOp::Jmp(end);
+                let dst = self.alloc(matches!(av, Reg::F(_)));
+                match (dst, av) {
+                    (Reg::F(d), Reg::F(x)) => {
+                        let y = self.as_f(bv);
+                        self.ops.push(VmOp::SelF(d, ci, x, y));
+                    }
+                    (Reg::I(d), Reg::I(x)) => {
+                        let y = self.as_i(bv);
+                        self.ops.push(VmOp::SelI(d, ci, x, y));
+                    }
+                    _ => unreachable!("dst allocated in a's bank"),
+                }
                 Ok(CVal::Reg(dst))
             }
         }
@@ -799,7 +944,9 @@ impl Compiler {
             .map(|(_, ty)| ty.as_scalar().unwrap())
             .collect();
         let ops = fuse_mul_add(self.ops, self.n_f, &result_regs);
+        let (prologue, ops) = hoist_constants(ops, self.n_f, self.n_i);
         let compiled = CompiledSf {
+            prologue,
             ops,
             n_fregs: self.n_f,
             n_iregs: self.n_i,
@@ -812,205 +959,121 @@ impl Compiler {
     }
 }
 
-/// Append every f-register *read* by `op` to `out`.
-fn f_reads(op: &VmOp, out: &mut Vec<usize>) {
+/// Visit every register `op` touches, as `(register, is_write)`.
+fn for_each_reg(op: &VmOp, mut visit: impl FnMut(Reg, bool)) {
+    use Reg::{F, I};
+    let mut rw = |d: Reg, srcs: &[Reg]| {
+        visit(d, true);
+        srcs.iter().for_each(|&s| visit(s, false));
+    };
     match *op {
-        VmOp::MovF(_, s) => out.push(s),
-        VmOp::FAdd(_, a, b)
-        | VmOp::FSub(_, a, b)
-        | VmOp::FMul(_, a, b)
-        | VmOp::FDiv(_, a, b)
-        | VmOp::FRem(_, a, b)
-        | VmOp::FCmp(_, _, a, b)
-        | VmOp::Call2(_, _, a, b) => {
-            out.push(a);
-            out.push(b);
-        }
-        VmOp::FMulAdd(_, a, b, c) => {
-            out.push(a);
-            out.push(b);
-            out.push(c);
-        }
-        VmOp::FNeg(_, a) | VmOp::FToI(_, a) | VmOp::Call1(_, _, a) => out.push(a),
-        _ => {}
+        VmOp::ConstF(d, _) => rw(F(d), &[]),
+        VmOp::ConstI(d, _) => rw(I(d), &[]),
+        VmOp::MovF(d, a) | VmOp::FNeg(d, a) | VmOp::Call1(_, d, a) => rw(F(d), &[F(a)]),
+        VmOp::MovI(d, a) | VmOp::INeg(d, a) | VmOp::Not(d, a) => rw(I(d), &[I(a)]),
+        VmOp::FAdd(d, a, b)
+        | VmOp::FSub(d, a, b)
+        | VmOp::FMul(d, a, b)
+        | VmOp::FDiv(d, a, b)
+        | VmOp::FRem(d, a, b)
+        | VmOp::Call2(_, d, a, b) => rw(F(d), &[F(a), F(b)]),
+        VmOp::FMulAdd(d, a, b, c) => rw(F(d), &[F(a), F(b), F(c)]),
+        VmOp::IAdd(d, a, b)
+        | VmOp::ISub(d, a, b)
+        | VmOp::IMul(d, a, b)
+        | VmOp::IDiv(d, a, b)
+        | VmOp::IRem(d, a, b)
+        | VmOp::And(d, a, b)
+        | VmOp::Or(d, a, b)
+        | VmOp::ICmp(_, d, a, b) => rw(I(d), &[I(a), I(b)]),
+        VmOp::FCmp(_, d, a, b) => rw(I(d), &[F(a), F(b)]),
+        VmOp::IToF(d, a) => rw(F(d), &[I(a)]),
+        VmOp::FToI(d, a) => rw(I(d), &[F(a)]),
+        VmOp::SelF(d, p, a, b) => rw(F(d), &[I(p), F(a), F(b)]),
+        VmOp::SelI(d, p, a, b) => rw(I(d), &[I(p), I(a), I(b)]),
     }
 }
 
 /// Peephole: fuse an adjacent `FMul(t, a, b)` + `FAdd(d, t, c)` (or
-/// `FAdd(d, c, t)`) into one [`VmOp::FMulAdd`] when doing so cannot
-/// change observable behavior:
-///
-/// * no jump targets the `FAdd`'s pc (else control could reach the add
-///   without the mul),
-/// * the product register `t` is dead after the pair — either the add
-///   overwrites it (`d == t`), or `t` is read nowhere else and is not a
-///   result register.
-///
-/// Jump targets (absolute pcs, including the end-of-program pc) are
-/// remapped over the removed instructions. The fused op computes with
-/// the same two roundings as the pair, so this changes dispatch count
-/// only, never results.
+/// `FAdd(d, c, t)`) into one [`VmOp::FMulAdd`] when the product register
+/// `t` is dead after the pair — either the add overwrites it (`d == t`),
+/// or `t` is read nowhere else and is not a result register. The fused
+/// op computes with the same two roundings as the pair, so this changes
+/// dispatch count only, never results.
 fn fuse_mul_add(ops: Vec<VmOp>, n_fregs: usize, result_regs: &[Reg]) -> Vec<VmOp> {
-    let n = ops.len();
-    let mut is_target = vec![false; n + 1];
-    for op in &ops {
-        if let VmOp::JmpIfZero(_, t) | VmOp::Jmp(t) = *op {
-            is_target[t] = true;
-        }
-    }
     let mut read_count = vec![0usize; n_fregs];
-    let mut scratch = Vec::new();
     for op in &ops {
-        scratch.clear();
-        f_reads(op, &mut scratch);
-        for &r in &scratch {
-            read_count[r] += 1;
-        }
+        for_each_reg(op, |r, write| {
+            if let (Reg::F(x), false) = (r, write) {
+                read_count[x] += 1;
+            }
+        });
     }
-    let mut is_result = vec![false; n_fregs];
-    for r in result_regs {
-        if let Reg::F(d) = r {
-            is_result[*d] = true;
-        }
-    }
+    let is_result = |t: usize| result_regs.contains(&Reg::F(t));
 
-    let mut keep = vec![true; n];
-    let mut fused: Vec<Option<VmOp>> = vec![None; n];
+    let mut out = Vec::with_capacity(ops.len());
     let mut p = 0;
-    while p + 1 < n {
-        if let (VmOp::FMul(t, a, b), VmOp::FAdd(d, x, y)) = (ops[p], ops[p + 1]) {
+    while p < ops.len() {
+        if let (VmOp::FMul(t, a, b), Some(&VmOp::FAdd(d, x, y))) = (ops[p], ops.get(p + 1)) {
             // exactly one add operand must be the product (t + t needs
             // the product twice, which FMulAdd cannot express)
-            if !is_target[p + 1] && ((x == t) ^ (y == t)) {
+            if (x == t) ^ (y == t) {
                 let c = if x == t { y } else { x };
                 // reads of t by the pair itself (the mul's own operands
                 // may alias t; the add reads it exactly once)
                 let pair_reads = 1 + usize::from(a == t) + usize::from(b == t);
-                let dead = d == t || (!is_result[t] && read_count[t] == pair_reads);
-                if dead {
-                    fused[p] = Some(VmOp::FMulAdd(d, a, b, c));
-                    keep[p + 1] = false;
+                if d == t || (!is_result(t) && read_count[t] == pair_reads) {
+                    out.push(VmOp::FMulAdd(d, a, b, c));
                     p += 2;
                     continue;
                 }
             }
         }
+        out.push(ops[p]);
         p += 1;
-    }
-
-    // remap absolute jump targets over the removed pcs
-    let mut new_pc = vec![0usize; n + 1];
-    let mut kept = 0usize;
-    for q in 0..n {
-        new_pc[q] = kept;
-        if keep[q] {
-            kept += 1;
-        }
-    }
-    new_pc[n] = kept;
-    let mut out = Vec::with_capacity(kept);
-    for (q, op) in ops.into_iter().enumerate() {
-        if !keep[q] {
-            continue;
-        }
-        let op = fused[q].unwrap_or(op);
-        out.push(match op {
-            VmOp::JmpIfZero(cnd, t) => VmOp::JmpIfZero(cnd, new_pc[t]),
-            VmOp::Jmp(t) => VmOp::Jmp(new_pc[t]),
-            other => other,
-        });
     }
     out
 }
 
-/// Compile-time check backing the unchecked interpreter (see the
-/// [`CompiledSf`] docs): every register index below its bank size, every
-/// jump target `<= ops.len()`. A failure is a compiler bug, not bad
-/// input, hence the panic.
-fn verify_registers(c: &CompiledSf) {
-    let in_f = |r: usize| assert!(r < c.n_fregs, "f-register {r} out of range {}", c.n_fregs);
-    let in_i = |r: usize| assert!(r < c.n_iregs, "i-register {r} out of range {}", c.n_iregs);
-    let in_pc = |t: usize| assert!(t <= c.ops.len(), "jump target {t} out of range");
-    for op in &c.ops {
-        match *op {
-            VmOp::ConstF(d, _) => in_f(d),
-            VmOp::ConstI(d, _) => in_i(d),
-            VmOp::MovF(d, s) => {
-                in_f(d);
-                in_f(s);
-            }
-            VmOp::MovI(d, s) => {
-                in_i(d);
-                in_i(s);
-            }
-            VmOp::FAdd(d, a, b)
-            | VmOp::FSub(d, a, b)
-            | VmOp::FMul(d, a, b)
-            | VmOp::FDiv(d, a, b)
-            | VmOp::FRem(d, a, b)
-            | VmOp::Call2(_, d, a, b) => {
-                in_f(d);
-                in_f(a);
-                in_f(b);
-            }
-            VmOp::FMulAdd(d, a, b, cc) => {
-                in_f(d);
-                in_f(a);
-                in_f(b);
-                in_f(cc);
-            }
-            VmOp::IAdd(d, a, b)
-            | VmOp::ISub(d, a, b)
-            | VmOp::IMul(d, a, b)
-            | VmOp::IDiv(d, a, b)
-            | VmOp::IRem(d, a, b)
-            | VmOp::And(d, a, b)
-            | VmOp::Or(d, a, b)
-            | VmOp::ICmp(_, d, a, b) => {
-                in_i(d);
-                in_i(a);
-                in_i(b);
-            }
-            VmOp::FNeg(d, a) | VmOp::Call1(_, d, a) => {
-                in_f(d);
-                in_f(a);
-            }
-            VmOp::INeg(d, a) | VmOp::Not(d, a) => {
-                in_i(d);
-                in_i(a);
-            }
-            VmOp::FCmp(_, d, a, b) => {
-                in_i(d);
-                in_f(a);
-                in_f(b);
-            }
-            VmOp::IToF(d, a) => {
-                in_f(d);
-                in_i(a);
-            }
-            VmOp::FToI(d, a) => {
-                in_i(d);
-                in_f(a);
-            }
-            VmOp::JmpIfZero(cnd, t) => {
-                in_i(cnd);
-                in_pc(t);
-            }
-            VmOp::Jmp(t) => in_pc(t),
-        }
+/// Split off the literal loads whose destination no other op writes: in
+/// straight-line code such a register holds its literal at every read,
+/// so loading it once per bank instead of once per block changes nothing
+/// (PRL re-materialised ~50 of its ops per point this way).
+fn hoist_constants(ops: Vec<VmOp>, n_fregs: usize, n_iregs: usize) -> (Vec<VmOp>, Vec<VmOp>) {
+    let (mut f_writes, mut i_writes) = (vec![0usize; n_fregs], vec![0usize; n_iregs]);
+    for op in &ops {
+        for_each_reg(op, |r, write| match (r, write) {
+            (Reg::F(d), true) => f_writes[d] += 1,
+            (Reg::I(d), true) => i_writes[d] += 1,
+            _ => {}
+        });
     }
-    let in_reg = |r: &Reg| match r {
-        Reg::F(d) => in_f(*d),
-        Reg::I(d) => in_i(*d),
+    ops.into_iter().partition(|op| match *op {
+        VmOp::ConstF(d, _) => f_writes[d] == 1,
+        VmOp::ConstI(d, _) => i_writes[d] == 1,
+        _ => false,
+    })
+}
+
+/// Compile-time check backing the unchecked interpreter (see the
+/// [`CompiledSf`] docs): every register index below its bank size. A
+/// failure is a compiler bug, not bad input, hence the panic.
+fn verify_registers(c: &CompiledSf) {
+    let in_reg = |r: Reg| match r {
+        Reg::F(d) => assert!(d < c.n_fregs, "f-register {d} out of range {}", c.n_fregs),
+        Reg::I(d) => assert!(d < c.n_iregs, "i-register {d} out of range {}", c.n_iregs),
     };
+    for op in c.prologue.iter().chain(&c.ops) {
+        for_each_reg(op, |r, _| in_reg(r));
+    }
     for pl in &c.param_loads {
         match pl {
             ParamLoad::Unused => {}
-            ParamLoad::Scalar(r) => in_reg(r),
-            ParamLoad::Record(lanes) => lanes.iter().for_each(|(_, _, r)| in_reg(r)),
+            ParamLoad::Scalar(r) => in_reg(*r),
+            ParamLoad::Record(lanes) => lanes.iter().for_each(|(_, _, r)| in_reg(*r)),
         }
     }
-    c.result_regs.iter().for_each(in_reg);
+    c.result_regs.iter().for_each(|r| in_reg(*r));
 }
 
 fn kind_is_float(k: ScalarKind) -> bool {
@@ -1023,40 +1086,59 @@ mod tests {
     use mdh_core::types::RecordType;
 
     /// Run a compiled function on dynamic args, mirroring
-    /// `ScalarFunction::eval` (test harness only).
-    fn run_dyn(c: &CompiledSf, args: &[Value]) -> Vec<Value> {
-        let (mut f, mut i) = c.banks();
-        for (load, arg) in c.param_loads.iter().zip(args) {
-            match load {
-                ParamLoad::Unused => {}
-                ParamLoad::Scalar(r) => match r {
-                    Reg::F(d) => f[*d] = arg.as_f64().unwrap(),
-                    Reg::I(d) => i[*d] = arg.as_i64().unwrap(),
-                },
-                ParamLoad::Record(lanes) => {
-                    let Value::Record(fields) = arg else { panic!() };
-                    for (fi, lane, r) in lanes {
-                        let v = match &fields[*fi] {
-                            Value::Array(items) => &items[*lane],
-                            scalar => scalar,
-                        };
-                        match r {
-                            Reg::F(d) => f[*d] = v.as_f64().unwrap(),
-                            Reg::I(d) => i[*d] = v.as_i64().unwrap(),
+    /// `ScalarFunction::eval` (test harness only): `lanes == 1` is the
+    /// one-lane instantiation, otherwise lane `l` of a `lanes`-point block
+    /// gets `args[l]` and every lane's result tuple is returned.
+    fn run_lanes(c: &CompiledSf, args: &[Vec<Value>], lanes: usize) -> Vec<Vec<Value>> {
+        let (mut f, mut i) = if lanes == 1 {
+            c.point_banks()
+        } else {
+            c.banks()
+        };
+        let width = if lanes == 1 { 1 } else { LANES };
+        for (l, args) in args.iter().enumerate() {
+            let mut set = |r: &Reg, v: &Value| match r {
+                Reg::F(d) => f[d * width + l] = v.as_f64().unwrap(),
+                Reg::I(d) => i[d * width + l] = v.as_i64().unwrap(),
+            };
+            for (load, arg) in c.param_loads.iter().zip(args) {
+                match load {
+                    ParamLoad::Unused => {}
+                    ParamLoad::Scalar(r) => set(r, arg),
+                    ParamLoad::Record(lanes) => {
+                        let Value::Record(fields) = arg else { panic!() };
+                        for (fi, lane, r) in lanes {
+                            match &fields[*fi] {
+                                Value::Array(items) => set(r, &items[*lane]),
+                                scalar => set(r, scalar),
+                            }
                         }
                     }
                 }
             }
         }
-        c.run(&mut f, &mut i);
-        c.result_regs
-            .iter()
-            .zip(&c.result_kinds)
-            .map(|(r, k)| match r {
-                Reg::F(d) => Value::from_f64(*k, f[*d]),
-                Reg::I(d) => Value::from_i64(*k, i[*d]),
+        if lanes == 1 {
+            c.run_point(&mut f, &mut i);
+        } else {
+            c.run_block(&mut f, &mut i, args.len());
+        }
+        (0..args.len())
+            .map(|l| {
+                c.result_regs
+                    .iter()
+                    .zip(&c.result_kinds)
+                    .map(|(r, k)| match r {
+                        Reg::F(d) => Value::from_f64(*k, f[d * width + l]),
+                        Reg::I(d) => Value::from_i64(*k, i[d * width + l]),
+                    })
+                    .collect()
             })
             .collect()
+    }
+
+    /// One point through the one-lane instantiation.
+    fn run_dyn(c: &CompiledSf, args: &[Value]) -> Vec<Value> {
+        run_lanes(c, &[args.to_vec()], 1).remove(0)
     }
 
     #[test]
@@ -1124,10 +1206,10 @@ mod tests {
     }
 
     #[test]
-    fn fma_peephole_remaps_jumps_across_fusion() {
+    fn fma_peephole_fuses_inside_if_converted_arms() {
         use mdh_core::expr::{BinOp, Expr, Stmt};
-        // mul+add inside both branches of an if: fusion removes ops
-        // before and between jump targets, so targets must be remapped
+        // mul+add inside both arms of an if: both arms run, fused, and
+        // the selects pick the taken arm's value
         let sf = ScalarFunction {
             name: "branchy".into(),
             params: vec![("a".into(), BasicType::F64), ("b".into(), BasicType::F64)],
@@ -1149,10 +1231,107 @@ mod tests {
             }],
         };
         let c = compile_sf(&sf).unwrap();
+        let fused = |o: &&VmOp| matches!(o, VmOp::FMulAdd(..));
+        assert_eq!(c.ops().iter().filter(fused).count(), 2, "{:?}", c.ops());
         for (a, b) in [(2.0, 1.0), (1.0, 2.0), (2.0, 2.0)] {
             let args = vec![Value::F64(a), Value::F64(b)];
             assert_eq!(run_dyn(&c, &args), sf.eval(&args).unwrap(), "a={a} b={b}");
         }
+    }
+
+    /// `if a > b { res = a; if a > 2b { res = res + 1 } } else { res = 2b }`
+    /// — a nested `if` whose inner arm reassigns what the outer arm set.
+    fn nested_if_sf() -> ScalarFunction {
+        use mdh_core::expr::{BinOp, Expr, Stmt};
+        let gt = |a, b| Expr::Bin(BinOp::Gt, Box::new(a), Box::new(b));
+        let assign = |value| Stmt::Assign {
+            name: "res".into(),
+            value,
+        };
+        let twice_b = || Expr::mul(Expr::Param(1), Expr::lit_f64(2.0));
+        ScalarFunction {
+            name: "nested".into(),
+            params: vec![("a".into(), BasicType::F64), ("b".into(), BasicType::F64)],
+            results: vec![("res".into(), BasicType::F64)],
+            body: vec![Stmt::If {
+                cond: gt(Expr::Param(0), Expr::Param(1)),
+                then_branch: vec![
+                    assign(Expr::Param(0)),
+                    Stmt::If {
+                        cond: gt(Expr::Param(0), twice_b()),
+                        then_branch: vec![assign(Expr::add(Expr::var("res"), Expr::lit_f64(1.0)))],
+                        else_branch: vec![],
+                    },
+                ],
+                else_branch: vec![assign(twice_b())],
+            }],
+        }
+    }
+
+    #[test]
+    fn a_block_whose_lanes_take_different_arms_matches_the_interpreter() {
+        let sf = nested_if_sf();
+        let c = compile_sf(&sf).unwrap();
+        // lanes cycle through: else arm, outer-then only, both thens
+        let args: Vec<Vec<Value>> = (0..LANES)
+            .map(|l| {
+                let (a, b) = [(1.0, 2.0), (3.0, 2.0), (9.0, 2.0)][l % 3];
+                vec![Value::F64(a + l as f64), Value::F64(b + l as f64)]
+            })
+            .collect();
+        let want: Vec<Vec<Value>> = args.iter().map(|a| sf.eval(a).unwrap()).collect();
+        assert_eq!(run_lanes(&c, &args, LANES), want, "full block");
+        assert_eq!(run_lanes(&c, &args[..5], 5), want[..5], "short block");
+        for (a, w) in args.iter().zip(&want) {
+            assert_eq!(&run_dyn(&c, a), w, "one lane");
+        }
+    }
+
+    #[test]
+    fn literals_nothing_else_writes_are_loaded_once_per_bank() {
+        let c = compile_sf(&nested_if_sf()).unwrap();
+        // 2.0 (twice) and 1.0 move to the prologue; `res = 0` stays, since
+        // the selects write `res` too
+        let consts = |ops: &[VmOp]| {
+            ops.iter()
+                .filter(|o| matches!(o, VmOp::ConstF(..) | VmOp::ConstI(..)))
+                .count()
+        };
+        assert_eq!(consts(&c.prologue), 3, "{:?}", c.prologue);
+        assert_eq!(consts(c.ops()), 1, "{:?}", c.ops());
+        assert_eq!(c.prologue.len(), 3);
+    }
+
+    #[test]
+    fn integer_div_rem_neg_wrap_instead_of_panicking() {
+        use mdh_core::expr::{BinOp, Expr, Stmt, UnOp};
+        let bin = |op| Expr::Bin(op, Box::new(Expr::Param(0)), Box::new(Expr::Param(1)));
+        let sf = ScalarFunction {
+            name: "wrap".into(),
+            params: vec![("a".into(), BasicType::I64), ("b".into(), BasicType::I64)],
+            results: vec![("r".into(), BasicType::I64), ("n".into(), BasicType::I64)],
+            body: vec![
+                Stmt::Assign {
+                    name: "r".into(),
+                    value: bin(BinOp::Rem),
+                },
+                Stmt::Assign {
+                    name: "n".into(),
+                    value: Expr::Un(UnOp::Neg, Box::new(Expr::Param(0))),
+                },
+            ],
+        };
+        let c = compile_sf(&sf).unwrap();
+        let args = vec![Value::I64(i64::MIN), Value::I64(-1)];
+        let want = vec![Value::I64(0), Value::I64(i64::MIN)];
+        assert_eq!(run_dyn(&c, &args), want);
+        assert_eq!(sf.eval(&args).unwrap(), want);
+        // and the constant folder declines to fold what overflows
+        let min = Expr::lit_i64(i64::MIN);
+        assert_eq!(const_int(&Expr::Un(UnOp::Neg, Box::new(min.clone()))), None);
+        let by_minus_one = |op| Expr::Bin(op, Box::new(min.clone()), Box::new(Expr::lit_i64(-1)));
+        assert_eq!(const_int(&by_minus_one(BinOp::Rem)), None);
+        assert_eq!(const_int(&by_minus_one(BinOp::Mul)), None);
     }
 
     #[test]

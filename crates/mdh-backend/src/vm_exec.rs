@@ -2,27 +2,47 @@
 //!
 //! Handles every program the specialised kernels don't: custom combine
 //! operators (PRL's `prl_max` over a 3-tuple of outputs), record inputs,
-//! prefix sums (`ps`), arbitrary scalar functions — as long as accesses
-//! are affine and outputs are scalar-typed. Two modes:
+//! prefix sums (`ps`), indexed reductions (`rbi`), arbitrary scalar
+//! functions — as long as input accesses are affine and outputs are
+//! scalar-typed. The scalar function is never interpreted one point at a
+//! time: the innermost dimension of every loop nest advances a block of
+//! up to [`LANES`] points per [`CompiledSf::run_block`] dispatch, and the
+//! three modes differ only in what consumes the resulting lines:
 //!
 //! * **fold mode** — no `ps` dimension; all `pw` dimensions share one
 //!   combine function. Each task folds its collapsed sub-range into
-//!   per-result partial columns; split-reduction groups combine partials
-//!   with the same function.
+//!   per-result partial columns — lanes in ascending order, i.e. the
+//!   same strictly sequential chain as a per-point loop; split-reduction
+//!   groups combine partials with the same function.
 //! * **scan mode** — one `ps` dimension (ordered before any `pw` dims so
 //!   the scan is applied last, matching the nested semantics); `pw` dims
-//!   must not be split across tasks. Tasks scan locally; split scan chunks
-//!   are stitched sequentially with the offset rule of Listing 17.
+//!   must not be split across tasks. Lines are stored straight into the
+//!   partial columns, tasks scan locally, and split scan chunks are
+//!   stitched sequentially with the offset rule of Listing 17.
+//! * **rbi mode** — an indexed reduction. The `rbi` dimension is cut into
+//!   [`RBI_CHUNKS`] fixed intervals; each chunk accumulates its points,
+//!   ascending, into a private typed partial of the full output, and the
+//!   partials are summed by a fixed pairwise tree. Neither depends on the
+//!   pool width, so neither do the result bits.
 
-use crate::offsets::{linearize_view, store_result, Loader};
-use crate::vm::{compile_sf, CompiledSf, ParamLoad, Reg};
-use mdh_core::buffer::Buffer;
+use crate::offsets::{add_result, advance, linearize_view, store_result, LinearAccess, Loader};
+use crate::vm::{compile_sf, CompiledSf, ParamLoad, Reg, LANES};
+use mdh_core::buffer::{Buffer, BufferData};
 use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc, PwKind};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
-use mdh_core::shape::{MdRange, Shape};
+use mdh_core::eval;
+use mdh_core::shape::MdRange;
 use mdh_core::types::ScalarKind;
-use mdh_lowering::plan::ExecutionPlan;
+use mdh_lowering::plan::{split_even, ExecutionPlan};
+use rayon::prelude::*;
+
+/// Fixed number of chunks rbi mode cuts the indexed dimension into. A
+/// *constant* — deliberately independent of the pool width — so the
+/// private-partial structure and the shape of the combine tree are
+/// identical at every thread count: result bits cannot depend on
+/// parallelism, only wall-clock does.
+const RBI_CHUNKS: usize = 16;
 
 /// Typed partial column per result.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,6 +69,55 @@ impl ColBank {
     }
 }
 
+/// One tuple in flat typed form: result `r` lives in `f[r]` or `i[r]`,
+/// whichever bank its kind selects.
+struct Acc {
+    f: Vec<f64>,
+    i: Vec<i64>,
+}
+
+impl Acc {
+    fn new(width: usize) -> Acc {
+        Acc {
+            f: vec![0.0; width],
+            i: vec![0; width],
+        }
+    }
+
+    /// Read element `at` of every column.
+    #[inline]
+    fn read(&mut self, cols: &[ColBank], at: usize) {
+        for (r, col) in cols.iter().enumerate() {
+            match col {
+                ColBank::F(v) => self.f[r] = v[at],
+                ColBank::I(v) => self.i[r] = v[at],
+            }
+        }
+    }
+
+    /// Write the tuple to element `at` of every column.
+    #[inline]
+    fn write(&self, cols: &mut [ColBank], at: usize) {
+        for (r, col) in cols.iter_mut().enumerate() {
+            match col {
+                ColBank::F(v) => v[at] = self.f[r],
+                ColBank::I(v) => v[at] = self.i[r],
+            }
+        }
+    }
+
+    /// Read lane `l` of the scalar function's result registers.
+    #[inline]
+    fn read_lane(&mut self, sf: &CompiledSf, f: &[f64], i: &[i64], l: usize) {
+        for (r, reg) in sf.result_regs.iter().enumerate() {
+            match reg {
+                Reg::F(d) => self.f[r] = f[d * LANES + l],
+                Reg::I(d) => self.i[r] = i[d * LANES + l],
+            }
+        }
+    }
+}
+
 /// How tuples are combined in the hot loop.
 #[allow(clippy::large_enum_variant)]
 enum Combiner {
@@ -61,6 +130,9 @@ enum Combiner {
         rhs_regs: Vec<Option<Reg>>,
     },
 }
+
+/// One-lane banks for a compiled combine function (empty for builtins).
+type Scratch = (Vec<f64>, Vec<i64>);
 
 impl Combiner {
     fn build(f: &PwFunc, width: usize) -> Result<Combiner> {
@@ -95,26 +167,23 @@ impl Combiner {
         }
     }
 
+    fn scratch(&self) -> Scratch {
+        match self {
+            Combiner::Builtin(_) => (Vec::new(), Vec::new()),
+            Combiner::Vm { cf, .. } => cf.point_banks(),
+        }
+    }
+
     /// acc (lhs) ⊗ new (rhs) → acc, tuple-wide.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // hot-loop combine: banks passed flat
-    fn combine(
-        &self,
-        accf: &mut [f64],
-        acci: &mut [i64],
-        newf: &[f64],
-        newi: &[i64],
-        kinds: &[ScalarKind],
-        scratch_f: &mut [f64],
-        scratch_i: &mut [i64],
-    ) {
+    fn combine(&self, acc: &mut Acc, new: &Acc, kinds: &[ScalarKind], scratch: &mut Scratch) {
         match self {
             Combiner::Builtin(b) => {
                 for (r, k) in kinds.iter().enumerate() {
                     if k.is_float() {
-                        accf[r] = b.apply_f64(accf[r], newf[r]);
+                        acc.f[r] = b.apply_f64(acc.f[r], new.f[r]);
                     } else {
-                        acci[r] = b.apply_i64(acci[r], newi[r]);
+                        acc.i[r] = b.apply_i64(acc.i[r], new.i[r]);
                     }
                 }
             }
@@ -123,24 +192,66 @@ impl Combiner {
                 lhs_regs,
                 rhs_regs,
             } => {
+                let (sf, si) = scratch;
                 for r in 0..kinds.len() {
                     match lhs_regs[r] {
-                        Some(Reg::F(d)) => scratch_f[d] = accf[r],
-                        Some(Reg::I(d)) => scratch_i[d] = acci[r],
+                        Some(Reg::F(d)) => sf[d] = acc.f[r],
+                        Some(Reg::I(d)) => si[d] = acc.i[r],
                         None => {}
                     }
                     match rhs_regs[r] {
-                        Some(Reg::F(d)) => scratch_f[d] = newf[r],
-                        Some(Reg::I(d)) => scratch_i[d] = newi[r],
+                        Some(Reg::F(d)) => sf[d] = new.f[r],
+                        Some(Reg::I(d)) => si[d] = new.i[r],
                         None => {}
                     }
                 }
-                cf.run(scratch_f, scratch_i);
+                cf.run_point(sf, si);
                 for (r, reg) in cf.result_regs.iter().enumerate() {
                     match reg {
-                        Reg::F(d) => accf[r] = scratch_f[*d],
-                        Reg::I(d) => acci[r] = scratch_i[*d],
+                        Reg::F(d) => acc.f[r] = sf[*d],
+                        Reg::I(d) => acc.i[r] = si[*d],
                     }
+                }
+            }
+        }
+    }
+
+    /// Fold lanes `from..n` of the scalar function's result registers
+    /// into `acc` in ascending lane order — the per-point loop's strictly
+    /// sequential chain, same bracketing, same bits.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // hot-loop fold: banks passed flat
+    fn fold_lanes(
+        &self,
+        sf: &CompiledSf,
+        f: &[f64],
+        i: &[i64],
+        lanes: std::ops::Range<usize>,
+        acc: &mut Acc,
+        new: &mut Acc,
+        kinds: &[ScalarKind],
+        scratch: &mut Scratch,
+    ) {
+        match self {
+            // tuple components of a builtin are independent chains
+            Combiner::Builtin(b) => {
+                for (r, reg) in sf.result_regs.iter().enumerate() {
+                    match reg {
+                        Reg::F(d) => {
+                            let line = &f[d * LANES..][lanes.clone()];
+                            acc.f[r] = line.iter().fold(acc.f[r], |a, &x| b.apply_f64(a, x));
+                        }
+                        Reg::I(d) => {
+                            let line = &i[d * LANES..][lanes.clone()];
+                            acc.i[r] = line.iter().fold(acc.i[r], |a, &x| b.apply_i64(a, x));
+                        }
+                    }
+                }
+            }
+            Combiner::Vm { .. } => {
+                for l in lanes {
+                    new.read_lane(sf, f, i, l);
+                    self.combine(acc, new, kinds, scratch);
                 }
             }
         }
@@ -155,19 +266,33 @@ enum Mode {
         scan_fn: PwFunc,
         fold_fn: Option<PwFunc>,
     },
+    /// Indexed reduction along `dim` (the first `rbi` dimension).
+    Rbi {
+        dim: usize,
+    },
 }
 
 fn derive_mode(prog: &DslProgram) -> Result<Mode> {
+    let ops = &prog.md_hom.combine_ops;
+    if let Some(dim) = ops.iter().position(|op| matches!(op, CombineOp::Rbi(_))) {
+        // every colliding contribution folds with one typed `add`
+        let all_add = ops.iter().all(|op| match op {
+            CombineOp::Cc => true,
+            CombineOp::Ps(_) => false,
+            CombineOp::Pw(f) | CombineOp::Rbi(f) => f.as_builtin() == Some(BuiltinReduce::Add),
+        });
+        if !all_add {
+            return Err(MdhError::Validation(
+                "rbi mode requires every reduction dimension to be a builtin add".into(),
+            ));
+        }
+        return Ok(Mode::Rbi { dim });
+    }
     let mut ps_dims = Vec::new();
     let mut pw_fn: Option<PwFunc> = None;
-    for (d, op) in prog.md_hom.combine_ops.iter().enumerate() {
+    for (d, op) in ops.iter().enumerate() {
         match op {
-            CombineOp::Cc => {}
-            CombineOp::Rbi(_) => {
-                return Err(MdhError::Validation(
-                    "VM path does not execute rbi programs; use the scatter path".into(),
-                ))
-            }
+            CombineOp::Cc | CombineOp::Rbi(_) => {}
             CombineOp::Ps(f) => ps_dims.push((d, f.clone())),
             CombineOp::Pw(f) => match &pw_fn {
                 None => pw_fn = Some(f.clone()),
@@ -187,7 +312,7 @@ fn derive_mode(prog: &DslProgram) -> Result<Mode> {
             let (sd, sf) = ps_dims.pop().unwrap();
             // scan must be applied after every pw fold, i.e. the ps dim
             // must come before all pw dims in ⊗_1..⊗_D order
-            for (d, op) in prog.md_hom.combine_ops.iter().enumerate() {
+            for (d, op) in ops.iter().enumerate() {
                 if matches!(op, CombineOp::Pw(_)) && d < sd {
                     return Err(MdhError::Validation(
                         "VM path requires the ps dimension to precede pw dimensions".into(),
@@ -208,34 +333,41 @@ fn derive_mode(prog: &DslProgram) -> Result<Mode> {
 
 /// Whether this program can run through the VM path at all.
 pub fn vm_applicable(prog: &DslProgram) -> bool {
-    if prog
+    let scalar_outputs = prog
         .out_view
         .buffers
         .iter()
-        .any(|b| b.ty.as_scalar().is_none())
-    {
-        return false;
-    }
-    if prog
-        .inp_view
-        .accesses
-        .iter()
-        .any(|a| a.index_fn.as_affine().is_none())
-        || prog
-            .out_view
-            .accesses
+        .all(|b| b.ty.as_scalar().is_some());
+    let affine = |view: &mdh_core::views::View| {
+        view.accesses
             .iter()
-            .any(|a| a.index_fn.as_affine().is_none())
-    {
+            .all(|a| a.index_fn.as_affine().is_some())
+    };
+    let Ok(mode) = derive_mode(prog) else {
         return false;
-    }
-    derive_mode(prog).is_ok() && compile_sf(&prog.md_hom.sf).is_ok()
+    };
+    // rbi mode evaluates its (data-dependent) output accesses per point
+    let outputs_ok = matches!(mode, Mode::Rbi { .. }) || affine(&prog.out_view);
+    scalar_outputs && affine(&prog.inp_view) && outputs_ok && compile_sf(&prog.md_hom.sf).is_ok()
 }
 
 /// A task's partial result: one column per result over its preserved dims.
 pub struct Partial {
     pub extents: Vec<usize>,
     pub cols: Vec<ColBank>,
+}
+
+/// What every task of one run shares.
+struct TaskCtx<'a> {
+    sf: &'a CompiledSf,
+    fold: Option<&'a Combiner>,
+    /// scan combiner and the scan dimension
+    scan: Option<(&'a Combiner, usize)>,
+    kinds: &'a [ScalarKind],
+    loaders: &'a [Loader<'a>],
+    in_acc: &'a [LinearAccess],
+    preserved: &'a [usize],
+    collapsed: &'a [usize],
 }
 
 /// Run the program on the given plan using the thread pool.
@@ -249,64 +381,57 @@ pub fn run(
     let sf = compile_sf(&prog.md_hom.sf)?;
     let kinds = sf.result_kinds.clone();
     let width = kinds.len();
-    let fold_combiner = match &mode {
-        Mode::Fold(f) | Mode::Scan { fold_fn: f, .. } => match f {
-            Some(f) => Some(Combiner::build(f, width)?),
-            None => None,
-        },
+
+    eval::check_inputs(prog, inputs)?;
+    let rank = prog.rank();
+    let in_shapes: Vec<Vec<usize>> = inputs.iter().map(|b| b.shape.dims().to_vec()).collect();
+    let in_acc = linearize_view(&prog.inp_view, &in_shapes, rank)?;
+    let loaders = Loader::build_all(prog, inputs, &sf.param_loads)?;
+
+    let (fold_fn, scan) = match &mode {
+        Mode::Rbi { dim } => return run_rbi(prog, *dim, &sf, &loaders, &in_acc, pool),
+        Mode::Fold(f) => (f, None),
+        Mode::Scan {
+            scan_dim,
+            scan_fn,
+            fold_fn,
+        } => (fold_fn, Some((Combiner::build(scan_fn, width)?, *scan_dim))),
+    };
+    let fold = match fold_fn {
+        Some(f) => Some(Combiner::build(f, width)?),
+        None => None,
     };
     // scan-mode restriction: pw dims must not be split across tasks
-    if let Mode::Scan { scan_dim, .. } = &mode {
-        for &d in &plan.split_dims {
-            if d != *scan_dim {
-                return Err(MdhError::Validation(
-                    "scan mode cannot split pw dimensions across tasks".into(),
-                ));
-            }
+    if let Some((_, scan_dim)) = &scan {
+        if plan.split_dims.iter().any(|d| d != scan_dim) {
+            return Err(MdhError::Validation(
+                "scan mode cannot split pw dimensions across tasks".into(),
+            ));
         }
     }
 
-    let mut outputs = mdh_core::eval::alloc_outputs(prog)?;
-    mdh_core::eval::check_inputs(prog, inputs)?;
-    let rank = prog.rank();
-    let in_shapes: Vec<Vec<usize>> = inputs.iter().map(|b| b.shape.dims().to_vec()).collect();
+    let mut outputs = eval::alloc_outputs(prog)?;
     let out_shapes: Vec<Vec<usize>> = outputs.iter().map(|b| b.shape.dims().to_vec()).collect();
-    let in_acc = linearize_view(&prog.inp_view, &in_shapes, rank)?;
     let out_acc = linearize_view(&prog.out_view, &out_shapes, rank)?;
-    let loaders = Loader::build_all(prog, inputs, &sf.param_loads)?;
-
     let preserved = prog.md_hom.preserved_dims();
     let collapsed = prog.md_hom.collapsed_dims();
 
     // --- per-task local computation, in parallel ------------------------
-    let scan_dim_opt = match &mode {
-        Mode::Scan { scan_dim, .. } => Some(*scan_dim),
-        Mode::Fold(_) => None,
+    let ctx = TaskCtx {
+        sf: &sf,
+        fold: fold.as_ref(),
+        scan: scan.as_ref().map(|(c, d)| (c, *d)),
+        kinds: &kinds,
+        loaders: &loaders,
+        in_acc: &in_acc,
+        preserved: &preserved,
+        collapsed: &collapsed,
     };
-    let scan_combiner = match &mode {
-        Mode::Scan { scan_fn, .. } => Some(Combiner::build(scan_fn, width)?),
-        Mode::Fold(_) => None,
-    };
-
     let mut partials: Vec<Option<Partial>> = Vec::new();
     pool.install(|| {
-        use rayon::prelude::*;
         plan.tasks
             .par_iter()
-            .map(|task| {
-                run_task(
-                    &sf,
-                    fold_combiner.as_ref(),
-                    scan_combiner.as_ref(),
-                    scan_dim_opt,
-                    &kinds,
-                    &loaders,
-                    &in_acc,
-                    &preserved,
-                    &collapsed,
-                    &task.range,
-                )
-            })
+            .map(|task| run_task(&ctx, &task.range))
             .collect_into_vec(&mut partials);
     });
 
@@ -318,33 +443,25 @@ pub fn run(
             .map(|(t, p)| (t, p.expect("task partial")))
             .collect()
     } else {
-        let mut partials: Vec<Option<Partial>> = partials;
         let mut jobs = Vec::with_capacity(plan.groups.len());
         for g in &plan.groups {
             let owner = g.task_ids[0];
             let mut acc = partials[owner].take().expect("group owner partial");
-            match &mode {
-                Mode::Fold(Some(f)) => {
-                    let comb = Combiner::build(f, width)?;
-                    for &tid in &g.task_ids[1..] {
-                        let rhs = partials[tid].take().expect("group member");
-                        combine_partials_elementwise(&mut acc, &rhs, &comb, &kinds)?;
-                    }
-                }
-                Mode::Fold(None) => unreachable!("split dims without pw fn"),
-                Mode::Scan {
-                    scan_dim, scan_fn, ..
-                } => {
-                    let comb = Combiner::build(scan_fn, width)?;
+            for &tid in &g.task_ids[1..] {
+                let rhs = partials[tid].take().expect("group member");
+                match (&scan, &fold) {
                     // stitch chunks in order along the scan dim
-                    let sd_pos = preserved
-                        .iter()
-                        .position(|&d| d == *scan_dim)
-                        .expect("scan dim is preserved");
-                    for &tid in &g.task_ids[1..] {
-                        let rhs = partials[tid].take().expect("group member");
-                        acc = stitch_scan(acc, rhs, sd_pos, &comb, &kinds)?;
+                    (Some((comb, scan_dim)), _) => {
+                        let sd_pos = preserved
+                            .iter()
+                            .position(|d| d == scan_dim)
+                            .expect("scan dim is preserved");
+                        acc = stitch_scan(acc, rhs, sd_pos, comb, &kinds)?;
                     }
+                    (None, Some(comb)) => {
+                        combine_partials_elementwise(&mut acc, &rhs, comb, &kinds)?
+                    }
+                    (None, None) => unreachable!("split dims without pw fn"),
                 }
             }
             jobs.push((owner, acc));
@@ -363,27 +480,24 @@ pub fn run(
             &out_acc,
             &kinds,
             &mut outputs,
-            plan,
-            owner,
         )?;
     }
     Ok(outputs)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_task(
-    sf: &CompiledSf,
-    fold: Option<&Combiner>,
-    scan: Option<&Combiner>,
-    scan_dim: Option<usize>,
-    kinds: &[ScalarKind],
-    loaders: &[Loader],
-    in_acc: &[crate::offsets::LinearAccess],
-    preserved: &[usize],
-    collapsed: &[usize],
-    range: &MdRange,
-) -> Option<Partial> {
-    let width = kinds.len();
+/// One task: evaluate the scalar function a block of the innermost
+/// dimension at a time — the last collapsed dim if there is one (its
+/// lines are folded), else the last preserved dim (its lines are the
+/// partial's rows). A run shorter than [`LANES`] is simply a short block.
+fn run_task(ctx: &TaskCtx, range: &MdRange) -> Option<Partial> {
+    let &TaskCtx {
+        sf,
+        kinds,
+        in_acc,
+        preserved,
+        collapsed,
+        ..
+    } = ctx;
     let extents: Vec<usize> = preserved.iter().map(|&d| range.extent(d)).collect();
     let n = extents.iter().product::<usize>().max(1);
     let mut cols: Vec<ColBank> = kinds.iter().map(|&k| ColBank::zeros(k, n)).collect();
@@ -391,39 +505,25 @@ fn run_task(
         return Some(Partial { extents, cols });
     }
 
-    let (mut fbank, mut ibank) = sf.banks();
-    // scratch banks for the combiner VM (sized at build time)
-    let (mut cf_f, mut cf_i) = match fold.or(scan) {
-        Some(Combiner::Vm { cf, .. }) => cf.banks(),
-        _ => (Vec::new(), Vec::new()),
-    };
-    // also ensure scan combiner scratch fits (use the larger)
-    if let Some(Combiner::Vm { cf, .. }) = scan {
-        let (f2, i2) = cf.banks();
-        if f2.len() > cf_f.len() {
-            cf_f = f2;
-        }
-        if i2.len() > cf_i.len() {
-            cf_i = i2;
-        }
-    }
-
-    let mut accf = vec![0f64; width];
-    let mut acci = vec![0i64; width];
-    let mut newf = vec![0f64; width];
-    let mut newi = vec![0i64; width];
+    let (mut f, mut i) = sf.banks();
+    let mut scratch = ctx.fold.map_or_else(Default::default, Combiner::scratch);
+    let (mut acc, mut new) = (Acc::new(kinds.len()), Acc::new(kinds.len()));
 
     // --- strength reduction --------------------------------------------
-    // The innermost collapsed dimension advances fastest, and every
-    // input access is affine, so along that dimension each access's
-    // linear offset moves by a fixed per-access stride. Hoist those
-    // strides out of the odometer: the hot loop bumps integer offsets
-    // incrementally and pays the full rank-length `offset(&idx)` dot
-    // product only once per innermost run. Offsets are exact integers,
-    // so incremental and recomputed forms are identical bit-for-bit.
-    let inner_d = collapsed.last().copied();
+    // Every input access is affine, so along the blocked dimension each
+    // access's linear offset moves by a fixed per-access stride. Hoist
+    // those strides out of the odometer: a block loads its lanes at
+    // `base + l·step` and the full rank-length `offset(&idx)` dot product
+    // is paid only once per innermost run. Offsets are exact integers, so
+    // incremental and recomputed forms are identical bit-for-bit.
+    let folding = !collapsed.is_empty();
+    let (outer_pres, outer_coll) = if folding {
+        (preserved, &collapsed[..collapsed.len() - 1])
+    } else {
+        (&preserved[..preserved.len().saturating_sub(1)], collapsed)
+    };
+    let inner_d = collapsed.last().or(preserved.last()).copied();
     let inner_n = inner_d.map_or(1, |d| range.extent(d));
-    let outer_collapsed = &collapsed[..collapsed.len().saturating_sub(1)];
     let steps: Vec<i64> = in_acc
         .iter()
         .map(|a| inner_d.map_or(0, |d| a.coeffs[d]))
@@ -432,136 +532,97 @@ fn run_task(
 
     let mut idx = range.lo.clone();
     let mut plin = 0usize;
-    'pres: loop {
-        // fold over collapsed dims
-        for &d in collapsed {
-            idx[d] = range.lo[d];
-        }
+    loop {
         let mut first = true;
-        'red: loop {
+        loop {
             // base offsets for this innermost run (idx holds the run's
-            // start; the inner loop never touches idx[inner_d])
+            // start; the block loop never touches idx[inner_d])
             for (o, a) in offs.iter_mut().zip(in_acc) {
                 *o = a.offset(&idx);
             }
-            for _ in 0..inner_n {
-                for (l, &o) in loaders.iter().zip(&offs) {
-                    l.load(o as usize, &mut fbank, &mut ibank);
+            let mut done = 0;
+            while done < inner_n {
+                let n = LANES.min(inner_n - done);
+                for ((l, &o), &s) in ctx.loaders.iter().zip(&offs).zip(&steps) {
+                    l.load_block(o + done as i64 * s, s, n, &mut f, &mut i);
                 }
-                sf.run(&mut fbank, &mut ibank);
-                for (r, reg) in sf.result_regs.iter().enumerate() {
-                    match reg {
-                        Reg::F(d) => newf[r] = fbank[*d],
-                        Reg::I(d) => newi[r] = ibank[*d],
+                sf.run_block(&mut f, &mut i, n);
+                if !folding {
+                    // scan / no reduction: the line is a row of the partial
+                    for (col, reg) in cols.iter_mut().zip(&sf.result_regs) {
+                        match (col, reg) {
+                            (ColBank::F(v), Reg::F(d)) => {
+                                v[plin..plin + n].copy_from_slice(&f[d * LANES..d * LANES + n])
+                            }
+                            (ColBank::I(v), Reg::I(d)) => {
+                                v[plin..plin + n].copy_from_slice(&i[d * LANES..d * LANES + n])
+                            }
+                            _ => unreachable!("column kinds fixed by result kinds"),
+                        }
+                    }
+                    plin += n;
+                } else {
+                    let from = usize::from(first);
+                    if first {
+                        acc.read_lane(sf, &f, &i, 0);
+                        first = false;
+                    }
+                    if let Some(c) = ctx.fold {
+                        c.fold_lanes(sf, &f, &i, from..n, &mut acc, &mut new, kinds, &mut scratch);
                     }
                 }
-                if first {
-                    accf.copy_from_slice(&newf);
-                    acci.copy_from_slice(&newi);
-                    first = false;
-                } else if let Some(c) = fold {
-                    c.combine(
-                        &mut accf, &mut acci, &newf, &newi, kinds, &mut cf_f, &mut cf_i,
-                    );
-                }
-                for (o, &s) in offs.iter_mut().zip(&steps) {
-                    *o += s;
-                }
+                done += n;
             }
-            // advance the outer collapsed odometer (the innermost dim
-            // was consumed by the linear loop above)
-            let mut k = outer_collapsed.len();
-            loop {
-                if k == 0 {
-                    break 'red;
-                }
-                k -= 1;
-                let d = outer_collapsed[k];
-                idx[d] += 1;
-                if idx[d] < range.hi[d] {
-                    break;
-                }
-                idx[d] = range.lo[d];
-            }
-        }
-        // store acc into columns
-        for (r, col) in cols.iter_mut().enumerate() {
-            match col {
-                ColBank::F(v) => v[plin] = accf[r],
-                ColBank::I(v) => v[plin] = acci[r],
-            }
-        }
-        plin += 1;
-        // advance preserved odometer
-        let mut k = preserved.len();
-        loop {
-            if k == 0 {
-                break 'pres;
-            }
-            k -= 1;
-            let d = preserved[k];
-            idx[d] += 1;
-            if idx[d] < range.hi[d] {
+            if !advance(&mut idx, outer_coll, range) {
                 break;
             }
-            idx[d] = range.lo[d];
         }
-        if preserved.is_empty() {
-            break 'pres;
+        if folding {
+            acc.write(&mut cols, plin);
+            plin += 1;
+        }
+        if !advance(&mut idx, outer_pres, range) {
+            break;
         }
     }
 
     // local scan along the ps dim
-    if let (Some(sd), Some(c)) = (scan_dim, scan) {
+    if let Some((c, sd)) = ctx.scan {
         let sd_pos = preserved.iter().position(|&d| d == sd)?;
-        scan_in_place(&mut cols, &extents, sd_pos, c, kinds, &mut cf_f, &mut cf_i);
+        scan_in_place(&mut cols, &extents, sd_pos, c, kinds);
     }
 
     Some(Partial { extents, cols })
 }
 
+/// `(outer, extent, stride)` of axis `pos` in a row-major array: element
+/// `(o, s, t)` lives at `(o · extent + s) · stride + t`.
+fn axis_split(extents: &[usize], pos: usize) -> (usize, usize, usize) {
+    (
+        extents[..pos].iter().product(),
+        extents[pos],
+        extents[pos + 1..].iter().product(),
+    )
+}
+
 /// In-place inclusive scan of partial columns along preserved-axis
-/// `sd_pos`.
+/// `sd_pos`, front to back.
 fn scan_in_place(
     cols: &mut [ColBank],
     extents: &[usize],
     sd_pos: usize,
     c: &Combiner,
     kinds: &[ScalarKind],
-    cf_f: &mut [f64],
-    cf_i: &mut [i64],
 ) {
-    let shape = Shape::new(extents.to_vec());
-    let stride: usize = extents[sd_pos + 1..].iter().product();
-    let width = kinds.len();
-    let mut accf = vec![0f64; width];
-    let mut acci = vec![0i64; width];
-    let mut newf = vec![0f64; width];
-    let mut newi = vec![0i64; width];
-    for idx in shape.iter() {
-        if idx[sd_pos] == 0 {
-            continue;
-        }
-        let i = shape.linearize(&idx);
-        let prev = i - stride;
-        for (r, col) in cols.iter().enumerate() {
-            match col {
-                ColBank::F(v) => {
-                    accf[r] = v[prev];
-                    newf[r] = v[i];
-                }
-                ColBank::I(v) => {
-                    acci[r] = v[prev];
-                    newi[r] = v[i];
-                }
-            }
-        }
-        c.combine(&mut accf, &mut acci, &newf, &newi, kinds, cf_f, cf_i);
-        for (r, col) in cols.iter_mut().enumerate() {
-            match col {
-                ColBank::F(v) => v[i] = accf[r],
-                ColBank::I(v) => v[i] = acci[r],
-            }
+    let (outer, sd_ext, stride) = axis_split(extents, sd_pos);
+    let mut scratch = c.scratch();
+    let (mut acc, mut new) = (Acc::new(kinds.len()), Acc::new(kinds.len()));
+    for o in 0..outer {
+        for at in (o * sd_ext + 1) * stride..(o + 1) * sd_ext * stride {
+            acc.read(cols, at - stride);
+            new.read(cols, at);
+            c.combine(&mut acc, &new, kinds, &mut scratch);
+            acc.write(cols, at);
         }
     }
 }
@@ -575,39 +636,13 @@ fn combine_partials_elementwise(
     if acc.extents != rhs.extents {
         return Err(MdhError::Eval("partial extent mismatch".into()));
     }
-    let width = kinds.len();
-    let (mut cf_f, mut cf_i) = match c {
-        Combiner::Vm { cf, .. } => cf.banks(),
-        _ => (Vec::new(), Vec::new()),
-    };
-    let n = acc.cols.first().map(|c| c.len()).unwrap_or(0);
-    let mut accf = vec![0f64; width];
-    let mut acci = vec![0i64; width];
-    let mut newf = vec![0f64; width];
-    let mut newi = vec![0i64; width];
-    for i in 0..n {
-        for (r, (a, b)) in acc.cols.iter().zip(&rhs.cols).enumerate() {
-            match (a, b) {
-                (ColBank::F(x), ColBank::F(y)) => {
-                    accf[r] = x[i];
-                    newf[r] = y[i];
-                }
-                (ColBank::I(x), ColBank::I(y)) => {
-                    acci[r] = x[i];
-                    newi[r] = y[i];
-                }
-                _ => return Err(MdhError::Eval("column kind mismatch".into())),
-            }
-        }
-        c.combine(
-            &mut accf, &mut acci, &newf, &newi, kinds, &mut cf_f, &mut cf_i,
-        );
-        for (r, a) in acc.cols.iter_mut().enumerate() {
-            match a {
-                ColBank::F(x) => x[i] = accf[r],
-                ColBank::I(x) => x[i] = acci[r],
-            }
-        }
+    let mut scratch = c.scratch();
+    let (mut lhs, mut new) = (Acc::new(kinds.len()), Acc::new(kinds.len()));
+    for at in 0..acc.cols.first().map_or(0, ColBank::len) {
+        lhs.read(&acc.cols, at);
+        new.read(&rhs.cols, at);
+        c.combine(&mut lhs, &new, kinds, &mut scratch);
+        lhs.write(&mut acc.cols, at);
     }
     Ok(())
 }
@@ -622,145 +657,236 @@ fn stitch_scan(
     c: &Combiner,
     kinds: &[ScalarKind],
 ) -> Result<Partial> {
-    let width = kinds.len();
-    let (mut cf_f, mut cf_i) = match c {
-        Combiner::Vm { cf, .. } => cf.banks(),
-        _ => (Vec::new(), Vec::new()),
-    };
-    let l_ext = &lhs.extents;
-    let r_ext = &rhs.extents;
-    for (d, (a, b)) in l_ext.iter().zip(r_ext).enumerate() {
-        if d != sd_pos && a != b {
-            return Err(MdhError::Eval("scan stitch extent mismatch".into()));
-        }
+    let same_cross_section = lhs.extents.len() == rhs.extents.len()
+        && (0..lhs.extents.len()).all(|d| d == sd_pos || lhs.extents[d] == rhs.extents[d]);
+    if !same_cross_section {
+        return Err(MdhError::Eval("scan stitch extent mismatch".into()));
     }
-    let stride: usize = l_ext[sd_pos + 1..].iter().product();
-    let l_sd = l_ext[sd_pos];
+    let (outer, l_sd, stride) = axis_split(&lhs.extents, sd_pos);
+    let r_sd = rhs.extents[sd_pos];
     if l_sd > 0 {
-        // offset every rhs element by lhs's last slice
-        let r_shape = Shape::new(r_ext.clone());
-        let mut accf = vec![0f64; width];
-        let mut acci = vec![0i64; width];
-        let mut newf = vec![0f64; width];
-        let mut newi = vec![0i64; width];
-        for idx in r_shape.iter() {
-            let ri = r_shape.linearize(&idx);
-            // corresponding lhs last-slice element
-            let mut lidx = idx.clone();
-            lidx[sd_pos] = l_sd - 1;
-            let li = Shape::new(l_ext.clone()).linearize(&lidx);
-            for (r, (a, b)) in lhs.cols.iter().zip(&rhs.cols).enumerate() {
-                match (a, b) {
-                    (ColBank::F(x), ColBank::F(y)) => {
-                        accf[r] = x[li];
-                        newf[r] = y[ri];
-                    }
-                    (ColBank::I(x), ColBank::I(y)) => {
-                        acci[r] = x[li];
-                        newi[r] = y[ri];
-                    }
-                    _ => return Err(MdhError::Eval("column kind mismatch".into())),
-                }
-            }
-            c.combine(
-                &mut accf, &mut acci, &newf, &newi, kinds, &mut cf_f, &mut cf_i,
-            );
-            for (r, b) in rhs.cols.iter_mut().enumerate() {
-                match b {
-                    ColBank::F(y) => y[ri] = accf[r],
-                    ColBank::I(y) => y[ri] = acci[r],
+        // offset every rhs element, front to back, by lhs's last slice
+        let mut scratch = c.scratch();
+        let (mut acc, mut new) = (Acc::new(kinds.len()), Acc::new(kinds.len()));
+        for o in 0..outer {
+            let last = ((o + 1) * l_sd - 1) * stride;
+            for s in 0..r_sd {
+                for t in 0..stride {
+                    let at = (o * r_sd + s) * stride + t;
+                    acc.read(&lhs.cols, last + t);
+                    new.read(&rhs.cols, at);
+                    c.combine(&mut acc, &new, kinds, &mut scratch);
+                    acc.write(&mut rhs.cols, at);
                 }
             }
         }
     }
-    // concatenate along sd_pos
-    let mut extents = l_ext.clone();
-    extents[sd_pos] += r_ext[sd_pos];
-    let out_shape = Shape::new(extents.clone());
-    let mut cols: Vec<ColBank> = kinds
+    // concatenate along sd_pos: per outer index, lhs's slab then rhs's
+    fn interleave<T: Copy>(l: &[T], r: &[T], outer: usize) -> Vec<T> {
+        let (ln, rn) = (l.len() / outer.max(1), r.len() / outer.max(1));
+        let mut v = Vec::with_capacity(l.len() + r.len());
+        for o in 0..outer {
+            v.extend_from_slice(&l[o * ln..(o + 1) * ln]);
+            v.extend_from_slice(&r[o * rn..(o + 1) * rn]);
+        }
+        v
+    }
+    let cols = lhs
+        .cols
         .iter()
-        .map(|&k| ColBank::zeros(k, out_shape.len()))
-        .collect();
-    let l_shape = Shape::new(l_ext.clone());
-    let r_shape = Shape::new(r_ext.clone());
-    for idx in l_shape.iter() {
-        let src = l_shape.linearize(&idx);
-        let dst = out_shape.linearize(&idx);
-        for (col, lcol) in cols.iter_mut().zip(&lhs.cols) {
-            copy_elem(col, dst, lcol, src);
-        }
-    }
-    for idx in r_shape.iter() {
-        let mut didx = idx.clone();
-        didx[sd_pos] += l_sd;
-        let src = r_shape.linearize(&idx);
-        let dst = out_shape.linearize(&didx);
-        for (col, rcol) in cols.iter_mut().zip(&rhs.cols) {
-            copy_elem(col, dst, rcol, src);
-        }
-    }
-    let _ = stride;
+        .zip(&rhs.cols)
+        .map(|pair| match pair {
+            (ColBank::F(l), ColBank::F(r)) => Ok(ColBank::F(interleave(l, r, outer))),
+            (ColBank::I(l), ColBank::I(r)) => Ok(ColBank::I(interleave(l, r, outer))),
+            _ => Err(MdhError::Eval("column kind mismatch".into())),
+        })
+        .collect::<Result<_>>()?;
+    let mut extents = lhs.extents;
+    extents[sd_pos] += r_sd;
     Ok(Partial { extents, cols })
 }
 
-fn copy_elem(dst: &mut ColBank, di: usize, src: &ColBank, si: usize) {
-    match (dst, src) {
-        (ColBank::F(d), ColBank::F(s)) => d[di] = s[si],
-        (ColBank::I(d), ColBank::I(s)) => d[di] = s[si],
-        _ => unreachable!("column kinds fixed by result kinds"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Store one partial. It is row-major over its preserved extents (for a
+/// stitched scan the partial, not the owner's range, has the full scan
+/// extent), so it is read front to back while each output offset walks a
+/// row of the last preserved dim by that dim's stride.
 fn write_partial(
     prog: &DslProgram,
     partial: &Partial,
     owner_range: &MdRange,
     preserved: &[usize],
-    out_acc: &[crate::offsets::LinearAccess],
+    out_acc: &[LinearAccess],
     kinds: &[ScalarKind],
     outputs: &mut [Buffer],
-    plan: &ExecutionPlan,
-    owner: usize,
 ) -> Result<()> {
-    // the partial's preserved region: for split scan dims the stitched
-    // partial covers the full dim, so derive extents from the partial
-    let mut lo = owner_range.lo.clone();
-    // split scan dims start at the group's first chunk => lo from owner
-    let shape = Shape::new(partial.extents.clone());
-    let _ = plan;
-    let _ = owner;
-    let mut idx = vec![0usize; prog.rank()];
-    // collapsed dims pinned to absolute lo of the full iteration space —
-    // out accesses don't depend on them (validated)
-    for d in prog.md_hom.collapsed_dims() {
-        idx[d] = 0;
-        lo[d] = 0;
+    if partial.extents.contains(&0) {
+        return Ok(());
     }
-    for p in shape.iter() {
-        for (pp, &d) in preserved.iter().enumerate() {
-            idx[d] = lo[d] + p[pp];
-        }
-        let flat = shape.linearize(&p);
+    // the region the partial covers; collapsed dims pinned to 0 — out
+    // accesses don't depend on them (validated)
+    let mut region = owner_range.clone();
+    for (pp, &d) in preserved.iter().enumerate() {
+        region.hi[d] = region.lo[d] + partial.extents[pp];
+    }
+    for d in prog.md_hom.collapsed_dims() {
+        region.lo[d] = 0;
+    }
+    let (outer, row_d) = match preserved.split_last() {
+        Some((&row_d, outer)) => (outer, Some(row_d)),
+        None => (&[][..], None),
+    };
+    let row_n = row_d.map_or(1, |d| region.extent(d));
+    let mut idx = region.lo.clone();
+    for row in (0..partial.cols.first().map_or(0, ColBank::len)).step_by(row_n) {
         for (r, acc) in out_acc.iter().enumerate() {
-            let off = acc.offset(&idx);
-            if off < 0 {
+            let step = row_d.map_or(0, |d| acc.coeffs[d]);
+            let base = acc.offset(&idx);
+            // affine in the row index: the row's ends bound every store
+            if base.min(base + (row_n as i64 - 1) * step) < 0 {
                 return Err(MdhError::Eval("negative output offset".into()));
             }
-            let (fv, iv) = match &partial.cols[r] {
-                ColBank::F(v) => (v[flat], 0),
-                ColBank::I(v) => (0.0, v[flat]),
-            };
-            store_result(
-                &mut outputs[prog.out_view.accesses[r].buffer],
-                off as usize,
-                kinds[r],
-                fv,
-                iv,
-            );
+            let out = &mut outputs[prog.out_view.accesses[r].buffer];
+            for l in 0..row_n {
+                let (fv, iv) = match &partial.cols[r] {
+                    ColBank::F(v) => (v[row + l], 0),
+                    ColBank::I(v) => (0.0, v[row + l]),
+                };
+                store_result(out, (base + l as i64 * step) as usize, kinds[r], fv, iv);
+            }
+        }
+        if !advance(&mut idx, outer, &region) {
+            break;
         }
     }
     Ok(())
+}
+
+/// rbi mode (see the module docs): [`RBI_CHUNKS`] fixed intervals of the
+/// indexed dimension, each accumulated point-ascending into a private
+/// typed partial of the outputs, folded by a fixed pairwise tree — pair
+/// (0,1), (2,3), … per level, in chunk order.
+fn run_rbi(
+    prog: &DslProgram,
+    dim: usize,
+    sf: &CompiledSf,
+    loaders: &[Loader],
+    in_acc: &[LinearAccess],
+    pool: &rayon::ThreadPool,
+) -> Result<Vec<Buffer>> {
+    let full = prog.md_hom.full_range();
+    let intervals = split_even(prog.md_hom.sizes[dim], RBI_CHUNKS);
+    let mut chunk_outs: Vec<Result<Vec<Buffer>>> = Vec::new();
+    pool.install(|| {
+        intervals
+            .par_iter()
+            .map(|&(lo, hi)| {
+                let mut range = full.clone();
+                range.lo[dim] = lo;
+                range.hi[dim] = hi;
+                let mut outs = eval::alloc_outputs(prog)?;
+                rbi_chunk(prog, sf, loaders, in_acc, &range, &mut outs)?;
+                Ok(outs)
+            })
+            .collect_into_vec(&mut chunk_outs);
+    });
+    let mut layer: Vec<Vec<Buffer>> = chunk_outs.into_iter().collect::<Result<_>>()?;
+    while layer.len() > 1 {
+        let mut next = Vec::with_capacity(layer.len().div_ceil(2));
+        let mut it = layer.into_iter();
+        while let Some(mut lhs) = it.next() {
+            if let Some(rhs) = it.next() {
+                lhs.iter_mut().zip(&rhs).for_each(|(a, b)| add_buffer(a, b));
+            }
+            next.push(lhs);
+        }
+        layer = next;
+    }
+    layer
+        .pop()
+        .ok_or_else(|| MdhError::Eval("rbi produced no partials".into()))
+}
+
+/// Accumulate one iteration sub-range into `outs`, visiting points in
+/// ascending row-major order: the scalar function runs a block of the
+/// last dimension at a time, each point's output index functions are
+/// evaluated once, and its results are added, typed, where they select.
+fn rbi_chunk(
+    prog: &DslProgram,
+    sf: &CompiledSf,
+    loaders: &[Loader],
+    in_acc: &[LinearAccess],
+    range: &MdRange,
+    outs: &mut [Buffer],
+) -> Result<()> {
+    if range.is_empty() {
+        return Ok(());
+    }
+    let inner_d = prog.rank() - 1;
+    let outer: Vec<usize> = (0..inner_d).collect();
+    let inner_n = range.extent(inner_d);
+    let steps: Vec<i64> = in_acc.iter().map(|a| a.coeffs[inner_d]).collect();
+    let (mut f, mut i) = sf.banks();
+    let mut idx = range.lo.clone();
+    loop {
+        let mut done = 0;
+        while done < inner_n {
+            let n = LANES.min(inner_n - done);
+            idx[inner_d] = range.lo[inner_d] + done;
+            for ((l, a), &s) in loaders.iter().zip(in_acc).zip(&steps) {
+                l.load_block(a.offset(&idx), s, n, &mut f, &mut i);
+            }
+            sf.run_block(&mut f, &mut i, n);
+            for l in 0..n {
+                idx[inner_d] = range.lo[inner_d] + done + l;
+                for (r, a) in prog.out_view.accesses.iter().enumerate() {
+                    let bidx = a
+                        .index_fn
+                        .eval(&idx)
+                        .ok_or_else(|| MdhError::Eval("negative scatter index".into()))?;
+                    let buf = &mut outs[a.buffer];
+                    if !buf.shape.contains(&bidx) {
+                        return Err(MdhError::OutOfBounds {
+                            buffer: buf.name.clone(),
+                            index: bidx,
+                            shape: buf.shape.dims().to_vec(),
+                        });
+                    }
+                    // row-major flat index of an in-bounds point
+                    let dims = buf.shape.dims();
+                    let flat = bidx.iter().zip(dims).fold(0, |flat, (b, d)| flat * d + b);
+                    let (fv, iv) = match sf.result_regs[r] {
+                        Reg::F(d) => (f[d * LANES + l], 0),
+                        Reg::I(d) => (0.0, i[d * LANES + l]),
+                    };
+                    add_result(buf, flat, sf.result_kinds[r], fv, iv);
+                }
+            }
+            done += n;
+        }
+        idx[inner_d] = range.lo[inner_d];
+        if !advance(&mut idx, &outer, range) {
+            return Ok(());
+        }
+    }
+}
+
+/// `acc += rhs`, element-wise in the buffers' own type (one level of the
+/// rbi partial tree).
+fn add_buffer(acc: &mut Buffer, rhs: &Buffer) {
+    fn zip_with<T: Copy>(a: &mut [T], b: &[T], add: impl Fn(T, T) -> T) {
+        a.iter_mut().zip(b).for_each(|(x, &y)| *x = add(*x, y));
+    }
+    match (&mut acc.data, &rhs.data) {
+        (BufferData::F32(a), BufferData::F32(b)) => {
+            zip_with(a, b, |x, y| (x as f64 + y as f64) as f32)
+        }
+        (BufferData::F64(a), BufferData::F64(b)) => zip_with(a, b, |x, y| x + y),
+        (BufferData::I32(a), BufferData::I32(b)) => zip_with(a, b, i32::wrapping_add),
+        (BufferData::I64(a), BufferData::I64(b)) => zip_with(a, b, i64::wrapping_add),
+        (BufferData::Bool(a), BufferData::Bool(b)) => zip_with(a, b, |x, y| x | y),
+        (BufferData::Char(a), BufferData::Char(b)) => zip_with(a, b, u8::wrapping_add),
+        _ => unreachable!("rbi partials share the outputs' scalar types"),
+    }
 }
 
 #[cfg(test)]
@@ -770,133 +896,136 @@ mod tests {
     use mdh_core::eval::evaluate_recursive;
     use mdh_core::expr::{BinOp, Expr, ScalarFunction, Stmt};
     use mdh_core::index_fn::IndexFn;
+    use mdh_core::shape::Shape;
     use mdh_core::types::BasicType;
     use mdh_lowering::asm::DeviceKind;
     use mdh_lowering::schedule::{ReductionStrategy, Schedule};
 
-    fn pool() -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-    }
-
-    fn run_with(
+    fn run_at(
         prog: &DslProgram,
         inputs: &[Buffer],
-        par_chunks: Vec<usize>,
-        tree: bool,
-    ) -> Vec<Buffer> {
+        par_chunks: &[usize],
+        width: usize,
+    ) -> Result<Vec<Buffer>> {
         let mut s = Schedule::sequential(prog.rank(), DeviceKind::Cpu);
-        s.par_chunks = par_chunks;
-        if tree {
-            s.reduction = ReductionStrategy::Tree;
-        }
-        let plan = ExecutionPlan::build(prog, &s).unwrap();
-        run(prog, &plan, inputs, &pool()).unwrap()
+        // never more chunks than points along a dim
+        s.par_chunks = par_chunks
+            .iter()
+            .zip(&prog.md_hom.sizes)
+            .map(|(&c, &n)| c.min(n))
+            .collect();
+        s.reduction = ReductionStrategy::Tree;
+        let plan = ExecutionPlan::build(prog, &s)?;
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .unwrap();
+        run(prog, &plan, inputs, &pool)
     }
 
-    fn matvec_case() -> (DslProgram, Vec<Buffer>) {
-        let (i, k) = (13, 17);
+    /// Integer-valued fill (every sum exact) or an inexact one (every
+    /// rounding visible in the bits).
+    fn filled(name: &str, ty: BasicType, dims: Vec<usize>, exact: bool) -> Buffer {
+        let mut b = Buffer::zeros(name, ty, Shape::new(dims));
+        if exact {
+            b.fill_with(|f| ((f * 7) % 11) as f64 - 5.0);
+        } else {
+            b.fill_with(|f| ((f * 7919) % 1013) as f64 / 97.0 - 5.2);
+        }
+        b
+    }
+
+    /// Innermost extents straddling every block boundary.
+    const SWEEP: [usize; 5] = [1, LANES - 1, LANES, LANES + 1, 2 * LANES + 3];
+
+    /// The block-boundary sweep: `case(n, exact)` builds a program whose
+    /// blocked dimension has extent `n`. On integer-valued data every
+    /// schedule must equal the reference bit for bit; on inexact data
+    /// every schedule must equal itself across pool widths.
+    fn sweep(case: impl Fn(usize, bool) -> (DslProgram, Vec<Buffer>), schedules: &[&[usize]]) {
+        for n in SWEEP {
+            for &par_chunks in schedules {
+                let (prog, inputs) = case(n, true);
+                let expect = evaluate_recursive(&prog, &inputs).unwrap();
+                let got = run_at(&prog, &inputs, par_chunks, 4).unwrap();
+                assert_eq!(got, expect, "{} n={n} par={par_chunks:?}", prog.name);
+                let (prog, inputs) = case(n, false);
+                let at = |width| run_at(&prog, &inputs, par_chunks, width).unwrap();
+                let one = at(1);
+                assert_eq!(at(2), one, "{} n={n} par={par_chunks:?} width 2", prog.name);
+                assert_eq!(at(4), one, "{} n={n} par={par_chunks:?} width 4", prog.name);
+            }
+        }
+    }
+
+    fn matvec_case(k: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
+        let i = 5;
         let prog = DslBuilder::new("matvec", vec![i, k])
-            .out_buffer("w", BasicType::F32)
+            .out_buffer("w", BasicType::F64)
             .out_access("w", IndexFn::select(2, &[0]))
-            .inp_buffer("M", BasicType::F32)
+            .inp_buffer("M", BasicType::F64)
             .inp_access("M", IndexFn::identity(2, 2))
-            .inp_buffer("v", BasicType::F32)
+            .inp_buffer("v", BasicType::F64)
             .inp_access("v", IndexFn::select(2, &[1]))
             .scalar_function(ScalarFunction::mul2(
                 "f_mul",
-                mdh_core::types::ScalarKind::F32,
+                mdh_core::types::ScalarKind::F64,
             ))
             .combine_ops(vec![CombineOp::cc(), CombineOp::pw_add()])
             .build()
             .unwrap();
-        let mut m = Buffer::zeros("M", BasicType::F32, Shape::new(vec![i, k]));
-        m.fill_with(|f| ((f * 7) % 11) as f64 - 5.0);
-        let mut v = Buffer::zeros("v", BasicType::F32, Shape::new(vec![k]));
-        v.fill_with(|f| (f % 4) as f64 * 0.5);
+        let m = filled("M", BasicType::F64, vec![i, k], exact);
+        let v = filled("v", BasicType::F64, vec![k], exact);
         (prog, vec![m, v])
     }
 
     #[test]
-    fn fold_mode_matches_reference_no_split() {
-        let (prog, inputs) = matvec_case();
-        let expect = evaluate_recursive(&prog, &inputs).unwrap();
-        let got = run_with(&prog, &inputs, vec![4, 1], false);
-        assert!(got[0].approx_eq(&expect[0], 1e-5));
-    }
-
-    #[test]
-    fn fold_mode_matches_reference_split_reduction() {
-        let (prog, inputs) = matvec_case();
-        let expect = evaluate_recursive(&prog, &inputs).unwrap();
-        let got = run_with(&prog, &inputs, vec![3, 5], true);
-        assert!(got[0].approx_eq(&expect[0], 1e-5));
+    fn fold_mode_builtin_across_block_boundaries() {
+        // unsplit, and the reduction dim split three ways
+        sweep(matvec_case, &[&[2, 1], &[2, 3]]);
     }
 
     /// PRL-style custom tuple combine over two outputs.
-    #[test]
-    fn custom_tuple_combine_argmax() {
-        let (n, i) = (6, 40);
+    fn argmax_case(i: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
+        let n = 3;
+        let take = |id: usize, w: usize| {
+            vec![
+                Stmt::Assign {
+                    name: "res_id".into(),
+                    value: Expr::Param(id),
+                },
+                Stmt::Assign {
+                    name: "res_w".into(),
+                    value: Expr::Param(w),
+                },
+            ]
+        };
+        let tuple = |prefix: &str| {
+            vec![
+                (format!("{prefix}_id"), BasicType::I64),
+                (format!("{prefix}_w"), BasicType::F64),
+            ]
+        };
         let argmax = ScalarFunction {
             name: "argmax".into(),
-            params: vec![
-                ("lhs_id".into(), BasicType::I64),
-                ("lhs_w".into(), BasicType::F64),
-                ("rhs_id".into(), BasicType::I64),
-                ("rhs_w".into(), BasicType::F64),
-            ],
-            results: vec![
-                ("res_id".into(), BasicType::I64),
-                ("res_w".into(), BasicType::F64),
-            ],
+            params: [tuple("lhs"), tuple("rhs")].concat(),
+            results: tuple("res"),
             body: vec![Stmt::If {
                 cond: Expr::Bin(
                     BinOp::Ge,
                     Box::new(Expr::Param(1)),
                     Box::new(Expr::Param(3)),
                 ),
-                then_branch: vec![
-                    Stmt::Assign {
-                        name: "res_id".into(),
-                        value: Expr::Param(0),
-                    },
-                    Stmt::Assign {
-                        name: "res_w".into(),
-                        value: Expr::Param(1),
-                    },
-                ],
-                else_branch: vec![
-                    Stmt::Assign {
-                        name: "res_id".into(),
-                        value: Expr::Param(2),
-                    },
-                    Stmt::Assign {
-                        name: "res_w".into(),
-                        value: Expr::Param(3),
-                    },
-                ],
+                then_branch: take(0, 1),
+                else_branch: take(2, 3),
             }],
         };
         // per point: id = ids[i], w = weights[n*I + i]
         let sf = ScalarFunction {
             name: "point".into(),
             params: vec![("id".into(), BasicType::I64), ("w".into(), BasicType::F64)],
-            results: vec![
-                ("res_id".into(), BasicType::I64),
-                ("res_w".into(), BasicType::F64),
-            ],
-            body: vec![
-                Stmt::Assign {
-                    name: "res_id".into(),
-                    value: Expr::Param(0),
-                },
-                Stmt::Assign {
-                    name: "res_w".into(),
-                    value: Expr::Param(1),
-                },
-            ],
+            results: tuple("res"),
+            body: take(0, 1),
         };
         let prog = DslBuilder::new("prl_like", vec![n, i])
             .out_buffer("match_id", BasicType::I64)
@@ -912,20 +1041,19 @@ mod tests {
             .build()
             .unwrap();
         let ids = Buffer::from_i64("ids", Shape::new(vec![i]), (0..i as i64).collect());
-        let mut weights = Buffer::zeros("weights", BasicType::F64, Shape::new(vec![n, i]));
-        weights.fill_with(|f| ((f * 29) % 97) as f64);
-        let inputs = vec![ids, weights];
-        let expect = evaluate_recursive(&prog, &inputs).unwrap();
-        // split the reduction dim to exercise tuple-wide group combining
-        let got = run_with(&prog, &inputs, vec![2, 5], true);
-        assert_eq!(got[0], expect[0]);
-        assert!(got[1].approx_eq(&expect[1], 1e-12));
+        let weights = filled("weights", BasicType::F64, vec![n, i], exact);
+        (prog, vec![ids, weights])
     }
 
     #[test]
-    fn scan_mode_matches_reference() {
-        // MBBS-like: ps(add) over i, pw(add) over j
-        let (i, j) = (9, 5);
+    fn fold_mode_custom_tuple_across_block_boundaries() {
+        // the split exercises tuple-wide group combining
+        sweep(argmax_case, &[&[1, 1], &[2, 5]]);
+    }
+
+    /// MBBS-like: ps(add) over i, pw(add) over the blocked j.
+    fn scan_fold_case(j: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
+        let i = 9;
         let prog = DslBuilder::new("mbbs", vec![i, j])
             .out_buffer("out", BasicType::F64)
             .out_access("out", IndexFn::select(2, &[0]))
@@ -938,43 +1066,147 @@ mod tests {
             .combine_ops(vec![CombineOp::ps_add(), CombineOp::pw_add()])
             .build()
             .unwrap();
-        let mut m = Buffer::zeros("M", BasicType::F64, Shape::new(vec![i, j]));
-        m.fill_with(|f| ((f * 3) % 7) as f64 - 2.0);
-        let inputs = vec![m];
-        let expect = evaluate_recursive(&prog, &inputs).unwrap();
-        // no split
-        let got = run_with(&prog, &inputs, vec![1, 1], false);
-        assert!(got[0].approx_eq(&expect[0], 1e-12), "unsplit scan");
-        // split the scan dim across 3 tasks
-        let got = run_with(&prog, &inputs, vec![3, 1], true);
-        assert!(got[0].approx_eq(&expect[0], 1e-12), "split scan");
+        (prog, vec![filled("M", BasicType::F64, vec![i, j], exact)])
     }
 
-    #[test]
-    fn scan_mode_rejects_split_pw() {
-        let prog = DslBuilder::new("mbbs", vec![4, 4])
-            .out_buffer("out", BasicType::F64)
-            .out_access("out", IndexFn::select(2, &[0]))
-            .inp_buffer("M", BasicType::F64)
-            .inp_access("M", IndexFn::identity(2, 2))
+    /// A batch of scans: cc over b, ps(add) over the blocked i — lines
+    /// are stored, not folded, and the scan axis has a stride.
+    fn scan_lines_case(i: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
+        let b = 3;
+        let prog = DslBuilder::new("scans", vec![i, b])
+            .out_buffer("y", BasicType::F32)
+            .out_access("y", IndexFn::identity(2, 2))
+            .inp_buffer("x", BasicType::F32)
+            .inp_access("x", IndexFn::identity(2, 2))
+            .scalar_function(ScalarFunction::identity(
+                "id",
+                mdh_core::types::ScalarKind::F32,
+            ))
+            .combine_ops(vec![CombineOp::ps_add(), CombineOp::cc()])
+            .build()
+            .unwrap();
+        (prog, vec![filled("x", BasicType::F32, vec![i, b], exact)])
+    }
+
+    /// `ps(add)` over the blocked dimension itself.
+    fn scan_1d_case(n: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
+        let prog = DslBuilder::new("scan", vec![n])
+            .out_buffer("y", BasicType::F64)
+            .out_access("y", IndexFn::identity(1, 1))
+            .inp_buffer("x", BasicType::F64)
+            .inp_access("x", IndexFn::identity(1, 1))
             .scalar_function(ScalarFunction::identity(
                 "id",
                 mdh_core::types::ScalarKind::F64,
             ))
-            .combine_ops(vec![CombineOp::ps_add(), CombineOp::pw_add()])
+            .combine_ops(vec![CombineOp::ps_add()])
             .build()
             .unwrap();
-        let m = Buffer::zeros("M", BasicType::F64, Shape::new(vec![4, 4]));
-        let mut s = Schedule::sequential(2, DeviceKind::Cpu);
-        s.par_chunks = vec![1, 2];
-        s.reduction = ReductionStrategy::Tree;
-        let plan = ExecutionPlan::build(&prog, &s).unwrap();
-        assert!(run(&prog, &plan, &[m], &pool()).is_err());
+        (prog, vec![filled("x", BasicType::F64, vec![n], exact)])
+    }
+
+    #[test]
+    fn scan_mode_across_block_boundaries() {
+        // unsplit, and the scan dim split across three stitched tasks
+        sweep(scan_fold_case, &[&[1, 1], &[3, 1]]);
+        sweep(scan_lines_case, &[&[1, 1], &[3, 1], &[2, 3]]);
+        sweep(scan_1d_case, &[&[1], &[3]]);
+    }
+
+    #[test]
+    fn scan_mode_rejects_split_pw() {
+        let (prog, inputs) = scan_fold_case(4, true);
+        assert!(run_at(&prog, &inputs, &[1, 2], 4).is_err());
+    }
+
+    /// A 2-D histogram: `hist[key(r, c)] += w[r, c]`, rows cut into the
+    /// rbi chunks, the blocked dimension is a row.
+    fn rbi_case(cols: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
+        let (rows, buckets) = (4, 5);
+        let prog = DslBuilder::new("hist2d", vec![rows, cols])
+            .out_buffer_with_shape("hist", BasicType::F32, vec![buckets])
+            .out_access(
+                "hist",
+                IndexFn::General {
+                    out_rank: 1,
+                    f: std::sync::Arc::new(move |idx: &[usize]| {
+                        vec![(idx[0] * 131 + idx[1] * 7) % buckets]
+                    }),
+                    label: "key".into(),
+                },
+            )
+            .inp_buffer("w", BasicType::F32)
+            .inp_access("w", IndexFn::identity(2, 2))
+            .scalar_function(ScalarFunction::identity(
+                "id",
+                mdh_core::types::ScalarKind::F32,
+            ))
+            .combine_ops(vec![CombineOp::rbi_add(), CombineOp::rbi_add()])
+            .build()
+            .unwrap();
+        (
+            prog,
+            vec![filled("w", BasicType::F32, vec![rows, cols], exact)],
+        )
+    }
+
+    #[test]
+    fn rbi_mode_across_block_boundaries() {
+        sweep(rbi_case, &[&[1, 1]]);
+    }
+
+    #[test]
+    fn rbi_mode_reports_an_out_of_bounds_scatter() {
+        let prog = DslBuilder::new("oob", vec![8])
+            .out_buffer_with_shape("hist", BasicType::F32, vec![4])
+            .out_access(
+                "hist",
+                IndexFn::General {
+                    out_rank: 1,
+                    f: std::sync::Arc::new(|idx: &[usize]| vec![idx[0]]),
+                    label: "key".into(),
+                },
+            )
+            .inp_buffer("w", BasicType::F32)
+            .inp_access("w", IndexFn::identity(1, 1))
+            .scalar_function(ScalarFunction::identity(
+                "id",
+                mdh_core::types::ScalarKind::F32,
+            ))
+            .combine_ops(vec![CombineOp::rbi_add()])
+            .build()
+            .unwrap();
+        let inputs = vec![filled("w", BasicType::F32, vec![8], true)];
+        let err = run_at(&prog, &inputs, &[1], 2).unwrap_err();
+        assert!(matches!(err, MdhError::OutOfBounds { .. }), "{err}");
     }
 
     #[test]
     fn applicability_checks() {
-        let (prog, _) = matvec_case();
-        assert!(vm_applicable(&prog));
+        assert!(vm_applicable(&matvec_case(4, true).0));
+        assert!(vm_applicable(&scan_1d_case(4, true).0));
+        // rbi: the output access may be data-dependent…
+        assert!(vm_applicable(&rbi_case(4, true).0));
+        // …but an input gather through a general index function may not
+        let gather = DslBuilder::new("gather", vec![4])
+            .out_buffer("y", BasicType::F32)
+            .out_access("y", IndexFn::identity(1, 1))
+            .inp_buffer_with_shape("t", BasicType::F32, vec![4])
+            .inp_access(
+                "t",
+                IndexFn::General {
+                    out_rank: 1,
+                    f: std::sync::Arc::new(|idx: &[usize]| vec![3 - idx[0]]),
+                    label: "rev".into(),
+                },
+            )
+            .scalar_function(ScalarFunction::identity(
+                "id",
+                mdh_core::types::ScalarKind::F32,
+            ))
+            .combine_ops(vec![CombineOp::cc()])
+            .build()
+            .unwrap();
+        assert!(!vm_applicable(&gather));
     }
 }

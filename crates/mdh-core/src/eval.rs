@@ -332,8 +332,8 @@ pub fn evaluate_scatter(prog: &DslProgram, inputs: &[Buffer]) -> Result<Vec<Buff
 }
 
 /// Accumulate one iteration sub-range into already-allocated outputs
-/// (visiting points in ascending row-major order). Shared by the reference
-/// evaluator and the parallel backends, which call it chunk by chunk.
+/// (visiting points in ascending row-major order): the oracle the
+/// backend's typed, lane-blocked `rbi` mode is tested against.
 pub fn scatter_range(
     prog: &DslProgram,
     inputs: &[Buffer],

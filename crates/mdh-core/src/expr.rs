@@ -472,8 +472,8 @@ pub fn eval_expr(e: &Expr, args: &[Value], env: &HashMap<String, Value>) -> Resu
                             .as_i64()
                             .ok_or_else(|| MdhError::Eval("neg of non-numeric".into()))?;
                         Ok(match a {
-                            Value::I32(_) => Value::I32(-v as i32),
-                            _ => Value::I64(-v),
+                            Value::I32(_) => Value::I32(v.wrapping_neg() as i32),
+                            _ => Value::I64(v.wrapping_neg()),
                         })
                     }
                 }
@@ -650,8 +650,9 @@ pub fn eval_bin(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
             BinOp::Add => x.wrapping_add(y),
             BinOp::Sub => x.wrapping_sub(y),
             BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => x / y,
-            BinOp::Rem => x % y,
+            // wrapping like the rest: `i64::MIN / -1` must not panic
+            BinOp::Div => x.wrapping_div(y),
+            BinOp::Rem => x.wrapping_rem(y),
             _ => unreachable!(),
         };
         let narrow = matches!(a, Value::I32(_)) && matches!(b, Value::I32(_));

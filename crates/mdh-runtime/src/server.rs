@@ -86,11 +86,10 @@ use crate::plan_cache::PlanKey;
 use crate::ring::{fnv1a, HashRing};
 use crate::runtime::{GradHandle, GradResponse, Handle, Request, Response, Runtime, RuntimeConfig};
 use crate::sync::{lock, Semaphore};
-use mdh_core::buffer::Buffer;
+use mdh_core::buffer::{Buffer, BufferData};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::shape::Shape;
-use mdh_core::types::BasicType;
 use mdh_directive::{compile, compile_c, compile_fortran, parse_dsl, DirectiveEnv};
 use mdh_lowering::asm::DeviceKind;
 use std::collections::HashMap;
@@ -149,13 +148,18 @@ pub fn deterministic_inputs(prog: &DslProgram) -> Result<Vec<Buffer>> {
         .collect()
 }
 
-/// Checksum of a scalar buffer (sum of elements as f64).
+/// Checksum of a scalar buffer: its elements, as f64, summed front to
+/// back into one accumulator (the printed value depends on that order for
+/// non-integer data). Record buffers have none.
 pub fn checksum(buf: &Buffer) -> f64 {
-    match &buf.ty {
-        BasicType::Scalar(_) => (0..buf.len())
-            .map(|i| buf.get_flat(i).as_f64().unwrap_or(0.0))
-            .sum(),
-        _ => f64::NAN,
+    match &buf.data {
+        BufferData::F32(v) => v.iter().map(|&x| x as f64).sum(),
+        BufferData::F64(v) => v.iter().sum(),
+        BufferData::I32(v) => v.iter().map(|&x| x as f64).sum(),
+        BufferData::I64(v) => v.iter().map(|&x| x as f64).sum(),
+        BufferData::Bool(v) => v.iter().map(|&x| x as i64 as f64).sum(),
+        BufferData::Char(v) => v.iter().map(|&x| x as f64).sum(),
+        BufferData::Record(_) => f64::NAN,
     }
 }
 
@@ -1342,6 +1346,33 @@ def dot(res, x, y):
         let env = DirectiveEnv::new().size("N", 64);
         let prog = compile_any(DOT, &env).unwrap();
         assert_eq!(prog.md_hom.sizes, vec![64]);
+    }
+
+    #[test]
+    fn checksum_equals_the_per_element_walk_on_every_scalar_type() {
+        use mdh_core::types::{BasicType, ScalarKind};
+        // the walk `checksum` replaced: one `Value` per element
+        let walk = |b: &Buffer| -> f64 {
+            (0..b.len())
+                .map(|i| b.get_flat(i).as_f64().unwrap_or(0.0))
+                .sum()
+        };
+        for kind in [
+            ScalarKind::F32,
+            ScalarKind::F64,
+            ScalarKind::I32,
+            ScalarKind::I64,
+            ScalarKind::Bool,
+            ScalarKind::Char,
+        ] {
+            let mut b = Buffer::zeros("b", BasicType::Scalar(kind), Shape::new(vec![1000]));
+            // magnitudes from 1e-3 to 1e4 with mixed signs: as f32/f64 the
+            // sum rounds at almost every step, so any other order shows
+            b.fill_with(|i| ((i * 7919) % 1013) as f64 * 10f64.powi(i as i32 % 8 - 3) - 40.0);
+            assert_eq!(checksum(&b).to_bits(), walk(&b).to_bits(), "{kind}");
+        }
+        let empty = Buffer::zeros("e", BasicType::F32, Shape::new(vec![0]));
+        assert_eq!(checksum(&empty).to_bits(), walk(&empty).to_bits());
     }
 
     #[test]

@@ -238,6 +238,42 @@ end do
 }
 
 #[test]
+fn integer_overflow_in_a_scalar_function_is_served_not_a_worker_panic() {
+    // `i64::MIN % -1`, built from inputs so nothing constant-folds: the
+    // remainder overflows, which used to panic the interpreter — a worker
+    // panic and a breaker strike caused by client bytes
+    const WRAP: &str = "\
+@mdh( out( y = Buffer[int64] ),
+      inp( x = Buffer[int64] ),
+      combine_ops( cc ) )
+def wrap(y, x):
+    for i in range(N):
+        y[i] = (x[i] * 0 - 9223372036854775807 - 1) % (x[i] * 0 - 1)
+";
+    let (sock, server) = start_server("wrap");
+    let n = [("N".to_string(), 64)];
+    for src in [WRAP, DOT] {
+        let lines = client_submit(&sock, src, DeviceKind::Cpu, 1, &n).unwrap();
+        assert_eq!(
+            lines.iter().filter(|l| l.starts_with("ok ")).count(),
+            1,
+            "{lines:?}"
+        );
+        assert!(
+            src != WRAP || lines.iter().any(|l| l.contains("checksum=y=0.000000")),
+            "{lines:?}"
+        );
+    }
+    let addr = ServerAddr::Unix(sock.clone());
+    let stats = client_stats_json_addr(&addr).unwrap().join("\n");
+    assert!(stats.contains("\"worker_panics\":0"), "{stats}");
+    assert!(stats.contains("\"completed\":2"), "{stats}");
+    let bye = client_shutdown(&sock).unwrap();
+    assert!(bye[0].starts_with("ok"), "{bye:?}");
+    server.join().expect("server thread exits cleanly");
+}
+
+#[test]
 fn header_at_exactly_max_bytes_is_accepted_and_one_over_rejected() {
     let (sock, server) = start_server("hdrcap");
 

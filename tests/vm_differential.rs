@@ -2,9 +2,11 @@
 //! generated code) must agree with the tree-walking interpreter of
 //! `mdh_core::expr` on *randomly generated* scalar functions — including
 //! nested conditionals, unrolled loops, math calls, and mixed int/float
-//! arithmetic.
+//! arithmetic — through both instantiations of its interpreter: a full
+//! block whose lanes get different arguments (so they take different arms
+//! of the if-converted conditionals), and one lane at a time.
 
-use mdh::backend::vm::{compile_sf, ParamLoad, Reg};
+use mdh::backend::vm::{compile_sf, CompiledSf, ParamLoad, Reg};
 use mdh::core::expr::{BinOp, Expr, MathFn, ScalarFunction, Stmt};
 use mdh::core::types::{BasicType, ScalarKind, Value};
 use proptest::prelude::*;
@@ -108,25 +110,72 @@ fn arb_function(n_params: usize) -> impl Strategy<Value = ScalarFunction> {
         })
 }
 
-fn run_vm(c: &mdh::backend::vm::CompiledSf, args: &[Value]) -> Vec<Value> {
-    let (mut f, mut i) = c.banks();
-    for (load, arg) in c.param_loads.iter().zip(args) {
-        match load {
-            ParamLoad::Unused => {}
-            ParamLoad::Scalar(Reg::F(d)) => f[*d] = arg.as_f64().unwrap(),
-            ParamLoad::Scalar(Reg::I(d)) => i[*d] = arg.as_i64().unwrap(),
-            ParamLoad::Record(_) => unreachable!("scalar-only fuzz"),
+/// Run one argument tuple per lane. `block == false` is the one-lane
+/// instantiation (one `run_point` per tuple); `block == true` puts the
+/// tuples in the lanes of one `run_block`.
+fn run_vm(c: &CompiledSf, lanes: &[Vec<Value>], block: bool) -> Vec<Vec<Value>> {
+    let (mut f, mut i) = if block { c.banks() } else { c.point_banks() };
+    // structure-of-arrays banks: lanes per register = bank len / registers
+    let width = if c.n_fregs() > 0 {
+        f.len() / c.n_fregs()
+    } else {
+        i.len() / c.n_iregs()
+    };
+    assert!(lanes.len() <= width || !block, "more tuples than lanes");
+    let mut out = Vec::new();
+    let mut read = |f: &[f64], i: &[i64], l: usize| {
+        let tuple = c
+            .result_regs
+            .iter()
+            .zip(&c.result_kinds)
+            .map(|(r, k)| match r {
+                Reg::F(d) => Value::from_f64(*k, f[d * width + l]),
+                Reg::I(d) => Value::from_i64(*k, i[d * width + l]),
+            })
+            .collect();
+        out.push(tuple);
+    };
+    for (l, args) in lanes.iter().enumerate() {
+        let l = if block { l } else { 0 };
+        for (load, arg) in c.param_loads.iter().zip(args) {
+            match load {
+                ParamLoad::Unused => {}
+                ParamLoad::Scalar(Reg::F(d)) => f[d * width + l] = arg.as_f64().unwrap(),
+                ParamLoad::Scalar(Reg::I(d)) => i[d * width + l] = arg.as_i64().unwrap(),
+                ParamLoad::Record(_) => unreachable!("scalar-only fuzz"),
+            }
+        }
+        if !block {
+            c.run_point(&mut f, &mut i);
+            read(&f, &i, 0);
         }
     }
-    c.run(&mut f, &mut i);
-    c.result_regs
-        .iter()
-        .zip(&c.result_kinds)
-        .map(|(r, k)| match r {
-            Reg::F(d) => Value::from_f64(*k, f[*d]),
-            Reg::I(d) => Value::from_i64(*k, i[*d]),
+    if block {
+        c.run_block(&mut f, &mut i, lanes.len());
+        (0..lanes.len()).for_each(|l| read(&f, &i, l));
+    }
+    out
+}
+
+/// The lane count of a full block.
+fn block_lanes(c: &CompiledSf) -> usize {
+    let (f, i) = c.banks();
+    f.len()
+        .checked_div(c.n_fregs())
+        .unwrap_or(i.len() / c.n_iregs().max(1))
+}
+
+/// Bitwise equality of two result tuples — except that any NaN equals any
+/// NaN: which operand's payload an instruction propagates is the code
+/// generator's choice, not the VM's.
+fn same_bits(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| match (x, y) {
+            (Value::F64(x), Value::F64(y)) => {
+                x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan()
+            }
+            _ => x == y,
         })
-        .collect()
 }
 
 fn close(a: &Value, b: &Value) -> bool {
@@ -146,29 +195,37 @@ proptest! {
     #[test]
     fn vm_matches_interpreter_on_random_functions(
         sf in arb_function(3),
-        args in prop::collection::vec(-5.0f64..5.0, 3),
+        // more tuples than any block has lanes: the first block is full
+        args in prop::collection::vec(prop::collection::vec(-5.0f64..5.0, 3), 64),
     ) {
         let compiled = compile_sf(&sf).expect("compiles");
-        let vals: Vec<Value> = args.iter().map(|&v| Value::F64(v)).collect();
-        let interp = sf.eval(&vals);
-        // division by zero etc. can error in the interpreter; the VM
-        // returns IEEE semantics — only compare when both succeed
-        if let Ok(expect) = interp {
-            let got = run_vm(&compiled, &vals);
-            prop_assert_eq!(got.len(), expect.len());
-            for (g, e) in got.iter().zip(&expect) {
-                prop_assert!(close(g, e), "vm={g:?} interp={e:?} sf={sf:?}");
+        let lanes: Vec<Vec<Value>> = args[..block_lanes(&compiled).min(args.len())]
+            .iter()
+            .map(|a| a.iter().map(|&v| Value::F64(v)).collect())
+            .collect();
+        let blocked = run_vm(&compiled, &lanes, true);
+        let pointwise = run_vm(&compiled, &lanes, false);
+        for ((vals, got), one) in lanes.iter().zip(&blocked).zip(&pointwise) {
+            prop_assert!(same_bits(got, one), "block={got:?} one lane={one:?} sf={sf:?}");
+            // division by zero etc. can error in the interpreter; the VM
+            // returns IEEE semantics — only compare when both succeed
+            if let Ok(expect) = sf.eval(vals) {
+                prop_assert_eq!(got.len(), expect.len());
+                for (g, e) in got.iter().zip(&expect) {
+                    prop_assert!(close(g, e), "vm={g:?} interp={e:?} sf={sf:?}");
+                }
             }
         }
     }
 
     #[test]
     fn vm_matches_interpreter_on_integer_functions(
-        a in -100i64..100,
-        b in -100i64..100,
-        c in 1i64..50,
+        a in prop_oneof![-100i64..100, Just(i64::MIN), Just(i64::MAX)],
+        b in prop_oneof![-100i64..100, Just(i64::MIN), Just(i64::MAX)],
+        c in prop_oneof![1i64..50, Just(-1i64), Just(i64::MIN)],
     ) {
-        // res = (p0 % p2) * p1 + p0 with integer params
+        // res = (-(p0 % p2)) * p1 + p0 with integer params: every op
+        // wraps, in both interpreters, on the extreme operands too
         let sf = ScalarFunction {
             name: "ints".into(),
             params: vec![
@@ -181,10 +238,13 @@ proptest! {
                 name: "res".into(),
                 value: Expr::add(
                     Expr::mul(
-                        Expr::Bin(
-                            BinOp::Rem,
-                            Box::new(Expr::Param(0)),
-                            Box::new(Expr::Param(2)),
+                        Expr::Un(
+                            mdh::core::expr::UnOp::Neg,
+                            Box::new(Expr::Bin(
+                                BinOp::Rem,
+                                Box::new(Expr::Param(0)),
+                                Box::new(Expr::Param(2)),
+                            )),
                         ),
                         Expr::Param(1),
                     ),
@@ -193,10 +253,14 @@ proptest! {
             }],
         };
         let compiled = compile_sf(&sf).unwrap();
-        let vals = vec![Value::I64(a), Value::I64(b), Value::I64(c)];
-        let expect = sf.eval(&vals).unwrap();
-        let got = run_vm(&compiled, &vals);
-        prop_assert_eq!(got, expect);
+        // lane 1 swaps the operands so the two lanes differ
+        let lanes = vec![
+            vec![Value::I64(a), Value::I64(b), Value::I64(c)],
+            vec![Value::I64(b), Value::I64(a), Value::I64(c)],
+        ];
+        let expect: Vec<Vec<Value>> = lanes.iter().map(|l| sf.eval(l).unwrap()).collect();
+        prop_assert_eq!(&run_vm(&compiled, &lanes, true), &expect);
+        prop_assert_eq!(&run_vm(&compiled, &lanes, false), &expect);
     }
 
     #[test]
@@ -216,7 +280,7 @@ proptest! {
         let compiled = compile_sf(&sf).unwrap();
         let vals = vec![Value::F64(v)];
         let expect = sf.eval(&vals).unwrap();
-        let got = run_vm(&compiled, &vals);
+        let got = run_vm(&compiled, std::slice::from_ref(&vals), true).remove(0);
         for (g, e) in got.iter().zip(&expect) {
             prop_assert!(close(g, e), "vm={g:?} interp={e:?}");
         }
