@@ -4,11 +4,17 @@
 //! left-nested weighted sum of its inputs. The VM evaluates that sum in
 //! f64 (f32 loads widened exactly, f32 literals widened exactly) and
 //! rounds once at the store; this kernel performs the identical chain per
-//! point, eight points at a time along the innermost dimension through a
-//! [`Line`]. Because points are independent, chunking and parallel task
-//! order cannot change bits — the only ordering that matters is the
-//! per-point term fold (and the one outer scale multiply after it), which
+//! point, [`LANES`] points at a time along the innermost dimension.
+//! Because points are independent, chunking and parallel task order
+//! cannot change bits — the only ordering that matters is the per-point
+//! term fold (and the one outer scale multiply after it), which
 //! [`strict_weighted_sum`] pinned to the VM's.
+//!
+//! That chain is written once, in [`FastMap::chain`]. The steps along a
+//! row only decide how a block's values reach it: when the output and
+//! every term step by 1, whole blocks are read and stored as slices; the
+//! row's remainder, and every block under any other step — reversed,
+//! strided, broadcast, transposed — moves the same values one at a time.
 //!
 //! [`strict_weighted_sum`]: crate::fast::pattern::strict_weighted_sum
 
@@ -31,8 +37,8 @@ struct SyncSlice {
 }
 
 // SAFETY: the pointer comes from a `&mut [f32]` that outlives the
-// parallel region; `write` is the only access, and its contract makes
-// concurrent writers target distinct elements.
+// parallel region; `row_mut` is the only access, and its contract makes
+// concurrent writers hold non-overlapping spans.
 unsafe impl Send for SyncSlice {}
 unsafe impl Sync for SyncSlice {}
 
@@ -45,12 +51,49 @@ impl SyncSlice {
     }
 
     /// # Safety
-    /// `i < len` and no concurrent writer targets the same `i`.
+    /// `start + len <= self.len`, and for as long as the returned slice
+    /// lives no other `row_mut` span contains any of its elements.
     #[inline]
-    unsafe fn write(&self, i: usize, v: f32) {
-        debug_assert!(i < self.len);
-        unsafe { *self.ptr.add(i) = v };
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn row_mut(&self, start: usize, len: usize) -> &mut [f32] {
+        debug_assert!(start + len <= self.len);
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
     }
+}
+
+/// One term's values along the current row: element `i` of the row is
+/// `xs[base + i * step]`. [`row_span`] has bounded the row before any
+/// load runs, so the indexing cannot fail.
+struct TermRow<'a> {
+    xs: &'a [f32],
+    base: i64,
+    step: i64,
+}
+
+impl TermRow<'_> {
+    /// Row elements `done .. done + ln` for any step, one at a time, in
+    /// the low lanes (the rest zero).
+    #[inline(always)]
+    fn gather(&self, done: usize, ln: usize) -> [f32; LANES] {
+        let mut x = [0.0f32; LANES];
+        let at = self.base + done as i64 * self.step;
+        for (l, v) in x[..ln].iter_mut().enumerate() {
+            *v = self.xs[(at + l as i64 * self.step) as usize];
+        }
+        x
+    }
+}
+
+/// A row's offsets are affine in the lane index, so its first and last
+/// bound every one in between: `Err` unless both lie in `0..len`.
+fn row_span(what: &str, base: i64, step: i64, n: usize, len: usize) -> Result<()> {
+    let last = base + (n as i64 - 1) * step;
+    if base.min(last) < 0 || base.max(last) >= len as i64 {
+        return Err(MdhError::Eval(format!(
+            "map {what} offsets {base}..={last} outside buffer of {len} elements"
+        )));
+    }
+    Ok(())
 }
 
 /// A compiled map kernel: `out[..] = scale * Σ_t w_t * x_{slot_t}[..]`,
@@ -111,61 +154,61 @@ impl FastMap {
         let last = rank - 1;
         let n_last = range.extent(last);
         let outer: Vec<usize> = (0..last).collect();
-        let isteps: Vec<i64> = self
+        let mut rows: Vec<TermRow> = self
             .terms
             .iter()
-            .map(|&(s, _)| in_acc[s].coeffs[last])
+            .map(|&(s, _)| TermRow {
+                xs: ins[s],
+                base: 0,
+                step: in_acc[s].coeffs[last],
+            })
             .collect();
         let ostep = oacc.coeffs[last];
+        // the steps are the same on every row, so which load a full block
+        // uses is decided once
+        let unit = ostep == 1 && rows.iter().all(|r| r.step == 1);
+        // SAFETY (of every call below): `row_span` has bounded the row's
+        // offsets to [0, len) and a span holds only that row's own points
+        // (a unit step makes them consecutive). classify() proved the
+        // output access injective over the full iteration space and plan
+        // tasks cover disjoint index ranges, so no other live span
+        // contains one of these elements.
+        let span = |start: i64, len: usize| unsafe { out.row_mut(start as usize, len) };
         let mut idx = range.lo.clone();
+        let mut slices: Vec<&[f32]> = Vec::with_capacity(rows.len());
         loop {
             idx[last] = range.lo[last];
-            let ibase: Vec<i64> = self
-                .terms
-                .iter()
-                .map(|&(s, _)| in_acc[s].offset(&idx))
-                .collect();
-            let obase = oacc.offset(&idx);
-            // the row's stores are affine in the lane index, so its first
-            // and last offsets bound every store in between
-            let olast = obase + (n_last as i64 - 1) * ostep;
-            if obase.min(olast) < 0 || obase.max(olast) >= out.len as i64 {
-                return Err(MdhError::Eval(format!(
-                    "map output offsets {obase}..={olast} outside buffer of {} elements",
-                    out.len
-                )));
+            for (row, &(s, _)) in rows.iter_mut().zip(&self.terms) {
+                row.base = in_acc[s].offset(&idx);
+                row_span("input", row.base, row.step, n_last, row.xs.len())?;
             }
+            let obase = oacc.offset(&idx);
+            row_span("output", obase, ostep, n_last, out.len)?;
             let mut done = 0usize;
+            if unit {
+                // the row's whole blocks: each term's row and the output
+                // row as slices, taken once
+                let full = n_last - n_last % LANES;
+                slices.clear();
+                slices.extend(rows.iter().map(|r| &r.xs[r.base as usize..][..full]));
+                let orow = span(obase, full);
+                while done < full {
+                    let y = self.chain(|t| {
+                        slices[t][done..done + LANES]
+                            .try_into()
+                            .expect("a LANES-long slice")
+                    });
+                    orow[done..done + LANES].copy_from_slice(&y);
+                    done += LANES;
+                }
+            }
+            // the short tail of a unit-step row, and every block of any
+            // other row: the same chain on values moved one at a time
             while done < n_last {
                 let ln = (n_last - done).min(LANES);
-                let mut acc = Line::zero();
-                for (t, &(slot, w)) in self.terms.iter().enumerate() {
-                    let xs = ins[slot];
-                    let b = ibase[t] + done as i64 * isteps[t];
-                    let st = isteps[t];
-                    if t == 0 {
-                        for l in 0..ln {
-                            acc.0[l] = w * (xs[(b + l as i64 * st) as usize] as f64);
-                        }
-                    } else {
-                        for l in 0..ln {
-                            acc.0[l] += w * (xs[(b + l as i64 * st) as usize] as f64);
-                        }
-                    }
-                }
-                if let Some(s) = self.scale {
-                    for l in 0..ln {
-                        acc.0[l] *= s;
-                    }
-                }
-                let ob = obase + done as i64 * ostep;
-                for l in 0..ln {
-                    // SAFETY: the row check above bounds every offset of
-                    // this row to [0, len); classify() proved the output
-                    // access injective over the full iteration space, and
-                    // plan tasks cover disjoint index ranges, so no two
-                    // writes alias.
-                    unsafe { out.write((ob + l as i64 * ostep) as usize, acc.0[l] as f32) };
+                let y = self.chain(|t| rows[t].gather(done, ln));
+                for (l, &v) in y[..ln].iter().enumerate() {
+                    span(obase + (done + l) as i64 * ostep, 1)[0] = v;
                 }
                 done += ln;
             }
@@ -173,6 +216,32 @@ impl FastMap {
                 return Ok(());
             }
         }
+    }
+
+    /// The VM's per-point chain on each of [`LANES`] points, term `t`'s
+    /// values supplied by `load(t)`: the first term copy-initialises the
+    /// accumulator, later terms are a separately rounded multiply then
+    /// add (stencil weights are arbitrary f64, so never `acc_fma_exact`),
+    /// the outer scale multiplies once, and one rounding takes the result
+    /// to f32. How the values were loaded is the caller's business; how
+    /// they combine is decided here alone.
+    #[inline(always)]
+    fn chain(&self, load: impl Fn(usize) -> [f32; LANES]) -> [f32; LANES] {
+        let mut acc = Line::zero();
+        for (t, &(_, w)) in self.terms.iter().enumerate() {
+            let x = Line(load(t).map(f64::from));
+            if t == 0 {
+                acc.set_mul(w, &x);
+            } else {
+                acc.acc_mul(w, &x);
+            }
+        }
+        if let Some(s) = self.scale {
+            for a in &mut acc.0 {
+                *a *= s;
+            }
+        }
+        acc.0.map(|a| a as f32)
     }
 }
 
@@ -221,6 +290,141 @@ mod tests {
                 other.map(|o| o.is_some())
             ),
         }
+    }
+
+    /// Block boundaries of the row loop. Innermost extents on either
+    /// side of one and two blocks, crossed with every way a term can step
+    /// along a row (and a transposed output, whose stores scatter), with
+    /// and without the outer scale, f32 and f64 literal weights, on data
+    /// whose sums round: the kernel must equal the VM bit for bit at
+    /// every width, whichever way a block's values were loaded.
+    #[test]
+    fn block_boundary_sweep_bit_equal_to_force_vm() {
+        use crate::cpu::{CpuExecutor, ExecPath, FastMode};
+        use mdh_core::expr::{Expr, Stmt};
+        use mdh_core::types::Value;
+        use mdh_lowering::schedule::Schedule;
+        use mdh_lowering::DeviceKind;
+
+        const ROWS: usize = 4;
+        let base = CpuExecutor::new(4).unwrap();
+        // (name, index fn over (i, j), buffer shape) for row extent n
+        type Form = (
+            &'static str,
+            fn(i64) -> Vec<AffineExpr>,
+            fn(usize) -> Vec<usize>,
+        );
+        let forms: [Form; 5] = [
+            (
+                "contiguous",
+                |_| vec![AffineExpr::var(2, 0), AffineExpr::var(2, 1)],
+                |n| vec![ROWS, n],
+            ),
+            (
+                "reversed",
+                |n| vec![AffineExpr::var(2, 0), AffineExpr::new(vec![0, -1], n - 1)],
+                |n| vec![ROWS, n],
+            ),
+            (
+                "strided",
+                |_| vec![AffineExpr::var(2, 0), AffineExpr::new(vec![0, 2], 0)],
+                |n| vec![ROWS, 2 * n - 1],
+            ),
+            ("broadcast", |_| vec![AffineExpr::var(2, 0)], |_| vec![ROWS]),
+            (
+                "transposed",
+                |_| vec![AffineExpr::var(2, 1), AffineExpr::var(2, 0)],
+                |n| vec![n, ROWS],
+            ),
+        ];
+        let mut cases = 0;
+        for n in [1, LANES - 1, LANES, LANES + 1, 2 * LANES + 3] {
+            for (form, index, shape) in &forms {
+                for out_transposed in [false, true] {
+                    for scale in [None, Some(Value::F64(0.333))] {
+                        for f64_weights in [false, true] {
+                            let lit = |w: f64| match f64_weights {
+                                true => Value::F64(w),
+                                false => Value::F32(w as f32),
+                            };
+                            let term =
+                                |w: f64, p: usize| Expr::mul(Expr::Lit(lit(w)), Expr::Param(p));
+                            let mut value =
+                                Expr::add(Expr::add(term(0.143, 0), term(-2.5, 1)), Expr::Param(0));
+                            if let Some(s) = &scale {
+                                value = Expr::mul(Expr::Lit(s.clone()), value);
+                            }
+                            let sf = ScalarFunction {
+                                name: "f".into(),
+                                params: vec![
+                                    ("a".into(), ScalarKind::F32.into()),
+                                    ("b".into(), ScalarKind::F32.into()),
+                                ],
+                                results: vec![("res".into(), ScalarKind::F32.into())],
+                                body: vec![Stmt::Assign {
+                                    name: "res".into(),
+                                    value,
+                                }],
+                            };
+                            let out_fn = if out_transposed {
+                                IndexFn::select(2, &[1, 0])
+                            } else {
+                                IndexFn::identity(2, 2)
+                            };
+                            let prog = DslBuilder::new("sweep", vec![ROWS, n])
+                                .out_buffer("y", BasicType::F32)
+                                .out_access("y", out_fn)
+                                .inp_buffer("a", BasicType::F32)
+                                .inp_access("a", IndexFn::affine(index(n as i64)))
+                                .inp_buffer("b", BasicType::F32)
+                                .inp_access("b", IndexFn::identity(2, 2))
+                                .scalar_function(sf)
+                                .combine_ops(vec![CombineOp::cc(), CombineOp::cc()])
+                                .build()
+                                .unwrap();
+                            let mut inputs = vec![
+                                Buffer::zeros("a", BasicType::F32, Shape::new(shape(n))),
+                                Buffer::zeros("b", BasicType::F32, Shape::new(vec![ROWS, n])),
+                            ];
+                            for (salt, buf) in inputs.iter_mut().enumerate() {
+                                // 0.1 * k is not a binary float
+                                buf.fill_with(move |i| {
+                                    ((i + 17 * salt) * 2654435761 % 1000) as f64 * 0.1 - 31.7
+                                });
+                            }
+                            let what = format!(
+                                "n={n} {form} out_transposed={out_transposed} scale={scale:?} \
+                                 f64_weights={f64_weights}"
+                            );
+                            let mut want: Option<Vec<u32>> = None;
+                            for width in [1usize, 2, 4] {
+                                let mut schedule = Schedule::sequential(2, DeviceKind::Cpu);
+                                schedule.par_chunks = vec![width, 1];
+                                let auto = CpuExecutor::with_pool(base.pool(), width);
+                                assert_eq!(auto.path_for(&prog), ExecPath::Fast, "{what}");
+                                let vm = CpuExecutor::with_pool(base.pool(), width)
+                                    .with_fast_mode(FastMode::ForceVm);
+                                let bits = |outs: Vec<Buffer>| -> Vec<u32> {
+                                    outs[0]
+                                        .as_f32()
+                                        .unwrap()
+                                        .iter()
+                                        .map(|v| v.to_bits())
+                                        .collect()
+                                };
+                                let fast = bits(auto.run(&prog, &schedule, &inputs).unwrap());
+                                let vm = bits(vm.run(&prog, &schedule, &inputs).unwrap());
+                                assert_eq!(fast, vm, "{what} width={width}");
+                                // and the bits do not depend on the width
+                                assert_eq!(want.get_or_insert(vm), &fast, "{what} width={width}");
+                            }
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 5 * 5 * 2 * 2 * 2);
     }
 
     /// The safety contract behind [`SyncSlice`]: the map path may write

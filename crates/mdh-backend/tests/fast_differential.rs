@@ -95,12 +95,31 @@ impl RandAccess {
                 let hi: i64 = coeffs
                     .iter()
                     .zip(sizes)
-                    .map(|(&c, &s)| c * (s as i64 - 1))
+                    .map(|(&c, &s)| (c * (s as i64 - 1)).max(0))
                     .sum::<i64>()
                     + constant;
                 (hi + 1) as usize
             })
             .collect()
+    }
+
+    /// Step by exactly 1 along iteration dim `d`: only the last buffer
+    /// dim moves with it, one element per point.
+    fn with_unit_step(mut self, d: usize) -> RandAccess {
+        let last = self.exprs.len() - 1;
+        for (k, (coeffs, _)) in self.exprs.iter_mut().enumerate() {
+            coeffs[d] = (k == last) as i64;
+        }
+        self
+    }
+
+    /// The same footprint walked backwards along iteration dim `d`.
+    fn reversed(mut self, d: usize, size: usize) -> RandAccess {
+        for (coeffs, constant) in &mut self.exprs {
+            *constant += coeffs[d] * (size as i64 - 1);
+            coeffs[d] = -coeffs[d];
+        }
+        self
     }
 }
 
@@ -207,6 +226,10 @@ const SCALE_CHOICES: [Scale; 6] = [
     Scale::Right(Value::F32(-2.5)),
 ];
 
+/// Rows run from one point to past two 8-lane blocks. Half the cases
+/// step every term by 1 along the row (the map kernel's slice loads);
+/// in the rest each term keeps its drawn step — 0, 2, a multiple of an
+/// outer extent — or walks it backwards (the one-at-a-time loads).
 fn map_case() -> impl Strategy<Value = MapCase> {
     (
         1usize..=MAX_RANK,
@@ -216,17 +239,42 @@ fn map_case() -> impl Strategy<Value = MapCase> {
         0usize..SCALE_CHOICES.len(),
         prop::collection::vec(0usize..TILE_CHOICES.len(), MAX_RANK),
         prop::collection::vec(1usize..=2, MAX_RANK),
-        0usize..1000,
+        (
+            0usize..1000,
+            1usize..=19,
+            any::<bool>(),
+            prop::collection::vec(any::<bool>(), 3),
+        ),
     )
         .prop_map(
-            |(rank, sizes, accs, weights, scale, tiles, chunks, salt)| MapCase {
-                sizes: sizes[..rank].to_vec(),
-                accs: accs.iter().map(|a| a.truncated(rank)).collect(),
-                weights: weights.iter().map(|&w| WEIGHT_CHOICES[w]).collect(),
-                scale: SCALE_CHOICES[scale].clone(),
-                tiles: tiles[..rank].iter().map(|&t| TILE_CHOICES[t]).collect(),
-                chunks: chunks[..rank].to_vec(),
-                salt,
+            |(rank, sizes, accs, weights, scale, tiles, chunks, (salt, row, unit, reversed))| {
+                let mut sizes = sizes[..rank].to_vec();
+                sizes[rank - 1] = row;
+                let mut chunks = chunks[..rank].to_vec();
+                chunks[rank - 1] = chunks[rank - 1].min(row);
+                let accs = accs
+                    .iter()
+                    .zip(reversed)
+                    .map(|(a, rev)| {
+                        let a = a.truncated(rank);
+                        if unit {
+                            a.with_unit_step(rank - 1)
+                        } else if rev {
+                            a.reversed(rank - 1, row)
+                        } else {
+                            a
+                        }
+                    })
+                    .collect();
+                MapCase {
+                    sizes,
+                    accs,
+                    weights: weights.iter().map(|&w| WEIGHT_CHOICES[w]).collect(),
+                    scale: SCALE_CHOICES[scale].clone(),
+                    tiles: tiles[..rank].iter().map(|&t| TILE_CHOICES[t]).collect(),
+                    chunks,
+                    salt,
+                }
             },
         )
 }

@@ -34,7 +34,8 @@ pub mod tune;
 pub use plan_cache::{structural_signature, CompiledPlan, PlanCache, PlanKey, PlanSource};
 pub use ring::HashRing;
 pub use runtime::{
-    GradHandle, GradResponse, Handle, Request, Response, Runtime, RuntimeConfig, DEFAULT_TENANT,
+    GradHandle, GradResponse, Handle, Operands, Request, Response, Runtime, RuntimeConfig,
+    DEFAULT_TENANT,
 };
 pub use server::{ServeOptions, ServerAddr, SubmitClientOpts};
 pub use stats::{LatencyRecorder, RuntimeStats};

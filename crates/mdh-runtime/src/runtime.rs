@@ -167,12 +167,18 @@ impl Default for RuntimeConfig {
     }
 }
 
+/// A request's operand set: one immutable allocation, shared by every
+/// launch that reads it. Operands are never written after submission
+/// (every executor takes `&[Buffer]`), so a launch acquires them by
+/// cloning this handle, never the buffers.
+pub type Operands = Arc<Vec<Buffer>>;
+
 /// One kernel launch.
 #[derive(Debug, Clone)]
 pub struct Request {
     pub prog: DslProgram,
     pub device: DeviceKind,
-    pub inputs: Vec<Buffer>,
+    pub inputs: Operands,
     /// Serve-by deadline. A request that expires while queued is
     /// answered `err deadline exceeded` without executing; an expired
     /// deadline is also checked immediately before execution. Execution
@@ -187,11 +193,13 @@ pub struct Request {
 }
 
 impl Request {
-    pub fn new(prog: DslProgram, device: DeviceKind, inputs: Vec<Buffer>) -> Request {
+    /// `inputs` is a `Vec<Buffer>` (wrapped, not copied) or an
+    /// [`Operands`] handle another launch already holds.
+    pub fn new(prog: DslProgram, device: DeviceKind, inputs: impl Into<Operands>) -> Request {
         Request {
             prog,
             device,
-            inputs,
+            inputs: inputs.into(),
             deadline: None,
             tenant: None,
         }
@@ -673,12 +681,16 @@ impl Runtime {
             .map(|&w| Ok((w, mdh_ad::zero_grad(&gp.forward, w)?)))
             .collect::<Result<_>>()?;
         lock(&self.shared.counters).grad_requests += 1;
+        // the forward launch takes the caller's request as it is and runs
+        // while the parts' inputs are built from the operands it shares
+        let (device, deadline) = (req.device, req.deadline);
+        let operands = Arc::clone(&req.inputs);
+        let forward = self.submit(req);
         let mut parts = Vec::with_capacity(gp.parts.len());
-        let forward = self.submit(req.clone());
         for part in &gp.parts {
-            let inputs = mdh_ad::part_inputs(part, &cot, &req.inputs);
-            let mut sub = Request::new(part.program.clone(), req.device, inputs);
-            sub.deadline = req.deadline;
+            let inputs = mdh_ad::part_inputs(part, &cot, &operands);
+            let mut sub = Request::new(part.program.clone(), device, inputs);
+            sub.deadline = deadline;
             parts.push((part.wrt, self.submit(sub)));
         }
         Ok(GradHandle {
@@ -782,6 +794,12 @@ impl Runtime {
                 None => Vec::new(),
             },
         }
+    }
+
+    /// The CPU executor whose pool every execution in this runtime
+    /// shares (see [`Runtime::new`]).
+    pub fn executor(&self) -> &CpuExecutor {
+        &self.shared.exec
     }
 
     /// Handle to the device-resident buffer pool, when one is active
@@ -1324,7 +1342,7 @@ fn maybe_queue_tune(shared: &Shared, key: &PlanKey, req: &Request) {
                 .send(TuneJob {
                     key: key.clone(),
                     prog: req.prog.clone(),
-                    inputs: req.inputs.clone(),
+                    inputs: Arc::clone(&req.inputs),
                 })
                 .is_ok(),
             None => false,
@@ -1363,5 +1381,73 @@ fn clone_err(e: &MdhError) -> MdhError {
         MdhError::BreakerOpen(m) => MdhError::BreakerOpen(m.clone()),
         MdhError::Draining(m) => MdhError::Draining(m.clone()),
         other => MdhError::Validation(other.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{compile_any, deterministic_inputs};
+    use mdh_directive::DirectiveEnv;
+
+    const DOT: &str = "\
+@mdh( out( res = Buffer[fp32] ),
+      inp( x = Buffer[fp32], y = Buffer[fp32] ),
+      combine_ops( pw(add) ) )
+def dot(res, x, y):
+    for k in range(N):
+        res[0] = x[k] * y[k]
+";
+
+    fn dot() -> (DslProgram, Vec<Buffer>) {
+        let prog = compile_any(DOT, &DirectiveEnv::new().size("N", 64)).unwrap();
+        let inputs = deterministic_inputs(&prog).unwrap();
+        (prog, inputs)
+    }
+
+    #[test]
+    fn request_new_wraps_a_vec_and_shares_a_handle() {
+        let (prog, inputs) = dot();
+        let data = inputs[0].as_f32().unwrap().as_ptr();
+        // a Vec is moved into the handle: same buffers, nobody else holds it
+        let req = Request::new(prog.clone(), DeviceKind::Cpu, inputs);
+        assert_eq!(req.inputs[0].as_f32().unwrap().as_ptr(), data);
+        assert_eq!(Arc::strong_count(&req.inputs), 1);
+        // a handle is shared, not copied
+        let again = Request::new(prog, DeviceKind::Cpu, Arc::clone(&req.inputs));
+        assert!(Arc::ptr_eq(&again.inputs, &req.inputs));
+        assert!(Arc::ptr_eq(&again.clone().inputs, &req.inputs));
+    }
+
+    #[test]
+    fn submit_grad_forward_launch_shares_the_callers_operands() {
+        let (prog, inputs) = dot();
+        let mut rt = Runtime::new(RuntimeConfig {
+            workers: 2,
+            exec_threads: 2,
+            // a cold miss would hand the tuner a third holder of the handle
+            tune: TunePolicy {
+                enabled: false,
+                ..TunePolicy::default()
+            },
+            ..RuntimeConfig::default()
+        })
+        .unwrap();
+        let operands: Operands = Arc::new(inputs);
+        let req = Request::new(prog, DeviceKind::Cpu, Arc::clone(&operands));
+        let handle = {
+            // every job looks its plan up before it executes, so while this
+            // guard is held none can finish and drop its request
+            let _no_lookups = lock(&rt.shared.plans);
+            let handle = rt.submit_grad(req, None, None).unwrap();
+            // ours and the forward job's; the two adjoint parts carry
+            // vectors of their own (`mdh_ad::part_inputs`)
+            assert_eq!(Arc::strong_count(&operands), 2);
+            handle
+        };
+        let resp = handle.wait().unwrap();
+        assert_eq!(resp.parts, 2);
+        rt.shutdown();
+        assert_eq!(Arc::strong_count(&operands), 1);
     }
 }

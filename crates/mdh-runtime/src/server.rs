@@ -84,7 +84,9 @@
 
 use crate::plan_cache::PlanKey;
 use crate::ring::{fnv1a, HashRing};
-use crate::runtime::{GradHandle, GradResponse, Handle, Request, Response, Runtime, RuntimeConfig};
+use crate::runtime::{
+    GradHandle, GradResponse, Handle, Operands, Request, Response, Runtime, RuntimeConfig,
+};
 use crate::sync::{lock, Semaphore};
 use mdh_core::buffer::{Buffer, BufferData};
 use mdh_core::dsl::DslProgram;
@@ -325,14 +327,23 @@ const FRONTEND_MEMO_CAP: usize = 64;
 /// service time for small requests — the runtime's plan cache only
 /// amortises *scheduling*, not the front end. Keyed by the FNV digest of
 /// the source plus the sorted size bindings (which fully determine the
-/// [`DirectiveEnv`] the wire protocol can express); holds the compiled
-/// program and its deterministic inputs, which requests clone per launch
-/// exactly as the uncached path did.
+/// [`DirectiveEnv`] the wire protocol can express). An entry holds the
+/// compiled program and its deterministic operands behind the one
+/// [`Operands`] handle every launch of that (source, bindings) shares —
+/// a `count=N` SUBMIT, a `PIPE` burst and every shard read the same
+/// allocation — and the source text itself: 64-bit FNV-1a is not
+/// collision-resistant, so a hit must compare the text before it may
+/// answer with the entry's program.
 type MemoKey = (u64, Vec<(String, i64)>);
-type Compiled = Arc<(DslProgram, Vec<Buffer>)>;
+
+struct Compiled {
+    src: String,
+    prog: DslProgram,
+    inputs: Operands,
+}
 
 struct FrontendMemo {
-    entries: Mutex<HashMap<MemoKey, Compiled>>,
+    entries: Mutex<HashMap<MemoKey, Arc<Compiled>>>,
 }
 
 impl FrontendMemo {
@@ -342,18 +353,36 @@ impl FrontendMemo {
         }
     }
 
-    fn compile(&self, src: &str, spec: &SubmitSpec) -> std::result::Result<Compiled, String> {
+    fn compile(&self, src: &str, spec: &SubmitSpec) -> std::result::Result<Arc<Compiled>, String> {
+        self.compile_keyed(fnv1a(src.as_bytes()), src, spec)
+    }
+
+    /// [`compile`](Self::compile) with the source digest supplied by the
+    /// caller, so a test can force two sources onto one key.
+    fn compile_keyed(
+        &self,
+        digest: u64,
+        src: &str,
+        spec: &SubmitSpec,
+    ) -> std::result::Result<Arc<Compiled>, String> {
         let mut bindings = spec.bindings.clone();
         bindings.sort();
-        let key = (fnv1a(src.as_bytes()), bindings);
-        if let Some(hit) = lock(&self.entries).get(&key).cloned() {
-            return Ok(hit);
+        let key = (digest, bindings);
+        if let Some(hit) = lock(&self.entries).get(&key) {
+            if hit.src == src {
+                return Ok(Arc::clone(hit));
+            }
+            // a digest collision is a miss; the insert below replaces it
         }
         // compile outside the lock: a miss is the slow path, and one
         // confused client must not serialise every other connection
         let prog = compile_any(src, &spec.env).map_err(|e| e.to_string())?;
         let inputs = deterministic_inputs(&prog).map_err(|e| e.to_string())?;
-        let compiled = Arc::new((prog, inputs));
+        let compiled = Arc::new(Compiled {
+            src: src.to_string(),
+            prog,
+            inputs: Arc::new(inputs),
+        });
         let mut entries = lock(&self.entries);
         if entries.len() >= FRONTEND_MEMO_CAP {
             entries.clear();
@@ -859,22 +888,31 @@ fn submit_frame(spec: &SubmitSpec, src: &str, router: &Router) -> FrameWork {
         Ok(c) => c,
         Err(e) => return FrameWork::Failed(e),
     };
-    let (prog, inputs) = (&compiled.0, &compiled.1);
-    let make_req = || {
-        let mut req = Request::new(prog.clone(), spec.device, inputs.clone());
+    let reqs = frame_requests(spec, &compiled);
+    if spec.grad {
+        FrameWork::Grad(reqs.map(|req| router.submit_grad(req)).collect())
+    } else {
+        FrameWork::Plain(reqs.map(|req| router.submit(req)).collect())
+    }
+}
+
+/// One SUBMIT's `count` launches: each takes a clone of the memo entry's
+/// operand handle, so however many are in flight there is one copy of
+/// the operands.
+fn frame_requests<'a>(
+    spec: &'a SubmitSpec,
+    compiled: &'a Compiled,
+) -> impl Iterator<Item = Request> + 'a {
+    (0..spec.count).map(move |_| {
+        let mut req = Request::new(
+            compiled.prog.clone(),
+            spec.device,
+            Arc::clone(&compiled.inputs),
+        );
         req.deadline = spec.deadline;
         req.tenant = spec.tenant.clone();
         req
-    };
-    if spec.grad {
-        FrameWork::Grad(
-            (0..spec.count)
-                .map(|_| router.submit_grad(make_req()))
-                .collect(),
-        )
-    } else {
-        FrameWork::Plain((0..spec.count).map(|_| router.submit(make_req())).collect())
-    }
+    })
 }
 
 /// Wait out a frame's handles; returns the per-launch reply lines plus
@@ -1388,6 +1426,94 @@ def dot(res, x, y):
                 assert!((-8.0..8.0).contains(&v));
             }
         }
+    }
+
+    /// A SUBMIT header for `DOT` at `N=64` as the wire would parse it.
+    fn dot_spec(count: usize) -> SubmitSpec {
+        let header = format!("SUBMIT cpu {count} {} N=64", DOT.len());
+        let fields: Vec<&str> = header.split_whitespace().collect();
+        parse_submit_header(&fields, false).unwrap()
+    }
+
+    #[test]
+    fn memo_never_answers_a_forged_digest_with_the_other_source() {
+        // FNV-1a collisions are constructible offline; force one instead
+        // of constructing it: two different sources under one digest
+        const SCALED: &str = "\
+@mdh( out( y = Buffer[fp32] ),
+      inp( x = Buffer[fp32] ),
+      combine_ops( cc ) )
+def scaled(y, x):
+    for k in range(N):
+        y[k] = 0.5 * x[k]
+";
+        let memo = FrontendMemo::new();
+        let spec = dot_spec(1);
+        let digest = 0x5eed;
+        let dot = memo.compile_keyed(digest, DOT, &spec).unwrap();
+        assert_eq!(dot.prog.name, "dot");
+        // the planted source gets its own program, not the entry's ...
+        let planted = memo.compile_keyed(digest, SCALED, &spec).unwrap();
+        assert_eq!(planted.prog.name, "scaled");
+        assert_eq!(planted.inputs.len(), 1);
+        // ... and the first tenant is not served the planted one after it
+        let again = memo.compile_keyed(digest, DOT, &spec).unwrap();
+        assert_eq!(again.prog.name, "dot");
+        assert_eq!(again.inputs.len(), 2);
+        // one key, one entry: each mismatch replaced it
+        assert_eq!(lock(&memo.entries).len(), 1);
+        // same text under the same digest is still a hit
+        let hit = memo.compile_keyed(digest, DOT, &spec).unwrap();
+        assert!(Arc::ptr_eq(&hit, &again));
+    }
+
+    #[test]
+    fn every_launch_of_a_source_shares_the_memo_operands() {
+        let config = RuntimeConfig {
+            workers: 2,
+            exec_threads: 2,
+            // a TuneJob would hold the handle for as long as its search runs
+            tune: crate::tune::TunePolicy {
+                enabled: false,
+                ..Default::default()
+            },
+            ..RuntimeConfig::default()
+        };
+        let router = Router::new(&config, 2, 8).unwrap();
+        let spec = dot_spec(8);
+        let entry = router.memo.compile(DOT, &spec).unwrap();
+        assert_eq!(Arc::strong_count(&entry.inputs), 1, "the memo's");
+
+        // the eight launches of one SUBMIT, before they are submitted
+        let reqs: Vec<Request> = frame_requests(&spec, &entry).collect();
+        assert_eq!(reqs.len(), 8);
+        assert!(reqs.iter().all(|r| Arc::ptr_eq(&r.inputs, &entry.inputs)));
+        assert_eq!(Arc::strong_count(&entry.inputs), 9);
+        drop(reqs);
+
+        // two frames of one source through the real path: both resolve to
+        // the same entry, so all sixteen launches read one allocation
+        let first = submit_frame(&spec, DOT, &router);
+        let second = submit_frame(&spec, DOT, &router);
+        assert!(Arc::ptr_eq(
+            &router.memo.compile(DOT, &spec).unwrap(),
+            &entry
+        ));
+        for work in [first, second] {
+            let lines = collect_frame(work).unwrap();
+            assert_eq!(
+                lines.last().map(String::as_str),
+                Some("done 8"),
+                "{lines:?}"
+            );
+        }
+        // replies written; joining the workers drops the last job
+        drop(router);
+        assert_eq!(
+            Arc::strong_count(&entry.inputs),
+            1,
+            "only the entry's again"
+        );
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! [`TuningCache`] so later *processes* start warm too.
 
 use crate::plan_cache::{CompiledPlan, PlanCache, PlanKey, PlanSource};
+use crate::runtime::Operands;
 use crate::sync::lock;
 use mdh_backend::cpu::CpuExecutor;
 use mdh_backend::gpu::GpuSim;
-use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
 use mdh_lowering::asm::DeviceKind;
 use mdh_lowering::plan::ExecutionPlan;
@@ -44,8 +44,9 @@ impl Default for TunePolicy {
 pub(crate) struct TuneJob {
     pub key: PlanKey,
     pub prog: DslProgram,
-    /// Representative inputs (CPU tuning measures real executions).
-    pub inputs: Vec<Buffer>,
+    /// The operands of the request that missed (CPU tuning measures real
+    /// executions), shared with it rather than copied.
+    pub inputs: Operands,
 }
 
 /// Run one search and hot-swap the cached plan if the result wins.

@@ -50,9 +50,11 @@ fn config() -> RuntimeConfig {
 #[test]
 fn hundred_requests_spawn_no_threads_beyond_startup() {
     let mut rt = Runtime::new(config().clone()).expect("runtime");
-    // Everything the pool will ever spawn exists now; the counter is
-    // process-wide, so snapshot after startup and demand zero growth.
-    let spawned_at_start = rayon::total_threads_spawned();
+    // Everything the pool will ever spawn exists now. The count is the
+    // runtime's own pool's (the process-wide one moves whenever a
+    // sibling test builds a runtime): snapshot it and demand zero growth.
+    let spawned_at_start = rt.executor().pool().spawned_threads();
+    assert_eq!(spawned_at_start, 3, "exec_threads - 1 workers at startup");
 
     let (prog, inputs) = matvec("bounded_threads");
     let handles: Vec<_> = (0..100)
@@ -64,7 +66,7 @@ fn hundred_requests_spawn_no_threads_beyond_startup() {
     }
 
     assert_eq!(
-        rayon::total_threads_spawned(),
+        rt.executor().pool().spawned_threads(),
         spawned_at_start,
         "requests must reuse the startup pool, not spawn threads"
     );
@@ -82,7 +84,7 @@ fn panicking_kernel_is_isolated_and_pool_survives() {
     let mut cfg = config();
     cfg.panic_marker = Some("poison".into());
     let mut rt = Runtime::new(cfg).expect("runtime");
-    let spawned_at_start = rayon::total_threads_spawned();
+    let spawned_at_start = rt.executor().pool().spawned_threads();
 
     // Healthy request first: the pool is warm and serving.
     let (good, good_inputs) = matvec("healthy");
@@ -118,7 +120,7 @@ fn panicking_kernel_is_isolated_and_pool_survives() {
     }
     assert_eq!(rt.live_workers(), 2, "both serving workers survived");
     assert_eq!(
-        rayon::total_threads_spawned(),
+        rt.executor().pool().spawned_threads(),
         spawned_at_start,
         "no replacement pool threads after the panic"
     );

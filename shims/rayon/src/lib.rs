@@ -34,9 +34,11 @@
 //! # Observability (shim extensions)
 //!
 //! [`total_threads_spawned`] counts every OS thread any pool has ever
-//! spawned (process-wide), and [`ThreadPool::regions_executed`] counts
-//! parallel regions the pool ran. Benches and tests use the pair to
-//! prove the hot path performs zero per-region spawns after warmup.
+//! spawned (process-wide), [`ThreadPool::spawned_threads`] the ones one
+//! pool spawned, and [`ThreadPool::regions_executed`] the parallel
+//! regions it ran. Benches (one pool per process) use the first, tests
+//! (many pools built concurrently) the second, to prove the hot path
+//! performs zero per-region spawns after warmup.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -150,6 +152,8 @@ struct PoolShared {
     done_cv: Condvar,
     /// Spawned workers + 1 (the participating caller).
     pool_size: usize,
+    /// OS threads spawned for this pool, counted where they are spawned.
+    spawned: AtomicUsize,
     /// Parallel regions executed through the pool (inline-sequential
     /// small regions are not counted).
     regions_run: AtomicU64,
@@ -318,10 +322,12 @@ impl ThreadPool {
         self.width
     }
 
-    /// OS threads this pool spawned (its size minus the participating
-    /// caller).
+    /// OS threads spawned for this pool so far (shared across clones
+    /// and width-scoped handles). A live count taken at the spawn site,
+    /// not derived from the size: a pool that ever respawned a worker
+    /// would show it here, whatever other pools in the process do.
     pub fn spawned_threads(&self) -> usize {
-        self.core.shared.pool_size - 1
+        self.core.shared.spawned.load(Ordering::Relaxed)
     }
 
     /// Parallel regions executed through the pool so far (shared across
@@ -390,6 +396,7 @@ impl ThreadPoolBuilder {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             pool_size: threads,
+            spawned: AtomicUsize::new(0),
             regions_run: AtomicU64::new(0),
         });
         let mut handles = Vec::with_capacity(threads - 1);
@@ -400,6 +407,7 @@ impl ThreadPoolBuilder {
                 .spawn(move || sh.worker_loop())
                 .map_err(|e| ThreadPoolBuildError(e.to_string()))?;
             TOTAL_SPAWNED.fetch_add(1, Ordering::Relaxed);
+            shared.spawned.fetch_add(1, Ordering::Relaxed);
             handles.push(h);
         }
         Ok(ThreadPool {
@@ -841,16 +849,16 @@ mod tests {
     fn pool_spawns_once_and_reuses_workers() {
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         assert_eq!(pool.spawned_threads(), 3);
-        let spawned_before = total_threads_spawned();
         let regions_before = pool.regions_executed();
         let v: Vec<usize> = (0..100_000).collect();
         for _ in 0..50 {
             let s: usize = pool.install(|| v.par_iter().map(|&x| x).sum());
             assert_eq!(s, 100_000 * 99_999 / 2);
         }
+        // this pool's own counter: sibling tests build pools meanwhile
         assert_eq!(
-            total_threads_spawned(),
-            spawned_before,
+            pool.spawned_threads(),
+            3,
             "hot regions must not spawn threads"
         );
         assert!(pool.regions_executed() >= regions_before + 50);
@@ -883,11 +891,10 @@ mod tests {
         let narrow = pool.with_width(2);
         assert_eq!(narrow.current_num_threads(), 2);
         assert_eq!(narrow.spawned_threads(), 3, "same underlying pool");
-        let before = total_threads_spawned();
         let v: Vec<usize> = (0..10_000).collect();
         let s: usize = narrow.install(|| v.par_iter().map(|&x| x).sum());
         assert_eq!(s, 10_000 * 9_999 / 2);
-        assert_eq!(total_threads_spawned(), before);
+        assert_eq!(pool.spawned_threads(), 3);
     }
 
     #[test]
@@ -909,10 +916,9 @@ mod tests {
         );
         // regression: the pool must answer correctly on the request
         // AFTER a panicking one — workers survive, no deadlock
-        let spawned = total_threads_spawned();
         let s: usize = pool.install(|| v.par_iter().map(|&x| x).sum());
         assert_eq!(s, 10_000 * 9_999 / 2);
-        assert_eq!(total_threads_spawned(), spawned, "no respawn after panic");
+        assert_eq!(pool.spawned_threads(), 3, "no respawn after panic");
     }
 
     #[test]
