@@ -8,13 +8,17 @@
 //!     [--scale paper|medium|small] [--out BENCH_dist.json]
 //! ```
 //!
-//! Timing comes from [`mdh_dist::DistExecutor::estimate`] — the same
-//! analytic pipeline the executor attaches to real runs (whose values
-//! are property-tested bit-identical against single-device execution),
-//! so the sweep is deterministic and free at paper sizes. Results go to
-//! stdout as a table and to `BENCH_dist.json` as machine-readable
-//! records: per-device-count hot/cold speedup, combine-tree overhead,
-//! and transfer share.
+//! Every time in this study is **modelled**, none is measured: it comes
+//! from [`mdh_dist::DistExecutor::estimate`] — the same analytic pipeline
+//! the executor attaches to real runs (whose values are property-tested
+//! bit-identical against single-device execution) — or, in the healing
+//! study, from launches on simulated devices. So the sweep is
+//! deterministic and free at paper sizes, every such column in
+//! `BENCH_dist.json` is named `model_*`, and CI diffs a fresh run against
+//! the committed file byte for byte. Results go to stdout as a table and
+//! to the JSON as records: per-device-count hot/cold speedup,
+//! combine-tree overhead, and transfer share. Measured host time for the
+//! same pool is `stack_bench`'s `wire_pool4_gpu` workload.
 //!
 //! The acceptance bars checked at the end: at 4 devices, at least one
 //! reduction-heavy kernel (partition strategy `pw`) must show hot
@@ -298,8 +302,8 @@ fn json_escape(s: &str) -> String {
 
 fn healing_arm_json(label: &str, arm: &HealingArm) -> String {
     format!(
-        "{{\"label\": \"{label}\", \"p50_ms\": {:.6}, \"p99_ms\": {:.6}, \
-         \"max_ms\": {:.6}, \"mean_ms\": {:.6}, \"hedges\": {}, \"retries\": {}, \
+        "{{\"label\": \"{label}\", \"model_p50_ms\": {:.6}, \"model_p99_ms\": {:.6}, \
+         \"model_max_ms\": {:.6}, \"model_mean_ms\": {:.6}, \"hedges\": {}, \"retries\": {}, \
          \"slow_links\": {}}}",
         arm.percentile_ms(50.0),
         arm.percentile_ms(99.0),
@@ -320,6 +324,10 @@ fn to_json(
     let mut j = String::new();
     let _ = writeln!(j, "{{");
     let _ = writeln!(j, "  \"experiment\": \"dist_scaling\",");
+    let _ = writeln!(
+        j,
+        "  \"timing\": \"modelled: every model_* column is analytic or simulated-device time, none is wall clock\","
+    );
     let _ = writeln!(j, "  \"scale\": \"{scale:?}\",");
     let _ = writeln!(j, "  \"device_counts\": [1, 2, 4, 8],");
     let _ = writeln!(j, "  \"topology\": \"tree\",");
@@ -334,11 +342,11 @@ fn to_json(
             let r = &p.report;
             let _ = write!(
                 j,
-                "        {{\"devices\": {}, \"hot_ms\": {:.6}, \"cold_ms\": {:.6}, \
-                 \"exec_ms\": {:.6}, \"h2d_ms\": {:.6}, \"combine_ms\": {:.6}, \
-                 \"combine_steps\": {}, \"d2h_ms\": {:.6}, \"speedup_hot\": {:.4}, \
-                 \"speedup_cold\": {:.4}, \"transfer_share\": {:.4}, \
-                 \"combine_share\": {:.4}}}",
+                "        {{\"devices\": {}, \"model_hot_ms\": {:.6}, \"model_cold_ms\": {:.6}, \
+                 \"model_exec_ms\": {:.6}, \"model_h2d_ms\": {:.6}, \"model_combine_ms\": {:.6}, \
+                 \"combine_steps\": {}, \"model_d2h_ms\": {:.6}, \"model_speedup_hot\": {:.4}, \
+                 \"model_speedup_cold\": {:.4}, \"model_transfer_share\": {:.4}, \
+                 \"model_combine_share\": {:.4}}}",
                 p.devices,
                 r.hot_ms,
                 r.total_ms,
@@ -373,9 +381,9 @@ fn to_json(
             let m = p.warm_mem();
             let _ = write!(
                 j,
-                "          {{\"devices\": {}, \"cold_ms\": {:.6}, \"warm_ms\": {:.6}, \
-                 \"hot_ms\": {:.6}, \"h2d_cold_ms\": {:.6}, \"h2d_warm_ms\": {:.6}, \
-                 \"transfer_share_warm\": {:.4}, \"warm_hot_ratio\": {:.4}, \
+                "          {{\"devices\": {}, \"model_cold_ms\": {:.6}, \"model_warm_ms\": {:.6}, \
+                 \"model_hot_ms\": {:.6}, \"model_h2d_cold_ms\": {:.6}, \"model_h2d_warm_ms\": {:.6}, \
+                 \"model_transfer_share_warm\": {:.4}, \"model_warm_hot_ratio\": {:.4}, \
                  \"hits\": {}, \"misses\": {}, \"evictions\": {}, \
                  \"bytes_uploaded\": {}, \"bytes_avoided\": {}}}",
                 p.devices,
@@ -408,7 +416,7 @@ fn to_json(
     let _ = writeln!(j, "    \"launches\": {HEALING_LAUNCHES},");
     let _ = writeln!(j, "    \"straggler_every\": {HEALING_STRAGGLER_EVERY},");
     let _ = writeln!(j, "    \"slow_factor\": {HEALING_SLOW_FACTOR},");
-    let _ = writeln!(j, "    \"hedge_ms\": {HEALING_HEDGE_MS},");
+    let _ = writeln!(j, "    \"model_hedge_ms\": {HEALING_HEDGE_MS},");
     let _ = writeln!(j, "    \"scale\": \"Small\",");
     let _ = writeln!(j, "    \"studies\": [");
     for (si, s) in healing.iter().enumerate() {
@@ -562,7 +570,7 @@ fn main() {
         .unwrap_or(Scale::Paper);
     let out_path = arg(&args, "--out").unwrap_or_else(|| "BENCH_dist.json".into());
 
-    println!("=== multi-device scaling ({scale:?} scale, tree combine) ===");
+    println!("=== multi-device scaling ({scale:?} scale, tree combine, modelled ms) ===");
     let mut results = Vec::new();
     for name in ["Dot", "MatVec", "MatMul", "Jacobi_3D"] {
         let Some(s) = run_study(name, scale) else {

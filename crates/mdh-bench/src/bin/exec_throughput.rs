@@ -1,49 +1,39 @@
-//! Execution-engine throughput sweep: the Fig. 3 case studies over
-//! thread counts {1, 2, 4, N} on the persistent work-stealing pool.
+//! Width-scaling study: the Fig. 3 case studies over thread counts
+//! {1, 2, 4, N} on the persistent work-stealing pool.
 //!
 //! Usage:
 //! ```text
 //! cargo run --release -p mdh-bench --bin exec_throughput -- \
-//!     [--scale paper|medium|small] [--quick] [--out BENCH_exec.json]
+//!     [--scale paper|medium|small] [--out BENCH_exec.json]
 //! ```
 //!
 //! One physical pool is built once (sized for the largest thread count);
 //! every sweep point runs through a width-scoped handle of that pool, so
-//! the per-point `threads_spawned_during` counters demonstrate that no OS
-//! threads are created after warmup. One execution plan is built per
-//! study (for the largest width — the serving scenario, where the plan
-//! cache hands the same compiled plan to every pool width) and pinned
-//! across all sweep points, so per-point output hashes are directly
-//! comparable: the bin asserts they are bit-identical across thread
-//! counts. Studies whose paper sizes exceed the per-run flop budget
-//! (MCC-class convolutions are ~1e13 flops) fall back to a smaller
-//! scale; the fallback prints a `SCALE_FALLBACK` marker line and records
-//! its reason in the JSON as `scale_fallback_reason`.
+//! the per-point `threads_spawned_during` counters show that no OS thread
+//! is created after warmup. One execution plan is built per study (for
+//! the largest width — the serving scenario, where the plan cache hands
+//! the same compiled plan to every pool width) and pinned across all
+//! sweep points; the bin asserts the output bits are identical across
+//! widths, which is what makes the speedups comparable (the bits
+//! themselves are pinned by `mdh-apps/tests/routing_pin.rs`). Studies
+//! whose paper sizes exceed the per-run flop budget (MCC-class
+//! convolutions are ~1e13 flops) fall back to a smaller scale, print a
+//! `SCALE_FALLBACK` line and record `scale_fallback_reason` in the JSON.
 //!
 //! GFLOP/s uses the algorithmic flop count `points x sf_flops_estimate`,
 //! the same estimate the GPU simulator charges — an approximation (it
 //! counts the scalar-function body once per point), not a hardware
-//! counter. Scaling efficiency is `speedup / min(threads, hw_threads)`:
-//! on a 1-hardware-thread container a 4-thread sweep point cannot exceed
-//! 1x raw speedup, so efficiency normalises by the parallelism the host
-//! can actually deliver while the raw speedup stays in the JSON.
-//!
-//! `EXEC_CHECK` lines carry only deterministic fields (FNV-1a output
-//! hashes, spawn/region counters) so CI can run the bin twice and diff
-//! them; timings live only in the table and the JSON.
-//!
-//! The `fast_vs_vm` study re-runs every pinned plan through a
-//! registry-disabled (`FastMode::ForceVm`) executor and compares output
-//! hashes: on a kernel hit the fast path must be bit-identical to the
-//! VM, and a mismatch aborts the bench. Which studies hit a kernel (and
-//! each fallback's reason) lands in the JSON next to both engines'
-//! GFLOP/s.
+//! counter. A point asking for more threads than the host has is still
+//! timed, but it is marked `"gated": false` with the reason and carries no
+//! `efficiency` (`speedup / threads` on gated points). The acceptance block
+//! judges MatMul only when the run exercised the target — enough hardware
+//! threads, its paper size, at least one pool region; otherwise it says
+//! `"pass": null` with the reason and the bin exits 0.
 
 use mdh_apps::{instantiate, AppInstance, Scale, StudyId, FIG3_STUDIES};
-use mdh_backend::cpu::{CpuExecutor, ExecPath, FastMode};
-use mdh_backend::fast;
+use mdh_backend::cpu::CpuExecutor;
 use mdh_bench::parse_scale;
-use mdh_core::buffer::{Buffer, BufferData, Column};
+use mdh_core::buffer::bits_hash;
 use mdh_lowering::{mdh_default_schedule, DeviceKind, ExecutionPlan, Schedule};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -55,7 +45,9 @@ const FLOP_BUDGET: f64 = 4.0e9;
 const MIN_TOTAL_S: f64 = 0.25;
 /// ...or this many timed iterations have run, whichever comes first.
 const MAX_ITERS: usize = 5;
-const HOT_LOOP_ITERS: usize = 100;
+/// The acceptance bar: MatMul's efficiency at this width.
+const GATE_THREADS: usize = 4;
+const GATE_EFFICIENCY: f64 = 0.5;
 
 fn arg(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -66,50 +58,6 @@ fn arg(args: &[String], name: &str) -> Option<String> {
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// FNV-1a over the raw bit patterns of a buffer set. Bit-identical
-/// outputs (the pool's determinism guarantee) give identical hashes.
-fn fnv_eat(h: &mut u64, bytes: &[u8]) {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        *h = (*h ^ b as u64).wrapping_mul(PRIME);
-    }
-}
-
-fn fnv_column(h: &mut u64, c: &Column) {
-    match c {
-        Column::F32(v) => v
-            .iter()
-            .for_each(|x| fnv_eat(h, &x.to_bits().to_le_bytes())),
-        Column::F64(v) => v
-            .iter()
-            .for_each(|x| fnv_eat(h, &x.to_bits().to_le_bytes())),
-        Column::I32(v) => v.iter().for_each(|x| fnv_eat(h, &x.to_le_bytes())),
-        Column::I64(v) => v.iter().for_each(|x| fnv_eat(h, &x.to_le_bytes())),
-        Column::Bool(v) => v.iter().for_each(|x| fnv_eat(h, &[*x as u8])),
-        Column::Char(v) => fnv_eat(h, v),
-    }
-}
-
-fn fnv1a(bufs: &[Buffer]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bufs {
-        match &b.data {
-            BufferData::F32(v) => v
-                .iter()
-                .for_each(|x| fnv_eat(&mut h, &x.to_bits().to_le_bytes())),
-            BufferData::F64(v) => v
-                .iter()
-                .for_each(|x| fnv_eat(&mut h, &x.to_bits().to_le_bytes())),
-            BufferData::I32(v) => v.iter().for_each(|x| fnv_eat(&mut h, &x.to_le_bytes())),
-            BufferData::I64(v) => v.iter().for_each(|x| fnv_eat(&mut h, &x.to_le_bytes())),
-            BufferData::Bool(v) => v.iter().for_each(|x| fnv_eat(&mut h, &[*x as u8])),
-            BufferData::Char(v) => fnv_eat(&mut h, v),
-            BufferData::Record(r) => r.columns.iter().for_each(|c| fnv_column(&mut h, c)),
-        }
-    }
-    h
 }
 
 fn flops_per_run(app: &AppInstance) -> f64 {
@@ -124,8 +72,7 @@ fn flops_per_run(app: &AppInstance) -> f64 {
 fn instantiate_within_budget(
     name: &'static str,
     requested: Scale,
-    budget: f64,
-) -> Option<(AppInstance, Scale, Option<String>)> {
+) -> (AppInstance, Scale, Option<String>) {
     let ladder: &[Scale] = match requested {
         Scale::Paper => &[Scale::Paper, Scale::Medium, Scale::Small],
         Scale::Medium => &[Scale::Medium, Scale::Small],
@@ -133,45 +80,40 @@ fn instantiate_within_budget(
     };
     let mut reason = None;
     for &scale in ladder {
-        let app = match instantiate(StudyId { name, input_no: 1 }, scale) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("{name} @ {scale:?}: {e}");
-                return None;
-            }
-        };
+        let app = instantiate(StudyId { name, input_no: 1 }, scale)
+            .unwrap_or_else(|e| panic!("{name} @ {scale:?}: {e}"));
         let flops = flops_per_run(&app);
-        if flops <= budget || scale == Scale::Small {
-            return Some((app, scale, reason));
+        if flops <= FLOP_BUDGET || scale == Scale::Small {
+            return (app, scale, reason);
         }
         reason = Some(format!(
-            "{flops:.3e} flops/run at {scale:?} exceeds budget {budget:.1e}"
+            "{flops:.3e} flops/run at {scale:?} exceeds budget {FLOP_BUDGET:.1e}"
         ));
     }
-    None
-}
-
-/// Loud marker for a scale step-down (deterministic: flop counts and the
-/// budget are fixed, so CI's run-twice diff still passes).
-fn announce_fallback(study: &str, requested: Scale, used: Scale, reason: &Option<String>) {
-    if let Some(reason) = reason {
-        println!(
-            "SCALE_FALLBACK study=\"{study}\" requested={requested:?} used={used:?} \
-             reason=\"{reason}\""
-        );
-    }
+    unreachable!("every ladder ends at Small")
 }
 
 struct Point {
     threads: usize,
+    /// Why the host cannot exercise this point; `None` on a gated point.
+    ungated_reason: Option<String>,
     iters: usize,
     best_ms: f64,
     gflops: f64,
     speedup: f64,
-    efficiency: f64,
     threads_spawned_during: u64,
     regions_per_run: u64,
     output_hash: u64,
+}
+
+impl Point {
+    /// `speedup / threads` on a gated point, the reason on an ungated one.
+    fn efficiency(&self) -> Result<f64, &str> {
+        match &self.ungated_reason {
+            None => Ok(self.speedup / self.threads as f64),
+            Some(reason) => Err(reason),
+        }
+    }
 }
 
 struct StudyRow {
@@ -185,60 +127,31 @@ struct StudyRow {
     points: Vec<Point>,
 }
 
-/// One study's fast-path-vs-VM comparison, on the same pinned plan:
-/// whether the registry compiled a kernel, why not if it didn't, and
-/// the throughput + output-hash pair for both engines.
-struct FastVsVm {
-    name: String,
-    kernel_hit: bool,
-    fallback_reason: Option<String>,
-    fast_gflops: f64,
-    vm_gflops: f64,
-    fast_hash: u64,
-    vm_hash: u64,
-    hash_match: bool,
-}
-
-struct HotLoop {
-    app: String,
-    scale_used: Scale,
-    scale_fallback_reason: Option<String>,
-    threads: usize,
-    iterations: usize,
-    threads_spawned_during: u64,
-    regions_executed: u64,
-    total_ms: f64,
-}
-
+/// Time one width; `speedup` is left at 1.0 for the caller, who knows the
+/// 1-thread point.
 fn time_point(
     exec: &CpuExecutor,
     app: &AppInstance,
     schedule: &Schedule,
     plan: &ExecutionPlan,
     threads: usize,
-    quick: bool,
-    flops: f64,
+    hw: usize,
 ) -> Point {
     let spawn0 = rayon::total_threads_spawned();
     let regions0 = exec.pool().regions_executed();
-    // Warmup run doubles as the determinism probe: its output hash and
-    // region count are pure functions of (program, plan, width).
+    // the warmup run doubles as the determinism probe: its output bits and
+    // region count are pure functions of (program, plan, width)
     let out = exec
         .run_planned(&app.program, schedule, plan, &app.inputs)
         .expect("execution failed");
-    let output_hash = fnv1a(&out);
+    let output_hash = bits_hash(&out);
     let threads_spawned_during = rayon::total_threads_spawned() - spawn0;
     let regions_per_run = exec.pool().regions_executed() - regions0;
 
-    let (min_total, max_iters) = if quick {
-        (0.02, 2)
-    } else {
-        (MIN_TOTAL_S, MAX_ITERS)
-    };
     let mut best = f64::INFINITY;
     let mut total = 0.0;
     let mut iters = 0;
-    while total < min_total && iters < max_iters {
+    while total < MIN_TOTAL_S && iters < MAX_ITERS {
         let t0 = Instant::now();
         let r = exec.run_planned(&app.program, schedule, plan, &app.inputs);
         let dt = t0.elapsed().as_secs_f64();
@@ -249,11 +162,12 @@ fn time_point(
     }
     Point {
         threads,
+        ungated_reason: (threads > hw)
+            .then(|| format!("{threads} threads > {hw} hardware threads")),
         iters,
         best_ms: best * 1e3,
-        gflops: flops / best / 1e9,
-        speedup: 0.0,    // filled in by the caller from the 1-thread point
-        efficiency: 0.0, // ditto
+        gflops: flops_per_run(app) / best / 1e9,
+        speedup: 1.0,
         threads_spawned_during,
         regions_per_run,
         output_hash,
@@ -266,189 +180,76 @@ fn run_study(
     base: &CpuExecutor,
     counts: &[usize],
     hw: usize,
-    quick: bool,
-) -> Option<(StudyRow, FastVsVm)> {
-    let budget = if quick { 1.0e8 } else { FLOP_BUDGET };
-    let (app, scale_used, fallback) = instantiate_within_budget(name, requested, budget)?;
-    announce_fallback(name, requested, scale_used, &fallback);
-    app.program.validate().ok()?;
-    let flops = flops_per_run(&app);
-    let path = format!("{:?}", base.path_for(&app.program));
+) -> StudyRow {
+    let (app, scale_used, fallback) = instantiate_within_budget(name, requested);
+    if let Some(reason) = &fallback {
+        println!(
+            "SCALE_FALLBACK study=\"{name}\" requested={requested:?} used={scale_used:?} \
+             reason=\"{reason}\""
+        );
+    }
 
-    // One plan, pinned across every sweep point: built for the largest
-    // width (the serving scenario — the plan cache hands the same
-    // compiled plan to every pool width), so per-point output hashes are
-    // directly comparable across thread counts.
     let plan_threads = *counts.last().expect("nonempty counts");
     let schedule = mdh_default_schedule(&app.program, DeviceKind::Cpu, plan_threads);
-    if schedule.validate(&app.program, 1 << 24).is_err() {
-        eprintln!("{name}: schedule rejected");
-        return None;
-    }
-    let plan = match ExecutionPlan::build(&app.program, &schedule) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            return None;
-        }
-    };
+    let plan =
+        ExecutionPlan::build(&app.program, &schedule).unwrap_or_else(|e| panic!("{name}: {e}"));
 
     let mut points: Vec<Point> = Vec::new();
     for &t in counts {
         let exec = CpuExecutor::with_pool(base.pool(), t);
-        let mut p = time_point(&exec, &app, &schedule, &plan, t, quick, flops);
-        let base_ms = points.first().map_or(p.best_ms, |b| b.best_ms);
-        p.speedup = base_ms / p.best_ms;
-        p.efficiency = p.speedup / t.min(hw) as f64;
+        let mut p = time_point(&exec, &app, &schedule, &plan, t, hw);
+        if let Some(first) = points.first() {
+            // one pinned plan: the sweep must be bit-identical, or the
+            // speedups compare different computations
+            assert_eq!(
+                p.output_hash, first.output_hash,
+                "{name}: output bits diverged between {} and {t} threads under one pinned plan",
+                first.threads
+            );
+            p.speedup = first.best_ms / p.best_ms;
+        }
         points.push(p);
     }
 
-    // In-bin validator: one pinned plan means the width sweep must be
-    // bit-identical — a hash mismatch is an executor determinism bug.
-    let h0 = points.first().map(|p| p.output_hash).unwrap_or_default();
-    for p in &points {
-        assert_eq!(
-            p.output_hash, h0,
-            "{name}: output hash diverged across thread counts under a pinned plan \
-             ({} threads vs {} threads)",
-            points[0].threads, p.threads
-        );
-    }
-
-    // The determinism marker: hashes and counters only, no timings.
-    for p in &points {
-        println!(
-            "EXEC_CHECK study=\"{}\" scale={:?} path={} threads={} hash={:#018x} \
-             spawns={} regions={}",
-            name,
-            scale_used,
-            path,
-            p.threads,
-            p.output_hash,
-            p.threads_spawned_during,
-            p.regions_per_run
-        );
-    }
-
-    // Fast-vs-VM differential: re-run the SAME pinned plan through a
-    // registry-disabled executor and compare output hashes. On a kernel
-    // hit the hashes must match bit for bit — that is the fast path's
-    // core contract, so a mismatch aborts the bench.
-    let kernel_hit = base.path_for(&app.program) == ExecPath::Fast;
-    let fallback_reason = fast::classify(&app.program).err();
-    let vm = CpuExecutor::with_pool(base.pool(), plan_threads).with_fast_mode(FastMode::ForceVm);
-    let t0 = Instant::now();
-    let vm_out = vm
-        .run_planned(&app.program, &schedule, &plan, &app.inputs)
-        .expect("vm execution failed");
-    let vm_dt = t0.elapsed().as_secs_f64();
-    let vm_hash = fnv1a(&vm_out);
-    let fast_point = points
-        .iter()
-        .find(|p| p.threads == plan_threads)
-        .unwrap_or(points.last().expect("nonempty points"));
-    let fast_hash = fast_point.output_hash;
-    let hash_match = fast_hash == vm_hash;
-    if kernel_hit {
-        assert!(
-            hash_match,
-            "{name}: fast-path hash {fast_hash:#018x} != vm hash {vm_hash:#018x} \
-             under the same pinned plan"
-        );
-    }
-    println!(
-        "EXEC_CHECK fast_vs_vm study=\"{}\" kernel_hit={} reason=\"{}\" \
-         fast_hash={:#018x} vm_hash={:#018x} match={}",
-        name,
-        kernel_hit,
-        fallback_reason.as_deref().unwrap_or("-"),
-        fast_hash,
-        vm_hash,
-        hash_match
-    );
-    let fvv = FastVsVm {
+    StudyRow {
         name: app.name.clone(),
-        kernel_hit,
-        fallback_reason,
-        fast_gflops: fast_point.gflops,
-        vm_gflops: flops / vm_dt / 1e9,
-        fast_hash,
-        vm_hash,
-        hash_match,
-    };
-
-    Some((
-        StudyRow {
-            name: app.name.clone(),
-            sizes: app.sizes_desc.clone(),
-            scale_used,
-            scale_fallback_reason: fallback,
-            path,
-            flops,
-            plan_threads,
-            points,
-        },
-        fvv,
-    ))
-}
-
-/// 100 back-to-back runs through one width-scoped handle: the serving
-/// hot path. The pool was warmed by the sweep; the spawn delta across
-/// all iterations must be zero.
-fn run_hot_loop(
-    base: &CpuExecutor,
-    requested: Scale,
-    threads: usize,
-    quick: bool,
-) -> Option<HotLoop> {
-    let budget = if quick { 1.0e8 } else { FLOP_BUDGET / 10.0 };
-    let (app, scale_used, fallback) = instantiate_within_budget("MatVec", requested, budget)?;
-    announce_fallback("MatVec/hot_loop", requested, scale_used, &fallback);
-    let exec = CpuExecutor::with_pool(base.pool(), threads);
-    let schedule = mdh_default_schedule(&app.program, DeviceKind::Cpu, threads);
-    let plan = ExecutionPlan::build(&app.program, &schedule).ok()?;
-    // Warmup: fault in any lazily-built state before the counter window.
-    exec.run_planned(&app.program, &schedule, &plan, &app.inputs)
-        .ok()?;
-
-    let spawn0 = rayon::total_threads_spawned();
-    let regions0 = exec.pool().regions_executed();
-    let t0 = Instant::now();
-    for _ in 0..HOT_LOOP_ITERS {
-        exec.run_planned(&app.program, &schedule, &plan, &app.inputs)
-            .expect("hot loop execution failed");
-    }
-    let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let threads_spawned_during = rayon::total_threads_spawned() - spawn0;
-    let regions_executed = exec.pool().regions_executed() - regions0;
-    println!(
-        "EXEC_CHECK hot_loop app=\"MatVec\" scale={:?} threads={} iters={} spawns={} regions={}",
-        scale_used, threads, HOT_LOOP_ITERS, threads_spawned_during, regions_executed
-    );
-    Some(HotLoop {
-        app: app.name.clone(),
+        sizes: app.sizes_desc.clone(),
         scale_used,
         scale_fallback_reason: fallback,
-        threads,
-        iterations: HOT_LOOP_ITERS,
-        threads_spawned_during,
-        regions_executed,
-        total_ms,
-    })
+        path: format!("{:?}", base.path_for(&app.program)),
+        flops: flops_per_run(&app),
+        plan_threads,
+        points,
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The acceptance block: MatMul's efficiency at `GATE_THREADS`, judged
+/// only when the run exercised it — the host has that many threads, MatMul
+/// ran at its paper size and the point entered the pool; `Err` is the
+/// reason there is no verdict.
+fn acceptance(rows: &[StudyRow]) -> Result<f64, String> {
+    let row = rows.iter().find(|r| r.name == "MatMul");
+    let row = row.expect("the sweep includes MatMul");
+    let point = row.points.iter().find(|p| p.threads == GATE_THREADS);
+    let point = point.expect("the sweep times MatMul at GATE_THREADS");
+    let eff = point.efficiency()?;
+    if row.scale_used != Scale::Paper {
+        let used = row.scale_used;
+        return Err(format!("MatMul ran at {used:?} scale, not its paper size"));
+    }
+    if point.regions_per_run == 0 {
+        return Err("MatMul ran sequentially (0 pool regions per run)".into());
+    }
+    Ok(eff)
+}
+
 fn to_json(
     rows: &[StudyRow],
-    fast_vs_vm: &[FastVsVm],
-    kernel_counters: (u64, u64),
-    hot: &HotLoop,
     requested: Scale,
-    quick: bool,
     hw: usize,
     counts: &[usize],
     pool_spawned: u64,
-    acceptance: &(f64, f64, bool),
+    verdict: &Result<f64, String>,
 ) -> String {
     let counts_s = counts
         .iter()
@@ -459,13 +260,12 @@ fn to_json(
     let _ = writeln!(j, "{{");
     let _ = writeln!(j, "  \"experiment\": \"exec_throughput\",");
     let _ = writeln!(j, "  \"requested_scale\": \"{requested:?}\",");
-    let _ = writeln!(j, "  \"quick\": {quick},");
     let _ = writeln!(j, "  \"hw_threads\": {hw},");
     let _ = writeln!(j, "  \"thread_counts\": [{counts_s}],");
     let _ = writeln!(j, "  \"pool_threads_spawned_at_build\": {pool_spawned},");
     let _ = writeln!(
         j,
-        "  \"efficiency_basis\": \"speedup / min(threads, hw_threads)\","
+        "  \"efficiency_basis\": \"speedup / threads, on gated points (threads <= hw_threads) only\","
     );
     let _ = writeln!(
         j,
@@ -477,244 +277,62 @@ fn to_json(
         let _ = writeln!(j, "      \"name\": \"{}\",", json_escape(&s.name));
         let _ = writeln!(j, "      \"sizes\": \"{}\",", json_escape(&s.sizes));
         let _ = writeln!(j, "      \"scale_used\": \"{:?}\",", s.scale_used);
-        let _ = writeln!(
-            j,
-            "      \"scale_fallback_reason\": {},",
-            match &s.scale_fallback_reason {
-                Some(r) => format!("\"{}\"", json_escape(r)),
-                None => "null".into(),
-            }
-        );
+        let fallback = match &s.scale_fallback_reason {
+            Some(r) => format!("\"{}\"", json_escape(r)),
+            None => "null".into(),
+        };
+        let _ = writeln!(j, "      \"scale_fallback_reason\": {fallback},");
         let _ = writeln!(j, "      \"path\": \"{}\",", s.path);
         let _ = writeln!(j, "      \"flops_per_run\": {:.0},", s.flops);
         let _ = writeln!(j, "      \"plan_threads\": {},", s.plan_threads);
         let _ = writeln!(j, "      \"points\": [");
         for (pi, p) in s.points.iter().enumerate() {
-            let _ = write!(
+            let gate = match p.efficiency() {
+                Ok(eff) => format!("\"gated\": true, \"efficiency\": {eff:.4}"),
+                Err(reason) => format!("\"gated\": false, \"reason\": \"{reason}\""),
+            };
+            let _ = writeln!(
                 j,
-                "        {{\"threads\": {}, \"iters\": {}, \"best_ms\": {:.4}, \
-                 \"gflops\": {:.4}, \"speedup\": {:.4}, \"efficiency\": {:.4}, \
-                 \"threads_spawned_during\": {}, \"regions_per_run\": {}, \
-                 \"output_hash\": \"{:#018x}\"}}",
+                "        {{\"threads\": {}, {gate}, \"iters\": {}, \"best_ms\": {:.4}, \
+                 \"gflops\": {:.4}, \"speedup\": {:.4}, \"threads_spawned_during\": {}, \
+                 \"regions_per_run\": {}}}{}",
                 p.threads,
                 p.iters,
                 p.best_ms,
                 p.gflops,
                 p.speedup,
-                p.efficiency,
                 p.threads_spawned_during,
                 p.regions_per_run,
-                p.output_hash
+                if pi + 1 < s.points.len() { "," } else { "" }
             );
-            let _ = writeln!(j, "{}", if pi + 1 < s.points.len() { "," } else { "" });
         }
         let _ = writeln!(j, "      ]");
         let _ = writeln!(j, "    }}{}", if si + 1 < rows.len() { "," } else { "" });
     }
     let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"fast_vs_vm\": [");
-    for (fi, f) in fast_vs_vm.iter().enumerate() {
-        let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"name\": \"{}\",", json_escape(&f.name));
-        let _ = writeln!(j, "      \"kernel_hit\": {},", f.kernel_hit);
-        let _ = writeln!(
-            j,
-            "      \"fallback_reason\": {},",
-            match &f.fallback_reason {
-                Some(r) => format!("\"{}\"", json_escape(r)),
-                None => "null".into(),
-            }
-        );
-        let _ = writeln!(j, "      \"fast_gflops\": {:.4},", f.fast_gflops);
-        let _ = writeln!(j, "      \"vm_gflops\": {:.4},", f.vm_gflops);
-        let _ = writeln!(j, "      \"fast_hash\": \"{:#018x}\",", f.fast_hash);
-        let _ = writeln!(j, "      \"vm_hash\": \"{:#018x}\",", f.vm_hash);
-        let _ = writeln!(j, "      \"hash_match\": {}", f.hash_match);
-        let _ = writeln!(
-            j,
-            "    }}{}",
-            if fi + 1 < fast_vs_vm.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"kernel_hits\": {},", kernel_counters.0);
-    let _ = writeln!(j, "  \"kernel_fallbacks\": {},", kernel_counters.1);
-    let _ = writeln!(j, "  \"hot_loop\": {{");
-    let _ = writeln!(j, "    \"app\": \"{}\",", json_escape(&hot.app));
-    let _ = writeln!(j, "    \"scale_used\": \"{:?}\",", hot.scale_used);
-    let _ = writeln!(
-        j,
-        "    \"scale_fallback_reason\": {},",
-        match &hot.scale_fallback_reason {
-            Some(r) => format!("\"{}\"", json_escape(r)),
-            None => "null".into(),
-        }
-    );
-    let _ = writeln!(j, "    \"threads\": {},", hot.threads);
-    let _ = writeln!(j, "    \"iterations\": {},", hot.iterations);
-    let _ = writeln!(
-        j,
-        "    \"threads_spawned_during\": {},",
-        hot.threads_spawned_during
-    );
-    let _ = writeln!(j, "    \"regions_executed\": {},", hot.regions_executed);
-    let _ = writeln!(j, "    \"total_ms\": {:.4},", hot.total_ms);
-    let _ = writeln!(
-        j,
-        "    \"per_iter_ms\": {:.4}",
-        hot.total_ms / hot.iterations as f64
-    );
-    let _ = writeln!(j, "  }},");
-    let (eff, speedup, pass) = acceptance;
     let _ = writeln!(j, "  \"acceptance\": {{");
-    let _ = writeln!(j, "    \"matmul_4t_efficiency\": {eff:.4},");
-    let _ = writeln!(j, "    \"matmul_4t_speedup\": {speedup:.4},");
-    let _ = writeln!(
-        j,
-        "    \"hot_loop_spawns\": {},",
-        hot.threads_spawned_during
-    );
-    let _ = writeln!(j, "    \"pass\": {pass}");
+    let _ = writeln!(j, "    \"matmul_efficiency_target\": {GATE_EFFICIENCY},");
+    let _ = writeln!(j, "    \"matmul_threads\": {GATE_THREADS},");
+    match verdict {
+        Ok(eff) => {
+            let _ = writeln!(j, "    \"matmul_efficiency\": {eff:.4},");
+            let _ = writeln!(j, "    \"pass\": {}", *eff >= GATE_EFFICIENCY);
+        }
+        Err(reason) => {
+            let _ = writeln!(j, "    \"pass\": null,");
+            let _ = writeln!(j, "    \"reason\": \"{}\"", json_escape(reason));
+        }
+    }
     let _ = writeln!(j, "  }}");
     let _ = writeln!(j, "}}");
     j
 }
 
-/// Minimal structural JSON validator: the written report must parse and
-/// must carry the schema's required top-level keys. Catches a malformed
-/// writer before CI's deeper check does.
-mod jsonck {
-    pub fn validate(s: &str) -> Result<(), String> {
-        let b = s.as_bytes();
-        let mut i = 0;
-        skip_ws(b, &mut i);
-        value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing bytes at {i}"));
-        }
-        Ok(())
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-            *i += 1;
-        }
-    }
-
-    fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => object(b, i),
-            Some(b'[') => array(b, i),
-            Some(b'"') => string(b, i),
-            Some(b't') => literal(b, i, b"true"),
-            Some(b'f') => literal(b, i, b"false"),
-            Some(b'n') => literal(b, i, b"null"),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-            other => Err(format!("unexpected {other:?} at {i}")),
-        }
-    }
-
-    fn object(b: &[u8], i: &mut usize) -> Result<(), String> {
-        *i += 1; // '{'
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b'}') {
-            *i += 1;
-            return Ok(());
-        }
-        loop {
-            skip_ws(b, i);
-            string(b, i)?;
-            skip_ws(b, i);
-            if b.get(*i) != Some(&b':') {
-                return Err(format!("expected ':' at {i}"));
-            }
-            *i += 1;
-            value(b, i)?;
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b'}') => {
-                    *i += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?} at {i}")),
-            }
-        }
-    }
-
-    fn array(b: &[u8], i: &mut usize) -> Result<(), String> {
-        *i += 1; // '['
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b']') {
-            *i += 1;
-            return Ok(());
-        }
-        loop {
-            value(b, i)?;
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b']') => {
-                    *i += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?} at {i}")),
-            }
-        }
-    }
-
-    fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-        if b.get(*i) != Some(&b'"') {
-            return Err(format!("expected '\"' at {i}"));
-        }
-        *i += 1;
-        while *i < b.len() {
-            match b[*i] {
-                b'\\' => *i += 2,
-                b'"' => {
-                    *i += 1;
-                    return Ok(());
-                }
-                _ => *i += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn number(b: &[u8], i: &mut usize) -> Result<(), String> {
-        let start = *i;
-        if b.get(*i) == Some(&b'-') {
-            *i += 1;
-        }
-        while *i < b.len()
-            && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            *i += 1;
-        }
-        let text = std::str::from_utf8(&b[start..*i]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map_err(|e| format!("bad number '{text}': {e}"))?;
-        Ok(())
-    }
-
-    fn literal(b: &[u8], i: &mut usize, word: &[u8]) -> Result<(), String> {
-        if b.len() - *i >= word.len() && &b[*i..*i + word.len()] == word {
-            *i += word.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at {i}"))
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
     let requested = arg(&args, "--scale")
         .map(|s| parse_scale(&s))
-        .unwrap_or(if quick { Scale::Small } else { Scale::Paper });
+        .unwrap_or(Scale::Paper);
     let out_path = arg(&args, "--out").unwrap_or_else(|| "BENCH_exec.json".into());
 
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -728,27 +346,13 @@ fn main() {
     let pool_spawned = rayon::total_threads_spawned() - spawn0;
 
     println!(
-        "=== exec throughput ({requested:?} scale, hw_threads={hw}, \
-         pool={max_threads} threads, quick={quick}) ==="
+        "=== exec throughput ({requested:?} scale, hw_threads={hw}, pool={max_threads} threads) ==="
     );
 
-    let unique: Vec<&'static str> = {
-        let mut seen = Vec::new();
-        for id in FIG3_STUDIES {
-            if id.input_no == 1 && !seen.contains(&id.name) {
-                seen.push(id.name);
-            }
-        }
-        seen
-    };
-
     let mut rows = Vec::new();
-    let mut fast_vs_vm = Vec::new();
-    for name in unique {
-        let Some((row, fvv)) = run_study(name, requested, &base, &counts, hw, quick) else {
-            continue;
-        };
-        fast_vs_vm.push(fvv);
+    // a `StudyId` is unique, so input 1 names each study once
+    for id in FIG3_STUDIES.iter().filter(|id| id.input_no == 1) {
+        let row = run_study(id.name, requested, &base, &counts, hw);
         println!(
             "\n--- {} ({}) — {:?} scale, {} path, {:.2e} flops/run ---",
             row.name, row.sizes, row.scale_used, row.path, row.flops
@@ -759,12 +363,13 @@ fn main() {
         );
         for p in &row.points {
             println!(
-                "  {:>7}  {:>10.3}  {:>9.3}  {:>7.2}x  {:>10.2}  {:>7}  {:>8}",
+                "  {:>7}  {:>10.3}  {:>9.3}  {:>7.2}x  {:>10}  {:>7}  {:>8}",
                 p.threads,
                 p.best_ms,
                 p.gflops,
                 p.speedup,
-                p.efficiency,
+                p.efficiency()
+                    .map_or("ungated".into(), |e| format!("{e:.2}")),
                 p.threads_spawned_during,
                 p.regions_per_run
             );
@@ -772,95 +377,23 @@ fn main() {
         rows.push(row);
     }
 
-    println!();
-    let hot = run_hot_loop(&base, requested, max_threads, quick).expect("hot loop");
-    println!(
-        "hot loop: {} x{} @ {} threads — {:.1} ms total ({:.3} ms/iter), \
-         {} threads spawned, {} regions",
-        hot.app,
-        hot.iterations,
-        hot.threads,
-        hot.total_ms,
-        hot.total_ms / hot.iterations as f64,
-        hot.threads_spawned_during,
-        hot.regions_executed
-    );
-
-    // Acceptance inputs: the MatMul 4-thread sweep point and the hot
-    // loop's spawn counter.
-    let matmul = rows
-        .iter()
-        .find(|r| r.name == "MatMul")
-        .and_then(|r| r.points.iter().find(|p| p.threads == 4));
-    let (eff, speedup) = matmul.map_or((0.0, 0.0), |p| (p.efficiency, p.speedup));
-    let pass = eff >= 0.5 && hot.threads_spawned_during == 0;
-
-    let json = to_json(
-        &rows,
-        &fast_vs_vm,
-        fast::registry().counters(),
-        &hot,
-        requested,
-        quick,
-        hw,
-        &counts,
-        pool_spawned,
-        &(eff, speedup, pass),
-    );
-    jsonck::validate(&json).expect("generated BENCH_exec.json is not valid JSON");
-    for key in [
-        "\"experiment\"",
-        "\"hw_threads\"",
-        "\"thread_counts\"",
-        "\"efficiency_basis\"",
-        "\"studies\"",
-        "\"fast_vs_vm\"",
-        "\"kernel_hits\"",
-        "\"kernel_fallbacks\"",
-        "\"hot_loop\"",
-        "\"acceptance\"",
-    ] {
-        assert!(json.contains(key), "schema self-check: missing {key}");
-    }
+    let verdict = acceptance(&rows);
+    let json = to_json(&rows, requested, hw, &counts, pool_spawned, &verdict);
     std::fs::write(&out_path, &json).expect("write BENCH_exec.json");
     println!("\nwrote {out_path}");
 
-    if quick {
-        // CI smoke mode: determinism + schema are the contract; the
-        // timing-based acceptance bar only applies to the full run.
-        println!("acceptance: skipped in --quick mode (schema + determinism only)");
-        if hot.threads_spawned_during != 0 {
+    match verdict {
+        Ok(eff) if eff >= GATE_EFFICIENCY => println!(
+            "acceptance: MatMul @ {GATE_THREADS} threads efficiency {eff:.2} \
+             (target >= {GATE_EFFICIENCY}) — OK"
+        ),
+        Ok(eff) => {
             eprintln!(
-                "acceptance FAILED: hot loop spawned {} threads",
-                hot.threads_spawned_during
+                "acceptance FAILED: MatMul @ {GATE_THREADS} threads efficiency {eff:.2} \
+                 (need >= {GATE_EFFICIENCY})"
             );
             std::process::exit(1);
         }
-        return;
-    }
-    match matmul {
-        Some(p) if pass => {
-            println!(
-                "acceptance: MatMul @ 4 threads efficiency {:.2} (speedup {:.2}x over \
-                 min(4, hw={hw})={} usable threads; target >= 0.5) and hot-loop \
-                 spawns = {} — OK",
-                p.efficiency,
-                p.speedup,
-                4.min(hw),
-                hot.threads_spawned_during
-            );
-        }
-        Some(p) => {
-            eprintln!(
-                "acceptance FAILED: MatMul @ 4 threads efficiency {:.2} (need >= 0.5) \
-                 or hot-loop spawns {} != 0",
-                p.efficiency, hot.threads_spawned_during
-            );
-            std::process::exit(1);
-        }
-        None => {
-            eprintln!("acceptance FAILED: MatMul 4-thread sweep point missing");
-            std::process::exit(1);
-        }
+        Err(reason) => println!("acceptance: no verdict — {reason}"),
     }
 }

@@ -405,6 +405,38 @@ impl Buffer {
     }
 }
 
+/// FNV-1a over the raw bits of every element, little-endian, buffers in
+/// order and record columns in declaration order: the one hash behind
+/// every output-bits pin. Equal hashes mean bit-identical outputs — `0.0`
+/// and `-0.0`, or two NaN payloads, hash apart where `==` would not tell.
+pub fn bits_hash(bufs: &[Buffer]) -> u64 {
+    fn eat(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    macro_rules! eat_elems {
+        ($h:expr, $data:expr, $ty:ident $(, $rest:pat => $arm:expr)?) => {
+            match $data {
+                $ty::F32(v) => v.iter().for_each(|x| eat($h, &x.to_bits().to_le_bytes())),
+                $ty::F64(v) => v.iter().for_each(|x| eat($h, &x.to_bits().to_le_bytes())),
+                $ty::I32(v) => v.iter().for_each(|x| eat($h, &x.to_le_bytes())),
+                $ty::I64(v) => v.iter().for_each(|x| eat($h, &x.to_le_bytes())),
+                $ty::Bool(v) => v.iter().for_each(|x| eat($h, &[*x as u8])),
+                $ty::Char(v) => eat($h, v),
+                $($rest => $arm,)?
+            }
+        };
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bufs {
+        eat_elems!(&mut h, &b.data, BufferData, BufferData::Record(r) => {
+            r.columns.iter().for_each(|c| eat_elems!(&mut h, c, Column))
+        });
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,5 +510,39 @@ mod tests {
     fn size_bytes() {
         let b = Buffer::zeros("m", BasicType::F64, Shape::new(vec![10, 10]));
         assert_eq!(b.size_bytes(), 800);
+    }
+
+    #[test]
+    fn bits_hash_tells_apart_what_equality_cannot() {
+        let f64s = |x: f64, y: f64| [Buffer::from_f64("b", Shape::new(vec![2]), vec![x, y])];
+        assert_ne!(bits_hash(&f64s(0.0, 1.0)), bits_hash(&f64s(-0.0, 1.0)));
+        let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        assert_ne!(bits_hash(&f64s(nan(1), 1.0)), bits_hash(&f64s(nan(2), 1.0)));
+        // the FNV-1a test vector for the single byte 'a', through a Char buffer
+        let mut c = Buffer::zeros("c", BasicType::CHAR, Shape::new(vec![1]));
+        c.set(&[0], &Value::Char(b'a')).unwrap();
+        assert_eq!(bits_hash(&[c]), 0xaf63dc4c8601ec8c);
+
+        // records hash column by column: a change in either field moves it
+        let rec = RecordType::new(
+            "r",
+            vec![
+                ("id".into(), FieldType::Scalar(ScalarKind::I64)),
+                ("w".into(), FieldType::Array(ScalarKind::F32, 2)),
+            ],
+        );
+        let record = |id: i64, w: f32| {
+            let mut b = Buffer::zeros("r", BasicType::Record(rec.clone()), Shape::new(vec![2]));
+            let v = Value::Record(vec![
+                Value::I64(id),
+                Value::Array(vec![Value::F32(w), Value::F32(0.0)]),
+            ]);
+            b.set(&[1], &v).unwrap();
+            [b]
+        };
+        let base = bits_hash(&record(7, 0.0));
+        assert_eq!(base, bits_hash(&record(7, 0.0)));
+        assert_ne!(base, bits_hash(&record(8, 0.0)));
+        assert_ne!(base, bits_hash(&record(7, -0.0)));
     }
 }

@@ -12,7 +12,7 @@
 //!   messages carry the replay spec, mirroring `fault_props.rs`.
 
 use mdh_apps::{train, Scale};
-use mdh_core::buffer::Buffer;
+use mdh_core::buffer::{bits_hash, Buffer};
 use mdh_core::combine::CombineOp;
 use mdh_core::dsl::{DslBuilder, DslProgram};
 use mdh_core::expr::ScalarFunction;
@@ -33,17 +33,6 @@ fn reference_run(prog: &DslProgram, inputs: &[Buffer]) -> Vec<Buffer> {
     let dist = DistExecutor::new(DevicePool::gpus(1)).expect("pool");
     let (outs, _) = dist.run(prog, inputs).expect("reference run");
     outs
-}
-
-/// FNV-1a over the bit patterns of an f32 buffer.
-fn fnv1a(buf: &Buffer) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in buf.as_f32().expect("f32 output") {
-        for b in v.to_bits().to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    }
-    h
 }
 
 /// Histogram over an explicit key stream, weights int-filled.
@@ -78,12 +67,12 @@ fn registry_histogram_hashes_identical_at_1_2_4_devices() {
     for input_no in [1, 2] {
         let app = train::histogram(Scale::Small, input_no).expect("app");
         let reference = reference_run(&app.program, &app.inputs);
-        let ref_hash = fnv1a(&reference[0]);
+        let ref_hash = bits_hash(&reference);
         for devices in [2usize, 4] {
             let dist = DistExecutor::new(DevicePool::gpus(devices)).expect("pool");
             let (outs, report) = dist.run(&app.program, &app.inputs).expect("run");
             assert_eq!(
-                fnv1a(&outs[0]),
+                bits_hash(&outs),
                 ref_hash,
                 "Histogram/{input_no} hash diverged at {devices} devices"
             );
@@ -125,7 +114,7 @@ proptest! {
         let dist = DistExecutor::new(DevicePool::gpus(devices)).expect("pool");
         let (a, _) = dist.run(&prog, &inputs).expect("original");
         let (b, _) = dist.run(&pprog, &[pw]).expect("permuted");
-        prop_assert_eq!(fnv1a(&a[0]), fnv1a(&b[0]),
+        prop_assert_eq!(bits_hash(&a), bits_hash(&b),
             "permutation changed the output (stride {}, offset {}, {} devices)",
             stride, offset, devices);
     }
@@ -174,8 +163,8 @@ fn run_widths_agree(
         let sched = mdh_default_schedule(prog, DeviceKind::Cpu, width);
         let outs = ex.run(prog, &sched, inputs).expect("cpu run");
         prop_assert_eq!(
-            fnv1a(&outs[0]),
-            fnv1a(&reference[0]),
+            bits_hash(&outs),
+            bits_hash(reference),
             "pool width {} diverged from the device reference",
             width
         );

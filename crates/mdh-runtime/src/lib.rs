@@ -38,5 +38,5 @@ pub use runtime::{
     DEFAULT_TENANT,
 };
 pub use server::{ServeOptions, ServerAddr, SubmitClientOpts};
-pub use stats::{LatencyRecorder, RuntimeStats};
+pub use stats::RuntimeStats;
 pub use tune::TunePolicy;

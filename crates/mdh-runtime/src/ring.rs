@@ -8,7 +8,7 @@
 //! uses virtual nodes (`vnodes` points per shard) so key mass spreads
 //! evenly even at small shard counts, and is built from nothing but
 //! shard/vnode indices hashed with FNV-1a — fully deterministic, which
-//! the run-twice CI jobs check via [`HashRing::fingerprint`].
+//! the unit tests below pin via [`HashRing::fingerprint`].
 
 use crate::plan_cache::PlanKey;
 
@@ -81,7 +81,7 @@ impl HashRing {
 
     /// Deterministic digest of the whole ring layout. Two runs (or two
     /// processes) with the same (shards, vnodes) print the same
-    /// fingerprint; CI diffs it across runs.
+    /// fingerprint.
     pub fn fingerprint(&self) -> u64 {
         let mut bytes = Vec::with_capacity(self.points.len() * 9);
         for &(p, s) in &self.points {

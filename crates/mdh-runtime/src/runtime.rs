@@ -29,7 +29,7 @@
 //!    [`Handle`] resolves.
 
 use crate::plan_cache::{CompiledPlan, PlanCache, PlanKey, PlanSource};
-use crate::stats::{ExecLatencyReservoir, LatencyRecorder, RuntimeStats};
+use crate::stats::{LatencyWindow, RuntimeStats};
 use crate::sync::{cv_wait, lock};
 use crate::tune::{plan_from_tuning_cache, run_tune_job, TuneJob, TunePolicy};
 use mdh_backend::cpu::CpuExecutor;
@@ -361,9 +361,10 @@ struct Counters {
     batches: u64,
     max_batch: usize,
     tunes_done: u64,
-    latency: LatencyRecorder,
+    /// Per-request submit → response latency over a bounded window (ms).
+    latency: LatencyWindow,
     /// Per-request execution latency over a bounded window (micros).
-    exec_latency: ExecLatencyReservoir,
+    exec_latency: LatencyWindow,
     /// Shard executions per pool device (indexed like the pool).
     device_dispatches: Vec<u64>,
     /// Requests served while the pool was (or became) degraded.
@@ -717,6 +718,8 @@ impl Runtime {
             .map(|m| m.stats())
             .unwrap_or_default();
         let (fast_hits, fast_fallbacks) = mdh_backend::fast::registry().counters();
+        let (latency_p50_ms, latency_p99_ms) = c.latency.p50_p99();
+        let (exec_p50_us, exec_p99_us) = c.exec_latency.p50_p99();
         RuntimeStats {
             plan_hits: plans.hits(),
             plan_misses: plans.misses(),
@@ -727,11 +730,11 @@ impl Runtime {
             batches: c.batches,
             max_batch: c.max_batch,
             tunes_done: c.tunes_done,
-            latency_p50_ms: c.latency.percentile(50.0),
-            latency_p99_ms: c.latency.percentile(99.0),
+            latency_p50_ms,
+            latency_p99_ms,
             latency_mean_ms: c.latency.mean(),
-            exec_p50_us: c.exec_latency.percentile_us(50.0),
-            exec_p99_us: c.exec_latency.percentile_us(99.0),
+            exec_p50_us,
+            exec_p99_us,
             exec_samples: c.exec_latency.total(),
             device_dispatches: match &self.shared.dist {
                 Some(d) => d
@@ -1206,7 +1209,7 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
             if let Ok(resp) = &result {
                 c.latency
                     .record(job.submitted.elapsed().as_secs_f64() * 1e3);
-                c.exec_latency.record_us(resp.exec_ms * 1e3);
+                c.exec_latency.record(resp.exec_ms * 1e3);
             }
         }
         let _ = job.reply.send(result);
@@ -1417,6 +1420,48 @@ def dot(res, x, y):
         let again = Request::new(prog, DeviceKind::Cpu, Arc::clone(&req.inputs));
         assert!(Arc::ptr_eq(&again.inputs, &req.inputs));
         assert!(Arc::ptr_eq(&again.clone().inputs, &req.inputs));
+    }
+
+    /// A tenant with work left rotates to the back of the ring, so a
+    /// flooder's backlog never keeps another tenant from the next dispatch.
+    #[test]
+    fn drr_pop_rotates_a_backlogged_tenant_behind_the_others() {
+        let (prog, inputs) = dot();
+        let operands: Operands = Arc::new(inputs);
+        let mut st = QueueState::default();
+        for (tenant, jobs) in [("noisy", 3 * DRR_QUANTUM), ("polite", 1)] {
+            for _ in 0..jobs {
+                st.tenants
+                    .entry(tenant.into())
+                    .or_default()
+                    .jobs
+                    .push_back(Job {
+                        key: PlanKey::of(&prog, DeviceKind::Cpu),
+                        req: Request::new(prog.clone(), DeviceKind::Cpu, Arc::clone(&operands)),
+                        reply: mpsc::channel().0,
+                        submitted: Instant::now(),
+                    });
+                st.queued += 1;
+            }
+            st.ring.push_back(tenant.into());
+        }
+        let config = RuntimeConfig::default();
+        let order: Vec<_> = std::iter::from_fn(|| {
+            let (batch, _, tenant) = drr_pop(&mut st, &config);
+            (!batch.is_empty()).then_some((tenant, batch.len() as u64))
+        })
+        .collect();
+        let turn = |tenant: &str, n| (tenant.to_string(), n);
+        assert_eq!(
+            order,
+            [
+                turn("noisy", DRR_QUANTUM),
+                turn("polite", 1),
+                turn("noisy", DRR_QUANTUM),
+                turn("noisy", DRR_QUANTUM),
+            ]
+        );
+        assert_eq!(st.queued, 0);
     }
 
     #[test]

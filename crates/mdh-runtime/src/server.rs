@@ -555,7 +555,7 @@ pub fn serve_opts(opts: ServeOptions, config: RuntimeConfig) -> std::io::Result<
     let router = Router::new(&config, opts.shards, vnodes)
         .map_err(|e| std::io::Error::other(e.to_string()))?;
     if let Some(ring) = &router.ring {
-        // deterministic: the run-twice CI jobs diff this line
+        // deterministic: same shards and vnodes, same fingerprint
         eprintln!(
             "mdh-runtime: shard ring: shards={} vnodes={} fingerprint={:016x}",
             ring.shards(),

@@ -1,98 +1,54 @@
 //! Runtime statistics: cache counters and latency percentiles.
 
-/// Records latencies (milliseconds) and reports percentiles.
-///
-/// Exact implementation (sorted copy on query) — serving workloads here
-/// are thousands of requests, not millions, and exactness keeps the
-/// example's printed p50/p99 honest.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples_ms: Vec<f64>,
-}
-
-impl LatencyRecorder {
-    pub fn new() -> LatencyRecorder {
-        LatencyRecorder::default()
-    }
-
-    pub fn record(&mut self, ms: f64) {
-        if ms.is_finite() {
-            self.samples_ms.push(ms);
-        }
-    }
-
-    pub fn count(&self) -> usize {
-        self.samples_ms.len()
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.samples_ms.is_empty() {
-            return 0.0;
-        }
-        self.samples_ms.iter().sum::<f64>() / self.samples_ms.len() as f64
-    }
-
-    /// Nearest-rank percentile; `p` in [0, 100]. 0.0 when empty.
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.samples_ms.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
-    }
-
-    pub fn max(&self) -> f64 {
-        self.samples_ms.iter().copied().fold(0.0, f64::max)
-    }
-}
-
-/// Bounded reservoir of per-request *execution* latencies
-/// (microseconds): the time spent inside the executor proper, excluding
-/// queueing, batching, and response plumbing — the figure the execution
-/// pool directly moves.
+/// Bounded window of per-request latencies, in the caller's unit: the
+/// runtime keeps one for end-to-end latency (submit → response, ms) and
+/// one for *execution* latency (inside the executor proper, excluding
+/// queueing, batching and response plumbing, µs).
 ///
 /// Memory is bounded by `capacity` no matter how long the runtime
 /// serves: once full, new samples overwrite the oldest (ring buffer),
 /// so percentiles describe the most recent `capacity` requests — the
 /// useful window for a long-lived server — and recording stays O(1) and
-/// deterministic (no sampling RNG).
+/// deterministic (no sampling RNG). The count and the mean run over
+/// every sample ever recorded.
 #[derive(Debug, Clone)]
-pub struct ExecLatencyReservoir {
-    samples_us: Vec<f64>,
+pub struct LatencyWindow {
+    samples: Vec<f64>,
     capacity: usize,
     next: usize,
     total: u64,
+    sum: f64,
 }
 
-impl Default for ExecLatencyReservoir {
-    fn default() -> ExecLatencyReservoir {
-        ExecLatencyReservoir::new(4096)
+impl Default for LatencyWindow {
+    fn default() -> LatencyWindow {
+        LatencyWindow::new(4096)
     }
 }
 
-impl ExecLatencyReservoir {
-    pub fn new(capacity: usize) -> ExecLatencyReservoir {
-        ExecLatencyReservoir {
-            samples_us: Vec::new(),
+impl LatencyWindow {
+    pub fn new(capacity: usize) -> LatencyWindow {
+        LatencyWindow {
+            samples: Vec::new(),
             capacity: capacity.max(1),
             next: 0,
             total: 0,
+            sum: 0.0,
         }
     }
 
-    pub fn record_us(&mut self, us: f64) {
-        if !us.is_finite() || us < 0.0 {
+    pub fn record(&mut self, x: f64) {
+        if !x.is_finite() || x < 0.0 {
             return;
         }
-        if self.samples_us.len() < self.capacity {
-            self.samples_us.push(us);
+        if self.samples.len() < self.capacity {
+            self.samples.push(x);
         } else {
-            self.samples_us[self.next] = us;
+            self.samples[self.next] = x;
         }
         self.next = (self.next + 1) % self.capacity;
         self.total += 1;
+        self.sum += x;
     }
 
     /// Total samples ever recorded (not capped by the window).
@@ -100,15 +56,27 @@ impl ExecLatencyReservoir {
         self.total
     }
 
-    /// Nearest-rank percentile over the retained window; 0.0 when empty.
-    pub fn percentile_us(&self, p: f64) -> f64 {
-        if self.samples_us.is_empty() {
+    /// Mean over every sample ever recorded; 0.0 when empty.
+    pub fn mean(&self) -> f64 {
+        if self.total == 0 {
             return 0.0;
         }
-        let mut sorted = self.samples_us.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        self.sum / self.total as f64
+    }
+
+    /// Nearest-rank p50 and p99 over the retained window, from one sorted
+    /// copy (the caller holds the counters lock); zeros when empty.
+    pub fn p50_p99(&self) -> (f64, f64) {
+        if self.samples.is_empty() {
+            return (0.0, 0.0);
+        }
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        let rank = |p: f64| {
+            let r = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+            sorted[r.clamp(1, sorted.len()) - 1]
+        };
+        (rank(50.0), rank(99.0))
     }
 }
 
@@ -139,7 +107,7 @@ pub struct RuntimeStats {
     pub latency_mean_ms: f64,
     /// Per-request *execution* latency (inside the executor, excluding
     /// queueing/batching) in microseconds, over the bounded reservoir of
-    /// [`ExecLatencyReservoir`]. Zero until a request has executed.
+    /// [`LatencyWindow`]. Zero until a request has executed.
     pub exec_p50_us: f64,
     pub exec_p99_us: f64,
     /// Requests whose execution latency was sampled (monotone).
@@ -670,38 +638,30 @@ mod tests {
 
     #[test]
     fn percentiles_nearest_rank() {
-        let mut r = LatencyRecorder::new();
+        let mut r = LatencyWindow::default();
+        assert_eq!((r.p50_p99(), r.mean(), r.total()), ((0.0, 0.0), 0.0, 0));
         for i in 1..=100 {
             r.record(i as f64);
         }
-        assert_eq!(r.percentile(50.0), 50.0);
-        assert_eq!(r.percentile(99.0), 99.0);
-        assert_eq!(r.percentile(100.0), 100.0);
-        assert_eq!(r.max(), 100.0);
+        assert_eq!(r.p50_p99(), (50.0, 99.0));
         assert!((r.mean() - 50.5).abs() < 1e-9);
     }
 
     #[test]
-    fn empty_recorder_is_zero() {
-        let r = LatencyRecorder::new();
-        assert_eq!(r.percentile(99.0), 0.0);
-        assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.count(), 0);
-    }
-
-    #[test]
-    fn exec_reservoir_is_bounded_and_windows() {
-        let mut r = ExecLatencyReservoir::new(100);
+    fn latency_window_is_bounded_and_counts_everything() {
+        let mut r = LatencyWindow::new(100);
         for i in 1..=1000 {
-            r.record_us(i as f64);
+            r.record(i as f64);
         }
+        // ten times the capacity went in: the window holds the last 100
+        // samples (901..=1000), the count and the mean cover all 1000
+        assert_eq!(r.samples.len(), 100);
         assert_eq!(r.total(), 1000);
-        // window holds the last 100 samples: 901..=1000
-        assert_eq!(r.percentile_us(50.0), 950.0);
-        assert_eq!(r.percentile_us(99.0), 999.0);
+        assert_eq!(r.p50_p99(), (950.0, 999.0));
+        assert!((r.mean() - 500.5).abs() < 1e-9);
         // non-finite and negative samples are dropped
-        r.record_us(f64::NAN);
-        r.record_us(-1.0);
+        r.record(f64::NAN);
+        r.record(-1.0);
         assert_eq!(r.total(), 1000);
     }
 

@@ -27,7 +27,7 @@
 
 use mdh::apps::registry::{instantiate, StudyId};
 use mdh::apps::spec::Scale;
-use mdh::core::buffer::{Buffer, BufferData};
+use mdh::core::buffer::{bits_hash, Buffer, BufferData};
 use mdh::dist::{DevicePool, DistExecutor, FaultPlan, HealPolicy};
 use mdh::mem::MemPool;
 use std::sync::Arc;
@@ -42,24 +42,6 @@ fn exactify(inputs: &mut [Buffer]) {
         }
         buf.fill_with(move |i| ((i.wrapping_add(salt).wrapping_mul(2654435761)) % 16) as f64 - 8.0);
     }
-}
-
-/// FNV-1a over the bit patterns of every output element.
-fn output_hash(outputs: &[Buffer]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for buf in outputs {
-        for i in 0..buf.len() {
-            let bits = buf.get_flat(i).as_f64().unwrap_or(f64::NAN).to_bits();
-            for b in bits.to_le_bytes() {
-                mix(b);
-            }
-        }
-    }
-    h
 }
 
 fn main() {
@@ -188,6 +170,6 @@ fn main() {
         let (outs, _) = dist
             .run(&app.program, &app.inputs)
             .expect("degraded launch");
-        println!("output-hash {name} {:#018x}", output_hash(&outs));
+        println!("output-hash {name} {:#018x}", bits_hash(&outs));
     }
 }

@@ -22,7 +22,7 @@
 
 use mdh::apps::registry::{instantiate, StudyId};
 use mdh::apps::spec::Scale;
-use mdh::core::buffer::{Buffer, BufferData};
+use mdh::core::buffer::{bits_hash, Buffer, BufferData};
 use mdh::dist::{CombineTopology, DevicePool, DeviceSpec, DistExecutor, PoolConfig};
 
 /// Integer-valued refill: exact in f32/f64, so partial-result
@@ -34,24 +34,6 @@ fn exactify(inputs: &mut [Buffer]) {
         }
         buf.fill_with(move |i| ((i.wrapping_add(salt).wrapping_mul(2654435761)) % 16) as f64 - 8.0);
     }
-}
-
-/// FNV-1a over the bit patterns of every output element.
-fn output_hash(outputs: &[Buffer]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for buf in outputs {
-        for i in 0..buf.len() {
-            let bits = buf.get_flat(i).as_f64().unwrap_or(f64::NAN).to_bits();
-            for b in bits.to_le_bytes() {
-                mix(b);
-            }
-        }
-    }
-    h
 }
 
 fn main() {
@@ -82,7 +64,7 @@ fn main() {
             println!("  {report}  speedup(hot)={:.2}x", *ref_hot / report.hot_ms);
         }
         let (ref_outs, _) = reference.expect("reference recorded");
-        println!("  output-hash {name} {:#018x}\n", output_hash(&ref_outs));
+        println!("  output-hash {name} {:#018x}\n", bits_hash(&ref_outs));
     }
 
     // --- combine topologies on the reduction-heavy kernel ---------------
@@ -112,7 +94,7 @@ fn main() {
             report.combine.compute_ms,
             report.hot_ms
         );
-        hashes.push(output_hash(&outs));
+        hashes.push(bits_hash(&outs));
     }
     assert!(
         hashes.windows(2).all(|w| w[0] == w[1]),
@@ -146,5 +128,5 @@ fn main() {
     assert_eq!(outs, ref_outs, "heterogeneous pool diverged");
     let devices: Vec<String> = report.per_shard.iter().map(|s| s.device.clone()).collect();
     println!("  shards on {:?}: bit-identical to single device", devices);
-    println!("  output-hash MatVec/hetero {:#018x}", output_hash(&outs));
+    println!("  output-hash MatVec/hetero {:#018x}", bits_hash(&outs));
 }

@@ -28,7 +28,7 @@
 
 use mdh::apps::registry::{instantiate, StudyId};
 use mdh::apps::spec::Scale;
-use mdh::core::buffer::{Buffer, BufferData};
+use mdh::core::buffer::{bits_hash, Buffer, BufferData};
 use mdh::core::error::MdhError;
 use mdh::lowering::asm::DeviceKind;
 use mdh::runtime::{Request, Runtime, RuntimeConfig, TunePolicy};
@@ -43,24 +43,6 @@ fn exactify(inputs: &mut [Buffer]) {
         }
         buf.fill_with(move |i| ((i.wrapping_add(salt).wrapping_mul(2654435761)) % 16) as f64 - 8.0);
     }
-}
-
-/// FNV-1a over the bit patterns of every output element.
-fn output_hash(outputs: &[Buffer]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for buf in outputs {
-        for i in 0..buf.len() {
-            let bits = buf.get_flat(i).as_f64().unwrap_or(f64::NAN).to_bits();
-            for b in bits.to_le_bytes() {
-                mix(b);
-            }
-        }
-    }
-    h
 }
 
 fn main() {
@@ -110,7 +92,7 @@ fn main() {
             ))
             .wait()
             .expect("unloaded reference launch");
-        output_hash(&resp.outputs)
+        bits_hash(&resp.outputs)
     };
 
     let config = RuntimeConfig {
@@ -159,7 +141,7 @@ fn main() {
                 scope.spawn(move || {
                     rt.submit(Request::new(prog, DeviceKind::Cpu, inputs))
                         .wait()
-                        .map(|resp| output_hash(&resp.outputs))
+                        .map(|resp| bits_hash(&resp.outputs))
                 })
             })
             .collect();
@@ -168,10 +150,10 @@ fn main() {
         }
     });
     for h in blockers {
-        results.push(h.wait().map(|r| output_hash(&r.outputs)));
+        results.push(h.wait().map(|r| bits_hash(&r.outputs)));
     }
     for h in expired {
-        results.push(h.wait().map(|r| output_hash(&r.outputs)));
+        results.push(h.wait().map(|r| bits_hash(&r.outputs)));
     }
 
     let total = results.len();
@@ -241,7 +223,7 @@ fn main() {
             ))
             .wait()
             .expect("good requests must succeed after poisoning");
-        let h = output_hash(&resp.outputs);
+        let h = bits_hash(&resp.outputs);
         assert_eq!(h, reference, "recovery results must stay bit-identical");
         recovery_hash = Some(h);
     }

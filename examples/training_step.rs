@@ -13,7 +13,7 @@
 
 use mdh::apps::registry::{instantiate, StudyId};
 use mdh::apps::spec::Scale;
-use mdh::core::buffer::{Buffer, BufferData};
+use mdh::core::buffer::{bits_hash, Buffer, BufferData};
 use mdh::core::shape::Shape;
 use mdh::dist::{DevicePool, DistExecutor};
 use mdh::lowering::asm::DeviceKind;
@@ -28,24 +28,6 @@ fn exactify(inputs: &mut [Buffer]) {
         }
         buf.fill_with(move |i| ((i.wrapping_add(salt).wrapping_mul(2654435761)) % 16) as f64 - 8.0);
     }
-}
-
-/// FNV-1a over the bit patterns of every output element.
-fn output_hash(outputs: &[Buffer]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for buf in outputs {
-        for i in 0..buf.len() {
-            let bits = buf.get_flat(i).as_f64().unwrap_or(f64::NAN).to_bits();
-            for b in bits.to_le_bytes() {
-                mix(b);
-            }
-        }
-    }
-    h
 }
 
 /// Integer-valued cotangent for a program's (single) output.
@@ -106,7 +88,7 @@ fn main() {
             let input = &app.program.inp_view.buffers[*w].name;
             println!(
                 "  output-hash {name}/d_{input} {:#018x}",
-                output_hash(std::slice::from_ref(g))
+                bits_hash(std::slice::from_ref(g))
             );
         }
     }
@@ -166,7 +148,7 @@ fn main() {
     );
     println!(
         "  output-hash MatVec/sgd-step {:#018x}",
-        output_hash(&after_resp.outputs)
+        bits_hash(&after_resp.outputs)
     );
 
     // --- the indexed reduction (rbi) is ordinary serving traffic --------
@@ -193,17 +175,13 @@ fn main() {
         for devices in [1usize, 2, 4] {
             let dist = DistExecutor::new(DevicePool::gpus(devices)).expect("pool");
             let (outs, _) = dist.run(&app.program, &app.inputs).expect("dist run");
-            hashes.push(output_hash(&outs));
+            hashes.push(bits_hash(&outs));
         }
         assert!(
             hashes.windows(2).all(|w| w[0] == w[1]),
             "Histogram/{input_no} diverged across device counts"
         );
-        assert_eq!(
-            output_hash(&served.outputs),
-            hashes[0],
-            "served run diverged"
-        );
+        assert_eq!(bits_hash(&served.outputs), hashes[0], "served run diverged");
         println!(
             "  output-hash Histogram/{input_no} ({}) {:#018x}",
             app.sizes_desc, hashes[0]

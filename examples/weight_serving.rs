@@ -25,7 +25,7 @@
 //!
 //! Run with `cargo run --release --example weight_serving`.
 
-use mdh::core::buffer::Buffer;
+use mdh::core::buffer::{bits_hash, Buffer};
 use mdh::core::dsl::DslProgram;
 use mdh::core::shape::Shape;
 use mdh::directive::{compile, DirectiveEnv};
@@ -67,21 +67,6 @@ fn buffer(name: &str, dims: Vec<usize>, salt: usize) -> Buffer {
     buf
 }
 
-/// FNV-1a over the bit patterns of every output element.
-fn output_hash(outputs: &[Buffer]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for buf in outputs {
-        for i in 0..buf.len() {
-            let bits = buf.get_flat(i).as_f64().unwrap_or(f64::NAN).to_bits();
-            for b in bits.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-    }
-    h
-}
-
 fn serve_workload(runtime: &Runtime, label: &str) -> Vec<u64> {
     let program = model();
     let mut weights = buffer("weights", vec![N, N], 0);
@@ -96,7 +81,7 @@ fn serve_workload(runtime: &Runtime, label: &str) -> Vec<u64> {
             ))
             .wait()
             .expect("launch");
-        hashes.push(output_hash(&resp.outputs));
+        hashes.push(bits_hash(&resp.outputs));
         resp.transfer_ms
     };
 

@@ -7,7 +7,7 @@
 use mdh::lowering::asm::DeviceKind;
 use mdh::runtime::server::{
     client_shutdown, client_shutdown_addr, client_stats_json_addr, client_submit,
-    client_submit_opts, client_submit_pipelined, client_submit_with_deadline, serve, serve_opts,
+    client_submit_opts, client_submit_pipelined, client_submit_with_deadline, serve_opts,
     MAX_HEADER_BYTES,
 };
 use mdh::runtime::{RuntimeConfig, ServeOptions, ServerAddr, SubmitClientOpts, TunePolicy};
@@ -26,33 +26,58 @@ def dot(res, x, y):
         res[0] = x[k] * y[k]
 ";
 
-fn start_server(tag: &str) -> (PathBuf, std::thread::JoinHandle<()>) {
+/// One worker, no background tuning, a short read timeout.
+fn test_config() -> RuntimeConfig {
+    RuntimeConfig {
+        workers: 1,
+        exec_threads: 2,
+        read_timeout: Duration::from_millis(300),
+        tune: TunePolicy {
+            enabled: false,
+            ..TunePolicy::default()
+        },
+        ..RuntimeConfig::default()
+    }
+}
+
+/// Serve `config` on a fresh unix socket — and on a free TCP port when
+/// `tcp` — behind a `shards`-way front, until SHUTDOWN; returns once every
+/// listener accepts.
+fn start_front(
+    tag: &str,
+    tcp: bool,
+    shards: usize,
+    config: RuntimeConfig,
+) -> (PathBuf, Option<ServerAddr>, std::thread::JoinHandle<()>) {
     let dir = std::env::temp_dir().join(format!("mdh-proto-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let sock = dir.join("rt.sock");
-    let sock2 = sock.clone();
-    let server = std::thread::spawn(move || {
-        serve(
-            &sock2,
-            RuntimeConfig {
-                workers: 1,
-                exec_threads: 2,
-                read_timeout: Duration::from_millis(300),
-                tune: TunePolicy {
-                    enabled: false,
-                    ..TunePolicy::default()
-                },
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap();
+    // grab a free port, release it, rebind it in the server
+    let tcp = tcp.then(|| {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        format!("127.0.0.1:{}", probe.local_addr().unwrap().port())
     });
+    let opts = ServeOptions {
+        unix: Some(sock.clone()),
+        tcp: tcp.clone(),
+        shards,
+        ..ServeOptions::default()
+    };
+    let server = std::thread::spawn(move || serve_opts(opts, config).unwrap());
     for _ in 0..500 {
-        if sock.exists() {
+        let tcp_up = tcp
+            .as_ref()
+            .is_none_or(|a| std::net::TcpStream::connect(a).is_ok());
+        if sock.exists() && tcp_up {
             break;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
+    (sock, tcp.map(ServerAddr::Tcp), server)
+}
+
+fn start_server(tag: &str) -> (PathBuf, std::thread::JoinHandle<()>) {
+    let (sock, _, server) = start_front(tag, false, 1, test_config());
     (sock, server)
 }
 
@@ -520,44 +545,8 @@ fn pipelined_submits_are_bit_identical_to_sequential() {
 
 #[test]
 fn tcp_transport_speaks_the_same_grammar_and_shares_the_runtime() {
-    let dir = std::env::temp_dir().join(format!("mdh-proto-tcp-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let sock = dir.join("rt.sock");
-    // grab a free port, release it, rebind it in the server
-    let tcp = {
-        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        format!("127.0.0.1:{}", probe.local_addr().unwrap().port())
-    };
-    let opts = ServeOptions {
-        unix: Some(sock.clone()),
-        tcp: Some(tcp.clone()),
-        ..ServeOptions::default()
-    };
-    let server = std::thread::spawn(move || {
-        serve_opts(
-            opts,
-            RuntimeConfig {
-                workers: 1,
-                exec_threads: 2,
-                read_timeout: Duration::from_millis(300),
-                tune: TunePolicy {
-                    enabled: false,
-                    ..TunePolicy::default()
-                },
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap();
-    });
-    let tcp_addr = ServerAddr::Tcp(tcp);
-    for _ in 0..500 {
-        if sock.exists()
-            && std::net::TcpStream::connect(tcp_addr.to_string().trim_start_matches("tcp:")).is_ok()
-        {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    let (sock, tcp_addr, server) = start_front("tcp", true, 1, test_config());
+    let tcp_addr = tcp_addr.unwrap();
 
     let copts = SubmitClientOpts {
         bindings: vec![("N".into(), 64)],
@@ -602,82 +591,182 @@ fn tcp_transport_speaks_the_same_grammar_and_shares_the_runtime() {
     assert!(!sock.exists(), "socket file removed on clean shutdown");
 }
 
+/// The numbers under `"key":` in the one-line stats JSON: the value
+/// itself, or every value of a flat `{...}` object.
+fn stats_nums(json: &str, key: &str) -> Vec<u64> {
+    let pat = format!("\"{key}\":");
+    let at = json
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {key} in {json}"));
+    let rest = &json[at + pat.len()..];
+    let end = if rest.starts_with('{') {
+        rest.find('}')
+    } else {
+        rest.find([',', '}'])
+    };
+    rest[..end.expect("unterminated value")]
+        .split(['{', ',', ':', '"'])
+        .filter_map(|t| t.parse().ok())
+        .collect()
+}
+
+fn ok_lines(lines: &[String]) -> usize {
+    lines.iter().filter(|l| l.starts_with("ok ")).count()
+}
+
+/// A tenant that bursts past its quota sheds its own surplus and nothing
+/// else: it is still served, and polite tenants — after the burst, or
+/// trickling singles *while* it floods — lose no request.
 #[test]
 fn tenant_quota_sheds_the_flooder_but_not_the_tenant_itself() {
-    let dir = std::env::temp_dir().join(format!("mdh-proto-tenant-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let sock = dir.join("rt.sock");
-    let opts = ServeOptions {
-        unix: Some(sock.clone()),
-        ..ServeOptions::default()
-    };
-    let server = std::thread::spawn(move || {
-        serve_opts(
-            opts,
-            RuntimeConfig {
-                workers: 1,
-                exec_threads: 2,
-                tenant_quota: 2,
-                read_timeout: Duration::from_millis(1000),
-                tune: TunePolicy {
-                    enabled: false,
-                    ..TunePolicy::default()
-                },
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap();
-    });
-    for _ in 0..500 {
-        if sock.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
+    // (tag, workers, DRR weights, quota, flood burst, polite tenants,
+    //  sequential singles each, polite traffic runs while the flood does)
+    const UNWEIGHTED: &[(&str, u32)] = &[];
+    for (tag, workers, weights, quota, burst, polite, singles, concurrent) in [
+        ("tenant", 1, UNWEIGHTED, 2, 32, 1, 2, false),
+        (
+            "flood",
+            2,
+            &[("noisy", 1), ("polite-0", 2)],
+            4,
+            64,
+            3,
+            24,
+            true,
+        ),
+    ] {
+        let config = RuntimeConfig {
+            workers,
+            tenant_weights: weights.iter().map(|&(t, w)| (t.into(), w)).collect(),
+            tenant_quota: quota,
+            read_timeout: Duration::from_millis(1000),
+            ..test_config()
+        };
+        let (sock, _, server) = start_front(tag, false, 1, config);
+        let addr = ServerAddr::Unix(sock.clone());
+        let copts = |tenant: &str| SubmitClientOpts {
+            bindings: vec![("N".into(), 64)],
+            tenant: Some(tenant.into()),
+            ..SubmitClientOpts::default()
+        };
+        // warm the compile memo so the burst below races only dispatch
+        client_submit_opts(&addr, DOT, DeviceKind::Cpu, 1, &copts("noisy")).unwrap();
+
+        // one SUBMIT frame carrying the whole burst: the server enqueues
+        // it back to back, so the quota must shed most of it no matter
+        // how fast the worker drains
+        let run_flood =
+            || client_submit_opts(&addr, DOT, DeviceKind::Cpu, burst, &copts("noisy")).unwrap();
+        // each polite tenant: sequential single requests, depth <= 1
+        let trickle = |tenant: usize| {
+            let opts = copts(&format!("polite-{tenant}"));
+            (0..singles)
+                .map(|_| client_submit_opts(&addr, DOT, DeviceKind::Cpu, 1, &opts).unwrap())
+                .map(|lines| ok_lines(&lines))
+                .sum::<usize>()
+        };
+        let trickle_all = || {
+            std::thread::scope(|s| {
+                let tenants: Vec<_> = (0..polite).map(|t| s.spawn(move || trickle(t))).collect();
+                tenants
+                    .into_iter()
+                    .map(|t| t.join().unwrap())
+                    .sum::<usize>()
+            })
+        };
+        let (flood, served) = if concurrent {
+            std::thread::scope(|s| {
+                let flood = s.spawn(run_flood);
+                let served = trickle_all();
+                (flood.join().unwrap(), served)
+            })
+        } else {
+            (run_flood(), trickle_all())
+        };
+
+        let shed: Vec<_> = flood.iter().filter(|l| l.starts_with("err ")).collect();
+        assert!(
+            ok_lines(&flood) >= 1,
+            "{tag}: the flooding tenant is throttled, not starved: {flood:?}"
+        );
+        assert_eq!(ok_lines(&flood) + shed.len(), burst, "{tag}: {flood:?}");
+        assert!(
+            !shed.is_empty(),
+            "{tag}: a {burst}-burst must shed at quota {quota}: {flood:?}"
+        );
+        assert!(
+            shed.iter().all(|l| l.contains("tenant 'noisy'")),
+            "{tag}: shed lines name the tenant: {shed:?}"
+        );
+        // a different tenant is untouched by the flooder's quota
+        assert_eq!(served, polite * singles, "{tag}: a polite request was lost");
+
+        // the counters surface per-tenant activity
+        let stats = client_stats_json_addr(&addr).unwrap().join("\n");
+        assert_eq!(
+            stats_nums(&stats, "tenant_shed"),
+            [shed.len() as u64],
+            "{stats}"
+        );
+        assert!(stats.contains("\"noisy\":"), "{stats}");
+        assert!(stats.contains("\"polite-0\":"), "{stats}");
+
+        client_shutdown(&sock).unwrap();
+        server.join().unwrap();
     }
-    let addr = ServerAddr::Unix(sock.clone());
+}
 
-    // warm the compile memo so the burst below races only dispatch
-    let copts = |tenant: &str| SubmitClientOpts {
-        bindings: vec![("N".into(), 64)],
-        tenant: Some(tenant.into()),
-        ..SubmitClientOpts::default()
-    };
-    client_submit_opts(&addr, DOT, DeviceKind::Cpu, 1, &copts("noisy")).unwrap();
+/// The same 8-plan-key workload through fronts of 1, 2 and 4 shards over
+/// the unix socket and 2 shards over TCP: every reply `ok`, the checksums
+/// identical everywhere, and a sharded front spreads the keys — its merged
+/// stats account for every request on the shard that served it.
+#[test]
+fn checksums_are_identical_across_shard_counts_and_transports() {
+    const KEYS: [i64; 8] = [128, 192, 256, 320, 384, 448, 512, 576];
+    const REPEAT: usize = 3;
+    let mut want: Option<Vec<String>> = None;
+    for (shards, tcp) in [(1, false), (2, false), (4, false), (2, true)] {
+        let tag = format!("grid-{shards}-{tcp}");
+        let (sock, tcp_addr, server) = start_front(&tag, tcp, shards, test_config());
+        let addr = tcp_addr.unwrap_or(ServerAddr::Unix(sock));
+        let mut lines = Vec::new();
+        for n in KEYS {
+            let opts = SubmitClientOpts {
+                bindings: vec![("N".into(), n)],
+                ..SubmitClientOpts::default()
+            };
+            lines.extend(client_submit_opts(&addr, DOT, DeviceKind::Cpu, REPEAT, &opts).unwrap());
+        }
+        let sums = checksums(&lines);
+        assert_eq!(sums.len(), KEYS.len() * REPEAT, "{tag}: {lines:?}");
+        assert_eq!(
+            want.get_or_insert_with(|| sums.clone()),
+            &sums,
+            "{tag}: results diverged from the unsharded unix front"
+        );
 
-    // a 32-deep burst into a quota of 2: some launches must shed, the
-    // shed message must name the tenant, and at least one must serve
-    let lines = client_submit_opts(&addr, DOT, DeviceKind::Cpu, 32, &copts("noisy")).unwrap();
-    let ok = lines.iter().filter(|l| l.starts_with("ok ")).count();
-    let shed: Vec<_> = lines.iter().filter(|l| l.starts_with("err ")).collect();
-    assert!(
-        ok >= 1,
-        "the flooding tenant is throttled, not starved: {lines:?}"
-    );
-    assert!(
-        !shed.is_empty(),
-        "a 32-burst must shed at quota 2: {lines:?}"
-    );
-    assert!(
-        shed.iter().all(|l| l.contains("tenant 'noisy'")),
-        "shed lines name the tenant: {shed:?}"
-    );
-
-    // a different tenant is untouched by the flooder's quota
-    let lines = client_submit_opts(&addr, DOT, DeviceKind::Cpu, 2, &copts("polite")).unwrap();
-    assert_eq!(
-        lines.iter().filter(|l| l.starts_with("ok ")).count(),
-        2,
-        "{lines:?}"
-    );
-
-    // the counters surface per-tenant activity
-    let stats = client_stats_json_addr(&addr).unwrap().join("\n");
-    assert!(stats.contains("\"tenant_shed\":"), "{stats}");
-    assert!(stats.contains("\"noisy\":"), "{stats}");
-    assert!(stats.contains("\"polite\":"), "{stats}");
-
-    client_shutdown(&sock).unwrap();
-    server.join().unwrap();
+        let stats = client_stats_json_addr(&addr).unwrap().join("\n");
+        let routes = stats_nums(&stats, "shard_routes");
+        if shards > 1 {
+            assert_eq!(routes.len(), shards, "{tag}: {stats}");
+            assert_eq!(
+                routes.iter().sum::<u64>(),
+                sums.len() as u64,
+                "{tag}: {stats}"
+            );
+            assert!(
+                routes.iter().filter(|&&n| n > 0).count() >= 2,
+                "{tag}: every key landed on one shard: {stats}"
+            );
+            assert_eq!(
+                stats_nums(&stats, "completed"),
+                [sums.len() as u64],
+                "{stats}"
+            );
+        }
+        client_shutdown_addr(&addr).unwrap();
+        server.join().unwrap();
+    }
 }
 
 #[test]
