@@ -8,20 +8,30 @@
 //! exactly that chain per output point and gets its speed from everything
 //! the chain does *not* pin down:
 //!
-//! - the eight [`Line`] lanes are eight *adjacent output points* of the
-//!   last preserved dimension, never a split of one reduction;
-//! - loop tiling (from [`ExecutionPlan::tile_for`]) reorders whole
-//!   independent output points, never elements within one fold;
-//! - the packed path copies operands into contiguous f64 panels first —
-//!   offsets are exact integers and `f32 as f64` is exact, so packing
-//!   changes memory traffic, not values;
-//! - the hot accumulates may fuse multiply and add into one instruction
-//!   because both factors are exact f32 widenings: the f64 product
+//! - **Dim grouping.** A preserved dim on which only one factor's
+//!   linearised coefficient is nonzero moves that factor alone: such dims
+//!   form the row extent M (factor `a` moves) and the lane extent N
+//!   (factor `b` moves), however many there are; dims on which both move
+//!   are the batch loop. Accesses are affine, so a factor's offset is
+//!   `base(batch) + off(m) + off(k)` through two precomputed tables, and
+//!   MatMul, bMatMul, CCSD(T) and MCC are all the same M × N × K loop nest.
+//! - **Blocking.** The nest is GotoBLAS's: per [`NC`] lanes, per [`KC`]
+//!   reduction steps *ascending*, a B panel is packed once; per [`MC`]
+//!   rows an A block is packed; an [`MR`] × [`NR`] register tile streams
+//!   both. Between K blocks the accumulators are stored to and reloaded
+//!   from the task's f64 partial — exact — so each point still folds k
+//!   strictly ascending, copy-initialised at the task's very first k only.
+//! - **Lanes are points.** The lanes of a [`Line`] are adjacent output
+//!   points, never a split of one reduction; edge tiles run on zero-padded
+//!   panels and store only their live rows and lanes.
+//! - **FMA.** Panels hold exact `f32 as f64` widenings, so every product
 //!   carries at most 48 significand bits, the inner rounding is the
-//!   identity, and fused vs two-rounding results coincide bit for bit
+//!   identity, and fused vs two-rounding accumulates coincide bit for bit
 //!   (see [`Line::acc_fma_exact`]).
 //!
-//! Result bits therefore match `vm_exec` for every pool width.
+//! With only one of M and N present (MatVec) the direct lane walker runs,
+//! with neither (Dot) one sequential chain; all three fold identical
+//! chains, so result bits match `vm_exec` for every pool width.
 
 use crate::fast::line::{Line, LANES};
 use crate::fast::{f32_inputs, linearize_for};
@@ -30,40 +40,58 @@ use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::eval;
+use mdh_core::index_fn::AffineExpr;
 use mdh_core::shape::MdRange;
 use mdh_lowering::plan::ExecutionPlan;
 use rayon::prelude::*;
 
-/// Rows per register block in the packed micro-kernel. Eight accumulator
-/// registers are needed to cover the ~4-cycle FMA latency on two issue
-/// ports; fewer rows leave the FP pipes idle waiting on the previous
-/// accumulation.
-const ROWS: usize = 8;
+/// Register tile: `MR` rows by `NR` lanes — sixteen accumulator registers
+/// on AVX-512, ten loads (two B lines, eight A broadcasts) per sixteen
+/// FMAs.
+pub(crate) const MR: usize = 8;
+pub(crate) const NR: usize = 2 * LANES;
+/// Block sizes, picked by the sweep recorded in DESIGN §15. `KC` reduction
+/// steps per packed panel: a `KC x NR` B micro-panel (32 KiB) stays in L1
+/// while the A block streams past it, and the partial is stored and
+/// reloaded once per `KC` steps.
+pub(crate) const KC: usize = 256;
+/// Rows per packed A block (`MC x KC` f64 = 128 KiB, L2-resident; the
+/// block's partial rows, one page apart at paper sizes, fit the L1 dTLB).
+pub(crate) const MC: usize = 64;
+/// Lanes per packed B panel (`KC x NC` f64 = 2 MiB).
+pub(crate) const NC: usize = 1024;
 
-/// Upper bound (bytes) on the packed panels of one task; larger
-/// reductions run the unpacked path instead (same bits, no copies).
-const PACK_CAP_BYTES: usize = 16 << 20;
-
-/// An f64 partial over one task's preserved sub-range. The fast path
-/// keeps partials in f64 (the VM's accumulator precision) and rounds to
-/// f32 once, in the write phase — exactly where the VM rounds.
-pub(crate) struct PartialF64 {
-    extents: Vec<usize>,
-    data: Vec<f64>,
+thread_local! {
+    /// This thread's packed A block and B panel, kept from task to task
+    /// (at most `MC·KC + KC·NC` f64 = 2.1 MiB). Allocated and freed per
+    /// task, a 2 MiB panel beside the 4 MiB partials fragments the
+    /// allocator's arenas: ≈ 35 MiB of resident memory nothing was using.
+    static PANELS: std::cell::Cell<(Vec<f64>, Vec<[Line; 2]>)> =
+        const { std::cell::Cell::new((Vec::new(), Vec::new())) };
 }
 
 /// How a task's loops are arranged; chosen once per run from the access
-/// strides. All three arrangements fold identical chains.
+/// coefficients. All three arrangements fold identical chains.
 #[derive(Clone, Copy)]
 enum TaskPath {
-    /// Panel-packed `ROWS x LANES` micro-kernel: factor `a` is invariant
-    /// in the lane dim, factor `b` invariant in the row dim.
-    Packed { a: usize, b: usize },
-    /// Direct 8-lane accumulation (e.g. MatVec, or stride patterns the
-    /// packer does not cover).
+    /// Blocked M x N x K nest over packed panels; `a` is the factor the
+    /// row dims move, `b` the one the lane dims move.
+    Blocked { a: usize, b: usize },
+    /// Direct 8-lane accumulation along the last preserved dim (MatVec).
     Unpacked,
     /// Pure reduction with no preserved dims (Dot): one sequential chain.
     Scalar,
+}
+
+/// The preserved dims by role. A task's f64 partial — the VM's
+/// accumulator precision, rounded to f32 once, in the write phase, exactly
+/// where the VM rounds — is laid out `[batch][m][n]`, each group in
+/// odometer order.
+struct Arrangement {
+    path: TaskPath,
+    batch: Vec<usize>,
+    m: Vec<usize>,
+    n: Vec<usize>,
 }
 
 /// A compiled two-factor contraction `out[..] = Σ x_f0 * x_f1`.
@@ -95,35 +123,30 @@ impl FastContraction {
             return Ok(None);
         }
         let ins = f32_inputs(prog, inputs)?;
-        let path = self.pick_path(&in_acc);
+        let arr = self.arrange(&in_acc);
 
-        let mut partials: Vec<Option<PartialF64>> = Vec::new();
+        let mut partials: Vec<Result<Vec<f64>>> = Vec::new();
         pool.install(|| {
             plan.tasks
                 .par_iter()
-                .map(|t| Some(self.run_task(&ins, &in_acc, &t.range, plan, path)))
+                .map(|t| self.run_task(&ins, &in_acc, &t.range, &arr))
                 .collect_into_vec(&mut partials);
         });
+        let mut partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
 
         // fold split-reduction groups exactly like the VM: the group
         // owner's partial first, members added in task-id order,
         // elementwise ascending, in f64
-        let write_jobs: Vec<(usize, PartialF64)> = if plan.split_dims.is_empty() {
-            partials
-                .into_iter()
-                .enumerate()
-                .map(|(t, p)| (t, p.expect("partial")))
-                .collect()
+        let write_jobs: Vec<(usize, Vec<f64>)> = if plan.split_dims.is_empty() {
+            partials.into_iter().enumerate().collect()
         } else {
-            let mut partials = partials;
             plan.groups
                 .iter()
                 .map(|g| {
                     let owner = g.task_ids[0];
-                    let mut acc = partials[owner].take().expect("owner partial");
+                    let mut acc = std::mem::take(&mut partials[owner]);
                     for &tid in &g.task_ids[1..] {
-                        let rhs = partials[tid].take().expect("member partial");
-                        for (a, b) in acc.data.iter_mut().zip(&rhs.data) {
+                        for (a, b) in acc.iter_mut().zip(&partials[tid]) {
                             *a += *b;
                         }
                     }
@@ -133,83 +156,85 @@ impl FastContraction {
         };
 
         let out_buf = prog.out_view.accesses[0].buffer;
-        {
-            let out = outputs[out_buf]
-                .as_f32_mut()
-                .ok_or_else(|| MdhError::Type("fast contraction output must be f32".into()))?;
-            for (owner, partial) in write_jobs {
-                self.write_partial(&partial, &plan.tasks[owner].range, oacc, out)?;
-            }
+        let out = outputs[out_buf]
+            .as_f32_mut()
+            .ok_or_else(|| MdhError::Type("fast contraction output must be f32".into()))?;
+        for (owner, partial) in write_jobs {
+            self.write_partial(&partial, &plan.tasks[owner].range, oacc, &arr, out)?;
         }
         Ok(Some(outputs))
     }
 
-    /// Round one task's partial to f32 and store it. The partial is
-    /// row-major over the preserved extents, so it is read front to back
-    /// while the output offset walks each row of the last preserved dim
-    /// by that dim's stride — no per-point index vectors.
+    /// Round one task's partial to f32 and store it. The partial is read
+    /// front to back — `[batch][m][n]` — while the output offset is
+    /// `base(batch) + off(m) + off(n)`; a lane group that steps the output
+    /// by 1 (every registered program) stores each row as one slice.
     fn write_partial(
         &self,
-        partial: &PartialF64,
+        partial: &[f64],
         range: &MdRange,
         oacc: &LinearAccess,
+        arr: &Arrangement,
         out: &mut [f32],
     ) -> Result<()> {
-        if partial.extents.contains(&0) {
+        if self.preserved.iter().any(|&d| range.extent(d) == 0) {
             return Ok(());
         }
-        let (outer, lane_d) = match self.preserved.split_last() {
-            Some((&lane_d, outer)) => (outer, Some(lane_d)),
-            None => (&[][..], None),
-        };
-        let lane_ext = lane_d.map_or(1, |d| range.extent(d));
-        let ostep = lane_d.map_or(0, |d| oacc.coeffs[d]);
+        check_span("output", oacc, range, out.len())?;
+        let om = offset_table(oacc, &arr.m, range);
+        let on = offset_table(oacc, &arr.n, range);
+        let unit = on.iter().enumerate().all(|(l, &o)| o == l as i64);
+        let mut rows = partial.chunks_exact(on.len());
         // collapsed entries stay at `lo`: their output coefficients are zero
         let mut idx = range.lo.clone();
-        for row in partial.data.chunks_exact(lane_ext) {
-            let obase = oacc.offset(&idx);
-            // affine in the lane index: the row's ends bound every store
-            if obase.min(obase + (lane_ext as i64 - 1) * ostep) < 0 {
-                return Err(MdhError::Eval("negative output offset".into()));
+        loop {
+            let base = oacc.offset(&idx);
+            for (&mo, row) in om.iter().zip(rows.by_ref()) {
+                if unit {
+                    let dst = &mut out[(base + mo) as usize..][..row.len()];
+                    dst.iter_mut().zip(row).for_each(|(o, &v)| *o = v as f32);
+                } else {
+                    for (&no, &v) in on.iter().zip(row) {
+                        out[(base + mo + no) as usize] = v as f32;
+                    }
+                }
             }
-            for (l, &v) in row.iter().enumerate() {
-                out[(obase + l as i64 * ostep) as usize] = v as f32;
-            }
-            if !advance(&mut idx, outer, range) {
-                break;
+            if !advance(&mut idx, &arr.batch, range) {
+                return Ok(());
             }
         }
-        Ok(())
     }
 
-    /// Choose the loop arrangement from the factors' strides. The packed
-    /// path needs one factor constant along the lane (last preserved) dim
-    /// and the other constant along the row (second-last preserved) dim —
-    /// the blocked-i/j/k MatMul shape.
-    fn pick_path(&self, in_acc: &[LinearAccess]) -> TaskPath {
-        let np = self.preserved.len();
-        if np == 0 {
-            return TaskPath::Scalar;
-        }
-        if np >= 2 {
-            let lane_d = self.preserved[np - 1];
-            let row_d = self.preserved[np - 2];
-            let a0 = &in_acc[self.f0];
-            let a1 = &in_acc[self.f1];
-            if a0.coeffs[lane_d] == 0 && a1.coeffs[row_d] == 0 {
-                return TaskPath::Packed {
-                    a: self.f0,
-                    b: self.f1,
-                };
-            }
-            if a1.coeffs[lane_d] == 0 && a0.coeffs[row_d] == 0 {
-                return TaskPath::Packed {
-                    a: self.f1,
-                    b: self.f0,
-                };
+    /// Group the preserved dims by which factor moves on them. The lane
+    /// factor `b` is the one the last preserved dim moves (so stores run
+    /// along the output's fastest dim); a dim neither factor moves costs
+    /// nothing as a lane dim. Without both a row and a lane group there is
+    /// no panel reuse to block for, and the direct walker runs instead.
+    fn arrange(&self, in_acc: &[LinearAccess]) -> Arrangement {
+        let (mut batch, mut m, mut n) = (Vec::new(), Vec::new(), Vec::new());
+        let Some((&last, outer)) = self.preserved.split_last() else {
+            let path = TaskPath::Scalar;
+            return Arrangement { path, batch, m, n };
+        };
+        let (a, b) = if in_acc[self.f0].coeffs[last] == 0 {
+            (self.f0, self.f1)
+        } else {
+            (self.f1, self.f0)
+        };
+        for &d in &self.preserved {
+            match (in_acc[a].coeffs[d] != 0, in_acc[b].coeffs[d] != 0) {
+                (true, true) => batch.push(d),
+                (true, false) => m.push(d),
+                (false, _) => n.push(d),
             }
         }
-        TaskPath::Unpacked
+        if m.is_empty() || n.is_empty() {
+            let path = TaskPath::Unpacked;
+            (batch, m, n) = (outer.to_vec(), Vec::new(), vec![last]);
+            return Arrangement { path, batch, m, n };
+        }
+        let path = TaskPath::Blocked { a, b };
+        Arrangement { path, batch, m, n }
     }
 
     fn run_task(
@@ -217,38 +242,27 @@ impl FastContraction {
         ins: &[&[f32]],
         in_acc: &[LinearAccess],
         range: &MdRange,
-        plan: &ExecutionPlan,
-        path: TaskPath,
-    ) -> PartialF64 {
-        let extents: Vec<usize> = self.preserved.iter().map(|&d| range.extent(d)).collect();
-        let n = extents.iter().product::<usize>().max(1);
-        let mut partial = PartialF64 {
-            extents,
-            data: vec![0.0; n],
-        };
+        arr: &Arrangement,
+    ) -> Result<Vec<f64>> {
+        let points: usize = self.preserved.iter().map(|&d| range.extent(d)).product();
+        let mut partial = vec![0.0; points];
         if range.is_empty() {
-            return partial;
+            return Ok(partial);
         }
-        match path {
+        // every offset a factor takes over the task lies between the
+        // extrema checked here, so no load below can leave its buffer
+        for f in [self.f0, self.f1] {
+            check_span("input", &in_acc[f], range, ins[f].len())?;
+        }
+        match arr.path {
             TaskPath::Scalar => self.task_scalar(ins, in_acc, range, &mut partial),
             TaskPath::Unpacked => self.task_unpacked(ins, in_acc, range, &mut partial),
-            TaskPath::Packed { a, b } => {
-                let knt: usize = self
-                    .collapsed
-                    .iter()
-                    .map(|&d| range.extent(d))
-                    .product::<usize>()
-                    .max(1);
-                let np = self.preserved.len();
-                let row_ext = range.extent(self.preserved[np - 2]);
-                if (row_ext * knt + knt * LANES) * 8 <= PACK_CAP_BYTES {
-                    self.task_packed(ins, in_acc, range, plan, a, b, knt, &mut partial);
-                } else {
-                    self.task_unpacked(ins, in_acc, range, &mut partial);
-                }
+            TaskPath::Blocked { a, b } => {
+                let (a, b) = ((&in_acc[a], ins[a]), (&in_acc[b], ins[b]));
+                self.task_blocked(a, b, range, arr, &mut partial)
             }
         }
-        partial
+        Ok(partial)
     }
 
     /// Dot-style task: no preserved dims, one strictly sequential f64
@@ -258,7 +272,7 @@ impl FastContraction {
         ins: &[&[f32]],
         in_acc: &[LinearAccess],
         range: &MdRange,
-        partial: &mut PartialF64,
+        partial: &mut [f64],
     ) {
         let a0 = &in_acc[self.f0];
         let a1 = &in_acc[self.f1];
@@ -285,7 +299,7 @@ impl FastContraction {
                 o1 += sk1;
             }
         });
-        partial.data[0] = acc;
+        partial[0] = acc;
     }
 
     /// Direct 8-lane task: lanes are adjacent points of the last
@@ -295,7 +309,7 @@ impl FastContraction {
         ins: &[&[f32]],
         in_acc: &[LinearAccess],
         range: &MdRange,
-        partial: &mut PartialF64,
+        partial: &mut [f64],
     ) {
         let np = self.preserved.len();
         let lane_d = self.preserved[np - 1];
@@ -356,7 +370,7 @@ impl FastContraction {
                     }
                 });
                 let p0 = outer_lin * lane_ext + jp;
-                partial.data[p0..p0 + ln].copy_from_slice(&acc.0[..ln]);
+                partial[p0..p0 + ln].copy_from_slice(&acc.0[..ln]);
                 jp += ln;
             }
             if !advance(&mut idx, outer_pres, range) {
@@ -366,127 +380,55 @@ impl FastContraction {
         }
     }
 
-    /// Blocked i/j/k task with packed panels: per macro point, factor `a`
-    /// is packed row-major (`row_ext x knt`), and per 8-lane column chunk
-    /// factor `b` is packed as one [`Line`] per reduction step; a
-    /// `ROWS x LANES` register block then streams both panels. Tiling
-    /// follows the plan's `inner_tiles` on the row, lane, and innermost
-    /// reduction dims.
-    #[allow(clippy::too_many_arguments)]
-    fn task_packed(
+    /// Blocked task. Per batch point: for each [`NC`] lanes, for each
+    /// [`KC`] reduction steps ascending, pack the B panel once; for each
+    /// [`MC`] rows pack the A block; then every `MR x NR` tile of the block
+    /// folds the `kc` steps into its accumulators, which live in `partial`
+    /// between K blocks.
+    fn task_blocked(
         &self,
-        ins: &[&[f32]],
-        in_acc: &[LinearAccess],
+        (aa, xa): (&LinearAccess, &[f32]),
+        (ab, xb): (&LinearAccess, &[f32]),
         range: &MdRange,
-        plan: &ExecutionPlan,
-        a_f: usize,
-        b_f: usize,
-        knt: usize,
-        partial: &mut PartialF64,
+        arr: &Arrangement,
+        partial: &mut [f64],
     ) {
-        let np = self.preserved.len();
-        let lane_d = self.preserved[np - 1];
-        let row_d = self.preserved[np - 2];
-        let macro_dims = &self.preserved[..np - 2];
-        let lane_ext = range.extent(lane_d);
-        let row_ext = range.extent(row_d);
-        let aa = &in_acc[a_f];
-        let ab = &in_acc[b_f];
-        let xa = ins[a_f];
-        let xb = ins[b_f];
-        let sbl = ab.coeffs[lane_d];
-        let ska = self.collapsed.last().map_or(0, |&d| aa.coeffs[d]);
-        let skb = self.collapsed.last().map_or(0, |&d| ab.coeffs[d]);
-        let it = tile_or(plan, row_d, row_ext);
-        let jt = tile_or(plan, lane_d, lane_ext);
-        let kbt = self
-            .collapsed
-            .last()
-            .map_or(knt, |&d| tile_or(plan, d, knt));
-
-        let mut apack = vec![0f64; row_ext * knt];
-        let mut bpack = vec![Line::zero(); knt];
+        let am = offset_table(aa, &arr.m, range);
+        let ak = offset_table(aa, &self.collapsed, range);
+        let bn = offset_table(ab, &arr.n, range);
+        let bk = offset_table(ab, &self.collapsed, range);
+        let (m_ext, n_ext, k_ext) = (am.len(), bn.len(), ak.len());
+        let kc_max = k_ext.min(KC);
+        let mut panels = PANELS.take();
+        let (apanel, bpanel) = (&mut panels.0, &mut panels.1);
+        apanel.resize(m_ext.min(MC).next_multiple_of(MR) * kc_max, 0.0);
+        bpanel.resize(n_ext.min(NC).div_ceil(NR) * kc_max, [Line::zero(); 2]);
         let mut idx = range.lo.clone();
-        let mut macro_lin = 0usize;
-        loop {
-            // pack a: one contiguous f64 row per row-dim point
-            for r in 0..row_ext {
-                idx[row_d] = range.lo[row_d] + r;
-                idx[lane_d] = range.lo[lane_d];
-                let dst = &mut apack[r * knt..(r + 1) * knt];
-                let mut w = 0usize;
-                walk_runs(&mut idx, &self.collapsed, range, &mut |ir, nr| {
-                    let mut o = aa.offset(ir);
-                    for _ in 0..nr {
-                        dst[w] = xa[o as usize] as f64;
-                        w += 1;
-                        o += ska;
-                    }
-                });
-            }
-            let mut j0 = 0usize;
-            while j0 < lane_ext {
-                let jend = (j0 + jt).min(lane_ext);
-                let mut jp = j0;
-                while jp < jend {
-                    let ln = (jend - jp).min(LANES);
-                    // pack b: one Line (8 lane points) per reduction step
-                    idx[row_d] = range.lo[row_d];
-                    idx[lane_d] = range.lo[lane_d] + jp;
-                    let mut w = 0usize;
-                    walk_runs(&mut idx, &self.collapsed, range, &mut |ir, nr| {
-                        let mut o = ab.offset(ir);
-                        for _ in 0..nr {
-                            let mut line = Line::zero();
-                            for l in 0..ln {
-                                line.0[l] = xb[(o + l as i64 * sbl) as usize] as f64;
+        for tile in partial.chunks_exact_mut(m_ext * n_ext) {
+            let (base_a, base_b) = (aa.offset(&idx), ab.offset(&idx));
+            for jc in (0..n_ext).step_by(NC) {
+                let nc = (n_ext - jc).min(NC);
+                for pc in (0..k_ext).step_by(KC) {
+                    let kc = (k_ext - pc).min(KC);
+                    pack_b(bpanel, xb, base_b, &bn[jc..jc + nc], &bk[pc..pc + kc]);
+                    for ic in (0..m_ext).step_by(MC) {
+                        let mc = (m_ext - ic).min(MC);
+                        pack_a(apanel, xa, base_a, &am[ic..ic + mc], &ak[pc..pc + kc]);
+                        for jr in (0..nc).step_by(NR) {
+                            let bp = &bpanel[jr / NR * kc..][..kc];
+                            for ir in (0..mc).step_by(MR) {
+                                let ap = &apanel[ir * kc..][..MR * kc];
+                                let rows = &mut tile[(ic + ir) * n_ext + jc + jr..];
+                                let live = ((mc - ir).min(MR), (nc - jr).min(NR));
+                                micro_tile(pc == 0, ap, bp, rows, n_ext, live);
                             }
-                            bpack[w] = line;
-                            w += 1;
-                            o += skb;
                         }
-                    });
-                    let mut i0 = 0usize;
-                    while i0 < row_ext {
-                        let iend = (i0 + it).min(row_ext);
-                        let mut r0 = i0;
-                        while r0 < iend {
-                            let rn = (iend - r0).min(ROWS);
-                            let p0 = (macro_lin * row_ext + r0) * lane_ext + jp;
-                            let micro = match rn {
-                                8 => micro_packed::<8>,
-                                7 => micro_packed::<7>,
-                                6 => micro_packed::<6>,
-                                5 => micro_packed::<5>,
-                                4 => micro_packed::<4>,
-                                3 => micro_packed::<3>,
-                                2 => micro_packed::<2>,
-                                _ => micro_packed::<1>,
-                            };
-                            micro(
-                                &apack,
-                                &bpack,
-                                r0,
-                                knt,
-                                kbt,
-                                &mut partial.data,
-                                p0,
-                                lane_ext,
-                                ln,
-                            );
-                            r0 += rn;
-                        }
-                        i0 = iend;
                     }
-                    jp += ln;
                 }
-                j0 = jend;
             }
-            if !advance(&mut idx, macro_dims, range) {
-                break;
-            }
-            macro_lin += 1;
+            advance(&mut idx, &arr.batch, range);
         }
+        PANELS.set(panels);
     }
 
     /// Innermost collapsed-dim strides for both factors.
@@ -498,58 +440,140 @@ impl FastContraction {
     }
 }
 
-/// The plan's tile for dim `d`, treating "untiled" (tile 1) as one full
-/// sweep of `full` so a missing tile never degenerates into unit strips.
-fn tile_or(plan: &ExecutionPlan, d: usize, full: usize) -> usize {
-    let t = plan.tile_for(d);
-    if t <= 1 {
-        full.max(1)
-    } else {
-        t
+/// `acc`'s offset contribution of every point of `dims` within `range`,
+/// relative to `range.lo`, in odometer order (last dim fastest). Exact
+/// because the access is affine: its offset at a point is the offset at
+/// `lo` plus one table entry per disjoint dim group.
+fn offset_table(acc: &LinearAccess, dims: &[usize], range: &MdRange) -> Vec<i64> {
+    dims.iter().fold(vec![0i64], |outer, &d| {
+        let steps = 0..range.extent(d) as i64;
+        outer
+            .iter()
+            .flat_map(|&o| steps.clone().map(move |i| o + i * acc.coeffs[d]))
+            .collect()
+    })
+}
+
+/// Check the extrema of `acc` over `range` against a buffer of `len`
+/// elements. The access is affine, so its extrema are the sums of each
+/// dim's (each offset table's) extrema: checked once, they bound every
+/// offset of the task. `run_planned` trusts its caller to have validated
+/// the program, so the kernel must not: a buffer smaller than its accesses
+/// reach is an error, not a panic on the worker.
+fn check_span(what: &str, acc: &LinearAccess, range: &MdRange, len: usize) -> Result<()> {
+    let (lo, hi) = AffineExpr::new(acc.coeffs.clone(), acc.constant).bounds_over(range);
+    if lo < 0 || hi >= len as i64 {
+        return Err(MdhError::Eval(format!(
+            "contraction {what} offsets {lo}..={hi} outside buffer of {len}"
+        )));
+    }
+    Ok(())
+}
+
+/// Pack an A block: per [`MR`] rows one micro-panel, `MR` row values
+/// contiguous per reduction step, rows past the block's end zero. Packing
+/// widens exactly and moves values, nothing else.
+fn pack_a(panel: &mut [f64], x: &[f32], base: i64, m_off: &[i64], k_off: &[i64]) {
+    let kc = k_off.len();
+    for (rows, dst) in m_off.chunks(MR).zip(panel.chunks_exact_mut(MR * kc)) {
+        for (step, &ko) in dst.chunks_exact_mut(MR).zip(k_off) {
+            for (v, &mo) in step.iter_mut().zip(rows) {
+                *v = x[(base + mo + ko) as usize] as f64;
+            }
+            step[rows.len()..].fill(0.0);
+        }
     }
 }
 
-/// `RN x LANES` register-blocked micro-kernel over packed panels.
-/// `rows[r][ck] * bpack[ck]` accumulates into `RN` [`Line`]s — per lane a
-/// strictly sequential f64 chain over `ck` (copy-init at `ck == 0`), so
-/// the fold order matches the VM regardless of `RN`, `kbt`, or SIMD
-/// width. Finite f64 multiplication is bitwise commutative, so the packed
-/// operand order (`a * b`) matches the VM even when `a` is the program's
-/// second factor. The panels hold exact `f32 as f64` widenings, which is
-/// what licenses [`Line::acc_fma_exact`] here: every product is exact in
-/// f64, so the fused accumulate is bit-identical to mul-then-add.
-#[allow(clippy::too_many_arguments)]
-fn micro_packed<const RN: usize>(
-    apack: &[f64],
-    bpack: &[Line],
-    r0: usize,
-    knt: usize,
-    kbt: usize,
-    out: &mut [f64],
-    p0: usize,
-    row_stride: usize,
-    ln: usize,
-) {
-    let rows: [&[f64]; RN] = core::array::from_fn(|r| &apack[(r0 + r) * knt..(r0 + r + 1) * knt]);
-    let mut acc = [Line::zero(); RN];
-    for r in 0..RN {
-        acc[r].set_mul(rows[r][0], &bpack[0]);
+/// Pack a B panel: per [`NR`] lanes one micro-panel, two [`Line`]s per
+/// reduction step, lanes past the panel's end zero. Lanes that sit next
+/// to each other in the buffer (row-major B) are widened as one slice.
+fn pack_b(panel: &mut [[Line; 2]], x: &[f32], base: i64, n_off: &[i64], k_off: &[i64]) {
+    let kc = k_off.len();
+    for (lanes, dst) in n_off.chunks(NR).zip(panel.chunks_exact_mut(kc)) {
+        let unit = lanes.len() == NR && lanes.windows(2).all(|w| w[1] == w[0] + 1);
+        for (step, &ko) in dst.iter_mut().zip(k_off) {
+            let mut v = [0f64; NR];
+            if unit {
+                let src = &x[(base + ko + lanes[0]) as usize..][..NR];
+                v.iter_mut().zip(src).for_each(|(v, &s)| *v = s as f64);
+            } else {
+                for (v, &no) in v.iter_mut().zip(lanes) {
+                    *v = x[(base + ko + no) as usize] as f64;
+                }
+            }
+            let (lo, hi) = v.split_at(LANES);
+            step[0].0.copy_from_slice(lo);
+            step[1].0.copy_from_slice(hi);
+        }
     }
-    let mut kb0 = 0usize;
-    while kb0 < knt {
-        let kend = (kb0 + kbt).min(knt);
-        let start = if kb0 == 0 { 1 } else { kb0 };
-        for ck in start..kend {
-            let b = &bpack[ck];
-            for r in 0..RN {
-                acc[r].acc_fma_exact(rows[r][ck], b);
+}
+
+/// Run [`micro_kernel`] on the tile whose first element is `rows[0]`,
+/// row stride `ld`. A tile with fewer than `MR x NR` `live` rows and lanes
+/// goes through a stack copy, so only those are loaded and stored — what
+/// the panels' zero padding computes is dropped here.
+fn micro_tile(
+    first: bool,
+    ap: &[f64],
+    bp: &[[Line; 2]],
+    rows: &mut [f64],
+    ld: usize,
+    (mr, nr): (usize, usize),
+) {
+    if (mr, nr) == (MR, NR) {
+        return micro_kernel(first, ap, bp, rows, ld);
+    }
+    let mut edge = [0f64; MR * NR];
+    if !first {
+        for (r, row) in edge.chunks_exact_mut(NR).enumerate().take(mr) {
+            row[..nr].copy_from_slice(&rows[r * ld..][..nr]);
+        }
+    }
+    micro_kernel(first, ap, bp, &mut edge, NR);
+    for (r, row) in edge.chunks_exact(NR).enumerate().take(mr) {
+        rows[r * ld..][..nr].copy_from_slice(&row[..nr]);
+    }
+}
+
+/// One `MR x NR` register tile over one K block: `ap[k][r] * bp[k]`
+/// accumulates into sixteen [`Line`]s — per lane a strictly sequential f64
+/// chain over `k`. On the task's `first` K block the chain is
+/// copy-initialised from its first product (the VM's rule); on later
+/// blocks the accumulators are reloaded from `tile`, where the previous
+/// block stored them — an exact f64 round trip, so blocking K changes
+/// memory traffic and not one bit. Finite f64 multiplication is bitwise
+/// commutative, so `a * b` matches the VM even when `a` is the program's
+/// second factor, and the panels hold exact f32 widenings, which licenses
+/// [`Line::acc_fma_exact`].
+fn micro_kernel(first: bool, ap: &[f64], bp: &[[Line; 2]], tile: &mut [f64], ld: usize) {
+    let mut acc = [[Line::zero(); 2]; MR];
+    if !first {
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let row = &tile[r * ld..][..NR];
+            acc[0].0.copy_from_slice(&row[..LANES]);
+            acc[1].0.copy_from_slice(&row[LANES..]);
+        }
+    }
+    let mut steps = ap.chunks_exact(MR).zip(bp);
+    if first {
+        if let Some((a, b)) = steps.next() {
+            for r in 0..MR {
+                acc[r][0].set_mul(a[r], &b[0]);
+                acc[r][1].set_mul(a[r], &b[1]);
             }
         }
-        kb0 = kend;
     }
-    for r in 0..RN {
-        let base = p0 + r * row_stride;
-        out[base..base + ln].copy_from_slice(&acc[r].0[..ln]);
+    for (a, b) in steps {
+        for r in 0..MR {
+            acc[r][0].acc_fma_exact(a[r], &b[0]);
+            acc[r][1].acc_fma_exact(a[r], &b[1]);
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        let row = &mut tile[r * ld..][..NR];
+        row[..LANES].copy_from_slice(&acc[0].0);
+        row[LANES..].copy_from_slice(&acc[1].0);
     }
 }
 
@@ -761,6 +785,337 @@ pub(crate) fn walk_runs(
                 break;
             }
             idx[d] = range.lo[d];
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cpu::{CpuExecutor, ExecPath, FastMode};
+    use mdh_core::combine::CombineOp;
+    use mdh_core::dsl::DslBuilder;
+    use mdh_core::expr::ScalarFunction;
+    use mdh_core::index_fn::IndexFn;
+    use mdh_core::shape::Shape;
+    use mdh_core::types::{BasicType, ScalarKind};
+    use mdh_lowering::schedule::{ReductionStrategy, Schedule};
+    use mdh_lowering::DeviceKind;
+
+    /// One affine index expression: `Σ coeff · i_dim + constant`.
+    fn e(rank: usize, terms: &[(usize, i64)], constant: i64) -> AffineExpr {
+        let mut coeffs = vec![0; rank];
+        for &(d, c) in terms {
+            coeffs[d] = c;
+        }
+        AffineExpr::new(coeffs, constant)
+    }
+
+    /// `out[..] = Σ_red a[..] * b[..]` over `sizes`, every access affine.
+    struct Case {
+        sizes: Vec<usize>,
+        red: Vec<usize>,
+        out: Vec<AffineExpr>,
+        a: Vec<AffineExpr>,
+        b: Vec<AffineExpr>,
+    }
+
+    impl Case {
+        fn prog(&self) -> DslProgram {
+            let ops = (0..self.sizes.len())
+                .map(|d| match self.red.contains(&d) {
+                    true => CombineOp::pw_add(),
+                    false => CombineOp::cc(),
+                })
+                .collect();
+            DslBuilder::new("case", self.sizes.clone())
+                .out_buffer("c", BasicType::F32)
+                .out_access("c", IndexFn::affine(self.out.clone()))
+                .inp_buffer("a", BasicType::F32)
+                .inp_access("a", IndexFn::affine(self.a.clone()))
+                .inp_buffer("b", BasicType::F32)
+                .inp_access("b", IndexFn::affine(self.b.clone()))
+                .scalar_function(ScalarFunction::mul2("f_mul", ScalarKind::F32))
+                .combine_ops(ops)
+                .build()
+                .unwrap()
+        }
+
+        /// The smallest buffer an access reaches into, zero-filled.
+        fn buffer(&self, name: &str, exprs: &[AffineExpr]) -> Buffer {
+            let range = MdRange::full(&self.sizes);
+            let dims = exprs.iter().map(|x| x.bounds_over(&range).1 as usize + 1);
+            Buffer::zeros(name, BasicType::F32, Shape::new(dims.collect::<Vec<_>>()))
+        }
+
+        /// Inputs whose sums round: 0.1 * k is not a binary float.
+        fn inputs(&self) -> Vec<Buffer> {
+            let mut ins = vec![self.buffer("a", &self.a), self.buffer("b", &self.b)];
+            for (salt, buf) in ins.iter_mut().enumerate() {
+                buf.fill_with(move |i| ((i + 17 * salt) * 2654435761 % 1000) as f64 * 0.1 - 31.7);
+            }
+            ins
+        }
+    }
+
+    /// The nine layouts of the sweep, each with row extent `m` (times a
+    /// small constant where a group has several dims), lane extent `n` and
+    /// innermost reduction extent `k`.
+    fn layouts(m: usize, n: usize, k: usize) -> Vec<(&'static str, Case)> {
+        let (ki, ni) = (k as i64, n as i64);
+        let mm = |a: Vec<AffineExpr>, b: Vec<AffineExpr>| Case {
+            sizes: vec![m, n, k],
+            red: vec![2],
+            out: vec![e(3, &[(0, 1)], 0), e(3, &[(1, 1)], 0)],
+            a,
+            b,
+        };
+        let (i, j, kk) = (e(3, &[(0, 1)], 0), e(3, &[(1, 1)], 0), e(3, &[(2, 1)], 0));
+        let mut all = vec![
+            (
+                "row-major",
+                mm(vec![i.clone(), kk.clone()], vec![kk.clone(), j.clone()]),
+            ),
+            (
+                "A transposed",
+                mm(vec![kk.clone(), i.clone()], vec![kk.clone(), j.clone()]),
+            ),
+            (
+                "B transposed",
+                mm(vec![i.clone(), kk.clone()], vec![j.clone(), kk.clone()]),
+            ),
+            (
+                "reversed strides",
+                mm(
+                    vec![i.clone(), e(3, &[(2, -1)], ki - 1)],
+                    vec![kk.clone(), e(3, &[(1, -1)], ni - 1)],
+                ),
+            ),
+            (
+                "two collapsed dims",
+                Case {
+                    sizes: vec![m, n, 2, k],
+                    red: vec![2, 3],
+                    out: vec![e(4, &[(0, 1)], 0), e(4, &[(1, 1)], 0)],
+                    a: vec![e(4, &[(0, 1)], 0), e(4, &[(2, 1)], 0), e(4, &[(3, 1)], 0)],
+                    b: vec![e(4, &[(2, 1)], 0), e(4, &[(3, 1)], 0), e(4, &[(1, 1)], 0)],
+                },
+            ),
+            (
+                // dims (a0, d0, a1, d1, a2, d2, k): row and lane dims
+                // interleaved, the output permuted again
+                "3 + 3 CCSD(T) grouping, permuted",
+                Case {
+                    sizes: vec![2, 1, m, n, 1, 2, k],
+                    red: vec![6],
+                    out: [5, 2, 1, 0, 3, 4].map(|d| e(7, &[(d, 1)], 0)).to_vec(),
+                    a: [0, 2, 4, 6].map(|d| e(7, &[(d, 1)], 0)).to_vec(),
+                    b: [6, 1, 3, 5].map(|d| e(7, &[(d, 1)], 0)).to_vec(),
+                },
+            ),
+            (
+                "one batch dim",
+                Case {
+                    sizes: vec![2, m, n, k],
+                    red: vec![3],
+                    out: [0, 1, 2].map(|d| e(4, &[(d, 1)], 0)).to_vec(),
+                    a: [0, 1, 3].map(|d| e(4, &[(d, 1)], 0)).to_vec(),
+                    b: [0, 3, 2].map(|d| e(4, &[(d, 1)], 0)).to_vec(),
+                },
+            ),
+            (
+                // dims (p, j, r, c): img[p + r, c] * filt[j, r, c]
+                "MCC-style p + r",
+                Case {
+                    sizes: vec![m, n, 2, k],
+                    red: vec![2, 3],
+                    out: vec![e(4, &[(0, 1)], 0), e(4, &[(1, 1)], 0)],
+                    a: vec![e(4, &[(0, 1), (2, 1)], 0), e(4, &[(3, 1)], 0)],
+                    b: vec![e(4, &[(1, 1)], 0), e(4, &[(2, 1)], 0), e(4, &[(3, 1)], 0)],
+                },
+            ),
+        ];
+        if k == 1 {
+            // AD's `adj_M`: no collapsed dim at all, a one-term chain
+            all.push((
+                "K = 1 outer product",
+                Case {
+                    sizes: vec![m, n],
+                    red: vec![],
+                    out: vec![e(2, &[(0, 1)], 0), e(2, &[(1, 1)], 0)],
+                    a: vec![e(2, &[(0, 1)], 0)],
+                    b: vec![e(2, &[(1, 1)], 0)],
+                },
+            ));
+        }
+        all
+    }
+
+    fn bits(outs: Vec<Buffer>) -> Vec<u32> {
+        let out = outs[0].as_f32().unwrap();
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `Auto` against `ForceVm` at widths 1/2/4 — the preserved split
+    /// follows the width, the reduction split (if any) is fixed at two
+    /// tasks — and the same bits at every width. Returns those bits.
+    fn assert_bit_equal_to_vm(case: &Case, split_k: bool, what: &str) -> Vec<u32> {
+        static BASE: std::sync::OnceLock<CpuExecutor> = std::sync::OnceLock::new();
+        let base = BASE.get_or_init(|| CpuExecutor::new(4).unwrap());
+        let prog = case.prog();
+        let inputs = case.inputs();
+        // every layout of the sweep is the blocked nest's to run
+        let crate::fast::FastKernel::Contraction(kernel) = crate::fast::classify(&prog).unwrap()
+        else {
+            panic!("{what}: a two-factor product is a contraction kernel");
+        };
+        let outputs = eval::alloc_outputs(&prog).unwrap();
+        let (in_acc, _) = linearize_for(&prog, &inputs, &outputs).unwrap();
+        let path = kernel.arrange(&in_acc).path;
+        assert!(matches!(path, TaskPath::Blocked { .. }), "{what}");
+        assert_bits_on(base, case, &prog, &inputs, split_k, what)
+    }
+
+    fn assert_bits_on(
+        base: &CpuExecutor,
+        case: &Case,
+        prog: &DslProgram,
+        inputs: &[Buffer],
+        split_k: bool,
+        what: &str,
+    ) -> Vec<u32> {
+        let mut want: Option<Vec<u32>> = None;
+        for width in [1usize, 2, 4] {
+            let mut schedule = Schedule::sequential(case.sizes.len(), DeviceKind::Cpu);
+            let row_d = (0..case.sizes.len())
+                .filter(|d| !case.red.contains(d))
+                .max_by_key(|&d| case.sizes[d])
+                .unwrap();
+            schedule.par_chunks[row_d] = width.min(case.sizes[row_d]);
+            if split_k {
+                schedule.par_chunks[*case.red.last().unwrap()] = 2;
+                schedule.reduction = ReductionStrategy::Tree;
+            }
+            let auto = CpuExecutor::with_pool(base.pool(), width);
+            assert_eq!(auto.path_for(prog), ExecPath::Fast, "{what}");
+            let vm = CpuExecutor::with_pool(base.pool(), width).with_fast_mode(FastMode::ForceVm);
+            let fast = bits(auto.run(prog, &schedule, inputs).unwrap());
+            let vm = bits(vm.run(prog, &schedule, inputs).unwrap());
+            assert_eq!(fast, vm, "{what} width={width}");
+            assert_eq!(want.get_or_insert(vm), &fast, "{what} width={width}");
+        }
+        want.unwrap()
+    }
+
+    /// Block boundaries of the blocked nest: row and lane extents on
+    /// either side of one register tile and of one and two `Line`s, K on
+    /// either side of one and two K blocks, every layout the dim grouping
+    /// must see through, with and without the reduction split across
+    /// tasks. Small row extents meet large lane extents and the reverse,
+    /// so every value of each is covered and edge tiles meet full ones.
+    #[test]
+    fn block_boundary_sweep_bit_equal_to_force_vm() {
+        let extents = [
+            1,
+            MR - 1,
+            MR,
+            MR + 1,
+            2 * LANES - 1,
+            2 * LANES,
+            2 * LANES + 1,
+            4 * LANES + 3,
+        ];
+        let mut cases = 0;
+        for (x, &m) in extents.iter().enumerate() {
+            let n = extents[extents.len() - 1 - x];
+            for k in [1, 2, KC - 1, KC, KC + 1, 2 * KC + 3] {
+                for (layout, case) in layouts(m, n, k) {
+                    for split_k in [false, true] {
+                        if split_k && k == 1 {
+                            continue;
+                        }
+                        let what = format!("m={m} n={n} k={k} {layout} split_k={split_k}");
+                        assert_bit_equal_to_vm(&case, split_k, &what);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 8 * (5 * 8 * 2 + 9));
+    }
+
+    /// The VM copy-initialises the accumulator from the first product, so
+    /// a chain of `-0.0` products stays `-0.0` where `0.0 + -0.0` is
+    /// `+0.0`; the second K block must reload that accumulator, not start
+    /// a fresh one.
+    #[test]
+    fn copy_init_survives_the_k_block_boundary() {
+        let (_, case) = layouts(MR + 1, NR + 1, KC + 1).swap_remove(0);
+        let prog = case.prog();
+        let mut inputs = case.inputs();
+        inputs[0].fill_with(|_| -0.0);
+        inputs[1].fill_with(|_| 1.0);
+        let base = CpuExecutor::new(2).unwrap();
+        let got = assert_bits_on(&base, &case, &prog, &inputs, false, "-0.0 chain");
+        assert!(got.iter().all(|&b| b == (-0.0f32).to_bits()));
+    }
+
+    /// An Inf in the last live row of A and a NaN in the last live lane of
+    /// B sit right next to the panels' zero padding: `0 * Inf` is NaN in
+    /// the padded rows and lanes, and none of it may reach a stored lane.
+    #[test]
+    fn non_finite_operands_next_to_padding_stay_in_their_rows_and_lanes() {
+        let (m, n, k) = (MR + 1, NR + 1, 3);
+        let (_, case) = layouts(m, n, k).swap_remove(0);
+        let prog = case.prog();
+        let mut inputs = case.inputs();
+        inputs[0].as_f32_mut().unwrap()[(m - 1) * k + 1] = f32::INFINITY;
+        inputs[1].as_f32_mut().unwrap()[n + (n - 1)] = f32::NAN;
+        let base = CpuExecutor::new(2).unwrap();
+        let got = assert_bits_on(&base, &case, &prog, &inputs, false, "Inf/NaN");
+        for (p, &b) in got.iter().enumerate() {
+            let tainted = p / n == m - 1 || p % n == n - 1;
+            assert_eq!(f32::from_bits(b).is_finite(), !tainted, "point {p}");
+        }
+    }
+
+    /// `run_planned` trusts its caller to have validated the program, so
+    /// the kernel must not: an input smaller than its access reaches is an
+    /// error, not a slice-index panic on the worker.
+    #[test]
+    fn undersized_input_is_an_error_not_a_panic() {
+        let mut cases = layouts(40, 40, 40);
+        // the two arrangements the sweep's layouts never take
+        let matvec = Case {
+            sizes: vec![40, 40],
+            red: vec![1],
+            out: vec![e(2, &[(0, 1)], 0)],
+            a: vec![e(2, &[(0, 1)], 0), e(2, &[(1, 1)], 0)],
+            b: vec![e(2, &[(1, 1)], 0)],
+        };
+        let dot = Case {
+            sizes: vec![40],
+            red: vec![0],
+            out: vec![e(1, &[], 0)],
+            a: vec![e(1, &[(0, 1)], 0)],
+            b: vec![e(1, &[(0, 1)], 0)],
+        };
+        cases.extend([("MatVec (unpacked)", matvec), ("Dot (scalar)", dot)]);
+        for (layout, case) in cases {
+            let mut prog = case.prog();
+            let schedule = Schedule::sequential(prog.rank(), DeviceKind::Cpu);
+            let plan = ExecutionPlan::build(&prog, &schedule).unwrap();
+            // what a stale or hand-built program could carry past
+            // `check_inputs`: a declared shape its accesses overrun
+            let small = vec![4; case.a.len()];
+            prog.inp_view.buffers[0].declared_shape = Some(small.clone());
+            let mut inputs = case.inputs();
+            inputs[0] = Buffer::zeros("a", BasicType::F32, Shape::new(small));
+            let exec = CpuExecutor::new(2).unwrap();
+            match exec.run_planned(&prog, &schedule, &plan, &inputs) {
+                Err(MdhError::Eval(msg)) => assert!(msg.contains("outside buffer"), "{msg}"),
+                other => panic!("{layout}: expected an Eval error, got {:?}", other.err()),
+            }
         }
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! A [`Line`] is eight f64 lanes. Crucially, each lane is an *independent*
 //! output accumulator (the lanes index eight adjacent points of the last
-//! preserved dimension), never a partial split of one reduction: a single
-//! reduction chain always lives entirely inside one lane, folded strictly
-//! sequentially. That is what makes the SIMD width a pure instruction-
-//! selection choice — 8 lanes, 4 lanes, or scalar code all produce the
-//! same bits, because no floating-point fold order depends on the width.
+//! preserved dimension, or of the blocked contraction's lane group), never
+//! a partial split of one reduction: a single reduction chain always lives
+//! entirely inside one lane, folded strictly sequentially. That is what
+//! makes the SIMD width a pure instruction-selection choice — 8 lanes, 4
+//! lanes, or scalar code all produce the same bits, because no
+//! floating-point fold order depends on the width.
 
 /// Number of f64 lanes in a [`Line`].
 pub const LANES: usize = 8;

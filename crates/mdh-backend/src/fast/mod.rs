@@ -5,8 +5,8 @@
 //! decomposition into tasks, a fixed strictly-sequential f64 fold per
 //! output point, a fixed group-combine order, one f32 rounding at the
 //! store. The fast path re-implements the *hot* subset of those
-//! semantics as compiled loop nests — cache-blocked via the plan's tile
-//! geometry, vectorized through the 8-lane [`Line`] accumulator — while
+//! semantics as compiled loop nests — cache-blocked by fixed block sizes,
+//! vectorized through the 8-lane [`Line`] accumulator — while
 //! reproducing every floating-point operation of the VM in the same
 //! order. [`classify`] is the gate: it admits a program only when the
 //! kernels can honour that contract, and returns a human-readable reason

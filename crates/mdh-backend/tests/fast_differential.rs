@@ -11,10 +11,11 @@
 //! against the VM under pool widths 1, 2, and 4.
 //!
 //! Schedules are randomized too: per-dim parallel chunking (exercising
-//! the split-reduction group combine) and per-dim tile sizes (exercising
-//! the blocked loop structure).
+//! the split-reduction group combine) and per-dim tile sizes (which no
+//! CPU engine reads any more: a plan's tiles must not move a bit).
 
 use mdh_backend::fast;
+use mdh_backend::fast::line::LANES;
 use mdh_backend::vm_exec;
 use mdh_core::buffer::{Buffer, BufferData};
 use mdh_core::combine::CombineOp;
@@ -140,6 +141,14 @@ struct ContractionCase {
     salt: usize,
 }
 
+/// `fast/contraction.rs`'s K block (`KC`, crate-private): the generator
+/// must reach past it, so a change there belongs here too.
+const K_BLOCK: usize = 256;
+
+/// Extents are small, except that a quarter of the cases stretch one
+/// preserved extent past four `Line`s and the innermost collapsed extent
+/// past one K block — the register-tile, panel and K-block boundaries of
+/// the blocked nest, under whatever strides the accesses drew.
 fn contraction_case() -> impl Strategy<Value = ContractionCase> {
     (
         1usize..=MAX_RANK,
@@ -149,17 +158,35 @@ fn contraction_case() -> impl Strategy<Value = ContractionCase> {
         rand_access(),
         prop::collection::vec(0usize..TILE_CHOICES.len(), MAX_RANK),
         prop::collection::vec(1usize..=2, MAX_RANK),
-        0usize..1000,
+        (
+            0usize..1000,
+            0usize..4,
+            2usize..=4 * LANES + 3,
+            2usize..=K_BLOCK + 3,
+        ),
     )
         .prop_map(
-            |(rank, sizes, mask, acc0, acc1, tiles, chunks, salt)| ContractionCase {
-                sizes: sizes[..rank].to_vec(),
-                pw_mask: mask & ((1 << rank) - 1),
-                acc0: acc0.truncated(rank),
-                acc1: acc1.truncated(rank),
-                tiles: tiles[..rank].iter().map(|&t| TILE_CHOICES[t]).collect(),
-                chunks: chunks[..rank].to_vec(),
-                salt,
+            |(rank, sizes, mask, acc0, acc1, tiles, chunks, (salt, stretch, wide, deep))| {
+                let pw_mask = mask & ((1 << rank) - 1);
+                let mut sizes = sizes[..rank].to_vec();
+                if stretch == 0 {
+                    let is_pw = |d: &usize| pw_mask >> d & 1 == 1;
+                    if let Some(d) = (0..rank).rev().find(|d| !is_pw(d)) {
+                        sizes[d] = wide;
+                    }
+                    if let Some(d) = (0..rank).rev().find(is_pw) {
+                        sizes[d] = deep;
+                    }
+                }
+                ContractionCase {
+                    sizes,
+                    pw_mask,
+                    acc0: acc0.truncated(rank),
+                    acc1: acc1.truncated(rank),
+                    tiles: tiles[..rank].iter().map(|&t| TILE_CHOICES[t]).collect(),
+                    chunks: chunks[..rank].to_vec(),
+                    salt,
+                }
             },
         )
 }

@@ -44,8 +44,9 @@ pub struct ExecutionPlan {
     /// Combine groups (one per distinct non-split chunk coordinate); empty
     /// when `split_dims` is empty.
     pub groups: Vec<CombineGroup>,
-    /// Cache-tile sizes per dimension, carried over from the schedule so
-    /// backends can derive their loop structure from the plan alone.
+    /// Cache-tile sizes per dimension, carried over from the schedule.
+    /// The cost models read them; no CPU engine does — the contraction
+    /// kernel's block sizes are constants (DESIGN §15).
     pub inner_tiles: Vec<usize>,
     /// Sequential loop order within a task (outermost first), carried
     /// over from the schedule.
@@ -151,11 +152,6 @@ impl ExecutionPlan {
             inner_tiles: schedule.inner_tiles.clone(),
             loop_order: schedule.loop_order.clone(),
         })
-    }
-
-    /// The cache-tile size for a dimension (1 when untiled or unknown).
-    pub fn tile_for(&self, d: usize) -> usize {
-        self.inner_tiles.get(d).copied().unwrap_or(1).max(1)
     }
 
     /// Total number of iteration points covered (must equal the program's).
