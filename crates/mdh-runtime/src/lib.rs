@@ -23,6 +23,7 @@
 //!   consistent-hash runtime shards ([`ring`]) — used by `mdhc serve` /
 //!   `mdhc submit` / `mdhc front`.
 
+mod histogram;
 pub mod plan_cache;
 pub mod ring;
 pub mod runtime;

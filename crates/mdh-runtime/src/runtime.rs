@@ -29,7 +29,7 @@
 //!    [`Handle`] resolves.
 
 use crate::plan_cache::{CompiledPlan, PlanCache, PlanKey, PlanSource};
-use crate::stats::{LatencyWindow, RuntimeStats};
+use crate::stats::{add_label, RuntimeStats};
 use crate::sync::{cv_wait, lock};
 use crate::tune::{plan_from_tuning_cache, run_tune_job, TuneJob, TunePolicy};
 use mdh_backend::cpu::CpuExecutor;
@@ -320,6 +320,13 @@ impl Job {
 /// tenant — one FIFO, one quota, one dispatch counter.
 pub const DEFAULT_TENANT: &str = "default";
 
+/// Named tenants that get their own `tenant_dispatches` entry.
+pub(crate) const MAX_TRACKED_TENANTS: usize = 64;
+
+/// The `tenant_dispatches` label every further tenant is counted under.
+/// Not a name a wire client can send (`server::valid_tenant` rejects it).
+pub(crate) const TENANT_OVERFLOW: &str = "(other)";
+
 /// Base deficit-round-robin quantum: requests a weight-1 tenant earns
 /// per scheduler round. Small relative to `max_batch` so weights bite
 /// (a weight-`w` tenant banks `w`× this per visit), large enough that
@@ -353,49 +360,6 @@ struct QueueState {
     /// Jobs popped but not yet replied to (for `wait_idle`).
     active: usize,
     shutdown: bool,
-}
-
-#[derive(Default)]
-struct Counters {
-    completed: u64,
-    batches: u64,
-    max_batch: usize,
-    tunes_done: u64,
-    /// Per-request submit → response latency over a bounded window (ms).
-    latency: LatencyWindow,
-    /// Per-request execution latency over a bounded window (micros).
-    exec_latency: LatencyWindow,
-    /// Shard executions per pool device (indexed like the pool).
-    device_dispatches: Vec<u64>,
-    /// Requests served while the pool was (or became) degraded.
-    degraded_requests: u64,
-    /// Requests shed at admission because the queue was full.
-    shed_requests: u64,
-    /// Requests answered `deadline exceeded` without executing.
-    deadline_exceeded: u64,
-    /// Worker panics converted into per-request errors.
-    worker_panics: u64,
-    /// Closed/half-open → open breaker transitions.
-    breaker_trips: u64,
-    /// Requests failed fast by an open breaker.
-    breaker_fast_fails: u64,
-    /// Requests rejected because the runtime was draining.
-    draining_rejects: u64,
-    /// Gradient round trips started via [`Runtime::submit_grad`].
-    grad_requests: u64,
-    /// Accepted requests whose program contains an indexed reduction
-    /// (`rbi`) — AD-emitted scatter adjoints and histogram-style apps.
-    rbi_requests: u64,
-    /// Requests shed at admission by a per-tenant quota (the global
-    /// queue still had room; the tenant's own FIFO was full).
-    tenant_shed: u64,
-    /// Requests dispatched to execution, by tenant (BTreeMap so stats
-    /// render in a deterministic order).
-    tenant_dispatches: std::collections::BTreeMap<String, u64>,
-    /// Pipelined (`PIPE`) connections opened against this runtime.
-    pipelined_connections: u64,
-    /// Frames served through pipelined connections.
-    pipelined_frames: u64,
 }
 
 /// Per-[`PlanKey`] circuit-breaker state.
@@ -440,7 +404,9 @@ struct Shared {
     cv: Condvar,
     plans: Mutex<PlanCache>,
     tuning: Arc<Mutex<TuningCache>>,
-    counters: Mutex<Counters>,
+    /// The counters this runtime bumps itself; [`Runtime::stats`] overlays
+    /// what the plan cache, the pool and the kernel registry count.
+    counters: Mutex<RuntimeStats>,
     breakers: Mutex<HashMap<PlanKey, Breaker>>,
     /// Per-key simulated device residency (GPU requests only).
     residency: Mutex<HashMap<PlanKey, DeviceDataRegion>>,
@@ -506,12 +472,20 @@ impl Runtime {
             None => TuningCache::new(),
         }));
         let (tune_tx, tune_rx) = mpsc::channel::<TuneJob>();
+        let counters = RuntimeStats {
+            device_dispatches: dist
+                .iter()
+                .flat_map(device_labels)
+                .map(|label| (label, 0))
+                .collect(),
+            ..RuntimeStats::default()
+        };
         let shared = Arc::new(Shared {
             plans: Mutex::new(PlanCache::new(config.plan_cache_capacity)),
             state: Mutex::new(QueueState::default()),
             cv: Condvar::new(),
             tuning,
-            counters: Mutex::new(Counters::default()),
+            counters: Mutex::new(counters),
             breakers: Mutex::new(HashMap::new()),
             residency: Mutex::new(HashMap::new()),
             exec,
@@ -701,102 +675,45 @@ impl Runtime {
         })
     }
 
-    /// Snapshot of counters and latency percentiles.
+    /// Snapshot of the counters and latency histograms: the runtime's own
+    /// plus what the plan cache, the device pool, the memory pool and the
+    /// fast-kernel registry count themselves.
     pub fn stats(&self) -> RuntimeStats {
-        let plans = lock(&self.shared.plans);
-        let c = lock(&self.shared.counters);
-        let faults = self
-            .shared
-            .dist
-            .as_ref()
-            .map(|d| d.fault_stats())
-            .unwrap_or_default();
-        let mem = self
-            .shared
-            .mem
-            .as_ref()
-            .map(|m| m.stats())
-            .unwrap_or_default();
-        let (fast_hits, fast_fallbacks) = mdh_backend::fast::registry().counters();
-        let (latency_p50_ms, latency_p99_ms) = c.latency.p50_p99();
-        let (exec_p50_us, exec_p99_us) = c.exec_latency.p50_p99();
-        RuntimeStats {
-            plan_hits: plans.hits(),
-            plan_misses: plans.misses(),
-            plan_evictions: plans.evictions(),
-            plan_swaps: plans.swaps(),
-            plans_resident: plans.len(),
-            completed: c.completed,
-            batches: c.batches,
-            max_batch: c.max_batch,
-            tunes_done: c.tunes_done,
-            latency_p50_ms,
-            latency_p99_ms,
-            latency_mean_ms: c.latency.mean(),
-            exec_p50_us,
-            exec_p99_us,
-            exec_samples: c.exec_latency.total(),
-            device_dispatches: match &self.shared.dist {
-                Some(d) => d
-                    .pool()
-                    .devices
-                    .iter()
-                    .enumerate()
-                    .map(|(i, dev)| {
-                        (
-                            dev.label(i),
-                            c.device_dispatches.get(i).copied().unwrap_or(0),
-                        )
-                    })
-                    .collect(),
-                None => Vec::new(),
-            },
-            fault_retries: faults.retries,
-            device_evictions: faults.evictions,
-            repartitions: faults.repartitions,
-            degraded_requests: c.degraded_requests,
-            shed_requests: c.shed_requests,
-            deadline_exceeded: c.deadline_exceeded,
-            worker_panics: c.worker_panics,
-            breaker_trips: c.breaker_trips,
-            breaker_fast_fails: c.breaker_fast_fails,
-            draining_rejects: c.draining_rejects,
-            grad_requests: c.grad_requests,
-            rbi_requests: c.rbi_requests,
-            tenant_shed: c.tenant_shed,
-            tenant_dispatches: c
-                .tenant_dispatches
-                .iter()
-                .map(|(t, n)| (t.clone(), *n))
-                .collect(),
-            pipelined_connections: c.pipelined_connections,
-            pipelined_frames: c.pipelined_frames,
-            shard_routes: Vec::new(),
-            mem_hits: mem.hits,
-            mem_misses: mem.misses,
-            mem_evictions: mem.evictions,
-            mem_bytes_resident: mem.bytes_resident,
-            mem_bytes_avoided: mem.bytes_avoided,
-            kernel_hits: fast_hits,
-            kernel_fallbacks: fast_fallbacks,
-            fault_hangs: faults.injected_hangs,
-            fault_hedges: faults.hedges,
-            health_probes: faults.probes,
-            health_probations: faults.probations,
-            health_reinstatements: faults.reinstatements,
-            corruptions_detected: mem.corruptions_detected,
-            device_health: match &self.shared.dist {
-                Some(d) => d
-                    .pool()
-                    .devices
-                    .iter()
-                    .zip(d.device_health())
-                    .enumerate()
-                    .map(|(i, (dev, h))| (dev.label(i), h.label().to_string()))
-                    .collect(),
-                None => Vec::new(),
-            },
+        let mut s = lock(&self.shared.counters).clone();
+        {
+            let plans = lock(&self.shared.plans);
+            s.plan_hits = plans.hits();
+            s.plan_misses = plans.misses();
+            s.plan_evictions = plans.evictions();
+            s.plan_swaps = plans.swaps();
+            s.plans_resident = plans.len();
         }
+        if let Some(d) = &self.shared.dist {
+            let faults = d.fault_stats();
+            s.fault_retries = faults.retries;
+            s.device_evictions = faults.evictions;
+            s.repartitions = faults.repartitions;
+            s.fault_hangs = faults.injected_hangs;
+            s.fault_hedges = faults.hedges;
+            s.health_probes = faults.probes;
+            s.health_probations = faults.probations;
+            s.health_reinstatements = faults.reinstatements;
+            s.device_health = device_labels(d)
+                .zip(d.device_health())
+                .map(|(label, h)| (label, h.label().to_string()))
+                .collect();
+        }
+        if let Some(m) = &self.shared.mem {
+            let mem = m.stats();
+            s.mem_hits = mem.hits;
+            s.mem_misses = mem.misses;
+            s.mem_evictions = mem.evictions;
+            s.mem_bytes_resident = mem.bytes_resident;
+            s.mem_bytes_avoided = mem.bytes_avoided;
+            s.corruptions_detected = mem.corruptions_detected;
+        }
+        (s.kernel_hits, s.kernel_fallbacks) = mdh_backend::fast::registry().counters();
+        s
     }
 
     /// The CPU executor whose pool every execution in this runtime
@@ -914,6 +831,25 @@ fn tenant_weight(config: &RuntimeConfig, tenant: &str) -> u64 {
         .unwrap_or(1)
 }
 
+/// The pool's device labels (`gpu0`, `cpu1`, ...), in pool order.
+fn device_labels(dist: &DistExecutor) -> impl Iterator<Item = String> + '_ {
+    let devices = dist.pool().devices.iter().enumerate();
+    devices.map(|(i, dev)| dev.label(i))
+}
+
+/// Count `n` dispatches for `tenant`. Tenant names come from clients, so
+/// only the first [`MAX_TRACKED_TENANTS`] named ones (and the default
+/// tenant) get an entry of their own; the rest add up under
+/// [`TENANT_OVERFLOW`] and the map stays bounded.
+fn note_tenant_dispatch(c: &mut RuntimeStats, tenant: &str, n: u64) {
+    let counts = &mut c.tenant_dispatches;
+    let own_entry = |t: &str| t != DEFAULT_TENANT && t != TENANT_OVERFLOW;
+    let tracked = !own_entry(tenant)
+        || counts.iter().any(|(t, _)| t == tenant)
+        || counts.iter().filter(|(t, _)| own_entry(t)).count() < MAX_TRACKED_TENANTS;
+    add_label(counts, if tracked { tenant } else { TENANT_OVERFLOW }, n);
+}
+
 /// One deficit-round-robin scheduling decision, under the state lock.
 ///
 /// Visits tenants in ring order: each visited tenant first has its
@@ -996,10 +932,7 @@ fn worker_loop(shared: &Shared) {
             continue;
         }
         let n = batch.len();
-        {
-            let mut c = lock(&shared.counters);
-            *c.tenant_dispatches.entry(tenant).or_default() += n as u64;
-        }
+        note_tenant_dispatch(&mut lock(&shared.counters), &tenant, n as u64);
         // Backstop: serve_batch already isolates execution panics
         // per-request; if a panic ever escapes it anyway (a plan-cache or
         // accounting bug), the worker must still survive and keep
@@ -1141,6 +1074,7 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
                 let mut c = lock(&shared.counters);
                 c.completed += n as u64;
                 c.batches += 1;
+                c.batched_requests += n as u64;
                 c.max_batch = c.max_batch.max(n);
             }
             for job in live {
@@ -1167,6 +1101,7 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
     {
         let mut c = lock(&shared.counters);
         c.batches += 1;
+        c.batched_requests += n as u64;
         c.max_batch = c.max_batch.max(n);
     }
     let mut tripped = false;
@@ -1208,8 +1143,8 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
             c.completed += 1;
             if let Ok(resp) = &result {
                 c.latency
-                    .record(job.submitted.elapsed().as_secs_f64() * 1e3);
-                c.exec_latency.record(resp.exec_ms * 1e3);
+                    .record_ms(job.submitted.elapsed().as_secs_f64() * 1e3);
+                c.exec_latency.record_ms(resp.exec_ms);
             }
         }
         let _ = job.reply.send(result);
@@ -1288,13 +1223,10 @@ fn execute_one(
                 dist.run_with_deadline(&job.req.prog, &job.req.inputs, job.req.deadline)?;
             {
                 let mut c = lock(&shared.counters);
-                if c.device_dispatches.len() < dist.devices() {
-                    c.device_dispatches.resize(dist.devices(), 0);
-                }
                 // after an eviction, shard index no longer equals device
                 // index: count where the work actually ran
                 for s in &report.per_shard {
-                    c.device_dispatches[s.device_index] += 1;
+                    c.device_dispatches[s.device_index].1 += 1;
                 }
                 if report.degraded {
                     c.degraded_requests += 1;
@@ -1462,6 +1394,42 @@ def dot(res, x, y):
             ]
         );
         assert_eq!(st.queued, 0);
+    }
+
+    /// Tenant names come from clients: ten thousand of them must not grow
+    /// the per-tenant counters (and so every stats snapshot) without bound.
+    #[test]
+    fn tenant_dispatch_counters_stay_bounded_under_distinct_names() {
+        let (prog, inputs) = dot();
+        let operands: Operands = Arc::new(inputs);
+        let mut rt = Runtime::new(RuntimeConfig {
+            tune: TunePolicy {
+                enabled: false,
+                ..TunePolicy::default()
+            },
+            max_queue_depth: 20_000,
+            ..RuntimeConfig::default()
+        })
+        .unwrap();
+        let handles: Vec<_> = (0..10_000)
+            .map(|i| {
+                let mut req = Request::new(prog.clone(), DeviceKind::Cpu, Arc::clone(&operands));
+                // every fifth request carries no tenant
+                req.tenant = (i % 5 != 0).then(|| format!("client-{i}"));
+                rt.submit(req)
+            })
+            .collect();
+        handles.into_iter().for_each(|h| drop(h.wait().unwrap()));
+        rt.shutdown();
+        let counts = rt.stats().tenant_dispatches;
+        assert_eq!(counts.len(), MAX_TRACKED_TENANTS + 2, "{counts:?}");
+        assert_eq!(counts.iter().map(|(_, n)| n).sum::<u64>(), 10_000);
+        let of = |t: &str| counts.iter().find(|(l, _)| l == t).map(|(_, n)| *n);
+        assert_eq!(of(DEFAULT_TENANT), Some(2_000));
+        assert_eq!(
+            of(TENANT_OVERFLOW),
+            Some(8_000 - MAX_TRACKED_TENANTS as u64)
+        );
     }
 
     #[test]

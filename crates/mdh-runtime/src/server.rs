@@ -1575,6 +1575,7 @@ def scaled(y, x):
         assert!(!valid_tenant("has space"));
         assert!(!valid_tenant("quote\"y"));
         assert!(!valid_tenant(&"x".repeat(65)));
+        assert!(!valid_tenant(crate::runtime::TENANT_OVERFLOW));
     }
 
     #[test]

@@ -150,7 +150,9 @@ fn main() {
     );
     println!(
         "  latency ms : p50 {:.3}  p99 {:.3}  mean {:.3}",
-        s.latency_p50_ms, s.latency_p99_ms, s.latency_mean_ms
+        s.latency_p50_ms(),
+        s.latency_p99_ms(),
+        s.latency_mean_ms()
     );
     assert!(
         s.hit_rate() > 0.9,

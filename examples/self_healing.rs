@@ -227,6 +227,7 @@ fn runtime_stats_see_the_flap() {
     let stats = runtime.stats();
     println!("stats: {stats}");
     println!("stats-json: {}", stats.to_json());
+    println!("stats-keys: {}", mdh::runtime::RuntimeStats::KEYS.len());
     assert_eq!(stats.device_evictions, 1, "the flap evicts gpu1 once");
     assert_eq!(stats.health_probes, 3, "probes at launches 2 (fail), 4, 6");
     assert_eq!(stats.health_reinstatements, 1, "two passes earn rejoin");

@@ -123,6 +123,11 @@ fn flood_past_queue_bound_sheds_and_keeps_results_bit_identical() {
     assert_eq!(stats.deadline_exceeded, lapsed, "stats: {stats}");
     // submitted = answered by workers (completed) + rejected at admission
     assert_eq!(stats.completed + stats.shed_requests, 200, "stats: {stats}");
+    // requests that lapsed in the queue never joined a batch
+    assert!(
+        stats.mean_batch() <= stats.max_batch as f64,
+        "stats: {stats}"
+    );
     assert_eq!(runtime.live_workers(), 2);
 }
 

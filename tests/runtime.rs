@@ -81,7 +81,7 @@ fn hit_rate_and_bit_identical_results_on_100_request_workload() {
         stats.plan_misses
     );
     assert_eq!(stats.plan_misses, 1, "only the cold launch may miss");
-    assert!(stats.latency_p99_ms > 0.0, "latencies recorded");
+    assert!(stats.latency_p99_ms() > 0.0, "latencies recorded");
 }
 
 /// Cold miss → served from the heuristic plan; the background tuner then
