@@ -173,7 +173,7 @@ impl Pipeline {
                 if let Ok(shapes) = st.program.output_shapes() {
                     for (decl, shape) in st.program.out_view.buffers.iter().zip(shapes) {
                         let bytes = shape.iter().product::<usize>() * decl.ty.size_bytes();
-                        total += region.copyout(&decl.name, bytes);
+                        total += region.copyout(bytes);
                     }
                 }
             }

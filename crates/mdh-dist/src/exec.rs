@@ -1,87 +1,35 @@
-//! The distributed executor: shard → device dispatch, concurrent
-//! execution, fault injection and recovery, functional recombination,
-//! and the pool timing model.
+//! The distributed executor: one launch in four stages.
 //!
-//! Correctness and cost are deliberately separated. The *values* are
-//! produced by really running every shard program (on the CPU executor
-//! or the functional GPU simulator) and recombining partials through the
-//! original program's combine operators in shard-index order — the MDH
-//! laws guarantee this equals single-device execution for associative
-//! operators, and keeping the fold ordered makes it bit-identical even
-//! for merely-associative (non-commutative) custom functions. The *time*
-//! is an analytic model: per-shard H2D over the shared host link
-//! (optionally overlapped with compute), the parallel execution phase,
-//! the combine topology of [`crate::topology`], and the final D2H.
+//! [`DistExecutor::run`] partitions a program over the devices in the
+//! rotation (`mdh_lowering::partition::PartitionPlan`) and then
 //!
-//! # Fault injection & recovery
+//! 1. **dispatches** every shard to its device as one parallel region on
+//!    the executor's thread pool ([`crate::dispatch`]),
+//! 2. **settles** each attempt — fault counters, transfer charges, the
+//!    watchdog's hedge, eviction — and re-plans a lost shard's own
+//!    program over the survivors ([`crate::heal`]),
+//! 3. **recombines** the partials in shard-index order through the
+//!    program's combine operators ([`crate::recombine`]), and
+//! 4. **accounts** for the launch with the analytic pool timing model
+//!    ([`crate::account`]).
 //!
-//! A [`FaultPlan`] threads a deterministic injector through every
-//! launch. Transient shard failures are retried on the same device with
-//! the capped exponential backoff of [`RetryPolicy`]; a device crash
-//! (injected, or escalation after retries are exhausted) evicts the
-//! device from the executor's health view, and the crashed shard's
-//! *program* — itself a self-contained [`DslProgram`] — is re-planned
-//! with [`PartitionPlan`] across the surviving devices and recombined
-//! into exactly the partial the dead device owed. Already-computed
-//! partials from healthy shards are always preserved: each shard's
-//! partial is independent under every strategy (`cc` regions are
-//! disjoint, `pw`/`ps` partials enter the ordered fold unchanged), so
-//! only the lost work is recomputed, and the recovered launch is
-//! bit-identical to the fault-free one. Slow-link events stretch the
-//! modelled H2D; past the policy timeout the transfer is charged at the
-//! timeout and retried once.
-//!
-//! # Self-healing
-//!
-//! A [`HealPolicy`] upgrades the executor from fail-and-forget to a
-//! health *state machine* per device ([`DeviceHealth`]):
-//!
-//! * **shard watchdog + hedged re-execution**: every attempt gets a
-//!   modelled completion deadline — its fault-free time plus the
-//!   policy's `hedge_ms` slack. A *hang* fault (or a slow-link straggler
-//!   stretched past the deadline) triggers a hedge: the shard is
-//!   speculatively re-executed on a healthy spare and the first modelled
-//!   completion wins. Hedging is safe because shard execution is
-//!   deterministic — the winner cannot change bytes — and debug builds
-//!   assert both results equal whenever both finish. Hang victims are
-//!   demoted to `Probation`.
-//! * **probation & reinstatement**: out-of-rotation devices are probed
-//!   every `probe_every` launches with a deterministic health check
-//!   against the fault schedule. An `Evicted` device that passes
-//!   `reinstate_after` consecutive probes (one suffices for
-//!   `Probation`) moves to `Reinstating` — its residency is invalidated
-//!   via [`MemPool::invalidate_device`] so no stale block survives the
-//!   outage — and rejoins the rotation as `Healthy` on the next probe
-//!   cycle. With the default (disabled) policy, evictions are permanent
-//!   and hangs escalate to crashes, reproducing the pre-healing
-//!   executor exactly.
-//!
-//! All modelled time, never slept: hangs, hedge thresholds, and probes
-//! are pure functions of `(plan, launch)`, so chaos runs stay replayable
-//! bit-for-bit and tests stay fast.
-//!
-//! Two headline times are reported. `total_ms` is the cold single-launch
-//! time including input upload. `hot_ms` is the steady-state per-launch
-//! time with inputs already resident on the devices — the regime the
-//! paper measures (its GPU numbers exclude one-time transfers, which
-//! amortise across the many launches auto-tuning assumes).
+//! Values and time are separate: the outputs come from really running
+//! every shard program and are bit-identical to single-device execution
+//! under any fault schedule; the reported times are modelled.
 
-use crate::device::{DeviceHealth, DevicePool, DeviceSpec};
+use crate::account::{output_bytes, Ledger};
+pub use crate::account::{DistReport, MemLaunchStats, ShardReport};
+use crate::device::{DeviceHealth, DevicePool};
+use crate::dispatch::{build_runners, shard_schedule, Runner};
 use crate::fault::{FaultPlan, FaultStats, HealPolicy, RetryPolicy};
-use crate::topology::{combine_cost, CombineCost, CombineTopology};
-use mdh_backend::cpu::CpuExecutor;
-use mdh_backend::gpu::GpuSim;
-use mdh_backend::transfer::{transfer_ms, LinkParams};
+use crate::heal::HealthSlot;
+use crate::recombine::recombine;
 use mdh_core::buffer::Buffer;
-use mdh_core::combine::DimBehavior;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
-use mdh_core::shape::MdRange;
-use mdh_core::types::Tuple;
 use mdh_lowering::asm::DeviceKind;
-use mdh_lowering::heuristics::mdh_default_schedule;
-use mdh_lowering::partition::{PartitionOutcome, PartitionPlan, PartitionStrategy, Shard};
-use mdh_mem::{double_buffered_phase_ms, Acquire, BlockKey, MemPool};
+use mdh_lowering::partition::PartitionPlan;
+use mdh_mem::MemPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -89,264 +37,30 @@ use std::time::Instant;
 /// Poison-recovering lock: the executor's shared state (health view,
 /// cumulative fault counters) is valid after each completed mutation, so
 /// a panicking launch thread must not brick every later launch.
-fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// What one device did for one launch.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Device label (`gpu0`, `cpu1`, ...).
-    pub device: String,
-    /// Shard index in the partition plan (recovery re-runs keep the
-    /// crashed shard's index, so several reports may share one).
-    pub shard: usize,
-    /// Pool index of the device that actually executed the work.
-    pub device_index: usize,
-    /// The shard's global iteration sub-range.
-    pub range: MdRange,
-    /// Modelled input bytes uploaded to this device.
-    pub h2d_bytes: usize,
-    pub h2d_ms: f64,
-    /// Execution time: analytic for GPU devices, wall-clock for CPU;
-    /// includes modelled retry backoff.
-    pub exec_ms: f64,
-    /// Transient retries this shard needed on its device.
-    pub retries: u32,
-}
-
-/// Timing breakdown of one distributed launch.
-#[derive(Debug, Clone)]
-pub struct DistReport {
-    /// Configured pool size (including evicted devices).
-    pub devices: usize,
-    /// Devices still healthy after this launch.
-    pub devices_alive: usize,
-    pub shards: usize,
-    pub partition_dim: Option<usize>,
-    pub strategy: Option<PartitionStrategy>,
-    /// Why the plan did (not) partition — the PR 2 silent single-shard
-    /// fallback, now typed and reported.
-    pub outcome: PartitionOutcome,
-    pub topology: CombineTopology,
-    pub per_shard: Vec<ShardReport>,
-    /// Faults injected and recovered from during this launch.
-    pub faults: FaultStats,
-    /// Whether the launch ran (or ended) on a shrunken pool.
-    pub degraded: bool,
-    /// Total modelled H2D time (sum over devices; the link is shared).
-    pub h2d_ms: f64,
-    /// Parallel execution phase: max over devices.
-    pub exec_ms: f64,
-    /// Upload + execution phase length under the overlap setting.
-    pub upload_exec_ms: f64,
-    pub combine: CombineCost,
-    /// Final device-to-host result download.
-    pub d2h_ms: f64,
-    /// Cold single-launch time: upload/exec phase + combine + D2H.
-    pub total_ms: f64,
-    /// Steady-state per-launch time with inputs resident.
-    pub hot_ms: f64,
-    /// Memory-pool activity, when a [`MemPool`] is attached and enabled.
-    pub mem: Option<MemLaunchStats>,
-    /// Health state of every pool device after this launch (or at
-    /// estimate time), indexed by pool position — the report explains
-    /// *why* a device holds no shard (probation vs evicted), not just
-    /// that shards moved.
-    pub device_health: Vec<DeviceHealth>,
-}
-
-/// What the memory pool did for one launch (deltas, not pool gauges —
-/// the pool itself may be shared with concurrent launches).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemLaunchStats {
-    /// Operand blocks found resident and current (H2D skipped).
-    pub hits: u64,
-    /// Operand blocks uploaded this launch.
-    pub misses: u64,
-    /// Resident blocks evicted under capacity pressure by this launch.
-    pub evictions: u64,
-    /// Payload bytes actually shipped over the host link.
-    pub bytes_uploaded: u64,
-    /// Payload bytes whose upload residency made unnecessary.
-    pub bytes_avoided: u64,
-    /// Resident blocks whose fingerprint revalidation failed (injected
-    /// corruption detected): invalidated and re-uploaded fresh.
-    pub corruptions: u64,
-}
-
-impl MemLaunchStats {
-    pub fn is_zero(&self) -> bool {
-        *self == MemLaunchStats::default()
-    }
-}
-
-impl std::fmt::Display for MemLaunchStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "hits={} misses={} evictions={} uploaded={}B avoided={}B",
-            self.hits, self.misses, self.evictions, self.bytes_uploaded, self.bytes_avoided
-        )?;
-        if self.corruptions != 0 {
-            write!(f, " corrupt={}", self.corruptions)?;
-        }
-        Ok(())
-    }
-}
-
-impl DistReport {
-    /// Fraction of the cold launch spent moving data (H2D + combine
-    /// links + D2H).
-    pub fn transfer_share(&self) -> f64 {
-        if self.total_ms <= 0.0 {
-            return 0.0;
-        }
-        (self.h2d_ms + self.combine.transfer_ms + self.d2h_ms) / self.total_ms
-    }
-
-    /// Fraction of the hot launch spent recombining partials.
-    pub fn combine_share(&self) -> f64 {
-        if self.hot_ms <= 0.0 {
-            return 0.0;
-        }
-        self.combine.total_ms() / self.hot_ms
-    }
-}
-
-impl std::fmt::Display for DistReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let strat = match self.strategy {
-            Some(PartitionStrategy::Concat) => "cc",
-            Some(PartitionStrategy::Reduce) => "pw",
-            Some(PartitionStrategy::Scan) => "ps",
-            Some(PartitionStrategy::IndexedReduce) => "rbi",
-            None => "none",
-        };
-        write!(
-            f,
-            "devices={} shards={} dim={} strat={} topo={} | h2d={:.3}ms exec={:.3}ms \
-             combine={:.3}ms ({} steps, xfer {:.3} + pass {:.3}) d2h={:.3}ms | \
-             cold={:.3}ms hot={:.3}ms xfer-share={:.0}% combine-share={:.0}%",
-            self.devices,
-            self.shards,
-            self.partition_dim.map_or(-1, |d| d as i64),
-            strat,
-            self.topology,
-            self.h2d_ms,
-            self.exec_ms,
-            self.combine.total_ms(),
-            self.combine.steps,
-            self.combine.transfer_ms,
-            self.combine.compute_ms,
-            self.d2h_ms,
-            self.total_ms,
-            self.hot_ms,
-            self.transfer_share() * 100.0,
-            self.combine_share() * 100.0
-        )?;
-        if self.devices > 1 && self.outcome != PartitionOutcome::Partitioned {
-            write!(f, " fallback={}", self.outcome)?;
-        }
-        if !self.faults.is_zero() {
-            write!(f, " | faults: {}", self.faults)?;
-        }
-        if self.degraded {
-            write!(
-                f,
-                " [degraded: {}/{} alive]",
-                self.devices_alive, self.devices
-            )?;
-        }
-        if let Some(mem) = &self.mem {
-            write!(f, " | mem: {mem}")?;
-        }
-        if self.device_health.iter().any(|h| !h.in_rotation()) {
-            write!(f, " | health:")?;
-            for (i, h) in self.device_health.iter().enumerate() {
-                if !h.in_rotation() {
-                    write!(f, " dev{i}={h}")?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-enum Runner {
-    Cpu(CpuExecutor),
-    Gpu(GpuSim),
-}
-
-/// One shard attempt's outcome after the retry loop.
-enum Attempt {
-    Done {
-        outs: Vec<Buffer>,
-        exec_ms: f64,
-        retries: u32,
-        transients: u32,
-    },
-    /// The device died (injected crash, retries exhausted, or — with
-    /// hedging disabled — a hang escalated to a crash).
-    Crashed {
-        retries: u32,
-        transients: u32,
-        /// Whether this crash is an escalated hang (counts towards
-        /// `injected_hangs`, not `injected_crashes`).
-        hung: bool,
-    },
-    /// The attempt hangs (hedging enabled): it would never complete, so
-    /// the watchdog fires at the modelled deadline. The outputs the
-    /// attempt *would* have produced are kept for the debug-build
-    /// equality assertion against the hedge.
-    Hung {
-        outs: Vec<Buffer>,
-        /// Modelled fault-free execution time of the attempt — the basis
-        /// of the watchdog deadline.
-        exec_ms: f64,
-        retries: u32,
-        transients: u32,
-    },
-}
-
-/// Result slot one shard worker fills.
-type ShardSlot = Option<Result<Attempt>>;
-
-/// Per-device entry of the executor's health state machine.
-#[derive(Debug, Clone, Copy)]
-struct HealthSlot {
-    state: DeviceHealth,
-    /// Consecutive passing probes since the device left the rotation.
-    passes: u32,
-}
-
-impl HealthSlot {
-    fn healthy() -> HealthSlot {
-        HealthSlot {
-            state: DeviceHealth::Healthy,
-            passes: 0,
-        }
-    }
 }
 
 /// Executes programs across a [`DevicePool`], injecting and recovering
 /// from the faults of an optional [`FaultPlan`].
 pub struct DistExecutor {
-    pool: DevicePool,
-    runners: Vec<Runner>,
-    faults: FaultPlan,
-    retry: RetryPolicy,
+    pub(crate) pool: DevicePool,
+    /// The one thread pool shards and their runners execute on.
+    pub(crate) exec_pool: rayon::ThreadPool,
+    pub(crate) runners: Vec<Runner>,
+    pub(crate) faults: FaultPlan,
+    pub(crate) retry: RetryPolicy,
     /// Self-healing knobs. The default policy disables hedging and
     /// probing, making evictions permanent and hangs escalate to crashes
     /// — exactly the pre-healing executor.
-    heal: HealPolicy,
+    pub(crate) heal: HealPolicy,
     /// Device-resident buffer pool. `None` (the default) preserves the
     /// PR 2 model exactly: every launch re-ships every input.
-    mem: Option<Arc<MemPool>>,
+    pub(crate) mem: Option<Arc<MemPool>>,
     /// Per-device health state machine (see [`DeviceHealth`]). Without a
     /// probing [`HealPolicy`], devices only ever move Healthy→Evicted
     /// and stay there for the executor's lifetime.
-    health: Mutex<Vec<HealthSlot>>,
+    pub(crate) health: Mutex<Vec<HealthSlot>>,
     /// Monotone launch counter driving the deterministic fault schedule.
     launches: AtomicU64,
     /// Cumulative fault/recovery counters across all launches.
@@ -359,22 +73,14 @@ impl DistExecutor {
     }
 
     /// An executor whose launches are subjected to `faults` under the
-    /// default [`RetryPolicy`].
+    /// default [`RetryPolicy`], on a thread pool of its own.
     pub fn with_faults(pool: DevicePool, faults: FaultPlan) -> Result<DistExecutor> {
-        DistExecutor::with_faults_and_policy(pool, faults, RetryPolicy::default())
+        DistExecutor::build(pool, faults, RetryPolicy::default(), None)
     }
 
-    pub fn with_faults_and_policy(
-        pool: DevicePool,
-        faults: FaultPlan,
-        retry: RetryPolicy,
-    ) -> Result<DistExecutor> {
-        DistExecutor::build(pool, faults, retry, None)
-    }
-
-    /// Like [`DistExecutor::with_faults_and_policy`], but every device
-    /// runner shares `exec_pool`'s OS threads (width-scoped per device
-    /// spec) instead of building one thread pool per device — the
+    /// Like [`DistExecutor::with_faults`] under an explicit
+    /// [`RetryPolicy`], with shards and every device runner sharing
+    /// `exec_pool`'s OS threads (width-scoped per device spec) — the
     /// process-shareable-pool mode the runtime uses to avoid
     /// oversubscription.
     pub fn with_faults_policy_and_pool(
@@ -395,23 +101,11 @@ impl DistExecutor {
         if pool.is_empty() {
             return Err(MdhError::Validation("device pool is empty".into()));
         }
-        let runners = pool
-            .devices
-            .iter()
-            .map(|d| match (d, exec_pool) {
-                (DeviceSpec::Cpu { threads }, None) => Ok(Runner::Cpu(CpuExecutor::new(*threads)?)),
-                (DeviceSpec::Cpu { threads }, Some(p)) => {
-                    Ok(Runner::Cpu(CpuExecutor::with_pool(p, *threads)))
-                }
-                (DeviceSpec::Gpu(gp), None) => Ok(Runner::Gpu(GpuSim::with_params(gp.clone(), 1)?)),
-                (DeviceSpec::Gpu(gp), Some(p)) => {
-                    Ok(Runner::Gpu(GpuSim::with_params_and_pool(gp.clone(), p, 1)))
-                }
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let health = Mutex::new(vec![HealthSlot::healthy(); pool.len()]);
+        let (exec_pool, runners) = build_runners(&pool, exec_pool)?;
+        let health = Mutex::new(vec![HealthSlot::HEALTHY; pool.len()]);
         Ok(DistExecutor {
             pool,
+            exec_pool,
             runners,
             faults,
             retry,
@@ -432,11 +126,6 @@ impl DistExecutor {
         self
     }
 
-    /// The self-healing policy in effect.
-    pub fn heal_policy(&self) -> &HealPolicy {
-        &self.heal
-    }
-
     /// Attach a device-resident buffer pool: shard inputs whose
     /// content/version/region key is already resident skip H2D entirely,
     /// and misses are double-buffered so the upload overlaps compute.
@@ -447,27 +136,8 @@ impl DistExecutor {
         self
     }
 
-    /// The attached memory pool, if any.
-    pub fn mem_pool(&self) -> Option<&Arc<MemPool>> {
-        self.mem.as_ref()
-    }
-
-    fn mem_enabled(&self) -> bool {
-        self.mem.as_ref().is_some_and(|m| m.enabled())
-    }
-
-    /// Configured pool size (evicted devices included).
-    pub fn devices(&self) -> usize {
-        self.pool.len()
-    }
-
     pub fn pool(&self) -> &DevicePool {
         &self.pool
-    }
-
-    /// The fault schedule this executor injects.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
     }
 
     /// Cumulative fault/recovery counters across all launches so far.
@@ -496,94 +166,6 @@ impl DistExecutor {
         plock(&self.health).iter().map(|s| s.state).collect()
     }
 
-    /// Whether any device is out of the rotation.
-    pub fn is_degraded(&self) -> bool {
-        self.healthy_count() < self.pool.len()
-    }
-
-    /// Marks `device` dead. Returns whether this call removed the device
-    /// from the rotation: concurrent launches that dispatched to the
-    /// same dying device race to evict it, and only the winner may count
-    /// the eviction.
-    fn evict(&self, device: usize) -> bool {
-        let mut health = plock(&self.health);
-        let was_in_rotation = health[device].state.in_rotation();
-        health[device].state = DeviceHealth::Evicted;
-        health[device].passes = 0;
-        was_in_rotation
-    }
-
-    /// Demotes a hang victim to probation. Returns whether this call
-    /// performed the Healthy→Probation transition.
-    fn demote(&self, device: usize) -> bool {
-        let mut health = plock(&self.health);
-        if health[device].state == DeviceHealth::Healthy {
-            health[device].state = DeviceHealth::Probation;
-            health[device].passes = 0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// First in-rotation device other than `victim`, if any — the target
-    /// a hedged re-execution lands on.
-    fn hedge_target(&self, victim: usize) -> Option<usize> {
-        plock(&self.health)
-            .iter()
-            .enumerate()
-            .find(|&(i, s)| i != victim && s.state.in_rotation())
-            .map(|(i, _)| i)
-    }
-
-    /// One probe cycle over the out-of-rotation devices, run every
-    /// `probe_every` launches. A probe is a deterministic health check
-    /// against the fault schedule at this launch: it passes iff the
-    /// device is neither crashed (its flap window cleared) nor hanging.
-    /// `Probation` rejoins after one pass, `Evicted` after the policy's
-    /// consecutive-pass quota; both pass through `Reinstating`, where the
-    /// device's residency is invalidated so no block that went stale
-    /// during the outage can ever be served, and rejoin as `Healthy` on
-    /// the next cycle.
-    fn run_probe_cycle(&self, launch: u64, faults: &mut FaultStats) {
-        if !self.heal.probing() || launch == 0 || !launch.is_multiple_of(self.heal.probe_every) {
-            return;
-        }
-        let mut health = plock(&self.health);
-        for (dev, slot) in health.iter_mut().enumerate() {
-            match slot.state {
-                DeviceHealth::Healthy => {}
-                DeviceHealth::Reinstating => {
-                    slot.state = DeviceHealth::Healthy;
-                    slot.passes = 0;
-                }
-                DeviceHealth::Probation | DeviceHealth::Evicted => {
-                    faults.probes += 1;
-                    let passed =
-                        !self.faults.crash_due(dev, launch) && !self.faults.hang_due(dev, launch);
-                    if !passed {
-                        slot.passes = 0;
-                        continue;
-                    }
-                    slot.passes += 1;
-                    let quota = if slot.state == DeviceHealth::Probation {
-                        1
-                    } else {
-                        self.heal.reinstate_after.max(1)
-                    };
-                    if slot.passes >= quota {
-                        slot.state = DeviceHealth::Reinstating;
-                        slot.passes = 0;
-                        faults.reinstatements += 1;
-                        if let Some(mem) = &self.mem {
-                            mem.invalidate_device(dev);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Partition `prog` across the healthy devices, execute with fault
     /// injection and recovery, recombine, and model the launch time.
     /// Shard `i` runs on the `i`-th healthy device; with no shardable
@@ -605,25 +187,13 @@ impl DistExecutor {
         deadline: Option<Instant>,
     ) -> Result<(Vec<Buffer>, DistReport)> {
         let launch = self.launches.fetch_add(1, Ordering::SeqCst);
-        let host_memory = self.pool.all_host_memory();
-        let mut faults = FaultStats::default();
+        let mut ledger = Ledger::new(inputs, Some(launch));
         // heal before planning: a device reinstated by this cycle joins
         // this launch's rotation
-        self.run_probe_cycle(launch, &mut faults);
-        let mut mem_launch = None;
-        let level = self.run_level(prog, inputs, launch, deadline, &mut faults, &mut mem_launch)?;
-        plock(&self.cumulative).absorb(&faults);
-
-        let outputs = recombine(prog, &level.plan, level.shard_outs)?;
-        let out_bytes = output_bytes(&outputs);
-        let report = self.assemble_report(
-            &level.plan,
-            level.per_shard,
-            out_bytes,
-            host_memory,
-            faults,
-            mem_launch,
-        );
+        self.run_probe_cycle(launch, &mut ledger.faults);
+        let (plan, outputs) = self.run_level(prog, launch, deadline, &mut ledger)?;
+        plock(&self.cumulative).absorb(&ledger.faults);
+        let report = self.assemble_report(&plan, ledger, output_bytes(&outputs));
         Ok((outputs, report))
     }
 
@@ -635,24 +205,13 @@ impl DistExecutor {
     /// fault-free launch). Requires an all-GPU pool — CPU execution is
     /// measured, not modelled.
     pub fn estimate(&self, prog: &DslProgram, inputs: &[Buffer]) -> Result<DistReport> {
-        // model what a launch would actually do: plan over the devices
-        // in the rotation, not the configured pool — and let the report
-        // carry every device's health so a skipped device is explained
-        // (probation vs evicted), not silently absent
-        let alive = self.alive_devices();
-        if alive.is_empty() {
-            return Err(MdhError::Eval(format!(
-                "all pool devices failed; replay with fault plan '{}'",
-                self.faults
-            )));
-        }
-        let plan = PartitionPlan::build(prog, alive.len())?;
-        let host_memory = self.pool.all_host_memory();
-        let mut per_shard = Vec::with_capacity(plan.shards.len());
-        let mut mem_launch = None;
+        let (alive, plan) = self.plan_over_rotation(prog)?;
         // the estimate models the fault-free launch, so injected faults
-        // are never charged — the throwaway stats stay zero
-        let mut no_faults = FaultStats::default();
+        // are never charged — the ledger's stats stay zero. With a pool
+        // attached, estimates charge residency like real launches: a
+        // second estimate of the same workload models the warm relaunch
+        // (the regime serving cares about)
+        let mut ledger = Ledger::new(inputs, None);
         for shard in &plan.shards {
             let dev = alive[shard.index];
             let Runner::Gpu(sim) = &self.runners[dev] else {
@@ -662,131 +221,19 @@ impl DistExecutor {
                         .into(),
                 ));
             };
-            let units = sim.params.num_sms * 32;
-            let schedule = shard_schedule(&shard.prog, DeviceKind::Gpu, units);
+            let schedule = shard_schedule(&shard.prog, DeviceKind::Gpu, sim.params.num_sms * 32);
             let exec_ms = sim.estimate(&shard.prog, &schedule)?.time_ms;
-            // with a pool attached, estimates charge residency like real
-            // launches: a second estimate of the same workload models the
-            // warm relaunch (the regime serving cares about)
-            let (h2d_bytes, h2d_ms) = self.charge_shard_h2d(
-                dev,
-                shard,
-                prog,
-                inputs,
-                host_memory,
-                None,
-                &mut no_faults,
-                &mut mem_launch,
-            );
-            per_shard.push(ShardReport {
-                device: self.pool.devices[dev].label(dev),
-                shard: shard.index,
-                device_index: dev,
-                range: shard.range.clone(),
-                h2d_bytes,
-                h2d_ms,
-                exec_ms,
-                retries: 0,
-            });
+            let report = self.shard_report(&mut ledger, dev, shard, exec_ms, 0);
+            ledger.per_shard.push(report);
         }
         let out_bytes = output_bytes(&mdh_core::eval::alloc_outputs(prog)?);
-        Ok(self.assemble_report(
-            &plan,
-            per_shard,
-            out_bytes,
-            host_memory,
-            FaultStats::default(),
-            mem_launch,
-        ))
+        Ok(self.assemble_report(&plan, ledger, out_bytes))
     }
 
-    /// Model (and, with a pool attached, charge) one shard's H2D: each
-    /// input operand is looked up by its content/version/region key, hits
-    /// skip the transfer, and only missed bytes ship over the host link.
-    /// Called sequentially in shard-index order from the launch thread,
-    /// so pool mutations are deterministic per launch.
-    ///
-    /// `launch` is `Some` for real launches — the corruption schedule is
-    /// consulted, and a resident block whose fingerprint revalidation
-    /// fails is invalidated and re-uploaded fresh — and `None` for
-    /// estimates, which model the fault-free launch.
-    fn charge_shard_h2d(
-        &self,
-        dev: usize,
-        shard: &Shard,
-        prog: &DslProgram,
-        inputs: &[Buffer],
-        host_memory: bool,
-        launch: Option<u64>,
-        faults: &mut FaultStats,
-        mem_launch: &mut Option<MemLaunchStats>,
-    ) -> (usize, f64) {
-        let is_gpu = matches!(self.pool.devices[dev], DeviceSpec::Gpu(_));
-        if !is_gpu || host_memory {
-            return (0, 0.0);
-        }
-        let Some(mem) = self.mem.as_ref().filter(|m| m.enabled()) else {
-            let bytes = shard_input_bytes(prog, &shard.range, inputs);
-            return (bytes, transfer_ms(&self.pool.config.host_link, bytes));
-        };
-        let corrupted = launch.is_some_and(|l| self.faults.corrupt_due(dev, l));
-        let stats = mem_launch.get_or_insert_with(MemLaunchStats::default);
-        let mut upload = 0usize;
-        for region in shard.operand_regions() {
-            let bytes = input_bytes(prog, region.input, &shard.range, inputs);
-            let Some(buf) = inputs.get(region.input) else {
-                continue;
-            };
-            let key = BlockKey::new(mem.operand_id(buf), region.signature);
-            // revalidate the resident fingerprint before trusting a hit:
-            // an injected bit-flip fails the strided re-sample, the block
-            // is invalidated, and the acquire below misses into a fresh
-            // upload — values never depended on residency, so the result
-            // is unchanged
-            if corrupted && mem.detect_corruption(dev, key) {
-                stats.corruptions += 1;
-                faults.injected_corruptions += 1;
-            }
-            match mem.acquire(dev, key, bytes as u64) {
-                Acquire::Hit => {
-                    stats.hits += 1;
-                    stats.bytes_avoided += bytes as u64;
-                }
-                Acquire::Miss { evicted, .. } => {
-                    stats.misses += 1;
-                    stats.evictions += evicted;
-                    stats.bytes_uploaded += bytes as u64;
-                    upload += bytes;
-                }
-            }
-        }
-        if upload == 0 {
-            // a fully-resident shard issues no transfer at all, so not
-            // even the link latency is paid
-            return (0, 0.0);
-        }
-        (upload, transfer_ms(&self.pool.config.host_link, upload))
-    }
-
-    /// Execute one partitioning level: plan over the currently-healthy
-    /// devices, run every shard (with transient retry on-device), evict
-    /// crashed devices, and recover each crashed shard by recursively
-    /// re-planning *its* program over the survivors. Healthy shards'
-    /// partials are never recomputed.
-    fn run_level(
-        &self,
-        prog: &DslProgram,
-        inputs: &[Buffer],
-        launch: u64,
-        deadline: Option<Instant>,
-        faults: &mut FaultStats,
-        mem_launch: &mut Option<MemLaunchStats>,
-    ) -> Result<Level> {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(MdhError::DeadlineExceeded(
-                "deadline expired before pool dispatch; launch not started".into(),
-            ));
-        }
+    /// Plan `prog` over the devices in the rotation, not the configured
+    /// pool — the report carries every device's health, so a skipped
+    /// device is explained (probation vs evicted), not silently absent.
+    fn plan_over_rotation(&self, prog: &DslProgram) -> Result<(Vec<usize>, PartitionPlan)> {
         let alive = self.alive_devices();
         if alive.is_empty() {
             return Err(MdhError::Eval(format!(
@@ -795,1396 +242,54 @@ impl DistExecutor {
             )));
         }
         let plan = PartitionPlan::build(prog, alive.len())?;
-        let host_memory = self.pool.all_host_memory();
-
-        // --- parallel attempt phase (transient retries stay on-device) --
-        let mut slots: Vec<ShardSlot> = (0..plan.shards.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (i, (slot, shard)) in slots.iter_mut().zip(&plan.shards).enumerate() {
-                let dev = alive[i];
-                let runner = &self.runners[dev];
-                scope.spawn(move || {
-                    *slot = Some(self.attempt_shard(runner, dev, launch, &shard.prog, inputs));
-                });
-            }
-        });
-
-        let mut shard_outs: Vec<Option<Vec<Buffer>>> = Vec::with_capacity(slots.len());
-        let mut per_shard = Vec::with_capacity(slots.len());
-        let mut crashed: Vec<usize> = Vec::new();
-        for (i, (slot, shard)) in slots.into_iter().zip(&plan.shards).enumerate() {
-            let dev = alive[i];
-            let attempt = slot.ok_or_else(|| MdhError::Eval("shard worker vanished".into()))??;
-            match attempt {
-                Attempt::Done {
-                    outs,
-                    exec_ms,
-                    retries,
-                    transients,
-                } => {
-                    faults.retries += u64::from(retries);
-                    faults.injected_transients += u64::from(transients);
-                    let (h2d_bytes, mut h2d_ms) = self.charge_shard_h2d(
-                        dev,
-                        shard,
-                        prog,
-                        inputs,
-                        host_memory,
-                        Some(launch),
-                        faults,
-                        mem_launch,
-                    );
-                    let fair_h2d = h2d_ms;
-                    // slow-link injection on the modelled transfer: a
-                    // stretch past the timeout is charged at the timeout
-                    // and the transfer retried once at normal speed —
-                    // unless the watchdog is armed, which charges the
-                    // full stretch and hedges past-deadline stragglers
-                    if h2d_ms > 0.0 {
-                        if let Some(factor) = self.faults.slow_factor(dev, launch) {
-                            faults.slow_links += 1;
-                            let stretched = h2d_ms * f64::from(factor);
-                            if self.heal.hedging() {
-                                h2d_ms = stretched;
-                            } else if stretched > self.retry.link_timeout_ms {
-                                faults.retries += 1;
-                                h2d_ms += self.retry.link_timeout_ms;
-                            } else {
-                                h2d_ms = stretched;
-                            }
-                        }
-                    }
-                    let mut report = ShardReport {
-                        device: self.pool.devices[dev].label(dev),
-                        shard: i,
-                        device_index: dev,
-                        range: shard.range.clone(),
-                        h2d_bytes,
-                        h2d_ms,
-                        exec_ms,
-                        retries,
-                    };
-                    // straggler watchdog: the shard's completion deadline
-                    // is its fault-free span plus the hedge slack; a
-                    // transfer stretched past it is speculatively re-run
-                    // on a healthy spare and the first modelled
-                    // completion wins (both produce identical bytes)
-                    if self.heal.hedging() && h2d_ms > fair_h2d + self.heal.hedge_ms {
-                        if let Some(spare) = self.hedge_target(dev) {
-                            faults.hedges += 1;
-                            let deadline_ms = fair_h2d + exec_ms + self.heal.hedge_ms;
-                            let (houts, hexec) =
-                                run_shard(&self.runners[spare], &shard.prog, inputs)?;
-                            let (hh2d_bytes, hh2d_ms) = self.charge_shard_h2d(
-                                spare,
-                                shard,
-                                prog,
-                                inputs,
-                                host_memory,
-                                Some(launch),
-                                faults,
-                                mem_launch,
-                            );
-                            debug_assert_eq!(
-                                outs, houts,
-                                "hedged re-execution diverged from the straggler"
-                            );
-                            let straggler_done = h2d_ms + exec_ms;
-                            let hedge_done = deadline_ms + hh2d_ms + hexec;
-                            if hedge_done < straggler_done {
-                                // hedge wins: the straggler's abandoned
-                                // transfer frees the link; the hedge's
-                                // exec charge carries the watchdog wait
-                                report = ShardReport {
-                                    device: self.pool.devices[spare].label(spare),
-                                    shard: i,
-                                    device_index: spare,
-                                    range: shard.range.clone(),
-                                    h2d_bytes: hh2d_bytes,
-                                    h2d_ms: hh2d_ms,
-                                    exec_ms: deadline_ms + hexec,
-                                    retries: 0,
-                                };
-                            }
-                        }
-                    }
-                    per_shard.push(report);
-                    shard_outs.push(Some(outs));
-                }
-                Attempt::Hung {
-                    outs,
-                    exec_ms,
-                    retries,
-                    transients,
-                } => {
-                    faults.retries += u64::from(retries);
-                    faults.injected_transients += u64::from(transients);
-                    faults.injected_hangs += 1;
-                    // the victim uploaded (or hit residency), then hung
-                    // in the kernel: charge it up to the watchdog
-                    // deadline, then abandon it to probation
-                    let (h2d_bytes, h2d_ms) = self.charge_shard_h2d(
-                        dev,
-                        shard,
-                        prog,
-                        inputs,
-                        host_memory,
-                        Some(launch),
-                        faults,
-                        mem_launch,
-                    );
-                    if self.demote(dev) {
-                        faults.probations += 1;
-                    }
-                    per_shard.push(ShardReport {
-                        device: self.pool.devices[dev].label(dev),
-                        shard: i,
-                        device_index: dev,
-                        range: shard.range.clone(),
-                        h2d_bytes,
-                        h2d_ms,
-                        exec_ms: exec_ms + self.heal.hedge_ms,
-                        retries,
-                    });
-                    let Some(spare) = self.hedge_target(dev) else {
-                        // no in-rotation spare to hedge on: the hang
-                        // degenerates to a crash so recovery (or the
-                        // all-devices-failed error) takes over
-                        if self.evict(dev) {
-                            faults.evictions += 1;
-                        }
-                        if let Some(mem) = &self.mem {
-                            mem.invalidate_device(dev);
-                        }
-                        crashed.push(i);
-                        shard_outs.push(None);
-                        continue;
-                    };
-                    faults.hedges += 1;
-                    let deadline_ms = h2d_ms + exec_ms + self.heal.hedge_ms;
-                    let (houts, hexec) = run_shard(&self.runners[spare], &shard.prog, inputs)?;
-                    let (hh2d_bytes, hh2d_ms) = self.charge_shard_h2d(
-                        spare,
-                        shard,
-                        prog,
-                        inputs,
-                        host_memory,
-                        Some(launch),
-                        faults,
-                        mem_launch,
-                    );
-                    debug_assert_eq!(
-                        outs, houts,
-                        "hedged re-execution diverged from the hung attempt"
-                    );
-                    // the hedge starts when the watchdog fires: its
-                    // completion is the deadline plus its own (possibly
-                    // residency-shortened) upload and execution
-                    per_shard.push(ShardReport {
-                        device: self.pool.devices[spare].label(spare),
-                        shard: i,
-                        device_index: spare,
-                        range: shard.range.clone(),
-                        h2d_bytes: hh2d_bytes,
-                        h2d_ms: hh2d_ms,
-                        exec_ms: deadline_ms + hexec,
-                        retries: 0,
-                    });
-                    shard_outs.push(Some(houts));
-                }
-                Attempt::Crashed {
-                    retries,
-                    transients,
-                    hung,
-                } => {
-                    faults.retries += u64::from(retries);
-                    faults.injected_transients += u64::from(transients);
-                    if hung {
-                        faults.injected_hangs += 1;
-                    } else {
-                        faults.injected_crashes += 1;
-                    }
-                    if self.evict(dev) {
-                        faults.evictions += 1;
-                    }
-                    // the device's memory is gone with it: drop residency
-                    // so a later launch can never hit a stale block on a
-                    // replacement (idempotent under racing launches)
-                    if let Some(mem) = &self.mem {
-                        mem.invalidate_device(dev);
-                    }
-                    crashed.push(i);
-                    shard_outs.push(None);
-                }
-            }
-        }
-
-        // --- recovery: re-plan each crashed shard over the survivors ---
-        // MDH re-decomposition is semantics-preserving across device
-        // counts, so partitioning the crashed shard's own program and
-        // recombining its sub-partials yields exactly the partial the
-        // dead device owed — healthy partials stay as computed.
-        for i in crashed {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(MdhError::DeadlineExceeded(
-                    "deadline expired before crashed-shard recovery; \
-                     recompute abandoned"
-                        .into(),
-                ));
-            }
-            faults.repartitions += 1;
-            let shard = &plan.shards[i];
-            let sub = self.run_level(&shard.prog, inputs, launch, deadline, faults, mem_launch)?;
-            let partial = recombine(&shard.prog, &sub.plan, sub.shard_outs)?;
-            per_shard.extend(sub.per_shard.into_iter().map(|mut r| {
-                r.shard = i;
-                r
-            }));
-            shard_outs[i] = Some(partial);
-        }
-
-        let shard_outs = shard_outs
-            .into_iter()
-            .map(|o| o.ok_or_else(|| MdhError::Eval("unrecovered shard".into())))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Level {
-            plan,
-            shard_outs,
-            per_shard,
-        })
+        Ok((alive, plan))
     }
 
-    /// Run one shard on its device under the transient-fault retry loop.
-    fn attempt_shard(
+    /// Execute one partitioning level: plan over the currently-healthy
+    /// devices, dispatch and settle every shard, and recover each lost
+    /// shard by recursively re-planning *its* program over the survivors
+    /// — MDH re-decomposition is semantics-preserving across device
+    /// counts, so recombining the sub-partials yields exactly the partial
+    /// the dead device owed, and healthy shards' partials are never
+    /// recomputed. Returns the level's plan and recombined outputs.
+    fn run_level(
         &self,
-        runner: &Runner,
-        device: usize,
-        launch: u64,
         prog: &DslProgram,
-        inputs: &[Buffer],
-    ) -> Result<Attempt> {
-        if self.faults.crash_due(device, launch) {
-            return Ok(Attempt::Crashed {
-                retries: 0,
-                transients: 0,
-                hung: false,
-            });
-        }
-        let hang = self.faults.hang_due(device, launch);
-        if hang && !self.heal.hedging() {
-            // no watchdog armed: a hang is indistinguishable from a dead
-            // device, so it escalates to a crash and the work moves on
-            return Ok(Attempt::Crashed {
-                retries: 0,
-                transients: 0,
-                hung: true,
-            });
-        }
-        let mut retries = 0u32;
-        let mut transients = 0u32;
-        let mut backoff_ms = 0.0;
-        let mut attempt = 0u32;
-        loop {
-            if self.faults.transient_fails(device, launch, attempt) {
-                transients += 1;
-                if retries >= self.retry.max_retries {
-                    // retries exhausted: escalate to a device crash so
-                    // the work moves to a healthy device
-                    return Ok(Attempt::Crashed {
-                        retries,
-                        transients,
-                        hung: false,
-                    });
-                }
-                backoff_ms += self.retry.backoff_ms(retries);
-                retries += 1;
-                attempt += 1;
-                continue;
-            }
-            let (outs, exec_ms) = run_shard(runner, prog, inputs)?;
-            if hang {
-                // the attempt would never complete; the modelled time
-                // (and the outputs, kept for the debug-build equality
-                // assertion) anchor the watchdog deadline
-                return Ok(Attempt::Hung {
-                    outs,
-                    exec_ms: exec_ms + backoff_ms,
-                    retries,
-                    transients,
-                });
-            }
-            return Ok(Attempt::Done {
-                outs,
-                exec_ms: exec_ms + backoff_ms,
-                retries,
-                transients,
-            });
-        }
-    }
-
-    /// Fold per-shard uploads and execution times through the pool's
-    /// overlap, combine-topology, and D2H models.
-    fn assemble_report(
-        &self,
-        plan: &PartitionPlan,
-        per_shard: Vec<ShardReport>,
-        out_bytes: usize,
-        host_memory: bool,
-        faults: FaultStats,
-        mem: Option<MemLaunchStats>,
-    ) -> DistReport {
-        let n = plan.shards.len();
-        let exec_ms = per_shard.iter().map(|s| s.exec_ms).fold(0.0, f64::max);
-        let h2d_ms: f64 = per_shard.iter().map(|s| s.h2d_ms).sum();
-        // uploads serialise on the shared host link; with overlap, each
-        // device starts computing as soon as its own upload lands — and
-        // with a memory pool attached, uploads are double-buffered so
-        // compute starts after the *first half* of the shard's transfer
-        let upload_exec_ms = if self.mem_enabled() {
-            let pairs: Vec<(f64, f64)> = per_shard.iter().map(|s| (s.h2d_ms, s.exec_ms)).collect();
-            double_buffered_phase_ms(&pairs)
-        } else if self.pool.config.overlap {
-            let mut cum = 0.0;
-            let mut phase: f64 = 0.0;
-            for s in &per_shard {
-                cum += s.h2d_ms;
-                phase = phase.max(cum + s.exec_ms);
-            }
-            phase
-        } else {
-            h2d_ms + exec_ms
+        launch: u64,
+        deadline: Option<Instant>,
+        ledger: &mut Ledger,
+    ) -> Result<(PartitionPlan, Vec<Buffer>)> {
+        let expired = |what: &str| match deadline {
+            Some(d) if Instant::now() >= d => Err(MdhError::DeadlineExceeded(what.into())),
+            _ => Ok(()),
         };
-        let combine = combine_cost(
-            self.pool.config.topology,
-            plan.strategy(),
-            n,
-            out_bytes,
-            &self.pool.config.host_link,
-            &self.pool.config.peer_link,
-            self.pool.combine_bw_gib_s(),
-            host_memory,
-        );
-        let d2h_ms = d2h_cost(
-            &self.pool.config.host_link,
-            self.pool.config.topology,
-            plan.strategy(),
-            n,
-            out_bytes,
-            host_memory,
-        );
-        let total_ms = upload_exec_ms + combine.total_ms() + d2h_ms;
-        let hot_ms = exec_ms + combine.total_ms() + d2h_ms;
-        let device_health = self.device_health();
-        let devices_alive = device_health.iter().filter(|h| h.in_rotation()).count();
+        expired("deadline expired before pool dispatch; launch not started")?;
+        let (alive, plan) = self.plan_over_rotation(prog)?;
+        let attempts = self.attempt_all(&plan, &alive, launch, ledger.inputs);
 
-        DistReport {
-            devices: self.pool.len(),
-            devices_alive,
-            shards: n,
-            partition_dim: plan.dim(),
-            strategy: plan.strategy(),
-            outcome: plan.outcome,
-            topology: self.pool.config.topology,
-            per_shard,
-            faults,
-            degraded: devices_alive < self.pool.len(),
-            h2d_ms,
-            exec_ms,
-            upload_exec_ms,
-            combine,
-            d2h_ms,
-            total_ms,
-            hot_ms,
-            mem,
-            device_health,
+        let mut settled = Vec::with_capacity(plan.shards.len());
+        for (shard, attempt) in plan.shards.iter().zip(attempts) {
+            settled.push(self.settle(ledger, alive[shard.index], shard, attempt?)?);
         }
-    }
-}
 
-/// What one partitioning level produced: the plan, every shard's partial
-/// (healthy or recovered), and the per-shard reports.
-struct Level {
-    plan: PartitionPlan,
-    shard_outs: Vec<Vec<Buffer>>,
-    per_shard: Vec<ShardReport>,
-}
-
-/// Run one shard program on its device; returns outputs and exec time
-/// (analytic for the GPU simulator, measured for CPU).
-fn run_shard(runner: &Runner, prog: &DslProgram, inputs: &[Buffer]) -> Result<(Vec<Buffer>, f64)> {
-    match runner {
-        Runner::Cpu(exec) => {
-            let schedule = shard_schedule(prog, DeviceKind::Cpu, exec.threads);
-            let t0 = Instant::now();
-            let outs = exec.run(prog, &schedule, inputs)?;
-            Ok((outs, t0.elapsed().as_secs_f64() * 1e3))
-        }
-        Runner::Gpu(sim) => {
-            let units = sim.params.num_sms * 32;
-            let schedule = shard_schedule(prog, DeviceKind::Gpu, units);
-            let (outs, report) = sim.run(prog, &schedule, inputs)?;
-            Ok((outs, report.time_ms))
-        }
-    }
-}
-
-/// Default schedule for a shard program. General (non-affine) input
-/// accesses have no computable footprint, so staging — which must
-/// validate the staged block footprint against shared memory — is
-/// disabled for them.
-fn shard_schedule(
-    prog: &DslProgram,
-    device: DeviceKind,
-    parallel_units: usize,
-) -> mdh_lowering::schedule::Schedule {
-    let mut s = mdh_default_schedule(prog, device, parallel_units);
-    if prog
-        .inp_view
-        .accesses
-        .iter()
-        .any(|a| a.index_fn.as_affine().is_none())
-    {
-        s.stage_inputs = false;
-    }
-    s
-}
-
-/// Bytes of one input a device needs for its shard: the footprint of the
-/// *original* program's access over the shard's global range (falling
-/// back to the whole buffer when the footprint is unknown).
-fn input_bytes(prog: &DslProgram, b: usize, range: &MdRange, inputs: &[Buffer]) -> usize {
-    prog.inp_view
-        .footprint_bytes(b, range)
-        .or_else(|| inputs.get(b).map(|buf| buf.size_bytes()))
-        .unwrap_or(0)
-}
-
-/// Total input bytes a device needs for its shard.
-fn shard_input_bytes(prog: &DslProgram, range: &MdRange, inputs: &[Buffer]) -> usize {
-    (0..prog.inp_view.buffers.len())
-        .map(|b| input_bytes(prog, b, range, inputs))
-        .sum()
-}
-
-fn output_bytes(outputs: &[Buffer]) -> usize {
-    outputs.iter().map(|b| b.size_bytes()).sum()
-}
-
-/// Final D2H: where does the result end up on the host?
-fn d2h_cost(
-    host: &LinkParams,
-    topology: CombineTopology,
-    strategy: Option<PartitionStrategy>,
-    n: usize,
-    out_bytes: usize,
-    host_memory: bool,
-) -> f64 {
-    if host_memory {
-        return 0.0;
-    }
-    match strategy {
-        // disjoint regions: each shard downloads its own slice (the
-        // gather IS the recombination for cc)
-        Some(PartitionStrategy::Concat) if n > 1 => {
-            n as f64 * transfer_ms(host, out_bytes / n.max(1))
-        }
-        // host-side gather already delivered the partials to the host
-        Some(PartitionStrategy::Reduce) | Some(PartitionStrategy::IndexedReduce)
-            if topology == CombineTopology::HostGather && n > 1 =>
-        {
-            0.0
-        }
-        // scan: every shard's locally-finalised region comes down
-        Some(PartitionStrategy::Scan) if n > 1 => n as f64 * transfer_ms(host, out_bytes / n),
-        // reduced on-device (serial/tree) or unpartitioned: one download
-        _ => transfer_ms(host, out_bytes),
-    }
-}
-
-// ---------------------------------------------------------------------
-// functional recombination
-// ---------------------------------------------------------------------
-
-/// Fold per-shard partial outputs into the final result, in shard-index
-/// order, through the original program's combine operators.
-fn recombine(
-    prog: &DslProgram,
-    plan: &PartitionPlan,
-    mut shard_outs: Vec<Vec<Buffer>>,
-) -> Result<Vec<Buffer>> {
-    let mut acc = shard_outs.remove(0);
-    let Some((d, strategy)) = plan.partition else {
-        return Ok(acc);
-    };
-    if shard_outs.is_empty() {
-        return Ok(acc);
-    }
-    match strategy {
-        PartitionStrategy::Concat => {
-            for (s, outs) in shard_outs.into_iter().enumerate() {
-                let range = pinned_range(prog, &plan.shards[s + 1].range, None);
-                copy_region(prog, &mut acc, &outs, &range)?;
-            }
-        }
-        PartitionStrategy::Reduce => {
-            let f = prog.md_hom.combine_ops[d]
-                .pw_func()
-                .expect("Reduce strategy implies a pw operator")
-                .clone();
-            // iterate the written positions once: all collapsed dims
-            // (including d) pinned, preserved dims over the full range
-            let range = pinned_range(prog, &prog.md_hom.full_range(), Some(d));
-            for outs in shard_outs {
-                for idx in range.iter() {
-                    let Some(positions) = out_positions(prog, &idx) else {
-                        continue;
-                    };
-                    let lhs = read_tuple(&acc, &positions);
-                    let rhs = read_tuple(&outs, &positions);
-                    let combined = f.combine(&lhs, &rhs)?;
-                    write_tuple(&mut acc, &positions, &combined)?;
-                }
-            }
-        }
-        PartitionStrategy::IndexedReduce => {
-            let f = prog.md_hom.combine_ops[d]
-                .pw_func()
-                .expect("IndexedReduce strategy implies an rbi operator")
-                .clone();
-            // scatter targets are data-dependent, so no sub-region can be
-            // pinned: fold the entire (identically-shaped, declared-shape)
-            // partial buffers element-wise, in shard-index order — the
-            // fixed fold order that keeps recombination bit-identical
-            for outs in shard_outs {
-                for (abuf, obuf) in acc.iter_mut().zip(&outs) {
-                    for i in 0..abuf.len() {
-                        let lhs = vec![abuf.get_flat(i)];
-                        let rhs = vec![obuf.get_flat(i)];
-                        let combined = f.combine(&lhs, &rhs)?;
-                        abuf.set_flat(i, &combined[0])?;
+        let mut shard_outs = Vec::with_capacity(settled.len());
+        for (shard, outs) in plan.shards.iter().zip(settled) {
+            shard_outs.push(match outs {
+                Some(outs) => outs,
+                None => {
+                    expired("deadline expired before crashed-shard recovery; recompute abandoned")?;
+                    ledger.faults.repartitions += 1;
+                    let first = ledger.per_shard.len();
+                    let (_, partial) = self.run_level(&shard.prog, launch, deadline, ledger)?;
+                    // recovery re-runs keep the crashed shard's index
+                    for report in &mut ledger.per_shard[first..] {
+                        report.shard = shard.index;
                     }
+                    partial
                 }
-            }
+            });
         }
-        PartitionStrategy::Scan => {
-            let f = prog.md_hom.combine_ops[d]
-                .pw_func()
-                .expect("Scan strategy implies a ps operator")
-                .clone();
-            // Listing 17: res[j in Q] = cf(lhs[last of P], rhs[j]).
-            // Shards are chained in order; each shard's region is updated
-            // with the carry read from the already-final previous region.
-            for (s, outs) in shard_outs.into_iter().enumerate() {
-                let shard_range = &plan.shards[s + 1].range;
-                let range = pinned_range(prog, shard_range, None);
-                let carry_d = shard_range.lo[d] - 1;
-                for idx in range.iter() {
-                    let Some(positions) = out_positions(prog, &idx) else {
-                        continue;
-                    };
-                    let mut carry_idx = idx.clone();
-                    carry_idx[d] = carry_d;
-                    let Some(carry_pos) = out_positions(prog, &carry_idx) else {
-                        continue;
-                    };
-                    let lhs = read_tuple(&acc, &carry_pos);
-                    let rhs = read_tuple(&outs, &positions);
-                    let combined = f.combine(&lhs, &rhs)?;
-                    write_tuple(&mut acc, &positions, &combined)?;
-                }
-            }
-        }
-    }
-    Ok(acc)
-}
-
-/// Restrict `range` to the positions `write_outputs` actually touches:
-/// collapsed dimensions contribute a single index (their global lo);
-/// `extra_collapse` additionally pins that dimension (the Reduce split
-/// dim, collapsed by definition).
-fn pinned_range(prog: &DslProgram, range: &MdRange, extra_collapse: Option<usize>) -> MdRange {
-    let mut r = range.clone();
-    for (dim, op) in prog.md_hom.combine_ops.iter().enumerate() {
-        if op.behavior() == DimBehavior::Collapse || extra_collapse == Some(dim) {
-            r.hi[dim] = r.lo[dim] + 1;
-        }
-    }
-    r
-}
-
-/// Buffer position written by each out access at iteration point `idx`;
-/// `None` skips points whose access lands out of bounds (never written).
-fn out_positions(prog: &DslProgram, idx: &[usize]) -> Option<Vec<(usize, Vec<usize>)>> {
-    prog.out_view
-        .accesses
-        .iter()
-        .map(|a| a.index_fn.eval(idx).map(|pos| (a.buffer, pos)))
-        .collect()
-}
-
-fn read_tuple(bufs: &[Buffer], positions: &[(usize, Vec<usize>)]) -> Tuple {
-    positions.iter().map(|(b, pos)| bufs[*b].get(pos)).collect()
-}
-
-fn write_tuple(
-    bufs: &mut [Buffer],
-    positions: &[(usize, Vec<usize>)],
-    values: &Tuple,
-) -> Result<()> {
-    for ((b, pos), v) in positions.iter().zip(values) {
-        bufs[*b].set(pos, v)?;
-    }
-    Ok(())
-}
-
-fn copy_region(
-    prog: &DslProgram,
-    acc: &mut [Buffer],
-    outs: &[Buffer],
-    range: &MdRange,
-) -> Result<()> {
-    for idx in range.iter() {
-        let Some(positions) = out_positions(prog, &idx) else {
-            continue;
-        };
-        let values = read_tuple(outs, &positions);
-        write_tuple(acc, &positions, &values)?;
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::device::{DeviceSpec, PoolConfig};
-    use mdh_core::combine::CombineOp;
-    use mdh_core::dsl::DslBuilder;
-    use mdh_core::expr::ScalarFunction;
-    use mdh_core::index_fn::{AffineExpr, IndexFn};
-    use mdh_core::shape::Shape;
-    use mdh_core::types::{BasicType, ScalarKind};
-
-    /// Integer-valued fill: exact in f32/f64, so every reassociation of
-    /// an add/mul reduction agrees bitwise.
-    fn int_fill(buf: &mut Buffer) {
-        buf.fill_with(|i| ((i.wrapping_mul(2654435761)) % 16) as f64 - 8.0);
-    }
-
-    fn matvec(i: usize, k: usize) -> DslProgram {
-        DslBuilder::new("matvec", vec![i, k])
-            .out_buffer("w", BasicType::F32)
-            .out_access("w", IndexFn::select(2, &[0]))
-            .inp_buffer("M", BasicType::F32)
-            .inp_access("M", IndexFn::identity(2, 2))
-            .inp_buffer("v", BasicType::F32)
-            .inp_access("v", IndexFn::select(2, &[1]))
-            .scalar_function(ScalarFunction::mul2("f_mul", ScalarKind::F32))
-            .combine_ops(vec![CombineOp::cc(), CombineOp::pw_add()])
-            .build()
-            .unwrap()
-    }
-
-    fn matvec_inputs(i: usize, k: usize) -> Vec<Buffer> {
-        let mut m = Buffer::zeros("M", BasicType::F32, Shape::new(vec![i, k]));
-        let mut v = Buffer::zeros("v", BasicType::F32, Shape::new(vec![k]));
-        int_fill(&mut m);
-        int_fill(&mut v);
-        vec![m, v]
-    }
-
-    fn single_device(prog: &DslProgram, inputs: &[Buffer]) -> Vec<Buffer> {
-        let exec = CpuExecutor::new(1).unwrap();
-        let schedule = mdh_default_schedule(prog, DeviceKind::Cpu, 1);
-        exec.run(prog, &schedule, inputs).unwrap()
-    }
-
-    #[test]
-    fn multi_gpu_matches_single_device_cc() {
-        let prog = matvec(13, 37);
-        let inputs = matvec_inputs(13, 37);
-        let reference = single_device(&prog, &inputs);
-        for n in [2usize, 3, 4] {
-            let dist = DistExecutor::new(DevicePool::gpus(n)).unwrap();
-            let (outs, report) = dist.run(&prog, &inputs).unwrap();
-            assert_eq!(outs, reference, "n={n}");
-            assert_eq!(report.strategy, Some(PartitionStrategy::Concat));
-            assert_eq!(report.shards, n);
-            assert_eq!(report.outcome, PartitionOutcome::Partitioned);
-            assert!(report.faults.is_zero());
-            assert!(!report.degraded);
-        }
-    }
-
-    #[test]
-    fn dot_reduction_partitions_and_matches() {
-        let prog = DslBuilder::new("dot", vec![101])
-            .out_buffer("res", BasicType::F32)
-            .out_access("res", IndexFn::affine(vec![AffineExpr::constant(1, 0)]))
-            .inp_buffer("x", BasicType::F32)
-            .inp_access("x", IndexFn::identity(1, 1))
-            .inp_buffer("y", BasicType::F32)
-            .inp_access("y", IndexFn::identity(1, 1))
-            .scalar_function(ScalarFunction::mul2("f_mul", ScalarKind::F32))
-            .combine_ops(vec![CombineOp::pw_add()])
-            .build()
-            .unwrap();
-        let mut x = Buffer::zeros("x", BasicType::F32, Shape::new(vec![101]));
-        let mut y = Buffer::zeros("y", BasicType::F32, Shape::new(vec![101]));
-        int_fill(&mut x);
-        int_fill(&mut y);
-        let inputs = vec![x, y];
-        let reference = single_device(&prog, &inputs);
-        for n in [2usize, 4, 8] {
-            let dist = DistExecutor::new(DevicePool::gpus(n)).unwrap();
-            let (outs, report) = dist.run(&prog, &inputs).unwrap();
-            assert_eq!(outs, reference, "n={n}");
-            assert_eq!(report.strategy, Some(PartitionStrategy::Reduce));
-            assert!(report.combine.steps > 0, "combine tree must be costed");
-        }
-    }
-
-    #[test]
-    fn heterogeneous_pool_matches() {
-        let prog = matvec(9, 21);
-        let inputs = matvec_inputs(9, 21);
-        let reference = single_device(&prog, &inputs);
-        let pool = DevicePool::new(
-            vec![
-                DeviceSpec::gpu_a100(),
-                DeviceSpec::cpu(2),
-                DeviceSpec::gpu_a100(),
-            ],
-            PoolConfig::default(),
-        );
-        let dist = DistExecutor::new(pool).unwrap();
-        let (outs, report) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(outs, reference);
-        assert_eq!(report.per_shard[1].device, "cpu1");
-        assert_eq!(report.per_shard[1].h2d_ms, 0.0, "CPU shards skip H2D");
-    }
-
-    #[test]
-    fn scan_chain_matches() {
-        let prog = DslBuilder::new("psum", vec![23])
-            .out_buffer("out", BasicType::F64)
-            .out_access("out", IndexFn::identity(1, 1))
-            .inp_buffer("x", BasicType::F64)
-            .inp_access("x", IndexFn::identity(1, 1))
-            .scalar_function(ScalarFunction::identity("id", ScalarKind::F64))
-            .combine_ops(vec![CombineOp::ps_add()])
-            .build()
-            .unwrap();
-        let mut x = Buffer::zeros("x", BasicType::F64, Shape::new(vec![23]));
-        int_fill(&mut x);
-        let inputs = vec![x];
-        let reference = single_device(&prog, &inputs);
-        for n in [2usize, 3, 5] {
-            let dist = DistExecutor::new(DevicePool::gpus(n)).unwrap();
-            let (outs, report) = dist.run(&prog, &inputs).unwrap();
-            assert_eq!(outs, reference, "n={n}");
-            assert_eq!(report.strategy, Some(PartitionStrategy::Scan));
-        }
-    }
-
-    #[test]
-    fn degenerate_single_device_pool() {
-        let prog = matvec(5, 5);
-        let inputs = matvec_inputs(5, 5);
-        let dist = DistExecutor::new(DevicePool::gpus(1)).unwrap();
-        let (outs, report) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(outs, single_device(&prog, &inputs));
-        assert_eq!(report.shards, 1);
-        assert_eq!(report.combine, CombineCost::ZERO);
-        assert_eq!(report.outcome, PartitionOutcome::SingleDevice);
-        assert!(report.total_ms > 0.0);
-    }
-
-    #[test]
-    fn overlap_shortens_cold_launch() {
-        // uneven split (10 rows over 4 devices → 3,3,2,2): the bigger
-        // early shards' compute hides behind the later shards' uploads
-        let prog = matvec(10, 4096);
-        let inputs = matvec_inputs(10, 4096);
-        let overlapped = DistExecutor::new(DevicePool::gpus(4)).unwrap();
-        let fenced = DistExecutor::new(DevicePool::gpus(4).with_overlap(false)).unwrap();
-        let (_, r_overlap) = overlapped.run(&prog, &inputs).unwrap();
-        let (_, r_fenced) = fenced.run(&prog, &inputs).unwrap();
-        // modelled H2D is identical; the overlapped phase hides part of it
-        assert!(r_overlap.upload_exec_ms < r_fenced.upload_exec_ms);
-        assert!((r_overlap.h2d_ms - r_fenced.h2d_ms).abs() < 1e-9);
-        assert!(r_overlap.h2d_ms > 0.0);
-    }
-
-    #[test]
-    fn estimate_matches_run_timing_without_executing() {
-        let prog = matvec(24, 96);
-        let inputs = matvec_inputs(24, 96);
-        let dist = DistExecutor::new(DevicePool::gpus(4)).unwrap();
-        let (_, ran) = dist.run(&prog, &inputs).unwrap();
-        let est = dist.estimate(&prog, &inputs).unwrap();
-        // GPU execution time is analytic in both paths, so the modelled
-        // launch must agree exactly
-        assert_eq!(est.hot_ms, ran.hot_ms);
-        assert_eq!(est.total_ms, ran.total_ms);
-        assert_eq!(est.h2d_ms, ran.h2d_ms);
-        assert_eq!(est.shards, ran.shards);
-    }
-
-    #[test]
-    fn estimate_rejects_cpu_devices() {
-        let prog = matvec(8, 8);
-        let inputs = matvec_inputs(8, 8);
-        let pool = DevicePool::new(
-            vec![DeviceSpec::gpu_a100(), DeviceSpec::cpu(1)],
-            PoolConfig::default(),
-        );
-        let dist = DistExecutor::new(pool).unwrap();
-        assert!(dist.estimate(&prog, &inputs).is_err());
-    }
-
-    #[test]
-    fn report_displays_combine_costs() {
-        let prog = matvec(64, 64);
-        let inputs = matvec_inputs(64, 64);
-        let dist = DistExecutor::new(DevicePool::gpus(4)).unwrap();
-        let (_, report) = dist.run(&prog, &inputs).unwrap();
-        let s = report.to_string();
-        assert!(s.contains("devices=4"), "{s}");
-        assert!(s.contains("combine="), "{s}");
-        assert!(
-            !s.contains("faults:") && !s.contains("fallback="),
-            "a fault-free partitioned run prints no fault/fallback noise: {s}"
-        );
-    }
-
-    // --- fault injection & recovery -----------------------------------
-
-    fn gather_prog(n: usize) -> DslProgram {
-        use std::sync::Arc;
-        DslBuilder::new("gather", vec![n])
-            .out_buffer("out", BasicType::F64)
-            .out_access("out", IndexFn::identity(1, 1))
-            // general accesses have no inferable footprint, so the shape
-            // must be declared
-            .inp_buffer_with_shape("x", BasicType::F64, vec![n.div_ceil(2)])
-            .inp_access(
-                "x",
-                IndexFn::General {
-                    out_rank: 1,
-                    f: Arc::new(|idx: &[usize]| vec![idx[0] / 2]),
-                    label: "half".into(),
-                },
-            )
-            .scalar_function(ScalarFunction::identity("id", ScalarKind::F64))
-            .combine_ops(vec![CombineOp::cc()])
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn estimate_reports_general_access_fallback_reason() {
-        let prog = gather_prog(8);
-        let mut x = Buffer::zeros("x", BasicType::F64, Shape::new(vec![4]));
-        int_fill(&mut x);
-        let dist = DistExecutor::new(DevicePool::gpus(4)).unwrap();
-        let report = dist.estimate(&prog, &[x]).unwrap();
-        assert_eq!(report.outcome, PartitionOutcome::GeneralAccess);
-        assert_eq!(report.shards, 1, "pool idle, one shard");
-        let line = report.to_string();
-        assert!(
-            line.contains("fallback=general-access"),
-            "estimate must say why the pool was left idle: {line}"
-        );
-    }
-
-    #[test]
-    fn transient_faults_retry_on_device_and_stay_bit_identical() {
-        let prog = matvec(13, 37);
-        let inputs = matvec_inputs(13, 37);
-        let reference = single_device(&prog, &inputs);
-        // device 1 fails its first two attempts of launch 0
-        let faults = FaultPlan::none().transient(1, 0, 2);
-        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults).unwrap();
-        let (outs, report) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(outs, reference);
-        assert_eq!(report.faults.retries, 2);
-        assert_eq!(report.faults.injected_transients, 2);
-        assert_eq!(report.faults.evictions, 0, "transients never evict");
-        assert!(!report.degraded);
-        let s1 = report
-            .per_shard
-            .iter()
-            .find(|s| s.device_index == 1)
-            .unwrap();
-        assert_eq!(s1.retries, 2);
-        // modelled backoff (0.5 + 1.0 ms) is charged to the shard: the
-        // GPU exec model is analytic, so the same shard in a fault-free
-        // run is exactly 1.5 ms faster
-        let base = DistExecutor::new(DevicePool::gpus(4)).unwrap();
-        let (_, base_report) = base.run(&prog, &inputs).unwrap();
-        let b1 = base_report
-            .per_shard
-            .iter()
-            .find(|s| s.device_index == 1)
-            .unwrap();
-        assert!((s1.exec_ms - (b1.exec_ms + 1.5)).abs() < 1e-9);
-        assert_eq!(dist.healthy_count(), 4);
-    }
-
-    #[test]
-    fn device_crash_evicts_repartitions_and_stays_bit_identical() {
-        let prog = matvec(13, 37);
-        let inputs = matvec_inputs(13, 37);
-        let reference = single_device(&prog, &inputs);
-        let faults = FaultPlan::none().crash(2, 0);
-        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults).unwrap();
-        let (outs, report) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(outs, reference, "recovered launch must be bit-identical");
-        assert_eq!(report.faults.evictions, 1);
-        assert_eq!(report.faults.repartitions, 1);
-        assert!(report.degraded);
-        assert_eq!(report.devices_alive, 3);
-        assert_eq!(dist.alive_devices(), vec![0, 1, 3]);
-        // the crashed shard's range was recomputed on survivors: reports
-        // for shard 2 exist on devices != 2
-        let recovered: Vec<_> = report
-            .per_shard
-            .iter()
-            .filter(|s| s.shard == 2 && s.device_index != 2)
-            .collect();
-        assert!(!recovered.is_empty(), "recovery reports present");
-
-        // the *next* launch plans over 3 survivors up front
-        let (outs2, report2) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(outs2, reference);
-        assert_eq!(report2.shards, 3);
-        assert!(report2.faults.is_zero(), "no new faults on launch 1");
-        assert!(report2.degraded, "still on a shrunken pool");
-        // cumulative stats carry the launch-0 recovery
-        let cum = dist.fault_stats();
-        assert_eq!(cum.evictions, 1);
-        assert_eq!(cum.repartitions, 1);
-    }
-
-    #[test]
-    fn exhausted_retries_escalate_to_eviction() {
-        let prog = matvec(13, 37);
-        let inputs = matvec_inputs(13, 37);
-        let reference = single_device(&prog, &inputs);
-        // 10 failing attempts > max_retries 3 → escalation
-        let faults = FaultPlan::none().transient(1, 0, 10);
-        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults).unwrap();
-        let (outs, report) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(outs, reference);
-        assert_eq!(report.faults.evictions, 1);
-        assert_eq!(report.faults.repartitions, 1);
-        assert_eq!(report.faults.retries, 3, "policy cap");
-        assert_eq!(dist.healthy_count(), 3);
-    }
-
-    #[test]
-    fn losing_every_device_is_an_error_with_replay_plan() {
-        let prog = matvec(8, 8);
-        let inputs = matvec_inputs(8, 8);
-        let faults = FaultPlan::none().crash(0, 0).crash(1, 0);
-        let dist = DistExecutor::with_faults(DevicePool::gpus(2), faults).unwrap();
-        let err = dist.run(&prog, &inputs).unwrap_err().to_string();
-        assert!(err.contains("all pool devices failed"), "{err}");
-        assert!(err.contains("crash=0@0"), "replay plan printed: {err}");
-    }
-
-    #[test]
-    fn double_crash_cascades_through_recovery() {
-        let prog = matvec(16, 24);
-        let inputs = matvec_inputs(16, 24);
-        let reference = single_device(&prog, &inputs);
-        // devices 1 and 3 both die at launch 0: shard 1 and shard 3
-        // crash in the top-level plan, each recovery re-plans over the
-        // remaining healthy devices
-        let faults = FaultPlan::none().crash(1, 0).crash(3, 0);
-        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults).unwrap();
-        let (outs, report) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(outs, reference);
-        assert_eq!(report.faults.evictions, 2);
-        assert_eq!(report.faults.repartitions, 2);
-        assert_eq!(dist.alive_devices(), vec![0, 2]);
-        assert_eq!(report.devices_alive, 2);
-    }
-
-    #[test]
-    fn slow_link_stretches_or_times_out_the_transfer() {
-        let prog = matvec(16, 2048);
-        let inputs = matvec_inputs(16, 2048);
-        // mild stretch: ×2 stays under the timeout
-        let dist = DistExecutor::with_faults(DevicePool::gpus(2), FaultPlan::none().slow(1, 0, 2))
-            .unwrap();
-        let baseline = DistExecutor::new(DevicePool::gpus(2)).unwrap();
-        let (_, slow) = dist.run(&prog, &inputs).unwrap();
-        let (_, base) = baseline.run(&prog, &inputs).unwrap();
-        assert_eq!(slow.faults.slow_links, 1);
-        let b1 = base.per_shard.iter().find(|s| s.device_index == 1).unwrap();
-        let s1 = slow.per_shard.iter().find(|s| s.device_index == 1).unwrap();
-        assert!(s1.h2d_ms > b1.h2d_ms, "stretched transfer is slower");
-
-        // brutal stretch: past the 50 ms timeout → charged at timeout
-        // and retried once
-        let policy = RetryPolicy {
-            link_timeout_ms: 1e-6,
-            ..RetryPolicy::default()
-        };
-        let dist = DistExecutor::with_faults_and_policy(
-            DevicePool::gpus(2),
-            FaultPlan::none().slow(1, 0, 1000),
-            policy,
-        )
-        .unwrap();
-        let (outs, timed_out) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(timed_out.faults.retries, 1, "timed-out transfer retried");
-        assert_eq!(outs.len(), 1);
-    }
-
-    #[test]
-    fn seeded_chaos_is_replayable() {
-        let prog = matvec(12, 20);
-        let inputs = matvec_inputs(12, 20);
-        let reference = single_device(&prog, &inputs);
-        let run_with_seed = |seed: u64| {
-            let dist = DistExecutor::with_faults(DevicePool::gpus(3), FaultPlan::seeded(seed, 400))
-                .unwrap();
-            let mut counters = Vec::new();
-            for _ in 0..8 {
-                let (outs, report) = dist.run(&prog, &inputs).unwrap();
-                assert_eq!(outs, reference, "seed={seed}");
-                counters.push(report.faults);
-            }
-            counters
-        };
-        let a = run_with_seed(7);
-        let b = run_with_seed(7);
-        assert_eq!(a, b, "same seed must replay the exact same fault history");
-        assert!(
-            a.iter().any(|f| f.retries > 0),
-            "40% chaos must actually fire over 8 launches × 3 devices"
-        );
-    }
-
-    // --- memory pool integration --------------------------------------
-
-    #[test]
-    fn warm_relaunch_skips_resident_uploads() {
-        let prog = matvec(16, 2048);
-        let inputs = matvec_inputs(16, 2048);
-        let reference = single_device(&prog, &inputs);
-        let mem = Arc::new(MemPool::new(4, 1 << 30));
-        let dist = DistExecutor::new(DevicePool::gpus(4))
-            .unwrap()
-            .with_mem(Arc::clone(&mem));
-        let (cold_out, cold) = dist.run(&prog, &inputs).unwrap();
-        let (warm_out, warm) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(cold_out, reference);
-        assert_eq!(warm_out, reference, "residency must not change values");
-        let cm = cold.mem.unwrap();
-        // 4 shards × (M slice + v) — every device uploads its two blocks
-        assert_eq!((cm.hits, cm.misses), (0, 8), "{cm}");
-        assert!(cold.h2d_ms > 0.0);
-        let wm = warm.mem.unwrap();
-        assert_eq!((wm.hits, wm.misses), (8, 0), "everything resident: {wm}");
-        assert_eq!(wm.bytes_uploaded, 0);
-        assert_eq!(warm.h2d_ms, 0.0, "warm launch ships nothing");
-        assert_eq!(
-            warm.total_ms, warm.hot_ms,
-            "with all inputs resident the cold-launch model collapses \
-             onto the hot steady state"
-        );
-        assert!(cold.total_ms > warm.total_ms);
-    }
-
-    #[test]
-    fn version_bump_forces_reupload_of_that_operand_only() {
-        let prog = matvec(16, 512);
-        let inputs = matvec_inputs(16, 512);
-        let mem = Arc::new(MemPool::new(4, 1 << 30));
-        let dist = DistExecutor::new(DevicePool::gpus(4))
-            .unwrap()
-            .with_mem(Arc::clone(&mem));
-        dist.run(&prog, &inputs).unwrap();
-        mem.bump_version("M");
-        let (_, report) = dist.run(&prog, &inputs).unwrap();
-        let m = report.mem.unwrap();
-        // M re-ships on all 4 devices; v stays resident everywhere
-        assert_eq!((m.hits, m.misses), (4, 4), "{m}");
-    }
-
-    #[test]
-    fn crash_invalidates_residency_and_stays_bit_identical() {
-        let prog = matvec(13, 37);
-        let inputs = matvec_inputs(13, 37);
-        let reference = single_device(&prog, &inputs);
-        // warm everything on launch 0, crash device 2 on launch 1
-        let faults = FaultPlan::none().crash(2, 1);
-        let mem = Arc::new(MemPool::new(4, 1 << 30));
-        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults)
-            .unwrap()
-            .with_mem(Arc::clone(&mem));
-        let (out0, _) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(out0, reference);
-        assert!(mem.device_stats(2).bytes_resident > 0, "warmed up");
-        let (out1, report) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(out1, reference, "recovered launch bit-identical");
-        assert_eq!(report.faults.evictions, 1);
-        assert_eq!(
-            mem.device_stats(2).bytes_resident,
-            0,
-            "crashed device must never serve a stale resident buffer"
-        );
-        assert!(mem.device_stats(2).invalidations > 0);
-        // launch 2 plans over 3 survivors; their shard regions changed,
-        // so re-planned slices miss and then go resident again
-        let (out2, _) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(out2, reference);
-        assert_eq!(mem.device_stats(2).bytes_resident, 0, "stays cold");
-    }
-
-    #[test]
-    fn estimate_charges_residency_when_pool_attached() {
-        let prog = matvec(64, 4096);
-        let inputs = matvec_inputs(64, 4096);
-        let mem = Arc::new(MemPool::new(4, 1 << 30));
-        let dist = DistExecutor::new(DevicePool::gpus(4))
-            .unwrap()
-            .with_mem(mem);
-        let cold = dist.estimate(&prog, &inputs).unwrap();
-        let warm = dist.estimate(&prog, &inputs).unwrap();
-        assert!(cold.h2d_ms > 0.0);
-        assert_eq!(warm.h2d_ms, 0.0, "second estimate models the relaunch");
-        assert_eq!(warm.total_ms, warm.hot_ms);
-        assert!(warm.mem.unwrap().hits > 0);
-        // double-buffered misses: the cold phase is never longer than the
-        // fenced sum of upload + slowest compute
-        assert!(cold.upload_exec_ms <= cold.h2d_ms + cold.exec_ms + 1e-12);
-    }
-
-    // --- self-healing: hangs, hedging, probation, corruption ----------
-
-    fn healing(hedge_ms: f64, probe_every: u64, reinstate_after: u32) -> HealPolicy {
-        HealPolicy {
-            hedge_ms,
-            probe_every,
-            reinstate_after,
-        }
-    }
-
-    #[test]
-    fn hang_escalates_to_crash_without_healing() {
-        let prog = matvec(13, 37);
-        let inputs = matvec_inputs(13, 37);
-        let reference = single_device(&prog, &inputs);
-        let faults = FaultPlan::none().hang(1, 0);
-        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults).unwrap();
-        let (outs, report) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(outs, reference, "escalated hang recovers bit-identically");
-        assert_eq!(report.faults.injected_hangs, 1);
-        assert_eq!(report.faults.injected_crashes, 0, "a hang is not a crash");
-        assert_eq!(report.faults.evictions, 1, "no watchdog ⇒ permanent loss");
-        assert_eq!(report.faults.repartitions, 1);
-        assert_eq!(report.faults.hedges, 0);
-        assert_eq!(dist.healthy_count(), 3);
-        assert_eq!(dist.device_health()[1], DeviceHealth::Evicted);
-    }
-
-    #[test]
-    fn hang_is_hedged_and_victim_goes_to_probation() {
-        let prog = matvec(13, 37);
-        let inputs = matvec_inputs(13, 37);
-        let reference = single_device(&prog, &inputs);
-        let faults = FaultPlan::none().hang(1, 0);
-        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults)
-            .unwrap()
-            .with_healing(healing(5.0, 0, 3));
-        let (outs, report) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(outs, reference, "hedged result is bit-identical");
-        assert_eq!(report.faults.injected_hangs, 1);
-        assert_eq!(report.faults.hedges, 1);
-        assert_eq!(report.faults.probations, 1);
-        assert_eq!(report.faults.evictions, 0, "the watchdog saved the device");
-        assert_eq!(report.faults.repartitions, 0, "no recovery re-plan needed");
-        assert_eq!(dist.device_health()[1], DeviceHealth::Probation);
-        assert_eq!(dist.healthy_count(), 3);
-        // the hung shard has two reports: the abandoned victim attempt
-        // (charged up to the watchdog deadline) and the winning hedge
-        let shard1: Vec<_> = report.per_shard.iter().filter(|s| s.shard == 1).collect();
-        assert_eq!(shard1.len(), 2, "victim + hedge");
-        assert!(shard1.iter().any(|s| s.device_index == 1));
-        assert!(shard1.iter().any(|s| s.device_index != 1));
-        let line = report.to_string();
-        assert!(line.contains("dev1=probation"), "{line}");
-        assert!(line.contains("hangs=1 hedges=1"), "{line}");
-    }
-
-    #[test]
-    fn hang_with_no_spare_degenerates_to_crash() {
-        let prog = matvec(8, 8);
-        let inputs = matvec_inputs(8, 8);
-        let faults = FaultPlan::none().hang(0, 0);
-        let dist = DistExecutor::with_faults(DevicePool::gpus(1), faults)
-            .unwrap()
-            .with_healing(healing(5.0, 0, 3));
-        let err = dist.run(&prog, &inputs).unwrap_err().to_string();
-        assert!(err.contains("all pool devices failed"), "{err}");
-        assert_eq!(dist.device_health()[0], DeviceHealth::Evicted);
-    }
-
-    #[test]
-    fn probation_rejoins_after_one_passing_probe() {
-        let prog = matvec(13, 37);
-        let inputs = matvec_inputs(13, 37);
-        let reference = single_device(&prog, &inputs);
-        let faults = FaultPlan::none().hang(1, 0);
-        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults)
-            .unwrap()
-            .with_healing(healing(5.0, 2, 3));
-        // launch 0: hang → probation. launch 2's probe passes (no fault
-        // due) → Reinstating. launch 4's cycle completes the rejoin.
-        for launch in 0..5u64 {
-            let (outs, report) = dist.run(&prog, &inputs).unwrap();
-            assert_eq!(outs, reference, "launch {launch}");
-            if launch == 4 {
-                assert_eq!(report.shards, 4, "reinstated device takes a shard");
-                assert!(!report.degraded);
-            }
-        }
-        assert_eq!(dist.healthy_count(), 4);
-        assert_eq!(dist.device_health()[1], DeviceHealth::Healthy);
-        let cum = dist.fault_stats();
-        assert_eq!(cum.probations, 1);
-        assert_eq!(cum.probes, 1, "one probe sufficed for probation");
-        assert_eq!(cum.reinstatements, 1);
-        assert_eq!(cum.evictions, 0);
-    }
-
-    #[test]
-    fn flapping_device_is_evicted_probed_and_reinstated() {
-        let prog = matvec(13, 37);
-        let inputs = matvec_inputs(13, 37);
-        let reference = single_device(&prog, &inputs);
-        // device 1 is down for launches 1–2, then recovers
-        let faults = FaultPlan::none().flap(1, 1, 2);
-        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults)
-            .unwrap()
-            .with_healing(healing(5.0, 2, 2));
-        // launch 1: crash → Evicted. probe@2 fails (still down), probe@4
-        // passes (1/2), probe@6 passes (2/2) → Reinstating, cycle@8 →
-        // Healthy. Health counters grow monotonically throughout.
-        let mut last = FaultStats::default();
-        for launch in 0..9u64 {
-            let (outs, _) = dist.run(&prog, &inputs).unwrap();
-            assert_eq!(outs, reference, "launch {launch}");
-            let cum = dist.fault_stats();
-            assert!(cum.probes >= last.probes, "monotone probe counter");
-            assert!(cum.reinstatements >= last.reinstatements);
-            last = cum;
-        }
-        assert_eq!(dist.healthy_count(), 4, "flapping device rejoined");
-        assert_eq!(dist.device_health()[1], DeviceHealth::Healthy);
-        let cum = dist.fault_stats();
-        assert_eq!(cum.evictions, 1);
-        assert_eq!(cum.probes, 3, "one failing + two passing probes");
-        assert_eq!(cum.reinstatements, 1);
-        assert_eq!(cum.injected_crashes, 1);
-    }
-
-    #[test]
-    fn corruption_is_detected_reuploaded_and_bit_identical() {
-        let prog = matvec(16, 512);
-        let inputs = matvec_inputs(16, 512);
-        let reference = single_device(&prog, &inputs);
-        // warm on launch 0; every resident block on device 2 fails its
-        // fingerprint revalidation at launch 1
-        let faults = FaultPlan::none().corrupt(2, 1);
-        let mem = Arc::new(MemPool::new(4, 1 << 30));
-        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults)
-            .unwrap()
-            .with_mem(Arc::clone(&mem));
-        let (out0, warm) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(out0, reference);
-        assert_eq!(warm.mem.unwrap().misses, 8);
-        let (out1, report) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(out1, reference, "corruption never reaches the values");
-        let m = report.mem.unwrap();
-        // device 2's two blocks (M slice + v) re-upload; the rest hit
-        assert_eq!(m.corruptions, 2, "{m}");
-        assert_eq!((m.hits, m.misses), (6, 2), "{m}");
-        assert_eq!(report.faults.injected_corruptions, 2);
-        assert_eq!(mem.stats().corruptions_detected, 2);
-        assert!(mem.device_stats(2).invalidations >= 2);
-        // the fresh copies are resident again: launch 2 is all hits
-        let (out2, report2) = dist.run(&prog, &inputs).unwrap();
-        assert_eq!(out2, reference);
-        assert_eq!(report2.mem.unwrap().hits, 8);
-        assert_eq!(report2.faults.injected_corruptions, 0);
-    }
-
-    #[test]
-    fn straggler_hedge_beats_the_stretched_transfer() {
-        let prog = matvec(16, 2048);
-        let inputs = matvec_inputs(16, 2048);
-        let reference = single_device(&prog, &inputs);
-        let faults = FaultPlan::none().slow(1, 0, 1000);
-        let hedged = DistExecutor::with_faults(DevicePool::gpus(2), faults.clone())
-            .unwrap()
-            .with_healing(healing(0.1, 0, 3));
-        let unhedged = DistExecutor::with_faults(DevicePool::gpus(2), faults).unwrap();
-        let (outs, h) = hedged.run(&prog, &inputs).unwrap();
-        let (outs_u, u) = unhedged.run(&prog, &inputs).unwrap();
-        assert_eq!(outs, reference);
-        assert_eq!(outs_u, reference);
-        assert_eq!(h.faults.slow_links, 1);
-        assert_eq!(h.faults.hedges, 1, "watchdog fired on the straggler");
-        assert_eq!(h.faults.retries, 0, "hedging supersedes the timeout retry");
-        // the winning hedge ran shard 1 on device 0
-        let s1 = h.per_shard.iter().find(|s| s.shard == 1).unwrap();
-        assert_eq!(s1.device_index, 0, "hedge result replaced the straggler");
-        assert!(
-            h.total_ms < u.total_ms,
-            "hedged launch must beat the straggler: {} vs {}",
-            h.total_ms,
-            u.total_ms
-        );
-        // a straggler hedge is not a health event: the link was slow,
-        // not the device sick
-        assert_eq!(hedged.healthy_count(), 2);
-    }
-
-    #[test]
-    fn estimate_reports_device_health_and_plans_over_survivors() {
-        let prog = matvec(13, 37);
-        let inputs = matvec_inputs(13, 37);
-        let faults = FaultPlan::none().crash(2, 0);
-        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults).unwrap();
-        dist.run(&prog, &inputs).unwrap();
-        let est = dist.estimate(&prog, &inputs).unwrap();
-        assert_eq!(est.shards, 3, "estimate plans over the rotation");
-        assert_eq!(est.device_health[2], DeviceHealth::Evicted);
-        assert!(
-            est.per_shard.iter().all(|s| s.device_index != 2),
-            "no shard modelled on the evicted device"
-        );
-        let line = est.to_string();
-        assert!(
-            line.contains("dev2=evicted"),
-            "estimate must say why the device was skipped: {line}"
-        );
-    }
-
-    #[test]
-    fn eviction_is_a_single_transition_under_racing_launches() {
-        // concurrent launches that both dispatched to the same dying
-        // device race to evict it; only the winner counts the eviction,
-        // so pool-level eviction totals equal devices actually lost
-        let dist = DistExecutor::new(DevicePool::gpus(3)).unwrap();
-        assert!(dist.evict(1), "first eviction performs the transition");
-        assert!(!dist.evict(1), "racing second eviction must not re-count");
-        assert_eq!(dist.healthy_count(), 2);
-        assert_eq!(dist.alive_devices(), vec![0, 2]);
+        let outputs = recombine(prog, &plan, shard_outs)?;
+        Ok((plan, outputs))
     }
 }

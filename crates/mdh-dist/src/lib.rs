@@ -11,46 +11,35 @@
 //! * [`topology`] — combine-topology cost model (serial chain vs binary
 //!   tree vs host-side gather) over the `transfer::LinkParams` links;
 //! * [`exec`] — [`exec::DistExecutor`]: partitions a program's outermost
-//!   shardable dimension with `mdh_lowering::partition::PartitionPlan`,
-//!   runs the shards concurrently, recombines partials in shard order
-//!   through `cc`/`pw(f)`/`ps(f)`, and models upload/execute/combine/
-//!   download time with transfer–compute overlap.
+//!   shardable dimension with `mdh_lowering::partition::PartitionPlan`
+//!   and runs the launch in four stages, one private module each —
+//!   `dispatch` (the shards of a level as one parallel region on the
+//!   executor's one thread pool), `heal` (settle every attempt: retries,
+//!   eviction and re-planning, the watchdog's hedge, the per-device
+//!   health state machine), `recombine` (partials in shard order through
+//!   `cc`/`pw(f)`/`ps(f)`/`rbi(f)`, a row at a time) and `account` (the
+//!   upload/execute/combine/download time model, with residency from an
+//!   attached `mdh_mem::MemPool`);
+//! * [`fault`] — deterministic chaos: a seed-driven [`fault::FaultPlan`]
+//!   of crashes, flaps, transients, slow links, hangs and resident-buffer
+//!   corruption, and the [`fault::RetryPolicy`] / [`fault::HealPolicy`]
+//!   the executor recovers under.
 //!
-//! Concatenation-partitioned dimensions shard disjoint output regions
-//! (recombination is a gather); reduction- and scan-partitioned
-//! dimensions produce *partial* outputs that flow through the combine
-//! tree with modelled link cost. Programs with no shardable dimension
-//! degrade gracefully to single-device execution.
-//!
-//! A `mdh_mem::MemPool` can be attached with
-//! [`exec::DistExecutor::with_mem`]: shard inputs already resident on
-//! their device (keyed by content fingerprint × explicit version ×
-//! plan-visible region signature) skip H2D entirely, misses are
-//! double-buffered so the upload overlaps compute, and crash recovery
-//! invalidates the dead device's residency so the fault path can never
-//! serve stale bytes. Residency only affects the *time model* — values
-//! are always computed from the host operands, so results stay
-//! bit-identical pool-on vs pool-off.
-//!
-//! The [`fault`] module adds deterministic chaos: a seed-driven
-//! [`fault::FaultPlan`] injects device crashes (permanent or flapping),
-//! transient shard errors, slow links, shard hangs, and resident-buffer
-//! corruption into every launch, and the executor recovers — retrying
-//! transients with capped backoff, evicting crashed devices, and
-//! re-planning lost shards over the survivors — while staying
-//! bit-identical to the fault-free run. A [`fault::HealPolicy`] arms the
-//! self-healing layer on top: a shard watchdog hedges hung or straggling
-//! shards onto healthy spares (first modelled completion wins), and a
-//! per-device health state machine ([`device::DeviceHealth`]) probes
-//! out-of-rotation devices on a deterministic cadence and reinstates
-//! them — invalidating their residency first — once they pass the
-//! policy's consecutive-probe quota.
+//! Values never depend on the pool width, the fault schedule or
+//! residency: every launch is bit-identical to single-device execution.
+//! Programs with no shardable dimension degrade gracefully to one shard.
 
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::too_many_arguments)]
+mod account;
 pub mod device;
+mod dispatch;
 pub mod exec;
 pub mod fault;
+mod heal;
+mod recombine;
+#[cfg(test)]
+mod testutil;
 pub mod topology;
 
 pub use device::{DeviceHealth, DevicePool, DeviceSpec, PoolConfig};

@@ -1,130 +1,92 @@
 //! Property tests: multi-device execution is bit-identical to
 //! single-device execution for arbitrary partition counts and shapes,
 //! for all three pre-implemented combine operators (`cc`, `pw(+)`,
-//! `ps(max)`).
+//! `ps(max)`) and a custom tuple combiner, over every output element
+//! kind and layout of [`common::Variant`].
 //!
-//! Inputs are filled with small integer values, which f32/f64 represent
-//! exactly — so every legal reassociation of an associative fold agrees
-//! *bitwise*, and `assert_eq!` on the output buffers is meaningful. The
-//! single-device reference is the same executor over a 1-device pool
-//! (which runs the unmodified program on one simulated device).
+//! Inputs are filled with small integer values, which every element kind
+//! represents exactly — so every legal reassociation of an associative
+//! fold agrees *bitwise*, and `assert_eq!` on the output buffers is
+//! meaningful. The single-device reference is `CpuExecutor` at width 1,
+//! itself checked against `mdh_core::eval` ([`common::reference`]).
 
+mod common;
+
+use common::{argmax, grid, reference, row_sums, running_max, variant, VARIANTS};
 use mdh_core::buffer::Buffer;
-use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc};
-use mdh_core::dsl::{DslBuilder, DslProgram};
-use mdh_core::expr::ScalarFunction;
-use mdh_core::index_fn::{AffineExpr, IndexFn};
-use mdh_core::shape::Shape;
-use mdh_core::types::{BasicType, ScalarKind};
+use mdh_core::dsl::DslProgram;
 use mdh_dist::{DevicePool, DistExecutor};
+use mdh_lowering::partition::PartitionStrategy;
 use proptest::prelude::*;
 
-/// Integer-valued, position-dependent fill (exact in f32).
-fn int_fill(buf: &mut Buffer, salt: usize) {
-    buf.fill_with(move |i| ((i.wrapping_add(salt).wrapping_mul(2654435761)) % 16) as f64 - 8.0);
-}
-
-fn run_on(prog: &DslProgram, inputs: &[Buffer], devices: usize) -> Vec<Buffer> {
+/// Run on a fresh fault-free pool; also returns how the plan partitioned.
+fn run_on(
+    prog: &DslProgram,
+    inputs: &[Buffer],
+    devices: usize,
+) -> (Vec<Buffer>, Option<PartitionStrategy>) {
     let dist = DistExecutor::new(DevicePool::gpus(devices)).expect("pool");
-    let (outs, _) = dist.run(prog, inputs).expect("distributed run");
-    outs
-}
-
-/// MatVec: a `cc` dimension over rows and a `pw(+)` dimension over
-/// columns — exercises both concat sharding (rows) and, when rows
-/// degenerate to 1, reduction sharding (columns).
-fn matvec(i: usize, k: usize) -> (DslProgram, Vec<Buffer>) {
-    let prog = DslBuilder::new("matvec", vec![i, k])
-        .out_buffer("w", BasicType::F32)
-        .out_access("w", IndexFn::select(2, &[0]))
-        .inp_buffer("M", BasicType::F32)
-        .inp_access("M", IndexFn::identity(2, 2))
-        .inp_buffer("v", BasicType::F32)
-        .inp_access("v", IndexFn::select(2, &[1]))
-        .scalar_function(ScalarFunction::mul2("f_mul", ScalarKind::F32))
-        .combine_ops(vec![CombineOp::cc(), CombineOp::pw_add()])
-        .build()
-        .expect("matvec");
-    let mut m = Buffer::zeros("M", BasicType::F32, Shape::new(vec![i, k]));
-    let mut v = Buffer::zeros("v", BasicType::F32, Shape::new(vec![k]));
-    int_fill(&mut m, 1);
-    int_fill(&mut v, 2);
-    (prog, vec![m, v])
-}
-
-/// Dot: a single `pw(+)` dimension — pure reduction partitioning, the
-/// partial outputs flow through the combine tree.
-fn dot(n: usize) -> (DslProgram, Vec<Buffer>) {
-    let prog = DslBuilder::new("dot", vec![n])
-        .out_buffer("res", BasicType::F32)
-        .out_access("res", IndexFn::affine(vec![AffineExpr::constant(1, 0)]))
-        .inp_buffer("x", BasicType::F32)
-        .inp_access("x", IndexFn::identity(1, 1))
-        .inp_buffer("y", BasicType::F32)
-        .inp_access("y", IndexFn::identity(1, 1))
-        .scalar_function(ScalarFunction::mul2("f_mul", ScalarKind::F32))
-        .combine_ops(vec![CombineOp::pw_add()])
-        .build()
-        .expect("dot");
-    let mut x = Buffer::zeros("x", BasicType::F32, Shape::new(vec![n]));
-    let mut y = Buffer::zeros("y", BasicType::F32, Shape::new(vec![n]));
-    int_fill(&mut x, 3);
-    int_fill(&mut y, 4);
-    (prog, vec![x, y])
-}
-
-/// Running maximum: a `ps(max)` dimension — scan partitioning with the
-/// ordered cross-shard carry chain of Listing 17.
-fn running_max(n: usize) -> (DslProgram, Vec<Buffer>) {
-    let prog = DslBuilder::new("running_max", vec![n])
-        .out_buffer("out", BasicType::F64)
-        .out_access("out", IndexFn::identity(1, 1))
-        .inp_buffer("x", BasicType::F64)
-        .inp_access("x", IndexFn::identity(1, 1))
-        .scalar_function(ScalarFunction::identity("id", ScalarKind::F64))
-        .combine_ops(vec![CombineOp::Ps(PwFunc::builtin(BuiltinReduce::Max))])
-        .build()
-        .expect("running_max");
-    let mut x = Buffer::zeros("x", BasicType::F64, Shape::new(vec![n]));
-    int_fill(&mut x, 5);
-    (prog, vec![x])
+    let (outs, report) = dist.run(prog, inputs).expect("distributed run");
+    (outs, report.strategy.filter(|_| report.shards > 1))
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn cc_partitioning_is_bit_identical(
-        i in 1usize..40,
-        k in 1usize..40,
+        i in 1usize..24,
+        j in 1usize..8,
+        k in 1usize..24,
         devices in 1usize..9,
+        v in 0usize..VARIANTS,
     ) {
-        let (prog, inputs) = matvec(i, k);
-        let reference = run_on(&prog, &inputs, 1);
-        let multi = run_on(&prog, &inputs, devices);
-        prop_assert_eq!(reference, multi, "i={} k={} devices={}", i, k, devices);
+        let (prog, inputs) = grid(i, j, k, variant(v));
+        let (multi, strategy) = run_on(&prog, &inputs, devices);
+        prop_assert_eq!(reference(&prog, &inputs), multi,
+            "i={} j={} k={} devices={} {:?}", i, j, k, devices, variant(v));
+        if devices > 1 && i.max(j) > 1 {
+            prop_assert_eq!(strategy, Some(PartitionStrategy::Concat));
+        }
     }
 
     #[test]
     fn pw_add_partitioning_is_bit_identical(
-        n in 1usize..500,
+        j in 1usize..6,
+        n in 1usize..300,
         devices in 1usize..9,
+        v in 0usize..=VARIANTS,
     ) {
-        let (prog, inputs) = dot(n);
-        let reference = run_on(&prog, &inputs, 1);
-        let multi = run_on(&prog, &inputs, devices);
-        prop_assert_eq!(reference, multi, "n={} devices={}", n, devices);
+        let (prog, inputs) = if v == VARIANTS {
+            argmax(n, false)
+        } else {
+            row_sums(j, n, variant(v))
+        };
+        let (multi, strategy) = run_on(&prog, &inputs, devices);
+        prop_assert_eq!(reference(&prog, &inputs), multi,
+            "j={} n={} devices={} v={}", j, n, devices, v);
+        if devices > 1 && n > 1 {
+            prop_assert_eq!(strategy, Some(PartitionStrategy::Reduce));
+        }
     }
 
     #[test]
     fn ps_max_partitioning_is_bit_identical(
         n in 1usize..200,
         devices in 1usize..9,
+        v in 0usize..=VARIANTS,
     ) {
-        let (prog, inputs) = running_max(n);
-        let reference = run_on(&prog, &inputs, 1);
-        let multi = run_on(&prog, &inputs, devices);
-        prop_assert_eq!(reference, multi, "n={} devices={}", n, devices);
+        let (prog, inputs) = if v == VARIANTS {
+            argmax(n, true)
+        } else {
+            running_max(n, variant(v))
+        };
+        let (multi, strategy) = run_on(&prog, &inputs, devices);
+        prop_assert_eq!(reference(&prog, &inputs), multi,
+            "n={} devices={} v={}", n, devices, v);
+        if devices > 1 && n > 1 {
+            prop_assert_eq!(strategy, Some(PartitionStrategy::Scan));
+        }
     }
 
     /// The pool degrades gracefully: more devices than extent still
@@ -133,10 +95,10 @@ proptest! {
     fn oversubscribed_pools_degrade_gracefully(
         i in 1usize..4,
         k in 1usize..8,
+        v in 0usize..VARIANTS,
     ) {
-        let (prog, inputs) = matvec(i, k);
-        let reference = run_on(&prog, &inputs, 1);
-        let multi = run_on(&prog, &inputs, 8);
-        prop_assert_eq!(reference, multi, "i={} k={}", i, k);
+        let (prog, inputs) = grid(i, 1, k, variant(v));
+        let (multi, _) = run_on(&prog, &inputs, 8);
+        prop_assert_eq!(reference(&prog, &inputs), multi, "i={} k={}", i, k);
     }
 }

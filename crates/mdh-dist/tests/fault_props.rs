@@ -1,40 +1,30 @@
 //! Fault-injection property tests: for arbitrary shapes, partition
 //! counts, and seeded `FaultPlan`s, the recovered multi-device output is
 //! bit-identical to the zero-fault single-device run — for all three
-//! pre-implemented combine operators (`cc`, `pw(+)`, `ps(max)`).
+//! pre-implemented combine operators (`cc`, `pw(+)`, `ps(max)`) and a
+//! custom tuple combiner, over every output element kind and layout of
+//! [`common::Variant`].
 //!
-//! Inputs are integer-valued (exact in f32/f64), so every legal
+//! Inputs are integer-valued (exact in every kind), so every legal
 //! reassociation of the fold — including the re-decomposition a crash
-//! recovery performs over the surviving devices — agrees *bitwise*.
+//! recovery performs over the surviving devices, whose sub-partials are
+//! recombined into the partial the dead device owed before that partial
+//! enters the outer fold — agrees *bitwise*.
 //!
 //! Every assertion message carries the fault plan's canonical spec
 //! (`FaultPlan` displays as its replay grammar), so a failure prints the
 //! exact seed/schedule needed to replay it under `mdhc serve --faults`.
 
+mod common;
+
+use common::{argmax, grid, reference, row_sums, running_max, variant, VARIANTS};
 use mdh_core::buffer::Buffer;
-use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc};
-use mdh_core::dsl::{DslBuilder, DslProgram};
-use mdh_core::expr::ScalarFunction;
-use mdh_core::index_fn::{AffineExpr, IndexFn};
-use mdh_core::shape::Shape;
-use mdh_core::types::{BasicType, ScalarKind};
+use mdh_core::dsl::DslProgram;
 use mdh_dist::{DevicePool, DistExecutor, FaultPlan, HealPolicy};
 use mdh_mem::MemPool;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
-
-/// Integer-valued, position-dependent fill (exact in f32).
-fn int_fill(buf: &mut Buffer, salt: usize) {
-    buf.fill_with(move |i| ((i.wrapping_add(salt).wrapping_mul(2654435761)) % 16) as f64 - 8.0);
-}
-
-/// Zero-fault single-device reference.
-fn reference_run(prog: &DslProgram, inputs: &[Buffer]) -> Vec<Buffer> {
-    let dist = DistExecutor::new(DevicePool::gpus(1)).expect("pool");
-    let (outs, _) = dist.run(prog, inputs).expect("reference run");
-    outs
-}
 
 /// Run `launches` consecutive fault-injected launches on a pool of
 /// `devices` and assert each one is bit-identical to `reference`. The
@@ -155,65 +145,23 @@ fn assert_healing_identical(
     Ok(())
 }
 
-/// MatVec: a `cc` dimension over rows and a `pw(+)` dimension over
-/// columns.
-fn matvec(i: usize, k: usize) -> (DslProgram, Vec<Buffer>) {
-    let prog = DslBuilder::new("matvec", vec![i, k])
-        .out_buffer("w", BasicType::F32)
-        .out_access("w", IndexFn::select(2, &[0]))
-        .inp_buffer("M", BasicType::F32)
-        .inp_access("M", IndexFn::identity(2, 2))
-        .inp_buffer("v", BasicType::F32)
-        .inp_access("v", IndexFn::select(2, &[1]))
-        .scalar_function(ScalarFunction::mul2("f_mul", ScalarKind::F32))
-        .combine_ops(vec![CombineOp::cc(), CombineOp::pw_add()])
-        .build()
-        .expect("matvec");
-    let mut m = Buffer::zeros("M", BasicType::F32, Shape::new(vec![i, k]));
-    let mut v = Buffer::zeros("v", BasicType::F32, Shape::new(vec![k]));
-    int_fill(&mut m, 1);
-    int_fill(&mut v, 2);
-    (prog, vec![m, v])
+/// The `pw` suites' program: scanned row sums, or — the extra variant —
+/// the custom argmax tuple reduced to one point.
+fn pw_program(j: usize, n: usize, v: usize) -> (DslProgram, Vec<Buffer>) {
+    if v == VARIANTS {
+        argmax(n, false)
+    } else {
+        row_sums(j, n, variant(v))
+    }
 }
 
-/// Dot: a single `pw(+)` dimension — partial outputs flow through the
-/// combine tree, and a recovered shard's partial must slot back into the
-/// same fold position.
-fn dot(n: usize) -> (DslProgram, Vec<Buffer>) {
-    let prog = DslBuilder::new("dot", vec![n])
-        .out_buffer("res", BasicType::F32)
-        .out_access("res", IndexFn::affine(vec![AffineExpr::constant(1, 0)]))
-        .inp_buffer("x", BasicType::F32)
-        .inp_access("x", IndexFn::identity(1, 1))
-        .inp_buffer("y", BasicType::F32)
-        .inp_access("y", IndexFn::identity(1, 1))
-        .scalar_function(ScalarFunction::mul2("f_mul", ScalarKind::F32))
-        .combine_ops(vec![CombineOp::pw_add()])
-        .build()
-        .expect("dot");
-    let mut x = Buffer::zeros("x", BasicType::F32, Shape::new(vec![n]));
-    let mut y = Buffer::zeros("y", BasicType::F32, Shape::new(vec![n]));
-    int_fill(&mut x, 3);
-    int_fill(&mut y, 4);
-    (prog, vec![x, y])
-}
-
-/// Running maximum: a `ps(max)` dimension — the ordered cross-shard
-/// carry chain of Listing 17, the strategy most sensitive to shard
-/// ordering and therefore to recovery slotting partials back in place.
-fn running_max(n: usize) -> (DslProgram, Vec<Buffer>) {
-    let prog = DslBuilder::new("running_max", vec![n])
-        .out_buffer("out", BasicType::F64)
-        .out_access("out", IndexFn::identity(1, 1))
-        .inp_buffer("x", BasicType::F64)
-        .inp_access("x", IndexFn::identity(1, 1))
-        .scalar_function(ScalarFunction::identity("id", ScalarKind::F64))
-        .combine_ops(vec![CombineOp::Ps(PwFunc::builtin(BuiltinReduce::Max))])
-        .build()
-        .expect("running_max");
-    let mut x = Buffer::zeros("x", BasicType::F64, Shape::new(vec![n]));
-    int_fill(&mut x, 5);
-    (prog, vec![x])
+/// The `ps` suites' program: a running maximum, or the running argmax.
+fn ps_program(n: usize, v: usize) -> (DslProgram, Vec<Buffer>) {
+    if v == VARIANTS {
+        argmax(n, true)
+    } else {
+        running_max(n, variant(v))
+    }
 }
 
 proptest! {
@@ -222,13 +170,15 @@ proptest! {
     #[test]
     fn cc_survives_seeded_chaos_and_a_crash(
         i in 1usize..32,
+        j in 1usize..6,
         k in 1usize..32,
         devices in 2usize..7,
         seed in 0u64..1 << 32,
         rate in 0u16..600,
+        v in 0usize..VARIANTS,
     ) {
-        let (prog, inputs) = matvec(i, k);
-        let reference = reference_run(&prog, &inputs);
+        let (prog, inputs) = grid(i, j, k, variant(v));
+        let reference = reference(&prog, &inputs);
         let plan = chaos_plan(seed, rate, devices, true);
         assert_chaos_identical(&prog, &inputs, &reference, devices, plan, 4)?;
     }
@@ -239,9 +189,11 @@ proptest! {
         devices in 2usize..7,
         seed in 0u64..1 << 32,
         rate in 0u16..600,
+        j in 1usize..6,
+        v in 0usize..=VARIANTS,
     ) {
-        let (prog, inputs) = dot(n);
-        let reference = reference_run(&prog, &inputs);
+        let (prog, inputs) = pw_program(j, n, v);
+        let reference = reference(&prog, &inputs);
         let plan = chaos_plan(seed, rate, devices, true);
         assert_chaos_identical(&prog, &inputs, &reference, devices, plan, 4)?;
     }
@@ -252,9 +204,10 @@ proptest! {
         devices in 2usize..7,
         seed in 0u64..1 << 32,
         rate in 0u16..600,
+        v in 0usize..=VARIANTS,
     ) {
-        let (prog, inputs) = running_max(n);
-        let reference = reference_run(&prog, &inputs);
+        let (prog, inputs) = ps_program(n, v);
+        let reference = reference(&prog, &inputs);
         let plan = chaos_plan(seed, rate, devices, true);
         assert_chaos_identical(&prog, &inputs, &reference, devices, plan, 4)?;
     }
@@ -267,9 +220,10 @@ proptest! {
         devices in 1usize..9,
         seed in 0u64..1 << 32,
         rate in 1u16..600,
+        v in 0usize..=VARIANTS,
     ) {
-        let (prog, inputs) = dot(n);
-        let reference = reference_run(&prog, &inputs);
+        let (prog, inputs) = pw_program(1, n, v);
+        let reference = reference(&prog, &inputs);
         let plan = chaos_plan(seed, rate, devices, false);
         let spec = plan.to_string();
         let dist = DistExecutor::with_faults(DevicePool::gpus(devices), plan).expect("pool");
@@ -299,8 +253,9 @@ proptest! {
         k in 1usize..24,
         devices in 2usize..7,
         seed in 0u64..1 << 32,
+        v in 0usize..VARIANTS,
     ) {
-        let (prog, inputs) = matvec(i, k);
+        let (prog, inputs) = grid(i, 1, k, variant(v));
         // a crash only fires when the device is *used*: with fewer
         // shards than devices (i < devices) the tail of the pool sits
         // idle, so pick a victim that is guaranteed to receive a shard
@@ -326,12 +281,14 @@ proptest! {
     #[test]
     fn cc_survives_hang_corrupt_flap_with_healing(
         i in 1usize..32,
+        j in 1usize..6,
         k in 1usize..32,
         seed in 0u64..1 << 32,
         rate in 0u16..400,
+        v in 0usize..VARIANTS,
     ) {
-        let (prog, inputs) = matvec(i, k);
-        let reference = reference_run(&prog, &inputs);
+        let (prog, inputs) = grid(i, j, k, variant(v));
+        let reference = reference(&prog, &inputs);
         assert_healing_identical(&prog, &inputs, &reference, seed, rate)?;
     }
 
@@ -342,9 +299,11 @@ proptest! {
         n in 1usize..300,
         seed in 0u64..1 << 32,
         rate in 0u16..400,
+        j in 1usize..6,
+        v in 0usize..=VARIANTS,
     ) {
-        let (prog, inputs) = dot(n);
-        let reference = reference_run(&prog, &inputs);
+        let (prog, inputs) = pw_program(j, n, v);
+        let reference = reference(&prog, &inputs);
         assert_healing_identical(&prog, &inputs, &reference, seed, rate)?;
     }
 
@@ -355,9 +314,10 @@ proptest! {
         n in 1usize..160,
         seed in 0u64..1 << 32,
         rate in 0u16..400,
+        v in 0usize..=VARIANTS,
     ) {
-        let (prog, inputs) = running_max(n);
-        let reference = reference_run(&prog, &inputs);
+        let (prog, inputs) = ps_program(n, v);
+        let reference = reference(&prog, &inputs);
         assert_healing_identical(&prog, &inputs, &reference, seed, rate)?;
     }
 
@@ -373,8 +333,9 @@ proptest! {
         k in 1usize..24,
         devices in 2usize..7,
         seed in 0u64..1 << 32,
+        v in 0usize..VARIANTS,
     ) {
-        let (prog, inputs) = matvec(i, k);
+        let (prog, inputs) = grid(i, 1, k, variant(v));
         // the crash only fires when the victim is used (see above)
         let victim = (seed as usize) % devices.min(i);
         let plan = FaultPlan::none().flap(victim, 1, 2);
@@ -386,7 +347,7 @@ proptest! {
                 probe_every: 2,
                 reinstate_after: 2,
             });
-        let reference = reference_run(&prog, &inputs);
+        let reference = reference(&prog, &inputs);
         let mut summed = mdh_dist::FaultStats::default();
         for launch in 0..9 {
             let (outs, report) = dist.run(&prog, &inputs).expect("run");

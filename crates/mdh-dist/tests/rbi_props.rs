@@ -9,24 +9,25 @@
 //!   integer-valued (exact addition makes every summation order agree
 //!   bitwise), and
 //! * under seeded `FaultPlan` chaos with a scheduled crash — failure
-//!   messages carry the replay spec, mirroring `fault_props.rs`.
+//!   messages carry the replay spec, mirroring `fault_props.rs`,
+//!
+//! for f32 / f64 / i32 / i64 histograms, one or two per program (the
+//! whole-buffer fold of the shard partials is typed per buffer).
 
+mod common;
+
+use common::filled;
 use mdh_apps::{train, Scale};
 use mdh_core::buffer::{bits_hash, Buffer};
 use mdh_core::combine::CombineOp;
 use mdh_core::dsl::{DslBuilder, DslProgram};
-use mdh_core::expr::ScalarFunction;
+use mdh_core::expr::{Expr, ScalarFunction, Stmt};
 use mdh_core::index_fn::IndexFn;
 use mdh_core::shape::Shape;
-use mdh_core::types::{BasicType, ScalarKind};
+use mdh_core::types::ScalarKind;
 use mdh_dist::{DevicePool, DistExecutor, FaultPlan};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-
-/// Integer-valued, position-dependent fill (exact in f32).
-fn int_fill(buf: &mut Buffer, salt: usize) {
-    buf.fill_with(move |i| ((i.wrapping_add(salt).wrapping_mul(2654435761)) % 16) as f64 - 8.0);
-}
 
 /// Zero-fault single-device reference.
 fn reference_run(prog: &DslProgram, inputs: &[Buffer]) -> Vec<Buffer> {
@@ -35,28 +36,50 @@ fn reference_run(prog: &DslProgram, inputs: &[Buffer]) -> Vec<Buffer> {
     outs
 }
 
+/// Output element kinds the extra generator input `v` cycles through
+/// (`v / 4` odd: a second histogram of doubled weights is written too).
+const KINDS: [ScalarKind; 4] = [
+    ScalarKind::F32,
+    ScalarKind::F64,
+    ScalarKind::I32,
+    ScalarKind::I64,
+];
+
 /// Histogram over an explicit key stream, weights int-filled.
-fn histogram(keys: Vec<usize>, buckets: usize, salt: usize) -> (DslProgram, Vec<Buffer>) {
+fn histogram(keys: Vec<usize>, buckets: usize, salt: usize, v: usize) -> (DslProgram, Vec<Buffer>) {
     let n = keys.len();
-    let prog = DslBuilder::new("hist", vec![n])
-        .out_buffer_with_shape("hist", BasicType::F32, vec![buckets])
-        .out_access(
-            "hist",
-            IndexFn::General {
-                out_rank: 1,
-                f: std::sync::Arc::new(move |i: &[usize]| vec![keys[i[0]]]),
-                label: "key".into(),
-            },
-        )
-        .inp_buffer("w", BasicType::F32)
+    let kind = KINDS[v % 4];
+    let keys = std::sync::Arc::new(keys);
+    let by_key = || IndexFn::General {
+        out_rank: 1,
+        f: {
+            let keys = std::sync::Arc::clone(&keys);
+            std::sync::Arc::new(move |i: &[usize]| vec![keys[i[0]]])
+        },
+        label: "key".into(),
+    };
+    let mut sf = ScalarFunction::identity("f_id", kind);
+    let mut b = DslBuilder::new("hist", vec![n])
+        .out_buffer_with_shape("hist", kind.into(), vec![buckets])
+        .out_access("hist", by_key());
+    if v / 4 % 2 == 1 {
+        sf.results.push(("twice".into(), kind.into()));
+        sf.body.push(Stmt::Assign {
+            name: "twice".into(),
+            value: Expr::add(Expr::Param(0), Expr::Param(0)),
+        });
+        b = b
+            .out_buffer_with_shape("hist2", kind.into(), vec![buckets])
+            .out_access("hist2", by_key());
+    }
+    let prog = b
+        .inp_buffer("w", kind.into())
         .inp_access("w", IndexFn::identity(1, 1))
-        .scalar_function(ScalarFunction::identity("f_id", ScalarKind::F32))
+        .scalar_function(sf)
         .combine_ops(vec![CombineOp::rbi_add()])
         .build()
         .expect("histogram");
-    let mut w = Buffer::zeros("w", BasicType::F32, Shape::new(vec![n]));
-    int_fill(&mut w, salt);
-    (prog, vec![w])
+    (prog, vec![filled("w", kind, vec![n], salt)])
 }
 
 #[test]
@@ -95,6 +118,7 @@ proptest! {
         stride_pick in 0usize..8,
         offset in 0usize..512,
         devices in 1usize..5,
+        v in 0usize..8,
     ) {
         // odd stride, coprime check against n → a true permutation
         let stride = [1usize, 3, 5, 7, 11, 13, 17, 19][stride_pick];
@@ -103,9 +127,9 @@ proptest! {
         let perm: Vec<usize> = (0..n).map(|i| (i * stride + offset) % n).collect();
         let pkeys: Vec<usize> = perm.iter().map(|&p| keys[p]).collect();
 
-        let (prog, inputs) = histogram(keys, buckets, 21);
-        let (pprog, _) = histogram(pkeys, buckets, 0);
-        let mut pw = Buffer::zeros("w", BasicType::F32, Shape::new(vec![n]));
+        let (prog, inputs) = histogram(keys, buckets, 21, v);
+        let (pprog, _) = histogram(pkeys, buckets, 0, v);
+        let mut pw = Buffer::zeros("w", KINDS[v % 4].into(), Shape::new(vec![n]));
         for (i, &p) in perm.iter().enumerate() {
             let v = inputs[0].get_flat(p);
             pw.set_flat(i, &v).unwrap();
@@ -129,9 +153,10 @@ proptest! {
         devices in 2usize..7,
         seed in 0u64..(1 << 32),
         rate in 0u16..600,
+        v in 0usize..8,
     ) {
         let keys: Vec<usize> = (0..n).map(|i| (i * 37 + seed as usize) % buckets).collect();
-        let (prog, inputs) = histogram(keys, buckets, seed as usize % 64);
+        let (prog, inputs) = histogram(keys, buckets, seed as usize % 64, v);
         let reference = reference_run(&prog, &inputs);
 
         let plan = FaultPlan::seeded(seed, rate.min(600)).crash((seed as usize) % devices, seed % 3);

@@ -10,7 +10,7 @@
 //!    (structural signature × shape class × device) and enqueued;
 //! 2. a worker pops it and *drains every queued request with the same
 //!    key* (up to `max_batch`) into one batch, so the plan lookup and —
-//!    on GPU — the [`DeviceDataRegion`] residency warm-up are paid once.
+//!    on GPU — the operand upload ([`launch_cost_ms`]) are paid once.
 //!    Requests whose [`Request::deadline`] expired while queued are
 //!    answered [`MdhError::DeadlineExceeded`] during the drain, without
 //!    executing;
@@ -34,7 +34,7 @@ use crate::sync::{cv_wait, lock};
 use crate::tune::{plan_from_tuning_cache, run_tune_job, TuneJob, TunePolicy};
 use mdh_backend::cpu::CpuExecutor;
 use mdh_backend::gpu::GpuSim;
-use mdh_backend::transfer::{DeviceDataRegion, LinkParams};
+use mdh_backend::transfer::{launch_cost_ms, LinkParams};
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
@@ -408,8 +408,6 @@ struct Shared {
     /// what the plan cache, the pool and the kernel registry count.
     counters: Mutex<RuntimeStats>,
     breakers: Mutex<HashMap<PlanKey, Breaker>>,
-    /// Per-key simulated device residency (GPU requests only).
-    residency: Mutex<HashMap<PlanKey, DeviceDataRegion>>,
     exec: CpuExecutor,
     sim: GpuSim,
     /// Multi-device pool serving GPU requests when `config.devices > 1`.
@@ -487,7 +485,6 @@ impl Runtime {
             tuning,
             counters: Mutex::new(counters),
             breakers: Mutex::new(HashMap::new()),
-            residency: Mutex::new(HashMap::new()),
             exec,
             sim,
             dist,
@@ -1203,8 +1200,8 @@ fn execute_one(
             job.req.prog.name
         );
     }
-    let (outputs, exec_ms, transfer_ms) = match job.key.device {
-        DeviceKind::Cpu => {
+    let (outputs, exec_ms, transfer_ms) = match (job.key.device, &shared.dist) {
+        (DeviceKind::Cpu, _) => {
             let t0 = Instant::now();
             let out = shared.exec.run_planned(
                 &job.req.prog,
@@ -1217,8 +1214,7 @@ fn execute_one(
         // `devices > 1`: the cached plan keyed the lookup (and drives
         // background tuning), but execution goes through the pool, which
         // re-partitions and schedules each shard on its own device
-        DeviceKind::Gpu if shared.dist.is_some() => {
-            let dist = shared.dist.as_ref().expect("dist pool");
+        (DeviceKind::Gpu, Some(dist)) => {
             let (out, report) =
                 dist.run_with_deadline(&job.req.prog, &job.req.inputs, job.req.deadline)?;
             {
@@ -1234,17 +1230,16 @@ fn execute_one(
             }
             // steady-state per-launch time (exec + combine + D2H); the
             // one-time upload is reported as transfer, matching the
-            // single-device residency convention on a cold region
+            // single-device residency convention on a cold key
             (out, report.hot_ms, report.h2d_ms)
         }
-        DeviceKind::Gpu => {
-            let transfer_ms = {
-                let mut regions = lock(&shared.residency);
-                let region = regions
-                    .entry(job.key.clone())
-                    .or_insert_with(|| DeviceDataRegion::new(LinkParams::pcie4_x16()));
-                region.launch_cost_ms(&job.req.prog, &job.req.inputs)
-            };
+        (DeviceKind::Gpu, None) => {
+            // a key's operands are device-resident exactly as long as its
+            // plan is cached: the launch that builds the plan (again,
+            // after an eviction) uploads them, every hit pays the
+            // copy-out alone — no residency state to grow per key
+            let link = LinkParams::pcie4_x16();
+            let transfer_ms = launch_cost_ms(&link, &job.req.prog, &job.req.inputs, cache_hit);
             let (out, report) = shared
                 .sim
                 .run(&job.req.prog, &plan.schedule, &job.req.inputs)?;
@@ -1430,6 +1425,49 @@ def dot(res, x, y):
             of(TENANT_OVERFLOW),
             Some(8_000 - MAX_TRACKED_TENANTS as u64)
         );
+    }
+
+    /// Sizes come from clients: single-device GPU residency must not
+    /// outlive the plan it belongs to. 10 000 requests cycling 200 sizes
+    /// (reuse distance 200, plan cache 64) leave nothing behind but the
+    /// plan cache — every one re-pays its operands' upload — and a repeat
+    /// of a still-cached key pays the copy-out alone.
+    #[test]
+    fn gpu_residency_lives_and_dies_with_the_cached_plan() {
+        let sized: Vec<(DslProgram, Operands)> = (0..200)
+            .map(|i| {
+                let prog = compile_any(DOT, &DirectiveEnv::new().size("N", 8 + i)).unwrap();
+                let inputs = deterministic_inputs(&prog).unwrap();
+                (prog, Arc::new(inputs))
+            })
+            .collect();
+        let mut rt = Runtime::new(RuntimeConfig {
+            tune: TunePolicy {
+                enabled: false,
+                ..TunePolicy::default()
+            },
+            ..RuntimeConfig::default()
+        })
+        .unwrap();
+        assert_eq!(rt.shared.config.devices, 1);
+        let link = LinkParams::pcie4_x16();
+        let launch = |rt: &Runtime, (prog, inputs): &(DslProgram, Operands)| {
+            let req = Request::new(prog.clone(), DeviceKind::Gpu, Arc::clone(inputs));
+            let resp = rt.submit(req).wait().unwrap();
+            let want = launch_cost_ms(&link, prog, inputs, resp.cache_hit);
+            assert_eq!(resp.transfer_ms, want, "hit={}", resp.cache_hit);
+            resp.cache_hit
+        };
+        for _ in 0..50 {
+            for req in &sized {
+                assert!(!launch(&rt, req), "evicted 136 requests ago");
+            }
+        }
+        assert!(launch(&rt, &sized[199]), "still cached");
+        rt.shutdown();
+        let stats = rt.stats();
+        assert_eq!(stats.completed, 10_001);
+        assert_eq!(stats.plans_resident, rt.shared.config.plan_cache_capacity);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! * a 100-request workload through `workers = 2, exec_threads = 4`
 //!   creates a bounded number of OS threads — all pool threads are
 //!   spawned at `Runtime::new`, none per request or per region;
+//! * with `devices: 4` the shards of every GPU launch are a region on
+//!   that same pool — `mdh-dist` spawns no thread per launch;
 //! * a panicking kernel is isolated to its request and the shared pool
 //!   keeps serving (workers survive, no replacement threads appear);
 //! * the exec-latency reservoir samples every served request.
@@ -76,6 +78,33 @@ fn hundred_requests_spawn_no_threads_beyond_startup() {
     assert_eq!(stats.exec_samples(), 100, "histogram saw every request");
     assert!(stats.exec_p50_us() > 0.0);
     assert!(stats.exec_p99_us() >= stats.exec_p50_us());
+    rt.shutdown();
+}
+
+#[test]
+fn pool_launches_are_regions_on_the_startup_pool() {
+    let mut rt = Runtime::new(RuntimeConfig {
+        devices: 4,
+        ..config()
+    })
+    .expect("runtime");
+    let (prog, inputs) = matvec("pool_regions");
+    let launch = || {
+        rt.submit(Request::new(prog.clone(), DeviceKind::Gpu, inputs.clone()))
+            .wait()
+            .expect("pool launch")
+    };
+    launch(); // warm-up: plan built, operands resident
+    let pool = rt.executor().pool();
+    let (regions, spawned) = (pool.regions_executed(), pool.spawned_threads());
+    for _ in 0..200 {
+        launch();
+    }
+    assert!(
+        pool.regions_executed() >= regions + 200,
+        "every launch dispatches its four shards as a region of the pool"
+    );
+    assert_eq!(pool.spawned_threads(), spawned, "and spawns nothing");
     rt.shutdown();
 }
 
