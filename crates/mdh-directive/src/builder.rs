@@ -19,6 +19,7 @@ use mdh_core::error::Result;
 /// use mdh_directive::builder::DirectiveBuilder;
 /// use mdh_directive::ast::{AssignTarget, DirectiveEnv, SurfBinOp, SurfaceExpr};
 ///
+/// # fn main() -> mdh_core::error::Result<()> {
 /// // MatVec, built programmatically (cf. Listing 8)
 /// let env = DirectiveEnv::new().size("I", 4).size("K", 5);
 /// let prog = DirectiveBuilder::new("matvec")
@@ -43,9 +44,10 @@ use mdh_core::error::Result;
 ///             )),
 ///         ),
 ///     )
-///     .build(&env)
-///     .unwrap();
+///     .build(&env)?;
 /// assert_eq!(prog.md_hom.sizes, vec![4, 5]);
+/// # Ok(())
+/// # }
 /// ```
 pub struct DirectiveBuilder {
     name: String,

@@ -18,1075 +18,144 @@
 //! }
 //! ```
 //!
-//! The C surface is lowered into the *same* [`crate::ast::DirectiveAst`]
-//! as the Python-like front end, so analysis, validation (including the
-//! `+=` guidance), and the Figure-1/2 transformation are shared verbatim.
+//! Only the statement grammar is C's own — `for (int i = 0; i < N; i++)`,
+//! `if (...) {...} else {...}`, `float t;` — written over the shared
+//! [`crate::grammar`] (tokens, expressions, clauses) under the
+//! [`C`](crate::lexer::C) dialect. The result is the *same*
+//! [`crate::ast::DirectiveAst`] as the Python-like front end, so analysis,
+//! validation (including the `+=` guidance), and the Figure-1/2
+//! transformation are shared verbatim.
 
-use crate::ast::{
-    AssignTarget, BufferSpec, CombineOpSpec, DirectiveAst, DirectiveEnv, SurfBinOp, SurfUnOp,
-    SurfaceExpr, SurfaceStmt,
-};
-use crate::semantic::analyze;
-use crate::transform::to_dsl;
+use crate::ast::{AssignTarget, DirectiveAst, DirectiveEnv, SurfaceStmt};
+use crate::grammar::Cursor;
+use crate::lexer::{TokenKind, C};
+use crate::transform::directive_to_dsl;
 use mdh_core::dsl::DslProgram;
-use mdh_core::error::{MdhError, Result};
+use mdh_core::error::Result;
 
-// ---------------------------------------------------------------------------
-// Lexer (C subset)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum CTok {
-    Ident(String),
-    Int(i64),
-    Float(f64),
-    Pragma(String), // raw text after "#pragma"
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    LBrace,
-    RBrace,
-    Semi,
-    Comma,
-    Colon,
-    Assign,
-    PlusAssign,
-    PlusPlus,
-    Plus,
-    Minus,
-    Star,
-    Slash,
-    Percent,
-    EqEq,
-    NotEq,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    AndAnd,
-    OrOr,
-    Not,
-    Eof,
-}
-
-#[derive(Debug, Clone)]
-struct CToken {
-    tok: CTok,
-    line: usize,
-}
-
-fn c_err(line: usize, message: impl Into<String>) -> MdhError {
-    MdhError::Parse {
-        line,
-        col: 1,
-        message: message.into(),
+impl Cursor {
+    /// The induction variable, which the loop header must name three times.
+    fn c_induction(&mut self, var: &str, role: &str) -> Result<()> {
+        let at = self.here();
+        if self.ident()? != var {
+            return Err(self.error_at(at, format!("loop {role} must use the induction variable")));
+        }
+        Ok(())
     }
-}
 
-fn c_tokenize(src: &str) -> Result<Vec<CToken>> {
-    let mut out = Vec::new();
-    for (ln, raw) in src.lines().enumerate() {
-        let line = ln + 1;
-        // join pragma continuation lines (trailing backslash) is handled
-        // by the caller via preprocessing; here detect pragma lines
-        let trimmed = raw.trim_start();
-        if let Some(rest) = trimmed.strip_prefix("#pragma") {
-            out.push(CToken {
-                tok: CTok::Pragma(rest.trim().to_string()),
+    fn c_stmt(&mut self) -> Result<SurfaceStmt> {
+        let line = self.here().0;
+        if self.accept_keyword("for") {
+            // `for (int VAR = 0; VAR < EXPR; VAR++)`, `++VAR` and an
+            // undeclared or `size_t` VAR included
+            self.expect(&TokenKind::LParen)?;
+            if self.at_type() || self.at_keyword("size_t") {
+                self.advance();
+            }
+            let var = self.ident()?;
+            self.expect(&TokenKind::Assign)?;
+            if !self.accept(&TokenKind::Int(0)) {
+                return Err(self.error(format!(
+                    "loops must start at 0 (found {})",
+                    self.kind().describe()
+                )));
+            }
+            self.expect(&TokenKind::Semi)?;
+            self.c_induction(&var, "condition")?;
+            self.expect(&TokenKind::Lt)?;
+            let count = self.parse_expr()?;
+            self.expect(&TokenKind::Semi)?;
+            if self.accept(&TokenKind::PlusPlus) {
+                self.c_induction(&var, "increment")?;
+            } else {
+                self.c_induction(&var, "increment")?;
+                self.expect(&TokenKind::PlusPlus)?;
+            }
+            self.expect(&TokenKind::RParen)?;
+            let body = self.c_block()?;
+            return Ok(SurfaceStmt::For {
+                var,
+                count,
+                body,
                 line,
             });
-            continue;
         }
-        // strip // comments
-        let code = match raw.find("//") {
-            Some(p) => &raw[..p],
-            None => raw,
-        };
-        let bytes = code.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            let c = bytes[i] as char;
-            match c {
-                ' ' | '\t' | '\r' => i += 1,
-                '(' => {
-                    out.push(CToken {
-                        tok: CTok::LParen,
-                        line,
-                    });
-                    i += 1;
-                }
-                ')' => {
-                    out.push(CToken {
-                        tok: CTok::RParen,
-                        line,
-                    });
-                    i += 1;
-                }
-                '[' => {
-                    out.push(CToken {
-                        tok: CTok::LBracket,
-                        line,
-                    });
-                    i += 1;
-                }
-                ']' => {
-                    out.push(CToken {
-                        tok: CTok::RBracket,
-                        line,
-                    });
-                    i += 1;
-                }
-                '{' => {
-                    out.push(CToken {
-                        tok: CTok::LBrace,
-                        line,
-                    });
-                    i += 1;
-                }
-                '}' => {
-                    out.push(CToken {
-                        tok: CTok::RBrace,
-                        line,
-                    });
-                    i += 1;
-                }
-                ';' => {
-                    out.push(CToken {
-                        tok: CTok::Semi,
-                        line,
-                    });
-                    i += 1;
-                }
-                ',' => {
-                    out.push(CToken {
-                        tok: CTok::Comma,
-                        line,
-                    });
-                    i += 1;
-                }
-                ':' => {
-                    out.push(CToken {
-                        tok: CTok::Colon,
-                        line,
-                    });
-                    i += 1;
-                }
-                '+' => {
-                    if bytes.get(i + 1) == Some(&b'+') {
-                        out.push(CToken {
-                            tok: CTok::PlusPlus,
-                            line,
-                        });
-                        i += 2;
-                    } else if bytes.get(i + 1) == Some(&b'=') {
-                        out.push(CToken {
-                            tok: CTok::PlusAssign,
-                            line,
-                        });
-                        i += 2;
-                    } else {
-                        out.push(CToken {
-                            tok: CTok::Plus,
-                            line,
-                        });
-                        i += 1;
-                    }
-                }
-                '-' => {
-                    out.push(CToken {
-                        tok: CTok::Minus,
-                        line,
-                    });
-                    i += 1;
-                }
-                '*' => {
-                    out.push(CToken {
-                        tok: CTok::Star,
-                        line,
-                    });
-                    i += 1;
-                }
-                '/' => {
-                    out.push(CToken {
-                        tok: CTok::Slash,
-                        line,
-                    });
-                    i += 1;
-                }
-                '%' => {
-                    out.push(CToken {
-                        tok: CTok::Percent,
-                        line,
-                    });
-                    i += 1;
-                }
-                '=' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        out.push(CToken {
-                            tok: CTok::EqEq,
-                            line,
-                        });
-                        i += 2;
-                    } else {
-                        out.push(CToken {
-                            tok: CTok::Assign,
-                            line,
-                        });
-                        i += 1;
-                    }
-                }
-                '!' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        out.push(CToken {
-                            tok: CTok::NotEq,
-                            line,
-                        });
-                        i += 2;
-                    } else {
-                        out.push(CToken {
-                            tok: CTok::Not,
-                            line,
-                        });
-                        i += 1;
-                    }
-                }
-                '<' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        out.push(CToken {
-                            tok: CTok::Le,
-                            line,
-                        });
-                        i += 2;
-                    } else {
-                        out.push(CToken {
-                            tok: CTok::Lt,
-                            line,
-                        });
-                        i += 1;
-                    }
-                }
-                '>' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        out.push(CToken {
-                            tok: CTok::Ge,
-                            line,
-                        });
-                        i += 2;
-                    } else {
-                        out.push(CToken {
-                            tok: CTok::Gt,
-                            line,
-                        });
-                        i += 1;
-                    }
-                }
-                '&' => {
-                    if bytes.get(i + 1) == Some(&b'&') {
-                        out.push(CToken {
-                            tok: CTok::AndAnd,
-                            line,
-                        });
-                        i += 2;
-                    } else {
-                        return Err(c_err(line, "bitwise '&' is not supported"));
-                    }
-                }
-                '|' => {
-                    if bytes.get(i + 1) == Some(&b'|') {
-                        out.push(CToken {
-                            tok: CTok::OrOr,
-                            line,
-                        });
-                        i += 2;
-                    } else {
-                        return Err(c_err(line, "bitwise '|' is not supported"));
-                    }
-                }
-                d if d.is_ascii_digit() => {
-                    let start = i;
-                    let mut is_float = false;
-                    while i < bytes.len() {
-                        let ch = bytes[i] as char;
-                        if ch.is_ascii_digit() {
-                            i += 1;
-                        } else if ch == '.' && !is_float {
-                            is_float = true;
-                            i += 1;
-                        } else if ch == 'f' || ch == 'F' {
-                            is_float = true;
-                            i += 1;
-                            break;
-                        } else {
-                            break;
-                        }
-                    }
-                    let text = code[start..i].trim_end_matches(['f', 'F']);
-                    if is_float {
-                        out.push(CToken {
-                            tok: CTok::Float(
-                                text.parse()
-                                    .map_err(|_| c_err(line, format!("bad float '{text}'")))?,
-                            ),
-                            line,
-                        });
-                    } else {
-                        out.push(CToken {
-                            tok: CTok::Int(
-                                text.parse()
-                                    .map_err(|_| c_err(line, format!("bad integer '{text}'")))?,
-                            ),
-                            line,
-                        });
-                    }
-                }
-                a if a.is_ascii_alphabetic() || a == '_' => {
-                    let start = i;
-                    while i < bytes.len()
-                        && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                    {
-                        i += 1;
-                    }
-                    out.push(CToken {
-                        tok: CTok::Ident(code[start..i].to_string()),
-                        line,
-                    });
-                }
-                other => return Err(c_err(line, format!("unexpected character '{other}'"))),
-            }
-        }
-    }
-    out.push(CToken {
-        tok: CTok::Eof,
-        line: src.lines().count() + 1,
-    });
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Pragma-clause parsing
-// ---------------------------------------------------------------------------
-
-/// Map a C element type to the directive type name.
-fn c_type_name(t: &str) -> Option<&'static str> {
-    match t {
-        "float" => Some("fp32"),
-        "double" => Some("fp64"),
-        "int" | "int32_t" => Some("int32"),
-        "long" | "int64_t" => Some("int64"),
-        "char" => Some("char"),
-        "bool" | "_Bool" => Some("bool"),
-        _ => None,
-    }
-}
-
-struct PragmaParser<'a> {
-    toks: Vec<CToken>,
-    pos: usize,
-    line: usize,
-    depth: usize,
-    _src: &'a str,
-}
-
-impl<'a> PragmaParser<'a> {
-    fn new(text: &'a str, line: usize) -> Result<Self> {
-        let toks = c_tokenize(text)?;
-        Ok(PragmaParser {
-            toks,
-            pos: 0,
-            line,
-            depth: 0,
-            _src: text,
-        })
-    }
-
-    /// Bound recursive descent to [`crate::MAX_NEST_DEPTH`]; paired with
-    /// `self.depth -= 1` on the success path.
-    fn descend(&mut self) -> Result<()> {
-        self.depth += 1;
-        if self.depth > crate::MAX_NEST_DEPTH {
-            return Err(c_err(
-                self.line,
-                format!("nesting deeper than {} levels", crate::MAX_NEST_DEPTH),
-            ));
-        }
-        Ok(())
-    }
-
-    fn peek(&self) -> &CTok {
-        &self.toks[self.pos.min(self.toks.len() - 1)].tok
-    }
-
-    fn next(&mut self) -> CTok {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].tok.clone();
-        if self.pos < self.toks.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn expect(&mut self, t: CTok) -> Result<()> {
-        let got = self.next();
-        if got == t {
-            Ok(())
-        } else {
-            Err(c_err(self.line, format!("expected {t:?}, found {got:?}")))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.next() {
-            CTok::Ident(s) => Ok(s),
-            other => Err(c_err(
-                self.line,
-                format!("expected identifier, found {other:?}"),
-            )),
-        }
-    }
-
-    /// `( name : type [dim]... , ... )`
-    fn buffers(&mut self) -> Result<Vec<BufferSpec>> {
-        self.expect(CTok::LParen)?;
-        let mut specs = Vec::new();
-        loop {
-            let name = self.ident()?;
-            self.expect(CTok::Colon)?;
-            let cty = self.ident()?;
-            let ty_name = c_type_name(&cty)
-                .ok_or_else(|| c_err(self.line, format!("unknown C type '{cty}'")))?
-                .to_string();
-            let mut dims = Vec::new();
-            while *self.peek() == CTok::LBracket {
-                self.next();
-                dims.push(self.expr()?);
-                self.expect(CTok::RBracket)?;
-            }
-            specs.push(BufferSpec {
-                name,
-                ty_name,
-                shape: if dims.is_empty() { None } else { Some(dims) },
-                line: self.line,
+        if self.accept_keyword("if") {
+            self.expect(&TokenKind::LParen)?;
+            let cond = self.parse_expr()?;
+            self.expect(&TokenKind::RParen)?;
+            let then_branch = self.c_block()?;
+            let else_branch = if self.accept_keyword("else") {
+                self.c_block()?
+            } else {
+                Vec::new()
+            };
+            return Ok(SurfaceStmt::If {
+                cond,
+                then_branch,
+                else_branch,
+                line,
             });
-            match self.next() {
-                CTok::Comma => continue,
-                CTok::RParen => break,
-                other => {
-                    return Err(c_err(
-                        self.line,
-                        format!("expected ',' or ')', found {other:?}"),
-                    ))
-                }
-            }
         }
-        Ok(specs)
-    }
-
-    /// `( cc, pw(add), ps(f), ... )`
-    fn combine_ops(&mut self) -> Result<Vec<CombineOpSpec>> {
-        self.expect(CTok::LParen)?;
-        let mut ops = Vec::new();
-        loop {
+        let stmt = if self.at_type() && matches!(self.kind_after(), TokenKind::Ident(_)) {
+            // `float t;` declares; `float t = e;` is the assignment that
+            // binds the fresh local
+            let ty_name = self.type_name()?;
             let name = self.ident()?;
-            let spec = match name.as_str() {
-                "cc" => CombineOpSpec::Cc,
-                "pw" | "ps" => {
-                    self.expect(CTok::LParen)?;
-                    let f = self.ident()?;
-                    self.expect(CTok::RParen)?;
-                    if name == "pw" {
-                        CombineOpSpec::Pw(f)
-                    } else {
-                        CombineOpSpec::Ps(f)
-                    }
+            if self.accept(&TokenKind::Assign) {
+                SurfaceStmt::Assign {
+                    target: AssignTarget::Name(name),
+                    value: self.parse_expr()?,
+                    line,
                 }
-                other => {
-                    return Err(c_err(
-                        self.line,
-                        format!("unknown combine operator '{other}'"),
-                    ))
-                }
-            };
-            ops.push(spec);
-            match self.next() {
-                CTok::Comma => continue,
-                CTok::RParen => break,
-                other => {
-                    return Err(c_err(
-                        self.line,
-                        format!("expected ',' or ')', found {other:?}"),
-                    ))
+            } else {
+                SurfaceStmt::Decl {
+                    name,
+                    ty_name,
+                    line,
                 }
             }
-        }
-        Ok(ops)
-    }
-
-    /// Pragma-level size expression (constants and size identifiers).
-    fn expr(&mut self) -> Result<SurfaceExpr> {
-        self.descend()?;
-        let e = self.additive();
-        self.depth -= 1;
-        e
-    }
-
-    fn additive(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                CTok::Plus => SurfBinOp::Add,
-                CTok::Minus => SurfBinOp::Sub,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.multiplicative()?;
-            lhs = SurfaceExpr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.primary()?;
-        loop {
-            let op = match self.peek() {
-                CTok::Star => SurfBinOp::Mul,
-                CTok::Slash => SurfBinOp::Div,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.primary()?;
-            lhs = SurfaceExpr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn primary(&mut self) -> Result<SurfaceExpr> {
-        match self.next() {
-            CTok::Int(v) => Ok(SurfaceExpr::Int(v)),
-            CTok::Ident(n) => Ok(SurfaceExpr::Name(n)),
-            CTok::LParen => {
-                let e = self.expr()?;
-                self.expect(CTok::RParen)?;
-                Ok(e)
-            }
-            other => Err(c_err(
-                self.line,
-                format!("unexpected {other:?} in size expression"),
-            )),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// C statement parsing
-// ---------------------------------------------------------------------------
-
-struct CParser {
-    toks: Vec<CToken>,
-    pos: usize,
-    depth: usize,
-}
-
-impl CParser {
-    /// Bound recursive descent (expression *and* statement nesting) to
-    /// [`crate::MAX_NEST_DEPTH`]; paired with `self.depth -= 1` on the
-    /// success path.
-    fn descend(&mut self) -> Result<()> {
-        self.depth += 1;
-        if self.depth > crate::MAX_NEST_DEPTH {
-            return Err(c_err(
-                self.line(),
-                format!("nesting deeper than {} levels", crate::MAX_NEST_DEPTH),
-            ));
-        }
-        Ok(())
-    }
-    fn peek(&self) -> &CTok {
-        &self.toks[self.pos.min(self.toks.len() - 1)].tok
-    }
-
-    fn peek2(&self) -> &CTok {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
-    }
-
-    fn line(&self) -> usize {
-        self.toks[self.pos.min(self.toks.len() - 1)].line
-    }
-
-    fn next(&mut self) -> CTok {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].tok.clone();
-        if self.pos < self.toks.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn expect(&mut self, t: CTok) -> Result<()> {
-        let line = self.line();
-        let got = self.next();
-        if got == t {
-            Ok(())
         } else {
-            Err(c_err(line, format!("expected {t:?}, found {got:?}")))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        let line = self.line();
-        match self.next() {
-            CTok::Ident(s) => Ok(s),
-            other => Err(c_err(line, format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    /// `for (int VAR = 0; VAR < EXPR; VAR++) { ... }` or a plain statement.
-    fn stmt(&mut self) -> Result<SurfaceStmt> {
-        let line = self.line();
-        match self.peek().clone() {
-            CTok::Ident(kw) if kw == "for" => {
-                self.next();
-                self.expect(CTok::LParen)?;
-                // `int` / `long` / `size_t` induction declaration
-                let decl = self.ident()?;
-                let var = if c_type_name(&decl).is_some() || decl == "size_t" {
-                    self.ident()?
-                } else {
-                    decl
-                };
-                self.expect(CTok::Assign)?;
-                match self.next() {
-                    CTok::Int(0) => {}
-                    other => {
-                        return Err(c_err(
-                            line,
-                            format!("loops must start at 0 (found {other:?})"),
-                        ))
-                    }
-                }
-                self.expect(CTok::Semi)?;
-                let v2 = self.ident()?;
-                if v2 != var {
-                    return Err(c_err(
-                        line,
-                        "loop condition must test the induction variable",
-                    ));
-                }
-                self.expect(CTok::Lt)?;
-                let count = self.expr()?;
-                self.expect(CTok::Semi)?;
-                // `VAR++` or `++VAR`
-                match self.next() {
-                    CTok::Ident(v3) => {
-                        if v3 != var {
-                            return Err(c_err(
-                                line,
-                                "loop increment must use the induction variable",
-                            ));
-                        }
-                        self.expect(CTok::PlusPlus)?;
-                    }
-                    CTok::PlusPlus => {
-                        let v3 = self.ident()?;
-                        if v3 != var {
-                            return Err(c_err(
-                                line,
-                                "loop increment must use the induction variable",
-                            ));
-                        }
-                    }
-                    other => {
-                        return Err(c_err(line, format!("expected increment, found {other:?}")))
-                    }
-                }
-                self.expect(CTok::RParen)?;
-                let body = self.block()?;
-                Ok(SurfaceStmt::For {
-                    var,
-                    count,
-                    body,
-                    line,
-                })
-            }
-            CTok::Ident(kw) if kw == "if" => {
-                self.next();
-                self.expect(CTok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(CTok::RParen)?;
-                let then_branch = self.block()?;
-                let else_branch = if matches!(self.peek(), CTok::Ident(k) if k == "else") {
-                    self.next();
-                    self.block()?
-                } else {
-                    Vec::new()
-                };
-                Ok(SurfaceStmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                    line,
-                })
-            }
-            CTok::Ident(first) => {
-                // declaration (`float t = e;` / `float t;`) or assignment
-                if c_type_name(&first).is_some() && matches!(self.peek2(), CTok::Ident(_)) {
-                    self.next();
-                    let ty_name = c_type_name(&first).unwrap().to_string();
-                    let name = self.ident()?;
-                    match self.next() {
-                        CTok::Semi => Ok(SurfaceStmt::Decl {
-                            name,
-                            ty_name,
-                            line,
-                        }),
-                        CTok::Assign => {
-                            let value = self.expr()?;
-                            self.expect(CTok::Semi)?;
-                            // a declaration with initialiser = Decl + Assign;
-                            // collapse into Assign after a zero-decl is not
-                            // needed because Assign binds fresh locals
-                            let _ = ty_name;
-                            Ok(SurfaceStmt::Assign {
-                                target: AssignTarget::Name(name),
-                                value,
-                                line,
-                            })
-                        }
-                        other => Err(c_err(line, format!("expected ';' or '=', found {other:?}"))),
-                    }
-                } else {
-                    // assignment to local or buffer element
-                    let name = self.ident()?;
-                    let mut indices = Vec::new();
-                    while *self.peek() == CTok::LBracket {
-                        self.next();
-                        indices.push(self.expr()?);
-                        self.expect(CTok::RBracket)?;
-                    }
-                    let target = if indices.is_empty() {
-                        AssignTarget::Name(name)
-                    } else {
-                        AssignTarget::Subscript(name, indices)
-                    };
-                    match self.next() {
-                        CTok::Assign => {
-                            let value = self.expr()?;
-                            self.expect(CTok::Semi)?;
-                            Ok(SurfaceStmt::Assign {
-                                target,
-                                value,
-                                line,
-                            })
-                        }
-                        CTok::PlusAssign => {
-                            let _ = self.expr()?;
-                            let _ = self.expect(CTok::Semi);
-                            Ok(SurfaceStmt::AugAssign { target, line })
-                        }
-                        other => Err(c_err(
-                            line,
-                            format!("expected '=' or '+=', found {other:?}"),
-                        )),
-                    }
-                }
-            }
-            other => Err(c_err(line, format!("unexpected {other:?}"))),
-        }
+            self.assignment()?
+        };
+        self.expect(&TokenKind::Semi)?;
+        Ok(stmt)
     }
 
     /// `{ stmt* }` or a single statement.
-    fn block(&mut self) -> Result<Vec<SurfaceStmt>> {
-        self.descend()?;
-        let body = if *self.peek() == CTok::LBrace {
-            self.next();
+    fn c_block(&mut self) -> Result<Vec<SurfaceStmt>> {
+        self.descend(|p| {
+            if !p.accept(&TokenKind::LBrace) {
+                return Ok(vec![p.c_stmt()?]);
+            }
             let mut body = Vec::new();
-            while *self.peek() != CTok::RBrace {
-                if *self.peek() == CTok::Eof {
-                    return Err(c_err(self.line(), "unterminated block"));
-                }
-                body.push(self.stmt()?);
+            while !p.accept(&TokenKind::RBrace) {
+                body.push(p.c_stmt()?);
             }
-            self.next();
-            body
-        } else {
-            vec![self.stmt()?]
-        };
-        self.depth -= 1;
-        Ok(body)
-    }
-
-    // expressions -----------------------------------------------------------
-
-    fn expr(&mut self) -> Result<SurfaceExpr> {
-        self.descend()?;
-        let e = self.or_expr();
-        self.depth -= 1;
-        e
-    }
-
-    fn or_expr(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.and_expr()?;
-        while *self.peek() == CTok::OrOr {
-            self.next();
-            let rhs = self.and_expr()?;
-            lhs = SurfaceExpr::Bin(SurfBinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.cmp_expr()?;
-        while *self.peek() == CTok::AndAnd {
-            self.next();
-            let rhs = self.cmp_expr()?;
-            lhs = SurfaceExpr::Bin(SurfBinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<SurfaceExpr> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            CTok::EqEq => Some(SurfBinOp::Eq),
-            CTok::NotEq => Some(SurfBinOp::Ne),
-            CTok::Lt => Some(SurfBinOp::Lt),
-            CTok::Le => Some(SurfBinOp::Le),
-            CTok::Gt => Some(SurfBinOp::Gt),
-            CTok::Ge => Some(SurfBinOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.next();
-            let rhs = self.add_expr()?;
-            Ok(SurfaceExpr::Bin(op, Box::new(lhs), Box::new(rhs)))
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn add_expr(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                CTok::Plus => SurfBinOp::Add,
-                CTok::Minus => SurfBinOp::Sub,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.mul_expr()?;
-            lhs = SurfaceExpr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                CTok::Star => SurfBinOp::Mul,
-                CTok::Slash => SurfBinOp::Div,
-                CTok::Percent => SurfBinOp::Mod,
-                _ => break,
-            };
-            self.next();
-            let rhs = self.unary()?;
-            lhs = SurfaceExpr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn unary(&mut self) -> Result<SurfaceExpr> {
-        match self.peek() {
-            CTok::Minus => {
-                self.next();
-                self.descend()?;
-                let e = self.unary();
-                self.depth -= 1;
-                Ok(SurfaceExpr::Un(SurfUnOp::Neg, Box::new(e?)))
-            }
-            CTok::Not => {
-                self.next();
-                self.descend()?;
-                let e = self.unary();
-                self.depth -= 1;
-                Ok(SurfaceExpr::Un(SurfUnOp::Not, Box::new(e?)))
-            }
-            _ => self.postfix(),
-        }
-    }
-
-    fn postfix(&mut self) -> Result<SurfaceExpr> {
-        let line = self.line();
-        match self.next() {
-            CTok::Int(v) => Ok(SurfaceExpr::Int(v)),
-            CTok::Float(v) => Ok(SurfaceExpr::Float(v)),
-            CTok::LParen => {
-                let e = self.expr()?;
-                self.expect(CTok::RParen)?;
-                Ok(e)
-            }
-            CTok::Ident(name) => {
-                if *self.peek() == CTok::LParen {
-                    // math call: map C names to directive intrinsics
-                    self.next();
-                    let mut args = Vec::new();
-                    if *self.peek() != CTok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if *self.peek() == CTok::Comma {
-                                self.next();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(CTok::RParen)?;
-                    let mapped = match name.as_str() {
-                        "fabsf" | "fabs" | "abs" => "abs",
-                        "sqrtf" | "sqrt" => "sqrt",
-                        "expf" | "exp" => "exp",
-                        "logf" | "log" => "log",
-                        "fminf" | "fmin" | "min" => "min",
-                        "fmaxf" | "fmax" | "max" => "max",
-                        other => return Err(c_err(line, format!("unknown function '{other}'"))),
-                    };
-                    Ok(SurfaceExpr::Call(mapped.to_string(), args))
-                } else {
-                    let mut e = SurfaceExpr::Name(name);
-                    while *self.peek() == CTok::LBracket {
-                        self.next();
-                        let idx = self.expr()?;
-                        self.expect(CTok::RBracket)?;
-                        // C multi-dim indexing nests subscripts; flatten
-                        // into the multi-index form the analysis expects
-                        e = match e {
-                            SurfaceExpr::Subscript(base, mut idxs) => {
-                                idxs.push(idx);
-                                SurfaceExpr::Subscript(base, idxs)
-                            }
-                            other => SurfaceExpr::Subscript(Box::new(other), vec![idx]),
-                        };
-                    }
-                    Ok(e)
-                }
-            }
-            other => Err(c_err(line, format!("unexpected {other:?}"))),
-        }
+            Ok(body)
+        })
     }
 }
 
-// ---------------------------------------------------------------------------
-// Entry points
-// ---------------------------------------------------------------------------
-
 /// Parse a `#pragma mdh`-annotated C loop nest into a directive AST.
 pub fn parse_c(src: &str) -> Result<DirectiveAst> {
-    // pre-process: splice pragma continuation lines (trailing backslash)
-    let mut joined = String::new();
-    let mut pending: Option<String> = None;
-    for line in src.lines() {
-        let in_pragma = pending.is_some() || line.trim_start().starts_with("#pragma");
-        if in_pragma {
-            let body = line.trim_end();
-            let (body, cont) = match body.strip_suffix('\\') {
-                Some(b) => (b, true),
-                None => (body, false),
-            };
-            let acc = pending.get_or_insert_with(String::new);
-            acc.push_str(body);
-            acc.push(' ');
-            if !cont {
-                joined.push_str(pending.take().unwrap().trim_end());
-                joined.push('\n');
-            }
-        } else {
-            joined.push_str(line);
-            joined.push('\n');
-        }
+    let mut p = Cursor::new(src, &C)?;
+    // host code before the annotation (and after the nest) is not ours
+    while !matches!(p.kind(), TokenKind::Sentinel | TokenKind::Eof) {
+        p.advance();
     }
-    if let Some(p) = pending {
-        joined.push_str(p.trim_end());
-        joined.push('\n');
+    let clauses = p.directive()?;
+    let at = p.here();
+    let nest = p.c_stmt()?;
+    if !matches!(nest, SurfaceStmt::For { .. }) {
+        return Err(p.error_at(at, "#pragma mdh must annotate a for-loop nest"));
     }
-
-    let toks = c_tokenize(&joined)?;
-    // find the pragma
-    let (pi, pragma_text, pragma_line) = toks
-        .iter()
-        .enumerate()
-        .find_map(|(i, t)| match &t.tok {
-            CTok::Pragma(p) => Some((i, p.clone(), t.line)),
-            _ => None,
-        })
-        .ok_or_else(|| c_err(1, "no '#pragma mdh' annotation found"))?;
-    let rest = pragma_text
-        .strip_prefix("mdh")
-        .ok_or_else(|| c_err(pragma_line, "expected '#pragma mdh ...'"))?
-        .trim();
-
-    // parse clauses
-    let mut pp = PragmaParser::new(rest, pragma_line)?;
-    let mut out = Vec::new();
-    let mut inp = Vec::new();
-    let mut combine_ops = Vec::new();
-    loop {
-        match pp.next() {
-            CTok::Ident(clause) => match clause.as_str() {
-                "out" => out = pp.buffers()?,
-                "inp" => inp = pp.buffers()?,
-                "combine_ops" => combine_ops = pp.combine_ops()?,
-                other => {
-                    return Err(c_err(
-                        pragma_line,
-                        format!("unknown pragma clause '{other}'"),
-                    ))
-                }
-            },
-            CTok::Eof => break,
-            other => {
-                return Err(c_err(
-                    pragma_line,
-                    format!("unexpected {other:?} in pragma"),
-                ))
-            }
-        }
-    }
-    if out.is_empty() || inp.is_empty() || combine_ops.is_empty() {
-        return Err(c_err(
-            pragma_line,
-            "#pragma mdh requires out(...), inp(...), and combine_ops(...) clauses",
-        ));
-    }
-
-    // parse the loop nest after the pragma
-    let mut cp = CParser {
-        toks: toks[pi + 1..].to_vec(),
-        pos: 0,
-        depth: 0,
-    };
-    let body = vec![cp.stmt()?];
-    if !matches!(body[0], SurfaceStmt::For { .. }) {
-        return Err(c_err(
-            pragma_line,
-            "#pragma mdh must annotate a for-loop nest",
-        ));
-    }
-
-    let params = out.iter().chain(&inp).map(|b| b.name.clone()).collect();
-    Ok(DirectiveAst {
-        name: "c_kernel".into(),
-        params,
-        out,
-        inp,
-        combine_ops,
-        body,
-        line: pragma_line,
-    })
+    Ok(clauses.over_nest("c_kernel", nest))
 }
 
 /// Full C front end: annotated C source + environment → DSL program.
 pub fn compile_c(src: &str, env: &DirectiveEnv) -> Result<DslProgram> {
-    let ast = parse_c(src)?;
-    let analyzed = analyze(&ast, env)?;
-    to_dsl(&analyzed)
+    directive_to_dsl(&parse_c(src)?, env)
 }
 
 #[cfg(test)]
@@ -1123,35 +192,6 @@ for (int i = 0; i < I; i++) {
             let expect: f32 = (0..6).map(|k| mf[i * 6 + k] * vf[k]).sum();
             assert_eq!(out[0].as_f32().unwrap()[i], expect);
         }
-    }
-
-    #[test]
-    fn c_and_python_front_ends_agree() {
-        let env = DirectiveEnv::new().size("I", 5).size("K", 7);
-        let from_c = compile_c(MATVEC_C, &env).unwrap();
-        let py = "\
-@mdh( out( w = Buffer[fp32] ),
-      inp( M = Buffer[fp32], v = Buffer[fp32] ),
-      combine_ops( cc, pw(add) ) )
-def matvec(w, M, v):
-    for i in range(I):
-        for k in range(K):
-            w[i] = M[i, k] * v[k]
-";
-        let from_py = crate::transform::compile(py, &env).unwrap();
-        assert_eq!(from_c.md_hom.sizes, from_py.md_hom.sizes);
-        assert_eq!(
-            from_c.output_shapes().unwrap(),
-            from_py.output_shapes().unwrap()
-        );
-        let mut m = Buffer::zeros("M", BasicType::F32, Shape::new(vec![5, 7]));
-        m.fill_with(|f| ((f * 3) % 11) as f64);
-        let mut v = Buffer::zeros("v", BasicType::F32, Shape::new(vec![7]));
-        v.fill_with(|f| (f % 4) as f64);
-        let inputs = vec![m, v];
-        let a = evaluate_recursive(&from_c, &inputs).unwrap();
-        let b = evaluate_recursive(&from_py, &inputs).unwrap();
-        assert_eq!(a[0], b[0]);
     }
 
     #[test]

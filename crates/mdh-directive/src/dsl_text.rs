@@ -16,270 +16,114 @@
 //! accesses) and `f_id` (single-access identity) are built in; others
 //! are registered in the [`DirectiveEnv`].
 
-use crate::ast::DirectiveEnv;
-use crate::lexer::{tokenize, Token, TokenKind};
-use crate::semantic::resolve_type;
+use crate::ast::{CombineOpSpec, DirectiveEnv, SurfBinOp, SurfUnOp, SurfaceExpr};
+use crate::grammar::Cursor;
+use crate::lexer::{TokenKind, PYTHON};
+use crate::semantic::{eval_const, resolve_type};
 use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc};
 use mdh_core::dsl::{DslProgram, MdHom};
-use mdh_core::error::{MdhError, Result};
+use mdh_core::error::Result;
 use mdh_core::expr::{Expr, ScalarFunction, Stmt};
 use mdh_core::index_fn::{AffineExpr, IndexFn};
 use mdh_core::types::BasicType;
 use mdh_core::views::{Access, BufferDecl, View};
 use std::sync::Arc;
 
-struct P {
-    toks: Vec<Token>,
-    pos: usize,
-    depth: usize,
+/// Fold a surface expression over the lambda parameters `vars` into an
+/// affine index expression; `Err` carries the reason it is not one.
+fn affine(
+    e: &SurfaceExpr,
+    vars: &[String],
+    env: &DirectiveEnv,
+) -> std::result::Result<AffineExpr, String> {
+    let rank = vars.len();
+    // client bytes choose the constants: checked arithmetic throughout
+    let zip = |a: &AffineExpr, b: &AffineExpr, f: fn(i64, i64) -> Option<i64>| {
+        let coeffs = (a.coeffs.iter().zip(&b.coeffs)).map(|(&x, &y)| f(x, y));
+        Some(AffineExpr {
+            coeffs: coeffs.collect::<Option<_>>()?,
+            constant: f(a.constant, b.constant)?,
+        })
+    };
+    let scale = |a: &AffineExpr, c: i64| {
+        let by_c = AffineExpr {
+            coeffs: vec![c; rank],
+            constant: c,
+        };
+        zip(a, &by_c, i64::checked_mul)
+    };
+    let folded = match e {
+        SurfaceExpr::Int(v) => Some(AffineExpr::constant(rank, *v)),
+        SurfaceExpr::Name(n) => match vars.iter().position(|v| v == n) {
+            Some(d) => Some(AffineExpr::var(rank, d)),
+            None => match env.sizes.get(n) {
+                Some(&v) => Some(AffineExpr::constant(rank, v)),
+                None => return Err(format!("unknown name '{n}' in index function")),
+            },
+        },
+        SurfaceExpr::Un(SurfUnOp::Neg, a) => scale(&affine(a, vars, env)?, -1),
+        SurfaceExpr::Bin(op, a, b) => {
+            let (a, b) = (affine(a, vars, env)?, affine(b, vars, env)?);
+            let is_const = |x: &AffineExpr| x.coeffs.iter().all(|&c| c == 0);
+            match op {
+                SurfBinOp::Add => zip(&a, &b, i64::checked_add),
+                SurfBinOp::Sub => zip(&a, &b, i64::checked_sub),
+                // a product is affine when at most one factor varies
+                SurfBinOp::Mul if is_const(&a) => scale(&b, a.constant),
+                SurfBinOp::Mul if is_const(&b) => scale(&a, b.constant),
+                _ => None,
+            }
+        }
+        _ => None,
+    };
+    folded.ok_or_else(|| "non-affine (or overflowing) index expression".to_string())
 }
 
-impl P {
-    /// Bound recursive descent to [`crate::MAX_NEST_DEPTH`]; paired with
-    /// `self.depth -= 1` on the success path.
-    fn descend(&mut self) -> Result<()> {
-        self.depth += 1;
-        if self.depth > crate::MAX_NEST_DEPTH {
-            return Err(self.err(format!(
-                "nesting deeper than {} levels",
-                crate::MAX_NEST_DEPTH
-            )));
-        }
-        Ok(())
-    }
-    fn peek(&self) -> &TokenKind {
-        &self.toks[self.pos.min(self.toks.len() - 1)].kind
-    }
-
-    fn line(&self) -> usize {
-        self.toks[self.pos.min(self.toks.len() - 1)].line
-    }
-
-    fn next(&mut self) -> TokenKind {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].kind.clone();
-        if self.pos < self.toks.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn err(&self, m: impl Into<String>) -> MdhError {
-        MdhError::Parse {
-            line: self.line(),
-            col: self.toks[self.pos.min(self.toks.len() - 1)].col,
-            message: m.into(),
-        }
-    }
-
-    fn expect(&mut self, k: TokenKind) -> Result<()> {
-        if self.peek() == &k {
-            self.next();
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected {}, found {}",
-                k.describe(),
-                self.peek().describe()
-            )))
-        }
-    }
-
-    fn accept(&mut self, k: TokenKind) -> bool {
-        if self.peek() == &k {
-            self.next();
-            true
-        } else {
-            false
-        }
-    }
-
+impl Cursor {
     fn skip_layout(&mut self) {
         while matches!(
-            self.peek(),
+            self.kind(),
             TokenKind::Newline | TokenKind::Indent | TokenKind::Dedent
         ) {
-            self.next();
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.next() {
-            TokenKind::Ident(s) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {}", other.describe()))),
-        }
-    }
-
-    fn keyword(&mut self, kw: &str) -> Result<()> {
-        let got = self.ident()?;
-        if got == kw {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{kw}', found '{got}'")))
+            self.advance();
         }
     }
 
     /// `[ T, T, ... ]` — basic types per buffer.
     fn type_list(&mut self, env: &DirectiveEnv) -> Result<Vec<BasicType>> {
-        self.expect(TokenKind::LBracket)?;
-        let mut tys = Vec::new();
-        loop {
-            let n = self.ident()?;
-            tys.push(resolve_type(&n, env).ok_or_else(|| self.err(format!("unknown type '{n}'")))?);
-            if !self.accept(TokenKind::Comma) {
-                break;
-            }
-        }
-        self.expect(TokenKind::RBracket)?;
-        Ok(tys)
-    }
-
-    /// `lambda i,k: (expr, expr)` → (iteration vars, affine exprs).
-    fn lambda(&mut self, vars: &mut Option<Vec<String>>, env: &DirectiveEnv) -> Result<IndexFn> {
-        self.keyword("lambda")?;
-        let mut params = Vec::new();
-        loop {
-            params.push(self.ident()?);
-            if !self.accept(TokenKind::Comma) {
-                break;
-            }
-        }
-        self.expect(TokenKind::Colon)?;
-        // all lambdas in a program must agree on the iteration variables
-        match vars {
-            None => *vars = Some(params.clone()),
-            Some(v) => {
-                if *v != params {
-                    return Err(self.err(format!(
-                        "index-function parameters {params:?} differ from {v:?}"
-                    )));
-                }
-            }
-        }
-        let rank = params.len();
-        let parenthesised = self.accept(TokenKind::LParen);
-        let mut exprs = Vec::new();
-        loop {
-            exprs.push(self.affine(&params, rank, env)?);
-            if !(parenthesised && self.accept(TokenKind::Comma)) {
-                break;
-            }
-        }
-        if parenthesised {
-            self.expect(TokenKind::RParen)?;
-        }
-        Ok(IndexFn::Affine(exprs))
-    }
-
-    /// Affine expression over the lambda parameters.
-    fn affine(&mut self, vars: &[String], rank: usize, env: &DirectiveEnv) -> Result<AffineExpr> {
-        self.descend()?;
-        let e = self.affine_inner(vars, rank, env);
-        self.depth -= 1;
-        e
-    }
-
-    fn affine_inner(
-        &mut self,
-        vars: &[String],
-        rank: usize,
-        env: &DirectiveEnv,
-    ) -> Result<AffineExpr> {
-        let mut acc = self.affine_term(vars, rank, env)?;
-        loop {
-            if self.accept(TokenKind::Plus) {
-                let t = self.affine_term(vars, rank, env)?;
-                acc = AffineExpr {
-                    coeffs: acc
-                        .coeffs
-                        .iter()
-                        .zip(&t.coeffs)
-                        .map(|(a, b)| a + b)
-                        .collect(),
-                    constant: acc.constant + t.constant,
-                };
-            } else if self.accept(TokenKind::Minus) {
-                let t = self.affine_term(vars, rank, env)?;
-                acc = AffineExpr {
-                    coeffs: acc
-                        .coeffs
-                        .iter()
-                        .zip(&t.coeffs)
-                        .map(|(a, b)| a - b)
-                        .collect(),
-                    constant: acc.constant - t.constant,
-                };
-            } else {
-                break;
-            }
-        }
-        Ok(acc)
-    }
-
-    fn affine_term(
-        &mut self,
-        vars: &[String],
-        rank: usize,
-        env: &DirectiveEnv,
-    ) -> Result<AffineExpr> {
-        let mut factors: Vec<AffineExpr> = vec![self.affine_atom(vars, rank, env)?];
-        while self.accept(TokenKind::Star) {
-            factors.push(self.affine_atom(vars, rank, env)?);
-        }
-        // product: at most one non-constant factor
-        let mut constant = 1i64;
-        let mut var_part: Option<AffineExpr> = None;
-        for f in factors {
-            if f.coeffs.iter().all(|&c| c == 0) {
-                constant *= f.constant;
-            } else if var_part.is_none() {
-                var_part = Some(f);
-            } else {
-                return Err(self.err("non-affine index expression"));
-            }
-        }
-        Ok(match var_part {
-            Some(v) => AffineExpr {
-                coeffs: v.coeffs.iter().map(|c| c * constant).collect(),
-                constant: v.constant * constant,
-            },
-            None => AffineExpr::constant(rank, constant),
+        self.expect(&TokenKind::LBracket)?;
+        self.nonempty_list(&TokenKind::RBracket, |p| {
+            let at = p.here();
+            let n = p.ident()?;
+            resolve_type(&n, env).ok_or_else(|| p.error_at(at, format!("unknown type '{n}'")))
         })
     }
 
-    fn affine_atom(
-        &mut self,
-        vars: &[String],
-        rank: usize,
-        env: &DirectiveEnv,
-    ) -> Result<AffineExpr> {
-        match self.next() {
-            TokenKind::Int(v) => Ok(AffineExpr::constant(rank, v)),
-            TokenKind::Minus => {
-                self.descend()?;
-                let a = self.affine_atom(vars, rank, env);
-                self.depth -= 1;
-                let a = a?;
-                Ok(AffineExpr {
-                    coeffs: a.coeffs.iter().map(|c| -c).collect(),
-                    constant: -a.constant,
-                })
+    /// `lambda i,k: (expr, expr)` → one affine index function; all lambdas
+    /// in a program must agree on the iteration variables `vars`.
+    fn lambda(&mut self, vars: &mut Option<Vec<String>>, env: &DirectiveEnv) -> Result<IndexFn> {
+        self.keyword("lambda")?;
+        let at = self.here();
+        let params = self.nonempty_list(&TokenKind::Colon, Cursor::ident)?;
+        match vars {
+            None => *vars = Some(params.clone()),
+            Some(v) if *v != params => {
+                return Err(self.error_at(
+                    at,
+                    format!("index-function parameters {params:?} differ from {v:?}"),
+                ))
             }
-            TokenKind::LParen => {
-                let a = self.affine(vars, rank, env)?;
-                self.expect(TokenKind::RParen)?;
-                Ok(a)
-            }
-            TokenKind::Ident(n) => {
-                if let Some(d) = vars.iter().position(|v| *v == n) {
-                    Ok(AffineExpr::var(rank, d))
-                } else if let Some(&v) = env.sizes.get(&n) {
-                    Ok(AffineExpr::constant(rank, v))
-                } else {
-                    Err(self.err(format!("unknown name '{n}' in index function")))
-                }
-            }
-            other => Err(self.err(format!("unexpected {} in index function", other.describe()))),
+            Some(_) => {}
         }
+        let at = self.here();
+        let exprs = if self.accept(&TokenKind::LParen) {
+            self.nonempty_list(&TokenKind::RParen, Cursor::parse_expr)?
+        } else {
+            vec![self.parse_expr()?]
+        };
+        let exprs = exprs.iter().map(|e| affine(e, &params, env));
+        let exprs = exprs.collect::<std::result::Result<_, _>>();
+        Ok(IndexFn::Affine(exprs.map_err(|m| self.error_at(at, m))?))
     }
 
     /// `( buf = [lambda...], buf = [lambda...] )` → a view.
@@ -289,36 +133,37 @@ impl P {
         vars: &mut Option<Vec<String>>,
         env: &DirectiveEnv,
     ) -> Result<View> {
-        self.expect(TokenKind::LParen)?;
+        self.expect(&TokenKind::LParen)?;
         let mut buffers = Vec::new();
         let mut accesses = Vec::new();
         loop {
             self.skip_layout();
+            let at = self.here();
             let name = self.ident()?;
-            self.expect(TokenKind::Assign)?;
-            self.expect(TokenKind::LBracket)?;
+            self.expect(&TokenKind::Assign)?;
+            self.expect(&TokenKind::LBracket)?;
             let b = buffers.len();
             loop {
                 let f = self.lambda(vars, env)?;
                 accesses.push(Access::new(b, f));
-                if !self.accept(TokenKind::Comma) {
+                if !self.accept(&TokenKind::Comma) {
                     break;
                 }
             }
-            self.expect(TokenKind::RBracket)?;
+            self.expect(&TokenKind::RBracket)?;
             let ty = tys
                 .get(b)
                 .cloned()
-                .ok_or_else(|| self.err(format!("no type listed for buffer '{name}'")))?;
+                .ok_or_else(|| self.error_at(at, format!("no type listed for buffer '{name}'")))?;
             buffers.push(BufferDecl::new(name, ty));
             self.skip_layout();
-            if !self.accept(TokenKind::Comma) {
+            if !self.accept(&TokenKind::Comma) {
                 break;
             }
         }
-        self.expect(TokenKind::RParen)?;
+        self.expect(&TokenKind::RParen)?;
         if buffers.len() != tys.len() {
-            return Err(self.err(format!(
+            return Err(self.error(format!(
                 "{} types listed for {} buffers",
                 tys.len(),
                 buffers.len()
@@ -326,51 +171,30 @@ impl P {
         }
         Ok(View::new(buffers, accesses))
     }
+}
 
-    /// `cc` | `pw(name)` | `ps(name)` | `rbi(add)`.
-    fn combine_op(&mut self, env: &DirectiveEnv) -> Result<CombineOp> {
-        let n = self.ident()?;
-        let resolve = |this: &P, name: &str| -> Result<PwFunc> {
-            match name {
-                "add" => Ok(PwFunc::builtin(BuiltinReduce::Add)),
-                "mul" => Ok(PwFunc::builtin(BuiltinReduce::Mul)),
-                "max" => Ok(PwFunc::builtin(BuiltinReduce::Max)),
-                "min" => Ok(PwFunc::builtin(BuiltinReduce::Min)),
-                other => env
-                    .combine_fns
-                    .get(other)
-                    .cloned()
-                    .ok_or_else(|| this.err(format!("unknown combine function '{other}'"))),
-            }
-        };
-        match n.as_str() {
-            "cc" => Ok(CombineOp::Cc),
-            "pw" => {
-                self.expect(TokenKind::LParen)?;
-                let f = self.ident()?;
-                self.expect(TokenKind::RParen)?;
-                Ok(CombineOp::Pw(resolve(self, &f)?))
-            }
-            "ps" => {
-                self.expect(TokenKind::LParen)?;
-                let f = self.ident()?;
-                self.expect(TokenKind::RParen)?;
-                Ok(CombineOp::Ps(resolve(self, &f)?))
-            }
-            "rbi" => {
-                self.expect(TokenKind::LParen)?;
-                let f = self.ident()?;
-                self.expect(TokenKind::RParen)?;
-                if f != "add" {
-                    return Err(self.err(format!(
-                        "rbi only supports the builtin 'add' operator, got '{f}'"
-                    )));
-                }
-                Ok(CombineOp::rbi_add())
-            }
-            other => Err(self.err(format!("unknown combine operator '{other}'"))),
+/// Resolve a parsed combine operator against the builtins and the
+/// environment's registered functions.
+fn combine_op(spec: CombineOpSpec, env: &DirectiveEnv) -> std::result::Result<CombineOp, String> {
+    let resolve = |name: &str| match name {
+        "add" => Ok(PwFunc::builtin(BuiltinReduce::Add)),
+        "mul" => Ok(PwFunc::builtin(BuiltinReduce::Mul)),
+        "max" => Ok(PwFunc::builtin(BuiltinReduce::Max)),
+        "min" => Ok(PwFunc::builtin(BuiltinReduce::Min)),
+        other => (env.combine_fns.get(other).cloned())
+            .ok_or_else(|| format!("unknown combine function '{other}'")),
+    };
+    Ok(match spec {
+        CombineOpSpec::Cc => CombineOp::Cc,
+        CombineOpSpec::Pw(f) => CombineOp::Pw(resolve(&f)?),
+        CombineOpSpec::Ps(f) => CombineOp::Ps(resolve(&f)?),
+        CombineOpSpec::Rbi(f) if f == "add" => CombineOp::rbi_add(),
+        CombineOpSpec::Rbi(f) => {
+            return Err(format!(
+                "rbi only supports the builtin 'add' operator, got '{f}'"
+            ))
         }
-    }
+    })
 }
 
 /// Built-in scalar functions of the DSL surface.
@@ -440,12 +264,7 @@ fn builtin_sf(
 
 /// Parse a textual DSL program (Listing 7) against host bindings.
 pub fn parse_dsl(src: &str, env: &DirectiveEnv) -> Result<DslProgram> {
-    let toks = tokenize(src)?;
-    let mut p = P {
-        toks,
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Cursor::new(src, &PYTHON)?;
     let mut vars: Option<Vec<String>> = None;
 
     p.skip_layout();
@@ -453,70 +272,33 @@ pub fn parse_dsl(src: &str, env: &DirectiveEnv) -> Result<DslProgram> {
     let out_tys = p.type_list(env)?;
     let out_view = p.view(out_tys, &mut vars, env)?;
     p.skip_layout();
-    p.expect(TokenKind::Comma)?;
+    p.expect(&TokenKind::Comma)?;
     p.skip_layout();
 
     p.keyword("md_hom")?;
-    p.expect(TokenKind::LBracket)?;
-    let mut sizes = Vec::new();
-    loop {
-        // size expression: identifiers/ints with + - * (constant)
-        let e = {
-            // reuse the surface-expression machinery via a tiny inline walk
-            let mut depth = 0usize;
-            let start = p.pos;
-            loop {
-                match p.peek() {
-                    TokenKind::LParen | TokenKind::LBracket => depth += 1,
-                    TokenKind::RParen => {
-                        if depth == 0 {
-                            break;
-                        }
-                        depth -= 1;
-                    }
-                    TokenKind::RBracket => {
-                        if depth == 0 {
-                            break;
-                        }
-                        depth -= 1;
-                    }
-                    TokenKind::Comma if depth == 0 => break,
-                    TokenKind::Eof => break,
-                    _ => {}
-                }
-                p.next();
-            }
-            // re-parse the token slice as a pragma-style expression through
-            // the surface AST
-            let slice = &p.toks[start..p.pos];
-            tokens_to_const(slice, env).ok_or_else(|| {
-                p.err("md_hom sizes must be constant expressions over size parameters")
-            })?
-        };
-        if e < 0 {
-            return Err(p.err(format!("negative iteration-space size {e}")));
-        }
-        sizes.push(e as usize);
-        if !p.accept(TokenKind::Comma) {
-            break;
-        }
-    }
-    p.expect(TokenKind::RBracket)?;
-    p.expect(TokenKind::LParen)?;
+    p.expect(&TokenKind::LBracket)?;
+    let sizes = p.nonempty_list(&TokenKind::RBracket, |p| {
+        let at = p.here();
+        let size = eval_const(&p.parse_expr()?, env).ok_or_else(|| {
+            p.error_at(
+                at,
+                "md_hom sizes must be constant expressions over size parameters",
+            )
+        })?;
+        usize::try_from(size)
+            .map_err(|_| p.error_at(at, format!("negative iteration-space size {size}")))
+    })?;
+    p.expect(&TokenKind::LParen)?;
     let sf_name = p.ident()?;
-    p.expect(TokenKind::Comma)?;
-    p.expect(TokenKind::LParen)?;
-    let mut combine_ops = Vec::new();
-    loop {
-        combine_ops.push(p.combine_op(env)?);
-        if !p.accept(TokenKind::Comma) {
-            break;
-        }
-    }
-    p.expect(TokenKind::RParen)?;
-    p.expect(TokenKind::RParen)?;
+    p.expect(&TokenKind::Comma)?;
+    let at = p.here();
+    let combine_ops = p.combine_op_specs()?.into_iter();
+    let combine_ops = combine_ops.map(|spec| combine_op(spec, env));
+    let combine_ops = combine_ops.collect::<std::result::Result<_, _>>();
+    let combine_ops = combine_ops.map_err(|m| p.error_at(at, m))?;
+    p.expect(&TokenKind::RParen)?;
     p.skip_layout();
-    p.expect(TokenKind::Comma)?;
+    p.expect(&TokenKind::Comma)?;
     p.skip_layout();
 
     p.keyword("inp_view")?;
@@ -527,7 +309,7 @@ pub fn parse_dsl(src: &str, env: &DirectiveEnv) -> Result<DslProgram> {
     // rank consistency: lambdas' parameter count must equal |sizes|
     if let Some(v) = &vars {
         if v.len() != sizes.len() {
-            return Err(p.err(format!(
+            return Err(p.error(format!(
                 "index functions take {} iteration variables but md_hom lists {} sizes",
                 v.len(),
                 sizes.len()
@@ -551,7 +333,7 @@ pub fn parse_dsl(src: &str, env: &DirectiveEnv) -> Result<DslProgram> {
         .get(&sf_name)
         .cloned()
         .or_else(|| builtin_sf(&sf_name, &param_tys, &result_tys))
-        .ok_or_else(|| p.err(format!("unknown scalar function '{sf_name}'")))?;
+        .ok_or_else(|| p.error(format!("unknown scalar function '{sf_name}'")))?;
 
     let prog = DslProgram::new(
         format!("dsl_{sf_name}"),
@@ -565,80 +347,6 @@ pub fn parse_dsl(src: &str, env: &DirectiveEnv) -> Result<DslProgram> {
     );
     prog.validate()?;
     Ok(prog)
-}
-
-/// Evaluate a token slice as a constant size expression.
-fn tokens_to_const(toks: &[Token], env: &DirectiveEnv) -> Option<i64> {
-    // shunting-yard-free: re-lex through the surface parser by textual
-    // reconstruction would be wasteful; implement a tiny recursive parser
-    fn parse(
-        toks: &[Token],
-        pos: &mut usize,
-        env: &DirectiveEnv,
-        min_prec: u8,
-        depth: usize,
-    ) -> Option<i64> {
-        if depth > crate::MAX_NEST_DEPTH {
-            return None;
-        }
-        let mut lhs = match toks.get(*pos)?.kind.clone() {
-            TokenKind::Int(v) => {
-                *pos += 1;
-                v
-            }
-            TokenKind::Ident(n) => {
-                *pos += 1;
-                *env.sizes.get(&n)?
-            }
-            TokenKind::Minus => {
-                *pos += 1;
-                -parse(toks, pos, env, 3, depth + 1)?
-            }
-            TokenKind::LParen => {
-                *pos += 1;
-                let v = parse(toks, pos, env, 0, depth + 1)?;
-                if !matches!(toks.get(*pos)?.kind, TokenKind::RParen) {
-                    return None;
-                }
-                *pos += 1;
-                v
-            }
-            _ => return None,
-        };
-        loop {
-            let (prec, op) = match toks.get(*pos).map(|t| &t.kind) {
-                Some(TokenKind::Plus) => (1u8, '+'),
-                Some(TokenKind::Minus) => (1, '-'),
-                Some(TokenKind::Star) => (2, '*'),
-                Some(TokenKind::Slash) => (2, '/'),
-                _ => break,
-            };
-            if prec < min_prec {
-                break;
-            }
-            *pos += 1;
-            let rhs = parse(toks, pos, env, prec + 1, depth + 1)?;
-            lhs = match op {
-                '+' => lhs + rhs,
-                '-' => lhs - rhs,
-                '*' => lhs * rhs,
-                _ => {
-                    if rhs == 0 {
-                        return None;
-                    }
-                    lhs / rhs
-                }
-            };
-        }
-        Some(lhs)
-    }
-    let mut pos = 0;
-    let v = parse(toks, &mut pos, env, 0, 0)?;
-    if pos == toks.len() {
-        Some(v)
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]

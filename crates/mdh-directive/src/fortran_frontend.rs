@@ -15,651 +15,123 @@
 //! end do
 //! ```
 //!
-//! Fortran's 1-based, inclusive `do` bounds and parenthesised array
-//! indexing are normalised to the 0-based form of the shared surface AST,
-//! so analysis, validation, and the Figure-1/2 transformation are reused
-//! unchanged. Column-major storage is *not* modelled: buffers follow the
-//! row-major convention of the rest of the stack (documented limitation).
+//! Only the statement grammar is Fortran's own — `do i = 1, N ... end do`,
+//! `if (...) then ... else ... end if` — written over the shared
+//! [`crate::grammar`] (tokens, expressions, clauses) under the
+//! [`FORTRAN`](crate::lexer::FORTRAN) dialect, whose `index_base: 1`
+//! normalises 1-based, inclusive `do` bounds and parenthesised array
+//! indexing to the 0-based form of the shared surface AST: `do i = 1, N`
+//! is the dimension `0..N`, `x(e)` reads `x[e - 1]`, and `i` used as a
+//! value stands for `i + 1`. Analysis, validation and the Figure-1/2
+//! transformation are reused unchanged. Column-major storage is *not*
+//! modelled: buffers follow the row-major convention of the rest of the
+//! stack (documented limitation).
 
-use crate::ast::{AssignTarget, DirectiveAst, DirectiveEnv, SurfBinOp, SurfaceExpr, SurfaceStmt};
-use crate::semantic::analyze;
-use crate::transform::to_dsl;
+use crate::ast::{DirectiveAst, DirectiveEnv, SurfaceStmt};
+use crate::grammar::Cursor;
+use crate::lexer::{TokenKind, FORTRAN};
+use crate::transform::directive_to_dsl;
 use mdh_core::dsl::DslProgram;
-use mdh_core::error::{MdhError, Result};
+use mdh_core::error::Result;
 
-fn f_err(line: usize, message: impl Into<String>) -> MdhError {
-    MdhError::Parse {
-        line,
-        col: 1,
-        message: message.into(),
+/// How a block ends: `("do", "enddo")`.
+type Closer = (&'static str, &'static str);
+const END_DO: Closer = ("do", "enddo");
+const END_IF: Closer = ("if", "endif");
+
+impl Cursor {
+    /// At `end <what>` (two words) or `end<what>` (one)?
+    fn at_f_end(&self, (what, joined): Closer) -> bool {
+        let spaced = self.at_keyword("end")
+            && matches!(self.kind_after(), TokenKind::Ident(s) if FORTRAN.same_word(s, what));
+        spaced || self.at_keyword(joined)
     }
-}
 
-/// A physical line with its 1-based number.
-struct Line<'a> {
-    no: usize,
-    text: &'a str,
-}
+    /// Statements up to and including the closer; an `if` body also stops
+    /// at — and leaves — its `else`.
+    fn f_block(&mut self, closer: Closer) -> Result<Vec<SurfaceStmt>> {
+        self.expect(&TokenKind::Newline)?;
+        self.descend(|p| {
+            let mut body = Vec::new();
+            while !p.at_f_end(closer) {
+                if closer == END_IF && p.at_keyword("else") {
+                    return Ok(body);
+                }
+                body.push(p.f_stmt()?);
+            }
+            p.accept_keyword("end");
+            p.advance();
+            p.expect(&TokenKind::Newline)?;
+            Ok(body)
+        })
+    }
 
-/// Map a Fortran type keyword to the directive type name.
-fn fortran_type_name(t: &str) -> Option<&'static str> {
-    match t.to_ascii_lowercase().as_str() {
-        "real" | "real4" => Some("fp32"),
-        "double" | "real8" => Some("fp64"),
-        "integer" | "integer4" => Some("int32"),
-        "integer8" => Some("int64"),
-        "logical" => Some("bool"),
-        "character" => Some("char"),
-        _ => None,
+    fn f_stmt(&mut self) -> Result<SurfaceStmt> {
+        let at = self.here();
+        let line = at.0;
+        if self.accept_keyword("do") {
+            // `do VAR = 1, EXPR`: 1-based and inclusive, so EXPR iterations
+            let var = self.ident()?;
+            self.expect(&TokenKind::Assign)?;
+            if !self.accept(&TokenKind::Int(FORTRAN.index_base)) {
+                return Err(self.error(format!(
+                    "do loops must start at 1 (found {})",
+                    self.kind().describe()
+                )));
+            }
+            self.expect(&TokenKind::Comma)?;
+            let count = self.parse_expr()?;
+            self.based_vars.push(var.clone());
+            let body = self.f_block(END_DO);
+            self.based_vars.pop();
+            let body = body?;
+            if body.is_empty() {
+                return Err(self.error_at(at, "empty do body"));
+            }
+            return Ok(SurfaceStmt::For {
+                var,
+                count,
+                body,
+                line,
+            });
+        }
+        if self.accept_keyword("if") {
+            self.expect(&TokenKind::LParen)?;
+            let cond = self.parse_expr()?;
+            self.expect(&TokenKind::RParen)?;
+            self.keyword("then")?;
+            let then_branch = self.f_block(END_IF)?;
+            let else_branch = if self.accept_keyword("else") {
+                self.f_block(END_IF)?
+            } else {
+                Vec::new()
+            };
+            return Ok(SurfaceStmt::If {
+                cond,
+                then_branch,
+                else_branch,
+                line,
+            });
+        }
+        let stmt = self.assignment()?;
+        self.expect(&TokenKind::Newline)?;
+        Ok(stmt)
     }
 }
 
 /// Parse `!$mdh`-annotated Fortran source into a directive AST.
 pub fn parse_fortran(src: &str) -> Result<DirectiveAst> {
-    // --- collect the sentinel directive text (with & continuations) -----
-    let mut pragma = String::new();
-    let mut pragma_line = 0usize;
-    let mut rest: Vec<Line> = Vec::new();
-    for (i, raw) in src.lines().enumerate() {
-        let no = i + 1;
-        let t = raw.trim();
-        let lower = t.to_ascii_lowercase();
-        if lower.starts_with("!$mdh") {
-            if pragma_line == 0 {
-                pragma_line = no;
-            }
-            let body = t[5..].trim().trim_end_matches('&').trim();
-            pragma.push_str(body);
-            pragma.push(' ');
-        } else if t.starts_with('!') || t.is_empty() {
-            // comment / blank
-        } else {
-            rest.push(Line { no, text: raw });
-        }
+    let mut p = Cursor::new(src, &FORTRAN)?;
+    let clauses = p.directive()?;
+    let at = p.here();
+    let nest = p.f_stmt()?;
+    if !matches!(nest, SurfaceStmt::For { .. }) {
+        return Err(p.error_at(at, "'!$mdh' must annotate a do nest"));
     }
-    if pragma_line == 0 {
-        return Err(f_err(1, "no '!$mdh' directive found"));
+    if p.kind() != &TokenKind::Eof {
+        return Err(p.error("trailing statements after the annotated do nest"));
     }
-
-    // --- clauses: reuse the C pragma grammar via the c_frontend ----------
-    // the clause syntax is identical except for type names; translate
-    // Fortran type keywords before delegating
-    let translated = translate_types(&pragma, pragma_line)?;
-    let c_src = format!("#pragma mdh {translated}\nfor (int zz = 0; zz < 1; zz++) {{ zz_unused[zz] = zz_unused[zz]; }}");
-    let clause_probe = crate::c_frontend::parse_c(&c_src);
-    // we only want the header from the probe; body errors are ours to make
-    let header = match clause_probe {
-        Ok(ast) => ast,
-        Err(e) => return Err(f_err(pragma_line, format!("in !$mdh clauses: {e}"))),
-    };
-
-    // --- the do nest ------------------------------------------------------
-    let mut parser = FortranBody {
-        lines: rest,
-        pos: 0,
-        loop_vars: Vec::new(),
-        depth: 0,
-    };
-    let body = vec![parser.stmt()?];
-    parser.skip_blank();
-    if parser.pos < parser.lines.len() {
-        return Err(f_err(
-            parser.lines[parser.pos].no,
-            "trailing statements after the annotated do nest",
-        ));
-    }
-    if !matches!(body[0], SurfaceStmt::For { .. }) {
-        return Err(f_err(pragma_line, "'!$mdh' must annotate a do nest"));
-    }
-
-    Ok(DirectiveAst {
-        name: "fortran_kernel".into(),
-        params: header
-            .out
-            .iter()
-            .chain(&header.inp)
-            .map(|b| b.name.clone())
-            .collect(),
-        out: header.out,
-        inp: header.inp,
-        combine_ops: header.combine_ops,
-        body,
-        line: pragma_line,
-    })
-}
-
-/// Replace Fortran type keywords in the clause text with directive names.
-fn translate_types(pragma: &str, line: usize) -> Result<String> {
-    let mut out = String::new();
-    let mut word = String::new();
-    let flush = |word: &mut String, out: &mut String| {
-        if word.is_empty() {
-            return;
-        }
-        match fortran_type_name(word) {
-            // map to the *C* names the c_frontend pragma parser expects
-            Some("fp32") => out.push_str("float"),
-            Some("fp64") => out.push_str("double"),
-            Some("int32") => out.push_str("int"),
-            Some("int64") => out.push_str("long"),
-            Some("bool") => out.push_str("bool"),
-            Some("char") => out.push_str("char"),
-            _ => out.push_str(word),
-        }
-        word.clear();
-    };
-    for c in pragma.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            word.push(c);
-        } else {
-            flush(&mut word, &mut out);
-            out.push(c);
-        }
-    }
-    flush(&mut word, &mut out);
-    let _ = line;
-    Ok(out)
-}
-
-struct FortranBody<'a> {
-    lines: Vec<Line<'a>>,
-    pos: usize,
-    /// induction variables of enclosing `do` loops (1-based in Fortran;
-    /// occurrences inside expressions are substituted as `var + 1` so the
-    /// uniform 1-based→0-based subscript shift is correct)
-    loop_vars: Vec<String>,
-    depth: usize,
-}
-
-impl<'a> FortranBody<'a> {
-    fn skip_blank(&mut self) {
-        while self.pos < self.lines.len() && self.lines[self.pos].text.trim().is_empty() {
-            self.pos += 1;
-        }
-    }
-
-    fn current(&self) -> Result<&Line<'a>> {
-        self.lines
-            .get(self.pos)
-            .ok_or_else(|| f_err(0, "unexpected end of input"))
-    }
-
-    fn stmt(&mut self) -> Result<SurfaceStmt> {
-        self.depth += 1;
-        if self.depth > crate::MAX_NEST_DEPTH {
-            let no = self.current().map(|l| l.no).unwrap_or(0);
-            return Err(f_err(
-                no,
-                format!("nesting deeper than {} levels", crate::MAX_NEST_DEPTH),
-            ));
-        }
-        let r = self.stmt_inner();
-        self.depth -= 1;
-        r
-    }
-
-    fn stmt_inner(&mut self) -> Result<SurfaceStmt> {
-        self.skip_blank();
-        let line = self.current()?;
-        let no = line.no;
-        let t = line.text.trim();
-        let lower = t.to_ascii_lowercase();
-
-        if lower.starts_with("do ") || lower == "do" {
-            // `do VAR = 1, EXPR`
-            self.pos += 1;
-            let rest = t[2..].trim();
-            let (var, bounds) = rest
-                .split_once('=')
-                .ok_or_else(|| f_err(no, "expected 'do var = 1, N'"))?;
-            let var = var.trim().to_string();
-            let mut parts = bounds.splitn(2, ',');
-            let lo = parts
-                .next()
-                .map(str::trim)
-                .ok_or_else(|| f_err(no, "missing lower bound"))?;
-            if lo != "1" {
-                return Err(f_err(
-                    no,
-                    format!("do loops must start at 1 (found '{lo}')"),
-                ));
-            }
-            let hi = parts
-                .next()
-                .map(str::trim)
-                .ok_or_else(|| f_err(no, "missing upper bound"))?;
-            let count = parse_expr(hi, no, &self.loop_vars)?;
-            // body until matching `end do`
-            self.loop_vars.push(var.clone());
-            let mut body = Vec::new();
-            loop {
-                self.skip_blank();
-                let l = self.current()?;
-                let lt = l.text.trim().to_ascii_lowercase();
-                if lt == "end do" || lt == "enddo" {
-                    self.pos += 1;
-                    break;
-                }
-                body.push(self.stmt()?);
-            }
-            self.loop_vars.pop();
-            if body.is_empty() {
-                return Err(f_err(no, "empty do body"));
-            }
-            Ok(SurfaceStmt::For {
-                var,
-                count,
-                body,
-                line: no,
-            })
-        } else if lower.starts_with("if ") || lower.starts_with("if(") {
-            // `if (cond) then` ... `else` ... `end if`
-            self.pos += 1;
-            let open = t
-                .find('(')
-                .ok_or_else(|| f_err(no, "expected '(' after if"))?;
-            let close = t
-                .rfind(')')
-                .ok_or_else(|| f_err(no, "unbalanced if condition"))?;
-            let cond = parse_expr(&t[open + 1..close], no, &self.loop_vars)?;
-            if !t[close + 1..].trim().eq_ignore_ascii_case("then") {
-                return Err(f_err(no, "expected 'then' after if condition"));
-            }
-            let mut then_branch = Vec::new();
-            let mut else_branch = Vec::new();
-            let mut in_else = false;
-            loop {
-                self.skip_blank();
-                let l = self.current()?;
-                let lt = l.text.trim().to_ascii_lowercase();
-                if lt == "end if" || lt == "endif" {
-                    self.pos += 1;
-                    break;
-                }
-                if lt == "else" {
-                    self.pos += 1;
-                    in_else = true;
-                    continue;
-                }
-                let s = self.stmt()?;
-                if in_else {
-                    else_branch.push(s);
-                } else {
-                    then_branch.push(s);
-                }
-            }
-            Ok(SurfaceStmt::If {
-                cond,
-                then_branch,
-                else_branch,
-                line: no,
-            })
-        } else {
-            // assignment: `name(idx, ...) = expr` or `name = expr`
-            self.pos += 1;
-            let (lhs, rhs) = split_assign(t, no)?;
-            let value = parse_expr(rhs, no, &self.loop_vars)?;
-            let lhs = lhs.trim();
-            if let Some(open) = lhs.find('(') {
-                let name = lhs[..open].trim().to_string();
-                let close = lhs
-                    .rfind(')')
-                    .ok_or_else(|| f_err(no, "unbalanced subscript"))?;
-                let indices = split_args(&lhs[open + 1..close])
-                    .into_iter()
-                    .map(|a| {
-                        // 1-based Fortran index → 0-based
-                        parse_expr(&a, no, &self.loop_vars).map(|e| {
-                            SurfaceExpr::Bin(
-                                SurfBinOp::Sub,
-                                Box::new(e),
-                                Box::new(SurfaceExpr::Int(1)),
-                            )
-                        })
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(SurfaceStmt::Assign {
-                    target: AssignTarget::Subscript(name, indices),
-                    value,
-                    line: no,
-                })
-            } else {
-                Ok(SurfaceStmt::Assign {
-                    target: AssignTarget::Name(lhs.to_string()),
-                    value,
-                    line: no,
-                })
-            }
-        }
-    }
-}
-
-/// Split a statement at its assignment `=` (not `==`, `<=`, `>=`, `/=`).
-fn split_assign(t: &str, no: usize) -> Result<(&str, &str)> {
-    let bytes = t.as_bytes();
-    let mut depth = 0usize;
-    for i in 0..bytes.len() {
-        match bytes[i] {
-            b'(' => depth += 1,
-            b')' => depth = depth.saturating_sub(1),
-            b'=' if depth == 0 => {
-                let prev = if i > 0 { bytes[i - 1] } else { 0 };
-                let next = bytes.get(i + 1).copied().unwrap_or(0);
-                if prev != b'=' && prev != b'<' && prev != b'>' && prev != b'/' && next != b'=' {
-                    return Ok((&t[..i], &t[i + 1..]));
-                }
-            }
-            _ => {}
-        }
-    }
-    Err(f_err(no, format!("expected an assignment, found '{t}'")))
-}
-
-/// Split a comma-separated argument list at depth 0.
-fn split_args(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '(' => {
-                depth += 1;
-                cur.push(c);
-            }
-            ')' => {
-                depth = depth.saturating_sub(1);
-                cur.push(c);
-            }
-            ',' if depth == 0 => {
-                out.push(cur.trim().to_string());
-                cur = String::new();
-            }
-            _ => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_string());
-    }
-    out
-}
-
-/// Parse a Fortran expression into a surface expression. Array references
-/// `name(e1, e2)` become 0-based subscripts; `.and.`/`.or.`/`.not.` and
-/// `/=` map to the shared operators.
-fn parse_expr(s: &str, no: usize, loop_vars: &[String]) -> Result<SurfaceExpr> {
-    // normalise Fortran-isms to the C-ish token set, then reuse a small
-    // recursive parser over characters
-    let normal = s
-        .replace(".and.", "&&")
-        .replace(".AND.", "&&")
-        .replace(".or.", "||")
-        .replace(".OR.", "||")
-        .replace(".not.", "!")
-        .replace(".NOT.", "!")
-        .replace("/=", "!=")
-        .replace("**", "^"); // rejected below with a clear message
-    if normal.contains('^') {
-        return Err(f_err(no, "exponentiation '**' is not supported"));
-    }
-    ExprParser {
-        s: normal.as_bytes(),
-        pos: 0,
-        line: no,
-        loop_vars,
-        depth: 0,
-    }
-    .parse_top()
-}
-
-struct ExprParser<'a> {
-    s: &'a [u8],
-    pos: usize,
-    line: usize,
-    loop_vars: &'a [String],
-    depth: usize,
-}
-
-impl<'a> ExprParser<'a> {
-    /// Bound recursive descent to [`crate::MAX_NEST_DEPTH`]; paired with
-    /// `self.depth -= 1` on each success path.
-    fn descend(&mut self) -> Result<()> {
-        self.depth += 1;
-        if self.depth > crate::MAX_NEST_DEPTH {
-            return Err(f_err(
-                self.line,
-                format!("nesting deeper than {} levels", crate::MAX_NEST_DEPTH),
-            ));
-        }
-        Ok(())
-    }
-    fn parse_top(mut self) -> Result<SurfaceExpr> {
-        let e = self.or_expr()?;
-        self.skip_ws();
-        if self.pos != self.s.len() {
-            return Err(f_err(
-                self.line,
-                format!(
-                    "trailing characters in expression: '{}'",
-                    String::from_utf8_lossy(&self.s[self.pos..])
-                ),
-            ));
-        }
-        Ok(e)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.s.len() && (self.s[self.pos] as char).is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn starts(&mut self, pat: &str) -> bool {
-        self.skip_ws();
-        if self.s[self.pos..].starts_with(pat.as_bytes()) {
-            self.pos += pat.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn peek_char(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.s.get(self.pos).map(|&b| b as char)
-    }
-
-    fn or_expr(&mut self) -> Result<SurfaceExpr> {
-        self.descend()?;
-        let mut lhs = self.and_expr()?;
-        while self.starts("||") {
-            let rhs = self.and_expr()?;
-            lhs = SurfaceExpr::Bin(SurfBinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        self.depth -= 1;
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.cmp_expr()?;
-        while self.starts("&&") {
-            let rhs = self.cmp_expr()?;
-            lhs = SurfaceExpr::Bin(SurfBinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<SurfaceExpr> {
-        let lhs = self.add_expr()?;
-        for (pat, op) in [
-            ("==", SurfBinOp::Eq),
-            ("!=", SurfBinOp::Ne),
-            ("<=", SurfBinOp::Le),
-            (">=", SurfBinOp::Ge),
-            ("<", SurfBinOp::Lt),
-            (">", SurfBinOp::Gt),
-        ] {
-            if self.starts(pat) {
-                let rhs = self.add_expr()?;
-                return Ok(SurfaceExpr::Bin(op, Box::new(lhs), Box::new(rhs)));
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            if self.starts("+") {
-                let rhs = self.mul_expr()?;
-                lhs = SurfaceExpr::Bin(SurfBinOp::Add, Box::new(lhs), Box::new(rhs));
-            } else if self.starts("-") {
-                let rhs = self.mul_expr()?;
-                lhs = SurfaceExpr::Bin(SurfBinOp::Sub, Box::new(lhs), Box::new(rhs));
-            } else {
-                break;
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.unary()?;
-        loop {
-            if self.starts("*") {
-                let rhs = self.unary()?;
-                lhs = SurfaceExpr::Bin(SurfBinOp::Mul, Box::new(lhs), Box::new(rhs));
-            } else if self.starts("/") {
-                let rhs = self.unary()?;
-                lhs = SurfaceExpr::Bin(SurfBinOp::Div, Box::new(lhs), Box::new(rhs));
-            } else {
-                break;
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn unary(&mut self) -> Result<SurfaceExpr> {
-        if self.starts("-") {
-            self.descend()?;
-            let e = self.unary();
-            self.depth -= 1;
-            return Ok(SurfaceExpr::Un(crate::ast::SurfUnOp::Neg, Box::new(e?)));
-        }
-        if self.starts("!") {
-            self.descend()?;
-            let e = self.unary();
-            self.depth -= 1;
-            return Ok(SurfaceExpr::Un(crate::ast::SurfUnOp::Not, Box::new(e?)));
-        }
-        self.primary()
-    }
-
-    fn primary(&mut self) -> Result<SurfaceExpr> {
-        self.skip_ws();
-        let c = self
-            .peek_char()
-            .ok_or_else(|| f_err(self.line, "unexpected end of expression"))?;
-        if c == '(' {
-            self.pos += 1;
-            let e = self.or_expr()?;
-            self.skip_ws();
-            if self.peek_char() != Some(')') {
-                return Err(f_err(self.line, "expected ')'"));
-            }
-            self.pos += 1;
-            return Ok(e);
-        }
-        if c.is_ascii_digit() {
-            let start = self.pos;
-            let mut is_float = false;
-            while let Some(&b) = self.s.get(self.pos) {
-                let ch = b as char;
-                if ch.is_ascii_digit() {
-                    self.pos += 1;
-                } else if ch == '.' && !is_float {
-                    is_float = true;
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            let text = std::str::from_utf8(&self.s[start..self.pos]).unwrap();
-            return if is_float {
-                text.parse()
-                    .map(SurfaceExpr::Float)
-                    .map_err(|_| f_err(self.line, "bad float"))
-            } else {
-                text.parse()
-                    .map(SurfaceExpr::Int)
-                    .map_err(|_| f_err(self.line, "bad integer"))
-            };
-        }
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = self.pos;
-            while let Some(&b) = self.s.get(self.pos) {
-                let ch = b as char;
-                if ch.is_ascii_alphanumeric() || ch == '_' {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            let name = std::str::from_utf8(&self.s[start..self.pos])
-                .unwrap()
-                .to_string();
-            self.skip_ws();
-            if self.peek_char() == Some('(') {
-                self.pos += 1;
-                let mut args = Vec::new();
-                loop {
-                    args.push(self.or_expr()?);
-                    self.skip_ws();
-                    match self.peek_char() {
-                        Some(',') => {
-                            self.pos += 1;
-                        }
-                        Some(')') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        _ => return Err(f_err(self.line, "expected ',' or ')'")),
-                    }
-                }
-                // intrinsics vs array references
-                let lname = name.to_ascii_lowercase();
-                return Ok(match lname.as_str() {
-                    "abs" | "sqrt" | "exp" | "log" | "min" | "max" => {
-                        SurfaceExpr::Call(lname, args)
-                    }
-                    _ => {
-                        // 1-based array reference → 0-based subscript
-                        let idxs = args
-                            .into_iter()
-                            .map(|a| {
-                                SurfaceExpr::Bin(
-                                    SurfBinOp::Sub,
-                                    Box::new(a),
-                                    Box::new(SurfaceExpr::Int(1)),
-                                )
-                            })
-                            .collect();
-                        SurfaceExpr::Subscript(Box::new(SurfaceExpr::Name(name)), idxs)
-                    }
-                });
-            }
-            // a 1-based induction variable used as a value inside an
-            // index expression stands for `var + 1` in 0-based terms
-            if self.loop_vars.contains(&name) {
-                return Ok(SurfaceExpr::Bin(
-                    SurfBinOp::Add,
-                    Box::new(SurfaceExpr::Name(name)),
-                    Box::new(SurfaceExpr::Int(1)),
-                ));
-            }
-            return Ok(SurfaceExpr::Name(name));
-        }
-        Err(f_err(self.line, format!("unexpected character '{c}'")))
-    }
+    Ok(clauses.over_nest("fortran_kernel", nest))
 }
 
 /// Full Fortran front end: annotated source + environment → DSL program.
@@ -668,9 +140,7 @@ impl<'a> ExprParser<'a> {
 /// iteration space, so `do i = 1, N` becomes the dimension `0..N` and all
 /// subscripts shift by one.
 pub fn compile_fortran(src: &str, env: &DirectiveEnv) -> Result<DslProgram> {
-    let ast = parse_fortran(src)?;
-    let analyzed = analyze(&ast, env)?;
-    to_dsl(&analyzed)
+    directive_to_dsl(&parse_fortran(src)?, env)
 }
 
 #[cfg(test)]
@@ -707,33 +177,6 @@ end do
             let expect: f32 = (0..6).map(|k| mf[i * 6 + k] * vf[k]).sum();
             assert_eq!(out[0].as_f32().unwrap()[i], expect);
         }
-    }
-
-    #[test]
-    fn fortran_and_python_agree() {
-        let env = DirectiveEnv::new().size("I", 5).size("K", 3);
-        let from_f = compile_fortran(MATVEC_F, &env).unwrap();
-        let from_py = crate::transform::compile(
-            "\
-@mdh( out( w = Buffer[fp32] ),
-      inp( M = Buffer[fp32], v = Buffer[fp32] ),
-      combine_ops( cc, pw(add) ) )
-def matvec(w, M, v):
-    for i in range(I):
-        for k in range(K):
-            w[i] = M[i, k] * v[k]
-",
-            &env,
-        )
-        .unwrap();
-        let mut m = Buffer::zeros("M", BasicType::F32, Shape::new(vec![5, 3]));
-        m.fill_with(|f| ((f * 7) % 9) as f64);
-        let mut v = Buffer::zeros("v", BasicType::F32, Shape::new(vec![3]));
-        v.fill_with(|f| f as f64 + 1.0);
-        let inputs = vec![m, v];
-        let a = evaluate_recursive(&from_f, &inputs).unwrap();
-        let b = evaluate_recursive(&from_py, &inputs).unwrap();
-        assert_eq!(a[0], b[0]);
     }
 
     #[test]
@@ -802,7 +245,9 @@ end do
 
     #[test]
     fn logical_operators_normalise() {
-        let e = parse_expr("a > 1 .and. b /= 2", 1, &[]).unwrap();
+        use crate::ast::{SurfBinOp, SurfaceExpr};
+        let mut p = Cursor::new("a > 1 .and. b /= 2", &FORTRAN).unwrap();
+        let e = p.parse_expr().unwrap();
         assert!(matches!(e, SurfaceExpr::Bin(SurfBinOp::And, _, _)));
     }
 }

@@ -1,6 +1,6 @@
-//! Recursive-descent parser for the textual MDH directive language.
-//!
-//! Accepts the surface form of the paper's listings (Listings 8–13):
+//! The Python-like directive language of the paper's listings
+//! (Listings 8–13): the statement grammar — `def`, `for i in range(N):`,
+//! `if` / `else`, `name: type` — over the shared [`crate::grammar`].
 //!
 //! ```text
 //! @mdh( out( w = Buffer[fp32] ),
@@ -13,604 +13,111 @@
 //! ```
 
 use crate::ast::*;
-use crate::lexer::{tokenize, Token, TokenKind};
-use mdh_core::error::{MdhError, Result};
+use crate::grammar::Cursor;
+use crate::lexer::{TokenKind, PYTHON};
+use mdh_core::error::Result;
 
-pub struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    depth: usize,
-}
-
-impl Parser {
-    pub fn new(src: &str) -> Result<Self> {
-        Ok(Parser {
-            tokens: tokenize(src)?,
-            pos: 0,
-            depth: 0,
-        })
-    }
-
-    /// Bound recursive descent to [`crate::MAX_NEST_DEPTH`]. Callers pair
-    /// this with a `self.depth -= 1` on the success path; an error
-    /// aborts the whole parse, so a missed decrement there is moot.
-    fn descend(&mut self) -> Result<()> {
-        self.depth += 1;
-        if self.depth > crate::MAX_NEST_DEPTH {
-            return Err(self.err_here(format!(
-                "nesting deeper than {} levels",
-                crate::MAX_NEST_DEPTH
-            )));
-        }
-        Ok(())
-    }
-
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
-    }
-
-    fn peek_kind(&self) -> &TokenKind {
-        &self.peek().kind
-    }
-
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn err_here(&self, message: impl Into<String>) -> MdhError {
-        let t = self.peek();
-        MdhError::Parse {
-            line: t.line,
-            col: t.col,
-            message: message.into(),
-        }
-    }
-
-    fn expect(&mut self, kind: TokenKind) -> Result<Token> {
-        if self.peek_kind() == &kind {
-            Ok(self.advance())
-        } else {
-            Err(self.err_here(format!(
-                "expected {}, found {}",
-                kind.describe(),
-                self.peek_kind().describe()
-            )))
-        }
-    }
-
-    fn accept(&mut self, kind: TokenKind) -> bool {
-        if self.peek_kind() == &kind {
-            self.advance();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_ident(&mut self) -> Result<String> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(s) => {
-                self.advance();
-                Ok(s)
-            }
-            other => Err(self.err_here(format!("expected identifier, found {}", other.describe()))),
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<()> {
-        let got = self.expect_ident()?;
-        if got == kw {
-            Ok(())
-        } else {
-            Err(self.err_here(format!("expected keyword '{kw}', found '{got}'")))
-        }
-    }
-
-    fn skip_newlines(&mut self) {
-        while matches!(self.peek_kind(), TokenKind::Newline) {
-            self.advance();
-        }
-    }
-
-    /// Parse a complete directive: `@mdh(...)` header + `def` + body.
-    pub fn parse_directive(&mut self) -> Result<DirectiveAst> {
-        self.skip_newlines();
-        let line = self.peek().line;
-        self.expect(TokenKind::At)?;
-        self.expect_keyword("mdh")?;
-        self.expect(TokenKind::LParen)?;
-
-        let mut out = Vec::new();
-        let mut inp = Vec::new();
-        let mut combine_ops = Vec::new();
-        let mut seen_out = false;
-        let mut seen_inp = false;
-        let mut seen_co = false;
-        loop {
-            let clause = self.expect_ident()?;
-            match clause.as_str() {
-                "out" => {
-                    if seen_out {
-                        return Err(self.err_here("duplicate out(...) clause"));
-                    }
-                    seen_out = true;
-                    out = self.parse_buffer_specs()?;
-                }
-                "inp" => {
-                    if seen_inp {
-                        return Err(self.err_here("duplicate inp(...) clause"));
-                    }
-                    seen_inp = true;
-                    inp = self.parse_buffer_specs()?;
-                }
-                "combine_ops" => {
-                    if seen_co {
-                        return Err(self.err_here("duplicate combine_ops(...) clause"));
-                    }
-                    seen_co = true;
-                    combine_ops = self.parse_combine_ops()?;
-                }
-                other => {
-                    return Err(self.err_here(format!(
-                        "unknown @mdh clause '{other}' (expected out, inp, or combine_ops)"
-                    )))
-                }
-            }
-            if !self.accept(TokenKind::Comma) {
-                break;
-            }
-        }
-        self.expect(TokenKind::RParen)?;
-        if !seen_out {
-            return Err(self.err_here("@mdh directive requires an out(...) clause"));
-        }
-        if !seen_inp {
-            return Err(self.err_here("@mdh directive requires an inp(...) clause"));
-        }
-        if !seen_co {
-            return Err(self.err_here("@mdh directive requires a combine_ops(...) clause"));
-        }
-        self.expect(TokenKind::Newline)?;
-        self.skip_newlines();
-
-        // def name(params):
-        self.expect_keyword("def")?;
-        let name = self.expect_ident()?;
-        self.expect(TokenKind::LParen)?;
-        let mut params = Vec::new();
-        if !matches!(self.peek_kind(), TokenKind::RParen) {
+impl Cursor {
+    /// `: NEWLINE INDENT stmt+ DEDENT`
+    fn py_block(&mut self) -> Result<Vec<SurfaceStmt>> {
+        self.expect(&TokenKind::Colon)?;
+        self.expect(&TokenKind::Newline)?;
+        self.descend(|p| {
+            p.expect(&TokenKind::Indent)?;
+            let mut stmts = Vec::new();
             loop {
-                params.push(self.expect_ident()?);
-                if !self.accept(TokenKind::Comma) {
+                p.skip_newlines();
+                if p.accept(&TokenKind::Dedent) || p.kind() == &TokenKind::Eof {
                     break;
                 }
+                stmts.push(p.py_stmt()?);
             }
-        }
-        self.expect(TokenKind::RParen)?;
-        self.expect(TokenKind::Colon)?;
-        self.expect(TokenKind::Newline)?;
-        let body = self.parse_block()?;
-        self.skip_newlines();
-
-        Ok(DirectiveAst {
-            name,
-            params,
-            out,
-            inp,
-            combine_ops,
-            body,
-            line,
+            if stmts.is_empty() {
+                return Err(p.error("empty block"));
+            }
+            Ok(stmts)
         })
     }
 
-    /// `( name = Buffer[ty] , name = Buffer[ty, [shape...]] , ... )`
-    fn parse_buffer_specs(&mut self) -> Result<Vec<BufferSpec>> {
-        self.expect(TokenKind::LParen)?;
-        let mut specs = Vec::new();
-        loop {
-            let line = self.peek().line;
-            let name = self.expect_ident()?;
-            self.expect(TokenKind::Assign)?;
-            self.expect_keyword("Buffer")?;
-            self.expect(TokenKind::LBracket)?;
-            let ty_name = self.expect_ident()?;
-            let shape = if self.accept(TokenKind::Comma) {
-                self.expect(TokenKind::LBracket)?;
-                let mut dims = Vec::new();
-                loop {
-                    dims.push(self.parse_expr()?);
-                    if !self.accept(TokenKind::Comma) {
-                        break;
-                    }
-                }
-                self.expect(TokenKind::RBracket)?;
-                Some(dims)
-            } else {
-                None
-            };
-            self.expect(TokenKind::RBracket)?;
-            specs.push(BufferSpec {
-                name,
-                ty_name,
-                shape,
+    fn py_stmt(&mut self) -> Result<SurfaceStmt> {
+        let line = self.here().0;
+        if self.accept_keyword("for") {
+            let var = self.ident()?;
+            self.keyword("in")?;
+            self.keyword("range")?;
+            self.expect(&TokenKind::LParen)?;
+            let count = self.parse_expr()?;
+            self.expect(&TokenKind::RParen)?;
+            let body = self.py_block()?;
+            return Ok(SurfaceStmt::For {
+                var,
+                count,
+                body,
                 line,
             });
-            if !self.accept(TokenKind::Comma) {
-                break;
-            }
         }
-        self.expect(TokenKind::RParen)?;
-        Ok(specs)
-    }
-
-    /// `( cc, pw(add), ps(f), ... )`
-    fn parse_combine_ops(&mut self) -> Result<Vec<CombineOpSpec>> {
-        self.expect(TokenKind::LParen)?;
-        let mut ops = Vec::new();
-        loop {
-            let name = self.expect_ident()?;
-            let spec = match name.as_str() {
-                "cc" => CombineOpSpec::Cc,
-                "pw" | "ps" | "rbi" => {
-                    self.expect(TokenKind::LParen)?;
-                    let f = self.expect_ident()?;
-                    self.expect(TokenKind::RParen)?;
-                    match name.as_str() {
-                        "pw" => CombineOpSpec::Pw(f),
-                        "ps" => CombineOpSpec::Ps(f),
-                        _ => CombineOpSpec::Rbi(f),
-                    }
-                }
-                other => {
-                    return Err(self.err_here(format!(
-                        "unknown combine operator '{other}' (expected cc, pw(f), ps(f), or rbi(f))"
-                    )))
-                }
-            };
-            ops.push(spec);
-            if !self.accept(TokenKind::Comma) {
-                break;
-            }
-        }
-        self.expect(TokenKind::RParen)?;
-        Ok(ops)
-    }
-
-    /// Parse an indented statement block.
-    fn parse_block(&mut self) -> Result<Vec<SurfaceStmt>> {
-        self.descend()?;
-        self.expect(TokenKind::Indent)?;
-        let mut stmts = Vec::new();
-        loop {
+        if self.accept_keyword("if") {
+            let cond = self.parse_expr()?;
+            let then_branch = self.py_block()?;
             self.skip_newlines();
-            match self.peek_kind() {
-                TokenKind::Dedent => {
-                    self.advance();
-                    break;
-                }
-                TokenKind::Eof => break,
-                _ => stmts.push(self.parse_stmt()?),
-            }
+            let else_branch = if self.accept_keyword("else") {
+                self.py_block()?
+            } else {
+                Vec::new()
+            };
+            return Ok(SurfaceStmt::If {
+                cond,
+                then_branch,
+                else_branch,
+                line,
+            });
         }
-        if stmts.is_empty() {
-            return Err(self.err_here("empty block"));
-        }
-        self.depth -= 1;
-        Ok(stmts)
-    }
-
-    fn parse_stmt(&mut self) -> Result<SurfaceStmt> {
-        let line = self.peek().line;
-        match self.peek_kind().clone() {
-            TokenKind::Ident(kw) if kw == "for" => {
-                self.advance();
-                let var = self.expect_ident()?;
-                self.expect_keyword("in")?;
-                self.expect_keyword("range")?;
-                self.expect(TokenKind::LParen)?;
-                let count = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
-                self.expect(TokenKind::Colon)?;
-                self.expect(TokenKind::Newline)?;
-                let body = self.parse_block()?;
-                Ok(SurfaceStmt::For {
-                    var,
-                    count,
-                    body,
-                    line,
-                })
-            }
-            TokenKind::Ident(kw) if kw == "if" => {
-                self.advance();
-                let cond = self.parse_expr()?;
-                self.expect(TokenKind::Colon)?;
-                self.expect(TokenKind::Newline)?;
-                let then_branch = self.parse_block()?;
-                self.skip_newlines();
-                let else_branch = if matches!(self.peek_kind(), TokenKind::Ident(k) if k == "else")
-                {
-                    self.advance();
-                    self.expect(TokenKind::Colon)?;
-                    self.expect(TokenKind::Newline)?;
-                    self.parse_block()?
-                } else {
-                    Vec::new()
-                };
-                Ok(SurfaceStmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                    line,
-                })
-            }
-            TokenKind::Ident(_) => {
-                // assignment, typed declaration, or augmented assignment
-                let name = self.expect_ident()?;
-                match self.peek_kind().clone() {
-                    TokenKind::Colon => {
-                        self.advance();
-                        let ty_name = self.expect_ident()?;
-                        self.expect(TokenKind::Newline)?;
-                        Ok(SurfaceStmt::Decl {
-                            name,
-                            ty_name,
-                            line,
-                        })
-                    }
-                    TokenKind::LBracket => {
-                        self.advance();
-                        let mut indices = Vec::new();
-                        loop {
-                            indices.push(self.parse_expr()?);
-                            if !self.accept(TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect(TokenKind::RBracket)?;
-                        let target = AssignTarget::Subscript(name, indices);
-                        if self.accept(TokenKind::PlusAssign) {
-                            // consume RHS for a clean resume, then report
-                            let _ = self.parse_expr()?;
-                            let _ = self.accept(TokenKind::Newline);
-                            return Ok(SurfaceStmt::AugAssign { target, line });
-                        }
-                        self.expect(TokenKind::Assign)?;
-                        let value = self.parse_expr()?;
-                        self.expect(TokenKind::Newline)?;
-                        Ok(SurfaceStmt::Assign {
-                            target,
-                            value,
-                            line,
-                        })
-                    }
-                    TokenKind::Assign => {
-                        self.advance();
-                        let value = self.parse_expr()?;
-                        self.expect(TokenKind::Newline)?;
-                        Ok(SurfaceStmt::Assign {
-                            target: AssignTarget::Name(name),
-                            value,
-                            line,
-                        })
-                    }
-                    TokenKind::PlusAssign => {
-                        self.advance();
-                        let _ = self.parse_expr()?;
-                        let _ = self.accept(TokenKind::Newline);
-                        Ok(SurfaceStmt::AugAssign {
-                            target: AssignTarget::Name(name),
-                            line,
-                        })
-                    }
-                    other => Err(self.err_here(format!(
-                        "expected assignment or declaration, found {}",
-                        other.describe()
-                    ))),
-                }
-            }
-            other => Err(self.err_here(format!("unexpected {}", other.describe()))),
-        }
-    }
-
-    /// Expression grammar (precedence climbing):
-    /// or < and < not < comparison < additive < multiplicative < unary
-    /// < postfix < primary.
-    pub fn parse_expr(&mut self) -> Result<SurfaceExpr> {
-        self.descend()?;
-        let e = self.parse_or();
-        self.depth -= 1;
-        e
-    }
-
-    fn parse_or(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.parse_and()?;
-        while matches!(self.peek_kind(), TokenKind::Ident(k) if k == "or") {
+        let stmt = if matches!(
+            (self.kind(), self.kind_after()),
+            (TokenKind::Ident(_), TokenKind::Colon)
+        ) {
+            // `name: type` — a typed local, as in PRL's `tmp: fp64`
+            let name = self.ident()?;
             self.advance();
-            let rhs = self.parse_and()?;
-            lhs = SurfaceExpr::Bin(SurfBinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.parse_not()?;
-        while matches!(self.peek_kind(), TokenKind::Ident(k) if k == "and") {
-            self.advance();
-            let rhs = self.parse_not()?;
-            lhs = SurfaceExpr::Bin(SurfBinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_not(&mut self) -> Result<SurfaceExpr> {
-        if matches!(self.peek_kind(), TokenKind::Ident(k) if k == "not") {
-            self.advance();
-            self.descend()?;
-            let e = self.parse_not();
-            self.depth -= 1;
-            return Ok(SurfaceExpr::Un(SurfUnOp::Not, Box::new(e?)));
-        }
-        self.parse_comparison()
-    }
-
-    fn parse_comparison(&mut self) -> Result<SurfaceExpr> {
-        let lhs = self.parse_additive()?;
-        let op = match self.peek_kind() {
-            TokenKind::EqEq => Some(SurfBinOp::Eq),
-            TokenKind::NotEq => Some(SurfBinOp::Ne),
-            TokenKind::Lt => Some(SurfBinOp::Lt),
-            TokenKind::Le => Some(SurfBinOp::Le),
-            TokenKind::Gt => Some(SurfBinOp::Gt),
-            TokenKind::Ge => Some(SurfBinOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.advance();
-            let rhs = self.parse_additive()?;
-            Ok(SurfaceExpr::Bin(op, Box::new(lhs), Box::new(rhs)))
+            let ty_name = self.type_name()?;
+            SurfaceStmt::Decl {
+                name,
+                ty_name,
+                line,
+            }
         } else {
-            Ok(lhs)
-        }
-    }
-
-    fn parse_additive(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Plus => SurfBinOp::Add,
-                TokenKind::Minus => SurfBinOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_multiplicative()?;
-            lhs = SurfaceExpr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<SurfaceExpr> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Star => SurfBinOp::Mul,
-                TokenKind::Slash => SurfBinOp::Div,
-                TokenKind::Percent => SurfBinOp::Mod,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_unary()?;
-            lhs = SurfaceExpr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> Result<SurfaceExpr> {
-        if self.accept(TokenKind::Minus) {
-            self.descend()?;
-            let e = self.parse_unary();
-            self.depth -= 1;
-            return Ok(SurfaceExpr::Un(SurfUnOp::Neg, Box::new(e?)));
-        }
-        self.parse_postfix()
-    }
-
-    fn parse_postfix(&mut self) -> Result<SurfaceExpr> {
-        let mut e = self.parse_primary()?;
-        loop {
-            match self.peek_kind() {
-                TokenKind::LBracket => {
-                    self.advance();
-                    let mut indices = Vec::new();
-                    loop {
-                        indices.push(self.parse_expr()?);
-                        if !self.accept(TokenKind::Comma) {
-                            break;
-                        }
-                    }
-                    self.expect(TokenKind::RBracket)?;
-                    e = SurfaceExpr::Subscript(Box::new(e), indices);
-                }
-                TokenKind::Dot => {
-                    self.advance();
-                    let field = self.expect_ident()?;
-                    e = SurfaceExpr::Attr(Box::new(e), field);
-                }
-                _ => break,
-            }
-        }
-        Ok(e)
-    }
-
-    fn parse_primary(&mut self) -> Result<SurfaceExpr> {
-        match self.peek_kind().clone() {
-            TokenKind::Int(v) => {
-                self.advance();
-                Ok(SurfaceExpr::Int(v))
-            }
-            TokenKind::Float(v) => {
-                self.advance();
-                Ok(SurfaceExpr::Float(v))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(SurfaceExpr::Str(s))
-            }
-            TokenKind::LParen => {
-                self.advance();
-                let e = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
-                Ok(e)
-            }
-            TokenKind::Ident(name) => {
-                self.advance();
-                if matches!(self.peek_kind(), TokenKind::LParen) {
-                    self.advance();
-                    let mut args = Vec::new();
-                    if !matches!(self.peek_kind(), TokenKind::RParen) {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if !self.accept(TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(TokenKind::RParen)?;
-                    Ok(SurfaceExpr::Call(name, args))
-                } else {
-                    Ok(SurfaceExpr::Name(name))
-                }
-            }
-            other => Err(self.err_here(format!("unexpected {}", other.describe()))),
-        }
+            self.assignment()?
+        };
+        self.expect(&TokenKind::Newline)?;
+        Ok(stmt)
     }
 }
 
-/// Parse one directive from source text.
+/// Parse one directive — `@mdh(...)` header, `def`, body — from source text.
 pub fn parse(src: &str) -> Result<DirectiveAst> {
-    let mut p = Parser::new(src)?;
-    let d = p.parse_directive()?;
+    let mut p = Cursor::new(src, &PYTHON)?;
     p.skip_newlines();
+    let clauses = p.directive()?;
+    p.skip_newlines();
+    p.keyword("def")?;
+    let name = p.ident()?;
+    p.expect(&TokenKind::LParen)?;
+    let params = p.list(&TokenKind::RParen, Cursor::ident)?;
+    let body = p.py_block()?;
     // allow trailing dedents/newlines only
-    loop {
-        match p.peek_kind() {
-            TokenKind::Eof => break,
-            TokenKind::Newline | TokenKind::Dedent => {
-                p.advance();
-            }
-            other => {
-                return Err(MdhError::Parse {
-                    line: p.peek().line,
-                    col: p.peek().col,
-                    message: format!("trailing {} after directive", other.describe()),
-                })
-            }
-        }
+    while p.accept(&TokenKind::Newline) || p.accept(&TokenKind::Dedent) {}
+    if p.kind() != &TokenKind::Eof {
+        return Err(p.error(format!("trailing {} after directive", p.kind().describe())));
     }
-    Ok(d)
+    Ok(DirectiveAst {
+        name,
+        params,
+        out: clauses.out,
+        inp: clauses.inp,
+        combine_ops: clauses.combine_ops,
+        body,
+        line: clauses.line,
+    })
 }
 
 #[cfg(test)]
@@ -732,10 +239,13 @@ def f(w, v):
         assert!(e.to_string().contains("unknown combine operator"));
     }
 
+    fn expr(src: &str) -> SurfaceExpr {
+        Cursor::new(src, &PYTHON).unwrap().parse_expr().unwrap()
+    }
+
     #[test]
     fn operator_precedence() {
-        let mut p = Parser::new("a + b * c").unwrap();
-        let e = p.parse_expr().unwrap();
+        let e = expr("a + b * c");
         // a + (b * c)
         assert!(matches!(e, SurfaceExpr::Bin(SurfBinOp::Add, _, ref r)
             if matches!(**r, SurfaceExpr::Bin(SurfBinOp::Mul, _, _))));
@@ -743,19 +253,16 @@ def f(w, v):
 
     #[test]
     fn attribute_and_string_subscript() {
-        let mut p = Parser::new("probM[n, i].match_weight").unwrap();
-        let e = p.parse_expr().unwrap();
+        let e = expr("probM[n, i].match_weight");
         assert!(matches!(e, SurfaceExpr::Attr(_, ref f) if f == "match_weight"));
-        let mut p = Parser::new("lhs['id_measure']").unwrap();
-        let e = p.parse_expr().unwrap();
+        let e = expr("lhs['id_measure']");
         assert!(matches!(e, SurfaceExpr::Subscript(_, ref idx)
             if matches!(idx[0], SurfaceExpr::Str(_))));
     }
 
     #[test]
     fn call_expressions() {
-        let mut p = Parser::new("max(a, b) + sqrt(c)").unwrap();
-        let e = p.parse_expr().unwrap();
+        let e = expr("max(a, b) + sqrt(c)");
         assert!(matches!(e, SurfaceExpr::Bin(SurfBinOp::Add, _, _)));
     }
 }

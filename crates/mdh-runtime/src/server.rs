@@ -92,7 +92,11 @@ use mdh_core::buffer::{Buffer, BufferData};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::shape::Shape;
-use mdh_directive::{compile, compile_c, compile_fortran, parse_dsl, DirectiveEnv};
+/// The front-end dispatch (`#pragma mdh` → C, `!$mdh` → Fortran, a leading
+/// `out_view` → textual DSL, otherwise the Python-like directive) lives
+/// with the front ends; `mdhc` and this server share it.
+pub use mdh_directive::compile_any;
+use mdh_directive::DirectiveEnv;
 use mdh_lowering::asm::DeviceKind;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -110,21 +114,6 @@ pub const MAX_HEADER_BYTES: usize = 4096;
 
 /// Default virtual nodes per shard on the consistent-hash ring.
 pub const DEFAULT_VNODES: usize = 64;
-
-/// Compile directive source through the auto-detected front end (the
-/// same dispatch as `mdhc`): `#pragma mdh` → C, `!$mdh` → Fortran, a
-/// leading `out_view` → textual DSL, otherwise the Python-like directive.
-pub fn compile_any(src: &str, env: &DirectiveEnv) -> Result<DslProgram> {
-    if src.contains("#pragma mdh") {
-        compile_c(src, env)
-    } else if src.to_ascii_lowercase().contains("!$mdh") {
-        compile_fortran(src, env)
-    } else if src.trim_start().starts_with("out_view") {
-        parse_dsl(src, env)
-    } else {
-        compile(src, env)
-    }
-}
 
 /// Deterministic inputs for a program's declared buffers (scalar element
 /// types only). The fill is integer-valued and small (range −8..8) so
@@ -376,8 +365,18 @@ impl FrontendMemo {
         }
         // compile outside the lock: a miss is the slow path, and one
         // confused client must not serialise every other connection
-        let prog = compile_any(src, &spec.env).map_err(|e| e.to_string())?;
-        let inputs = deterministic_inputs(&prog).map_err(|e| e.to_string())?;
+        // ... and under `catch_unwind`: this is the code client bytes reach
+        // first, on the connection's own thread — a front-end bug must cost
+        // that client one `err` line, never the reply. The closure only
+        // reads its captures and builds a fresh value, so observing them
+        // after an unwind is sound.
+        let front_end = std::panic::AssertUnwindSafe(|| {
+            let prog = compile_any(src, &spec.env).map_err(|e| e.to_string())?;
+            let inputs = deterministic_inputs(&prog).map_err(|e| e.to_string())?;
+            Ok((prog, inputs))
+        });
+        let (prog, inputs) = std::panic::catch_unwind(front_end)
+            .unwrap_or_else(|_| Err("internal: front end panicked".to_string()))?;
         let compiled = Arc::new(Compiled {
             src: src.to_string(),
             prog,
@@ -639,21 +638,20 @@ fn accept_loop(listener: AnyListener, ctx: &Arc<ServerCtx>, read_timeout: Durati
         // the closure (which owns `stream`) is dropped and the original
         // fd closes — the dup'd clone stays writable.
         let refusal = stream.try_clone();
-        let ctx2 = Arc::clone(ctx);
+        let slot = ConnectionSlot(Arc::clone(ctx));
         let spawned = std::thread::Builder::new()
             .name("mdh-serve-conn".into())
             .spawn(move || {
-                if let Err(e) = handle_connection(stream, &ctx2) {
+                if let Err(e) = handle_connection(stream, &slot.0) {
                     eprintln!("mdh-runtime: connection error: {e}");
                 }
-                connection_done(&ctx2);
             });
         match spawned {
             Ok(handle) => conns.push(handle),
             Err(e) => {
                 // thread exhaustion must not kill the server: shed this
-                // connection (retryable) and keep accepting
-                ctx.active.fetch_sub(1, Ordering::SeqCst);
+                // connection (retryable) and keep accepting; dropping the
+                // unrun closure has already released the slot
                 eprintln!("mdh-runtime: spawn connection thread failed: {e}");
                 if let Ok(mut s) = refusal {
                     let _ = writeln!(s, "err overloaded: no thread for connection; retry later");
@@ -667,16 +665,26 @@ fn accept_loop(listener: AnyListener, ctx: &Arc<ServerCtx>, read_timeout: Durati
     }
 }
 
-/// Release this connection's slot; during drain, nudge both accept
-/// loops (possibly blocked in `accept`) so they observe the flag.
-fn connection_done(ctx: &ServerCtx) {
-    ctx.active.fetch_sub(1, Ordering::SeqCst);
-    if ctx.draining.load(Ordering::SeqCst) {
-        if let Some(p) = &ctx.wake_unix {
-            let _ = UnixStream::connect(p);
-        }
-        if let Some(a) = &ctx.wake_tcp {
-            let _ = TcpStream::connect(a);
+/// An admitted connection's claim on one of `max_connections` slots.
+/// Dropping it releases the slot and, during drain, nudges both accept
+/// loops (possibly blocked in `accept`) so they observe the flag — on a
+/// normal return, when the connection thread unwinds, and when the thread
+/// could not be spawned at all. A slot that is not released is lost for
+/// the life of the server: `max_connections` such leaks and every later
+/// connection, `SHUTDOWN` included, is refused.
+struct ConnectionSlot(Arc<ServerCtx>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        let ctx = &self.0;
+        ctx.active.fetch_sub(1, Ordering::SeqCst);
+        if ctx.draining.load(Ordering::SeqCst) {
+            if let Some(p) = &ctx.wake_unix {
+                let _ = UnixStream::connect(p);
+            }
+            if let Some(a) = &ctx.wake_tcp {
+                let _ = TcpStream::connect(a);
+            }
         }
     }
 }
@@ -1514,6 +1522,34 @@ def scaled(y, x):
             1,
             "only the entry's again"
         );
+    }
+
+    #[test]
+    fn a_connection_thread_that_unwinds_still_releases_its_slot() {
+        let config = RuntimeConfig {
+            workers: 1,
+            exec_threads: 1,
+            ..RuntimeConfig::default()
+        };
+        let ctx = Arc::new(ServerCtx {
+            router: Router::new(&config, 1, 8).unwrap(),
+            draining: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            max_connections: 1,
+            pipeline_depth: 1,
+            wake_unix: None,
+            wake_tcp: None,
+        });
+        // what `accept_loop` does around a connection whose handler panics
+        assert!(try_admit(&ctx.active, ctx.max_connections));
+        let slot = ConnectionSlot(Arc::clone(&ctx));
+        let conn = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("a bug on the connection thread");
+        });
+        assert!(conn.join().is_err());
+        assert_eq!(ctx.active.load(Ordering::SeqCst), 0);
+        assert!(try_admit(&ctx.active, ctx.max_connections), "slot reusable");
     }
 
     #[test]

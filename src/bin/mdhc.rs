@@ -66,11 +66,11 @@
 //!                                                  machine-readable line)
 //! ```
 //!
-//! The front end is auto-detected: files containing `#pragma mdh` go
-//! through the C front end, files containing `!$mdh` through the Fortran
-//! front end, files starting with `out_view` through the textual DSL
-//! (Listing 7), everything else through the Python-like directive
-//! (Listing 8).
+//! The front end is auto-detected (`mdh::directive::compile_any`): files
+//! with a `#pragma mdh` line go through the C front end, files with a
+//! `!$mdh` line through the Fortran front end, files starting with
+//! `out_view` through the textual DSL (Listing 7), everything else through
+//! the Python-like directive (Listing 8).
 
 use mdh::backend::cpu::CpuExecutor;
 use mdh::backend::cpu_model::{estimate_cpu, CpuParams};
@@ -79,7 +79,7 @@ use mdh::core::buffer::Buffer;
 use mdh::core::dsl::DslProgram;
 use mdh::core::shape::Shape;
 use mdh::core::types::BasicType;
-use mdh::directive::{compile, compile_c, compile_fortran, parse_dsl, DirectiveEnv};
+use mdh::directive::{compile_any, DirectiveEnv};
 use mdh::lowering::asm::DeviceKind;
 use mdh::lowering::heuristics::mdh_default_schedule;
 use mdh::runtime::{RuntimeConfig, TunePolicy};
@@ -423,16 +423,7 @@ fn load_program(cli: &Cli) -> DslProgram {
             exit(1);
         }
     };
-    let result = if src.contains("#pragma mdh") {
-        compile_c(&src, &cli.env)
-    } else if src.to_ascii_lowercase().contains("!$mdh") {
-        compile_fortran(&src, &cli.env)
-    } else if src.trim_start().starts_with("out_view") {
-        parse_dsl(&src, &cli.env)
-    } else {
-        compile(&src, &cli.env)
-    };
-    match result {
+    match compile_any(&src, &cli.env) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{}: {e}", cli.file.display());

@@ -223,6 +223,50 @@ fn malformed_input_corpus_answers_one_err_each_and_server_survives() {
     assert!(!sock.exists(), "socket file removed on clean shutdown");
 }
 
+/// Reversed parentheses in a Fortran `if` used to panic the front end on
+/// the connection thread (a computed-offset slice, `&t[open + 1..close]`
+/// with `open > close`): the client got EOF instead of a reply and the
+/// connection's slot was never released, so `max_connections` such
+/// frames wedged the server — every later connection, `SHUTDOWN`
+/// included, was reset. Each must cost exactly one `err` line and nothing
+/// else.
+#[test]
+fn a_front_end_failure_costs_one_err_line_not_a_connection_slot() {
+    const REVERSED: &str = "\
+!$mdh out(y: real[N]) inp(x: real[N]) combine_ops(cc)
+do i = 1, N
+   if )( then
+      y(i) = x(i)
+   end if
+end do
+";
+    let max_connections = 4;
+    let config = RuntimeConfig {
+        max_connections,
+        ..test_config()
+    };
+    let (sock, _, server) = start_front("slots", false, 1, config);
+    let n = [("N".to_string(), 64)];
+    for attempt in 0..=max_connections {
+        let lines = client_submit(&sock, REVERSED, DeviceKind::Cpu, 1, &n)
+            .unwrap_or_else(|e| panic!("attempt {attempt}: no reply ({e})"));
+        assert_eq!(lines.len(), 1, "attempt {attempt}: {lines:?}");
+        assert!(
+            lines[0].starts_with("err parse error at 3:7"),
+            "attempt {attempt}: {lines:?}"
+        );
+    }
+    let lines = client_submit(&sock, DOT, DeviceKind::Cpu, 1, &n).unwrap();
+    assert_eq!(
+        lines.iter().filter(|l| l.starts_with("ok ")).count(),
+        1,
+        "{lines:?}"
+    );
+    let bye = client_shutdown(&sock).unwrap();
+    assert!(bye[0].starts_with("ok shutting down"), "{bye:?}");
+    server.join().expect("server thread exits cleanly");
+}
+
 /// A directive whose declared buffer is smaller than its loop writes
 /// (or reads) used to reach the map kernels and corrupt the heap in
 /// release builds; it must die at validation with an `err` reply, and the
