@@ -51,7 +51,7 @@ use mdh_core::buffer::Buffer;
 use mdh_core::combine::CombineOp;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
-use mdh_core::expr::{eval_bin, BinOp, Expr, ScalarFunction, SfPattern, Stmt};
+use mdh_core::expr::{Expr, ScalarFunction, SfPattern, Stmt};
 use mdh_core::index_fn::{AffineExpr, IndexFn};
 use mdh_core::shape::MdRange;
 use mdh_core::views::{Access, BufferDecl, View};
@@ -364,18 +364,7 @@ pub fn part_inputs(
 /// Element-wise `acc += part` — the host-side sum of adjoint parts of the
 /// same input (stencil accesses).
 pub fn accumulate(acc: &mut Buffer, part: &Buffer) -> Result<()> {
-    if acc.len() != part.len() {
-        return Err(MdhError::Eval(format!(
-            "gradient accumulation shape mismatch: {} vs {} elements",
-            acc.len(),
-            part.len()
-        )));
-    }
-    for i in 0..acc.len() {
-        let v = eval_bin(BinOp::Add, &acc.get_flat(i), &part.get_flat(i))?;
-        acc.set_flat(i, &v)?;
-    }
-    Ok(())
+    acc.accumulate(part)
 }
 
 /// Zero-initialised gradient buffer for forward input `w`.

@@ -390,3 +390,86 @@ fn adjoints_bit_identical_across_devices_and_one_crash() {
         assert_eq!(outs, mref, "M̄ diverged at {devices} devices");
     }
 }
+
+/// The typed slice add behind `accumulate` gives, bit for bit, what the
+/// boxed per-element path it replaced gave: `eval_bin(Add, acc[i],
+/// part[i])` stored back through `set_flat`.
+#[test]
+fn accumulate_is_bit_equal_to_the_per_element_value_add() {
+    use mdh_core::buffer::bits_hash;
+    use mdh_core::expr::{eval_bin, BinOp};
+    use mdh_core::types::Value;
+
+    fn per_element(acc: &mut Buffer, part: &Buffer) {
+        for i in 0..acc.len() {
+            let v = eval_bin(BinOp::Add, &acc.get_flat(i), &part.get_flat(i)).unwrap();
+            acc.set_flat(i, &v).unwrap();
+        }
+    }
+    fn buffer(ty: BasicType, vals: &[Value]) -> Buffer {
+        let mut b = Buffer::zeros("b", ty, Shape::new(vec![vals.len()]));
+        for (i, v) in vals.iter().enumerate() {
+            b.set_flat(i, v).unwrap();
+        }
+        b
+    }
+    // every pair of specials meets: lhs cycles fast, rhs slow
+    fn pairs(specials: &[Value]) -> (Vec<Value>, Vec<Value>) {
+        let n = specials.len();
+        let lhs = (0..n * n).map(|i| specials[i % n].clone()).collect();
+        let rhs = (0..n * n).map(|i| specials[i / n].clone()).collect();
+        (lhs, rhs)
+    }
+    let f32s = [
+        0.0,
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        f32::MIN_POSITIVE,
+        // the f64 sum of these two needs more than 24 bits: the rounding
+        // to f32 is visible
+        16_777_216.0,
+        1.000_000_1,
+        -3.3,
+    ]
+    .map(Value::F32);
+    let f64s = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        1e-300,
+        0.1,
+        9_007_199_254_740_992.0,
+        -3.3,
+    ]
+    .map(Value::F64);
+    let i32s = [0, 1, -1, i32::MAX, i32::MIN, 123_456].map(Value::I32);
+    let i64s = [0, 1, -1, i64::MAX, i64::MIN, 1 << 40].map(Value::I64);
+    for (ty, specials) in [
+        (BasicType::F32, &f32s[..]),
+        (BasicType::F64, &f64s[..]),
+        (BasicType::I32, &i32s[..]),
+        (BasicType::I64, &i64s[..]),
+    ] {
+        let (lhs, rhs) = pairs(specials);
+        let part = buffer(ty.clone(), &rhs);
+        let mut want = buffer(ty.clone(), &lhs);
+        per_element(&mut want, &part);
+        let mut got = buffer(ty.clone(), &lhs);
+        mdh_ad::accumulate(&mut got, &part).unwrap();
+        assert_eq!(bits_hash(&[got]), bits_hash(&[want]), "{ty}");
+    }
+    // a length or a type that does not match is an error, not a partial sum
+    let mut acc = buffer(BasicType::F32, &f32s[..4]);
+    assert!(mdh_ad::accumulate(&mut acc, &buffer(BasicType::F32, &f32s[..3])).is_err());
+    assert!(mdh_ad::accumulate(&mut acc, &buffer(BasicType::F64, &f64s[..4])).is_err());
+    assert_eq!(
+        bits_hash(&[acc]),
+        bits_hash(&[buffer(BasicType::F32, &f32s[..4])])
+    );
+}

@@ -336,6 +336,24 @@ mod tests {
     }
 
     #[test]
+    fn compiled_op_counts_are_pinned() {
+        use mdh_backend::vm::compile_sf;
+        use mdh_core::combine::PwKind;
+        // per pair: 12 × (sub, abs, cmp, then-add, count-add, else-sub,
+        // one select per assigned variable) and nothing else — literals
+        // and the zeroed results load once per bank
+        let app = prl(Scale::Small, 1).unwrap();
+        let sf = compile_sf(&app.program.md_hom.sf).unwrap();
+        assert!(sf.ops().len() <= 96, "prl: {} ops", sf.ops().len());
+        // three conditions and one select per result per `if`
+        let PwKind::Custom(f) = &prl_max().kind else {
+            panic!("prl_max is a custom combine function")
+        };
+        let cf = compile_sf(f).unwrap();
+        assert!(cf.ops().len() <= 18, "prl_max: {} ops", cf.ops().len());
+    }
+
+    #[test]
     fn planted_duplicates_are_found() {
         let app = prl(Scale::Small, 1).unwrap();
         let out = evaluate_recursive(&app.program, &app.inputs).unwrap();

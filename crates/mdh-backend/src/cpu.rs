@@ -16,7 +16,8 @@
 //! to the reassociation the plan's reduction splits introduce.
 
 use crate::fast::{self, FastKernel};
-use crate::vm_exec;
+use crate::vm::CompiledSf;
+use crate::vm_exec::{self, Mode};
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
@@ -45,11 +46,13 @@ pub enum FastMode {
     ForceVm,
 }
 
-/// A routing decision; `Fast` carries the kernel `classify` built so a
-/// run never classifies twice.
+/// A routing decision; `Fast` carries the kernel `fast::classify` built
+/// and `Vm` what `vm_exec::classify` compiled, so a run never classifies
+/// — or compiles — twice.
+#[allow(clippy::large_enum_variant)] // built, matched and dropped within one run
 enum Route {
     Fast(FastKernel),
-    Vm,
+    Vm(CompiledSf, Mode),
     Reference,
 }
 
@@ -142,10 +145,9 @@ impl CpuExecutor {
                 return Route::Fast(kernel);
             }
         }
-        if vm_exec::vm_applicable(prog) {
-            Route::Vm
-        } else {
-            Route::Reference
+        match vm_exec::classify(prog) {
+            Ok((sf, mode)) => Route::Vm(sf, mode),
+            Err(_) => Route::Reference,
         }
     }
 
@@ -153,7 +155,7 @@ impl CpuExecutor {
     pub fn path_for(&self, prog: &DslProgram) -> ExecPath {
         match self.route(prog) {
             Route::Fast(_) => ExecPath::Fast,
-            Route::Vm => ExecPath::Vm,
+            Route::Vm(..) => ExecPath::Vm,
             Route::Reference => ExecPath::Reference,
         }
     }
@@ -201,9 +203,9 @@ impl CpuExecutor {
                 fast::registry().record_fallback();
                 vm_exec::run(prog, plan, inputs, &pool)
             }
-            Route::Vm => {
+            Route::Vm(sf, mode) => {
                 count_fallback();
-                vm_exec::run(prog, plan, inputs, &self.pool_for(plan))
+                vm_exec::run_classified(prog, &sf, &mode, plan, inputs, &self.pool_for(plan))
             }
             Route::Reference => {
                 count_fallback();

@@ -18,21 +18,23 @@
 //! If-conversion is value-preserving because scalar functions are pure
 //! and every instruction is total (integer division guards a zero
 //! divisor and wraps, casts saturate, math calls return NaN rather than
-//! trap): temporaries of both arms of an `if` land in fresh registers,
-//! and only assignments to already-bound variables are guarded — by a
-//! select on the path predicate — so the arm not taken changes nothing
-//! a later instruction can observe.
+//! trap). The code is in single-assignment form — an assignment *binds*
+//! its name to the register holding the value, no instruction overwrites
+//! a register — so both arms of an `if` compile from the same incoming
+//! bindings without seeing each other, and the join emits one select on
+//! the condition per variable the arms bound differently: the arm not
+//! taken changes nothing a later instruction can observe.
 
 use mdh_core::error::{MdhError, Result};
 use mdh_core::expr::{BinOp, Expr, MathFn, ScalarFunction, Stmt, UnOp};
 use mdh_core::types::{BasicType, FieldType, ScalarKind, Value};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Points per block of [`CompiledSf::run_block`]. A constant, picked by
-/// measurement (2 threads, `Scale::Medium`): PRL — 150 registers, the
-/// largest registered program, whose banks must stay L1-resident — runs
-/// 59 / 53 / 46 / 57 ns per pair at 8 / 16 / 32 / 64 lanes; f64 MatVec
-/// 2.3 / 1.1 / 1.0 / 1.0 ns per point.
+/// measurement (2 threads, `Scale::Medium`): PRL — 138 registers, the
+/// largest registered program, whose 34 KB of banks must stay in L1 —
+/// runs 23.0 / 14.4 / 12.8 / 23.9 ns per pair at 8 / 16 / 32 / 64 lanes;
+/// f64 MatVec 1.87 / 1.08 / 0.66 / 0.55 ns per point.
 pub(crate) const LANES: usize = 32;
 
 /// A typed register reference.
@@ -48,8 +50,6 @@ pub enum Reg {
 pub enum VmOp {
     ConstF(usize, f64),
     ConstI(usize, i64),
-    MovF(usize, usize),
-    MovI(usize, usize),
     // dst, a, b
     FAdd(usize, usize, usize),
     FSub(usize, usize, usize),
@@ -75,8 +75,8 @@ pub enum VmOp {
     // math calls on the f bank
     Call1(MathFn, usize, usize),
     Call2(MathFn, usize, usize, usize),
-    /// `f[dst] = if i[pred] != 0 { f[a] } else { f[b] }` — what an
-    /// if-converted assignment and `Expr::Select` compile to.
+    /// `f[dst] = if i[pred] != 0 { f[a] } else { f[b] }` — what the join
+    /// of an if-converted `if` and `Expr::Select` compile to.
     SelF(usize, usize, usize, usize),
     /// `i[dst] = if i[pred] != 0 { i[a] } else { i[b] }`.
     SelI(usize, usize, usize, usize),
@@ -113,19 +113,23 @@ pub enum ParamLoad {
 
 /// A compiled scalar function.
 ///
-/// # Register invariant
+/// # Register invariants
 ///
 /// `prologue`, `ops`, `n_fregs` and `n_iregs` are private so that a
 /// `CompiledSf` can only be produced by [`compile_sf`], whose `finish`
-/// step *verifies* that every register index appearing in the program
-/// (and in `param_loads` / `result_regs`) is below the corresponding bank
-/// size. The interpreter relies on that invariant to use unchecked
-/// register access — it only re-checks the (two) bank lengths at entry,
-/// not each of the millions of per-block register accesses.
+/// step *verifies* two things. Every register index appearing in the
+/// program (and in `param_loads` / `result_regs`) is below the
+/// corresponding bank size: the interpreter relies on that to use
+/// unchecked register access — it only re-checks the (two) bank lengths
+/// at entry, not each of the millions of per-block register accesses.
+/// And no instruction writes a parameter register (none writes any
+/// register a second time): what a caller loaded into a parameter's
+/// lanes is still there after any number of runs, so an operand that did
+/// not move need not be loaded again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledSf {
-    /// Literal loads into registers nothing else writes: run once, when
-    /// the banks are built, instead of once per block.
+    /// The literal loads: run once, when the banks are built, instead of
+    /// once per block.
     prologue: Vec<VmOp>,
     ops: Vec<VmOp>,
     n_fregs: usize,
@@ -169,28 +173,23 @@ impl CompiledSf {
 
     fn banks_of<const L: usize>(&self) -> (Vec<f64>, Vec<i64>) {
         let (mut f, mut i) = (vec![0.0; self.n_fregs * L], vec![0; self.n_iregs * L]);
-        exec::<L, true>(
-            &self.prologue,
-            self.n_fregs,
-            self.n_iregs,
-            &mut f,
-            &mut i,
-            L,
-        );
+        exec::<L>(&self.prologue, self.n_fregs, self.n_iregs, &mut f, &mut i);
         (f, i)
     }
 
     /// Evaluate the function at lanes `0..n` of banks built by
     /// [`CompiledSf::banks`] (caller fills the parameter registers'
     /// lanes first; results are read from the result registers' lanes).
-    /// Lanes at and beyond `n` hold unspecified values afterwards.
+    /// Lanes at and beyond `n` hold unspecified values afterwards: a
+    /// short block runs every lane too, because fixed-trip-count lane
+    /// loops over [`LANES`] cost a quarter of runtime-bounded ones over
+    /// `n` (PRL: 5.4 against 20 ns per instruction, at any `n`), and —
+    /// every instruction being total — what the spare lanes hold traps
+    /// nothing.
     #[inline]
     pub fn run_block(&self, f: &mut [f64], i: &mut [i64], n: usize) {
-        if n == LANES {
-            exec::<LANES, true>(&self.ops, self.n_fregs, self.n_iregs, f, i, n);
-        } else {
-            exec::<LANES, false>(&self.ops, self.n_fregs, self.n_iregs, f, i, n);
-        }
+        debug_assert!(n <= LANES, "a block has at most LANES points");
+        exec::<LANES>(&self.ops, self.n_fregs, self.n_iregs, f, i);
     }
 
     /// The one-lane instantiation of the same interpreter, on banks built
@@ -198,33 +197,31 @@ impl CompiledSf {
     /// combine function, whose fold is sequential by definition.
     #[inline]
     pub fn run_point(&self, f: &mut [f64], i: &mut [i64]) {
-        exec::<1, true>(&self.ops, self.n_fregs, self.n_iregs, f, i, 1);
+        exec::<1>(&self.ops, self.n_fregs, self.n_iregs, f, i);
     }
 }
 
-/// The interpreter: run straight-line `ops` over lanes `0..n` of banks
-/// with `L` lanes per register (`FULL` promises `n == L`, which makes
-/// every lane loop a fixed-trip-count vector loop). Each instruction's
-/// arithmetic is written exactly once, here; [`LANES`]-wide blocks and
-/// the one-lane combine step are two instantiations of this function.
+/// The interpreter: run straight-line `ops` over all `L` lanes of banks
+/// with `L` lanes per register, every lane loop a fixed-trip-count
+/// vector loop. Each instruction's arithmetic is written exactly once,
+/// here; [`LANES`]-wide blocks and the one-lane combine step are two
+/// instantiations of this function.
 ///
 /// Operands are copied out before the destination is borrowed, so an
 /// instruction whose destination is also a source is well-defined: lane
 /// `l` of the result depends only on lane `l` of the sources.
 #[inline(always)]
-fn exec<const L: usize, const FULL: bool>(
+fn exec<const L: usize>(
     ops: &[VmOp],
     n_fregs: usize,
     n_iregs: usize,
     f: &mut [f64],
     i: &mut [i64],
-    n: usize,
 ) {
     assert!(
-        f.len() >= n_fregs * L && i.len() >= n_iregs * L && n <= L,
+        f.len() >= n_fregs * L && i.len() >= n_iregs * L,
         "register banks smaller than the compiled program requires"
     );
-    let m = if FULL { L } else { n.min(L) };
     let (fp, ip) = (f.as_mut_ptr(), i.as_mut_ptr());
     // SAFETY (all four macros): `finish` verified every register index
     // in `ops` against `n_fregs`/`n_iregs`, and the banks were asserted
@@ -257,7 +254,7 @@ fn exec<const L: usize, const FULL: bool>(
         ($out:expr, $a:expr, |$x:ident| $e:expr) => {{
             let a = $a;
             let out = $out;
-            for l in 0..m {
+            for l in 0..L {
                 let $x = a[l];
                 out[l] = $e;
             }
@@ -267,7 +264,7 @@ fn exec<const L: usize, const FULL: bool>(
         ($out:expr, $a:expr, $b:expr, |$x:ident, $y:ident| $e:expr) => {{
             let (a, b) = ($a, $b);
             let out = $out;
-            for l in 0..m {
+            for l in 0..L {
                 let ($x, $y) = (a[l], b[l]);
                 out[l] = $e;
             }
@@ -277,7 +274,7 @@ fn exec<const L: usize, const FULL: bool>(
         ($out:expr, $a:expr, $b:expr, $c:expr, |$x:ident, $y:ident, $z:ident| $e:expr) => {{
             let (a, b, c) = ($a, $b, $c);
             let out = $out;
-            for l in 0..m {
+            for l in 0..L {
                 let ($x, $y, $z) = (a[l], b[l], c[l]);
                 out[l] = $e;
             }
@@ -297,10 +294,8 @@ fn exec<const L: usize, const FULL: bool>(
     }
     for op in ops {
         match *op {
-            VmOp::ConstF(d, v) => wf!(d)[..m].fill(v),
-            VmOp::ConstI(d, v) => wi!(d)[..m].fill(v),
-            VmOp::MovF(d, s) => map1!(wf!(d), rf!(s), |x| x),
-            VmOp::MovI(d, s) => map1!(wi!(d), ri!(s), |x| x),
+            VmOp::ConstF(d, v) => wf!(d).fill(v),
+            VmOp::ConstI(d, v) => wi!(d).fill(v),
             VmOp::FAdd(d, a, b) => map2!(wf!(d), rf!(a), rf!(b), |x, y| x + y),
             VmOp::FSub(d, a, b) => map2!(wf!(d), rf!(a), rf!(b), |x, y| x - y),
             VmOp::FMul(d, a, b) => map2!(wf!(d), rf!(a), rf!(b), |x, y| x * y),
@@ -477,15 +472,16 @@ struct Compiler {
     ops: Vec<VmOp>,
     n_f: usize,
     n_i: usize,
-    vars: HashMap<String, Reg>,
+    /// name → the register holding its current value (ordered, so the
+    /// joins of an `if` allocate registers in a fixed order)
+    vars: BTreeMap<String, Reg>,
     /// per param: the load descriptor + per-lane registers
     param_loads: Vec<ParamLoad>,
     /// record param metadata: param -> (field, lane) -> Reg
     rec_regs: Vec<HashMap<(usize, usize), Reg>>,
     param_types: Vec<BasicType>,
-    /// The i-register that is non-zero exactly on the path being
-    /// compiled (`None` outside every `if`).
-    pred: Option<usize>,
+    /// (float bank, bits) → the register loaded with that literal
+    literals: HashMap<(bool, u64), Reg>,
 }
 
 impl Compiler {
@@ -494,11 +490,11 @@ impl Compiler {
             ops: Vec::new(),
             n_f: 0,
             n_i: 0,
-            vars: HashMap::new(),
+            vars: BTreeMap::new(),
             param_loads: vec![ParamLoad::Unused; sf.params.len()],
             rec_regs: vec![HashMap::new(); sf.params.len()],
             param_types: sf.params.iter().map(|(_, t)| t.clone()).collect(),
-            pred: None,
+            literals: HashMap::new(),
         };
         // allocate parameter registers eagerly so loads have stable targets
         for (p, (name, ty)) in sf.params.iter().enumerate() {
@@ -522,16 +518,15 @@ impl Compiler {
                 }
             }
         }
-        // result registers: allocated by kind, zero-initialised at entry
+        // results start as the zero of their bank
         for (name, ty) in &sf.results {
             let k = ty.as_scalar().ok_or_else(|| {
                 MdhError::Validation(
                     "record-typed results are not supported by the VM backend".into(),
                 )
             })?;
-            let r = c.alloc(kind_is_float(k));
-            c.emit_zero(r);
-            c.vars.insert(name.clone(), r);
+            let zero = c.literal(kind_is_float(k), 0);
+            c.vars.insert(name.clone(), zero);
         }
         Ok(c)
     }
@@ -546,11 +541,21 @@ impl Compiler {
         }
     }
 
-    fn emit_zero(&mut self, r: Reg) {
-        match r {
-            Reg::F(d) => self.ops.push(VmOp::ConstF(d, 0.0)),
-            Reg::I(d) => self.ops.push(VmOp::ConstI(d, 0)),
+    /// The register holding a literal, given as its bank and bits.
+    /// Nothing overwrites a register, so equal literals share one: PRL's
+    /// 174 registers become 138, 9 KB less of banks to keep in L1 (its
+    /// kernel 30 → 25 ms).
+    fn literal(&mut self, float: bool, bits: u64) -> Reg {
+        if let Some(&r) = self.literals.get(&(float, bits)) {
+            return r;
         }
+        let r = self.alloc(float);
+        self.ops.push(match r {
+            Reg::F(d) => VmOp::ConstF(d, f64::from_bits(bits)),
+            Reg::I(d) => VmOp::ConstI(d, bits as i64),
+        });
+        self.literals.insert((float, bits), r);
+        r
     }
 
     /// Move/convert `src` into a float register (returning its index).
@@ -580,58 +585,44 @@ impl Compiler {
         }
     }
 
-    fn mov(&mut self, dst: Reg, src: Reg) {
-        match (dst, src) {
-            (Reg::F(d), Reg::F(s)) => self.ops.push(VmOp::MovF(d, s)),
-            (Reg::I(d), Reg::I(s)) => self.ops.push(VmOp::MovI(d, s)),
-            (Reg::F(d), Reg::I(s)) => self.ops.push(VmOp::IToF(d, s)),
-            (Reg::I(d), Reg::F(s)) => self.ops.push(VmOp::FToI(d, s)),
+    /// `src` in the bank of `like` (a conversion lands in a fresh register).
+    fn in_bank_of(&mut self, src: Reg, like: Reg) -> Reg {
+        match like {
+            Reg::F(_) => Reg::F(self.as_f(src)),
+            Reg::I(_) => Reg::I(self.as_i(src)),
         }
     }
 
-    fn alloc_i(&mut self) -> usize {
-        self.n_i += 1;
-        self.n_i - 1
-    }
-
-    /// `a && b` of two path predicates (`None` = always true).
-    fn and_pred(&mut self, outer: Option<usize>, c: usize) -> usize {
-        match outer {
-            None => c,
-            Some(o) => {
-                let d = self.alloc_i();
-                self.ops.push(VmOp::And(d, o, c));
-                d
-            }
+    /// `if i[ci] != 0 { a } else { b }` in a fresh register of `a`'s
+    /// bank; `b` converts to it.
+    fn select(&mut self, ci: usize, a: Reg, b: Reg) -> Reg {
+        let b = self.in_bank_of(b, a);
+        let dst = self.alloc(matches!(a, Reg::F(_)));
+        match (dst, a, b) {
+            (Reg::F(d), Reg::F(x), Reg::F(y)) => self.ops.push(VmOp::SelF(d, ci, x, y)),
+            (Reg::I(d), Reg::I(x), Reg::I(y)) => self.ops.push(VmOp::SelI(d, ci, x, y)),
+            _ => unreachable!("dst and b are in a's bank"),
         }
+        dst
     }
 
-    /// Straight-line compilation: an `if` is if-converted. Both arms are
-    /// compiled unconditionally — their temporaries land in fresh
-    /// registers — and an assignment to an already-bound variable becomes
-    /// a select on the path predicate, so the arm not taken leaves every
-    /// observable register as it was.
+    /// Straight-line, single-assignment compilation. An assignment binds
+    /// its name to the register holding the value — converted to the
+    /// bank the name was first bound in — and never overwrites one, so
+    /// parameter registers keep what was loaded and an `if` is
+    /// if-converted in join form: both arms are compiled from the
+    /// incoming bindings, and one select on the condition per name the
+    /// arms bound differently makes the binding after the `if`.
     fn compile_block(&mut self, body: &[Stmt]) -> Result<()> {
         for s in body {
             match s {
                 Stmt::Let { name, value } | Stmt::Assign { name, value } => {
                     let v = self.compile_expr(value)?;
-                    let v = self.expect_reg(v)?;
-                    match (self.vars.get(name).copied(), self.pred) {
-                        // bind directly to the computed register kind
-                        (None, _) => {
-                            self.vars.insert(name.clone(), v);
-                        }
-                        (Some(dst), None) => self.mov(dst, v),
-                        (Some(Reg::F(d)), Some(p)) => {
-                            let x = self.as_f(v);
-                            self.ops.push(VmOp::SelF(d, p, x, d));
-                        }
-                        (Some(Reg::I(d)), Some(p)) => {
-                            let x = self.as_i(v);
-                            self.ops.push(VmOp::SelI(d, p, x, d));
-                        }
+                    let mut v = self.expect_reg(v)?;
+                    if let Some(&bound) = self.vars.get(name) {
+                        v = self.in_bank_of(v, bound);
                     }
+                    self.vars.insert(name.clone(), v);
                 }
                 Stmt::If {
                     cond,
@@ -640,30 +631,22 @@ impl Compiler {
                 } => {
                     let c = self.compile_expr(cond)?;
                     let c = self.expect_reg(c)?;
-                    let mut ci = self.as_i(c);
-                    // a condition that *is* a variable's register could be
-                    // reassigned inside the arms it guards: snapshot it
-                    if self.vars.values().any(|r| *r == Reg::I(ci)) {
-                        let d = self.alloc_i();
-                        self.ops.push(VmOp::MovI(d, ci));
-                        ci = d;
-                    }
-                    let outer = self.pred;
-                    let then_p = self.and_pred(outer, ci);
-                    let else_p = if else_branch.is_empty() {
-                        None
-                    } else {
-                        let nc = self.alloc_i();
-                        self.ops.push(VmOp::Not(nc, ci));
-                        Some(self.and_pred(outer, nc))
-                    };
-                    self.pred = Some(then_p);
+                    let ci = self.as_i(c);
+                    let incoming = self.vars.clone();
                     self.compile_block(then_branch)?;
-                    if let Some(p) = else_p {
-                        self.pred = Some(p);
-                        self.compile_block(else_branch)?;
+                    let then_vars = std::mem::replace(&mut self.vars, incoming);
+                    self.compile_block(else_branch)?;
+                    // `self.vars` holds the else arm's bindings. A name
+                    // only one arm introduced keeps that arm's register
+                    // (reading it after the other arm ran is an error in
+                    // the tree interpreter).
+                    for (name, t) in then_vars {
+                        let joined = match self.vars.get(&name).copied() {
+                            Some(e) if e != t => self.select(ci, t, e),
+                            _ => t,
+                        };
+                        self.vars.insert(name, joined);
                     }
-                    self.pred = outer;
                 }
                 Stmt::For { .. } => {
                     return Err(MdhError::Validation(
@@ -690,29 +673,13 @@ impl Compiler {
     fn compile_expr(&mut self, e: &Expr) -> Result<CVal> {
         match e {
             Expr::Lit(v) => Ok(CVal::Reg(match v {
-                Value::F32(x) => {
-                    let r = self.alloc(true);
-                    if let Reg::F(d) = r {
-                        self.ops.push(VmOp::ConstF(d, *x as f64));
-                    }
-                    r
-                }
-                Value::F64(x) => {
-                    let r = self.alloc(true);
-                    if let Reg::F(d) = r {
-                        self.ops.push(VmOp::ConstF(d, *x));
-                    }
-                    r
-                }
+                Value::F32(x) => self.literal(true, (*x as f64).to_bits()),
+                Value::F64(x) => self.literal(true, x.to_bits()),
                 other => {
                     let v = other
                         .as_i64()
                         .ok_or_else(|| MdhError::Validation("unsupported literal in VM".into()))?;
-                    let r = self.alloc(false);
-                    if let Reg::I(d) = r {
-                        self.ops.push(VmOp::ConstI(d, v));
-                    }
-                    r
+                    self.literal(false, v as u64)
                 }
             })),
             Expr::Param(p) => match &self.param_types[*p] {
@@ -841,8 +808,7 @@ impl Compiler {
                 }
             }
             Expr::Select(c, a, b) => {
-                // both operands are evaluated; one select picks. The
-                // result takes `a`'s kind, `b` converts to it.
+                // both operands are evaluated; one select picks
                 let cv = self.compile_expr(c)?;
                 let cv = self.expect_reg(cv)?;
                 let ci = self.as_i(cv);
@@ -850,19 +816,7 @@ impl Compiler {
                 let av = self.expect_reg(av)?;
                 let bv = self.compile_expr(b)?;
                 let bv = self.expect_reg(bv)?;
-                let dst = self.alloc(matches!(av, Reg::F(_)));
-                match (dst, av) {
-                    (Reg::F(d), Reg::F(x)) => {
-                        let y = self.as_f(bv);
-                        self.ops.push(VmOp::SelF(d, ci, x, y));
-                    }
-                    (Reg::I(d), Reg::I(x)) => {
-                        let y = self.as_i(bv);
-                        self.ops.push(VmOp::SelI(d, ci, x, y));
-                    }
-                    _ => unreachable!("dst allocated in a's bank"),
-                }
-                Ok(CVal::Reg(dst))
+                Ok(CVal::Reg(self.select(ci, av, bv)))
             }
         }
     }
@@ -904,7 +858,9 @@ impl Compiler {
                 Ok(CVal::Reg(Reg::I(d)))
             }
             Add | Sub | Mul | Div | Rem => {
-                let float = matches!(a, Reg::F(_)) || matches!(b, Reg::F(_)) || op == Div;
+                // int ÷ int is integer division, as in `expr::eval_bin`
+                // (which errors on a zero divisor where `IDiv` yields 0)
+                let float = matches!(a, Reg::F(_)) || matches!(b, Reg::F(_));
                 if float {
                     let (x, y) = (self.as_f(a), self.as_f(b));
                     let Reg::F(d) = self.alloc(true) else {
@@ -944,7 +900,12 @@ impl Compiler {
             .map(|(_, ty)| ty.as_scalar().unwrap())
             .collect();
         let ops = fuse_mul_add(self.ops, self.n_f, &result_regs);
-        let (prologue, ops) = hoist_constants(ops, self.n_f, self.n_i);
+        // No register is written twice, so a literal's register holds it
+        // at every read: literals load once per bank, not once per block
+        // (PRL re-materialised ~50 of its ops per point otherwise).
+        let (prologue, ops) = ops
+            .into_iter()
+            .partition(|op| matches!(op, VmOp::ConstF(..) | VmOp::ConstI(..)));
         let compiled = CompiledSf {
             prologue,
             ops,
@@ -969,8 +930,8 @@ fn for_each_reg(op: &VmOp, mut visit: impl FnMut(Reg, bool)) {
     match *op {
         VmOp::ConstF(d, _) => rw(F(d), &[]),
         VmOp::ConstI(d, _) => rw(I(d), &[]),
-        VmOp::MovF(d, a) | VmOp::FNeg(d, a) | VmOp::Call1(_, d, a) => rw(F(d), &[F(a)]),
-        VmOp::MovI(d, a) | VmOp::INeg(d, a) | VmOp::Not(d, a) => rw(I(d), &[I(a)]),
+        VmOp::FNeg(d, a) | VmOp::Call1(_, d, a) => rw(F(d), &[F(a)]),
+        VmOp::INeg(d, a) | VmOp::Not(d, a) => rw(I(d), &[I(a)]),
         VmOp::FAdd(d, a, b)
         | VmOp::FSub(d, a, b)
         | VmOp::FMul(d, a, b)
@@ -1035,43 +996,43 @@ fn fuse_mul_add(ops: Vec<VmOp>, n_fregs: usize, result_regs: &[Reg]) -> Vec<VmOp
     out
 }
 
-/// Split off the literal loads whose destination no other op writes: in
-/// straight-line code such a register holds its literal at every read,
-/// so loading it once per bank instead of once per block changes nothing
-/// (PRL re-materialised ~50 of its ops per point this way).
-fn hoist_constants(ops: Vec<VmOp>, n_fregs: usize, n_iregs: usize) -> (Vec<VmOp>, Vec<VmOp>) {
-    let (mut f_writes, mut i_writes) = (vec![0usize; n_fregs], vec![0usize; n_iregs]);
-    for op in &ops {
-        for_each_reg(op, |r, write| match (r, write) {
-            (Reg::F(d), true) => f_writes[d] += 1,
-            (Reg::I(d), true) => i_writes[d] += 1,
-            _ => {}
-        });
-    }
-    ops.into_iter().partition(|op| match *op {
-        VmOp::ConstF(d, _) => f_writes[d] == 1,
-        VmOp::ConstI(d, _) => i_writes[d] == 1,
-        _ => false,
-    })
-}
-
-/// Compile-time check backing the unchecked interpreter (see the
-/// [`CompiledSf`] docs): every register index below its bank size. A
-/// failure is a compiler bug, not bad input, hence the panic.
+/// Compile-time check backing the unchecked interpreter and the
+/// executor's load skipping (see the [`CompiledSf`] docs): every register
+/// index is below its bank size, no instruction writes a parameter
+/// register and none writes a register another one wrote. A failure is a
+/// compiler bug, not bad input, hence the panic.
 fn verify_registers(c: &CompiledSf) {
     let in_reg = |r: Reg| match r {
         Reg::F(d) => assert!(d < c.n_fregs, "f-register {d} out of range {}", c.n_fregs),
         Reg::I(d) => assert!(d < c.n_iregs, "i-register {d} out of range {}", c.n_iregs),
     };
-    for op in c.prologue.iter().chain(&c.ops) {
-        for_each_reg(op, |r, _| in_reg(r));
-    }
+    let (mut f_written, mut i_written) = (vec![false; c.n_fregs], vec![false; c.n_iregs]);
+    let mut written = |r: Reg| {
+        let slot = match r {
+            Reg::F(d) => &mut f_written[d],
+            Reg::I(d) => &mut i_written[d],
+        };
+        assert!(!*slot, "register {r:?} is written twice");
+        *slot = true;
+    };
     for pl in &c.param_loads {
+        let mut param = |r: Reg| {
+            in_reg(r);
+            written(r);
+        };
         match pl {
             ParamLoad::Unused => {}
-            ParamLoad::Scalar(r) => in_reg(*r),
-            ParamLoad::Record(lanes) => lanes.iter().for_each(|(_, _, r)| in_reg(*r)),
+            ParamLoad::Scalar(r) => param(*r),
+            ParamLoad::Record(lanes) => lanes.iter().for_each(|(_, _, r)| param(*r)),
         }
+    }
+    for op in c.prologue.iter().chain(&c.ops) {
+        for_each_reg(op, |r, write| {
+            in_reg(r);
+            if write {
+                written(r);
+            }
+        });
     }
     c.result_regs.iter().for_each(|r| in_reg(*r));
 }
@@ -1288,18 +1249,83 @@ mod tests {
     }
 
     #[test]
-    fn literals_nothing_else_writes_are_loaded_once_per_bank() {
+    fn an_if_joins_with_one_select_per_variable_and_literals_load_once() {
         let c = compile_sf(&nested_if_sf()).unwrap();
-        // 2.0 (twice) and 1.0 move to the prologue; `res = 0` stays, since
-        // the selects write `res` too
-        let consts = |ops: &[VmOp]| {
-            ops.iter()
-                .filter(|o| matches!(o, VmOp::ConstF(..) | VmOp::ConstI(..)))
-                .count()
+        // the literals (`res = 0`, 1.0, and 2.0 once for its two uses)
+        // run once per bank
+        assert_eq!(c.prologue.len(), 3, "{:?}", c.prologue);
+        // two comparisons, `2b` twice, the add, and one select per `if`
+        // for the one variable its arms assign: no path predicate, no
+        // `Not` for the else arm
+        let sels = |o: &&VmOp| matches!(o, VmOp::SelF(..));
+        assert_eq!(c.ops().iter().filter(sels).count(), 2, "{:?}", c.ops());
+        assert_eq!(c.ops().len(), 7, "{:?}", c.ops());
+        assert!(!c.ops().iter().any(|o| matches!(o, VmOp::Not(..))));
+    }
+
+    #[test]
+    fn assigning_to_a_parameter_name_leaves_the_parameter_register() {
+        use mdh_core::expr::{Expr, Stmt};
+        // `a = a * 2; res = a + Param(0)`: the name rebinds, the slot
+        // keeps the argument — as in the tree interpreter
+        let sf = ScalarFunction {
+            name: "shadow".into(),
+            params: vec![("a".into(), BasicType::F64)],
+            results: vec![("res".into(), BasicType::F64)],
+            body: vec![
+                Stmt::Assign {
+                    name: "a".into(),
+                    value: Expr::mul(Expr::var("a"), Expr::lit_f64(2.0)),
+                },
+                Stmt::Assign {
+                    name: "res".into(),
+                    value: Expr::add(Expr::var("a"), Expr::Param(0)),
+                },
+            ],
         };
-        assert_eq!(consts(&c.prologue), 3, "{:?}", c.prologue);
-        assert_eq!(consts(c.ops()), 1, "{:?}", c.ops());
-        assert_eq!(c.prologue.len(), 3);
+        let c = compile_sf(&sf).unwrap();
+        let args = vec![Value::F64(1.5)];
+        assert_eq!(sf.eval(&args).unwrap(), vec![Value::F64(4.5)]);
+        assert_eq!(run_dyn(&c, &args), vec![Value::F64(4.5)]);
+        // a second run on the same banks sees the same argument
+        let (mut f, mut i) = c.point_banks();
+        let ParamLoad::Scalar(Reg::F(p)) = c.param_loads[0] else {
+            panic!("f64 parameter")
+        };
+        f[p] = 1.5;
+        c.run_point(&mut f, &mut i);
+        c.run_point(&mut f, &mut i);
+        assert_eq!(f[p], 1.5);
+    }
+
+    #[test]
+    fn integer_division_truncates_like_the_interpreter() {
+        use mdh_core::expr::{BinOp, Expr, Stmt};
+        // (a / b) * b on integers: 7 / 2 * 2 is 6, not 7
+        let div = Expr::Bin(
+            BinOp::Div,
+            Box::new(Expr::Param(0)),
+            Box::new(Expr::Param(1)),
+        );
+        let sf = ScalarFunction {
+            name: "idiv".into(),
+            params: vec![("a".into(), BasicType::I64), ("b".into(), BasicType::I64)],
+            results: vec![("res".into(), BasicType::I64)],
+            body: vec![Stmt::Assign {
+                name: "res".into(),
+                value: Expr::mul(div, Expr::Param(1)),
+            }],
+        };
+        let c = compile_sf(&sf).unwrap();
+        assert!(c.ops().iter().any(|o| matches!(o, VmOp::IDiv(..))));
+        for (a, b) in [(7, 2), (-7, 2), (7, -2), (i64::MIN, -1), (5, 7)] {
+            let args = vec![Value::I64(a), Value::I64(b)];
+            assert_eq!(run_dyn(&c, &args), sf.eval(&args).unwrap(), "{a} / {b}");
+        }
+        // a zero divisor is an error in the interpreter and 0 in the VM
+        let by_zero = vec![Value::I64(7), Value::I64(0)];
+        assert!(sf.eval(&by_zero).is_err());
+        assert_eq!(run_dyn(&c, &by_zero), vec![Value::I64(0)]);
     }
 
     #[test]

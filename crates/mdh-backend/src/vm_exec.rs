@@ -11,9 +11,13 @@
 //!
 //! * **fold mode** — no `ps` dimension; all `pw` dimensions share one
 //!   combine function. Each task folds its collapsed sub-range into
-//!   per-result partial columns — lanes in ascending order, i.e. the
-//!   same strictly sequential chain as a per-point loop; split-reduction
-//!   groups combine partials with the same function.
+//!   per-result partial columns, every output's chain in ascending
+//!   collapsed order — the same strictly sequential chain as a per-point
+//!   loop. The lanes of a block are either consecutive elements of one
+//!   output's chain (builtin combiners; folded lane by lane) or
+//!   [`LANES`] neighbouring outputs at one collapsed point (a compiled
+//!   combine function; one `run_block` of it combines them all);
+//!   split-reduction groups combine partials with the same function.
 //! * **scan mode** — one `ps` dimension (ordered before any `pw` dims so
 //!   the scan is applied last, matching the nested semantics); `pw` dims
 //!   must not be split across tasks. Lines are stored straight into the
@@ -27,7 +31,7 @@
 
 use crate::offsets::{add_result, advance, linearize_view, store_result, LinearAccess, Loader};
 use crate::vm::{compile_sf, CompiledSf, ParamLoad, Reg, LANES};
-use mdh_core::buffer::{Buffer, BufferData};
+use mdh_core::buffer::Buffer;
 use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc, PwKind};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
@@ -120,51 +124,62 @@ impl Acc {
 
 /// How tuples are combined in the hot loop.
 #[allow(clippy::large_enum_variant)]
-enum Combiner {
+pub(crate) enum Combiner {
     Builtin(BuiltinReduce),
     Vm {
         cf: CompiledSf,
-        /// registers of the lhs tuple params, then the rhs tuple params
-        /// (`None` for params the combine function never reads)
-        lhs_regs: Vec<Option<Reg>>,
-        rhs_regs: Vec<Option<Reg>>,
+        /// registers of the lhs tuple params, then of the rhs tuple params
+        lhs_regs: Vec<Reg>,
+        rhs_regs: Vec<Reg>,
     },
 }
 
+/// An f64 and an i64 register bank.
+type Banks = (Vec<f64>, Vec<i64>);
+
 /// One-lane banks for a compiled combine function (empty for builtins).
-type Scratch = (Vec<f64>, Vec<i64>);
+type Scratch = Banks;
 
 impl Combiner {
-    fn build(f: &PwFunc, width: usize) -> Result<Combiner> {
-        match &f.kind {
-            PwKind::Builtin(b) => Ok(Combiner::Builtin(*b)),
-            PwKind::Custom(sf) => {
-                if sf.results.len() != width {
-                    return Err(MdhError::Validation(
-                        "combine-function width mismatch".into(),
-                    ));
-                }
-                let cf = compile_sf(sf)?;
-                let mut regs = Vec::with_capacity(2 * width);
-                for pl in &cf.param_loads {
-                    match pl {
-                        ParamLoad::Scalar(r) => regs.push(Some(*r)),
-                        ParamLoad::Unused => regs.push(None),
-                        ParamLoad::Record(_) => {
-                            return Err(MdhError::Validation(
-                                "record-typed combine params unsupported".into(),
-                            ))
-                        }
-                    }
-                }
-                let rhs_regs = regs.split_off(width);
-                Ok(Combiner::Vm {
-                    cf,
-                    lhs_regs: regs,
-                    rhs_regs,
-                })
-            }
+    /// `kinds` are the scalar function's result kinds: the tuple a
+    /// compiled combine function takes twice and returns must sit in the
+    /// same register banks.
+    fn build(f: &PwFunc, kinds: &[ScalarKind]) -> Result<Combiner> {
+        let sf = match &f.kind {
+            PwKind::Builtin(b) => return Ok(Combiner::Builtin(*b)),
+            PwKind::Custom(sf) => sf,
+        };
+        let cf = compile_sf(sf)?;
+        let mut regs = cf
+            .param_loads
+            .iter()
+            .map(|pl| match pl {
+                ParamLoad::Scalar(r) => Ok(*r),
+                _ => Err(MdhError::Validation(
+                    "record-typed combine params unsupported".into(),
+                )),
+            })
+            .collect::<Result<Vec<Reg>>>()?;
+        let width = kinds.len();
+        let same_banks = |regs: &[Reg]| {
+            (regs.iter().zip(kinds)).all(|(r, k)| matches!(r, Reg::F(_)) == k.is_float())
+        };
+        if cf.result_regs.len() != width
+            || regs.len() != 2 * width
+            || !same_banks(&cf.result_regs)
+            || !same_banks(&regs[..width])
+            || !same_banks(&regs[width..])
+        {
+            return Err(MdhError::Validation(
+                "combine-function tuple does not match the scalar function's results".into(),
+            ));
         }
+        let rhs_regs = regs.split_off(width);
+        Ok(Combiner::Vm {
+            cf,
+            lhs_regs: regs,
+            rhs_regs,
+        })
     }
 
     fn scratch(&self) -> Scratch {
@@ -193,16 +208,11 @@ impl Combiner {
                 rhs_regs,
             } => {
                 let (sf, si) = scratch;
-                for r in 0..kinds.len() {
-                    match lhs_regs[r] {
-                        Some(Reg::F(d)) => sf[d] = acc.f[r],
-                        Some(Reg::I(d)) => si[d] = acc.i[r],
-                        None => {}
-                    }
-                    match rhs_regs[r] {
-                        Some(Reg::F(d)) => sf[d] = new.f[r],
-                        Some(Reg::I(d)) => si[d] = new.i[r],
-                        None => {}
+                for (r, (lhs, rhs)) in lhs_regs.iter().zip(rhs_regs).enumerate() {
+                    match (lhs, rhs) {
+                        (Reg::F(l), Reg::F(n)) => (sf[*l], sf[*n]) = (acc.f[r], new.f[r]),
+                        (Reg::I(l), Reg::I(n)) => (si[*l], si[*n]) = (acc.i[r], new.i[r]),
+                        _ => unreachable!("banks checked by Combiner::build"),
                     }
                 }
                 cf.run_point(sf, si);
@@ -258,13 +268,97 @@ impl Combiner {
     }
 }
 
-/// Execution mode derived from the combine operators.
-enum Mode {
-    Fold(Option<PwFunc>),
+/// Lanes `0..n` of `regs` to elements `at..at + n` of the partial's
+/// columns. Column `r` and register `r` are in the same bank: both follow
+/// result kind `r`.
+#[inline]
+fn store_row(cols: &mut [ColBank], at: usize, n: usize, regs: &[Reg], (f, i): &Banks) {
+    for (col, reg) in cols.iter_mut().zip(regs) {
+        match (col, reg) {
+            (ColBank::F(v), Reg::F(d)) => v[at..at + n].copy_from_slice(&f[d * LANES..][..n]),
+            (ColBank::I(v), Reg::I(d)) => v[at..at + n].copy_from_slice(&i[d * LANES..][..n]),
+            _ => unreachable!("column kinds fixed by result kinds"),
+        }
+    }
+}
+
+/// Every lane of each `from` register to the `to` register beside it (a
+/// whole line: fixed-size copies, and spare lanes are nobody's input).
+#[inline]
+fn copy_lines(from: &[Reg], (ff, fi): &Banks, to: &[Reg], (tf, ti): &mut Banks) {
+    for (s, d) in from.iter().zip(to) {
+        match (s, d) {
+            (Reg::F(s), Reg::F(d)) => {
+                tf[d * LANES..][..LANES].copy_from_slice(&ff[s * LANES..][..LANES])
+            }
+            (Reg::I(s), Reg::I(d)) => {
+                ti[d * LANES..][..LANES].copy_from_slice(&fi[s * LANES..][..LANES])
+            }
+            _ => unreachable!("banks checked by Combiner::build"),
+        }
+    }
+}
+
+/// A compiled combine function folding [`LANES`] neighbouring outputs at
+/// once: lane `l` of accumulator register `r` is component `r` of output
+/// `l`'s tuple.
+struct RowFold<'a> {
+    cf: &'a CompiledSf,
+    lhs_regs: &'a [Reg],
+    rhs_regs: &'a [Reg],
+    cf_banks: Banks,
+    /// component `r` is register `r` of the bank its kind selects
+    acc_regs: Vec<Reg>,
+    acc: Banks,
+}
+
+impl<'a> RowFold<'a> {
+    fn new(cf: &'a CompiledSf, lhs_regs: &'a [Reg], rhs_regs: &'a [Reg]) -> RowFold<'a> {
+        let width = cf.result_regs.len();
+        let acc_regs = (cf.result_regs.iter().enumerate())
+            .map(|(r, reg)| match reg {
+                Reg::F(_) => Reg::F(r),
+                Reg::I(_) => Reg::I(r),
+            })
+            .collect();
+        RowFold {
+            cf,
+            lhs_regs,
+            rhs_regs,
+            cf_banks: cf.banks(),
+            acc_regs,
+            acc: (vec![0.0; width * LANES], vec![0; width * LANES]),
+        }
+    }
+
+    /// The line in `regs` starts every lane's chain (`first`) or is
+    /// combined into it: acc ⊗ line → acc, all lanes in one dispatch.
+    #[inline]
+    fn push(&mut self, first: bool, regs: &[Reg], line: &Banks) {
+        if first {
+            return copy_lines(regs, line, &self.acc_regs, &mut self.acc);
+        }
+        copy_lines(&self.acc_regs, &self.acc, self.lhs_regs, &mut self.cf_banks);
+        copy_lines(regs, line, self.rhs_regs, &mut self.cf_banks);
+        let (cf_f, cf_i) = &mut self.cf_banks;
+        self.cf.run_block(cf_f, cf_i, LANES);
+        copy_lines(
+            &self.cf.result_regs,
+            &self.cf_banks,
+            &self.acc_regs,
+            &mut self.acc,
+        );
+    }
+}
+
+/// Execution mode derived from the combine operators, with the combine
+/// functions it runs compiled.
+pub(crate) enum Mode {
+    Fold(Option<Combiner>),
     Scan {
         scan_dim: usize,
-        scan_fn: PwFunc,
-        fold_fn: Option<PwFunc>,
+        scan: Combiner,
+        fold: Option<Combiner>,
     },
     /// Indexed reduction along `dim` (the first `rbi` dimension).
     Rbi {
@@ -272,7 +366,7 @@ enum Mode {
     },
 }
 
-fn derive_mode(prog: &DslProgram) -> Result<Mode> {
+fn derive_mode(prog: &DslProgram, kinds: &[ScalarKind]) -> Result<Mode> {
     let ops = &prog.md_hom.combine_ops;
     if let Some(dim) = ops.iter().position(|op| matches!(op, CombineOp::Rbi(_))) {
         // every colliding contribution folds with one typed `add`
@@ -289,13 +383,13 @@ fn derive_mode(prog: &DslProgram) -> Result<Mode> {
         return Ok(Mode::Rbi { dim });
     }
     let mut ps_dims = Vec::new();
-    let mut pw_fn: Option<PwFunc> = None;
+    let mut pw_fn: Option<&PwFunc> = None;
     for (d, op) in ops.iter().enumerate() {
         match op {
             CombineOp::Cc | CombineOp::Rbi(_) => {}
-            CombineOp::Ps(f) => ps_dims.push((d, f.clone())),
-            CombineOp::Pw(f) => match &pw_fn {
-                None => pw_fn = Some(f.clone()),
+            CombineOp::Ps(f) => ps_dims.push((d, f)),
+            CombineOp::Pw(f) => match pw_fn {
+                None => pw_fn = Some(f),
                 Some(g) => {
                     if g.name != f.name {
                         return Err(MdhError::Validation(
@@ -306,23 +400,23 @@ fn derive_mode(prog: &DslProgram) -> Result<Mode> {
             },
         }
     }
-    match ps_dims.len() {
-        0 => Ok(Mode::Fold(pw_fn)),
-        1 => {
-            let (sd, sf) = ps_dims.pop().unwrap();
+    let fold = pw_fn.map(|f| Combiner::build(f, kinds)).transpose()?;
+    match ps_dims[..] {
+        [] => Ok(Mode::Fold(fold)),
+        [(scan_dim, scan_fn)] => {
             // scan must be applied after every pw fold, i.e. the ps dim
             // must come before all pw dims in ⊗_1..⊗_D order
             for (d, op) in ops.iter().enumerate() {
-                if matches!(op, CombineOp::Pw(_)) && d < sd {
+                if matches!(op, CombineOp::Pw(_)) && d < scan_dim {
                     return Err(MdhError::Validation(
                         "VM path requires the ps dimension to precede pw dimensions".into(),
                     ));
                 }
             }
             Ok(Mode::Scan {
-                scan_dim: sd,
-                scan_fn: sf,
-                fold_fn: pw_fn,
+                scan_dim,
+                scan: Combiner::build(scan_fn, kinds)?,
+                fold,
             })
         }
         _ => Err(MdhError::Validation(
@@ -331,24 +425,35 @@ fn derive_mode(prog: &DslProgram) -> Result<Mode> {
     }
 }
 
-/// Whether this program can run through the VM path at all.
-pub fn vm_applicable(prog: &DslProgram) -> bool {
-    let scalar_outputs = prog
-        .out_view
-        .buffers
-        .iter()
-        .all(|b| b.ty.as_scalar().is_some());
+/// Whether this program can run through the VM path at all — and if so
+/// everything a run compiles: its scalar function and, inside the mode,
+/// its combine functions. The executor's routing keeps the pair for the
+/// run, so nothing is compiled twice.
+pub(crate) fn classify(prog: &DslProgram) -> Result<(CompiledSf, Mode)> {
     let affine = |view: &mdh_core::views::View| {
         view.accesses
             .iter()
             .all(|a| a.index_fn.as_affine().is_some())
     };
-    let Ok(mode) = derive_mode(prog) else {
-        return false;
-    };
+    let scalar_outputs = prog
+        .out_view
+        .buffers
+        .iter()
+        .all(|b| b.ty.as_scalar().is_some());
+    if !scalar_outputs || !affine(&prog.inp_view) {
+        return Err(MdhError::Validation(
+            "VM path requires scalar outputs and affine input accesses".into(),
+        ));
+    }
+    let sf = compile_sf(&prog.md_hom.sf)?;
+    let mode = derive_mode(prog, &sf.result_kinds)?;
     // rbi mode evaluates its (data-dependent) output accesses per point
-    let outputs_ok = matches!(mode, Mode::Rbi { .. }) || affine(&prog.out_view);
-    scalar_outputs && affine(&prog.inp_view) && outputs_ok && compile_sf(&prog.md_hom.sf).is_ok()
+    if !matches!(mode, Mode::Rbi { .. }) && !affine(&prog.out_view) {
+        return Err(MdhError::Validation(
+            "VM path requires affine output accesses outside rbi mode".into(),
+        ));
+    }
+    Ok((sf, mode))
 }
 
 /// A task's partial result: one column per result over its preserved dims.
@@ -377,10 +482,20 @@ pub fn run(
     inputs: &[Buffer],
     pool: &rayon::ThreadPool,
 ) -> Result<Vec<Buffer>> {
-    let mode = derive_mode(prog)?;
-    let sf = compile_sf(&prog.md_hom.sf)?;
-    let kinds = sf.result_kinds.clone();
-    let width = kinds.len();
+    let (sf, mode) = classify(prog)?;
+    run_classified(prog, &sf, &mode, plan, inputs, pool)
+}
+
+/// [`run`] with what [`classify`] returned for `prog`.
+pub(crate) fn run_classified(
+    prog: &DslProgram,
+    sf: &CompiledSf,
+    mode: &Mode,
+    plan: &ExecutionPlan,
+    inputs: &[Buffer],
+    pool: &rayon::ThreadPool,
+) -> Result<Vec<Buffer>> {
+    let kinds = &sf.result_kinds[..];
 
     eval::check_inputs(prog, inputs)?;
     let rank = prog.rank();
@@ -388,22 +503,18 @@ pub fn run(
     let in_acc = linearize_view(&prog.inp_view, &in_shapes, rank)?;
     let loaders = Loader::build_all(prog, inputs, &sf.param_loads)?;
 
-    let (fold_fn, scan) = match &mode {
-        Mode::Rbi { dim } => return run_rbi(prog, *dim, &sf, &loaders, &in_acc, pool),
-        Mode::Fold(f) => (f, None),
+    let (fold, scan) = match mode {
+        Mode::Rbi { dim } => return run_rbi(prog, *dim, sf, &loaders, &in_acc, pool),
+        Mode::Fold(fold) => (fold.as_ref(), None),
         Mode::Scan {
             scan_dim,
-            scan_fn,
-            fold_fn,
-        } => (fold_fn, Some((Combiner::build(scan_fn, width)?, *scan_dim))),
-    };
-    let fold = match fold_fn {
-        Some(f) => Some(Combiner::build(f, width)?),
-        None => None,
+            scan,
+            fold,
+        } => (fold.as_ref(), Some((scan, *scan_dim))),
     };
     // scan-mode restriction: pw dims must not be split across tasks
-    if let Some((_, scan_dim)) = &scan {
-        if plan.split_dims.iter().any(|d| d != scan_dim) {
+    if let Some((_, scan_dim)) = scan {
+        if plan.split_dims.iter().any(|d| *d != scan_dim) {
             return Err(MdhError::Validation(
                 "scan mode cannot split pw dimensions across tasks".into(),
             ));
@@ -418,10 +529,10 @@ pub fn run(
 
     // --- per-task local computation, in parallel ------------------------
     let ctx = TaskCtx {
-        sf: &sf,
-        fold: fold.as_ref(),
-        scan: scan.as_ref().map(|(c, d)| (c, *d)),
-        kinds: &kinds,
+        sf,
+        fold,
+        scan,
+        kinds,
         loaders: &loaders,
         in_acc: &in_acc,
         preserved: &preserved,
@@ -449,17 +560,17 @@ pub fn run(
             let mut acc = partials[owner].take().expect("group owner partial");
             for &tid in &g.task_ids[1..] {
                 let rhs = partials[tid].take().expect("group member");
-                match (&scan, &fold) {
+                match (scan, fold) {
                     // stitch chunks in order along the scan dim
                     (Some((comb, scan_dim)), _) => {
                         let sd_pos = preserved
                             .iter()
-                            .position(|d| d == scan_dim)
+                            .position(|&d| d == scan_dim)
                             .expect("scan dim is preserved");
-                        acc = stitch_scan(acc, rhs, sd_pos, comb, &kinds)?;
+                        acc = stitch_scan(acc, rhs, sd_pos, comb, kinds)?;
                     }
                     (None, Some(comb)) => {
-                        combine_partials_elementwise(&mut acc, &rhs, comb, &kinds)?
+                        combine_partials_elementwise(&mut acc, &rhs, comb, kinds)?
                     }
                     (None, None) => unreachable!("split dims without pw fn"),
                 }
@@ -478,17 +589,42 @@ pub fn run(
             range,
             &preserved,
             &out_acc,
-            &kinds,
+            kinds,
             &mut outputs,
         )?;
     }
     Ok(outputs)
 }
 
-/// One task: evaluate the scalar function a block of the innermost
-/// dimension at a time — the last collapsed dim if there is one (its
-/// lines are folded), else the last preserved dim (its lines are the
-/// partial's rows). A run shorter than [`LANES`] is simply a short block.
+/// Fewest points of the last preserved dim a task must own for a compiled
+/// combine function to run with the lanes along it. A block costs the
+/// same however many of its lanes are outputs, so below this the
+/// collapsed-dim fold — full blocks of the scalar function, one
+/// interpreted combine step per point — is the faster of the two; both
+/// run every output's chain in the same order, so the constant moves
+/// time, never a bit. Measured on PRL (96-op scalar function, 18-op
+/// `prl_max`; 256 × 4096 pairs, one thread, the preserved dim cut into
+/// tasks of 1 / 4 / 8 / 12 / 16 / 32 points): lanes along the outputs
+/// 829 / 195 / 98 / 71 / 49 / 25 ms, along the chain 79–81 ms throughout.
+const OUTPUT_LANES_MIN: usize = 12;
+
+/// One task: evaluate the scalar function a block of up to [`LANES`]
+/// points of one dimension at a time, the rest of the nest around it —
+/// preserved dims outside, collapsed dims inside, each ascending. The
+/// blocked dimension is
+///
+/// * the last preserved dim when nothing is collapsed (scan / no
+///   reduction: a line is a row of the partial), and when the fold
+///   combiner is a compiled function and the task owns at least
+///   [`OUTPUT_LANES_MIN`] points of that dim — *lanes are outputs*: the
+///   line at the first collapsed point is the row, every later one is
+///   combined into it by one `run_block` of the combine function;
+/// * else the last collapsed dim — *lanes are chain elements*, folded
+///   into one output's accumulator in ascending lane order.
+///
+/// Either way an output's chain is its collapsed points in ascending
+/// odometer order, so which form runs is invisible in the result. A run
+/// shorter than [`LANES`] is simply a short block.
 fn run_task(ctx: &TaskCtx, range: &MdRange) -> Option<Partial> {
     let &TaskCtx {
         sf,
@@ -505,8 +641,27 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Option<Partial> {
         return Some(Partial { extents, cols });
     }
 
-    let (mut f, mut i) = sf.banks();
-    let mut scratch = ctx.fold.map_or_else(Default::default, Combiner::scratch);
+    // the compiled combine function, when its lanes run along the outputs
+    let mut row_fold = match (ctx.fold, preserved.last()) {
+        (
+            Some(Combiner::Vm {
+                cf,
+                lhs_regs,
+                rhs_regs,
+            }),
+            Some(&d),
+        ) if !collapsed.is_empty() && range.extent(d) >= OUTPUT_LANES_MIN => {
+            Some(RowFold::new(cf, lhs_regs, rhs_regs))
+        }
+        _ => None,
+    };
+    let lanes_are_outputs = collapsed.is_empty() || row_fold.is_some();
+
+    let mut banks = sf.banks();
+    let mut scratch = match ctx.fold {
+        Some(c) if !lanes_are_outputs => c.scratch(),
+        _ => Scratch::default(),
+    };
     let (mut acc, mut new) = (Acc::new(kinds.len()), Acc::new(kinds.len()));
 
     // --- strength reduction --------------------------------------------
@@ -514,72 +669,100 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Option<Partial> {
     // access's linear offset moves by a fixed per-access stride. Hoist
     // those strides out of the odometer: a block loads its lanes at
     // `base + l·step` and the full rank-length `offset(&idx)` dot product
-    // is paid only once per innermost run. Offsets are exact integers, so
-    // incremental and recomputed forms are identical bit-for-bit.
-    let folding = !collapsed.is_empty();
-    let (outer_pres, outer_coll) = if folding {
-        (preserved, &collapsed[..collapsed.len() - 1])
+    // is paid only once per point of the nest around the blocks. Offsets
+    // are exact integers, so incremental and recomputed forms are
+    // identical bit-for-bit.
+    let (outer_pres, outer_coll, lane_d) = if lanes_are_outputs {
+        let (last, outer) = preserved.split_last().unzip();
+        (outer.unwrap_or_default(), collapsed, last.copied())
     } else {
-        (&preserved[..preserved.len().saturating_sub(1)], collapsed)
+        let (last, outer) = collapsed.split_last().unzip();
+        (preserved, outer.unwrap_or_default(), last.copied())
     };
-    let inner_d = collapsed.last().or(preserved.last()).copied();
-    let inner_n = inner_d.map_or(1, |d| range.extent(d));
+    let lane_n = lane_d.map_or(1, |d| range.extent(d));
+    // blocks of the lane dim are rows of the partial or links of a chain
+    let (row_n, chain_n) = if lanes_are_outputs {
+        (lane_n, 1)
+    } else {
+        (1, lane_n)
+    };
     let steps: Vec<i64> = in_acc
         .iter()
-        .map(|a| inner_d.map_or(0, |d| a.coeffs[d]))
+        .map(|a| lane_d.map_or(0, |d| a.coeffs[d]))
         .collect();
     let mut offs: Vec<i64> = vec![0; in_acc.len()];
+    // `(base, n)` of each access's last load. No instruction writes a
+    // parameter register (`CompiledSf`'s invariant), so lanes `0..n` still
+    // hold elements `base + l·step`, and an operand that did not move —
+    // PRL's query record across all its database records — is not loaded
+    // again.
+    let mut loaded: Vec<(i64, usize)> = vec![(0, 0); in_acc.len()];
 
     let mut idx = range.lo.clone();
     let mut plin = 0usize;
     loop {
-        let mut first = true;
-        loop {
-            // base offsets for this innermost run (idx holds the run's
-            // start; the block loop never touches idx[inner_d])
-            for (o, a) in offs.iter_mut().zip(in_acc) {
-                *o = a.offset(&idx);
-            }
-            let mut done = 0;
-            while done < inner_n {
-                let n = LANES.min(inner_n - done);
-                for ((l, &o), &s) in ctx.loaders.iter().zip(&offs).zip(&steps) {
-                    l.load_block(o + done as i64 * s, s, n, &mut f, &mut i);
+        for row in (0..row_n).step_by(LANES) {
+            let mut first = true;
+            loop {
+                // base offsets at this point of the nest (idx never moves
+                // along the lane dim: the block loops do)
+                for (o, a) in offs.iter_mut().zip(in_acc) {
+                    *o = a.offset(&idx);
                 }
-                sf.run_block(&mut f, &mut i, n);
-                if !folding {
-                    // scan / no reduction: the line is a row of the partial
-                    for (col, reg) in cols.iter_mut().zip(&sf.result_regs) {
-                        match (col, reg) {
-                            (ColBank::F(v), Reg::F(d)) => {
-                                v[plin..plin + n].copy_from_slice(&f[d * LANES..d * LANES + n])
-                            }
-                            (ColBank::I(v), Reg::I(d)) => {
-                                v[plin..plin + n].copy_from_slice(&i[d * LANES..d * LANES + n])
-                            }
-                            _ => unreachable!("column kinds fixed by result kinds"),
+                for link in (0..chain_n).step_by(LANES) {
+                    let at = row + link;
+                    let n = LANES.min(lane_n - at);
+                    let (f, i) = &mut banks;
+                    for (a, l) in ctx.loaders.iter().enumerate() {
+                        let base = offs[a] + at as i64 * steps[a];
+                        if loaded[a].0 != base || loaded[a].1 < n {
+                            l.load_block(base, steps[a], n, f, i);
+                            loaded[a] = (base, n);
                         }
                     }
-                    plin += n;
-                } else {
-                    let from = usize::from(first);
-                    if first {
-                        acc.read_lane(sf, &f, &i, 0);
-                        first = false;
+                    sf.run_block(f, i, n);
+                    match &mut row_fold {
+                        Some(rows) => rows.push(first, &sf.result_regs, &banks),
+                        // scan / no reduction: the line is the row
+                        None if lanes_are_outputs => {
+                            store_row(&mut cols, plin, n, &sf.result_regs, &banks)
+                        }
+                        None => {
+                            let (f, i) = &banks;
+                            let from = usize::from(first);
+                            if first {
+                                acc.read_lane(sf, f, i, 0);
+                            }
+                            if let Some(c) = ctx.fold {
+                                c.fold_lanes(
+                                    sf,
+                                    f,
+                                    i,
+                                    from..n,
+                                    &mut acc,
+                                    &mut new,
+                                    kinds,
+                                    &mut scratch,
+                                );
+                            }
+                        }
                     }
-                    if let Some(c) = ctx.fold {
-                        c.fold_lanes(sf, &f, &i, from..n, &mut acc, &mut new, kinds, &mut scratch);
-                    }
+                    first = false;
                 }
-                done += n;
+                if !advance(&mut idx, outer_coll, range) {
+                    break;
+                }
             }
-            if !advance(&mut idx, outer_coll, range) {
-                break;
+            if lanes_are_outputs {
+                let n = LANES.min(row_n - row);
+                if let Some(rows) = &row_fold {
+                    store_row(&mut cols, plin, n, &rows.acc_regs, &rows.acc);
+                }
+                plin += n;
+            } else {
+                acc.write(&mut cols, plin);
+                plin += 1;
             }
-        }
-        if folding {
-            acc.write(&mut cols, plin);
-            plin += 1;
         }
         if !advance(&mut idx, outer_pres, range) {
             break;
@@ -795,7 +978,9 @@ fn run_rbi(
         let mut it = layer.into_iter();
         while let Some(mut lhs) = it.next() {
             if let Some(rhs) = it.next() {
-                lhs.iter_mut().zip(&rhs).for_each(|(a, b)| add_buffer(a, b));
+                for (a, b) in lhs.iter_mut().zip(&rhs) {
+                    a.accumulate(b)?;
+                }
             }
             next.push(lhs);
         }
@@ -867,25 +1052,6 @@ fn rbi_chunk(
         if !advance(&mut idx, &outer, range) {
             return Ok(());
         }
-    }
-}
-
-/// `acc += rhs`, element-wise in the buffers' own type (one level of the
-/// rbi partial tree).
-fn add_buffer(acc: &mut Buffer, rhs: &Buffer) {
-    fn zip_with<T: Copy>(a: &mut [T], b: &[T], add: impl Fn(T, T) -> T) {
-        a.iter_mut().zip(b).for_each(|(x, &y)| *x = add(*x, y));
-    }
-    match (&mut acc.data, &rhs.data) {
-        (BufferData::F32(a), BufferData::F32(b)) => {
-            zip_with(a, b, |x, y| (x as f64 + y as f64) as f32)
-        }
-        (BufferData::F64(a), BufferData::F64(b)) => zip_with(a, b, |x, y| x + y),
-        (BufferData::I32(a), BufferData::I32(b)) => zip_with(a, b, i32::wrapping_add),
-        (BufferData::I64(a), BufferData::I64(b)) => zip_with(a, b, i64::wrapping_add),
-        (BufferData::Bool(a), BufferData::Bool(b)) => zip_with(a, b, |x, y| x | y),
-        (BufferData::Char(a), BufferData::Char(b)) => zip_with(a, b, u8::wrapping_add),
-        _ => unreachable!("rbi partials share the outputs' scalar types"),
     }
 }
 
@@ -985,47 +1151,52 @@ mod tests {
         sweep(matvec_case, &[&[2, 1], &[2, 3]]);
     }
 
-    /// PRL-style custom tuple combine over two outputs.
-    fn argmax_case(i: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
-        let n = 3;
-        let take = |id: usize, w: usize| {
-            vec![
-                Stmt::Assign {
-                    name: "res_id".into(),
-                    value: Expr::Param(id),
-                },
-                Stmt::Assign {
-                    name: "res_w".into(),
-                    value: Expr::Param(w),
-                },
-            ]
+    fn id_w(prefix: &str) -> Vec<(String, BasicType)> {
+        vec![
+            (format!("{prefix}_id"), BasicType::I64),
+            (format!("{prefix}_w"), BasicType::F64),
+        ]
+    }
+
+    /// `res_id = <id>; res_w = <w>`.
+    fn set_id_w(id: Expr, w: Expr) -> Vec<Stmt> {
+        let assign = |name: &str, value| Stmt::Assign {
+            name: name.into(),
+            value,
         };
-        let tuple = |prefix: &str| {
-            vec![
-                (format!("{prefix}_id"), BasicType::I64),
-                (format!("{prefix}_w"), BasicType::F64),
-            ]
-        };
-        let argmax = ScalarFunction {
+        vec![assign("res_id", id), assign("res_w", w)]
+    }
+
+    /// Leftmost maximum weight over `(id, w)` tuples: it only selects, so
+    /// it rounds nothing and inexact data must match the reference too.
+    fn argmax() -> CombineOp {
+        let ge = Expr::Bin(
+            BinOp::Ge,
+            Box::new(Expr::Param(1)),
+            Box::new(Expr::Param(3)),
+        );
+        CombineOp::pw_custom(ScalarFunction {
             name: "argmax".into(),
-            params: [tuple("lhs"), tuple("rhs")].concat(),
-            results: tuple("res"),
+            params: [id_w("lhs"), id_w("rhs")].concat(),
+            results: id_w("res"),
             body: vec![Stmt::If {
-                cond: Expr::Bin(
-                    BinOp::Ge,
-                    Box::new(Expr::Param(1)),
-                    Box::new(Expr::Param(3)),
-                ),
-                then_branch: take(0, 1),
-                else_branch: take(2, 3),
+                cond: ge,
+                then_branch: set_id_w(Expr::Param(0), Expr::Param(1)),
+                else_branch: set_id_w(Expr::Param(2), Expr::Param(3)),
             }],
-        };
-        // per point: id = ids[i], w = weights[n*I + i]
+        })
+        .unwrap()
+    }
+
+    /// PRL-shaped: per query `n`, the id and weight of the heaviest of `i`
+    /// candidates — `id = ids[i]`, `w = weights[n, i]`.
+    fn argmax_case(n: usize, weights: Buffer) -> (DslProgram, Vec<Buffer>) {
+        let i = weights.len() / n;
         let sf = ScalarFunction {
             name: "point".into(),
             params: vec![("id".into(), BasicType::I64), ("w".into(), BasicType::F64)],
-            results: tuple("res"),
-            body: take(0, 1),
+            results: id_w("res"),
+            body: set_id_w(Expr::Param(0), Expr::Param(1)),
         };
         let prog = DslBuilder::new("prl_like", vec![n, i])
             .out_buffer("match_id", BasicType::I64)
@@ -1037,18 +1208,157 @@ mod tests {
             .inp_buffer("weights", BasicType::F64)
             .inp_access("weights", IndexFn::identity(2, 2))
             .scalar_function(sf)
-            .combine_ops(vec![CombineOp::cc(), CombineOp::pw_custom(argmax).unwrap()])
+            .combine_ops(vec![CombineOp::cc(), argmax()])
             .build()
             .unwrap();
         let ids = Buffer::from_i64("ids", Shape::new(vec![i]), (0..i as i64).collect());
-        let weights = filled("weights", BasicType::F64, vec![n, i], exact);
         (prog, vec![ids, weights])
+    }
+
+    /// Unsplit, the preserved dim split, the collapsed dim split (tuple-wide
+    /// group combine), both.
+    const SPLITS_2D: [&[usize]; 4] = [&[1, 1], &[3, 1], &[1, 5], &[2, 5]];
+
+    /// Every schedule at every width reproduces the reference.
+    fn assert_matches_reference(prog: &DslProgram, inputs: &[Buffer], schedules: &[&[usize]]) {
+        let expect = evaluate_recursive(prog, inputs).unwrap();
+        for &par_chunks in schedules {
+            for width in [1, 2, 4] {
+                let got = run_at(prog, inputs, par_chunks, width).unwrap();
+                let sizes = &prog.md_hom.sizes;
+                assert_eq!(got, expect, "{sizes:?} par={par_chunks:?} width={width}");
+            }
+        }
     }
 
     #[test]
     fn fold_mode_custom_tuple_across_block_boundaries() {
-        // the split exercises tuple-wide group combining
-        sweep(argmax_case, &[&[1, 1], &[2, 5]]);
+        // either dim can carry the lanes: both straddle every boundary
+        for n in SWEEP {
+            for i in SWEEP {
+                for exact in [true, false] {
+                    let weights = filled("weights", BasicType::F64, vec![n, i], exact);
+                    let (prog, inputs) = argmax_case(n, weights);
+                    assert_matches_reference(&prog, &inputs, &SPLITS_2D);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_mode_custom_tuple_keeps_the_leftmost_of_equal_weights() {
+        // three distinct weights over 67 candidates: nearly every step is
+        // a tie, and only the ascending chain keeps the leftmost id
+        let (n, i) = (LANES + 1, 2 * LANES + 3);
+        let mut weights = Buffer::zeros("weights", BasicType::F64, Shape::new(vec![n, i]));
+        weights.fill_with(|f| ((f * 7919) % 3) as f64);
+        let (prog, inputs) = argmax_case(n, weights);
+        assert_matches_reference(&prog, &inputs, &SPLITS_2D);
+    }
+
+    #[test]
+    fn fold_mode_custom_tuple_agrees_on_both_sides_of_the_lane_threshold() {
+        // the same rows as outputs-in-lanes (one task owns them all) and
+        // as chains (split until no task owns enough of them)
+        for n in [OUTPUT_LANES_MIN - 1, OUTPUT_LANES_MIN] {
+            let weights = filled("weights", BasicType::F64, vec![n, LANES + 7], false);
+            let (prog, inputs) = argmax_case(n, weights);
+            assert_matches_reference(&prog, &inputs, &[&[1, 1], &[2, 1], &[1, 3]]);
+        }
+    }
+
+    #[test]
+    fn fold_mode_custom_tuple_in_4d_with_every_lane_step() {
+        // cc over (a, b), argmax over (c, d). With the lanes along b the
+        // operands step 0 (ids[c, d]), 1 (u[a, c, d, b]) and C·D
+        // (v[a, b, c, d]); with them along d, 1, B and 1.
+        let (a, b, c, d) = (3, LANES + 5, 3, 5);
+        let at = |dims: &[usize]| IndexFn::select(4, dims);
+        let sf = ScalarFunction {
+            name: "point".into(),
+            params: vec![
+                ("id".into(), BasicType::I64),
+                ("u".into(), BasicType::F64),
+                ("v".into(), BasicType::F64),
+            ],
+            results: id_w("res"),
+            body: set_id_w(Expr::Param(0), Expr::mul(Expr::Param(1), Expr::Param(2))),
+        };
+        let prog = DslBuilder::new("argmax4d", vec![a, b, c, d])
+            .out_buffer("match_id", BasicType::I64)
+            .out_access("match_id", at(&[0, 1]))
+            .out_buffer("match_w", BasicType::F64)
+            .out_access("match_w", at(&[0, 1]))
+            .inp_buffer("ids", BasicType::I64)
+            .inp_access("ids", at(&[2, 3]))
+            .inp_buffer("u", BasicType::F64)
+            .inp_access("u", at(&[0, 2, 3, 1]))
+            .inp_buffer("v", BasicType::F64)
+            .inp_access("v", IndexFn::identity(4, 4))
+            .scalar_function(sf)
+            .combine_ops(vec![CombineOp::cc(), CombineOp::cc(), argmax(), argmax()])
+            .build()
+            .unwrap();
+        let ids = Buffer::from_i64("ids", Shape::new(vec![c, d]), (0..(c * d) as i64).collect());
+        let inputs = vec![
+            ids,
+            filled("u", BasicType::F64, vec![a, c, d, b], false),
+            filled("v", BasicType::F64, vec![a, b, c, d], false),
+        ];
+        let schedules: [&[usize]; 5] = [
+            &[1, 1, 1, 1],
+            &[2, 3, 1, 1],
+            &[1, 1, 2, 1],
+            &[1, 1, 1, 3],
+            &[2, 8, 2, 2],
+        ];
+        assert_matches_reference(&prog, &inputs, &schedules);
+    }
+
+    #[test]
+    fn an_operand_that_does_not_move_survives_a_function_assigning_to_its_name() {
+        // `q = q + w; res_w = q * Param(q)` with `q = qs[n]` the same
+        // element at every candidate: its register is loaded once per lane
+        // block, so nothing the function does may disturb it
+        let (n, i) = (LANES + 3, 9);
+        let sf = ScalarFunction {
+            name: "shadow".into(),
+            params: vec![
+                ("id".into(), BasicType::I64),
+                ("w".into(), BasicType::F64),
+                ("q".into(), BasicType::F64),
+            ],
+            results: id_w("res"),
+            body: [
+                vec![Stmt::Assign {
+                    name: "q".into(),
+                    value: Expr::add(Expr::var("q"), Expr::Param(1)),
+                }],
+                set_id_w(Expr::Param(0), Expr::mul(Expr::var("q"), Expr::Param(2))),
+            ]
+            .concat(),
+        };
+        let prog = DslBuilder::new("shadowed", vec![n, i])
+            .out_buffer("match_id", BasicType::I64)
+            .out_access("match_id", IndexFn::select(2, &[0]))
+            .out_buffer("match_w", BasicType::F64)
+            .out_access("match_w", IndexFn::select(2, &[0]))
+            .inp_buffer("ids", BasicType::I64)
+            .inp_access("ids", IndexFn::select(2, &[1]))
+            .inp_buffer("weights", BasicType::F64)
+            .inp_access("weights", IndexFn::identity(2, 2))
+            .inp_buffer("qs", BasicType::F64)
+            .inp_access("qs", IndexFn::select(2, &[0]))
+            .scalar_function(sf)
+            .combine_ops(vec![CombineOp::cc(), argmax()])
+            .build()
+            .unwrap();
+        let inputs = vec![
+            Buffer::from_i64("ids", Shape::new(vec![i]), (0..i as i64).collect()),
+            filled("weights", BasicType::F64, vec![n, i], false),
+            filled("qs", BasicType::F64, vec![n], false),
+        ];
+        assert_matches_reference(&prog, &inputs, &[&[1, 1], &[1, 2]]);
     }
 
     /// MBBS-like: ps(add) over i, pw(add) over the blocked j.
@@ -1183,10 +1493,10 @@ mod tests {
 
     #[test]
     fn applicability_checks() {
-        assert!(vm_applicable(&matvec_case(4, true).0));
-        assert!(vm_applicable(&scan_1d_case(4, true).0));
+        assert!(classify(&matvec_case(4, true).0).is_ok());
+        assert!(classify(&scan_1d_case(4, true).0).is_ok());
         // rbi: the output access may be data-dependent…
-        assert!(vm_applicable(&rbi_case(4, true).0));
+        assert!(classify(&rbi_case(4, true).0).is_ok());
         // …but an input gather through a general index function may not
         let gather = DslBuilder::new("gather", vec![4])
             .out_buffer("y", BasicType::F32)
@@ -1207,6 +1517,6 @@ mod tests {
             .combine_ops(vec![CombineOp::cc()])
             .build()
             .unwrap();
-        assert!(!vm_applicable(&gather));
+        assert!(classify(&gather).is_err());
     }
 }

@@ -396,6 +396,43 @@ impl Buffer {
         }
     }
 
+    /// `self += part`, element-wise in the buffers' own scalar type: f32
+    /// through f64 (one rounding, the f32 sum), f64, wrapping integers,
+    /// `or` for booleans — what `expr::eval_bin(Add, ..)` stored back
+    /// gives per element, as one typed slice loop. One level of the rbi
+    /// partial tree and the host-side sum of adjoint parts.
+    pub fn accumulate(&mut self, part: &Buffer) -> Result<(), MdhError> {
+        fn zip_with<T: Copy>(a: &mut [T], b: &[T], add: impl Fn(T, T) -> T) {
+            a.iter_mut().zip(b).for_each(|(x, &y)| *x = add(*x, y));
+        }
+        if self.len() != part.len() {
+            return Err(MdhError::Eval(format!(
+                "accumulation shape mismatch: '{}' has {} elements, '{}' has {}",
+                self.name,
+                self.len(),
+                part.name,
+                part.len()
+            )));
+        }
+        match (&mut self.data, &part.data) {
+            (BufferData::F32(a), BufferData::F32(b)) => {
+                zip_with(a, b, |x, y| (x as f64 + y as f64) as f32)
+            }
+            (BufferData::F64(a), BufferData::F64(b)) => zip_with(a, b, |x, y| x + y),
+            (BufferData::I32(a), BufferData::I32(b)) => zip_with(a, b, i32::wrapping_add),
+            (BufferData::I64(a), BufferData::I64(b)) => zip_with(a, b, i64::wrapping_add),
+            (BufferData::Bool(a), BufferData::Bool(b)) => zip_with(a, b, |x, y| x | y),
+            (BufferData::Char(a), BufferData::Char(b)) => zip_with(a, b, u8::wrapping_add),
+            _ => {
+                return Err(MdhError::Type(format!(
+                    "cannot accumulate '{}' of type {} into '{}' of type {}",
+                    part.name, part.ty, self.name, self.ty
+                )))
+            }
+        }
+        Ok(())
+    }
+
     /// Approximate element-wise equality (testing helper).
     pub fn approx_eq(&self, other: &Buffer, rel_tol: f64) -> bool {
         if self.shape != other.shape || self.ty != other.ty {

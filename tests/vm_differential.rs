@@ -264,6 +264,37 @@ proptest! {
     }
 
     #[test]
+    fn vm_matches_interpreter_on_integer_division(
+        a in prop_oneof![-100i64..100, Just(i64::MIN), Just(i64::MAX)],
+        b in prop_oneof![1i64..50, -50i64..-1, Just(i64::MIN), Just(i64::MAX)],
+    ) {
+        // res = (p0 / p1) * p1: int ÷ int truncates ((7 / 2) * 2 is 6) and
+        // wraps (`i64::MIN / -1`), as in `eval_bin`; a zero divisor, which
+        // the interpreter refuses and the VM answers with 0, is not drawn
+        let sf = ScalarFunction {
+            name: "idiv".into(),
+            params: vec![("a".into(), BasicType::I64), ("b".into(), BasicType::I64)],
+            results: vec![("res".into(), BasicType::I64)],
+            body: vec![Stmt::Assign {
+                name: "res".into(),
+                value: Expr::mul(
+                    Expr::Bin(BinOp::Div, Box::new(Expr::Param(0)), Box::new(Expr::Param(1))),
+                    Expr::Param(1),
+                ),
+            }],
+        };
+        let compiled = compile_sf(&sf).unwrap();
+        let lanes = vec![
+            vec![Value::I64(a), Value::I64(b)],
+            vec![Value::I64(7), Value::I64(2)],
+        ];
+        let expect: Vec<Vec<Value>> = lanes.iter().map(|l| sf.eval(l).unwrap()).collect();
+        prop_assert_eq!(&expect[1], &vec![Value::I64(6)]);
+        prop_assert_eq!(&run_vm(&compiled, &lanes, true), &expect);
+        prop_assert_eq!(&run_vm(&compiled, &lanes, false), &expect);
+    }
+
+    #[test]
     fn vm_cast_roundtrips(kind in prop_oneof![
         Just(ScalarKind::F32), Just(ScalarKind::I32), Just(ScalarKind::I64)
     ], v in -1000.0f64..1000.0) {
