@@ -21,17 +21,25 @@
 //! * a line-oriented **serving protocol** ([`server`]) over Unix domain
 //!   sockets and TCP — with opt-in pipelined multiplexed framing and
 //!   consistent-hash runtime shards ([`ring`]) — used by `mdhc serve` /
-//!   `mdhc submit` / `mdhc front`.
+//!   `mdhc submit` / `mdhc front`, and its [`Client`].
 
+mod breaker;
+mod client;
+mod front;
 mod histogram;
 pub mod plan_cache;
+mod protocol;
+mod queue;
+mod request;
 pub mod ring;
 pub mod runtime;
 pub mod server;
 pub mod stats;
 mod sync;
+mod transport;
 pub mod tune;
 
+pub use client::Client;
 pub use plan_cache::{structural_signature, CompiledPlan, PlanCache, PlanKey, PlanSource};
 pub use ring::HashRing;
 pub use runtime::{
@@ -41,3 +49,27 @@ pub use runtime::{
 pub use server::{ServeOptions, ServerAddr, SubmitClientOpts};
 pub use stats::RuntimeStats;
 pub use tune::TunePolicy;
+
+/// Fixtures the unit tests share.
+#[cfg(test)]
+mod testing {
+    use mdh_core::buffer::Buffer;
+    use mdh_core::dsl::DslProgram;
+
+    pub(crate) const DOT: &str = "\
+@mdh( out( res = Buffer[fp32] ),
+      inp( x = Buffer[fp32], y = Buffer[fp32] ),
+      combine_ops( pw(add) ) )
+def dot(res, x, y):
+    for k in range(N):
+        res[0] = x[k] * y[k]
+";
+
+    /// `DOT` at `N = 64` and its deterministic operands.
+    pub(crate) fn dot() -> (DslProgram, Vec<Buffer>) {
+        let env = mdh_directive::DirectiveEnv::new().size("N", 64);
+        let prog = mdh_directive::compile_any(DOT, &env).unwrap();
+        let inputs = crate::protocol::deterministic_inputs(&prog).unwrap();
+        (prog, inputs)
+    }
+}

@@ -28,15 +28,15 @@
 //!    never a dead worker or a wedged queue, and each caller's
 //!    [`Handle`] resolves.
 
+use crate::breaker::{Admit, Breakers};
 use crate::plan_cache::{CompiledPlan, PlanCache, PlanKey, PlanSource};
-use crate::stats::{add_label, RuntimeStats};
-use crate::sync::{cv_wait, lock};
-use crate::tune::{plan_from_tuning_cache, run_tune_job, TuneJob, TunePolicy};
+use crate::queue::{fail, note_tenant_dispatch, Job, Outcome, Queue};
+use crate::stats::RuntimeStats;
+use crate::sync::lock;
+use crate::tune::{plan_from_tuning_cache, run_tune_job, TuneJob, TunePolicy, Tuner};
 use mdh_backend::cpu::CpuExecutor;
 use mdh_backend::gpu::GpuSim;
 use mdh_backend::transfer::{launch_cost_ms, LinkParams};
-use mdh_core::buffer::Buffer;
-use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_dist::{DevicePool, DistExecutor, FaultPlan};
 use mdh_lowering::asm::DeviceKind;
@@ -44,13 +44,15 @@ use mdh_lowering::heuristics::mdh_default_schedule;
 use mdh_lowering::plan::ExecutionPlan;
 use mdh_mem::MemPool;
 use mdh_tuner::TuningCache;
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+pub use crate::queue::DEFAULT_TENANT;
+pub use crate::request::{GradHandle, GradResponse, Handle, Operands, Request, Response};
 
 /// Construction-time knobs.
 #[derive(Debug, Clone)]
@@ -167,247 +169,15 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// A request's operand set: one immutable allocation, shared by every
-/// launch that reads it. Operands are never written after submission
-/// (every executor takes `&[Buffer]`), so a launch acquires them by
-/// cloning this handle, never the buffers.
-pub type Operands = Arc<Vec<Buffer>>;
-
-/// One kernel launch.
-#[derive(Debug, Clone)]
-pub struct Request {
-    pub prog: DslProgram,
-    pub device: DeviceKind,
-    pub inputs: Operands,
-    /// Serve-by deadline. A request that expires while queued is
-    /// answered `err deadline exceeded` without executing; an expired
-    /// deadline is also checked immediately before execution. Execution
-    /// itself is not aborted mid-flight.
-    pub deadline: Option<Instant>,
-    /// Fair-queueing tenant this request is billed to. `None` joins the
-    /// [`DEFAULT_TENANT`]. Each tenant has its own FIFO under the
-    /// deficit-round-robin scheduler and its own admission quota
-    /// ([`RuntimeConfig::tenant_quota`]), so one flooding tenant sheds
-    /// while the others keep their dispatch share.
-    pub tenant: Option<String>,
-}
-
-impl Request {
-    /// `inputs` is a `Vec<Buffer>` (wrapped, not copied) or an
-    /// [`Operands`] handle another launch already holds.
-    pub fn new(prog: DslProgram, device: DeviceKind, inputs: impl Into<Operands>) -> Request {
-        Request {
-            prog,
-            device,
-            inputs: inputs.into(),
-            deadline: None,
-            tenant: None,
-        }
-    }
-
-    /// Attach an absolute serve-by deadline.
-    pub fn with_deadline(mut self, deadline: Instant) -> Request {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Attach a deadline `ms` milliseconds from now.
-    pub fn with_deadline_ms(self, ms: u64) -> Request {
-        self.with_deadline(Instant::now() + Duration::from_millis(ms))
-    }
-
-    /// Bill this request to the named fair-queueing tenant.
-    pub fn with_tenant(mut self, tenant: impl Into<String>) -> Request {
-        self.tenant = Some(tenant.into());
-        self
-    }
-}
-
-/// What the runtime answers.
-#[derive(Debug, Clone)]
-pub struct Response {
-    pub outputs: Vec<Buffer>,
-    /// Whether this request's plan lookup hit the cache.
-    pub cache_hit: bool,
-    pub plan_source: PlanSource,
-    /// Swap generation of the plan that served this request (0 until a
-    /// background tune wins).
-    pub plan_epoch: u64,
-    /// Requests served together with this one (≥ 1).
-    pub batch_size: usize,
-    /// Execution time: wall-clock ms on CPU, simulated ms on GPU.
-    pub exec_ms: f64,
-    /// GPU host↔device transfer ms for this launch (0 when the region
-    /// was already resident, and always 0 on CPU).
-    pub transfer_ms: f64,
-    /// End-to-end latency (submit → reply), ms.
-    pub total_ms: f64,
-}
-
-/// Awaitable reply to one submitted request.
-pub struct Handle {
-    rx: mpsc::Receiver<Result<Response>>,
-}
-
-impl Handle {
-    /// Block until the runtime answers.
-    pub fn wait(self) -> Result<Response> {
-        self.rx.recv().map_err(|_| {
-            MdhError::Validation("runtime shut down before the request was served".into())
-        })?
-    }
-}
-
-/// Reply to a gradient round trip: the forward value plus one gradient
-/// buffer per differentiated input.
-#[derive(Debug, Clone)]
-pub struct GradResponse {
-    pub forward: Response,
-    /// `(forward input index, accumulated gradient)` in `wrt` order.
-    pub gradients: Vec<(usize, Buffer)>,
-    /// Adjoint programs executed for this round trip.
-    pub parts: usize,
-}
-
-/// Awaitable reply to [`Runtime::submit_grad`]: the forward request and
-/// every adjoint part are in flight concurrently (the adjoints need only
-/// the cotangent, not the forward value).
-pub struct GradHandle {
-    forward: Handle,
-    parts: Vec<(usize, Handle)>,
-    accs: Vec<(usize, Buffer)>,
-}
-
-impl GradHandle {
-    /// Block until the forward value and every gradient arrived. Any
-    /// sub-request error (deadline, shed, breaker, panic) fails the whole
-    /// round trip with that error.
-    pub fn wait(self) -> Result<GradResponse> {
-        let forward = self.forward.wait()?;
-        let mut gradients = self.accs;
-        let parts = self.parts.len();
-        for (w, h) in self.parts {
-            let resp = h.wait()?;
-            let acc = gradients
-                .iter_mut()
-                .find(|(gw, _)| *gw == w)
-                .expect("adjoint part for unrequested input");
-            mdh_ad::accumulate(&mut acc.1, &resp.outputs[0])?;
-        }
-        Ok(GradResponse {
-            forward,
-            gradients,
-            parts,
-        })
-    }
-}
-
-struct Job {
-    key: PlanKey,
-    req: Request,
-    reply: mpsc::Sender<Result<Response>>,
-    submitted: Instant,
-}
-
-impl Job {
-    fn expired(&self, now: Instant) -> bool {
-        self.req.deadline.is_some_and(|d| now >= d)
-    }
-}
-
-/// Tenant name a request without an explicit tenant is billed to. On
-/// the wire, `tenant=default` and omitting `tenant=` are the same
-/// tenant — one FIFO, one quota, one dispatch counter.
-pub const DEFAULT_TENANT: &str = "default";
-
-/// Named tenants that get their own `tenant_dispatches` entry.
-pub(crate) const MAX_TRACKED_TENANTS: usize = 64;
-
-/// The `tenant_dispatches` label every further tenant is counted under.
-/// Not a name a wire client can send (`server::valid_tenant` rejects it).
-pub(crate) const TENANT_OVERFLOW: &str = "(other)";
-
-/// Base deficit-round-robin quantum: requests a weight-1 tenant earns
-/// per scheduler round. Small relative to `max_batch` so weights bite
-/// (a weight-`w` tenant banks `w`× this per visit), large enough that
-/// batching still amortises plan lookups.
-const DRR_QUANTUM: u64 = 4;
-
-/// A tenant may bank at most this many rounds of unused deficit —
-/// bounded banking keeps a long-idle tenant from bursting unboundedly
-/// when it returns.
-const DRR_MAX_BANKED_ROUNDS: u64 = 8;
-
-/// One tenant's FIFO plus its deficit-round-robin credit.
-#[derive(Default)]
-struct TenantQueue {
-    jobs: VecDeque<Job>,
-    /// Requests this tenant may dispatch before the scheduler rotates
-    /// on. Replenished by `DRR_QUANTUM × weight` per visit; reset when
-    /// the FIFO drains (classic DRR: an empty tenant banks nothing).
-    deficit: u64,
-}
-
-/// The admission queue: per-tenant FIFOs scheduled by deficit round
-/// robin. The ring holds each tenant with queued work exactly once, in
-/// round-robin order; `queued` is the cross-tenant total the global
-/// `max_queue_depth` bounds.
-#[derive(Default)]
-struct QueueState {
-    tenants: HashMap<String, TenantQueue>,
-    ring: VecDeque<String>,
-    queued: usize,
-    /// Jobs popped but not yet replied to (for `wait_idle`).
-    active: usize,
-    shutdown: bool,
-}
-
-/// Per-[`PlanKey`] circuit-breaker state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum BreakerState {
-    /// Requests flow; consecutive failures are counted.
-    Closed,
-    /// Failing fast until `until`, then a single probe is admitted.
-    Open { until: Instant },
-    /// One probe is in flight; everything else fails fast.
-    HalfOpen,
-}
-
-#[derive(Debug)]
-struct Breaker {
-    consecutive: u32,
-    state: BreakerState,
-}
-
-impl Default for Breaker {
-    fn default() -> Breaker {
-        Breaker {
-            consecutive: 0,
-            state: BreakerState::Closed,
-        }
-    }
-}
-
-/// What the breaker allows for a batch about to execute.
-enum Admit {
-    /// Closed: execute the whole batch.
-    Execute,
-    /// Half-open after cooldown: execute exactly one probe request.
-    Probe,
-    /// Open (or a probe already in flight): fail everything fast.
-    FastFail,
-}
-
-struct Shared {
+pub(crate) struct Shared {
     config: RuntimeConfig,
-    state: Mutex<QueueState>,
-    cv: Condvar,
-    plans: Mutex<PlanCache>,
+    queue: Queue,
+    pub(crate) plans: Mutex<PlanCache>,
     tuning: Arc<Mutex<TuningCache>>,
     /// The counters this runtime bumps itself; [`Runtime::stats`] overlays
     /// what the plan cache, the pool and the kernel registry count.
-    counters: Mutex<RuntimeStats>,
-    breakers: Mutex<HashMap<PlanKey, Breaker>>,
+    pub(crate) counters: Mutex<RuntimeStats>,
+    breakers: Breakers,
     exec: CpuExecutor,
     sim: GpuSim,
     /// Multi-device pool serving GPU requests when `config.devices > 1`.
@@ -415,14 +185,13 @@ struct Shared {
     /// Device-resident buffer pool shared with `dist` (None when the
     /// pool is disabled or single-device).
     mem: Option<Arc<MemPool>>,
-    tune_tx: Mutex<Option<mpsc::Sender<TuneJob>>>,
-    tunes_in_flight: Mutex<HashSet<PlanKey>>,
+    tuner: Tuner,
 }
 
 /// The persistent execution runtime. Dropping it shuts it down cleanly
 /// (pending requests are still served).
 pub struct Runtime {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     tuner: Option<JoinHandle<()>>,
 }
@@ -469,7 +238,7 @@ impl Runtime {
             Some(p) => TuningCache::load_or_rebuild(p),
             None => TuningCache::new(),
         }));
-        let (tune_tx, tune_rx) = mpsc::channel::<TuneJob>();
+        let (tune_tx, tune_rx) = mpsc::channel();
         let counters = RuntimeStats {
             device_dispatches: dist
                 .iter()
@@ -480,45 +249,46 @@ impl Runtime {
         };
         let shared = Arc::new(Shared {
             plans: Mutex::new(PlanCache::new(config.plan_cache_capacity)),
-            state: Mutex::new(QueueState::default()),
-            cv: Condvar::new(),
+            queue: Queue::default(),
             tuning,
             counters: Mutex::new(counters),
-            breakers: Mutex::new(HashMap::new()),
+            breakers: Breakers::default(),
             exec,
             sim,
             dist,
             mem,
-            tune_tx: Mutex::new(Some(tune_tx)),
-            tunes_in_flight: Mutex::new(HashSet::new()),
+            tuner: Tuner {
+                tx: Mutex::new(Some(tune_tx)),
+                in_flight: Mutex::default(),
+            },
             config,
         });
 
-        let workers = (0..shared.config.workers.max(1))
-            .map(|i| {
-                let sh = Arc::clone(&shared);
+        // a thread that cannot be spawned is an error of the runtime
+        // being built; dropping it stops and joins whatever did start
+        let spawn_failed = |e| MdhError::Validation(format!("runtime thread: {e}"));
+        let mut rt = Runtime {
+            shared,
+            workers: Vec::new(),
+            tuner: None,
+        };
+        for i in 0..rt.shared.config.workers.max(1) {
+            let sh = Arc::clone(&rt.shared);
+            rt.workers.push(
                 std::thread::Builder::new()
                     .name(format!("mdh-runtime-worker-{i}"))
                     .spawn(move || worker_loop(&sh))
-                    .expect("spawn worker")
-            })
-            .collect();
-
-        let tuner = {
-            let sh = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("mdh-runtime-tuner".into())
-                    .spawn(move || tuner_loop(&sh, tune_rx))
-                    .expect("spawn tuner"),
-            )
-        };
-
-        Ok(Runtime {
-            shared,
-            workers,
-            tuner,
-        })
+                    .map_err(spawn_failed)?,
+            );
+        }
+        let sh = Arc::clone(&rt.shared);
+        rt.tuner = Some(
+            std::thread::Builder::new()
+                .name("mdh-runtime-tuner".into())
+                .spawn(move || tuner_loop(&sh, tune_rx))
+                .map_err(spawn_failed)?,
+        );
+        Ok(rt)
     }
 
     /// Enqueue a launch; returns immediately with an awaitable [`Handle`].
@@ -530,146 +300,17 @@ impl Runtime {
     pub fn submit(&self, req: Request) -> Handle {
         let (tx, rx) = mpsc::channel();
         let is_rbi = req.prog.md_hom.has_rbi();
-        let key = PlanKey::of(&req.prog, req.device);
-        let tenant = req
-            .tenant
-            .clone()
-            .unwrap_or_else(|| DEFAULT_TENANT.to_string());
         let job = Job {
-            key,
+            key: PlanKey::of(&req.prog, req.device),
             req,
             reply: tx,
             submitted: Instant::now(),
         };
-        let cap = self.shared.config.max_queue_depth.max(1);
-        let quota = self.shared.config.tenant_quota;
-        /// Why admission turned a request away.
-        enum Reject {
-            Draining,
-            Global,
-            Tenant,
-        }
-        let rejected = {
-            let mut st = lock(&self.shared.state);
-            if st.shutdown {
-                Some((
-                    job,
-                    MdhError::Draining("runtime is shutting down".into()),
-                    Reject::Draining,
-                ))
-            } else if st.queued >= cap {
-                let depth = st.queued;
-                Some((
-                    job,
-                    MdhError::Overloaded(format!(
-                        "queue depth {depth} at capacity {cap}; retry later"
-                    )),
-                    Reject::Global,
-                ))
-            } else {
-                let tq = st.tenants.entry(tenant.clone()).or_default();
-                if quota > 0 && tq.jobs.len() >= quota {
-                    let depth = tq.jobs.len();
-                    Some((
-                        job,
-                        MdhError::Overloaded(format!(
-                            "tenant '{tenant}' queue depth {depth} at quota {quota}; \
-                             other tenants unaffected; retry later"
-                        )),
-                        Reject::Tenant,
-                    ))
-                } else {
-                    let was_empty = tq.jobs.is_empty();
-                    tq.jobs.push_back(job);
-                    st.queued += 1;
-                    if was_empty {
-                        st.ring.push_back(tenant);
-                    }
-                    None
-                }
-            }
-        };
-        match rejected {
-            None => {
-                if is_rbi {
-                    lock(&self.shared.counters).rbi_requests += 1;
-                }
-                self.shared.cv.notify_one();
-            }
-            Some((job, err, why)) => {
-                {
-                    let mut c = lock(&self.shared.counters);
-                    match why {
-                        Reject::Draining => c.draining_rejects += 1,
-                        Reject::Global => c.shed_requests += 1,
-                        Reject::Tenant => {
-                            c.shed_requests += 1;
-                            c.tenant_shed += 1;
-                        }
-                    }
-                }
-                let _ = job.reply.send(Err(err));
-            }
+        let sh = &self.shared;
+        if sh.queue.admit(job, &sh.config, &sh.counters) && is_rbi {
+            lock(&sh.counters).rbi_requests += 1;
         }
         Handle { rx }
-    }
-
-    /// Submit a gradient round trip: the forward launch plus one launch
-    /// per AD-emitted adjoint part, all through the ordinary [`submit`]
-    /// path — so every sub-request individually passes admission control,
-    /// carries the same serve-by deadline, shares the plan cache, and
-    /// counts against its plan key's circuit breaker. Gradients are taken
-    /// with respect to `wrt` (default: every float-typed input); the
-    /// cotangent defaults to all-ones (`∂Σy/∂y`).
-    ///
-    /// [`submit`]: Runtime::submit
-    pub fn submit_grad(
-        &self,
-        req: Request,
-        wrt: Option<&[usize]>,
-        cotangent: Option<Buffer>,
-    ) -> Result<GradHandle> {
-        let gp = match wrt {
-            Some(w) => mdh_ad::grad(&req.prog, w)?,
-            None => mdh_ad::grad_all(&req.prog)?,
-        };
-        let cot = match cotangent {
-            Some(c) => c,
-            None => {
-                let shape = req.prog.output_shapes()?.remove(0);
-                let decl = &req.prog.out_view.buffers[0];
-                let mut ones = Buffer::zeros(
-                    format!("{}_bar", decl.name),
-                    decl.ty.clone(),
-                    mdh_core::shape::Shape::new(shape),
-                );
-                ones.fill_with(|_| 1.0);
-                ones
-            }
-        };
-        let accs: Vec<(usize, Buffer)> = gp
-            .wrt
-            .iter()
-            .map(|&w| Ok((w, mdh_ad::zero_grad(&gp.forward, w)?)))
-            .collect::<Result<_>>()?;
-        lock(&self.shared.counters).grad_requests += 1;
-        // the forward launch takes the caller's request as it is and runs
-        // while the parts' inputs are built from the operands it shares
-        let (device, deadline) = (req.device, req.deadline);
-        let operands = Arc::clone(&req.inputs);
-        let forward = self.submit(req);
-        let mut parts = Vec::with_capacity(gp.parts.len());
-        for part in &gp.parts {
-            let inputs = mdh_ad::part_inputs(part, &cot, &operands);
-            let mut sub = Request::new(part.program.clone(), device, inputs);
-            sub.deadline = deadline;
-            parts.push((part.wrt, self.submit(sub)));
-        }
-        Ok(GradHandle {
-            forward,
-            parts,
-            accs,
-        })
     }
 
     /// Snapshot of the counters and latency histograms: the runtime's own
@@ -738,18 +379,6 @@ impl Runtime {
             .unwrap_or(0)
     }
 
-    /// Record a pipelined (`PIPE`) connection opened against this
-    /// runtime (server layer).
-    pub fn note_pipelined_connection(&self) {
-        lock(&self.shared.counters).pipelined_connections += 1;
-    }
-
-    /// Record one frame served through a pipelined connection (server
-    /// layer; counted on the runtime the frame was routed to).
-    pub fn note_pipelined_frame(&self) {
-        lock(&self.shared.counters).pipelined_frames += 1;
-    }
-
     /// Worker threads still alive. Equals `config.workers` unless a panic
     /// escaped isolation (it must not — see the overload tests).
     pub fn live_workers(&self) -> usize {
@@ -759,13 +388,7 @@ impl Runtime {
     /// Block until the request queue is drained and no worker is mid-batch.
     /// (Background tuning may still be running; see [`Runtime::wait_for_tunes`].)
     pub fn wait_idle(&self) {
-        loop {
-            {
-                let st = lock(&self.shared.state);
-                if st.queued == 0 && st.active == 0 {
-                    return;
-                }
-            }
+        while !self.shared.queue.is_idle() {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -774,34 +397,26 @@ impl Runtime {
     /// timeout elapses. Returns `true` when quiescent.
     pub fn wait_for_tunes(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        loop {
-            if lock(&self.shared.tunes_in_flight).is_empty() {
-                return true;
-            }
+        while !self.shared.tuner.is_quiet() {
             if Instant::now() >= deadline {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
+        true
     }
 
     /// Serve everything queued, stop the workers and the tuner, and join
     /// them. New submissions are rejected with `err draining` from the
     /// moment this is called. Called automatically on drop.
     pub fn shutdown(&mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            if st.shutdown {
-                return;
-            }
-            st.shutdown = true;
+        if !self.shared.queue.close() {
+            return;
         }
-        self.shared.cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // closing the channel ends the tuner loop once drained
-        *lock(&self.shared.tune_tx) = None;
+        self.shared.tuner.close();
         if let Some(t) = self.tuner.take() {
             let _ = t.join();
         }
@@ -818,113 +433,19 @@ impl Drop for Runtime {
 // worker side
 // ---------------------------------------------------------------------------
 
-/// Weight of a tenant under the DRR scheduler (unlisted tenants weigh 1).
-fn tenant_weight(config: &RuntimeConfig, tenant: &str) -> u64 {
-    config
-        .tenant_weights
-        .iter()
-        .find(|(t, _)| t == tenant)
-        .map(|(_, w)| (*w).max(1) as u64)
-        .unwrap_or(1)
-}
-
 /// The pool's device labels (`gpu0`, `cpu1`, ...), in pool order.
 fn device_labels(dist: &DistExecutor) -> impl Iterator<Item = String> + '_ {
     let devices = dist.pool().devices.iter().enumerate();
     devices.map(|(i, dev)| dev.label(i))
 }
 
-/// Count `n` dispatches for `tenant`. Tenant names come from clients, so
-/// only the first [`MAX_TRACKED_TENANTS`] named ones (and the default
-/// tenant) get an entry of their own; the rest add up under
-/// [`TENANT_OVERFLOW`] and the map stays bounded.
-fn note_tenant_dispatch(c: &mut RuntimeStats, tenant: &str, n: u64) {
-    let counts = &mut c.tenant_dispatches;
-    let own_entry = |t: &str| t != DEFAULT_TENANT && t != TENANT_OVERFLOW;
-    let tracked = !own_entry(tenant)
-        || counts.iter().any(|(t, _)| t == tenant)
-        || counts.iter().filter(|(t, _)| own_entry(t)).count() < MAX_TRACKED_TENANTS;
-    add_label(counts, if tracked { tenant } else { TENANT_OVERFLOW }, n);
-}
-
-/// One deficit-round-robin scheduling decision, under the state lock.
-///
-/// Visits tenants in ring order: each visited tenant first has its
-/// expired jobs diverted (answered without executing), then — if live
-/// work remains — earns `DRR_QUANTUM × weight` deficit and dispatches
-/// one batch anchored on its head job's [`PlanKey`], coalescing same-key
-/// followers up to `min(deficit, max_batch)`. A drained tenant leaves
-/// the ring (and banks nothing); one with work left rotates to the back,
-/// so a flooding tenant cannot lock out the ring. Returns the batch, the
-/// diverted jobs, and the dispatching tenant's name.
-fn drr_pop(st: &mut QueueState, config: &RuntimeConfig) -> (Vec<Job>, Vec<Job>, String) {
-    let now = Instant::now();
-    let mut lapsed: Vec<Job> = Vec::new();
-    while let Some(tenant) = st.ring.pop_front() {
-        let Some(tq) = st.tenants.get_mut(&tenant) else {
-            continue;
-        };
-        // divert expired jobs first — they must not consume deficit
-        let mut live = VecDeque::with_capacity(tq.jobs.len());
-        while let Some(j) = tq.jobs.pop_front() {
-            if j.expired(now) {
-                lapsed.push(j);
-            } else {
-                live.push_back(j);
-            }
-        }
-        tq.jobs = live;
-        if tq.jobs.is_empty() {
-            // all expired; accounted for on whichever return path fires
-            st.tenants.remove(&tenant);
-            continue;
-        }
-        let weight = tenant_weight(config, &tenant);
-        let quantum = DRR_QUANTUM * weight;
-        tq.deficit = (tq.deficit + quantum).min(quantum * DRR_MAX_BANKED_ROUNDS);
-        let cap = (tq.deficit as usize).min(config.max_batch.max(1)).max(1);
-        let anchor = tq.jobs[0].key.clone();
-        let mut batch: Vec<Job> = Vec::new();
-        let mut rest = VecDeque::with_capacity(tq.jobs.len());
-        while let Some(j) = tq.jobs.pop_front() {
-            if batch.len() < cap && j.key == anchor {
-                batch.push(j);
-            } else {
-                rest.push_back(j);
-            }
-        }
-        tq.jobs = rest;
-        tq.deficit -= batch.len() as u64;
-        if tq.jobs.is_empty() {
-            st.tenants.remove(&tenant);
-        } else {
-            st.ring.push_back(tenant.clone());
-        }
-        st.queued -= batch.len() + lapsed.len();
-        return (batch, lapsed, tenant);
-    }
-    // ring exhausted: only expired (or no) work anywhere
-    st.queued -= lapsed.len();
-    (Vec::new(), lapsed, String::new())
-}
-
 fn worker_loop(shared: &Shared) {
-    loop {
-        let (batch, lapsed, tenant) = {
-            let mut st = lock(&shared.state);
-            loop {
-                let (batch, lapsed, tenant) = drr_pop(&mut st, &shared.config);
-                if !batch.is_empty() || !lapsed.is_empty() {
-                    st.active += batch.len();
-                    break (batch, lapsed, tenant);
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = cv_wait(&shared.cv, st);
-            }
-        };
-        answer_deadline_exceeded(shared, lapsed, "expired while queued");
+    while let Some((batch, lapsed, tenant)) = shared.queue.pop(&shared.config) {
+        fail(
+            &shared.counters,
+            lapsed,
+            &Outcome::Expired("expired while queued"),
+        );
         if batch.is_empty() {
             continue;
         }
@@ -938,118 +459,47 @@ fn worker_loop(shared: &Shared) {
         if catch_unwind(AssertUnwindSafe(|| serve_batch(shared, batch))).is_err() {
             lock(&shared.counters).worker_panics += 1;
         }
-        lock(&shared.state).active -= n;
+        shared.queue.finished(n);
     }
-}
-
-/// Answer `jobs` with `deadline exceeded` without executing them.
-fn answer_deadline_exceeded(shared: &Shared, jobs: Vec<Job>, why: &str) {
-    if jobs.is_empty() {
-        return;
-    }
-    {
-        let mut c = lock(&shared.counters);
-        c.completed += jobs.len() as u64;
-        c.deadline_exceeded += jobs.len() as u64;
-    }
-    for job in jobs {
-        let waited_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-        let _ = job.reply.send(Err(MdhError::DeadlineExceeded(format!(
-            "{why} ({waited_ms:.1} ms after submit); not executed"
-        ))));
-    }
-}
-
-/// Fail `jobs` fast because their key's breaker is open.
-fn fail_fast(shared: &Shared, jobs: Vec<Job>) {
-    if jobs.is_empty() {
-        return;
-    }
-    {
-        let mut c = lock(&shared.counters);
-        c.completed += jobs.len() as u64;
-        c.breaker_fast_fails += jobs.len() as u64;
-    }
-    for job in jobs {
-        let _ = job.reply.send(Err(MdhError::BreakerOpen(format!(
-            "circuit breaker open for this plan key after {} consecutive failures; \
-             retry after the cooldown",
-            shared.config.breaker_threshold.max(1)
-        ))));
-    }
-}
-
-/// Consult the breaker for `key`. Called once per batch.
-fn breaker_admit(shared: &Shared, key: &PlanKey, now: Instant) -> Admit {
-    let mut breakers = lock(&shared.breakers);
-    let b = breakers.entry(key.clone()).or_default();
-    match b.state {
-        BreakerState::Closed => Admit::Execute,
-        BreakerState::Open { until } if now < until => Admit::FastFail,
-        BreakerState::Open { .. } => {
-            b.state = BreakerState::HalfOpen;
-            Admit::Probe
-        }
-        BreakerState::HalfOpen => Admit::FastFail,
-    }
-}
-
-/// Record one request outcome for `key`'s breaker. Returns `true` when
-/// this outcome tripped the breaker open (the caller fails the rest of
-/// its batch fast).
-fn breaker_record(shared: &Shared, key: &PlanKey, ok: bool, now: Instant) -> bool {
-    let mut breakers = lock(&shared.breakers);
-    let b = breakers.entry(key.clone()).or_default();
-    if ok {
-        // success closes a half-open breaker and resets the failure run
-        b.consecutive = 0;
-        b.state = BreakerState::Closed;
-        return false;
-    }
-    b.consecutive += 1;
-    let trip = match b.state {
-        // a failed half-open probe re-opens immediately
-        BreakerState::HalfOpen => true,
-        BreakerState::Closed => b.consecutive >= shared.config.breaker_threshold.max(1),
-        BreakerState::Open { .. } => false,
-    };
-    if trip {
-        b.state = BreakerState::Open {
-            until: now + shared.config.breaker_cooldown,
-        };
-        drop(breakers);
-        lock(&shared.counters).breaker_trips += 1;
-    }
-    trip
 }
 
 /// Look up / build the plan for `key`, then execute every request in the
 /// batch against it.
 fn serve_batch(shared: &Shared, batch: Vec<Job>) {
     let key = batch[0].key.clone();
+    let fast_fail = Outcome::BreakerOpen(shared.config.breaker_threshold.max(1));
+    // one request's outcome against the key's breaker; `true` if it tripped
+    let strike = |ok: bool| {
+        let tripped = shared.breakers.record(&key, ok, &shared.config);
+        if tripped {
+            lock(&shared.counters).breaker_trips += 1;
+        }
+        tripped
+    };
 
     // ---- deadline check at the drain → execute boundary ---------------
     let now = Instant::now();
     let (lapsed, mut live): (Vec<Job>, Vec<Job>) = batch.into_iter().partition(|j| j.expired(now));
-    answer_deadline_exceeded(shared, lapsed, "expired before execution");
+    fail(
+        &shared.counters,
+        lapsed,
+        &Outcome::Expired("expired before execution"),
+    );
     if live.is_empty() {
         return;
     }
 
     // ---- circuit breaker ----------------------------------------------
-    match breaker_admit(shared, &key, now) {
+    match shared.breakers.admit(&key, now) {
         Admit::Execute => {}
         Admit::Probe => {
             // exactly one request probes the half-open breaker; the rest
             // of the batch fails fast rather than pile onto a key that is
             // most likely still broken
             let rest = live.split_off(1);
-            fail_fast(shared, rest);
+            fail(&shared.counters, rest, &fast_fail);
         }
-        Admit::FastFail => {
-            fail_fast(shared, live);
-            return;
-        }
+        Admit::FastFail => return fail(&shared.counters, live, &fast_fail),
     }
     let n = live.len();
 
@@ -1065,19 +515,9 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
             // a plan that cannot be built is a failure of the key, too:
             // enough consecutive ones trip the breaker
             for _ in 0..n {
-                breaker_record(shared, &key, false, Instant::now());
+                strike(false);
             }
-            {
-                let mut c = lock(&shared.counters);
-                c.completed += n as u64;
-                c.batches += 1;
-                c.batched_requests += n as u64;
-                c.max_batch = c.max_batch.max(n);
-            }
-            for job in live {
-                let _ = job.reply.send(Err(clone_err(&e)));
-            }
-            return;
+            return fail(&shared.counters, live, &Outcome::PlanFailed(&e));
         }
     };
     if n > 1 {
@@ -1091,7 +531,7 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
 
     // a cold heuristic miss kicks off a background search
     if !first_was_hit && plan.source == PlanSource::Heuristic && shared.config.tune.enabled {
-        maybe_queue_tune(shared, &key, &live[0].req);
+        shared.tuner.queue(&key, &live[0].req);
     }
 
     // ---- execute ------------------------------------------------------
@@ -1101,19 +541,15 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
         c.batched_requests += n as u64;
         c.max_batch = c.max_batch.max(n);
     }
-    let mut tripped = false;
-    let mut remaining: Vec<Job> = Vec::new();
-    for (i, job) in live.into_iter().enumerate() {
-        if tripped {
-            // the breaker tripped earlier in this very batch: stop
-            // feeding it the same key
-            remaining.push(job);
-            continue;
-        }
-        let now = Instant::now();
-        if job.expired(now) {
+    let mut live = live.into_iter().enumerate();
+    for (i, job) in live.by_ref() {
+        if job.expired(Instant::now()) {
             // earlier batch members took long enough to lapse this one
-            answer_deadline_exceeded(shared, vec![job], "expired mid-batch");
+            fail(
+                &shared.counters,
+                vec![job],
+                &Outcome::Expired("expired mid-batch"),
+            );
             continue;
         }
         let hit = first_was_hit || i > 0;
@@ -1131,8 +567,7 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
                 )))
             }
         };
-        let ok = result.is_ok();
-        tripped = breaker_record(shared, &key, ok, Instant::now());
+        let tripped = strike(result.is_ok());
         // counters update strictly before the reply: a caller that
         // observed its response must also observe it in the stats
         {
@@ -1145,8 +580,17 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
             }
         }
         let _ = job.reply.send(result);
+        if tripped {
+            // the breaker tripped in this very batch: stop feeding it the
+            // same key
+            break;
+        }
     }
-    fail_fast(shared, remaining);
+    fail(
+        &shared.counters,
+        live.map(|(_, job)| job).collect(),
+        &fast_fail,
+    );
 }
 
 /// Best-effort rendering of a panic payload (`&str` / `String` payloads
@@ -1258,31 +702,8 @@ fn execute_one(
     })
 }
 
-fn maybe_queue_tune(shared: &Shared, key: &PlanKey, req: &Request) {
-    {
-        let mut in_flight = lock(&shared.tunes_in_flight);
-        if !in_flight.insert(key.clone()) {
-            return; // a search for this key is already queued/running
-        }
-    }
-    let sent = {
-        let tx = lock(&shared.tune_tx);
-        match tx.as_ref() {
-            Some(tx) => tx
-                .send(TuneJob {
-                    key: key.clone(),
-                    prog: req.prog.clone(),
-                    inputs: Arc::clone(&req.inputs),
-                })
-                .is_ok(),
-            None => false,
-        }
-    };
-    if !sent {
-        lock(&shared.tunes_in_flight).remove(key);
-    }
-}
-
+/// The tuner thread: one search at a time, in the order cold misses
+/// queued them.
 fn tuner_loop(shared: &Shared, rx: mpsc::Receiver<TuneJob>) {
     while let Ok(job) = rx.recv() {
         let key = job.key.clone();
@@ -1296,136 +717,17 @@ fn tuner_loop(shared: &Shared, rx: mpsc::Receiver<TuneJob>) {
             shared.config.tuning_cache_path.as_ref(),
         );
         lock(&shared.counters).tunes_done += 1;
-        lock(&shared.tunes_in_flight).remove(&key);
-    }
-}
-
-/// `MdhError` has no `Clone`; reconstruct an equivalent for fan-out to a
-/// whole failed batch. Load-shedding classifications survive the trip so
-/// clients still see the retryable error grammar.
-fn clone_err(e: &MdhError) -> MdhError {
-    match e {
-        MdhError::Overloaded(m) => MdhError::Overloaded(m.clone()),
-        MdhError::DeadlineExceeded(m) => MdhError::DeadlineExceeded(m.clone()),
-        MdhError::WorkerPanic(m) => MdhError::WorkerPanic(m.clone()),
-        MdhError::BreakerOpen(m) => MdhError::BreakerOpen(m.clone()),
-        MdhError::Draining(m) => MdhError::Draining(m.clone()),
-        other => MdhError::Validation(other.to_string()),
+        shared.tuner.done(&key);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{compile_any, deterministic_inputs};
-    use mdh_directive::DirectiveEnv;
-
-    const DOT: &str = "\
-@mdh( out( res = Buffer[fp32] ),
-      inp( x = Buffer[fp32], y = Buffer[fp32] ),
-      combine_ops( pw(add) ) )
-def dot(res, x, y):
-    for k in range(N):
-        res[0] = x[k] * y[k]
-";
-
-    fn dot() -> (DslProgram, Vec<Buffer>) {
-        let prog = compile_any(DOT, &DirectiveEnv::new().size("N", 64)).unwrap();
-        let inputs = deterministic_inputs(&prog).unwrap();
-        (prog, inputs)
-    }
-
-    #[test]
-    fn request_new_wraps_a_vec_and_shares_a_handle() {
-        let (prog, inputs) = dot();
-        let data = inputs[0].as_f32().unwrap().as_ptr();
-        // a Vec is moved into the handle: same buffers, nobody else holds it
-        let req = Request::new(prog.clone(), DeviceKind::Cpu, inputs);
-        assert_eq!(req.inputs[0].as_f32().unwrap().as_ptr(), data);
-        assert_eq!(Arc::strong_count(&req.inputs), 1);
-        // a handle is shared, not copied
-        let again = Request::new(prog, DeviceKind::Cpu, Arc::clone(&req.inputs));
-        assert!(Arc::ptr_eq(&again.inputs, &req.inputs));
-        assert!(Arc::ptr_eq(&again.clone().inputs, &req.inputs));
-    }
-
-    /// A tenant with work left rotates to the back of the ring, so a
-    /// flooder's backlog never keeps another tenant from the next dispatch.
-    #[test]
-    fn drr_pop_rotates_a_backlogged_tenant_behind_the_others() {
-        let (prog, inputs) = dot();
-        let operands: Operands = Arc::new(inputs);
-        let mut st = QueueState::default();
-        for (tenant, jobs) in [("noisy", 3 * DRR_QUANTUM), ("polite", 1)] {
-            for _ in 0..jobs {
-                st.tenants
-                    .entry(tenant.into())
-                    .or_default()
-                    .jobs
-                    .push_back(Job {
-                        key: PlanKey::of(&prog, DeviceKind::Cpu),
-                        req: Request::new(prog.clone(), DeviceKind::Cpu, Arc::clone(&operands)),
-                        reply: mpsc::channel().0,
-                        submitted: Instant::now(),
-                    });
-                st.queued += 1;
-            }
-            st.ring.push_back(tenant.into());
-        }
-        let config = RuntimeConfig::default();
-        let order: Vec<_> = std::iter::from_fn(|| {
-            let (batch, _, tenant) = drr_pop(&mut st, &config);
-            (!batch.is_empty()).then_some((tenant, batch.len() as u64))
-        })
-        .collect();
-        let turn = |tenant: &str, n| (tenant.to_string(), n);
-        assert_eq!(
-            order,
-            [
-                turn("noisy", DRR_QUANTUM),
-                turn("polite", 1),
-                turn("noisy", DRR_QUANTUM),
-                turn("noisy", DRR_QUANTUM),
-            ]
-        );
-        assert_eq!(st.queued, 0);
-    }
-
-    /// Tenant names come from clients: ten thousand of them must not grow
-    /// the per-tenant counters (and so every stats snapshot) without bound.
-    #[test]
-    fn tenant_dispatch_counters_stay_bounded_under_distinct_names() {
-        let (prog, inputs) = dot();
-        let operands: Operands = Arc::new(inputs);
-        let mut rt = Runtime::new(RuntimeConfig {
-            tune: TunePolicy {
-                enabled: false,
-                ..TunePolicy::default()
-            },
-            max_queue_depth: 20_000,
-            ..RuntimeConfig::default()
-        })
-        .unwrap();
-        let handles: Vec<_> = (0..10_000)
-            .map(|i| {
-                let mut req = Request::new(prog.clone(), DeviceKind::Cpu, Arc::clone(&operands));
-                // every fifth request carries no tenant
-                req.tenant = (i % 5 != 0).then(|| format!("client-{i}"));
-                rt.submit(req)
-            })
-            .collect();
-        handles.into_iter().for_each(|h| drop(h.wait().unwrap()));
-        rt.shutdown();
-        let counts = rt.stats().tenant_dispatches;
-        assert_eq!(counts.len(), MAX_TRACKED_TENANTS + 2, "{counts:?}");
-        assert_eq!(counts.iter().map(|(_, n)| n).sum::<u64>(), 10_000);
-        let of = |t: &str| counts.iter().find(|(l, _)| l == t).map(|(_, n)| *n);
-        assert_eq!(of(DEFAULT_TENANT), Some(2_000));
-        assert_eq!(
-            of(TENANT_OVERFLOW),
-            Some(8_000 - MAX_TRACKED_TENANTS as u64)
-        );
-    }
+    use crate::protocol::deterministic_inputs;
+    use crate::testing::DOT;
+    use mdh_core::dsl::DslProgram;
+    use mdh_directive::{compile_any, DirectiveEnv};
 
     /// Sizes come from clients: single-device GPU residency must not
     /// outlive the plan it belongs to. 10 000 requests cycling 200 sizes
@@ -1468,37 +770,5 @@ def dot(res, x, y):
         let stats = rt.stats();
         assert_eq!(stats.completed, 10_001);
         assert_eq!(stats.plans_resident, rt.shared.config.plan_cache_capacity);
-    }
-
-    #[test]
-    fn submit_grad_forward_launch_shares_the_callers_operands() {
-        let (prog, inputs) = dot();
-        let mut rt = Runtime::new(RuntimeConfig {
-            workers: 2,
-            exec_threads: 2,
-            // a cold miss would hand the tuner a third holder of the handle
-            tune: TunePolicy {
-                enabled: false,
-                ..TunePolicy::default()
-            },
-            ..RuntimeConfig::default()
-        })
-        .unwrap();
-        let operands: Operands = Arc::new(inputs);
-        let req = Request::new(prog, DeviceKind::Cpu, Arc::clone(&operands));
-        let handle = {
-            // every job looks its plan up before it executes, so while this
-            // guard is held none can finish and drop its request
-            let _no_lookups = lock(&rt.shared.plans);
-            let handle = rt.submit_grad(req, None, None).unwrap();
-            // ours and the forward job's; the two adjoint parts carry
-            // vectors of their own (`mdh_ad::part_inputs`)
-            assert_eq!(Arc::strong_count(&operands), 2);
-            handle
-        };
-        let resp = handle.wait().unwrap();
-        assert_eq!(resp.parts, 2);
-        rt.shutdown();
-        assert_eq!(Arc::strong_count(&operands), 1);
     }
 }

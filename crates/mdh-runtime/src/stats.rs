@@ -75,7 +75,9 @@ impl Val<'_> {
     /// labelled value fills the template once per `label=value` entry,
     /// healthy devices left out.
     fn text(&self, tpl: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // proof: every row's template has one slot (`every_row_template_renders`)
         let (pre, rest) = tpl.split_once('{').expect("template has a slot");
+        // proof: ... and it closes (the same test)
         let (spec, post) = rest.split_once('}').expect("template slot closes");
         match self {
             Val::Count(n) => write!(f, "{pre}{n}{post}"),
@@ -662,6 +664,21 @@ mod tests {
             assert!(!line.contains("=healthy"), "{line}");
             let others = cases.iter().filter(|c| c.0 != id && s.active(c.0)).count();
             assert_eq!(others, 0, "{id} alone: {line}");
+        }
+    }
+
+    /// With every section active, one rendering runs every row's template.
+    #[test]
+    fn every_row_template_renders() {
+        let mut all = busy();
+        all.exec_latency.record_ms(0.12);
+        assert!(SECTIONS
+            .iter()
+            .all(|&(id, _, always)| always || all.active(id)));
+        let line = all.to_string();
+        for row in ROWS.iter().filter(|r| !r.section.is_empty()) {
+            let (pre, _) = row.tpl.split_once('{').unwrap();
+            assert!(line.contains(pre.trim()), "{}: {line}", row.key);
         }
     }
 

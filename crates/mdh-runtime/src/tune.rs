@@ -10,7 +10,7 @@
 //! [`TuningCache`] so later *processes* start warm too.
 
 use crate::plan_cache::{CompiledPlan, PlanCache, PlanKey, PlanSource};
-use crate::runtime::Operands;
+use crate::request::{Operands, Request};
 use crate::sync::lock;
 use mdh_backend::cpu::CpuExecutor;
 use mdh_backend::gpu::GpuSim;
@@ -18,8 +18,9 @@ use mdh_core::dsl::DslProgram;
 use mdh_lowering::asm::DeviceKind;
 use mdh_lowering::plan::ExecutionPlan;
 use mdh_tuner::{tune_cpu, tune_gpu, Budget, Technique, TunedSchedule, TuningCache};
+use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// When and how hard to tune in the background.
 #[derive(Debug, Clone, Copy)]
@@ -47,6 +48,49 @@ pub(crate) struct TuneJob {
     /// The operands of the request that missed (CPU tuning measures real
     /// executions), shared with it rather than copied.
     pub inputs: Operands,
+}
+
+/// The submitting side of the tuner thread: at most one search per plan
+/// key is queued or running at a time.
+pub(crate) struct Tuner {
+    pub(crate) tx: Mutex<Option<mpsc::Sender<TuneJob>>>,
+    pub(crate) in_flight: Mutex<HashSet<PlanKey>>,
+}
+
+impl Tuner {
+    /// Queue a search for `key`, measured on `req`'s program and operands,
+    /// unless one is already queued or running.
+    pub(crate) fn queue(&self, key: &PlanKey, req: &Request) {
+        if !lock(&self.in_flight).insert(key.clone()) {
+            return;
+        }
+        let job = TuneJob {
+            key: key.clone(),
+            prog: req.prog.clone(),
+            inputs: Arc::clone(&req.inputs),
+        };
+        let sent = lock(&self.tx)
+            .as_ref()
+            .is_some_and(|tx| tx.send(job).is_ok());
+        if !sent {
+            self.done(key);
+        }
+    }
+
+    /// The search for `key` is over (or was never sent).
+    pub(crate) fn done(&self, key: &PlanKey) {
+        lock(&self.in_flight).remove(key);
+    }
+
+    /// No search queued or running.
+    pub(crate) fn is_quiet(&self) -> bool {
+        lock(&self.in_flight).is_empty()
+    }
+
+    /// Stop taking jobs: the thread ends once it has run the queued ones.
+    pub(crate) fn close(&self) {
+        *lock(&self.tx) = None;
+    }
 }
 
 /// Run one search and hot-swap the cached plan if the result wins.

@@ -26,11 +26,8 @@
 //! Run with `cargo run --release --example serving_scale`.
 
 use mdh::lowering::asm::DeviceKind;
-use mdh::runtime::server::{
-    client_shutdown_addr, client_stats_json_addr, client_submit_opts, client_submit_pipelined,
-    serve_opts,
-};
-use mdh::runtime::{RuntimeConfig, ServeOptions, ServerAddr, SubmitClientOpts, TunePolicy};
+use mdh::runtime::server::serve_opts;
+use mdh::runtime::{Client, RuntimeConfig, ServeOptions, ServerAddr, SubmitClientOpts, TunePolicy};
 use std::time::Duration;
 
 const DOT: &str = "\
@@ -113,17 +110,22 @@ fn main() {
     });
     let unix_addr = ServerAddr::Unix(sock.clone());
     let tcp_addr = ServerAddr::Tcp(tcp.clone());
-    while client_stats_json_addr(&unix_addr).is_err() {
+    while Client::new(unix_addr.clone()).stats_json().is_err() {
         std::thread::sleep(Duration::from_millis(10));
     }
     println!("front up: unix {} + tcp {} (2 shards)", sock.display(), tcp);
 
     // --- phase 1: two transports, one framing upgrade, identical bits --
     let quiet = opts_for("interactive", 512);
-    let a = client_submit_opts(&unix_addr, DOT, DeviceKind::Cpu, 4, &quiet).expect("unix submit");
-    let b = client_submit_opts(&tcp_addr, DOT, DeviceKind::Cpu, 4, &quiet).expect("tcp submit");
-    let p =
-        client_submit_pipelined(&tcp_addr, DOT, DeviceKind::Cpu, 16, &quiet).expect("pipelined");
+    let a = Client::new(unix_addr.clone())
+        .submit(DOT, DeviceKind::Cpu, 4, &quiet)
+        .expect("unix submit");
+    let b = Client::new(tcp_addr.clone())
+        .submit(DOT, DeviceKind::Cpu, 4, &quiet)
+        .expect("tcp submit");
+    let p = Client::new(tcp_addr.clone())
+        .submit_pipelined(DOT, DeviceKind::Cpu, 16, &quiet)
+        .expect("pipelined");
     assert_eq!(ok_count(&a), 4, "{a:?}");
     assert_eq!(ok_count(&p), 16, "{p:?}");
     assert_eq!(
@@ -144,19 +146,15 @@ fn main() {
     // --- phase 2: a flood that sheds against its own quota only --------
     let noisy_dir = tcp_addr.clone();
     let flood = std::thread::spawn(move || {
-        client_submit_opts(
-            &noisy_dir,
-            DOT,
-            DeviceKind::Cpu,
-            64,
-            &opts_for("noisy", 256),
-        )
-        .expect("flood submit")
+        Client::new(noisy_dir)
+            .submit(DOT, DeviceKind::Cpu, 64, &opts_for("noisy", 256))
+            .expect("flood submit")
     });
     let mut polite_lines = Vec::new();
     for tenant in ["interactive", "batch"] {
         for _ in 0..8 {
-            let r = client_submit_opts(&unix_addr, DOT, DeviceKind::Cpu, 1, &opts_for(tenant, 384))
+            let r = Client::new(unix_addr.clone())
+                .submit(DOT, DeviceKind::Cpu, 1, &opts_for(tenant, 384))
                 .expect("polite submit");
             polite_lines.extend(r);
         }
@@ -174,7 +172,10 @@ fn main() {
     println!("fairness: polite 16/16 ok; noisy {noisy_ok} ok + {noisy_shed} shed (quota 24)");
 
     // --- phase 3: one stats surface over either transport --------------
-    let stats = client_stats_json_addr(&tcp_addr).expect("stats").join("\n");
+    let stats = Client::new(tcp_addr)
+        .stats_json()
+        .expect("stats")
+        .join("\n");
     for key in [
         "\"pipelined_connections\":1",
         "\"tenant_shed\":",
@@ -185,7 +186,7 @@ fn main() {
     }
     println!("stats: pipelined connection, tenant dispatches, and shard routes all accounted");
 
-    let bye = client_shutdown_addr(&unix_addr).expect("shutdown");
+    let bye = Client::new(unix_addr).shutdown().expect("shutdown");
     assert!(bye[0].starts_with("ok"), "{bye:?}");
     server.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);

@@ -651,12 +651,11 @@ fn cmd_submit(cli: &Cli) {
         tenant: cli.tenant.clone(),
     };
     let count = cli.count.max(1);
-    // Gradient submissions carry multi-line structured replies that the
-    // pipelined path would interleave per-frame; keep them sequential.
-    let reply = if count > 1 && !cli.sequential && !cli.grad {
-        mdh::runtime::server::client_submit_pipelined(&addr, &src, cli.device, count, &opts)
+    let client = mdh::runtime::Client::new(addr.clone());
+    let reply = if count > 1 && !cli.sequential {
+        client.submit_pipelined(&src, cli.device, count, &opts)
     } else {
-        mdh::runtime::server::client_submit_opts(&addr, &src, cli.device, count, &opts)
+        client.submit(&src, cli.device, count, &opts)
     };
     match reply {
         Ok(lines) => {
@@ -681,10 +680,11 @@ fn cmd_submit(cli: &Cli) {
 /// line.
 fn cmd_stats(cli: &Cli) {
     let addr = target_addr(cli, true);
+    let client = mdh::runtime::Client::new(addr.clone());
     let reply = if cli.json {
-        mdh::runtime::server::client_stats_json_addr(&addr)
+        client.stats_json()
     } else {
-        mdh::runtime::server::client_stats_addr(&addr)
+        client.stats()
     };
     match reply {
         Ok(lines) => {

@@ -188,3 +188,84 @@ fn missing_file_fails_cleanly() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+/// The fields of every `ok` reply line that must not depend on framing:
+/// the output and gradient checksums.
+fn checksum_fields(stdout: &[u8]) -> Vec<String> {
+    let text = String::from_utf8_lossy(stdout);
+    let oks = text.lines().filter(|l| l.starts_with("ok "));
+    let fields = oks.flat_map(|l| l.split_whitespace().map(str::to_string).collect::<Vec<_>>());
+    fields
+        .filter(|f| f.starts_with("checksum=") || f.starts_with("grad_checksum="))
+        .collect()
+}
+
+/// Kills the server child if a test fails before it shuts down.
+struct Child(std::process::Child);
+
+impl Drop for Child {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn serve_submit_and_stats_agree_pipelined_and_sequential() {
+    let dir = std::env::temp_dir().join(format!("mdhc_cli_serve_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sock = dir.join("mdhc.sock");
+    let kernel = write_temp("serve_mv.py", PY_MATVEC);
+    let mut server = Child(
+        mdhc()
+            .arg("serve")
+            .arg(&sock)
+            .args(["--workers", "1", "--threads", "2"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("mdhc serve starts"),
+    );
+    for _ in 0..500 {
+        if std::os::unix::net::UnixStream::connect(&sock).is_ok() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let submit = |extra: &[&str]| {
+        let out = mdhc()
+            .arg("submit")
+            .arg(&kernel)
+            .arg("--socket")
+            .arg(&sock)
+            .args(["-D", "I=16", "-D", "K=16", "--count", "3"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        checksum_fields(&out.stdout)
+    };
+    for grad in [&[][..], &["--grad"]] {
+        let pipelined = submit(grad);
+        let sequential = submit(&[grad, &["--sequential"]].concat());
+        let want = if grad.is_empty() { 3 } else { 6 };
+        assert_eq!(pipelined.len(), want, "{grad:?}: {pipelined:?}");
+        assert_eq!(pipelined, sequential, "{grad:?}");
+    }
+    // 2 × 3 plain launches + 2 × 3 round trips of a forward and two parts
+    for (json, prefix) in [(false, "stats requests=24 "), (true, "stats-json {")] {
+        let out = mdhc()
+            .arg("stats")
+            .arg(&sock)
+            .args(json.then_some("--json"))
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.starts_with(prefix), "{text}");
+    }
+    let bye = mdh::runtime::Client::unix(&sock).shutdown().unwrap();
+    assert_eq!(bye, ["ok shutting down"]);
+    assert!(server.0.wait().unwrap().success());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -5,12 +5,8 @@
 //! proving no connection threads leak and the accept loop survives abuse.
 
 use mdh::lowering::asm::DeviceKind;
-use mdh::runtime::server::{
-    client_shutdown, client_shutdown_addr, client_stats_json_addr, client_submit,
-    client_submit_opts, client_submit_pipelined, client_submit_with_deadline, serve_opts,
-    MAX_HEADER_BYTES,
-};
-use mdh::runtime::{RuntimeConfig, ServeOptions, ServerAddr, SubmitClientOpts, TunePolicy};
+use mdh::runtime::server::{serve_opts, MAX_HEADER_BYTES};
+use mdh::runtime::{Client, RuntimeConfig, ServeOptions, ServerAddr, SubmitClientOpts, TunePolicy};
 use std::io::{BufRead, BufReader, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
@@ -208,7 +204,17 @@ fn malformed_input_corpus_answers_one_err_each_and_server_survives() {
     assert_eq!(lines, vec!["err read timed out".to_string()]);
 
     // the server still serves a well-formed request after all of that
-    let lines = client_submit(&sock, DOT, DeviceKind::Cpu, 3, &[("N".into(), 64)]).unwrap();
+    let lines = Client::unix(&sock)
+        .submit(
+            DOT,
+            DeviceKind::Cpu,
+            3,
+            &SubmitClientOpts {
+                bindings: vec![("N".into(), 64)],
+                ..SubmitClientOpts::default()
+            },
+        )
+        .unwrap();
     assert_eq!(
         lines.iter().filter(|l| l.starts_with("ok ")).count(),
         3,
@@ -216,7 +222,7 @@ fn malformed_input_corpus_answers_one_err_each_and_server_survives() {
     );
     assert!(lines.iter().any(|l| l.starts_with("done 3")), "{lines:?}");
 
-    let bye = client_shutdown(&sock).unwrap();
+    let bye = Client::unix(&sock).shutdown().unwrap();
     assert!(bye[0].starts_with("ok"), "{bye:?}");
     // join proves the accept loop and every connection thread exited
     server.join().expect("server thread exits cleanly");
@@ -248,7 +254,16 @@ end do
     let (sock, _, server) = start_front("slots", false, 1, config);
     let n = [("N".to_string(), 64)];
     for attempt in 0..=max_connections {
-        let lines = client_submit(&sock, REVERSED, DeviceKind::Cpu, 1, &n)
+        let lines = Client::unix(&sock)
+            .submit(
+                REVERSED,
+                DeviceKind::Cpu,
+                1,
+                &SubmitClientOpts {
+                    bindings: n.to_vec(),
+                    ..SubmitClientOpts::default()
+                },
+            )
             .unwrap_or_else(|e| panic!("attempt {attempt}: no reply ({e})"));
         assert_eq!(lines.len(), 1, "attempt {attempt}: {lines:?}");
         assert!(
@@ -256,13 +271,23 @@ end do
             "attempt {attempt}: {lines:?}"
         );
     }
-    let lines = client_submit(&sock, DOT, DeviceKind::Cpu, 1, &n).unwrap();
+    let lines = Client::unix(&sock)
+        .submit(
+            DOT,
+            DeviceKind::Cpu,
+            1,
+            &SubmitClientOpts {
+                bindings: n.to_vec(),
+                ..SubmitClientOpts::default()
+            },
+        )
+        .unwrap();
     assert_eq!(
         lines.iter().filter(|l| l.starts_with("ok ")).count(),
         1,
         "{lines:?}"
     );
-    let bye = client_shutdown(&sock).unwrap();
+    let bye = Client::unix(&sock).shutdown().unwrap();
     assert!(bye[0].starts_with("ok shutting down"), "{bye:?}");
     server.join().expect("server thread exits cleanly");
 }
@@ -285,7 +310,17 @@ end do
         ("output", JACOBI.replace("y: real[N]", "y: real[4]")),
         ("input", JACOBI.replace("x: real[N + 2]", "x: real[N]")),
     ] {
-        let lines = client_submit(&sock, &src, DeviceKind::Cpu, 1, &n).unwrap();
+        let lines = Client::unix(&sock)
+            .submit(
+                &src,
+                DeviceKind::Cpu,
+                1,
+                &SubmitClientOpts {
+                    bindings: n.to_vec(),
+                    ..SubmitClientOpts::default()
+                },
+            )
+            .unwrap();
         assert_eq!(err_lines(&lines), 1, "undersized {what}: {lines:?}");
         assert!(
             lines
@@ -294,14 +329,24 @@ end do
             "undersized {what}: {lines:?}"
         );
         assert!(!lines.iter().any(|l| l.starts_with("ok ")), "{lines:?}");
-        let lines = client_submit(&sock, JACOBI, DeviceKind::Cpu, 1, &n).unwrap();
+        let lines = Client::unix(&sock)
+            .submit(
+                JACOBI,
+                DeviceKind::Cpu,
+                1,
+                &SubmitClientOpts {
+                    bindings: n.to_vec(),
+                    ..SubmitClientOpts::default()
+                },
+            )
+            .unwrap();
         assert_eq!(
             lines.iter().filter(|l| l.starts_with("ok ")).count(),
             1,
             "next SUBMIT after undersized {what}: {lines:?}"
         );
     }
-    let bye = client_shutdown(&sock).unwrap();
+    let bye = Client::unix(&sock).shutdown().unwrap();
     assert!(bye[0].starts_with("ok"), "{bye:?}");
     server.join().expect("server thread exits cleanly");
 }
@@ -322,7 +367,17 @@ def wrap(y, x):
     let (sock, server) = start_server("wrap");
     let n = [("N".to_string(), 64)];
     for src in [WRAP, DOT] {
-        let lines = client_submit(&sock, src, DeviceKind::Cpu, 1, &n).unwrap();
+        let lines = Client::unix(&sock)
+            .submit(
+                src,
+                DeviceKind::Cpu,
+                1,
+                &SubmitClientOpts {
+                    bindings: n.to_vec(),
+                    ..SubmitClientOpts::default()
+                },
+            )
+            .unwrap();
         assert_eq!(
             lines.iter().filter(|l| l.starts_with("ok ")).count(),
             1,
@@ -334,10 +389,10 @@ def wrap(y, x):
         );
     }
     let addr = ServerAddr::Unix(sock.clone());
-    let stats = client_stats_json_addr(&addr).unwrap().join("\n");
+    let stats = Client::new(addr.clone()).stats_json().unwrap().join("\n");
     assert!(stats.contains("\"worker_panics\":0"), "{stats}");
     assert!(stats.contains("\"completed\":2"), "{stats}");
-    let bye = client_shutdown(&sock).unwrap();
+    let bye = Client::unix(&sock).shutdown().unwrap();
     assert!(bye[0].starts_with("ok"), "{bye:?}");
     server.join().expect("server thread exits cleanly");
 }
@@ -360,7 +415,7 @@ fn header_at_exactly_max_bytes_is_accepted_and_one_over_rejected() {
     assert_eq!(err_lines(&lines), 1, "{lines:?}");
     assert!(lines[0].starts_with("err header too long"), "{lines:?}");
 
-    let bye = client_shutdown(&sock).unwrap();
+    let bye = Client::unix(&sock).shutdown().unwrap();
     assert!(bye[0].starts_with("ok"), "{bye:?}");
     server.join().unwrap();
 }
@@ -368,9 +423,18 @@ fn header_at_exactly_max_bytes_is_accepted_and_one_over_rejected() {
 #[test]
 fn submit_deadline_zero_is_answered_deadline_exceeded() {
     let (sock, server) = start_server("deadline");
-    let lines =
-        client_submit_with_deadline(&sock, DOT, DeviceKind::Cpu, 4, &[("N".into(), 64)], Some(0))
-            .unwrap();
+    let lines = Client::unix(&sock)
+        .submit(
+            DOT,
+            DeviceKind::Cpu,
+            4,
+            &SubmitClientOpts {
+                bindings: vec![("N".into(), 64)],
+                deadline_ms: Some(0),
+                ..SubmitClientOpts::default()
+            },
+        )
+        .unwrap();
     let exceeded = lines
         .iter()
         .filter(|l| l.starts_with("err deadline exceeded"))
@@ -379,22 +443,25 @@ fn submit_deadline_zero_is_answered_deadline_exceeded() {
     assert!(lines.iter().any(|l| l.starts_with("done 0")), "{lines:?}");
 
     // a generous deadline still serves
-    let lines = client_submit_with_deadline(
-        &sock,
-        DOT,
-        DeviceKind::Cpu,
-        2,
-        &[("N".into(), 64)],
-        Some(60_000),
-    )
-    .unwrap();
+    let lines = Client::unix(&sock)
+        .submit(
+            DOT,
+            DeviceKind::Cpu,
+            2,
+            &SubmitClientOpts {
+                bindings: vec![("N".into(), 64)],
+                deadline_ms: Some(60_000),
+                ..SubmitClientOpts::default()
+            },
+        )
+        .unwrap();
     assert_eq!(
         lines.iter().filter(|l| l.starts_with("ok ")).count(),
         2,
         "{lines:?}"
     );
 
-    let bye = client_shutdown(&sock).unwrap();
+    let bye = Client::unix(&sock).shutdown().unwrap();
     assert!(bye[0].starts_with("ok"), "{bye:?}");
     server.join().unwrap();
 }
@@ -504,10 +571,20 @@ fn pipelined_malformed_frame_corpus_is_terminal_and_server_survives() {
 
     // a SHUTDOWN smuggled into a pipeline must NOT have drained the
     // server: it still serves a plain request afterwards
-    let lines = client_submit(&sock, DOT, DeviceKind::Cpu, 1, &[("N".into(), 64)]).unwrap();
+    let lines = Client::unix(&sock)
+        .submit(
+            DOT,
+            DeviceKind::Cpu,
+            1,
+            &SubmitClientOpts {
+                bindings: vec![("N".into(), 64)],
+                ..SubmitClientOpts::default()
+            },
+        )
+        .unwrap();
     assert!(lines.iter().any(|l| l.starts_with("ok ")), "{lines:?}");
 
-    let bye = client_shutdown(&sock).unwrap();
+    let bye = Client::unix(&sock).shutdown().unwrap();
     assert!(bye[0].starts_with("ok"), "{bye:?}");
     server.join().unwrap();
 }
@@ -526,7 +603,7 @@ fn id_field_is_rejected_outside_a_pipeline() {
         lines,
         vec!["err id= is only valid on a pipelined (PIPE) connection".to_string()]
     );
-    client_shutdown(&sock).unwrap();
+    Client::unix(&sock).shutdown().unwrap();
     server.join().unwrap();
 }
 
@@ -555,9 +632,15 @@ fn pipelined_submits_are_bit_identical_to_sequential() {
     const N: usize = 8;
     let mut seq_lines = Vec::new();
     for _ in 0..N {
-        seq_lines.extend(client_submit_opts(&addr, DOT, DeviceKind::Cpu, 1, &opts).unwrap());
+        seq_lines.extend(
+            Client::new(addr.clone())
+                .submit(DOT, DeviceKind::Cpu, 1, &opts)
+                .unwrap(),
+        );
     }
-    let pipe_lines = client_submit_pipelined(&addr, DOT, DeviceKind::Cpu, N, &opts).unwrap();
+    let pipe_lines = Client::new(addr.clone())
+        .submit_pipelined(DOT, DeviceKind::Cpu, N, &opts)
+        .unwrap();
 
     let (seq, pipe) = (checksums(&seq_lines), checksums(&pipe_lines));
     assert_eq!(
@@ -583,7 +666,7 @@ fn pipelined_submits_are_bit_identical_to_sequential() {
         "{pipe_lines:?}"
     );
 
-    client_shutdown(&sock).unwrap();
+    Client::unix(&sock).shutdown().unwrap();
     server.join().unwrap();
 }
 
@@ -598,26 +681,34 @@ fn tcp_transport_speaks_the_same_grammar_and_shares_the_runtime() {
     };
     // one plain submit over each transport, one pipelined over TCP
     let unix_addr = ServerAddr::Unix(sock.clone());
-    let a = client_submit_opts(&unix_addr, DOT, DeviceKind::Cpu, 1, &copts).unwrap();
-    let b = client_submit_opts(&tcp_addr, DOT, DeviceKind::Cpu, 1, &copts).unwrap();
+    let a = Client::new(unix_addr)
+        .submit(DOT, DeviceKind::Cpu, 1, &copts)
+        .unwrap();
+    let b = Client::new(tcp_addr.clone())
+        .submit(DOT, DeviceKind::Cpu, 1, &copts)
+        .unwrap();
     assert_eq!(
         checksums(&a),
         checksums(&b),
         "transports must agree bit-for-bit"
     );
-    let p = client_submit_pipelined(&tcp_addr, DOT, DeviceKind::Cpu, 4, &copts).unwrap();
+    let p = Client::new(tcp_addr.clone())
+        .submit_pipelined(DOT, DeviceKind::Cpu, 4, &copts)
+        .unwrap();
     assert_eq!(checksums(&p).len(), 4, "{p:?}");
     assert_eq!(checksums(&p)[0], checksums(&a)[0], "{p:?}");
 
     // both listeners feed one runtime: the shared stats see all 6 launches
-    let stats = client_stats_json_addr(&tcp_addr).unwrap().join("\n");
+    let stats = Client::new(tcp_addr.clone())
+        .stats_json()
+        .unwrap()
+        .join("\n");
     assert!(stats.contains("\"completed\":6"), "{stats}");
     assert!(stats.contains("\"pipelined_connections\":1"), "{stats}");
     assert!(stats.contains("\"pipelined_frames\":4"), "{stats}");
 
     // malformed input over TCP gets the same error strings
-    let err = client_submit_opts(
-        &tcp_addr,
+    let err = Client::new(tcp_addr.clone()).submit(
         DOT,
         DeviceKind::Gpu,
         1,
@@ -629,7 +720,7 @@ fn tcp_transport_speaks_the_same_grammar_and_shares_the_runtime() {
     let err_lines = err.unwrap();
     assert!(err_lines[0].starts_with("err "), "{err_lines:?}");
 
-    let bye = client_shutdown_addr(&tcp_addr).unwrap();
+    let bye = Client::new(tcp_addr).shutdown().unwrap();
     assert!(bye[0].starts_with("ok"), "{bye:?}");
     server.join().unwrap();
     assert!(!sock.exists(), "socket file removed on clean shutdown");
@@ -694,18 +785,27 @@ fn tenant_quota_sheds_the_flooder_but_not_the_tenant_itself() {
             ..SubmitClientOpts::default()
         };
         // warm the compile memo so the burst below races only dispatch
-        client_submit_opts(&addr, DOT, DeviceKind::Cpu, 1, &copts("noisy")).unwrap();
+        Client::new(addr.clone())
+            .submit(DOT, DeviceKind::Cpu, 1, &copts("noisy"))
+            .unwrap();
 
         // one SUBMIT frame carrying the whole burst: the server enqueues
         // it back to back, so the quota must shed most of it no matter
         // how fast the worker drains
-        let run_flood =
-            || client_submit_opts(&addr, DOT, DeviceKind::Cpu, burst, &copts("noisy")).unwrap();
+        let run_flood = || {
+            Client::new(addr.clone())
+                .submit(DOT, DeviceKind::Cpu, burst, &copts("noisy"))
+                .unwrap()
+        };
         // each polite tenant: sequential single requests, depth <= 1
         let trickle = |tenant: usize| {
             let opts = copts(&format!("polite-{tenant}"));
             (0..singles)
-                .map(|_| client_submit_opts(&addr, DOT, DeviceKind::Cpu, 1, &opts).unwrap())
+                .map(|_| {
+                    Client::new(addr.clone())
+                        .submit(DOT, DeviceKind::Cpu, 1, &opts)
+                        .unwrap()
+                })
                 .map(|lines| ok_lines(&lines))
                 .sum::<usize>()
         };
@@ -746,7 +846,7 @@ fn tenant_quota_sheds_the_flooder_but_not_the_tenant_itself() {
         assert_eq!(served, polite * singles, "{tag}: a polite request was lost");
 
         // the counters surface per-tenant activity
-        let stats = client_stats_json_addr(&addr).unwrap().join("\n");
+        let stats = Client::new(addr.clone()).stats_json().unwrap().join("\n");
         assert_eq!(
             stats_nums(&stats, "tenant_shed"),
             [shed.len() as u64],
@@ -755,7 +855,7 @@ fn tenant_quota_sheds_the_flooder_but_not_the_tenant_itself() {
         assert!(stats.contains("\"noisy\":"), "{stats}");
         assert!(stats.contains("\"polite-0\":"), "{stats}");
 
-        client_shutdown(&sock).unwrap();
+        Client::unix(&sock).shutdown().unwrap();
         server.join().unwrap();
     }
 }
@@ -779,7 +879,11 @@ fn checksums_are_identical_across_shard_counts_and_transports() {
                 bindings: vec![("N".into(), n)],
                 ..SubmitClientOpts::default()
             };
-            lines.extend(client_submit_opts(&addr, DOT, DeviceKind::Cpu, REPEAT, &opts).unwrap());
+            lines.extend(
+                Client::new(addr.clone())
+                    .submit(DOT, DeviceKind::Cpu, REPEAT, &opts)
+                    .unwrap(),
+            );
         }
         let sums = checksums(&lines);
         assert_eq!(sums.len(), KEYS.len() * REPEAT, "{tag}: {lines:?}");
@@ -789,7 +893,7 @@ fn checksums_are_identical_across_shard_counts_and_transports() {
             "{tag}: results diverged from the unsharded unix front"
         );
 
-        let stats = client_stats_json_addr(&addr).unwrap().join("\n");
+        let stats = Client::new(addr.clone()).stats_json().unwrap().join("\n");
         let routes = stats_nums(&stats, "shard_routes");
         if shards > 1 {
             assert_eq!(routes.len(), shards, "{tag}: {stats}");
@@ -808,7 +912,7 @@ fn checksums_are_identical_across_shard_counts_and_transports() {
                 "{stats}"
             );
         }
-        client_shutdown_addr(&addr).unwrap();
+        Client::new(addr).shutdown().unwrap();
         server.join().unwrap();
     }
 }
@@ -816,7 +920,7 @@ fn checksums_are_identical_across_shard_counts_and_transports() {
 #[test]
 fn connections_after_shutdown_are_answered_draining_or_refused() {
     let (sock, server) = start_server("drain");
-    let bye = client_shutdown(&sock).unwrap();
+    let bye = Client::unix(&sock).shutdown().unwrap();
     assert!(bye[0].starts_with("ok"), "{bye:?}");
     // the window between SHUTDOWN and teardown: a connection that still
     // gets through is answered `err draining`; once the socket is gone,
