@@ -158,28 +158,38 @@ impl DeviceMemPool {
         self.stats
     }
 
-    /// Drop one allocated-but-free block, largest class first (frees the
-    /// most budget per bookkeeping step). Returns false if none exist.
-    fn drop_one_free(&mut self) -> bool {
-        let Some(&class) = self.free.keys().max() else {
+    /// Take one block off `class`'s free list. Returns false if it is empty.
+    fn take_free(&mut self, class: u64) -> bool {
+        let Some(n) = self.free.get_mut(&class) else {
             return false;
         };
-        let n = self.free.get_mut(&class).expect("class present");
         *n -= 1;
         if *n == 0 {
             self.free.remove(&class);
         }
-        self.stats.bytes_pooled -= class;
         true
+    }
+
+    /// Drop one allocated-but-free block, largest class first (frees the
+    /// most budget per bookkeeping step). Returns false if none exist.
+    fn drop_one_free(&mut self) -> bool {
+        let Some(class) = self.free.keys().max().copied() else {
+            return false;
+        };
+        let dropped = self.take_free(class);
+        if dropped {
+            self.stats.bytes_pooled -= class;
+        }
+        dropped
     }
 
     /// Evict the least-recently-used resident block into its free list.
     /// Returns false if nothing is resident.
     fn evict_lru(&mut self) -> bool {
-        let Some((&key, _)) = self.resident.iter().min_by_key(|(_, e)| e.tick) else {
+        let Some((&key, &entry)) = self.resident.iter().min_by_key(|(_, e)| e.tick) else {
             return false;
         };
-        let entry = self.resident.remove(&key).expect("key present");
+        self.resident.remove(&key);
         self.stats.bytes_resident -= entry.class_bytes;
         self.stats.evictions += 1;
         *self.free.entry(entry.class_bytes).or_insert(0) += 1;
@@ -218,11 +228,7 @@ impl DeviceMemPool {
         // transiently.
         let evicted_before = self.stats.evictions;
         loop {
-            if let Some(n) = self.free.get_mut(&class) {
-                *n -= 1;
-                if *n == 0 {
-                    self.free.remove(&class);
-                }
+            if self.take_free(class) {
                 self.stats.reuses += 1;
                 break;
             }

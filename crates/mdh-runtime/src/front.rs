@@ -1,17 +1,11 @@
-//! The serving front: the front-end memo and the shard router.
+//! The serving front: the front-end memo.
 
-use crate::plan_cache::PlanKey;
 use crate::protocol::{deterministic_inputs, Submit};
-use crate::request::{GradHandle, Handle, Operands, Request};
-use crate::ring::{fnv1a, HashRing};
-use crate::runtime::{Runtime, RuntimeConfig};
-use crate::stats::RuntimeStats;
+use crate::request::Operands;
 use crate::sync::lock;
 use mdh_core::dsl::DslProgram;
-use mdh_core::error::Result;
 use mdh_directive::compile_any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Most front-end memo entries a server retains. A serving fleet sees a
@@ -23,19 +17,16 @@ const FRONTEND_MEMO_CAP: usize = 64;
 /// pipelined connection re-sends the same directive source on every
 /// frame, and re-parsing and re-lowering it per frame would dominate
 /// service time for small requests — the runtime's plan cache only
-/// amortises *scheduling*, not the front end. Keyed by the FNV digest of
-/// the source plus the sorted size bindings (which fully determine the
-/// [`mdh_directive::DirectiveEnv`] the wire protocol can express). An
-/// entry holds the compiled program and its deterministic operands behind
-/// the one [`Operands`] handle every launch of that (source, bindings)
-/// shares — a `count=N` SUBMIT, a `PIPE` burst and every shard read the
-/// same allocation — and the source text itself: 64-bit FNV-1a is not
-/// collision-resistant, so a hit must compare the text before it may
-/// answer with the entry's program.
-type MemoKey = (u64, Vec<(String, i64)>);
+/// amortises *scheduling*, not the front end. Keyed by the source text
+/// plus the sorted size bindings, which are exactly the
+/// [`mdh_directive::DirectiveEnv`] the frame compiles under
+/// ([`Submit::parse`] refuses a repeated name). An entry holds the
+/// compiled program and its deterministic operands behind the one
+/// [`Operands`] handle every launch of that (source, bindings) shares —
+/// a `count=N` SUBMIT and a `PIPE` burst read the same allocation.
+type MemoKey = (String, Vec<(String, i64)>);
 
 pub(crate) struct Compiled {
-    src: String,
     pub(crate) prog: DslProgram,
     pub(crate) inputs: Operands,
 }
@@ -46,30 +37,18 @@ pub(crate) struct FrontendMemo {
 }
 
 impl FrontendMemo {
+    /// The program and operands of `src` under `submit`'s bindings. The
+    /// frame's own body becomes the key, so a hit copies no source.
     pub(crate) fn compile(
         &self,
-        src: &str,
-        submit: &Submit,
-    ) -> std::result::Result<Arc<Compiled>, String> {
-        self.compile_keyed(fnv1a(src.as_bytes()), src, submit)
-    }
-
-    /// [`compile`](Self::compile) with the source digest supplied by the
-    /// caller, so a test can force two sources onto one key.
-    fn compile_keyed(
-        &self,
-        digest: u64,
-        src: &str,
+        src: String,
         submit: &Submit,
     ) -> std::result::Result<Arc<Compiled>, String> {
         let mut bindings = submit.header.opts.bindings.clone();
         bindings.sort();
-        let key = (digest, bindings);
+        let key = (src, bindings);
         if let Some(hit) = lock(&self.entries).get(&key) {
-            if hit.src == src {
-                return Ok(Arc::clone(hit));
-            }
-            // a digest collision is a miss; the insert below replaces it
+            return Ok(Arc::clone(hit));
         }
         // compile outside the lock: a miss is the slow path, and one
         // confused client must not serialise every other connection
@@ -79,14 +58,13 @@ impl FrontendMemo {
         // reads its captures and builds a fresh value, so observing them
         // after an unwind is sound.
         let front_end = std::panic::AssertUnwindSafe(|| {
-            let prog = compile_any(src, &submit.env).map_err(|e| e.to_string())?;
+            let prog = compile_any(&key.0, &submit.env).map_err(|e| e.to_string())?;
             let inputs = deterministic_inputs(&prog).map_err(|e| e.to_string())?;
             Ok((prog, inputs))
         });
         let (prog, inputs) = std::panic::catch_unwind(front_end)
             .unwrap_or_else(|_| Err("internal: front end panicked".to_string()))?;
         let compiled = Arc::new(Compiled {
-            src: src.to_string(),
             prog,
             inputs: Arc::new(inputs),
         });
@@ -99,81 +77,18 @@ impl FrontendMemo {
     }
 }
 
-/// Routes requests to one of N runtime shards by consistent hash of the
-/// plan key. With one shard the ring is skipped entirely and stats pass
-/// through unmerged.
-pub(crate) struct Router {
-    shards: Vec<Arc<Runtime>>,
-    pub(crate) ring: Option<HashRing>,
-    routes: Vec<AtomicU64>,
-    pub(crate) memo: FrontendMemo,
-    /// `PIPE` connections and their frames: the front's to count.
-    pub(crate) pipelined_connections: AtomicU64,
-    pub(crate) pipelined_frames: AtomicU64,
-}
-
-impl Router {
-    pub(crate) fn new(config: &RuntimeConfig, shards: usize, vnodes: usize) -> Result<Router> {
-        let n = shards.max(1);
-        let shards = (0..n).map(|_| Runtime::new(config.clone()).map(Arc::new));
-        Ok(Router {
-            shards: shards.collect::<Result<_>>()?,
-            ring: (n > 1).then(|| HashRing::new(n, vnodes.max(1))),
-            routes: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            memo: FrontendMemo::default(),
-            pipelined_connections: AtomicU64::new(0),
-            pipelined_frames: AtomicU64::new(0),
-        })
-    }
-
-    /// The shard `req` runs on, its route counted. Only a ring needs the
-    /// plan key: an unsharded front never renders it.
-    fn shard_for(&self, req: &Request) -> &Runtime {
-        let i = match &self.ring {
-            Some(ring) => ring.route(&PlanKey::of(&req.prog, req.device)),
-            None => 0,
-        };
-        self.routes[i].fetch_add(1, Ordering::Relaxed);
-        &self.shards[i]
-    }
-
-    pub(crate) fn submit(&self, req: Request) -> Handle {
-        self.shard_for(&req).submit(req)
-    }
-
-    pub(crate) fn submit_grad(&self, req: Request) -> Result<GradHandle> {
-        self.shard_for(&req).submit_grad(req, None, None)
-    }
-
-    pub(crate) fn stats(&self) -> RuntimeStats {
-        let mut s = if self.shards.len() == 1 {
-            self.shards[0].stats()
-        } else {
-            let snaps: Vec<_> = self.shards.iter().map(|r| r.stats()).collect();
-            let mut merged = RuntimeStats::merge_shards(&snaps);
-            merged.shard_routes = self
-                .routes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (format!("shard{i}"), n.load(Ordering::Relaxed)))
-                .collect();
-            merged
-        };
-        s.pipelined_connections = self.pipelined_connections.load(Ordering::Relaxed);
-        s.pipelined_frames = self.pipelined_frames.load(Ordering::Relaxed);
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::DOT;
 
+    fn submit(bindings: &str) -> std::result::Result<Submit, String> {
+        let header = format!("SUBMIT cpu 1 {} {bindings}", DOT.len());
+        Submit::parse(&header.split_whitespace().collect::<Vec<_>>(), false)
+    }
+
     #[test]
-    fn memo_never_answers_a_forged_digest_with_the_other_source() {
-        // FNV-1a collisions are constructible offline; force one instead
-        // of constructing it: two different sources under one digest
+    fn memo_keys_on_the_source_text() {
         const SCALED: &str = "\
 @mdh( out( y = Buffer[fp32] ),
       inp( x = Buffer[fp32] ),
@@ -183,24 +98,37 @@ def scaled(y, x):
         y[k] = 0.5 * x[k]
 ";
         let memo = FrontendMemo::default();
-        let header = format!("SUBMIT cpu 1 {} N=64", DOT.len());
-        let fields: Vec<&str> = header.split_whitespace().collect();
-        let submit = Submit::parse(&fields, false).unwrap();
-        let digest = 0x5eed;
-        let dot = memo.compile_keyed(digest, DOT, &submit).unwrap();
-        assert_eq!(dot.prog.name, "dot");
-        // the planted source gets its own program, not the entry's ...
-        let planted = memo.compile_keyed(digest, SCALED, &submit).unwrap();
-        assert_eq!(planted.prog.name, "scaled");
-        assert_eq!(planted.inputs.len(), 1);
-        // ... and the first tenant is not served the planted one after it
-        let again = memo.compile_keyed(digest, DOT, &submit).unwrap();
-        assert_eq!(again.prog.name, "dot");
-        assert_eq!(again.inputs.len(), 2);
-        // one key, one entry: each mismatch replaced it
-        assert_eq!(lock(&memo.entries).len(), 1);
-        // same text under the same digest is still a hit
-        let hit = memo.compile_keyed(digest, DOT, &submit).unwrap();
-        assert!(Arc::ptr_eq(&hit, &again));
+        let n64 = submit("N=64").unwrap();
+        // two sources under one binding set: two programs
+        let dot = memo.compile(DOT.into(), &n64).unwrap();
+        let scaled = memo.compile(SCALED.into(), &n64).unwrap();
+        assert_eq!((dot.prog.name.as_str(), dot.inputs.len()), ("dot", 2));
+        assert_eq!(
+            (scaled.prog.name.as_str(), scaled.inputs.len()),
+            ("scaled", 1)
+        );
+        // the same text again is a hit
+        assert!(Arc::ptr_eq(&memo.compile(DOT.into(), &n64).unwrap(), &dot));
+        assert_eq!(lock(&memo.entries).len(), 2);
+    }
+
+    #[test]
+    fn a_repeated_size_name_is_refused_in_either_order() {
+        // both orders sort to one memo key, while the env keeps the last
+        // value: the second would be answered with the first's program
+        for twice in ["N=64,N=128", "N=128,N=64", "N=64 N=128"] {
+            let err = submit(twice).err();
+            assert_eq!(err.as_deref(), Some("duplicate binding 'N'"), "{twice}");
+        }
+        // each size on its own gets its own operands, whichever runs first
+        for order in [[64, 128], [128, 64]] {
+            let memo = FrontendMemo::default();
+            for n in order {
+                let n_only = submit(&format!("N={n}")).unwrap();
+                let entry = memo.compile(DOT.into(), &n_only).unwrap();
+                let shapes: Vec<&[usize]> = entry.inputs.iter().map(|b| b.shape.dims()).collect();
+                assert_eq!(shapes, [[n], [n]], "{order:?}");
+            }
+        }
     }
 }

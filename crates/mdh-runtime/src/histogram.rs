@@ -1,4 +1,4 @@
-//! A fixed-size, mergeable latency histogram (DESIGN.md §6 "Stats").
+//! A fixed-size latency histogram (DESIGN.md §6 "Stats").
 
 /// Sub-buckets per power of two: a bucket is at most 1/16 = 6.25 % wide
 /// relative to its lower bound.
@@ -12,11 +12,8 @@ const BUCKETS: usize = ((MAX_EXP - SUB_BITS + 1) as usize) << SUB_BITS;
 /// Values below 32 ns are exact; above, every power of two is cut into
 /// 16 equal buckets, so a percentile is off by at most one bucket width
 /// (≤ 6.25 %). The count and the sum are exact. Memory does not depend
-/// on the number of samples, recording is O(1), and two histograms
-/// combine by adding buckets — associative and commutative, so per-shard
-/// histograms merge into exactly the histogram of the pooled samples.
-/// Everything is cumulative since start; a window is two snapshots
-/// subtracted.
+/// on the number of samples and recording is O(1). Everything is
+/// cumulative since start; a window is two snapshots subtracted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     buckets: [u64; BUCKETS],
@@ -87,55 +84,35 @@ impl Histogram {
     }
 }
 
-impl std::ops::AddAssign<&Histogram> for Histogram {
-    fn add_assign(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
     proptest! {
-        /// Per-shard histograms merge into exactly the pooled histogram,
-        /// and its percentiles sit within one bucket of the raw samples'.
+        /// The count and mean are the raw samples' exactly, and the
+        /// percentiles sit within one bucket of theirs.
         #[test]
-        fn merged_histograms_equal_the_pooled_one(
+        fn percentiles_sit_within_one_bucket_of_the_samples(
             samples in prop::collection::vec((0u32..38, 0.0f64..1.0), 1..300),
         ) {
             let ms = samples.iter().map(|&(e, f)| (1u64 << e) as f64 * (1.0 + f) / 1e6);
             let ms: Vec<f64> = ms.collect();
             let mut raw: Vec<u64> = ms.iter().map(|x| (x * 1e6).round() as u64).collect();
             raw.sort_unstable();
-            let mut pooled = Histogram::default();
-            ms.iter().for_each(|&x| pooled.record_ms(x));
+            let mut h = Histogram::default();
+            ms.iter().for_each(|&x| h.record_ms(x));
             for junk in [f64::NAN, f64::INFINITY, -1.0] {
-                pooled.record_ms(junk);
+                h.record_ms(junk);
             }
-            prop_assert_eq!(pooled.count(), raw.len() as u64);
+            prop_assert_eq!(h.count(), raw.len() as u64);
             let mean = raw.iter().sum::<u64>() as f64 / raw.len() as f64;
-            for shards in [1, 2, 4] {
-                let mut parts = vec![Histogram::default(); shards];
-                for (i, &x) in ms.iter().enumerate() {
-                    parts[i % shards].record_ms(x);
-                }
-                let mut merged = Histogram::default();
-                parts.iter().for_each(|part| merged += part);
-                prop_assert!(merged == pooled, "{shards} shards");
-                prop_assert_eq!(merged.mean_ns(), pooled.mean_ns());
-                prop_assert!((merged.mean_ns() - mean).abs() <= mean * 1e-12);
-                for p in [50.0, 99.0] {
-                    let rank = (p / 100.0 * raw.len() as f64).ceil() as usize;
-                    let exact = raw[rank.clamp(1, raw.len()) - 1] as f64;
-                    let got = merged.percentile_ns(p);
-                    prop_assert!((got - exact).abs() <= exact / 16.0, "p{p} {got} {exact}");
-                }
+            prop_assert!((h.mean_ns() - mean).abs() <= mean * 1e-12);
+            for p in [50.0, 99.0] {
+                let rank = (p / 100.0 * raw.len() as f64).ceil() as usize;
+                let exact = raw[rank.clamp(1, raw.len()) - 1] as f64;
+                let got = h.percentile_ns(p);
+                prop_assert!((got - exact).abs() <= exact / 16.0, "p{p} {got} {exact}");
             }
         }
     }

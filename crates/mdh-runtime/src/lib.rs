@@ -19,9 +19,8 @@
 //!   runs asynchronously on a budget; when it beats the incumbent, the
 //!   cached plan is atomically hot-swapped and the result persisted.
 //! * a line-oriented **serving protocol** ([`server`]) over Unix domain
-//!   sockets and TCP — with opt-in pipelined multiplexed framing and
-//!   consistent-hash runtime shards ([`ring`]) — used by `mdhc serve` /
-//!   `mdhc submit` / `mdhc front`, and its [`Client`].
+//!   sockets and TCP — with opt-in pipelined multiplexed framing — used
+//!   by `mdhc serve` / `mdhc submit`, and its [`Client`].
 
 mod breaker;
 mod client;
@@ -31,7 +30,6 @@ pub mod plan_cache;
 mod protocol;
 mod queue;
 mod request;
-pub mod ring;
 pub mod runtime;
 pub mod server;
 pub mod stats;
@@ -41,7 +39,6 @@ pub mod tune;
 
 pub use client::Client;
 pub use plan_cache::{structural_signature, CompiledPlan, PlanCache, PlanKey, PlanSource};
-pub use ring::HashRing;
 pub use runtime::{
     GradHandle, GradResponse, Handle, Operands, Request, Response, Runtime, RuntimeConfig,
     DEFAULT_TENANT,

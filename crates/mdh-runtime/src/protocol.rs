@@ -190,8 +190,8 @@ pub(crate) fn valid_tenant(t: &str) -> bool {
 }
 
 /// A parsed SUBMIT: the header plus what the server derives from it while
-/// parsing — the front-end environment of its size bindings and the
-/// serve-by deadline, whose clock starts here.
+/// parsing — the front-end environment of its size bindings (one per
+/// name) and the serve-by deadline, whose clock starts here.
 pub(crate) struct Submit {
     pub header: SubmitHeader,
     pub env: DirectiveEnv,
@@ -257,6 +257,11 @@ impl Submit {
                             .split_once('=')
                             .ok_or_else(|| format!("bad binding '{bind}'"))?;
                         let v: i64 = val.parse().map_err(|_| format!("bad value in '{bind}'"))?;
+                        // one value per name: the bindings are then exactly
+                        // the env below, and the memo's key
+                        if opts.bindings.iter().any(|(n, _)| n == name) {
+                            return Err(format!("duplicate binding '{name}'"));
+                        }
                         opts.bindings.push((name.to_string(), v));
                     }
                 }

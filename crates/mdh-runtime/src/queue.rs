@@ -4,7 +4,7 @@
 use crate::plan_cache::PlanKey;
 use crate::request::{Request, Response};
 use crate::runtime::RuntimeConfig;
-use crate::stats::{add_label, RuntimeStats};
+use crate::stats::RuntimeStats;
 use crate::sync::{cv_wait, lock};
 use mdh_core::error::{MdhError, Result};
 use std::collections::{HashMap, VecDeque};
@@ -250,14 +250,19 @@ fn tenant_weight(config: &RuntimeConfig, tenant: &str) -> u64 {
 /// Count `n` dispatches for `tenant`. Tenant names come from clients, so
 /// only the first [`MAX_TRACKED_TENANTS`] named ones (and the default
 /// tenant) get an entry of their own; the rest add up under
-/// [`TENANT_OVERFLOW`] and the map stays bounded.
+/// [`TENANT_OVERFLOW`] and the map stays bounded. Entries stay sorted by
+/// name.
 pub(crate) fn note_tenant_dispatch(c: &mut RuntimeStats, tenant: &str, n: u64) {
     let counts = &mut c.tenant_dispatches;
     let own_entry = |t: &str| t != DEFAULT_TENANT && t != TENANT_OVERFLOW;
     let tracked = !own_entry(tenant)
         || counts.iter().any(|(t, _)| t == tenant)
         || counts.iter().filter(|(t, _)| own_entry(t)).count() < MAX_TRACKED_TENANTS;
-    add_label(counts, if tracked { tenant } else { TENANT_OVERFLOW }, n);
+    let label = if tracked { tenant } else { TENANT_OVERFLOW };
+    match counts.binary_search_by(|(t, _)| t.as_str().cmp(label)) {
+        Ok(i) => counts[i].1 += n,
+        Err(i) => counts.insert(i, (label.to_string(), n)),
+    }
 }
 
 /// One deficit-round-robin scheduling decision, under the state lock.

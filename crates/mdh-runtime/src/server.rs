@@ -51,16 +51,12 @@
 //! in-flight frames finish, one unprefixed `err ...` line is written
 //! last, and the connection closes.
 //!
-//! ## Transports and shards
+//! ## Transports
 //!
 //! [`serve_opts`] binds a unix socket, a TCP listener, or both — same
 //! wire grammar, same header cap, read-timeout, connection cap (shared
-//! across both listeners), and drain semantics — and can run N runtime
-//! shards, routing each request by the consistent hash of its
-//! `PlanKey` (`HashRing`) so plan caches, tuning caches, and
-//! `mdh-mem` residency stay warm per shard.
-//! `STATS` on a sharded server answers the merged view
-//! ([`RuntimeStats::merge_shards`]) plus per-shard route counters.
+//! across both listeners), and drain semantics — in front of one
+//! [`Runtime`] and one front-end memo.
 //!
 //! Every request gets exactly one terminal reply. The load-shedding
 //! grammar is the `err` prefix set from [`mdh_core::error::MdhError`]:
@@ -79,22 +75,21 @@
 //! to answering `err overloaded` on that connection — the server keeps
 //! accepting. `SHUTDOWN` drains gracefully: in-flight connections and
 //! queued requests finish; new connections are answered `err draining`.
-//!
-//! [`RuntimeStats::merge_shards`]: crate::stats::RuntimeStats::merge_shards
 
-use crate::front::{Compiled, Router};
+use crate::front::{Compiled, FrontendMemo};
 use crate::protocol::{
     format_grad_response, format_response, read_body, read_header, Header, Submit,
 };
 use crate::request::{GradHandle, Handle, Request};
-use crate::runtime::RuntimeConfig;
+use crate::runtime::{Runtime, RuntimeConfig};
+use crate::stats::RuntimeStats;
 use crate::sync::{lock, Semaphore};
 use crate::transport::{accept_loop, bind_unix, AnyListener, Gate, NO_THREAD};
 use mdh_core::error::Result;
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 pub use crate::protocol::{checksum, deterministic_inputs, SubmitClientOpts, MAX_HEADER_BYTES};
@@ -104,31 +99,49 @@ pub use crate::transport::{AnyStream, ServerAddr};
 /// with the front ends; `mdhc` and this server share it.
 pub use mdh_directive::compile_any;
 
-/// Default virtual nodes per shard on the consistent-hash ring.
-pub const DEFAULT_VNODES: usize = 64;
-
-/// What [`serve_opts`] listens on and how many runtime shards it runs.
+/// What [`serve_opts`] listens on.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Unix socket path to bind (at least one of `unix`/`tcp` required).
     pub unix: Option<PathBuf>,
     /// TCP `host:port` to bind alongside (or instead of) the socket.
     pub tcp: Option<String>,
-    /// Runtime shards (`0` and `1` both mean a single unsharded runtime).
-    pub shards: usize,
-    /// Virtual nodes per shard on the hash ring (`0` → [`DEFAULT_VNODES`]).
-    pub vnodes: usize,
 }
 
 /// Everything a connection thread needs, shared across both accept loops.
 struct ServerCtx {
-    router: Router,
+    runtime: Runtime,
+    memo: FrontendMemo,
+    /// `PIPE` connections and their frames: the server's to count.
+    pipelined_connections: AtomicU64,
+    pipelined_frames: AtomicU64,
     gate: Arc<Gate>,
     pipeline_depth: usize,
 }
 
-/// Serve on every listener in `opts` (unix and/or TCP), over
-/// `opts.shards` runtime shards, until a client sends `SHUTDOWN`.
+impl ServerCtx {
+    fn new(config: RuntimeConfig, gate: Arc<Gate>) -> Result<ServerCtx> {
+        Ok(ServerCtx {
+            pipeline_depth: config.pipeline_depth.max(1),
+            runtime: Runtime::new(config)?,
+            memo: FrontendMemo::default(),
+            pipelined_connections: AtomicU64::new(0),
+            pipelined_frames: AtomicU64::new(0),
+            gate,
+        })
+    }
+
+    /// The runtime's snapshot with the server's own counters overlaid.
+    fn stats(&self) -> RuntimeStats {
+        let mut s = self.runtime.stats();
+        s.pipelined_connections = self.pipelined_connections.load(Ordering::Relaxed);
+        s.pipelined_frames = self.pipelined_frames.load(Ordering::Relaxed);
+        s
+    }
+}
+
+/// Serve on every listener in `opts` (unix and/or TCP) until a client
+/// sends `SHUTDOWN`.
 ///
 /// A stale socket file from a dead server is replaced; a socket another
 /// server is *currently accepting on* is not — this fails with
@@ -145,22 +158,15 @@ pub fn serve_opts(opts: ServeOptions, config: RuntimeConfig) -> std::io::Result<
     let wake_tcp = tcp_listener.as_ref().and_then(|l| l.local_addr().ok());
 
     let read_timeout = config.read_timeout;
-    let vnodes = if opts.vnodes == 0 {
-        DEFAULT_VNODES
-    } else {
-        opts.vnodes
-    };
-    let router = Router::new(&config, opts.shards, vnodes)
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
-    if let Some(ring) = &router.ring {
-        // deterministic: same shards and vnodes, same fingerprint
-        eprintln!(
-            "mdh-runtime: shard ring: shards={} vnodes={} fingerprint={:016x}",
-            ring.shards(),
-            ring.vnodes(),
-            ring.fingerprint()
-        );
-    }
+    let gate = Arc::new(Gate {
+        max_connections: config.max_connections.max(1),
+        wake_unix: opts.unix.clone(),
+        wake_tcp,
+        ..Gate::default()
+    });
+    let ctx = ServerCtx::new(config, Arc::clone(&gate))
+        .map_err(|e| std::io::Error::other(e.to_string()))
+        .map(Arc::new)?;
     if let Some(p) = &opts.unix {
         eprintln!("mdh-runtime: serving on {}", p.display());
     }
@@ -168,17 +174,6 @@ pub fn serve_opts(opts: ServeOptions, config: RuntimeConfig) -> std::io::Result<
         eprintln!("mdh-runtime: serving on tcp {addr}");
     }
 
-    let gate = Arc::new(Gate {
-        max_connections: config.max_connections.max(1),
-        wake_unix: opts.unix.clone(),
-        wake_tcp,
-        ..Gate::default()
-    });
-    let ctx = Arc::new(ServerCtx {
-        router,
-        gate: Arc::clone(&gate),
-        pipeline_depth: config.pipeline_depth.max(1),
-    });
     let listeners = [
         unix_listener.map(|l| ("mdh-accept-unix", AnyListener::Unix(l))),
         tcp_listener.map(|l| ("mdh-accept-tcp", AnyListener::Tcp(l))),
@@ -224,9 +219,9 @@ fn handle_connection(stream: AnyStream, ctx: &ServerCtx) -> std::io::Result<()> 
     match fields.first().copied() {
         Some("STATS") => {
             if fields.get(1).copied() == Some("json") {
-                writeln!(writer, "stats-json {}", ctx.router.stats().to_json())
+                writeln!(writer, "stats-json {}", ctx.stats().to_json())
             } else {
-                writeln!(writer, "stats {}", ctx.router.stats())
+                writeln!(writer, "stats {}", ctx.stats())
             }
         }
         Some("SHUTDOWN") => {
@@ -238,14 +233,12 @@ fn handle_connection(stream: AnyStream, ctx: &ServerCtx) -> std::io::Result<()> 
             // the frame path with a window of one, inline on this thread:
             // the frame's lines, then the stats line
             let frame = read_frame(&fields, None, &mut reader);
-            match frame
-                .and_then(|(submit, src)| collect_frame(submit_frame(&submit, &src, &ctx.router)))
-            {
+            match frame.and_then(|(submit, src)| collect_frame(submit_frame(&submit, src, ctx))) {
                 Ok(lines) => {
                     for line in lines {
                         writeln!(writer, "{line}")?;
                     }
-                    writeln!(writer, "stats {}", ctx.router.stats())
+                    writeln!(writer, "stats {}", ctx.stats())
                 }
                 Err(e) => writeln!(writer, "err {e}"),
             }
@@ -294,14 +287,14 @@ type FrameWork = std::result::Result<Vec<Launch>, String>;
 
 /// Compile (through the memo) and submit one SUBMIT's launches without
 /// waiting for any of them.
-fn submit_frame(submit: &Submit, src: &str, router: &Router) -> FrameWork {
-    let compiled = router.memo.compile(src, submit)?;
+fn submit_frame(submit: &Submit, src: String, ctx: &ServerCtx) -> FrameWork {
+    let compiled = ctx.memo.compile(src, submit)?;
     let grad = submit.header.opts.grad;
     let launch = |req| {
         if grad {
-            Launch::Grad(router.submit_grad(req))
+            Launch::Grad(ctx.runtime.submit_grad(req, None, None))
         } else {
-            Launch::Plain(router.submit(req))
+            Launch::Plain(ctx.runtime.submit(req))
         }
     };
     Ok(frame_requests(submit, &compiled).map(launch).collect())
@@ -356,9 +349,7 @@ fn handle_pipelined(
 ) -> std::io::Result<()> {
     let depth = ctx.pipeline_depth;
     writeln!(writer, "ok pipelined depth={depth}")?;
-    ctx.router
-        .pipelined_connections
-        .fetch_add(1, Ordering::Relaxed);
+    ctx.pipelined_connections.fetch_add(1, Ordering::Relaxed);
 
     // The writer thread is the sole owner of the write half: each channel
     // message is one frame's contiguous reply lines. The small bound
@@ -468,9 +459,9 @@ fn read_frames(
             Ok(frame) => frame,
             Err(e) => return Some(format!("err {e}")),
         };
-        ctx.router.pipelined_frames.fetch_add(1, Ordering::Relaxed);
+        ctx.pipelined_frames.fetch_add(1, Ordering::Relaxed);
         inflight.acquire(); // ≤ depth frames past this point
-        let work = submit_frame(&submit, &src, &ctx.router);
+        let work = submit_frame(&submit, src, ctx);
         // `read_frame` has just accepted this frame's id as the last one
         if frames.send((last_id.unwrap_or_default(), work)).is_err() {
             return None;
@@ -505,9 +496,9 @@ mod tests {
             },
             ..RuntimeConfig::default()
         };
-        let router = Router::new(&config, 2, 8).unwrap();
+        let ctx = ServerCtx::new(config, Arc::default()).unwrap();
         let submit = dot_submit(8);
-        let entry = router.memo.compile(DOT, &submit).unwrap();
+        let entry = ctx.memo.compile(DOT.into(), &submit).unwrap();
         assert_eq!(Arc::strong_count(&entry.inputs), 1, "the memo's");
 
         // the eight launches of one SUBMIT, before they are submitted
@@ -519,10 +510,10 @@ mod tests {
 
         // two frames of one source through the real path: both resolve to
         // the same entry, so all sixteen launches read one allocation
-        let first = submit_frame(&submit, DOT, &router);
-        let second = submit_frame(&submit, DOT, &router);
+        let first = submit_frame(&submit, DOT.into(), &ctx);
+        let second = submit_frame(&submit, DOT.into(), &ctx);
         assert!(Arc::ptr_eq(
-            &router.memo.compile(DOT, &submit).unwrap(),
+            &ctx.memo.compile(DOT.into(), &submit).unwrap(),
             &entry
         ));
         for work in [first, second] {
@@ -534,7 +525,7 @@ mod tests {
             );
         }
         // replies written; joining the workers drops the last job
-        drop(router);
+        drop(ctx);
         assert_eq!(
             Arc::strong_count(&entry.inputs),
             1,

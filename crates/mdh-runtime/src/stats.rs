@@ -1,4 +1,4 @@
-//! Runtime statistics: one table of metrics and a mergeable latency
+//! Runtime statistics: one table of metrics and a fixed-size latency
 //! histogram (DESIGN.md §6 "Stats").
 
 pub use crate::histogram::Histogram;
@@ -18,7 +18,6 @@ fn ratio(n: u64, d: u64) -> f64 {
 const HEALTHY: &str = "healthy";
 
 /// One metric's value, as the JSON and text emitters read it.
-#[derive(Debug, PartialEq)]
 enum Val<'a> {
     /// A counter or a gauge.
     Count(u64),
@@ -137,40 +136,6 @@ fn json_object<V>(out: &mut String, entries: &[(String, V)], value: impl Fn(&mut
     out.push('}');
 }
 
-/// Add `n` to `label`'s entry of a labelled counter kept sorted by label.
-pub(crate) fn add_label(counts: &mut Vec<(String, u64)>, label: &str, n: u64) {
-    match counts.binary_search_by(|(l, _)| l.as_str().cmp(label)) {
-        Ok(i) => counts[i].1 += n,
-        Err(i) => counts.insert(i, (label.to_string(), n)),
-    }
-}
-
-/// The merge rules of the metric table: how one shard's value is
-/// combined into the front's ([`RuntimeStats::merge_shards`]). Each is
-/// associative, so shards may be absorbed in any grouping.
-mod merge {
-    /// Counters, additive gauges and histograms add.
-    pub fn sum<T: for<'a> std::ops::AddAssign<&'a T>>(into: &mut T, shard: &T, _: usize) {
-        *into += shard;
-    }
-    /// Process-wide values every shard reports alike, and high-water marks.
-    pub fn max<T: Ord + Copy>(into: &mut T, shard: &T, _: usize) {
-        *into = (*into).max(*shard);
-    }
-    /// Per-device labels stay apart: shard `i`'s are prefixed `si-`.
-    pub fn prefix<V: Clone>(into: &mut Vec<(String, V)>, shard: &[(String, V)], i: usize) {
-        into.extend(shard.iter().map(|(l, v)| (format!("s{i}-{l}"), v.clone())));
-    }
-    /// Labels that mean the same on every shard (tenants) add by label.
-    pub fn by_label(into: &mut Vec<(String, u64)>, shard: &[(String, u64)], _: usize) {
-        for (label, n) in shard {
-            super::add_label(into, label, *n);
-        }
-    }
-    /// Left empty: the front fills it from its own routing table.
-    pub fn front<T>(_: &mut T, _: &T, _: usize) {}
-}
-
 /// One JSON key of the snapshot and, when `section` is not empty, its
 /// place in the text line.
 struct Row {
@@ -197,16 +162,14 @@ const SECTIONS: &[(&str, &str, bool)] = &[
     ("edge", "; edge:", false),
     ("tenants", "; tenants:", false),
     ("pipeline", "; pipeline:", false),
-    ("shards", "; shards:", false),
 ];
 
-/// Builds [`RuntimeStats`], its accessors, its merge, `KEYS` and `ROWS`
-/// from the table at the bottom of this file, one row per metric:
+/// Builds [`RuntimeStats`], its accessors, `KEYS` and `ROWS` from the
+/// table at the bottom of this file, one row per metric:
 ///
-/// * `name: Type = rule` — a stored field, merged across shards by
-///   `merge::rule`, and a JSON key of the same name;
-/// * `name: Type = rule, hidden` — a stored field read only through
-///   derived keys;
+/// * `name: Type` — a stored field and a JSON key of the same name;
+/// * `name: Type, hidden` — a stored field read only through derived
+///   keys;
 /// * `name() -> Type = |s| expr` — a derived key and the public accessor
 ///   that computes it.
 ///
@@ -215,12 +178,12 @@ const SECTIONS: &[(&str, &str, bool)] = &[
 /// table's.
 macro_rules! metrics {
     (@ [$($f:tt)*] $r:tt $d:tt
-     $(#[$doc:meta])* $name:ident: $ty:ty = $merge:ident, hidden; $($rest:tt)*) => {
-        metrics!(@ [$($f)* {$(#[$doc])* $name: $ty = $merge}] $r $d $($rest)*);
+     $(#[$doc:meta])* $name:ident: $ty:ty, hidden; $($rest:tt)*) => {
+        metrics!(@ [$($f)* {$(#[$doc])* $name: $ty}] $r $d $($rest)*);
     };
-    (@ [$($f:tt)*] [$($r:tt)*] $d:tt $(#[$doc:meta])* $name:ident: $ty:ty = $merge:ident
+    (@ [$($f:tt)*] [$($r:tt)*] $d:tt $(#[$doc:meta])* $name:ident: $ty:ty
      $(, $sec:ident $([$slot:literal])? $tpl:literal)?; $($rest:tt)*) => {
-        metrics!(@ [$($f)* {$(#[$doc])* $name: $ty = $merge}]
+        metrics!(@ [$($f)* {$(#[$doc])* $name: $ty}]
             [$($r)* {$name, |s| Val::from(&s.$name) $(, $sec $([$slot])? $tpl)?}] $d $($rest)*);
     };
     (@ $f:tt [$($r:tt)*] [$($d:tt)*]
@@ -229,7 +192,7 @@ macro_rules! metrics {
         metrics!(@ $f [$($r)* {$name, |s| Val::from(&s.$name()) $(, $sec $([$slot])? $tpl)?}]
             [$($d)* {$(#[$doc])* $name -> $ty = |$s| $body}] $($rest)*);
     };
-    (@ [$({$(#[$doc:meta])* $field:ident: $ty:ty = $merge:ident})*]
+    (@ [$({$(#[$doc:meta])* $field:ident: $ty:ty})*]
        [$({$key:ident, $get:expr $(, $sec:ident $([$slot:literal])? $tpl:literal)?})*]
        [$({$(#[$ddoc:meta])* $derived:ident -> $dty:ty = |$s:ident| $body:expr})*]) => {
         /// A point-in-time snapshot of the runtime's counters.
@@ -246,16 +209,7 @@ macro_rules! metrics {
                 let $s = self;
                 $body
             })*
-
-            /// Fold shard `i`'s snapshot in, each field by its merge rule.
-            fn absorb(&mut self, shard: &RuntimeStats, i: usize) {
-                $(merge::$merge(&mut self.$field, &shard.$field, i);)*
-            }
         }
-
-        /// Every stored field with its merge rule.
-        #[cfg(test)]
-        const MERGES: &[(&str, &str)] = &[$((stringify!($field), stringify!($merge))),*];
 
         const ROWS: &[Row] = &[$(Row {
             key: stringify!($key),
@@ -269,16 +223,6 @@ macro_rules! metrics {
 }
 
 impl RuntimeStats {
-    /// Merge per-shard snapshots into one front-level view, each metric
-    /// by the rule its table row names (see [`merge`]).
-    pub fn merge_shards(shards: &[RuntimeStats]) -> RuntimeStats {
-        let mut merged = RuntimeStats::default();
-        for (i, shard) in shards.iter().enumerate() {
-            merged.absorb(shard, i);
-        }
-        merged
-    }
-
     /// The whole snapshot as one machine-readable JSON object: a single
     /// line, every key of [`RuntimeStats::KEYS`] present whether or not
     /// its value is zero.
@@ -320,35 +264,35 @@ impl fmt::Display for RuntimeStats {
 
 metrics! {
     /// Plan-cache lookups served from cache.
-    plan_hits: u64 = sum, head[5] " {} hits /";
+    plan_hits: u64, head[5] " {} hits /";
     /// Plan-cache lookups that had to lower a fresh plan.
-    plan_misses: u64 = sum, head[6] " {} misses";
+    plan_misses: u64, head[6] " {} misses";
     /// Plans dropped by LRU eviction.
-    plan_evictions: u64 = sum, head[8] " {} evictions,";
+    plan_evictions: u64, head[8] " {} evictions,";
     /// Background tune results hot-swapped over an incumbent plan.
-    plan_swaps: u64 = sum, head[9] " {} swaps,";
+    plan_swaps: u64, head[9] " {} swaps,";
     /// Plans currently resident.
-    plans_resident: usize = sum, head[4] " plan cache: {} resident,";
+    plans_resident: usize, head[4] " plan cache: {} resident,";
     /// Share of plan-cache lookups served from the cache; 0 before any.
     hit_rate() -> f64 = |s| ratio(s.plan_hits, s.plan_hits + s.plan_misses),
         head[7] " (rate {:.3}),";
     /// Requests completed (successfully or with an error response).
-    completed: u64 = sum, head[0] "requests={}";
+    completed: u64, head[0] "requests={}";
     /// Batches executed (a batch = 1..=max_batch same-key requests).
-    batches: u64 = sum, head[1] " batches={}";
+    batches: u64, head[1] " batches={}";
     /// Requests that were part of an executed batch: `completed` less
     /// those answered `deadline exceeded` or failed fast by a breaker
     /// before joining one.
-    batched_requests: u64 = sum;
+    batched_requests: u64;
     /// Largest batch executed so far.
-    max_batch: usize = max, head[3] " max {})";
+    max_batch: usize, head[3] " max {})";
     /// Mean number of requests per executed batch.
     mean_batch() -> f64 = |s| ratio(s.batched_requests, s.batches),
         head[2] " (mean batch {:.2},";
     /// Background tune searches finished.
-    tunes_done: u64 = sum, head[10] " {} tunes";
+    tunes_done: u64, head[10] " {} tunes";
     /// End-to-end latency (submit → response) of successful requests.
-    latency: Histogram = sum, hidden;
+    latency: Histogram, hidden;
     /// Median end-to-end latency in ms, to within one [`Histogram`]
     /// bucket; zero until a request has succeeded.
     latency_p50_ms() -> f64 = |s| s.latency.percentile_ns(50.0) / 1e6, latency " p50 {:.3}";
@@ -358,7 +302,7 @@ metrics! {
     latency_mean_ms() -> f64 = |s| s.latency.mean_ns() / 1e6, latency " mean {:.3}";
     /// Per-request *execution* latency (inside the executor, excluding
     /// queueing/batching) of successful requests.
-    exec_latency: Histogram = sum, hidden;
+    exec_latency: Histogram, hidden;
     /// Median execution latency in microseconds.
     exec_p50_us() -> f64 = |s| s.exec_latency.percentile_ns(50.0) / 1e3, exec " p50 {:.1}";
     /// 99th percentile of execution latency in microseconds.
@@ -369,86 +313,82 @@ metrics! {
     /// (`gpu0`, `cpu1`, ...). Empty when the runtime serves GPU requests
     /// on a single device; CPU-device requests run on the shared host
     /// executor and are not pool dispatches.
-    device_dispatches: Vec<(String, u64)> = prefix, dispatch " {}";
+    device_dispatches: Vec<(String, u64)>, dispatch " {}";
     /// Shard attempts re-run after an injected transient fault or a
     /// timed-out transfer (monotone; pool runtimes only).
-    fault_retries: u64 = sum, faults " retries={}";
+    fault_retries: u64, faults " retries={}";
     /// Devices evicted from the pool health view after a crash.
-    device_evictions: u64 = sum, faults " evictions={}";
+    device_evictions: u64, faults " evictions={}";
     /// Partitions re-planned over a shrunken pool after an eviction.
-    repartitions: u64 = sum, faults " repartitions={}";
+    repartitions: u64, faults " repartitions={}";
     /// Requests served while the pool was degraded (at least one device
     /// evicted, or lost during the request itself).
-    degraded_requests: u64 = sum, faults " degraded-requests={}";
+    degraded_requests: u64, faults " degraded-requests={}";
     /// Requests shed at admission because the bounded queue was full.
-    shed_requests: u64 = sum, edge " shed={}";
+    shed_requests: u64, edge " shed={}";
     /// Requests answered `deadline exceeded` without executing.
-    deadline_exceeded: u64 = sum, edge " deadline-exceeded={}";
+    deadline_exceeded: u64, edge " deadline-exceeded={}";
     /// Worker panics isolated into per-request errors.
-    worker_panics: u64 = sum, edge " worker-panics={}";
+    worker_panics: u64, edge " worker-panics={}";
     /// Plan-key circuit breakers tripped open.
-    breaker_trips: u64 = sum, edge " breaker-trips={}";
+    breaker_trips: u64, edge " breaker-trips={}";
     /// Requests failed fast by an open breaker.
-    breaker_fast_fails: u64 = sum, edge " breaker-fast-fails={}";
+    breaker_fast_fails: u64, edge " breaker-fast-fails={}";
     /// Requests rejected because the runtime (or server) was draining.
-    draining_rejects: u64 = sum, edge " draining-rejects={}";
+    draining_rejects: u64, edge " draining-rejects={}";
     /// Gradient round trips (`submit_grad` / `SUBMIT ... grad=1`): one
     /// counted per round trip, however many adjoint parts it spawned.
-    grad_requests: u64 = sum, training " grad-requests={}";
+    grad_requests: u64, training " grad-requests={}";
     /// Accepted requests whose program contains an indexed reduction
     /// (`rbi`): histogram-style apps and AD-emitted scatter adjoints.
-    rbi_requests: u64 = sum, training " rbi-requests={}";
+    rbi_requests: u64, training " rbi-requests={}";
     /// Memory-pool residency hits — pool launches that skipped an operand
     /// upload because the device already held the current bytes (monotone;
     /// `devices > 1` with a nonzero `mem_budget_bytes` only).
-    mem_hits: u64 = sum, mem " hits={}";
+    mem_hits: u64, mem " hits={}";
     /// Memory-pool residency misses — operand blocks uploaded (monotone).
-    mem_misses: u64 = sum, mem " misses={}";
+    mem_misses: u64, mem " misses={}";
     /// Resident blocks evicted under capacity pressure (monotone).
-    mem_evictions: u64 = sum, mem " evictions={}";
+    mem_evictions: u64, mem " evictions={}";
     /// Bytes currently resident across every device of the pool (gauge).
-    mem_bytes_resident: u64 = sum, mem " resident={}B";
+    mem_bytes_resident: u64, mem " resident={}B";
     /// Upload bytes skipped thanks to residency (monotone).
-    mem_bytes_avoided: u64 = sum, mem " avoided={}B";
+    mem_bytes_avoided: u64, mem " avoided={}B";
     /// CPU executions served by a registry-compiled fast-path kernel
     /// (monotone; process-wide, shared with any co-resident executors).
-    kernel_hits: u64 = max, fast " kernel-hits={}";
+    kernel_hits: u64, fast " kernel-hits={}";
     /// CPU executions that were fast-path candidates but fell back to the
     /// VM or legacy kernels, with a recorded reason (monotone).
-    kernel_fallbacks: u64 = max, fast " kernel-fallbacks={}";
+    kernel_fallbacks: u64, fast " kernel-fallbacks={}";
     /// Injected shard hangs caught by the watchdog (monotone).
-    fault_hangs: u64 = sum, healing " hangs={}";
+    fault_hangs: u64, healing " hangs={}";
     /// Hung or straggling shards hedged onto a healthy spare (monotone).
-    fault_hedges: u64 = sum, healing " hedges={}";
+    fault_hedges: u64, healing " hedges={}";
     /// Health probes run against out-of-rotation devices (monotone).
-    health_probes: u64 = sum, healing " probes={}";
+    health_probes: u64, healing " probes={}";
     /// Devices demoted to probation after a hang (monotone).
-    health_probations: u64 = sum, healing " probations={}";
+    health_probations: u64, healing " probations={}";
     /// Devices reinstated into the rotation after passing their probe
     /// quota (monotone).
-    health_reinstatements: u64 = sum, healing " reinstatements={}";
+    health_reinstatements: u64, healing " reinstatements={}";
     /// Resident-buffer corruptions detected by fingerprint revalidation
     /// and repaired with a fresh upload (monotone).
-    corruptions_detected: u64 = sum, healing " corruptions={}";
+    corruptions_detected: u64, healing " corruptions={}";
     /// Current health state of each pool device, labelled
     /// (`gpu0`, ...) → `healthy`/`probation`/`evicted`/`reinstating`
     /// (gauge; empty for single-device runtimes).
-    device_health: Vec<(String, String)> = prefix, healing " {}";
+    device_health: Vec<(String, String)>, healing " {}";
     /// Requests shed at admission because their tenant's queue was at its
     /// per-tenant quota (a subset of `shed_requests`).
-    tenant_shed: u64 = sum, tenants " shed={}";
+    tenant_shed: u64, tenants " shed={}";
     /// Requests dispatched to workers, per tenant (`default` for requests
     /// submitted without a tenant). Sorted by tenant name; the number of
     /// names is bounded (see `runtime::MAX_TRACKED_TENANTS`).
-    tenant_dispatches: Vec<(String, u64)> = by_label, tenants " {}";
+    tenant_dispatches: Vec<(String, u64)>, tenants " {}";
     /// Connections that negotiated pipelined (`PIPE`) framing (monotone).
-    pipelined_connections: u64 = sum, pipeline " connections={}";
+    pipelined_connections: u64, pipeline " connections={}";
     /// Frames served over pipelined connections (monotone).
-    pipelined_frames: u64 = sum, pipeline " frames={}";
-    /// Requests routed to each runtime shard by a front, labelled
-    /// (`shard0`, ...). Empty unless the snapshot came from a front's
-    /// shard merge.
-    shard_routes: Vec<(String, u64)> = front, shards " {}";
+    pipelined_frames: u64, pipeline " frames={}";
 }
 
 #[cfg(test)]
@@ -502,7 +442,6 @@ mod tests {
             tenant_dispatches: vec![("default".into(), 5), ("tenant-a".into(), 7)],
             pipelined_connections: 2,
             pipelined_frames: 64,
-            shard_routes: vec![("shard0".into(), 30), ("shard1".into(), 34)],
             ..RuntimeStats::default()
         }
     }
@@ -514,12 +453,22 @@ mod tests {
 
     #[test]
     fn text_and_json_match_the_strings_recorded_before_the_table() {
-        assert_eq!(busy().to_string(), GOLDEN_TEXT);
+        // the shard routes removed since, a section of the line and a key
+        let routes_text = "; shards: shard0=30 shard1=34";
+        let routes_json = r#","shard_routes":{"shard0":30,"shard1":34}"#;
+        assert!(GOLDEN_TEXT.ends_with(routes_text) && GOLDEN_JSON.contains(routes_json));
+        assert_eq!(busy().to_string(), GOLDEN_TEXT.replace(routes_text, ""));
         // the one key added since, by the row that declares it
         let added = r#""batched_requests":12,"#;
         let json = busy().to_json();
-        assert_eq!(json.replace(added, ""), GOLDEN_JSON);
-        assert_eq!(json.len(), GOLDEN_JSON.len() + added.len());
+        assert_eq!(
+            json.replace(added, ""),
+            GOLDEN_JSON.replace(routes_json, "")
+        );
+        assert_eq!(
+            json.len(),
+            GOLDEN_JSON.len() + added.len() - routes_json.len()
+        );
     }
 
     /// Top-level keys of a one-line JSON object, in order: the strings at
@@ -566,7 +515,6 @@ mod tests {
         for nested in [
             r#""gpu1":"probation""#,
             r#""tenant-a":7"#,
-            r#""shard0":30"#,
             r#""tunes_done":2,"latency_p50_ms":0.6062,"latency_p99_ms":1.2124,"latency_mean_ms":0.6500,"exec_p50_us":54.2720,"exec_p99_us":54.2720,"exec_samples":1,"device_dispatches""#,
         ] {
             assert!(json.contains(nested), "{nested} in {json}");
@@ -633,11 +581,6 @@ mod tests {
                 |s| s.pipelined_frames = 40,
                 "; pipeline: connections=0 frames=40",
             ),
-            (
-                "shards",
-                |s| s.shard_routes = vec![("shard0".into(), 25), ("shard1".into(), 75)],
-                "; shards: shard0=25 shard1=75",
-            ),
         ];
         let conditional = SECTIONS.iter().filter(|s| !s.2).map(|s| s.0);
         assert!(
@@ -696,66 +639,5 @@ mod tests {
         assert!((s.mean_batch() - 4.0).abs() < 1e-12);
         let idle = RuntimeStats::default();
         assert_eq!((idle.hit_rate(), idle.mean_batch()), (0.0, 0.0));
-    }
-
-    fn prefixed<V: Clone>(v: &[(String, V)], i: usize) -> Vec<(String, V)> {
-        let relabel = |(l, x): &(String, V)| (format!("s{i}-{l}"), x.clone());
-        v.iter().map(relabel).collect()
-    }
-
-    #[test]
-    fn merge_rules_each_seen_with_unequal_shard_values() {
-        let mut a = busy();
-        (1..=3).for_each(|i| a.latency.record_ms(i as f64));
-        a.exec_latency.record_ms(0.5);
-        // one shard: only the labels change, and the routes are the front's
-        let alone = RuntimeStats {
-            device_dispatches: prefixed(&a.device_dispatches, 0),
-            device_health: prefixed(&a.device_health, 0),
-            shard_routes: Vec::new(),
-            ..a.clone()
-        };
-        assert_eq!(RuntimeStats::merge_shards(&[a.clone()]), alone);
-
-        // a second shard that differs from the first in every field
-        let mut b = RuntimeStats::merge_shards(&[a.clone(), a.clone()]);
-        (b.max_batch, b.kernel_hits, b.kernel_fallbacks) = (2, 50, 9);
-        b.tenant_dispatches.push(("tenant-b".into(), 1));
-        let m = RuntimeStats::merge_shards(&[a.clone(), b.clone()]);
-        for &(field, rule) in MERGES {
-            let Some(row) = ROWS.iter().find(|r| r.key == field) else {
-                continue; // the hidden histograms, below
-            };
-            let (x, y, got) = ((row.get)(&a), (row.get)(&b), (row.get)(&m));
-            assert_ne!(x, y, "{field}");
-            use Val::{Count, Counts, States};
-            match (rule, x, y, got) {
-                ("sum", Count(x), Count(y), Count(got)) => assert_eq!(got, x + y, "{field}"),
-                ("max", Count(x), Count(y), Count(got)) => assert_eq!(got, x.max(y), "{field}"),
-                ("prefix", Counts(x), Counts(y), Counts(got)) => {
-                    assert_eq!(got, [prefixed(x, 0), prefixed(y, 1)].concat());
-                }
-                ("prefix", States(x), States(y), States(got)) => {
-                    assert_eq!(got, [prefixed(x, 0), prefixed(y, 1)].concat());
-                }
-                ("by_label", Counts(x), Counts(y), Counts(got)) => {
-                    let mut sums = std::collections::BTreeMap::new();
-                    for (label, n) in x.iter().chain(y) {
-                        *sums.entry(label.clone()).or_insert(0) += n;
-                    }
-                    assert_eq!(got, sums.into_iter().collect::<Vec<_>>());
-                }
-                ("front", _, _, Counts(got)) => assert!(got.is_empty(), "{field}"),
-                other => panic!("{field}: no check for {other:?}"),
-            }
-        }
-        let mut pooled = a.latency.clone();
-        pooled += &b.latency;
-        assert!(m.latency == pooled && m.latency.count() == 9);
-        assert_eq!((m.latency_mean_ms(), m.exec_samples()), (2.0, 3));
-        let rules: std::collections::BTreeSet<_> = MERGES.iter().map(|m| m.1).collect();
-        assert!(rules
-            .into_iter()
-            .eq(["by_label", "front", "max", "prefix", "sum"]));
     }
 }

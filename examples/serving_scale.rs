@@ -1,10 +1,10 @@
-//! Serving at scale, end to end over the wire: one sharded server with
-//! two listeners, a pipelined burst, and a tenant flood that cannot
-//! starve anyone.
+//! Serving at scale, end to end over the wire: one server with two
+//! listeners, a pipelined burst, and a tenant flood that cannot starve
+//! anyone.
 //!
-//! One `serve_opts` front runs 2 runtime shards behind a unix socket
-//! *and* a TCP listener (same grammar, same runtime on both). Three
-//! phases, all through the public client API:
+//! One `serve_opts` front runs one runtime behind a unix socket *and* a
+//! TCP listener (same grammar, same runtime on both). Three phases, all
+//! through the public client API:
 //!
 //! 1. **transports** — the same dot-product request goes once per
 //!    transport as plain one-command connections and once as a 16-frame
@@ -16,8 +16,7 @@
 //!    be served (no lockout), and the surplus burst must shed with an
 //!    error naming the tenant;
 //! 3. **stats** — `STATS json` from the TCP side must account for the
-//!    pipelined connection, the per-tenant dispatches, and the
-//!    consistent-hash routes across both shards.
+//!    pipelined connection and the per-tenant dispatches.
 //!
 //! The `output-hash` lines are FNV-1a over sorted result checksums and
 //! fully deterministic. Counts that depend on thread interleaving (how
@@ -90,8 +89,6 @@ fn main() {
             ServeOptions {
                 unix: Some(serve_sock),
                 tcp: Some(serve_tcp),
-                shards: 2,
-                ..ServeOptions::default()
             },
             RuntimeConfig {
                 workers: 2,
@@ -113,7 +110,7 @@ fn main() {
     while Client::new(unix_addr.clone()).stats_json().is_err() {
         std::thread::sleep(Duration::from_millis(10));
     }
-    println!("front up: unix {} + tcp {} (2 shards)", sock.display(), tcp);
+    println!("front up: unix {} + tcp {}", sock.display(), tcp);
 
     // --- phase 1: two transports, one framing upgrade, identical bits --
     let quiet = opts_for("interactive", 512);
@@ -180,15 +177,14 @@ fn main() {
         "\"pipelined_connections\":1",
         "\"tenant_shed\":",
         "\"tenant_dispatches\":",
-        "\"shard_routes\":",
     ] {
         assert!(stats.contains(key), "stats missing {key}: {stats}");
     }
-    println!("stats: pipelined connection, tenant dispatches, and shard routes all accounted");
+    println!("stats: pipelined connection and tenant dispatches accounted");
 
     let bye = Client::new(unix_addr).shutdown().expect("shutdown");
     assert!(bye[0].starts_with("ok"), "{bye:?}");
     server.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);
-    println!("done: two transports, framed pipelining, fair tenants, 2 shards — one runtime");
+    println!("done: two transports, framed pipelining, fair tenants — one runtime");
 }

@@ -41,12 +41,6 @@
 //!                                                  tenant's queued requests;
 //!                                                  --tenant-weight skews the
 //!                                                  fair scheduler's shares)
-//! mdhc front    <socket> --shards N [serve flags]  like serve, but runs N
-//!                                                  runtime shards and routes
-//!                                                  each request by consistent
-//!                                                  hash of its plan key, so
-//!                                                  plan/tuning/memory caches
-//!                                                  stay warm per shard
 //! mdhc submit   <file> --socket PATH [--tcp HOST:PORT] [-D ...]
 //!               [--device gpu|cpu] [--count N] [--deadline-ms N] [--grad]
 //!               [--tenant NAME] [--sequential]     send launches to a server
@@ -89,14 +83,14 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mdhc <compile|run|estimate|tune|explain|serve|front|submit|stats> <file|socket> \
+        "usage: mdhc <compile|run|estimate|tune|explain|serve|submit|stats> <file|socket> \
          [-D NAME=VAL]... [--device gpu|cpu] [--threads N] [--budget N] [--cache FILE] \
          [--workers N] [--batch N] [--socket PATH] [--count N] [--devices N] \
          [--faults SPEC] [--mem-budget BYTES[k|m|g]] [--hedge-ms MS] \
          [--probe-every N] [--reinstate-after N] [--max-queue-depth N] \
          [--max-connections N] [--deadline-ms N] [--grad] [--json] \
          [--tcp HOST:PORT] [--tenant NAME] [--tenant-quota N] [--tenant-weight NAME=W] \
-         [--pipeline-depth N] [--shards N] [--sequential]"
+         [--pipeline-depth N] [--sequential]"
     );
     exit(2);
 }
@@ -130,7 +124,6 @@ struct Cli {
     tenant_quota: usize,
     tenant_weights: Vec<(String, u32)>,
     pipeline_depth: usize,
-    shards: usize,
     sequential: bool,
 }
 
@@ -177,7 +170,6 @@ fn parse_cli() -> Cli {
     let mut tenant_quota = defaults.tenant_quota;
     let mut tenant_weights = Vec::new();
     let mut pipeline_depth = defaults.pipeline_depth;
-    let mut shards = 1;
     let mut sequential = false;
     let mut i = flags_start;
     while i < args.len() {
@@ -364,13 +356,6 @@ fn parse_cli() -> Cli {
                     .unwrap_or_else(|| usage());
                 i += 2;
             }
-            "--shards" => {
-                shards = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
             "--sequential" => {
                 sequential = true;
                 i += 1;
@@ -410,7 +395,6 @@ fn parse_cli() -> Cli {
         tenant_quota,
         tenant_weights,
         pipeline_depth,
-        shards,
         sequential,
     }
 }
@@ -533,12 +517,10 @@ fn checksum(buf: &Buffer) -> f64 {
     }
 }
 
-/// `mdhc serve <socket>` / `mdhc front <socket> --shards N`: run the
-/// persistent execution runtime until a client sends SHUTDOWN. The
-/// socket path is `cli.file`; `--tcp` binds a TCP listener alongside it;
-/// `shards > 1` (the `front` command) routes requests across N runtime
-/// shards by consistent hash of the plan key.
-fn cmd_serve(cli: &Cli, shards: usize) {
+/// `mdhc serve <socket>`: run the persistent execution runtime until a
+/// client sends SHUTDOWN. The socket path is `cli.file`; `--tcp` binds a
+/// TCP listener alongside it.
+fn cmd_serve(cli: &Cli) {
     let config = RuntimeConfig {
         workers: cli.workers.max(1),
         exec_threads: cli.threads,
@@ -603,8 +585,6 @@ fn cmd_serve(cli: &Cli, shards: usize) {
     let opts = mdh::runtime::ServeOptions {
         unix,
         tcp: cli.tcp.clone(),
-        shards,
-        ..mdh::runtime::ServeOptions::default()
     };
     if let Err(e) = mdh::runtime::server::serve_opts(opts, config) {
         eprintln!("serve failed: {e}");
@@ -702,11 +682,14 @@ fn cmd_stats(cli: &Cli) {
 fn main() {
     let cli = parse_cli();
     match cli.cmd.as_str() {
-        "serve" => return cmd_serve(&cli, 1),
-        "front" => return cmd_serve(&cli, cli.shards.max(1)),
+        "serve" => return cmd_serve(&cli),
         "submit" => return cmd_submit(&cli),
         "stats" => return cmd_stats(&cli),
-        _ => {}
+        "compile" | "explain" | "run" | "estimate" | "tune" => {}
+        other => {
+            eprintln!("unknown command '{other}'");
+            usage();
+        }
     }
     let prog = load_program(&cli);
     match cli.cmd.as_str() {
@@ -827,9 +810,6 @@ fn main() {
                 println!("cached to {}", p.display());
             }
         }
-        other => {
-            eprintln!("unknown command '{other}'");
-            usage();
-        }
+        _ => unreachable!("the command was checked before the program loaded"),
     }
 }

@@ -189,6 +189,19 @@ fn missing_file_fails_cleanly() {
     assert!(!out.status.success());
 }
 
+/// A command `mdhc` does not have is a usage error, answered before the
+/// positional is read as a file.
+#[test]
+fn unknown_command_prints_usage() {
+    for cmd in ["front", "launch"] {
+        let out = mdhc().args([cmd, "/nonexistent/x.sock"]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(stderr.contains("unknown command"), "{cmd}: {stderr}");
+        assert!(stderr.contains("usage: mdhc"), "{cmd}: {stderr}");
+    }
+}
+
 /// The fields of every `ok` reply line that must not depend on framing:
 /// the output and gradient checksums.
 fn checksum_fields(stdout: &[u8]) -> Vec<String> {
