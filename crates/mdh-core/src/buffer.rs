@@ -10,7 +10,7 @@
 use crate::error::MdhError;
 use crate::shape::Shape;
 use crate::types::{BasicType, FieldType, RecordType, ScalarKind, Value};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 
 /// Typed storage for the elements of a buffer.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,6 +24,152 @@ pub enum BufferData {
     /// Column-wise record storage: one column per field; array fields store
     /// `lanes` consecutive primitive values per element.
     Record(RecordStorage),
+}
+
+impl BufferData {
+    /// `n` freshly allocated zero elements of `kind`.
+    fn fresh(kind: ScalarKind, n: usize) -> BufferData {
+        match kind {
+            ScalarKind::F32 => BufferData::F32(vec![0.0; n]),
+            ScalarKind::F64 => BufferData::F64(vec![0.0; n]),
+            ScalarKind::I32 => BufferData::I32(vec![0; n]),
+            ScalarKind::I64 => BufferData::I64(vec![0; n]),
+            ScalarKind::Bool => BufferData::Bool(vec![false; n]),
+            ScalarKind::Char => BufferData::Char(vec![0; n]),
+        }
+    }
+
+    /// Element kind and count of scalar storage; `None` for records.
+    fn scalar_len(&self) -> Option<(ScalarKind, usize)> {
+        Some(match self {
+            BufferData::F32(v) => (ScalarKind::F32, v.len()),
+            BufferData::F64(v) => (ScalarKind::F64, v.len()),
+            BufferData::I32(v) => (ScalarKind::I32, v.len()),
+            BufferData::I64(v) => (ScalarKind::I64, v.len()),
+            BufferData::Bool(v) => (ScalarKind::Bool, v.len()),
+            BufferData::Char(v) => (ScalarKind::Char, v.len()),
+            BufferData::Record(_) => return None,
+        })
+    }
+
+    fn fill_zero(&mut self) {
+        match self {
+            BufferData::F32(v) => v.fill(0.0),
+            BufferData::F64(v) => v.fill(0.0),
+            BufferData::I32(v) => v.fill(0),
+            BufferData::I64(v) => v.fill(0),
+            BufferData::Bool(v) => v.fill(false),
+            BufferData::Char(v) => v.fill(0),
+            BufferData::Record(_) => {}
+        }
+    }
+}
+
+/// Scalar blocks of at least this many bytes go through [`HostBlocks`]:
+/// glibc's `DEFAULT_MMAP_THRESHOLD_MAX` on 64-bit targets, the ceiling of
+/// its dynamic mmap threshold. Every block this large is a fresh mapping,
+/// zero-filled by the kernel one page fault at a time on first touch and
+/// unmapped again by `free`; smaller ones the allocator already reuses.
+pub const HOST_BLOCK_MIN_BYTES: usize = 32 << 20;
+
+/// The most bytes a [`HostBlocks`] list holds: room for a few of the
+/// largest outputs, and a bound on the resident memory the list adds.
+const HOST_HELD_MAX_BYTES: usize = 256 << 20;
+
+/// Bytes of `n` elements of `kind` when the block is large enough to recycle.
+fn recycled_bytes(kind: ScalarKind, n: usize) -> Option<usize> {
+    let bytes = n.saturating_mul(kind.size_bytes());
+    (bytes >= HOST_BLOCK_MIN_BYTES).then_some(bytes)
+}
+
+/// A bounded free list of large scalar storage: [`Buffer::zeros`] takes
+/// from it and `Buffer`'s `Drop` gives back, so a warm request reuses the
+/// last one's output pages instead of mapping and faulting in fresh ones.
+///
+/// * Only scalar blocks of at least [`HOST_BLOCK_MIN_BYTES`] are held.
+/// * A block is reused only for the same element kind and length, the one
+///   reuse that needs neither a reallocation nor a reinterpretation.
+/// * A reused block is zero-filled on take, outside the lock, by the
+///   thread that wants it: a block never taken again is never written.
+/// * At most `HOST_HELD_MAX_BYTES` (256 MiB) are held and a give-back
+///   past that is freed. A miss frees the held blocks of other lengths
+///   before it allocates, so stale sizes never stack on top of a new
+///   working set.
+#[derive(Default)]
+pub struct HostBlocks {
+    held: Mutex<Held>,
+}
+
+#[derive(Default)]
+struct Held {
+    blocks: Vec<BufferData>,
+    reuses: u64,
+    fresh: u64,
+}
+
+impl Held {
+    fn bytes(&self) -> usize {
+        let sizes = self.blocks.iter().filter_map(BufferData::scalar_len);
+        sizes.map(|(kind, n)| n * kind.size_bytes()).sum()
+    }
+}
+
+/// The process-wide list behind [`Buffer::zeros`].
+pub fn host_blocks() -> &'static HostBlocks {
+    static HOST: LazyLock<HostBlocks> = LazyLock::new(HostBlocks::default);
+    &HOST
+}
+
+impl HostBlocks {
+    /// Every mutation of `Held` completes under the lock, so a panic
+    /// elsewhere while it was held leaves nothing half-applied: recover the
+    /// guard rather than fail every later allocation.
+    fn lock(&self) -> MutexGuard<'_, Held> {
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `(reuses, fresh, bytes_held)`: blocks handed out again and blocks
+    /// large enough to recycle that had to be allocated (both monotone),
+    /// and the bytes held now (a gauge).
+    pub fn counters(&self) -> (u64, u64, u64) {
+        let held = self.lock();
+        (held.reuses, held.fresh, held.bytes() as u64)
+    }
+
+    /// `n` zero elements of `kind`: a held block of that kind and length
+    /// when there is one, fresh memory otherwise.
+    fn take(&self, kind: ScalarKind, n: usize) -> BufferData {
+        if recycled_bytes(kind, n).is_none() {
+            return BufferData::fresh(kind, n);
+        }
+        let mut held = self.lock();
+        let hit = (held.blocks.iter()).position(|b| b.scalar_len() == Some((kind, n)));
+        if let Some(i) = hit {
+            let mut block = held.blocks.swap_remove(i);
+            held.reuses += 1;
+            drop(held);
+            block.fill_zero();
+            return block;
+        }
+        held.fresh += 1;
+        let other_len = |b: &mut BufferData| b.scalar_len().is_none_or(|(_, len)| len != n);
+        let stale: Vec<_> = held.blocks.extract_if(.., other_len).collect();
+        drop(held);
+        drop(stale);
+        BufferData::fresh(kind, n)
+    }
+
+    /// Hold `data` for a later take if it is large enough and fits under
+    /// the cap. Otherwise it is freed on return, after the guard.
+    fn give_back(&self, data: BufferData) {
+        let Some(bytes) = (data.scalar_len()).and_then(|(kind, n)| recycled_bytes(kind, n)) else {
+            return;
+        };
+        let mut held = self.lock();
+        if held.bytes() + bytes <= HOST_HELD_MAX_BYTES {
+            held.blocks.push(data);
+        }
+    }
 }
 
 /// Structure-of-arrays storage for record buffers.
@@ -169,16 +315,12 @@ pub struct Buffer {
 }
 
 impl Buffer {
-    /// Allocate a zero-initialised buffer.
+    /// Allocate a zero-initialised buffer; large scalar storage comes from
+    /// [`host_blocks`].
     pub fn zeros(name: impl Into<String>, ty: BasicType, shape: Shape) -> Buffer {
         let n = shape.len();
         let data = match &ty {
-            BasicType::Scalar(ScalarKind::F32) => BufferData::F32(vec![0.0; n]),
-            BasicType::Scalar(ScalarKind::F64) => BufferData::F64(vec![0.0; n]),
-            BasicType::Scalar(ScalarKind::I32) => BufferData::I32(vec![0; n]),
-            BasicType::Scalar(ScalarKind::I64) => BufferData::I64(vec![0; n]),
-            BasicType::Scalar(ScalarKind::Bool) => BufferData::Bool(vec![false; n]),
-            BasicType::Scalar(ScalarKind::Char) => BufferData::Char(vec![0; n]),
+            BasicType::Scalar(kind) => host_blocks().take(*kind, n),
             BasicType::Record(rec) => BufferData::Record(RecordStorage {
                 record: rec.clone(),
                 columns: rec
@@ -442,6 +584,14 @@ impl Buffer {
     }
 }
 
+/// The one place storage returns to [`host_blocks`].
+impl Drop for Buffer {
+    fn drop(&mut self) {
+        let data = std::mem::replace(&mut self.data, BufferData::Char(Vec::new()));
+        host_blocks().give_back(data);
+    }
+}
+
 /// FNV-1a over the raw bits of every element, little-endian, buffers in
 /// order and record columns in declaration order: the one hash behind
 /// every output-bits pin. Equal hashes mean bit-identical outputs — `0.0`
@@ -581,5 +731,149 @@ mod tests {
         assert_eq!(base, bits_hash(&record(7, 0.0)));
         assert_ne!(base, bits_hash(&record(8, 0.0)));
         assert_ne!(base, bits_hash(&record(7, -0.0)));
+    }
+
+    // The list tests run on their own `HostBlocks`, never the process-wide
+    // one, and give back untouched `vec![0.0; n]` blocks where they can:
+    // those are mapped but not resident.
+
+    /// f64 elements in the smallest recycled block.
+    const N: usize = HOST_BLOCK_MIN_BYTES / 8;
+
+    fn f64s(n: usize) -> BufferData {
+        BufferData::F64(vec![0.0; n])
+    }
+
+    fn ptr(b: &BufferData) -> usize {
+        match b {
+            BufferData::F64(v) => v.as_ptr() as usize,
+            BufferData::I64(v) => v.as_ptr() as usize,
+            _ => unreachable!("the list tests use f64 and i64 blocks"),
+        }
+    }
+
+    fn counters(reuses: u64, fresh: u64, bytes_held: usize) -> (u64, u64, u64) {
+        (reuses, fresh, bytes_held as u64)
+    }
+
+    #[test]
+    fn a_dirtied_returned_block_comes_back_all_zero() {
+        let list = HostBlocks::default();
+        let mut block = list.take(ScalarKind::F64, N);
+        let at = ptr(&block);
+        if let BufferData::F64(v) = &mut block {
+            v.fill(-0.0);
+            v[N / 2] = f64::NAN;
+        }
+        list.give_back(block);
+        assert_eq!(list.counters(), counters(0, 1, HOST_BLOCK_MIN_BYTES));
+        let again = list.take(ScalarKind::F64, N);
+        assert_eq!(ptr(&again), at, "the held block is the one reused");
+        let BufferData::F64(v) = &again else {
+            unreachable!()
+        };
+        assert!(
+            v.iter().all(|x| x.to_bits() == 0),
+            "every bit zero, -0.0 too"
+        );
+        assert_eq!(list.counters(), counters(1, 1, 0));
+    }
+
+    #[test]
+    fn a_block_of_another_kind_or_length_is_never_reused() {
+        let list = HostBlocks::default();
+        let held = f64s(N);
+        let at = ptr(&held);
+        list.give_back(held);
+        // the same bytes as i64: a miss, and the f64 block of that length stays
+        let other_kind = list.take(ScalarKind::I64, N);
+        assert_ne!(ptr(&other_kind), at);
+        assert_eq!(list.counters(), counters(0, 1, HOST_BLOCK_MIN_BYTES));
+        let other_len = list.take(ScalarKind::F64, N + 1);
+        assert!(matches!(&other_len, BufferData::F64(v) if v.len() == N + 1));
+        assert_eq!(list.counters(), counters(0, 2, 0));
+    }
+
+    #[test]
+    fn records_and_blocks_below_the_floor_are_never_pooled() {
+        let list = HostBlocks::default();
+        let rec = RecordType::new("r", vec![("x".into(), FieldType::Scalar(ScalarKind::F64))]);
+        list.give_back(BufferData::Record(RecordStorage {
+            record: rec,
+            columns: vec![Column::F64(vec![0.0; 2 * N])],
+        }));
+        list.give_back(f64s(N - 1));
+        list.give_back(BufferData::Char(vec![0; HOST_BLOCK_MIN_BYTES - 1]));
+        let small = list.take(ScalarKind::F64, N - 1);
+        assert_eq!(small.scalar_len(), Some((ScalarKind::F64, N - 1)));
+        assert_eq!(
+            list.counters(),
+            counters(0, 0, 0),
+            "small takes are not counted"
+        );
+    }
+
+    #[test]
+    fn held_bytes_stay_under_the_cap() {
+        let list = HostBlocks::default();
+        let fits = HOST_HELD_MAX_BYTES / HOST_BLOCK_MIN_BYTES;
+        (0..=fits).for_each(|_| list.give_back(f64s(N)));
+        assert_eq!(list.counters(), counters(0, 0, HOST_HELD_MAX_BYTES));
+        // a block that would not fit whole is refused, not split
+        let list = HostBlocks::default();
+        list.give_back(BufferData::Char(vec![0; HOST_HELD_MAX_BYTES - 1]));
+        list.give_back(f64s(N));
+        assert_eq!(list.counters(), counters(0, 0, HOST_HELD_MAX_BYTES - 1));
+    }
+
+    #[test]
+    fn a_miss_releases_the_blocks_of_other_lengths() {
+        let list = HostBlocks::default();
+        let same_len = f64s(N);
+        let at = ptr(&same_len);
+        list.give_back(same_len);
+        list.give_back(f64s(N + 1));
+        list.give_back(BufferData::Char(vec![0; 3 * HOST_BLOCK_MIN_BYTES]));
+        assert_eq!(list.counters().2, 5 * HOST_BLOCK_MIN_BYTES as u64 + 8);
+        let miss = list.take(ScalarKind::I64, N);
+        assert_ne!(ptr(&miss), at);
+        assert_eq!(list.counters(), counters(0, 1, HOST_BLOCK_MIN_BYTES));
+        assert_eq!(ptr(&list.take(ScalarKind::F64, N)), at);
+    }
+
+    #[test]
+    fn concurrent_takers_never_share_a_block() {
+        use std::collections::HashSet;
+        use std::sync::Barrier;
+        let list = HostBlocks::default();
+        let live = Mutex::new(HashSet::new());
+        // every round, all four threads hold a block at once
+        let all_hold = Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u8 {
+                let (list, live, all_hold) = (&list, &live, &all_hold);
+                s.spawn(move || {
+                    for round in 0..8 {
+                        let mut block = list.take(ScalarKind::F64, N);
+                        let at = ptr(&block);
+                        assert!(live.lock().unwrap().insert(at), "{at:#x} handed out twice");
+                        let BufferData::F64(v) = &mut block else {
+                            unreachable!()
+                        };
+                        let mark = f64::from(t) * 100.0 + f64::from(round);
+                        assert_eq!((v[0], v[N - 1]), (0.0, 0.0));
+                        (v[0], v[N - 1]) = (mark, mark);
+                        all_hold.wait();
+                        assert_eq!((v[0], v[N - 1]), (mark, mark), "written by another owner");
+                        live.lock().unwrap().remove(&at);
+                        list.give_back(block);
+                    }
+                });
+            }
+        });
+        // four blocks for the first round; after it, a taker always finds
+        // one that it or another thread gave back
+        let want = counters(28, 4, 4 * HOST_BLOCK_MIN_BYTES);
+        assert_eq!(list.counters(), want);
     }
 }

@@ -19,8 +19,6 @@ use crate::dsl::DslProgram;
 use crate::error::{MdhError, Result};
 use crate::shape::{MdRange, Shape};
 use crate::types::Tuple;
-#[cfg(test)]
-use crate::types::Value;
 
 /// A dense multi-dimensional array of tuples: the intermediate result of
 /// the recursive semantics. Covers all `D` dimensions; collapsed dimensions
@@ -448,7 +446,7 @@ mod tests {
     use crate::dsl::DslBuilder;
     use crate::expr::ScalarFunction;
     use crate::index_fn::{AffineExpr, IndexFn};
-    use crate::types::{BasicType, ScalarKind};
+    use crate::types::{BasicType, ScalarKind, Value};
 
     fn matvec_prog(i: usize, k: usize) -> DslProgram {
         DslBuilder::new("matvec", vec![i, k])

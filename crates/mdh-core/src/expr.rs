@@ -462,7 +462,9 @@ pub fn eval_expr(e: &Expr, args: &[Value], env: &HashMap<String, Value>) -> Resu
             match op {
                 UnOp::Neg => {
                     if a.is_float() {
-                        let v = a.as_f64().unwrap();
+                        let v = a
+                            .as_f64()
+                            .ok_or_else(|| MdhError::Eval("neg of non-numeric".into()))?;
                         Ok(match a {
                             Value::F32(_) => Value::F32(-v as f32),
                             _ => Value::F64(-v),

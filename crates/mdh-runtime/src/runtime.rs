@@ -314,8 +314,8 @@ impl Runtime {
     }
 
     /// Snapshot of the counters and latency histograms: the runtime's own
-    /// plus what the plan cache, the device pool, the memory pool and the
-    /// fast-kernel registry count themselves.
+    /// plus what the plan cache, the device pool, the memory pool, the
+    /// fast-kernel registry and the host block list count themselves.
     pub fn stats(&self) -> RuntimeStats {
         let mut s = lock(&self.shared.counters).clone();
         {
@@ -351,6 +351,8 @@ impl Runtime {
             s.corruptions_detected = mem.corruptions_detected;
         }
         (s.kernel_hits, s.kernel_fallbacks) = mdh_backend::fast::registry().counters();
+        (s.host_reuses, s.host_fresh, s.host_bytes_held) =
+            mdh_core::buffer::host_blocks().counters();
         s
     }
 

@@ -159,6 +159,7 @@ const SECTIONS: &[(&str, &str, bool)] = &[
     ("training", "; training:", false),
     ("mem", "; mem:", false),
     ("fast", "; fast:", false),
+    ("host", "; host:", false),
     ("edge", "; edge:", false),
     ("tenants", "; tenants:", false),
     ("pipeline", "; pipeline:", false),
@@ -360,6 +361,14 @@ metrics! {
     /// CPU executions that were fast-path candidates but fell back to the
     /// VM or legacy kernels, with a recorded reason (monotone).
     kernel_fallbacks: u64, fast " kernel-fallbacks={}";
+    /// Large host blocks (outputs of at least 32 MiB) handed out again
+    /// from the free list instead of freshly mapped (monotone;
+    /// process-wide, `mdh_core::buffer::host_blocks`).
+    host_reuses: u64, host " reuses={}";
+    /// Large host blocks that had to be freshly mapped (monotone).
+    host_fresh: u64, host " fresh={}";
+    /// Bytes the free list holds for reuse (gauge).
+    host_bytes_held: u64, host " held={}B";
     /// Injected shard hangs caught by the watchdog (monotone).
     fault_hangs: u64, healing " hangs={}";
     /// Hung or straggling shards hedged onto a healthy spare (monotone).
@@ -428,6 +437,9 @@ mod tests {
             mem_bytes_avoided: 1 << 20,
             kernel_hits: 42,
             kernel_fallbacks: 7,
+            host_reuses: 6,
+            host_fresh: 2,
+            host_bytes_held: 1 << 26,
             fault_hangs: 2,
             fault_hedges: 2,
             health_probes: 5,
@@ -457,18 +469,25 @@ mod tests {
         let routes_text = "; shards: shard0=30 shard1=34";
         let routes_json = r#","shard_routes":{"shard0":30,"shard1":34}"#;
         assert!(GOLDEN_TEXT.ends_with(routes_text) && GOLDEN_JSON.contains(routes_json));
-        assert_eq!(busy().to_string(), GOLDEN_TEXT.replace(routes_text, ""));
-        // the one key added since, by the row that declares it
-        let added = r#""batched_requests":12,"#;
-        let json = busy().to_json();
+        // the host section added since, after the fast-path one
+        let fast = "kernel-fallbacks=7";
+        let host_text = "; host: reuses=6 fresh=2 held=67108864B";
+        let want = GOLDEN_TEXT.replace(routes_text, "");
         assert_eq!(
-            json.replace(added, ""),
-            GOLDEN_JSON.replace(routes_json, "")
+            busy().to_string(),
+            want.replace(fast, &format!("{fast}{host_text}"))
         );
-        assert_eq!(
-            json.len(),
-            GOLDEN_JSON.len() + added.len() - routes_json.len()
-        );
+        // the keys added since, by the rows that declare them
+        let added = [
+            r#""batched_requests":12,"#,
+            r#""host_reuses":6,"host_fresh":2,"host_bytes_held":67108864,"#,
+        ];
+        let mut json = busy().to_json();
+        for key in added {
+            assert!(json.contains(key), "{key} in {json}");
+            json = json.replacen(key, "", 1);
+        }
+        assert_eq!(json, GOLDEN_JSON.replace(routes_json, ""));
     }
 
     /// Top-level keys of a one-line JSON object, in order: the strings at
@@ -564,6 +583,11 @@ mod tests {
                 "fast",
                 |s| s.kernel_fallbacks = 3,
                 "; fast: kernel-hits=0 kernel-fallbacks=3",
+            ),
+            (
+                "host",
+                |s| s.host_bytes_held = 4096,
+                "; host: reuses=0 fresh=0 held=4096B",
             ),
             (
                 "edge",

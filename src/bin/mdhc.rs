@@ -72,10 +72,10 @@ use mdh::backend::gpu::GpuSim;
 use mdh::core::buffer::Buffer;
 use mdh::core::dsl::DslProgram;
 use mdh::core::shape::Shape;
-use mdh::core::types::BasicType;
 use mdh::directive::{compile_any, DirectiveEnv};
 use mdh::lowering::asm::DeviceKind;
 use mdh::lowering::heuristics::mdh_default_schedule;
+use mdh::runtime::server::checksum;
 use mdh::runtime::{RuntimeConfig, TunePolicy};
 use mdh::tuner::{tune_cpu_model, tune_gpu, Budget, Technique, TuningCache};
 use std::path::PathBuf;
@@ -506,15 +506,6 @@ fn parse_bytes(spec: &str) -> Option<u64> {
         None => (s.as_str(), 0),
     };
     digits.parse::<u64>().ok()?.checked_shl(shift)
-}
-
-fn checksum(buf: &Buffer) -> f64 {
-    match &buf.ty {
-        BasicType::Scalar(_) => (0..buf.len())
-            .map(|i| buf.get_flat(i).as_f64().unwrap_or(0.0))
-            .sum(),
-        _ => f64::NAN,
-    }
 }
 
 /// `mdhc serve <socket>`: run the persistent execution runtime until a
