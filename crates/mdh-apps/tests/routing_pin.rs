@@ -15,7 +15,7 @@ use mdh_apps::{
 };
 use mdh_backend::fast;
 use mdh_backend::ExecPath::{self, Fast, Reference, Vm};
-use mdh_backend::{CpuExecutor, FastMode};
+use mdh_backend::{vm_exec, CpuExecutor};
 use mdh_core::buffer::{bits_hash, Buffer};
 use mdh_core::dsl::DslProgram;
 use mdh_core::shape::Shape;
@@ -212,10 +212,8 @@ def scan(y, x):
 #[test]
 fn every_registered_program_takes_its_pinned_path_and_reproduces_its_golden() {
     const WIDTHS: [usize; 3] = [1, 2, 4];
-    let vm = CpuExecutor::new(4)
-        .unwrap()
-        .with_fast_mode(FastMode::ForceVm);
-    let autos = WIDTHS.map(|w| CpuExecutor::with_pool(vm.pool(), w));
+    let base = CpuExecutor::new(4).unwrap();
+    let autos = WIDTHS.map(|w| CpuExecutor::with_pool(base.pool(), w));
     let mut apps = Vec::new();
     for &id in FIG3_STUDIES
         .iter()
@@ -253,7 +251,9 @@ fn every_registered_program_takes_its_pinned_path_and_reproduces_its_golden() {
             );
         }
         if path == Fast {
-            assert_eq!(hashes[0], run(&vm), "{name} diverged from the VM");
+            let vm = vm_exec::run(&app.program, &plan, &app.inputs, base.pool())
+                .unwrap_or_else(|e| panic!("{name} on the VM: {e}"));
+            assert_eq!(hashes[0], bits_hash(&vm), "{name} diverged from the VM");
         } else {
             let reason = fast::classify(&app.program).err();
             assert!(
@@ -273,7 +273,7 @@ fn every_registered_program_takes_its_pinned_path_and_reproduces_its_golden() {
     let (hits1, fallbacks1) = fast::registry().counters();
     let rows = |p: ExecPath| measured.iter().filter(|r| r.2 == p).count();
     // this test is the only one in its process, so the process-wide
-    // counters move by exactly this table's traffic (ForceVm counts nothing)
+    // counters move by exactly this table's traffic (the VM runs count nothing)
     assert_eq!(
         (hits1 - hits0) as usize,
         WIDTHS.len() * rows(Fast),

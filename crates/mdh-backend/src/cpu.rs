@@ -35,17 +35,6 @@ pub enum ExecPath {
     Reference,
 }
 
-/// Fast-path routing policy (per executor, default [`FastMode::Auto`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FastMode {
-    /// Route eligible programs through the fast kernels.
-    #[default]
-    Auto,
-    /// Route everything VM-applicable to `vm_exec` (differential
-    /// baseline for the fast path — same plan, same bits expected).
-    ForceVm,
-}
-
 /// A routing decision; `Fast` carries the kernel `fast::classify` built
 /// and `Vm` what `vm_exec::classify` compiled, so a run never classifies
 /// — or compiles — twice.
@@ -66,7 +55,6 @@ enum Route {
 pub struct CpuExecutor {
     pool: rayon::ThreadPool,
     pub threads: usize,
-    fast_mode: FastMode,
 }
 
 /// Plans covering at most this many iteration-space points run with the
@@ -84,11 +72,7 @@ impl CpuExecutor {
             .num_threads(threads)
             .build()
             .map_err(|e| MdhError::Validation(format!("thread pool: {e}")))?;
-        Ok(CpuExecutor {
-            pool,
-            threads,
-            fast_mode: FastMode::Auto,
-        })
+        Ok(CpuExecutor { pool, threads })
     }
 
     /// Build an executor sharing an existing pool's OS threads, with its
@@ -96,36 +80,13 @@ impl CpuExecutor {
     pub fn with_pool(pool: &rayon::ThreadPool, threads: usize) -> CpuExecutor {
         let pool = pool.with_width(threads);
         let threads = pool.current_num_threads();
-        CpuExecutor {
-            pool,
-            threads,
-            fast_mode: FastMode::Auto,
-        }
-    }
-
-    /// Set the fast-path routing policy (builder style).
-    pub fn with_fast_mode(mut self, mode: FastMode) -> CpuExecutor {
-        self.fast_mode = mode;
-        self
-    }
-
-    /// The executor's fast-path routing policy.
-    pub fn fast_mode(&self) -> FastMode {
-        self.fast_mode
+        CpuExecutor { pool, threads }
     }
 
     /// The executor's pool handle (share it via
     /// [`CpuExecutor::with_pool`]).
     pub fn pool(&self) -> &rayon::ThreadPool {
         &self.pool
-    }
-
-    /// Use all available hardware threads.
-    pub fn with_default_threads() -> CpuExecutor {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        CpuExecutor::new(threads).expect("default thread pool")
     }
 
     /// The pool handle a plan should execute under: full width normally,
@@ -140,10 +101,8 @@ impl CpuExecutor {
     }
 
     fn route(&self, prog: &DslProgram) -> Route {
-        if self.fast_mode == FastMode::Auto {
-            if let Ok(kernel) = fast::classify(prog) {
-                return Route::Fast(kernel);
-            }
+        if let Ok(kernel) = fast::classify(prog) {
+            return Route::Fast(kernel);
         }
         match vm_exec::classify(prog) {
             Ok((sf, mode)) => Route::Vm(sf, mode),
@@ -185,13 +144,8 @@ impl CpuExecutor {
         inputs: &[Buffer],
     ) -> Result<Vec<Buffer>> {
         eval::check_inputs(prog, inputs)?;
-        // in Auto mode every run either hits a kernel or counts as a
-        // fallback, so hits/(hits+fallbacks) is fast-path coverage
-        let count_fallback = || {
-            if self.fast_mode == FastMode::Auto {
-                fast::registry().record_fallback();
-            }
-        };
+        // every run either hits a kernel or counts as a fallback, so
+        // hits/(hits+fallbacks) is fast-path coverage
         match self.route(prog) {
             Route::Fast(kernel) => {
                 let pool = self.pool_for(plan);
@@ -204,11 +158,11 @@ impl CpuExecutor {
                 vm_exec::run(prog, plan, inputs, &pool)
             }
             Route::Vm(sf, mode) => {
-                count_fallback();
+                fast::registry().record_fallback();
                 vm_exec::run_classified(prog, &sf, &mode, plan, inputs, &self.pool_for(plan))
             }
             Route::Reference => {
-                count_fallback();
+                fast::registry().record_fallback();
                 eval::evaluate_recursive(prog, inputs)
             }
         }

@@ -758,19 +758,17 @@ pub(crate) fn walk_runs(
     range: &MdRange,
     f: &mut impl FnMut(&[usize], usize),
 ) {
-    if collapsed.is_empty() {
+    let Some((&inner_d, outer)) = collapsed.split_last() else {
         f(idx, 1);
         return;
-    }
+    };
     for &d in collapsed {
         idx[d] = range.lo[d];
     }
-    let inner_d = *collapsed.last().unwrap();
     let inner_n = range.extent(inner_d);
     if inner_n == 0 {
         return;
     }
-    let outer = &collapsed[..collapsed.len() - 1];
     loop {
         f(idx, inner_n);
         let mut k = outer.len();
@@ -792,7 +790,7 @@ pub(crate) fn walk_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::{CpuExecutor, ExecPath, FastMode};
+    use crate::cpu::{CpuExecutor, ExecPath};
     use mdh_core::combine::CombineOp;
     use mdh_core::dsl::DslBuilder;
     use mdh_core::expr::ScalarFunction;
@@ -956,9 +954,10 @@ mod tests {
         out.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// `Auto` against `ForceVm` at widths 1/2/4 — the preserved split
-    /// follows the width, the reduction split (if any) is fixed at two
-    /// tasks — and the same bits at every width. Returns those bits.
+    /// The executor against `vm_exec` on the same plan at widths 1/2/4 —
+    /// the preserved split follows the width, the reduction split (if
+    /// any) is fixed at two tasks — and the same bits at every width.
+    /// Returns those bits.
     fn assert_bit_equal_to_vm(case: &Case, split_k: bool, what: &str) -> Vec<u32> {
         static BASE: std::sync::OnceLock<CpuExecutor> = std::sync::OnceLock::new();
         let base = BASE.get_or_init(|| CpuExecutor::new(4).unwrap());
@@ -996,11 +995,11 @@ mod tests {
                 schedule.par_chunks[*case.red.last().unwrap()] = 2;
                 schedule.reduction = ReductionStrategy::Tree;
             }
-            let auto = CpuExecutor::with_pool(base.pool(), width);
-            assert_eq!(auto.path_for(prog), ExecPath::Fast, "{what}");
-            let vm = CpuExecutor::with_pool(base.pool(), width).with_fast_mode(FastMode::ForceVm);
-            let fast = bits(auto.run(prog, &schedule, inputs).unwrap());
-            let vm = bits(vm.run(prog, &schedule, inputs).unwrap());
+            let exec = CpuExecutor::with_pool(base.pool(), width);
+            assert_eq!(exec.path_for(prog), ExecPath::Fast, "{what}");
+            let plan = ExecutionPlan::build(prog, &schedule).unwrap();
+            let fast = bits(exec.run_planned(prog, &schedule, &plan, inputs).unwrap());
+            let vm = bits(crate::vm_exec::run(prog, &plan, inputs, exec.pool()).unwrap());
             assert_eq!(fast, vm, "{what} width={width}");
             assert_eq!(want.get_or_insert(vm), &fast, "{what} width={width}");
         }
@@ -1014,7 +1013,7 @@ mod tests {
     /// tasks. Small row extents meet large lane extents and the reverse,
     /// so every value of each is covered and edge tiles meet full ones.
     #[test]
-    fn block_boundary_sweep_bit_equal_to_force_vm() {
+    fn block_boundary_sweep_bit_equal_to_the_vm() {
         let extents = [
             1,
             MR - 1,

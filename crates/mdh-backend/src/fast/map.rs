@@ -175,7 +175,7 @@ impl FastMap {
         // contains one of these elements.
         let span = |start: i64, len: usize| unsafe { out.row_mut(start as usize, len) };
         let mut idx = range.lo.clone();
-        let mut slices: Vec<&[f32]> = Vec::with_capacity(rows.len());
+        let mut blocks: Vec<&[[f32; LANES]]> = Vec::with_capacity(rows.len());
         loop {
             idx[last] = range.lo[last];
             for (row, &(s, _)) in rows.iter_mut().zip(&self.terms) {
@@ -187,20 +187,18 @@ impl FastMap {
             let mut done = 0usize;
             if unit {
                 // the row's whole blocks: each term's row and the output
-                // row as slices, taken once
+                // row as arrays of LANES, taken once
                 let full = n_last - n_last % LANES;
-                slices.clear();
-                slices.extend(rows.iter().map(|r| &r.xs[r.base as usize..][..full]));
-                let orow = span(obase, full);
-                while done < full {
-                    let y = self.chain(|t| {
-                        slices[t][done..done + LANES]
-                            .try_into()
-                            .expect("a LANES-long slice")
-                    });
-                    orow[done..done + LANES].copy_from_slice(&y);
-                    done += LANES;
+                blocks.clear();
+                blocks.extend(
+                    rows.iter()
+                        .map(|r| r.xs[r.base as usize..][..full].as_chunks().0),
+                );
+                let (orow, _) = span(obase, full).as_chunks_mut::<LANES>();
+                for (b, y) in orow.iter_mut().enumerate() {
+                    *y = self.chain(|t| blocks[t][b]);
                 }
+                done = full;
             }
             // the short tail of a unit-step row, and every block of any
             // other row: the same chain on values moved one at a time
@@ -299,8 +297,8 @@ mod tests {
     /// whose sums round: the kernel must equal the VM bit for bit at
     /// every width, whichever way a block's values were loaded.
     #[test]
-    fn block_boundary_sweep_bit_equal_to_force_vm() {
-        use crate::cpu::{CpuExecutor, ExecPath, FastMode};
+    fn block_boundary_sweep_bit_equal_to_the_vm() {
+        use crate::cpu::{CpuExecutor, ExecPath};
         use mdh_core::expr::{Expr, Stmt};
         use mdh_core::types::Value;
         use mdh_lowering::schedule::Schedule;
@@ -400,10 +398,9 @@ mod tests {
                             for width in [1usize, 2, 4] {
                                 let mut schedule = Schedule::sequential(2, DeviceKind::Cpu);
                                 schedule.par_chunks = vec![width, 1];
-                                let auto = CpuExecutor::with_pool(base.pool(), width);
-                                assert_eq!(auto.path_for(&prog), ExecPath::Fast, "{what}");
-                                let vm = CpuExecutor::with_pool(base.pool(), width)
-                                    .with_fast_mode(FastMode::ForceVm);
+                                let exec = CpuExecutor::with_pool(base.pool(), width);
+                                assert_eq!(exec.path_for(&prog), ExecPath::Fast, "{what}");
+                                let plan = ExecutionPlan::build(&prog, &schedule).unwrap();
                                 let bits = |outs: Vec<Buffer>| -> Vec<u32> {
                                     outs[0]
                                         .as_f32()
@@ -412,8 +409,13 @@ mod tests {
                                         .map(|v| v.to_bits())
                                         .collect()
                                 };
-                                let fast = bits(auto.run(&prog, &schedule, &inputs).unwrap());
-                                let vm = bits(vm.run(&prog, &schedule, &inputs).unwrap());
+                                let fast = bits(
+                                    exec.run_planned(&prog, &schedule, &plan, &inputs).unwrap(),
+                                );
+                                let vm = bits(
+                                    crate::vm_exec::run(&prog, &plan, &inputs, exec.pool())
+                                        .unwrap(),
+                                );
                                 assert_eq!(fast, vm, "{what} width={width}");
                                 // and the bits do not depend on the width
                                 assert_eq!(want.get_or_insert(vm), &fast, "{what} width={width}");

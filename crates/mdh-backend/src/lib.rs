@@ -23,7 +23,7 @@ pub mod transfer;
 pub mod vm;
 pub mod vm_exec;
 
-pub use cpu::{CpuExecutor, ExecPath, FastMode};
+pub use cpu::{CpuExecutor, ExecPath};
 pub use cpu_model::{estimate_cpu, CpuParams, CpuReport};
 pub use fast::{FastKernel, FastRegistry};
 pub use gpu::{GpuReport, GpuSim};

@@ -123,6 +123,7 @@ impl Pipeline {
                     })?,
                     Source::Stage { stage, buffer } => {
                         let producer = &self.stages[*stage].program;
+                        // proof: `validate` above checked the producer has this output
                         let idx = producer.out_view.buffer_index(buffer).expect("validated");
                         results[*stage][idx].clone()
                     }

@@ -482,6 +482,8 @@ struct Compiler {
     param_types: Vec<BasicType>,
     /// (float bank, bits) → the register loaded with that literal
     literals: HashMap<(bool, u64), Reg>,
+    /// the kind of each result, in declaration order
+    result_kinds: Vec<ScalarKind>,
 }
 
 impl Compiler {
@@ -495,6 +497,7 @@ impl Compiler {
             rec_regs: vec![HashMap::new(); sf.params.len()],
             param_types: sf.params.iter().map(|(_, t)| t.clone()).collect(),
             literals: HashMap::new(),
+            result_kinds: Vec::with_capacity(sf.results.len()),
         };
         // allocate parameter registers eagerly so loads have stable targets
         for (p, (name, ty)) in sf.params.iter().enumerate() {
@@ -527,6 +530,7 @@ impl Compiler {
             })?;
             let zero = c.literal(kind_is_float(k), 0);
             c.vars.insert(name.clone(), zero);
+            c.result_kinds.push(k);
         }
         Ok(c)
     }
@@ -894,11 +898,6 @@ impl Compiler {
 
     fn finish(self, sf: &ScalarFunction) -> Result<CompiledSf> {
         let result_regs: Vec<Reg> = sf.results.iter().map(|(name, _)| self.vars[name]).collect();
-        let result_kinds: Vec<ScalarKind> = sf
-            .results
-            .iter()
-            .map(|(_, ty)| ty.as_scalar().unwrap())
-            .collect();
         let ops = fuse_mul_add(self.ops, self.n_f, &result_regs);
         // No register is written twice, so a literal's register holds it
         // at every read: literals load once per bank, not once per block
@@ -913,7 +912,7 @@ impl Compiler {
             n_iregs: self.n_i,
             param_loads: self.param_loads,
             result_regs,
-            result_kinds,
+            result_kinds: self.result_kinds,
         };
         verify_registers(&compiled);
         Ok(compiled)

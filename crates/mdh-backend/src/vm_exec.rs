@@ -466,7 +466,7 @@ pub struct Partial {
 struct TaskCtx<'a> {
     sf: &'a CompiledSf,
     fold: Option<&'a Combiner>,
-    /// scan combiner and the scan dimension
+    /// scan combiner and the scan dim's position among the preserved dims
     scan: Option<(&'a Combiner, usize)>,
     kinds: &'a [ScalarKind],
     loaders: &'a [Loader<'a>],
@@ -526,6 +526,17 @@ pub(crate) fn run_classified(
     let out_acc = linearize_view(&prog.out_view, &out_shapes, rank)?;
     let preserved = prog.md_hom.preserved_dims();
     let collapsed = prog.md_hom.collapsed_dims();
+    let scan = match scan {
+        Some((comb, scan_dim)) => {
+            let Some(sd_pos) = preserved.iter().position(|&d| d == scan_dim) else {
+                return Err(MdhError::Validation(
+                    "scan dimension is not a preserved dimension".into(),
+                ));
+            };
+            Some((comb, sd_pos))
+        }
+        None => None,
+    };
 
     // --- per-task local computation, in parallel ------------------------
     let ctx = TaskCtx {
@@ -538,7 +549,7 @@ pub(crate) fn run_classified(
         preserved: &preserved,
         collapsed: &collapsed,
     };
-    let mut partials: Vec<Option<Partial>> = Vec::new();
+    let mut partials: Vec<Partial> = Vec::new();
     pool.install(|| {
         plan.tasks
             .par_iter()
@@ -548,25 +559,25 @@ pub(crate) fn run_classified(
 
     // --- combine split-reduction groups ---------------------------------
     let write_jobs: Vec<(usize, Partial)> = if plan.split_dims.is_empty() {
-        partials
-            .into_iter()
-            .enumerate()
-            .map(|(t, p)| (t, p.expect("task partial")))
-            .collect()
+        partials.into_iter().enumerate().collect()
     } else {
+        let mut partials: Vec<Option<Partial>> = partials.into_iter().map(Some).collect();
+        // every task is in exactly one group (`ExecutionPlan::build`)
+        let mut take = |tid: usize| {
+            let partial = partials.get_mut(tid).and_then(Option::take);
+            partial.ok_or_else(|| MdhError::Eval(format!("task {tid} is in no group or two")))
+        };
         let mut jobs = Vec::with_capacity(plan.groups.len());
         for g in &plan.groups {
-            let owner = g.task_ids[0];
-            let mut acc = partials[owner].take().expect("group owner partial");
-            for &tid in &g.task_ids[1..] {
-                let rhs = partials[tid].take().expect("group member");
+            let Some((&owner, members)) = g.task_ids.split_first() else {
+                continue;
+            };
+            let mut acc = take(owner)?;
+            for &tid in members {
+                let rhs = take(tid)?;
                 match (scan, fold) {
                     // stitch chunks in order along the scan dim
-                    (Some((comb, scan_dim)), _) => {
-                        let sd_pos = preserved
-                            .iter()
-                            .position(|&d| d == scan_dim)
-                            .expect("scan dim is preserved");
+                    (Some((comb, sd_pos)), _) => {
                         acc = stitch_scan(acc, rhs, sd_pos, comb, kinds)?;
                     }
                     (None, Some(comb)) => {
@@ -625,7 +636,7 @@ const OUTPUT_LANES_MIN: usize = 12;
 /// Either way an output's chain is its collapsed points in ascending
 /// odometer order, so which form runs is invisible in the result. A run
 /// shorter than [`LANES`] is simply a short block.
-fn run_task(ctx: &TaskCtx, range: &MdRange) -> Option<Partial> {
+fn run_task(ctx: &TaskCtx, range: &MdRange) -> Partial {
     let &TaskCtx {
         sf,
         kinds,
@@ -638,7 +649,7 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Option<Partial> {
     let n = extents.iter().product::<usize>().max(1);
     let mut cols: Vec<ColBank> = kinds.iter().map(|&k| ColBank::zeros(k, n)).collect();
     if range.is_empty() {
-        return Some(Partial { extents, cols });
+        return Partial { extents, cols };
     }
 
     // the compiled combine function, when its lanes run along the outputs
@@ -770,12 +781,11 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Option<Partial> {
     }
 
     // local scan along the ps dim
-    if let Some((c, sd)) = ctx.scan {
-        let sd_pos = preserved.iter().position(|&d| d == sd)?;
+    if let Some((c, sd_pos)) = ctx.scan {
         scan_in_place(&mut cols, &extents, sd_pos, c, kinds);
     }
 
-    Some(Partial { extents, cols })
+    Partial { extents, cols }
 }
 
 /// `(outer, extent, stride)` of axis `pos` in a row-major array: element

@@ -454,11 +454,11 @@ fn adjoint_product_shapes_bit_identical_to_vm() {
     }
 }
 
-/// The full executor in Auto mode must agree bitwise with ForceVm mode
-/// on an eligible program — the end-to-end form of the contract,
-/// including the registry, routing, and fallback accounting.
+/// The full executor must agree bitwise with `vm_exec` on the same plan
+/// for an eligible program — the end-to-end form of the contract,
+/// including the registry, routing, and hit accounting.
 #[test]
-fn executor_auto_matches_force_vm_end_to_end() {
+fn executor_matches_the_vm_end_to_end() {
     let (i, j, k) = (37, 29, 23);
     let prog = DslBuilder::new("mm_e2e", vec![i, j, k])
         .out_buffer("c", BasicType::F32)
@@ -479,15 +479,12 @@ fn executor_auto_matches_force_vm_end_to_end() {
     let schedule = mdh_lowering::mdh_default_schedule(&prog, DeviceKind::Cpu, 4);
     let plan = ExecutionPlan::build(&prog, &schedule).unwrap();
     let base = shared_base();
-    let auto = mdh_backend::CpuExecutor::with_pool(base.pool(), 4);
-    assert_eq!(auto.path_for(&prog), mdh_backend::ExecPath::Fast);
+    let exec = mdh_backend::CpuExecutor::with_pool(base.pool(), 4);
+    assert_eq!(exec.path_for(&prog), mdh_backend::ExecPath::Fast);
     let (hits0, _) = fast::registry().counters();
-    let fast_out = auto.run_planned(&prog, &schedule, &plan, &inputs).unwrap();
+    let fast_out = exec.run_planned(&prog, &schedule, &plan, &inputs).unwrap();
     let (hits1, _) = fast::registry().counters();
     assert!(hits1 > hits0, "eligible program must count a kernel hit");
-    let vm = mdh_backend::CpuExecutor::with_pool(base.pool(), 4)
-        .with_fast_mode(mdh_backend::FastMode::ForceVm);
-    assert_eq!(vm.path_for(&prog), mdh_backend::ExecPath::Vm);
-    let vm_out = vm.run_planned(&prog, &schedule, &plan, &inputs).unwrap();
+    let vm_out = vm_exec::run(&prog, &plan, &inputs, exec.pool()).unwrap();
     assert!(bits_eq(&fast_out, &vm_out));
 }

@@ -1,17 +1,13 @@
 //! Reference evaluator — the executable semantics of the MDH DSL.
 //!
-//! Two evaluators are provided:
-//!
-//! * [`evaluate_recursive`] implements the *formal* MDH semantics directly:
-//!   the iteration space is decomposed dimension by dimension, the scalar
-//!   function is applied at each point, and partial results are put back
-//!   together with the dimension's combine operator (`cc` stacks, `pw`
-//!   folds, `ps` scans). This is the semantics all backends must agree
-//!   with, and the object of the homomorphism-law property tests.
-//! * [`evaluate_direct`] is a faster accumulator-based oracle usable when
-//!   all `pw` dimensions share one combine function and no `ps` dimension
-//!   is present (the common case); it must and does agree with the
-//!   recursive evaluator.
+//! [`evaluate_recursive`] implements the *formal* MDH semantics directly:
+//! the iteration space is decomposed dimension by dimension, the scalar
+//! function is applied at each point, and partial results are put back
+//! together with the dimension's combine operator (`cc` stacks, `pw`
+//! folds, `ps` scans). This is the semantics all backends must agree
+//! with, and the object of the homomorphism-law property tests. Programs
+//! with an `rbi` dimension go to [`evaluate_scatter`], since their output
+//! positions are data-dependent.
 
 use crate::buffer::Buffer;
 use crate::combine::{CombineOp, DimBehavior};
@@ -362,84 +358,6 @@ pub fn scatter_range(
     Ok(())
 }
 
-/// Whether the fast accumulator oracle applies: no `ps` dimension, and all
-/// `pw` dimensions share one combine function (by name).
-pub fn direct_applicable(prog: &DslProgram) -> bool {
-    let mut pw_name: Option<&str> = None;
-    for op in &prog.md_hom.combine_ops {
-        match op {
-            CombineOp::Cc => {}
-            CombineOp::Ps(_) | CombineOp::Rbi(_) => return false,
-            CombineOp::Pw(f) => match pw_name {
-                None => pw_name = Some(&f.name),
-                Some(n) => {
-                    if n != f.name {
-                        return false;
-                    }
-                }
-            },
-        }
-    }
-    true
-}
-
-/// Accumulator-based evaluation (oracle for larger sizes). Requires
-/// [`direct_applicable`]; falls back to an error otherwise.
-pub fn evaluate_direct(prog: &DslProgram, inputs: &[Buffer]) -> Result<Vec<Buffer>> {
-    prog.validate()?;
-    check_inputs(prog, inputs)?;
-    if !direct_applicable(prog) {
-        return Err(MdhError::Eval(
-            "evaluate_direct requires a single pw combine function and no ps dims; \
-             use evaluate_recursive"
-                .into(),
-        ));
-    }
-    let range = prog.md_hom.full_range();
-    let preserved = prog.md_hom.preserved_dims();
-    let acc_shape = Shape::new(
-        preserved
-            .iter()
-            .map(|&d| prog.md_hom.sizes[d])
-            .collect::<Vec<_>>(),
-    );
-    let mut acc: Vec<Option<Tuple>> = vec![None; acc_shape.len().max(1)];
-    let pw = prog.md_hom.combine_ops.iter().find_map(|op| match op {
-        CombineOp::Pw(f) => Some(f.clone()),
-        _ => None,
-    });
-    for idx in range.iter() {
-        let tuple = apply_sf_at(prog, inputs, &idx)?;
-        let key: Vec<usize> = preserved.iter().map(|&d| idx[d]).collect();
-        let slot = &mut acc[acc_shape.linearize(&key)];
-        *slot = Some(match slot.take() {
-            None => tuple,
-            Some(prev) => pw
-                .as_ref()
-                .ok_or_else(|| MdhError::Eval("duplicate write without pw op".into()))?
-                .combine(&prev, &tuple)?,
-        });
-    }
-    let mut outputs = alloc_outputs(prog)?;
-    for key in acc_shape.iter() {
-        let Some(tuple) = &acc[acc_shape.linearize(&key)] else {
-            continue;
-        };
-        let mut idx = vec![0usize; prog.rank()];
-        for (kd, &d) in preserved.iter().enumerate() {
-            idx[d] = key[kd];
-        }
-        for (r, a) in prog.out_view.accesses.iter().enumerate() {
-            let bidx = a
-                .index_fn
-                .eval(&idx)
-                .ok_or_else(|| MdhError::Eval("negative output index".into()))?;
-            outputs[a.buffer].set(&bidx, &tuple[r])?;
-        }
-    }
-    Ok(outputs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,16 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_matches_recursive_matvec() {
-        let (i, k) = (6, 4);
-        let prog = matvec_prog(i, k);
-        let inputs = matvec_inputs(i, k);
-        let a = evaluate_recursive(&prog, &inputs).unwrap();
-        let b = evaluate_direct(&prog, &inputs).unwrap();
-        assert!(a[0].approx_eq(&b[0], 1e-6));
-    }
-
-    #[test]
     fn dot_product_pure_reduction() {
         let n = 9;
         let prog = DslBuilder::new("dot", vec![n])
@@ -547,22 +455,6 @@ mod tests {
             expect[i] = s;
         }
         assert_eq!(got, &expect[..]);
-    }
-
-    #[test]
-    fn direct_rejects_ps() {
-        let prog = DslBuilder::new("psum", vec![4])
-            .out_buffer("out", BasicType::F64)
-            .out_access("out", IndexFn::identity(1, 1))
-            .inp_buffer("x", BasicType::F64)
-            .inp_access("x", IndexFn::identity(1, 1))
-            .scalar_function(ScalarFunction::identity("id", ScalarKind::F64))
-            .combine_ops(vec![CombineOp::ps_add()])
-            .build()
-            .unwrap();
-        assert!(!direct_applicable(&prog));
-        let x = Buffer::zeros("x", BasicType::F64, Shape::new(vec![4]));
-        assert!(evaluate_direct(&prog, &[x]).is_err());
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub fn compile(src: &str, env: &DirectiveEnv) -> Result<DslProgram> {
 mod tests {
     use super::*;
     use mdh_core::buffer::Buffer;
-    use mdh_core::eval::{evaluate_direct, evaluate_recursive};
+    use mdh_core::eval::evaluate_recursive;
     use mdh_core::shape::Shape;
     use mdh_core::types::BasicType;
 
@@ -130,7 +130,7 @@ def matmul(C, A, B):
         a.fill_with(|f| f as f64);
         let mut b = Buffer::zeros("B", BasicType::F32, Shape::new(vec![5, 4]));
         b.fill_with(|f| (f % 3) as f64);
-        let out = evaluate_direct(&prog, &[a.clone(), b.clone()]).unwrap();
+        let out = evaluate_recursive(&prog, &[a.clone(), b.clone()]).unwrap();
         let af = a.as_f32().unwrap();
         let bf = b.as_f32().unwrap();
         let c = out[0].as_f32().unwrap();

@@ -18,8 +18,9 @@
 //!   shape-specialised, as are tuned schedules);
 //! * the **backend** ([`DeviceKind`]).
 //!
-//! Eviction is LRU over a fixed capacity; hit/miss/eviction/swap counters
-//! feed [`crate::stats::RuntimeStats`].
+//! Eviction is LRU over a fixed capacity; hit/miss/eviction counters feed
+//! [`crate::stats::RuntimeStats`]. An entry never changes while it is
+//! cached.
 
 use mdh_core::dsl::DslProgram;
 use mdh_core::expr::{Expr, ScalarFunction, Stmt};
@@ -175,12 +176,9 @@ impl PlanKey {
 /// Where a cached plan's schedule came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanSource {
-    /// `mdh_lowering::heuristics::mdh_default_schedule` — what a miss is
-    /// served with while the tuner runs.
+    /// `mdh_lowering::heuristics::mdh_default_schedule`, for a program
+    /// the tuning-cache file has no entry for.
     Heuristic,
-    /// A background `mdh-tuner` search beat the incumbent and was swapped
-    /// in.
-    Tuned,
     /// Loaded from a persistent [`mdh_tuner::TuningCache`] file.
     Persistent,
 }
@@ -189,7 +187,6 @@ impl std::fmt::Display for PlanSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             PlanSource::Heuristic => "heuristic",
-            PlanSource::Tuned => "tuned",
             PlanSource::Persistent => "persistent",
         })
     }
@@ -204,11 +201,11 @@ pub struct CompiledPlan {
     pub schedule: Schedule,
     pub plan: ExecutionPlan,
     pub source: PlanSource,
-    /// Cost of `schedule` under the backend's metric (seconds measured on
-    /// CPU, simulated ms on GPU); `None` for unmeasured heuristic plans.
+    /// Cost the tuning-cache file recorded for `schedule`; `None` for
+    /// heuristic plans. Nothing reads it.
     pub cost: Option<f64>,
-    /// Bumped on every hot-swap of this key's entry; lets callers observe
-    /// that a tune-and-swap happened.
+    /// Always 0: a cached plan is never replaced. Kept with `cost` because
+    /// the benchmark constructs plans; a benchmark change can drop both.
     pub epoch: u64,
 }
 
@@ -217,10 +214,10 @@ struct CacheSlot {
     last_use: u64,
 }
 
-/// LRU cache of compiled plans with hit/miss/eviction/swap counters.
+/// LRU cache of compiled plans with hit/miss/eviction counters.
 ///
 /// Not internally synchronised — the runtime wraps it in a `Mutex` (the
-/// critical sections are pointer swaps; execution happens outside the
+/// critical sections are map operations; execution happens outside the
 /// lock on the `Arc`'d plan).
 pub struct PlanCache {
     capacity: usize,
@@ -229,7 +226,6 @@ pub struct PlanCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    swaps: u64,
 }
 
 impl PlanCache {
@@ -242,7 +238,6 @@ impl PlanCache {
             hits: 0,
             misses: 0,
             evictions: 0,
-            swaps: 0,
         }
     }
 
@@ -268,10 +263,6 @@ impl PlanCache {
 
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    pub fn swaps(&self) -> u64 {
-        self.swaps
     }
 
     /// Fraction of lookups served from cache (0.0 when no lookups yet).
@@ -331,25 +322,6 @@ impl PlanCache {
             }
         }
         arc
-    }
-
-    /// Atomically replace `key`'s plan if `candidate` has a strictly
-    /// lower cost than the incumbent (an incumbent without a measured
-    /// cost always loses). The new entry's epoch is the incumbent's + 1.
-    /// Returns `true` if the swap happened.
-    pub fn swap_if_better(&mut self, key: &PlanKey, mut candidate: CompiledPlan) -> bool {
-        let Some(slot) = self.slots.get_mut(key) else {
-            return false; // evicted meanwhile: drop the tune result
-        };
-        let incumbent_cost = slot.plan.cost.unwrap_or(f64::INFINITY);
-        let candidate_cost = candidate.cost.unwrap_or(f64::INFINITY);
-        if candidate_cost >= incumbent_cost {
-            return false;
-        }
-        candidate.epoch = slot.plan.epoch + 1;
-        slot.plan = Arc::new(candidate);
-        self.swaps += 1;
-        true
     }
 }
 
@@ -437,27 +409,5 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn swap_if_better_bumps_epoch_and_respects_cost() {
-        let prog = matvec(["w", "m", "v"], [8, 8]);
-        let key = PlanKey::of(&prog, DeviceKind::Cpu);
-        let mut cache = PlanCache::new(4);
-        cache.insert(key.clone(), compiled(&prog, DeviceKind::Cpu));
-
-        let mut better = compiled(&prog, DeviceKind::Cpu);
-        better.cost = Some(1.0);
-        better.source = PlanSource::Tuned;
-        assert!(cache.swap_if_better(&key, better));
-        let cur = cache.peek(&key).unwrap();
-        assert_eq!(cur.epoch, 1);
-        assert_eq!(cur.source, PlanSource::Tuned);
-
-        let mut worse = compiled(&prog, DeviceKind::Cpu);
-        worse.cost = Some(2.0);
-        assert!(!cache.swap_if_better(&key, worse));
-        assert_eq!(cache.peek(&key).unwrap().epoch, 1);
-        assert_eq!(cache.swaps(), 1);
     }
 }

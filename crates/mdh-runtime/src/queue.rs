@@ -332,7 +332,6 @@ mod tests {
     use crate::request::Operands;
     use crate::runtime::Runtime;
     use crate::testing::dot;
-    use crate::tune::TunePolicy;
     use mdh_lowering::asm::DeviceKind;
     use std::sync::Arc;
 
@@ -385,10 +384,6 @@ mod tests {
         let (prog, inputs) = dot();
         let operands: Operands = Arc::new(inputs);
         let mut rt = Runtime::new(RuntimeConfig {
-            tune: TunePolicy {
-                enabled: false,
-                ..TunePolicy::default()
-            },
             max_queue_depth: 20_000,
             ..RuntimeConfig::default()
         })

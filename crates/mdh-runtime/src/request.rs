@@ -76,8 +76,9 @@ pub struct Response {
     /// Whether this request's plan lookup hit the cache.
     pub cache_hit: bool,
     pub plan_source: PlanSource,
-    /// Swap generation of the plan that served this request (0 until a
-    /// background tune wins).
+    /// Always 0, since a cached plan never changes (the wire's `epoch=`
+    /// token). Kept because the benchmark prints it; a benchmark change
+    /// can drop it.
     pub plan_epoch: u64,
     /// Requests served together with this one (≥ 1).
     pub batch_size: usize,
@@ -216,7 +217,6 @@ mod tests {
     use super::*;
     use crate::runtime::RuntimeConfig;
     use crate::testing::dot;
-    use crate::tune::TunePolicy;
 
     #[test]
     fn request_new_wraps_a_vec_and_shares_a_handle() {
@@ -258,11 +258,6 @@ mod tests {
         let mut rt = Runtime::new(RuntimeConfig {
             workers: 2,
             exec_threads: 2,
-            // a cold miss would hand the tuner a third holder of the handle
-            tune: TunePolicy {
-                enabled: false,
-                ..TunePolicy::default()
-            },
             ..RuntimeConfig::default()
         })
         .unwrap();

@@ -1,5 +1,4 @@
-//! The runtime proper: request queue, batching worker pool, and the
-//! background tuner thread.
+//! The runtime proper: request queue and batching worker pool.
 //!
 //! Life of a request ([`Runtime::submit`]):
 //!
@@ -18,10 +17,10 @@
 //!    [`RuntimeConfig::breaker_threshold`] consecutive failures fails
 //!    fast ([`MdhError::BreakerOpen`]) until a cooldown elapses, after
 //!    which a single half-open probe decides whether to close it again;
-//! 4. the plan comes from the cache (hit), the persistent tuning cache
-//!    (warm start), or a fresh heuristic lowering (cold miss). A cold
-//!    miss additionally queues a background tune job — the caller is
-//!    *never* blocked on tuning;
+//! 4. the plan comes from the cache (hit), or a miss lowers it once: from
+//!    the schedule `mdhc tune` stored for the program in the tuning-cache
+//!    file (warm start), else from the heuristic. A cached plan never
+//!    changes;
 //! 5. the batch executes (real threads on CPU via the lowered plan, the
 //!    functional simulator on GPU) under `catch_unwind`: a panic becomes
 //!    a per-request [`MdhError::WorkerPanic`] (and a breaker failure),
@@ -33,7 +32,6 @@ use crate::plan_cache::{CompiledPlan, PlanCache, PlanKey, PlanSource};
 use crate::queue::{fail, note_tenant_dispatch, Job, Outcome, Queue};
 use crate::stats::RuntimeStats;
 use crate::sync::lock;
-use crate::tune::{plan_from_tuning_cache, run_tune_job, TuneJob, TunePolicy, Tuner};
 use mdh_backend::cpu::CpuExecutor;
 use mdh_backend::gpu::GpuSim;
 use mdh_backend::transfer::{launch_cost_ms, LinkParams};
@@ -53,6 +51,16 @@ use std::time::{Duration, Instant};
 
 pub use crate::queue::DEFAULT_TENANT;
 pub use crate::request::{GradHandle, GradResponse, Handle, Operands, Request, Response};
+
+/// A switch with no effect: the runtime does not tune online. A cached
+/// plan never changes; tuned schedules come from the file
+/// `mdhc tune --cache` writes ([`RuntimeConfig::tuning_cache_path`]).
+/// Kept, with [`RuntimeConfig::tune`], because the benchmark sets it; a
+/// benchmark change can drop both.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TunePolicy {
+    pub enabled: bool,
+}
 
 /// Construction-time knobs.
 #[derive(Debug, Clone)]
@@ -89,8 +97,11 @@ pub struct RuntimeConfig {
     /// or half-written client is answered with an error and disconnected
     /// instead of holding its connection thread forever.
     pub read_timeout: Duration,
+    /// No effect (see [`TunePolicy`]).
     pub tune: TunePolicy,
-    /// Load/persist tuned schedules here (shared with `mdhc tune`).
+    /// A tuning-cache file written by `mdhc tune --cache`: read once at
+    /// construction, never written. A program with an entry there is
+    /// served its stored schedule instead of the heuristic's.
     pub tuning_cache_path: Option<PathBuf>,
     /// Simulated devices serving GPU requests. With `devices > 1`, GPU
     /// launches are partitioned across an `mdh-dist` pool of identical
@@ -173,7 +184,8 @@ pub(crate) struct Shared {
     config: RuntimeConfig,
     queue: Queue,
     pub(crate) plans: Mutex<PlanCache>,
-    tuning: Arc<Mutex<TuningCache>>,
+    /// The tuning-cache file's entries, loaded once.
+    tuning: TuningCache,
     /// The counters this runtime bumps itself; [`Runtime::stats`] overlays
     /// what the plan cache, the pool and the kernel registry count.
     pub(crate) counters: Mutex<RuntimeStats>,
@@ -185,7 +197,6 @@ pub(crate) struct Shared {
     /// Device-resident buffer pool shared with `dist` (None when the
     /// pool is disabled or single-device).
     mem: Option<Arc<MemPool>>,
-    tuner: Tuner,
 }
 
 /// The persistent execution runtime. Dropping it shuts it down cleanly
@@ -193,7 +204,6 @@ pub(crate) struct Shared {
 pub struct Runtime {
     pub(crate) shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    tuner: Option<JoinHandle<()>>,
 }
 
 impl Runtime {
@@ -234,11 +244,10 @@ impl Runtime {
         } else {
             None
         };
-        let tuning = Arc::new(Mutex::new(match &config.tuning_cache_path {
+        let tuning = match &config.tuning_cache_path {
             Some(p) => TuningCache::load_or_rebuild(p),
             None => TuningCache::new(),
-        }));
-        let (tune_tx, tune_rx) = mpsc::channel();
+        };
         let counters = RuntimeStats {
             device_dispatches: dist
                 .iter()
@@ -257,20 +266,14 @@ impl Runtime {
             sim,
             dist,
             mem,
-            tuner: Tuner {
-                tx: Mutex::new(Some(tune_tx)),
-                in_flight: Mutex::default(),
-            },
             config,
         });
 
         // a thread that cannot be spawned is an error of the runtime
         // being built; dropping it stops and joins whatever did start
-        let spawn_failed = |e| MdhError::Validation(format!("runtime thread: {e}"));
         let mut rt = Runtime {
             shared,
             workers: Vec::new(),
-            tuner: None,
         };
         for i in 0..rt.shared.config.workers.max(1) {
             let sh = Arc::clone(&rt.shared);
@@ -278,16 +281,9 @@ impl Runtime {
                 std::thread::Builder::new()
                     .name(format!("mdh-runtime-worker-{i}"))
                     .spawn(move || worker_loop(&sh))
-                    .map_err(spawn_failed)?,
+                    .map_err(|e| MdhError::Validation(format!("runtime thread: {e}")))?,
             );
         }
-        let sh = Arc::clone(&rt.shared);
-        rt.tuner = Some(
-            std::thread::Builder::new()
-                .name("mdh-runtime-tuner".into())
-                .spawn(move || tuner_loop(&sh, tune_rx))
-                .map_err(spawn_failed)?,
-        );
         Ok(rt)
     }
 
@@ -323,7 +319,6 @@ impl Runtime {
             s.plan_hits = plans.hits();
             s.plan_misses = plans.misses();
             s.plan_evictions = plans.evictions();
-            s.plan_swaps = plans.swaps();
             s.plans_resident = plans.len();
         }
         if let Some(d) = &self.shared.dist {
@@ -388,39 +383,21 @@ impl Runtime {
     }
 
     /// Block until the request queue is drained and no worker is mid-batch.
-    /// (Background tuning may still be running; see [`Runtime::wait_for_tunes`].)
     pub fn wait_idle(&self) {
         while !self.shared.queue.is_idle() {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
 
-    /// Block until no background tune search is queued or running, or the
-    /// timeout elapses. Returns `true` when quiescent.
-    pub fn wait_for_tunes(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while !self.shared.tuner.is_quiet() {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        true
-    }
-
-    /// Serve everything queued, stop the workers and the tuner, and join
-    /// them. New submissions are rejected with `err draining` from the
-    /// moment this is called. Called automatically on drop.
+    /// Serve everything queued, stop the workers, and join them. New
+    /// submissions are rejected with `err draining` from the moment this
+    /// is called. Called automatically on drop.
     pub fn shutdown(&mut self) {
         if !self.shared.queue.close() {
             return;
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        self.shared.tuner.close();
-        if let Some(t) = self.tuner.take() {
-            let _ = t.join();
         }
     }
 }
@@ -531,11 +508,6 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
         }
     }
 
-    // a cold heuristic miss kicks off a background search
-    if !first_was_hit && plan.source == PlanSource::Heuristic && shared.config.tune.enabled {
-        shared.tuner.queue(&key, &live[0].req);
-    }
-
     // ---- execute ------------------------------------------------------
     {
         let mut c = lock(&shared.counters);
@@ -609,10 +581,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn build_and_insert(shared: &Shared, key: &PlanKey, req: &Request) -> Result<Arc<CompiledPlan>> {
     req.prog.validate()?;
-    // warm start from the persistent tuning cache if a prior process
-    // (or `mdhc tune`) already solved this problem
-    let compiled = match plan_from_tuning_cache(&req.prog, req.device, &shared.tuning) {
-        Some(c) => c,
+    // warm start from the schedule `mdhc tune` stored for this program,
+    // unless it no longer lowers
+    let stored = shared.tuning.lookup(&req.prog, req.device).and_then(|e| {
+        let plan = ExecutionPlan::build(&req.prog, &e.schedule).ok()?;
+        Some((
+            e.schedule.clone(),
+            plan,
+            PlanSource::Persistent,
+            Some(e.cost),
+        ))
+    });
+    let (schedule, plan, source, cost) = match stored {
+        Some(s) => s,
         None => {
             let units = match req.device {
                 DeviceKind::Cpu => shared.exec.threads,
@@ -620,15 +601,16 @@ fn build_and_insert(shared: &Shared, key: &PlanKey, req: &Request) -> Result<Arc
             };
             let schedule = mdh_default_schedule(&req.prog, req.device, units);
             let plan = ExecutionPlan::build(&req.prog, &schedule)?;
-            CompiledPlan {
-                prog: req.prog.clone(),
-                schedule,
-                plan,
-                source: PlanSource::Heuristic,
-                cost: None,
-                epoch: 0,
-            }
+            (schedule, plan, PlanSource::Heuristic, None)
         }
+    };
+    let compiled = CompiledPlan {
+        prog: req.prog.clone(),
+        schedule,
+        plan,
+        source,
+        cost,
+        epoch: 0,
     };
     Ok(lock(&shared.plans).insert(key.clone(), compiled))
 }
@@ -657,9 +639,9 @@ fn execute_one(
             )?;
             (out, t0.elapsed().as_secs_f64() * 1e3, 0.0)
         }
-        // `devices > 1`: the cached plan keyed the lookup (and drives
-        // background tuning), but execution goes through the pool, which
-        // re-partitions and schedules each shard on its own device
+        // `devices > 1`: the cached plan keyed the lookup, but execution
+        // goes through the pool, which re-partitions and schedules each
+        // shard on its own device
         (DeviceKind::Gpu, Some(dist)) => {
             let (out, report) =
                 dist.run_with_deadline(&job.req.prog, &job.req.inputs, job.req.deadline)?;
@@ -704,25 +686,6 @@ fn execute_one(
     })
 }
 
-/// The tuner thread: one search at a time, in the order cold misses
-/// queued them.
-fn tuner_loop(shared: &Shared, rx: mpsc::Receiver<TuneJob>) {
-    while let Ok(job) = rx.recv() {
-        let key = job.key.clone();
-        let _swapped = run_tune_job(
-            job,
-            &shared.config.tune,
-            &shared.exec,
-            &shared.sim,
-            &shared.plans,
-            &shared.tuning,
-            shared.config.tuning_cache_path.as_ref(),
-        );
-        lock(&shared.counters).tunes_done += 1;
-        shared.tuner.done(&key);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,14 +708,7 @@ mod tests {
                 (prog, Arc::new(inputs))
             })
             .collect();
-        let mut rt = Runtime::new(RuntimeConfig {
-            tune: TunePolicy {
-                enabled: false,
-                ..TunePolicy::default()
-            },
-            ..RuntimeConfig::default()
-        })
-        .unwrap();
+        let mut rt = Runtime::new(RuntimeConfig::default()).unwrap();
         assert_eq!(rt.shared.config.devices, 1);
         let link = LinkParams::pcie4_x16();
         let launch = |rt: &Runtime, (prog, inputs): &(DslProgram, Operands)| {

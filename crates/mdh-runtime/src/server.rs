@@ -14,7 +14,7 @@
 //!   PIPE\n                        (switch this connection to pipelined framing)
 //!
 //! server → client (one line per launch, then a summary):
-//!   ok hit=<bool> source=<heuristic|tuned|persistent> epoch=<n> batch=<n>
+//!   ok hit=<bool> source=<heuristic|persistent> epoch=0 batch=<n>
 //!      exec_ms=<x> total_ms=<x> checksum=<buf>=<v>[,...]
 //!      [parts=<n> grad_checksum=d_<buf>=<v>[,...]]
 //!   done <count>
@@ -24,7 +24,7 @@
 //!
 //! `count` submits the same compiled program that many times — the
 //! demonstration of plan-cache amortisation: launch 1 is a cold miss
-//! (heuristic plan, background tune queued), launches 2..count hit.
+//! (the plan is lowered), launches 2..count hit.
 //! Inputs are generated deterministically server-side, so checksums are
 //! reproducible across runs and clients stay tiny. `deadline_ms` applies
 //! a serve-by deadline (relative to header parse time) to every launch
@@ -489,11 +489,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 2,
             exec_threads: 2,
-            // a TuneJob would hold the handle for as long as its search runs
-            tune: crate::tune::TunePolicy {
-                enabled: false,
-                ..Default::default()
-            },
             ..RuntimeConfig::default()
         };
         let ctx = ServerCtx::new(config, Arc::default()).unwrap();

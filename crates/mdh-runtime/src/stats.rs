@@ -269,9 +269,7 @@ metrics! {
     /// Plan-cache lookups that had to lower a fresh plan.
     plan_misses: u64, head[6] " {} misses";
     /// Plans dropped by LRU eviction.
-    plan_evictions: u64, head[8] " {} evictions,";
-    /// Background tune results hot-swapped over an incumbent plan.
-    plan_swaps: u64, head[9] " {} swaps,";
+    plan_evictions: u64, head[8] " {} evictions";
     /// Plans currently resident.
     plans_resident: usize, head[4] " plan cache: {} resident,";
     /// Share of plan-cache lookups served from the cache; 0 before any.
@@ -290,8 +288,6 @@ metrics! {
     /// Mean number of requests per executed batch.
     mean_batch() -> f64 = |s| ratio(s.batched_requests, s.batches),
         head[2] " (mean batch {:.2},";
-    /// Background tune searches finished.
-    tunes_done: u64, head[10] " {} tunes";
     /// End-to-end latency (submit → response) of successful requests.
     latency: Histogram, hidden;
     /// Median end-to-end latency in ms, to within one [`Histogram`]
@@ -410,13 +406,11 @@ mod tests {
             plan_hits: 10,
             plan_misses: 2,
             plan_evictions: 1,
-            plan_swaps: 1,
             plans_resident: 4,
             completed: 12,
             batches: 6,
             batched_requests: 12,
             max_batch: 3,
-            tunes_done: 2,
             device_dispatches: vec![("gpu0".into(), 9), ("gpu1".into(), 3)],
             fault_retries: 1,
             device_evictions: 1,
@@ -465,14 +459,29 @@ mod tests {
 
     #[test]
     fn text_and_json_match_the_strings_recorded_before_the_table() {
-        // the shard routes removed since, a section of the line and a key
-        let routes_text = "; shards: shard0=30 shard1=34";
-        let routes_json = r#","shard_routes":{"shard0":30,"shard1":34}"#;
-        assert!(GOLDEN_TEXT.ends_with(routes_text) && GOLDEN_JSON.contains(routes_json));
+        // removed since: the shard routes (a section of the line and a
+        // key), then the plan swap and tune counters (two fields, two keys)
+        let strip = |golden: &str, removed: &[&str]| {
+            removed.iter().fold(golden.to_string(), |s, part| {
+                assert!(s.contains(part), "{part}");
+                s.replacen(part, "", 1)
+            })
+        };
+        let want = strip(
+            GOLDEN_TEXT,
+            &["; shards: shard0=30 shard1=34", ", 1 swaps, 2 tunes"],
+        );
+        let want_json = strip(
+            GOLDEN_JSON,
+            &[
+                r#","shard_routes":{"shard0":30,"shard1":34}"#,
+                r#","plan_swaps":1"#,
+                r#","tunes_done":2"#,
+            ],
+        );
         // the host section added since, after the fast-path one
         let fast = "kernel-fallbacks=7";
         let host_text = "; host: reuses=6 fresh=2 held=67108864B";
-        let want = GOLDEN_TEXT.replace(routes_text, "");
         assert_eq!(
             busy().to_string(),
             want.replace(fast, &format!("{fast}{host_text}"))
@@ -487,7 +496,7 @@ mod tests {
             assert!(json.contains(key), "{key} in {json}");
             json = json.replacen(key, "", 1);
         }
-        assert_eq!(json, GOLDEN_JSON.replace(routes_json, ""));
+        assert_eq!(json, want_json);
     }
 
     /// Top-level keys of a one-line JSON object, in order: the strings at
@@ -534,7 +543,7 @@ mod tests {
         for nested in [
             r#""gpu1":"probation""#,
             r#""tenant-a":7"#,
-            r#""tunes_done":2,"latency_p50_ms":0.6062,"latency_p99_ms":1.2124,"latency_mean_ms":0.6500,"exec_p50_us":54.2720,"exec_p99_us":54.2720,"exec_samples":1,"device_dispatches""#,
+            r#""mean_batch":2.0000,"latency_p50_ms":0.6062,"latency_p99_ms":1.2124,"latency_mean_ms":0.6500,"exec_p50_us":54.2720,"exec_p99_us":54.2720,"exec_samples":1,"device_dispatches""#,
         ] {
             assert!(json.contains(nested), "{nested} in {json}");
         }

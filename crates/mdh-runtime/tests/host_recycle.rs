@@ -13,7 +13,7 @@ use mdh_core::buffer::{Buffer, HOST_BLOCK_MIN_BYTES};
 use mdh_directive::DirectiveEnv;
 use mdh_lowering::DeviceKind;
 use mdh_runtime::server::{compile_any, deterministic_inputs};
-use mdh_runtime::{Request, Runtime, RuntimeConfig, TunePolicy};
+use mdh_runtime::{Request, Runtime, RuntimeConfig};
 use std::sync::Arc;
 
 const JACOBI3D_F64: &str = "\
@@ -41,11 +41,6 @@ fn a_warm_stencil_reuses_its_output_block_and_keeps_its_bits() {
     let config = RuntimeConfig {
         workers: 1,
         exec_threads: 2,
-        // no background search: its own runs would take blocks too
-        tune: TunePolicy {
-            enabled: false,
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
     };
     let rt = Runtime::new(config).expect("runtime");

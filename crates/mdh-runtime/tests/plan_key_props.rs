@@ -5,7 +5,7 @@
 //! * **buffer names are irrelevant** — two directives differing only in
 //!   their buffer (and program) names must key the same cache entry, or
 //!   a served model re-deployed under a new tensor-naming scheme would
-//!   re-lower and re-tune everything;
+//!   re-lower everything;
 //! * **combine operators are load-bearing** — programs differing in any
 //!   combine operator compute different reductions and must *never*
 //!   collide, or the cache would serve wrong answers.

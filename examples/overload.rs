@@ -31,7 +31,7 @@ use mdh::apps::spec::Scale;
 use mdh::core::buffer::{bits_hash, Buffer, BufferData};
 use mdh::core::error::MdhError;
 use mdh::lowering::asm::DeviceKind;
-use mdh::runtime::{Request, Runtime, RuntimeConfig, TunePolicy};
+use mdh::runtime::{Request, Runtime, RuntimeConfig};
 use std::time::{Duration, Instant};
 
 /// Integer-valued refill: exact in f32/f64, so batching and scheduling
@@ -77,10 +77,6 @@ fn main() {
         let rt = Runtime::new(RuntimeConfig {
             workers: 2,
             exec_threads: 2,
-            tune: TunePolicy {
-                enabled: false,
-                ..TunePolicy::default()
-            },
             ..RuntimeConfig::default()
         })
         .expect("reference runtime");
@@ -102,10 +98,6 @@ fn main() {
         breaker_threshold: 3,
         breaker_cooldown: Duration::from_secs(30), // stays open for the demo
         panic_marker: Some("poison".into()),
-        tune: TunePolicy {
-            enabled: false,
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
     };
     let runtime = Runtime::new(config).expect("runtime");

@@ -1,89 +1,93 @@
 //! Serving with the persistent runtime: plan-cache amortisation,
-//! request batching, and background tune-and-swap.
+//! request batching, and warm starts from a tuning-cache file.
 //!
 //! Drives a mixed workload of three Fig. 3 case studies — Dot (pure
 //! reduction), MatMul (contraction), PRL (custom combine operator) —
 //! through [`mdh::runtime::Runtime`]:
 //!
-//! 1. cold start: every signature misses and is served immediately from
-//!    the heuristic schedule while a background tuner search starts;
-//! 2. the tuner finishes and hot-swaps the winning schedules into the
-//!    plan cache (watch the epoch counters);
+//! 1. cold start: every signature misses and is lowered from the
+//!    heuristic schedule;
+//! 2. warm start: the three programs are tuned offline into a cache file,
+//!    the way `mdhc tune --cache` does, and a second runtime lowers each
+//!    miss from the stored schedule instead;
 //! 3. steady state: hundreds of mixed launches, all plan-cache hits,
 //!    with cache hit-rate and latency percentiles printed at the end.
+//!
+//! A cached plan never changes, so every launch reports epoch 0.
 //!
 //! Run with `cargo run --release --example runtime_serving`.
 
 use mdh::apps::registry::{instantiate, StudyId};
-use mdh::apps::spec::Scale;
+use mdh::apps::spec::{AppInstance, Scale};
+use mdh::backend::cpu_model::CpuParams;
 use mdh::lowering::asm::DeviceKind;
-use mdh::runtime::{Request, Runtime, RuntimeConfig, TunePolicy};
-use std::time::Duration;
+use mdh::runtime::{PlanSource, Request, Runtime, RuntimeConfig};
+use mdh::tuner::{tune_cpu_model, Budget, Technique, TuningCache};
+
+/// One CPU launch of every study, each printed; every reply's plan must
+/// come from `source`.
+fn launch_each(runtime: &Runtime, studies: &[AppInstance], source: PlanSource) {
+    for app in studies {
+        let resp = runtime
+            .submit(Request::new(
+                app.program.clone(),
+                DeviceKind::Cpu,
+                app.inputs.clone(),
+            ))
+            .wait()
+            .expect("launch");
+        println!(
+            "  {:<8} hit={:<5} plan={:<10} epoch={} exec {:.3} ms",
+            app.name,
+            resp.cache_hit,
+            resp.plan_source.to_string(),
+            resp.plan_epoch,
+            resp.exec_ms
+        );
+        assert_eq!(resp.plan_source, source, "{}", app.name);
+        assert_eq!(resp.plan_epoch, 0, "a cached plan never changes");
+    }
+}
 
 fn main() {
     let studies = ["Dot", "MatMul", "PRL"].map(|name| {
         instantiate(StudyId { name, input_no: 1 }, Scale::Small).expect("instantiate study")
     });
-
-    let runtime = Runtime::new(RuntimeConfig {
+    let config = RuntimeConfig {
         workers: 2,
         exec_threads: 4,
         max_batch: 8,
-        tune: TunePolicy {
-            budget_evals: 12,
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
-    })
-    .expect("runtime");
+    };
 
     // ---- phase 1: cold start -----------------------------------------
     println!("== cold start (every signature is a plan-cache miss) ==");
-    for app in &studies {
-        let resp = runtime
-            .submit(Request::new(
-                app.program.clone(),
-                DeviceKind::Cpu,
-                app.inputs.clone(),
-            ))
-            .wait()
-            .expect("cold launch");
-        println!(
-            "  {:<8} hit={:<5} plan={:<10} epoch={} exec {:.3} ms",
-            app.name,
-            resp.cache_hit,
-            resp.plan_source.to_string(),
-            resp.plan_epoch,
-            resp.exec_ms
-        );
-    }
+    let cold = Runtime::new(config.clone()).expect("runtime");
+    launch_each(&cold, &studies, PlanSource::Heuristic);
+    drop(cold);
 
-    // ---- phase 2: background tuning lands ----------------------------
-    print!("\n== waiting for background tune-and-swap ==\n");
-    let quiesced = runtime.wait_for_tunes(Duration::from_secs(120));
-    let s = runtime.stats();
-    println!(
-        "  tuner quiescent={quiesced}: {} searches finished, {} plans hot-swapped",
-        s.tunes_done, s.plan_swaps
-    );
+    // ---- phase 2: warm start from a tuning-cache file ----------------
+    println!("\n== tune offline into a cache file, then start warm from it ==");
+    let path = std::env::temp_dir().join(format!("mdh-serving-{}.txt", std::process::id()));
+    let mut cache = TuningCache::new();
     for app in &studies {
-        let resp = runtime
-            .submit(Request::new(
-                app.program.clone(),
-                DeviceKind::Cpu,
-                app.inputs.clone(),
-            ))
-            .wait()
-            .expect("warm launch");
-        println!(
-            "  {:<8} hit={:<5} plan={:<10} epoch={} exec {:.3} ms",
-            app.name,
-            resp.cache_hit,
-            resp.plan_source.to_string(),
-            resp.plan_epoch,
-            resp.exec_ms
+        let tuned = tune_cpu_model(
+            &app.program,
+            &CpuParams::xeon_gold_6140(),
+            Technique::Annealing,
+            Budget::evals(100),
         );
+        println!("  {:<8} tuned: {}", app.name, tuned.schedule.summary());
+        cache.record(&app.program, DeviceKind::Cpu, tuned.schedule, tuned.cost);
     }
+    cache.save(&path).expect("write the tuning cache");
+    let runtime = Runtime::new(RuntimeConfig {
+        tuning_cache_path: Some(path.clone()),
+        ..config
+    })
+    .expect("runtime");
+    let _ = std::fs::remove_file(&path); // read once, at construction
+    launch_each(&runtime, &studies, PlanSource::Persistent);
 
     // ---- phase 3: steady-state mixed serving -------------------------
     const ROUNDS: usize = 60;
@@ -134,12 +138,11 @@ fn main() {
     let s = runtime.stats();
     println!("\n== final runtime statistics ==");
     println!(
-        "  plan cache : {} resident, {} hits / {} misses (hit rate {:.3}), {} swaps",
+        "  plan cache : {} resident, {} hits / {} misses (hit rate {:.3})",
         s.plans_resident,
         s.plan_hits,
         s.plan_misses,
-        s.hit_rate(),
-        s.plan_swaps
+        s.hit_rate()
     );
     println!(
         "  batching   : {} requests in {} batches (mean {:.2}, max {})",

@@ -32,7 +32,7 @@ use mdh::core::buffer::{bits_hash, Buffer, BufferData};
 use mdh::dist::{DevicePool, DistExecutor, FaultPlan, HealPolicy};
 use mdh::lowering::asm::DeviceKind;
 use mdh::mem::MemPool;
-use mdh::runtime::{Request, Runtime, RuntimeConfig, TunePolicy};
+use mdh::runtime::{Request, Runtime, RuntimeConfig};
 use std::sync::Arc;
 
 /// Integer-valued refill: exact in f32/f64, so partial-result
@@ -182,10 +182,6 @@ fn runtime_stats_see_the_flap() {
         hedge_ms: 0.25,
         probe_every: 2,
         reinstate_after: 2,
-        tune: TunePolicy {
-            enabled: false,
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
     })
     .expect("runtime");

@@ -26,7 +26,7 @@
 
 use mdh::lowering::asm::DeviceKind;
 use mdh::runtime::server::serve_opts;
-use mdh::runtime::{Client, RuntimeConfig, ServeOptions, ServerAddr, SubmitClientOpts, TunePolicy};
+use mdh::runtime::{Client, RuntimeConfig, ServeOptions, ServerAddr, SubmitClientOpts};
 use std::time::Duration;
 
 const DOT: &str = "\
@@ -96,10 +96,6 @@ fn main() {
                 tenant_quota: 24,
                 tenant_weights: vec![("interactive".into(), 4)],
                 read_timeout: Duration::from_millis(1000),
-                tune: TunePolicy {
-                    enabled: false,
-                    ..TunePolicy::default()
-                },
                 ..RuntimeConfig::default()
             },
         )

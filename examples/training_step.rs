@@ -17,7 +17,7 @@ use mdh::core::buffer::{bits_hash, Buffer, BufferData};
 use mdh::core::shape::Shape;
 use mdh::dist::{DevicePool, DistExecutor};
 use mdh::lowering::asm::DeviceKind;
-use mdh::runtime::{Request, Runtime, RuntimeConfig, TunePolicy};
+use mdh::runtime::{Request, Runtime, RuntimeConfig};
 
 /// Integer-valued refill: exact in f32/f64, so gradient reassociation
 /// across schedules and devices cannot introduce rounding.
@@ -55,10 +55,6 @@ fn main() {
     let runtime = Runtime::new(RuntimeConfig {
         workers: 2,
         exec_threads: 2,
-        tune: TunePolicy {
-            enabled: false,
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
     })
     .expect("runtime");

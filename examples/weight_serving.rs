@@ -30,7 +30,7 @@ use mdh::core::dsl::DslProgram;
 use mdh::core::shape::Shape;
 use mdh::directive::{compile, DirectiveEnv};
 use mdh::lowering::asm::DeviceKind;
-use mdh::runtime::{Request, Runtime, RuntimeConfig, TunePolicy};
+use mdh::runtime::{Request, Runtime, RuntimeConfig};
 
 const DEVICES: usize = 4;
 const BURST: usize = 16;
@@ -119,10 +119,6 @@ fn main() {
         workers: 2,
         exec_threads: 4,
         devices: DEVICES,
-        tune: TunePolicy {
-            enabled: false,
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
     };
 

@@ -6,7 +6,7 @@
 //! mdhc estimate <file> [-D ...] [--device gpu|cpu] cost-model estimates
 //! mdhc tune     <file> [-D ...] [--device gpu|cpu] [--budget N] [--cache FILE]
 //! mdhc explain  <file> [-D ...] [--device gpu|cpu] what the lowering does
-//! mdhc serve    <socket> [--threads N] [--workers N] [--batch N] [--budget N]
+//! mdhc serve    <socket> [--threads N] [--workers N] [--batch N]
 //!               [--cache FILE] [--devices N] [--faults SPEC]
 //!               [--mem-budget BYTES[k|m|g]]
 //!               [--hedge-ms MS] [--probe-every N] [--reinstate-after N]
@@ -76,7 +76,7 @@ use mdh::directive::{compile_any, DirectiveEnv};
 use mdh::lowering::asm::DeviceKind;
 use mdh::lowering::heuristics::mdh_default_schedule;
 use mdh::runtime::server::checksum;
-use mdh::runtime::{RuntimeConfig, TunePolicy};
+use mdh::runtime::RuntimeConfig;
 use mdh::tuner::{tune_cpu_model, tune_gpu, Budget, Technique, TuningCache};
 use std::path::PathBuf;
 use std::process::exit;
@@ -516,10 +516,6 @@ fn cmd_serve(cli: &Cli) {
         workers: cli.workers.max(1),
         exec_threads: cli.threads,
         max_batch: cli.batch.max(1),
-        tune: TunePolicy {
-            budget_evals: cli.budget,
-            ..TunePolicy::default()
-        },
         tuning_cache_path: cli.cache.clone(),
         devices: cli.devices.max(1),
         faults: cli.faults.clone(),

@@ -4,7 +4,7 @@
 //! randomising sizes through the whole front end.
 
 use mdh::core::buffer::Buffer;
-use mdh::core::eval::{evaluate_direct, evaluate_recursive};
+use mdh::core::eval::evaluate_recursive;
 use mdh::core::shape::Shape;
 use mdh::core::types::BasicType;
 use mdh::directive::builder::sx;
@@ -107,7 +107,7 @@ proptest! {
         a.fill_with(|f| seed[f % seed.len()]);
         let mut b = Buffer::zeros("B", BasicType::F32, Shape::new(vec![k, j]));
         b.fill_with(|f| seed[(f * 11 + 5) % seed.len()]);
-        let out = evaluate_direct(&prog, &[a.clone(), b.clone()]).unwrap();
+        let out = evaluate_recursive(&prog, &[a.clone(), b.clone()]).unwrap();
         let (af, bf) = (a.as_f32().unwrap(), b.as_f32().unwrap());
         let c = out[0].as_f32().unwrap();
         for ii in 0..i {

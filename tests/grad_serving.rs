@@ -16,7 +16,7 @@ use mdh::core::types::{BasicType, ScalarKind};
 use mdh::directive::{compile, DirectiveEnv};
 use mdh::lowering::asm::DeviceKind;
 use mdh::runtime::server::deterministic_inputs;
-use mdh::runtime::{Request, Runtime, RuntimeConfig, TunePolicy};
+use mdh::runtime::{Request, Runtime, RuntimeConfig};
 use std::time::{Duration, Instant};
 
 const MATVEC: &str = "\
@@ -80,18 +80,10 @@ fn gather_case(n: usize, vocab: usize) -> (DslProgram, Vec<Buffer>, Vec<usize>) 
     (prog, vec![table], idx)
 }
 
-fn no_tune() -> TunePolicy {
-    TunePolicy {
-        enabled: false,
-        ..TunePolicy::default()
-    }
-}
-
 fn small_runtime() -> Runtime {
     Runtime::new(RuntimeConfig {
         workers: 2,
         exec_threads: 2,
-        tune: no_tune(),
         ..RuntimeConfig::default()
     })
     .expect("runtime")
@@ -214,7 +206,6 @@ fn grad_traffic_respects_the_circuit_breaker() {
         breaker_threshold: 1,
         breaker_cooldown: Duration::from_secs(60), // stays open for the test
         panic_marker: Some("poison".into()),
-        tune: no_tune(),
         ..RuntimeConfig::default()
     })
     .expect("runtime");

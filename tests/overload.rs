@@ -7,7 +7,7 @@ use mdh::core::error::MdhError;
 use mdh::directive::{compile, DirectiveEnv};
 use mdh::lowering::asm::DeviceKind;
 use mdh::runtime::server::deterministic_inputs;
-use mdh::runtime::{Request, Runtime, RuntimeConfig, TunePolicy};
+use mdh::runtime::{Request, Runtime, RuntimeConfig};
 use std::time::{Duration, Instant};
 
 const MATVEC: &str = "\
@@ -39,13 +39,6 @@ fn dot_prog(n: i64) -> mdh::core::dsl::DslProgram {
     compile(DOT, &env).expect("compile dot")
 }
 
-fn no_tune() -> TunePolicy {
-    TunePolicy {
-        enabled: false,
-        ..TunePolicy::default()
-    }
-}
-
 /// The headline acceptance test: `max_queue_depth = 8` under 200
 /// concurrent submissions. Every request gets exactly one terminal
 /// answer — `ok`, `overloaded`, or `deadline exceeded` — and every
@@ -64,7 +57,6 @@ fn flood_past_queue_bound_sheds_and_keeps_results_bit_identical() {
         workers: 2,
         exec_threads: 2,
         max_queue_depth: 8,
-        tune: no_tune(),
         ..RuntimeConfig::default()
     })
     .unwrap();
@@ -148,7 +140,6 @@ fn poison_program_trips_breaker_and_runtime_recovers() {
         breaker_threshold: 3,
         breaker_cooldown: Duration::from_secs(60), // stays open for the test
         panic_marker: Some("poison".into()),
-        tune: no_tune(),
         ..RuntimeConfig::default()
     })
     .unwrap();
@@ -215,7 +206,6 @@ fn breaker_half_open_probe_closes_after_cooldown() {
         breaker_threshold: 2,
         breaker_cooldown: Duration::from_millis(50),
         panic_marker: Some("poison".into()),
-        tune: no_tune(),
         ..RuntimeConfig::default()
     })
     .unwrap();
@@ -282,7 +272,6 @@ fn half_open_admits_exactly_one_of_two_simultaneous_probes() {
         breaker_threshold: 1,
         breaker_cooldown: Duration::from_millis(1000),
         panic_marker: Some("poison".into()),
-        tune: no_tune(),
         ..RuntimeConfig::default()
     })
     .unwrap();
@@ -346,7 +335,6 @@ fn successful_probe_resets_threshold_before_reopening() {
         breaker_threshold: 2,
         breaker_cooldown: Duration::from_millis(50),
         panic_marker: Some("poison".into()),
-        tune: no_tune(),
         ..RuntimeConfig::default()
     })
     .unwrap();
@@ -430,7 +418,6 @@ fn expired_mid_queue_requests_are_answered_without_executing() {
     let runtime = Runtime::new(RuntimeConfig {
         workers: 1, // one worker ⇒ the blocker serialises the queue
         exec_threads: 2,
-        tune: no_tune(),
         ..RuntimeConfig::default()
     })
     .unwrap();
@@ -471,7 +458,6 @@ fn draining_runtime_rejects_new_submissions() {
     let mut runtime = Runtime::new(RuntimeConfig {
         workers: 1,
         exec_threads: 2,
-        tune: no_tune(),
         ..RuntimeConfig::default()
     })
     .unwrap();

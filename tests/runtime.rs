@@ -1,14 +1,16 @@
 //! Acceptance tests for the persistent execution runtime (`mdh-runtime`):
-//! cache-hit-rate on a same-signature workload, bit-identical results
-//! around a background tune-and-swap, and the serve/submit protocol.
+//! cache-hit-rate on a same-signature workload, warm starts from a
+//! tuning-cache file, batching, and multi-device serving.
 
 use mdh::backend::cpu::CpuExecutor;
 use mdh::core::buffer::Buffer;
 use mdh::directive::{compile, DirectiveEnv};
 use mdh::lowering::asm::DeviceKind;
+use mdh::lowering::heuristics::mdh_default_schedule;
+use mdh::lowering::schedule::{ReductionStrategy, Schedule};
 use mdh::runtime::server::deterministic_inputs;
-use mdh::runtime::{Request, Runtime, RuntimeConfig, TunePolicy};
-use std::time::Duration;
+use mdh::runtime::{Request, Runtime, RuntimeConfig};
+use mdh::tuner::TuningCache;
 
 const MATVEC: &str = "\
 @mdh( out( w = Buffer[fp32] ),
@@ -41,16 +43,12 @@ fn hit_rate_and_bit_identical_results_on_100_request_workload() {
 
     // single-shot reference: a plain one-off executor run
     let exec = CpuExecutor::new(2).unwrap();
-    let schedule = mdh::lowering::heuristics::mdh_default_schedule(&prog, DeviceKind::Cpu, 2);
+    let schedule = mdh_default_schedule(&prog, DeviceKind::Cpu, 2);
     let reference = exec.run(&prog, &schedule, &inputs).unwrap();
 
     let runtime = Runtime::new(RuntimeConfig {
         workers: 2,
         exec_threads: 2,
-        tune: TunePolicy {
-            enabled: false, // isolate cache behaviour from tuning
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
     })
     .unwrap();
@@ -84,63 +82,10 @@ fn hit_rate_and_bit_identical_results_on_100_request_workload() {
     assert!(stats.latency_p99_ms() > 0.0, "latencies recorded");
 }
 
-/// Cold miss → served from the heuristic plan; the background tuner then
-/// beats the unmeasured incumbent and hot-swaps it (epoch bump). Results
-/// stay bit-identical across the swap.
-#[test]
-fn background_tune_hot_swaps_and_preserves_results() {
-    let prog = matvec_prog(24, 48);
-    let inputs = deterministic_inputs(&prog).unwrap();
-    let runtime = Runtime::new(RuntimeConfig {
-        workers: 1,
-        exec_threads: 2,
-        tune: TunePolicy {
-            budget_evals: 6,
-            ..TunePolicy::default()
-        },
-        ..RuntimeConfig::default()
-    })
-    .unwrap();
-    let submit = || {
-        runtime
-            .submit(Request::new(prog.clone(), DeviceKind::Cpu, inputs.clone()))
-            .wait()
-            .expect("launch")
-    };
-
-    // cold: miss, heuristic plan, epoch 0
-    let cold = submit();
-    assert!(!cold.cache_hit);
-    assert_eq!(cold.plan_source.to_string(), "heuristic");
-    assert_eq!(cold.plan_epoch, 0);
-
-    // the cold miss queued a background search; wait for it to land
-    assert!(
-        runtime.wait_for_tunes(Duration::from_secs(300)),
-        "background tuning did not finish"
-    );
-    let stats = runtime.stats();
-    assert_eq!(stats.tunes_done, 1);
-    assert_eq!(
-        stats.plan_swaps, 1,
-        "a measured schedule always beats the unmeasured heuristic incumbent"
-    );
-
-    // warm: hit, tuned plan, epoch bumped by the swap
-    let warm = submit();
-    assert!(warm.cache_hit);
-    assert_eq!(warm.plan_source.to_string(), "tuned");
-    assert_eq!(warm.plan_epoch, 1);
-
-    // bit-identical before and after the swap
-    for (a, b) in cold.outputs.iter().zip(&warm.outputs) {
-        assert_eq!(f32_data(a), f32_data(b), "swap must not change results");
-    }
-}
-
-/// A second runtime pointed at the same tuning-cache file starts warm:
-/// its first request is a plan-cache miss but is served from the
-/// persisted tuned schedule, not the heuristic.
+/// A runtime given the file `mdhc tune --cache` writes starts warm: its
+/// first request is a plan-cache miss, served from the stored schedule
+/// rather than the heuristic, with the bits a one-off run of that
+/// schedule gives.
 #[test]
 fn tuned_schedules_persist_across_runtimes() {
     let dir = std::env::temp_dir().join(format!("mdh-rt-persist-{}", std::process::id()));
@@ -148,38 +93,43 @@ fn tuned_schedules_persist_across_runtimes() {
     let cache_path = dir.join("tuning-cache.txt");
     let prog = matvec_prog(16, 32);
     let inputs = deterministic_inputs(&prog).unwrap();
-    let config = || RuntimeConfig {
+
+    // the file as `mdhc tune` writes it, holding a schedule the heuristic
+    // would not pick: the reduction split four ways, none of the rows
+    let mut tuned = Schedule::sequential(2, DeviceKind::Cpu);
+    tuned.par_chunks = vec![1, 4];
+    tuned.reduction = ReductionStrategy::Tree;
+    assert_ne!(tuned, mdh_default_schedule(&prog, DeviceKind::Cpu, 2));
+    let mut cache = TuningCache::new();
+    assert!(cache.record(&prog, DeviceKind::Cpu, tuned.clone(), 1.0));
+    cache.save(&cache_path).unwrap();
+
+    let runtime = Runtime::new(RuntimeConfig {
         workers: 1,
         exec_threads: 2,
-        tune: TunePolicy {
-            budget_evals: 4,
-            ..TunePolicy::default()
-        },
-        tuning_cache_path: Some(cache_path.clone()),
+        tuning_cache_path: Some(cache_path),
         ..RuntimeConfig::default()
-    };
-
-    {
-        let first = Runtime::new(config()).unwrap();
-        first
-            .submit(Request::new(prog.clone(), DeviceKind::Cpu, inputs.clone()))
-            .wait()
-            .unwrap();
-        assert!(first.wait_for_tunes(Duration::from_secs(300)));
-    }
-    assert!(cache_path.exists(), "tune result persisted");
-
-    let second = Runtime::new(config()).unwrap();
-    let resp = second
-        .submit(Request::new(prog, DeviceKind::Cpu, inputs))
+    })
+    .unwrap();
+    let resp = runtime
+        .submit(Request::new(prog.clone(), DeviceKind::Cpu, inputs.clone()))
         .wait()
         .unwrap();
     assert!(!resp.cache_hit, "fresh process, fresh plan cache");
     assert_eq!(
         resp.plan_source.to_string(),
         "persistent",
-        "plan must come from the persisted tuning cache, not the heuristic"
+        "plan must come from the tuning-cache file, not the heuristic"
     );
+    let want = CpuExecutor::new(2)
+        .unwrap()
+        .run(&prog, &tuned, &inputs)
+        .unwrap();
+    let bits = |b: &Buffer| f32_data(b).iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(resp.outputs.len(), want.len());
+    for (got, want) in resp.outputs.iter().zip(&want) {
+        assert_eq!(bits(got), bits(want), "the stored schedule's bits");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -213,10 +163,6 @@ fn bursts_batch_same_signature_requests() {
         workers: 1, // one worker → queued requests pile up and batch
         exec_threads: 2,
         max_batch: 8,
-        tune: TunePolicy {
-            enabled: false,
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
     })
     .unwrap();
@@ -252,10 +198,6 @@ fn multi_device_serving_is_bit_identical_and_counts_dispatches() {
         workers: 2,
         exec_threads: 2,
         devices,
-        tune: TunePolicy {
-            enabled: false,
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
     };
 
@@ -315,10 +257,6 @@ fn degraded_pool_keeps_serving_through_a_mid_stream_crash() {
     let single = Runtime::new(RuntimeConfig {
         workers: 1,
         exec_threads: 2,
-        tune: TunePolicy {
-            enabled: false,
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
     })
     .unwrap();
@@ -336,10 +274,6 @@ fn degraded_pool_keeps_serving_through_a_mid_stream_crash() {
         exec_threads: 2,
         devices: 4,
         faults: Some(faults),
-        tune: TunePolicy {
-            enabled: false,
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
     })
     .unwrap();

@@ -6,7 +6,7 @@
 
 use mdh::lowering::asm::DeviceKind;
 use mdh::runtime::server::{serve_opts, MAX_HEADER_BYTES};
-use mdh::runtime::{Client, RuntimeConfig, ServeOptions, ServerAddr, SubmitClientOpts, TunePolicy};
+use mdh::runtime::{Client, RuntimeConfig, ServeOptions, ServerAddr, SubmitClientOpts};
 use std::io::{BufRead, BufReader, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
@@ -22,16 +22,12 @@ def dot(res, x, y):
         res[0] = x[k] * y[k]
 ";
 
-/// One worker, no background tuning, a short read timeout.
+/// One worker and a short read timeout.
 fn test_config() -> RuntimeConfig {
     RuntimeConfig {
         workers: 1,
         exec_threads: 2,
         read_timeout: Duration::from_millis(300),
-        tune: TunePolicy {
-            enabled: false,
-            ..TunePolicy::default()
-        },
         ..RuntimeConfig::default()
     }
 }
