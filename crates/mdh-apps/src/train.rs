@@ -66,7 +66,7 @@ pub fn histogram(scale: Scale, input_no: usize) -> Result<AppInstance> {
             "hist",
             IndexFn::General {
                 out_rank: 1,
-                f: std::sync::Arc::new(move |i: &[usize]| vec![keys[i[0]]]),
+                f: std::sync::Arc::new(move |i: &[usize], out: &mut [usize]| out[0] = keys[i[0]]),
                 label: "key".into(),
             },
         )

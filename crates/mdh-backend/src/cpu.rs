@@ -264,7 +264,9 @@ mod tests {
                 "hist",
                 IndexFn::General {
                     out_rank: 1,
-                    f: std::sync::Arc::new(move |idx: &[usize]| vec![captured[idx[0]]]),
+                    f: std::sync::Arc::new(move |idx: &[usize], out: &mut [usize]| {
+                        out[0] = captured[idx[0]]
+                    }),
                     label: "key".into(),
                 },
             )

@@ -27,9 +27,13 @@
 //!   [`RBI_CHUNKS`] fixed intervals; each chunk accumulates its points,
 //!   ascending, into a private typed partial of the full output, and the
 //!   partials are summed by a fixed pairwise tree. Neither depends on the
-//!   pool width, so neither do the result bits.
+//!   pool width, so neither do the result bits. Per block, each output
+//!   access writes its points' flat offsets into a [`LANES`]-sized array
+//!   (a general index function writes its coordinates into a slice the
+//!   chunk owns) and a [`Scatter`] adds the block with one typed loop: no
+//!   allocation and no type dispatch per point.
 
-use crate::offsets::{add_result, advance, linearize_view, store_result, LinearAccess, Loader};
+use crate::offsets::{advance, linearize_view, store_result, LinearAccess, Loader, Scatter};
 use crate::vm::{compile_sf, CompiledSf, ParamLoad, Reg, LANES};
 use mdh_core::buffer::Buffer;
 use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc, PwKind};
@@ -956,8 +960,8 @@ fn write_partial(
 
 /// rbi mode (see the module docs): [`RBI_CHUNKS`] fixed intervals of the
 /// indexed dimension, each accumulated point-ascending into a private
-/// typed partial of the outputs, folded by a fixed pairwise tree — pair
-/// (0,1), (2,3), … per level, in chunk order.
+/// typed partial of the outputs, folded by the fixed tree of
+/// [`pairwise_sum`].
 fn run_rbi(
     prog: &DslProgram,
     dim: usize,
@@ -982,7 +986,12 @@ fn run_rbi(
             })
             .collect_into_vec(&mut chunk_outs);
     });
-    let mut layer: Vec<Vec<Buffer>> = chunk_outs.into_iter().collect::<Result<_>>()?;
+    pairwise_sum(chunk_outs.into_iter().collect::<Result<_>>()?)
+}
+
+/// rbi mode's merge of its chunk partials: pair (0,1), (2,3), … per
+/// level, in chunk order, until one is left.
+fn pairwise_sum(mut layer: Vec<Vec<Buffer>>) -> Result<Vec<Buffer>> {
     while layer.len() > 1 {
         let mut next = Vec::with_capacity(layer.len().div_ceil(2));
         let mut it = layer.into_iter();
@@ -1003,8 +1012,8 @@ fn run_rbi(
 
 /// Accumulate one iteration sub-range into `outs`, visiting points in
 /// ascending row-major order: the scalar function runs a block of the
-/// last dimension at a time, each point's output index functions are
-/// evaluated once, and its results are added, typed, where they select.
+/// last dimension at a time, then each output access in turn locates the
+/// block's targets and adds the block with one typed [`Scatter`] loop.
 fn rbi_chunk(
     prog: &DslProgram,
     sf: &CompiledSf,
@@ -1021,39 +1030,53 @@ fn rbi_chunk(
     let inner_n = range.extent(inner_d);
     let steps: Vec<i64> = in_acc.iter().map(|a| a.coeffs[inner_d]).collect();
     let (mut f, mut i) = sf.banks();
+    let accesses = &prog.out_view.accesses;
+    let mut scatters: Vec<Scatter> = accesses
+        .iter()
+        .zip(&sf.result_regs)
+        .zip(&sf.result_kinds)
+        .map(|((a, &reg), &kind)| Scatter::new(a, reg, kind))
+        .collect();
+    // two accesses into one buffer keep their point-by-point interleaving,
+    // so the adds they share round in the same order
+    let shared =
+        (1..accesses.len()).any(|r| accesses[..r].iter().any(|a| a.buffer == accesses[r].buffer));
     let mut idx = range.lo.clone();
     loop {
         let mut done = 0;
         while done < inner_n {
-            let n = LANES.min(inner_n - done);
-            idx[inner_d] = range.lo[inner_d] + done;
+            let (lo, n) = (range.lo[inner_d] + done, LANES.min(inner_n - done));
+            idx[inner_d] = lo;
             for ((l, a), &s) in loaders.iter().zip(in_acc).zip(&steps) {
                 l.load_block(a.offset(&idx), s, n, &mut f, &mut i);
             }
             sf.run_block(&mut f, &mut i, n);
-            for l in 0..n {
-                idx[inner_d] = range.lo[inner_d] + done + l;
-                for (r, a) in prog.out_view.accesses.iter().enumerate() {
-                    let bidx = a
-                        .index_fn
-                        .eval(&idx)
-                        .ok_or_else(|| MdhError::Eval("negative scatter index".into()))?;
-                    let buf = &mut outs[a.buffer];
-                    if !buf.shape.contains(&bidx) {
-                        return Err(MdhError::OutOfBounds {
-                            buffer: buf.name.clone(),
-                            index: bidx,
-                            shape: buf.shape.dims().to_vec(),
-                        });
+            let located = scatters
+                .iter_mut()
+                .try_for_each(|s| s.locate_block(&mut idx, inner_d, lo, n, &outs[s.access.buffer]));
+            if let Err(e) = located {
+                // report the first failing (point, access) pair, as a
+                // point-by-point walk would
+                for l in 0..n {
+                    idx[inner_d] = lo + l;
+                    for s in &mut scatters {
+                        s.locate(&idx, l, &outs[s.access.buffer])?;
                     }
-                    // row-major flat index of an in-bounds point
-                    let dims = buf.shape.dims();
-                    let flat = bidx.iter().zip(dims).fold(0, |flat, (b, d)| flat * d + b);
-                    let (fv, iv) = match sf.result_regs[r] {
-                        Reg::F(d) => (f[d * LANES + l], 0),
-                        Reg::I(d) => (0.0, i[d * LANES + l]),
-                    };
-                    add_result(buf, flat, sf.result_kinds[r], fv, iv);
+                }
+                return Err(e);
+            }
+            for s in &mut scatters {
+                s.load(&f, &i, n);
+            }
+            if shared {
+                for l in 0..n {
+                    for s in &scatters {
+                        s.add(&mut outs[s.access.buffer], l..l + 1)?;
+                    }
+                }
+            } else {
+                for s in &scatters {
+                    s.add(&mut outs[s.access.buffer], 0..n)?;
                 }
             }
             done += n;
@@ -1068,10 +1091,11 @@ fn rbi_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdh_core::buffer::bits_hash;
     use mdh_core::dsl::DslBuilder;
     use mdh_core::eval::evaluate_recursive;
     use mdh_core::expr::{BinOp, Expr, ScalarFunction, Stmt};
-    use mdh_core::index_fn::IndexFn;
+    use mdh_core::index_fn::{AffineExpr, IndexFn};
     use mdh_core::shape::Shape;
     use mdh_core::types::BasicType;
     use mdh_lowering::asm::DeviceKind;
@@ -1439,66 +1463,191 @@ mod tests {
         assert!(run_at(&prog, &inputs, &[1, 2], 4).is_err());
     }
 
-    /// A 2-D histogram: `hist[key(r, c)] += w[r, c]`, rows cut into the
-    /// rbi chunks, the blocked dimension is a row.
-    fn rbi_case(cols: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
-        let (rows, buckets) = (4, 5);
-        let prog = DslBuilder::new("hist2d", vec![rows, cols])
-            .out_buffer_with_shape("hist", BasicType::F32, vec![buckets])
-            .out_access(
-                "hist",
-                IndexFn::General {
-                    out_rank: 1,
-                    f: std::sync::Arc::new(move |idx: &[usize]| {
-                        vec![(idx[0] * 131 + idx[1] * 7) % buckets]
-                    }),
-                    label: "key".into(),
-                },
-            )
-            .inp_buffer("w", BasicType::F32)
+    /// A general key over `buckets` at point `(r, c)`: `(131·r + step·c)
+    /// mod buckets`.
+    fn key(buckets: usize, step: usize) -> IndexFn {
+        IndexFn::General {
+            out_rank: 1,
+            f: std::sync::Arc::new(move |idx: &[usize], out: &mut [usize]| {
+                out[0] = (idx[0] * 131 + idx[1] * step) % buckets
+            }),
+            label: format!("key{step}"),
+        }
+    }
+
+    /// The rbi programs below are `rows × cols`, both dims `rbi(add)`: the
+    /// rows are rbi mode's chunks, the blocked dimension is a row.
+    fn rbi_finish(
+        b: DslBuilder,
+        kind: ScalarKind,
+        sf: ScalarFunction,
+        exact: bool,
+    ) -> (DslProgram, Vec<Buffer>) {
+        let prog = b
+            .inp_buffer("w", kind.into())
             .inp_access("w", IndexFn::identity(2, 2))
-            .scalar_function(ScalarFunction::identity(
-                "id",
-                mdh_core::types::ScalarKind::F32,
-            ))
+            .scalar_function(sf)
             .combine_ops(vec![CombineOp::rbi_add(), CombineOp::rbi_add()])
             .build()
             .unwrap();
-        (
-            prog,
-            vec![filled("w", BasicType::F32, vec![rows, cols], exact)],
+        let dims = prog.md_hom.sizes.clone();
+        (prog, vec![filled("w", kind.into(), dims, exact)])
+    }
+
+    /// A 2-D histogram: `hist[key(r, c)] += w[r, c]`.
+    fn rbi_case(cols: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
+        let b = DslBuilder::new("rbi", vec![4, cols])
+            .out_buffer_with_shape("hist", BasicType::F32, vec![5])
+            .out_access("hist", key(5, 7));
+        rbi_finish(
+            b,
+            ScalarKind::F32,
+            ScalarFunction::identity("id", ScalarKind::F32),
+            exact,
         )
     }
 
-    #[test]
-    fn rbi_mode_across_block_boundaries() {
-        sweep(rbi_case, &[&[1, 1]]);
+    /// `hist[r + c + offset] += w[r, c]`: an affine output access.
+    fn rbi_affine_case(cols: usize, exact: bool, offset: i64) -> (DslProgram, Vec<Buffer>) {
+        let b = DslBuilder::new("rbi", vec![4, cols])
+            .out_buffer_with_shape("hist", BasicType::F32, vec![4 + cols])
+            .out_access(
+                "hist",
+                IndexFn::affine(vec![AffineExpr::new(vec![1, 1], offset)]),
+            );
+        rbi_finish(
+            b,
+            ScalarKind::F32,
+            ScalarFunction::identity("id", ScalarKind::F32),
+            exact,
+        )
+    }
+
+    /// Two results, `w` and `w + w`, scattered by two keys into two
+    /// buffers (`I32`), or both into one (`F64`): there the adds of the
+    /// two accesses interleave point by point.
+    fn rbi_pair_case(cols: usize, exact: bool, shared: bool) -> (DslProgram, Vec<Buffer>) {
+        let buckets = 7;
+        let kind = if shared {
+            ScalarKind::F64
+        } else {
+            ScalarKind::I32
+        };
+        let mut b = DslBuilder::new("rbi", vec![3, cols]).out_buffer_with_shape(
+            "hist",
+            kind.into(),
+            vec![buckets],
+        );
+        let second = if shared {
+            "hist"
+        } else {
+            b = b.out_buffer_with_shape("hist2", kind.into(), vec![buckets]);
+            "hist2"
+        };
+        let b = b
+            .out_access("hist", key(buckets, 7))
+            .out_access(second, key(buckets, 3));
+        rbi_finish(b, kind, doubled(kind), exact)
+    }
+
+    /// Two results: `w` and `w + w`.
+    fn doubled(kind: ScalarKind) -> ScalarFunction {
+        let mut sf = ScalarFunction::identity("id", kind);
+        sf.results.push(("twice".into(), kind.into()));
+        sf.body.push(Stmt::Assign {
+            name: "twice".into(),
+            value: Expr::add(Expr::Param(0), Expr::Param(0)),
+        });
+        sf
+    }
+
+    /// `eval::scatter_range` over rbi mode's decomposition: one call per
+    /// chunk interval, the partials merged by the same tree.
+    fn rbi_oracle(prog: &DslProgram, inputs: &[Buffer]) -> Result<Vec<Buffer>> {
+        let full = prog.md_hom.full_range();
+        let parts = split_even(prog.md_hom.sizes[0], RBI_CHUNKS)
+            .into_iter()
+            .map(|(lo, hi)| {
+                let mut range = full.clone();
+                range.lo[0] = lo;
+                range.hi[0] = hi;
+                let mut outs = eval::alloc_outputs(prog)?;
+                eval::scatter_range(prog, inputs, &range, &mut outs)?;
+                Ok(outs)
+            })
+            .collect::<Result<_>>()?;
+        pairwise_sum(parts)
     }
 
     #[test]
-    fn rbi_mode_reports_an_out_of_bounds_scatter() {
-        let prog = DslBuilder::new("oob", vec![8])
+    fn rbi_mode_equals_the_oracle_over_its_chunks_at_every_block_tail() {
+        type Case = fn(usize, bool) -> (DslProgram, Vec<Buffer>);
+        let cases: [(&str, Case); 4] = [
+            ("general key", rbi_case),
+            ("affine", |n, exact| rbi_affine_case(n, exact, 0)),
+            ("two buffers", |n, exact| rbi_pair_case(n, exact, false)),
+            ("one buffer twice", |n, exact| rbi_pair_case(n, exact, true)),
+        ];
+        for (what, case) in cases {
+            for n in SWEEP {
+                for exact in [true, false] {
+                    let (prog, inputs) = case(n, exact);
+                    let want = bits_hash(&rbi_oracle(&prog, &inputs).unwrap());
+                    for width in [1, 2, 4] {
+                        let got = run_at(&prog, &inputs, &[1, 1], width).unwrap();
+                        let at = format!("{what} n={n} exact={exact} width={width}");
+                        assert_eq!(bits_hash(&got), want, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rbi_mode_reports_the_oracles_scatter_errors() {
+        // a general key past the end of its buffer
+        let oob = DslBuilder::new("oob", vec![8])
             .out_buffer_with_shape("hist", BasicType::F32, vec![4])
             .out_access(
                 "hist",
                 IndexFn::General {
                     out_rank: 1,
-                    f: std::sync::Arc::new(|idx: &[usize]| vec![idx[0]]),
+                    f: std::sync::Arc::new(|idx: &[usize], out: &mut [usize]| out[0] = idx[0]),
                     label: "key".into(),
                 },
             )
             .inp_buffer("w", BasicType::F32)
             .inp_access("w", IndexFn::identity(1, 1))
-            .scalar_function(ScalarFunction::identity(
-                "id",
-                mdh_core::types::ScalarKind::F32,
-            ))
+            .scalar_function(ScalarFunction::identity("id", ScalarKind::F32))
             .combine_ops(vec![CombineOp::rbi_add()])
             .build()
             .unwrap();
-        let inputs = vec![filled("w", BasicType::F32, vec![8], true)];
-        let err = run_at(&prog, &inputs, &[1], 2).unwrap_err();
-        assert!(matches!(err, MdhError::OutOfBounds { .. }), "{err}");
+        let oob = (oob, vec![filled("w", BasicType::F32, vec![8], true)]);
+        // an affine access whose offset goes below zero at (0, 0)
+        let negative = rbi_affine_case(LANES + 1, true, -2);
+        // two accesses failing in one block: the first past the end from
+        // (0, 5) on, the second below zero from (0, 3) on, so the second
+        // one's error comes first
+        let late = IndexFn::General {
+            out_rank: 1,
+            f: std::sync::Arc::new(|idx: &[usize], out: &mut [usize]| {
+                out[0] = if idx[1] >= 5 { 9 } else { 0 }
+            }),
+            label: "late".into(),
+        };
+        let b = DslBuilder::new("rbi", vec![3, LANES])
+            .out_buffer_with_shape("hist", BasicType::F64, vec![4])
+            .out_access("hist", late)
+            .out_access(
+                "hist",
+                IndexFn::affine(vec![AffineExpr::new(vec![0, -1], 2)]),
+            );
+        let both = rbi_finish(b, ScalarKind::F64, doubled(ScalarKind::F64), true);
+        for (prog, inputs) in [oob, negative, both] {
+            let want = evaluate_recursive(&prog, &inputs).unwrap_err();
+            let got = run_at(&prog, &inputs, &[1, 1], 2).unwrap_err();
+            assert_eq!(got.to_string(), want.to_string());
+        }
     }
 
     #[test]
@@ -1516,7 +1665,7 @@ mod tests {
                 "t",
                 IndexFn::General {
                     out_rank: 1,
-                    f: std::sync::Arc::new(|idx: &[usize]| vec![3 - idx[0]]),
+                    f: std::sync::Arc::new(|idx: &[usize], out: &mut [usize]| out[0] = 3 - idx[0]),
                     label: "rev".into(),
                 },
             )

@@ -335,24 +335,29 @@ pub fn scatter_range(
     outputs: &mut [Buffer],
 ) -> Result<()> {
     let add = crate::combine::PwFunc::builtin(crate::combine::BuiltinReduce::Add);
+    let mut bidxs: Vec<Vec<usize>> = prog
+        .out_view
+        .accesses
+        .iter()
+        .map(|a| vec![0; a.index_fn.out_rank()])
+        .collect();
     for idx in range.iter() {
         let tuple = apply_sf_at(prog, inputs, &idx)?;
-        for (r, a) in prog.out_view.accesses.iter().enumerate() {
-            let bidx = a
-                .index_fn
-                .eval(&idx)
-                .ok_or_else(|| MdhError::Eval("negative scatter index".into()))?;
+        for ((r, a), bidx) in prog.out_view.accesses.iter().enumerate().zip(&mut bidxs) {
+            if !a.index_fn.eval_into(&idx, bidx) {
+                return Err(MdhError::Eval("negative scatter index".into()));
+            }
             let buf = &mut outputs[a.buffer];
-            if !buf.shape.contains(&bidx) {
+            if !buf.shape.contains(bidx) {
                 return Err(MdhError::OutOfBounds {
                     buffer: buf.name.clone(),
-                    index: bidx,
+                    index: bidx.clone(),
                     shape: buf.shape.dims().to_vec(),
                 });
             }
-            let prev = buf.get(&bidx);
+            let prev = buf.get(bidx);
             let summed = add.combine(&vec![prev], &vec![tuple[r].clone()])?;
-            buf.set(&bidx, &summed[0])?;
+            buf.set(bidx, &summed[0])?;
         }
     }
     Ok(())
@@ -507,7 +512,9 @@ mod tests {
                 "hist",
                 IndexFn::General {
                     out_rank: 1,
-                    f: std::sync::Arc::new(move |idx: &[usize]| vec![captured[idx[0]]]),
+                    f: std::sync::Arc::new(move |idx: &[usize], out: &mut [usize]| {
+                        out[0] = captured[idx[0]]
+                    }),
                     label: "key".into(),
                 },
             )

@@ -102,7 +102,11 @@ impl fmt::Display for AffineExpr {
 }
 
 /// A general (non-affine) index function, available as an escape hatch.
-pub type GeneralIndexFn = Arc<dyn Fn(&[usize]) -> Vec<usize> + Send + Sync>;
+/// It writes the buffer index of iteration point `idx` into `out`, a
+/// slice of exactly `out_rank` coordinates that the caller owns, so a hot
+/// loop can evaluate it without allocating and it cannot produce an index
+/// of the wrong rank.
+pub type GeneralIndexFn = Arc<dyn Fn(&[usize], &mut [usize]) + Send + Sync>;
 
 /// Index function mapping an iteration point to a buffer multi-index.
 #[derive(Clone)]
@@ -168,19 +172,31 @@ impl IndexFn {
     /// coordinates (possible with affine offsets at boundaries) are reported
     /// as `None`.
     pub fn eval(&self, idx: &[usize]) -> Option<Vec<usize>> {
+        let mut out = vec![0; self.out_rank()];
+        self.eval_into(idx, &mut out).then_some(out)
+    }
+
+    /// [`IndexFn::eval`] into a caller-owned slice of `out_rank`
+    /// coordinates, the form for hot loops. Returns `false` exactly where
+    /// `eval` returns `None`; `out` is then partly written.
+    #[inline]
+    pub fn eval_into(&self, idx: &[usize], out: &mut [usize]) -> bool {
+        debug_assert_eq!(out.len(), self.out_rank());
         match self {
             IndexFn::Affine(exprs) => {
-                let mut out = Vec::with_capacity(exprs.len());
-                for e in exprs {
+                for (o, e) in out.iter_mut().zip(exprs) {
                     let v = e.eval(idx);
                     if v < 0 {
-                        return None;
+                        return false;
                     }
-                    out.push(v as usize);
+                    *o = v as usize;
                 }
-                Some(out)
+                true
             }
-            IndexFn::General { f, .. } => Some(f(idx)),
+            IndexFn::General { f, .. } => {
+                f(idx, out);
+                true
+            }
         }
     }
 
@@ -286,14 +302,23 @@ impl IndexFn {
             }
             return None;
         }
-        let mut seen = std::collections::HashSet::new();
+        // every point's coordinates in one buffer, up to the first negative
+        // one; a collision before it answers `false`, as a point-by-point
+        // walk would
+        let (r, n) = (self.out_rank(), range.len());
+        let mut coords = vec![0; n * r];
+        let mut valid = 0;
         for idx in range.iter() {
-            let out = self.eval(&idx)?;
-            if !seen.insert(out) {
-                return Some(false);
+            if !self.eval_into(&idx, &mut coords[valid * r..][..r]) {
+                break;
             }
+            valid += 1;
         }
-        Some(true)
+        let mut seen = std::collections::HashSet::with_capacity(valid);
+        if !(0..valid).all(|p| seen.insert(&coords[p * r..][..r])) {
+            return Some(false);
+        }
+        (valid == n).then_some(true)
     }
 }
 
@@ -337,6 +362,22 @@ mod tests {
         let f = IndexFn::affine(vec![e]);
         assert_eq!(f.eval(&[0]), None);
         assert_eq!(f.eval(&[3]), Some(vec![2]));
+        let mut out = [7];
+        assert!(!f.eval_into(&[0], &mut out));
+        assert!(f.eval_into(&[3], &mut out));
+        assert_eq!(out, [2]);
+    }
+
+    #[test]
+    fn injectivity_answers_whichever_of_a_collision_and_a_negative_index_comes_first() {
+        let range = MdRange::full(&[3, 3]);
+        // (i,j) -> (2 - i - j): 2, 1, 0, then 1 again at (1,0), before the
+        // first negative coordinate at (1,2)
+        let dup_first = IndexFn::affine(vec![AffineExpr::new(vec![-1, -1], 2)]);
+        assert_eq!(dup_first.is_injective_over(&range, 100), Some(false));
+        // (i,j) -> (j - i): 0, 1, 2, then -1 at (1,0), before 0 repeats
+        let neg_first = IndexFn::affine(vec![AffineExpr::new(vec![-1, 1], 0)]);
+        assert_eq!(neg_first.is_injective_over(&range, 100), None);
     }
 
     #[test]
@@ -366,10 +407,13 @@ mod tests {
     fn general_index_fn() {
         let g = IndexFn::General {
             out_rank: 1,
-            f: Arc::new(|idx: &[usize]| vec![idx[0] * idx[0]]),
+            f: Arc::new(|idx: &[usize], out: &mut [usize]| out[0] = idx[0] * idx[0]),
             label: "square".into(),
         };
         assert_eq!(g.eval(&[3]), Some(vec![9]));
+        let mut out = [0];
+        assert!(g.eval_into(&[4], &mut out));
+        assert_eq!(out, [16]);
         assert_eq!(g.footprint(&MdRange::full(&[4])), None);
         assert_eq!(g.is_injective_over(&MdRange::full(&[4]), 100), Some(true));
     }

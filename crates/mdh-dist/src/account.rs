@@ -525,7 +525,7 @@ mod tests {
                 "x",
                 IndexFn::General {
                     out_rank: 1,
-                    f: Arc::new(|idx: &[usize]| vec![idx[0] / 2]),
+                    f: Arc::new(|idx: &[usize], out: &mut [usize]| out[0] = idx[0] / 2),
                     label: "half".into(),
                 },
             )

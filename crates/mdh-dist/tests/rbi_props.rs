@@ -54,7 +54,7 @@ fn histogram(keys: Vec<usize>, buckets: usize, salt: usize, v: usize) -> (DslPro
         out_rank: 1,
         f: {
             let keys = std::sync::Arc::clone(&keys);
-            std::sync::Arc::new(move |i: &[usize]| vec![keys[i[0]]])
+            std::sync::Arc::new(move |i: &[usize], out: &mut [usize]| out[0] = keys[i[0]])
         },
         label: "key".into(),
     };

@@ -323,6 +323,11 @@ fn rewrite_shard(
     Ok(shard)
 }
 
+/// Iteration ranks whose shifted index the shard wrapper of a general
+/// access builds on the stack (CCSD(T) and MCC, the deepest registered
+/// programs, have 7 to 10 dimensions).
+const SHIFT_STACK_RANK: usize = 16;
+
 /// Shift every access by `lo` along dimension `d`, so local iteration
 /// index 0 addresses what global index `lo` addressed. Affine accesses
 /// absorb the offset into their constants; general accesses — legal only
@@ -345,10 +350,21 @@ fn translate_view(view: &mut View, d: usize, lo: usize) -> Result<()> {
                     a.buffer,
                     IndexFn::General {
                         out_rank: *out_rank,
-                        f: Arc::new(move |idx: &[usize]| {
-                            let mut global = idx.to_vec();
+                        f: Arc::new(move |idx: &[usize], out: &mut [usize]| {
+                            // the global index in a stack copy; only a rank
+                            // past SHIFT_STACK_RANK allocates
+                            let mut stack = [0; SHIFT_STACK_RANK];
+                            let mut heap = Vec::new();
+                            let global = match stack.get_mut(..idx.len()) {
+                                Some(s) => s,
+                                None => {
+                                    heap.resize(idx.len(), 0);
+                                    &mut heap[..]
+                                }
+                            };
+                            global.copy_from_slice(idx);
                             global[d] += lo;
-                            inner(&global)
+                            inner(global, out)
                         }),
                         label: format!("{label}[i{d}+{lo}]"),
                     },
@@ -505,7 +521,7 @@ mod tests {
                 "x",
                 IndexFn::General {
                     out_rank: 1,
-                    f: Arc::new(|idx: &[usize]| vec![idx[0] / 2]),
+                    f: Arc::new(|idx: &[usize], out: &mut [usize]| out[0] = idx[0] / 2),
                     label: "half".into(),
                 },
             )
@@ -562,7 +578,7 @@ mod tests {
                 "out",
                 IndexFn::General {
                     out_rank: 1,
-                    f: Arc::new(|idx: &[usize]| vec![idx[0] % 4]),
+                    f: Arc::new(|idx: &[usize], out: &mut [usize]| out[0] = idx[0] % 4),
                     label: "mod4".into(),
                 },
             )
@@ -571,7 +587,7 @@ mod tests {
                 "x",
                 IndexFn::General {
                     out_rank: 1,
-                    f: Arc::new(|idx: &[usize]| vec![idx[0] / 2]),
+                    f: Arc::new(|idx: &[usize], out: &mut [usize]| out[0] = idx[0] / 2),
                     label: "half".into(),
                 },
             )

@@ -67,7 +67,9 @@ fn gather_case(n: usize, vocab: usize) -> (DslProgram, Vec<Buffer>, Vec<usize>) 
             "table",
             IndexFn::General {
                 out_rank: 1,
-                f: std::sync::Arc::new(move |i: &[usize]| vec![captured[i[0]]]),
+                f: std::sync::Arc::new(move |i: &[usize], out: &mut [usize]| {
+                    out[0] = captured[i[0]]
+                }),
                 label: "idx".into(),
             },
         )
