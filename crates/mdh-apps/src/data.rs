@@ -6,6 +6,7 @@
 //! substitution rationale).
 
 use mdh_core::buffer::Buffer;
+use mdh_core::error::Result;
 use mdh_core::shape::Shape;
 use mdh_core::types::{BasicType, Value};
 use rand::rngs::StdRng;
@@ -41,19 +42,19 @@ pub fn id_buffer(name: &str, n: usize) -> Buffer {
     Buffer::from_i64(name, Shape::new(vec![n]), (0..n as i64).collect())
 }
 
-/// Fill a record buffer's element fields from per-field closures.
+/// Fill a record buffer's element fields from per-field closures; `Err`
+/// if a value does not fit the record type.
 pub fn record_buffer(
     name: &str,
     ty: BasicType,
     n: usize,
     mut fill: impl FnMut(usize) -> Value,
-) -> Buffer {
+) -> Result<Buffer> {
     let mut b = Buffer::zeros(name, ty, Shape::new(vec![n]));
     for i in 0..n {
-        let v = fill(i);
-        b.set(&[i], &v).expect("record fill");
+        b.set(&[i], &fill(i))?;
     }
-    b
+    Ok(b)
 }
 
 #[cfg(test)]

@@ -113,6 +113,7 @@ pub fn prl_max() -> PwFunc {
             }],
         }],
     };
+    // proof: six params and three results, the one shape `custom` checks
     PwFunc::custom(f).expect("prl_max is a valid combine function")
 }
 
@@ -192,7 +193,7 @@ pub fn prl(scale: Scale, input_no: usize) -> Result<AppInstance> {
             Value::I64(idx as i64),
             Value::Array(db_vals[idx].iter().map(|&v| Value::F64(v)).collect()),
         ])
-    });
+    })?;
     let mut qrng = rng_for("prl_queries");
     let queries = record_buffer("queries", BasicType::Record(qr.clone()), n, move |idx| {
         // planted duplicate with a few perturbed fields; query 0 is an
@@ -210,7 +211,7 @@ pub fn prl(scale: Scale, input_no: usize) -> Result<AppInstance> {
         Value::Record(vec![Value::Array(
             v.iter().map(|&x| Value::F64(x)).collect(),
         )])
-    });
+    })?;
 
     Ok(AppInstance {
         name: "PRL".into(),
@@ -223,10 +224,15 @@ pub fn prl(scale: Scale, input_no: usize) -> Result<AppInstance> {
     })
 }
 
-/// Independent reference implementation (plain Rust, leftmost-max fold).
+/// Independent reference implementation (plain Rust, leftmost-max fold)
+/// of a [`prl`] instance. An empty database matches nothing: the outputs
+/// keep their zeros.
+///
+/// # Panics
+/// If `app` is not a [`prl`] instance, whose inputs are record buffers.
 pub fn prl_reference(app: &AppInstance) -> (Vec<i64>, Vec<f64>, Vec<i32>) {
-    let queries = app.inputs[0].record_storage().unwrap();
-    let probm = app.inputs[1].record_storage().unwrap();
+    // proof: both inputs of a `prl` instance are record buffers (`prl` above)
+    let [queries, probm] = [0, 1].map(|b| app.inputs[b].record_storage().expect("PRL input"));
     let n = app.program.md_hom.sizes[0];
     let i = app.program.md_hom.sizes[1];
     let qvals = &queries.columns[0];
@@ -268,7 +274,9 @@ pub fn prl_reference(app: &AppInstance) -> (Vec<i64>, Vec<f64>, Vec<i32>) {
                 }
             });
         }
-        let (id, w, m) = best.unwrap();
+        let Some((id, w, m)) = best else {
+            continue;
+        };
         out_id[nn] = id;
         out_w[nn] = w;
         out_m[nn] = m;

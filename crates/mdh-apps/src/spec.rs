@@ -56,10 +56,9 @@ impl AppInstance {
             .map(|b| b.ty.to_string())
             .collect();
         tys.dedup();
-        if tys.len() == 1 {
-            tys.pop().unwrap()
-        } else {
-            format!("{{{}}}", tys.join(", "))
+        match tys.as_slice() {
+            [one] => one.clone(),
+            _ => format!("{{{}}}", tys.join(", ")),
         }
     }
 }

@@ -37,9 +37,10 @@ const EXTRA_STUDIES: &[StudyId] = &[
 
 /// `(program, input no., path, bits_hash of the outputs)`; adjoint parts
 /// are named `<forward>_adj_<buffer>_a<access>`. Off the fast path: records
-/// with a custom combine (PRL, MBBS), `ps` scans, f64, and `rbi` — the
+/// with a custom combine (PRL, MBBS), `ps` scans, and `rbi` — the
 /// histogram, and the convolutions' image adjoints, whose overlapping
-/// windows accumulate into one pixel. The histogram's weight adjoint
+/// windows accumulate into one pixel. The f64 MatVec and MatMul run the
+/// contraction kernel f32 programs run. The histogram's weight adjoint
 /// gathers through a general index function and runs the reference
 /// evaluator.
 type Row = (&'static str, usize, ExecPath, u64);
@@ -134,8 +135,8 @@ const PINNED: &[Row] = &[
     ("histogram_adj_w_a0", 1, Reference, 0x27ab1d140ef07e7a),
     ("histogram", 2, Vm, 0x4eefec23f4661a1f),
     ("histogram_adj_w_a0", 2, Reference, 0xb5c9fc7b6ddead43),
-    ("matvec_f64", 1, Vm, 0x0e306f39bffa91be),
-    ("matmul_f64", 1, Vm, 0x25cacf5a93ac234c),
+    ("matvec_f64", 1, Fast, 0x0e306f39bffa91be),
+    ("matmul_f64", 1, Fast, 0x25cacf5a93ac234c),
     ("scan", 1, Vm, 0x81c0870580647b53),
 ];
 

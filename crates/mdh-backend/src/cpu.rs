@@ -2,16 +2,17 @@
 //!
 //! Routes a scheduled program to one of three paths, decided once per run:
 //!
-//! 1. `Fast` — the tiled, vectorized f32 kernels [`fast::classify`]
-//!    admits (two-factor products, weighted sums),
+//! 1. `Fast` — the tiled, vectorized kernels [`fast::classify`] admits
+//!    (f32 and f64 two-factor products, f32 weighted sums),
 //! 2. `Vm` — the lane-blocked register-VM path (`vm_exec`) for everything
 //!    else with affine input accesses and scalar outputs (custom combine
-//!    operators, records, f64, `ps` scans, `rbi` indexed reductions);
-//!    also where a fast kernel that declines at run time lands,
+//!    operators, records, f64 maps, `ps` scans, `rbi` indexed
+//!    reductions); also where a fast kernel that declines at run time
+//!    lands,
 //! 3. `Reference` — the sequential reference evaluator (always correct).
 //!
-//! `Fast` is bit-identical to `Vm` on the same plan — there is one f32
-//! fold order, the VM's. All paths implement the same decomposition
+//! `Fast` is bit-identical to `Vm` on the same plan — there is one fold
+//! order, the VM's. All paths implement the same decomposition
 //! semantics, so they agree with `mdh_core::eval::evaluate_recursive` up
 //! to the reassociation the plan's reduction splits introduce.
 
@@ -337,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn f64_matvec_takes_vm_path() {
+    fn f64_matvec_takes_fast_path() {
         let (i, k) = (8, 8);
         let prog = DslBuilder::new("matvec64", vec![i, k])
             .out_buffer("w", BasicType::F64)
@@ -351,7 +352,7 @@ mod tests {
             .build()
             .unwrap();
         let ex = exec();
-        assert_eq!(ex.path_for(&prog), ExecPath::Vm);
+        assert_eq!(ex.path_for(&prog), ExecPath::Fast);
         let mut m = Buffer::zeros("M", BasicType::F64, Shape::new(vec![i, k]));
         m.fill_with(|f| f as f64);
         let mut v = Buffer::zeros("v", BasicType::F64, Shape::new(vec![k]));

@@ -1,12 +1,13 @@
-//! Cache-blocked two-factor contraction kernel, bit-identical to the VM.
+//! Cache-blocked two-factor contraction kernel, bit-identical to the VM,
+//! one kernel for f32 and f64 elements (generic over [`Elem`]).
 //!
 //! The VM folds each task's reduction strictly sequentially per output
 //! point: ascending odometer over the collapsed dims (last fastest), all
 //! arithmetic in f64, the accumulator copy-initialised from the first
 //! element, every later element added as a separately rounded multiply
-//! then add, one rounding to f32 at the final store. This kernel keeps
-//! exactly that chain per output point and gets its speed from everything
-//! the chain does *not* pin down:
+//! then add, one rounding to the element type at the final store (none
+//! for f64). This kernel keeps exactly that chain per output point and
+//! gets its speed from everything the chain does *not* pin down:
 //!
 //! - **Dim grouping.** A preserved dim on which only one factor's
 //!   linearised coefficient is nonzero moves that factor alone: such dims
@@ -24,17 +25,18 @@
 //! - **Lanes are points.** The lanes of a [`Line`] are adjacent output
 //!   points, never a split of one reduction; edge tiles run on zero-padded
 //!   panels and store only their live rows and lanes.
-//! - **FMA.** Panels hold exact `f32 as f64` widenings, so every product
-//!   carries at most 48 significand bits, the inner rounding is the
-//!   identity, and fused vs two-rounding accumulates coincide bit for bit
-//!   (see [`Line::acc_fma_exact`]).
+//! - **FMA, for f32 only.** f32 panels hold exact `f32 as f64` widenings,
+//!   so every product carries at most 48 significand bits, the inner
+//!   rounding is the identity, and fused vs two-rounding accumulates
+//!   coincide bit for bit (see [`Line::acc_fma_exact`]). An f64 product
+//!   rounds, so f64 accumulates with [`Line::acc_mul`]: never fused.
 //!
 //! With only one of M and N present (MatVec) the direct lane walker runs,
 //! with neither (Dot) one sequential chain; all three fold identical
 //! chains, so result bits match `vm_exec` for every pool width.
 
 use crate::fast::line::{Line, LANES};
-use crate::fast::{f32_inputs, linearize_for};
+use crate::fast::{linearize_for, typed_inputs, Elem};
 use crate::offsets::{advance, LinearAccess};
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
@@ -42,6 +44,7 @@ use mdh_core::error::{MdhError, Result};
 use mdh_core::eval;
 use mdh_core::index_fn::AffineExpr;
 use mdh_core::shape::MdRange;
+use mdh_core::types::ScalarKind;
 use mdh_lowering::plan::ExecutionPlan;
 use rayon::prelude::*;
 
@@ -84,9 +87,9 @@ enum TaskPath {
 }
 
 /// The preserved dims by role. A task's f64 partial — the VM's
-/// accumulator precision, rounded to f32 once, in the write phase, exactly
-/// where the VM rounds — is laid out `[batch][m][n]`, each group in
-/// odometer order.
+/// accumulator precision, rounded to the element type once, in the write
+/// phase, exactly where the VM rounds — is laid out `[batch][m][n]`, each
+/// group in odometer order.
 struct Arrangement {
     path: TaskPath,
     batch: Vec<usize>,
@@ -97,6 +100,8 @@ struct Arrangement {
 /// A compiled two-factor contraction `out[..] = Σ x_f0 * x_f1`.
 #[derive(Debug, Clone)]
 pub struct FastContraction {
+    /// The element type of the output and of every input: f32 or f64.
+    pub(crate) elem: ScalarKind,
     pub(crate) f0: usize,
     pub(crate) f1: usize,
     pub(crate) preserved: Vec<usize>,
@@ -113,6 +118,20 @@ impl FastContraction {
         inputs: &[Buffer],
         pool: &rayon::ThreadPool,
     ) -> Result<Option<Vec<Buffer>>> {
+        match self.elem {
+            ScalarKind::F32 => self.run_typed::<f32>(prog, plan, inputs, pool),
+            ScalarKind::F64 => self.run_typed::<f64>(prog, plan, inputs, pool),
+            k => Err(MdhError::Type(format!("no contraction kernel for {k}"))),
+        }
+    }
+
+    fn run_typed<E: Elem>(
+        &self,
+        prog: &DslProgram,
+        plan: &ExecutionPlan,
+        inputs: &[Buffer],
+        pool: &rayon::ThreadPool,
+    ) -> Result<Option<Vec<Buffer>>> {
         let mut outputs = eval::alloc_outputs(prog)?;
         let (in_acc, out_acc) = linearize_for(prog, inputs, &outputs)?;
         let oacc = &out_acc[0];
@@ -122,7 +141,7 @@ impl FastContraction {
         if self.collapsed.iter().any(|&d| oacc.coeffs[d] != 0) {
             return Ok(None);
         }
-        let ins = f32_inputs(prog, inputs)?;
+        let ins = typed_inputs::<E>(prog, inputs)?;
         let arr = self.arrange(&in_acc);
 
         let mut partials: Vec<Result<Vec<f64>>> = Vec::new();
@@ -156,26 +175,26 @@ impl FastContraction {
         };
 
         let out_buf = prog.out_view.accesses[0].buffer;
-        let out = outputs[out_buf]
-            .as_f32_mut()
-            .ok_or_else(|| MdhError::Type("fast contraction output must be f32".into()))?;
+        let out = E::slice_mut(&mut outputs[out_buf]).ok_or_else(|| {
+            MdhError::Type(format!("fast contraction output must be {}", E::KIND))
+        })?;
         for (owner, partial) in write_jobs {
             self.write_partial(&partial, &plan.tasks[owner].range, oacc, &arr, out)?;
         }
         Ok(Some(outputs))
     }
 
-    /// Round one task's partial to f32 and store it. The partial is read
+    /// Round one task's partial to `E` and store it. The partial is read
     /// front to back — `[batch][m][n]` — while the output offset is
     /// `base(batch) + off(m) + off(n)`; a lane group that steps the output
     /// by 1 (every registered program) stores each row as one slice.
-    fn write_partial(
+    fn write_partial<E: Elem>(
         &self,
         partial: &[f64],
         range: &MdRange,
         oacc: &LinearAccess,
         arr: &Arrangement,
-        out: &mut [f32],
+        out: &mut [E],
     ) -> Result<()> {
         if self.preserved.iter().any(|&d| range.extent(d) == 0) {
             return Ok(());
@@ -192,10 +211,12 @@ impl FastContraction {
             for (&mo, row) in om.iter().zip(rows.by_ref()) {
                 if unit {
                     let dst = &mut out[(base + mo) as usize..][..row.len()];
-                    dst.iter_mut().zip(row).for_each(|(o, &v)| *o = v as f32);
+                    dst.iter_mut()
+                        .zip(row)
+                        .for_each(|(o, &v)| *o = E::narrow(v));
                 } else {
                     for (&no, &v) in on.iter().zip(row) {
-                        out[(base + mo + no) as usize] = v as f32;
+                        out[(base + mo + no) as usize] = E::narrow(v);
                     }
                 }
             }
@@ -237,9 +258,9 @@ impl FastContraction {
         Arrangement { path, batch, m, n }
     }
 
-    fn run_task(
+    fn run_task<E: Elem>(
         &self,
-        ins: &[&[f32]],
+        ins: &[&[E]],
         in_acc: &[LinearAccess],
         range: &MdRange,
         arr: &Arrangement,
@@ -267,9 +288,9 @@ impl FastContraction {
 
     /// Dot-style task: no preserved dims, one strictly sequential f64
     /// chain over the collapsed odometer — literally the VM's loop.
-    fn task_scalar(
+    fn task_scalar<E: Elem>(
         &self,
-        ins: &[&[f32]],
+        ins: &[&[E]],
         in_acc: &[LinearAccess],
         range: &MdRange,
         partial: &mut [f64],
@@ -287,14 +308,14 @@ impl FastContraction {
             let mut o1 = a1.offset(ir);
             let mut rem = nr;
             if first {
-                acc = (x0[o0 as usize] as f64) * (x1[o1 as usize] as f64);
+                acc = x0[o0 as usize].widen() * x1[o1 as usize].widen();
                 o0 += sk0;
                 o1 += sk1;
                 rem -= 1;
                 first = false;
             }
             for _ in 0..rem {
-                acc += (x0[o0 as usize] as f64) * (x1[o1 as usize] as f64);
+                acc += x0[o0 as usize].widen() * x1[o1 as usize].widen();
                 o0 += sk0;
                 o1 += sk1;
             }
@@ -304,9 +325,9 @@ impl FastContraction {
 
     /// Direct 8-lane task: lanes are adjacent points of the last
     /// preserved dim, each lane folding its own chain in VM order.
-    fn task_unpacked(
+    fn task_unpacked<E: Elem>(
         &self,
-        ins: &[&[f32]],
+        ins: &[&[E]],
         in_acc: &[LinearAccess],
         range: &MdRange,
         partial: &mut [f64],
@@ -335,19 +356,21 @@ impl FastContraction {
                     let mut o0 = a0.offset(ir);
                     let mut o1 = a1.offset(ir);
                     let mut rem = nr;
-                    // MatVec shape — one factor row-major (contiguous in
-                    // the reduction, strided across lanes), the other
-                    // lane-invariant: fold whole 8x8 blocks through the
-                    // convert-transpose kernel, leftovers scalar below
-                    if ln == LANES && rem >= LANES {
+                    // MatVec shape over f32 — one factor row-major
+                    // (contiguous in the reduction, strided across lanes),
+                    // the other lane-invariant: fold whole 8x8 blocks
+                    // through the convert-transpose kernel, leftovers
+                    // scalar below
+                    let whole = ln == LANES && rem >= LANES;
+                    if let (Some(y0), Some(y1), true) = (E::as_f32(x0), E::as_f32(x1), whole) {
                         let blocks = rem / LANES;
                         let consumed = if s1l == 0 && sk0 == 1 && s0l != 0 {
                             lane_blocks_rowmajor(
-                                &mut acc, &mut first, x0, o0, s0l, x1, o1, sk1, blocks,
+                                &mut acc, &mut first, y0, o0, s0l, y1, o1, sk1, blocks,
                             )
                         } else if s0l == 0 && sk1 == 1 && s1l != 0 {
                             lane_blocks_rowmajor(
-                                &mut acc, &mut first, x1, o1, s1l, x0, o0, sk0, blocks,
+                                &mut acc, &mut first, y1, o1, s1l, y0, o0, sk0, blocks,
                             )
                         } else {
                             0
@@ -357,14 +380,14 @@ impl FastContraction {
                         rem -= consumed;
                     }
                     if rem > 0 && first {
-                        lane_step::<true>(&mut acc, ln, x0, x1, o0, o1, s0l, s1l);
+                        lane_step::<E, true>(&mut acc, ln, x0, x1, o0, o1, s0l, s1l);
                         o0 += sk0;
                         o1 += sk1;
                         rem -= 1;
                         first = false;
                     }
                     for _ in 0..rem {
-                        lane_step::<false>(&mut acc, ln, x0, x1, o0, o1, s0l, s1l);
+                        lane_step::<E, false>(&mut acc, ln, x0, x1, o0, o1, s0l, s1l);
                         o0 += sk0;
                         o1 += sk1;
                     }
@@ -385,10 +408,10 @@ impl FastContraction {
     /// [`MC`] rows pack the A block; then every `MR x NR` tile of the block
     /// folds the `kc` steps into its accumulators, which live in `partial`
     /// between K blocks.
-    fn task_blocked(
+    fn task_blocked<E: Elem>(
         &self,
-        (aa, xa): (&LinearAccess, &[f32]),
-        (ab, xb): (&LinearAccess, &[f32]),
+        (aa, xa): (&LinearAccess, &[E]),
+        (ab, xb): (&LinearAccess, &[E]),
         range: &MdRange,
         arr: &Arrangement,
         partial: &mut [f64],
@@ -420,7 +443,7 @@ impl FastContraction {
                                 let ap = &apanel[ir * kc..][..MR * kc];
                                 let rows = &mut tile[(ic + ir) * n_ext + jc + jr..];
                                 let live = ((mc - ir).min(MR), (nc - jr).min(NR));
-                                micro_tile(pc == 0, ap, bp, rows, n_ext, live);
+                                micro_tile::<E>(pc == 0, ap, bp, rows, n_ext, live);
                             }
                         }
                     }
@@ -472,13 +495,13 @@ fn check_span(what: &str, acc: &LinearAccess, range: &MdRange, len: usize) -> Re
 
 /// Pack an A block: per [`MR`] rows one micro-panel, `MR` row values
 /// contiguous per reduction step, rows past the block's end zero. Packing
-/// widens exactly and moves values, nothing else.
-fn pack_a(panel: &mut [f64], x: &[f32], base: i64, m_off: &[i64], k_off: &[i64]) {
+/// widens exactly (or copies f64) and moves values, nothing else.
+fn pack_a<E: Elem>(panel: &mut [f64], x: &[E], base: i64, m_off: &[i64], k_off: &[i64]) {
     let kc = k_off.len();
     for (rows, dst) in m_off.chunks(MR).zip(panel.chunks_exact_mut(MR * kc)) {
         for (step, &ko) in dst.chunks_exact_mut(MR).zip(k_off) {
             for (v, &mo) in step.iter_mut().zip(rows) {
-                *v = x[(base + mo + ko) as usize] as f64;
+                *v = x[(base + mo + ko) as usize].widen();
             }
             step[rows.len()..].fill(0.0);
         }
@@ -488,7 +511,7 @@ fn pack_a(panel: &mut [f64], x: &[f32], base: i64, m_off: &[i64], k_off: &[i64])
 /// Pack a B panel: per [`NR`] lanes one micro-panel, two [`Line`]s per
 /// reduction step, lanes past the panel's end zero. Lanes that sit next
 /// to each other in the buffer (row-major B) are widened as one slice.
-fn pack_b(panel: &mut [[Line; 2]], x: &[f32], base: i64, n_off: &[i64], k_off: &[i64]) {
+fn pack_b<E: Elem>(panel: &mut [[Line; 2]], x: &[E], base: i64, n_off: &[i64], k_off: &[i64]) {
     let kc = k_off.len();
     for (lanes, dst) in n_off.chunks(NR).zip(panel.chunks_exact_mut(kc)) {
         let unit = lanes.len() == NR && lanes.windows(2).all(|w| w[1] == w[0] + 1);
@@ -496,10 +519,10 @@ fn pack_b(panel: &mut [[Line; 2]], x: &[f32], base: i64, n_off: &[i64], k_off: &
             let mut v = [0f64; NR];
             if unit {
                 let src = &x[(base + ko + lanes[0]) as usize..][..NR];
-                v.iter_mut().zip(src).for_each(|(v, &s)| *v = s as f64);
+                v.iter_mut().zip(src).for_each(|(v, &s)| *v = s.widen());
             } else {
                 for (v, &no) in v.iter_mut().zip(lanes) {
-                    *v = x[(base + ko + no) as usize] as f64;
+                    *v = x[(base + ko + no) as usize].widen();
                 }
             }
             let (lo, hi) = v.split_at(LANES);
@@ -513,7 +536,7 @@ fn pack_b(panel: &mut [[Line; 2]], x: &[f32], base: i64, n_off: &[i64], k_off: &
 /// row stride `ld`. A tile with fewer than `MR x NR` `live` rows and lanes
 /// goes through a stack copy, so only those are loaded and stored — what
 /// the panels' zero padding computes is dropped here.
-fn micro_tile(
+fn micro_tile<E: Elem>(
     first: bool,
     ap: &[f64],
     bp: &[[Line; 2]],
@@ -522,7 +545,7 @@ fn micro_tile(
     (mr, nr): (usize, usize),
 ) {
     if (mr, nr) == (MR, NR) {
-        return micro_kernel(first, ap, bp, rows, ld);
+        return micro_kernel::<E>(first, ap, bp, rows, ld);
     }
     let mut edge = [0f64; MR * NR];
     if !first {
@@ -530,7 +553,7 @@ fn micro_tile(
             row[..nr].copy_from_slice(&rows[r * ld..][..nr]);
         }
     }
-    micro_kernel(first, ap, bp, &mut edge, NR);
+    micro_kernel::<E>(first, ap, bp, &mut edge, NR);
     for (r, row) in edge.chunks_exact(NR).enumerate().take(mr) {
         rows[r * ld..][..nr].copy_from_slice(&row[..nr]);
     }
@@ -544,9 +567,11 @@ fn micro_tile(
 /// block stored them — an exact f64 round trip, so blocking K changes
 /// memory traffic and not one bit. Finite f64 multiplication is bitwise
 /// commutative, so `a * b` matches the VM even when `a` is the program's
-/// second factor, and the panels hold exact f32 widenings, which licenses
-/// [`Line::acc_fma_exact`].
-fn micro_kernel(first: bool, ap: &[f64], bp: &[[Line; 2]], tile: &mut [f64], ld: usize) {
+/// second factor. [`Elem::accumulate`] is the one step that depends on
+/// the element type: f32 panels hold exact widenings, which licenses
+/// [`Line::acc_fma_exact`]; f64 products round, so f64 takes
+/// [`Line::acc_mul`], whose AVX-512 arm keeps the tile in registers.
+fn micro_kernel<E: Elem>(first: bool, ap: &[f64], bp: &[[Line; 2]], tile: &mut [f64], ld: usize) {
     let mut acc = [[Line::zero(); 2]; MR];
     if !first {
         for (r, acc) in acc.iter_mut().enumerate() {
@@ -566,8 +591,8 @@ fn micro_kernel(first: bool, ap: &[f64], bp: &[[Line; 2]], tile: &mut [f64], ld:
     }
     for (a, b) in steps {
         for r in 0..MR {
-            acc[r][0].acc_fma_exact(a[r], &b[0]);
-            acc[r][1].acc_fma_exact(a[r], &b[1]);
+            E::accumulate(&mut acc[r][0], a[r], &b[0]);
+            E::accumulate(&mut acc[r][1], a[r], &b[1]);
         }
     }
     for (r, acc) in acc.iter().enumerate() {
@@ -581,22 +606,22 @@ fn micro_kernel(first: bool, ap: &[f64], bp: &[[Line; 2]], tile: &mut [f64], ld:
 /// in f64, with broadcast specialisation when a factor is lane-invariant.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn lane_step<const SET: bool>(
+fn lane_step<E: Elem, const SET: bool>(
     acc: &mut Line,
     ln: usize,
-    x0: &[f32],
-    x1: &[f32],
+    x0: &[E],
+    x1: &[E],
     o0: i64,
     o1: i64,
     s0: i64,
     s1: i64,
 ) {
     if ln == LANES {
-        lane_step_n::<SET, LANES>(acc, x0, x1, o0, o1, s0, s1);
+        lane_step_n::<E, SET, LANES>(acc, x0, x1, o0, o1, s0, s1);
     } else {
         for l in 0..ln {
-            let v = (x0[(o0 + l as i64 * s0) as usize] as f64)
-                * (x1[(o1 + l as i64 * s1) as usize] as f64);
+            let v = x0[(o0 + l as i64 * s0) as usize].widen()
+                * x1[(o1 + l as i64 * s1) as usize].widen();
             if SET {
                 acc.0[l] = v;
             } else {
@@ -607,19 +632,19 @@ fn lane_step<const SET: bool>(
 }
 
 #[inline]
-fn lane_step_n<const SET: bool, const LN: usize>(
+fn lane_step_n<E: Elem, const SET: bool, const LN: usize>(
     acc: &mut Line,
-    x0: &[f32],
-    x1: &[f32],
+    x0: &[E],
+    x1: &[E],
     o0: i64,
     o1: i64,
     s0: i64,
     s1: i64,
 ) {
     if s0 == 0 {
-        let a = x0[o0 as usize] as f64;
+        let a = x0[o0 as usize].widen();
         for l in 0..LN {
-            let v = a * (x1[(o1 + l as i64 * s1) as usize] as f64);
+            let v = a * x1[(o1 + l as i64 * s1) as usize].widen();
             if SET {
                 acc.0[l] = v;
             } else {
@@ -627,9 +652,9 @@ fn lane_step_n<const SET: bool, const LN: usize>(
             }
         }
     } else if s1 == 0 {
-        let b = x1[o1 as usize] as f64;
+        let b = x1[o1 as usize].widen();
         for l in 0..LN {
-            let v = (x0[(o0 + l as i64 * s0) as usize] as f64) * b;
+            let v = x0[(o0 + l as i64 * s0) as usize].widen() * b;
             if SET {
                 acc.0[l] = v;
             } else {
@@ -638,8 +663,8 @@ fn lane_step_n<const SET: bool, const LN: usize>(
         }
     } else {
         for l in 0..LN {
-            let v = (x0[(o0 + l as i64 * s0) as usize] as f64)
-                * (x1[(o1 + l as i64 * s1) as usize] as f64);
+            let v = x0[(o0 + l as i64 * s0) as usize].widen()
+                * x1[(o1 + l as i64 * s1) as usize].widen();
             if SET {
                 acc.0[l] = v;
             } else {
@@ -812,6 +837,8 @@ mod tests {
     /// `out[..] = Σ_red a[..] * b[..]` over `sizes`, every access affine.
     struct Case {
         sizes: Vec<usize>,
+        /// the element type of the output and both inputs
+        elem: ScalarKind,
         red: Vec<usize>,
         out: Vec<AffineExpr>,
         a: Vec<AffineExpr>,
@@ -827,13 +854,13 @@ mod tests {
                 })
                 .collect();
             DslBuilder::new("case", self.sizes.clone())
-                .out_buffer("c", BasicType::F32)
+                .out_buffer("c", self.elem.into())
                 .out_access("c", IndexFn::affine(self.out.clone()))
-                .inp_buffer("a", BasicType::F32)
+                .inp_buffer("a", self.elem.into())
                 .inp_access("a", IndexFn::affine(self.a.clone()))
-                .inp_buffer("b", BasicType::F32)
+                .inp_buffer("b", self.elem.into())
                 .inp_access("b", IndexFn::affine(self.b.clone()))
-                .scalar_function(ScalarFunction::mul2("f_mul", ScalarKind::F32))
+                .scalar_function(ScalarFunction::mul2("f_mul", self.elem))
                 .combine_ops(ops)
                 .build()
                 .unwrap()
@@ -843,10 +870,11 @@ mod tests {
         fn buffer(&self, name: &str, exprs: &[AffineExpr]) -> Buffer {
             let range = MdRange::full(&self.sizes);
             let dims = exprs.iter().map(|x| x.bounds_over(&range).1 as usize + 1);
-            Buffer::zeros(name, BasicType::F32, Shape::new(dims.collect::<Vec<_>>()))
+            Buffer::zeros(name, self.elem.into(), Shape::new(dims.collect::<Vec<_>>()))
         }
 
-        /// Inputs whose sums round: 0.1 * k is not a binary float.
+        /// Inputs whose sums round: 0.1 * k is not a binary float. In f64
+        /// their products round too.
         fn inputs(&self) -> Vec<Buffer> {
             let mut ins = vec![self.buffer("a", &self.a), self.buffer("b", &self.b)];
             for (salt, buf) in ins.iter_mut().enumerate() {
@@ -856,13 +884,14 @@ mod tests {
         }
     }
 
-    /// The nine layouts of the sweep, each with row extent `m` (times a
-    /// small constant where a group has several dims), lane extent `n` and
-    /// innermost reduction extent `k`.
-    fn layouts(m: usize, n: usize, k: usize) -> Vec<(&'static str, Case)> {
+    /// The nine layouts of the sweep over `elem`, each with row extent `m`
+    /// (times a small constant where a group has several dims), lane
+    /// extent `n` and innermost reduction extent `k`.
+    fn layouts(elem: ScalarKind, m: usize, n: usize, k: usize) -> Vec<(&'static str, Case)> {
         let (ki, ni) = (k as i64, n as i64);
         let mm = |a: Vec<AffineExpr>, b: Vec<AffineExpr>| Case {
             sizes: vec![m, n, k],
+            elem,
             red: vec![2],
             out: vec![e(3, &[(0, 1)], 0), e(3, &[(1, 1)], 0)],
             a,
@@ -893,6 +922,7 @@ mod tests {
                 "two collapsed dims",
                 Case {
                     sizes: vec![m, n, 2, k],
+                    elem,
                     red: vec![2, 3],
                     out: vec![e(4, &[(0, 1)], 0), e(4, &[(1, 1)], 0)],
                     a: vec![e(4, &[(0, 1)], 0), e(4, &[(2, 1)], 0), e(4, &[(3, 1)], 0)],
@@ -905,6 +935,7 @@ mod tests {
                 "3 + 3 CCSD(T) grouping, permuted",
                 Case {
                     sizes: vec![2, 1, m, n, 1, 2, k],
+                    elem,
                     red: vec![6],
                     out: [5, 2, 1, 0, 3, 4].map(|d| e(7, &[(d, 1)], 0)).to_vec(),
                     a: [0, 2, 4, 6].map(|d| e(7, &[(d, 1)], 0)).to_vec(),
@@ -915,6 +946,7 @@ mod tests {
                 "one batch dim",
                 Case {
                     sizes: vec![2, m, n, k],
+                    elem,
                     red: vec![3],
                     out: [0, 1, 2].map(|d| e(4, &[(d, 1)], 0)).to_vec(),
                     a: [0, 1, 3].map(|d| e(4, &[(d, 1)], 0)).to_vec(),
@@ -926,6 +958,7 @@ mod tests {
                 "MCC-style p + r",
                 Case {
                     sizes: vec![m, n, 2, k],
+                    elem,
                     red: vec![2, 3],
                     out: vec![e(4, &[(0, 1)], 0), e(4, &[(1, 1)], 0)],
                     a: vec![e(4, &[(0, 1), (2, 1)], 0), e(4, &[(3, 1)], 0)],
@@ -939,6 +972,7 @@ mod tests {
                 "K = 1 outer product",
                 Case {
                     sizes: vec![m, n],
+                    elem,
                     red: vec![],
                     out: vec![e(2, &[(0, 1)], 0), e(2, &[(1, 1)], 0)],
                     a: vec![e(2, &[(0, 1)], 0)],
@@ -949,21 +983,68 @@ mod tests {
         all
     }
 
-    fn bits(outs: Vec<Buffer>) -> Vec<u32> {
-        let out = outs[0].as_f32().unwrap();
-        out.iter().map(|v| v.to_bits()).collect()
+    /// Row and lane extents on either side of one register tile and of
+    /// one and two `Line`s.
+    const EXTENTS: [usize; 8] = [
+        1,
+        MR - 1,
+        MR,
+        MR + 1,
+        2 * LANES - 1,
+        2 * LANES,
+        2 * LANES + 1,
+        4 * LANES + 3,
+    ];
+    /// Reduction extents on either side of one and two K blocks.
+    const K_EXTENTS: [usize; 6] = [1, 2, KC - 1, KC, KC + 1, 2 * KC + 3];
+
+    /// The shapes the blocked nest leaves to the lane walker (MatVec, and
+    /// MatVec^T, whose matrix steps by the row extent along the chain)
+    /// and to the scalar chain (Dot), with `m` rows and `k` reduction
+    /// steps.
+    fn unblocked(elem: ScalarKind, m: usize, k: usize) -> Vec<(&'static str, Case)> {
+        let (i, kk) = (e(2, &[(0, 1)], 0), e(2, &[(1, 1)], 0));
+        let matvec = |a| Case {
+            sizes: vec![m, k],
+            elem,
+            red: vec![1],
+            out: vec![i.clone()],
+            a,
+            b: vec![kk.clone()],
+        };
+        let dot = Case {
+            sizes: vec![k],
+            elem,
+            red: vec![0],
+            out: vec![e(1, &[], 0)],
+            a: vec![e(1, &[(0, 1)], 0)],
+            b: vec![e(1, &[(0, 1)], 0)],
+        };
+        vec![
+            ("MatVec", matvec(vec![i.clone(), kk.clone()])),
+            ("MatVec^T", matvec(vec![kk.clone(), i.clone()])),
+            ("Dot", dot),
+        ]
+    }
+
+    fn bits(outs: Vec<Buffer>) -> Vec<u64> {
+        match (outs[0].as_f32(), outs[0].as_f64()) {
+            (Some(out), _) => out.iter().map(|v| v.to_bits().into()).collect(),
+            (_, Some(out)) => out.iter().map(|v| v.to_bits()).collect(),
+            _ => panic!("a contraction's output is f32 or f64"),
+        }
     }
 
     /// The executor against `vm_exec` on the same plan at widths 1/2/4 —
     /// the preserved split follows the width, the reduction split (if
     /// any) is fixed at two tasks — and the same bits at every width.
     /// Returns those bits.
-    fn assert_bit_equal_to_vm(case: &Case, split_k: bool, what: &str) -> Vec<u32> {
+    /// `blocked` says whether the case is the blocked nest's to run.
+    fn assert_bit_equal_to_vm(case: &Case, split_k: bool, what: &str, blocked: bool) -> Vec<u64> {
         static BASE: std::sync::OnceLock<CpuExecutor> = std::sync::OnceLock::new();
         let base = BASE.get_or_init(|| CpuExecutor::new(4).unwrap());
         let prog = case.prog();
         let inputs = case.inputs();
-        // every layout of the sweep is the blocked nest's to run
         let crate::fast::FastKernel::Contraction(kernel) = crate::fast::classify(&prog).unwrap()
         else {
             panic!("{what}: a two-factor product is a contraction kernel");
@@ -971,7 +1052,7 @@ mod tests {
         let outputs = eval::alloc_outputs(&prog).unwrap();
         let (in_acc, _) = linearize_for(&prog, &inputs, &outputs).unwrap();
         let path = kernel.arrange(&in_acc).path;
-        assert!(matches!(path, TaskPath::Blocked { .. }), "{what}");
+        assert_eq!(matches!(path, TaskPath::Blocked { .. }), blocked, "{what}");
         assert_bits_on(base, case, &prog, &inputs, split_k, what)
     }
 
@@ -982,15 +1063,16 @@ mod tests {
         inputs: &[Buffer],
         split_k: bool,
         what: &str,
-    ) -> Vec<u32> {
-        let mut want: Option<Vec<u32>> = None;
+    ) -> Vec<u64> {
+        let mut want: Option<Vec<u64>> = None;
         for width in [1usize, 2, 4] {
             let mut schedule = Schedule::sequential(case.sizes.len(), DeviceKind::Cpu);
             let row_d = (0..case.sizes.len())
                 .filter(|d| !case.red.contains(d))
-                .max_by_key(|&d| case.sizes[d])
-                .unwrap();
-            schedule.par_chunks[row_d] = width.min(case.sizes[row_d]);
+                .max_by_key(|&d| case.sizes[d]);
+            if let Some(d) = row_d {
+                schedule.par_chunks[d] = width.min(case.sizes[d]);
+            }
             if split_k {
                 schedule.par_chunks[*case.red.last().unwrap()] = 2;
                 schedule.reduction = ReductionStrategy::Tree;
@@ -1012,35 +1094,34 @@ mod tests {
     /// must see through, with and without the reduction split across
     /// tasks. Small row extents meet large lane extents and the reverse,
     /// so every value of each is covered and edge tiles meet full ones.
+    /// The shapes the blocked nest leaves to the lane walker and the
+    /// scalar chain run at the same extents. Both element types: every
+    /// f64 product of this data rounds, so an f64 accumulate that fused
+    /// one would move bits.
     #[test]
     fn block_boundary_sweep_bit_equal_to_the_vm() {
-        let extents = [
-            1,
-            MR - 1,
-            MR,
-            MR + 1,
-            2 * LANES - 1,
-            2 * LANES,
-            2 * LANES + 1,
-            4 * LANES + 3,
-        ];
         let mut cases = 0;
-        for (x, &m) in extents.iter().enumerate() {
-            let n = extents[extents.len() - 1 - x];
-            for k in [1, 2, KC - 1, KC, KC + 1, 2 * KC + 3] {
-                for (layout, case) in layouts(m, n, k) {
-                    for split_k in [false, true] {
-                        if split_k && k == 1 {
-                            continue;
+        for elem in [ScalarKind::F32, ScalarKind::F64] {
+            for (x, &m) in EXTENTS.iter().enumerate() {
+                let n = EXTENTS[EXTENTS.len() - 1 - x];
+                for k in K_EXTENTS {
+                    let blocked = layouts(elem, m, n, k).into_iter().map(|c| (c, true));
+                    let unblocked = unblocked(elem, m, k).into_iter().map(|c| (c, false));
+                    for ((layout, case), is_blocked) in blocked.chain(unblocked) {
+                        for split_k in [false, true] {
+                            if split_k && k == 1 {
+                                continue;
+                            }
+                            let what =
+                                format!("{elem:?} m={m} n={n} k={k} {layout} split_k={split_k}");
+                            assert_bit_equal_to_vm(&case, split_k, &what, is_blocked);
+                            cases += 1;
                         }
-                        let what = format!("m={m} n={n} k={k} {layout} split_k={split_k}");
-                        assert_bit_equal_to_vm(&case, split_k, &what);
-                        cases += 1;
                     }
                 }
             }
         }
-        assert_eq!(cases, 8 * (5 * 8 * 2 + 9));
+        assert_eq!(cases, 2 * 8 * (5 * 11 * 2 + 12));
     }
 
     /// The VM copy-initialises the accumulator from the first product, so
@@ -1049,14 +1130,14 @@ mod tests {
     /// a fresh one.
     #[test]
     fn copy_init_survives_the_k_block_boundary() {
-        let (_, case) = layouts(MR + 1, NR + 1, KC + 1).swap_remove(0);
+        let (_, case) = layouts(ScalarKind::F32, MR + 1, NR + 1, KC + 1).swap_remove(0);
         let prog = case.prog();
         let mut inputs = case.inputs();
         inputs[0].fill_with(|_| -0.0);
         inputs[1].fill_with(|_| 1.0);
         let base = CpuExecutor::new(2).unwrap();
         let got = assert_bits_on(&base, &case, &prog, &inputs, false, "-0.0 chain");
-        assert!(got.iter().all(|&b| b == (-0.0f32).to_bits()));
+        assert!(got.iter().all(|&b| b == (-0.0f32).to_bits().into()));
     }
 
     /// An Inf in the last live row of A and a NaN in the last live lane of
@@ -1065,7 +1146,7 @@ mod tests {
     #[test]
     fn non_finite_operands_next_to_padding_stay_in_their_rows_and_lanes() {
         let (m, n, k) = (MR + 1, NR + 1, 3);
-        let (_, case) = layouts(m, n, k).swap_remove(0);
+        let (_, case) = layouts(ScalarKind::F32, m, n, k).swap_remove(0);
         let prog = case.prog();
         let mut inputs = case.inputs();
         inputs[0].as_f32_mut().unwrap()[(m - 1) * k + 1] = f32::INFINITY;
@@ -1074,7 +1155,7 @@ mod tests {
         let got = assert_bits_on(&base, &case, &prog, &inputs, false, "Inf/NaN");
         for (p, &b) in got.iter().enumerate() {
             let tainted = p / n == m - 1 || p % n == n - 1;
-            assert_eq!(f32::from_bits(b).is_finite(), !tainted, "point {p}");
+            assert_eq!(f32::from_bits(b as u32).is_finite(), !tainted, "point {p}");
         }
     }
 
@@ -1083,23 +1164,9 @@ mod tests {
     /// error, not a slice-index panic on the worker.
     #[test]
     fn undersized_input_is_an_error_not_a_panic() {
-        let mut cases = layouts(40, 40, 40);
-        // the two arrangements the sweep's layouts never take
-        let matvec = Case {
-            sizes: vec![40, 40],
-            red: vec![1],
-            out: vec![e(2, &[(0, 1)], 0)],
-            a: vec![e(2, &[(0, 1)], 0), e(2, &[(1, 1)], 0)],
-            b: vec![e(2, &[(1, 1)], 0)],
-        };
-        let dot = Case {
-            sizes: vec![40],
-            red: vec![0],
-            out: vec![e(1, &[], 0)],
-            a: vec![e(1, &[(0, 1)], 0)],
-            b: vec![e(1, &[(0, 1)], 0)],
-        };
-        cases.extend([("MatVec (unpacked)", matvec), ("Dot (scalar)", dot)]);
+        let mut cases = layouts(ScalarKind::F32, 40, 40, 40);
+        // the arrangements the sweep's layouts never take
+        cases.extend(unblocked(ScalarKind::F32, 40, 40));
         for (layout, case) in cases {
             let mut prog = case.prog();
             let schedule = Schedule::sequential(prog.rank(), DeviceKind::Cpu);

@@ -35,16 +35,41 @@ impl Line {
     /// first-element rule: the accumulator *becomes* the first value
     /// (`acc = x`), it is not seeded with `0 + x` — the distinction is
     /// bitwise observable for signed zeros.
+    ///
+    /// This and [`Line::acc_mul`] have two arms: one 512-bit operation
+    /// on AVX-512 hosts, and a portable loop elsewhere. On AVX-512 LLVM
+    /// still splits the portable loop into two 256-bit halves, and in an
+    /// 8 × 16 register tile of those halves the accumulators spill. There
+    /// is no fused middle arm as in [`Line::acc_fma_exact`]: these two
+    /// operations must round the product.
     #[inline]
     pub fn set_mul(&mut self, a: f64, b: &Line) {
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        unsafe {
+            use core::arch::x86_64::*;
+            // `repr(align(64))` guarantees both pointers are 64-aligned
+            let r = _mm512_mul_pd(_mm512_set1_pd(a), _mm512_load_pd(b.0.as_ptr()));
+            _mm512_store_pd(self.0.as_mut_ptr(), r);
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
         for l in 0..LANES {
             self.0[l] = a * b.0[l];
         }
     }
 
-    /// `self[l] += a * b[l]` as two separately rounded f64 operations.
+    /// `self[l] += a * b[l]` as two separately rounded f64 operations,
+    /// never fused: the VM's `Mul` then `Add` on factors whose product
+    /// may round.
     #[inline]
     pub fn acc_mul(&mut self, a: f64, b: &Line) {
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        unsafe {
+            use core::arch::x86_64::*;
+            let p = _mm512_mul_pd(_mm512_set1_pd(a), _mm512_load_pd(b.0.as_ptr()));
+            let r = _mm512_add_pd(_mm512_load_pd(self.0.as_ptr()), p);
+            _mm512_store_pd(self.0.as_mut_ptr(), r);
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
         for l in 0..LANES {
             self.0[l] += a * b.0[l];
         }
@@ -108,6 +133,19 @@ mod tests {
         for l in 0..LANES {
             assert_eq!(acc.0[l].to_bits(), expected.to_bits());
         }
+    }
+
+    #[test]
+    fn acc_mul_rounds_the_product_before_the_add() {
+        // (1 + 2⁻³⁰)² = 1 + 2⁻²⁹ + 2⁻⁶⁰ rounds to 1 + 2⁻²⁹; a fused
+        // accumulate onto -1 would keep the 2⁻⁶⁰
+        let x = 1.0 + 2f64.powi(-30);
+        let mut acc = Line([-1.0; LANES]);
+        acc.acc_mul(x, &Line([x; LANES]));
+        assert!(acc.0.iter().all(|&v| v == 2f64.powi(-29)), "{:?}", acc.0);
+        let mut set = Line::zero();
+        set.set_mul(x, &Line([x; LANES]));
+        assert!(set.0.iter().all(|&v| v == 1.0 + 2f64.powi(-29)));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! [`strict_weighted_sum`]: crate::fast::pattern::strict_weighted_sum
 
 use crate::fast::line::{Line, LANES};
-use crate::fast::{f32_inputs, linearize_for};
+use crate::fast::{linearize_for, typed_inputs};
 use crate::offsets::{advance, LinearAccess};
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
@@ -119,7 +119,7 @@ impl FastMap {
     ) -> Result<Option<Vec<Buffer>>> {
         let mut outputs = eval::alloc_outputs(prog)?;
         let (in_acc, out_acc) = linearize_for(prog, inputs, &outputs)?;
-        let ins = f32_inputs(prog, inputs)?;
+        let ins = typed_inputs::<f32>(prog, inputs)?;
         debug_assert!(plan.split_dims.is_empty());
         let out_buf = prog.out_view.accesses[0].buffer;
         {

@@ -3,8 +3,8 @@
 //!
 //! `vm_exec` defines this backend's reference semantics: a fixed
 //! decomposition into tasks, a fixed strictly-sequential f64 fold per
-//! output point, a fixed group-combine order, one f32 rounding at the
-//! store. The fast path re-implements the *hot* subset of those
+//! output point, a fixed group-combine order, one rounding to the output
+//! type at the store. The fast path re-implements the *hot* subset of those
 //! semantics as compiled loop nests — cache-blocked by fixed block sizes,
 //! vectorized through the 8-lane [`Line`] accumulator — while
 //! reproducing every floating-point operation of the VM in the same
@@ -14,15 +14,22 @@
 //!
 //! Eligibility (checked in this order):
 //! - no `rbi` dimension (those are the VM's rbi mode),
-//! - a single affine f32 output access, all-affine all-f32 inputs,
+//! - a single affine output access, all-affine inputs, and one element
+//!   type for the output and every input: f32 or f64 ([`Elem`]),
 //! - combine ops restricted to `cc` and builtin `pw(add)`,
 //! - a scalar function the strict matchers in [`pattern`] accept:
 //!   a two-factor product (contraction family — with or without a
-//!   reduction: an all-`cc` product is a one-term chain) or a
-//!   left-nested weighted sum, optionally under one literal scale
+//!   reduction: an all-`cc` product is a one-term chain) or, over f32
+//!   only, a left-nested weighted sum, optionally under one literal scale
 //!   (map family),
 //! - contractions: the output access must not depend on reduced dims;
 //!   maps: the output access must be provably injective.
+//!
+//! One contraction kernel serves both element types: it is generic over
+//! [`Elem`], which fixes how a value is loaded (f32 widens exactly, f64 is
+//! copied), how a product accumulates (fused only where the product of
+//! two widened f32s is exact, two roundings for f64), and how the result
+//! is stored (f32 rounds once, f64 is stored as computed).
 //!
 //! Everything else falls back — transparently, per run — to the VM via
 //! `CpuExecutor`.
@@ -39,11 +46,12 @@ pub use map::FastMap;
 pub use registry::{registry, FastRegistry};
 
 use crate::offsets::{linearize_view, LinearAccess};
+use line::Line;
 use mdh_core::buffer::Buffer;
 use mdh_core::combine::{BuiltinReduce, CombineOp};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
-use mdh_core::types::BasicType;
+use mdh_core::types::{BasicType, ScalarKind};
 use mdh_lowering::plan::ExecutionPlan;
 use pattern::WeightedSum;
 
@@ -81,11 +89,19 @@ pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
         return Err("more than one output access".into());
     }
     let out_access = &prog.out_view.accesses[0];
-    if prog.out_view.buffers[out_access.buffer].ty != BasicType::F32 {
-        return Err("output is not f32".into());
-    }
-    if prog.inp_view.buffers.iter().any(|b| b.ty != BasicType::F32) {
-        return Err("non-f32 input buffer".into());
+    let elem = match prog.out_view.buffers[out_access.buffer].ty {
+        BasicType::Scalar(k @ (ScalarKind::F32 | ScalarKind::F64)) => k,
+        _ => return Err("output is neither f32 nor f64".into()),
+    };
+    if prog
+        .inp_view
+        .buffers
+        .iter()
+        .any(|b| b.ty != BasicType::from(elem))
+    {
+        return Err(format!(
+            "an input buffer's element type is not the output's {elem}"
+        ));
     }
     if prog
         .inp_view
@@ -128,6 +144,7 @@ pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
             }
         }
         Ok(FastKernel::Contraction(FastContraction {
+            elem,
             f0,
             f1,
             preserved: prog.md_hom.preserved_dims(),
@@ -135,6 +152,8 @@ pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
         }))
     } else if has_pw {
         Err("scalar function is not a strict two-factor product".into())
+    } else if elem != ScalarKind::F32 {
+        Err("the map kernel runs f32 weighted sums only".into())
     } else {
         let Some(WeightedSum { terms, scale }) = pattern::strict_weighted_sum(&prog.md_hom.sf)
         else {
@@ -165,16 +184,87 @@ pub(crate) fn linearize_for(
     Ok((ia, oa))
 }
 
-/// Collect f32 slices for all input buffers.
-pub(crate) fn f32_inputs<'a>(prog: &DslProgram, inputs: &'a [Buffer]) -> Result<Vec<&'a [f32]>> {
-    // one slice per *access* (so kernels index by param slot directly)
+/// An element type the kernels read and write. Values enter the VM's f64
+/// chain through [`Elem::widen`] and leave it through [`Elem::narrow`];
+/// everything between is f64 whatever `Self` is.
+pub(crate) trait Elem: Copy + Send + Sync + 'static {
+    const KIND: ScalarKind;
+    fn slice(buf: &Buffer) -> Option<&[Self]>;
+    fn slice_mut(buf: &mut Buffer) -> Option<&mut [Self]>;
+    fn widen(self) -> f64;
+    /// The store's one rounding.
+    fn narrow(v: f64) -> Self;
+    /// `acc[l] += a * b[l]` where `a` and `b` are widened elements.
+    fn accumulate(acc: &mut Line, a: f64, b: &Line);
+    /// The slice as f32, for the kernels' f32-only load paths.
+    fn as_f32(xs: &[Self]) -> Option<&[f32]>;
+}
+
+impl Elem for f32 {
+    const KIND: ScalarKind = ScalarKind::F32;
+    fn slice(buf: &Buffer) -> Option<&[f32]> {
+        buf.as_f32()
+    }
+    fn slice_mut(buf: &mut Buffer) -> Option<&mut [f32]> {
+        buf.as_f32_mut()
+    }
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self as f64
+    }
+    #[inline(always)]
+    fn narrow(v: f64) -> f32 {
+        v as f32
+    }
+    /// Two widened f32s multiply exactly in f64, so fusing is unobservable.
+    #[inline(always)]
+    fn accumulate(acc: &mut Line, a: f64, b: &Line) {
+        acc.acc_fma_exact(a, b)
+    }
+    fn as_f32(xs: &[f32]) -> Option<&[f32]> {
+        Some(xs)
+    }
+}
+
+impl Elem for f64 {
+    const KIND: ScalarKind = ScalarKind::F64;
+    fn slice(buf: &Buffer) -> Option<&[f64]> {
+        buf.as_f64()
+    }
+    fn slice_mut(buf: &mut Buffer) -> Option<&mut [f64]> {
+        buf.as_f64_mut()
+    }
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self
+    }
+    #[inline(always)]
+    fn narrow(v: f64) -> f64 {
+        v
+    }
+    /// An f64 product rounds, so it must round before the add, as the
+    /// VM's `Mul` then `Add` does: a fused accumulate would change bits.
+    #[inline(always)]
+    fn accumulate(acc: &mut Line, a: f64, b: &Line) {
+        acc.acc_mul(a, b)
+    }
+    fn as_f32(_: &[f64]) -> Option<&[f32]> {
+        None
+    }
+}
+
+/// One `E` slice per input *access* (so kernels index by param slot
+/// directly).
+pub(crate) fn typed_inputs<'a, E: Elem>(
+    prog: &DslProgram,
+    inputs: &'a [Buffer],
+) -> Result<Vec<&'a [E]>> {
     prog.inp_view
         .accesses
         .iter()
         .map(|a| {
-            inputs[a.buffer]
-                .as_f32()
-                .ok_or_else(|| MdhError::Type("expected f32 input".into()))
+            E::slice(&inputs[a.buffer])
+                .ok_or_else(|| MdhError::Type(format!("expected {} input", E::KIND)))
         })
         .collect()
 }

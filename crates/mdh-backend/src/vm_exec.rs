@@ -32,6 +32,13 @@
 //!   (a general index function writes its coordinates into a slice the
 //!   chunk owns) and a [`Scatter`] adds the block with one typed loop: no
 //!   allocation and no type dispatch per point.
+//!
+//! The three combines that run on whole partials — a task's local scan,
+//! the stitch of split scan chunks and the group combine of a split
+//! reduction — are one call each of [`Combiner::combine_rows`]: for a
+//! builtin operator one typed loop per partial column, for a compiled
+//! combine function one tuple at a time; the same element order and
+//! argument order either way.
 
 use crate::offsets::{advance, linearize_view, store_result, LinearAccess, Loader, Scatter};
 use crate::vm::{compile_sf, CompiledSf, ParamLoad, Reg, LANES};
@@ -193,57 +200,69 @@ impl Combiner {
         }
     }
 
-    /// acc (lhs) ⊗ new (rhs) → acc, tuple-wide.
-    #[inline]
-    fn combine(&self, acc: &mut Acc, new: &Acc, kinds: &[ScalarKind], scratch: &mut Scratch) {
-        match self {
+    /// `rhs[r + t] = lhs[l + t] ⊗ rhs[r + t]` for each `(l, r)` of
+    /// `rows`, in order, and each `t < len`, ascending: tuple-wide, the
+    /// lhs tuple first, as the scan, the scan stitch and the group combine
+    /// each take their arguments. The lhs is `lhs`'s columns or, with
+    /// `None`, `rhs`'s own `r - l` elements earlier — read after it was
+    /// written where the two spans overlap, which is a scan's recurrence.
+    /// A builtin runs one typed loop per column; a combine function steps
+    /// one tuple at a time.
+    fn combine_rows<I: Iterator<Item = (usize, usize)>>(
+        &self,
+        lhs: Option<&[ColBank]>,
+        rhs: &mut [ColBank],
+        rows: impl Fn() -> I,
+        len: usize,
+    ) -> Result<()> {
+        let (cf, lhs_regs, rhs_regs) = match self {
             Combiner::Builtin(b) => {
-                for (r, k) in kinds.iter().enumerate() {
-                    if k.is_float() {
-                        acc.f[r] = b.apply_f64(acc.f[r], new.f[r]);
-                    } else {
-                        acc.i[r] = b.apply_i64(acc.i[r], new.i[r]);
+                let (f, i) = (|x, y| b.apply_f64(x, y), |x, y| b.apply_i64(x, y));
+                for (r, col) in rhs.iter_mut().enumerate() {
+                    match (col, lhs.map(|l| &l[r])) {
+                        (ColBank::F(v), None) => builtin_rows(None, v, rows(), len, f),
+                        (ColBank::F(v), Some(ColBank::F(u))) => {
+                            builtin_rows(Some(u), v, rows(), len, f)
+                        }
+                        (ColBank::I(v), None) => builtin_rows(None, v, rows(), len, i),
+                        (ColBank::I(v), Some(ColBank::I(u))) => {
+                            builtin_rows(Some(u), v, rows(), len, i)
+                        }
+                        _ => return Err(MdhError::Eval("column kind mismatch".into())),
                     }
                 }
+                return Ok(());
             }
             Combiner::Vm {
                 cf,
                 lhs_regs,
                 rhs_regs,
-            } => {
-                let (sf, si) = scratch;
-                for (r, (lhs, rhs)) in lhs_regs.iter().zip(rhs_regs).enumerate() {
-                    match (lhs, rhs) {
-                        (Reg::F(l), Reg::F(n)) => (sf[*l], sf[*n]) = (acc.f[r], new.f[r]),
-                        (Reg::I(l), Reg::I(n)) => (si[*l], si[*n]) = (acc.i[r], new.i[r]),
-                        _ => unreachable!("banks checked by Combiner::build"),
-                    }
-                }
-                cf.run_point(sf, si);
-                for (r, reg) in cf.result_regs.iter().enumerate() {
-                    match reg {
-                        Reg::F(d) => acc.f[r] = sf[*d],
-                        Reg::I(d) => acc.i[r] = si[*d],
-                    }
-                }
+            } => (cf, lhs_regs, rhs_regs),
+        };
+        let mut scratch = cf.point_banks();
+        let (mut acc, mut new) = (Acc::new(rhs.len()), Acc::new(rhs.len()));
+        for (l, r) in rows() {
+            for t in 0..len {
+                acc.read(lhs.unwrap_or(rhs), l + t);
+                new.read(rhs, r + t);
+                combine_vm(cf, lhs_regs, rhs_regs, &mut acc, &new, &mut scratch);
+                acc.write(rhs, r + t);
             }
         }
+        Ok(())
     }
 
     /// Fold lanes `from..n` of the scalar function's result registers
     /// into `acc` in ascending lane order — the per-point loop's strictly
     /// sequential chain, same bracketing, same bits.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // hot-loop fold: banks passed flat
     fn fold_lanes(
         &self,
         sf: &CompiledSf,
-        f: &[f64],
-        i: &[i64],
+        (f, i): &Banks,
         lanes: std::ops::Range<usize>,
         acc: &mut Acc,
         new: &mut Acc,
-        kinds: &[ScalarKind],
         scratch: &mut Scratch,
     ) {
         match self {
@@ -262,10 +281,67 @@ impl Combiner {
                     }
                 }
             }
-            Combiner::Vm { .. } => {
+            Combiner::Vm {
+                cf,
+                lhs_regs,
+                rhs_regs,
+            } => {
                 for l in lanes {
                     new.read_lane(sf, f, i, l);
-                    self.combine(acc, new, kinds, scratch);
+                    combine_vm(cf, lhs_regs, rhs_regs, acc, new, scratch);
+                }
+            }
+        }
+    }
+}
+
+/// acc (lhs) ⊗ new (rhs) → acc through a compiled combine function,
+/// tuple-wide, one tuple per run.
+#[inline]
+fn combine_vm(
+    cf: &CompiledSf,
+    lhs_regs: &[Reg],
+    rhs_regs: &[Reg],
+    acc: &mut Acc,
+    new: &Acc,
+    (sf, si): &mut Scratch,
+) {
+    for (r, (lhs, rhs)) in lhs_regs.iter().zip(rhs_regs).enumerate() {
+        match (lhs, rhs) {
+            (Reg::F(l), Reg::F(n)) => (sf[*l], sf[*n]) = (acc.f[r], new.f[r]),
+            (Reg::I(l), Reg::I(n)) => (si[*l], si[*n]) = (acc.i[r], new.i[r]),
+            _ => unreachable!("banks checked by Combiner::build"),
+        }
+    }
+    cf.run_point(sf, si);
+    for (r, reg) in cf.result_regs.iter().enumerate() {
+        match reg {
+            Reg::F(d) => acc.f[r] = sf[*d],
+            Reg::I(d) => acc.i[r] = si[*d],
+        }
+    }
+}
+
+/// [`Combiner::combine_rows`] for a builtin on one typed column: `dst[r +
+/// t] = op(lhs, dst[r + t])`, the lhs being `src[l + t]` or, without a
+/// `src`, `dst[l + t]` as it stands when `t` is reached.
+fn builtin_rows<T: Copy>(
+    src: Option<&[T]>,
+    dst: &mut [T],
+    rows: impl Iterator<Item = (usize, usize)>,
+    len: usize,
+    op: impl Fn(T, T) -> T,
+) {
+    for (l, r) in rows {
+        match src {
+            Some(src) => {
+                let pairs = dst[r..][..len].iter_mut().zip(&src[l..][..len]);
+                pairs.for_each(|(d, &s)| *d = op(s, *d));
+            }
+            None => {
+                let dst = &mut dst[..r + len];
+                for t in 0..len {
+                    dst[r + t] = op(dst[l + t], dst[r + t]);
                 }
             }
         }
@@ -553,13 +629,14 @@ pub(crate) fn run_classified(
         preserved: &preserved,
         collapsed: &collapsed,
     };
-    let mut partials: Vec<Partial> = Vec::new();
+    let mut partials: Vec<Result<Partial>> = Vec::new();
     pool.install(|| {
         plan.tasks
             .par_iter()
             .map(|task| run_task(&ctx, &task.range))
             .collect_into_vec(&mut partials);
     });
+    let partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
 
     // --- combine split-reduction groups ---------------------------------
     let write_jobs: Vec<(usize, Partial)> = if plan.split_dims.is_empty() {
@@ -581,12 +658,8 @@ pub(crate) fn run_classified(
                 let rhs = take(tid)?;
                 match (scan, fold) {
                     // stitch chunks in order along the scan dim
-                    (Some((comb, sd_pos)), _) => {
-                        acc = stitch_scan(acc, rhs, sd_pos, comb, kinds)?;
-                    }
-                    (None, Some(comb)) => {
-                        combine_partials_elementwise(&mut acc, &rhs, comb, kinds)?
-                    }
+                    (Some((comb, sd_pos)), _) => acc = stitch_scan(acc, rhs, sd_pos, comb)?,
+                    (None, Some(comb)) => combine_partials_elementwise(&mut acc, rhs, comb)?,
                     (None, None) => unreachable!("split dims without pw fn"),
                 }
             }
@@ -640,7 +713,7 @@ const OUTPUT_LANES_MIN: usize = 12;
 /// Either way an output's chain is its collapsed points in ascending
 /// odometer order, so which form runs is invisible in the result. A run
 /// shorter than [`LANES`] is simply a short block.
-fn run_task(ctx: &TaskCtx, range: &MdRange) -> Partial {
+fn run_task(ctx: &TaskCtx, range: &MdRange) -> Result<Partial> {
     let &TaskCtx {
         sf,
         kinds,
@@ -653,7 +726,7 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Partial {
     let n = extents.iter().product::<usize>().max(1);
     let mut cols: Vec<ColBank> = kinds.iter().map(|&k| ColBank::zeros(k, n)).collect();
     if range.is_empty() {
-        return Partial { extents, cols };
+        return Ok(Partial { extents, cols });
     }
 
     // the compiled combine function, when its lanes run along the outputs
@@ -743,22 +816,12 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Partial {
                             store_row(&mut cols, plin, n, &sf.result_regs, &banks)
                         }
                         None => {
-                            let (f, i) = &banks;
-                            let from = usize::from(first);
                             if first {
-                                acc.read_lane(sf, f, i, 0);
+                                acc.read_lane(sf, &banks.0, &banks.1, 0);
                             }
                             if let Some(c) = ctx.fold {
-                                c.fold_lanes(
-                                    sf,
-                                    f,
-                                    i,
-                                    from..n,
-                                    &mut acc,
-                                    &mut new,
-                                    kinds,
-                                    &mut scratch,
-                                );
+                                let lanes = usize::from(first)..n;
+                                c.fold_lanes(sf, &banks, lanes, &mut acc, &mut new, &mut scratch);
                             }
                         }
                     }
@@ -786,10 +849,10 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Partial {
 
     // local scan along the ps dim
     if let Some((c, sd_pos)) = ctx.scan {
-        scan_in_place(&mut cols, &extents, sd_pos, c, kinds);
+        scan_in_place(&mut cols, &extents, sd_pos, c)?;
     }
 
-    Partial { extents, cols }
+    Ok(Partial { extents, cols })
 }
 
 /// `(outer, extent, stride)` of axis `pos` in a row-major array: element
@@ -803,57 +866,40 @@ fn axis_split(extents: &[usize], pos: usize) -> (usize, usize, usize) {
 }
 
 /// In-place inclusive scan of partial columns along preserved-axis
-/// `sd_pos`, front to back.
+/// `sd_pos`, front to back: per outer index, every element after the
+/// first slice combines with the one a slice before it.
 fn scan_in_place(
     cols: &mut [ColBank],
     extents: &[usize],
     sd_pos: usize,
     c: &Combiner,
-    kinds: &[ScalarKind],
-) {
+) -> Result<()> {
     let (outer, sd_ext, stride) = axis_split(extents, sd_pos);
-    let mut scratch = c.scratch();
-    let (mut acc, mut new) = (Acc::new(kinds.len()), Acc::new(kinds.len()));
-    for o in 0..outer {
-        for at in (o * sd_ext + 1) * stride..(o + 1) * sd_ext * stride {
-            acc.read(cols, at - stride);
-            new.read(cols, at);
-            c.combine(&mut acc, &new, kinds, &mut scratch);
-            acc.write(cols, at);
-        }
-    }
+    let rows = || (0..outer).map(|o| (o * sd_ext * stride, (o * sd_ext + 1) * stride));
+    c.combine_rows(None, cols, rows, sd_ext.saturating_sub(1) * stride)
 }
 
-fn combine_partials_elementwise(
-    acc: &mut Partial,
-    rhs: &Partial,
-    c: &Combiner,
-    kinds: &[ScalarKind],
-) -> Result<()> {
+/// `acc ⊗ rhs`, elementwise ascending, the group owner's partial on the
+/// left.
+fn combine_partials_elementwise(acc: &mut Partial, mut rhs: Partial, c: &Combiner) -> Result<()> {
     if acc.extents != rhs.extents {
         return Err(MdhError::Eval("partial extent mismatch".into()));
     }
-    let mut scratch = c.scratch();
-    let (mut lhs, mut new) = (Acc::new(kinds.len()), Acc::new(kinds.len()));
-    for at in 0..acc.cols.first().map_or(0, ColBank::len) {
-        lhs.read(&acc.cols, at);
-        new.read(&rhs.cols, at);
-        c.combine(&mut lhs, &new, kinds, &mut scratch);
-        lhs.write(&mut acc.cols, at);
-    }
+    let n = acc.cols.first().map_or(0, ColBank::len);
+    c.combine_rows(
+        Some(&acc.cols),
+        &mut rhs.cols,
+        || std::iter::once((0, 0)),
+        n,
+    )?;
+    acc.cols = rhs.cols;
     Ok(())
 }
 
 /// Stitch two scanned chunks along scan axis `sd_pos`: the rhs chunk's
 /// every element combines with the lhs chunk's final slice (Listing 17's
 /// contiguous-split rule), then the chunks concatenate.
-fn stitch_scan(
-    lhs: Partial,
-    mut rhs: Partial,
-    sd_pos: usize,
-    c: &Combiner,
-    kinds: &[ScalarKind],
-) -> Result<Partial> {
+fn stitch_scan(lhs: Partial, mut rhs: Partial, sd_pos: usize, c: &Combiner) -> Result<Partial> {
     let same_cross_section = lhs.extents.len() == rhs.extents.len()
         && (0..lhs.extents.len()).all(|d| d == sd_pos || lhs.extents[d] == rhs.extents[d]);
     if !same_cross_section {
@@ -862,21 +908,14 @@ fn stitch_scan(
     let (outer, l_sd, stride) = axis_split(&lhs.extents, sd_pos);
     let r_sd = rhs.extents[sd_pos];
     if l_sd > 0 {
-        // offset every rhs element, front to back, by lhs's last slice
-        let mut scratch = c.scratch();
-        let (mut acc, mut new) = (Acc::new(kinds.len()), Acc::new(kinds.len()));
-        for o in 0..outer {
-            let last = ((o + 1) * l_sd - 1) * stride;
-            for s in 0..r_sd {
-                for t in 0..stride {
-                    let at = (o * r_sd + s) * stride + t;
-                    acc.read(&lhs.cols, last + t);
-                    new.read(&rhs.cols, at);
-                    c.combine(&mut acc, &new, kinds, &mut scratch);
-                    acc.write(&mut rhs.cols, at);
-                }
-            }
-        }
+        // offset every rhs slice, front to back, by lhs's last slice
+        let rows = || {
+            (0..outer).flat_map(move |o| {
+                let last = ((o + 1) * l_sd - 1) * stride;
+                (0..r_sd).map(move |s| (last, (o * r_sd + s) * stride))
+            })
+        };
+        c.combine_rows(Some(&lhs.cols), &mut rhs.cols, rows, stride)?;
     }
     // concatenate along sd_pos: per outer index, lhs's slab then rhs's
     fn interleave<T: Copy>(l: &[T], r: &[T], outer: usize) -> Vec<T> {
@@ -1094,7 +1133,7 @@ mod tests {
     use mdh_core::buffer::bits_hash;
     use mdh_core::dsl::DslBuilder;
     use mdh_core::eval::evaluate_recursive;
-    use mdh_core::expr::{BinOp, Expr, ScalarFunction, Stmt};
+    use mdh_core::expr::{BinOp, Expr, MathFn, ScalarFunction, Stmt};
     use mdh_core::index_fn::{AffineExpr, IndexFn};
     use mdh_core::shape::Shape;
     use mdh_core::types::BasicType;
@@ -1395,58 +1434,60 @@ mod tests {
         assert_matches_reference(&prog, &inputs, &[&[1, 1], &[1, 2]]);
     }
 
+    /// `y = x` under `ops`, every buffer of `kind`, the output indexed by
+    /// the dims `out` selects.
+    fn identity_case(
+        kind: ScalarKind,
+        sizes: &[usize],
+        ops: Vec<CombineOp>,
+        out: &[usize],
+    ) -> DslProgram {
+        let rank = sizes.len();
+        DslBuilder::new("typed", sizes.to_vec())
+            .out_buffer("y", kind.into())
+            .out_access("y", IndexFn::select(rank, out))
+            .inp_buffer("x", kind.into())
+            .inp_access("x", IndexFn::identity(rank, rank))
+            .scalar_function(ScalarFunction::identity("id", kind))
+            .combine_ops(ops)
+            .build()
+            .unwrap()
+    }
+
+    /// `identity_case` with an input filled by `filled`.
+    fn identity_with_input(
+        kind: ScalarKind,
+        sizes: &[usize],
+        ops: Vec<CombineOp>,
+        out: &[usize],
+        exact: bool,
+    ) -> (DslProgram, Vec<Buffer>) {
+        let x = filled("x", kind.into(), sizes.to_vec(), exact);
+        (identity_case(kind, sizes, ops, out), vec![x])
+    }
+
     /// MBBS-like: ps(add) over i, pw(add) over the blocked j.
     fn scan_fold_case(j: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
-        let i = 9;
-        let prog = DslBuilder::new("mbbs", vec![i, j])
-            .out_buffer("out", BasicType::F64)
-            .out_access("out", IndexFn::select(2, &[0]))
-            .inp_buffer("M", BasicType::F64)
-            .inp_access("M", IndexFn::identity(2, 2))
-            .scalar_function(ScalarFunction::identity(
-                "id",
-                mdh_core::types::ScalarKind::F64,
-            ))
-            .combine_ops(vec![CombineOp::ps_add(), CombineOp::pw_add()])
-            .build()
-            .unwrap();
-        (prog, vec![filled("M", BasicType::F64, vec![i, j], exact)])
+        let ops = vec![CombineOp::ps_add(), CombineOp::pw_add()];
+        identity_with_input(ScalarKind::F64, &[9, j], ops, &[0], exact)
     }
 
     /// A batch of scans: cc over b, ps(add) over the blocked i — lines
     /// are stored, not folded, and the scan axis has a stride.
     fn scan_lines_case(i: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
-        let b = 3;
-        let prog = DslBuilder::new("scans", vec![i, b])
-            .out_buffer("y", BasicType::F32)
-            .out_access("y", IndexFn::identity(2, 2))
-            .inp_buffer("x", BasicType::F32)
-            .inp_access("x", IndexFn::identity(2, 2))
-            .scalar_function(ScalarFunction::identity(
-                "id",
-                mdh_core::types::ScalarKind::F32,
-            ))
-            .combine_ops(vec![CombineOp::ps_add(), CombineOp::cc()])
-            .build()
-            .unwrap();
-        (prog, vec![filled("x", BasicType::F32, vec![i, b], exact)])
+        let ops = vec![CombineOp::ps_add(), CombineOp::cc()];
+        identity_with_input(ScalarKind::F32, &[i, 3], ops, &[0, 1], exact)
     }
 
     /// `ps(add)` over the blocked dimension itself.
     fn scan_1d_case(n: usize, exact: bool) -> (DslProgram, Vec<Buffer>) {
-        let prog = DslBuilder::new("scan", vec![n])
-            .out_buffer("y", BasicType::F64)
-            .out_access("y", IndexFn::identity(1, 1))
-            .inp_buffer("x", BasicType::F64)
-            .inp_access("x", IndexFn::identity(1, 1))
-            .scalar_function(ScalarFunction::identity(
-                "id",
-                mdh_core::types::ScalarKind::F64,
-            ))
-            .combine_ops(vec![CombineOp::ps_add()])
-            .build()
-            .unwrap();
-        (prog, vec![filled("x", BasicType::F64, vec![n], exact)])
+        identity_with_input(
+            ScalarKind::F64,
+            &[n],
+            vec![CombineOp::ps_add()],
+            &[0],
+            exact,
+        )
     }
 
     #[test]
@@ -1455,6 +1496,115 @@ mod tests {
         sweep(scan_fold_case, &[&[1, 1], &[3, 1]]);
         sweep(scan_lines_case, &[&[1, 1], &[3, 1], &[2, 3]]);
         sweep(scan_1d_case, &[&[1], &[3]]);
+    }
+
+    /// `res = lhs ⊗ rhs` as a combine function: builtin `op`'s operator,
+    /// run through the per-tuple `Combiner::Vm` path.
+    fn as_function(op: BuiltinReduce, kind: ScalarKind) -> PwFunc {
+        let res = |value| {
+            vec![Stmt::Assign {
+                name: "res".into(),
+                value,
+            }]
+        };
+        let body = match op {
+            BuiltinReduce::Add => res(Expr::add(Expr::Param(0), Expr::Param(1))),
+            BuiltinReduce::Max if kind.is_float() => res(Expr::Call(
+                MathFn::Max,
+                vec![Expr::Param(0), Expr::Param(1)],
+            )),
+            BuiltinReduce::Max => vec![Stmt::If {
+                cond: Expr::Bin(
+                    BinOp::Ge,
+                    Box::new(Expr::Param(0)),
+                    Box::new(Expr::Param(1)),
+                ),
+                then_branch: res(Expr::Param(0)),
+                else_branch: res(Expr::Param(1)),
+            }],
+            _ => unimplemented!("the operators under test"),
+        };
+        PwFunc::custom(ScalarFunction {
+            name: format!("{op}_fn"),
+            params: vec![("lhs".into(), kind.into()), ("rhs".into(), kind.into())],
+            results: vec![("res".into(), kind.into())],
+            body,
+        })
+        .unwrap()
+    }
+
+    /// Builtin combines run as one typed loop per partial column; the same
+    /// operator written as a combine function steps one tuple at a time.
+    /// `ps(add)` and `ps(max)` over f64 and i64 along a strided and a unit
+    /// scan axis (the local scan, and the stitch once split), and a split
+    /// f64 `pw(add)` (the group combine), each at 1 / 2 / 4 chunks, on
+    /// inexact data, on `-0.0`, and with a NaN: the same bits either way.
+    #[test]
+    fn builtin_combines_equal_the_same_operator_as_a_combine_function() {
+        type Fill = (&'static str, fn(&mut Buffer));
+        let fills: [Fill; 3] = [
+            ("inexact", |_| {}),
+            ("-0.0", |b| b.fill_with(|_| -0.0)),
+            ("NaN", |b| {
+                if let Some(v) = b.as_f64_mut() {
+                    v[7] = f64::NAN;
+                }
+            }),
+        ];
+        let mut cases = 0;
+        for kind in [ScalarKind::F64, ScalarKind::I64] {
+            for op in [BuiltinReduce::Add, BuiltinReduce::Max] {
+                let scans: [(&[usize], &[usize]); 2] = [(&[19, 3], &[0, 1]), (&[37], &[0])];
+                for (sizes, out) in scans {
+                    let ops = |f: PwFunc| {
+                        let cc = std::iter::repeat_n(CombineOp::cc(), sizes.len() - 1);
+                        std::iter::once(CombineOp::Ps(f)).chain(cc).collect()
+                    };
+                    let builtin = identity_case(kind, sizes, ops(PwFunc::builtin(op)), out);
+                    let function = identity_case(kind, sizes, ops(as_function(op, kind)), out);
+                    for (fill, alter) in fills.iter().take(if kind.is_float() { 3 } else { 1 }) {
+                        let mut x = filled("x", kind.into(), sizes.to_vec(), false);
+                        alter(&mut x);
+                        for chunks in [1, 2, 4] {
+                            let mut par = vec![1; sizes.len()];
+                            par[0] = chunks;
+                            let run = |p| bits_hash(&run_at(p, &[x.clone()], &par, 2).unwrap());
+                            let at = format!("ps({op}) {kind} {sizes:?} {fill} chunks={chunks}");
+                            assert_eq!(run(&builtin), run(&function), "{at}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let kind = ScalarKind::F64;
+        let ops = |f| vec![CombineOp::cc(), CombineOp::Pw(f)];
+        let builtin = identity_case(
+            kind,
+            &[5, 37],
+            ops(PwFunc::builtin(BuiltinReduce::Add)),
+            &[0],
+        );
+        let function = identity_case(
+            kind,
+            &[5, 37],
+            ops(as_function(BuiltinReduce::Add, kind)),
+            &[0],
+        );
+        for (fill, alter) in &fills {
+            let mut x = filled("x", kind.into(), vec![5, 37], false);
+            alter(&mut x);
+            for chunks in [1, 2, 4] {
+                let run = |p| bits_hash(&run_at(p, &[x.clone()], &[1, chunks], 2).unwrap());
+                assert_eq!(
+                    run(&builtin),
+                    run(&function),
+                    "pw(add) {fill} chunks={chunks}"
+                );
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, (2 * 2 * 3 + 2 * 2) * 3 + 3 * 3);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The fast kernels promise: for any eligible program and any FIXED
 //! execution plan, their output is bitwise equal to `vm_exec` on that
 //! same plan, at every pool width. This harness generates random affine
-//! `cc`/`pw` contraction programs (including reduction-free products:
-//! the AD adjoint shapes), and random weighted-sum map programs
+//! `cc`/`pw` contraction programs over f32 and over f64 (including
+//! reduction-free products: the AD adjoint shapes), and random
+//! weighted-sum map programs
 //! (including sums under one literal scale: Jacobi1D's shape) — with
 //! deliberately inexact (non-binary-float) fills, so any fold-order
 //! deviation must surface as a bit difference — and checks the kernel
@@ -39,6 +40,9 @@ fn bits_eq(a: &[Buffer], b: &[Buffer]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| match (&x.data, &y.data) {
             (BufferData::F32(p), BufferData::F32(q)) => {
+                p.len() == q.len() && p.iter().zip(q).all(|(s, t)| s.to_bits() == t.to_bits())
+            }
+            (BufferData::F64(p), BufferData::F64(q)) => {
                 p.len() == q.len() && p.iter().zip(q).all(|(s, t)| s.to_bits() == t.to_bits())
             }
             (p, q) => p == q,
@@ -141,6 +145,28 @@ struct ContractionCase {
     salt: usize,
 }
 
+impl ContractionCase {
+    /// The case rearranged for the blocked nest, where the accumulates
+    /// run: with rank 3 the last dim is the only reduced one, and of the
+    /// two preserved dims `x0` moves alone on the first and `x1` alone on
+    /// the second — a MatMul under whatever strides were drawn. The
+    /// random draw reaches that nest in few cases.
+    fn blocked(mut self) -> ContractionCase {
+        if self.sizes.len() != 3 {
+            return self;
+        }
+        self.pw_mask = 0b100;
+        for (acc, own, other) in [(&mut self.acc0, 0, 1), (&mut self.acc1, 1, 0)] {
+            for (coeffs, _) in &mut acc.exprs {
+                coeffs[other] = 0;
+            }
+            let c = &mut acc.exprs[0].0[own];
+            *c = (*c).max(1);
+        }
+        self
+    }
+}
+
 /// `fast/contraction.rs`'s K block (`KC`, crate-private): the generator
 /// must reach past it, so a change there belongs here too.
 const K_BLOCK: usize = 256;
@@ -191,7 +217,8 @@ fn contraction_case() -> impl Strategy<Value = ContractionCase> {
         )
 }
 
-fn build_contraction(case: &ContractionCase) -> DslProgram {
+/// `res = Σ x0 * x1` with every buffer of element type `elem`.
+fn build_contraction(case: &ContractionCase, elem: ScalarKind) -> DslProgram {
     let rank = case.sizes.len();
     let ops: Vec<CombineOp> = (0..rank)
         .map(|d| {
@@ -205,20 +232,20 @@ fn build_contraction(case: &ContractionCase) -> DslProgram {
     let preserved: Vec<usize> = (0..rank).filter(|d| case.pw_mask >> d & 1 == 0).collect();
     let mut b = DslBuilder::new("rand_contraction", case.sizes.clone());
     b = if preserved.is_empty() {
-        b.out_buffer_with_shape("res", BasicType::F32, vec![1])
+        b.out_buffer_with_shape("res", elem.into(), vec![1])
             .out_access(
                 "res",
                 IndexFn::affine(vec![AffineExpr::new(vec![0; rank], 0)]),
             )
     } else {
-        b.out_buffer("res", BasicType::F32)
+        b.out_buffer("res", elem.into())
             .out_access("res", IndexFn::select(rank, &preserved))
     };
-    b.inp_buffer("x0", BasicType::F32)
+    b.inp_buffer("x0", elem.into())
         .inp_access("x0", case.acc0.index_fn())
-        .inp_buffer("x1", BasicType::F32)
+        .inp_buffer("x1", elem.into())
         .inp_access("x1", case.acc1.index_fn())
-        .scalar_function(ScalarFunction::mul2("f_mul", ScalarKind::F32))
+        .scalar_function(ScalarFunction::mul2("f_mul", elem))
         .combine_ops(ops)
         .build()
         .expect("valid random contraction")
@@ -339,7 +366,8 @@ fn build_map(case: &MapCase) -> DslProgram {
         .expect("valid random map")
 }
 
-/// Build inputs sized for the accesses, fill inexactly.
+/// Build inputs sized for the accesses, of their declared element type,
+/// fill inexactly.
 fn build_inputs(
     prog: &DslProgram,
     accs: &[&RandAccess],
@@ -352,7 +380,7 @@ fn build_inputs(
             let decl = &prog.inp_view.buffers[i];
             let mut buf = Buffer::zeros(
                 decl.name.clone(),
-                BasicType::F32,
+                decl.ty.clone(),
                 Shape::new(acc.buffer_shape(sizes)),
             );
             inexact_fill(&mut buf, salt.wrapping_add(i * 97));
@@ -406,7 +434,22 @@ proptest! {
 
     #[test]
     fn random_contractions_bit_identical_to_vm(case in contraction_case()) {
-        let prog = build_contraction(&case);
+        let prog = build_contraction(&case, ScalarKind::F32);
+        let inputs = build_inputs(&prog, &[&case.acc0, &case.acc1], &case.sizes, case.salt);
+        let plan = build_plan(&prog, &case.chunks, &case.tiles);
+        assert_fast_matches_vm(&prog, &plan, &inputs);
+    }
+
+    /// f64 products of this fill round: an accumulate that fused one
+    /// would move bits the f32 generator cannot see. Half the cases are
+    /// steered into the blocked nest.
+    #[test]
+    fn random_f64_contractions_bit_identical_to_vm(
+        case in contraction_case(),
+        blocked in any::<bool>(),
+    ) {
+        let case = if blocked { case.blocked() } else { case };
+        let prog = build_contraction(&case, ScalarKind::F64);
         let inputs = build_inputs(&prog, &[&case.acc0, &case.acc1], &case.sizes, case.salt);
         let plan = build_plan(&prog, &case.chunks, &case.tiles);
         assert_fast_matches_vm(&prog, &plan, &inputs);
@@ -447,10 +490,12 @@ fn adjoint_product_shapes_bit_identical_to_vm() {
             chunks: vec![2; rank],
             salt: 7,
         };
-        let prog = build_contraction(&case);
-        let inputs = build_inputs(&prog, &[&case.acc0, &case.acc1], &case.sizes, case.salt);
-        let plan = build_plan(&prog, &case.chunks, &case.tiles);
-        assert_fast_matches_vm(&prog, &plan, &inputs);
+        for elem in [ScalarKind::F32, ScalarKind::F64] {
+            let prog = build_contraction(&case, elem);
+            let inputs = build_inputs(&prog, &[&case.acc0, &case.acc1], &case.sizes, case.salt);
+            let plan = build_plan(&prog, &case.chunks, &case.tiles);
+            assert_fast_matches_vm(&prog, &plan, &inputs);
+        }
     }
 }
 

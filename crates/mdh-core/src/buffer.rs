@@ -517,6 +517,13 @@ impl Buffer {
         }
     }
 
+    pub fn as_f64_mut(&mut self) -> Option<&mut [f64]> {
+        match &mut self.data {
+            BufferData::F64(v) => Some(v),
+            _ => None,
+        }
+    }
+
     pub fn as_i64(&self) -> Option<&[i64]> {
         match &self.data {
             BufferData::I64(v) => Some(v),
