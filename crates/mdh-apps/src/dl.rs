@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn mcc_matches_vendor_conv() {
         let app = mcc(Scale::Small, 2).unwrap();
-        let vendor = mdh_baselines::vendor::VendorCpu::new(2);
+        let vendor = mdh_baselines::vendor::VendorCpu::new(2).unwrap();
         let (vout, _) = vendor
             .run(app.vendor_op.as_ref().unwrap(), &app.inputs)
             .unwrap();

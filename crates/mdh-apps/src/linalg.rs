@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn vendor_ops_match_programs() {
         let app = matmul(Scale::Small, 1).unwrap();
-        let vendor = mdh_baselines::vendor::VendorCpu::new(2);
+        let vendor = mdh_baselines::vendor::VendorCpu::new(2).unwrap();
         let (vout, _) = vendor
             .run(app.vendor_op.as_ref().unwrap(), &app.inputs)
             .unwrap();
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn vendor_matmul_t_matches_program() {
         let app = matmul_t(Scale::Small, 1).unwrap();
-        let vendor = mdh_baselines::vendor::VendorCpu::new(2);
+        let vendor = mdh_baselines::vendor::VendorCpu::new(2).unwrap();
         let (vout, _) = vendor
             .run(app.vendor_op.as_ref().unwrap(), &app.inputs)
             .unwrap();

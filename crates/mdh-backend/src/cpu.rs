@@ -1,6 +1,7 @@
 //! The parallel CPU executor.
 //!
-//! Routes a scheduled program to one of three paths, decided once per run:
+//! Runs a scheduled program on one of three paths, chosen by a [`Route`]
+//! built once from the program:
 //!
 //! 1. `Fast` — the tiled, vectorized kernels [`fast::classify`] admits
 //!    (f32 and f64 two-factor products, f32 weighted sums),
@@ -11,8 +12,10 @@
 //!    lands,
 //! 3. `Reference` — the sequential reference evaluator (always correct).
 //!
-//! `Fast` is bit-identical to `Vm` on the same plan — there is one fold
-//! order, the VM's. All paths implement the same decomposition
+//! The runtime keeps one route per cached plan and runs it on every hit
+//! ([`CpuExecutor::run_routed`]); [`CpuExecutor::run_planned`] routes
+//! per call. `Fast` is bit-identical to `Vm` on the same plan — there is
+//! one fold order, the VM's. All paths implement the same decomposition
 //! semantics, so they agree with `mdh_core::eval::evaluate_recursive` up
 //! to the reassociation the plan's reduction splits introduce.
 
@@ -25,6 +28,7 @@ use mdh_core::error::{MdhError, Result};
 use mdh_core::eval;
 use mdh_lowering::plan::ExecutionPlan;
 use mdh_lowering::schedule::Schedule;
+use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Which execution path ran (exposed for tests and reports).
@@ -36,14 +40,64 @@ pub enum ExecPath {
     Reference,
 }
 
-/// A routing decision; `Fast` carries the kernel `fast::classify` built
-/// and `Vm` what `vm_exec::classify` compiled, so a run never classifies
-/// — or compiles — twice.
-#[allow(clippy::large_enum_variant)] // built, matched and dropped within one run
-enum Route {
+/// How a program runs, decided from the program alone: the kernel
+/// [`fast::classify`] built, or the scalar and combine functions
+/// `vm_exec::classify` compiled, or the reference evaluator — each slower
+/// path with the reason the faster one declined. Any program with the
+/// same structure and sizes (the runtime's plan key) runs on it.
+pub struct Route(Kind);
+
+#[allow(clippy::large_enum_variant)] // one per cached plan
+enum Kind {
     Fast(FastKernel),
-    Vm(CompiledSf, Mode),
-    Reference,
+    Vm {
+        sf: CompiledSf,
+        mode: Mode,
+        why_not_fast: String,
+    },
+    Reference {
+        why_not_vm: String,
+    },
+}
+
+impl Route {
+    /// Classify `prog` and compile what its path runs.
+    pub fn of(prog: &DslProgram) -> Route {
+        let why_not_fast = match fast::classify(prog) {
+            Ok(kernel) => return Route(Kind::Fast(kernel)),
+            Err(reason) => reason,
+        };
+        Route(match vm_exec::classify(prog) {
+            Ok((sf, mode)) => Kind::Vm {
+                sf,
+                mode,
+                why_not_fast,
+            },
+            Err(e) => Kind::Reference {
+                why_not_vm: e.to_string(),
+            },
+        })
+    }
+
+    /// The path a run takes, unless a fast kernel declines at run time.
+    pub fn path(&self) -> ExecPath {
+        match self.0 {
+            Kind::Fast(_) => ExecPath::Fast,
+            Kind::Vm { .. } => ExecPath::Vm,
+            Kind::Reference { .. } => ExecPath::Reference,
+        }
+    }
+}
+
+/// `fast`, `vm: <why not fast>` or `reference: <why not the VM>`.
+impl fmt::Display for Route {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Kind::Fast(_) => f.write_str("fast"),
+            Kind::Vm { why_not_fast, .. } => write!(f, "vm: {why_not_fast}"),
+            Kind::Reference { why_not_vm } => write!(f, "reference: {why_not_vm}"),
+        }
+    }
 }
 
 /// A thread-pooled CPU executor.
@@ -101,23 +155,9 @@ impl CpuExecutor {
         }
     }
 
-    fn route(&self, prog: &DslProgram) -> Route {
-        if let Ok(kernel) = fast::classify(prog) {
-            return Route::Fast(kernel);
-        }
-        match vm_exec::classify(prog) {
-            Ok((sf, mode)) => Route::Vm(sf, mode),
-            Err(_) => Route::Reference,
-        }
-    }
-
     /// Which path `run` would take for this program.
     pub fn path_for(&self, prog: &DslProgram) -> ExecPath {
-        match self.route(prog) {
-            Route::Fast(_) => ExecPath::Fast,
-            Route::Vm(..) => ExecPath::Vm,
-            Route::Reference => ExecPath::Reference,
-        }
+        Route::of(prog).path()
     }
 
     /// Execute the program under the given schedule.
@@ -134,9 +174,9 @@ impl CpuExecutor {
     }
 
     /// Execute with an already-lowered plan, skipping program/schedule
-    /// validation and plan construction. The caller (e.g. the runtime's
-    /// plan cache) guarantees `plan` was built from `(prog, schedule)`;
-    /// only the per-request inputs are re-checked.
+    /// validation and plan construction. The caller guarantees `plan` was
+    /// built from `(prog, schedule)`; only the per-request inputs are
+    /// re-checked.
     pub fn run_planned(
         &self,
         prog: &DslProgram,
@@ -144,11 +184,25 @@ impl CpuExecutor {
         plan: &ExecutionPlan,
         inputs: &[Buffer],
     ) -> Result<Vec<Buffer>> {
+        self.run_routed(prog, &Route::of(prog), plan, inputs)
+    }
+
+    /// [`CpuExecutor::run_planned`] on a route built beforehand from a
+    /// program with `prog`'s structure and sizes: nothing is classified
+    /// or compiled, unless a fast kernel declines at run time and the run
+    /// falls back to the VM.
+    pub fn run_routed(
+        &self,
+        prog: &DslProgram,
+        route: &Route,
+        plan: &ExecutionPlan,
+        inputs: &[Buffer],
+    ) -> Result<Vec<Buffer>> {
         eval::check_inputs(prog, inputs)?;
         // every run either hits a kernel or counts as a fallback, so
         // hits/(hits+fallbacks) is fast-path coverage
-        match self.route(prog) {
-            Route::Fast(kernel) => {
+        match &route.0 {
+            Kind::Fast(kernel) => {
                 let pool = self.pool_for(plan);
                 if let Some(outs) = kernel.run(prog, plan, inputs, &pool)? {
                     fast::registry().record_hit();
@@ -158,11 +212,11 @@ impl CpuExecutor {
                 fast::registry().record_fallback();
                 vm_exec::run(prog, plan, inputs, &pool)
             }
-            Route::Vm(sf, mode) => {
+            Kind::Vm { sf, mode, .. } => {
                 fast::registry().record_fallback();
-                vm_exec::run_classified(prog, &sf, &mode, plan, inputs, &self.pool_for(plan))
+                vm_exec::run_classified(prog, sf, mode, plan, inputs, &self.pool_for(plan))
             }
-            Route::Reference => {
+            Kind::Reference { .. } => {
                 fast::registry().record_fallback();
                 eval::evaluate_recursive(prog, inputs)
             }

@@ -1,9 +1,8 @@
 //! Process-wide fast-path traffic counters.
 //!
-//! A [`FastKernel`](crate::fast::FastKernel) depends on the program
-//! alone — not on sizes, tiles, or the plan — and classifying one is
-//! cheaper than building any key to cache it under, so there is no
-//! kernel cache: `CpuExecutor` classifies once per run. What is shared
+//! A [`FastKernel`](crate::fast::FastKernel) is held by the
+//! [`Route`](crate::cpu::Route) built for a program — by the runtime once
+//! per cached plan — so this is no kernel cache. What is shared
 //! process-wide is the hit/fallback accounting that feeds `RuntimeStats`.
 
 use std::sync::atomic::{AtomicU64, Ordering};

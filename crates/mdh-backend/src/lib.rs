@@ -18,14 +18,12 @@ pub mod cpu_model;
 pub mod fast;
 pub mod gpu;
 pub mod offsets;
-pub mod pipeline;
 pub mod transfer;
 pub mod vm;
 pub mod vm_exec;
 
-pub use cpu::{CpuExecutor, ExecPath};
+pub use cpu::{CpuExecutor, ExecPath, Route};
 pub use cpu_model::{estimate_cpu, CpuParams, CpuReport};
 pub use fast::{FastKernel, FastRegistry};
 pub use gpu::{GpuReport, GpuSim};
-pub use pipeline::{Pipeline, Source, Stage};
-pub use transfer::{DeviceDataRegion, LinkParams};
+pub use transfer::LinkParams;

@@ -1,17 +1,15 @@
 //! Host↔device data movement (the `acc data copyin/copyout` clauses of
-//! Listing 3) and buffer residency.
+//! Listing 3).
 //!
 //! The paper's GPU measurements exclude one-time transfers, but its
 //! auto-tuning discussion (Section 5's footnote on amortisation) depends
 //! on the fact that kernels are re-executed against *resident* device
-//! buffers. This module models both: a PCIe-class link with latency and
-//! bandwidth, and a [`DeviceDataRegion`] that tracks which buffers are
-//! resident so repeated launches pay transfers only once — exactly what
-//! `#pragma acc data` regions express.
+//! buffers. This module models a PCIe-class link with latency and
+//! bandwidth, and the cost of one launch with or without its operands
+//! resident — what `#pragma acc data` regions express.
 
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
-use std::collections::HashSet;
 
 /// Transfer-link constants (PCIe 4.0 x16-class, as on the paper's
 /// A100-PCIE-40GB).
@@ -47,44 +45,6 @@ impl LinkParams {
 /// Cost of moving `bytes` across the link.
 pub fn transfer_ms(link: &LinkParams, bytes: usize) -> f64 {
     link.latency_us / 1e3 + bytes as f64 / (link.bandwidth_gib_s * (1u64 << 30) as f64) * 1e3
-}
-
-/// An `acc data`-style region: tracks device residency across kernel
-/// launches so transfer costs amortise.
-#[derive(Debug, Clone)]
-pub struct DeviceDataRegion {
-    link: LinkParams,
-    resident: HashSet<String>,
-}
-
-impl DeviceDataRegion {
-    pub fn new(link: LinkParams) -> DeviceDataRegion {
-        DeviceDataRegion {
-            link,
-            resident: HashSet::new(),
-        }
-    }
-
-    /// `copyin`: move a buffer to the device unless already resident.
-    /// Returns the transfer cost in milliseconds (0 when cached).
-    pub fn copyin(&mut self, buf: &Buffer) -> f64 {
-        if self.resident.contains(&buf.name) {
-            return 0.0;
-        }
-        self.resident.insert(buf.name.clone());
-        transfer_ms(&self.link, buf.size_bytes())
-    }
-
-    /// `copyout`: move a result back to the host (always transfers — the
-    /// host needs the fresh values).
-    pub fn copyout(&self, bytes: usize) -> f64 {
-        transfer_ms(&self.link, bytes)
-    }
-
-    /// Invalidate a host-updated buffer (it must be re-copied next use).
-    pub fn invalidate(&mut self, name: &str) {
-        self.resident.remove(name);
-    }
 }
 
 /// Transfer cost of one launch of `prog`: copyin of every input unless
@@ -169,17 +129,6 @@ mod tests {
         assert!(first > second, "first {first} ms, second {second} ms");
         // the second launch pays only the copyout of w (4 KiB)
         assert_eq!(second, transfer_ms(&link, 4096));
-    }
-
-    #[test]
-    fn invalidation_forces_recopy() {
-        let m = Buffer::zeros("M", BasicType::F32, Shape::new(vec![64, 64]));
-        let mut region = DeviceDataRegion::new(LinkParams::pcie4_x16());
-        let cold = region.copyin(&m);
-        assert!(cold > 0.0);
-        assert_eq!(region.copyin(&m), 0.0, "resident buffers are free");
-        region.invalidate("M");
-        assert_eq!(region.copyin(&m), cold, "M copied again after invalidation");
     }
 
     #[test]

@@ -507,8 +507,8 @@ fn derive_mode(prog: &DslProgram, kinds: &[ScalarKind]) -> Result<Mode> {
 
 /// Whether this program can run through the VM path at all — and if so
 /// everything a run compiles: its scalar function and, inside the mode,
-/// its combine functions. The executor's routing keeps the pair for the
-/// run, so nothing is compiled twice.
+/// its combine functions. The executor's [`Route`](crate::cpu::Route)
+/// keeps the pair, so nothing is compiled per run.
 pub(crate) fn classify(prog: &DslProgram) -> Result<(CompiledSf, Mode)> {
     let affine = |view: &mdh_core::views::View| {
         view.accesses

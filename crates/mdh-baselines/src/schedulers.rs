@@ -78,17 +78,15 @@ impl Baseline for OpenMpLike {
         if let Some(&d0) = cc.first() {
             // parallel for on the outermost cc loop only
             s.par_chunks[d0] = self.threads.min(sizes[d0]).max(1);
-        } else if cap::has_reduction(prog) && native {
+        } else if native {
             // `parallel for reduction(+ : acc)` — OpenMP can split native
             // reductions across threads
             let dims = prog.md_hom.reduction_dims();
-            let d = *dims
-                .iter()
-                .max_by_key(|&&d| sizes[d])
-                .expect("reduction dims nonempty");
-            s.par_chunks[d] = self.threads.min(sizes[d]).max(1);
-            if s.par_chunks[d] > 1 {
-                s.reduction = ReductionStrategy::Tree;
+            if let Some(&d) = dims.iter().max_by_key(|&&d| sizes[d]) {
+                s.par_chunks[d] = self.threads.min(sizes[d]).max(1);
+                if s.par_chunks[d] > 1 {
+                    s.reduction = ReductionStrategy::Tree;
+                }
             }
         }
         // SIMD (Listing 2's `omp simd reduction(+:sum)` line): native
@@ -162,19 +160,14 @@ impl Baseline for OpenAccLike {
             _ => {
                 // reduction-only kernels: `loop reduction(...)` for native
                 // operators only
-                if cap::has_reduction(prog)
-                    && cap::all_reductions_native(prog)
-                    && !cap::has_prefix_sum(prog)
-                {
+                if cap::all_reductions_native(prog) && !cap::has_prefix_sum(prog) {
                     let dims = prog.md_hom.reduction_dims();
-                    let d = *dims
-                        .iter()
-                        .max_by_key(|&&d| sizes[d])
-                        .expect("reduction dims nonempty");
-                    s.block_threads[d] = 256.min(sizes[d]).max(1);
-                    s.par_chunks[d] = (sizes[d] / (256 * 64)).clamp(1, 864);
-                    if s.par_chunks[d] > 1 || s.block_threads[d] > 1 {
-                        s.reduction = ReductionStrategy::Tree;
+                    if let Some(&d) = dims.iter().max_by_key(|&&d| sizes[d]) {
+                        s.block_threads[d] = 256.min(sizes[d]).max(1);
+                        s.par_chunks[d] = (sizes[d] / (256 * 64)).clamp(1, 864);
+                        if s.par_chunks[d] > 1 || s.block_threads[d] > 1 {
+                            s.reduction = ReductionStrategy::Tree;
+                        }
                     }
                 }
             }
@@ -364,13 +357,11 @@ impl Baseline for NumbaLike {
             s.par_chunks[d0] = self.threads.min(sizes[d0]).max(1);
         } else if cap::numba_auto_parallelizable_reduction(prog) {
             let dims = prog.md_hom.reduction_dims();
-            let d = *dims
-                .iter()
-                .max_by_key(|&&d| sizes[d])
-                .expect("reduction dims nonempty");
-            s.par_chunks[d] = self.threads.min(sizes[d]).max(1);
-            if s.par_chunks[d] > 1 {
-                s.reduction = ReductionStrategy::Tree;
+            if let Some(&d) = dims.iter().max_by_key(|&&d| sizes[d]) {
+                s.par_chunks[d] = self.threads.min(sizes[d]).max(1);
+                if s.par_chunks[d] > 1 {
+                    s.reduction = ReductionStrategy::Tree;
+                }
             }
         }
         // LLVM auto-vectorises straightforward bodies with native

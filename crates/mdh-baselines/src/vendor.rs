@@ -22,6 +22,7 @@
 
 use mdh_backend::cpu_model::CpuParams;
 use mdh_core::buffer::Buffer;
+use mdh_core::error::{MdhError, Result};
 use mdh_core::shape::Shape;
 use mdh_lowering::asm::GpuParams;
 use rayon::prelude::*;
@@ -120,13 +121,12 @@ pub struct VendorCpu {
 }
 
 impl VendorCpu {
-    pub fn new(threads: usize) -> VendorCpu {
-        VendorCpu {
-            pool: rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("vendor pool"),
-        }
+    pub fn new(threads: usize) -> Result<VendorCpu> {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .map_err(|e| MdhError::Validation(format!("thread pool: {e}")))?;
+        Ok(VendorCpu { pool })
     }
 
     pub fn dot(&self, x: &[f32], y: &[f32]) -> f32 {
@@ -449,7 +449,7 @@ mod tests {
     use super::*;
 
     fn cpu() -> VendorCpu {
-        VendorCpu::new(2)
+        VendorCpu::new(2).unwrap()
     }
 
     #[test]

@@ -249,27 +249,28 @@ pub fn run_cpu_study(app: &AppInstance, cfg: &HarnessConfig, timing: CpuTiming) 
     {
         let outcome = match (&app.vendor_op, timing) {
             (Some(op), CpuTiming::Model) => Ok(VendorCpuModel::xeon_gold_6140().estimate_ms(op)),
-            (Some(op), CpuTiming::Measured) => {
-                let vendor = VendorCpu::new(cfg.threads);
-                let mut err = None;
-                let m = stats::measure_until_ci(
-                    || match vendor.run(op, &app.inputs) {
-                        Some((_, d)) => d.as_secs_f64(),
-                        None => {
-                            err = Some("unsupported input type".to_string());
-                            f64::INFINITY
-                        }
-                    },
-                    0.99,
-                    0.05,
-                    cfg.reps.max(2),
-                    (cfg.reps * 8).max(4),
-                );
-                match err {
-                    Some(e) => Err(e),
-                    None => Ok(m.mean),
-                }
-            }
+            (Some(op), CpuTiming::Measured) => VendorCpu::new(cfg.threads)
+                .map_err(|e| e.to_string())
+                .and_then(|vendor| {
+                    let mut err = None;
+                    let m = stats::measure_until_ci(
+                        || match vendor.run(op, &app.inputs) {
+                            Some((_, d)) => d.as_secs_f64(),
+                            None => {
+                                err = Some("unsupported input type".to_string());
+                                f64::INFINITY
+                            }
+                        },
+                        0.99,
+                        0.05,
+                        cfg.reps.max(2),
+                        (cfg.reps * 8).max(4),
+                    );
+                    match err {
+                        Some(e) => Err(e),
+                        None => Ok(m.mean),
+                    }
+                }),
             (None, _) => Err("operation not covered by oneMKL/oneDNN".into()),
         };
         results.push(SystemResult {

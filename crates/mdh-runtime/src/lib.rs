@@ -33,7 +33,9 @@ mod sync;
 mod transport;
 
 pub use client::Client;
-pub use plan_cache::{structural_signature, CompiledPlan, PlanCache, PlanKey, PlanSource};
+pub use plan_cache::{
+    structural_signature, CachedPlan, CompiledPlan, PlanCache, PlanKey, PlanSource,
+};
 pub use runtime::{
     GradHandle, GradResponse, Handle, Operands, Request, Response, Runtime, RuntimeConfig,
     TunePolicy, DEFAULT_TENANT,

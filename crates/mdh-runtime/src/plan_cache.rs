@@ -2,18 +2,19 @@
 //!
 //! A serving runtime sees the same few kernels over and over (the paper's
 //! deep-learning argument: one MatMul signature per layer shape, reused
-//! for millions of launches). Lowering — schedule validation + task
-//! decomposition via [`ExecutionPlan::build`] — is cheap per call but not
-//! free, and it sits on the latency path of every launch. This cache
-//! stores the fully-lowered plan keyed by *what the kernel computes*, not
-//! what the user called it:
+//! for millions of launches). Lowering — task decomposition via
+//! [`ExecutionPlan::build`] — and routing — classifying the program and
+//! compiling its scalar and combine functions ([`Route::of`]) — are cheap
+//! per call but not free, and they would sit on the latency path of every
+//! launch. This cache stores the fully-lowered plan and its route, keyed
+//! by *what the kernel computes*, not what the user called it:
 //!
 //! * the **structural signature** ([`structural_signature`]): combine
-//!   operators, access index functions, buffer types, and the scalar
-//!   function body — with buffer-derived identifiers renamed away, so two
+//!   operators with the bodies of custom combine functions, access index
+//!   functions, buffer types with record fields, and the scalar function
+//!   body — with buffer-derived identifiers renamed away, so two
 //!   directives differing only in program/buffer names share an entry
-//!   while any difference in combine operators (the reduction semantics)
-//!   keys a distinct entry;
+//!   while any difference in what the route reads keys a distinct entry;
 //! * the **shape class**: the iteration-space sizes (plans are
 //!   shape-specialised, as are tuned schedules);
 //! * the **backend** ([`DeviceKind`]).
@@ -22,13 +23,16 @@
 //! [`crate::stats::RuntimeStats`]. An entry never changes while it is
 //! cached.
 
+use mdh_backend::cpu::Route;
+use mdh_core::combine::PwKind;
 use mdh_core::dsl::DslProgram;
 use mdh_core::expr::{Expr, ScalarFunction, Stmt};
+use mdh_core::types::BasicType;
 use mdh_core::views::View;
 use mdh_lowering::asm::DeviceKind;
 use mdh_lowering::plan::ExecutionPlan;
 use mdh_lowering::schedule::Schedule;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -44,6 +48,8 @@ use std::sync::Arc;
 /// buffer-derived identifier: the directive front end names scalar-
 /// function parameters `arg_<buffer>_<i>` and results `res_<buffer>_<i>`,
 /// so those are renamed to positional `p<i>` / `r<i>` before rendering.
+/// A custom combine function's body is renamed the same way, so a
+/// builtin `pw(add)` and a custom function named `add` never share a key.
 /// Iteration-space sizes are deliberately *excluded* — they form the
 /// separate shape-class component of [`PlanKey`].
 pub fn structural_signature(prog: &DslProgram) -> String {
@@ -54,6 +60,11 @@ pub fn structural_signature(prog: &DslProgram) -> String {
             sig.push(',');
         }
         let _ = write!(sig, "{op}");
+        if let Some(PwKind::Custom(f)) = op.pw_func().map(|f| &f.kind) {
+            sig.push('{');
+            render_scalar_fn(&mut sig, f);
+            sig.push('}');
+        }
     }
     sig.push_str(";in=");
     render_view(&mut sig, &prog.inp_view);
@@ -72,11 +83,25 @@ fn render_view(out: &mut String, view: &View) {
             out.push('+');
         }
         let decl = &view.buffers[acc.buffer];
-        let _ = write!(out, "b{}:{}", acc.buffer, decl.ty);
+        let _ = write!(out, "b{}:", acc.buffer);
+        render_type(out, &decl.ty);
         if let Some(shape) = &decl.declared_shape {
             let _ = write!(out, "{shape:?}");
         }
         let _ = write!(out, "@{:?}", acc.index_fn);
+    }
+}
+
+/// A record type with its fields: a record's name alone does not fix the
+/// loads its fields compile to.
+fn render_type(out: &mut String, ty: &BasicType) {
+    match ty {
+        BasicType::Scalar(k) => {
+            let _ = write!(out, "{k}");
+        }
+        BasicType::Record(r) => {
+            let _ = write!(out, "{}{:?}", r.name, r.fields);
+        }
     }
 }
 
@@ -85,12 +110,14 @@ fn render_scalar_fn(out: &mut String, sf: &ScalarFunction) {
     let mut rename: HashMap<&str, String> = HashMap::new();
     for (i, (name, ty)) in sf.params.iter().enumerate() {
         rename.insert(name.as_str(), format!("p{i}"));
-        let _ = write!(out, "{ty},");
+        render_type(out, ty);
+        out.push(',');
     }
     out.push_str("->");
     for (i, (name, ty)) in sf.results.iter().enumerate() {
         rename.insert(name.as_str(), format!("r{i}"));
-        let _ = write!(out, "{ty},");
+        render_type(out, ty);
+        out.push(',');
     }
     let body: Vec<Stmt> = sf.body.iter().map(|s| rename_stmt(s, &rename)).collect();
     let _ = write!(out, "{body:?}");
@@ -198,7 +225,11 @@ pub struct CompiledPlan {
     /// The program the plan was lowered from (a representative: any
     /// program with the same [`PlanKey`] computes the same function).
     pub prog: DslProgram,
+    /// The schedule the key's device is priced by.
     pub schedule: Schedule,
+    /// The host plan a run executes: lowered from `schedule` on CPU, from
+    /// the host's default schedule for a GPU the simulator computes on the
+    /// host.
     pub plan: ExecutionPlan,
     pub source: PlanSource,
     /// Cost the tuning-cache file recorded for `schedule`; `None` for
@@ -209,16 +240,33 @@ pub struct CompiledPlan {
     pub epoch: u64,
 }
 
+/// A resident plan and the route every run of it takes.
+#[derive(Clone)]
+pub struct CachedPlan {
+    pub plan: Arc<CompiledPlan>,
+    pub route: Arc<Route>,
+}
+
+/// Route the plan's representative program.
+impl From<CompiledPlan> for CachedPlan {
+    fn from(plan: CompiledPlan) -> CachedPlan {
+        CachedPlan {
+            route: Arc::new(Route::of(&plan.prog)),
+            plan: Arc::new(plan),
+        }
+    }
+}
+
 struct CacheSlot {
-    plan: Arc<CompiledPlan>,
+    entry: CachedPlan,
     last_use: u64,
 }
 
 /// LRU cache of compiled plans with hit/miss/eviction counters.
 ///
 /// Not internally synchronised — the runtime wraps it in a `Mutex` (the
-/// critical sections are map operations; execution happens outside the
-/// lock on the `Arc`'d plan).
+/// critical sections are map operations; building and execution happen
+/// outside the lock).
 pub struct PlanCache {
     capacity: usize,
     slots: HashMap<PlanKey, CacheSlot>,
@@ -226,6 +274,9 @@ pub struct PlanCache {
     hits: u64,
     misses: u64,
     evictions: u64,
+    /// Keys whose plan a caller is building outside the lock; the runtime
+    /// makes other callers wait for it rather than build it again.
+    pub(crate) building: HashSet<PlanKey>,
 }
 
 impl PlanCache {
@@ -238,6 +289,7 @@ impl PlanCache {
             hits: 0,
             misses: 0,
             evictions: 0,
+            building: HashSet::new(),
         }
     }
 
@@ -275,14 +327,15 @@ impl PlanCache {
         }
     }
 
-    /// Look up a plan, counting a hit or miss and refreshing LRU order.
-    pub fn get(&mut self, key: &PlanKey) -> Option<Arc<CompiledPlan>> {
+    /// Look up a plan and its route, counting a hit or miss and
+    /// refreshing LRU order.
+    pub fn get(&mut self, key: &PlanKey) -> Option<CachedPlan> {
         self.tick += 1;
         match self.slots.get_mut(key) {
             Some(slot) => {
                 slot.last_use = self.tick;
                 self.hits += 1;
-                Some(Arc::clone(&slot.plan))
+                Some(slot.entry.clone())
             }
             None => {
                 self.misses += 1;
@@ -293,18 +346,47 @@ impl PlanCache {
 
     /// Peek without touching counters or LRU order (for tests/stats).
     pub fn peek(&self, key: &PlanKey) -> Option<Arc<CompiledPlan>> {
-        self.slots.get(key).map(|s| Arc::clone(&s.plan))
+        self.slots.get(key).map(|s| Arc::clone(&s.entry.plan))
+    }
+
+    /// Each resident plan's route: a label (device, representative
+    /// program name, sizes) mapped to `fast`, `vm: <reason>` or
+    /// `reference: <reason>`, sorted by label. Labels two structures share
+    /// are numbered.
+    pub fn routes(&self) -> Vec<(String, String)> {
+        let mut rows: Vec<(String, String)> = self
+            .slots
+            .iter()
+            .map(|(key, slot)| {
+                let device = key.device.to_string().to_lowercase();
+                let name = &slot.entry.plan.prog.name;
+                let sizes: Vec<String> = key.shape.iter().map(usize::to_string).collect();
+                let label = format!("{device} {name} {}", sizes.join("x"));
+                (label, slot.entry.route.to_string())
+            })
+            .collect();
+        rows.sort();
+        let mut seen: HashMap<String, usize> = HashMap::new();
+        for (label, _) in &mut rows {
+            let n = seen.entry(label.clone()).or_insert(0);
+            *n += 1;
+            if *n > 1 {
+                let _ = write!(label, " #{n}");
+            }
+        }
+        rows
     }
 
     /// Insert (or replace) the entry for `key`, evicting the
-    /// least-recently-used entry if over capacity.
-    pub fn insert(&mut self, key: PlanKey, plan: CompiledPlan) -> Arc<CompiledPlan> {
+    /// least-recently-used entry if over capacity. A bare
+    /// [`CompiledPlan`] is routed here.
+    pub fn insert(&mut self, key: PlanKey, plan: impl Into<CachedPlan>) -> CachedPlan {
         self.tick += 1;
-        let arc = Arc::new(plan);
+        let entry = plan.into();
         self.slots.insert(
             key,
             CacheSlot {
-                plan: Arc::clone(&arc),
+                entry: entry.clone(),
                 last_use: self.tick,
             },
         );
@@ -321,7 +403,7 @@ impl PlanCache {
                 break;
             }
         }
-        arc
+        entry
     }
 }
 
@@ -371,6 +453,36 @@ mod tests {
             PlanKey::of(&a, DeviceKind::Cpu),
             PlanKey::of(&b, DeviceKind::Cpu)
         );
+    }
+
+    #[test]
+    fn signature_renders_record_fields() {
+        use mdh_core::types::{FieldType, RecordType};
+        let with = |fields: Vec<(String, FieldType)>| {
+            let rec = BasicType::Record(RecordType::new("db", fields));
+            DslBuilder::new("pick", vec![8])
+                .out_buffer("y", BasicType::F64)
+                .out_access("y", IndexFn::identity(1, 1))
+                .inp_buffer("x", rec.clone())
+                .inp_access("x", IndexFn::identity(1, 1))
+                .scalar_function(ScalarFunction {
+                    name: "f".into(),
+                    params: vec![("a".into(), rec)],
+                    results: vec![("r".into(), BasicType::F64)],
+                    body: vec![Stmt::Assign {
+                        name: "r".into(),
+                        value: Expr::Field(Box::new(Expr::Param(0)), "v".into()),
+                    }],
+                })
+                .combine_ops(vec![CombineOp::cc()])
+                .build()
+                .unwrap()
+        };
+        let f64_v = FieldType::Scalar(ScalarKind::F64);
+        let i32_k = FieldType::Scalar(ScalarKind::I32);
+        let a = with(vec![("v".into(), f64_v)]);
+        let b = with(vec![("k".into(), i32_k), ("v".into(), f64_v)]);
+        assert_ne!(structural_signature(&a), structural_signature(&b));
     }
 
     #[test]

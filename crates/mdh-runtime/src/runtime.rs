@@ -17,21 +17,22 @@
 //!    [`RuntimeConfig::breaker_threshold`] consecutive failures fails
 //!    fast ([`MdhError::BreakerOpen`]) until a cooldown elapses, after
 //!    which a single half-open probe decides whether to close it again;
-//! 4. the plan comes from the cache (hit), or a miss lowers it once: from
-//!    the schedule `mdhc tune` stored for the program in the tuning-cache
-//!    file (warm start), else from the heuristic. A cached plan never
-//!    changes;
-//! 5. the batch executes (real threads on CPU via the lowered plan, the
-//!    functional simulator on GPU) under `catch_unwind`: a panic becomes
+//! 4. the plan comes from the cache (hit), or a miss lowers and routes it
+//!    once: from the schedule `mdhc tune` stored for the program in the
+//!    tuning-cache file (warm start), else from the heuristic. A cached
+//!    plan never changes, and it is what runs;
+//! 5. the batch executes (the cached route on the cached host plan, on
+//!    real threads; a GPU launch adds its simulated time and transfer
+//!    cost) under `catch_unwind`: a panic becomes
 //!    a per-request [`MdhError::WorkerPanic`] (and a breaker failure),
 //!    never a dead worker or a wedged queue, and each caller's
 //!    [`Handle`] resolves.
 
 use crate::breaker::{Admit, Breakers};
-use crate::plan_cache::{CompiledPlan, PlanCache, PlanKey, PlanSource};
+use crate::plan_cache::{CachedPlan, CompiledPlan, PlanCache, PlanKey, PlanSource};
 use crate::queue::{fail, note_tenant_dispatch, Job, Outcome, Queue};
 use crate::stats::RuntimeStats;
-use crate::sync::lock;
+use crate::sync::{cv_wait, lock};
 use mdh_backend::cpu::CpuExecutor;
 use mdh_backend::gpu::GpuSim;
 use mdh_backend::transfer::{launch_cost_ms, LinkParams};
@@ -45,7 +46,7 @@ use mdh_tuner::TuningCache;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -184,6 +185,8 @@ pub(crate) struct Shared {
     config: RuntimeConfig,
     queue: Queue,
     pub(crate) plans: Mutex<PlanCache>,
+    /// Signalled when a worker stops building a plan (see [`Claim`]).
+    plan_built: Condvar,
     /// The tuning-cache file's entries, loaded once.
     tuning: TuningCache,
     /// The counters this runtime bumps itself; [`Runtime::stats`] overlays
@@ -258,6 +261,7 @@ impl Runtime {
         };
         let shared = Arc::new(Shared {
             plans: Mutex::new(PlanCache::new(config.plan_cache_capacity)),
+            plan_built: Condvar::new(),
             queue: Queue::default(),
             tuning,
             counters: Mutex::new(counters),
@@ -320,6 +324,7 @@ impl Runtime {
             s.plan_misses = plans.misses();
             s.plan_evictions = plans.evictions();
             s.plans_resident = plans.len();
+            s.plan_routes = plans.routes();
         }
         if let Some(d) = &self.shared.dist {
             let faults = d.fault_stats();
@@ -483,10 +488,29 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
     let n = live.len();
 
     // ---- plan lookup (once per batch; followers count as hits) --------
-    let looked_up = lock(&shared.plans).get(&key);
+    // a key is lowered and routed once: a worker that finds another one
+    // building it waits for that plan instead of building its own
+    let looked_up = {
+        let mut plans = lock(&shared.plans);
+        while plans.building.contains(&key) {
+            plans = cv_wait(&shared.plan_built, plans);
+        }
+        let found = plans.get(&key);
+        if found.is_none() {
+            plans.building.insert(key.clone());
+        }
+        found
+    };
     let (plan, first_was_hit) = match looked_up {
         Some(p) => (Ok(p), true),
-        None => (build_and_insert(shared, &key, &live[0].req), false),
+        None => {
+            let _claim = Claim { shared, key: &key };
+            let built = build_plan(shared, &live[0].req).map(CachedPlan::from);
+            (
+                built.map(|p| lock(&shared.plans).insert(key.clone(), p)),
+                false,
+            )
+        }
     };
     let plan = match plan {
         Ok(p) => p,
@@ -579,7 +603,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn build_and_insert(shared: &Shared, key: &PlanKey, req: &Request) -> Result<Arc<CompiledPlan>> {
+/// A key one worker is building a plan for, outside the cache lock; the
+/// claim ends however the build does, a panic included.
+struct Claim<'a> {
+    shared: &'a Shared,
+    key: &'a PlanKey,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        lock(&self.shared.plans).building.remove(self.key);
+        self.shared.plan_built.notify_all();
+    }
+}
+
+/// Lower `req`'s program: from the schedule `mdhc tune` stored for it,
+/// else the heuristic's.
+fn build_plan(shared: &Shared, req: &Request) -> Result<CompiledPlan> {
     req.prog.validate()?;
     // warm start from the schedule `mdhc tune` stored for this program,
     // unless it no longer lowers
@@ -604,24 +644,34 @@ fn build_and_insert(shared: &Shared, key: &PlanKey, req: &Request) -> Result<Arc
             (schedule, plan, PlanSource::Heuristic, None)
         }
     };
-    let compiled = CompiledPlan {
+    // the simulator computes a single-device GPU launch on the host, under
+    // the host's default schedule; a pool partitions each launch itself
+    let plan = match (req.device, &shared.dist) {
+        (DeviceKind::Gpu, None) => {
+            let host = mdh_default_schedule(&req.prog, DeviceKind::Cpu, shared.exec.threads);
+            host.validate(&req.prog, 1 << 24)?;
+            ExecutionPlan::build(&req.prog, &host)?
+        }
+        _ => plan,
+    };
+    Ok(CompiledPlan {
         prog: req.prog.clone(),
         schedule,
         plan,
         source,
         cost,
         epoch: 0,
-    };
-    Ok(lock(&shared.plans).insert(key.clone(), compiled))
+    })
 }
 
 fn execute_one(
     shared: &Shared,
-    plan: &CompiledPlan,
+    cached: &CachedPlan,
     job: &Job,
     batch_size: usize,
     cache_hit: bool,
 ) -> Result<Response> {
+    let plan = &cached.plan;
     if shared.config.panic_marker.as_deref() == Some(job.req.prog.name.as_str()) {
         panic!(
             "injected execution panic for program '{}' (RuntimeConfig::panic_marker)",
@@ -629,16 +679,6 @@ fn execute_one(
         );
     }
     let (outputs, exec_ms, transfer_ms) = match (job.key.device, &shared.dist) {
-        (DeviceKind::Cpu, _) => {
-            let t0 = Instant::now();
-            let out = shared.exec.run_planned(
-                &job.req.prog,
-                &plan.schedule,
-                &plan.plan,
-                &job.req.inputs,
-            )?;
-            (out, t0.elapsed().as_secs_f64() * 1e3, 0.0)
-        }
         // `devices > 1`: the cached plan keyed the lookup, but execution
         // goes through the pool, which re-partitions and schedules each
         // shard on its own device
@@ -661,17 +701,33 @@ fn execute_one(
             // single-device residency convention on a cold key
             (out, report.hot_ms, report.h2d_ms)
         }
-        (DeviceKind::Gpu, None) => {
-            // a key's operands are device-resident exactly as long as its
-            // plan is cached: the launch that builds the plan (again,
-            // after an eviction) uploads them, every hit pays the
-            // copy-out alone — no residency state to grow per key
-            let link = LinkParams::pcie4_x16();
-            let transfer_ms = launch_cost_ms(&link, &job.req.prog, &job.req.inputs, cache_hit);
-            let (out, report) = shared
-                .sim
-                .run(&job.req.prog, &plan.schedule, &job.req.inputs)?;
-            (out, report.time_ms, transfer_ms)
+        // the CPU and the simulated GPU run the cached route on the
+        // cached host plan; the GPU prices the launch by its own schedule
+        (device, _) => {
+            let priced = match device {
+                DeviceKind::Cpu => None,
+                DeviceKind::Gpu => Some(shared.sim.estimate(&job.req.prog, &plan.schedule)?),
+            };
+            let t0 = Instant::now();
+            let out = shared.exec.run_routed(
+                &job.req.prog,
+                &cached.route,
+                &plan.plan,
+                &job.req.inputs,
+            )?;
+            match priced {
+                None => (out, t0.elapsed().as_secs_f64() * 1e3, 0.0),
+                // a key's operands are device-resident exactly as long as
+                // its plan is cached: the launch that builds the plan
+                // (again, after an eviction) uploads them, every hit pays
+                // the copy-out alone — no residency state to grow per key
+                Some(report) => {
+                    let link = LinkParams::pcie4_x16();
+                    let transfer_ms =
+                        launch_cost_ms(&link, &job.req.prog, &job.req.inputs, cache_hit);
+                    (out, report.time_ms, transfer_ms)
+                }
+            }
         }
     };
     Ok(Response {

@@ -272,6 +272,11 @@ metrics! {
     plan_evictions: u64, head[8] " {} evictions";
     /// Plans currently resident.
     plans_resident: usize, head[4] " plan cache: {} resident,";
+    /// Each resident plan's route, labelled (device, representative
+    /// program name, sizes, e.g. `cpu matvec 256x512`) → `fast`,
+    /// `vm: <why not fast>` or `reference: <why not the VM>` (gauge;
+    /// JSON only).
+    plan_routes: Vec<(String, String)>;
     /// Share of plan-cache lookups served from the cache; 0 before any.
     hit_rate() -> f64 = |s| ratio(s.plan_hits, s.plan_hits + s.plan_misses),
         head[7] " (rate {:.3}),";
@@ -407,6 +412,13 @@ mod tests {
             plan_misses: 2,
             plan_evictions: 1,
             plans_resident: 4,
+            plan_routes: vec![
+                ("cpu matvec 8x8".into(), "fast".into()),
+                (
+                    "cpu prl 8".into(),
+                    "vm: reduction is not builtin pw(add)".into(),
+                ),
+            ],
             completed: 12,
             batches: 6,
             batched_requests: 12,
@@ -488,6 +500,7 @@ mod tests {
         );
         // the keys added since, by the rows that declare them
         let added = [
+            r#""plan_routes":{"cpu matvec 8x8":"fast","cpu prl 8":"vm: reduction is not builtin pw(add)"},"#,
             r#""batched_requests":12,"#,
             r#""host_reuses":6,"host_fresh":2,"host_bytes_held":67108864,"#,
         ];

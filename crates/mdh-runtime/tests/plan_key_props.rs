@@ -8,17 +8,25 @@
 //!   re-lower everything;
 //! * **combine operators are load-bearing** — programs differing in any
 //!   combine operator compute different reductions and must *never*
-//!   collide, or the cache would serve wrong answers.
+//!   collide, or the cache would serve wrong answers. That holds for a
+//!   custom combine function named like a builtin, and for two custom
+//!   functions sharing a name but not a body. A cached plan carries the
+//!   route its runs take, so a collision would also serve one program
+//!   another's kernel; one runtime test checks that end to end.
 
+use mdh_core::buffer::Buffer;
 use mdh_core::combine::CombineOp;
 use mdh_core::dsl::{DslBuilder, DslProgram};
-use mdh_core::expr::ScalarFunction;
+use mdh_core::eval::evaluate_recursive;
+use mdh_core::expr::{Expr, MathFn, ScalarFunction, Stmt};
 use mdh_core::index_fn::IndexFn;
+use mdh_core::shape::Shape;
 use mdh_core::types::{BasicType, ScalarKind};
 use mdh_directive::{compile, DirectiveEnv};
 use mdh_lowering::asm::DeviceKind;
-use mdh_runtime::{structural_signature, PlanKey};
+use mdh_runtime::{structural_signature, PlanKey, Request, Runtime, RuntimeConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A valid, distinct-from-keywords buffer identifier.
 fn ident() -> BoxedStrategy<String> {
@@ -41,6 +49,38 @@ fn matvec_src(out: &str, mat: &str, vec: &str) -> String {
          \x20       for k in range(K):\n\
          \x20           {out}[i] = {mat}[i, k] * {vec}[k]\n"
     )
+}
+
+/// A custom combine function named `add` computing `body(lhs, rhs)`.
+fn custom_add(body: fn(Expr, Expr) -> Expr) -> CombineOp {
+    let f = ScalarFunction {
+        name: "add".into(),
+        params: vec![
+            ("lhs".into(), BasicType::F32),
+            ("rhs".into(), BasicType::F32),
+        ],
+        results: vec![("out".into(), BasicType::F32)],
+        body: vec![Stmt::Assign {
+            name: "out".into(),
+            value: body(Expr::Param(0), Expr::Param(1)),
+        }],
+    };
+    CombineOp::pw_custom(f).expect("valid combine function")
+}
+
+/// An f32 MatVec `w = m · v` reducing its second dimension with `red`.
+fn matvec_reducing(i: usize, k: usize, red: CombineOp) -> DslProgram {
+    DslBuilder::new("matvec", vec![i, k])
+        .out_buffer("w", BasicType::F32)
+        .out_access("w", IndexFn::select(2, &[0]))
+        .inp_buffer("m", BasicType::F32)
+        .inp_access("m", IndexFn::identity(2, 2))
+        .inp_buffer("v", BasicType::F32)
+        .inp_access("v", IndexFn::select(2, &[1]))
+        .scalar_function(ScalarFunction::mul2("f", ScalarKind::F32))
+        .combine_ops(vec![CombineOp::cc(), red])
+        .build()
+        .expect("valid program")
 }
 
 fn compile_matvec(names: &[String; 3], i: i64, k: i64) -> DslProgram {
@@ -99,8 +139,8 @@ proptest! {
     fn differing_combine_ops_never_collide(
         i in 1usize..32,
         k in 1usize..32,
-        op_a in 0usize..4,
-        op_b in 0usize..4,
+        op_a in 0usize..6,
+        op_b in 0usize..6,
     ) {
         prop_assume!(op_a != op_b);
         let ops = [
@@ -108,22 +148,13 @@ proptest! {
             CombineOp::pw_mul(),
             CombineOp::pw_max(),
             CombineOp::pw_min(),
+            // renders `pw(add)` like the builtin
+            custom_add(Expr::add),
+            // the same name, another body
+            custom_add(Expr::mul),
         ];
-        let build = |red: CombineOp| {
-            DslBuilder::new("matvec", vec![i, k])
-                .out_buffer("w", BasicType::F32)
-                .out_access("w", IndexFn::select(2, &[0]))
-                .inp_buffer("m", BasicType::F32)
-                .inp_access("m", IndexFn::identity(2, 2))
-                .inp_buffer("v", BasicType::F32)
-                .inp_access("v", IndexFn::select(2, &[1]))
-                .scalar_function(ScalarFunction::mul2("f", ScalarKind::F32))
-                .combine_ops(vec![CombineOp::cc(), red])
-                .build()
-                .expect("valid program")
-        };
-        let pa = build(ops[op_a].clone());
-        let pb = build(ops[op_b].clone());
+        let pa = matvec_reducing(i, k, ops[op_a].clone());
+        let pb = matvec_reducing(i, k, ops[op_b].clone());
         prop_assert_ne!(
             structural_signature(&pa),
             structural_signature(&pb),
@@ -131,4 +162,44 @@ proptest! {
         );
         prop_assert_ne!(PlanKey::of(&pa, DeviceKind::Cpu), PlanKey::of(&pb, DeviceKind::Cpu));
     }
+}
+
+/// A custom combine function named `add` keys its own plan, and so its
+/// own route: through one runtime, neither it nor the builtin `pw(add)`
+/// is served the other's kernel.
+#[test]
+fn a_custom_add_is_not_served_the_builtin_route() {
+    let builtin = matvec_reducing(16, 32, CombineOp::pw_add());
+    let custom = matvec_reducing(
+        16,
+        32,
+        custom_add(|l, r| Expr::Call(MathFn::Max, vec![l, r])),
+    );
+    let mut m = Buffer::zeros("m", BasicType::F32, Shape::new(vec![16, 32]));
+    m.fill_with(|i| (i % 7) as f64);
+    let mut v = Buffer::zeros("v", BasicType::F32, Shape::new(vec![32]));
+    v.fill_with(|i| (i % 5) as f64);
+    let inputs = Arc::new(vec![m, v]);
+    let rt = Runtime::new(RuntimeConfig::default()).expect("runtime");
+    for device in [DeviceKind::Cpu, DeviceKind::Gpu] {
+        for prog in [&builtin, &custom, &builtin, &custom] {
+            let want = evaluate_recursive(prog, &inputs).expect("oracle");
+            let req = Request::new(prog.clone(), device, Arc::clone(&inputs));
+            let got = rt.submit(req).wait().expect("launch").outputs;
+            let bits = |b: &[Buffer]| {
+                let w = b[0].as_f32().expect("f32 output");
+                w.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{device} {}",
+                prog.md_hom.combine_ops[1]
+            );
+        }
+    }
+    let routes = rt.stats().plan_routes;
+    assert_eq!(routes.len(), 4, "{routes:?}");
+    assert_eq!(routes[0], ("cpu matvec 16x32".into(), "fast".into()));
+    assert!(routes[1].1.starts_with("vm: "), "{routes:?}");
 }

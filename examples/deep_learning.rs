@@ -32,7 +32,7 @@ fn main() {
     let (out, mdh_t) = exec
         .run_timed(&app.program, &schedule, &app.inputs)
         .expect("mcc run");
-    let vendor = VendorCpu::new(threads);
+    let vendor = VendorCpu::new(threads).expect("vendor pool");
     let op = app.vendor_op.as_ref().unwrap();
     let (vout, ven_t) = vendor.run(op, &app.inputs).expect("vendor conv");
     println!(

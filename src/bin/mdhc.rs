@@ -457,6 +457,14 @@ fn summarize(prog: &DslProgram) {
     );
 }
 
+/// The A100 simulator `estimate` and `tune` price GPU schedules with.
+fn a100() -> GpuSim {
+    GpuSim::a100(2).unwrap_or_else(|e| {
+        eprintln!("simulator: {e}");
+        exit(1);
+    })
+}
+
 /// Generate deterministic inputs matching the program's declarations
 /// (scalar buffers only — record-typed programs need the library API).
 fn generate_inputs(prog: &DslProgram) -> Vec<Buffer> {
@@ -732,7 +740,7 @@ fn main() {
             println!("---");
             match cli.device {
                 DeviceKind::Gpu => {
-                    let sim = GpuSim::a100(2).expect("sim");
+                    let sim = a100();
                     let s = mdh_default_schedule(&prog, DeviceKind::Gpu, 108 * 32);
                     match sim.estimate(&prog, &s) {
                         Ok(r) => println!(
@@ -772,7 +780,7 @@ fn main() {
             }
             let tuned = match cli.device {
                 DeviceKind::Gpu => {
-                    let sim = GpuSim::a100(2).expect("sim");
+                    let sim = a100();
                     tune_gpu(&sim, &prog, Technique::Annealing, Budget::evals(cli.budget))
                 }
                 DeviceKind::Cpu => tune_cpu_model(
