@@ -114,12 +114,20 @@ pub fn grad(prog: &DslProgram, wrt: &[usize]) -> Result<GradProgram> {
             prog.out_view.accesses.len()
         )));
     }
-    for &w in wrt {
+    for (i, &w) in wrt.iter().enumerate() {
         if w >= prog.inp_view.buffers.len() {
             return Err(MdhError::Validation(format!(
                 "gradient requested for input #{w}, but '{}' has only {} inputs",
                 prog.name,
                 prog.inp_view.buffers.len()
+            )));
+        }
+        // each requested input gets its parts once: a repeat would emit
+        // them twice and double its gradient
+        if wrt[..i].contains(&w) {
+            return Err(MdhError::Validation(format!(
+                "gradient requested twice for input #{w} of '{}'",
+                prog.name
             )));
         }
     }

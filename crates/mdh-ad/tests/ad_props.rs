@@ -14,6 +14,7 @@ use mdh_ad::{eval_gradients, grad, grad_all, part_inputs};
 use mdh_core::buffer::Buffer;
 use mdh_core::combine::CombineOp;
 use mdh_core::dsl::{DslBuilder, DslProgram};
+use mdh_core::error::MdhError;
 use mdh_core::expr::{Expr, MathFn, ScalarFunction, Stmt};
 use mdh_core::index_fn::{AffineExpr, IndexFn};
 use mdh_core::shape::Shape;
@@ -116,6 +117,12 @@ fn matvec_adjoint_classification_and_fd() {
     // v̄[k] = Σ_i ȳ[i]·M[i,k] — rows reduce, columns concatenate
     assert_eq!(ops(&v_part.program), ["pw(add)", "cc"]);
     fd_check(&prog, &inputs, 0.5);
+    // an input named twice would get its parts twice, and twice its
+    // gradient: it is refused, as an out-of-range one is
+    for wrt in [&[1, 1][..], &[0, 1, 0], &[2]] {
+        let r = grad(&prog, wrt);
+        assert!(matches!(r, Err(MdhError::Validation(_))), "{wrt:?}: {r:?}");
+    }
 }
 
 #[test]

@@ -31,11 +31,22 @@
 //!   coincide bit for bit (see [`Line::acc_fma_exact`]). An f64 product
 //!   rounds, so f64 accumulates with [`Line::acc_mul`]: never fused.
 //!
-//! With only one of M and N present (MatVec) the direct lane walker runs,
-//! with neither (Dot) one sequential chain; all three fold identical
+//! With only one of M and N present the direct lane walker runs, its loop
+//! order picked from the strides: forward MatVec (matrix contiguous along
+//! the reduction) folds eight lanes' whole chains at a time, MatVec^T
+//! (matrix contiguous along the lanes) folds one row segment per
+//! collapsed point into a [`ROW_LANES`] block of accumulators. With
+//! neither (Dot) one sequential chain runs. All of them fold identical
 //! chains, so result bits match `vm_exec` for every pool width.
+//!
+//! A product with no collapsed dim at all (AD's `adj_M`, Dot's adjoints)
+//! has no chain to fold: each point is one product, and classify() proved
+//! the output access injective, so [`FastContraction::task_direct`]
+//! stores it straight into the output through the map kernel's
+//! [`SyncSlice`] — no partial, no packing, no write phase.
 
 use crate::fast::line::{Line, LANES};
+use crate::fast::map::SyncSlice;
 use crate::fast::{linearize_for, typed_inputs, Elem};
 use crate::offsets::{advance, LinearAccess};
 use mdh_core::buffer::Buffer;
@@ -63,6 +74,10 @@ pub(crate) const KC: usize = 256;
 pub(crate) const MC: usize = 64;
 /// Lanes per packed B panel (`KC x NC` f64 = 2 MiB).
 pub(crate) const NC: usize = 1024;
+/// Lanes per accumulator row of the MatVec^T walk: 4 KiB of f64, which
+/// stays in L1 while one row segment of the matrix per reduction step
+/// folds into it.
+pub(crate) const ROW_LANES: usize = 512;
 
 thread_local! {
     /// This thread's packed A block and B panel, kept from task to task
@@ -142,6 +157,24 @@ impl FastContraction {
             return Ok(None);
         }
         let ins = typed_inputs::<E>(prog, inputs)?;
+        let out_buf = prog.out_view.accesses[0].buffer;
+        let out = E::slice_mut(&mut outputs[out_buf]).ok_or_else(|| {
+            MdhError::Type(format!("fast contraction output must be {}", E::KIND))
+        })?;
+        if self.collapsed.is_empty() {
+            // one product per point, and classify() proved the output
+            // access injective: tasks store straight into the output
+            let shared = SyncSlice::new(out);
+            let mut done: Vec<Result<()>> = Vec::new();
+            pool.install(|| {
+                plan.tasks
+                    .par_iter()
+                    .map(|t| self.task_direct(&ins, &in_acc, oacc, &t.range, &shared))
+                    .collect_into_vec(&mut done);
+            });
+            done.into_iter().collect::<Result<()>>()?;
+            return Ok(Some(outputs));
+        }
         let arr = self.arrange(&in_acc);
 
         let mut partials: Vec<Result<Vec<f64>>> = Vec::new();
@@ -174,14 +207,75 @@ impl FastContraction {
                 .collect()
         };
 
-        let out_buf = prog.out_view.accesses[0].buffer;
-        let out = E::slice_mut(&mut outputs[out_buf]).ok_or_else(|| {
-            MdhError::Type(format!("fast contraction output must be {}", E::KIND))
-        })?;
         for (owner, partial) in write_jobs {
             self.write_partial(&partial, &plan.tasks[owner].range, oacc, &arr, out)?;
         }
         Ok(Some(outputs))
+    }
+
+    /// Reduction-free task: each point is the one product
+    /// `narrow(widen(x0) * widen(x1))`, the VM's whole chain for it,
+    /// stored where it belongs. Rows run along the last dim. The row every
+    /// adjoint AD emits — the cotangent first and invariant along it, the
+    /// other factor and the output unit-stride — is one slice loop; any
+    /// other row computes each point's offsets.
+    fn task_direct<E: Elem>(
+        &self,
+        ins: &[&[E]],
+        in_acc: &[LinearAccess],
+        oacc: &LinearAccess,
+        range: &MdRange,
+        out: &SyncSlice<E>,
+    ) -> Result<()> {
+        if range.is_empty() {
+            return Ok(());
+        }
+        for f in [self.f0, self.f1] {
+            check_span("input", &in_acc[f], range, ins[f].len())?;
+        }
+        check_span("output", oacc, range, out.len)?;
+        // a program with no dims is one row of one point
+        let last = range.rank().checked_sub(1);
+        let n = last.map_or(1, |d| range.extent(d));
+        let outer: Vec<usize> = (0..last.unwrap_or(0)).collect();
+        let step = |a: &LinearAccess| last.map_or(0, |d| a.coeffs[d]);
+        let (a0, a1) = (&in_acc[self.f0], &in_acc[self.f1]);
+        let (x0, x1) = (ins[self.f0], ins[self.f1]);
+        let (s0, s1, so) = (step(a0), step(a1), step(oacc));
+        let mut idx = range.lo.clone();
+        loop {
+            let (o0, o1, oo) = (a0.offset(&idx), a1.offset(&idx), oacc.offset(&idx));
+            let point = |l: usize| {
+                let l = l as i64;
+                E::narrow(x0[(o0 + l * s0) as usize].widen() * x1[(o1 + l * s1) as usize].widen())
+            };
+            // SAFETY (of both spans below): `check_span` bounded every
+            // output offset of the task to the buffer, and a span holds
+            // only this row's points. classify() proved the output access
+            // injective over the full iteration space and plan tasks cover
+            // disjoint index ranges, so no other live span contains one of
+            // these elements.
+            if so == 1 {
+                let row = unsafe { out.row_mut(oo as usize, n) };
+                if (s0, s1) == (0, 1) {
+                    let a = x0[o0 as usize].widen();
+                    for (y, b) in row.iter_mut().zip(&x1[o1 as usize..][..n]) {
+                        *y = E::narrow(a * b.widen());
+                    }
+                } else {
+                    row.iter_mut().enumerate().for_each(|(l, y)| *y = point(l));
+                }
+            } else {
+                for l in 0..n {
+                    let at = oo + l as i64 * so;
+                    let y = unsafe { out.row_mut(at as usize, 1) };
+                    y[0] = point(l);
+                }
+            }
+            if !advance(&mut idx, &outer, range) {
+                return Ok(());
+            }
+        }
     }
 
     /// Round one task's partial to `E` and store it. The partial is read
@@ -323,8 +417,13 @@ impl FastContraction {
         partial[0] = acc;
     }
 
-    /// Direct 8-lane task: lanes are adjacent points of the last
-    /// preserved dim, each lane folding its own chain in VM order.
+    /// Direct lane task: lanes are adjacent points of the last preserved
+    /// dim, each lane folding its own chain in VM order. The walk follows
+    /// the matrix. Forward MatVec's is strided along the lanes and
+    /// contiguous along the reduction, so eight lanes at a time fold their
+    /// whole chains, through the 8x8 transpose where it applies. MatVec^T's
+    /// is contiguous along the lanes and strided along the reduction, so
+    /// [`fold_rows`] folds it a row segment per collapsed point.
     fn task_unpacked<E: Elem>(
         &self,
         ins: &[&[E]],
@@ -343,9 +442,20 @@ impl FastContraction {
         let s0l = a0.coeffs[lane_d];
         let s1l = a1.coeffs[lane_d];
         let (sk0, sk1) = self.inner_steps(in_acc);
+        // MatVec^T: one factor unit-stride along the lanes and strided
+        // along the reduction, the other lane-invariant
+        let rows = match (s0l, s1l) {
+            (1, 0) if sk0 != 1 => Some(((a0, x0), (a1, x1))),
+            (0, 1) if sk1 != 1 => Some(((a1, x1), (a0, x0))),
+            _ => None,
+        };
         let mut idx = range.lo.clone();
-        let mut outer_lin = 0usize;
-        loop {
+        for row in partial.chunks_exact_mut(lane_ext) {
+            if let Some((streamed, invariant)) = rows {
+                self.fold_rows(&mut idx, range, lane_d, row, streamed, invariant);
+                advance(&mut idx, outer_pres, range);
+                continue;
+            }
             let mut jp = 0usize;
             while jp < lane_ext {
                 let ln = (lane_ext - jp).min(LANES);
@@ -392,14 +502,56 @@ impl FastContraction {
                         o1 += sk1;
                     }
                 });
-                let p0 = outer_lin * lane_ext + jp;
-                partial[p0..p0 + ln].copy_from_slice(&acc.0[..ln]);
+                row[jp..jp + ln].copy_from_slice(&acc.0[..ln]);
                 jp += ln;
             }
-            if !advance(&mut idx, outer_pres, range) {
-                break;
-            }
-            outer_lin += 1;
+            advance(&mut idx, outer_pres, range);
+        }
+    }
+
+    /// The MatVec^T walk over one output row: per [`ROW_LANES`] lanes, per
+    /// collapsed point ascending, the `streamed` factor's contiguous
+    /// segment times the `invariant` factor's one value folds into the
+    /// block of `row` — the task's partial, in L1 while the block runs.
+    /// Each lane's chain is still its collapsed points in ascending order,
+    /// copy-initialised from the first product, every later product
+    /// rounded before the add (f64 is never fused; an f32 product is
+    /// exact, so there is nothing to fuse). The product is taken streamed
+    /// times invariant, whichever the program's first factor is: finite
+    /// f64 multiplication is bitwise commutative.
+    fn fold_rows<E: Elem>(
+        &self,
+        idx: &mut [usize],
+        range: &MdRange,
+        lane_d: usize,
+        row: &mut [f64],
+        (as_, xs): (&LinearAccess, &[E]),
+        (av, xv): (&LinearAccess, &[E]),
+    ) {
+        let inner = self.collapsed[self.collapsed.len() - 1];
+        let (sks, skv) = (as_.coeffs[inner], av.coeffs[inner]);
+        for (b, acc) in row.chunks_mut(ROW_LANES).enumerate() {
+            idx[lane_d] = range.lo[lane_d] + b * ROW_LANES;
+            let mut first = true;
+            walk_runs(idx, &self.collapsed, range, &mut |ir, nr| {
+                let (mut os, mut ov) = (as_.offset(ir), av.offset(ir));
+                for _ in 0..nr {
+                    let v = xv[ov as usize].widen();
+                    let seg = &xs[os as usize..][..acc.len()];
+                    if first {
+                        for (a, x) in acc.iter_mut().zip(seg) {
+                            *a = x.widen() * v;
+                        }
+                        first = false;
+                    } else {
+                        for (a, x) in acc.iter_mut().zip(seg) {
+                            *a += x.widen() * v;
+                        }
+                    }
+                    os += sks;
+                    ov += skv;
+                }
+            });
         }
     }
 
@@ -776,15 +928,15 @@ fn lane_blocks_rowmajor(
 /// Walk the collapsed sub-space of `range` in the VM's ascending odometer
 /// order (last collapsed dim fastest), calling `f(idx, run_len)` once per
 /// innermost contiguous run with `idx` positioned at the run start.
-/// Preserved entries of `idx` are left untouched.
-pub(crate) fn walk_runs(
+/// Preserved entries of `idx` are left untouched. `collapsed` is never
+/// empty: a reduction-free product is [`FastContraction::task_direct`]'s.
+fn walk_runs(
     idx: &mut [usize],
     collapsed: &[usize],
     range: &MdRange,
     f: &mut impl FnMut(&[usize], usize),
 ) {
     let Some((&inner_d, outer)) = collapsed.split_last() else {
-        f(idx, 1);
         return;
     };
     for &d in collapsed {
@@ -898,7 +1050,7 @@ mod tests {
             b,
         };
         let (i, j, kk) = (e(3, &[(0, 1)], 0), e(3, &[(1, 1)], 0), e(3, &[(2, 1)], 0));
-        let mut all = vec![
+        vec![
             (
                 "row-major",
                 mm(vec![i.clone(), kk.clone()], vec![kk.clone(), j.clone()]),
@@ -965,22 +1117,7 @@ mod tests {
                     b: vec![e(4, &[(1, 1)], 0), e(4, &[(2, 1)], 0), e(4, &[(3, 1)], 0)],
                 },
             ),
-        ];
-        if k == 1 {
-            // AD's `adj_M`: no collapsed dim at all, a one-term chain
-            all.push((
-                "K = 1 outer product",
-                Case {
-                    sizes: vec![m, n],
-                    elem,
-                    red: vec![],
-                    out: vec![e(2, &[(0, 1)], 0), e(2, &[(1, 1)], 0)],
-                    a: vec![e(2, &[(0, 1)], 0)],
-                    b: vec![e(2, &[(1, 1)], 0)],
-                },
-            ));
-        }
-        all
+        ]
     }
 
     /// Row and lane extents on either side of one register tile and of
@@ -999,9 +1136,10 @@ mod tests {
     const K_EXTENTS: [usize; 6] = [1, 2, KC - 1, KC, KC + 1, 2 * KC + 3];
 
     /// The shapes the blocked nest leaves to the lane walker (MatVec, and
-    /// MatVec^T, whose matrix steps by the row extent along the chain)
-    /// and to the scalar chain (Dot), with `m` rows and `k` reduction
-    /// steps.
+    /// MatVec^T, whose matrix steps by the row extent along the chain),
+    /// to the scalar chain (Dot) and, at `k == 1`, to the direct store
+    /// (AD's `adj_M`: an outer product with no collapsed dim at all), with
+    /// `m` rows and `k` reduction steps.
     fn unblocked(elem: ScalarKind, m: usize, k: usize) -> Vec<(&'static str, Case)> {
         let (i, kk) = (e(2, &[(0, 1)], 0), e(2, &[(1, 1)], 0));
         let matvec = |a| Case {
@@ -1020,11 +1158,25 @@ mod tests {
             a: vec![e(1, &[(0, 1)], 0)],
             b: vec![e(1, &[(0, 1)], 0)],
         };
-        vec![
+        let mut all = vec![
             ("MatVec", matvec(vec![i.clone(), kk.clone()])),
             ("MatVec^T", matvec(vec![kk.clone(), i.clone()])),
             ("Dot", dot),
-        ]
+        ];
+        if k == 1 {
+            all.push((
+                "K = 0 outer product",
+                Case {
+                    sizes: vec![m, m + 2],
+                    elem,
+                    red: vec![],
+                    out: vec![i.clone(), kk.clone()],
+                    a: vec![i],
+                    b: vec![kk],
+                },
+            ));
+        }
+        all
     }
 
     fn bits(outs: Vec<Buffer>) -> Vec<u64> {
@@ -1051,8 +1203,9 @@ mod tests {
         };
         let outputs = eval::alloc_outputs(&prog).unwrap();
         let (in_acc, _) = linearize_for(&prog, &inputs, &outputs).unwrap();
-        let path = kernel.arrange(&in_acc).path;
-        assert_eq!(matches!(path, TaskPath::Blocked { .. }), blocked, "{what}");
+        let nest = !kernel.collapsed.is_empty()
+            && matches!(kernel.arrange(&in_acc).path, TaskPath::Blocked { .. });
+        assert_eq!(nest, blocked, "{what}");
         assert_bits_on(base, case, &prog, &inputs, split_k, what)
     }
 
@@ -1094,10 +1247,11 @@ mod tests {
     /// must see through, with and without the reduction split across
     /// tasks. Small row extents meet large lane extents and the reverse,
     /// so every value of each is covered and edge tiles meet full ones.
-    /// The shapes the blocked nest leaves to the lane walker and the
-    /// scalar chain run at the same extents. Both element types: every
-    /// f64 product of this data rounds, so an f64 accumulate that fused
-    /// one would move bits.
+    /// The shapes the blocked nest leaves to the lane walker, the scalar
+    /// chain and the direct store run at the same extents, and MatVec^T
+    /// once more with its lanes past one [`ROW_LANES`] block. Both element
+    /// types: every f64 product of this data rounds, so an f64 accumulate
+    /// that fused one would move bits.
     #[test]
     fn block_boundary_sweep_bit_equal_to_the_vm() {
         let mut cases = 0;
@@ -1105,8 +1259,12 @@ mod tests {
             for (x, &m) in EXTENTS.iter().enumerate() {
                 let n = EXTENTS[EXTENTS.len() - 1 - x];
                 for k in K_EXTENTS {
+                    // one lane extent past the MatVec^T walk's row block
+                    let wide = (x == 0).then(|| unblocked(elem, ROW_LANES + 3, k).swap_remove(1));
+                    let wide = wide.map(|(_, c)| ("MatVec^T, ROW_LANES + 3 lanes", c));
                     let blocked = layouts(elem, m, n, k).into_iter().map(|c| (c, true));
-                    let unblocked = unblocked(elem, m, k).into_iter().map(|c| (c, false));
+                    let unblocked = unblocked(elem, m, k).into_iter().chain(wide);
+                    let unblocked = unblocked.map(|c| (c, false));
                     for ((layout, case), is_blocked) in blocked.chain(unblocked) {
                         for split_k in [false, true] {
                             if split_k && k == 1 {
@@ -1121,7 +1279,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases, 2 * 8 * (5 * 11 * 2 + 12));
+        assert_eq!(cases, 2 * 8 * (5 * 11 * 2 + 12) + 2 * (5 * 2 + 1));
     }
 
     /// The VM copy-initialises the accumulator from the first product, so
@@ -1138,6 +1296,24 @@ mod tests {
         let base = CpuExecutor::new(2).unwrap();
         let got = assert_bits_on(&base, &case, &prog, &inputs, false, "-0.0 chain");
         assert!(got.iter().all(|&b| b == (-0.0f32).to_bits().into()));
+    }
+
+    /// A program with no dims at all is one point, one product: the direct
+    /// store has no row dim to walk and must still write it.
+    #[test]
+    fn a_rank_zero_product_is_one_point() {
+        for elem in [ScalarKind::F32, ScalarKind::F64] {
+            let case = Case {
+                sizes: vec![],
+                elem,
+                red: vec![],
+                out: vec![],
+                a: vec![],
+                b: vec![],
+            };
+            let what = format!("{elem:?} rank 0");
+            assert_bit_equal_to_vm(&case, false, &what, false);
+        }
     }
 
     /// An Inf in the last live row of A and a NaN in the last live lane of
@@ -1167,6 +1343,8 @@ mod tests {
         let mut cases = layouts(ScalarKind::F32, 40, 40, 40);
         // the arrangements the sweep's layouts never take
         cases.extend(unblocked(ScalarKind::F32, 40, 40));
+        // and the direct store, which only `k == 1` adds
+        cases.extend(unblocked(ScalarKind::F32, 40, 1).pop());
         for (layout, case) in cases {
             let mut prog = case.prog();
             let schedule = Schedule::sequential(prog.rank(), DeviceKind::Cpu);

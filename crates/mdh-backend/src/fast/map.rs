@@ -16,10 +16,15 @@
 //! row's remainder, and every block under any other step — reversed,
 //! strided, broadcast, transposed — moves the same values one at a time.
 //!
+//! Tasks store through [`SyncSlice`], the backend's one unsynchronised
+//! write site. It is generic over [`Elem`] because the reduction-free
+//! contraction writes through it too; both kernels reach it only past
+//! classify()'s injectivity proof, and its tests hold both to it.
+//!
 //! [`strict_weighted_sum`]: crate::fast::pattern::strict_weighted_sum
 
 use crate::fast::line::{Line, LANES};
-use crate::fast::{linearize_for, typed_inputs};
+use crate::fast::{linearize_for, typed_inputs, Elem};
 use crate::offsets::{advance, LinearAccess};
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
@@ -29,21 +34,24 @@ use mdh_core::shape::MdRange;
 use mdh_lowering::plan::ExecutionPlan;
 use rayon::prelude::*;
 
-/// Shared mutable f32 slice for provably-disjoint parallel writes — the
-/// backend's only unsynchronised write site.
-struct SyncSlice {
-    ptr: *mut f32,
-    len: usize,
+/// Shared mutable slice for provably-disjoint parallel writes — the
+/// backend's only unsynchronised write site, shared by the two kernels
+/// that write their output directly: this map kernel and the
+/// reduction-free contraction. Each one's classify gate proved its output
+/// access injective over the full iteration space.
+pub(crate) struct SyncSlice<E: Elem> {
+    ptr: *mut E,
+    pub(crate) len: usize,
 }
 
-// SAFETY: the pointer comes from a `&mut [f32]` that outlives the
-// parallel region; `row_mut` is the only access, and its contract makes
-// concurrent writers hold non-overlapping spans.
-unsafe impl Send for SyncSlice {}
-unsafe impl Sync for SyncSlice {}
+// SAFETY: the pointer comes from a `&mut [E]` that outlives the parallel
+// region; `row_mut` is the only access, and its contract makes concurrent
+// writers hold non-overlapping spans.
+unsafe impl<E: Elem> Send for SyncSlice<E> {}
+unsafe impl<E: Elem> Sync for SyncSlice<E> {}
 
-impl SyncSlice {
-    fn new(s: &mut [f32]) -> SyncSlice {
+impl<E: Elem> SyncSlice<E> {
+    pub(crate) fn new(s: &mut [E]) -> SyncSlice<E> {
         SyncSlice {
             ptr: s.as_mut_ptr(),
             len: s.len(),
@@ -55,7 +63,7 @@ impl SyncSlice {
     /// lives no other `row_mut` span contains any of its elements.
     #[inline]
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut(&self, start: usize, len: usize) -> &mut [f32] {
+    pub(crate) unsafe fn row_mut(&self, start: usize, len: usize) -> &mut [E] {
         debug_assert!(start + len <= self.len);
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
     }
@@ -145,7 +153,7 @@ impl FastMap {
         in_acc: &[LinearAccess],
         oacc: &LinearAccess,
         range: &MdRange,
-        out: &SyncSlice,
+        out: &SyncSlice<f32>,
     ) -> Result<()> {
         if range.is_empty() {
             return Ok(());
@@ -429,16 +437,19 @@ mod tests {
         assert_eq!(cases, 5 * 5 * 2 * 2 * 2);
     }
 
-    /// The safety contract behind [`SyncSlice`]: the map path may write
-    /// through a shared `&[f32]` without synchronisation only because
+    /// The safety contract behind [`SyncSlice`]: a kernel may write
+    /// through a shared slice without synchronisation only because
     /// (a) the plan's task ranges partition the iteration space and
     /// (b) the output access is injective over it. This property test
-    /// builds arbitrary affine output accesses, and checks that every
-    /// provably-injective one yields pairwise-disjoint per-task write
-    /// sets, while every non-injective one is rejected by
-    /// `fast::classify`.
+    /// builds arbitrary affine output accesses under both kernels that
+    /// write directly — a weighted-sum map, and an all-`cc` two-factor
+    /// product in f32 or f64 — and checks that every provably-injective
+    /// one is admitted, yields pairwise-disjoint per-task write sets and
+    /// equals the VM bit for bit, while every non-injective one is
+    /// rejected by `fast::classify`.
     mod sync_slice_disjointness {
         use super::*;
+        use crate::cpu::CpuExecutor;
         use crate::fast;
         use mdh_lowering::plan::ExecutionPlan;
         use mdh_lowering::schedule::Schedule;
@@ -454,7 +465,12 @@ mod tests {
             // one (coeffs, constant) affine expr per output-buffer dim
             exprs: Vec<(Vec<i64>, i64)>,
             chunks: Vec<usize>,
+            // `None`: a weighted sum; `Some(elem)`: `x0 * x1` over `elem`
+            product: Option<ScalarKind>,
         }
+
+        const PRODUCTS: [Option<ScalarKind>; 3] =
+            [None, Some(ScalarKind::F32), Some(ScalarKind::F64)];
 
         fn case() -> impl Strategy<Value = Case> {
             (
@@ -465,8 +481,9 @@ mod tests {
                     1..=2,
                 ),
                 proptest::collection::vec(1usize..=3, MAX_RANK),
+                0..PRODUCTS.len(),
             )
-                .prop_map(|(rank, sizes, exprs, chunks)| Case {
+                .prop_map(|(rank, sizes, exprs, chunks, product)| Case {
                     sizes: sizes[..rank].to_vec(),
                     exprs: exprs
                         .into_iter()
@@ -477,6 +494,7 @@ mod tests {
                         .zip(&sizes)
                         .map(|(&c, &s)| c.min(s))
                         .collect(),
+                    product: PRODUCTS[product],
                 })
         }
 
@@ -501,15 +519,48 @@ mod tests {
                     .map(|(c, k)| AffineExpr::new(c.clone(), *k))
                     .collect(),
             );
-            DslBuilder::new("disjoint", case.sizes.clone())
-                .out_buffer_with_shape("y", BasicType::F32, out_shape)
-                .out_access("y", out_fn)
-                .inp_buffer("x", BasicType::F32)
-                .inp_access("x", IndexFn::identity(rank, rank))
-                .scalar_function(ScalarFunction::weighted_sum("w", ScalarKind::F32, &[1.0]))
+            let b = DslBuilder::new("disjoint", case.sizes.clone());
+            let b = match case.product {
+                None => b
+                    .out_buffer_with_shape("y", BasicType::F32, out_shape)
+                    .inp_buffer("x", BasicType::F32)
+                    .inp_access("x", IndexFn::identity(rank, rank))
+                    .scalar_function(ScalarFunction::weighted_sum("w", ScalarKind::F32, &[0.1])),
+                Some(elem) => b
+                    .out_buffer_with_shape("y", elem.into(), out_shape)
+                    .inp_buffer("x0", elem.into())
+                    .inp_access("x0", IndexFn::identity(rank, rank))
+                    .inp_buffer("x1", elem.into())
+                    .inp_access("x1", IndexFn::select(rank, &[rank - 1]))
+                    .scalar_function(ScalarFunction::mul2("f_mul", elem)),
+            };
+            b.out_access("y", out_fn)
                 .combine_ops(vec![CombineOp::cc(); rank])
                 .build()
                 .unwrap()
+        }
+
+        /// The program's inputs, on data whose products and sums round.
+        fn inputs(prog: &DslProgram) -> Vec<Buffer> {
+            let shapes = prog.input_shapes().unwrap();
+            let decls = prog.inp_view.buffers.iter().zip(shapes).enumerate();
+            decls
+                .map(|(salt, (d, shape))| {
+                    let mut buf = Buffer::zeros(d.name.clone(), d.ty.clone(), Shape::new(shape));
+                    buf.fill_with(move |i| {
+                        ((i + 17 * salt) * 2654435761 % 1000) as f64 * 0.1 - 31.7
+                    });
+                    buf
+                })
+                .collect()
+        }
+
+        fn bits(out: &Buffer) -> Vec<u64> {
+            match (out.as_f32(), out.as_f64()) {
+                (Some(v), _) => v.iter().map(|x| x.to_bits().into()).collect(),
+                (_, Some(v)) => v.iter().map(|x| x.to_bits()).collect(),
+                _ => panic!("a direct-writing kernel's output is f32 or f64"),
+            }
         }
 
         proptest! {
@@ -526,25 +577,31 @@ mod tests {
                 // so injectivity is always decided
                 prop_assert!(injective.is_some());
                 if injective != Some(true) {
-                    // rejected by the only gate that writes through SyncSlice
+                    // rejected by the gate of every kernel that writes
+                    // through SyncSlice
                     prop_assert!(fast::classify(&prog).is_err());
                     return Ok(());
                 }
-                prop_assert!(matches!(
-                    fast::classify(&prog),
-                    Ok(fast::FastKernel::Map(_))
-                ));
+                let kernel = fast::classify(&prog);
+                let direct = match (&kernel, case.product) {
+                    (Ok(fast::FastKernel::Map(_)), None) => true,
+                    (Ok(fast::FastKernel::Contraction(c)), Some(_)) => c.collapsed.is_empty(),
+                    _ => false,
+                };
+                prop_assert!(direct, "{:?}", kernel.err());
 
                 let mut s = Schedule::sequential(prog.rank(), DeviceKind::Cpu);
                 s.par_chunks = case.chunks.clone();
                 s.validate(&prog, 1 << 24).unwrap();
                 let plan = ExecutionPlan::build(&prog, &s).unwrap();
 
-                let inputs = vec![Buffer::zeros(
-                    "x",
-                    BasicType::F32,
-                    Shape::new(case.sizes.clone()),
-                )];
+                let inputs = inputs(&prog);
+                static BASE: std::sync::OnceLock<CpuExecutor> = std::sync::OnceLock::new();
+                let pool = BASE.get_or_init(|| CpuExecutor::new(2).unwrap()).pool();
+                let fast_out = kernel.unwrap().run(&prog, &plan, &inputs, pool).unwrap();
+                let vm_out = crate::vm_exec::run(&prog, &plan, &inputs, pool).unwrap();
+                prop_assert_eq!(bits(&fast_out.unwrap()[0]), bits(&vm_out[0]));
+
                 let outs = mdh_core::eval::alloc_outputs(&prog).unwrap();
                 let (_, oa) = linearize_for(&prog, &inputs, &outs).unwrap();
                 let out_len = outs[0].len();

@@ -23,7 +23,9 @@
 //!   only, a left-nested weighted sum, optionally under one literal scale
 //!   (map family),
 //! - contractions: the output access must not depend on reduced dims;
-//!   maps: the output access must be provably injective.
+//!   a reduction-free product and a map write their output directly, so
+//!   for those the output access must be provably injective (one proof,
+//!   run once per plan key, when the route is built).
 //!
 //! One contraction kernel serves both element types: it is generic over
 //! [`Elem`], which fixes how a value is loaded (f32 widens exactly, f64 is
@@ -143,6 +145,9 @@ pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
                 }
             }
         }
+        if collapsed.is_empty() && !proven_injective(prog) {
+            return Err("reduction-free product's output access not provably injective".into());
+        }
         Ok(FastKernel::Contraction(FastContraction {
             elem,
             f0,
@@ -162,12 +167,23 @@ pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
         if terms.iter().any(|&(s, _)| s >= nacc) {
             return Err("weighted-sum slot out of range".into());
         }
-        let full = prog.md_hom.full_range();
-        if out_access.index_fn.is_injective_over(&full, 1 << 14) != Some(true) {
+        if !proven_injective(prog) {
             return Err("output access not provably injective".into());
         }
         Ok(FastKernel::Map(FastMap { terms, scale }))
     }
+}
+
+/// The gate of every kernel that writes its output directly, through
+/// [`map::SyncSlice`]: no two points of the iteration space may reach the
+/// same output element. Decided once per plan key, when the route is
+/// built.
+fn proven_injective(prog: &DslProgram) -> bool {
+    let full = prog.md_hom.full_range();
+    prog.out_view.accesses[0]
+        .index_fn
+        .is_injective_over(&full, 1 << 14)
+        == Some(true)
 }
 
 /// Linearise the input and output views against actual buffer shapes.

@@ -10,20 +10,21 @@
 use mdh_apps::{instantiate, Scale, StudyId};
 use mdh_backend::cpu::CpuExecutor;
 use mdh_backend::gpu::GpuSim;
+use mdh_core::error::Result;
 use mdh_lowering::asm::DeviceKind;
 use mdh_lowering::heuristics::mdh_default_schedule;
 use mdh_lowering::schedule::ReductionStrategy;
 
-fn main() {
+fn main() -> Result<()> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let exec = CpuExecutor::new(threads).expect("executor");
-    let sim = GpuSim::a100(2).expect("sim");
+    let exec = CpuExecutor::new(threads)?;
+    let sim = GpuSim::a100(2)?;
 
     println!("Ablation: parallel (tree) reductions vs sequential reductions\n");
     for (name, input_no) in [("Dot", 1), ("Dot", 2), ("PRL", 1)] {
-        let app = instantiate(StudyId { name, input_no }, Scale::Medium).expect("app");
+        let app = instantiate(StudyId { name, input_no }, Scale::Medium)?;
         let par = mdh_default_schedule(&app.program, DeviceKind::Cpu, threads);
         let mut seq = par.clone();
         // forbid reduction splitting, as polyhedral compilers do
@@ -71,4 +72,5 @@ fn main() {
             (p, s) => println!("  GPU model: tree {p:?} sequential {s:?}\n"),
         }
     }
+    Ok(())
 }

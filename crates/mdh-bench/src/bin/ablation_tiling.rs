@@ -9,10 +9,11 @@
 use mdh_apps::{instantiate, Scale, StudyId};
 use mdh_backend::gpu::GpuSim;
 use mdh_baselines::schedulers::{Baseline, OpenAccLike};
+use mdh_core::error::Result;
 use mdh_tuner::{tune_gpu, Budget, Technique};
 
-fn main() {
-    let sim = GpuSim::a100(2).expect("sim");
+fn main() -> Result<()> {
+    let sim = GpuSim::a100(2)?;
     println!("Ablation: automatic tiling (CCSD(T) on the A100 model)\n");
     for input_no in [1, 2] {
         let app = instantiate(
@@ -21,8 +22,7 @@ fn main() {
                 input_no,
             },
             Scale::Paper,
-        )
-        .expect("ccsdt");
+        )?;
 
         let mdh = tune_gpu(&sim, &app.program, Technique::Annealing, Budget::evals(300));
         let acc_untiled = OpenAccLike {
@@ -69,4 +69,5 @@ fn main() {
         println!();
     }
     println!("Paper reference: >150x (untiled), ~60x (manually tiled).");
+    Ok(())
 }

@@ -8,12 +8,13 @@
 
 use mdh_apps::{instantiate, Scale, StudyId};
 use mdh_backend::gpu::GpuSim;
+use mdh_core::error::Result;
 use mdh_lowering::asm::DeviceKind;
 use mdh_lowering::heuristics::mdh_default_schedule;
 use mdh_tuner::{tune_gpu, Budget, Technique};
 
-fn main() {
-    let sim = GpuSim::a100(2).expect("sim");
+fn main() -> Result<()> {
+    let sim = GpuSim::a100(2)?;
     println!("Ablation: tuning techniques on MatMul (GPU model)\n");
     for input_no in [1, 2] {
         let app = instantiate(
@@ -22,8 +23,7 @@ fn main() {
                 input_no,
             },
             Scale::Paper,
-        )
-        .expect("matmul");
+        )?;
         let heuristic = mdh_default_schedule(&app.program, DeviceKind::Gpu, 108 * 32);
         let h_cost = sim
             .estimate(&app.program, &heuristic)
@@ -46,4 +46,5 @@ fn main() {
         }
         println!();
     }
+    Ok(())
 }

@@ -88,6 +88,11 @@ fn strategy_tag(r: &DistReport) -> &'static str {
     }
 }
 
+/// `r`'s value, or `None` once `what` and the error are printed.
+fn reported<T>(what: &str, r: mdh_core::error::Result<T>) -> Option<T> {
+    r.map_err(|e| eprintln!("{what}: {e}")).ok()
+}
+
 fn run_study(name: &'static str, scale: Scale) -> Option<StudyResult> {
     let app = match instantiate(StudyId { name, input_no: 1 }, scale) {
         Ok(a) => a,
@@ -99,7 +104,7 @@ fn run_study(name: &'static str, scale: Scale) -> Option<StudyResult> {
     let mut points = Vec::new();
     let mut base: Option<(f64, f64)> = None;
     for devices in DEVICE_COUNTS {
-        let dist = DistExecutor::new(DevicePool::gpus(devices)).expect("pool");
+        let dist = reported(name, DistExecutor::new(DevicePool::gpus(devices)))?;
         let report = match dist.estimate(&app.program, &app.inputs) {
             Ok(r) => r,
             Err(e) => {
@@ -170,8 +175,7 @@ fn run_resident_study(name: &'static str, scale: Scale, gated: bool) -> Option<R
     };
     let mut points = Vec::new();
     for devices in RESIDENT_COUNTS {
-        let dist = DistExecutor::new(DevicePool::gpus(devices))
-            .expect("pool")
+        let dist = reported(name, DistExecutor::new(DevicePool::gpus(devices)))?
             .with_mem(Arc::new(MemPool::new(devices, RESIDENT_BUDGET)));
         let launch = || match dist.estimate(&app.program, &app.inputs) {
             Ok(r) => Some(r),
@@ -212,7 +216,7 @@ impl HealingArm {
             return 0.0;
         }
         let mut sorted = self.totals_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite totals"));
+        sorted.sort_by(|a, b| a.total_cmp(b));
         let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
         sorted[rank.clamp(1, sorted.len()) - 1]
     }
@@ -245,8 +249,8 @@ fn healing_plan() -> FaultPlan {
 }
 
 fn run_healing_arm(app: &mdh_apps::AppInstance, heal: Option<HealPolicy>) -> Option<HealingArm> {
-    let mut dist =
-        DistExecutor::with_faults(DevicePool::gpus(HEALING_DEVICES), healing_plan()).expect("pool");
+    let pool = DistExecutor::with_faults(DevicePool::gpus(HEALING_DEVICES), healing_plan());
+    let mut dist = reported("healing pool", pool)?;
     if let Some(h) = heal {
         dist = dist.with_healing(h);
     }
@@ -684,7 +688,10 @@ fn main() {
     }
 
     let json = to_json(&results, &resident, &healing, scale);
-    std::fs::write(&out_path, &json).expect("write BENCH_dist.json");
+    if let Err(e) = std::fs::write(&out_path, &json) {
+        eprintln!("{out_path}: {e}");
+        std::process::exit(1);
+    }
     println!("\nwrote {out_path}");
 
     validate_resident(&resident);
@@ -701,7 +708,7 @@ fn main() {
                 .find(|p| p.devices == 4)
                 .map(|p| (s.name.as_str(), p.speedup_hot, p.report.combine.steps))
         })
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite speedups"));
+        .max_by(|a, b| a.1.total_cmp(&b.1));
     match best {
         Some((name, speedup, steps)) if speedup > 1.5 && steps > 0 => {
             println!(

@@ -34,6 +34,7 @@ use mdh_apps::{instantiate, AppInstance, Scale, StudyId, FIG3_STUDIES};
 use mdh_backend::cpu::CpuExecutor;
 use mdh_bench::parse_scale;
 use mdh_core::buffer::bits_hash;
+use mdh_core::error::Result;
 use mdh_lowering::{mdh_default_schedule, DeviceKind, ExecutionPlan, Schedule};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -136,14 +137,12 @@ fn time_point(
     plan: &ExecutionPlan,
     threads: usize,
     hw: usize,
-) -> Point {
+) -> Result<Point> {
     let spawn0 = rayon::total_threads_spawned();
     let regions0 = exec.pool().regions_executed();
     // the warmup run doubles as the determinism probe: its output bits and
     // region count are pure functions of (program, plan, width)
-    let out = exec
-        .run_planned(&app.program, schedule, plan, &app.inputs)
-        .expect("execution failed");
+    let out = exec.run_planned(&app.program, schedule, plan, &app.inputs)?;
     let output_hash = bits_hash(&out);
     let threads_spawned_during = rayon::total_threads_spawned() - spawn0;
     let regions_per_run = exec.pool().regions_executed() - regions0;
@@ -155,12 +154,12 @@ fn time_point(
         let t0 = Instant::now();
         let r = exec.run_planned(&app.program, schedule, plan, &app.inputs);
         let dt = t0.elapsed().as_secs_f64();
-        r.expect("execution failed");
+        r?;
         best = best.min(dt);
         total += dt;
         iters += 1;
     }
-    Point {
+    Ok(Point {
         threads,
         ungated_reason: (threads > hw)
             .then(|| format!("{threads} threads > {hw} hardware threads")),
@@ -171,7 +170,7 @@ fn time_point(
         threads_spawned_during,
         regions_per_run,
         output_hash,
-    }
+    })
 }
 
 fn run_study(
@@ -180,7 +179,7 @@ fn run_study(
     base: &CpuExecutor,
     counts: &[usize],
     hw: usize,
-) -> StudyRow {
+) -> Result<StudyRow> {
     let (app, scale_used, fallback) = instantiate_within_budget(name, requested);
     if let Some(reason) = &fallback {
         println!(
@@ -189,15 +188,14 @@ fn run_study(
         );
     }
 
-    let plan_threads = *counts.last().expect("nonempty counts");
+    let plan_threads = counts.iter().copied().max().unwrap_or(1);
     let schedule = mdh_default_schedule(&app.program, DeviceKind::Cpu, plan_threads);
-    let plan =
-        ExecutionPlan::build(&app.program, &schedule).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let plan = ExecutionPlan::build(&app.program, &schedule)?;
 
     let mut points: Vec<Point> = Vec::new();
     for &t in counts {
         let exec = CpuExecutor::with_pool(base.pool(), t);
-        let mut p = time_point(&exec, &app, &schedule, &plan, t, hw);
+        let mut p = time_point(&exec, &app, &schedule, &plan, t, hw)?;
         if let Some(first) = points.first() {
             // one pinned plan: the sweep must be bit-identical, or the
             // speedups compare different computations
@@ -211,7 +209,7 @@ fn run_study(
         points.push(p);
     }
 
-    StudyRow {
+    Ok(StudyRow {
         name: app.name.clone(),
         sizes: app.sizes_desc.clone(),
         scale_used,
@@ -220,7 +218,7 @@ fn run_study(
         flops: flops_per_run(&app),
         plan_threads,
         points,
-    }
+    })
 }
 
 /// The acceptance block: MatMul's efficiency at `GATE_THREADS`, judged
@@ -229,9 +227,9 @@ fn run_study(
 /// reason there is no verdict.
 fn acceptance(rows: &[StudyRow]) -> Result<f64, String> {
     let row = rows.iter().find(|r| r.name == "MatMul");
-    let row = row.expect("the sweep includes MatMul");
+    let row = row.ok_or("the sweep has no MatMul row")?;
     let point = row.points.iter().find(|p| p.threads == GATE_THREADS);
-    let point = point.expect("the sweep times MatMul at GATE_THREADS");
+    let point = point.ok_or("the sweep did not time MatMul at GATE_THREADS")?;
     let eff = point.efficiency()?;
     if row.scale_used != Scale::Paper {
         let used = row.scale_used;
@@ -328,7 +326,7 @@ fn to_json(
     j
 }
 
-fn main() {
+fn main() -> Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let requested = arg(&args, "--scale")
         .map(|s| parse_scale(&s))
@@ -339,10 +337,10 @@ fn main() {
     let mut counts = vec![1, 2, 4, hw];
     counts.sort_unstable();
     counts.dedup();
-    let max_threads = *counts.last().expect("nonempty");
+    let max_threads = hw.max(4);
 
     let spawn0 = rayon::total_threads_spawned();
-    let base = CpuExecutor::new(max_threads).expect("pool");
+    let base = CpuExecutor::new(max_threads)?;
     let pool_spawned = rayon::total_threads_spawned() - spawn0;
 
     println!(
@@ -352,7 +350,7 @@ fn main() {
     let mut rows = Vec::new();
     // a `StudyId` is unique, so input 1 names each study once
     for id in FIG3_STUDIES.iter().filter(|id| id.input_no == 1) {
-        let row = run_study(id.name, requested, &base, &counts, hw);
+        let row = run_study(id.name, requested, &base, &counts, hw)?;
         println!(
             "\n--- {} ({}) — {:?} scale, {} path, {:.2e} flops/run ---",
             row.name, row.sizes, row.scale_used, row.path, row.flops
@@ -379,7 +377,10 @@ fn main() {
 
     let verdict = acceptance(&rows);
     let json = to_json(&rows, requested, hw, &counts, pool_spawned, &verdict);
-    std::fs::write(&out_path, &json).expect("write BENCH_exec.json");
+    if let Err(e) = std::fs::write(&out_path, &json) {
+        eprintln!("{out_path}: {e}");
+        std::process::exit(1);
+    }
     println!("\nwrote {out_path}");
 
     match verdict {
@@ -396,4 +397,5 @@ fn main() {
         }
         Err(reason) => println!("acceptance: no verdict — {reason}"),
     }
+    Ok(())
 }

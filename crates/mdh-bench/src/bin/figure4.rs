@@ -89,7 +89,10 @@ fn main() {
                 DeviceKind::Gpu => run_gpu_study(&app, &cfg),
                 DeviceKind::Cpu => run_cpu_study(&app, &cfg, cpu_timing),
             };
-            print_study(&res, unit);
+            match res {
+                Ok(res) => print_study(&res, unit),
+                Err(e) => eprintln!("{} (Inp. {}): {e}", id.name, id.input_no),
+            }
         }
     }
 }

@@ -9,11 +9,12 @@ use mdh_apps::{instantiate, Scale, StudyId, FIG3_STUDIES};
 use mdh_backend::cpu::CpuExecutor;
 use mdh_backend::gpu::GpuSim;
 use mdh_bench::parse_scale;
+use mdh_core::error::Result;
 use mdh_core::eval::evaluate_recursive;
 use mdh_lowering::asm::DeviceKind;
 use mdh_lowering::heuristics::mdh_default_schedule;
 
-fn main() {
+fn main() -> Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let scale = args
         .iter()
@@ -24,8 +25,8 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let exec = CpuExecutor::new(threads).expect("executor");
-    let sim = GpuSim::a100(threads).expect("sim");
+    let exec = CpuExecutor::new(threads)?;
+    let sim = GpuSim::a100(threads)?;
 
     println!("Validation at scale {scale:?} ({threads} threads)\n");
     println!(
@@ -92,4 +93,5 @@ fn main() {
         println!("{failures} validation failure(s)");
         std::process::exit(1);
     }
+    Ok(())
 }

@@ -21,6 +21,7 @@ use mdh_baselines::schedulers::{
     Baseline, NumbaLike, OpenAccLike, OpenMpLike, PlutoLike, PpcgLike, TvmLike,
 };
 use mdh_baselines::vendor::{VendorCpu, VendorCpuModel, VendorGpu};
+use mdh_core::error::Result;
 use mdh_lowering::asm::DeviceKind;
 use mdh_lowering::schedule::Schedule;
 use mdh_tuner::{tune_cpu, tune_cpu_model, tune_gpu, Budget, Technique};
@@ -132,13 +133,17 @@ pub enum CpuTiming {
 }
 
 /// Run one study on the CPU against all CPU systems.
-pub fn run_cpu_study(app: &AppInstance, cfg: &HarnessConfig, timing: CpuTiming) -> StudyResult {
+pub fn run_cpu_study(
+    app: &AppInstance,
+    cfg: &HarnessConfig,
+    timing: CpuTiming,
+) -> Result<StudyResult> {
     let params = CpuParams::xeon_gold_6140();
     let threads = match timing {
         CpuTiming::Model => params.smt_threads,
         CpuTiming::Measured => cfg.threads,
     };
-    let exec = CpuExecutor::new(cfg.threads).expect("executor");
+    let exec = CpuExecutor::new(cfg.threads)?;
     let cost = |s: &Schedule| -> Result<f64, String> {
         match timing {
             CpuTiming::Model => estimate_cpu(&app.program, s, &params)
@@ -279,18 +284,18 @@ pub fn run_cpu_study(app: &AppInstance, cfg: &HarnessConfig, timing: CpuTiming) 
         });
     }
 
-    StudyResult {
+    Ok(StudyResult {
         study: app.name.clone(),
         input_no: app.input_no,
         device: DeviceKind::Cpu,
         results,
-    }
+    })
 }
 
 /// Run one study on the simulated GPU against all GPU systems. Returns
 /// simulated times in milliseconds.
-pub fn run_gpu_study(app: &AppInstance, cfg: &HarnessConfig) -> StudyResult {
-    let sim = GpuSim::a100(cfg.threads.min(4)).expect("gpu sim");
+pub fn run_gpu_study(app: &AppInstance, cfg: &HarnessConfig) -> Result<StudyResult> {
+    let sim = GpuSim::a100(cfg.threads.min(4))?;
     let mut results = Vec::new();
 
     // --- MDH: auto-tuned against the cost model (hybrid search, as a
@@ -406,12 +411,12 @@ pub fn run_gpu_study(app: &AppInstance, cfg: &HarnessConfig) -> StudyResult {
         });
     }
 
-    StudyResult {
+    Ok(StudyResult {
         study: app.name.clone(),
         input_no: app.input_no,
         device: DeviceKind::Gpu,
         results,
-    }
+    })
 }
 
 /// Pretty-print one study's results as a Figure-4 row block.
@@ -481,7 +486,7 @@ mod tests {
         )
         .unwrap();
         for timing in [CpuTiming::Measured, CpuTiming::Model] {
-            let res = run_cpu_study(&app, &small_cfg(), timing);
+            let res = run_cpu_study(&app, &small_cfg(), timing).unwrap();
             assert!(res.mdh_time().is_some(), "{timing:?}");
             assert!(res
                 .results
@@ -502,7 +507,7 @@ mod tests {
             Scale::Small,
         )
         .unwrap();
-        let res = run_gpu_study(&app, &cfg);
+        let res = run_gpu_study(&app, &cfg).unwrap();
         assert!(res.mdh_time().is_some());
 
         let dot = instantiate(
@@ -513,7 +518,7 @@ mod tests {
             Scale::Small,
         )
         .unwrap();
-        let res = run_gpu_study(&dot, &cfg);
+        let res = run_gpu_study(&dot, &cfg).unwrap();
         let ppcg = res.results.iter().find(|r| r.system == "PPCG").unwrap();
         assert!(ppcg.outcome.is_err(), "PPCG must fail on Dot");
     }
@@ -528,7 +533,7 @@ mod tests {
             Scale::Small,
         )
         .unwrap();
-        let res = run_cpu_study(&app, &small_cfg(), CpuTiming::Model);
+        let res = run_cpu_study(&app, &small_cfg(), CpuTiming::Model).unwrap();
         let pluto = res.results.iter().find(|r| r.system == "Pluto").unwrap();
         assert!(pluto.outcome.is_err());
         let tvm = res.results.iter().find(|r| r.system == "TVM").unwrap();

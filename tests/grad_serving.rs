@@ -139,6 +139,21 @@ fn grad_round_trip_matches_direct_evaluation() {
     assert!(json.contains("\"completed\":"), "{json}");
 }
 
+/// An input named twice in `wrt` is refused before anything launches: a
+/// repeat would have folded both copies of its parts into the first
+/// gradient slot and left the second zero.
+#[test]
+fn a_repeated_wrt_index_is_refused() {
+    let (prog, inputs) = matvec_case(4, 3);
+    let runtime = small_runtime();
+    let req = Request::new(prog, DeviceKind::Cpu, inputs);
+    let r = runtime.submit_grad(req, Some(&[1, 1]), None);
+    assert!(matches!(r, Err(MdhError::Validation(_))), "{:?}", r.err());
+    let stats = runtime.stats();
+    assert_eq!(stats.grad_requests, 0, "stats: {stats}");
+    assert_eq!(stats.completed, 0, "stats: {stats}");
+}
+
 /// A gather's table adjoint is an `rbi(add)` scatter: serving the grad
 /// round trip bumps `rbi_requests`, and the gradient matches the closed
 /// form Σ over colliding indices.
