@@ -347,18 +347,23 @@ mod tests {
     fn compiled_op_counts_are_pinned() {
         use mdh_backend::vm::compile_sf;
         use mdh_core::combine::PwKind;
-        // per pair: 12 × (sub, abs, cmp, then-add, count-add, else-sub,
-        // one select per assigned variable) and nothing else — literals
-        // and the zeroed results load once per bank
+        // per pair: 12 × (sub, abs, cmp, one select of the two weight
+        // addends, the weight add, the count add of the comparison) and
+        // nothing else — literals and the zeroed results load once per
+        // bank, and allocation reuses every dead temporary's register
         let app = prl(Scale::Small, 1).unwrap();
         let sf = compile_sf(&app.program.md_hom.sf).unwrap();
-        assert!(sf.ops().len() <= 96, "prl: {} ops", sf.ops().len());
-        // three conditions and one select per result per `if`
+        assert!(sf.ops().len() <= 72, "prl: {} ops", sf.ops().len());
+        let (f, i) = sf.banks();
+        let bytes = (f.len() + i.len()) * 8;
+        assert!(bytes <= 12 * 1024, "prl: {bytes} bytes of banks");
+        // three conditions over two shared tests, one select per result
+        // per `if`
         let PwKind::Custom(f) = &prl_max().kind else {
             panic!("prl_max is a custom combine function")
         };
         let cf = compile_sf(f).unwrap();
-        assert!(cf.ops().len() <= 18, "prl_max: {} ops", cf.ops().len());
+        assert!(cf.ops().len() <= 16, "prl_max: {} ops", cf.ops().len());
     }
 
     #[test]

@@ -18,27 +18,41 @@
 //! If-conversion is value-preserving because scalar functions are pure
 //! and every instruction is total (integer division guards a zero
 //! divisor and wraps, casts saturate, math calls return NaN rather than
-//! trap). The code is in single-assignment form — an assignment *binds*
-//! its name to the register holding the value, no instruction overwrites
-//! a register — so both arms of an `if` compile from the same incoming
-//! bindings without seeing each other, and the join emits one select on
-//! the condition per variable the arms bound differently: the arm not
-//! taken changes nothing a later instruction can observe.
+//! trap). The code is lowered in single-assignment form — an assignment
+//! *binds* its name to the register holding the value, no instruction
+//! overwrites a register — so both arms of an `if` compile from the same
+//! incoming bindings without seeing each other, and the join emits one
+//! select on the condition per variable the arms bound differently: the
+//! arm not taken changes nothing a later instruction can observe.
+//!
+//! Passes then run on the single-assignment code, each exact, so no
+//! result bit depends on them: value numbering ([`number_values`]), select
+//! sinking ([`sink_selects`]), dead-op removal, the multiply-add
+//! peephole ([`fuse_mul_add`]) and, last, linear-scan register allocation
+//! ([`allocate`]): a temporary's register is reused once the temporary is
+//! dead, so the banks a block keeps in L1 hold the live values, not every
+//! value. [`compile_fold`] compiles a scalar function followed by a
+//! combine function as one such program: the block a fold runs per
+//! collapsed point when its lanes are neighbouring outputs.
 
 use mdh_core::error::{MdhError, Result};
 use mdh_core::expr::{BinOp, Expr, MathFn, ScalarFunction, Stmt, UnOp};
 use mdh_core::types::{BasicType, FieldType, ScalarKind, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::mem::{discriminant, Discriminant};
 
 /// Points per block of [`CompiledSf::run_block`]. A constant, picked by
-/// measurement (2 threads, `Scale::Medium`): PRL — 138 registers, the
-/// largest registered program, whose 34 KB of banks must stay in L1 —
-/// runs 23.0 / 14.4 / 12.8 / 23.9 ns per pair at 8 / 16 / 32 / 64 lanes;
-/// f64 MatVec 1.87 / 1.08 / 0.66 / 0.55 ns per point.
+/// measurement (2 threads, `Scale::Medium`, ms per run at 16 / 32 / 64
+/// lanes, three rounds): PRL — 45 registers after allocation, whose
+/// banks must stay in L1 — 16.9–18.5 / 13.2–14.8 / 19.3–22.3;
+/// `hist1_med` 4.4–6.9 / 4.2–6.2 / 4.1–4.5; a 2¹⁸-point f64 `ps(add)`
+/// 2.5–2.8 / 2.3–2.6 / 1.8–2.4; f64 MatVec 1.08 / 0.66 / 0.55 ns per
+/// point (8 lanes: 1.87).
 pub(crate) const LANES: usize = 32;
 
 /// A typed register reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Reg {
     F(usize),
     I(usize),
@@ -116,16 +130,20 @@ pub enum ParamLoad {
 /// # Register invariants
 ///
 /// `prologue`, `ops`, `n_fregs` and `n_iregs` are private so that a
-/// `CompiledSf` can only be produced by [`compile_sf`], whose `finish`
-/// step *verifies* two things. Every register index appearing in the
-/// program (and in `param_loads` / `result_regs`) is below the
-/// corresponding bank size: the interpreter relies on that to use
-/// unchecked register access — it only re-checks the (two) bank lengths
-/// at entry, not each of the millions of per-block register accesses.
-/// And no instruction writes a parameter register (none writes any
-/// register a second time): what a caller loaded into a parameter's
-/// lanes is still there after any number of runs, so an operand that did
-/// not move need not be loaded again.
+/// `CompiledSf` can only be produced by [`compile_sf`] or
+/// [`compile_fold`], whose allocation step ends by *verifying* three
+/// things. Every register index appearing in the program (and in
+/// `param_loads` / `result_regs`) is below the corresponding bank size:
+/// the interpreter relies on that to use unchecked register access — it
+/// only re-checks the (two) bank lengths at entry, not each of the
+/// millions of per-block register accesses. No instruction writes a
+/// parameter or literal register: what a caller loaded into a
+/// parameter's lanes is still there after any number of runs, so an
+/// operand that did not move need not be loaded again, and the literals
+/// the prologue loaded stay loaded. And every register an instruction
+/// reads is a parameter, a literal, or was written by an earlier
+/// instruction of the block. Temporaries do share registers: a register
+/// is written again once the value it held is dead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledSf {
     /// The literal loads: run once, when the banks are built, instead of
@@ -198,6 +216,73 @@ impl CompiledSf {
     #[inline]
     pub fn run_point(&self, f: &mut [f64], i: &mut [i64]) {
         exec::<1>(&self.ops, self.n_fregs, self.n_iregs, f, i);
+    }
+}
+
+/// A scalar function followed by a combine function, compiled by
+/// [`compile_fold`] as one block: what a fold runs per collapsed point
+/// when its lanes are [`LANES`] neighbouring outputs. The combine
+/// function's rhs reads the scalar function's result registers and its
+/// lhs reads the accumulator registers, which live in the same banks and,
+/// like parameters, no instruction writes. An MDH result is the scalar
+/// function followed by the combine operator (the (De/Re)-Composition
+/// paper), so one block computes what the two did, with one dispatch
+/// loop.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompiledFold {
+    block: CompiledSf,
+    /// `block.ops[..sf_ops]` is the scalar function
+    sf_ops: usize,
+    /// the scalar function's results: they stay live to the block's end
+    point_regs: Vec<Reg>,
+    /// lane `l` of `acc_regs[r]` is component `r` of output `l`'s tuple
+    acc_regs: Vec<Reg>,
+}
+
+impl CompiledFold {
+    /// Where the block's parameters are loaded: the scalar function's own
+    /// parameter registers (allocation keeps them in place).
+    pub fn param_loads(&self) -> &[ParamLoad] {
+        &self.block.param_loads
+    }
+
+    /// The accumulator registers, one per tuple component.
+    pub fn acc_regs(&self) -> &[Reg] {
+        &self.acc_regs
+    }
+
+    /// Fresh [`LANES`]-wide banks, prologue constants in place.
+    pub fn banks(&self) -> (Vec<f64>, Vec<i64>) {
+        self.block.banks()
+    }
+
+    /// One collapsed point in every lane. At the first (`first`), run the
+    /// scalar function and start each lane's chain with its result; at
+    /// every later one, acc ⊗ f(point) → acc. Each lane's chain is its
+    /// points in the order this sees them, bracketed as a per-point fold
+    /// brackets it.
+    #[inline]
+    pub fn run_block(&self, first: bool, f: &mut [f64], i: &mut [i64]) {
+        let b = &self.block;
+        let (ops, results) = match first {
+            true => (&b.ops[..self.sf_ops], &self.point_regs),
+            false => (&b.ops[..], &b.result_regs),
+        };
+        exec::<LANES>(ops, b.n_fregs, b.n_iregs, f, i);
+        copy_lines(results, &self.acc_regs, f, i);
+    }
+}
+
+/// Every lane of each `from` register to the `to` register beside it, in
+/// order (a whole line: spare lanes are nobody's input).
+#[inline]
+fn copy_lines(from: &[Reg], to: &[Reg], f: &mut [f64], i: &mut [i64]) {
+    for (s, d) in from.iter().zip(to) {
+        match (*s, *d) {
+            (Reg::F(s), Reg::F(d)) => f.copy_within(s * LANES..(s + 1) * LANES, d * LANES),
+            (Reg::I(s), Reg::I(d)) => i.copy_within(s * LANES..(s + 1) * LANES, d * LANES),
+            _ => unreachable!("compile_fold pairs registers of one bank"),
+        }
     }
 }
 
@@ -369,11 +454,128 @@ fn exec<const L: usize>(
 
 /// Compile a scalar function into VM form.
 pub fn compile_sf(sf: &ScalarFunction) -> Result<CompiledSf> {
+    Ok(allocate(lower(sf)?, &mut [], &mut []))
+}
+
+/// Compile `sf` followed by the combine function `cf` as one block (see
+/// [`CompiledFold`]). `cf` must take the tuple `sf` returns twice, lhs
+/// then rhs, and return it, each component in the same bank. Declined
+/// when a result of `cf` is another component's lhs parameter: the
+/// results are copied into the accumulators one at a time, so that
+/// accumulator would be overwritten before it is read.
+pub fn compile_fold(sf: &ScalarFunction, cf: &ScalarFunction) -> Result<CompiledFold> {
+    let mut point = lower(sf)?;
+    let comb = lower(cf)?;
+    let width = point.result_regs.len();
+    let params = (comb.param_loads.iter())
+        .map(|pl| match pl {
+            ParamLoad::Scalar(r) => Some(*r),
+            _ => None,
+        })
+        .collect::<Option<Vec<Reg>>>()
+        .unwrap_or_default();
+    let float = |r: Reg| matches!(r, Reg::F(_));
+    let same_banks = params.len() == 2 * width
+        && comb.result_regs.len() == width
+        && (0..width).all(|r| {
+            let bank = float(point.result_regs[r]);
+            [params[r], params[width + r], comb.result_regs[r]]
+                .iter()
+                .all(|&x| float(x) == bank)
+        });
+    if !same_banks {
+        return Err(MdhError::Validation(
+            "combine-function tuple does not match the scalar function's results".into(),
+        ));
+    }
+    // the combine function's registers go past the scalar function's and
+    // the accumulators; its lhs reads an accumulator, its rhs a result
+    let mut rename = HashMap::new();
+    let mut acc_regs = Vec::with_capacity(width);
+    for r in 0..width {
+        let acc = point.fresh_like(params[r]);
+        acc_regs.push(acc);
+        rename.insert(params[r], acc);
+        rename.insert(params[width + r], point.result_regs[r]);
+    }
+    let (off_f, off_i) = (point.n_f, point.n_i);
+    let shift = |r: Reg| match rename.get(&r) {
+        Some(&to) => to,
+        None => match r {
+            Reg::F(d) => Reg::F(d + off_f),
+            Reg::I(d) => Reg::I(d + off_i),
+        },
+    };
+    point.n_f += comb.n_f;
+    point.n_i += comb.n_i;
+    let sf_ops = point.ops.iter().filter(|op| !is_literal(op)).count();
+    (point.ops).extend(comb.ops.iter().map(|op| map_regs(*op, |r, _| shift(r))));
+    let results: Vec<Reg> = comb.result_regs.iter().map(|&r| shift(r)).collect();
+    let clobbers = (results.iter().enumerate()).any(|(r, reg)| {
+        acc_regs
+            .iter()
+            .position(|a| a == reg)
+            .is_some_and(|s| s != r)
+    });
+    if clobbers {
+        return Err(MdhError::Validation(
+            "a combine-function result is another component's lhs".into(),
+        ));
+    }
+    let mut point_regs = std::mem::replace(&mut point.result_regs, results);
+    point.result_kinds = comb.result_kinds;
+    let block = allocate(point, &mut acc_regs, &mut point_regs);
+    Ok(CompiledFold {
+        block,
+        sf_ops,
+        point_regs,
+        acc_regs,
+    })
+}
+
+/// Lower `sf` to single-assignment form and run the exact passes on it.
+fn lower(sf: &ScalarFunction) -> Result<Ssa> {
     sf.validate()?;
     let mut c = Compiler::new(sf)?;
     let body = unroll_block(&sf.body, &HashMap::new())?;
     c.compile_block(&body)?;
-    c.finish(sf)
+    let mut ssa = c.finish(sf);
+    number_values(&mut ssa);
+    sink_selects(&mut ssa);
+    drop_dead(&mut ssa);
+    ssa.ops = fuse_mul_add(std::mem::take(&mut ssa.ops), ssa.n_f, &ssa.result_regs);
+    Ok(ssa)
+}
+
+/// A program as lowered, before register allocation: no register is
+/// written by two ops and no parameter by any, and the literal loads are
+/// still `Const*` ops in the stream.
+struct Ssa {
+    ops: Vec<VmOp>,
+    n_f: usize,
+    n_i: usize,
+    param_loads: Vec<ParamLoad>,
+    result_regs: Vec<Reg>,
+    result_kinds: Vec<ScalarKind>,
+}
+
+impl Ssa {
+    /// An f register no op writes yet.
+    fn fresh_f(&mut self) -> usize {
+        self.n_f += 1;
+        self.n_f - 1
+    }
+
+    /// A register no op writes yet, in the bank of `like`.
+    fn fresh_like(&mut self, like: Reg) -> Reg {
+        match like {
+            Reg::F(_) => Reg::F(self.fresh_f()),
+            Reg::I(_) => {
+                self.n_i += 1;
+                Reg::I(self.n_i - 1)
+            }
+        }
+    }
 }
 
 /// Substitute unrolled loop variables and expand `For` statements.
@@ -546,9 +748,9 @@ impl Compiler {
     }
 
     /// The register holding a literal, given as its bank and bits.
-    /// Nothing overwrites a register, so equal literals share one: PRL's
-    /// 174 registers become 138, 9 KB less of banks to keep in L1 (its
-    /// kernel 30 → 25 ms).
+    /// Nothing overwrites a literal's register, so equal literals share
+    /// one: PRL loads each of its 15 distinct literals once, not each of
+    /// its 36 uses.
     fn literal(&mut self, float: bool, bits: u64) -> Reg {
         if let Some(&r) = self.literals.get(&(float, bits)) {
             return r;
@@ -896,62 +1098,260 @@ impl Compiler {
         }
     }
 
-    fn finish(self, sf: &ScalarFunction) -> Result<CompiledSf> {
-        let result_regs: Vec<Reg> = sf.results.iter().map(|(name, _)| self.vars[name]).collect();
-        let ops = fuse_mul_add(self.ops, self.n_f, &result_regs);
-        // No register is written twice, so a literal's register holds it
-        // at every read: literals load once per bank, not once per block
-        // (PRL re-materialised ~50 of its ops per point otherwise).
-        let (prologue, ops) = ops
-            .into_iter()
-            .partition(|op| matches!(op, VmOp::ConstF(..) | VmOp::ConstI(..)));
-        let compiled = CompiledSf {
-            prologue,
-            ops,
-            n_fregs: self.n_f,
-            n_iregs: self.n_i,
+    fn finish(self, sf: &ScalarFunction) -> Ssa {
+        Ssa {
+            result_regs: sf.results.iter().map(|(name, _)| self.vars[name]).collect(),
+            ops: self.ops,
+            n_f: self.n_f,
+            n_i: self.n_i,
             param_loads: self.param_loads,
-            result_regs,
             result_kinds: self.result_kinds,
-        };
-        verify_registers(&compiled);
-        Ok(compiled)
+        }
     }
 }
 
-/// Visit every register `op` touches, as `(register, is_write)`.
-fn for_each_reg(op: &VmOp, mut visit: impl FnMut(Reg, bool)) {
+/// Every register a parameter is loaded into, in load order.
+fn param_regs(loads: &[ParamLoad]) -> impl Iterator<Item = Reg> + '_ {
+    loads.iter().flat_map(|pl| match pl {
+        ParamLoad::Unused => vec![],
+        ParamLoad::Scalar(r) => vec![*r],
+        ParamLoad::Record(lanes) => lanes.iter().map(|l| l.2).collect(),
+    })
+}
+
+fn is_literal(op: &VmOp) -> bool {
+    matches!(op, VmOp::ConstF(..) | VmOp::ConstI(..))
+}
+
+/// `op` with every register it touches replaced by `to(register,
+/// is_write)`, which must keep the bank. The sources are visited before
+/// the destination.
+fn map_regs(op: VmOp, mut to: impl FnMut(Reg, bool) -> Reg) -> VmOp {
     use Reg::{F, I};
-    let mut rw = |d: Reg, srcs: &[Reg]| {
-        visit(d, true);
-        srcs.iter().for_each(|&s| visit(s, false));
+    let mut at = |r: Reg, write: bool| match to(r, write) {
+        Reg::F(x) | Reg::I(x) => x,
     };
-    match *op {
-        VmOp::ConstF(d, _) => rw(F(d), &[]),
-        VmOp::ConstI(d, _) => rw(I(d), &[]),
-        VmOp::FNeg(d, a) | VmOp::Call1(_, d, a) => rw(F(d), &[F(a)]),
-        VmOp::INeg(d, a) | VmOp::Not(d, a) => rw(I(d), &[I(a)]),
-        VmOp::FAdd(d, a, b)
-        | VmOp::FSub(d, a, b)
-        | VmOp::FMul(d, a, b)
-        | VmOp::FDiv(d, a, b)
-        | VmOp::FRem(d, a, b)
-        | VmOp::Call2(_, d, a, b) => rw(F(d), &[F(a), F(b)]),
-        VmOp::FMulAdd(d, a, b, c) => rw(F(d), &[F(a), F(b), F(c)]),
-        VmOp::IAdd(d, a, b)
-        | VmOp::ISub(d, a, b)
-        | VmOp::IMul(d, a, b)
-        | VmOp::IDiv(d, a, b)
-        | VmOp::IRem(d, a, b)
-        | VmOp::And(d, a, b)
-        | VmOp::Or(d, a, b)
-        | VmOp::ICmp(_, d, a, b) => rw(I(d), &[I(a), I(b)]),
-        VmOp::FCmp(_, d, a, b) => rw(I(d), &[F(a), F(b)]),
-        VmOp::IToF(d, a) => rw(F(d), &[I(a)]),
-        VmOp::FToI(d, a) => rw(I(d), &[F(a)]),
-        VmOp::SelF(d, p, a, b) => rw(F(d), &[I(p), F(a), F(b)]),
-        VmOp::SelI(d, p, a, b) => rw(I(d), &[I(p), I(a), I(b)]),
+    let at: At = &mut at;
+    type At<'a> = &'a mut dyn FnMut(Reg, bool) -> usize;
+    fn un(at: At, d: Reg, a: Reg, mk: impl FnOnce(usize, usize) -> VmOp) -> VmOp {
+        let a = at(a, false);
+        mk(at(d, true), a)
     }
+    fn bin(at: At, d: Reg, a: Reg, b: Reg, mk: impl FnOnce(usize, usize, usize) -> VmOp) -> VmOp {
+        let (a, b) = (at(a, false), at(b, false));
+        mk(at(d, true), a, b)
+    }
+    fn tri(
+        at: At,
+        d: Reg,
+        [a, b, c]: [Reg; 3],
+        mk: fn(usize, usize, usize, usize) -> VmOp,
+    ) -> VmOp {
+        let (a, b, c) = (at(a, false), at(b, false), at(c, false));
+        mk(at(d, true), a, b, c)
+    }
+    match op {
+        VmOp::ConstF(d, v) => VmOp::ConstF(at(F(d), true), v),
+        VmOp::ConstI(d, v) => VmOp::ConstI(at(I(d), true), v),
+        VmOp::FNeg(d, a) => un(at, F(d), F(a), VmOp::FNeg),
+        VmOp::Call1(m, d, a) => un(at, F(d), F(a), |d, a| VmOp::Call1(m, d, a)),
+        VmOp::INeg(d, a) => un(at, I(d), I(a), VmOp::INeg),
+        VmOp::Not(d, a) => un(at, I(d), I(a), VmOp::Not),
+        VmOp::IToF(d, a) => un(at, F(d), I(a), VmOp::IToF),
+        VmOp::FToI(d, a) => un(at, I(d), F(a), VmOp::FToI),
+        VmOp::FAdd(d, a, b) => bin(at, F(d), F(a), F(b), VmOp::FAdd),
+        VmOp::FSub(d, a, b) => bin(at, F(d), F(a), F(b), VmOp::FSub),
+        VmOp::FMul(d, a, b) => bin(at, F(d), F(a), F(b), VmOp::FMul),
+        VmOp::FDiv(d, a, b) => bin(at, F(d), F(a), F(b), VmOp::FDiv),
+        VmOp::FRem(d, a, b) => bin(at, F(d), F(a), F(b), VmOp::FRem),
+        VmOp::Call2(m, d, a, b) => bin(at, F(d), F(a), F(b), |d, a, b| VmOp::Call2(m, d, a, b)),
+        VmOp::IAdd(d, a, b) => bin(at, I(d), I(a), I(b), VmOp::IAdd),
+        VmOp::ISub(d, a, b) => bin(at, I(d), I(a), I(b), VmOp::ISub),
+        VmOp::IMul(d, a, b) => bin(at, I(d), I(a), I(b), VmOp::IMul),
+        VmOp::IDiv(d, a, b) => bin(at, I(d), I(a), I(b), VmOp::IDiv),
+        VmOp::IRem(d, a, b) => bin(at, I(d), I(a), I(b), VmOp::IRem),
+        VmOp::And(d, a, b) => bin(at, I(d), I(a), I(b), VmOp::And),
+        VmOp::Or(d, a, b) => bin(at, I(d), I(a), I(b), VmOp::Or),
+        VmOp::ICmp(k, d, a, b) => bin(at, I(d), I(a), I(b), |d, a, b| VmOp::ICmp(k, d, a, b)),
+        VmOp::FCmp(k, d, a, b) => bin(at, I(d), F(a), F(b), |d, a, b| VmOp::FCmp(k, d, a, b)),
+        VmOp::FMulAdd(d, a, b, c) => tri(at, F(d), [F(a), F(b), F(c)], VmOp::FMulAdd),
+        VmOp::SelF(d, p, a, b) => tri(at, F(d), [I(p), F(a), F(b)], VmOp::SelF),
+        VmOp::SelI(d, p, a, b) => tri(at, I(d), [I(p), I(a), I(b)], VmOp::SelI),
+    }
+}
+
+/// Visit every register `op` touches, as `(register, is_write)`: the
+/// sources first, then the destination.
+fn for_each_reg(op: &VmOp, mut visit: impl FnMut(Reg, bool)) {
+    map_regs(*op, |r, write| {
+        visit(r, write);
+        r
+    });
+}
+
+/// The register `op` writes.
+fn dst_of(op: &VmOp) -> Reg {
+    let mut dst = Reg::F(0);
+    for_each_reg(op, |r, write| {
+        if write {
+            dst = r;
+        }
+    });
+    dst
+}
+
+/// Value numbering. Every op is pure and no register is written twice,
+/// so an op equal to an earlier one in opcode and operands computes the
+/// same lanes: it is dropped, and its readers read the earlier op's
+/// register. `prl_max` tests `lhs_m == 12` and `rhs_m == 12` in two
+/// conditions; each test runs once. (Literals are shared as they are
+/// lowered, by `Compiler::literal`.)
+fn number_values(ssa: &mut Ssa) {
+    type Key = (Discriminant<VmOp>, u8, Vec<Reg>);
+    let mut same: HashMap<Reg, Reg> = HashMap::new();
+    let mut seen: HashMap<Key, Reg> = HashMap::new();
+    ssa.ops.retain_mut(|op| {
+        let mut srcs = Vec::new();
+        *op = map_regs(*op, |r, write| {
+            if write {
+                return r;
+            }
+            let r = same.get(&r).copied().unwrap_or(r);
+            srcs.push(r);
+            r
+        });
+        if is_literal(op) {
+            return true;
+        }
+        let sub = match *op {
+            VmOp::FCmp(k, ..) | VmOp::ICmp(k, ..) => k as u8,
+            VmOp::Call1(m, ..) | VmOp::Call2(m, ..) => m as u8,
+            _ => 0,
+        };
+        match seen.entry((discriminant(op), sub, srcs)) {
+            Entry::Occupied(first) => {
+                same.insert(dst_of(op), *first.get());
+                false
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(dst_of(op));
+                true
+            }
+        }
+    });
+    for r in &mut ssa.result_regs {
+        *r = same.get(r).copied().unwrap_or(*r);
+    }
+}
+
+/// Exact select sinking: an if-converted `if` whose arms both add to one
+/// value selects between two sums, and selecting the addends, then adding
+/// once, computes the same lanes bit for bit.
+///
+/// * `sel(c, x + y, x + z)` → `x + sel(c, y, z)`, and `sel(c, x + z,
+///   y + z)` → `sel(c, x, y) + z`: the shared operand keeps its position,
+///   so a NaN propagates from the same side as before;
+/// * `sel(c, x + y, x − k)` → `x + sel(c, y, −k)` for a literal `k` that is
+///   not NaN (either arm may be the difference): IEEE 754 defines `x − k`
+///   as `x + (−k)`, and negating a literal is exact;
+/// * `sel(c, m + 1, m)` → `m + c` on the integer bank, when `c` is written
+///   by a comparison or a logic op and so is 0 or 1; both adds wrap.
+///
+/// An arm is rewritten only when the select is its one reader, so the
+/// arms die ([`drop_dead`] removes them) and two ops become one or three
+/// become two. PRL's per-field `FSub, Abs, FCmp, FAdd, IAdd, FSub, SelI,
+/// SelF` becomes `FSub, Abs, FCmp, IAdd, SelF, FAdd`.
+fn sink_selects(ssa: &mut Ssa) {
+    let mut defs: HashMap<Reg, VmOp> = HashMap::new();
+    let mut reads: HashMap<Reg, usize> = HashMap::new();
+    let mut literals: HashMap<u64, usize> = HashMap::new();
+    for op in &ssa.ops {
+        for_each_reg(op, |r, write| {
+            if write {
+                defs.insert(r, *op);
+            } else {
+                *reads.entry(r).or_default() += 1;
+            }
+        });
+        if let VmOp::ConstF(d, v) = *op {
+            literals.insert(v.to_bits(), d);
+        }
+    }
+    for &r in &ssa.result_regs {
+        *reads.entry(r).or_default() += 1;
+    }
+    // `r = x + y` as `(x, Ok(y))`, `r = x − k` as `(x, Err(−k))`
+    let sum = |r: usize| match defs.get(&Reg::F(r)) {
+        Some(&VmOp::FAdd(_, x, y)) => Some((x, Ok(y))),
+        Some(&VmOp::FSub(_, x, k)) => match defs.get(&Reg::F(k)) {
+            Some(&VmOp::ConstF(_, v)) if !v.is_nan() => Some((x, Err(-v))),
+            _ => None,
+        },
+        _ => None,
+    };
+    let boolean = |c: usize| {
+        let def = defs.get(&Reg::I(c));
+        matches!(
+            def,
+            Some(VmOp::FCmp(..) | VmOp::ICmp(..) | VmOp::And(..) | VmOp::Or(..) | VmOp::Not(..))
+        )
+    };
+    let one = |r: usize| matches!(defs.get(&Reg::I(r)), Some(VmOp::ConstI(_, 1)));
+    let single = |r: Reg| reads.get(&r) == Some(&1);
+    let mut out = Vec::with_capacity(ssa.ops.len());
+    for op in std::mem::take(&mut ssa.ops) {
+        match op {
+            VmOp::SelF(d, c, a, b) if single(Reg::F(a)) && single(Reg::F(b)) => {
+                match (sum(a), sum(b)) {
+                    (Some((x, ya)), Some((xb, yb))) if x == xb => {
+                        let mut addend = |y| match y {
+                            Ok(y) => y,
+                            Err(v) => *literals.entry(f64::to_bits(v)).or_insert_with(|| {
+                                let k = ssa.fresh_f();
+                                out.push(VmOp::ConstF(k, v));
+                                k
+                            }),
+                        };
+                        let (ya, yb) = (addend(ya), addend(yb));
+                        let s = ssa.fresh_f();
+                        out.extend([VmOp::SelF(s, c, ya, yb), VmOp::FAdd(d, x, s)]);
+                    }
+                    (Some((xa, Ok(y))), Some((xb, Ok(yb)))) if y == yb => {
+                        let s = ssa.fresh_f();
+                        out.extend([VmOp::SelF(s, c, xa, xb), VmOp::FAdd(d, s, y)]);
+                    }
+                    _ => out.push(op),
+                }
+            }
+            VmOp::SelI(d, c, a, m) if single(Reg::I(a)) && boolean(c) => match defs.get(&Reg::I(a))
+            {
+                Some(&VmOp::IAdd(_, x, y)) if (x == m && one(y)) || (y == m && one(x)) => {
+                    out.push(VmOp::IAdd(d, m, c))
+                }
+                _ => out.push(op),
+            },
+            _ => out.push(op),
+        }
+    }
+    ssa.ops = out;
+}
+
+/// Remove every op whose register nothing reads: every op is pure.
+fn drop_dead(ssa: &mut Ssa) {
+    let mut live: HashSet<Reg> = ssa.result_regs.iter().copied().collect();
+    let mut kept = Vec::with_capacity(ssa.ops.len());
+    for op in ssa.ops.iter().rev() {
+        if live.contains(&dst_of(op)) {
+            for_each_reg(op, |r, write| {
+                if !write {
+                    live.insert(r);
+                }
+            });
+            kept.push(*op);
+        }
+    }
+    kept.reverse();
+    ssa.ops = kept;
 }
 
 /// Peephole: fuse an adjacent `FMul(t, a, b)` + `FAdd(d, t, c)` (or
@@ -995,45 +1395,168 @@ fn fuse_mul_add(ops: Vec<VmOp>, n_fregs: usize, result_regs: &[Reg]) -> Vec<VmOp
     out
 }
 
+/// Linear-scan register allocation, run last. Parameters, then literals,
+/// then `inputs` take fixed registers (the lowest, in that order, so a
+/// parameter keeps the register it was lowered to); no op writes them.
+/// Every other register is given a slot when an op writes it and gives
+/// the slot back after its last read, so a later op — the reading op's
+/// own destination included, since [`exec`] copies its operands out
+/// first — reuses it. Results and `keep` stay live to the end. `inputs`
+/// and `keep` are renamed in place. Straight-line code makes every live
+/// range one interval, so the slot count is the most values ever live at
+/// once.
+fn allocate(ssa: Ssa, inputs: &mut [Reg], keep: &mut [Reg]) -> CompiledSf {
+    let Ssa {
+        ops,
+        n_f,
+        n_i,
+        mut param_loads,
+        mut result_regs,
+        result_kinds,
+    } = ssa;
+    let (prologue, ops): (Vec<VmOp>, Vec<VmOp>) = ops.into_iter().partition(is_literal);
+    // both banks in one index space; `bank` 0 is f, 1 is i
+    let flat = |r: Reg| match r {
+        Reg::F(d) => (d, 0),
+        Reg::I(d) => (n_f + d, 1),
+    };
+    let mut slot: Vec<Option<usize>> = vec![None; n_f + n_i];
+    let mut next = [0usize; 2];
+    let mut fixed = vec![false; n_f + n_i];
+    let literals = prologue.iter().map(dst_of);
+    for r in param_regs(&param_loads)
+        .chain(literals)
+        .chain(inputs.iter().copied())
+    {
+        let (k, bank) = flat(r);
+        if slot[k].is_none() {
+            slot[k] = Some(next[bank]);
+            next[bank] += 1;
+            fixed[k] = true;
+        }
+    }
+    let mut last = vec![None; n_f + n_i];
+    for (p, op) in ops.iter().enumerate() {
+        for_each_reg(op, |r, write| {
+            if !write {
+                last[flat(r).0] = Some(p);
+            }
+        });
+    }
+    for &r in result_regs.iter().chain(keep.iter()) {
+        last[flat(r).0] = Some(usize::MAX);
+    }
+    let mut free: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+    let ops: Vec<VmOp> = (ops.into_iter().enumerate())
+        .map(|(p, op)| {
+            map_regs(op, |r, write| {
+                let (k, bank) = flat(r);
+                if write {
+                    let s = free[bank].pop().unwrap_or_else(|| {
+                        next[bank] += 1;
+                        next[bank] - 1
+                    });
+                    slot[k] = Some(s);
+                    if last[k].is_none() {
+                        free[bank].push(s); // written, never read
+                    }
+                }
+                let Some(s) = slot[k] else {
+                    panic!("register {r:?} is read before it is written");
+                };
+                if !write && !fixed[k] && last[k] == Some(p) {
+                    last[k] = None; // an op reading it twice frees it once
+                    free[bank].push(s);
+                }
+                match r {
+                    Reg::F(_) => Reg::F(s),
+                    Reg::I(_) => Reg::I(s),
+                }
+            })
+        })
+        .collect();
+    let mut rename = |r: &mut Reg| {
+        *r = match (*r, slot[flat(*r).0]) {
+            (Reg::F(_), Some(s)) => Reg::F(s),
+            (Reg::I(_), Some(s)) => Reg::I(s),
+            (r, None) => panic!("register {r:?} is never written"),
+        }
+    };
+    for pl in &mut param_loads {
+        match pl {
+            ParamLoad::Unused => {}
+            ParamLoad::Scalar(r) => rename(r),
+            ParamLoad::Record(lanes) => lanes.iter_mut().for_each(|l| rename(&mut l.2)),
+        }
+    }
+    result_regs.iter_mut().for_each(&mut rename);
+    inputs.iter_mut().for_each(&mut rename);
+    keep.iter_mut().for_each(&mut rename);
+    let prologue = (prologue.into_iter())
+        .map(|op| {
+            map_regs(op, |mut r, _| {
+                rename(&mut r);
+                r
+            })
+        })
+        .collect();
+    let compiled = CompiledSf {
+        prologue,
+        ops,
+        n_fregs: next[0],
+        n_iregs: next[1],
+        param_loads,
+        result_regs,
+        result_kinds,
+    };
+    verify_registers(&compiled, inputs);
+    compiled
+}
+
 /// Compile-time check backing the unchecked interpreter and the
 /// executor's load skipping (see the [`CompiledSf`] docs): every register
-/// index is below its bank size, no instruction writes a parameter
-/// register and none writes a register another one wrote. A failure is a
-/// compiler bug, not bad input, hence the panic.
-fn verify_registers(c: &CompiledSf) {
+/// index is below its bank size, no instruction writes a parameter,
+/// literal or `inputs` register, and every register an instruction reads
+/// — and every result — is one of those or was written by an earlier
+/// instruction. A failure is a compiler bug, not bad input, hence the
+/// panic.
+fn verify_registers(c: &CompiledSf, inputs: &[Reg]) {
     let in_reg = |r: Reg| match r {
         Reg::F(d) => assert!(d < c.n_fregs, "f-register {d} out of range {}", c.n_fregs),
         Reg::I(d) => assert!(d < c.n_iregs, "i-register {d} out of range {}", c.n_iregs),
     };
-    let (mut f_written, mut i_written) = (vec![false; c.n_fregs], vec![false; c.n_iregs]);
-    let mut written = |r: Reg| {
-        let slot = match r {
-            Reg::F(d) => &mut f_written[d],
-            Reg::I(d) => &mut i_written[d],
-        };
-        assert!(!*slot, "register {r:?} is written twice");
-        *slot = true;
-    };
-    for pl in &c.param_loads {
-        let mut param = |r: Reg| {
-            in_reg(r);
-            written(r);
-        };
-        match pl {
-            ParamLoad::Unused => {}
-            ParamLoad::Scalar(r) => param(*r),
-            ParamLoad::Record(lanes) => lanes.iter().for_each(|(_, _, r)| param(*r)),
-        }
+    let (mut fixed, mut written) = (HashSet::new(), HashSet::new());
+    let literals = c.prologue.iter().map(|op| {
+        assert!(is_literal(op), "{op:?} in the prologue");
+        dst_of(op)
+    });
+    for r in param_regs(&c.param_loads)
+        .chain(literals)
+        .chain(inputs.iter().copied())
+    {
+        in_reg(r);
+        fixed.insert(r);
     }
-    for op in c.prologue.iter().chain(&c.ops) {
+    for op in &c.ops {
         for_each_reg(op, |r, write| {
             in_reg(r);
             if write {
-                written(r);
+                assert!(
+                    !fixed.contains(&r),
+                    "{op:?} writes the fixed register {r:?}"
+                );
+                written.insert(r);
+            } else {
+                let known = fixed.contains(&r) || written.contains(&r);
+                assert!(known, "{op:?} reads {r:?} before anything writes it");
             }
         });
     }
-    c.result_regs.iter().for_each(|r| in_reg(*r));
+    for &r in &c.result_regs {
+        in_reg(r);
+        let known = fixed.contains(&r) || written.contains(&r);
+        assert!(known, "result register {r:?} is never written");
+    }
 }
 
 fn kind_is_float(k: ScalarKind) -> bool {
@@ -1250,16 +1773,283 @@ mod tests {
     #[test]
     fn an_if_joins_with_one_select_per_variable_and_literals_load_once() {
         let c = compile_sf(&nested_if_sf()).unwrap();
-        // the literals (`res = 0`, 1.0, and 2.0 once for its two uses)
-        // run once per bank
-        assert_eq!(c.prologue.len(), 3, "{:?}", c.prologue);
-        // two comparisons, `2b` twice, the add, and one select per `if`
-        // for the one variable its arms assign: no path predicate, no
-        // `Not` for the else arm
+        // the literals (1.0, and 2.0 once for its two uses) run once per
+        // bank; `res = 0` is dead, since both arms assign `res`
+        assert_eq!(c.prologue.len(), 2, "{:?}", c.prologue);
+        // two comparisons, `2b` once (value numbering), the add, and one
+        // select per `if` for the one variable its arms assign: no path
+        // predicate, no `Not` for the else arm
         let sels = |o: &&VmOp| matches!(o, VmOp::SelF(..));
         assert_eq!(c.ops().iter().filter(sels).count(), 2, "{:?}", c.ops());
-        assert_eq!(c.ops().len(), 7, "{:?}", c.ops());
+        assert_eq!(c.ops().len(), 6, "{:?}", c.ops());
         assert!(!c.ops().iter().any(|o| matches!(o, VmOp::Not(..))));
+    }
+
+    /// PRL's per-field step: `if |a − b| < 0.1 { w = w + 2.5; m = m + 1 }
+    /// else { w = w − k }`, `w` and `m` starting from the parameters.
+    fn field_step_sf(k: f64) -> ScalarFunction {
+        use mdh_core::expr::{BinOp, Expr, Stmt};
+        let assign = |name: &str, value| Stmt::Assign {
+            name: name.into(),
+            value,
+        };
+        let close = Expr::Bin(
+            BinOp::Lt,
+            Box::new(Expr::Call(
+                MathFn::Abs,
+                vec![Expr::sub(Expr::Param(0), Expr::Param(1))],
+            )),
+            Box::new(Expr::lit_f64(0.1)),
+        );
+        ScalarFunction {
+            name: "field".into(),
+            params: vec![
+                ("a".into(), BasicType::F64),
+                ("b".into(), BasicType::F64),
+                ("w0".into(), BasicType::F64),
+                ("m0".into(), BasicType::I64),
+            ],
+            results: vec![("w".into(), BasicType::F64), ("m".into(), BasicType::I64)],
+            body: vec![
+                assign("w", Expr::Param(2)),
+                assign("m", Expr::Param(3)),
+                Stmt::If {
+                    cond: close,
+                    then_branch: vec![
+                        assign("w", Expr::add(Expr::var("w"), Expr::lit_f64(2.5))),
+                        assign("m", Expr::add(Expr::var("m"), Expr::lit_i64(1))),
+                    ],
+                    else_branch: vec![assign("w", Expr::sub(Expr::var("w"), Expr::lit_f64(k)))],
+                },
+            ],
+        }
+    }
+
+    /// Bits of every result, a NaN's sign included.
+    fn bits(vals: &[Value]) -> Vec<u64> {
+        (vals.iter())
+            .map(|v| match v {
+                Value::F64(x) => x.to_bits(),
+                other => other.as_i64().unwrap() as u64,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn select_sinking_rewrites_the_field_step_and_keeps_every_bit() {
+        use VmOp::*;
+        let shape = |c: &CompiledSf| {
+            (c.ops().iter())
+                .map(|op| format!("{op:?}").split('(').next().unwrap().to_string())
+                .collect::<Vec<_>>()
+        };
+        let c = compile_sf(&field_step_sf(0.3)).unwrap();
+        let want = ["FSub", "Call1", "FCmp", "IAdd", "SelF", "FAdd"];
+        assert_eq!(shape(&c), want, "{:?}", c.ops());
+        // the counter adds the comparison itself
+        let (FCmp(_, cmp, ..), IAdd(_, _, by)) = (c.ops()[2], c.ops()[3]) else {
+            panic!("{:?}", c.ops())
+        };
+        assert_eq!(cmp, by);
+        // a NaN literal is not negated into the select: its arm stays a
+        // subtraction, so `w − NaN` keeps the NaN's sign
+        let nan = compile_sf(&field_step_sf(f64::NAN)).unwrap();
+        let subs = nan.ops().iter().filter(|op| matches!(op, FSub(..))).count();
+        assert_eq!(subs, 2, "{:?}", nan.ops());
+        let specials = [0.0, -0.0, 1.5, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for k in [0.3, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let sf = field_step_sf(k);
+            let c = compile_sf(&sf).unwrap();
+            for (&w, m) in specials.iter().zip([0, 1, -1, i64::MAX, i64::MIN, 7]) {
+                if w.is_nan() && k.is_nan() {
+                    // `NaN − NaN`: which operand propagates is the code
+                    // generator's choice
+                    continue;
+                }
+                for (a, b) in [(1.0, 1.05), (1.0, 2.0), (f64::NAN, 0.0)] {
+                    let args = [Value::F64(a), Value::F64(b), Value::F64(w), Value::I64(m)];
+                    let want = bits(&sf.eval(&args).unwrap());
+                    assert_eq!(bits(&run_dyn(&c, &args)), want, "k={k} w={w} m={m} a={a}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dead_temporaries_give_their_registers_back() {
+        // a 16-term weighted sum: each product dies at its add, so the
+        // f bank holds the 16 parameters, the 16 weights and a few
+        // temporaries, not one register per value
+        let weights: Vec<f64> = (0..16).map(|w| w as f64 + 0.5).collect();
+        let sf = ScalarFunction::weighted_sum("g", ScalarKind::F64, &weights);
+        let c = compile_sf(&sf).unwrap();
+        assert!(c.n_fregs() <= 16 + 16 + 2, "{} f registers", c.n_fregs());
+        let args: Vec<Value> = (0..16).map(|p| Value::F64(p as f64 * 0.37 - 2.0)).collect();
+        assert_eq!(run_dyn(&c, &args), sf.eval(&args).unwrap());
+    }
+
+    /// A valid two-parameter program: `f2 = f0 + f1`, `f3 = f2 * f1`.
+    fn tiny() -> CompiledSf {
+        CompiledSf {
+            prologue: vec![],
+            ops: vec![VmOp::FAdd(2, 0, 1), VmOp::FMul(3, 2, 1)],
+            n_fregs: 4,
+            n_iregs: 0,
+            param_loads: vec![ParamLoad::Scalar(Reg::F(0)), ParamLoad::Scalar(Reg::F(1))],
+            result_regs: vec![Reg::F(3)],
+            result_kinds: vec![ScalarKind::F64],
+        }
+    }
+
+    #[test]
+    fn verify_accepts_a_valid_program() {
+        verify_registers(&tiny(), &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "writes the fixed register")]
+    fn verify_rejects_a_write_to_a_parameter() {
+        let mut c = tiny();
+        c.ops[1] = VmOp::FMul(1, 2, 1);
+        verify_registers(&c, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "before anything writes it")]
+    fn verify_rejects_a_read_before_the_write() {
+        let mut c = tiny();
+        c.ops.swap(0, 1);
+        verify_registers(&c, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "writes the fixed register")]
+    fn verify_rejects_a_write_to_an_input() {
+        verify_registers(&tiny(), &[Reg::F(3)]);
+    }
+
+    /// `(id, w)` tuples: keep the heavier, the lhs on a tie.
+    fn argmax_cf() -> ScalarFunction {
+        use mdh_core::expr::{BinOp, Expr, Stmt};
+        let take = |id, w| {
+            vec![
+                Stmt::Assign {
+                    name: "rid".into(),
+                    value: Expr::Param(id),
+                },
+                Stmt::Assign {
+                    name: "rw".into(),
+                    value: Expr::Param(w),
+                },
+            ]
+        };
+        let ge = Expr::Bin(
+            BinOp::Ge,
+            Box::new(Expr::Param(1)),
+            Box::new(Expr::Param(3)),
+        );
+        ScalarFunction {
+            name: "argmax".into(),
+            params: vec![
+                ("lid".into(), BasicType::I64),
+                ("lw".into(), BasicType::F64),
+                ("id".into(), BasicType::I64),
+                ("w".into(), BasicType::F64),
+            ],
+            results: vec![
+                ("rid".into(), BasicType::I64),
+                ("rw".into(), BasicType::F64),
+            ],
+            body: vec![Stmt::If {
+                cond: ge,
+                then_branch: take(0, 1),
+                else_branch: take(2, 3),
+            }],
+        }
+    }
+
+    #[test]
+    fn a_fold_block_is_the_scalar_function_then_the_combine_function() {
+        use mdh_core::expr::{Expr, Stmt};
+        // point: `(id, w) = (i, i·x − x·x)` folded by argmax over
+        // 5 points, every lane its own x
+        let sf = ScalarFunction {
+            name: "point".into(),
+            params: vec![("i".into(), BasicType::I64), ("x".into(), BasicType::F64)],
+            results: vec![("id".into(), BasicType::I64), ("w".into(), BasicType::F64)],
+            body: vec![
+                Stmt::Assign {
+                    name: "id".into(),
+                    value: Expr::Param(0),
+                },
+                Stmt::Assign {
+                    name: "w".into(),
+                    value: Expr::sub(
+                        Expr::mul(Expr::Param(0), Expr::Param(1)),
+                        Expr::mul(Expr::Param(1), Expr::Param(1)),
+                    ),
+                },
+            ],
+        };
+        let cf = argmax_cf();
+        let fold = compile_fold(&sf, &cf).unwrap();
+        assert_eq!(fold.param_loads(), compile_sf(&sf).unwrap().param_loads);
+        let (mut f, mut i) = fold.banks();
+        let [ParamLoad::Scalar(Reg::I(pi)), ParamLoad::Scalar(Reg::F(px))] = fold.param_loads()
+        else {
+            panic!("two scalar parameters")
+        };
+        let x = |l: usize| l as f64 * 0.25 - 1.0;
+        for l in 0..LANES {
+            f[px * LANES + l] = x(l);
+        }
+        for point in 0..5 {
+            i[pi * LANES..][..LANES].fill(point);
+            fold.run_block(point == 0, &mut f, &mut i);
+        }
+        let [Reg::I(aid), Reg::F(aw)] = fold.acc_regs() else {
+            panic!("an i and an f accumulator")
+        };
+        for l in 0..LANES {
+            let mut acc = sf.eval(&[Value::I64(0), Value::F64(x(l))]).unwrap();
+            for point in 1..5 {
+                let new = sf.eval(&[Value::I64(point), Value::F64(x(l))]).unwrap();
+                acc = cf.eval(&[acc, new].concat()).unwrap();
+            }
+            let got = vec![
+                Value::I64(i[aid * LANES + l]),
+                Value::F64(f[aw * LANES + l]),
+            ];
+            assert_eq!(got, acc, "lane {l}");
+        }
+    }
+
+    #[test]
+    fn a_fold_whose_result_is_another_components_lhs_is_declined() {
+        use mdh_core::expr::{Expr, Stmt};
+        // `(a, b) ⊗ (c, d) = (b, a)`: copying result 0 into accumulator 0
+        // would overwrite what result 1 reads
+        let swap = ScalarFunction {
+            name: "swap".into(),
+            params: ["a", "b", "c", "d"]
+                .iter()
+                .map(|n| (n.to_string(), BasicType::F64))
+                .collect(),
+            results: vec![("x".into(), BasicType::F64), ("y".into(), BasicType::F64)],
+            body: vec![
+                Stmt::Assign {
+                    name: "x".into(),
+                    value: Expr::Param(1),
+                },
+                Stmt::Assign {
+                    name: "y".into(),
+                    value: Expr::Param(0),
+                },
+            ],
+        };
+        let mut pair = ScalarFunction::identity("id", ScalarKind::F64);
+        pair.results.push(("twice".into(), BasicType::F64));
+        assert!(compile_fold(&pair, &swap).is_err());
     }
 
     #[test]

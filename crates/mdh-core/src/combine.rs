@@ -181,6 +181,24 @@ impl PwFunc {
         }
     }
 
+    /// Whether `self` and `other` are one function: the same builtin, or
+    /// two custom functions whose bodies render alike
+    /// ([`ScalarFunction::render_positional`], as the plan key renders
+    /// them). The name decides nothing: the builtin `add` and a custom
+    /// function named `add` differ.
+    pub fn same_function(&self, other: &PwFunc) -> bool {
+        let rendered = |f: &ScalarFunction| {
+            let mut out = String::new();
+            f.render_positional(&mut out);
+            out
+        };
+        match (&self.kind, &other.kind) {
+            (PwKind::Builtin(a), PwKind::Builtin(b)) => a == b,
+            (PwKind::Custom(f), PwKind::Custom(g)) => rendered(f) == rendered(g),
+            _ => false,
+        }
+    }
+
     pub fn as_builtin(&self) -> Option<BuiltinReduce> {
         match &self.kind {
             PwKind::Builtin(b) => Some(*b),

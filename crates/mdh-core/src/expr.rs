@@ -743,6 +743,85 @@ fn as_weighted_sum(e: &Expr) -> Option<Vec<(usize, f64)>> {
     }
 }
 
+impl ScalarFunction {
+    /// Append the function with its parameters and results renamed
+    /// positionally (`p<i>`, `r<i>`) and its name left out: what the
+    /// function computes as written, and nothing of what it is called.
+    /// The plan key renders a scalar function and a custom combine
+    /// function this way, and the VM tells two combine functions apart by
+    /// it.
+    pub fn render_positional(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let mut rename: HashMap<&str, String> = HashMap::new();
+        for (i, (name, ty)) in self.params.iter().enumerate() {
+            rename.insert(name.as_str(), format!("p{i}"));
+            ty.render(out);
+            out.push(',');
+        }
+        out.push_str("->");
+        for (i, (name, ty)) in self.results.iter().enumerate() {
+            rename.insert(name.as_str(), format!("r{i}"));
+            ty.render(out);
+            out.push(',');
+        }
+        let body: Vec<Stmt> = self.body.iter().map(|s| rename_stmt(s, &rename)).collect();
+        let _ = write!(out, "{body:?}");
+    }
+}
+
+fn rename_stmt(s: &Stmt, map: &HashMap<&str, String>) -> Stmt {
+    let fix = |n: &String| map.get(n.as_str()).cloned().unwrap_or_else(|| n.clone());
+    match s {
+        Stmt::Let { name, value } => Stmt::Let {
+            name: fix(name),
+            value: rename_expr(value, map),
+        },
+        Stmt::Assign { name, value } => Stmt::Assign {
+            name: fix(name),
+            value: rename_expr(value, map),
+        },
+        Stmt::If {
+            cond,
+            then_branch,
+            else_branch,
+        } => Stmt::If {
+            cond: rename_expr(cond, map),
+            then_branch: then_branch.iter().map(|s| rename_stmt(s, map)).collect(),
+            else_branch: else_branch.iter().map(|s| rename_stmt(s, map)).collect(),
+        },
+        Stmt::For { var, lo, hi, body } => Stmt::For {
+            var: fix(var),
+            lo: *lo,
+            hi: *hi,
+            body: body.iter().map(|s| rename_stmt(s, map)).collect(),
+        },
+    }
+}
+
+fn rename_expr(e: &Expr, map: &HashMap<&str, String>) -> Expr {
+    match e {
+        Expr::Lit(_) | Expr::Param(_) => e.clone(),
+        Expr::Var(n) => Expr::Var(map.get(n.as_str()).cloned().unwrap_or_else(|| n.clone())),
+        Expr::Field(inner, f) => Expr::Field(Box::new(rename_expr(inner, map)), f.clone()),
+        Expr::ArrayIndex(a, b) => {
+            Expr::ArrayIndex(Box::new(rename_expr(a, map)), Box::new(rename_expr(b, map)))
+        }
+        Expr::Bin(op, a, b) => Expr::Bin(
+            *op,
+            Box::new(rename_expr(a, map)),
+            Box::new(rename_expr(b, map)),
+        ),
+        Expr::Un(op, a) => Expr::Un(*op, Box::new(rename_expr(a, map))),
+        Expr::Call(f, args) => Expr::Call(*f, args.iter().map(|a| rename_expr(a, map)).collect()),
+        Expr::Cast(k, a) => Expr::Cast(*k, Box::new(rename_expr(a, map))),
+        Expr::Select(c, a, b) => Expr::Select(
+            Box::new(rename_expr(c, map)),
+            Box::new(rename_expr(a, map)),
+            Box::new(rename_expr(b, map)),
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

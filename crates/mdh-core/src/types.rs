@@ -174,6 +174,17 @@ impl BasicType {
             BasicType::Record(_) => None,
         }
     }
+
+    /// Append the type as a structural key renders it: a record with its
+    /// fields, since a record's name alone does not fix the loads its
+    /// fields compile to.
+    pub fn render(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = match self {
+            BasicType::Scalar(k) => write!(out, "{k}"),
+            BasicType::Record(r) => write!(out, "{}{:?}", r.name, r.fields),
+        };
+    }
 }
 
 impl fmt::Display for BasicType {

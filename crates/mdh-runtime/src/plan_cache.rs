@@ -26,8 +26,6 @@
 use mdh_backend::cpu::Route;
 use mdh_core::combine::PwKind;
 use mdh_core::dsl::DslProgram;
-use mdh_core::expr::{Expr, ScalarFunction, Stmt};
-use mdh_core::types::BasicType;
 use mdh_core::views::View;
 use mdh_lowering::asm::DeviceKind;
 use mdh_lowering::plan::ExecutionPlan;
@@ -62,7 +60,7 @@ pub fn structural_signature(prog: &DslProgram) -> String {
         let _ = write!(sig, "{op}");
         if let Some(PwKind::Custom(f)) = op.pw_func().map(|f| &f.kind) {
             sig.push('{');
-            render_scalar_fn(&mut sig, f);
+            f.render_positional(&mut sig);
             sig.push('}');
         }
     }
@@ -71,7 +69,7 @@ pub fn structural_signature(prog: &DslProgram) -> String {
     sig.push_str(";out=");
     render_view(&mut sig, &prog.out_view);
     sig.push_str(";sf=");
-    render_scalar_fn(&mut sig, &prog.md_hom.sf);
+    prog.md_hom.sf.render_positional(&mut sig);
     sig
 }
 
@@ -84,95 +82,11 @@ fn render_view(out: &mut String, view: &View) {
         }
         let decl = &view.buffers[acc.buffer];
         let _ = write!(out, "b{}:", acc.buffer);
-        render_type(out, &decl.ty);
+        decl.ty.render(out);
         if let Some(shape) = &decl.declared_shape {
             let _ = write!(out, "{shape:?}");
         }
         let _ = write!(out, "@{:?}", acc.index_fn);
-    }
-}
-
-/// A record type with its fields: a record's name alone does not fix the
-/// loads its fields compile to.
-fn render_type(out: &mut String, ty: &BasicType) {
-    match ty {
-        BasicType::Scalar(k) => {
-            let _ = write!(out, "{k}");
-        }
-        BasicType::Record(r) => {
-            let _ = write!(out, "{}{:?}", r.name, r.fields);
-        }
-    }
-}
-
-/// Render a scalar function with params/results renamed positionally.
-fn render_scalar_fn(out: &mut String, sf: &ScalarFunction) {
-    let mut rename: HashMap<&str, String> = HashMap::new();
-    for (i, (name, ty)) in sf.params.iter().enumerate() {
-        rename.insert(name.as_str(), format!("p{i}"));
-        render_type(out, ty);
-        out.push(',');
-    }
-    out.push_str("->");
-    for (i, (name, ty)) in sf.results.iter().enumerate() {
-        rename.insert(name.as_str(), format!("r{i}"));
-        render_type(out, ty);
-        out.push(',');
-    }
-    let body: Vec<Stmt> = sf.body.iter().map(|s| rename_stmt(s, &rename)).collect();
-    let _ = write!(out, "{body:?}");
-}
-
-fn rename_stmt(s: &Stmt, map: &HashMap<&str, String>) -> Stmt {
-    let fix = |n: &String| map.get(n.as_str()).cloned().unwrap_or_else(|| n.clone());
-    match s {
-        Stmt::Let { name, value } => Stmt::Let {
-            name: fix(name),
-            value: rename_expr(value, map),
-        },
-        Stmt::Assign { name, value } => Stmt::Assign {
-            name: fix(name),
-            value: rename_expr(value, map),
-        },
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => Stmt::If {
-            cond: rename_expr(cond, map),
-            then_branch: then_branch.iter().map(|s| rename_stmt(s, map)).collect(),
-            else_branch: else_branch.iter().map(|s| rename_stmt(s, map)).collect(),
-        },
-        Stmt::For { var, lo, hi, body } => Stmt::For {
-            var: fix(var),
-            lo: *lo,
-            hi: *hi,
-            body: body.iter().map(|s| rename_stmt(s, map)).collect(),
-        },
-    }
-}
-
-fn rename_expr(e: &Expr, map: &HashMap<&str, String>) -> Expr {
-    match e {
-        Expr::Lit(_) | Expr::Param(_) => e.clone(),
-        Expr::Var(n) => Expr::Var(map.get(n.as_str()).cloned().unwrap_or_else(|| n.clone())),
-        Expr::Field(inner, f) => Expr::Field(Box::new(rename_expr(inner, map)), f.clone()),
-        Expr::ArrayIndex(a, b) => {
-            Expr::ArrayIndex(Box::new(rename_expr(a, map)), Box::new(rename_expr(b, map)))
-        }
-        Expr::Bin(op, a, b) => Expr::Bin(
-            *op,
-            Box::new(rename_expr(a, map)),
-            Box::new(rename_expr(b, map)),
-        ),
-        Expr::Un(op, a) => Expr::Un(*op, Box::new(rename_expr(a, map))),
-        Expr::Call(f, args) => Expr::Call(*f, args.iter().map(|a| rename_expr(a, map)).collect()),
-        Expr::Cast(k, a) => Expr::Cast(*k, Box::new(rename_expr(a, map))),
-        Expr::Select(c, a, b) => Expr::Select(
-            Box::new(rename_expr(c, map)),
-            Box::new(rename_expr(a, map)),
-            Box::new(rename_expr(b, map)),
-        ),
     }
 }
 
@@ -412,7 +326,7 @@ mod tests {
     use super::*;
     use mdh_core::combine::CombineOp;
     use mdh_core::dsl::DslBuilder;
-    use mdh_core::expr::ScalarFunction;
+    use mdh_core::expr::{Expr, ScalarFunction, Stmt};
     use mdh_core::index_fn::IndexFn;
     use mdh_core::types::{BasicType, ScalarKind};
     use mdh_lowering::heuristics::mdh_default_schedule;

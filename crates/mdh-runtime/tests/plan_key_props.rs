@@ -14,11 +14,11 @@
 //!   route its runs take, so a collision would also serve one program
 //!   another's kernel; one runtime test checks that end to end.
 
-use mdh_core::buffer::Buffer;
+use mdh_core::buffer::{bits_hash, Buffer};
 use mdh_core::combine::CombineOp;
 use mdh_core::dsl::{DslBuilder, DslProgram};
 use mdh_core::eval::evaluate_recursive;
-use mdh_core::expr::{Expr, MathFn, ScalarFunction, Stmt};
+use mdh_core::expr::{BinOp, Expr, MathFn, ScalarFunction, Stmt};
 use mdh_core::index_fn::IndexFn;
 use mdh_core::shape::Shape;
 use mdh_core::types::{BasicType, ScalarKind};
@@ -51,15 +51,19 @@ fn matvec_src(out: &str, mat: &str, vec: &str) -> String {
     )
 }
 
-/// A custom combine function named `add` computing `body(lhs, rhs)`.
+/// A custom combine function named `add` computing `body(lhs, rhs)` over
+/// f32.
 fn custom_add(body: fn(Expr, Expr) -> Expr) -> CombineOp {
+    custom_add_of(BasicType::F32, body)
+}
+
+/// A custom combine function named `add` computing `body(lhs, rhs)` over
+/// `ty`.
+fn custom_add_of(ty: BasicType, body: fn(Expr, Expr) -> Expr) -> CombineOp {
     let f = ScalarFunction {
         name: "add".into(),
-        params: vec![
-            ("lhs".into(), BasicType::F32),
-            ("rhs".into(), BasicType::F32),
-        ],
-        results: vec![("out".into(), BasicType::F32)],
+        params: vec![("lhs".into(), ty.clone()), ("rhs".into(), ty.clone())],
+        results: vec![("out".into(), ty)],
         body: vec![Stmt::Assign {
             name: "out".into(),
             value: body(Expr::Param(0), Expr::Param(1)),
@@ -79,6 +83,29 @@ fn matvec_reducing(i: usize, k: usize, red: CombineOp) -> DslProgram {
         .inp_access("v", IndexFn::select(2, &[1]))
         .scalar_function(ScalarFunction::mul2("f", ScalarKind::F32))
         .combine_ops(vec![CombineOp::cc(), red])
+        .build()
+        .expect("valid program")
+}
+
+/// `w[i]` over a 2×3×4 f64 `x`: `cc`, then the builtin `pw(add)` along
+/// the second dim and a custom function named `add` that keeps the larger
+/// operand along the third — two pw functions sharing one name.
+fn add_then_custom_add() -> DslProgram {
+    let larger = |l: Expr, r: Expr| {
+        let ge = Expr::Bin(BinOp::Ge, Box::new(l.clone()), Box::new(r.clone()));
+        Expr::Select(Box::new(ge), Box::new(l), Box::new(r))
+    };
+    DslBuilder::new("mixed", vec![2, 3, 4])
+        .out_buffer("w", BasicType::F64)
+        .out_access("w", IndexFn::select(3, &[0]))
+        .inp_buffer("x", BasicType::F64)
+        .inp_access("x", IndexFn::identity(3, 3))
+        .scalar_function(ScalarFunction::identity("f", ScalarKind::F64))
+        .combine_ops(vec![
+            CombineOp::cc(),
+            CombineOp::pw_add(),
+            custom_add_of(BasicType::F64, larger),
+        ])
         .build()
         .expect("valid program")
 }
@@ -166,7 +193,8 @@ proptest! {
 
 /// A custom combine function named `add` keys its own plan, and so its
 /// own route: through one runtime, neither it nor the builtin `pw(add)`
-/// is served the other's kernel.
+/// is served the other's kernel. Nor does the VM fold a pw dim with
+/// another dim's function because the two share a name.
 #[test]
 fn a_custom_add_is_not_served_the_builtin_route() {
     let builtin = matvec_reducing(16, 32, CombineOp::pw_add());
@@ -180,26 +208,30 @@ fn a_custom_add_is_not_served_the_builtin_route() {
     let mut v = Buffer::zeros("v", BasicType::F32, Shape::new(vec![32]));
     v.fill_with(|i| (i % 5) as f64);
     let inputs = Arc::new(vec![m, v]);
+    let mixed = add_then_custom_add();
+    let mut x = Buffer::zeros("x", BasicType::F64, Shape::new(vec![2, 3, 4]));
+    x.fill_with(|i| ((i * 7) % 11) as f64);
+    let mixed_inputs = Arc::new(vec![x]);
     let rt = Runtime::new(RuntimeConfig::default()).expect("runtime");
     for device in [DeviceKind::Cpu, DeviceKind::Gpu] {
-        for prog in [&builtin, &custom, &builtin, &custom] {
-            let want = evaluate_recursive(prog, &inputs).expect("oracle");
-            let req = Request::new(prog.clone(), device, Arc::clone(&inputs));
-            let got = rt.submit(req).wait().expect("launch").outputs;
-            let bits = |b: &[Buffer]| {
-                let w = b[0].as_f32().expect("f32 output");
-                w.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        for prog in [&builtin, &custom, &builtin, &custom, &mixed] {
+            let inputs = if prog.name == "mixed" {
+                &mixed_inputs
+            } else {
+                &inputs
             };
-            assert_eq!(
-                bits(&got),
-                bits(&want),
-                "{device} {}",
-                prog.md_hom.combine_ops[1]
-            );
+            let want = evaluate_recursive(prog, inputs).expect("oracle");
+            let req = Request::new(prog.clone(), device, Arc::clone(inputs));
+            let got = rt.submit(req).wait().expect("launch").outputs;
+            let ops = &prog.md_hom.combine_ops[1..];
+            assert_eq!(bits_hash(&got), bits_hash(&want), "{device} {ops:?}");
         }
     }
     let routes = rt.stats().plan_routes;
-    assert_eq!(routes.len(), 4, "{routes:?}");
+    assert_eq!(routes.len(), 6, "{routes:?}");
     assert_eq!(routes[0], ("cpu matvec 16x32".into(), "fast".into()));
     assert!(routes[1].1.starts_with("vm: "), "{routes:?}");
+    let mixed_route = routes.iter().find(|(label, _)| label == "cpu mixed 2x3x4");
+    let declined = mixed_route.is_some_and(|(_, r)| r.starts_with("reference: "));
+    assert!(declined, "{routes:?}");
 }
