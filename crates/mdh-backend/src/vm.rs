@@ -31,9 +31,7 @@
 //! peephole ([`fuse_mul_add`]) and, last, linear-scan register allocation
 //! ([`allocate`]): a temporary's register is reused once the temporary is
 //! dead, so the banks a block keeps in L1 hold the live values, not every
-//! value. [`compile_fold`] compiles a scalar function followed by a
-//! combine function as one such program: the block a fold runs per
-//! collapsed point when its lanes are neighbouring outputs.
+//! value.
 
 use mdh_core::error::{MdhError, Result};
 use mdh_core::expr::{BinOp, Expr, MathFn, ScalarFunction, Stmt, UnOp};
@@ -45,7 +43,7 @@ use std::mem::{discriminant, Discriminant};
 /// Points per block of [`CompiledSf::run_block`]. A constant, picked by
 /// measurement (2 threads, `Scale::Medium`, ms per run at 16 / 32 / 64
 /// lanes, three rounds): PRL — 45 registers after allocation, whose
-/// banks must stay in L1 — 16.9–18.5 / 13.2–14.8 / 19.3–22.3;
+/// banks must stay in L1 — 13.2–14.4 / 8.6–10.2 / 12.5–18.5;
 /// `hist1_med` 4.4–6.9 / 4.2–6.2 / 4.1–4.5; a 2¹⁸-point f64 `ps(add)`
 /// 2.5–2.8 / 2.3–2.6 / 1.8–2.4; f64 MatVec 1.08 / 0.66 / 0.55 ns per
 /// point (8 lanes: 1.87).
@@ -130,13 +128,12 @@ pub enum ParamLoad {
 /// # Register invariants
 ///
 /// `prologue`, `ops`, `n_fregs` and `n_iregs` are private so that a
-/// `CompiledSf` can only be produced by [`compile_sf`] or
-/// [`compile_fold`], whose allocation step ends by *verifying* three
-/// things. Every register index appearing in the program (and in
-/// `param_loads` / `result_regs`) is below the corresponding bank size:
-/// the interpreter relies on that to use unchecked register access — it
-/// only re-checks the (two) bank lengths at entry, not each of the
-/// millions of per-block register accesses. No instruction writes a
+/// `CompiledSf` can only be produced by [`compile_sf`], whose allocation
+/// step ends by *verifying* three things. Every register index appearing
+/// in the program (and in `param_loads` / `result_regs`) is below the
+/// corresponding bank size: the interpreter relies on that to use
+/// unchecked register access — it only re-checks the (two) bank lengths
+/// at entry, not each of the millions of per-block register accesses. No instruction writes a
 /// parameter or literal register: what a caller loaded into a
 /// parameter's lanes is still there after any number of runs, so an
 /// operand that did not move need not be loaded again, and the literals
@@ -216,73 +213,6 @@ impl CompiledSf {
     #[inline]
     pub fn run_point(&self, f: &mut [f64], i: &mut [i64]) {
         exec::<1>(&self.ops, self.n_fregs, self.n_iregs, f, i);
-    }
-}
-
-/// A scalar function followed by a combine function, compiled by
-/// [`compile_fold`] as one block: what a fold runs per collapsed point
-/// when its lanes are [`LANES`] neighbouring outputs. The combine
-/// function's rhs reads the scalar function's result registers and its
-/// lhs reads the accumulator registers, which live in the same banks and,
-/// like parameters, no instruction writes. An MDH result is the scalar
-/// function followed by the combine operator (the (De/Re)-Composition
-/// paper), so one block computes what the two did, with one dispatch
-/// loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledFold {
-    block: CompiledSf,
-    /// `block.ops[..sf_ops]` is the scalar function
-    sf_ops: usize,
-    /// the scalar function's results: they stay live to the block's end
-    point_regs: Vec<Reg>,
-    /// lane `l` of `acc_regs[r]` is component `r` of output `l`'s tuple
-    acc_regs: Vec<Reg>,
-}
-
-impl CompiledFold {
-    /// Where the block's parameters are loaded: the scalar function's own
-    /// parameter registers (allocation keeps them in place).
-    pub fn param_loads(&self) -> &[ParamLoad] {
-        &self.block.param_loads
-    }
-
-    /// The accumulator registers, one per tuple component.
-    pub fn acc_regs(&self) -> &[Reg] {
-        &self.acc_regs
-    }
-
-    /// Fresh [`LANES`]-wide banks, prologue constants in place.
-    pub fn banks(&self) -> (Vec<f64>, Vec<i64>) {
-        self.block.banks()
-    }
-
-    /// One collapsed point in every lane. At the first (`first`), run the
-    /// scalar function and start each lane's chain with its result; at
-    /// every later one, acc ⊗ f(point) → acc. Each lane's chain is its
-    /// points in the order this sees them, bracketed as a per-point fold
-    /// brackets it.
-    #[inline]
-    pub fn run_block(&self, first: bool, f: &mut [f64], i: &mut [i64]) {
-        let b = &self.block;
-        let (ops, results) = match first {
-            true => (&b.ops[..self.sf_ops], &self.point_regs),
-            false => (&b.ops[..], &b.result_regs),
-        };
-        exec::<LANES>(ops, b.n_fregs, b.n_iregs, f, i);
-        copy_lines(results, &self.acc_regs, f, i);
-    }
-}
-
-/// Every lane of each `from` register to the `to` register beside it, in
-/// order (a whole line: spare lanes are nobody's input).
-#[inline]
-fn copy_lines(from: &[Reg], to: &[Reg], f: &mut [f64], i: &mut [i64]) {
-    for (s, d) in from.iter().zip(to) {
-        match (*s, *d) {
-            (Reg::F(s), Reg::F(d)) => f.copy_within(s * LANES..(s + 1) * LANES, d * LANES),
-            (Reg::I(s), Reg::I(d)) => i.copy_within(s * LANES..(s + 1) * LANES, d * LANES),
-            _ => unreachable!("compile_fold pairs registers of one bank"),
-        }
     }
 }
 
@@ -454,83 +384,7 @@ fn exec<const L: usize>(
 
 /// Compile a scalar function into VM form.
 pub fn compile_sf(sf: &ScalarFunction) -> Result<CompiledSf> {
-    Ok(allocate(lower(sf)?, &mut [], &mut []))
-}
-
-/// Compile `sf` followed by the combine function `cf` as one block (see
-/// [`CompiledFold`]). `cf` must take the tuple `sf` returns twice, lhs
-/// then rhs, and return it, each component in the same bank. Declined
-/// when a result of `cf` is another component's lhs parameter: the
-/// results are copied into the accumulators one at a time, so that
-/// accumulator would be overwritten before it is read.
-pub fn compile_fold(sf: &ScalarFunction, cf: &ScalarFunction) -> Result<CompiledFold> {
-    let mut point = lower(sf)?;
-    let comb = lower(cf)?;
-    let width = point.result_regs.len();
-    let params = (comb.param_loads.iter())
-        .map(|pl| match pl {
-            ParamLoad::Scalar(r) => Some(*r),
-            _ => None,
-        })
-        .collect::<Option<Vec<Reg>>>()
-        .unwrap_or_default();
-    let float = |r: Reg| matches!(r, Reg::F(_));
-    let same_banks = params.len() == 2 * width
-        && comb.result_regs.len() == width
-        && (0..width).all(|r| {
-            let bank = float(point.result_regs[r]);
-            [params[r], params[width + r], comb.result_regs[r]]
-                .iter()
-                .all(|&x| float(x) == bank)
-        });
-    if !same_banks {
-        return Err(MdhError::Validation(
-            "combine-function tuple does not match the scalar function's results".into(),
-        ));
-    }
-    // the combine function's registers go past the scalar function's and
-    // the accumulators; its lhs reads an accumulator, its rhs a result
-    let mut rename = HashMap::new();
-    let mut acc_regs = Vec::with_capacity(width);
-    for r in 0..width {
-        let acc = point.fresh_like(params[r]);
-        acc_regs.push(acc);
-        rename.insert(params[r], acc);
-        rename.insert(params[width + r], point.result_regs[r]);
-    }
-    let (off_f, off_i) = (point.n_f, point.n_i);
-    let shift = |r: Reg| match rename.get(&r) {
-        Some(&to) => to,
-        None => match r {
-            Reg::F(d) => Reg::F(d + off_f),
-            Reg::I(d) => Reg::I(d + off_i),
-        },
-    };
-    point.n_f += comb.n_f;
-    point.n_i += comb.n_i;
-    let sf_ops = point.ops.iter().filter(|op| !is_literal(op)).count();
-    (point.ops).extend(comb.ops.iter().map(|op| map_regs(*op, |r, _| shift(r))));
-    let results: Vec<Reg> = comb.result_regs.iter().map(|&r| shift(r)).collect();
-    let clobbers = (results.iter().enumerate()).any(|(r, reg)| {
-        acc_regs
-            .iter()
-            .position(|a| a == reg)
-            .is_some_and(|s| s != r)
-    });
-    if clobbers {
-        return Err(MdhError::Validation(
-            "a combine-function result is another component's lhs".into(),
-        ));
-    }
-    let mut point_regs = std::mem::replace(&mut point.result_regs, results);
-    point.result_kinds = comb.result_kinds;
-    let block = allocate(point, &mut acc_regs, &mut point_regs);
-    Ok(CompiledFold {
-        block,
-        sf_ops,
-        point_regs,
-        acc_regs,
-    })
+    Ok(allocate(lower(sf)?))
 }
 
 /// Lower `sf` to single-assignment form and run the exact passes on it.
@@ -560,22 +414,24 @@ struct Ssa {
 }
 
 impl Ssa {
-    /// An f register no op writes yet.
-    fn fresh_f(&mut self) -> usize {
-        self.n_f += 1;
-        self.n_f - 1
-    }
-
-    /// A register no op writes yet, in the bank of `like`.
-    fn fresh_like(&mut self, like: Reg) -> Reg {
-        match like {
-            Reg::F(_) => Reg::F(self.fresh_f()),
-            Reg::I(_) => {
-                self.n_i += 1;
-                Reg::I(self.n_i - 1)
-            }
+    /// An f register no op writes yet, as the index its ops take.
+    fn alloc_f(&mut self) -> usize {
+        match fresh(&mut self.n_f, &mut self.n_i, true) {
+            Reg::F(d) => d,
+            Reg::I(_) => unreachable!("an f register"),
         }
     }
+}
+
+/// The next register of the f bank (`float`) or the i bank, whose sizes so
+/// far are `n_f` and `n_i`.
+fn fresh(n_f: &mut usize, n_i: &mut usize, float: bool) -> Reg {
+    let (n, reg): (&mut usize, fn(usize) -> Reg) = match float {
+        true => (n_f, Reg::F),
+        false => (n_i, Reg::I),
+    };
+    *n += 1;
+    reg(*n - 1)
 }
 
 /// Substitute unrolled loop variables and expand `For` statements.
@@ -738,13 +594,7 @@ impl Compiler {
     }
 
     fn alloc(&mut self, float: bool) -> Reg {
-        if float {
-            self.n_f += 1;
-            Reg::F(self.n_f - 1)
-        } else {
-            self.n_i += 1;
-            Reg::I(self.n_i - 1)
-        }
+        fresh(&mut self.n_f, &mut self.n_i, float)
     }
 
     /// The register holding a literal, given as its bank and bits.
@@ -1264,7 +1114,6 @@ fn number_values(ssa: &mut Ssa) {
 fn sink_selects(ssa: &mut Ssa) {
     let mut defs: HashMap<Reg, VmOp> = HashMap::new();
     let mut reads: HashMap<Reg, usize> = HashMap::new();
-    let mut literals: HashMap<u64, usize> = HashMap::new();
     for op in &ssa.ops {
         for_each_reg(op, |r, write| {
             if write {
@@ -1273,9 +1122,6 @@ fn sink_selects(ssa: &mut Ssa) {
                 *reads.entry(r).or_default() += 1;
             }
         });
-        if let VmOp::ConstF(d, v) = *op {
-            literals.insert(v.to_bits(), d);
-        }
     }
     for &r in &ssa.result_regs {
         *reads.entry(r).or_default() += 1;
@@ -1298,26 +1144,33 @@ fn sink_selects(ssa: &mut Ssa) {
     };
     let one = |r: usize| matches!(defs.get(&Reg::I(r)), Some(VmOp::ConstI(_, 1)));
     let single = |r: Reg| reads.get(&r) == Some(&1);
+    // the f literals written so far: a rewritten select reuses only one
+    // written before it, so every read still follows its write
+    let mut literals: HashMap<u64, usize> = HashMap::new();
     let mut out = Vec::with_capacity(ssa.ops.len());
     for op in std::mem::take(&mut ssa.ops) {
         match op {
+            VmOp::ConstF(d, v) => {
+                literals.entry(v.to_bits()).or_insert(d);
+                out.push(op);
+            }
             VmOp::SelF(d, c, a, b) if single(Reg::F(a)) && single(Reg::F(b)) => {
                 match (sum(a), sum(b)) {
                     (Some((x, ya)), Some((xb, yb))) if x == xb => {
                         let mut addend = |y| match y {
                             Ok(y) => y,
                             Err(v) => *literals.entry(f64::to_bits(v)).or_insert_with(|| {
-                                let k = ssa.fresh_f();
+                                let k = ssa.alloc_f();
                                 out.push(VmOp::ConstF(k, v));
                                 k
                             }),
                         };
                         let (ya, yb) = (addend(ya), addend(yb));
-                        let s = ssa.fresh_f();
+                        let s = ssa.alloc_f();
                         out.extend([VmOp::SelF(s, c, ya, yb), VmOp::FAdd(d, x, s)]);
                     }
                     (Some((xa, Ok(y))), Some((xb, Ok(yb)))) if y == yb => {
-                        let s = ssa.fresh_f();
+                        let s = ssa.alloc_f();
                         out.extend([VmOp::SelF(s, c, xa, xb), VmOp::FAdd(d, s, y)]);
                     }
                     _ => out.push(op),
@@ -1395,17 +1248,16 @@ fn fuse_mul_add(ops: Vec<VmOp>, n_fregs: usize, result_regs: &[Reg]) -> Vec<VmOp
     out
 }
 
-/// Linear-scan register allocation, run last. Parameters, then literals,
-/// then `inputs` take fixed registers (the lowest, in that order, so a
-/// parameter keeps the register it was lowered to); no op writes them.
-/// Every other register is given a slot when an op writes it and gives
-/// the slot back after its last read, so a later op — the reading op's
-/// own destination included, since [`exec`] copies its operands out
-/// first — reuses it. Results and `keep` stay live to the end. `inputs`
-/// and `keep` are renamed in place. Straight-line code makes every live
+/// Linear-scan register allocation, run last. Parameters, then literals
+/// take fixed registers (the lowest, in that order, so a parameter keeps
+/// the register it was lowered to); no op writes them. Every other
+/// register is given a slot when an op writes it and gives the slot back
+/// after its last read, so a later op — the reading op's own destination
+/// included, since [`exec`] copies its operands out first — reuses it.
+/// Results stay live to the end. Straight-line code makes every live
 /// range one interval, so the slot count is the most values ever live at
 /// once.
-fn allocate(ssa: Ssa, inputs: &mut [Reg], keep: &mut [Reg]) -> CompiledSf {
+fn allocate(ssa: Ssa) -> CompiledSf {
     let Ssa {
         ops,
         n_f,
@@ -1424,10 +1276,7 @@ fn allocate(ssa: Ssa, inputs: &mut [Reg], keep: &mut [Reg]) -> CompiledSf {
     let mut next = [0usize; 2];
     let mut fixed = vec![false; n_f + n_i];
     let literals = prologue.iter().map(dst_of);
-    for r in param_regs(&param_loads)
-        .chain(literals)
-        .chain(inputs.iter().copied())
-    {
+    for r in param_regs(&param_loads).chain(literals) {
         let (k, bank) = flat(r);
         if slot[k].is_none() {
             slot[k] = Some(next[bank]);
@@ -1443,7 +1292,7 @@ fn allocate(ssa: Ssa, inputs: &mut [Reg], keep: &mut [Reg]) -> CompiledSf {
             }
         });
     }
-    for &r in result_regs.iter().chain(keep.iter()) {
+    for &r in &result_regs {
         last[flat(r).0] = Some(usize::MAX);
     }
     let mut free: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
@@ -1490,8 +1339,6 @@ fn allocate(ssa: Ssa, inputs: &mut [Reg], keep: &mut [Reg]) -> CompiledSf {
         }
     }
     result_regs.iter_mut().for_each(&mut rename);
-    inputs.iter_mut().for_each(&mut rename);
-    keep.iter_mut().for_each(&mut rename);
     let prologue = (prologue.into_iter())
         .map(|op| {
             map_regs(op, |mut r, _| {
@@ -1509,18 +1356,18 @@ fn allocate(ssa: Ssa, inputs: &mut [Reg], keep: &mut [Reg]) -> CompiledSf {
         result_regs,
         result_kinds,
     };
-    verify_registers(&compiled, inputs);
+    verify_registers(&compiled);
     compiled
 }
 
 /// Compile-time check backing the unchecked interpreter and the
 /// executor's load skipping (see the [`CompiledSf`] docs): every register
 /// index is below its bank size, no instruction writes a parameter,
-/// literal or `inputs` register, and every register an instruction reads
+/// or literal register, and every register an instruction reads
 /// — and every result — is one of those or was written by an earlier
 /// instruction. A failure is a compiler bug, not bad input, hence the
 /// panic.
-fn verify_registers(c: &CompiledSf, inputs: &[Reg]) {
+fn verify_registers(c: &CompiledSf) {
     let in_reg = |r: Reg| match r {
         Reg::F(d) => assert!(d < c.n_fregs, "f-register {d} out of range {}", c.n_fregs),
         Reg::I(d) => assert!(d < c.n_iregs, "i-register {d} out of range {}", c.n_iregs),
@@ -1530,10 +1377,7 @@ fn verify_registers(c: &CompiledSf, inputs: &[Reg]) {
         assert!(is_literal(op), "{op:?} in the prologue");
         dst_of(op)
     });
-    for r in param_regs(&c.param_loads)
-        .chain(literals)
-        .chain(inputs.iter().copied())
-    {
+    for r in param_regs(&c.param_loads).chain(literals) {
         in_reg(r);
         fixed.insert(r);
     }
@@ -1875,6 +1719,60 @@ mod tests {
         }
     }
 
+    /// `w = a; if p > 0 { w = w + a } else { w = w − 0.5 }`, then the
+    /// same on `v`, `b`, `q` with `v − (−0.5)`, and — with `tail` — a dead
+    /// `u = a + −0.5`. Sinking the first select needs the literal −0.5,
+    /// which the lowering writes only after that select, for an op that
+    /// dies.
+    fn two_steps_sf(tail: bool) -> ScalarFunction {
+        use mdh_core::expr::{BinOp, Expr, Stmt};
+        let assign = |name: &str, value| Stmt::Assign {
+            name: name.into(),
+            value,
+        };
+        let step = |var: &str, p: usize, x: usize, k: f64| Stmt::If {
+            cond: Expr::Bin(
+                BinOp::Gt,
+                Box::new(Expr::Param(p)),
+                Box::new(Expr::lit_f64(0.0)),
+            ),
+            then_branch: vec![assign(var, Expr::add(Expr::var(var), Expr::Param(x)))],
+            else_branch: vec![assign(var, Expr::sub(Expr::var(var), Expr::lit_f64(k)))],
+        };
+        let mut body = vec![
+            assign("w", Expr::Param(0)),
+            step("w", 2, 0, 0.5),
+            assign("v", Expr::Param(1)),
+            step("v", 3, 1, -0.5),
+        ];
+        if tail {
+            body.push(Stmt::Let {
+                name: "u".into(),
+                value: Expr::add(Expr::Param(0), Expr::lit_f64(-0.5)),
+            });
+        }
+        let f64_param = |name: &str| (name.into(), BasicType::F64);
+        ScalarFunction {
+            name: "two_steps".into(),
+            params: ["a", "b", "p", "q"].map(f64_param).to_vec(),
+            results: vec![f64_param("w"), f64_param("v")],
+            body,
+        }
+    }
+
+    #[test]
+    fn a_sunk_select_reuses_only_a_literal_written_before_it() {
+        for tail in [false, true] {
+            let sf = two_steps_sf(tail);
+            let c = compile_sf(&sf).unwrap();
+            for (p, q) in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] {
+                let args = [1.25, -3.0, p, q].map(Value::F64);
+                let want = bits(&sf.eval(&args).unwrap());
+                assert_eq!(bits(&run_dyn(&c, &args)), want, "tail={tail} p={p} q={q}");
+            }
+        }
+    }
+
     #[test]
     fn dead_temporaries_give_their_registers_back() {
         // a 16-term weighted sum: each product dies at its add, so the
@@ -1903,7 +1801,7 @@ mod tests {
 
     #[test]
     fn verify_accepts_a_valid_program() {
-        verify_registers(&tiny(), &[]);
+        verify_registers(&tiny());
     }
 
     #[test]
@@ -1911,7 +1809,7 @@ mod tests {
     fn verify_rejects_a_write_to_a_parameter() {
         let mut c = tiny();
         c.ops[1] = VmOp::FMul(1, 2, 1);
-        verify_registers(&c, &[]);
+        verify_registers(&c);
     }
 
     #[test]
@@ -1919,137 +1817,7 @@ mod tests {
     fn verify_rejects_a_read_before_the_write() {
         let mut c = tiny();
         c.ops.swap(0, 1);
-        verify_registers(&c, &[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "writes the fixed register")]
-    fn verify_rejects_a_write_to_an_input() {
-        verify_registers(&tiny(), &[Reg::F(3)]);
-    }
-
-    /// `(id, w)` tuples: keep the heavier, the lhs on a tie.
-    fn argmax_cf() -> ScalarFunction {
-        use mdh_core::expr::{BinOp, Expr, Stmt};
-        let take = |id, w| {
-            vec![
-                Stmt::Assign {
-                    name: "rid".into(),
-                    value: Expr::Param(id),
-                },
-                Stmt::Assign {
-                    name: "rw".into(),
-                    value: Expr::Param(w),
-                },
-            ]
-        };
-        let ge = Expr::Bin(
-            BinOp::Ge,
-            Box::new(Expr::Param(1)),
-            Box::new(Expr::Param(3)),
-        );
-        ScalarFunction {
-            name: "argmax".into(),
-            params: vec![
-                ("lid".into(), BasicType::I64),
-                ("lw".into(), BasicType::F64),
-                ("id".into(), BasicType::I64),
-                ("w".into(), BasicType::F64),
-            ],
-            results: vec![
-                ("rid".into(), BasicType::I64),
-                ("rw".into(), BasicType::F64),
-            ],
-            body: vec![Stmt::If {
-                cond: ge,
-                then_branch: take(0, 1),
-                else_branch: take(2, 3),
-            }],
-        }
-    }
-
-    #[test]
-    fn a_fold_block_is_the_scalar_function_then_the_combine_function() {
-        use mdh_core::expr::{Expr, Stmt};
-        // point: `(id, w) = (i, i·x − x·x)` folded by argmax over
-        // 5 points, every lane its own x
-        let sf = ScalarFunction {
-            name: "point".into(),
-            params: vec![("i".into(), BasicType::I64), ("x".into(), BasicType::F64)],
-            results: vec![("id".into(), BasicType::I64), ("w".into(), BasicType::F64)],
-            body: vec![
-                Stmt::Assign {
-                    name: "id".into(),
-                    value: Expr::Param(0),
-                },
-                Stmt::Assign {
-                    name: "w".into(),
-                    value: Expr::sub(
-                        Expr::mul(Expr::Param(0), Expr::Param(1)),
-                        Expr::mul(Expr::Param(1), Expr::Param(1)),
-                    ),
-                },
-            ],
-        };
-        let cf = argmax_cf();
-        let fold = compile_fold(&sf, &cf).unwrap();
-        assert_eq!(fold.param_loads(), compile_sf(&sf).unwrap().param_loads);
-        let (mut f, mut i) = fold.banks();
-        let [ParamLoad::Scalar(Reg::I(pi)), ParamLoad::Scalar(Reg::F(px))] = fold.param_loads()
-        else {
-            panic!("two scalar parameters")
-        };
-        let x = |l: usize| l as f64 * 0.25 - 1.0;
-        for l in 0..LANES {
-            f[px * LANES + l] = x(l);
-        }
-        for point in 0..5 {
-            i[pi * LANES..][..LANES].fill(point);
-            fold.run_block(point == 0, &mut f, &mut i);
-        }
-        let [Reg::I(aid), Reg::F(aw)] = fold.acc_regs() else {
-            panic!("an i and an f accumulator")
-        };
-        for l in 0..LANES {
-            let mut acc = sf.eval(&[Value::I64(0), Value::F64(x(l))]).unwrap();
-            for point in 1..5 {
-                let new = sf.eval(&[Value::I64(point), Value::F64(x(l))]).unwrap();
-                acc = cf.eval(&[acc, new].concat()).unwrap();
-            }
-            let got = vec![
-                Value::I64(i[aid * LANES + l]),
-                Value::F64(f[aw * LANES + l]),
-            ];
-            assert_eq!(got, acc, "lane {l}");
-        }
-    }
-
-    #[test]
-    fn a_fold_whose_result_is_another_components_lhs_is_declined() {
-        use mdh_core::expr::{Expr, Stmt};
-        // `(a, b) ⊗ (c, d) = (b, a)`: copying result 0 into accumulator 0
-        // would overwrite what result 1 reads
-        let swap = ScalarFunction {
-            name: "swap".into(),
-            params: ["a", "b", "c", "d"]
-                .iter()
-                .map(|n| (n.to_string(), BasicType::F64))
-                .collect(),
-            results: vec![("x".into(), BasicType::F64), ("y".into(), BasicType::F64)],
-            body: vec![
-                Stmt::Assign {
-                    name: "x".into(),
-                    value: Expr::Param(1),
-                },
-                Stmt::Assign {
-                    name: "y".into(),
-                    value: Expr::Param(0),
-                },
-            ],
-        };
-        let mut pair = ScalarFunction::identity("id", ScalarKind::F64);
-        pair.results.push(("twice".into(), BasicType::F64));
-        assert!(compile_fold(&pair, &swap).is_err());
+        verify_registers(&c);
     }
 
     #[test]

@@ -16,10 +16,8 @@
 //!   loop. The lanes of a block are either consecutive elements of one
 //!   output's chain (builtin combiners; folded lane by lane) or
 //!   [`LANES`] neighbouring outputs at one collapsed point (a compiled
-//!   combine function; one [`CompiledFold`] block — the scalar function
-//!   followed by the combine function, one dispatch loop — evaluates the
-//!   point and combines it into all of them); split-reduction groups
-//!   combine partials with the same function.
+//!   combine function; one `run_block` of it combines them all);
+//!   split-reduction groups combine partials with the same function.
 //! * **scan mode** — one `ps` dimension (ordered before any `pw` dims so
 //!   the scan is applied last, matching the nested semantics); `pw` dims
 //!   must not be split across tasks. Lines are stored straight into the
@@ -43,13 +41,12 @@
 //! argument order either way.
 
 use crate::offsets::{advance, linearize_view, store_result, LinearAccess, Loader, Scatter};
-use crate::vm::{compile_fold, compile_sf, CompiledFold, CompiledSf, ParamLoad, Reg, LANES};
+use crate::vm::{compile_sf, CompiledSf, ParamLoad, Reg, LANES};
 use mdh_core::buffer::Buffer;
 use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc, PwKind};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::eval;
-use mdh_core::expr::ScalarFunction;
 use mdh_core::shape::MdRange;
 use mdh_core::types::ScalarKind;
 use mdh_lowering::plan::{split_even, ExecutionPlan};
@@ -365,41 +362,83 @@ fn store_row(cols: &mut [ColBank], at: usize, n: usize, regs: &[Reg], (f, i): &B
     }
 }
 
-/// The pw combine operator of a fold and, for a compiled combine
-/// function, the block that folds [`LANES`] neighbouring outputs at once.
-pub(crate) struct Fold {
-    comb: Combiner,
-    /// `None` for a builtin, and where [`compile_fold`] declines
-    rows: Option<CompiledFold>,
+/// Every lane of each `from` register to the `to` register beside it (a
+/// whole line: fixed-size copies, and spare lanes are nobody's input).
+#[inline]
+fn copy_lines(from: &[Reg], (ff, fi): &Banks, to: &[Reg], (tf, ti): &mut Banks) {
+    for (s, d) in from.iter().zip(to) {
+        match (s, d) {
+            (Reg::F(s), Reg::F(d)) => {
+                tf[d * LANES..][..LANES].copy_from_slice(&ff[s * LANES..][..LANES])
+            }
+            (Reg::I(s), Reg::I(d)) => {
+                ti[d * LANES..][..LANES].copy_from_slice(&fi[s * LANES..][..LANES])
+            }
+            _ => unreachable!("banks checked by Combiner::build"),
+        }
+    }
 }
 
-impl Fold {
-    /// `source` is the program's scalar function and `sf` what it compiled
-    /// to. The fold block is loaded by `sf`'s loaders: allocation keeps
-    /// every parameter in the register it was lowered to, so the two
-    /// programs' parameter registers are the same.
-    fn build(f: &PwFunc, source: &ScalarFunction, sf: &CompiledSf) -> Result<Fold> {
-        let comb = Combiner::build(f, &sf.result_kinds)?;
-        let rows = match &f.kind {
-            // declined: the lanes run along the chain instead
-            PwKind::Custom(cf) => compile_fold(source, cf).ok(),
-            PwKind::Builtin(_) => None,
-        };
-        if let Some(rows) = &rows {
-            debug_assert_eq!(rows.param_loads(), &sf.param_loads[..]);
+/// A compiled combine function folding [`LANES`] neighbouring outputs at
+/// once: lane `l` of accumulator register `r` is component `r` of output
+/// `l`'s tuple.
+struct RowFold<'a> {
+    cf: &'a CompiledSf,
+    lhs_regs: &'a [Reg],
+    rhs_regs: &'a [Reg],
+    cf_banks: Banks,
+    /// component `r` is register `r` of the bank its kind selects
+    acc_regs: Vec<Reg>,
+    acc: Banks,
+}
+
+impl<'a> RowFold<'a> {
+    fn new(cf: &'a CompiledSf, lhs_regs: &'a [Reg], rhs_regs: &'a [Reg]) -> RowFold<'a> {
+        let width = cf.result_regs.len();
+        let acc_regs = (cf.result_regs.iter().enumerate())
+            .map(|(r, reg)| match reg {
+                Reg::F(_) => Reg::F(r),
+                Reg::I(_) => Reg::I(r),
+            })
+            .collect();
+        RowFold {
+            cf,
+            lhs_regs,
+            rhs_regs,
+            cf_banks: cf.banks(),
+            acc_regs,
+            acc: (vec![0.0; width * LANES], vec![0; width * LANES]),
         }
-        Ok(Fold { comb, rows })
+    }
+
+    /// The line in `regs` starts every lane's chain (`first`) or is
+    /// combined into it: acc ⊗ line → acc, all lanes in one dispatch.
+    #[inline]
+    fn push(&mut self, first: bool, regs: &[Reg], line: &Banks) {
+        if first {
+            return copy_lines(regs, line, &self.acc_regs, &mut self.acc);
+        }
+        copy_lines(&self.acc_regs, &self.acc, self.lhs_regs, &mut self.cf_banks);
+        copy_lines(regs, line, self.rhs_regs, &mut self.cf_banks);
+        let (cf_f, cf_i) = &mut self.cf_banks;
+        self.cf.run_block(cf_f, cf_i, LANES);
+        copy_lines(
+            &self.cf.result_regs,
+            &self.cf_banks,
+            &self.acc_regs,
+            &mut self.acc,
+        );
     }
 }
 
 /// Execution mode derived from the combine operators, with the combine
 /// functions it runs compiled.
 pub(crate) enum Mode {
-    Fold(Option<Fold>),
+    Fold(Option<Combiner>),
     Scan {
         scan_dim: usize,
         scan: Combiner,
-        fold: Option<Fold>,
+        fold: Option<Combiner>,
     },
     /// Indexed reduction along `dim` (the first `rbi` dimension).
     Rbi {
@@ -407,7 +446,7 @@ pub(crate) enum Mode {
     },
 }
 
-fn derive_mode(prog: &DslProgram, sf: &CompiledSf) -> Result<Mode> {
+fn derive_mode(prog: &DslProgram, kinds: &[ScalarKind]) -> Result<Mode> {
     let ops = &prog.md_hom.combine_ops;
     if let Some(dim) = ops.iter().position(|op| matches!(op, CombineOp::Rbi(_))) {
         // every colliding contribution folds with one typed `add`
@@ -440,8 +479,7 @@ fn derive_mode(prog: &DslProgram, sf: &CompiledSf) -> Result<Mode> {
             },
         }
     }
-    let source = &prog.md_hom.sf;
-    let fold = pw_fn.map(|f| Fold::build(f, source, sf)).transpose()?;
+    let fold = pw_fn.map(|f| Combiner::build(f, kinds)).transpose()?;
     match ps_dims[..] {
         [] => Ok(Mode::Fold(fold)),
         [(scan_dim, scan_fn)] => {
@@ -456,7 +494,7 @@ fn derive_mode(prog: &DslProgram, sf: &CompiledSf) -> Result<Mode> {
             }
             Ok(Mode::Scan {
                 scan_dim,
-                scan: Combiner::build(scan_fn, &sf.result_kinds)?,
+                scan: Combiner::build(scan_fn, kinds)?,
                 fold,
             })
         }
@@ -487,7 +525,7 @@ pub(crate) fn classify(prog: &DslProgram) -> Result<(CompiledSf, Mode)> {
         ));
     }
     let sf = compile_sf(&prog.md_hom.sf)?;
-    let mode = derive_mode(prog, &sf)?;
+    let mode = derive_mode(prog, &sf.result_kinds)?;
     // rbi mode evaluates its (data-dependent) output accesses per point
     if !matches!(mode, Mode::Rbi { .. }) && !affine(&prog.out_view) {
         return Err(MdhError::Validation(
@@ -506,7 +544,7 @@ pub struct Partial {
 /// What every task of one run shares.
 struct TaskCtx<'a> {
     sf: &'a CompiledSf,
-    fold: Option<&'a Fold>,
+    fold: Option<&'a Combiner>,
     /// scan combiner and the scan dim's position among the preserved dims
     scan: Option<(&'a Combiner, usize)>,
     kinds: &'a [ScalarKind],
@@ -620,7 +658,7 @@ pub(crate) fn run_classified(
                 match (scan, fold) {
                     // stitch chunks in order along the scan dim
                     (Some((comb, sd_pos)), _) => acc = stitch_scan(acc, rhs, sd_pos, comb)?,
-                    (None, Some(fold)) => combine_partials_elementwise(&mut acc, rhs, &fold.comb)?,
+                    (None, Some(comb)) => combine_partials_elementwise(&mut acc, rhs, comb)?,
                     (None, None) => unreachable!("split dims without pw fn"),
                 }
             }
@@ -652,11 +690,10 @@ pub(crate) fn run_classified(
 /// interpreted combine step per point — is the faster of the two; both
 /// run every output's chain in the same order, so the constant moves
 /// time, never a bit. Measured on PRL (72-op scalar function, 16-op
-/// `prl_max`, the fused fold block; 256 × 4096 pairs, one thread, the
+/// `prl_max`, registers allocated; 256 × 4096 pairs, one thread, the
 /// preserved dim cut into tasks of 1 / 4 / 8 / 12 / 16 / 32 points, two
-/// rounds): lanes along the outputs 852 / 198 / 96 / 54 / 39 / 23 ms and
-/// 618 / 228 / 109 / 80 / 41 / 21 ms, along the chain 80–101 ms
-/// throughout.
+/// rounds): lanes along the outputs 603 / 176 / 66 / 44 / 41 / 25 ms and
+/// 610 / 140 / 80 / 44 / 35 / 17 ms, along the chain 64–88 ms throughout.
 const OUTPUT_LANES_MIN: usize = 12;
 
 /// One task: evaluate the scalar function a block of up to [`LANES`]
@@ -668,9 +705,8 @@ const OUTPUT_LANES_MIN: usize = 12;
 ///   reduction: a line is a row of the partial), and when the fold
 ///   combiner is a compiled function and the task owns at least
 ///   [`OUTPUT_LANES_MIN`] points of that dim — *lanes are outputs*: the
-///   line at the first collapsed point starts the row's chains, and at
-///   every later point one [`CompiledFold`] block evaluates the scalar
-///   function and combines its line into them;
+///   line at the first collapsed point is the row, every later one is
+///   combined into it by one `run_block` of the combine function;
 /// * else the last collapsed dim — *lanes are chain elements*, folded
 ///   into one output's accumulator in ascending lane order.
 ///
@@ -693,18 +729,25 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Result<Partial> {
         return Ok(Partial { extents, cols });
     }
 
-    // the fused fold block, when its lanes run along the outputs
-    let rows = match (ctx.fold.and_then(|f| f.rows.as_ref()), preserved.last()) {
-        (Some(rows), Some(&d)) if !collapsed.is_empty() && range.extent(d) >= OUTPUT_LANES_MIN => {
-            Some(rows)
+    // the compiled combine function, when its lanes run along the outputs
+    let mut row_fold = match (ctx.fold, preserved.last()) {
+        (
+            Some(Combiner::Vm {
+                cf,
+                lhs_regs,
+                rhs_regs,
+            }),
+            Some(&d),
+        ) if !collapsed.is_empty() && range.extent(d) >= OUTPUT_LANES_MIN => {
+            Some(RowFold::new(cf, lhs_regs, rhs_regs))
         }
         _ => None,
     };
-    let lanes_are_outputs = collapsed.is_empty() || rows.is_some();
+    let lanes_are_outputs = collapsed.is_empty() || row_fold.is_some();
 
-    let mut banks = rows.map_or_else(|| sf.banks(), CompiledFold::banks);
+    let mut banks = sf.banks();
     let mut scratch = match ctx.fold {
-        Some(fold) if !lanes_are_outputs => fold.comb.scratch(),
+        Some(c) if !lanes_are_outputs => c.scratch(),
         _ => Scratch::default(),
     };
     let (mut acc, mut new) = (Acc::new(kinds.len()), Acc::new(kinds.len()));
@@ -765,12 +808,9 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Result<Partial> {
                             loaded[a] = (base, n);
                         }
                     }
-                    match rows {
-                        Some(rows) => rows.run_block(first, f, i),
-                        None => sf.run_block(f, i, n),
-                    }
-                    match rows {
-                        Some(_) => {}
+                    sf.run_block(f, i, n);
+                    match &mut row_fold {
+                        Some(rows) => rows.push(first, &sf.result_regs, &banks),
                         // scan / no reduction: the line is the row
                         None if lanes_are_outputs => {
                             store_row(&mut cols, plin, n, &sf.result_regs, &banks)
@@ -779,17 +819,9 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Result<Partial> {
                             if first {
                                 acc.read_lane(sf, &banks.0, &banks.1, 0);
                             }
-                            if let Some(fold) = ctx.fold {
+                            if let Some(c) = ctx.fold {
                                 let lanes = usize::from(first)..n;
-                                let comb = &fold.comb;
-                                comb.fold_lanes(
-                                    sf,
-                                    &banks,
-                                    lanes,
-                                    &mut acc,
-                                    &mut new,
-                                    &mut scratch,
-                                );
+                                c.fold_lanes(sf, &banks, lanes, &mut acc, &mut new, &mut scratch);
                             }
                         }
                     }
@@ -801,8 +833,8 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Result<Partial> {
             }
             if lanes_are_outputs {
                 let n = LANES.min(row_n - row);
-                if let Some(rows) = rows {
-                    store_row(&mut cols, plin, n, rows.acc_regs(), &banks);
+                if let Some(rows) = &row_fold {
+                    store_row(&mut cols, plin, n, &rows.acc_regs, &rows.acc);
                 }
                 plin += n;
             } else {

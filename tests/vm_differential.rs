@@ -116,9 +116,35 @@ fn arb_rewrite_if(n_params: usize) -> impl Strategy<Value = Stmt> {
         })
 }
 
+/// The literal `k` of a rewrite-shaped if's `t0 = t0 − k` arm, if it has
+/// one.
+fn subtrahend(s: &mut Stmt) -> Option<&mut f64> {
+    let Stmt::If {
+        then_branch,
+        else_branch,
+        ..
+    } = s
+    else {
+        return None;
+    };
+    (then_branch.iter_mut().chain(else_branch)).find_map(|arm| match arm {
+        Stmt::Assign {
+            value: Expr::Bin(BinOp::Sub, _, k),
+            ..
+        } => match &mut **k {
+            Expr::Lit(Value::F64(k)) => Some(k),
+            _ => None,
+        },
+        _ => None,
+    })
+}
+
 /// A random function body: locals t0/t1 and the counter `m` (starting
-/// near the ends of the i64 range too), an if/else, a rewrite-shaped if
-/// and a bounded loop, final assignments to `res` and `count`.
+/// near the ends of the i64 range too), an if/else, two rewrite-shaped
+/// ifs and a bounded loop, final assignments to `res` and `count`, and a
+/// dead `let`. With `mirror`, the second if subtracts the first's literal
+/// negated: sinking the first if's select needs `−k`, which the lowering
+/// writes only later, for an op that then dies.
 fn arb_function(n_params: usize) -> impl Strategy<Value = ScalarFunction> {
     let start = prop_oneof![
         Just(0i64),
@@ -136,11 +162,20 @@ fn arb_function(n_params: usize) -> impl Strategy<Value = ScalarFunction> {
             arb_expr(n_params, 3),
             0i64..4,
         ),
-        arb_rewrite_if(n_params),
-        start,
+        (arb_rewrite_if(n_params), arb_rewrite_if(n_params)),
+        (start, any::<bool>()),
+        arb_expr(n_params, 2),
     )
         .prop_map(
-            move |((t0, t1, cond_l, cond_r, res, loop_n), rewrite_if, m)| {
+            move |((t0, t1, cond_l, cond_r, res, loop_n), ifs, (m, mirror), dead)| {
+                let (mut rewrite_if, mut rewrite_if2) = ifs;
+                if let (Some(&mut k), Some(k2), true) = (
+                    subtrahend(&mut rewrite_if),
+                    subtrahend(&mut rewrite_if2),
+                    mirror,
+                ) {
+                    *k2 = -k;
+                }
                 let body = vec![
                     Stmt::Let {
                         name: "t0".into(),
@@ -161,6 +196,7 @@ fn arb_function(n_params: usize) -> impl Strategy<Value = ScalarFunction> {
                         else_branch: vec![assign("t1", Expr::var("t0"))],
                     },
                     rewrite_if,
+                    rewrite_if2,
                     Stmt::For {
                         var: "j".into(),
                         lo: 0,
@@ -169,6 +205,10 @@ fn arb_function(n_params: usize) -> impl Strategy<Value = ScalarFunction> {
                     },
                     assign("res", res),
                     assign("count", Expr::var("m")),
+                    Stmt::Let {
+                        name: "dead".into(),
+                        value: dead,
+                    },
                 ];
                 ScalarFunction {
                     name: "fuzzed".into(),
