@@ -43,11 +43,12 @@
 //! has no chain to fold: each point is one product, and classify() proved
 //! the output access injective, so [`FastContraction::task_direct`]
 //! stores it straight into the output through the map kernel's
-//! [`SyncSlice`] — no partial, no packing, no write phase.
+//! [`SyncSlice`] — no partial, no packing, no write phase, and no zero
+//! fill of an output it provably covers ([`direct_outputs`]).
 
 use crate::fast::line::{Line, LANES};
 use crate::fast::map::SyncSlice;
-use crate::fast::{linearize_for, typed_inputs, Elem};
+use crate::fast::{direct_outputs, linearize_for, typed_inputs, Elem};
 use crate::offsets::{advance, LinearAccess};
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
@@ -147,7 +148,10 @@ impl FastContraction {
         inputs: &[Buffer],
         pool: &rayon::ThreadPool,
     ) -> Result<Option<Vec<Buffer>>> {
-        let mut outputs = eval::alloc_outputs(prog)?;
+        let mut outputs = match self.collapsed.is_empty() {
+            true => direct_outputs(prog)?,
+            false => eval::alloc_outputs(prog)?,
+        };
         let (in_acc, out_acc) = linearize_for(prog, inputs, &outputs)?;
         let oacc = &out_acc[0];
         // classify() proved the output index exprs ignore collapsed dims;

@@ -4,35 +4,44 @@
 //! left-nested weighted sum of its inputs. The VM evaluates that sum in
 //! f64 (f32 loads widened exactly, f32 literals widened exactly) and
 //! rounds once at the store; this kernel performs the identical chain per
-//! point, [`LANES`] points at a time along the innermost dimension.
-//! Because points are independent, chunking and parallel task order
+//! point. Because points are independent, chunking and parallel task order
 //! cannot change bits — the only ordering that matters is the per-point
 //! term fold (and the one outer scale multiply after it), which
 //! [`strict_weighted_sum`] pinned to the VM's.
 //!
-//! That chain is written once, in [`FastMap::chain`]. The steps along a
-//! row only decide how a block's values reach it: when the output and
-//! every term step by 1, whole blocks are read and stored as slices; the
-//! row's remainder, and every block under any other step — reversed,
-//! strided, broadcast, transposed — moves the same values one at a time.
+//! That chain is written once, in [`row`], one output row at a time. Its
+//! term count is a const generic. When every term steps by 1 along the
+//! row (every stencil in the tree), [`unit_row`] loads each term as a
+//! slice and has an arm for every count up to [`MAP_ARMS`], so the chain
+//! stays in registers across the row and LLVM vectorises it along the
+//! row. A row under any other step — reversed, strided, broadcast,
+//! transposed — and a sum longer than the last arm run the same function
+//! with the count read at run time, each load computing its offset. An
+//! output row that does not step by 1 is computed into a task-local row
+//! and then stored point by point.
 //!
 //! Tasks store through [`SyncSlice`], the backend's one unsynchronised
 //! write site. It is generic over [`Elem`] because the reduction-free
 //! contraction writes through it too; both kernels reach it only past
-//! classify()'s injectivity proof, and its tests hold both to it.
+//! classify()'s injectivity proof, and its tests hold both to it. Both
+//! skip the output's zero fill when they provably write every element of
+//! it ([`direct_outputs`]).
 //!
 //! [`strict_weighted_sum`]: crate::fast::pattern::strict_weighted_sum
 
-use crate::fast::line::{Line, LANES};
-use crate::fast::{linearize_for, typed_inputs, Elem};
+use crate::fast::{direct_outputs, linearize_for, typed_inputs, Elem};
 use crate::offsets::{advance, LinearAccess};
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
-use mdh_core::eval;
 use mdh_core::shape::MdRange;
 use mdh_lowering::plan::ExecutionPlan;
 use rayon::prelude::*;
+
+/// Term counts with an arm of their own for unit-step rows: every
+/// stencil in the tree (Jacobi1D has 3 terms, Jacobi_3D 7, Gaussian_2D 9)
+/// and room past them. [`FastMap::run_task`]'s dispatch lists each count.
+pub const MAP_ARMS: usize = 16;
 
 /// Shared mutable slice for provably-disjoint parallel writes — the
 /// backend's only unsynchronised write site, shared by the two kernels
@@ -69,30 +78,7 @@ impl<E: Elem> SyncSlice<E> {
     }
 }
 
-/// One term's values along the current row: element `i` of the row is
-/// `xs[base + i * step]`. [`row_span`] has bounded the row before any
-/// load runs, so the indexing cannot fail.
-struct TermRow<'a> {
-    xs: &'a [f32],
-    base: i64,
-    step: i64,
-}
-
-impl TermRow<'_> {
-    /// Row elements `done .. done + ln` for any step, one at a time, in
-    /// the low lanes (the rest zero).
-    #[inline(always)]
-    fn gather(&self, done: usize, ln: usize) -> [f32; LANES] {
-        let mut x = [0.0f32; LANES];
-        let at = self.base + done as i64 * self.step;
-        for (l, v) in x[..ln].iter_mut().enumerate() {
-            *v = self.xs[(at + l as i64 * self.step) as usize];
-        }
-        x
-    }
-}
-
-/// A row's offsets are affine in the lane index, so its first and last
+/// A row's offsets are affine in the point index, so its first and last
 /// bound every one in between: `Err` unless both lie in `0..len`.
 fn row_span(what: &str, base: i64, step: i64, n: usize, len: usize) -> Result<()> {
     let last = base + (n as i64 - 1) * step;
@@ -102,6 +88,55 @@ fn row_span(what: &str, base: i64, step: i64, n: usize, len: usize) -> Result<()
         )));
     }
     Ok(())
+}
+
+/// The VM's per-point chain along one row, term `t`'s value at point `k`
+/// supplied by `x(t, k)`: the first term copy-initialises the
+/// accumulator, later terms are a separately rounded multiply then add
+/// (stencil weights are arbitrary f64, so never fused), the outer scale
+/// multiplies once, and one rounding takes the result to f32. `T` is the
+/// term count, or 0 for the arm that reads `w.len()` at run time: a row
+/// with any non-unit step, or a sum longer than [`MAP_ARMS`]. How the
+/// values were loaded is the caller's business; how they combine is
+/// decided here alone.
+#[inline(always)]
+fn row<const T: usize>(
+    w: &[f64],
+    scale: Option<f64>,
+    x: impl Fn(usize, usize) -> f32,
+    y: &mut [f32],
+) {
+    let w = &w[..if T == 0 { w.len() } else { T }];
+    let point = |k: usize| {
+        let mut a = w[0] * f64::from(x(0, k));
+        for (t, &wt) in w.iter().enumerate().skip(1) {
+            a += wt * f64::from(x(t, k));
+        }
+        a
+    };
+    // one loop per scale form: with the test inside the point loop, the
+    // 7-term row ran ≈ 1.5× slower
+    let y = y.iter_mut().enumerate();
+    match scale {
+        None => y.for_each(|(k, y)| *y = point(k) as f32),
+        Some(s) => y.for_each(|(k, y)| *y = (point(k) * s) as f32),
+    }
+}
+
+/// A row whose `T` terms all step by 1: each term's values are a slice of
+/// exactly the row's length, so the loads need no bounds checks. Kept out
+/// of line: inlined, sixteen arms in one function are not vectorised
+/// (Jacobi_3D ran 2× slower than before the arms).
+#[inline(never)]
+fn unit_row<const T: usize>(
+    w: &[f64],
+    scale: Option<f64>,
+    xs: &[&[f32]],
+    bases: &[i64],
+    y: &mut [f32],
+) {
+    let x: [&[f32]; T] = std::array::from_fn(|t| &xs[t][bases[t] as usize..][..y.len()]);
+    row::<T>(w, scale, |t, k| x[t][k], y);
 }
 
 /// A compiled map kernel: `out[..] = scale * Σ_t w_t * x_{slot_t}[..]`,
@@ -125,7 +160,7 @@ impl FastMap {
         inputs: &[Buffer],
         pool: &rayon::ThreadPool,
     ) -> Result<Option<Vec<Buffer>>> {
-        let mut outputs = eval::alloc_outputs(prog)?;
+        let mut outputs = direct_outputs(prog)?;
         let (in_acc, out_acc) = linearize_for(prog, inputs, &outputs)?;
         let ins = typed_inputs::<f32>(prog, inputs)?;
         debug_assert!(plan.split_dims.is_empty());
@@ -147,6 +182,7 @@ impl FastMap {
         Ok(Some(outputs))
     }
 
+    /// One task, row by row along the last dim.
     fn run_task(
         &self,
         ins: &[&[f32]],
@@ -158,23 +194,21 @@ impl FastMap {
         if range.is_empty() {
             return Ok(());
         }
-        let rank = range.rank();
-        let last = rank - 1;
-        let n_last = range.extent(last);
+        let last = range.rank() - 1;
+        let n = range.extent(last);
         let outer: Vec<usize> = (0..last).collect();
-        let mut rows: Vec<TermRow> = self
-            .terms
-            .iter()
-            .map(|&(s, _)| TermRow {
-                xs: ins[s],
-                base: 0,
-                step: in_acc[s].coeffs[last],
-            })
+        let w: Vec<f64> = self.terms.iter().map(|&(_, w)| w).collect();
+        let xs: Vec<&[f32]> = self.terms.iter().map(|&(s, _)| ins[s]).collect();
+        let steps: Vec<i64> = (self.terms.iter())
+            .map(|&(s, _)| in_acc[s].coeffs[last])
             .collect();
+        let mut bases = vec![0i64; self.terms.len()];
         let ostep = oacc.coeffs[last];
-        // the steps are the same on every row, so which load a full block
-        // uses is decided once
-        let unit = ostep == 1 && rows.iter().all(|r| r.step == 1);
+        // the steps are the same on every row, so how a row loads is
+        // decided once
+        let unit = steps.iter().all(|&s| s == 1);
+        // an output row that does not step by 1 is computed here first
+        let mut staged = vec![0.0f32; if ostep == 1 { 0 } else { n }];
         // SAFETY (of every call below): `row_span` has bounded the row's
         // offsets to [0, len) and a span holds only that row's own points
         // (a unit step makes them consecutive). classify() proved the
@@ -183,71 +217,36 @@ impl FastMap {
         // contains one of these elements.
         let span = |start: i64, len: usize| unsafe { out.row_mut(start as usize, len) };
         let mut idx = range.lo.clone();
-        let mut blocks: Vec<&[[f32; LANES]]> = Vec::with_capacity(rows.len());
         loop {
             idx[last] = range.lo[last];
-            for (row, &(s, _)) in rows.iter_mut().zip(&self.terms) {
-                row.base = in_acc[s].offset(&idx);
-                row_span("input", row.base, row.step, n_last, row.xs.len())?;
+            for (t, &(s, _)) in self.terms.iter().enumerate() {
+                bases[t] = in_acc[s].offset(&idx);
+                row_span("input", bases[t], steps[t], n, xs[t].len())?;
             }
             let obase = oacc.offset(&idx);
-            row_span("output", obase, ostep, n_last, out.len)?;
-            let mut done = 0usize;
-            if unit {
-                // the row's whole blocks: each term's row and the output
-                // row as arrays of LANES, taken once
-                let full = n_last - n_last % LANES;
-                blocks.clear();
-                blocks.extend(
-                    rows.iter()
-                        .map(|r| r.xs[r.base as usize..][..full].as_chunks().0),
-                );
-                let (orow, _) = span(obase, full).as_chunks_mut::<LANES>();
-                for (b, y) in orow.iter_mut().enumerate() {
-                    *y = self.chain(|t| blocks[t][b]);
-                }
-                done = full;
+            row_span("output", obase, ostep, n, out.len)?;
+            let y = if ostep == 1 {
+                span(obase, n)
+            } else {
+                &mut staged[..]
+            };
+            let at = |t: usize, k: usize| (bases[t] + k as i64 * steps[t]) as usize;
+            macro_rules! arms {
+                ($($t:literal)*) => {
+                    match w.len() {
+                        $($t if unit => unit_row::<$t>(&w, self.scale, &xs, &bases, y),)*
+                        _ => row::<0>(&w, self.scale, |t, k| xs[t][at(t, k)], y),
+                    }
+                };
             }
-            // the short tail of a unit-step row, and every block of any
-            // other row: the same chain on values moved one at a time
-            while done < n_last {
-                let ln = (n_last - done).min(LANES);
-                let y = self.chain(|t| rows[t].gather(done, ln));
-                for (l, &v) in y[..ln].iter().enumerate() {
-                    span(obase + (done + l) as i64 * ostep, 1)[0] = v;
-                }
-                done += ln;
+            arms!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+            for (k, &v) in staged.iter().enumerate() {
+                span(obase + k as i64 * ostep, 1)[0] = v;
             }
             if !advance(&mut idx, &outer, range) {
                 return Ok(());
             }
         }
-    }
-
-    /// The VM's per-point chain on each of [`LANES`] points, term `t`'s
-    /// values supplied by `load(t)`: the first term copy-initialises the
-    /// accumulator, later terms are a separately rounded multiply then
-    /// add (stencil weights are arbitrary f64, so never `acc_fma_exact`),
-    /// the outer scale multiplies once, and one rounding takes the result
-    /// to f32. How the values were loaded is the caller's business; how
-    /// they combine is decided here alone.
-    #[inline(always)]
-    fn chain(&self, load: impl Fn(usize) -> [f32; LANES]) -> [f32; LANES] {
-        let mut acc = Line::zero();
-        for (t, &(_, w)) in self.terms.iter().enumerate() {
-            let x = Line(load(t).map(f64::from));
-            if t == 0 {
-                acc.set_mul(w, &x);
-            } else {
-                acc.acc_mul(w, &x);
-            }
-        }
-        if let Some(s) = self.scale {
-            for a in &mut acc.0 {
-                *a *= s;
-            }
-        }
-        acc.0.map(|a| a as f32)
     }
 }
 
@@ -298,12 +297,29 @@ mod tests {
         }
     }
 
-    /// Block boundaries of the row loop. Innermost extents on either
-    /// side of one and two blocks, crossed with every way a term can step
-    /// along a row (and a transposed output, whose stores scatter), with
-    /// and without the outer scale, f32 and f64 literal weights, on data
-    /// whose sums round: the kernel must equal the VM bit for bit at
-    /// every width, whichever way a block's values were loaded.
+    /// Points per iteration of the vector loops LLVM emits for a row:
+    /// one f64 vector of 2 to 8 lanes, interleaved up to four times (the
+    /// widest is 32 points on AVX-512; 64 leaves room).
+    const VECTOR_WIDTHS: [usize; 6] = [2, 4, 8, 16, 32, 64];
+
+    /// Row extents on either side of every vector loop width, one that
+    /// runs the widest loop twice with a remainder, and a single point.
+    fn row_extents() -> Vec<usize> {
+        let mut extents = vec![1, 2 * 64 + 3];
+        for w in VECTOR_WIDTHS {
+            extents.extend([w - 1, w, w + 1]);
+        }
+        extents.sort();
+        extents.dedup();
+        extents
+    }
+
+    /// Loop boundaries of the row function. Innermost extents on either
+    /// side of every vector loop width, crossed with every way a term can
+    /// step along a row (and a transposed output, whose stores scatter),
+    /// with and without the outer scale, f32 and f64 literal weights, on
+    /// data whose sums round: the kernel must equal the VM bit for bit at
+    /// every width, whichever way a row's values were loaded.
     #[test]
     fn block_boundary_sweep_bit_equal_to_the_vm() {
         use crate::cpu::{CpuExecutor, ExecPath};
@@ -344,7 +360,8 @@ mod tests {
             ),
         ];
         let mut cases = 0;
-        for n in [1, LANES - 1, LANES, LANES + 1, 2 * LANES + 3] {
+        let extents = row_extents();
+        for &n in &extents {
             for (form, index, shape) in &forms {
                 for out_transposed in [false, true] {
                     for scale in [None, Some(Value::F64(0.333))] {
@@ -434,7 +451,97 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases, 5 * 5 * 2 * 2 * 2);
+        assert_eq!(cases, extents.len() * 5 * 2 * 2 * 2);
+    }
+
+    /// Every arm of the term-count dispatch, and the run-time count past
+    /// the last one: sums of 1 ..= `MAP_ARMS + 1` terms over rows that
+    /// straddle the vector loop widths, loaded as slices and with a
+    /// stride, with and without the outer scale, equal the VM bit for bit.
+    #[test]
+    fn every_term_count_arm_bit_equal_to_the_vm() {
+        use mdh_core::expr::{Expr, Stmt};
+        use mdh_core::types::Value;
+        use mdh_lowering::schedule::Schedule;
+        use mdh_lowering::DeviceKind;
+
+        const ROWS: usize = 3;
+        let pool = crate::cpu::CpuExecutor::new(2).unwrap();
+        let weights = [0.143, -2.5, 0.1, 0.333, 1.0, -0.007];
+        for terms in 1..=MAP_ARMS + 1 {
+            for n in [VECTOR_WIDTHS[2] - 1, VECTOR_WIDTHS[4] + 1, 2 * 64 + 3] {
+                for (strided, scale) in [(false, None), (true, None), (false, Some(0.333))] {
+                    // f64 weights: every product rounds, so a fused or
+                    // reordered chain shows
+                    let term = |t: usize| {
+                        let w = Value::F64(weights[t % weights.len()]);
+                        Expr::mul(Expr::Lit(w), Expr::Param(t))
+                    };
+                    let mut value = (1..terms).fold(term(0), |sum, t| Expr::add(sum, term(t)));
+                    if let Some(s) = scale {
+                        value = Expr::mul(Expr::Lit(Value::F64(s)), value);
+                    }
+                    let sf = ScalarFunction {
+                        name: "w".into(),
+                        params: (0..terms)
+                            .map(|t| (format!("p{t}"), ScalarKind::F32.into()))
+                            .collect(),
+                        results: vec![("res".into(), ScalarKind::F32.into())],
+                        body: vec![Stmt::Assign {
+                            name: "res".into(),
+                            value,
+                        }],
+                    };
+                    let (access, cols) = match strided {
+                        false => (IndexFn::identity(2, 2), n),
+                        true => {
+                            let e = vec![AffineExpr::var(2, 0), AffineExpr::new(vec![0, 2], 0)];
+                            (IndexFn::affine(e), 2 * n - 1)
+                        }
+                    };
+                    let mut b = DslBuilder::new("arms", vec![ROWS, n])
+                        .out_buffer("y", BasicType::F32)
+                        .out_access("y", IndexFn::identity(2, 2));
+                    let mut inputs = Vec::new();
+                    for t in 0..terms {
+                        let name = format!("x{t}");
+                        b = b
+                            .inp_buffer(&name, BasicType::F32)
+                            .inp_access(&name, access.clone());
+                        let mut x =
+                            Buffer::zeros(name, BasicType::F32, Shape::new(vec![ROWS, cols]));
+                        x.fill_with(move |i| {
+                            ((i + 17 * t) * 2654435761 % 1000) as f64 * 0.1 - 31.7
+                        });
+                        inputs.push(x);
+                    }
+                    let prog = b
+                        .scalar_function(sf)
+                        .combine_ops(vec![CombineOp::cc(), CombineOp::cc()])
+                        .build()
+                        .unwrap();
+                    let mut schedule = Schedule::sequential(2, DeviceKind::Cpu);
+                    schedule.par_chunks = vec![2, 1];
+                    let plan = ExecutionPlan::build(&prog, &schedule).unwrap();
+                    let crate::fast::FastKernel::Map(kernel) =
+                        crate::fast::classify(&prog).unwrap()
+                    else {
+                        panic!("a weighted sum of {terms} terms is a map kernel");
+                    };
+                    let fast = kernel
+                        .run(&prog, &plan, &inputs, pool.pool())
+                        .unwrap()
+                        .unwrap();
+                    let vm = crate::vm_exec::run(&prog, &plan, &inputs, pool.pool()).unwrap();
+                    let what = format!("terms={terms} n={n} strided={strided} scale={scale:?}");
+                    assert_eq!(
+                        mdh_core::buffer::bits_hash(&fast),
+                        mdh_core::buffer::bits_hash(&vm),
+                        "{what}"
+                    );
+                }
+            }
+        }
     }
 
     /// The safety contract behind [`SyncSlice`]: a kernel may write

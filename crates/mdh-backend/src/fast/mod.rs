@@ -5,8 +5,9 @@
 //! decomposition into tasks, a fixed strictly-sequential f64 fold per
 //! output point, a fixed group-combine order, one rounding to the output
 //! type at the store. The fast path re-implements the *hot* subset of those
-//! semantics as compiled loop nests — cache-blocked by fixed block sizes,
-//! vectorized through the 8-lane [`Line`] accumulator — while
+//! semantics as compiled loop nests — the contraction cache-blocked by
+//! fixed block sizes and vectorized through the 8-lane [`Line`]
+//! accumulator, the map kernel vectorized by LLVM along each row — while
 //! reproducing every floating-point operation of the VM in the same
 //! order. [`classify`] is the gate: it admits a program only when the
 //! kernels can honour that contract, and returns a human-readable reason
@@ -44,7 +45,7 @@ mod map;
 mod registry;
 
 pub use contraction::FastContraction;
-pub use map::FastMap;
+pub use map::{FastMap, MAP_ARMS};
 pub use registry::{registry, FastRegistry};
 
 use crate::offsets::{linearize_view, LinearAccess};
@@ -53,6 +54,8 @@ use mdh_core::buffer::Buffer;
 use mdh_core::combine::{BuiltinReduce, CombineOp};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
+use mdh_core::index_fn::{AffineExpr, IndexFn};
+use mdh_core::shape::{MdRange, Shape};
 use mdh_core::types::{BasicType, ScalarKind};
 use mdh_lowering::plan::ExecutionPlan;
 use pattern::WeightedSum;
@@ -184,6 +187,49 @@ fn proven_injective(prog: &DslProgram) -> bool {
         .index_fn
         .is_injective_over(&full, 1 << 14)
         == Some(true)
+}
+
+/// The outputs of a kernel that stores through [`map::SyncSlice`]. The
+/// buffer it writes skips its zero fill ([`Buffer::for_overwrite`]) when
+/// every element is provably stored: classify() proved the access
+/// injective, and an injective access whose coordinates stay inside the
+/// buffer's shape over exactly as many points as the buffer has elements
+/// reaches every one. Every other output is zeroed.
+pub(crate) fn direct_outputs(prog: &DslProgram) -> Result<Vec<Buffer>> {
+    let access = &prog.out_view.accesses[0];
+    let full = prog.md_hom.full_range();
+    let decls = prog.out_view.buffers.iter().zip(prog.output_shapes()?);
+    let outputs = decls.enumerate().map(|(b, (decl, dims))| {
+        let shape = Shape::new(dims);
+        let covered = b == access.buffer && covers(&access.index_fn, &full, &shape);
+        let alloc = if covered {
+            Buffer::for_overwrite
+        } else {
+            Buffer::zeros
+        };
+        alloc(decl.name.clone(), decl.ty.clone(), shape)
+    });
+    Ok(outputs.collect())
+}
+
+/// Whether an affine index function stays inside `shape` over `range`,
+/// which has exactly as many points as `shape` has elements.
+fn covers(index_fn: &IndexFn, range: &MdRange, shape: &Shape) -> bool {
+    let Some(exprs) = index_fn.as_affine() else {
+        return false;
+    };
+    let in_bounds = |e: &AffineExpr, ext: usize| {
+        let (mut lo, mut hi) = (e.constant, e.constant);
+        for (d, &c) in e.coeffs.iter().enumerate() {
+            let reach = c.saturating_mul(range.extent(d) as i64 - 1);
+            lo = lo.saturating_add(reach.min(0));
+            hi = hi.saturating_add(reach.max(0));
+        }
+        lo >= 0 && hi < ext as i64
+    };
+    range.len() == shape.len()
+        && exprs.len() == shape.rank()
+        && (exprs.iter().zip(shape.dims())).all(|(e, &ext)| in_bounds(e, ext))
 }
 
 /// Linearise the input and output views against actual buffer shapes.

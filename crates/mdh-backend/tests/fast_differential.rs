@@ -280,24 +280,32 @@ const SCALE_CHOICES: [Scale; 6] = [
     Scale::Right(Value::F32(-2.5)),
 ];
 
-/// Rows run from one point to past two 8-lane blocks. Half the cases
-/// step every term by 1 along the row (the map kernel's slice loads);
-/// in the rest each term keeps its drawn step — 0, 2, a multiple of an
-/// outer extent — or walks it backwards (the one-at-a-time loads).
+/// Points per iteration of the widest vector loop LLVM emits for a map
+/// row: 8 f64 lanes interleaved four times is 32 on AVX-512; 64 leaves
+/// room.
+const WIDEST_ROW_LOOP: usize = 64;
+
+/// Sums of every term count the map kernel has an arm for, and one more
+/// (its run-time-count arm). Rows run from one point to past twice the
+/// widest vector loop. Half the cases step every term by 1 along the row
+/// (the map kernel's slice loads); in the rest each term keeps its drawn
+/// step — 0, 2, a multiple of an outer extent — or walks it backwards
+/// (the offset-computing loads).
 fn map_case() -> impl Strategy<Value = MapCase> {
+    const MAX_TERMS: usize = fast::MAP_ARMS + 1;
     (
         1usize..=MAX_RANK,
         prop::collection::vec(2usize..=7, MAX_RANK),
-        prop::collection::vec(rand_access(), 1..=3),
-        prop::collection::vec(0usize..WEIGHT_CHOICES.len(), 3),
+        prop::collection::vec(rand_access(), 1..=MAX_TERMS),
+        prop::collection::vec(0usize..WEIGHT_CHOICES.len(), MAX_TERMS),
         0usize..SCALE_CHOICES.len(),
         prop::collection::vec(0usize..TILE_CHOICES.len(), MAX_RANK),
         prop::collection::vec(1usize..=2, MAX_RANK),
         (
             0usize..1000,
-            1usize..=19,
+            1usize..=2 * WIDEST_ROW_LOOP + 3,
             any::<bool>(),
-            prop::collection::vec(any::<bool>(), 3),
+            prop::collection::vec(any::<bool>(), MAX_TERMS),
         ),
     )
         .prop_map(

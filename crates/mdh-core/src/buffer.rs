@@ -82,15 +82,18 @@ fn recycled_bytes(kind: ScalarKind, n: usize) -> Option<usize> {
     (bytes >= HOST_BLOCK_MIN_BYTES).then_some(bytes)
 }
 
-/// A bounded free list of large scalar storage: [`Buffer::zeros`] takes
-/// from it and `Buffer`'s `Drop` gives back, so a warm request reuses the
-/// last one's output pages instead of mapping and faulting in fresh ones.
+/// A bounded free list of large scalar storage: [`Buffer::zeros`] and
+/// [`Buffer::for_overwrite`] take from it and `Buffer`'s `Drop` gives
+/// back, so a warm request reuses the last one's output pages instead of
+/// mapping and faulting in fresh ones.
 ///
 /// * Only scalar blocks of at least [`HOST_BLOCK_MIN_BYTES`] are held.
 /// * A block is reused only for the same element kind and length, the one
 ///   reuse that needs neither a reallocation nor a reinterpretation.
-/// * A reused block is zero-filled on take, outside the lock, by the
-///   thread that wants it: a block never taken again is never written.
+/// * A block reused for [`Buffer::zeros`] is zero-filled on take, outside
+///   the lock, by the thread that wants it: a block never taken again is
+///   never written. One reused for [`Buffer::for_overwrite`] keeps the
+///   values it was given back with.
 /// * At most `HOST_HELD_MAX_BYTES` (256 MiB) are held and a give-back
 ///   past that is freed. A miss frees the held blocks of other lengths
 ///   before it allocates, so stale sizes never stack on top of a new
@@ -136,9 +139,10 @@ impl HostBlocks {
         (held.reuses, held.fresh, held.bytes() as u64)
     }
 
-    /// `n` zero elements of `kind`: a held block of that kind and length
-    /// when there is one, fresh memory otherwise.
-    fn take(&self, kind: ScalarKind, n: usize) -> BufferData {
+    /// `n` elements of `kind`: a held block of that kind and length when
+    /// there is one, zero-filled if `zero`, and fresh zeroed memory
+    /// otherwise.
+    fn take(&self, kind: ScalarKind, n: usize, zero: bool) -> BufferData {
         if recycled_bytes(kind, n).is_none() {
             return BufferData::fresh(kind, n);
         }
@@ -148,7 +152,9 @@ impl HostBlocks {
             let mut block = held.blocks.swap_remove(i);
             held.reuses += 1;
             drop(held);
-            block.fill_zero();
+            if zero {
+                block.fill_zero();
+            }
             return block;
         }
         held.fresh += 1;
@@ -318,9 +324,25 @@ impl Buffer {
     /// Allocate a zero-initialised buffer; large scalar storage comes from
     /// [`host_blocks`].
     pub fn zeros(name: impl Into<String>, ty: BasicType, shape: Shape) -> Buffer {
+        Buffer::taken(name, ty, shape, true)
+    }
+
+    /// A buffer the caller writes in full before anyone reads it: large
+    /// scalar storage may be a recycled [`host_blocks`] block that still
+    /// holds an earlier output of this process, handed back without its
+    /// zero fill. Freshly allocated memory is zeroed as in
+    /// [`Buffer::zeros`]. The one rule: call it only for an output whose
+    /// every element is provably stored — the fast map kernel and the
+    /// reduction-free contraction, when an injective output access covers
+    /// as many points as the buffer has elements.
+    pub fn for_overwrite(name: impl Into<String>, ty: BasicType, shape: Shape) -> Buffer {
+        Buffer::taken(name, ty, shape, false)
+    }
+
+    fn taken(name: impl Into<String>, ty: BasicType, shape: Shape, zero: bool) -> Buffer {
         let n = shape.len();
         let data = match &ty {
-            BasicType::Scalar(kind) => host_blocks().take(*kind, n),
+            BasicType::Scalar(kind) => host_blocks().take(*kind, n, zero),
             BasicType::Record(rec) => BufferData::Record(RecordStorage {
                 record: rec.clone(),
                 columns: rec
@@ -766,7 +788,7 @@ mod tests {
     #[test]
     fn a_dirtied_returned_block_comes_back_all_zero() {
         let list = HostBlocks::default();
-        let mut block = list.take(ScalarKind::F64, N);
+        let mut block = list.take(ScalarKind::F64, N, true);
         let at = ptr(&block);
         if let BufferData::F64(v) = &mut block {
             v.fill(-0.0);
@@ -774,7 +796,7 @@ mod tests {
         }
         list.give_back(block);
         assert_eq!(list.counters(), counters(0, 1, HOST_BLOCK_MIN_BYTES));
-        let again = list.take(ScalarKind::F64, N);
+        let again = list.take(ScalarKind::F64, N, true);
         assert_eq!(ptr(&again), at, "the held block is the one reused");
         let BufferData::F64(v) = &again else {
             unreachable!()
@@ -787,16 +809,50 @@ mod tests {
     }
 
     #[test]
+    fn an_overwrite_take_keeps_the_given_back_values_and_zeros_clears_them() {
+        fn f64s_of(b: &BufferData) -> &[f64] {
+            match b {
+                BufferData::F64(v) => v,
+                _ => unreachable!(),
+            }
+        }
+        let list = HostBlocks::default();
+        // fresh memory is zeroed whichever take asks for it
+        let mut block = list.take(ScalarKind::F64, N, false);
+        assert!(f64s_of(&block).iter().all(|x| x.to_bits() == 0));
+        let at = ptr(&block);
+        if let BufferData::F64(v) = &mut block {
+            v.iter_mut()
+                .enumerate()
+                .for_each(|(i, x)| *x = i as f64 - 0.5);
+        }
+        let given = f64s_of(&block).to_vec();
+        list.give_back(block);
+        let stale = list.take(ScalarKind::F64, N, false);
+        assert_eq!(ptr(&stale), at, "the held block is the one reused");
+        let kept = f64s_of(&stale);
+        assert!(kept
+            .iter()
+            .zip(&given)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        list.give_back(stale);
+        let zeroed = list.take(ScalarKind::F64, N, true);
+        assert_eq!(ptr(&zeroed), at);
+        assert!(f64s_of(&zeroed).iter().all(|x| x.to_bits() == 0));
+        assert_eq!(list.counters(), counters(2, 1, 0));
+    }
+
+    #[test]
     fn a_block_of_another_kind_or_length_is_never_reused() {
         let list = HostBlocks::default();
         let held = f64s(N);
         let at = ptr(&held);
         list.give_back(held);
         // the same bytes as i64: a miss, and the f64 block of that length stays
-        let other_kind = list.take(ScalarKind::I64, N);
+        let other_kind = list.take(ScalarKind::I64, N, true);
         assert_ne!(ptr(&other_kind), at);
         assert_eq!(list.counters(), counters(0, 1, HOST_BLOCK_MIN_BYTES));
-        let other_len = list.take(ScalarKind::F64, N + 1);
+        let other_len = list.take(ScalarKind::F64, N + 1, true);
         assert!(matches!(&other_len, BufferData::F64(v) if v.len() == N + 1));
         assert_eq!(list.counters(), counters(0, 2, 0));
     }
@@ -811,7 +867,7 @@ mod tests {
         }));
         list.give_back(f64s(N - 1));
         list.give_back(BufferData::Char(vec![0; HOST_BLOCK_MIN_BYTES - 1]));
-        let small = list.take(ScalarKind::F64, N - 1);
+        let small = list.take(ScalarKind::F64, N - 1, true);
         assert_eq!(small.scalar_len(), Some((ScalarKind::F64, N - 1)));
         assert_eq!(
             list.counters(),
@@ -842,10 +898,10 @@ mod tests {
         list.give_back(f64s(N + 1));
         list.give_back(BufferData::Char(vec![0; 3 * HOST_BLOCK_MIN_BYTES]));
         assert_eq!(list.counters().2, 5 * HOST_BLOCK_MIN_BYTES as u64 + 8);
-        let miss = list.take(ScalarKind::I64, N);
+        let miss = list.take(ScalarKind::I64, N, true);
         assert_ne!(ptr(&miss), at);
         assert_eq!(list.counters(), counters(0, 1, HOST_BLOCK_MIN_BYTES));
-        assert_eq!(ptr(&list.take(ScalarKind::F64, N)), at);
+        assert_eq!(ptr(&list.take(ScalarKind::F64, N, true)), at);
     }
 
     #[test]
@@ -861,7 +917,7 @@ mod tests {
                 let (list, live, all_hold) = (&list, &live, &all_hold);
                 s.spawn(move || {
                     for round in 0..8 {
-                        let mut block = list.take(ScalarKind::F64, N);
+                        let mut block = list.take(ScalarKind::F64, N, true);
                         let at = ptr(&block);
                         assert!(live.lock().unwrap().insert(at), "{at:#x} handed out twice");
                         let BufferData::F64(v) = &mut block else {

@@ -1,6 +1,6 @@
 //! The serving front: the front-end memo.
 
-use crate::protocol::{deterministic_inputs, Submit};
+use crate::protocol::{check_operand_bytes, deterministic_inputs, Submit};
 use crate::request::Operands;
 use crate::sync::lock;
 use mdh_core::dsl::DslProgram;
@@ -59,6 +59,7 @@ impl FrontendMemo {
         // after an unwind is sound.
         let front_end = std::panic::AssertUnwindSafe(|| {
             let prog = compile_any(&key.0, &submit.env).map_err(|e| e.to_string())?;
+            check_operand_bytes(&prog).map_err(|e| e.to_string())?;
             let inputs = deterministic_inputs(&prog).map_err(|e| e.to_string())?;
             Ok((prog, inputs))
         });

@@ -18,6 +18,35 @@ use std::time::{Duration, Instant};
 /// or malicious client and must not be buffered without bound.
 pub const MAX_HEADER_BYTES: usize = 4096;
 
+/// Most bytes one SUBMIT's operands may take: the inputs the server
+/// generates plus the outputs a worker allocates. A paper-size Jacobi_3D
+/// (510³ points) takes ≈ 1.07 GB of both; a frame past this bound is
+/// refused before anything is allocated, since a failed allocation aborts
+/// the process rather than unwinding.
+pub const MAX_OPERAND_BYTES: u64 = 4 << 30;
+
+/// `Err` when `prog`'s input and output buffers together would take more
+/// than [`MAX_OPERAND_BYTES`], computed from their shapes alone.
+pub(crate) fn check_operand_bytes(prog: &DslProgram) -> Result<()> {
+    let ins = prog.input_shapes()?.into_iter().zip(&prog.inp_view.buffers);
+    let outs = prog
+        .output_shapes()?
+        .into_iter()
+        .zip(&prog.out_view.buffers);
+    let bytes = ins.chain(outs).try_fold(0u64, |total, (shape, decl)| {
+        let elem = decl.ty.size_bytes() as u64;
+        let bytes = shape.iter().try_fold(elem, |b, &d| b.checked_mul(d as u64));
+        bytes.and_then(|b| total.checked_add(b))
+    });
+    match bytes {
+        Some(b) if b <= MAX_OPERAND_BYTES => Ok(()),
+        b => Err(MdhError::Validation(format!(
+            "operands too large: {} bytes (max {MAX_OPERAND_BYTES})",
+            b.map_or("over 2^64".to_string(), |b| b.to_string())
+        ))),
+    }
+}
+
 /// Deterministic inputs for a program's declared buffers (scalar element
 /// types only). The fill is integer-valued and small (range −8..8) so
 /// f32 reductions are exact and results bit-identical across schedules.

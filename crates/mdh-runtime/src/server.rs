@@ -92,7 +92,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-pub use crate::protocol::{checksum, deterministic_inputs, SubmitClientOpts, MAX_HEADER_BYTES};
+pub use crate::protocol::{
+    checksum, deterministic_inputs, SubmitClientOpts, MAX_HEADER_BYTES, MAX_OPERAND_BYTES,
+};
 pub use crate::transport::{AnyStream, ServerAddr};
 /// The front-end dispatch (`#pragma mdh` → C, `!$mdh` → Fortran, a leading
 /// `out_view` → textual DSL, otherwise the Python-like directive) lives

@@ -5,7 +5,7 @@
 //! proving no connection threads leak and the accept loop survives abuse.
 
 use mdh::lowering::asm::DeviceKind;
-use mdh::runtime::server::{serve_opts, MAX_HEADER_BYTES};
+use mdh::runtime::server::{serve_opts, MAX_HEADER_BYTES, MAX_OPERAND_BYTES};
 use mdh::runtime::{Client, RuntimeConfig, ServeOptions, ServerAddr, SubmitClientOpts};
 use std::io::{BufRead, BufReader, Write};
 use std::net::Shutdown;
@@ -351,6 +351,63 @@ end do
             1,
             "next SUBMIT after undersized {what}: {lines:?}"
         );
+    }
+    let bye = Client::unix(&sock).shutdown().unwrap();
+    assert!(bye[0].starts_with("ok"), "{bye:?}");
+    server.join().expect("server thread exits cleanly");
+}
+
+/// Sizes that pass the front end but whose operands no host could
+/// allocate: a failed allocation aborts the whole process, so the frame
+/// must be refused at the edge, before its inputs (Jacobi_3D, 4 PB) or its
+/// output (a K = 1 MatMul: 8 MB in, 4 TB out) are allocated — and the
+/// same server must keep serving.
+#[test]
+fn oversized_operands_are_answered_err_before_any_allocation() {
+    const JACOBI_3D: &str = "\
+@mdh( out( y = Buffer[fp32] ),
+      inp( x = Buffer[fp32] ),
+      combine_ops( cc, cc, cc ) )
+def jacobi_3d(y, x):
+    for i in range(N):
+        for j in range(N):
+            for k in range(N):
+                y[i, j, k] = 0.142 * x[i+1, j+1, k+1] + 0.143 * x[i, j+1, k+1] + 0.143 * x[i+2, j+1, k+1] + 0.143 * x[i+1, j, k+1] + 0.143 * x[i+1, j+2, k+1] + 0.143 * x[i+1, j+1, k] + 0.143 * x[i+1, j+1, k+2]
+";
+    const MATMUL: &str = "\
+#pragma mdh out(C: float[I][J]) inp(A: float[I][K], B: float[K][J]) \\
+            combine_ops(cc, cc, pw(add))
+for (int i = 0; i < I; i++)
+    for (int j = 0; j < J; j++)
+        for (int k = 0; k < K; k++)
+            C[i][j] = A[i][k] * B[k][j];
+";
+    let binds = |pairs: &[(&str, i64)]| SubmitClientOpts {
+        bindings: pairs.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
+        ..SubmitClientOpts::default()
+    };
+    let (sock, server) = start_server("oversized");
+    let frames = [
+        ("jacobi_3d inputs", JACOBI_3D, binds(&[("N", 100_000)])),
+        (
+            "matmul output",
+            MATMUL,
+            binds(&[("I", 1_000_000), ("J", 1_000_000), ("K", 1)]),
+        ),
+    ];
+    for (what, src, opts) in &frames {
+        let lines = Client::unix(&sock)
+            .submit(src, DeviceKind::Cpu, 1, opts)
+            .unwrap();
+        assert_eq!(err_lines(&lines), 1, "{what}: {lines:?}");
+        assert!(
+            lines[0].contains("too large") && lines[0].contains(&MAX_OPERAND_BYTES.to_string()),
+            "{what}: {lines:?}"
+        );
+        let lines = Client::unix(&sock)
+            .submit(DOT, DeviceKind::Cpu, 1, &binds(&[("N", 64)]))
+            .unwrap();
+        assert_eq!(ok_lines(&lines), 1, "next SUBMIT after {what}: {lines:?}");
     }
     let bye = Client::unix(&sock).shutdown().unwrap();
     assert!(bye[0].starts_with("ok"), "{bye:?}");
