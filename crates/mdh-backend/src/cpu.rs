@@ -8,8 +8,7 @@
 //! 2. `Vm` — the lane-blocked register-VM path (`vm_exec`) for everything
 //!    else with affine input accesses and scalar outputs (custom combine
 //!    operators, records, f64 maps, `ps` scans, `rbi` indexed
-//!    reductions); also where a fast kernel that declines at run time
-//!    lands,
+//!    reductions),
 //! 3. `Reference` — the sequential reference evaluator (always correct).
 //!
 //! The runtime keeps one route per cached plan and runs it on every hit
@@ -79,7 +78,7 @@ impl Route {
         })
     }
 
-    /// The path a run takes, unless a fast kernel declines at run time.
+    /// The path every run takes.
     pub fn path(&self) -> ExecPath {
         match self.0 {
             Kind::Fast(_) => ExecPath::Fast,
@@ -189,8 +188,7 @@ impl CpuExecutor {
 
     /// [`CpuExecutor::run_planned`] on a route built beforehand from a
     /// program with `prog`'s structure and sizes: nothing is classified
-    /// or compiled, unless a fast kernel declines at run time and the run
-    /// falls back to the VM.
+    /// or compiled.
     pub fn run_routed(
         &self,
         prog: &DslProgram,
@@ -203,14 +201,9 @@ impl CpuExecutor {
         // hits/(hits+fallbacks) is fast-path coverage
         match &route.0 {
             Kind::Fast(kernel) => {
-                let pool = self.pool_for(plan);
-                if let Some(outs) = kernel.run(prog, plan, inputs, &pool)? {
-                    fast::registry().record_hit();
-                    return Ok(outs);
-                }
-                // dynamic bail: transparent per-run fallback
-                fast::registry().record_fallback();
-                vm_exec::run(prog, plan, inputs, &pool)
+                let outs = kernel.run(prog, plan, inputs, &self.pool_for(plan))?;
+                fast::registry().record_hit();
+                Ok(outs)
             }
             Kind::Vm { sf, mode, .. } => {
                 fast::registry().record_fallback();

@@ -51,6 +51,7 @@ use crate::fast::map::SyncSlice;
 use crate::fast::{direct_outputs, linearize_for, typed_inputs, Elem};
 use crate::offsets::{advance, LinearAccess};
 use mdh_core::buffer::Buffer;
+use mdh_core::combine::{fold_row, BuiltinReduce, Part, Row};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::eval;
@@ -125,15 +126,14 @@ pub struct FastContraction {
 }
 
 impl FastContraction {
-    /// Execute on a plan. Returns `Ok(None)` when runtime geometry rules
-    /// the kernel out (the caller falls back to the VM transparently).
+    /// Execute on a plan.
     pub fn run(
         &self,
         prog: &DslProgram,
         plan: &ExecutionPlan,
         inputs: &[Buffer],
         pool: &rayon::ThreadPool,
-    ) -> Result<Option<Vec<Buffer>>> {
+    ) -> Result<Vec<Buffer>> {
         match self.elem {
             ScalarKind::F32 => self.run_typed::<f32>(prog, plan, inputs, pool),
             ScalarKind::F64 => self.run_typed::<f64>(prog, plan, inputs, pool),
@@ -147,18 +147,19 @@ impl FastContraction {
         plan: &ExecutionPlan,
         inputs: &[Buffer],
         pool: &rayon::ThreadPool,
-    ) -> Result<Option<Vec<Buffer>>> {
+    ) -> Result<Vec<Buffer>> {
         let mut outputs = match self.collapsed.is_empty() {
             true => direct_outputs(prog)?,
             false => eval::alloc_outputs(prog)?,
         };
         let (in_acc, out_acc) = linearize_for(prog, inputs, &outputs)?;
         let oacc = &out_acc[0];
-        // classify() proved the output index exprs ignore collapsed dims;
-        // buffer-stride folding can only keep such coefficients zero, but
-        // guard anyway: writing through a reduced dim would be wrong.
+        // classify() proved the output index exprs ignore collapsed dims,
+        // and linearising only sums those zero coefficients times strides
         if self.collapsed.iter().any(|&d| oacc.coeffs[d] != 0) {
-            return Ok(None);
+            return Err(MdhError::Eval(
+                "fast contraction output depends on a collapsed dim".into(),
+            ));
         }
         let ins = typed_inputs::<E>(prog, inputs)?;
         let out_buf = prog.out_view.accesses[0].buffer;
@@ -177,7 +178,7 @@ impl FastContraction {
                     .collect_into_vec(&mut done);
             });
             done.into_iter().collect::<Result<()>>()?;
-            return Ok(Some(outputs));
+            return Ok(outputs);
         }
         let arr = self.arrange(&in_acc);
 
@@ -188,33 +189,22 @@ impl FastContraction {
                 .map(|t| self.run_task(&ins, &in_acc, &t.range, &arr))
                 .collect_into_vec(&mut partials);
         });
-        let mut partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
+        let partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
 
-        // fold split-reduction groups exactly like the VM: the group
-        // owner's partial first, members added in task-id order,
-        // elementwise ascending, in f64
-        let write_jobs: Vec<(usize, Vec<f64>)> = if plan.split_dims.is_empty() {
-            partials.into_iter().enumerate().collect()
-        } else {
-            plan.groups
-                .iter()
-                .map(|g| {
-                    let owner = g.task_ids[0];
-                    let mut acc = std::mem::take(&mut partials[owner]);
-                    for &tid in &g.task_ids[1..] {
-                        for (a, b) in acc.iter_mut().zip(&partials[tid]) {
-                            *a += *b;
-                        }
-                    }
-                    (owner, acc)
-                })
-                .collect()
-        };
-
-        for (owner, partial) in write_jobs {
-            self.write_partial(&partial, &plan.tasks[owner].range, oacc, &arr, out)?;
+        // split-reduction groups fold in the VM's order, in f64
+        let add = Some(BuiltinReduce::Add);
+        for group in plan.grouped(partials)? {
+            let mut members = group.into_iter();
+            let Some((owner, mut acc)) = members.next() else {
+                continue;
+            };
+            for (_, rhs) in members {
+                let whole = Row::along(0, 1, acc.len());
+                fold_row(&mut acc, &Part::Right(&rhs), &whole, add);
+            }
+            self.write_partial(&acc, &plan.tasks[owner].range, oacc, &arr, out)?;
         }
-        Ok(Some(outputs))
+        Ok(outputs)
     }
 
     /// Reduction-free task: each point is the one product

@@ -34,8 +34,8 @@
 //! two widened f32s is exact, two roundings for f64), and how the result
 //! is stored (f32 rounds once, f64 is stored as computed).
 //!
-//! Everything else falls back — transparently, per run — to the VM via
-//! `CpuExecutor`.
+//! Everything else runs on the VM: `CpuExecutor`'s route is decided once,
+//! from the program, and an admitted kernel runs every plan of it.
 
 pub mod line;
 pub mod pattern;
@@ -68,15 +68,14 @@ pub enum FastKernel {
 }
 
 impl FastKernel {
-    /// Execute on a plan. `Ok(None)` means the kernel declined at
-    /// runtime (dynamic geometry); the caller falls back to the VM.
+    /// Execute on a plan.
     pub fn run(
         &self,
         prog: &DslProgram,
         plan: &ExecutionPlan,
         inputs: &[Buffer],
         pool: &rayon::ThreadPool,
-    ) -> Result<Option<Vec<Buffer>>> {
+    ) -> Result<Vec<Buffer>> {
         match self {
             FastKernel::Contraction(c) => c.run(prog, plan, inputs, pool),
             FastKernel::Map(m) => m.run(prog, plan, inputs, pool),

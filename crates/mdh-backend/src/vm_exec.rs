@@ -21,8 +21,9 @@
 //! * **scan mode** — one `ps` dimension (ordered before any `pw` dims so
 //!   the scan is applied last, matching the nested semantics); `pw` dims
 //!   must not be split across tasks. Lines are stored straight into the
-//!   partial columns, tasks scan locally, and split scan chunks are
-//!   stitched sequentially with the offset rule of Listing 17.
+//!   partial columns, tasks scan locally, and each split scan chunk is
+//!   carry-folded from the chunk before it with the offset rule of
+//!   Listing 17, then written at its own range.
 //! * **rbi mode** — an indexed reduction. The `rbi` dimension is cut into
 //!   [`RBI_CHUNKS`] fixed intervals; each chunk accumulates its points,
 //!   ascending, into a private typed partial of the full output, and the
@@ -34,16 +35,17 @@
 //!   allocation and no type dispatch per point.
 //!
 //! The three combines that run on whole partials — a task's local scan,
-//! the stitch of split scan chunks and the group combine of a split
+//! the carry-fold of split scan chunks and the group combine of a split
 //! reduction — are one call each of [`Combiner::combine_rows`]: for a
-//! builtin operator one typed loop per partial column, for a compiled
-//! combine function one tuple at a time; the same element order and
-//! argument order either way.
+//! builtin operator the one typed row loop, [`fold_row`], per partial
+//! column, for a compiled combine function one tuple at a time; the same
+//! element order and argument order either way. Groups are taken in
+//! [`ExecutionPlan::grouped`]'s order.
 
 use crate::offsets::{advance, linearize_view, store_result, LinearAccess, Loader, Scatter};
 use crate::vm::{compile_sf, CompiledSf, ParamLoad, Reg, LANES};
 use mdh_core::buffer::Buffer;
-use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc, PwKind};
+use mdh_core::combine::{fold_row, BuiltinReduce, CombineOp, Part, PwFunc, PwKind, Row};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::eval;
@@ -200,35 +202,33 @@ impl Combiner {
         }
     }
 
-    /// `rhs[r + t] = lhs[l + t] ⊗ rhs[r + t]` for each `(l, r)` of
-    /// `rows`, in order, and each `t < len`, ascending: tuple-wide, the
-    /// lhs tuple first, as the scan, the scan stitch and the group combine
-    /// each take their arguments. The lhs is `lhs`'s columns or, with
-    /// `None`, `rhs`'s own `r - l` elements earlier — read after it was
-    /// written where the two spans overlap, which is a scan's recurrence.
-    /// A builtin runs one typed loop per column; a combine function steps
-    /// one tuple at a time.
-    fn combine_rows<I: Iterator<Item = (usize, usize)>>(
+    /// `acc[out] = left ⊗ right` along each of `rows` in order, tuple-wide
+    /// and the left tuple first, with [`fold_row`]'s operands: `part`
+    /// names the one another partial supplies. A builtin runs the typed
+    /// row loop per column; a combine function steps one tuple at a time.
+    fn combine_rows<I: Iterator<Item = Row>>(
         &self,
-        lhs: Option<&[ColBank]>,
-        rhs: &mut [ColBank],
+        acc: &mut [ColBank],
+        part: Part<[ColBank]>,
         rows: impl Fn() -> I,
-        len: usize,
     ) -> Result<()> {
+        let mismatch = || MdhError::Eval("column kind mismatch".into());
         let (cf, lhs_regs, rhs_regs) = match self {
             Combiner::Builtin(b) => {
-                let (f, i) = (|x, y| b.apply_f64(x, y), |x, y| b.apply_i64(x, y));
-                for (r, col) in rhs.iter_mut().enumerate() {
-                    match (col, lhs.map(|l| &l[r])) {
-                        (ColBank::F(v), None) => builtin_rows(None, v, rows(), len, f),
-                        (ColBank::F(v), Some(ColBank::F(u))) => {
-                            builtin_rows(Some(u), v, rows(), len, f)
-                        }
-                        (ColBank::I(v), None) => builtin_rows(None, v, rows(), len, i),
-                        (ColBank::I(v), Some(ColBank::I(u))) => {
-                            builtin_rows(Some(u), v, rows(), len, i)
-                        }
-                        _ => return Err(MdhError::Eval("column kind mismatch".into())),
+                macro_rules! column {
+                    ($col:ident, $r:ident, $kind:ident) => {{
+                        let part = part.map(|p| match p.get($r) {
+                            Some(ColBank::$kind(u)) => Some(&u[..]),
+                            _ => None,
+                        });
+                        let part = part.ok_or_else(mismatch)?;
+                        rows().for_each(|row| fold_row($col, &part, &row, Some(*b)));
+                    }};
+                }
+                for (r, col) in acc.iter_mut().enumerate() {
+                    match col {
+                        ColBank::F(v) => column!(v, r, F),
+                        ColBank::I(v) => column!(v, r, I),
                     }
                 }
                 return Ok(());
@@ -240,13 +240,13 @@ impl Combiner {
             } => (cf, lhs_regs, rhs_regs),
         };
         let mut scratch = cf.point_banks();
-        let (mut acc, mut new) = (Acc::new(rhs.len()), Acc::new(rhs.len()));
-        for (l, r) in rows() {
-            for t in 0..len {
-                acc.read(lhs.unwrap_or(rhs), l + t);
-                new.read(rhs, r + t);
-                combine_vm(cf, lhs_regs, rhs_regs, &mut acc, &new, &mut scratch);
-                acc.write(rhs, r + t);
+        let (mut left, mut right) = (Acc::new(acc.len()), Acc::new(acc.len()));
+        for row in rows() {
+            for (o, l) in row.offsets() {
+                left.read(if let Part::Left(p) = part { p } else { acc }, l);
+                right.read(if let Part::Right(p) = part { p } else { acc }, o);
+                combine_vm(cf, lhs_regs, rhs_regs, &mut left, &right, &mut scratch);
+                left.write(acc, o);
             }
         }
         Ok(())
@@ -318,32 +318,6 @@ fn combine_vm(
         match reg {
             Reg::F(d) => acc.f[r] = sf[*d],
             Reg::I(d) => acc.i[r] = si[*d],
-        }
-    }
-}
-
-/// [`Combiner::combine_rows`] for a builtin on one typed column: `dst[r +
-/// t] = op(lhs, dst[r + t])`, the lhs being `src[l + t]` or, without a
-/// `src`, `dst[l + t]` as it stands when `t` is reached.
-fn builtin_rows<T: Copy>(
-    src: Option<&[T]>,
-    dst: &mut [T],
-    rows: impl Iterator<Item = (usize, usize)>,
-    len: usize,
-    op: impl Fn(T, T) -> T,
-) {
-    for (l, r) in rows {
-        match src {
-            Some(src) => {
-                let pairs = dst[r..][..len].iter_mut().zip(&src[l..][..len]);
-                pairs.for_each(|(d, &s)| *d = op(s, *d));
-            }
-            None => {
-                let dst = &mut dst[..r + len];
-                for t in 0..len {
-                    dst[r + t] = op(dst[l + t], dst[r + t]);
-                }
-            }
         }
     }
 }
@@ -638,38 +612,36 @@ pub(crate) fn run_classified(
     let partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
 
     // --- combine split-reduction groups ---------------------------------
-    let write_jobs: Vec<(usize, Partial)> = if plan.split_dims.is_empty() {
-        partials.into_iter().enumerate().collect()
-    } else {
-        let mut partials: Vec<Option<Partial>> = partials.into_iter().map(Some).collect();
-        // every task is in exactly one group (`ExecutionPlan::build`)
-        let mut take = |tid: usize| {
-            let partial = partials.get_mut(tid).and_then(Option::take);
-            partial.ok_or_else(|| MdhError::Eval(format!("task {tid} is in no group or two")))
-        };
-        let mut jobs = Vec::with_capacity(plan.groups.len());
-        for g in &plan.groups {
-            let Some((&owner, members)) = g.task_ids.split_first() else {
-                continue;
-            };
-            let mut acc = take(owner)?;
-            for &tid in members {
-                let rhs = take(tid)?;
-                match (scan, fold) {
-                    // stitch chunks in order along the scan dim
-                    (Some((comb, sd_pos)), _) => acc = stitch_scan(acc, rhs, sd_pos, comb)?,
-                    (None, Some(comb)) => combine_partials_elementwise(&mut acc, rhs, comb)?,
-                    (None, None) => unreachable!("split dims without pw fn"),
-                }
+    let mut jobs: Vec<(usize, Partial)> = Vec::with_capacity(partials.len());
+    for mut group in plan.grouped(partials)? {
+        if let Some((comb, sd_pos)) = scan {
+            // each chunk carries from the one before it, already final
+            for i in 1..group.len() {
+                let (done, rest) = group.split_at_mut(i);
+                carry_fold(&done[i - 1].1, &mut rest[0].1, sd_pos, comb)?;
             }
-            jobs.push((owner, acc));
+            jobs.extend(group);
+            continue;
         }
-        jobs
-    };
+        let mut members = group.into_iter();
+        let Some((owner, mut acc)) = members.next() else {
+            continue;
+        };
+        for (_, rhs) in members {
+            let comb = fold.ok_or_else(|| MdhError::Eval("split dims without pw fn".into()))?;
+            if acc.extents != rhs.extents {
+                return Err(MdhError::Eval("partial extent mismatch".into()));
+            }
+            let n = acc.cols.first().map_or(0, ColBank::len);
+            let whole = || std::iter::once(Row::along(0, 1, n));
+            comb.combine_rows(&mut acc.cols, Part::Right(&rhs.cols), whole)?;
+        }
+        jobs.push((owner, acc));
+    }
 
     // --- write phase ----------------------------------------------------
-    for (owner, partial) in write_jobs {
-        let range = &plan.tasks[owner].range;
+    for (tid, partial) in jobs {
+        let range = &plan.tasks[tid].range;
         write_partial(
             prog,
             &partial,
@@ -875,81 +847,53 @@ fn scan_in_place(
     c: &Combiner,
 ) -> Result<()> {
     let (outer, sd_ext, stride) = axis_split(extents, sd_pos);
-    let rows = || (0..outer).map(|o| (o * sd_ext * stride, (o * sd_ext + 1) * stride));
-    c.combine_rows(None, cols, rows, sd_ext.saturating_sub(1) * stride)
-}
-
-/// `acc ⊗ rhs`, elementwise ascending, the group owner's partial on the
-/// left.
-fn combine_partials_elementwise(acc: &mut Partial, mut rhs: Partial, c: &Combiner) -> Result<()> {
-    if acc.extents != rhs.extents {
-        return Err(MdhError::Eval("partial extent mismatch".into()));
-    }
-    let n = acc.cols.first().map_or(0, ColBank::len);
-    c.combine_rows(
-        Some(&acc.cols),
-        &mut rhs.cols,
-        || std::iter::once((0, 0)),
-        n,
-    )?;
-    acc.cols = rhs.cols;
-    Ok(())
-}
-
-/// Stitch two scanned chunks along scan axis `sd_pos`: the rhs chunk's
-/// every element combines with the lhs chunk's final slice (Listing 17's
-/// contiguous-split rule), then the chunks concatenate.
-fn stitch_scan(lhs: Partial, mut rhs: Partial, sd_pos: usize, c: &Combiner) -> Result<Partial> {
-    let same_cross_section = lhs.extents.len() == rhs.extents.len()
-        && (0..lhs.extents.len()).all(|d| d == sd_pos || lhs.extents[d] == rhs.extents[d]);
-    if !same_cross_section {
-        return Err(MdhError::Eval("scan stitch extent mismatch".into()));
-    }
-    let (outer, l_sd, stride) = axis_split(&lhs.extents, sd_pos);
-    let r_sd = rhs.extents[sd_pos];
-    if l_sd > 0 {
-        // offset every rhs slice, front to back, by lhs's last slice
-        let rows = || {
-            (0..outer).flat_map(move |o| {
-                let last = ((o + 1) * l_sd - 1) * stride;
-                (0..r_sd).map(move |s| (last, (o * r_sd + s) * stride))
-            })
-        };
-        c.combine_rows(Some(&lhs.cols), &mut rhs.cols, rows, stride)?;
-    }
-    // concatenate along sd_pos: per outer index, lhs's slab then rhs's
-    fn interleave<T: Copy>(l: &[T], r: &[T], outer: usize) -> Vec<T> {
-        let (ln, rn) = (l.len() / outer.max(1), r.len() / outer.max(1));
-        let mut v = Vec::with_capacity(l.len() + r.len());
-        for o in 0..outer {
-            v.extend_from_slice(&l[o * ln..(o + 1) * ln]);
-            v.extend_from_slice(&r[o * rn..(o + 1) * rn]);
-        }
-        v
-    }
-    let cols = lhs
-        .cols
-        .iter()
-        .zip(&rhs.cols)
-        .map(|pair| match pair {
-            (ColBank::F(l), ColBank::F(r)) => Ok(ColBank::F(interleave(l, r, outer))),
-            (ColBank::I(l), ColBank::I(r)) => Ok(ColBank::I(interleave(l, r, outer))),
-            _ => Err(MdhError::Eval("column kind mismatch".into())),
+    let rows = || {
+        (0..outer).map(|o| Row {
+            out: ((o * sd_ext + 1) * stride) as i64,
+            step: 1,
+            lhs: (o * sd_ext * stride) as i64,
+            lhs_step: 1,
+            len: sd_ext.saturating_sub(1) * stride,
         })
-        .collect::<Result<_>>()?;
-    let mut extents = lhs.extents;
-    extents[sd_pos] += r_sd;
-    Ok(Partial { extents, cols })
+    };
+    c.combine_rows(cols, Part::None, rows)
 }
 
-/// Store one partial. It is row-major over its preserved extents (for a
-/// stitched scan the partial, not the owner's range, has the full scan
-/// extent), so it is read front to back while each output offset walks a
+/// Carry-fold scanned chunk `cur` from the chunk before it along scan
+/// axis `sd_pos`: every element of `cur` combines with `prev`'s last
+/// slice, `prev` on the left (Listing 17's contiguous-split rule). Rows
+/// run along the scan axis, one per outer index and slice position.
+fn carry_fold(prev: &Partial, cur: &mut Partial, sd_pos: usize, c: &Combiner) -> Result<()> {
+    let (outer, p_sd, stride) = axis_split(&prev.extents, sd_pos);
+    let (c_outer, c_sd, c_stride) = axis_split(&cur.extents, sd_pos);
+    if (c_outer, c_stride) != (outer, stride) {
+        return Err(MdhError::Eval("scan chunk extent mismatch".into()));
+    }
+    if p_sd == 0 {
+        return Ok(());
+    }
+    let rows = || {
+        (0..outer * stride).map(move |ot| {
+            let (o, t) = (ot / stride, ot % stride);
+            Row {
+                out: (o * c_sd * stride + t) as i64,
+                step: stride as i64,
+                lhs: (((o + 1) * p_sd - 1) * stride + t) as i64,
+                lhs_step: 0,
+                len: c_sd,
+            }
+        })
+    };
+    c.combine_rows(&mut cur.cols, Part::Left(&prev.cols), rows)
+}
+
+/// Store one partial. It is row-major over its task range's preserved
+/// extents, so it is read front to back while each output offset walks a
 /// row of the last preserved dim by that dim's stride.
 fn write_partial(
     prog: &DslProgram,
     partial: &Partial,
-    owner_range: &MdRange,
+    range: &MdRange,
     preserved: &[usize],
     out_acc: &[LinearAccess],
     kinds: &[ScalarKind],
@@ -958,12 +902,9 @@ fn write_partial(
     if partial.extents.contains(&0) {
         return Ok(());
     }
-    // the region the partial covers; collapsed dims pinned to 0 — out
-    // accesses don't depend on them (validated)
-    let mut region = owner_range.clone();
-    for (pp, &d) in preserved.iter().enumerate() {
-        region.hi[d] = region.lo[d] + partial.extents[pp];
-    }
+    // collapsed dims pinned to 0 — out accesses don't depend on them
+    // (validated)
+    let mut region = range.clone();
     for d in prog.md_hom.collapsed_dims() {
         region.lo[d] = 0;
     }
@@ -1032,17 +973,13 @@ fn run_rbi(
 /// level, in chunk order, until one is left.
 fn pairwise_sum(mut layer: Vec<Vec<Buffer>>) -> Result<Vec<Buffer>> {
     while layer.len() > 1 {
-        let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-        let mut it = layer.into_iter();
-        while let Some(mut lhs) = it.next() {
-            if let Some(rhs) = it.next() {
-                for (a, b) in lhs.iter_mut().zip(&rhs) {
-                    a.accumulate(b)?;
-                }
+        let mut pairs = std::mem::take(&mut layer).into_iter();
+        while let Some(mut lhs) = pairs.next() {
+            for (a, b) in lhs.iter_mut().zip(pairs.next().iter().flatten()) {
+                a.accumulate(b)?;
             }
-            next.push(lhs);
+            layer.push(lhs);
         }
-        layer = next;
     }
     layer
         .pop()
@@ -1242,13 +1179,13 @@ mod tests {
 
     /// Leftmost maximum weight over `(id, w)` tuples: it only selects, so
     /// it rounds nothing and inexact data must match the reference too.
-    fn argmax() -> CombineOp {
+    fn argmax_fn() -> ScalarFunction {
         let ge = Expr::Bin(
             BinOp::Ge,
             Box::new(Expr::Param(1)),
             Box::new(Expr::Param(3)),
         );
-        CombineOp::pw_custom(ScalarFunction {
+        ScalarFunction {
             name: "argmax".into(),
             params: [id_w("lhs"), id_w("rhs")].concat(),
             results: id_w("res"),
@@ -1257,8 +1194,11 @@ mod tests {
                 then_branch: set_id_w(Expr::Param(0), Expr::Param(1)),
                 else_branch: set_id_w(Expr::Param(2), Expr::Param(3)),
             }],
-        })
-        .unwrap()
+        }
+    }
+
+    fn argmax() -> CombineOp {
+        CombineOp::pw_custom(argmax_fn()).unwrap()
     }
 
     /// PRL-shaped: per query `n`, the id and weight of the heaviest of `i`
@@ -1492,7 +1432,7 @@ mod tests {
 
     #[test]
     fn scan_mode_across_block_boundaries() {
-        // unsplit, and the scan dim split across three stitched tasks
+        // unsplit, and the scan dim split across three carry-folded tasks
         sweep(scan_fold_case, &[&[1, 1], &[3, 1]]);
         sweep(scan_lines_case, &[&[1, 1], &[3, 1], &[2, 3]]);
         sweep(scan_1d_case, &[&[1], &[3]]);
@@ -1536,7 +1476,7 @@ mod tests {
     /// Builtin combines run as one typed loop per partial column; the same
     /// operator written as a combine function steps one tuple at a time.
     /// `ps(add)` and `ps(max)` over f64 and i64 along a strided and a unit
-    /// scan axis (the local scan, and the stitch once split), and a split
+    /// scan axis (the local scan, and the carry-fold once split), and a split
     /// f64 `pw(add)` (the group combine), each at 1 / 2 / 4 chunks, on
     /// inexact data, on `-0.0`, and with a NaN: the same bits either way.
     #[test]
@@ -1605,6 +1545,56 @@ mod tests {
             }
         }
         assert_eq!(cases, (2 * 2 * 3 + 2 * 2) * 3 + 3 * 3);
+    }
+
+    /// A split custom scan is bit-identical to the unsplit one and to the
+    /// reference: the running leftmost argmax over `(id, w)` on tie-heavy
+    /// weights (the function is not commutative), along either axis of a
+    /// 2-D space whose other, preserved axis has extent 3, the scan cut
+    /// into 1 ..= 5 chunks, the other axis into 1 and 2.
+    #[test]
+    fn split_custom_scan_is_bit_identical_to_the_unsplit_scan() {
+        let (n, other) = (23, 3);
+        for sd in [0, 1] {
+            let mut sizes = vec![other; 2];
+            sizes[sd] = n;
+            let mut ops = vec![CombineOp::cc(); 2];
+            ops[sd] = CombineOp::ps_custom(argmax_fn()).unwrap();
+            let sf = ScalarFunction {
+                name: "point".into(),
+                params: vec![("id".into(), BasicType::I64), ("w".into(), BasicType::F64)],
+                results: id_w("res"),
+                body: set_id_w(Expr::Param(0), Expr::Param(1)),
+            };
+            let prog = DslBuilder::new("running_argmax", sizes.clone())
+                .out_buffer("run_id", BasicType::I64)
+                .out_access("run_id", IndexFn::identity(2, 2))
+                .out_buffer("run_w", BasicType::F64)
+                .out_access("run_w", IndexFn::identity(2, 2))
+                .inp_buffer("ids", BasicType::I64)
+                .inp_access("ids", IndexFn::select(2, &[sd]))
+                .inp_buffer("weights", BasicType::F64)
+                .inp_access("weights", IndexFn::identity(2, 2))
+                .scalar_function(sf)
+                .combine_ops(ops)
+                .build()
+                .unwrap();
+            let ids = Buffer::from_i64("ids", Shape::new(vec![n]), (0..n as i64).collect());
+            let mut weights = Buffer::zeros("weights", BasicType::F64, Shape::new(sizes));
+            weights.fill_with(|f| ((f * 7) % 5) as f64 * 0.3);
+            let inputs = [ids, weights];
+            let expect = bits_hash(&evaluate_recursive(&prog, &inputs).unwrap());
+            for chunks in 1..=5 {
+                for other_chunks in [1, 2] {
+                    let mut par = vec![other_chunks; 2];
+                    par[sd] = chunks;
+                    for width in [1, 2] {
+                        let got = bits_hash(&run_at(&prog, &inputs, &par, width).unwrap());
+                        assert_eq!(got, expect, "scan dim {sd} par={par:?} width={width}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

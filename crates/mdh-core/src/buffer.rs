@@ -7,6 +7,7 @@
 //! emit for GPU-friendly layouts and what our register-VM backend loads
 //! from.
 
+use crate::combine::{fold_row, BuiltinReduce, Part, Row};
 use crate::error::MdhError;
 use crate::shape::Shape;
 use crate::types::{BasicType, FieldType, RecordType, ScalarKind, Value};
@@ -50,6 +51,33 @@ impl BufferData {
             BufferData::Char(v) => (ScalarKind::Char, v.len()),
             BufferData::Record(_) => return None,
         })
+    }
+
+    /// [`fold_row`] on this storage, the partial's of the same kind:
+    /// `false`, having done nothing, for record storage or a partial of
+    /// another kind.
+    pub fn fold_row(
+        &mut self,
+        part: &Part<BufferData>,
+        row: &Row,
+        op: Option<BuiltinReduce>,
+    ) -> bool {
+        macro_rules! kinds {
+            ($($k:ident),*) => {
+                match self {
+                    $(BufferData::$k(acc) => match part.map(|p| match p {
+                        BufferData::$k(v) => Some(&v[..]),
+                        _ => None,
+                    }) {
+                        Some(part) => fold_row(acc, &part, row, op),
+                        None => return false,
+                    },)*
+                    BufferData::Record(_) => return false,
+                }
+            };
+        }
+        kinds!(F32, F64, I32, I64, Bool, Char);
+        true
     }
 
     fn fill_zero(&mut self) {
@@ -567,15 +595,10 @@ impl Buffer {
         }
     }
 
-    /// `self += part`, element-wise in the buffers' own scalar type: f32
-    /// through f64 (one rounding, the f32 sum), f64, wrapping integers,
-    /// `or` for booleans — what `expr::eval_bin(Add, ..)` stored back
-    /// gives per element, as one typed slice loop. One level of the rbi
+    /// `self += part`, element-wise in the buffers' own scalar type, as
+    /// one [`fold_row`] of the builtin `add`: one level of the rbi
     /// partial tree and the host-side sum of adjoint parts.
     pub fn accumulate(&mut self, part: &Buffer) -> Result<(), MdhError> {
-        fn zip_with<T: Copy>(a: &mut [T], b: &[T], add: impl Fn(T, T) -> T) {
-            a.iter_mut().zip(b).for_each(|(x, &y)| *x = add(*x, y));
-        }
         if self.len() != part.len() {
             return Err(MdhError::Eval(format!(
                 "accumulation shape mismatch: '{}' has {} elements, '{}' has {}",
@@ -585,21 +608,12 @@ impl Buffer {
                 part.len()
             )));
         }
-        match (&mut self.data, &part.data) {
-            (BufferData::F32(a), BufferData::F32(b)) => {
-                zip_with(a, b, |x, y| (x as f64 + y as f64) as f32)
-            }
-            (BufferData::F64(a), BufferData::F64(b)) => zip_with(a, b, |x, y| x + y),
-            (BufferData::I32(a), BufferData::I32(b)) => zip_with(a, b, i32::wrapping_add),
-            (BufferData::I64(a), BufferData::I64(b)) => zip_with(a, b, i64::wrapping_add),
-            (BufferData::Bool(a), BufferData::Bool(b)) => zip_with(a, b, |x, y| x | y),
-            (BufferData::Char(a), BufferData::Char(b)) => zip_with(a, b, u8::wrapping_add),
-            _ => {
-                return Err(MdhError::Type(format!(
-                    "cannot accumulate '{}' of type {} into '{}' of type {}",
-                    part.name, part.ty, self.name, self.ty
-                )))
-            }
+        let (row, add) = (Row::along(0, 1, self.len()), Some(BuiltinReduce::Add));
+        if !self.data.fold_row(&Part::Right(&part.data), &row, add) {
+            return Err(MdhError::Type(format!(
+                "cannot accumulate '{}' of type {} into '{}' of type {}",
+                part.name, part.ty, self.name, self.ty
+            )));
         }
         Ok(())
     }

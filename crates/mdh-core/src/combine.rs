@@ -71,6 +71,7 @@ pub enum BuiltinReduce {
 }
 
 impl BuiltinReduce {
+    #[inline]
     pub fn apply_f64(self, a: f64, b: f64) -> f64 {
         match self {
             BuiltinReduce::Add => a + b,
@@ -80,6 +81,7 @@ impl BuiltinReduce {
         }
     }
 
+    #[inline]
     pub fn apply_i64(self, a: i64, b: i64) -> i64 {
         match self {
             BuiltinReduce::Add => a.wrapping_add(b),
@@ -123,6 +125,122 @@ impl fmt::Display for BuiltinReduce {
             BuiltinReduce::Min => "min",
         };
         f.write_str(s)
+    }
+}
+
+/// A scalar a builtin operator combines in place: element for element
+/// what [`PwFunc::combine`] does to two `Value`s of that type — f32
+/// through f64 and back, integers, `bool` and `char` wrapping in i64.
+pub trait RowElem: Copy {
+    fn apply(op: BuiltinReduce, a: Self, b: Self) -> Self;
+}
+
+macro_rules! row_elems {
+    ($($t:ty: |$op:ident, $a:ident, $b:ident| $e:expr;)*) => {$(
+        impl RowElem for $t {
+            #[inline(always)]
+            fn apply($op: BuiltinReduce, $a: $t, $b: $t) -> $t {
+                $e
+            }
+        }
+    )*};
+}
+
+row_elems! {
+    f32: |op, a, b| op.apply_f64(a as f64, b as f64) as f32;
+    f64: |op, a, b| op.apply_f64(a, b);
+    i32: |op, a, b| op.apply_i64(a as i64, b as i64) as i32;
+    i64: |op, a, b| op.apply_i64(a, b);
+    bool: |op, a, b| op.apply_i64(a as i64, b as i64) != 0;
+    u8: |op, a, b| op.apply_i64(a as i64, b as i64) as u8;
+}
+
+/// One row of a recombination: element `l < len` is written at `out +
+/// l·step` of the accumulator, its left operand is read at `lhs +
+/// l·lhs_step` and its right operand at `out + l·step` — each from the
+/// accumulator or from the partial a [`Part`] names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    pub out: i64,
+    pub step: i64,
+    pub lhs: i64,
+    pub lhs_step: i64,
+    pub len: usize,
+}
+
+impl Row {
+    /// A row whose left operand is the element it overwrites.
+    pub fn along(out: i64, step: i64, len: usize) -> Row {
+        Row {
+            out,
+            step,
+            lhs: out,
+            lhs_step: step,
+            len,
+        }
+    }
+
+    /// `(out, lhs)` offsets of each element, `l` ascending.
+    pub fn offsets(&self) -> impl Iterator<Item = (usize, usize)> {
+        let at = |base: i64, step: i64, l: i64| (base + l * step) as usize;
+        let r = *self;
+        (0..r.len as i64).map(move |l| (at(r.out, r.step, l), at(r.lhs, r.lhs_step, l)))
+    }
+}
+
+/// Which operand of a [`Row`] another partial supplies; the other one is
+/// the accumulator's.
+pub enum Part<'a, S: ?Sized> {
+    /// Neither: both are the accumulator's (a scan's recurrence).
+    None,
+    /// The left operand: the carry of an earlier partial (the VM's scan
+    /// carry-fold).
+    Left(&'a S),
+    /// The right operand: the partial folded or copied in (group and
+    /// shard folds, a device scan's carry-fold, the `rbi` tree).
+    Right(&'a S),
+}
+
+impl<'a, S: ?Sized> Part<'a, S> {
+    /// The same operand one level down (a column of a partial, a typed
+    /// slice of a buffer); `None` when `f` finds none.
+    pub fn map<U: ?Sized>(&self, f: impl FnOnce(&'a S) -> Option<&'a U>) -> Option<Part<'a, U>> {
+        Some(match *self {
+            Part::None => Part::None,
+            Part::Left(s) => Part::Left(f(s)?),
+            Part::Right(s) => Part::Right(f(s)?),
+        })
+    }
+}
+
+/// The one typed recombination loop (DESIGN §9 "Recombination"):
+/// `acc[out + l·step] = op(left, right)` over `row`, `l` ascending — copy
+/// (`op` `None`: `= right`), fold (the left operand is the element
+/// itself) or carry-fold (it is read elsewhere). A left operand read from
+/// the accumulator is read when `l` is reached, after any earlier `l`
+/// wrote it. A contiguous fold of a partial is one slice loop.
+pub fn fold_row<T: RowElem>(acc: &mut [T], part: &Part<[T]>, row: &Row, op: Option<BuiltinReduce>) {
+    use BuiltinReduce::*;
+    match op {
+        None => row_loop(acc, part, row, |_, b| b),
+        Some(Add) => row_loop(acc, part, row, |a, b| T::apply(Add, a, b)),
+        Some(Mul) => row_loop(acc, part, row, |a, b| T::apply(Mul, a, b)),
+        Some(Max) => row_loop(acc, part, row, |a, b| T::apply(Max, a, b)),
+        Some(Min) => row_loop(acc, part, row, |a, b| T::apply(Min, a, b)),
+    }
+}
+
+#[inline(always)]
+fn row_loop<T: Copy>(acc: &mut [T], part: &Part<[T]>, r: &Row, g: impl Fn(T, T) -> T) {
+    match *part {
+        Part::Right(p) if (r.step, r.lhs, r.lhs_step) == (1, r.out, 1) => {
+            let (o, n) = (r.out as usize, r.len);
+            let pairs = acc[o..o + n].iter_mut().zip(&p[o..o + n]);
+            pairs.for_each(|(a, &b)| *a = g(*a, b));
+        }
+        Part::None => r.offsets().for_each(|(o, l)| acc[o] = g(acc[l], acc[o])),
+        Part::Left(p) => r.offsets().for_each(|(o, l)| acc[o] = g(p[l], acc[o])),
+        Part::Right(p) => r.offsets().for_each(|(o, l)| acc[o] = g(acc[l], p[o])),
     }
 }
 
@@ -523,6 +641,80 @@ mod tests {
             }],
         };
         PwFunc::custom(f).unwrap()
+    }
+
+    /// The typed row loop is [`PwFunc::combine`], element by element:
+    /// every element kind × builtin operator over every pair of edge
+    /// values, bitwise, along a contiguous row, a reversed one, and with
+    /// the partial supplying the left operand instead of the right.
+    #[test]
+    fn fold_row_is_pw_func_combine_element_by_element() {
+        use crate::buffer::{bits_hash, Buffer};
+        use crate::shape::Shape;
+        let f32s = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let f32s = [&f32s[..], &[f32::MAX, 16_777_216.0, 1.000_000_1, -3.3]].concat();
+        let f64s = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let f64s = [&f64s[..], &[f64::MAX, 1e-300, 0.1, -3.3]].concat();
+        let specials: [(ScalarKind, Vec<Value>); 6] = [
+            (ScalarKind::F32, f32s.into_iter().map(Value::F32).collect()),
+            (ScalarKind::F64, f64s.into_iter().map(Value::F64).collect()),
+            (
+                ScalarKind::I32,
+                [0, 1, -1, i32::MAX, i32::MIN, 65_537]
+                    .map(Value::I32)
+                    .into(),
+            ),
+            (
+                ScalarKind::I64,
+                [0, 1, -1, i64::MAX, i64::MIN, 1 << 40]
+                    .map(Value::I64)
+                    .into(),
+            ),
+            (ScalarKind::Bool, [false, true].map(Value::Bool).into()),
+            (
+                ScalarKind::Char,
+                [0, 1, 127, 200, 255].map(Value::Char).into(),
+            ),
+        ];
+        let mut cases = 0;
+        for (kind, vals) in specials {
+            let buffer = |vs: &[Value]| {
+                let mut b = Buffer::zeros("b", kind.into(), Shape::new(vec![vs.len()]));
+                for (i, v) in vs.iter().enumerate() {
+                    b.set_flat(i, v).unwrap();
+                }
+                b
+            };
+            // every pair meets: the left operand cycles fast, the right slow
+            let n = vals.len() * vals.len();
+            let lhs: Vec<Value> = (0..n).map(|i| vals[i % vals.len()].clone()).collect();
+            let rhs: Vec<Value> = (0..n).map(|i| vals[i / vals.len()].clone()).collect();
+            let (lhs_buf, rhs_buf) = (buffer(&lhs), buffer(&rhs));
+            let forward = Row::along(0, 1, n);
+            let reversed = Row::along(n as i64 - 1, -1, n);
+            for op in [
+                BuiltinReduce::Add,
+                BuiltinReduce::Mul,
+                BuiltinReduce::Max,
+                BuiltinReduce::Min,
+            ] {
+                let f = PwFunc::builtin(op);
+                let want: Vec<Value> = (lhs.iter().zip(&rhs))
+                    .map(|(a, b)| f.combine(&vec![a.clone()], &vec![b.clone()]).unwrap()[0].clone())
+                    .collect();
+                let want = bits_hash(&[buffer(&want)]);
+                for (row, right) in [(forward, true), (reversed, true), (forward, false)] {
+                    let (mut acc, part) = match right {
+                        true => (lhs_buf.clone(), Part::Right(&rhs_buf.data)),
+                        false => (rhs_buf.clone(), Part::Left(&lhs_buf.data)),
+                    };
+                    assert!(acc.data.fold_row(&part, &row, Some(op)));
+                    assert_eq!(bits_hash(&[acc]), want, "{kind} {op} {row:?} right={right}");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 6 * 4 * 3);
     }
 
     #[test]

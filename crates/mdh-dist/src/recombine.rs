@@ -20,13 +20,13 @@
 //!   rhs[j])`): the shard's row combines with the slice just before its
 //!   range, which is final because shards are chained in order.
 //!
-//! Builtin operators run on the buffers' typed slices; custom ones (tuple
-//! functions over several outputs) and record outputs go through
-//! [`PwFunc::combine`] one element at a time.
+//! Builtin operators run through the one typed row loop, `fold_row`;
+//! custom ones (tuple functions over several outputs) and record outputs
+//! go through [`PwFunc::combine`] one element at a time.
 
 use mdh_backend::offsets::{advance, linearize_view};
-use mdh_core::buffer::{Buffer, BufferData};
-use mdh_core::combine::{BuiltinReduce, DimBehavior, PwFunc};
+use mdh_core::buffer::Buffer;
+use mdh_core::combine::{DimBehavior, Part, PwFunc, Row};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::shape::MdRange;
@@ -75,38 +75,13 @@ pub(crate) fn recombine(
             // partial buffers element-wise
             PartitionStrategy::IndexedReduce => {
                 for buf in 0..acc.len() {
-                    let (whole, n) = (Lane::new(buf, 0, 1), acc[buf].len());
-                    row_op(&mut acc, &outs, f, &[whole], n)?;
+                    let whole = (buf, Row::along(0, 1, acc[buf].len()));
+                    row_op(&mut acc, &outs, f, &[whole])?;
                 }
             }
         }
     }
     Ok(acc)
-}
-
-/// One output access's part of a row: element `l` lives at flat offset
-/// `out + l·step` of buffer `buf` — in the accumulator, where it is
-/// written, and in the shard's partial, where the right operand is read —
-/// and its left operand at `lhs + l·lhs_step` of the accumulator.
-struct Lane {
-    buf: usize,
-    out: i64,
-    step: i64,
-    lhs: i64,
-    lhs_step: i64,
-}
-
-impl Lane {
-    /// A lane whose left operand is the element it overwrites.
-    fn new(buf: usize, out: i64, step: i64) -> Lane {
-        Lane {
-            buf,
-            out,
-            step,
-            lhs: out,
-            lhs_step: step,
-        }
-    }
 }
 
 /// Shrink the row span `lo..hi` to the `l` at which the coordinate
@@ -170,19 +145,20 @@ fn walk(
                     clip(&mut span, at_carry, along(&e.coeffs, carry_d));
                 }
             }
-            let mut lane = Lane::new(la.buffer, la.offset(&idx), along(&la.coeffs, row_d));
+            let mut row = Row::along(la.offset(&idx), along(&la.coeffs, row_d), 0);
             if let Some((d, back)) = back {
-                lane.lhs += back * la.coeffs[d];
-                lane.lhs_step = along(&la.coeffs, carry_d);
+                row.lhs += back * la.coeffs[d];
+                row.lhs_step = along(&la.coeffs, carry_d);
             }
-            lanes.push(lane);
+            lanes.push((la.buffer, row));
         }
         if span.0 < span.1 {
-            for ln in &mut lanes {
-                ln.out += span.0 * ln.step;
-                ln.lhs += span.0 * ln.lhs_step;
+            for (_, row) in &mut lanes {
+                row.out += span.0 * row.step;
+                row.lhs += span.0 * row.lhs_step;
+                row.len = (span.1 - span.0) as usize;
             }
-            row_op(acc, rhs, f, &lanes, (span.1 - span.0) as usize)?;
+            row_op(acc, rhs, f, &lanes)?;
         }
         if !advance(&mut idx, outer, range) {
             return Ok(());
@@ -190,88 +166,45 @@ fn walk(
     }
 }
 
-/// `acc[out] = f(acc[lhs], rhs[out])` over one row of `n` elements of
-/// every lane (copy: `acc[out] = rhs[out]`). A builtin operator combines
-/// tuples position by position, so each of its lanes is independent and
-/// runs on typed slices when its buffers allow; what is left — all lanes
-/// of a custom `f`, whose tuple they form — goes through dynamic values.
+/// `acc[out] = f(acc[lhs], rhs[out])` over one row of every output
+/// access, a `(buffer, row)` lane (copy: `acc[out] = rhs[out]`). A
+/// builtin operator combines tuples position by position, so each of its
+/// lanes is independent and runs through the typed row loop when its
+/// buffers allow; what is left — all lanes of a custom `f`, whose tuple
+/// they form — goes through dynamic values.
 fn row_op(
     acc: &mut [Buffer],
     rhs: &[Buffer],
     f: Option<&PwFunc>,
-    lanes: &[Lane],
-    n: usize,
+    lanes: &[(usize, Row)],
 ) -> Result<()> {
     let builtin = f.map_or(Some(None), |f| f.as_builtin().map(Some));
     let mut by_value = Vec::new();
-    for ln in lanes {
-        if !builtin.is_some_and(|op| typed_row(&mut acc[ln.buf], &rhs[ln.buf], ln, n, op)) {
-            by_value.push(ln);
+    for &(buf, row) in lanes {
+        let part = &Part::Right(&rhs[buf].data);
+        if !builtin.is_some_and(|op| acc[buf].data.fold_row(part, &row, op)) {
+            by_value.push((buf, row));
         }
     }
-    if by_value.is_empty() {
+    let Some(n) = by_value.first().map(|(_, row)| row.len) else {
         return Ok(());
-    }
+    };
     for l in 0..n as i64 {
-        let at = |ln: &Lane| (ln.out + l * ln.step) as usize;
+        let at = |&(_, r): &(usize, Row)| (r.out + l * r.step) as usize;
         let mut new: Tuple = by_value
             .iter()
-            .map(|ln| rhs[ln.buf].get_flat(at(ln)))
+            .map(|ln| rhs[ln.0].get_flat(at(ln)))
             .collect();
         if let Some(f) = f {
-            let lhs = |ln: &&Lane| acc[ln.buf].get_flat((ln.lhs + l * ln.lhs_step) as usize);
+            let lhs =
+                |&(buf, r): &(usize, Row)| acc[buf].get_flat((r.lhs + l * r.lhs_step) as usize);
             new = f.combine(&by_value.iter().map(lhs).collect(), &new)?;
         }
         for (ln, v) in by_value.iter().zip(&new) {
-            acc[ln.buf].set_flat(at(ln), v)?;
+            acc[ln.0].set_flat(at(ln), v)?;
         }
     }
     Ok(())
-}
-
-/// One lane's row on the buffers' typed slices (`op` `None`: copy), each
-/// element combined exactly as [`PwFunc::combine`] combines two `Value`s
-/// of that type. Returns `false`, having done nothing, for record buffers
-/// or buffers of different element types.
-fn typed_row(
-    acc: &mut Buffer,
-    rhs: &Buffer,
-    ln: &Lane,
-    n: usize,
-    op: Option<BuiltinReduce>,
-) -> bool {
-    fn row<T: Copy>(acc: &mut [T], rhs: &[T], ln: &Lane, n: usize, g: impl Fn(T, T) -> T) {
-        if (ln.step, ln.lhs, ln.lhs_step) == (1, ln.out, 1) {
-            let o = ln.out as usize;
-            let (acc, rhs) = (&mut acc[o..o + n], &rhs[o..o + n]);
-            acc.iter_mut().zip(rhs).for_each(|(a, &r)| *a = g(*a, r));
-        } else {
-            for l in 0..n as i64 {
-                let at = (ln.out + l * ln.step) as usize;
-                acc[at] = g(acc[(ln.lhs + l * ln.lhs_step) as usize], rhs[at]);
-            }
-        }
-    }
-    macro_rules! rows {
-        ($($kind:ident: |$o:ident, $a:ident, $b:ident| $e:expr;)*) => {
-            match (&mut acc.data, &rhs.data, op) {
-                $((BufferData::$kind(x), BufferData::$kind(y), Some($o)) => {
-                    row(x, y, ln, n, |$a, $b| $e)
-                }
-                (BufferData::$kind(x), BufferData::$kind(y), None) => row(x, y, ln, n, |_, b| b),)*
-                _ => return false,
-            }
-        };
-    }
-    rows! {
-        F32: |op, a, b| op.apply_f64(a as f64, b as f64) as f32;
-        F64: |op, a, b| op.apply_f64(a, b);
-        I32: |op, a, b| op.apply_i64(a as i64, b as i64) as i32;
-        I64: |op, a, b| op.apply_i64(a, b);
-        Bool: |op, a, b| op.apply_i64(a as i64, b as i64) != 0;
-        Char: |op, a, b| op.apply_i64(a as i64, b as i64) as u8;
-    }
-    true
 }
 
 #[cfg(test)]

@@ -41,16 +41,9 @@ pub struct ExecutionPlan {
     /// Reduction dimensions that are split across tasks (in ascending
     /// order). Empty when every task owns a disjoint output region.
     pub split_dims: Vec<usize>,
-    /// Combine groups (one per distinct non-split chunk coordinate); empty
-    /// when `split_dims` is empty.
+    /// Combine groups (one per distinct non-split chunk coordinate): every
+    /// task is in exactly one.
     pub groups: Vec<CombineGroup>,
-    /// Cache-tile sizes per dimension, carried over from the schedule.
-    /// The cost models read them; no CPU engine does — the contraction
-    /// kernel's block sizes are constants (DESIGN §15).
-    pub inner_tiles: Vec<usize>,
-    /// Sequential loop order within a task (outermost first), carried
-    /// over from the schedule.
-    pub loop_order: Vec<usize>,
 }
 
 /// Split `size` into `chunks` contiguous intervals as evenly as possible.
@@ -112,46 +105,55 @@ impl ExecutionPlan {
             .filter(|&d| chunk_counts[d] > 1)
             .collect();
 
-        let groups = if split_dims.is_empty() {
-            Vec::new()
-        } else {
-            // group by non-split coordinates
-            let key_dims: Vec<usize> = (0..rank).filter(|d| !split_dims.contains(d)).collect();
-            let key_shape = Shape::new(
-                key_dims
-                    .iter()
-                    .map(|&d| chunk_counts[d])
-                    .collect::<Vec<_>>(),
-            );
-            let split_shape: Vec<usize> = split_dims.iter().map(|&d| chunk_counts[d]).collect();
-            let split_grid = Shape::new(split_shape.clone());
-            let mut groups: Vec<CombineGroup> = (0..key_shape.len())
-                .map(|_| CombineGroup {
-                    task_ids: vec![usize::MAX; split_grid.len()],
-                    grid: split_shape.clone(),
-                })
-                .collect();
-            for t in &tasks {
-                let key: Vec<usize> = key_dims.iter().map(|&d| t.chunk_coord[d]).collect();
-                let split_coord: Vec<usize> =
-                    split_dims.iter().map(|&d| t.chunk_coord[d]).collect();
-                let g = key_shape.linearize(&key);
-                let s = split_grid.linearize(&split_coord);
-                groups[g].task_ids[s] = t.id;
-            }
-            debug_assert!(groups
+        // group by non-split coordinates: without a split every task is a
+        // group of its own
+        let key_dims: Vec<usize> = (0..rank).filter(|d| !split_dims.contains(d)).collect();
+        let key_shape = Shape::new(
+            key_dims
                 .iter()
-                .all(|g| g.task_ids.iter().all(|&t| t != usize::MAX)));
-            groups
-        };
+                .map(|&d| chunk_counts[d])
+                .collect::<Vec<_>>(),
+        );
+        let split_shape: Vec<usize> = split_dims.iter().map(|&d| chunk_counts[d]).collect();
+        let split_grid = Shape::new(split_shape.clone());
+        let mut groups: Vec<CombineGroup> = (0..key_shape.len())
+            .map(|_| CombineGroup {
+                task_ids: vec![usize::MAX; split_grid.len()],
+                grid: split_shape.clone(),
+            })
+            .collect();
+        for t in &tasks {
+            let key: Vec<usize> = key_dims.iter().map(|&d| t.chunk_coord[d]).collect();
+            let split_coord: Vec<usize> = split_dims.iter().map(|&d| t.chunk_coord[d]).collect();
+            let g = key_shape.linearize(&key);
+            let s = split_grid.linearize(&split_coord);
+            groups[g].task_ids[s] = t.id;
+        }
+        debug_assert!(groups
+            .iter()
+            .all(|g| g.task_ids.iter().all(|&t| t != usize::MAX)));
 
         Ok(ExecutionPlan {
             tasks,
             split_dims,
             groups,
-            inner_tiles: schedule.inner_tiles.clone(),
-            loop_order: schedule.loop_order.clone(),
         })
+    }
+
+    /// `partials` — one per task, by task id — taken group by group, each
+    /// group's owner (its first task) first and its members after it in
+    /// task-id order: the one order every split reduction recombines in,
+    /// whatever combines the partials.
+    pub fn grouped<P>(&self, partials: Vec<P>) -> Result<Vec<Vec<(usize, P)>>> {
+        let mut partials: Vec<Option<P>> = partials.into_iter().map(Some).collect();
+        let mut take = |tid: usize| {
+            let partial = partials.get_mut(tid).and_then(Option::take);
+            let missing = || MdhError::Eval(format!("task {tid} is in no group or two"));
+            partial.map(|p| (tid, p)).ok_or_else(missing)
+        };
+        (self.groups.iter())
+            .map(|g| g.task_ids.iter().map(|&tid| take(tid)).collect())
+            .collect()
     }
 
     /// Total number of iteration points covered (must equal the program's).
@@ -200,7 +202,7 @@ mod tests {
         let plan = ExecutionPlan::build(&p, &s).unwrap();
         assert_eq!(plan.tasks.len(), 4);
         assert!(plan.split_dims.is_empty());
-        assert!(plan.groups.is_empty());
+        assert_eq!(plan.groups.len(), 4, "one task per group");
         assert_eq!(plan.covered_points(), 16 * 8);
     }
 
