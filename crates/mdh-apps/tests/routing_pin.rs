@@ -36,13 +36,14 @@ const EXTRA_STUDIES: &[StudyId] = &[
 ];
 
 /// `(program, input no., path, bits_hash of the outputs)`; adjoint parts
-/// are named `<forward>_adj_<buffer>_a<access>`. Off the fast path: records
-/// with a custom combine (PRL, MBBS), `ps` scans, and `rbi` — the
-/// histogram, and the convolutions' image adjoints, whose overlapping
-/// windows accumulate into one pixel. The f64 MatVec and MatMul run the
-/// contraction kernel f32 programs run. The histogram's weight adjoint
-/// gathers through a general index function and runs the reference
-/// evaluator.
+/// are named `<forward>_adj_<buffer>_a<access>`. Off the fast path: PRL's
+/// records with a custom combine function, and `rbi` — the histogram, and
+/// the convolutions' image adjoints, whose overlapping windows accumulate
+/// into one pixel. MBBS (`ps(add)` over `pw(add)` row sums) and the
+/// directive `ps(add)` scan run the builtin scan kernel. The f64 MatVec
+/// and MatMul run the contraction kernel f32 programs run. The
+/// histogram's weight adjoint gathers through a general index function
+/// and runs the reference evaluator.
 type Row = (&'static str, usize, ExecPath, u64);
 
 const PINNED: &[Row] = &[
@@ -130,14 +131,14 @@ const PINNED: &[Row] = &[
     ("jacobi1d_adj_x_a0", 1, Fast, 0xd0ce85b213702f6e),
     ("jacobi1d_adj_x_a1", 1, Fast, 0xbbafeb961dfe365e),
     ("jacobi1d_adj_x_a2", 1, Fast, 0xc625bc5c9b0db08e),
-    ("mbbs", 1, Vm, 0xefefb220c91ab985),
+    ("mbbs", 1, Fast, 0xefefb220c91ab985),
     ("histogram", 1, Vm, 0x550c0fc8482736e1),
     ("histogram_adj_w_a0", 1, Reference, 0x27ab1d140ef07e7a),
     ("histogram", 2, Vm, 0x4eefec23f4661a1f),
     ("histogram_adj_w_a0", 2, Reference, 0xb5c9fc7b6ddead43),
     ("matvec_f64", 1, Fast, 0x0e306f39bffa91be),
     ("matmul_f64", 1, Fast, 0x25cacf5a93ac234c),
-    ("scan", 1, Vm, 0x81c0870580647b53),
+    ("scan", 1, Fast, 0x81c0870580647b53),
 ];
 
 /// The f64 and `ps` programs `stack_bench` serves from `kernels/`

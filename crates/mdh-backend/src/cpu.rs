@@ -4,11 +4,12 @@
 //! built once from the program:
 //!
 //! 1. `Fast` — the tiled, vectorized kernels [`fast::classify`] admits
-//!    (f32 and f64 two-factor products, f32 weighted sums),
+//!    (f32 and f64 two-factor products, f32 weighted sums, f32 and f64
+//!    builtin scans over the identity),
 //! 2. `Vm` — the lane-blocked register-VM path (`vm_exec`) for everything
 //!    else with affine input accesses and scalar outputs (custom combine
-//!    operators, records, f64 maps, `ps` scans, `rbi` indexed
-//!    reductions),
+//!    operators, records, f64 maps, custom or integer `ps` scans, `rbi`
+//!    indexed reductions),
 //! 3. `Reference` — the sequential reference evaluator (always correct).
 //!
 //! The runtime keeps one route per cached plan and runs it on every hit

@@ -48,14 +48,13 @@
 
 use crate::fast::line::{Line, LANES};
 use crate::fast::map::SyncSlice;
-use crate::fast::{direct_outputs, linearize_for, typed_inputs, Elem};
+use crate::fast::{check_span, direct_outputs, linearize_for, typed_inputs, Elem};
 use crate::offsets::{advance, LinearAccess};
 use mdh_core::buffer::Buffer;
 use mdh_core::combine::{fold_row, BuiltinReduce, Part, Row};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::eval;
-use mdh_core::index_fn::AffineExpr;
 use mdh_core::shape::MdRange;
 use mdh_core::types::ScalarKind;
 use mdh_lowering::plan::ExecutionPlan;
@@ -225,9 +224,9 @@ impl FastContraction {
             return Ok(());
         }
         for f in [self.f0, self.f1] {
-            check_span("input", &in_acc[f], range, ins[f].len())?;
+            check_span("contraction input", &in_acc[f], range, ins[f].len())?;
         }
-        check_span("output", oacc, range, out.len)?;
+        check_span("contraction output", oacc, range, out.len)?;
         // a program with no dims is one row of one point
         let last = range.rank().checked_sub(1);
         let n = last.map_or(1, |d| range.extent(d));
@@ -287,7 +286,7 @@ impl FastContraction {
         if self.preserved.iter().any(|&d| range.extent(d) == 0) {
             return Ok(());
         }
-        check_span("output", oacc, range, out.len())?;
+        check_span("contraction output", oacc, range, out.len())?;
         let om = offset_table(oacc, &arr.m, range);
         let on = offset_table(oacc, &arr.n, range);
         let unit = on.iter().enumerate().all(|(l, &o)| o == l as i64);
@@ -361,7 +360,7 @@ impl FastContraction {
         // every offset a factor takes over the task lies between the
         // extrema checked here, so no load below can leave its buffer
         for f in [self.f0, self.f1] {
-            check_span("input", &in_acc[f], range, ins[f].len())?;
+            check_span("contraction input", &in_acc[f], range, ins[f].len())?;
         }
         match arr.path {
             TaskPath::Scalar => self.task_scalar(ins, in_acc, range, &mut partial),
@@ -621,22 +620,6 @@ fn offset_table(acc: &LinearAccess, dims: &[usize], range: &MdRange) -> Vec<i64>
             .flat_map(|&o| steps.clone().map(move |i| o + i * acc.coeffs[d]))
             .collect()
     })
-}
-
-/// Check the extrema of `acc` over `range` against a buffer of `len`
-/// elements. The access is affine, so its extrema are the sums of each
-/// dim's (each offset table's) extrema: checked once, they bound every
-/// offset of the task. `run_planned` trusts its caller to have validated
-/// the program, so the kernel must not: a buffer smaller than its accesses
-/// reach is an error, not a panic on the worker.
-fn check_span(what: &str, acc: &LinearAccess, range: &MdRange, len: usize) -> Result<()> {
-    let (lo, hi) = AffineExpr::new(acc.coeffs.clone(), acc.constant).bounds_over(range);
-    if lo < 0 || hi >= len as i64 {
-        return Err(MdhError::Eval(format!(
-            "contraction {what} offsets {lo}..={hi} outside buffer of {len}"
-        )));
-    }
-    Ok(())
 }
 
 /// Pack an A block: per [`MR`] rows one micro-panel, `MR` row values
@@ -965,7 +948,7 @@ mod tests {
     use mdh_core::combine::CombineOp;
     use mdh_core::dsl::DslBuilder;
     use mdh_core::expr::ScalarFunction;
-    use mdh_core::index_fn::IndexFn;
+    use mdh_core::index_fn::{AffineExpr, IndexFn};
     use mdh_core::shape::Shape;
     use mdh_core::types::{BasicType, ScalarKind};
     use mdh_lowering::schedule::{ReductionStrategy, Schedule};

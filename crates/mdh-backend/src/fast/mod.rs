@@ -7,7 +7,8 @@
 //! type at the store. The fast path re-implements the *hot* subset of those
 //! semantics as compiled loop nests — the contraction cache-blocked by
 //! fixed block sizes and vectorized through the 8-lane [`Line`]
-//! accumulator, the map kernel vectorized by LLVM along each row — while
+//! accumulator, the map kernel vectorized by LLVM along each row, the
+//! builtin scan one typed pass per task over the VM's own row loops — while
 //! reproducing every floating-point operation of the VM in the same
 //! order. [`classify`] is the gate: it admits a program only when the
 //! kernels can honour that contract, and returns a human-readable reason
@@ -17,6 +18,9 @@
 //! - no `rbi` dimension (those are the VM's rbi mode),
 //! - a single affine output access, all-affine inputs, and one element
 //!   type for the output and every input: f32 or f64 ([`Elem`]),
+//! - a `ps` dimension: the builtin scans [`FastScan`] admits (one
+//!   builtin `ps` before any builtin `pw`, the rest `cc`, the strict
+//!   identity of one input); else
 //! - combine ops restricted to `cc` and builtin `pw(add)`,
 //! - a scalar function the strict matchers in [`pattern`] accept:
 //!   a two-factor product (contraction family — with or without a
@@ -43,10 +47,12 @@ pub mod pattern;
 mod contraction;
 mod map;
 mod registry;
+mod scan;
 
 pub use contraction::FastContraction;
 pub use map::{FastMap, MAP_ARMS};
 pub use registry::{registry, FastRegistry};
+pub use scan::FastScan;
 
 use crate::offsets::{linearize_view, LinearAccess};
 use line::Line;
@@ -65,6 +71,7 @@ use pattern::WeightedSum;
 pub enum FastKernel {
     Contraction(FastContraction),
     Map(FastMap),
+    Scan(FastScan),
 }
 
 impl FastKernel {
@@ -79,6 +86,7 @@ impl FastKernel {
         match self {
             FastKernel::Contraction(c) => c.run(prog, plan, inputs, pool),
             FastKernel::Map(m) => m.run(prog, plan, inputs, pool),
+            FastKernel::Scan(s) => s.run(prog, plan, inputs, pool),
         }
     }
 }
@@ -118,8 +126,12 @@ pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
     let Some(out_exprs) = out_access.index_fn.as_affine() else {
         return Err("non-affine output access".into());
     };
+    let ops = &prog.md_hom.combine_ops;
+    if ops.iter().any(|op| matches!(op, CombineOp::Ps(_))) {
+        return FastScan::classify(prog, elem).map(FastKernel::Scan);
+    }
     let mut has_pw = false;
-    for op in &prog.md_hom.combine_ops {
+    for op in ops {
         match op {
             CombineOp::Cc => {}
             CombineOp::Pw(f) => {
@@ -128,9 +140,8 @@ pub fn classify(prog: &DslProgram) -> std::result::Result<FastKernel, String> {
                 }
                 has_pw = true;
             }
-            CombineOp::Ps(_) => return Err("prefix scan (ps) needs the VM's scan combine".into()),
-            CombineOp::Rbi(_) => {
-                return Err("indexed reduction (rbi) runs as the VM's rbi mode".into())
+            CombineOp::Ps(_) | CombineOp::Rbi(_) => {
+                return Err("scans and indexed reductions are classified above".into())
             }
         }
     }
@@ -229,6 +240,27 @@ fn covers(index_fn: &IndexFn, range: &MdRange, shape: &Shape) -> bool {
     range.len() == shape.len()
         && exprs.len() == shape.rank()
         && (exprs.iter().zip(shape.dims())).all(|(e, &ext)| in_bounds(e, ext))
+}
+
+/// Check the extrema of `acc` over `range` against a buffer of `len`
+/// elements. The access is affine, so its extrema are the sums of each
+/// dim's (each offset table's) extrema: checked once, they bound every
+/// offset of the task. `run_planned` trusts its caller to have validated
+/// the program, so the kernel must not: a buffer smaller than its accesses
+/// reach is an error, not a panic on the worker.
+pub(crate) fn check_span(
+    what: &str,
+    acc: &LinearAccess,
+    range: &MdRange,
+    len: usize,
+) -> Result<()> {
+    let (lo, hi) = AffineExpr::new(acc.coeffs.clone(), acc.constant).bounds_over(range);
+    if lo < 0 || hi >= len as i64 {
+        return Err(MdhError::Eval(format!(
+            "{what} offsets {lo}..={hi} outside buffer of {len}"
+        )));
+    }
+    Ok(())
 }
 
 /// Linearise the input and output views against actual buffer shapes.

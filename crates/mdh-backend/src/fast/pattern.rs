@@ -46,6 +46,16 @@ pub fn strict_product2(sf: &ScalarFunction) -> Option<(usize, usize)> {
     }
 }
 
+/// Match `res = p_i` exactly, with `p_i` declared the result's type: the
+/// VM compiles it to no instruction at all, so the result is the loaded
+/// element, widened and nothing else. Returns the parameter slot.
+pub fn strict_identity(sf: &ScalarFunction) -> Option<usize> {
+    match single_assign(sf)? {
+        Expr::Param(i) if sf.params.get(*i)?.1 == sf.results[0].1 => Some(*i),
+        _ => None,
+    }
+}
+
 /// What [`strict_weighted_sum`] matched.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedSum {
@@ -151,6 +161,27 @@ mod tests {
             scale: None,
         };
         assert_eq!(strict_weighted_sum(&sf), Some(want));
+    }
+
+    #[test]
+    fn identity_matches_a_bare_param_of_the_result_type_only() {
+        let sf = ScalarFunction::identity("f", ScalarKind::F64);
+        assert_eq!(strict_identity(&sf), Some(0));
+        let mut second = sf3(Expr::Param(1));
+        assert_eq!(strict_identity(&second), Some(1));
+        // a conversion on the way out is not the identity
+        second.params[1].1 = ScalarKind::F64.into();
+        assert_eq!(strict_identity(&second), None);
+        for value in [
+            Expr::mul(Expr::Lit(Value::F32(1.0)), Expr::Param(0)),
+            Expr::add(Expr::Param(0), Expr::Param(1)),
+        ] {
+            assert_eq!(strict_identity(&sf3(value)), None);
+        }
+        assert_eq!(
+            strict_identity(&ScalarFunction::mul2("f", ScalarKind::F32)),
+            None
+        );
     }
 
     #[test]

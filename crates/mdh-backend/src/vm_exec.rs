@@ -23,7 +23,10 @@
 //!   must not be split across tasks. Lines are stored straight into the
 //!   partial columns, tasks scan locally, and each split scan chunk is
 //!   carry-folded from the chunk before it with the offset rule of
-//!   Listing 17, then written at its own range.
+//!   Listing 17, then written at its own range. A builtin scan over the
+//!   identity runs the fast scan kernel instead, which shares this
+//!   mode's rows ([`scan_rows`], [`carry_rows`]); what stays here is
+//!   combine functions, other scalar functions and integer scans.
 //! * **rbi mode** — an indexed reduction. The `rbi` dimension is cut into
 //!   [`RBI_CHUNKS`] fixed intervals; each chunk accumulates its points,
 //!   ascending, into a private typed partial of the full output, and the
@@ -565,13 +568,8 @@ pub(crate) fn run_classified(
             fold,
         } => (fold.as_ref(), Some((scan, *scan_dim))),
     };
-    // scan-mode restriction: pw dims must not be split across tasks
     if let Some((_, scan_dim)) = scan {
-        if plan.split_dims.iter().any(|d| *d != scan_dim) {
-            return Err(MdhError::Validation(
-                "scan mode cannot split pw dimensions across tasks".into(),
-            ));
-        }
+        scan_split_only(plan, scan_dim)?;
     }
 
     let mut outputs = eval::alloc_outputs(prog)?;
@@ -653,6 +651,17 @@ pub(crate) fn run_classified(
         )?;
     }
     Ok(outputs)
+}
+
+/// A scan's restriction on its plan: a task's chain runs over every pw
+/// point, so only the scan dimension may be split across tasks.
+pub(crate) fn scan_split_only(plan: &ExecutionPlan, scan_dim: usize) -> Result<()> {
+    if plan.split_dims.iter().any(|d| *d != scan_dim) {
+        return Err(MdhError::Validation(
+            "scan mode cannot split pw dimensions across tasks".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Fewest points of the last preserved dim a task must own for a compiled
@@ -838,53 +847,66 @@ fn axis_split(extents: &[usize], pos: usize) -> (usize, usize, usize) {
 }
 
 /// In-place inclusive scan of partial columns along preserved-axis
-/// `sd_pos`, front to back: per outer index, every element after the
-/// first slice combines with the one a slice before it.
+/// `sd_pos`, with [`scan_rows`].
 fn scan_in_place(
     cols: &mut [ColBank],
     extents: &[usize],
     sd_pos: usize,
     c: &Combiner,
 ) -> Result<()> {
+    let rows = scan_rows(extents, sd_pos);
+    c.combine_rows(cols, Part::None, || rows.clone())
+}
+
+/// The rows of a local inclusive scan of a partial, row-major over its
+/// preserved `extents`, along axis `sd_pos`, front to back: per outer
+/// index, every element after the first slice combines with the one a
+/// slice before it, on its left (a [`Part::None`] recurrence).
+pub(crate) fn scan_rows(extents: &[usize], sd_pos: usize) -> impl Iterator<Item = Row> + Clone {
     let (outer, sd_ext, stride) = axis_split(extents, sd_pos);
-    let rows = || {
-        (0..outer).map(|o| Row {
-            out: ((o * sd_ext + 1) * stride) as i64,
-            step: 1,
-            lhs: (o * sd_ext * stride) as i64,
-            lhs_step: 1,
-            len: sd_ext.saturating_sub(1) * stride,
-        })
-    };
-    c.combine_rows(cols, Part::None, rows)
+    (0..outer).map(move |o| Row {
+        out: ((o * sd_ext + 1) * stride) as i64,
+        step: 1,
+        lhs: (o * sd_ext * stride) as i64,
+        lhs_step: 1,
+        len: sd_ext.saturating_sub(1) * stride,
+    })
 }
 
 /// Carry-fold scanned chunk `cur` from the chunk before it along scan
-/// axis `sd_pos`: every element of `cur` combines with `prev`'s last
-/// slice, `prev` on the left (Listing 17's contiguous-split rule). Rows
-/// run along the scan axis, one per outer index and slice position.
+/// axis `sd_pos`, with [`carry_rows`].
 fn carry_fold(prev: &Partial, cur: &mut Partial, sd_pos: usize, c: &Combiner) -> Result<()> {
-    let (outer, p_sd, stride) = axis_split(&prev.extents, sd_pos);
-    let (c_outer, c_sd, c_stride) = axis_split(&cur.extents, sd_pos);
+    let rows = carry_rows(&prev.extents, &cur.extents, sd_pos)?;
+    c.combine_rows(&mut cur.cols, Part::Left(&prev.cols), || rows.clone())
+}
+
+/// The rows of Listing 17's contiguous-split rule between two scanned
+/// chunks, row-major over their preserved extents `prev` and `cur`: every
+/// element of `cur` combines with `prev`'s last slice along scan axis
+/// `sd_pos`, `prev` on the left (a [`Part::Left`] fold). Rows run along
+/// the scan axis, one per outer index and slice position; an empty `prev`
+/// carries nothing.
+pub(crate) fn carry_rows(
+    prev: &[usize],
+    cur: &[usize],
+    sd_pos: usize,
+) -> Result<impl Iterator<Item = Row> + Clone> {
+    let (outer, p_sd, stride) = axis_split(prev, sd_pos);
+    let (c_outer, c_sd, c_stride) = axis_split(cur, sd_pos);
     if (c_outer, c_stride) != (outer, stride) {
         return Err(MdhError::Eval("scan chunk extent mismatch".into()));
     }
-    if p_sd == 0 {
-        return Ok(());
-    }
-    let rows = || {
-        (0..outer * stride).map(move |ot| {
-            let (o, t) = (ot / stride, ot % stride);
-            Row {
-                out: (o * c_sd * stride + t) as i64,
-                step: stride as i64,
-                lhs: (((o + 1) * p_sd - 1) * stride + t) as i64,
-                lhs_step: 0,
-                len: c_sd,
-            }
-        })
-    };
-    c.combine_rows(&mut cur.cols, Part::Left(&prev.cols), rows)
+    let rows = if p_sd == 0 { 0 } else { outer * stride };
+    Ok((0..rows).map(move |ot| {
+        let (o, t) = (ot / stride, ot % stride);
+        Row {
+            out: (o * c_sd * stride + t) as i64,
+            step: stride as i64,
+            lhs: (((o + 1) * p_sd - 1) * stride + t) as i64,
+            lhs_step: 0,
+            len: c_sd,
+        }
+    }))
 }
 
 /// Store one partial. It is row-major over its task range's preserved
@@ -1595,6 +1617,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The scans the builtin scan kernel declines keep the route they had
+    /// before it — the VM's scan mode, or the reference evaluator where
+    /// the VM refuses too — and the kernel's reason names the cause.
+    #[test]
+    fn scans_the_scan_kernel_declines_keep_their_route_and_say_why() {
+        use crate::cpu::{ExecPath, Route};
+        use crate::fast;
+        let (ps, pw) = (CombineOp::ps_add(), CombineOp::pw_add());
+        let scan = |kind, ops| identity_case(kind, &[9, 4], ops, &[0]);
+        let f64_scan = |ops| scan(ScalarKind::F64, ops);
+        let custom = CombineOp::Ps(as_function(BuiltinReduce::Add, ScalarKind::F64));
+        let mut doubled = f64_scan(vec![ps.clone(), pw.clone()]);
+        doubled.md_hom.sf = ScalarFunction::weighted_sum("twice", ScalarKind::F64, &[2.0]).into();
+        let late = identity_case(ScalarKind::F64, &[4, 9], vec![pw.clone(), ps.clone()], &[1]);
+        let cases = [
+            (
+                f64_scan(vec![custom, pw.clone()]),
+                ExecPath::Vm,
+                "by a function",
+            ),
+            (
+                scan(ScalarKind::I64, vec![ps.clone(), pw.clone()]),
+                ExecPath::Vm,
+                "neither f32 nor f64",
+            ),
+            (late, ExecPath::Reference, "after a pw dimension"),
+            (doubled, ExecPath::Vm, "not the strict identity"),
+        ];
+        for (prog, path, cause) in cases {
+            let why = fast::classify(&prog).err().unwrap_or_default();
+            assert!(why.contains(cause), "{cause}: {why}");
+            let route = Route::of(&prog);
+            assert_eq!(route.path(), path, "{cause}: {route}");
+        }
+        assert_eq!(Route::of(&f64_scan(vec![ps, pw])).to_string(), "fast");
     }
 
     #[test]

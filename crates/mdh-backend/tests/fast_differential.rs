@@ -6,7 +6,8 @@
 //! `cc`/`pw` contraction programs over f32 and over f64 (including
 //! reduction-free products: the AD adjoint shapes), and random
 //! weighted-sum map programs
-//! (including sums under one literal scale: Jacobi1D's shape) — with
+//! (including sums under one literal scale: Jacobi1D's shape), and
+//! random builtin scans over f32 and f64 (with signed zeros and NaNs) — with
 //! deliberately inexact (non-binary-float) fills, so any fold-order
 //! deviation must surface as a bit difference — and checks the kernel
 //! against the VM under pool widths 1, 2, and 4.
@@ -19,7 +20,7 @@ use mdh_backend::fast;
 use mdh_backend::fast::line::LANES;
 use mdh_backend::vm_exec;
 use mdh_core::buffer::{Buffer, BufferData};
-use mdh_core::combine::CombineOp;
+use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc};
 use mdh_core::dsl::{DslBuilder, DslProgram};
 use mdh_core::expr::{Expr, ScalarFunction, Stmt};
 use mdh_core::index_fn::{AffineExpr, IndexFn};
@@ -256,6 +257,8 @@ struct MapCase {
     sizes: Vec<usize>,
     accs: Vec<RandAccess>,
     weights: Vec<f64>,
+    /// Weights are f64 literals, not f32 ones.
+    f64_weights: bool,
     scale: Scale,
     tiles: Vec<usize>,
     chunks: Vec<usize>,
@@ -291,6 +294,13 @@ const WIDEST_ROW_LOOP: usize = 64;
 /// (the map kernel's slice loads); in the rest each term keeps its drawn
 /// step — 0, 2, a multiple of an outer extent — or walks it backwards
 /// (the offset-computing loads).
+///
+/// An f32 literal times a widened f32 is exact in f64, so on those
+/// weights a fused multiply-add equals the separate multiply and add. An
+/// eighth of the cases are `w·x - w·x` over one access, read through two
+/// equal buffers, with an f64 literal `w`: separately rounded, the terms
+/// cancel to 0; fused, the product's rounding error survives, far above
+/// the f32 rounding.
 fn map_case() -> impl Strategy<Value = MapCase> {
     const MAX_TERMS: usize = fast::MAP_ARMS + 1;
     (
@@ -306,15 +316,25 @@ fn map_case() -> impl Strategy<Value = MapCase> {
             1usize..=2 * WIDEST_ROW_LOOP + 3,
             any::<bool>(),
             prop::collection::vec(any::<bool>(), MAX_TERMS),
+            0usize..8,
         ),
     )
         .prop_map(
-            |(rank, sizes, accs, weights, scale, tiles, chunks, (salt, row, unit, reversed))| {
+            |(
+                rank,
+                sizes,
+                accs,
+                weights,
+                scale,
+                tiles,
+                chunks,
+                (salt, row, unit, reversed, form),
+            )| {
                 let mut sizes = sizes[..rank].to_vec();
                 sizes[rank - 1] = row;
                 let mut chunks = chunks[..rank].to_vec();
                 chunks[rank - 1] = chunks[rank - 1].min(row);
-                let accs = accs
+                let accs: Vec<RandAccess> = accs
                     .iter()
                     .zip(reversed)
                     .map(|(a, rev)| {
@@ -328,10 +348,19 @@ fn map_case() -> impl Strategy<Value = MapCase> {
                         }
                     })
                     .collect();
+                let mut weights: Vec<f64> = weights.iter().map(|&w| WEIGHT_CHOICES[w]).collect();
+                let (accs, f64_weights) = match form {
+                    0 => {
+                        weights = vec![weights[0], -weights[0]];
+                        (vec![accs[0].clone(), accs[0].clone()], true)
+                    }
+                    _ => (accs, false),
+                };
                 MapCase {
                     sizes,
                     accs,
-                    weights: weights.iter().map(|&w| WEIGHT_CHOICES[w]).collect(),
+                    weights,
+                    f64_weights,
                     scale: SCALE_CHOICES[scale].clone(),
                     tiles: tiles[..rank].iter().map(|&t| TILE_CHOICES[t]).collect(),
                     chunks,
@@ -361,7 +390,11 @@ fn build_map(case: &MapCase) -> DslProgram {
     }
     let mut sf = ScalarFunction::weighted_sum("f_ws", ScalarKind::F32, &weights);
     if let Stmt::Assign { value, .. } = &mut sf.body[0] {
-        let sum = value.clone();
+        let term = |i: usize| Expr::mul(Expr::Lit(Value::F64(weights[i])), Expr::Param(i));
+        let sum = match case.f64_weights {
+            true => (1..weights.len()).fold(term(0), |sum, i| Expr::add(sum, term(i))),
+            false => value.clone(),
+        };
         *value = match case.scale.clone() {
             Scale::None => sum,
             Scale::Left(lit) => Expr::mul(Expr::Lit(lit), sum),
@@ -372,6 +405,135 @@ fn build_map(case: &MapCase) -> DslProgram {
         .combine_ops(ops)
         .build()
         .expect("valid random map")
+}
+
+#[derive(Debug, Clone)]
+struct ScanCase {
+    sizes: Vec<usize>,
+    /// The `ps` dim, and the `pw` dim after it, if any.
+    scan_dim: usize,
+    pw_dim: Option<usize>,
+    scan: BuiltinReduce,
+    fold: BuiltinReduce,
+    input: RandAccess,
+    /// Walk the output backwards along the scan dim.
+    out_reversed: bool,
+    chunks: Vec<usize>,
+    salt: usize,
+}
+
+const OPS: [BuiltinReduce; 4] = [
+    BuiltinReduce::Add,
+    BuiltinReduce::Mul,
+    BuiltinReduce::Min,
+    BuiltinReduce::Max,
+];
+
+/// A builtin scan over the identity of one input: the scan dim anywhere,
+/// a `pw` fold dim after it in half the cases (the VM's scan mode needs
+/// the scan first), `cc` dims around them. The input steps by 1 along
+/// the last dim, keeps its drawn strides, or walks the scan dim backwards
+/// (a reversed `ps(add)` is the AD adjoint of a scan); the output is the
+/// preserved dims, forwards or reversed along the scan dim. The scan dim
+/// is cut into 1–5 chunks, a `cc` dim into 1–2, a `pw` dim never (the VM
+/// refuses that plan).
+fn scan_case() -> impl Strategy<Value = ScanCase> {
+    (
+        1usize..=MAX_RANK,
+        prop::collection::vec(2usize..=7, MAX_RANK),
+        (0usize..MAX_RANK, any::<bool>()),
+        (0usize..OPS.len(), 0usize..OPS.len()),
+        (rand_access(), 0usize..3, any::<bool>()),
+        (1usize..=5, prop::collection::vec(1usize..=2, MAX_RANK)),
+        (0usize..1000, 1usize..=40),
+    )
+        .prop_map(
+            |(
+                rank,
+                sizes,
+                (sd, fold),
+                (scan, fold_op),
+                (acc, walk, out_reversed),
+                (k, chunks),
+                (salt, long),
+            )| {
+                let scan_dim = sd % rank;
+                let pw_dim = (fold && scan_dim + 1 < rank).then_some(rank - 1);
+                let mut sizes = sizes[..rank].to_vec();
+                sizes[scan_dim] = long;
+                let acc = acc.truncated(rank);
+                let input = match walk {
+                    0 => acc.with_unit_step(rank - 1),
+                    1 => acc.reversed(scan_dim, long),
+                    _ => acc,
+                };
+                let mut chunks = chunks[..rank].to_vec();
+                chunks[scan_dim] = k.min(long);
+                if let Some(d) = pw_dim {
+                    chunks[d] = 1;
+                }
+                ScanCase {
+                    sizes,
+                    scan_dim,
+                    pw_dim,
+                    scan: OPS[scan],
+                    fold: OPS[fold_op],
+                    input,
+                    out_reversed,
+                    chunks,
+                    salt,
+                }
+            },
+        )
+}
+
+fn build_scan(case: &ScanCase, elem: ScalarKind) -> DslProgram {
+    let rank = case.sizes.len();
+    let ops: Vec<CombineOp> = (0..rank)
+        .map(|d| match d {
+            d if d == case.scan_dim => CombineOp::Ps(PwFunc::builtin(case.scan)),
+            d if Some(d) == case.pw_dim => CombineOp::Pw(PwFunc::builtin(case.fold)),
+            _ => CombineOp::cc(),
+        })
+        .collect();
+    let preserved: Vec<usize> = (0..rank).filter(|&d| Some(d) != case.pw_dim).collect();
+    let out = RandAccess {
+        exprs: (preserved.iter())
+            .map(|&p| ((0..rank).map(|d| (d == p) as i64).collect(), 0))
+            .collect(),
+    };
+    let out = match case.out_reversed {
+        true => out.reversed(case.scan_dim, case.sizes[case.scan_dim]),
+        false => out,
+    };
+    DslBuilder::new("rand_scan", case.sizes.clone())
+        .out_buffer("y", elem.into())
+        .out_access("y", out.index_fn())
+        .inp_buffer("x", elem.into())
+        .inp_access("x", case.input.index_fn())
+        .scalar_function(ScalarFunction::identity("id", elem))
+        .combine_ops(ops)
+        .build()
+        .expect("valid random scan")
+}
+
+/// [`inexact_fill`] with a `-0.0` every 7th element and a NaN every 11th,
+/// its sign alternating: signed zeros and NaNs through add, mul, min and
+/// max. A sum of two NaNs keeps its left operand's sign, so an operand
+/// order that moves shows; a quarter of the salts keep the plain fill.
+fn special_fill(buf: &mut Buffer, salt: usize) {
+    if salt.is_multiple_of(4) {
+        return;
+    }
+    buf.fill_with(move |i| {
+        let k = i.wrapping_add(salt).wrapping_mul(2654435761) % 1000;
+        match i % 11 {
+            5 if i / 11 % 2 == 0 => f64::NAN,
+            5 => -f64::NAN,
+            _ if i % 7 == 3 => -0.0,
+            _ => k as f64 * 0.1 - 31.7,
+        }
+    });
 }
 
 /// Build inputs sized for the accesses, of their declared element type,
@@ -462,11 +624,28 @@ proptest! {
         assert_fast_matches_vm(&prog, &plan, &inputs);
     }
 
+    /// Builtin scans over f32 and f64, on data with signed zeros and
+    /// NaNs, are the VM's scan mode bit for bit: chains, local scans,
+    /// carry-folds and the one rounding at the store.
+    #[test]
+    fn random_scans_bit_identical_to_vm(case in scan_case(), f64_elem in any::<bool>()) {
+        let elem = if f64_elem { ScalarKind::F64 } else { ScalarKind::F32 };
+        let prog = build_scan(&case, elem);
+        let mut inputs = build_inputs(&prog, &[&case.input], &case.sizes, case.salt);
+        special_fill(&mut inputs[0], case.salt);
+        let plan = build_plan(&prog, &case.chunks, &vec![1; case.sizes.len()]);
+        assert_fast_matches_vm(&prog, &plan, &inputs);
+    }
+
     #[test]
     fn random_maps_bit_identical_to_vm(case in map_case()) {
         let prog = build_map(&case);
         let accs: Vec<&RandAccess> = case.accs.iter().collect();
-        let inputs = build_inputs(&prog, &accs, &case.sizes, case.salt);
+        let mut inputs = build_inputs(&prog, &accs, &case.sizes, case.salt);
+        if case.f64_weights {
+            // `w·x - w·x`: both terms read the same values
+            inputs[1].data = inputs[0].data.clone();
+        }
         let plan = build_plan(&prog, &case.chunks, &case.tiles);
         assert_fast_matches_vm(&prog, &plan, &inputs);
     }

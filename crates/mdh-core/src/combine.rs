@@ -238,6 +238,41 @@ fn row_loop<T: Copy>(acc: &mut [T], part: &Part<[T]>, r: &Row, g: impl Fn(T, T) 
             let pairs = acc[o..o + n].iter_mut().zip(&p[o..o + n]);
             pairs.for_each(|(a, &b)| *a = g(*a, b));
         }
+        // a carry-fold along a contiguous row: one left operand for all,
+        // out of another partial or out of the accumulator ahead of the row
+        // (an empty row reads no operand, so it takes the general arm)
+        Part::Left(p) if (r.step, r.lhs_step) == (1, 0) && r.len > 0 => {
+            let (o, carry) = (r.out as usize, p[r.lhs as usize]);
+            acc[o..o + r.len].iter_mut().for_each(|a| *a = g(carry, *a));
+        }
+        Part::Right(p) if (r.step, r.lhs_step) == (1, 0) && r.lhs < r.out && r.len > 0 => {
+            let (o, carry) = (r.out as usize, acc[r.lhs as usize]);
+            let pairs = acc[o..o + r.len].iter_mut().zip(&p[o..o + r.len]);
+            pairs.for_each(|(a, &b)| *a = g(carry, b));
+        }
+        // a scan's recurrence: each element combines with the one `k`
+        // before it, final by then — a running value when `k` is 1, else
+        // `k` independent elements at a time
+        Part::None if (r.step, r.lhs_step) == (1, 1) && r.lhs < r.out && r.len > 0 => {
+            let (o, k, end) = (
+                r.out as usize,
+                (r.out - r.lhs) as usize,
+                r.out as usize + r.len,
+            );
+            if k == 1 {
+                let mut prev = acc[o - 1];
+                for a in &mut acc[o..end] {
+                    prev = g(prev, *a);
+                    *a = prev;
+                }
+            } else {
+                for b in (o..end).step_by(k) {
+                    let (done, rest) = acc.split_at_mut(b);
+                    let block = rest[..k.min(end - b)].iter_mut().zip(&done[b - k..]);
+                    block.for_each(|(a, &l)| *a = g(l, *a));
+                }
+            }
+        }
         Part::None => r.offsets().for_each(|(o, l)| acc[o] = g(acc[l], acc[o])),
         Part::Left(p) => r.offsets().for_each(|(o, l)| acc[o] = g(p[l], acc[o])),
         Part::Right(p) => r.offsets().for_each(|(o, l)| acc[o] = g(acc[l], p[o])),
@@ -645,8 +680,11 @@ mod tests {
 
     /// The typed row loop is [`PwFunc::combine`], element by element:
     /// every element kind × builtin operator over every pair of edge
-    /// values, bitwise, along a contiguous row, a reversed one, and with
-    /// the partial supplying the left operand instead of the right.
+    /// values, bitwise, along a contiguous row, a reversed one, with the
+    /// partial supplying the left operand instead of the right, with one
+    /// left operand for the whole row out of either side (a scan's
+    /// carry-fold), and as a
+    /// scan's recurrence over the accumulator itself, 1, 2 and 3 apart.
     #[test]
     fn fold_row_is_pw_func_combine_element_by_element() {
         use crate::buffer::{bits_hash, Buffer};
@@ -711,6 +749,80 @@ mod tests {
                     assert!(acc.data.fold_row(&part, &row, Some(op)));
                     assert_eq!(bits_hash(&[acc]), want, "{kind} {op} {row:?} right={right}");
                     cases += 1;
+                }
+                // a scan's recurrence `k` elements apart: each element
+                // combines with the one `k` before it, already final
+                for k in [1, 2, 3] {
+                    let mut want = lhs.clone();
+                    for i in k..n {
+                        want[i] = f
+                            .combine(&vec![want[i - k].clone()], &vec![want[i].clone()])
+                            .unwrap()[0]
+                            .clone();
+                    }
+                    let row = Row {
+                        out: k as i64,
+                        step: 1,
+                        lhs: 0,
+                        lhs_step: 1,
+                        len: n - k,
+                    };
+                    let mut acc = lhs_buf.clone();
+                    assert!(acc.data.fold_row(&Part::None, &row, Some(op)));
+                    assert_eq!(
+                        bits_hash(&[acc]),
+                        bits_hash(&[buffer(&want)]),
+                        "{kind} {op} scan {k}"
+                    );
+                }
+                // a device scan's carry-fold: the left operand is the
+                // accumulator's element just ahead of the row
+                for carry in &vals {
+                    let want: Vec<Value> = (rhs.iter())
+                        .map(|b| {
+                            f.combine(&vec![carry.clone()], &vec![b.clone()]).unwrap()[0].clone()
+                        })
+                        .collect();
+                    let ahead =
+                        |rest: &[Value]| buffer(&[std::slice::from_ref(carry), rest].concat());
+                    let row = Row {
+                        out: 1,
+                        lhs: 0,
+                        lhs_step: 0,
+                        ..forward
+                    };
+                    let mut acc = ahead(&lhs);
+                    assert!(acc
+                        .data
+                        .fold_row(&Part::Right(&ahead(&rhs).data), &row, Some(op)));
+                    assert_eq!(
+                        bits_hash(&[acc]),
+                        bits_hash(&[ahead(&want)]),
+                        "{kind} {op} carry"
+                    );
+                }
+                // a carry-fold: one left operand, element `i` of the
+                // partial, for the whole row
+                for (i, carry) in vals.iter().enumerate() {
+                    let want: Vec<Value> = (rhs.iter())
+                        .map(|b| {
+                            f.combine(&vec![carry.clone()], &vec![b.clone()]).unwrap()[0].clone()
+                        })
+                        .collect();
+                    let row = Row {
+                        lhs: i as i64,
+                        lhs_step: 0,
+                        ..forward
+                    };
+                    let mut acc = rhs_buf.clone();
+                    assert!(acc
+                        .data
+                        .fold_row(&Part::Left(&lhs_buf.data), &row, Some(op)));
+                    assert_eq!(
+                        bits_hash(&[acc]),
+                        bits_hash(&[buffer(&want)]),
+                        "{kind} {op} carry {i}"
+                    );
                 }
             }
         }

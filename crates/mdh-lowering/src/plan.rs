@@ -29,9 +29,6 @@ pub struct Task {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CombineGroup {
     pub task_ids: Vec<usize>,
-    /// Extents of the split-dim chunk grid within this group (row-major
-    /// order of `task_ids`).
-    pub grid: Vec<usize>,
 }
 
 /// The materialised plan for one (program, schedule) pair.
@@ -115,11 +112,10 @@ impl ExecutionPlan {
                 .collect::<Vec<_>>(),
         );
         let split_shape: Vec<usize> = split_dims.iter().map(|&d| chunk_counts[d]).collect();
-        let split_grid = Shape::new(split_shape.clone());
+        let split_grid = Shape::new(split_shape);
         let mut groups: Vec<CombineGroup> = (0..key_shape.len())
             .map(|_| CombineGroup {
                 task_ids: vec![usize::MAX; split_grid.len()],
-                grid: split_shape.clone(),
             })
             .collect();
         for t in &tasks {
@@ -218,7 +214,6 @@ mod tests {
         assert_eq!(plan.groups.len(), 2, "one group per i-chunk");
         for g in &plan.groups {
             assert_eq!(g.task_ids.len(), 4);
-            assert_eq!(g.grid, vec![4]);
             // ordered by k-chunk: ranges must be ascending in k
             let mut last_hi = 0;
             for &tid in &g.task_ids {
@@ -264,7 +259,14 @@ mod tests {
         let plan = ExecutionPlan::build(&p, &s).unwrap();
         assert_eq!(plan.split_dims, vec![1, 2]);
         assert_eq!(plan.groups.len(), 2);
-        assert_eq!(plan.groups[0].grid, vec![3, 2]);
-        assert_eq!(plan.groups[0].task_ids.len(), 6);
+        // a 3 x 2 grid of split chunks, row-major: the second split dim
+        // fastest
+        let split_coords: Vec<(usize, usize)> = (plan.groups[0].task_ids.iter())
+            .map(|&t| (plan.tasks[t].chunk_coord[1], plan.tasks[t].chunk_coord[2]))
+            .collect();
+        assert_eq!(
+            split_coords,
+            [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        );
     }
 }

@@ -235,3 +235,30 @@ fn a_custom_add_is_not_served_the_builtin_route() {
     let declined = mixed_route.is_some_and(|(_, r)| r.starts_with("reference: "));
     assert!(declined, "{routes:?}");
 }
+
+/// The builtin scan `stack_bench` serves as `scan_256k` (its
+/// `kernels/scan.py`, `N = 2¹⁸`) is cached on the scan kernel's route,
+/// and `STATS json` says so.
+#[test]
+fn the_benchmark_scan_is_cached_on_the_scan_kernel() {
+    const SCAN: &str = "\
+@mdh( out( y = Buffer[fp64] ),
+      inp( x = Buffer[fp64] ),
+      combine_ops( ps(add) ) )
+def scan(y, x):
+    for i in range(N):
+        y[i] = x[i]
+";
+    let n = 1 << 18;
+    let prog = compile(SCAN, &DirectiveEnv::new().size("N", n as i64)).expect("scan");
+    let mut x = Buffer::zeros("x", BasicType::F64, Shape::new(vec![n]));
+    x.fill_with(|i| (i % 3) as f64);
+    let rt = Runtime::new(RuntimeConfig::default()).expect("runtime");
+    let req = Request::new(prog, DeviceKind::Cpu, Arc::new(vec![x]));
+    let out = rt.submit(req).wait().expect("launch").outputs;
+    // integer-valued: every bracketing of the sum is exact
+    let y = out[0].as_f64().expect("f64 output");
+    assert_eq!((y[0], y[3], y[n - 1]), (0.0, 3.0, (n - 1) as f64));
+    let json = rt.stats().to_json();
+    assert!(json.contains(r#""cpu scan 262144":"fast""#), "{json}");
+}

@@ -5,11 +5,15 @@
 //! ```text
 //! cargo run --release --example prefix_sum
 //! ```
+//!
+//! The `output-hash` line is FNV-1a over the split run's output bits; it
+//! is the same on every run (CI diffs two).
 
 use mdh::apps::mbbs::mbbs;
 use mdh::apps::Scale;
 use mdh::backend::cpu::CpuExecutor;
 use mdh::baselines::schedulers::{Baseline, TvmLike};
+use mdh::core::buffer::bits_hash;
 use mdh::lowering::asm::DeviceKind;
 use mdh::lowering::schedule::{ReductionStrategy, Schedule};
 
@@ -31,8 +35,9 @@ fn main() {
         Ok(_) => println!("TVM: unexpectedly produced a schedule"),
     }
 
-    // MDH splits the scan dimension across tasks and stitches chunk scans
-    // with the offset rule of the paper's Listing 17.
+    // MDH splits the scan dimension across tasks and carry-folds each
+    // chunk's scan from the chunk before it, the offset rule of the
+    // paper's Listing 17.
     let exec = CpuExecutor::new(threads).expect("executor");
     let mut split = Schedule::sequential(2, DeviceKind::Cpu);
     split.par_chunks = vec![threads.max(2), 1];
@@ -40,6 +45,8 @@ fn main() {
     let (out, took) = exec
         .run_timed(&app.program, &split, &app.inputs)
         .expect("mbbs run");
+    // the split run's bits: two runs must print the same line
+    println!("output-hash mbbs/split {:#018x}", bits_hash(&out));
     let bbs = out[0].as_f64().unwrap();
     println!(
         "split scan over {} tasks took {:.2} ms; bbs[0]={:.3}, bbs[last]={:.3}",
