@@ -48,10 +48,12 @@
 
 use crate::fast::line::{Line, LANES};
 use crate::fast::map::SyncSlice;
-use crate::fast::{check_span, direct_outputs, linearize_for, typed_inputs, Elem};
-use crate::offsets::{advance, LinearAccess};
+use crate::fast::{direct_outputs, linearize_for, typed_inputs, Elem};
+use crate::offsets::{advance, check_span, offset_table, LinearAccess};
+use crate::partial::{finish, ColBank, Join, Partial};
+use crate::vm_exec::Combiner;
 use mdh_core::buffer::Buffer;
-use mdh_core::combine::{fold_row, BuiltinReduce, Part, Row};
+use mdh_core::combine::BuiltinReduce;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::eval;
@@ -161,13 +163,12 @@ impl FastContraction {
             ));
         }
         let ins = typed_inputs::<E>(prog, inputs)?;
-        let out_buf = prog.out_view.accesses[0].buffer;
-        let out = E::slice_mut(&mut outputs[out_buf]).ok_or_else(|| {
-            MdhError::Type(format!("fast contraction output must be {}", E::KIND))
-        })?;
         if self.collapsed.is_empty() {
             // one product per point, and classify() proved the output
             // access injective: tasks store straight into the output
+            let out = E::slice_mut(&mut outputs[oacc.buffer]).ok_or_else(|| {
+                MdhError::Type(format!("fast contraction output must be {}", E::KIND))
+            })?;
             let shared = SyncSlice::new(out);
             let mut done: Vec<Result<()>> = Vec::new();
             pool.install(|| {
@@ -180,29 +181,28 @@ impl FastContraction {
             return Ok(outputs);
         }
         let arr = self.arrange(&in_acc);
+        // a partial is laid out `[batch][m][n]`; the whole n group is a row
+        let order: Vec<usize> = [&arr.batch[..], &arr.m, &arr.n].concat();
+        let (outer, row) = order.split_at(order.len() - arr.n.len());
 
-        let mut partials: Vec<Result<Vec<f64>>> = Vec::new();
+        let mut partials: Vec<Result<Partial>> = Vec::new();
         pool.install(|| {
             plan.tasks
                 .par_iter()
-                .map(|t| self.run_task(&ins, &in_acc, &t.range, &arr))
+                .map(|t| {
+                    let partial = self.run_task(&ins, &in_acc, &t.range, &arr)?;
+                    let extents = order.iter().map(|&d| t.range.extent(d)).collect();
+                    let cols = vec![ColBank::F(partial)];
+                    Ok(Partial { extents, cols })
+                })
                 .collect_into_vec(&mut partials);
         });
         let partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
 
         // split-reduction groups fold in the VM's order, in f64
-        let add = Some(BuiltinReduce::Add);
-        for group in plan.grouped(partials)? {
-            let mut members = group.into_iter();
-            let Some((owner, mut acc)) = members.next() else {
-                continue;
-            };
-            for (_, rhs) in members {
-                let whole = Row::along(0, 1, acc.len());
-                fold_row(&mut acc, &Part::Right(&rhs), &whole, add);
-            }
-            self.write_partial(&acc, &plan.tasks[owner].range, oacc, &arr, out)?;
-        }
+        let add = Combiner::Builtin(BuiltinReduce::Add);
+        let join = Join::Fold(Some(&add));
+        finish(plan, partials, join, (outer, row), &out_acc, &mut outputs)?;
         Ok(outputs)
     }
 
@@ -266,48 +266,6 @@ impl FastContraction {
                 }
             }
             if !advance(&mut idx, &outer, range) {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Round one task's partial to `E` and store it. The partial is read
-    /// front to back — `[batch][m][n]` — while the output offset is
-    /// `base(batch) + off(m) + off(n)`; a lane group that steps the output
-    /// by 1 (every registered program) stores each row as one slice.
-    fn write_partial<E: Elem>(
-        &self,
-        partial: &[f64],
-        range: &MdRange,
-        oacc: &LinearAccess,
-        arr: &Arrangement,
-        out: &mut [E],
-    ) -> Result<()> {
-        if self.preserved.iter().any(|&d| range.extent(d) == 0) {
-            return Ok(());
-        }
-        check_span("contraction output", oacc, range, out.len())?;
-        let om = offset_table(oacc, &arr.m, range);
-        let on = offset_table(oacc, &arr.n, range);
-        let unit = on.iter().enumerate().all(|(l, &o)| o == l as i64);
-        let mut rows = partial.chunks_exact(on.len());
-        // collapsed entries stay at `lo`: their output coefficients are zero
-        let mut idx = range.lo.clone();
-        loop {
-            let base = oacc.offset(&idx);
-            for (&mo, row) in om.iter().zip(rows.by_ref()) {
-                if unit {
-                    let dst = &mut out[(base + mo) as usize..][..row.len()];
-                    dst.iter_mut()
-                        .zip(row)
-                        .for_each(|(o, &v)| *o = E::narrow(v));
-                } else {
-                    for (&no, &v) in on.iter().zip(row) {
-                        out[(base + mo + no) as usize] = E::narrow(v);
-                    }
-                }
-            }
-            if !advance(&mut idx, &arr.batch, range) {
                 return Ok(());
             }
         }
@@ -606,20 +564,6 @@ impl FastContraction {
             None => (0, 0),
         }
     }
-}
-
-/// `acc`'s offset contribution of every point of `dims` within `range`,
-/// relative to `range.lo`, in odometer order (last dim fastest). Exact
-/// because the access is affine: its offset at a point is the offset at
-/// `lo` plus one table entry per disjoint dim group.
-fn offset_table(acc: &LinearAccess, dims: &[usize], range: &MdRange) -> Vec<i64> {
-    dims.iter().fold(vec![0i64], |outer, &d| {
-        let steps = 0..range.extent(d) as i64;
-        outer
-            .iter()
-            .flat_map(|&o| steps.clone().map(move |i| o + i * acc.coeffs[d]))
-            .collect()
-    })
 }
 
 /// Pack an A block: per [`MR`] rows one micro-panel, `MR` row values
@@ -1083,6 +1027,20 @@ mod tests {
                 },
             ),
             (
+                // dims (i, j, l, k): `a` moves alone on j, so the partial
+                // is `[j][i][l]`, the row group ahead of the lane dim i,
+                // where the output is `[i][j][l]`
+                "row group ahead of a lane dim",
+                Case {
+                    sizes: vec![2, m, n, k],
+                    elem,
+                    red: vec![3],
+                    out: [0, 1, 2].map(|d| e(4, &[(d, 1)], 0)).to_vec(),
+                    a: [1, 3].map(|d| e(4, &[(d, 1)], 0)).to_vec(),
+                    b: [0, 2, 3].map(|d| e(4, &[(d, 1)], 0)).to_vec(),
+                },
+            ),
+            (
                 // dims (p, j, r, c): img[p + r, c] * filt[j, r, c]
                 "MCC-style p + r",
                 Case {
@@ -1256,7 +1214,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases, 2 * 8 * (5 * 11 * 2 + 12) + 2 * (5 * 2 + 1));
+        assert_eq!(cases, 2 * 8 * (5 * 12 * 2 + 13) + 2 * (5 * 2 + 1));
     }
 
     /// The VM copy-initialises the accumulator from the first product, so

@@ -242,27 +242,6 @@ fn covers(index_fn: &IndexFn, range: &MdRange, shape: &Shape) -> bool {
         && (exprs.iter().zip(shape.dims())).all(|(e, &ext)| in_bounds(e, ext))
 }
 
-/// Check the extrema of `acc` over `range` against a buffer of `len`
-/// elements. The access is affine, so its extrema are the sums of each
-/// dim's (each offset table's) extrema: checked once, they bound every
-/// offset of the task. `run_planned` trusts its caller to have validated
-/// the program, so the kernel must not: a buffer smaller than its accesses
-/// reach is an error, not a panic on the worker.
-pub(crate) fn check_span(
-    what: &str,
-    acc: &LinearAccess,
-    range: &MdRange,
-    len: usize,
-) -> Result<()> {
-    let (lo, hi) = AffineExpr::new(acc.coeffs.clone(), acc.constant).bounds_over(range);
-    if lo < 0 || hi >= len as i64 {
-        return Err(MdhError::Eval(format!(
-            "{what} offsets {lo}..={hi} outside buffer of {len}"
-        )));
-    }
-    Ok(())
-}
-
 /// Linearise the input and output views against actual buffer shapes.
 pub(crate) fn linearize_for(
     prog: &DslProgram,

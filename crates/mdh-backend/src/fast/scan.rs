@@ -3,8 +3,8 @@
 //!
 //! A builtin scan whose scalar function is the identity of one input
 //! ([`strict_identity`]) compiles, in the VM, to no instruction: what the
-//! VM spends its time on is its loop nest, its f64 partial columns and its
-//! per-element write phase, not the function. This kernel runs the same
+//! VM spends its time on is its loop nest and its f64 partial columns,
+//! not the function. This kernel runs the same
 //! semantics (DESIGN §12) as one typed pass per task and the VM's own row
 //! loops:
 //!
@@ -19,19 +19,23 @@
 //! 4. one rounding to the element type, at the store, partials written in
 //!    the VM's order (so a non-injective output keeps the VM's last write).
 //!
-//! Sharing the VM's combine loops, not copying them, keeps even the sign a
-//! NaN takes through a sum the VM's. A one-task plan whose f64 output is
-//! its partial's row-major image (every pool shard of a 1-D scan) runs
-//! steps 1 and 2 in the output itself: no partial and no write phase.
+//! Steps 3 and 4 are the VM's own epilogue, [`crate::partial::finish`],
+//! with the scan's builtin operator. Sharing the VM's combine loops, not
+//! copying them, keeps even the sign a NaN takes through a sum the VM's.
+//! A one-task plan whose f64 output is its partial's row-major image
+//! (every pool shard of a 1-D scan) runs steps 1 and 2 in the output
+//! itself: no partial and no epilogue.
 //!
 //! Combine functions, non-identity scalar functions and integer scans stay
 //! the VM's scan mode.
 //!
 //! [`strict_identity`]: crate::fast::pattern::strict_identity
+//! [`carry_rows`]: crate::vm_exec::carry_rows
 
-use crate::fast::{check_span, linearize_for, pattern, Elem};
-use crate::offsets::{advance, LinearAccess};
-use crate::vm_exec::{carry_rows, scan_rows, scan_split_only};
+use crate::fast::{linearize_for, pattern, Elem};
+use crate::offsets::{advance, check_span, LinearAccess};
+use crate::partial::{finish, ColBank, Join, Partial};
+use crate::vm_exec::{scan_axis, scan_rows, Combiner};
 use mdh_core::buffer::Buffer;
 use mdh_core::combine::{fold_row, BuiltinReduce, CombineOp, Part};
 use mdh_core::dsl::DslProgram;
@@ -57,12 +61,6 @@ pub struct FastScan {
     pub(crate) fold: Option<BuiltinReduce>,
     pub(crate) preserved: Vec<usize>,
     pub(crate) collapsed: Vec<usize>,
-}
-
-/// One task's scanned values, row-major over its preserved extents.
-struct Chunk {
-    extents: Vec<usize>,
-    vals: Vec<f64>,
 }
 
 impl FastScan {
@@ -149,23 +147,17 @@ impl FastScan {
         inputs: &[Buffer],
         pool: &rayon::ThreadPool,
     ) -> Result<Vec<Buffer>> {
-        scan_split_only(plan, self.scan_dim)?;
-        let Some(sd_pos) = self.preserved.iter().position(|&d| d == self.scan_dim) else {
-            return Err(MdhError::Validation(
-                "scan dimension is not preserved".into(),
-            ));
-        };
+        let sd_pos = scan_axis(plan, &self.preserved, self.scan_dim)?;
         let mut outputs = eval::alloc_outputs(prog)?;
         let (in_acc, out_acc) = linearize_for(prog, inputs, &outputs)?;
         let (xacc, oacc) = (&in_acc[self.slot], &out_acc[0]);
         let x = E::slice(&inputs[xacc.buffer])
             .ok_or_else(|| MdhError::Type(format!("expected {} input", E::KIND)))?;
-        let obuf = prog.out_view.accesses[0].buffer;
         let extents = |t: &Task| -> Vec<usize> {
             self.preserved.iter().map(|&d| t.range.extent(d)).collect()
         };
 
-        if let ([task], Some(out)) = (&plan.tasks[..], outputs[obuf].as_f64_mut()) {
+        if let ([task], Some(out)) = (&plan.tasks[..], outputs[oacc.buffer].as_f64_mut()) {
             let extents = extents(task);
             if let Some(at) = self.dense_at(oacc, &task.range, &extents, out.len()) {
                 // one task's partial is final as scanned, and this output
@@ -176,7 +168,7 @@ impl FastScan {
             }
         }
 
-        let mut chunks: Vec<Result<Chunk>> = Vec::new();
+        let mut partials: Vec<Result<Partial>> = Vec::new();
         pool.install(|| {
             plan.tasks
                 .par_iter()
@@ -185,32 +177,23 @@ impl FastScan {
                     // the VM's partial of an empty task: zeros, never written
                     let mut vals = vec![0.0; extents.iter().product::<usize>().max(1)];
                     self.scan_task(x, xacc, &t.range, &extents, sd_pos, &mut vals)?;
-                    Ok(Chunk { extents, vals })
+                    let cols = vec![ColBank::F(vals)];
+                    Ok(Partial { extents, cols })
                 })
-                .collect_into_vec(&mut chunks);
+                .collect_into_vec(&mut partials);
         });
-        let chunks = chunks.into_iter().collect::<Result<Vec<_>>>()?;
+        let partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
 
-        let out = E::slice_mut(&mut outputs[obuf])
-            .ok_or_else(|| MdhError::Type(format!("fast scan output must be {}", E::KIND)))?;
-        let op = Some(self.scan);
-        for mut group in plan.grouped(chunks)? {
-            // each chunk carries from the one before it, already final
-            for i in 1..group.len() {
-                let (done, rest) = group.split_at_mut(i);
-                let (prev, cur) = (&done[i - 1].1, &mut rest[0].1);
-                for row in carry_rows(&prev.extents, &cur.extents, sd_pos)? {
-                    fold_row(&mut cur.vals, &Part::Left(&prev.vals[..]), &row, op);
-                }
-            }
-            for (tid, chunk) in &group {
-                self.write(chunk, &plan.tasks[*tid].range, oacc, out)?;
-            }
-        }
+        // each chunk carries from the one before it; rows along the last
+        // preserved dim, the collapsed dims pinned to 0 as the VM pins them
+        let carry = Combiner::Builtin(self.scan);
+        let join = Join::Carry(&carry, sd_pos);
+        let order = self.preserved.split_at(self.preserved.len() - 1);
+        finish(plan, partials, join, order, &out_acc, &mut outputs)?;
         Ok(outputs)
     }
 
-    /// Where the write phase would store a one-task partial over `range`
+    /// Where the epilogue would store a one-task partial over `range`
     /// (preserved `extents`) as one contiguous slice, in its own row-major
     /// order: the output offset of the range's first point, when each
     /// preserved dim steps the output by the partial's stride along it and
@@ -300,54 +283,6 @@ impl FastScan {
         }
         for row in scan_rows(extents, sd_pos) {
             fold_row(vals, &Part::None, &row, Some(self.scan));
-        }
-        Ok(())
-    }
-
-    /// Round one chunk to `E` and store it at its task's range, rows
-    /// along the last preserved dim, the collapsed dims pinned to 0 as the
-    /// VM pins them.
-    fn write<E: Elem>(
-        &self,
-        chunk: &Chunk,
-        range: &MdRange,
-        oacc: &LinearAccess,
-        out: &mut [E],
-    ) -> Result<()> {
-        if chunk.extents.contains(&0) {
-            return Ok(());
-        }
-        let mut region = range.clone();
-        for &d in &self.collapsed {
-            region.lo[d] = 0;
-        }
-        let Some((&row_d, outer)) = self.preserved.split_last() else {
-            return Ok(());
-        };
-        let (row_n, step) = (region.extent(row_d), oacc.coeffs[row_d]);
-        let mut idx = region.lo.clone();
-        for row in chunk.vals.chunks_exact(row_n) {
-            let base = oacc.offset(&idx);
-            let last = base + (row_n as i64 - 1) * step;
-            if base.min(last) < 0 || base.max(last) >= out.len() as i64 {
-                return Err(MdhError::Eval(format!(
-                    "scan output offsets {base}..={last} outside buffer of {}",
-                    out.len()
-                )));
-            }
-            if step == 1 {
-                let dst = &mut out[base as usize..][..row_n];
-                dst.iter_mut()
-                    .zip(row)
-                    .for_each(|(o, &v)| *o = E::narrow(v));
-            } else {
-                for (l, &v) in row.iter().enumerate() {
-                    out[(base + l as i64 * step) as usize] = E::narrow(v);
-                }
-            }
-            if !advance(&mut idx, outer, &region) {
-                return Ok(());
-            }
         }
         Ok(())
     }

@@ -146,7 +146,6 @@ impl GpuSim {
             .product();
 
         // ---- occupancy ---------------------------------------------------
-        let _block_range = MdRange::new(vec![0; rank], block_tile.clone());
         let stage_range = MdRange::new(vec![0; rank], stage_tile.clone());
         let mut shared_bytes = 0usize;
         if schedule.stage_inputs {
@@ -261,22 +260,19 @@ impl GpuSim {
         } else if !red_dims.is_empty() && schedule.reduction == ReductionStrategy::Sequential {
             // threads serially walk their reduction range; if the grid has
             // little preserved-dim parallelism the device idles. The
-            // utilization term above already covers thread count; charge
-            // the serial chain latency when parallelism is degenerate.
-            let serial: f64 = red_dims
-                .iter()
-                .map(|&d| {
-                    (sizes[d] / (schedule.par_chunks[d] * schedule.block_threads[d]).max(1)).max(1)
-                        as f64
-                })
-                .product();
-            // ~4 cycles per dependent FMA at 1.41 GHz
-            let chain_ms = serial * flops_per_point * 4.0 / 1.41e9 * 1e3;
-            combine_ms += chain_ms * 0.0; // latency is hidden unless degenerate
-            let preserved_points = out_points.max(1.0);
-            if preserved_points < (p.num_sms * p.warp_size) as f64 {
-                // degenerate parallelism: serial chain dominates
-                combine_ms += chain_ms;
+            // utilization term above already covers thread count; the
+            // serial chain's latency is hidden unless parallelism is
+            // degenerate, and only then charged.
+            if out_points.max(1.0) < (p.num_sms * p.warp_size) as f64 {
+                let serial: f64 = red_dims
+                    .iter()
+                    .map(|&d| {
+                        let threads = schedule.par_chunks[d] * schedule.block_threads[d];
+                        (sizes[d] / threads.max(1)).max(1) as f64
+                    })
+                    .product();
+                // ~4 cycles per dependent FMA at 1.41 GHz
+                combine_ms += serial * flops_per_point * 4.0 / 1.41e9 * 1e3;
             }
         }
 

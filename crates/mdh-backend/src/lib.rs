@@ -18,6 +18,7 @@ pub mod cpu_model;
 pub mod fast;
 pub mod gpu;
 pub mod offsets;
+mod partial;
 pub mod transfer;
 pub mod vm;
 pub mod vm_exec;

@@ -3,15 +3,17 @@
 //! Affine index functions compose with row-major buffer strides into a
 //! single linear form `flat = Σ_d coeff[d]·i_d + const`, evaluated (or
 //! updated incrementally) in the hot loops. Loaders move a block of
-//! buffer elements into the lanes of VM register banks; stores write
-//! result registers back to output buffers, and a [`Scatter`] adds a
-//! block of them where an indexed reduction's output access selects.
+//! buffer elements into the lanes of VM register banks, and a [`Scatter`]
+//! adds a block of result lanes where an indexed reduction's output
+//! access selects; `check_span` bounds a task's accesses once and
+//! `offset_table` walks a group of dims for every kernel's loads and
+//! stores.
 
 use crate::vm::{ParamLoad, Reg, LANES};
 use mdh_core::buffer::{Buffer, BufferData, Column};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
-use mdh_core::index_fn::IndexFn;
+use mdh_core::index_fn::{AffineExpr, IndexFn};
 use mdh_core::shape::MdRange;
 use mdh_core::types::ScalarKind;
 use mdh_core::views::{Access, View};
@@ -103,6 +105,41 @@ pub fn advance(idx: &mut [usize], dims: &[usize], range: &MdRange) -> bool {
         }
         idx[d] = range.lo[d];
     }
+}
+
+/// Check the extrema of `acc` over `range` against a buffer of `len`
+/// elements. The access is affine, so its extrema are the sums of each
+/// dim's (each offset table's) extrema: checked once, they bound every
+/// offset of the task. `run_planned` trusts its caller to have validated
+/// the program, so a kernel must not: a buffer smaller than its accesses
+/// reach is an error, not a panic on the worker.
+pub(crate) fn check_span(
+    what: &str,
+    acc: &LinearAccess,
+    range: &MdRange,
+    len: usize,
+) -> Result<()> {
+    let (lo, hi) = AffineExpr::new(acc.coeffs.clone(), acc.constant).bounds_over(range);
+    if lo < 0 || hi >= len as i64 {
+        return Err(MdhError::Eval(format!(
+            "{what} offsets {lo}..={hi} outside buffer of {len}"
+        )));
+    }
+    Ok(())
+}
+
+/// `acc`'s offset contribution of every point of `dims` within `range`,
+/// relative to `range.lo`, in odometer order (last dim fastest). Exact
+/// because the access is affine: its offset at a point is the offset at
+/// `lo` plus one table entry per disjoint dim group.
+pub(crate) fn offset_table(acc: &LinearAccess, dims: &[usize], range: &MdRange) -> Vec<i64> {
+    dims.iter().fold(vec![0i64], |outer, &d| {
+        let steps = 0..range.extent(d) as i64;
+        outer
+            .iter()
+            .flat_map(|&o| steps.clone().map(move |i| o + i * acc.coeffs[d]))
+            .collect()
+    })
 }
 
 /// A typed column slice (primitive buffers are a single column).
@@ -269,28 +306,6 @@ impl<'a> Loader<'a> {
                     fill(&l.col, l.reg, base * w + l.lane as i64, step * w);
                 }
             }
-        }
-    }
-}
-
-/// Write a result value (by kind) into an output buffer at a flat offset.
-#[inline]
-pub fn store_result(buf: &mut Buffer, flat: usize, kind: ScalarKind, fval: f64, ival: i64) {
-    match (&mut buf.data, kind.is_float()) {
-        (BufferData::F32(v), true) => v[flat] = fval as f32,
-        (BufferData::F64(v), true) => v[flat] = fval,
-        (BufferData::F32(v), false) => v[flat] = ival as f32,
-        (BufferData::F64(v), false) => v[flat] = ival as f64,
-        (BufferData::I32(v), true) => v[flat] = fval as i32,
-        (BufferData::I32(v), false) => v[flat] = ival as i32,
-        (BufferData::I64(v), true) => v[flat] = fval as i64,
-        (BufferData::I64(v), false) => v[flat] = ival,
-        (BufferData::Bool(v), true) => v[flat] = fval != 0.0,
-        (BufferData::Bool(v), false) => v[flat] = ival != 0,
-        (BufferData::Char(v), true) => v[flat] = fval as u8,
-        (BufferData::Char(v), false) => v[flat] = ival as u8,
-        (BufferData::Record(_), _) => {
-            unreachable!("record outputs excluded by the VM path preconditions")
         }
     }
 }

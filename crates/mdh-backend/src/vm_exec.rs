@@ -21,9 +21,9 @@
 //! * **scan mode** — one `ps` dimension (ordered before any `pw` dims so
 //!   the scan is applied last, matching the nested semantics); `pw` dims
 //!   must not be split across tasks. Lines are stored straight into the
-//!   partial columns, tasks scan locally, and each split scan chunk is
-//!   carry-folded from the chunk before it with the offset rule of
-//!   Listing 17, then written at its own range. A builtin scan over the
+//!   partial columns, tasks scan locally, and the epilogue carry-folds
+//!   each split scan chunk from the chunk before it with the offset rule
+//!   of Listing 17, then stores it at its own range. A builtin scan over the
 //!   identity runs the fast scan kernel instead, which shares this
 //!   mode's rows ([`scan_rows`], [`carry_rows`]); what stays here is
 //!   combine functions, other scalar functions and integer scans.
@@ -42,10 +42,12 @@
 //! reduction — are one call each of [`Combiner::combine_rows`]: for a
 //! builtin operator the one typed row loop, [`fold_row`], per partial
 //! column, for a compiled combine function one tuple at a time; the same
-//! element order and argument order either way. Groups are taken in
-//! [`ExecutionPlan::grouped`]'s order.
+//! element order and argument order either way. The local scan runs in
+//! the task; the other two, and the store of every partial, are the CPU
+//! epilogue (`partial.rs`) the scan and contraction kernels share.
 
-use crate::offsets::{advance, linearize_view, store_result, LinearAccess, Loader, Scatter};
+use crate::offsets::{advance, linearize_view, LinearAccess, Loader, Scatter};
+use crate::partial::{finish, ColBank, Join, Partial};
 use crate::vm::{compile_sf, CompiledSf, ParamLoad, Reg, LANES};
 use mdh_core::buffer::Buffer;
 use mdh_core::combine::{fold_row, BuiltinReduce, CombineOp, Part, PwFunc, PwKind, Row};
@@ -63,31 +65,6 @@ use rayon::prelude::*;
 /// identical at every thread count: result bits cannot depend on
 /// parallelism, only wall-clock does.
 const RBI_CHUNKS: usize = 16;
-
-/// Typed partial column per result.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ColBank {
-    F(Vec<f64>),
-    I(Vec<i64>),
-}
-
-impl ColBank {
-    fn zeros(kind: ScalarKind, n: usize) -> ColBank {
-        if kind.is_float() {
-            ColBank::F(vec![0.0; n])
-        } else {
-            ColBank::I(vec![0; n])
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            ColBank::F(v) => v.len(),
-            ColBank::I(v) => v.len(),
-        }
-    }
-}
 
 /// One tuple in flat typed form: result `r` lives in `f[r]` or `i[r]`,
 /// whichever bank its kind selects.
@@ -209,7 +186,7 @@ impl Combiner {
     /// and the left tuple first, with [`fold_row`]'s operands: `part`
     /// names the one another partial supplies. A builtin runs the typed
     /// row loop per column; a combine function steps one tuple at a time.
-    fn combine_rows<I: Iterator<Item = Row>>(
+    pub(crate) fn combine_rows<I: Iterator<Item = Row>>(
         &self,
         acc: &mut [ColBank],
         part: Part<[ColBank]>,
@@ -512,12 +489,6 @@ pub(crate) fn classify(prog: &DslProgram) -> Result<(CompiledSf, Mode)> {
     Ok((sf, mode))
 }
 
-/// A task's partial result: one column per result over its preserved dims.
-pub struct Partial {
-    pub extents: Vec<usize>,
-    pub cols: Vec<ColBank>,
-}
-
 /// What every task of one run shares.
 struct TaskCtx<'a> {
     sf: &'a CompiledSf,
@@ -559,6 +530,7 @@ pub(crate) fn run_classified(
     let in_acc = linearize_view(&prog.inp_view, &in_shapes, rank)?;
     let loaders = Loader::build_all(prog, inputs, &sf.param_loads)?;
 
+    let preserved = prog.md_hom.preserved_dims();
     let (fold, scan) = match mode {
         Mode::Rbi { dim } => return run_rbi(prog, *dim, sf, &loaders, &in_acc, pool),
         Mode::Fold(fold) => (fold.as_ref(), None),
@@ -566,28 +538,16 @@ pub(crate) fn run_classified(
             scan_dim,
             scan,
             fold,
-        } => (fold.as_ref(), Some((scan, *scan_dim))),
+        } => (
+            fold.as_ref(),
+            Some((scan, scan_axis(plan, &preserved, *scan_dim)?)),
+        ),
     };
-    if let Some((_, scan_dim)) = scan {
-        scan_split_only(plan, scan_dim)?;
-    }
 
     let mut outputs = eval::alloc_outputs(prog)?;
     let out_shapes: Vec<Vec<usize>> = outputs.iter().map(|b| b.shape.dims().to_vec()).collect();
     let out_acc = linearize_view(&prog.out_view, &out_shapes, rank)?;
-    let preserved = prog.md_hom.preserved_dims();
     let collapsed = prog.md_hom.collapsed_dims();
-    let scan = match scan {
-        Some((comb, scan_dim)) => {
-            let Some(sd_pos) = preserved.iter().position(|&d| d == scan_dim) else {
-                return Err(MdhError::Validation(
-                    "scan dimension is not a preserved dimension".into(),
-                ));
-            };
-            Some((comb, sd_pos))
-        }
-        None => None,
-    };
 
     // --- per-task local computation, in parallel ------------------------
     let ctx = TaskCtx {
@@ -609,59 +569,34 @@ pub(crate) fn run_classified(
     });
     let partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
 
-    // --- combine split-reduction groups ---------------------------------
-    let mut jobs: Vec<(usize, Partial)> = Vec::with_capacity(partials.len());
-    for mut group in plan.grouped(partials)? {
-        if let Some((comb, sd_pos)) = scan {
-            // each chunk carries from the one before it, already final
-            for i in 1..group.len() {
-                let (done, rest) = group.split_at_mut(i);
-                carry_fold(&done[i - 1].1, &mut rest[0].1, sd_pos, comb)?;
-            }
-            jobs.extend(group);
-            continue;
-        }
-        let mut members = group.into_iter();
-        let Some((owner, mut acc)) = members.next() else {
-            continue;
-        };
-        for (_, rhs) in members {
-            let comb = fold.ok_or_else(|| MdhError::Eval("split dims without pw fn".into()))?;
-            if acc.extents != rhs.extents {
-                return Err(MdhError::Eval("partial extent mismatch".into()));
-            }
-            let n = acc.cols.first().map_or(0, ColBank::len);
-            let whole = || std::iter::once(Row::along(0, 1, n));
-            comb.combine_rows(&mut acc.cols, Part::Right(&rhs.cols), whole)?;
-        }
-        jobs.push((owner, acc));
-    }
-
-    // --- write phase ----------------------------------------------------
-    for (tid, partial) in jobs {
-        let range = &plan.tasks[tid].range;
-        write_partial(
-            prog,
-            &partial,
-            range,
-            &preserved,
-            &out_acc,
-            kinds,
-            &mut outputs,
-        )?;
-    }
+    // --- recombine split groups and store, rows along the last preserved dim
+    let join = match scan {
+        Some((comb, sd_pos)) => Join::Carry(comb, sd_pos),
+        None => Join::Fold(fold),
+    };
+    let order = preserved.split_at(preserved.len().saturating_sub(1));
+    finish(plan, partials, join, order, &out_acc, &mut outputs)?;
     Ok(outputs)
 }
 
-/// A scan's restriction on its plan: a task's chain runs over every pw
-/// point, so only the scan dimension may be split across tasks.
-pub(crate) fn scan_split_only(plan: &ExecutionPlan, scan_dim: usize) -> Result<()> {
+/// A scan's restriction on its plan — a task's chain runs over every pw
+/// point, so only the scan dimension may be split across tasks — and the
+/// scan dimension's position among the `preserved` dims.
+pub(crate) fn scan_axis(
+    plan: &ExecutionPlan,
+    preserved: &[usize],
+    scan_dim: usize,
+) -> Result<usize> {
     if plan.split_dims.iter().any(|d| *d != scan_dim) {
         return Err(MdhError::Validation(
             "scan mode cannot split pw dimensions across tasks".into(),
         ));
     }
-    Ok(())
+    let not_preserved = || MdhError::Validation("scan dimension is not preserved".into());
+    preserved
+        .iter()
+        .position(|&d| d == scan_dim)
+        .ok_or_else(not_preserved)
 }
 
 /// Fewest points of the last preserved dim a task must own for a compiled
@@ -830,7 +765,7 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Result<Partial> {
 
     // local scan along the ps dim
     if let Some((c, sd_pos)) = ctx.scan {
-        scan_in_place(&mut cols, &extents, sd_pos, c)?;
+        c.combine_rows(&mut cols, Part::None, || scan_rows(&extents, sd_pos))?;
     }
 
     Ok(Partial { extents, cols })
@@ -846,18 +781,6 @@ fn axis_split(extents: &[usize], pos: usize) -> (usize, usize, usize) {
     )
 }
 
-/// In-place inclusive scan of partial columns along preserved-axis
-/// `sd_pos`, with [`scan_rows`].
-fn scan_in_place(
-    cols: &mut [ColBank],
-    extents: &[usize],
-    sd_pos: usize,
-    c: &Combiner,
-) -> Result<()> {
-    let rows = scan_rows(extents, sd_pos);
-    c.combine_rows(cols, Part::None, || rows.clone())
-}
-
 /// The rows of a local inclusive scan of a partial, row-major over its
 /// preserved `extents`, along axis `sd_pos`, front to back: per outer
 /// index, every element after the first slice combines with the one a
@@ -871,13 +794,6 @@ pub(crate) fn scan_rows(extents: &[usize], sd_pos: usize) -> impl Iterator<Item 
         lhs_step: 1,
         len: sd_ext.saturating_sub(1) * stride,
     })
-}
-
-/// Carry-fold scanned chunk `cur` from the chunk before it along scan
-/// axis `sd_pos`, with [`carry_rows`].
-fn carry_fold(prev: &Partial, cur: &mut Partial, sd_pos: usize, c: &Combiner) -> Result<()> {
-    let rows = carry_rows(&prev.extents, &cur.extents, sd_pos)?;
-    c.combine_rows(&mut cur.cols, Part::Left(&prev.cols), || rows.clone())
 }
 
 /// The rows of Listing 17's contiguous-split rule between two scanned
@@ -907,57 +823,6 @@ pub(crate) fn carry_rows(
             len: c_sd,
         }
     }))
-}
-
-/// Store one partial. It is row-major over its task range's preserved
-/// extents, so it is read front to back while each output offset walks a
-/// row of the last preserved dim by that dim's stride.
-fn write_partial(
-    prog: &DslProgram,
-    partial: &Partial,
-    range: &MdRange,
-    preserved: &[usize],
-    out_acc: &[LinearAccess],
-    kinds: &[ScalarKind],
-    outputs: &mut [Buffer],
-) -> Result<()> {
-    if partial.extents.contains(&0) {
-        return Ok(());
-    }
-    // collapsed dims pinned to 0 — out accesses don't depend on them
-    // (validated)
-    let mut region = range.clone();
-    for d in prog.md_hom.collapsed_dims() {
-        region.lo[d] = 0;
-    }
-    let (outer, row_d) = match preserved.split_last() {
-        Some((&row_d, outer)) => (outer, Some(row_d)),
-        None => (&[][..], None),
-    };
-    let row_n = row_d.map_or(1, |d| region.extent(d));
-    let mut idx = region.lo.clone();
-    for row in (0..partial.cols.first().map_or(0, ColBank::len)).step_by(row_n) {
-        for (r, acc) in out_acc.iter().enumerate() {
-            let step = row_d.map_or(0, |d| acc.coeffs[d]);
-            let base = acc.offset(&idx);
-            // affine in the row index: the row's ends bound every store
-            if base.min(base + (row_n as i64 - 1) * step) < 0 {
-                return Err(MdhError::Eval("negative output offset".into()));
-            }
-            let out = &mut outputs[prog.out_view.accesses[r].buffer];
-            for l in 0..row_n {
-                let (fv, iv) = match &partial.cols[r] {
-                    ColBank::F(v) => (v[row + l], 0),
-                    ColBank::I(v) => (0.0, v[row + l]),
-                };
-                store_result(out, (base + l as i64 * step) as usize, kinds[r], fv, iv);
-            }
-        }
-        if !advance(&mut idx, outer, &region) {
-            break;
-        }
-    }
-    Ok(())
 }
 
 /// rbi mode (see the module docs): [`RBI_CHUNKS`] fixed intervals of the
