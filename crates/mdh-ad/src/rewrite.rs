@@ -21,7 +21,6 @@
 
 use mdh_core::combine::CombineOp;
 use mdh_core::dsl::{DslProgram, MdHom};
-use mdh_core::error::Result;
 use mdh_core::expr::{BinOp, Expr, ScalarFunction, Stmt};
 use mdh_core::index_fn::IndexFn;
 use mdh_core::views::{Access, BufferDecl, View};
@@ -142,16 +141,6 @@ pub fn dependent_reduction_to_scan(prog: &DslProgram) -> Option<(DslProgram, Sca
             value_input: av.buffer,
         },
     ))
-}
-
-/// Convenience: rewrite if the pattern matches, then differentiate —
-/// the adjoint of the O(n) scan instead of the O(n²) reduction.
-pub fn rewrite_then_grad(prog: &DslProgram, wrt_value: bool) -> Result<Option<super::GradProgram>> {
-    let Some((scan, _)) = dependent_reduction_to_scan(prog) else {
-        return Ok(None);
-    };
-    let wrt: Vec<usize> = if wrt_value { vec![0] } else { vec![] };
-    super::grad(&scan, &wrt).map(Some)
 }
 
 #[cfg(test)]

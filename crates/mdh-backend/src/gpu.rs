@@ -68,26 +68,6 @@ impl GpuSim {
         }
     }
 
-    pub fn with_params(params: GpuParams, host_threads: usize) -> Result<GpuSim> {
-        Ok(GpuSim {
-            params,
-            exec: CpuExecutor::new(host_threads)?,
-        })
-    }
-
-    /// Like [`GpuSim::with_params`], sharing an existing pool for host
-    /// execution instead of spawning threads.
-    pub fn with_params_and_pool(
-        params: GpuParams,
-        pool: &rayon::ThreadPool,
-        host_threads: usize,
-    ) -> GpuSim {
-        GpuSim {
-            params,
-            exec: CpuExecutor::with_pool(pool, host_threads),
-        }
-    }
-
     /// Functionally execute (on the host) and attach the simulated cost of
     /// the given GPU schedule.
     pub fn run(

@@ -315,28 +315,6 @@ impl Column {
             Column::Char(v) => v[i] as f64,
         }
     }
-
-    pub fn set_f64(&mut self, i: usize, x: f64) {
-        match self {
-            Column::F32(v) => v[i] = x as f32,
-            Column::F64(v) => v[i] = x,
-            Column::I32(v) => v[i] = x as i32,
-            Column::I64(v) => v[i] = x as i64,
-            Column::Bool(v) => v[i] = x != 0.0,
-            Column::Char(v) => v[i] = x as u8,
-        }
-    }
-
-    pub fn set_i64(&mut self, i: usize, x: i64) {
-        match self {
-            Column::F32(v) => v[i] = x as f32,
-            Column::F64(v) => v[i] = x as f64,
-            Column::I32(v) => v[i] = x as i32,
-            Column::I64(v) => v[i] = x,
-            Column::Bool(v) => v[i] = x != 0,
-            Column::Char(v) => v[i] = x as u8,
-        }
-    }
 }
 
 /// A multi-dimensional buffer with a basic element type.
@@ -583,13 +561,6 @@ impl Buffer {
 
     pub fn record_storage(&self) -> Option<&RecordStorage> {
         match &self.data {
-            BufferData::Record(rs) => Some(rs),
-            _ => None,
-        }
-    }
-
-    pub fn record_storage_mut(&mut self) -> Option<&mut RecordStorage> {
-        match &mut self.data {
             BufferData::Record(rs) => Some(rs),
             _ => None,
         }

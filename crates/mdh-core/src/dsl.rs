@@ -83,16 +83,6 @@ impl MdHom {
             .collect()
     }
 
-    /// Indices of indexed-reduction (`rbi`) dimensions.
-    pub fn rbi_dims(&self) -> Vec<usize> {
-        self.combine_ops
-            .iter()
-            .enumerate()
-            .filter(|(_, co)| co.is_indexed_reduction())
-            .map(|(d, _)| d)
-            .collect()
-    }
-
     /// Whether any dimension is an indexed reduction (`rbi`).
     pub fn has_rbi(&self) -> bool {
         self.combine_ops.iter().any(|co| co.is_indexed_reduction())

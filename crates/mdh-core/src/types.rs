@@ -36,11 +36,6 @@ impl ScalarKind {
         matches!(self, ScalarKind::F32 | ScalarKind::F64)
     }
 
-    /// Whether the kind is an integral kind (including `char`/`bool`).
-    pub fn is_integral(self) -> bool {
-        !self.is_float()
-    }
-
     /// The neutral "zero" value of this kind.
     pub fn zero(self) -> Value {
         match self {

@@ -165,9 +165,4 @@ impl DirectiveEnv {
         self.combine_fns.insert(f.name.clone(), f);
         self
     }
-
-    pub fn scalar_fn(mut self, f: ScalarFunction) -> Self {
-        self.scalar_fns.insert(f.name.clone(), f);
-        self
-    }
 }

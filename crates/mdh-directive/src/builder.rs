@@ -81,17 +81,6 @@ impl DirectiveBuilder {
         self
     }
 
-    /// Declare an output buffer with an explicit shape.
-    pub fn out_with_shape(mut self, name: &str, ty: &str, shape: Vec<SurfaceExpr>) -> Self {
-        self.out.push(BufferSpec {
-            name: name.into(),
-            ty_name: ty.into(),
-            shape: Some(shape),
-            line: 0,
-        });
-        self
-    }
-
     /// Declare an input buffer `name = Buffer[ty]`.
     pub fn inp(mut self, name: &str, ty: &str) -> Self {
         self.inp.push(BufferSpec {
@@ -122,11 +111,6 @@ impl DirectiveBuilder {
 
     pub fn combine_op_pw(mut self, f: &str) -> Self {
         self.combine_ops.push(CombineOpSpec::Pw(f.into()));
-        self
-    }
-
-    pub fn combine_op_ps(mut self, f: &str) -> Self {
-        self.combine_ops.push(CombineOpSpec::Ps(f.into()));
         self
     }
 

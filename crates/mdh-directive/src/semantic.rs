@@ -20,7 +20,7 @@ use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc};
 use mdh_core::error::{MdhError, Result};
 use mdh_core::expr::{BinOp, Expr, MathFn, ScalarFunction, Stmt, UnOp};
 use mdh_core::index_fn::{AffineExpr, IndexFn};
-use mdh_core::types::{BasicType, RecordType, ScalarKind, Value};
+use mdh_core::types::{BasicType, RecordType, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -691,11 +691,6 @@ impl<'a> BodyCx<'a> {
         }
         None
     }
-}
-
-/// Scalar-kind helper used when coercing literals (exposed for tests).
-pub fn dominant_kind(ty: &BasicType) -> Option<ScalarKind> {
-    ty.as_scalar()
 }
 
 #[cfg(test)]

@@ -4,10 +4,11 @@
 //! really running every shard ([`crate::dispatch`]) and recombining the
 //! partials ([`crate::recombine`]); the *time* reported here is an
 //! analytic model and a pure function of the partition plan and the
-//! per-shard numbers: per-shard H2D over the shared host link (skipped
-//! for operands a [`MemPool`] holds resident, double-buffered otherwise,
-//! optionally overlapped with compute), the parallel execution phase, the
-//! combine topology of [`crate::topology`], and the final D2H.
+//! per-shard numbers: per-shard H2D over the pool's shared PCIe 4.0 ×16
+//! host link (skipped for operands a [`MemPool`] holds resident,
+//! double-buffered otherwise, overlapped with compute), the parallel
+//! execution phase, the combine of the partials over NVLink3-class peer
+//! links, and the final D2H.
 //!
 //! Two headline times are reported. `total_ms` is the cold single-launch
 //! time including input upload. `hot_ms` is the steady-state per-launch
@@ -15,10 +16,9 @@
 //! paper measures (its GPU numbers exclude one-time transfers, which
 //! amortise across the many launches auto-tuning assumes).
 
-use crate::device::{DeviceHealth, DeviceSpec};
+use crate::device::{DeviceHealth, DevicePool};
 use crate::exec::DistExecutor;
 use crate::fault::FaultStats;
-use crate::topology::{combine_cost, CombineCost, CombineTopology};
 use mdh_backend::transfer::{transfer_ms, LinkParams};
 use mdh_core::buffer::Buffer;
 use mdh_core::shape::MdRange;
@@ -28,7 +28,7 @@ use mdh_mem::{double_buffered_phase_ms, Acquire, BlockKey};
 /// What one device did for one launch.
 #[derive(Debug, Clone)]
 pub struct ShardReport {
-    /// Device label (`gpu0`, `cpu1`, ...).
+    /// Device label (`gpu0`, `gpu1`, ...).
     pub device: String,
     /// Shard index in the partition plan (recovery re-runs keep the
     /// crashed shard's index, so several reports may share one).
@@ -40,8 +40,7 @@ pub struct ShardReport {
     /// Modelled input bytes uploaded to this device.
     pub h2d_bytes: usize,
     pub h2d_ms: f64,
-    /// Execution time: analytic for GPU devices, wall-clock for CPU;
-    /// includes modelled retry backoff.
+    /// Modelled execution time, including modelled retry backoff.
     pub exec_ms: f64,
     /// Transient retries this shard needed on its device.
     pub retries: u32,
@@ -60,7 +59,6 @@ pub struct DistReport {
     /// Why the plan did (not) partition — the PR 2 silent single-shard
     /// fallback, now typed and reported.
     pub outcome: PartitionOutcome,
-    pub topology: CombineTopology,
     pub per_shard: Vec<ShardReport>,
     /// Faults injected and recovered from during this launch.
     pub faults: FaultStats,
@@ -70,7 +68,8 @@ pub struct DistReport {
     pub h2d_ms: f64,
     /// Parallel execution phase: max over devices.
     pub exec_ms: f64,
-    /// Upload + execution phase length under the overlap setting.
+    /// Upload + execution phase length, each device computing once its
+    /// own upload lands.
     pub upload_exec_ms: f64,
     pub combine: CombineCost,
     /// Final device-to-host result download.
@@ -152,14 +151,13 @@ impl std::fmt::Display for DistReport {
         };
         write!(
             f,
-            "devices={} shards={} dim={} strat={} topo={} | h2d={:.3}ms exec={:.3}ms \
+            "devices={} shards={} dim={} strat={} | h2d={:.3}ms exec={:.3}ms \
              combine={:.3}ms ({} steps, xfer {:.3} + pass {:.3}) d2h={:.3}ms | \
              cold={:.3}ms hot={:.3}ms xfer-share={:.0}% combine-share={:.0}%",
             self.devices,
             self.shards,
             self.partition_dim.map_or(-1, |d| d as i64),
             strat,
-            self.topology,
             self.h2d_ms,
             self.exec_ms,
             self.combine.total_ms(),
@@ -240,7 +238,7 @@ impl DistExecutor {
     ) -> ShardReport {
         let (h2d_bytes, h2d_ms) = self.charge_shard_h2d(ledger, dev, shard);
         ShardReport {
-            device: self.pool.devices[dev].label(dev),
+            device: DevicePool::label(dev),
             shard: shard.index,
             device_index: dev,
             range: shard.range.clone(),
@@ -256,11 +254,7 @@ impl DistExecutor {
     /// skip the transfer, and only missed bytes ship over the host link.
     fn charge_shard_h2d(&self, ledger: &mut Ledger, dev: usize, shard: &Shard) -> (usize, f64) {
         let inputs = ledger.inputs;
-        let is_gpu = matches!(self.pool.devices[dev], DeviceSpec::Gpu(_));
-        if !is_gpu || self.pool.all_host_memory() {
-            return (0, 0.0);
-        }
-        let link = &self.pool.config.host_link;
+        let link = &LinkParams::pcie4_x16();
         let Some(mem) = self.mem.as_ref().filter(|m| m.enabled()) else {
             let bytes = (0..shard.prog.inp_view.buffers.len())
                 .map(|b| input_bytes(shard, b, inputs))
@@ -309,7 +303,7 @@ impl DistExecutor {
     }
 
     /// Fold per-shard uploads and execution times through the pool's
-    /// overlap, combine-topology, and D2H models.
+    /// upload/execute overlap, combine and D2H models.
     pub(crate) fn assemble_report(
         &self,
         plan: &PartitionPlan,
@@ -323,18 +317,16 @@ impl DistExecutor {
             ..
         } = ledger;
         let n = plan.shards.len();
-        let config = &self.pool.config;
-        let host_memory = self.pool.all_host_memory();
         let exec_ms = per_shard.iter().map(|s| s.exec_ms).fold(0.0, f64::max);
         let h2d_ms: f64 = per_shard.iter().map(|s| s.h2d_ms).sum();
-        // uploads serialise on the shared host link; with overlap, each
-        // device starts computing as soon as its own upload lands — and
-        // with a memory pool attached, uploads are double-buffered so
-        // compute starts after the *first half* of the shard's transfer
+        // uploads serialise on the shared host link and each device
+        // starts computing as soon as its own upload lands — with a memory
+        // pool attached, uploads are double-buffered so compute starts
+        // after the *first half* of the shard's transfer
         let upload_exec_ms = if self.mem.as_ref().is_some_and(|m| m.enabled()) {
             let pairs: Vec<(f64, f64)> = per_shard.iter().map(|s| (s.h2d_ms, s.exec_ms)).collect();
             double_buffered_phase_ms(&pairs)
-        } else if config.overlap {
+        } else {
             let mut cum = 0.0;
             let mut phase: f64 = 0.0;
             for s in &per_shard {
@@ -342,27 +334,9 @@ impl DistExecutor {
                 phase = phase.max(cum + s.exec_ms);
             }
             phase
-        } else {
-            h2d_ms + exec_ms
         };
-        let combine = combine_cost(
-            config.topology,
-            plan.strategy(),
-            n,
-            out_bytes,
-            &config.host_link,
-            &config.peer_link,
-            self.pool.combine_bw_gib_s(),
-            host_memory,
-        );
-        let d2h_ms = d2h_cost(
-            &config.host_link,
-            config.topology,
-            plan.strategy(),
-            n,
-            out_bytes,
-            host_memory,
-        );
+        let combine = combine_cost(plan.strategy(), n, out_bytes, self.pool.combine_bw_gib_s());
+        let d2h_ms = d2h_cost(plan.strategy(), n, out_bytes);
         let device_health = self.device_health();
         let devices_alive = device_health.iter().filter(|h| h.in_rotation()).count();
 
@@ -373,7 +347,6 @@ impl DistExecutor {
             partition_dim: plan.dim(),
             strategy: plan.strategy(),
             outcome: plan.outcome,
-            topology: config.topology,
             per_shard,
             faults,
             degraded: devices_alive < self.pool.len(),
@@ -407,40 +380,95 @@ pub(crate) fn output_bytes(outputs: &[Buffer]) -> usize {
     outputs.iter().map(|b| b.size_bytes()).sum()
 }
 
-/// Final D2H: where does the result end up on the host?
-fn d2h_cost(
-    host: &LinkParams,
-    topology: CombineTopology,
+/// Fixed per-step overhead (kernel launch / driver round-trip) in ms.
+const STEP_OVERHEAD_MS: f64 = 0.005;
+
+/// Modelled cost of one recombination.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CombineCost {
+    /// Critical-path length in combine steps (0 when nothing to combine).
+    pub steps: usize,
+    /// Link time on the critical path.
+    pub transfer_ms: f64,
+    /// Combine-pass compute time on the critical path.
+    pub compute_ms: f64,
+}
+
+impl CombineCost {
+    pub const ZERO: CombineCost = CombineCost {
+        steps: 0,
+        transfer_ms: 0.0,
+        compute_ms: 0.0,
+    };
+
+    pub fn total_ms(&self) -> f64 {
+        self.transfer_ms + self.compute_ms
+    }
+}
+
+/// One element-wise combine pass over `bytes` of partials: read both
+/// operands, write the result (3 streams), plus launch overhead.
+fn pass_ms(bytes: usize, bw_gib_s: f64) -> f64 {
+    STEP_OVERHEAD_MS + 3.0 * bytes as f64 / (bw_gib_s * (1u64 << 30) as f64) * 1e3
+}
+
+/// Cost of recombining `n` partials of `out_bytes` each over the peer
+/// links. The *value* is fixed by the MDH laws (any associative grouping
+/// agrees); the cost is that of the grouping the pool models:
+///
+/// * `pw`/`rbi` partials meet in a pairwise binary tree — `⌈log2 n⌉`
+///   levels, each level's transfers and passes in parallel (rbi partials
+///   are full-shape buffers folded element-wise like pw partials);
+/// * `ps` carries are ordered, so the chain is serial over the
+///   per-shard regions;
+/// * `cc` shards own disjoint output regions: their gather is the D2H,
+///   not a combine, and costs nothing here.
+fn combine_cost(
     strategy: Option<PartitionStrategy>,
     n: usize,
     out_bytes: usize,
-    host_memory: bool,
-) -> f64 {
-    if host_memory {
-        return 0.0;
+    combine_bw_gib_s: f64,
+) -> CombineCost {
+    let Some(strategy) = strategy else {
+        return CombineCost::ZERO;
+    };
+    if n <= 1 {
+        return CombineCost::ZERO;
     }
+    let (steps, bytes) = match strategy {
+        PartitionStrategy::Concat => return CombineCost::ZERO,
+        PartitionStrategy::Scan => (n - 1, out_bytes / n),
+        PartitionStrategy::Reduce | PartitionStrategy::IndexedReduce => {
+            ((n as f64).log2().ceil() as usize, out_bytes)
+        }
+    };
+    CombineCost {
+        steps,
+        transfer_ms: steps as f64 * transfer_ms(&LinkParams::nvlink3(), bytes),
+        compute_ms: steps as f64 * pass_ms(bytes, combine_bw_gib_s),
+    }
+}
+
+/// Final D2H: where does the result end up on the host?
+fn d2h_cost(strategy: Option<PartitionStrategy>, n: usize, out_bytes: usize) -> f64 {
+    let host = &LinkParams::pcie4_x16();
     match strategy {
         // disjoint regions: each shard downloads its own slice (the
         // gather IS the recombination for cc)
         Some(PartitionStrategy::Concat) if n > 1 => {
             n as f64 * transfer_ms(host, out_bytes / n.max(1))
         }
-        // host-side gather already delivered the partials to the host
-        Some(PartitionStrategy::Reduce) | Some(PartitionStrategy::IndexedReduce)
-            if topology == CombineTopology::HostGather && n > 1 =>
-        {
-            0.0
-        }
         // scan: every shard's locally-finalised region comes down
         Some(PartitionStrategy::Scan) if n > 1 => n as f64 * transfer_ms(host, out_bytes / n),
-        // reduced on-device (serial/tree) or unpartitioned: one download
+        // reduced on-device or unpartitioned: one download
         _ => transfer_ms(host, out_bytes),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::device::{DeviceHealth, DevicePool, DeviceSpec, PoolConfig};
+    use super::{combine_cost, CombineCost};
+    use crate::device::{DeviceHealth, DevicePool};
     use crate::exec::DistExecutor;
     use crate::fault::FaultPlan;
     use crate::testutil::{int_fill, matvec, matvec_inputs, single_device};
@@ -451,25 +479,9 @@ mod tests {
     use mdh_core::index_fn::IndexFn;
     use mdh_core::shape::Shape;
     use mdh_core::types::{BasicType, ScalarKind};
-    use mdh_lowering::partition::PartitionOutcome;
+    use mdh_lowering::partition::{PartitionOutcome, PartitionStrategy};
     use mdh_mem::MemPool;
     use std::sync::Arc;
-
-    #[test]
-    fn overlap_shortens_cold_launch() {
-        // uneven split (10 rows over 4 devices → 3,3,2,2): the bigger
-        // early shards' compute hides behind the later shards' uploads
-        let prog = matvec(10, 4096);
-        let inputs = matvec_inputs(10, 4096);
-        let overlapped = DistExecutor::new(DevicePool::gpus(4)).unwrap();
-        let fenced = DistExecutor::new(DevicePool::gpus(4).with_overlap(false)).unwrap();
-        let (_, r_overlap) = overlapped.run(&prog, &inputs).unwrap();
-        let (_, r_fenced) = fenced.run(&prog, &inputs).unwrap();
-        // modelled H2D is identical; the overlapped phase hides part of it
-        assert!(r_overlap.upload_exec_ms < r_fenced.upload_exec_ms);
-        assert!((r_overlap.h2d_ms - r_fenced.h2d_ms).abs() < 1e-9);
-        assert!(r_overlap.h2d_ms > 0.0);
-    }
 
     #[test]
     fn estimate_matches_run_timing_without_executing() {
@@ -486,16 +498,39 @@ mod tests {
         assert_eq!(est.shards, ran.shards);
     }
 
+    const A100_BW: f64 = 1555.0;
+
     #[test]
-    fn estimate_rejects_cpu_devices() {
-        let prog = matvec(8, 8);
-        let inputs = matvec_inputs(8, 8);
-        let pool = DevicePool::new(
-            vec![DeviceSpec::gpu_a100(), DeviceSpec::cpu(1)],
-            PoolConfig::default(),
-        );
-        let dist = DistExecutor::new(pool).unwrap();
-        assert!(dist.estimate(&prog, &inputs).is_err());
+    fn reductions_combine_in_a_binary_tree() {
+        for n in [2usize, 3, 4, 8, 16] {
+            let tree = combine_cost(Some(PartitionStrategy::Reduce), n, 256 << 20, A100_BW);
+            assert_eq!(tree.steps, (n as f64).log2().ceil() as usize, "n={n}");
+            let rbi = combine_cost(
+                Some(PartitionStrategy::IndexedReduce),
+                n,
+                256 << 20,
+                A100_BW,
+            );
+            assert_eq!(rbi, tree, "rbi partials fold like pw partials");
+        }
+    }
+
+    #[test]
+    fn concat_and_degenerate_cost_nothing() {
+        let cc = combine_cost(Some(PartitionStrategy::Concat), 8, 1 << 30, A100_BW);
+        assert_eq!(cc, CombineCost::ZERO);
+        assert_eq!(combine_cost(None, 8, 1 << 30, A100_BW), CombineCost::ZERO);
+        let one = combine_cost(Some(PartitionStrategy::Reduce), 1, 1 << 30, A100_BW);
+        assert_eq!(one, CombineCost::ZERO);
+    }
+
+    #[test]
+    fn scan_chain_is_serial_over_shard_regions() {
+        let scan = combine_cost(Some(PartitionStrategy::Scan), 8, 64 << 20, A100_BW);
+        assert_eq!(scan.steps, 7);
+        let tree = combine_cost(Some(PartitionStrategy::Reduce), 8, 64 << 20, A100_BW);
+        assert!(scan.steps > tree.steps);
+        assert!(scan.transfer_ms > 0.0 && scan.compute_ms > 0.0);
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Device pools: the set of simulated devices a distributed run spreads
-//! shards over, the link/topology configuration of the pool, and the
-//! per-device health states of the executor's self-healing machine.
+//! Device pools: the identical simulated GPUs a distributed run spreads
+//! shards over, and the per-device health states of the executor's
+//! self-healing machine.
 
-use crate::topology::CombineTopology;
-use mdh_backend::transfer::LinkParams;
-use mdh_lowering::asm::{DeviceKind, GpuParams};
+use mdh_lowering::asm::GpuParams;
 use std::fmt;
 
 /// Health state of one pool device in the executor's state machine:
@@ -59,131 +57,39 @@ impl fmt::Display for DeviceHealth {
     }
 }
 
-/// One member of a device pool. Heterogeneous mixes are allowed: a shard
-/// lands on whichever device its index maps to.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeviceSpec {
-    /// A host CPU executor with its own thread count. CPU devices share
-    /// host memory, so they pay no H2D/D2H link cost.
-    Cpu { threads: usize },
-    /// A simulated GPU with the given hardware constants.
-    Gpu(GpuParams),
-}
-
-impl DeviceSpec {
-    pub fn cpu(threads: usize) -> DeviceSpec {
-        DeviceSpec::Cpu { threads }
-    }
-
-    pub fn gpu_a100() -> DeviceSpec {
-        DeviceSpec::Gpu(GpuParams::a100())
-    }
-
-    pub fn kind(&self) -> DeviceKind {
-        match self {
-            DeviceSpec::Cpu { .. } => DeviceKind::Cpu,
-            DeviceSpec::Gpu(_) => DeviceKind::Gpu,
-        }
-    }
-
-    /// Stable display label used in reports and dispatch counters.
-    pub fn label(&self, index: usize) -> String {
-        match self {
-            DeviceSpec::Cpu { .. } => format!("cpu{index}"),
-            DeviceSpec::Gpu(_) => format!("gpu{index}"),
-        }
-    }
-}
-
-/// Pool-wide link and recombination configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolConfig {
-    /// Host↔device link every shard's inputs travel over (shared —
-    /// uploads to different devices serialise on it).
-    pub host_link: LinkParams,
-    /// Device↔device link used by peer combines (`Serial`/`Tree`
-    /// topologies exchange partials directly between devices).
-    pub peer_link: LinkParams,
-    pub topology: CombineTopology,
-    /// Overlap each device's upload with already-uploaded devices'
-    /// compute (`true`), or fence all uploads before any kernel starts.
-    pub overlap: bool,
-}
-
-impl Default for PoolConfig {
-    fn default() -> PoolConfig {
-        PoolConfig {
-            host_link: LinkParams::pcie4_x16(),
-            peer_link: LinkParams::nvlink3(),
-            topology: CombineTopology::Tree,
-            overlap: true,
-        }
-    }
-}
-
-/// A fixed set of devices plus the pool configuration.
-#[derive(Debug, Clone, PartialEq)]
+/// `N` identical simulated A100s. Every shard's inputs travel over one
+/// shared PCIe 4.0 ×16 host link (uploads to different devices serialise
+/// on it) and partials recombine in a binary tree over NVLink3-class peer
+/// links ([`crate::account`] holds the model).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DevicePool {
-    pub devices: Vec<DeviceSpec>,
-    pub config: PoolConfig,
+    devices: usize,
 }
 
 impl DevicePool {
-    pub fn new(devices: Vec<DeviceSpec>, config: PoolConfig) -> DevicePool {
-        DevicePool { devices, config }
-    }
-
-    /// `n` identical simulated A100s with the default NVLink/PCIe pool
-    /// configuration — the shape used by `devices = N` in the runtime.
+    /// `n` devices, at least one — the shape `devices = N` builds in the
+    /// runtime.
     pub fn gpus(n: usize) -> DevicePool {
-        DevicePool {
-            devices: (0..n.max(1)).map(|_| DeviceSpec::gpu_a100()).collect(),
-            config: PoolConfig::default(),
-        }
+        DevicePool { devices: n.max(1) }
     }
 
     pub fn len(&self) -> usize {
-        self.devices.len()
+        self.devices
     }
 
     pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
+        self.devices == 0
     }
 
-    pub fn with_topology(mut self, topology: CombineTopology) -> DevicePool {
-        self.config.topology = topology;
-        self
+    /// Stable display label of device `index`, used in reports and
+    /// dispatch counters.
+    pub fn label(index: usize) -> String {
+        format!("gpu{index}")
     }
 
-    pub fn with_overlap(mut self, overlap: bool) -> DevicePool {
-        self.config.overlap = overlap;
-        self
-    }
-
-    /// Whether every device shares host memory (no modelled link traffic).
-    pub fn all_host_memory(&self) -> bool {
-        self.devices
-            .iter()
-            .all(|d| matches!(d, DeviceSpec::Cpu { .. }))
-    }
-
-    /// DRAM bandwidth used for modelling on-device combine passes: the
-    /// slowest GPU in the pool (combines wait for the slowest partner),
-    /// or a host-memory figure for CPU-only pools.
+    /// DRAM bandwidth used for modelling on-device combine passes.
     pub fn combine_bw_gib_s(&self) -> f64 {
-        let min_gpu = self
-            .devices
-            .iter()
-            .filter_map(|d| match d {
-                DeviceSpec::Gpu(p) => Some(p.dram_bw_gib_s),
-                DeviceSpec::Cpu { .. } => None,
-            })
-            .fold(f64::INFINITY, f64::min);
-        if min_gpu.is_finite() {
-            min_gpu
-        } else {
-            crate::topology::HOST_COMBINE_BW_GIB_S
-        }
+        GpuParams::a100().dram_bw_gib_s
     }
 }
 
@@ -208,35 +114,15 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_kinds() {
-        let pool = DevicePool::new(
-            vec![DeviceSpec::gpu_a100(), DeviceSpec::cpu(4)],
-            PoolConfig::default(),
-        );
-        assert_eq!(pool.devices[0].label(0), "gpu0");
-        assert_eq!(pool.devices[1].label(1), "cpu1");
-        assert_eq!(pool.devices[0].kind(), DeviceKind::Gpu);
-        assert!(!pool.all_host_memory());
+    fn every_device_is_labelled_gpu() {
+        assert_eq!(DevicePool::label(0), "gpu0");
+        assert_eq!(DevicePool::label(3), "gpu3");
     }
 
     #[test]
     fn gpu_pool_never_empty() {
         assert_eq!(DevicePool::gpus(0).len(), 1);
         assert_eq!(DevicePool::gpus(4).len(), 4);
-    }
-
-    #[test]
-    fn cpu_pool_uses_host_combine_bandwidth() {
-        let pool = DevicePool::new(
-            vec![DeviceSpec::cpu(2), DeviceSpec::cpu(2)],
-            PoolConfig::default(),
-        );
-        assert!(pool.all_host_memory());
-        assert_eq!(
-            pool.combine_bw_gib_s(),
-            crate::topology::HOST_COMBINE_BW_GIB_S
-        );
-        let gpus = DevicePool::gpus(2);
-        assert!(gpus.combine_bw_gib_s() > 1000.0);
+        assert!(DevicePool::gpus(2).combine_bw_gib_s() > 1000.0);
     }
 }

@@ -1,6 +1,9 @@
 //! Stage 1 — **dispatch**: run every shard of a level on its device.
 //!
-//! The shards of one partitioning level are one parallel region on the
+//! Every device of the pool is the same simulated A100, so one simulator
+//! runs every shard: its bytes are computed on the host and its time is
+//! the analytic GPU model, whichever device the shard landed on. The
+//! shards of one partitioning level are one parallel region on the
 //! executor's single thread pool; each shard's own execution is a nested
 //! region on a width-scoped handle of the *same* pool. No thread is
 //! spawned per launch. Nesting cannot deadlock: the thread that opens a
@@ -17,24 +20,15 @@
 //! faults are pure functions of `(plan, device, launch)`, so chaos runs
 //! replay bit-for-bit.
 
-use crate::device::{DevicePool, DeviceSpec};
 use crate::exec::DistExecutor;
-use mdh_backend::cpu::CpuExecutor;
-use mdh_backend::gpu::GpuSim;
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
-use mdh_core::error::{MdhError, Result};
+use mdh_core::error::Result;
 use mdh_lowering::asm::DeviceKind;
 use mdh_lowering::heuristics::mdh_default_schedule;
 use mdh_lowering::partition::PartitionPlan;
 use mdh_lowering::schedule::Schedule;
 use rayon::prelude::*;
-use std::time::Instant;
-
-pub(crate) enum Runner {
-    Cpu(CpuExecutor),
-    Gpu(GpuSim),
-}
 
 /// One shard attempt's outcome after the retry loop.
 pub(crate) struct Attempt {
@@ -48,46 +42,13 @@ pub(crate) struct Attempt {
     /// modelled deadline; without one the hang escalated to a crash
     /// (counted in `injected_hangs`, not `injected_crashes`).
     pub hung: bool,
-    /// Outputs and execution time (modelled for GPU, measured for CPU,
-    /// plus retry backoff); `None` when the device died — injected crash,
-    /// retries exhausted, or a hang with no watchdog armed. A hung
-    /// attempt keeps the outputs it *would* have produced for the
-    /// debug-build equality assertion against the hedge.
+    /// Modelled backoff of the transient retries before the attempt ran.
+    pub backoff_ms: f64,
+    /// Outputs and modelled execution time; `None` when the device died —
+    /// injected crash, retries exhausted, or a hang with no watchdog
+    /// armed. A hung attempt keeps the outputs it *would* have produced:
+    /// its hedge delivers them.
     pub ran: Option<(Vec<Buffer>, f64)>,
-}
-
-/// The executor's thread pool and one runner per device on it. The pool
-/// is the caller's when one is supplied; otherwise it is built here, once,
-/// with one participant per device host thread (a CPU device's `threads`,
-/// 1 per simulated GPU), so every device of a level can compute at once.
-pub(crate) fn build_runners(
-    pool: &DevicePool,
-    exec_pool: Option<&rayon::ThreadPool>,
-) -> Result<(rayon::ThreadPool, Vec<Runner>)> {
-    let host_threads = |d: &DeviceSpec| match d {
-        DeviceSpec::Cpu { threads } => *threads,
-        DeviceSpec::Gpu(_) => 1,
-    };
-    let exec_pool = match exec_pool {
-        Some(p) => p.clone(),
-        None => rayon::ThreadPoolBuilder::new()
-            .num_threads(pool.devices.iter().map(host_threads).sum())
-            .build()
-            .map_err(|e| MdhError::Validation(format!("thread pool: {e}")))?,
-    };
-    let runners = pool
-        .devices
-        .iter()
-        .map(|d| match d {
-            DeviceSpec::Cpu { threads } => {
-                Runner::Cpu(CpuExecutor::with_pool(&exec_pool, *threads))
-            }
-            DeviceSpec::Gpu(gp) => {
-                Runner::Gpu(GpuSim::with_params_and_pool(gp.clone(), &exec_pool, 1))
-            }
-        })
-        .collect();
-    Ok((exec_pool, runners))
 }
 
 impl DistExecutor {
@@ -125,6 +86,7 @@ impl DistExecutor {
             retries,
             transients,
             hung,
+            backoff_ms: 0.0,
             ran: None,
         };
         if crashed || (hung && !self.heal.hedging()) {
@@ -141,54 +103,33 @@ impl DistExecutor {
             backoff_ms += self.retry.backoff_ms(retries);
             retries += 1;
         }
-        let (outs, exec_ms) = self.run_shard(device, prog, inputs)?;
+        let (outs, report) = self.sim.run(prog, &self.shard_schedule(prog), inputs)?;
         Ok(Attempt {
             retries,
             transients: retries,
             hung,
-            ran: Some((outs, exec_ms + backoff_ms)),
+            backoff_ms,
+            ran: Some((outs, report.time_ms)),
         })
     }
 
-    /// Run one shard program on a device; returns outputs and exec time
-    /// (analytic for the GPU simulator, measured for CPU).
-    pub(crate) fn run_shard(
-        &self,
-        device: usize,
-        prog: &DslProgram,
-        inputs: &[Buffer],
-    ) -> Result<(Vec<Buffer>, f64)> {
-        match &self.runners[device] {
-            Runner::Cpu(exec) => {
-                let schedule = shard_schedule(prog, DeviceKind::Cpu, exec.threads);
-                let t0 = Instant::now();
-                let outs = exec.run(prog, &schedule, inputs)?;
-                Ok((outs, t0.elapsed().as_secs_f64() * 1e3))
-            }
-            Runner::Gpu(sim) => {
-                let schedule = shard_schedule(prog, DeviceKind::Gpu, sim.params.num_sms * 32);
-                let (outs, report) = sim.run(prog, &schedule, inputs)?;
-                Ok((outs, report.time_ms))
-            }
+    /// Default schedule for a shard program on the pool's GPU model.
+    /// General (non-affine) input accesses have no computable footprint,
+    /// so staging — which must validate the staged block footprint
+    /// against shared memory — is disabled for them.
+    pub(crate) fn shard_schedule(&self, prog: &DslProgram) -> Schedule {
+        let units = self.sim.params.num_sms * 32;
+        let mut s = mdh_default_schedule(prog, DeviceKind::Gpu, units);
+        if prog
+            .inp_view
+            .accesses
+            .iter()
+            .any(|a| a.index_fn.as_affine().is_none())
+        {
+            s.stage_inputs = false;
         }
+        s
     }
-}
-
-/// Default schedule for a shard program. General (non-affine) input
-/// accesses have no computable footprint, so staging — which must
-/// validate the staged block footprint against shared memory — is
-/// disabled for them.
-pub(crate) fn shard_schedule(prog: &DslProgram, device: DeviceKind, units: usize) -> Schedule {
-    let mut s = mdh_default_schedule(prog, device, units);
-    if prog
-        .inp_view
-        .accesses
-        .iter()
-        .any(|a| a.index_fn.as_affine().is_none())
-    {
-        s.stage_inputs = false;
-    }
-    s
 }
 
 #[cfg(test)]

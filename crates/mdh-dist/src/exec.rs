@@ -20,14 +20,13 @@
 use crate::account::{output_bytes, Ledger};
 pub use crate::account::{DistReport, MemLaunchStats, ShardReport};
 use crate::device::{DeviceHealth, DevicePool};
-use crate::dispatch::{build_runners, shard_schedule, Runner};
 use crate::fault::{FaultPlan, FaultStats, HealPolicy, RetryPolicy};
 use crate::heal::HealthSlot;
 use crate::recombine::recombine;
+use mdh_backend::gpu::GpuSim;
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
-use mdh_lowering::asm::DeviceKind;
 use mdh_lowering::partition::PartitionPlan;
 use mdh_mem::MemPool;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,9 +44,11 @@ pub(crate) fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// from the faults of an optional [`FaultPlan`].
 pub struct DistExecutor {
     pub(crate) pool: DevicePool,
-    /// The one thread pool shards and their runners execute on.
+    /// The one thread pool shards execute on.
     pub(crate) exec_pool: rayon::ThreadPool,
-    pub(crate) runners: Vec<Runner>,
+    /// The one A100 simulator every device of the pool shares; its host
+    /// half is a width-1 handle of `exec_pool`.
+    pub(crate) sim: GpuSim,
     pub(crate) faults: FaultPlan,
     pub(crate) retry: RetryPolicy,
     /// Self-healing knobs. The default policy disables hedging and
@@ -79,10 +80,9 @@ impl DistExecutor {
     }
 
     /// Like [`DistExecutor::with_faults`] under an explicit
-    /// [`RetryPolicy`], with shards and every device runner sharing
-    /// `exec_pool`'s OS threads (width-scoped per device spec) — the
-    /// process-shareable-pool mode the runtime uses to avoid
-    /// oversubscription.
+    /// [`RetryPolicy`], with every shard running on `exec_pool`'s OS
+    /// threads — the process-shareable-pool mode the runtime uses to
+    /// avoid oversubscription.
     pub fn with_faults_policy_and_pool(
         pool: DevicePool,
         faults: FaultPlan,
@@ -98,15 +98,22 @@ impl DistExecutor {
         retry: RetryPolicy,
         exec_pool: Option<&rayon::ThreadPool>,
     ) -> Result<DistExecutor> {
-        if pool.is_empty() {
-            return Err(MdhError::Validation("device pool is empty".into()));
-        }
-        let (exec_pool, runners) = build_runners(&pool, exec_pool)?;
+        // without a caller's pool, build one once with one participant
+        // per simulated device, so every device of a level can compute
+        // at once
+        let exec_pool = match exec_pool {
+            Some(p) => p.clone(),
+            None => rayon::ThreadPoolBuilder::new()
+                .num_threads(pool.len())
+                .build()
+                .map_err(|e| MdhError::Validation(format!("thread pool: {e}")))?,
+        };
+        let sim = GpuSim::a100_with_pool(&exec_pool, 1);
         let health = Mutex::new(vec![HealthSlot::HEALTHY; pool.len()]);
         Ok(DistExecutor {
             pool,
             exec_pool,
-            runners,
+            sim,
             faults,
             retry,
             heal: HealPolicy::default(),
@@ -202,8 +209,7 @@ impl DistExecutor {
     /// taken from the analytic GPU cost model instead of a real run. No
     /// values are produced, so arbitrarily large problem sizes cost
     /// nothing to sweep; faults are not injected (the model is the
-    /// fault-free launch). Requires an all-GPU pool — CPU execution is
-    /// measured, not modelled.
+    /// fault-free launch).
     pub fn estimate(&self, prog: &DslProgram, inputs: &[Buffer]) -> Result<DistReport> {
         let (alive, plan) = self.plan_over_rotation(prog)?;
         // the estimate models the fault-free launch, so injected faults
@@ -213,17 +219,9 @@ impl DistExecutor {
         // (the regime serving cares about)
         let mut ledger = Ledger::new(inputs, None);
         for shard in &plan.shards {
-            let dev = alive[shard.index];
-            let Runner::Gpu(sim) = &self.runners[dev] else {
-                return Err(MdhError::Validation(
-                    "DistExecutor::estimate models all-GPU pools only; \
-                     pools with CPU devices must use run()"
-                        .into(),
-                ));
-            };
-            let schedule = shard_schedule(&shard.prog, DeviceKind::Gpu, sim.params.num_sms * 32);
-            let exec_ms = sim.estimate(&shard.prog, &schedule)?.time_ms;
-            let report = self.shard_report(&mut ledger, dev, shard, exec_ms, 0);
+            let schedule = self.shard_schedule(&shard.prog);
+            let exec_ms = self.sim.estimate(&shard.prog, &schedule)?.time_ms;
+            let report = self.shard_report(&mut ledger, alive[shard.index], shard, exec_ms, 0);
             ledger.per_shard.push(report);
         }
         let out_bytes = output_bytes(&mdh_core::eval::alloc_outputs(prog)?);
@@ -269,7 +267,7 @@ impl DistExecutor {
 
         let mut settled = Vec::with_capacity(plan.shards.len());
         for (shard, attempt) in plan.shards.iter().zip(attempts) {
-            settled.push(self.settle(ledger, alive[shard.index], shard, attempt?)?);
+            settled.push(self.settle(ledger, alive[shard.index], shard, attempt?));
         }
 
         let mut shard_outs = Vec::with_capacity(settled.len());

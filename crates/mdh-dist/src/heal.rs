@@ -15,10 +15,11 @@
 //!
 //! * **watchdog + hedge**: every attempt has a modelled completion
 //!   deadline — its fault-free time plus `hedge_ms`. A hang, or a
-//!   slow-link straggler stretched past the deadline, is speculatively
-//!   re-executed on a healthy spare and the first modelled completion
-//!   wins. Shard execution is deterministic, so the winner cannot change
-//!   bytes (debug builds assert it). Hang victims go to `Probation`.
+//!   slow-link straggler stretched past the deadline, is hedged on a
+//!   healthy spare and the first modelled completion wins. Every device
+//!   is the same model, so the spare would compute the victim's bytes in
+//!   the victim's time: the hedge reuses those bytes and is charged, not
+//!   run again. Hang victims go to `Probation`.
 //! * **probation & reinstatement**: every `probe_every` launches each
 //!   out-of-rotation device gets a deterministic health check against the
 //!   fault schedule. After `reinstate_after` consecutive passes (one for
@@ -33,7 +34,6 @@ use crate::dispatch::Attempt;
 use crate::exec::{plock, DistExecutor};
 use crate::fault::FaultStats;
 use mdh_core::buffer::Buffer;
-use mdh_core::error::Result;
 use mdh_lowering::partition::Shard;
 
 /// Per-device entry of the executor's health state machine.
@@ -135,9 +135,14 @@ impl DistExecutor {
         dev: usize,
         shard: &Shard,
         attempt: Attempt,
-    ) -> Result<Option<Vec<Buffer>>> {
+    ) -> Option<Vec<Buffer>> {
         let hedge_ms = self.heal.hedge_ms;
-        let Attempt { retries, hung, .. } = attempt;
+        let Attempt {
+            retries,
+            hung,
+            backoff_ms,
+            ..
+        } = attempt;
         ledger.faults.retries += u64::from(retries);
         ledger.faults.injected_transients += u64::from(attempt.transients);
         if hung {
@@ -148,31 +153,33 @@ impl DistExecutor {
                 ledger.faults.injected_crashes += 1;
             }
             self.lose(dev, &mut ledger.faults);
-            return Ok(None);
+            return None;
         };
+        // the device's charge: its run after the retries' backoff
+        let charged_ms = exec_ms + backoff_ms;
         if hung {
             // the victim uploaded (or hit residency), then hung in the
             // kernel: charge it up to the watchdog deadline, then abandon
             // it to probation
-            let victim = self.shard_report(ledger, dev, shard, exec_ms + hedge_ms, retries);
-            let deadline_ms = victim.h2d_ms + exec_ms + hedge_ms;
+            let victim = self.shard_report(ledger, dev, shard, charged_ms + hedge_ms, retries);
+            let deadline_ms = victim.h2d_ms + charged_ms + hedge_ms;
             if self.demote(dev) {
                 ledger.faults.probations += 1;
             }
             ledger.per_shard.push(victim);
             // a hung attempt never completes, so a hedge that ran has won
-            let hedged = self.hedge(ledger, dev, shard, &outs, deadline_ms, f64::INFINITY)?;
-            let Some((houts, hedge)) = hedged else {
+            let Some(hedge) = self.hedge(ledger, dev, shard, exec_ms, deadline_ms, f64::INFINITY)
+            else {
                 // no in-rotation spare to hedge on: the hang degenerates
                 // to a crash so recovery (or the all-devices-failed
                 // error) takes over
                 self.lose(dev, &mut ledger.faults);
-                return Ok(None);
+                return None;
             };
             ledger.per_shard.push(hedge);
-            return Ok(Some(houts));
+            return Some(outs);
         }
-        let mut report = self.shard_report(ledger, dev, shard, exec_ms, retries);
+        let mut report = self.shard_report(ledger, dev, shard, charged_ms, retries);
         let fair_h2d = report.h2d_ms;
         // slow-link injection on the modelled transfer: a stretch past
         // the timeout is charged at the timeout and the transfer retried
@@ -191,56 +198,49 @@ impl DistExecutor {
         }
         // straggler watchdog: the shard's completion deadline is its
         // fault-free span plus the hedge slack; a transfer stretched past
-        // it is speculatively re-run on a healthy spare and the first
-        // modelled completion wins (both produce identical bytes)
+        // it is hedged on a healthy spare and the first modelled
+        // completion wins (both deliver the same bytes)
         if self.heal.hedging() && report.h2d_ms > fair_h2d + hedge_ms {
-            let deadline_ms = fair_h2d + exec_ms + hedge_ms;
-            let straggler_done = report.h2d_ms + exec_ms;
+            let deadline_ms = fair_h2d + charged_ms + hedge_ms;
+            let straggler_done = report.h2d_ms + charged_ms;
             // hedge wins: the straggler's abandoned transfer frees the
             // link, and the hedge's report replaces the straggler's
-            if let Some((_, hedge)) =
-                self.hedge(ledger, dev, shard, &outs, deadline_ms, straggler_done)?
+            if let Some(hedge) =
+                self.hedge(ledger, dev, shard, exec_ms, deadline_ms, straggler_done)
             {
                 report = hedge;
             }
         }
         ledger.per_shard.push(report);
-        Ok(Some(outs))
+        Some(outs)
     }
 
-    /// Re-execute `shard` on the first in-rotation device other than
-    /// `victim`. The hedge starts when the watchdog fires, so its
-    /// completion is `deadline_ms` plus its own (possibly
-    /// residency-shortened) upload and execution, and its exec charge
-    /// carries the watchdog wait. Returns the hedge's outputs and report
-    /// if it ran and finished before `victim_done_ms`; `None` if there is
-    /// no spare or the victim wins.
+    /// Hedge `shard` on the first in-rotation device other than `victim`.
+    /// The spare is the victim's model, so it delivers the victim's bytes
+    /// after the same modelled `exec_ms` — without the victim's retry
+    /// backoff — and is charged, not run. The hedge starts when the
+    /// watchdog fires, so its completion is `deadline_ms` plus its own
+    /// (possibly residency-shortened) upload and `exec_ms`, and its exec
+    /// charge carries the watchdog wait. Returns the hedge's report if a
+    /// spare exists and finishes before `victim_done_ms`; `None` if there
+    /// is no spare or the victim wins.
     fn hedge(
         &self,
         ledger: &mut Ledger,
         victim: usize,
         shard: &Shard,
-        victim_outs: &[Buffer],
+        exec_ms: f64,
         deadline_ms: f64,
         victim_done_ms: f64,
-    ) -> Result<Option<(Vec<Buffer>, ShardReport)>> {
+    ) -> Option<ShardReport> {
         let spare = plock(&self.health)
             .iter()
             .enumerate()
-            .position(|(i, s)| i != victim && s.state.in_rotation());
-        let Some(spare) = spare else {
-            return Ok(None);
-        };
+            .position(|(i, s)| i != victim && s.state.in_rotation())?;
         ledger.faults.hedges += 1;
-        let (outs, exec_ms) = self.run_shard(spare, &shard.prog, ledger.inputs)?;
         let report = self.shard_report(ledger, spare, shard, deadline_ms + exec_ms, 0);
-        debug_assert_eq!(
-            victim_outs,
-            &outs[..],
-            "hedged re-execution diverged from the victim's attempt"
-        );
         let hedge_done = deadline_ms + report.h2d_ms + exec_ms;
-        Ok((hedge_done < victim_done_ms).then_some((outs, report)))
+        (hedge_done < victim_done_ms).then_some(report)
     }
 }
 
@@ -434,6 +434,40 @@ mod tests {
         let line = report.to_string();
         assert!(line.contains("dev1=probation"), "{line}");
         assert!(line.contains("hangs=1 hedges=1"), "{line}");
+    }
+
+    /// A hedge is charged the watchdog deadline plus one fault-free run
+    /// of the shard: the victim's retry backoff sits inside the deadline
+    /// once and is not charged again on the spare.
+    #[test]
+    fn hedge_charges_the_deadline_plus_one_fault_free_run() {
+        let prog = matvec(13, 37);
+        let inputs = matvec_inputs(13, 37);
+        // device 1 retries twice (0.5 + 1.0 ms of backoff), then hangs
+        let faults = FaultPlan::none().transient(1, 0, 2).hang(1, 0);
+        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults)
+            .unwrap()
+            .with_healing(healing(5.0, 0, 3));
+        let (outs, report) = dist.run(&prog, &inputs).unwrap();
+        assert_eq!(outs, single_device(&prog, &inputs));
+        assert_eq!(report.faults.hedges, 1);
+        let clean = DistExecutor::new(DevicePool::gpus(4)).unwrap();
+        let (_, clean) = clean.run(&prog, &inputs).unwrap();
+        let base = clean.per_shard.iter().find(|s| s.shard == 1).unwrap();
+        let shard1 = |on_victim: bool| {
+            let mut reports = report.per_shard.iter().filter(|s| s.shard == 1);
+            reports
+                .find(|s| (s.device_index == 1) == on_victim)
+                .unwrap()
+        };
+        let (victim, hedge) = (shard1(true), shard1(false));
+        assert_eq!(victim.retries, 2);
+        let want = victim.h2d_ms + victim.exec_ms + base.exec_ms;
+        assert!(
+            (hedge.exec_ms - want).abs() < 1e-9,
+            "hedge charged {} ms, want {want} ms",
+            hedge.exec_ms
+        );
     }
 
     #[test]

@@ -6,20 +6,20 @@
 //! per-dimension combine operators. This crate turns that guarantee into
 //! an executor:
 //!
-//! * [`device`] — [`device::DevicePool`]s of simulated GPUs and CPU
-//!   executors, with host/peer link and topology configuration;
-//! * [`topology`] — combine-topology cost model (serial chain vs binary
-//!   tree vs host-side gather) over the `transfer::LinkParams` links;
+//! * [`device`] — a [`device::DevicePool`] is `N` identical simulated
+//!   A100s behind one shared PCIe 4.0 host link, joined by NVLink3-class
+//!   peer links, plus the per-device health states;
 //! * [`exec`] — [`exec::DistExecutor`]: partitions a program's outermost
 //!   shardable dimension with `mdh_lowering::partition::PartitionPlan`
 //!   and runs the launch in four stages, one private module each —
 //!   `dispatch` (the shards of a level as one parallel region on the
-//!   executor's one thread pool), `heal` (settle every attempt: retries,
-//!   eviction and re-planning, the watchdog's hedge, the per-device
-//!   health state machine), `recombine` (partials in shard order through
-//!   `cc`/`pw(f)`/`ps(f)`/`rbi(f)`, a row at a time) and `account` (the
-//!   upload/execute/combine/download time model, with residency from an
-//!   attached `mdh_mem::MemPool`);
+//!   executor's one thread pool, every shard on the one A100 simulator),
+//!   `heal` (settle every attempt: retries, eviction and re-planning, the
+//!   watchdog's hedge, the per-device health state machine), `recombine`
+//!   (partials in shard order through `cc`/`pw(f)`/`ps(f)`/`rbi(f)`, a
+//!   row at a time) and `account` (the modelled upload/execute/combine/
+//!   download time — a binary combine tree, a serial scan chain — with
+//!   residency from an attached `mdh_mem::MemPool`);
 //! * [`fault`] — deterministic chaos: a seed-driven [`fault::FaultPlan`]
 //!   of crashes, flaps, transients, slow links, hangs and resident-buffer
 //!   corruption, and the [`fault::RetryPolicy`] / [`fault::HealPolicy`]
@@ -27,10 +27,10 @@
 //!
 //! Values never depend on the pool width, the fault schedule or
 //! residency: every launch is bit-identical to single-device execution.
+//! Every reported time is modelled; none is measured on the host.
 //! Programs with no shardable dimension degrade gracefully to one shard.
 
 #![allow(clippy::needless_range_loop)]
-#![allow(clippy::too_many_arguments)]
 mod account;
 pub mod device;
 mod dispatch;
@@ -40,9 +40,8 @@ mod heal;
 mod recombine;
 #[cfg(test)]
 mod testutil;
-pub mod topology;
 
-pub use device::{DeviceHealth, DevicePool, DeviceSpec, PoolConfig};
+pub use account::CombineCost;
+pub use device::{DeviceHealth, DevicePool};
 pub use exec::{DistExecutor, DistReport, MemLaunchStats, ShardReport};
 pub use fault::{FaultPlan, FaultStats, HealPolicy, RetryPolicy};
-pub use topology::{combine_cost, CombineCost, CombineTopology};

@@ -267,11 +267,6 @@ impl DeviceMemPool {
         self.stats.bytes_pooled = 0;
     }
 
-    /// Number of live resident blocks.
-    pub fn resident_blocks(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Revalidation of a resident block's fingerprint failed (the strided
     /// re-sample of the device copy no longer matches the key): drop the
     /// block so the caller's next [`DeviceMemPool::acquire`] misses into a
@@ -320,10 +315,6 @@ impl MemPool {
             versions: VersionTable::new(),
             budget_bytes,
         }
-    }
-
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
     }
 
     pub fn budget_bytes(&self) -> u64 {

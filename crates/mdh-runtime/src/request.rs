@@ -11,7 +11,7 @@ use mdh_core::error::{MdhError, Result};
 use mdh_lowering::asm::DeviceKind;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A request's operand set: one immutable allocation, shared by every
 /// launch that reads it. Operands are never written after submission
@@ -55,11 +55,6 @@ impl Request {
     pub fn with_deadline(mut self, deadline: Instant) -> Request {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Attach a deadline `ms` milliseconds from now.
-    pub fn with_deadline_ms(self, ms: u64) -> Request {
-        self.with_deadline(Instant::now() + Duration::from_millis(ms))
     }
 
     /// Bill this request to the named fair-queueing tenant.

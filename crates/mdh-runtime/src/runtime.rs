@@ -362,12 +362,6 @@ impl Runtime {
         &self.shared.exec
     }
 
-    /// Handle to the device-resident buffer pool, when one is active
-    /// (`devices > 1` and `mem_budget_bytes > 0`).
-    pub fn mem_pool(&self) -> Option<&Arc<MemPool>> {
-        self.shared.mem.as_ref()
-    }
-
     /// Declare that the host contents of the named buffer changed.
     /// Device-resident copies keyed under the old version stop matching,
     /// so the next launch re-uploads instead of reusing stale bytes.
@@ -417,10 +411,9 @@ impl Drop for Runtime {
 // worker side
 // ---------------------------------------------------------------------------
 
-/// The pool's device labels (`gpu0`, `cpu1`, ...), in pool order.
-fn device_labels(dist: &DistExecutor) -> impl Iterator<Item = String> + '_ {
-    let devices = dist.pool().devices.iter().enumerate();
-    devices.map(|(i, dev)| dev.label(i))
+/// The pool's device labels (`gpu0`, `gpu1`, ...), in pool order.
+fn device_labels(dist: &DistExecutor) -> impl Iterator<Item = String> {
+    (0..dist.pool().len()).map(DevicePool::label)
 }
 
 fn worker_loop(shared: &Shared) {

@@ -74,11 +74,6 @@ impl Tuner {
         }
     }
 
-    pub fn with_seed(mut self, seed: u64) -> Tuner {
-        self.seed = seed;
-        self
-    }
-
     /// Run the search. `cost` returns `None` for failing configurations.
     pub fn tune(&self, mut cost: impl FnMut(&Config) -> Option<f64>) -> TuningResult {
         let mut rng = StdRng::seed_from_u64(self.seed);

@@ -1,5 +1,5 @@
-//! Multi-device partitioned execution: scaling, combine topologies, and
-//! cross-device bit-identity.
+//! Multi-device partitioned execution: scaling and cross-device
+//! bit-identity.
 //!
 //! Three Fig. 3 case studies — MatMul (a `cc`-partitioned contraction),
 //! Dot (a reduction-heavy kernel whose partials flow through the
@@ -23,7 +23,7 @@
 use mdh::apps::registry::{instantiate, StudyId};
 use mdh::apps::spec::Scale;
 use mdh::core::buffer::{bits_hash, Buffer, BufferData};
-use mdh::dist::{CombineTopology, DevicePool, DeviceSpec, DistExecutor, PoolConfig};
+use mdh::dist::{DevicePool, DistExecutor};
 
 /// Integer-valued refill: exact in f32/f64, so partial-result
 /// reassociation across devices cannot introduce rounding.
@@ -66,67 +66,4 @@ fn main() {
         let (ref_outs, _) = reference.expect("reference recorded");
         println!("  output-hash {name} {:#018x}\n", bits_hash(&ref_outs));
     }
-
-    // --- combine topologies on the reduction-heavy kernel ---------------
-    println!("--- combine topologies (Dot, 4 devices) ---");
-    let mut dot = instantiate(
-        StudyId {
-            name: "Dot",
-            input_no: 1,
-        },
-        Scale::Small,
-    )
-    .expect("instantiate Dot");
-    exactify(&mut dot.inputs);
-    let mut hashes = Vec::new();
-    for topo in [
-        CombineTopology::Serial,
-        CombineTopology::Tree,
-        CombineTopology::HostGather,
-    ] {
-        let dist = DistExecutor::new(DevicePool::gpus(4).with_topology(topo)).expect("pool");
-        let (outs, report) = dist.run(&dot.program, &dot.inputs).expect("run");
-        println!(
-            "  {topo:<12} combine={:.4}ms ({} steps: xfer {:.4} + pass {:.4})  hot={:.4}ms",
-            report.combine.total_ms(),
-            report.combine.steps,
-            report.combine.transfer_ms,
-            report.combine.compute_ms,
-            report.hot_ms
-        );
-        hashes.push(bits_hash(&outs));
-    }
-    assert!(
-        hashes.windows(2).all(|w| w[0] == w[1]),
-        "topology must never change the value"
-    );
-    println!("  output-hash Dot/topologies {:#018x}\n", hashes[0]);
-
-    // --- heterogeneous pool: 2 GPUs + 1 CPU ------------------------------
-    println!("--- heterogeneous pool (gpu, cpu, gpu) on MatVec ---");
-    let mut mv = instantiate(
-        StudyId {
-            name: "MatVec",
-            input_no: 1,
-        },
-        Scale::Small,
-    )
-    .expect("instantiate MatVec");
-    exactify(&mut mv.inputs);
-    let single = DistExecutor::new(DevicePool::gpus(1)).expect("pool");
-    let (ref_outs, _) = single.run(&mv.program, &mv.inputs).expect("run");
-    let hetero = DistExecutor::new(DevicePool::new(
-        vec![
-            DeviceSpec::gpu_a100(),
-            DeviceSpec::cpu(2),
-            DeviceSpec::gpu_a100(),
-        ],
-        PoolConfig::default(),
-    ))
-    .expect("pool");
-    let (outs, report) = hetero.run(&mv.program, &mv.inputs).expect("run");
-    assert_eq!(outs, ref_outs, "heterogeneous pool diverged");
-    let devices: Vec<String> = report.per_shard.iter().map(|s| s.device.clone()).collect();
-    println!("  shards on {:?}: bit-identical to single device", devices);
-    println!("  output-hash MatVec/hetero {:#018x}", bits_hash(&outs));
 }
