@@ -39,12 +39,7 @@
 //! Prefix-sum (`ps`) programs get the classic reverse-scan adjoint: the
 //! same scan with both accesses reversed along the scan dimension
 //! (`i ↦ n−1−i`), i.e. `x̄ = reverse-cumsum(ȳ)`.
-//!
-//! The [`rewrite`] module additionally recognises the O(n²)
-//! "dependent-reduction" pattern (a triangular-masked quadratic reduction)
-//! and rewrites it to an O(n) `ps` scan before differentiation.
 
-pub mod rewrite;
 pub mod sf_diff;
 
 use mdh_core::buffer::Buffer;

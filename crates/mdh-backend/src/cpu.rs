@@ -104,7 +104,7 @@ impl fmt::Display for Route {
 ///
 /// The pool handle is cloneable and process-shareable: build one pool
 /// and hand width-scoped handles to every executor (runtime workers,
-/// `mdh-dist` CPU devices, the GPU simulator's host threads) via
+/// the GPU simulator's host threads, which every `mdh-dist` device runs on) via
 /// [`CpuExecutor::with_pool`] so the process runs a single set of OS
 /// threads instead of one pool per executor.
 pub struct CpuExecutor {

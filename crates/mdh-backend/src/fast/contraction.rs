@@ -67,10 +67,10 @@ use rayon::prelude::*;
 /// FMAs.
 pub(crate) const MR: usize = 8;
 pub(crate) const NR: usize = 2 * LANES;
-/// Block sizes, picked by the sweep recorded in DESIGN §15. `KC` reduction
-/// steps per packed panel: a `KC x NR` B micro-panel (32 KiB) stays in L1
-/// while the A block streams past it, and the partial is stored and
-/// reloaded once per `KC` steps.
+/// Block sizes, picked by the KC / MC / NC sweep in EXPERIMENTS.md. `KC`
+/// reduction steps per packed panel: a `KC x NR` B micro-panel (32 KiB)
+/// stays in L1 while the A block streams past it, and the partial is
+/// stored and reloaded once per `KC` steps.
 pub(crate) const KC: usize = 256;
 /// Rows per packed A block (`MC x KC` f64 = 128 KiB, L2-resident; the
 /// block's partial rows, one page apart at paper sizes, fit the L1 dTLB).

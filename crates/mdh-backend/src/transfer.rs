@@ -32,8 +32,8 @@ impl LinkParams {
     /// per direction ≈ 300 GB/s aggregate; we model the ~250 GiB/s a single
     /// peer pair sustains, with much lower setup latency than a
     /// host-mediated PCIe DMA). Used for intra-pool peer combines in
-    /// `mdh-dist`, where the serial/tree topology choice multiplies this
-    /// link's cost by N-1 or log2(N) respectively.
+    /// `mdh-dist`: a `pw`/`rbi` combine tree pays this link ⌈log2(N)⌉
+    /// times, a `ps` carry chain N-1 times.
     pub fn nvlink3() -> LinkParams {
         LinkParams {
             bandwidth_gib_s: 250.0,

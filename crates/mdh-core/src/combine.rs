@@ -43,22 +43,6 @@ pub enum DimBehavior {
     Collapse,
 }
 
-/// How we know a combine function is associative — the property every
-/// decomposition (tiling, thread chunking, *multi-device partitioning*)
-/// rests on. The partitioner consults this to decide which dimensions are
-/// legal to shard and how aggressively partial results may be re-grouped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Associativity {
-    /// Associative by construction (the built-in operators; exact over
-    /// integral values, associative-up-to-rounding over floats).
-    Proven,
-    /// Associative by the MDH contract: user-supplied combine functions
-    /// *must* be associative for the homomorphism laws to hold. We cannot
-    /// prove it statically; [`PwFunc::check_associative`] is the empirical
-    /// hook for validating the assumption.
-    Assumed,
-}
-
 /// Natively-supported point-wise reduction functions. These are the
 /// operators existing directive systems (OpenMP/OpenACC) can also express —
 /// the capability matrix in `mdh-baselines` keys off this distinction.
@@ -401,14 +385,6 @@ impl PwFunc {
         }
     }
 
-    /// Provenance of this function's associativity (see [`Associativity`]).
-    pub fn associativity(&self) -> Associativity {
-        match &self.kind {
-            PwKind::Builtin(_) => Associativity::Proven,
-            PwKind::Custom(_) => Associativity::Assumed,
-        }
-    }
-
     /// Whether reordering operands (not just re-grouping) is known to be
     /// safe. All built-in reductions are commutative; custom functions are
     /// only required to be associative, so partial results from distinct
@@ -418,9 +394,12 @@ impl PwFunc {
     }
 
     /// Empirically check associativity on the given sample tuples
-    /// (`f(f(a,b),c) == f(a,f(b,c))`). Custom operators are *required* to be
-    /// associative for parallelisation to be legal; this is the property
-    /// test hook.
+    /// (`f(f(a,b),c) == f(a,f(b,c))`). Custom combine functions must be
+    /// associative by the MDH contract for the homomorphism laws — and so
+    /// every tiling, thread split and device partition — to hold; that
+    /// cannot be proved statically, so this is the property test hook.
+    /// The built-in operators are associative by construction (exactly
+    /// over integral values, up to rounding over floats).
     pub fn check_associative(&self, samples: &[Tuple], rel_tol: f64) -> Result<bool> {
         for a in samples {
             for b in samples {
@@ -541,33 +520,6 @@ impl CombineOp {
     /// Whether this is an indexed reduction (`rbi`) dimension.
     pub fn is_indexed_reduction(&self) -> bool {
         matches!(self, CombineOp::Rbi(_))
-    }
-
-    /// Provenance of the operator's associativity. Concatenation is
-    /// associative by construction (list concatenation); `pw`/`ps` inherit
-    /// their combine function's provenance.
-    pub fn associativity(&self) -> Associativity {
-        match self {
-            CombineOp::Cc => Associativity::Proven,
-            CombineOp::Pw(f) | CombineOp::Ps(f) | CombineOp::Rbi(f) => f.associativity(),
-        }
-    }
-
-    /// Whether a dimension governed by this operator may be partitioned
-    /// across devices, and with which recombination obligation:
-    ///
-    /// * `cc` — always shardable; shards own disjoint output regions and
-    ///   need no cross-device combine;
-    /// * `pw(f)` — shardable because `f` is associative (proven or by
-    ///   contract); shards produce *partial* outputs that must flow through
-    ///   a combine tree;
-    /// * `ps(f)` — shardable, but recombination is an ordered carry chain
-    ///   (the `Q`-part rule of Listing 17), so the combine topology is
-    ///   forced serial.
-    pub fn device_shardable(&self) -> bool {
-        match self.associativity() {
-            Associativity::Proven | Associativity::Assumed => true,
-        }
     }
 
     /// Whether the operator is expressible in OpenMP/OpenACC `reduction`
@@ -897,24 +849,14 @@ mod tests {
     }
 
     #[test]
-    fn rbi_display_and_shardable() {
+    fn rbi_display() {
         assert_eq!(CombineOp::rbi_add().to_string(), "rbi(add)");
-        assert_eq!(CombineOp::rbi_add().associativity(), Associativity::Proven);
-        assert!(CombineOp::rbi_add().device_shardable());
     }
 
     #[test]
-    fn associativity_metadata() {
-        assert_eq!(CombineOp::cc().associativity(), Associativity::Proven);
-        assert_eq!(CombineOp::pw_add().associativity(), Associativity::Proven);
-        assert_eq!(CombineOp::ps_add().associativity(), Associativity::Proven);
-        let custom = CombineOp::Pw(prl_like());
-        assert_eq!(custom.associativity(), Associativity::Assumed);
-        assert!(custom.device_shardable());
+    fn only_builtins_are_commutative() {
         assert!(!prl_like().is_commutative());
         assert!(PwFunc::builtin(BuiltinReduce::Max).is_commutative());
-        assert!(CombineOp::cc().device_shardable());
-        assert!(CombineOp::pw_add().device_shardable());
     }
 
     #[test]

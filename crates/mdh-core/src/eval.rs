@@ -37,7 +37,7 @@ impl Intermediate {
     /// Combine two intermediates along dimension `d` with the given
     /// operator. Both operands must agree on all other extents. This is the
     /// "⊗_d" of the MDH formalism applied to finished parts, used by the
-    /// homomorphism-law tests and by the parallel backends' combine stage.
+    /// recursive evaluator and the homomorphism-law checks (`laws.rs`).
     pub fn combine_along(
         d: usize,
         op: &CombineOp,
@@ -163,7 +163,6 @@ fn rec(
     }
     let op = &prog.md_hom.combine_ops[d];
     let mut acc: Option<Intermediate> = None;
-    let mut scan_count = 0usize;
     for i in range.lo[d]..range.hi[d] {
         prefix[d] = i;
         let child = rec(prog, inputs, range, d + 1, prefix)?;
@@ -174,38 +173,23 @@ fn rec(
             extents,
             elems: child.elems,
         };
+        // the lifted children combine along their axis 0 with `op` itself
         acc = Some(match acc {
-            None => {
-                scan_count = 1;
-                child
-            }
-            Some(prev) => {
-                scan_count += 1;
-                let _ = scan_count;
-                Intermediate::combine_along(0, &lift_op(op), &prev, &child)?
-            }
+            None => child,
+            Some(prev) => Intermediate::combine_along(0, op, &prev, &child)?,
         });
     }
     prefix[d] = range.lo[d];
     match acc {
         Some(i) => Ok(i),
         None => {
-            // empty extent: produce an empty intermediate
-            let mut extents = vec![0];
-            extents.extend(vec![0; rank - d - 1].iter().map(|_| 0usize));
-            // child extents unknown for empty ranges; use zeros
+            // empty extent: child extents are unknown, so every one is 0
             Ok(Intermediate {
-                extents,
+                extents: vec![0; rank - d],
                 elems: vec![],
             })
         }
     }
-}
-
-/// At recursion depth the axis being combined is axis 0 of the lifted
-/// children; the operator itself is unchanged.
-fn lift_op(op: &CombineOp) -> CombineOp {
-    op.clone()
 }
 
 /// Write a finished intermediate into freshly-allocated output buffers.

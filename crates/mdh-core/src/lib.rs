@@ -52,9 +52,7 @@ pub mod views;
 /// Commonly-used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::buffer::{Buffer, BufferData};
-    pub use crate::combine::{
-        Associativity, BuiltinReduce, CombineOp, DimBehavior, PwFunc, PwKind,
-    };
+    pub use crate::combine::{BuiltinReduce, CombineOp, DimBehavior, PwFunc, PwKind};
     pub use crate::dsl::{DslBuilder, DslProgram, MdHom, ProgramStats};
     pub use crate::error::MdhError;
     pub use crate::eval::evaluate_recursive;

@@ -18,11 +18,10 @@
 //!   produces a full-shape *partial* output.
 //!
 //! Which recombination the executor owes is captured by
-//! [`PartitionStrategy`]; dimensions are only eligible when their combine
-//! operator reports [`mdh_core::combine::CombineOp::device_shardable`] and
-//! every access touching them is affine (a general index function cannot
-//! be translated). When no dimension qualifies the plan degrades to a
-//! single shard running the unmodified program.
+//! [`PartitionStrategy`]; a dimension is eligible when every access touching
+//! it is affine (a general index function cannot be translated). When no
+//! dimension qualifies the plan degrades to a single shard running the
+//! unmodified program.
 
 use crate::plan::split_even;
 use mdh_core::combine::CombineOp;
@@ -255,7 +254,7 @@ fn choose_dim(prog: &DslProgram) -> (Option<(usize, PartitionStrategy)>, bool) {
     let mut best: Option<(usize, PartitionStrategy)> = None;
     let mut blocked_by_general = false;
     for (d, op) in prog.md_hom.combine_ops.iter().enumerate() {
-        if prog.md_hom.sizes[d] < 2 || !op.device_shardable() {
+        if prog.md_hom.sizes[d] < 2 {
             continue;
         }
         // rbi dims are always translatable: affine accesses absorb the

@@ -212,10 +212,10 @@ pub struct Runtime {
 impl Runtime {
     pub fn new(config: RuntimeConfig) -> Result<Runtime> {
         // one physical pool of exec_threads for the whole runtime: the
-        // CPU executor, the GPU simulator's host execution, and every
-        // mdh-dist CPU device share its OS threads through width-scoped
-        // handles instead of spawning a pool each (which oversubscribed
-        // the machine once pool threads became persistent)
+        // CPU executor and the GPU simulator's host execution (which every
+        // mdh-dist device runs on) share its OS threads through
+        // width-scoped handles instead of spawning a pool each (which
+        // oversubscribed the machine once pool threads became persistent)
         let exec = CpuExecutor::new(config.exec_threads.max(1))?;
         let pool = exec.pool().clone();
         let sim = GpuSim::a100_with_pool(&pool, config.exec_threads.max(1));
