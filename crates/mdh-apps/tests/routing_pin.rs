@@ -3,26 +3,30 @@
 //! adjoint part of each, plus f64 MatVec/MatMul and a `ps` scan compiled
 //! from directive sources — with the `ExecPath` it takes and the hash of
 //! its output bits on one pinned width-4 plan at `Scale::Small`. Every row
-//! must reproduce its golden at widths 1/2/4; a `Fast` row must also match
-//! the VM bitwise. A program that falls off the fast path (or joins it),
-//! or whose bits move, fails here by name.
+//! must reproduce its golden at widths 1/2/4 and equal the oracle,
+//! `mdh_core::eval::eval_planned`, on the same plan, whatever its path. A
+//! program that falls off the fast path (or joins it), or whose bits move,
+//! fails here by name.
 //!
-//! To re-baseline after a deliberate change of reduction order: run this
-//! test, paste the table it prints over `PINNED`, review the diff.
+//! To re-baseline after a deliberate change of reduction order (which
+//! moves `eval_planned` with the engines): run this test, paste the table
+//! it prints over `PINNED`, review the diff.
 
 use mdh_apps::{
     instantiate, instantiate_adjoints, AppInstance, Scale, StudyId, FIG3_STUDIES, TRAINING_STUDIES,
 };
 use mdh_backend::fast;
+use mdh_backend::CpuExecutor;
 use mdh_backend::ExecPath::{self, Fast, Reference, Vm};
-use mdh_backend::{vm_exec, CpuExecutor};
 use mdh_core::buffer::{bits_hash, Buffer};
 use mdh_core::dsl::DslProgram;
+use mdh_core::eval::eval_planned;
 use mdh_core::shape::Shape;
 use mdh_directive::{compile, compile_c, DirectiveEnv};
 use mdh_lowering::plan::ExecutionPlan;
 use mdh_lowering::{mdh_default_schedule, DeviceKind};
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
 const EXTRA_STUDIES: &[StudyId] = &[
     StudyId {
@@ -232,6 +236,7 @@ fn every_registered_program_takes_its_pinned_path_and_reproduces_its_golden() {
     let (hits0, fallbacks0) = fast::registry().counters();
     let mut measured: Vec<(&str, usize, ExecPath, u64)> = Vec::new();
     let mut moved = Vec::new();
+    let mut oracle_time = Duration::ZERO;
     for app in &apps {
         let name = app.program.name.as_str();
         let path = autos[0].path_for(&app.program);
@@ -252,11 +257,18 @@ fn every_registered_program_takes_its_pinned_path_and_reproduces_its_golden() {
                 app.input_no
             );
         }
-        if path == Fast {
-            let vm = vm_exec::run(&app.program, &plan, &app.inputs, base.pool())
-                .unwrap_or_else(|e| panic!("{name} on the VM: {e}"));
-            assert_eq!(hashes[0], bits_hash(&vm), "{name} diverged from the VM");
-        } else {
+        let ranges = plan.tasks.iter().map(|t| t.range.clone()).collect();
+        let groups = plan.grouped(ranges).unwrap();
+        let t0 = Instant::now();
+        let oracle = eval_planned(&app.program, &app.inputs, &groups)
+            .unwrap_or_else(|e| panic!("{name} in eval_planned: {e}"));
+        oracle_time += t0.elapsed();
+        assert_eq!(
+            hashes[0],
+            bits_hash(&oracle),
+            "{name} diverged from eval_planned"
+        );
+        if path != Fast {
             let reason = fast::classify(&app.program).err();
             assert!(
                 reason.is_some_and(|r| !r.is_empty()),
@@ -272,10 +284,14 @@ fn every_registered_program_takes_its_pinned_path_and_reproduces_its_golden() {
         }
         measured.push((name, app.input_no, path, hashes[0]));
     }
+    eprintln!(
+        "eval_planned over {} rows: {oracle_time:.2?}",
+        measured.len()
+    );
     let (hits1, fallbacks1) = fast::registry().counters();
     let rows = |p: ExecPath| measured.iter().filter(|r| r.2 == p).count();
     // this test is the only one in its process, so the process-wide
-    // counters move by exactly this table's traffic (the VM runs count nothing)
+    // counters move by exactly this table's traffic (`eval_planned` counts nothing)
     assert_eq!(
         (hits1 - hits0) as usize,
         WIDTHS.len() * rows(Fast),

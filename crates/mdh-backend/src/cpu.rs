@@ -10,14 +10,13 @@
 //!    else with affine input accesses and scalar outputs (custom combine
 //!    operators, records, f64 maps, custom or integer `ps` scans, `rbi`
 //!    indexed reductions),
-//! 3. `Reference` — the sequential reference evaluator (always correct).
+//! 3. `Reference` — the sequential reference evaluator,
+//!    `mdh_core::eval::eval_planned`, on the plan.
 //!
 //! The runtime keeps one route per cached plan and runs it on every hit
 //! ([`CpuExecutor::run_routed`]); [`CpuExecutor::run_planned`] routes
-//! per call. `Fast` is bit-identical to `Vm` on the same plan — there is
-//! one fold order, the VM's. All paths implement the same decomposition
-//! semantics, so they agree with `mdh_core::eval::evaluate_recursive` up
-//! to the reassociation the plan's reduction splits introduce.
+//! per call. Every path computes the bits `eval_planned` defines on the
+//! same plan: one fold order, one precision.
 
 use crate::fast::{self, FastKernel};
 use crate::vm::CompiledSf;
@@ -212,7 +211,8 @@ impl CpuExecutor {
             }
             Kind::Reference { .. } => {
                 fast::registry().record_fallback();
-                eval::evaluate_recursive(prog, inputs)
+                let ranges = plan.tasks.iter().map(|t| t.range.clone()).collect();
+                eval::eval_planned(prog, inputs, &plan.grouped(ranges)?)
             }
         }
     }
@@ -294,6 +294,54 @@ mod tests {
                 got[0].approx_eq(&expect[0], 1e-4),
                 "schedule par={par:?} tree={tree}"
             );
+        }
+    }
+
+    /// A program read through a general index function runs the reference
+    /// evaluator; its affine twin runs a kernel. On one plan, with the
+    /// reduction split and inexact f32 data, both produce the oracle's
+    /// bits: the route does not choose them.
+    #[test]
+    fn the_reference_route_and_its_affine_twin_agree_bitwise() {
+        let (i, k) = (7, 300);
+        let general = IndexFn::General {
+            out_rank: 2,
+            f: std::sync::Arc::new(|idx: &[usize], out: &mut [usize]| out.copy_from_slice(idx)),
+            label: "identity".into(),
+        };
+        let twin = |m_access| {
+            DslBuilder::new("matvec", vec![i, k])
+                .out_buffer("w", BasicType::F32)
+                .out_access("w", IndexFn::select(2, &[0]))
+                .inp_buffer_with_shape("M", BasicType::F32, vec![i, k])
+                .inp_access("M", m_access)
+                .inp_buffer("v", BasicType::F32)
+                .inp_access("v", IndexFn::select(2, &[1]))
+                .scalar_function(ScalarFunction::mul2("f_mul", ScalarKind::F32))
+                .combine_ops(vec![CombineOp::cc(), CombineOp::pw_add()])
+                .build()
+                .unwrap()
+        };
+        let (reference, affine) = (twin(general), twin(IndexFn::identity(2, 2)));
+        let ex = exec();
+        assert_eq!(ex.path_for(&reference), ExecPath::Reference);
+        assert_ne!(ex.path_for(&affine), ExecPath::Reference);
+        let mut m = Buffer::zeros("M", BasicType::F32, Shape::new(vec![i, k]));
+        m.fill_with(|f| ((f * 7919) % 1013) as f64 / 97.0 - 5.2);
+        let mut v = Buffer::zeros("v", BasicType::F32, Shape::new(vec![k]));
+        v.fill_with(|f| ((f * 131) % 17) as f64 / 3.0);
+        let inputs = vec![m, v];
+        let mut s = Schedule::sequential(2, DeviceKind::Cpu);
+        s.par_chunks = vec![2, 3];
+        s.reduction = ReductionStrategy::Tree;
+        let plan = ExecutionPlan::build(&affine, &s).unwrap();
+        let ranges = plan.tasks.iter().map(|t| t.range.clone()).collect();
+        let want = eval::eval_planned(&affine, &inputs, &plan.grouped(ranges).unwrap()).unwrap();
+        for prog in [&reference, &affine] {
+            let got = ex.run_planned(prog, &s, &plan, &inputs).unwrap();
+            let bits = |b: &Buffer| b.as_f32().unwrap().iter().map(|x| x.to_bits()).collect();
+            let (got, want): (Vec<u32>, Vec<u32>) = (bits(&got[0]), bits(&want[0]));
+            assert_eq!(got, want, "{:?}", ex.path_for(prog));
         }
     }
 

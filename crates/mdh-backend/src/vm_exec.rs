@@ -30,7 +30,7 @@
 //! * **rbi mode** — an indexed reduction. The `rbi` dimension is cut into
 //!   [`RBI_CHUNKS`] fixed intervals; each chunk accumulates its points,
 //!   ascending, into a private typed partial of the full output, and the
-//!   partials are summed by a fixed pairwise tree. Neither depends on the
+//!   partials are summed by `eval`'s pairwise tree. Neither depends on the
 //!   pool width, so neither do the result bits. Per block, each output
 //!   access writes its points' flat offsets into a [`LANES`]-sized array
 //!   (a general index function writes its coordinates into a slice the
@@ -53,18 +53,11 @@ use mdh_core::buffer::Buffer;
 use mdh_core::combine::{fold_row, BuiltinReduce, CombineOp, Part, PwFunc, PwKind, Row};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
-use mdh_core::eval;
+use mdh_core::eval::{self, axis_split, RBI_CHUNKS};
 use mdh_core::shape::MdRange;
 use mdh_core::types::ScalarKind;
 use mdh_lowering::plan::{split_even, ExecutionPlan};
 use rayon::prelude::*;
-
-/// Fixed number of chunks rbi mode cuts the indexed dimension into. A
-/// *constant* — deliberately independent of the pool width — so the
-/// private-partial structure and the shape of the combine tree are
-/// identical at every thread count: result bits cannot depend on
-/// parallelism, only wall-clock does.
-const RBI_CHUNKS: usize = 16;
 
 /// One tuple in flat typed form: result `r` lives in `f[r]` or `i[r]`,
 /// whichever bank its kind selects.
@@ -771,16 +764,6 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Result<Partial> {
     Ok(Partial { extents, cols })
 }
 
-/// `(outer, extent, stride)` of axis `pos` in a row-major array: element
-/// `(o, s, t)` lives at `(o · extent + s) · stride + t`.
-fn axis_split(extents: &[usize], pos: usize) -> (usize, usize, usize) {
-    (
-        extents[..pos].iter().product(),
-        extents[pos],
-        extents[pos + 1..].iter().product(),
-    )
-}
-
 /// The rows of a local inclusive scan of a partial, row-major over its
 /// preserved `extents`, along axis `sd_pos`, front to back: per outer
 /// index, every element after the first slice combines with the one a
@@ -827,8 +810,7 @@ pub(crate) fn carry_rows(
 
 /// rbi mode (see the module docs): [`RBI_CHUNKS`] fixed intervals of the
 /// indexed dimension, each accumulated point-ascending into a private
-/// typed partial of the outputs, folded by the fixed tree of
-/// [`pairwise_sum`].
+/// typed partial of the outputs, summed by [`eval::sum_chunks`].
 fn run_rbi(
     prog: &DslProgram,
     dim: usize,
@@ -853,24 +835,7 @@ fn run_rbi(
             })
             .collect_into_vec(&mut chunk_outs);
     });
-    pairwise_sum(chunk_outs.into_iter().collect::<Result<_>>()?)
-}
-
-/// rbi mode's merge of its chunk partials: pair (0,1), (2,3), … per
-/// level, in chunk order, until one is left.
-fn pairwise_sum(mut layer: Vec<Vec<Buffer>>) -> Result<Vec<Buffer>> {
-    while layer.len() > 1 {
-        let mut pairs = std::mem::take(&mut layer).into_iter();
-        while let Some(mut lhs) = pairs.next() {
-            for (a, b) in lhs.iter_mut().zip(pairs.next().iter().flatten()) {
-                a.accumulate(b)?;
-            }
-            layer.push(lhs);
-        }
-    }
-    layer
-        .pop()
-        .ok_or_else(|| MdhError::Eval("rbi produced no partials".into()))
+    eval::sum_chunks(chunk_outs.into_iter().collect::<Result<_>>()?)
 }
 
 /// Accumulate one iteration sub-range into `outs`, visiting points in
@@ -1625,24 +1590,6 @@ mod tests {
         sf
     }
 
-    /// `eval::scatter_range` over rbi mode's decomposition: one call per
-    /// chunk interval, the partials merged by the same tree.
-    fn rbi_oracle(prog: &DslProgram, inputs: &[Buffer]) -> Result<Vec<Buffer>> {
-        let full = prog.md_hom.full_range();
-        let parts = split_even(prog.md_hom.sizes[0], RBI_CHUNKS)
-            .into_iter()
-            .map(|(lo, hi)| {
-                let mut range = full.clone();
-                range.lo[0] = lo;
-                range.hi[0] = hi;
-                let mut outs = eval::alloc_outputs(prog)?;
-                eval::scatter_range(prog, inputs, &range, &mut outs)?;
-                Ok(outs)
-            })
-            .collect::<Result<_>>()?;
-        pairwise_sum(parts)
-    }
-
     #[test]
     fn rbi_mode_equals_the_oracle_over_its_chunks_at_every_block_tail() {
         type Case = fn(usize, bool) -> (DslProgram, Vec<Buffer>);
@@ -1656,7 +1603,7 @@ mod tests {
             for n in SWEEP {
                 for exact in [true, false] {
                     let (prog, inputs) = case(n, exact);
-                    let want = bits_hash(&rbi_oracle(&prog, &inputs).unwrap());
+                    let want = bits_hash(&evaluate_recursive(&prog, &inputs).unwrap());
                     for width in [1, 2, 4] {
                         let got = run_at(&prog, &inputs, &[1, 1], width).unwrap();
                         let at = format!("{what} n={n} exact={exact} width={width}");

@@ -1,8 +1,8 @@
 //! Differential proof of the fast path's bit-identity contract.
 //!
 //! The fast kernels promise: for any eligible program and any FIXED
-//! execution plan, their output is bitwise equal to `vm_exec` on that
-//! same plan, at every pool width. This harness generates random affine
+//! execution plan, their output is bitwise equal to `vm_exec` and to
+//! `mdh_core::eval::eval_planned` on that same plan, at every pool width. This harness generates random affine
 //! `cc`/`pw` contraction programs over f32 and over f64 (including
 //! reduction-free products: the AD adjoint shapes), and random
 //! weighted-sum map programs
@@ -10,7 +10,7 @@
 //! random builtin scans over f32 and f64 (with signed zeros and NaNs) — with
 //! deliberately inexact (non-binary-float) fills, so any fold-order
 //! deviation must surface as a bit difference — and checks the kernel
-//! against the VM under pool widths 1, 2, and 4.
+//! and the VM against the oracle under pool widths 1, 2, and 4.
 //!
 //! Schedules are randomized too: per-dim parallel chunking (exercising
 //! the split-reduction group combine) and per-dim tile sizes (which no
@@ -22,6 +22,7 @@ use mdh_backend::vm_exec;
 use mdh_core::buffer::{Buffer, BufferData};
 use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc};
 use mdh_core::dsl::{DslBuilder, DslProgram};
+use mdh_core::eval::eval_planned;
 use mdh_core::expr::{Expr, ScalarFunction, Stmt};
 use mdh_core::index_fn::{AffineExpr, IndexFn};
 use mdh_core::shape::Shape;
@@ -578,22 +579,33 @@ fn build_plan(prog: &DslProgram, chunks: &[usize], tiles: &[usize]) -> Execution
     ExecutionPlan::build(prog, &s).expect("plan")
 }
 
-/// The core assertion: fast kernel output == `vm_exec` output, bitwise,
-/// on the same plan, at pool widths 1/2/4.
+/// `eval_planned` on `plan`: the bits every engine must produce.
+fn oracle(prog: &DslProgram, plan: &ExecutionPlan, inputs: &[Buffer]) -> Vec<Buffer> {
+    let ranges = plan.tasks.iter().map(|t| t.range.clone()).collect();
+    eval_planned(prog, inputs, &plan.grouped(ranges).unwrap()).expect("eval_planned")
+}
+
+/// The core assertion: `vm_exec` and the fast kernel at pool widths
+/// 1/2/4 both equal `eval_planned` on the same plan, bitwise.
 fn assert_fast_matches_vm(prog: &DslProgram, plan: &ExecutionPlan, inputs: &[Buffer]) {
     let kernel = fast::classify(prog).expect("generated program must be fast-eligible");
+    let want = oracle(prog, plan, inputs);
     let base = shared_base();
     let vm_pool = base.pool().with_width(1);
     let vm_out = vm_exec::run(prog, plan, inputs, &vm_pool).expect("vm_exec");
+    let name = &prog.name;
+    assert!(
+        bits_eq(&want, &vm_out),
+        "vm_exec diverged from eval_planned for {name}"
+    );
     for width in [1usize, 2, 4] {
         let pool = base.pool().with_width(width);
         let fast_out = kernel
             .run(prog, plan, inputs, &pool)
             .expect("fast kernel run");
         assert!(
-            bits_eq(&vm_out, &fast_out),
-            "fast path diverged from vm_exec at width {width} for {}",
-            prog.name
+            bits_eq(&want, &fast_out),
+            "fast path diverged from eval_planned at width {width} for {name}"
         );
     }
 }
@@ -718,4 +730,5 @@ fn executor_matches_the_vm_end_to_end() {
     assert!(hits1 > hits0, "eligible program must count a kernel hit");
     let vm_out = vm_exec::run(&prog, &plan, &inputs, exec.pool()).unwrap();
     assert!(bits_eq(&fast_out, &vm_out));
+    assert!(bits_eq(&fast_out, &oracle(&prog, &plan, &inputs)));
 }

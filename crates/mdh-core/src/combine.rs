@@ -414,20 +414,6 @@ impl PwFunc {
         }
         Ok(true)
     }
-
-    /// Empirically check commutativity on the given sample tuples.
-    pub fn check_commutative(&self, samples: &[Tuple], rel_tol: f64) -> Result<bool> {
-        for a in samples {
-            for b in samples {
-                let l = self.combine(a, b)?;
-                let r = self.combine(b, a)?;
-                if !l.iter().zip(&r).all(|(x, y)| x.approx_eq(y, rel_tol)) {
-                    return Ok(false);
-                }
-            }
-        }
-        Ok(true)
-    }
 }
 
 fn non_numeric() -> MdhError {

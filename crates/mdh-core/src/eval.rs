@@ -1,43 +1,50 @@
-//! Reference evaluator — the executable semantics of the MDH DSL.
+//! The reference evaluator: the one definition of a program's output bits.
 //!
-//! [`evaluate_recursive`] implements the *formal* MDH semantics directly:
-//! the iteration space is decomposed dimension by dimension, the scalar
-//! function is applied at each point, and partial results are put back
-//! together with the dimension's combine operator (`cc` stacks, `pw`
-//! folds, `ps` scans). This is the semantics all backends must agree
-//! with, and the object of the homomorphism-law property tests. Programs
-//! with an `rbi` dimension go to [`evaluate_scatter`], since their output
-//! positions are data-dependent.
+//! [`eval_planned`] computes a program on a plan's task groups by the
+//! rules every CPU engine follows (DESIGN §18): inputs widened to f64/i64;
+//! per task, one chain per preserved point over the collapsed points in
+//! ascending order, copy-initialised from its first term, then the `ps`
+//! scan; split `pw` groups folded into the owner, split `ps` chunks
+//! carried from the one before, the carry on the left; one narrowing
+//! store. `rbi` ignores the plan ([`RBI_CHUNKS`]). A program outside the
+//! engines' forms is built in `stages`, each group as one task.
+//! [`evaluate_recursive`] is the one-task case.
 
 use crate::buffer::Buffer;
-use crate::combine::{CombineOp, DimBehavior};
+use crate::combine::{BuiltinReduce, CombineOp, PwFunc};
 use crate::dsl::DslProgram;
 use crate::error::{MdhError, Result};
-use crate::shape::{MdRange, Shape};
-use crate::types::Tuple;
+use crate::shape::{split_even, MdRange, Shape};
+use crate::types::{Tuple, Value};
+use crate::views::Access;
 
-/// A dense multi-dimensional array of tuples: the intermediate result of
-/// the recursive semantics. Covers all `D` dimensions; collapsed dimensions
-/// have extent 1.
+/// The chunks [`split_even`] cuts an `rbi` program's first `rbi` dim
+/// into, whatever the pool width. Each chunk adds its points, ascending,
+/// into zeroed outputs — a result narrowed to its declared kind, then
+/// `prev + v` by the builtin add — and the chunk outputs are summed
+/// pairwise, (0,1), (2,3) …, by [`Buffer::accumulate`].
+pub const RBI_CHUNKS: usize = 16;
+
+/// A dense multi-dimensional array of tuples: one task's partial result.
+/// Covers all `D` dimensions; collapsed dimensions have extent 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Intermediate {
     pub extents: Vec<usize>,
     pub elems: Vec<Tuple>,
 }
 
+/// `(outer, extent, stride)` of axis `d` in a row-major array: element
+/// `(o, s, t)` lives at `(o · extent + s) · stride + t`.
+pub fn axis_split(extents: &[usize], d: usize) -> (usize, usize, usize) {
+    let (outer, rest) = extents.split_at(d);
+    (outer.iter().product(), rest[0], rest[1..].iter().product())
+}
+
 impl Intermediate {
-    fn shape(&self) -> Shape {
-        Shape::new(self.extents.clone())
-    }
-
-    pub fn get(&self, idx: &[usize]) -> &Tuple {
-        &self.elems[self.shape().linearize(idx)]
-    }
-
     /// Combine two intermediates along dimension `d` with the given
     /// operator. Both operands must agree on all other extents. This is the
     /// "⊗_d" of the MDH formalism applied to finished parts, used by the
-    /// recursive evaluator and the homomorphism-law checks (`laws.rs`).
+    /// homomorphism-law checks (`laws.rs`).
     pub fn combine_along(
         d: usize,
         op: &CombineOp,
@@ -51,176 +58,320 @@ impl Intermediate {
                 )));
             }
         }
+        let mut rhs = rhs.clone();
         match op {
-            CombineOp::Cc => {
-                // stack along axis d
-                let mut extents = lhs.extents.clone();
-                extents[d] += rhs.extents[d];
-                let out_shape = Shape::new(extents.clone());
-                let mut elems = vec![Tuple::new(); out_shape.len()];
-                for idx in Shape::new(lhs.extents.clone()).iter() {
-                    elems[out_shape.linearize(&idx)] = lhs.get(&idx).clone();
+            CombineOp::Pw(f) if (lhs.extents[d], rhs.extents[d]) == (1, 1) => {
+                for (b, a) in rhs.elems.iter_mut().zip(&lhs.elems) {
+                    *b = f.combine(a, b)?;
                 }
-                for idx in Shape::new(rhs.extents.clone()).iter() {
-                    let mut oidx = idx.clone();
-                    oidx[d] += lhs.extents[d];
-                    elems[out_shape.linearize(&oidx)] = rhs.get(&idx).clone();
-                }
-                Ok(Intermediate { extents, elems })
+                return Ok(rhs);
             }
-            CombineOp::Pw(f) => {
-                if lhs.extents[d] != 1 || rhs.extents[d] != 1 {
-                    return Err(MdhError::Eval(
-                        "pw combine_along expects collapsed operands".into(),
-                    ));
-                }
-                let mut elems = Vec::with_capacity(lhs.elems.len());
-                for (a, b) in lhs.elems.iter().zip(&rhs.elems) {
-                    elems.push(f.combine(a, b)?);
-                }
-                Ok(Intermediate {
-                    extents: lhs.extents.clone(),
-                    elems,
-                })
+            CombineOp::Pw(_) | CombineOp::Rbi(_) => {
+                return Err(MdhError::Eval(format!(
+                    "{op} combines collapsed partials only"
+                )))
             }
-            CombineOp::Rbi(_) => Err(MdhError::Eval(
-                "rbi dimensions are not combined through intermediates; \
-                 use the scatter evaluator"
-                    .into(),
-            )),
-            CombineOp::Ps(f) => {
-                // prefix-sum combine (Listing 17, contiguous split):
-                // res[P] = lhs; res[Q][j] = cf(lhs[last of P], rhs[j])
-                let mut extents = lhs.extents.clone();
-                extents[d] += rhs.extents[d];
-                let out_shape = Shape::new(extents.clone());
-                let mut elems = vec![Tuple::new(); out_shape.len()];
-                for idx in Shape::new(lhs.extents.clone()).iter() {
-                    elems[out_shape.linearize(&idx)] = lhs.get(&idx).clone();
-                }
-                let last = lhs.extents[d].checked_sub(1);
-                for idx in Shape::new(rhs.extents.clone()).iter() {
-                    let mut oidx = idx.clone();
-                    oidx[d] += lhs.extents[d];
-                    let v = match last {
-                        Some(l) => {
-                            let mut lidx = idx.clone();
-                            lidx[d] = l;
-                            f.combine(lhs.get(&lidx), rhs.get(&idx))?
-                        }
-                        None => rhs.get(&idx).clone(),
-                    };
-                    elems[out_shape.linearize(&oidx)] = v;
-                }
-                Ok(Intermediate { extents, elems })
+            // Listing 17's contiguous split: rhs[j] = f(last of lhs, rhs[j])
+            CombineOp::Ps(f) => rhs.carry(d, f, lhs)?,
+            CombineOp::Cc => {}
+        }
+        // stack along axis d
+        let ((outer, p, stride), q) = (axis_split(&lhs.extents, d), rhs.extents[d]);
+        let mut elems = Vec::with_capacity(lhs.elems.len() + rhs.elems.len());
+        for o in 0..outer {
+            elems.extend_from_slice(&lhs.elems[o * p * stride..][..p * stride]);
+            elems.extend_from_slice(&rhs.elems[o * q * stride..][..q * stride]);
+        }
+        (rhs.extents[d], rhs.elems) = (p + q, elems);
+        Ok(rhs)
+    }
+
+    /// `y[j] = f(y[j − 1], y[j])` along axis `d`, front to back.
+    fn scan(&mut self, d: usize, f: &PwFunc) -> Result<()> {
+        let (outer, n, stride) = axis_split(&self.extents, d);
+        for o in 0..outer {
+            for i in (o * n + 1) * stride..(o + 1) * n * stride {
+                self.elems[i] = f.combine(&self.elems[i - stride], &self.elems[i])?;
             }
         }
+        Ok(())
+    }
+
+    /// Carry the final chunk `prev` into this, the next chunk along axis
+    /// `d`: `y[j] = f(last of prev, y[j])`.
+    fn carry(&mut self, d: usize, f: &PwFunc, prev: &Intermediate) -> Result<()> {
+        let ((outer, p, stride), n) = (axis_split(&prev.extents, d), self.extents[d]);
+        for o in (0..outer).filter(|_| p > 0) {
+            for i in o * n * stride..(o + 1) * n * stride {
+                let last = &prev.elems[(o * p + p - 1) * stride + i % stride];
+                self.elems[i] = f.combine(last, &self.elems[i])?;
+            }
+        }
+        Ok(())
     }
 }
 
-/// Apply the scalar function at one iteration point: load input-access
-/// values, run SF, return the result tuple.
-pub fn apply_sf_at(prog: &DslProgram, inputs: &[Buffer], idx: &[usize]) -> Result<Tuple> {
+/// What an engine computes with: f32 widened to f64, i32 to i64.
+fn widen(v: Value) -> Value {
+    match v {
+        Value::F32(x) => Value::F64(x.into()),
+        Value::I32(x) => Value::I64(x.into()),
+        Value::Record(fs) => Value::Record(fs.into_iter().map(widen).collect()),
+        Value::Array(xs) => Value::Array(xs.into_iter().map(widen).collect()),
+        v => v,
+    }
+}
+
+/// Where access `a` reads or writes `buf` at iteration point `idx`.
+fn locate(a: &Access, idx: &[usize], buf: &Buffer, negative: &str) -> Result<Vec<usize>> {
+    match a.index_fn.eval(idx) {
+        None => Err(MdhError::Eval(negative.into())),
+        Some(index) if buf.shape.contains(&index) => Ok(index),
+        Some(index) => Err(MdhError::OutOfBounds {
+            buffer: buf.name.clone(),
+            index,
+            shape: buf.shape.dims().to_vec(),
+        }),
+    }
+}
+
+/// The scalar function at one iteration point, on widened inputs.
+fn sf_at(prog: &DslProgram, inputs: &[Buffer], idx: &[usize]) -> Result<Tuple> {
     let mut args = Vec::with_capacity(prog.inp_view.accesses.len());
     for a in &prog.inp_view.accesses {
-        let bidx = a.index_fn.eval(idx).ok_or_else(|| {
-            MdhError::Eval(format!("negative buffer index at iteration point {idx:?}"))
-        })?;
         let buf = &inputs[a.buffer];
-        if !buf.shape.contains(&bidx) {
-            return Err(MdhError::OutOfBounds {
-                buffer: buf.name.clone(),
-                index: bidx,
-                shape: buf.shape.dims().to_vec(),
-            });
-        }
-        args.push(buf.get(&bidx));
+        let bidx = locate(a, idx, buf, "negative input index")?;
+        args.push(widen(buf.get(&bidx)));
     }
     prog.md_hom.sf.eval(&args)
 }
 
-/// Evaluate the program over an iteration sub-range with the recursive
-/// (formal) semantics, producing the intermediate tuple array.
-pub fn eval_range(prog: &DslProgram, inputs: &[Buffer], range: &MdRange) -> Result<Intermediate> {
-    let mut prefix = range.lo.clone();
-    rec(prog, inputs, range, 0, &mut prefix)
-}
-
-fn rec(
-    prog: &DslProgram,
-    inputs: &[Buffer],
-    range: &MdRange,
-    d: usize,
-    prefix: &mut Vec<usize>,
-) -> Result<Intermediate> {
-    let rank = prog.rank();
-    if d == rank {
-        let tuple = apply_sf_at(prog, inputs, prefix)?;
-        return Ok(Intermediate {
-            extents: vec![],
-            elems: vec![tuple],
-        });
-    }
-    let op = &prog.md_hom.combine_ops[d];
-    let mut acc: Option<Intermediate> = None;
-    for i in range.lo[d]..range.hi[d] {
-        prefix[d] = i;
-        let child = rec(prog, inputs, range, d + 1, prefix)?;
-        // lift child to include axis d with extent 1
-        let mut extents = vec![1];
-        extents.extend(child.extents);
-        let child = Intermediate {
-            extents,
-            elems: child.elems,
-        };
-        // the lifted children combine along their axis 0 with `op` itself
-        acc = Some(match acc {
-            None => child,
-            Some(prev) => Intermediate::combine_along(0, op, &prev, &child)?,
-        });
-    }
-    prefix[d] = range.lo[d];
-    match acc {
-        Some(i) => Ok(i),
-        None => {
-            // empty extent: child extents are unknown, so every one is 0
-            Ok(Intermediate {
-                extents: vec![0; rank - d],
-                elems: vec![],
-            })
-        }
-    }
-}
-
-/// Write a finished intermediate into freshly-allocated output buffers.
-pub fn write_outputs(
-    prog: &DslProgram,
-    intermediate: &Intermediate,
-    range: &MdRange,
-    outputs: &mut [Buffer],
-) -> Result<()> {
-    let shape = Shape::new(intermediate.extents.clone());
-    for j in shape.iter() {
-        let tuple = intermediate.get(&j);
-        // absolute iteration index: preserved dims offset by range.lo,
-        // collapsed dims pinned to range.lo (out index fns cannot depend on
-        // them — validated)
-        let mut idx = Vec::with_capacity(prog.rank());
-        for (d, op) in prog.md_hom.combine_ops.iter().enumerate() {
-            match op.behavior() {
-                DimBehavior::Preserve => idx.push(range.lo[d] + j[d]),
-                DimBehavior::Collapse => idx.push(range.lo[d]),
+/// A task's stages, innermost dim first: a run of `pw` dims sharing one
+/// function is one chain, a `ps` dim one scan. An engine's program is a
+/// chain, a scan, or a chain and then a scan.
+fn stages(ops: &[CombineOp]) -> Vec<(Vec<usize>, &CombineOp)> {
+    let mut stages: Vec<(Vec<usize>, &CombineOp)> = Vec::new();
+    for (d, op) in ops.iter().enumerate().rev() {
+        match (op, stages.last_mut()) {
+            (CombineOp::Cc | CombineOp::Rbi(_), _) => {}
+            (CombineOp::Pw(f), Some((dims, CombineOp::Pw(g)))) if f.same_function(g) => {
+                dims.insert(0, d)
             }
+            _ => stages.push((vec![d], op)),
         }
+    }
+    stages
+}
+
+/// One chain per point of `ext` with `dims` collapsed: `term` at each
+/// point of `dims`, ascending, from the first on, combined by `f`
+/// (`zero` where `dims` are empty).
+fn chains(
+    ext: &[usize],
+    dims: &[usize],
+    f: Option<&PwFunc>,
+    zero: &Tuple,
+    mut term: impl FnMut(&[usize]) -> Result<Tuple>,
+) -> Result<Intermediate> {
+    let mut extents = ext.to_vec();
+    dims.iter().for_each(|&d| extents[d] = 1);
+    let inner = Shape::new(dims.iter().map(|&d| ext[d]).collect::<Vec<_>>());
+    let chain = |mut p: Vec<usize>| {
+        let mut acc: Option<Tuple> = None;
+        for q in inner.iter() {
+            dims.iter().zip(q).for_each(|(&d, c)| p[d] = c);
+            let v = term(&p)?;
+            acc = Some(match (acc, f) {
+                (Some(a), Some(f)) => f.combine(&a, &v)?,
+                _ => v,
+            });
+        }
+        Ok(acc.unwrap_or_else(|| zero.clone()))
+    };
+    let points = Shape::new(extents.clone());
+    let elems = points.iter().map(chain).collect::<Result<_>>()?;
+    Ok(Intermediate { extents, elems })
+}
+
+/// One task's partial: the program over `range`, stage by stage, the
+/// first chain straight off the scalar function; wide values.
+pub fn eval_range(prog: &DslProgram, inputs: &[Buffer], range: &MdRange) -> Result<Intermediate> {
+    if prog.md_hom.has_rbi() {
+        return Err(MdhError::Eval("rbi programs have no partials".into()));
+    }
+    let results = prog.md_hom.sf.results.iter();
+    let zero: Tuple = results.map(|(_, ty)| widen(ty.zero())).collect();
+    let stages = stages(&prog.md_hom.combine_ops);
+    let (chain, f, rest) = match &stages[..] {
+        [(dims, CombineOp::Pw(f)), rest @ ..] => (&dims[..], Some(f), rest),
+        rest => (&[][..], None, rest),
+    };
+    let mut at = range.lo.clone();
+    let mut part = chains(&range.extents(), chain, f, &zero, |p| {
+        for ((a, lo), p) in at.iter_mut().zip(&range.lo).zip(p) {
+            *a = lo + p;
+        }
+        sf_at(prog, inputs, &at)
+    })?;
+    for (dims, op) in rest {
+        match op {
+            CombineOp::Pw(f) => {
+                let shape = Shape::new(part.extents.clone());
+                let term = |p: &[usize]| Ok(part.elems[shape.linearize(p)].clone());
+                part = chains(&part.extents, dims, Some(f), &zero, term)?;
+            }
+            CombineOp::Ps(f) => part.scan(dims[0], f)?,
+            _ => unreachable!("stages hold pw and ps dims"),
+        }
+    }
+    Ok(part)
+}
+
+/// How a group's partials recombine: into the owner by a `pw` fold, or
+/// chunk to chunk along a split `ps` dim.
+enum Join<'a> {
+    Fold(&'a PwFunc),
+    Carry(usize, &'a PwFunc),
+}
+
+type Joined<'a> = (Option<Join<'a>>, Vec<MdRange>);
+
+/// A group's task ranges and their join; a single task, or a split no
+/// engine runs, is one task over the group's box and joins nothing.
+fn join<'a>(stages: &[(Vec<usize>, &'a CombineOp)], group: &[(usize, MdRange)]) -> Joined<'a> {
+    let ranges: Vec<MdRange> = group.iter().map(|(_, r)| r.clone()).collect();
+    let mut whole = ranges[0].clone();
+    for r in &ranges {
+        for d in 0..r.rank() {
+            (whole.lo[d], whole.hi[d]) = (whole.lo[d].min(r.lo[d]), whole.hi[d].max(r.hi[d]));
+        }
+    }
+    let split: Vec<usize> = (0..whole.rank())
+        .filter(|&d| whole.extent(d) != ranges[0].extent(d))
+        .collect();
+    match stages {
+        _ if split.is_empty() => (None, vec![whole]),
+        [(_, CombineOp::Pw(f))] => (Some(Join::Fold(f)), ranges),
+        [(s, CombineOp::Ps(f))] | [(_, CombineOp::Pw(_)), (s, CombineOp::Ps(f))] if *s == split => {
+            (Some(Join::Carry(s[0], f)), ranges)
+        }
+        _ => (None, vec![whole]),
+    }
+}
+
+/// Store a partial whose first point is iteration point `lo` (see the
+/// module docs for the order), each element narrowed by `Buffer::set`.
+fn store(prog: &DslProgram, part: &Intermediate, lo: &[usize], outs: &mut [Buffer]) -> Result<()> {
+    let row = (prog.md_hom.preserved_dims().last()).map_or(1, |&d| part.extents[d].max(1));
+    let points: Vec<Vec<usize>> = (Shape::new(part.extents.clone()).iter())
+        .map(|j| j.iter().zip(lo).map(|(j, lo)| j + lo).collect())
+        .collect();
+    for (idxs, tuples) in points.chunks(row).zip(part.elems.chunks(row)) {
         for (r, a) in prog.out_view.accesses.iter().enumerate() {
-            let bidx = a
-                .index_fn
-                .eval(&idx)
-                .ok_or_else(|| MdhError::Eval("negative output index".into()))?;
-            outputs[a.buffer].set(&bidx, &tuple[r])?;
+            for (idx, t) in idxs.iter().zip(tuples) {
+                let bidx = locate(a, idx, &outs[a.buffer], "negative output index")?;
+                outs[a.buffer].set(&bidx, &t[r])?;
+            }
         }
     }
     Ok(())
+}
+
+/// The program's output on a plan given as its groups of task ranges,
+/// each group's owner first (`ExecutionPlan::grouped` over the tasks'
+/// ranges): bitwise what the CPU engines produce on that plan.
+pub fn eval_planned(
+    prog: &DslProgram,
+    inputs: &[Buffer],
+    groups: &[Vec<(usize, MdRange)>],
+) -> Result<Vec<Buffer>> {
+    prog.validate()?;
+    check_inputs(prog, inputs)?;
+    let ops = &prog.md_hom.combine_ops;
+    if let Some(dim) = ops.iter().position(CombineOp::is_indexed_reduction) {
+        return eval_rbi(prog, inputs, dim);
+    }
+    let (stages, mut outs) = (stages(ops), alloc_outputs(prog)?);
+    for group in groups.iter().filter(|g| !g.is_empty()) {
+        let (join, ranges) = join(&stages, group);
+        // the partial stored next, and where
+        let mut acc: Option<(Intermediate, &[usize])> = None;
+        for r in &ranges {
+            let mut part = eval_range(prog, inputs, r)?;
+            match (&join, &mut acc) {
+                (Some(Join::Fold(f)), Some((owner, _))) => {
+                    for (a, b) in owner.elems.iter_mut().zip(&part.elems) {
+                        *a = f.combine(a, b)?;
+                    }
+                    continue;
+                }
+                (Some(Join::Carry(d, f)), Some((prev, lo))) => {
+                    part.carry(*d, f, prev)?;
+                    store(prog, prev, lo, &mut outs)?;
+                }
+                _ => {}
+            }
+            acc = Some((part, &r.lo));
+        }
+        if let Some((part, lo)) = acc {
+            store(prog, &part, lo, &mut outs)?;
+        }
+    }
+    Ok(outs)
+}
+
+/// [`eval_planned`] on one task over the full iteration range.
+pub fn evaluate_recursive(prog: &DslProgram, inputs: &[Buffer]) -> Result<Vec<Buffer>> {
+    eval_planned(prog, inputs, &[vec![(0, prog.md_hom.full_range())]])
+}
+
+/// An `rbi` program's output, by the rule [`RBI_CHUNKS`] states.
+fn eval_rbi(prog: &DslProgram, inputs: &[Buffer], dim: usize) -> Result<Vec<Buffer>> {
+    let (add, results) = (PwFunc::builtin(BuiltinReduce::Add), &prog.md_hom.sf.results);
+    let mut layer = Vec::new();
+    for (lo, hi) in split_even(prog.md_hom.sizes[dim], RBI_CHUNKS) {
+        let mut range = prog.md_hom.full_range();
+        (range.lo[dim], range.hi[dim]) = (lo, hi);
+        let mut outs = alloc_outputs(prog)?;
+        for idx in range.iter() {
+            let tuple = sf_at(prog, inputs, &idx)?.into_iter().zip(results);
+            for (a, (v, (_, ty))) in prog.out_view.accesses.iter().zip(tuple) {
+                let v = ty.as_scalar().and_then(|k| v.cast(k));
+                let v = v.ok_or_else(|| MdhError::Type("rbi scatters scalars".into()))?;
+                let buf = &mut outs[a.buffer];
+                let bidx = locate(a, &idx, buf, "negative scatter index")?;
+                buf.set(&bidx, &add.combine(&vec![buf.get(&bidx)], &vec![v])?[0])?;
+            }
+        }
+        layer.push(outs);
+    }
+    sum_chunks(layer)
+}
+
+/// `rbi` chunk outputs summed pairwise by [`Buffer::accumulate`]: the
+/// tree every engine sums its chunks by.
+pub fn sum_chunks(chunks: Vec<Vec<Buffer>>) -> Result<Vec<Buffer>> {
+    let sum = pairwise(chunks, |mut a, b| {
+        for (a, b) in a.iter_mut().zip(&b) {
+            a.accumulate(b)?;
+        }
+        Ok(a)
+    })?;
+    sum.ok_or_else(|| MdhError::Eval("rbi produced no partials".into()))
+}
+
+/// `layer` folded pairwise, (0,1), (2,3) … per level, until one is left.
+pub(crate) fn pairwise<T>(mut layer: Vec<T>, f: impl Fn(T, T) -> Result<T>) -> Result<Option<T>> {
+    while layer.len() > 1 {
+        let mut pairs = std::mem::take(&mut layer).into_iter();
+        while let Some(lhs) = pairs.next() {
+            layer.push(match pairs.next() {
+                Some(rhs) => f(lhs, rhs)?,
+                None => lhs,
+            });
+        }
+    }
+    Ok(layer.pop())
 }
 
 /// Allocate zero-initialised output buffers for the program.
@@ -270,88 +421,11 @@ pub fn check_inputs(prog: &DslProgram, inputs: &[Buffer]) -> Result<()> {
     Ok(())
 }
 
-/// Full recursive (formal-semantics) evaluation of a program. Programs with
-/// an `rbi` dimension are routed to the scatter evaluator — their output
-/// positions are data-dependent, so the intermediate-array machinery does
-/// not apply.
-pub fn evaluate_recursive(prog: &DslProgram, inputs: &[Buffer]) -> Result<Vec<Buffer>> {
-    prog.validate()?;
-    check_inputs(prog, inputs)?;
-    if prog.md_hom.has_rbi() {
-        return evaluate_scatter(prog, inputs);
-    }
-    let range = prog.md_hom.full_range();
-    let inter = eval_range(prog, inputs, &range)?;
-    let mut outputs = alloc_outputs(prog)?;
-    write_outputs(prog, &inter, &range, &mut outputs)?;
-    Ok(outputs)
-}
-
-/// Reference evaluator for indexed-reduction (`rbi`) programs: outputs are
-/// zero-initialised (the `add` identity) and every iteration point — in
-/// ascending row-major order, which fixes the fold order and hence the
-/// result bits — accumulates its scalar-function results into the positions
-/// its output accesses select. Contributions from `cc` dimensions land at
-/// distinct positions by injectivity of the access along them; collapsed
-/// (`pw(add)`/`rbi(add)`) dimensions collide and sum, which is exactly the
-/// reduce-by-index semantics.
-pub fn evaluate_scatter(prog: &DslProgram, inputs: &[Buffer]) -> Result<Vec<Buffer>> {
-    prog.validate()?;
-    check_inputs(prog, inputs)?;
-    if !prog.md_hom.has_rbi() {
-        return Err(MdhError::Eval(
-            "evaluate_scatter requires at least one rbi dimension".into(),
-        ));
-    }
-    let range = prog.md_hom.full_range();
-    let mut outputs = alloc_outputs(prog)?;
-    scatter_range(prog, inputs, &range, &mut outputs)?;
-    Ok(outputs)
-}
-
-/// Accumulate one iteration sub-range into already-allocated outputs
-/// (visiting points in ascending row-major order): the oracle the
-/// backend's typed, lane-blocked `rbi` mode is tested against.
-pub fn scatter_range(
-    prog: &DslProgram,
-    inputs: &[Buffer],
-    range: &MdRange,
-    outputs: &mut [Buffer],
-) -> Result<()> {
-    let add = crate::combine::PwFunc::builtin(crate::combine::BuiltinReduce::Add);
-    let mut bidxs: Vec<Vec<usize>> = prog
-        .out_view
-        .accesses
-        .iter()
-        .map(|a| vec![0; a.index_fn.out_rank()])
-        .collect();
-    for idx in range.iter() {
-        let tuple = apply_sf_at(prog, inputs, &idx)?;
-        for ((r, a), bidx) in prog.out_view.accesses.iter().enumerate().zip(&mut bidxs) {
-            if !a.index_fn.eval_into(&idx, bidx) {
-                return Err(MdhError::Eval("negative scatter index".into()));
-            }
-            let buf = &mut outputs[a.buffer];
-            if !buf.shape.contains(bidx) {
-                return Err(MdhError::OutOfBounds {
-                    buffer: buf.name.clone(),
-                    index: bidx.clone(),
-                    shape: buf.shape.dims().to_vec(),
-                });
-            }
-            let prev = buf.get(bidx);
-            let summed = add.combine(&vec![prev], &vec![tuple[r].clone()])?;
-            buf.set(bidx, &summed[0])?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dsl::DslBuilder;
-    use crate::expr::ScalarFunction;
+    use crate::expr::{Expr, ScalarFunction, Stmt};
     use crate::index_fn::{AffineExpr, IndexFn};
     use crate::types::{BasicType, ScalarKind, Value};
 
@@ -418,6 +492,89 @@ mod tests {
         let out = evaluate_recursive(&prog, &[x, y]).unwrap();
         let expect: f32 = (0..n).map(|f| f as f32 * 2.0).sum();
         assert_eq!(out[0].as_f32().unwrap(), &[expect]);
+    }
+
+    /// `res = Σ x[i]` over f32 through `f` (the identity when `None`).
+    fn f32_sum(n: usize, f: Option<ScalarFunction>, ops: CombineOp) -> DslProgram {
+        let mut b = DslBuilder::new("sum", vec![n])
+            .out_buffer_with_shape("res", BasicType::F32, vec![1])
+            .out_access("res", IndexFn::affine(vec![AffineExpr::constant(1, 0)]))
+            .inp_buffer("x", BasicType::F32)
+            .inp_access("x", IndexFn::identity(1, 1));
+        if f.is_some() {
+            b = (b.inp_buffer("y", BasicType::F32))
+                .inp_access("y", IndexFn::identity(1, 1))
+                .inp_buffer("z", BasicType::F32)
+                .inp_access("z", IndexFn::identity(1, 1));
+        }
+        let f = f.unwrap_or_else(|| ScalarFunction::identity("id", ScalarKind::F32));
+        b.scalar_function(f).combine_ops(vec![ops]).build().unwrap()
+    }
+
+    fn f32s(name: &str, xs: &[f32]) -> Buffer {
+        Buffer::from_f32(name, Shape::new(vec![xs.len()]), xs.to_vec())
+    }
+
+    /// The chain runs in f64 and rounds once: `2²⁴ + 1 + 1` is 16777218,
+    /// where f32 steps would lose both ones.
+    #[test]
+    fn an_f32_chain_accumulates_wide_and_rounds_once() {
+        let prog = matvec_prog(1, 3);
+        let m = Buffer::from_f32("M", Shape::new(vec![1, 3]), vec![16777216.0, 1.0, 1.0]);
+        let out = evaluate_recursive(&prog, &[m, f32s("v", &[1.0; 3])]).unwrap();
+        assert_eq!(out[0].as_f32().unwrap(), &[16777218.0]);
+    }
+
+    /// An `rbi` result is narrowed to its kind once, then added: `a·b + c`
+    /// in f64 is `1 + 2⁻¹¹ + 2⁻²³`, where an f32 product would round the
+    /// `2⁻²⁴` away (a tie to even) and the sum's `2⁻²⁴` after it.
+    #[test]
+    fn an_rbi_result_is_narrowed_once_then_added() {
+        let fma = ScalarFunction {
+            body: vec![Stmt::Assign {
+                name: "res".into(),
+                value: Expr::add(Expr::mul(Expr::Param(0), Expr::Param(1)), Expr::Param(2)),
+            }],
+            params: ["a", "b", "c"].map(|p| (p.into(), BasicType::F32)).into(),
+            ..ScalarFunction::identity("fma", ScalarKind::F32)
+        };
+        let prog = f32_sum(1, Some(fma), CombineOp::rbi_add());
+        let a = 1.0 + 2f32.powi(-12);
+        let inputs = [
+            f32s("x", &[a]),
+            f32s("y", &[a]),
+            f32s("z", &[2f32.powi(-24)]),
+        ];
+        let out = evaluate_recursive(&prog, &inputs).unwrap();
+        let once = 1.0 + 2f32.powi(-11) + 2f32.powi(-23);
+        assert_ne!(once, a * a + 2f32.powi(-24));
+        assert_eq!(out[0].as_f32().unwrap(), &[once]);
+    }
+
+    /// A split `pw(add)` folds the member's chain into the owner's:
+    /// `(1 + 2⁻²⁴) + (2⁻⁵³ + 2⁻⁵³)` rounds up to f32, where the one chain
+    /// loses each `2⁻⁵³` and ties down to 1.
+    #[test]
+    fn a_split_pw_group_folds_its_member_into_the_owner() {
+        let prog = f32_sum(4, None, CombineOp::pw_add());
+        let tiny = 2f32.powi(-53);
+        let x = [f32s("x", &[1.0, 2f32.powi(-24), tiny, tiny])];
+        let range = |lo, hi| MdRange::new(vec![lo], vec![hi]);
+        let split = [vec![(0, range(0, 2)), (1, range(2, 4))]];
+        let got = eval_planned(&prog, &x, &split).unwrap();
+        assert_eq!(got[0].as_f32().unwrap(), &[1.0 + 2f32.powi(-23)]);
+        let one = eval_planned(&prog, &x, &[vec![(0, range(0, 4))]]).unwrap();
+        assert_eq!(one[0].as_f32().unwrap(), &[1.0]);
+        assert_eq!(one, evaluate_recursive(&prog, &x).unwrap());
+    }
+
+    /// A chain starts from its first term, not from `+0.0`.
+    #[test]
+    fn a_chain_of_negative_zero_products_stays_negative_zero() {
+        let prog = matvec_prog(1, 3);
+        let m = Buffer::from_f32("M", Shape::new(vec![1, 3]), vec![-0.0; 3]);
+        let out = evaluate_recursive(&prog, &[m, f32s("v", &[1.0; 3])]).unwrap();
+        assert_eq!(out[0].as_f32().unwrap()[0].to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

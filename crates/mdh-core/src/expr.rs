@@ -134,10 +134,6 @@ impl Expr {
         Expr::Bin(BinOp::Eq, Box::new(a), Box::new(b))
     }
 
-    pub fn ne(a: Expr, b: Expr) -> Expr {
-        Expr::Bin(BinOp::Ne, Box::new(a), Box::new(b))
-    }
-
     pub fn and(a: Expr, b: Expr) -> Expr {
         Expr::Bin(BinOp::And, Box::new(a), Box::new(b))
     }

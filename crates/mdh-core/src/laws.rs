@@ -11,13 +11,13 @@
 //!
 //! This property is exactly what makes the lowering's (de)composition —
 //! tiling, thread partitioning, parallel reduction trees — *correct*. The
-//! checks in this module are the hooks for the property-based test suite
-//! and are also run by backends in debug builds.
+//! checks in this module are the hooks for the property-based test suite.
 
 use crate::buffer::Buffer;
 use crate::dsl::DslProgram;
 use crate::error::Result;
-use crate::eval::{eval_range, Intermediate};
+use crate::eval::{eval_range, pairwise, Intermediate};
+use crate::shape::MdRange;
 
 /// Check the homomorphism law on dimension `d` at split point `at`
 /// (absolute coordinate within `[0, sizes[d]]`): evaluates both sides and
@@ -29,30 +29,8 @@ pub fn check_split_law(
     at: usize,
     rel_tol: f64,
 ) -> Result<bool> {
-    let full = prog.md_hom.full_range();
-    let (p, q) = full.split_at(d, at);
-    let whole = eval_range(prog, inputs, &full)?;
-    let lhs = eval_range(prog, inputs, &p)?;
-    let rhs = eval_range(prog, inputs, &q)?;
-    let combined = if p.is_empty() {
-        rhs
-    } else if q.is_empty() {
-        lhs
-    } else {
-        Intermediate::combine_along(d, &prog.md_hom.combine_ops[d], &lhs, &rhs)?
-    };
-    Ok(intermediate_approx_eq(&whole, &combined, rel_tol))
-}
-
-/// Check the law on every dimension at its midpoint.
-pub fn check_all_dims_midpoint(prog: &DslProgram, inputs: &[Buffer], rel_tol: f64) -> Result<bool> {
-    for d in 0..prog.rank() {
-        let at = prog.md_hom.sizes[d] / 2;
-        if !check_split_law(prog, inputs, d, at, rel_tol)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    let (p, q) = prog.md_hom.full_range().split_at(d, at);
+    check_parts(prog, inputs, d, &[p, q], false, rel_tol)
 }
 
 /// Check a full recursive decomposition: recursively split dimension `d`
@@ -65,24 +43,8 @@ pub fn check_tiled_decomposition(
     tile: usize,
     rel_tol: f64,
 ) -> Result<bool> {
-    let full = prog.md_hom.full_range();
-    let whole = eval_range(prog, inputs, &full)?;
-    let tiles = full.tile_dim(d, tile);
-    let mut acc: Option<Intermediate> = None;
-    for t in &tiles {
-        if t.is_empty() {
-            continue;
-        }
-        let part = eval_range(prog, inputs, t)?;
-        acc = Some(match acc {
-            None => part,
-            Some(prev) => {
-                Intermediate::combine_along(d, &prog.md_hom.combine_ops[d], &prev, &part)?
-            }
-        });
-    }
-    let combined = acc.unwrap_or(whole.clone());
-    Ok(intermediate_approx_eq(&whole, &combined, rel_tol))
+    let tiles = prog.md_hom.full_range().tile_dim(d, tile);
+    check_parts(prog, inputs, d, &tiles, false, rel_tol)
 }
 
 /// Tree-shaped recombination: combine tile results pairwise (the parallel
@@ -96,40 +58,40 @@ pub fn check_tree_recombination(
     tile: usize,
     rel_tol: f64,
 ) -> Result<bool> {
-    let full = prog.md_hom.full_range();
-    let whole = eval_range(prog, inputs, &full)?;
-    let tiles = full.tile_dim(d, tile);
-    let mut parts: Vec<Intermediate> = tiles
-        .iter()
-        .filter(|t| !t.is_empty())
-        .map(|t| eval_range(prog, inputs, t))
-        .collect::<Result<_>>()?;
-    while parts.len() > 1 {
-        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-        let mut it = parts.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(Intermediate::combine_along(
-                    d,
-                    &prog.md_hom.combine_ops[d],
-                    &a,
-                    &b,
-                )?),
-                None => next.push(a),
-            }
-        }
-        parts = next;
-    }
-    let combined = parts.pop().unwrap_or(whole.clone());
-    Ok(intermediate_approx_eq(&whole, &combined, rel_tol))
+    let tiles = prog.md_hom.full_range().tile_dim(d, tile);
+    check_parts(prog, inputs, d, &tiles, true, rel_tol)
 }
 
-fn intermediate_approx_eq(a: &Intermediate, b: &Intermediate, rel_tol: f64) -> bool {
-    a.extents == b.extents
-        && a.elems.len() == b.elems.len()
-        && a.elems.iter().zip(&b.elems).all(|(x, y)| {
+/// Evaluate the non-empty `parts` of the iteration space, in order along
+/// `d`, recombine them by a left fold or pairwise (`tree`) and compare with
+/// the direct evaluation.
+fn check_parts(
+    prog: &DslProgram,
+    inputs: &[Buffer],
+    d: usize,
+    parts: &[MdRange],
+    tree: bool,
+    rel_tol: f64,
+) -> Result<bool> {
+    let whole = eval_range(prog, inputs, &prog.md_hom.full_range())?;
+    let parts = parts.iter().filter(|r| !r.is_empty());
+    let parts = (parts.map(|r| eval_range(prog, inputs, r))).collect::<Result<Vec<_>>>()?;
+    let op = &prog.md_hom.combine_ops[d];
+    let combine = |a: Intermediate, b: Intermediate| Intermediate::combine_along(d, op, &a, &b);
+    let combined = match tree {
+        true => pairwise(parts, combine)?,
+        false => parts
+            .into_iter()
+            .map(Ok)
+            .reduce(|a, b| combine(a?, b?))
+            .transpose()?,
+    };
+    let combined = combined.unwrap_or_else(|| whole.clone());
+    Ok(whole.extents == combined.extents
+        && whole.elems.len() == combined.elems.len()
+        && whole.elems.iter().zip(&combined.elems).all(|(x, y)| {
             x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.approx_eq(v, rel_tol))
-        })
+        }))
 }
 
 #[cfg(test)]
@@ -168,7 +130,9 @@ mod tests {
     fn matmul_split_law_all_dims() {
         let prog = matmul_prog(4, 3, 5);
         let inputs = matmul_inputs(4, 3, 5);
-        assert!(check_all_dims_midpoint(&prog, &inputs, 1e-9).unwrap());
+        for (d, &n) in prog.md_hom.sizes.iter().enumerate() {
+            assert!(check_split_law(&prog, &inputs, d, n / 2, 1e-9).unwrap());
+        }
     }
 
     #[test]

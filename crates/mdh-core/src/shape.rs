@@ -193,6 +193,15 @@ impl fmt::Display for MdRange {
     }
 }
 
+/// Split `size` into `chunks` contiguous intervals as evenly as possible.
+pub fn split_even(size: usize, chunks: usize) -> Vec<(usize, usize)> {
+    assert!(chunks >= 1);
+    let chunks = chunks.min(size.max(1));
+    let (base, rem) = (size / chunks, size % chunks);
+    let lo = |c: usize| c * base + c.min(rem);
+    (0..chunks).map(|c| (lo(c), lo(c + 1))).collect()
+}
+
 /// Row-major iterator over a product of `usize` ranges.
 pub struct MultiIndexIter {
     ranges: Vec<std::ops::Range<usize>>,

@@ -112,10 +112,6 @@ impl RecordType {
         self.fields.iter().position(|(n, _)| n == name)
     }
 
-    pub fn field_type(&self, name: &str) -> Option<FieldType> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, t)| *t)
-    }
-
     pub fn size_bytes(&self) -> usize {
         self.fields.iter().map(|(_, t)| t.size_bytes()).sum()
     }
@@ -355,7 +351,7 @@ mod tests {
         );
         assert_eq!(r.field_index("id"), Some(1));
         assert_eq!(
-            r.field_type("values"),
+            r.field_index("values").map(|i| r.fields[i].1),
             Some(FieldType::Array(ScalarKind::F64, 8))
         );
         assert_eq!(r.size_bytes(), 8 * 8 + 8);

@@ -10,6 +10,7 @@
 use crate::schedule::Schedule;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
+pub use mdh_core::shape::split_even;
 use mdh_core::shape::{MdRange, Shape};
 
 /// One parallel task: a rectangular chunk of the iteration space.
@@ -41,22 +42,6 @@ pub struct ExecutionPlan {
     /// Combine groups (one per distinct non-split chunk coordinate): every
     /// task is in exactly one.
     pub groups: Vec<CombineGroup>,
-}
-
-/// Split `size` into `chunks` contiguous intervals as evenly as possible.
-pub fn split_even(size: usize, chunks: usize) -> Vec<(usize, usize)> {
-    assert!(chunks >= 1);
-    let chunks = chunks.min(size.max(1));
-    let base = size / chunks;
-    let rem = size % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut lo = 0;
-    for c in 0..chunks {
-        let len = base + usize::from(c < rem);
-        out.push((lo, lo + len));
-        lo += len;
-    }
-    out
 }
 
 impl ExecutionPlan {
