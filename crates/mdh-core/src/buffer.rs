@@ -93,12 +93,16 @@ impl BufferData {
     }
 }
 
-/// Scalar blocks of at least this many bytes go through [`HostBlocks`]:
-/// glibc's `DEFAULT_MMAP_THRESHOLD_MAX` on 64-bit targets, the ceiling of
-/// its dynamic mmap threshold. Every block this large is a fresh mapping,
-/// zero-filled by the kernel one page fault at a time on first touch and
-/// unmapped again by `free`; smaller ones the allocator already reuses.
-pub const HOST_BLOCK_MIN_BYTES: usize = 32 << 20;
+/// Scalar blocks of at least this many bytes go through [`HostBlocks`].
+/// From 32 MiB glibc maps every block afresh and unmaps it on `free`;
+/// below that, its heap trimming hands most of a freed megabyte-sized
+/// block back to the kernel when one thread allocates it and another
+/// frees it, as rayon workers and pool shards do. Either way the next
+/// launch pays a page fault per page on first touch. The recurring blocks
+/// measured re-faulting (`scan_256k`'s 2 MiB shard outputs, CCSD(T)
+/// Medium's 3.4 MiB output) sit above this floor; smaller blocks the
+/// allocator reuses.
+pub const HOST_BLOCK_MIN_BYTES: usize = 1 << 20;
 
 /// The most bytes a [`HostBlocks`] list holds: room for a few of the
 /// largest outputs, and a bound on the resident memory the list adds.
@@ -112,8 +116,8 @@ fn recycled_bytes(kind: ScalarKind, n: usize) -> Option<usize> {
 
 /// A bounded free list of large scalar storage: [`Buffer::zeros`] and
 /// [`Buffer::for_overwrite`] take from it and `Buffer`'s `Drop` gives
-/// back, so a warm request reuses the last one's output pages instead of
-/// mapping and faulting in fresh ones.
+/// back, whichever thread drops it, so a warm request reuses the last
+/// one's output pages instead of mapping and faulting in fresh ones.
 ///
 /// * Only scalar blocks of at least [`HOST_BLOCK_MIN_BYTES`] are held.
 /// * A block is reused only for the same element kind and length, the one
@@ -122,10 +126,13 @@ fn recycled_bytes(kind: ScalarKind, n: usize) -> Option<usize> {
 ///   the lock, by the thread that wants it: a block never taken again is
 ///   never written. One reused for [`Buffer::for_overwrite`] keeps the
 ///   values it was given back with.
-/// * At most `HOST_HELD_MAX_BYTES` (256 MiB) are held and a give-back
-///   past that is freed. A miss frees the held blocks of other lengths
-///   before it allocates, so stale sizes never stack on top of a new
-///   working set.
+/// * The list holds only what it lent: it counts, per kind and length,
+///   the blocks it handed out and has not had back, and a give-back is
+///   held only while that count is above zero. Storage it never lent (a
+///   `Buffer::clone` copy, a `from_f64` vector) is freed.
+/// * At most `HOST_HELD_MAX_BYTES` (256 MiB) are held: a give-back past
+///   that frees the oldest held blocks first, and one larger than the cap
+///   is freed itself.
 #[derive(Default)]
 pub struct HostBlocks {
     held: Mutex<Held>,
@@ -133,15 +140,41 @@ pub struct HostBlocks {
 
 #[derive(Default)]
 struct Held {
+    /// Oldest first.
     blocks: Vec<BufferData>,
+    /// Blocks handed out and not had back, per (kind, length); a length
+    /// leaves when its count is back at 0.
+    lent: Vec<((ScalarKind, usize), u64)>,
     reuses: u64,
     fresh: u64,
 }
 
+fn block_bytes(b: &BufferData) -> usize {
+    b.scalar_len().map_or(0, |(kind, n)| n * kind.size_bytes())
+}
+
 impl Held {
     fn bytes(&self) -> usize {
-        let sizes = self.blocks.iter().filter_map(BufferData::scalar_len);
-        sizes.map(|(kind, n)| n * kind.size_bytes()).sum()
+        self.blocks.iter().map(block_bytes).sum()
+    }
+
+    fn lend(&mut self, key: (ScalarKind, usize)) {
+        match self.lent.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, out)) => *out += 1,
+            None => self.lent.push((key, 1)),
+        }
+    }
+
+    /// Whether a block of `key` was out, counting it back in if so.
+    fn had_lent(&mut self, key: (ScalarKind, usize)) -> bool {
+        let Some(i) = self.lent.iter().position(|(k, _)| *k == key) else {
+            return false;
+        };
+        self.lent[i].1 -= 1;
+        if self.lent[i].1 == 0 {
+            self.lent.swap_remove(i);
+        }
+        true
     }
 }
 
@@ -167,42 +200,53 @@ impl HostBlocks {
         (held.reuses, held.fresh, held.bytes() as u64)
     }
 
-    /// `n` elements of `kind`: a held block of that kind and length when
-    /// there is one, zero-filled if `zero`, and fresh zeroed memory
-    /// otherwise.
+    /// `n` elements of `kind`: the newest held block of that kind and
+    /// length when there is one, zero-filled if `zero`, and fresh zeroed
+    /// memory otherwise.
     fn take(&self, kind: ScalarKind, n: usize, zero: bool) -> BufferData {
         if recycled_bytes(kind, n).is_none() {
             return BufferData::fresh(kind, n);
         }
         let mut held = self.lock();
-        let hit = (held.blocks.iter()).position(|b| b.scalar_len() == Some((kind, n)));
-        if let Some(i) = hit {
-            let mut block = held.blocks.swap_remove(i);
-            held.reuses += 1;
+        held.lend((kind, n));
+        let hit = (held.blocks.iter()).rposition(|b| b.scalar_len() == Some((kind, n)));
+        let Some(i) = hit else {
+            held.fresh += 1;
             drop(held);
-            if zero {
-                block.fill_zero();
-            }
-            return block;
-        }
-        held.fresh += 1;
-        let other_len = |b: &mut BufferData| b.scalar_len().is_none_or(|(_, len)| len != n);
-        let stale: Vec<_> = held.blocks.extract_if(.., other_len).collect();
+            return BufferData::fresh(kind, n);
+        };
+        let mut block = held.blocks.remove(i);
+        held.reuses += 1;
         drop(held);
-        drop(stale);
-        BufferData::fresh(kind, n)
+        if zero {
+            block.fill_zero();
+        }
+        block
     }
 
-    /// Hold `data` for a later take if it is large enough and fits under
-    /// the cap. Otherwise it is freed on return, after the guard.
+    /// Hold `data` for a later take if the list lent a block of its kind
+    /// and length and it fits under the cap, freeing the oldest held
+    /// blocks to make room. Whatever is not held is freed after the guard.
     fn give_back(&self, data: BufferData) {
-        let Some(bytes) = (data.scalar_len()).and_then(|(kind, n)| recycled_bytes(kind, n)) else {
+        let Some((kind, n)) = data.scalar_len() else {
+            return;
+        };
+        let Some(bytes) = recycled_bytes(kind, n) else {
             return;
         };
         let mut held = self.lock();
-        if held.bytes() + bytes <= HOST_HELD_MAX_BYTES {
-            held.blocks.push(data);
+        if !held.had_lent((kind, n)) || bytes > HOST_HELD_MAX_BYTES {
+            return;
         }
+        let (mut total, mut oldest) = (held.bytes() + bytes, 0);
+        while total > HOST_HELD_MAX_BYTES {
+            total -= block_bytes(&held.blocks[oldest]);
+            oldest += 1;
+        }
+        let freed: Vec<_> = held.blocks.drain(..oldest).collect();
+        held.blocks.push(data);
+        drop(held);
+        drop(freed);
     }
 }
 
@@ -830,16 +874,16 @@ mod tests {
     #[test]
     fn a_block_of_another_kind_or_length_is_never_reused() {
         let list = HostBlocks::default();
-        let held = f64s(N);
+        let held = list.take(ScalarKind::F64, N, true);
         let at = ptr(&held);
         list.give_back(held);
         // the same bytes as i64: a miss, and the f64 block of that length stays
         let other_kind = list.take(ScalarKind::I64, N, true);
         assert_ne!(ptr(&other_kind), at);
-        assert_eq!(list.counters(), counters(0, 1, HOST_BLOCK_MIN_BYTES));
+        assert_eq!(list.counters(), counters(0, 2, HOST_BLOCK_MIN_BYTES));
         let other_len = list.take(ScalarKind::F64, N + 1, true);
         assert!(matches!(&other_len, BufferData::F64(v) if v.len() == N + 1));
-        assert_eq!(list.counters(), counters(0, 2, 0));
+        assert_eq!(list.counters(), counters(0, 3, HOST_BLOCK_MIN_BYTES));
     }
 
     #[test]
@@ -863,30 +907,97 @@ mod tests {
 
     #[test]
     fn held_bytes_stay_under_the_cap() {
+        // a calloc'd block this large is mapped but never resident
+        let big_bytes = HOST_HELD_MAX_BYTES - HOST_BLOCK_MIN_BYTES;
         let list = HostBlocks::default();
-        let fits = HOST_HELD_MAX_BYTES / HOST_BLOCK_MIN_BYTES;
-        (0..=fits).for_each(|_| list.give_back(f64s(N)));
-        assert_eq!(list.counters(), counters(0, 0, HOST_HELD_MAX_BYTES));
-        // a block that would not fit whole is refused, not split
-        let list = HostBlocks::default();
-        list.give_back(BufferData::Char(vec![0; HOST_HELD_MAX_BYTES - 1]));
-        list.give_back(f64s(N));
-        assert_eq!(list.counters(), counters(0, 0, HOST_HELD_MAX_BYTES - 1));
+        let big = list.take(ScalarKind::Char, big_bytes, true);
+        let (a, b) = (
+            list.take(ScalarKind::F64, N, true),
+            list.take(ScalarKind::F64, N, true),
+        );
+        let mut given = [ptr(&a), ptr(&b)];
+        list.give_back(big);
+        list.give_back(a);
+        assert_eq!(list.counters(), counters(0, 3, HOST_HELD_MAX_BYTES));
+        // one block more does not fit: the oldest held one is freed for it
+        list.give_back(b);
+        assert_eq!(list.counters(), counters(0, 3, 2 * HOST_BLOCK_MIN_BYTES));
+        let again = [
+            list.take(ScalarKind::F64, N, true),
+            list.take(ScalarKind::F64, N, true),
+        ];
+        let mut taken = again.each_ref().map(ptr);
+        given.sort();
+        taken.sort();
+        assert_eq!(taken, given, "both small blocks were held");
+        // a block larger than the cap is freed whole, not held
+        let huge = list.take(ScalarKind::Char, HOST_HELD_MAX_BYTES + 1, true);
+        list.give_back(huge);
+        assert_eq!(list.counters(), counters(2, 4, 0));
     }
 
     #[test]
-    fn a_miss_releases_the_blocks_of_other_lengths() {
+    fn a_held_block_survives_misses_of_other_lengths() {
         let list = HostBlocks::default();
-        let same_len = f64s(N);
-        let at = ptr(&same_len);
-        list.give_back(same_len);
-        list.give_back(f64s(N + 1));
-        list.give_back(BufferData::Char(vec![0; 3 * HOST_BLOCK_MIN_BYTES]));
-        assert_eq!(list.counters().2, 5 * HOST_BLOCK_MIN_BYTES as u64 + 8);
-        let miss = list.take(ScalarKind::I64, N, true);
-        assert_ne!(ptr(&miss), at);
+        let block = list.take(ScalarKind::F64, N, true);
+        let at = ptr(&block);
+        list.give_back(block);
+        let _misses = [
+            list.take(ScalarKind::I64, N, true),
+            list.take(ScalarKind::F64, N + 1, true),
+            list.take(ScalarKind::F64, 4 * N, true),
+        ];
+        assert_eq!(list.counters(), counters(0, 4, HOST_BLOCK_MIN_BYTES));
+        assert_eq!(ptr(&list.take(ScalarKind::F64, N, true)), at);
+        assert_eq!(list.counters(), counters(1, 4, 0));
+    }
+
+    #[test]
+    fn a_block_dropped_on_another_thread_is_held() {
+        let list = HostBlocks::default();
+        let block = std::thread::scope(|s| {
+            s.spawn(|| list.take(ScalarKind::F64, N, true))
+                .join()
+                .unwrap()
+        });
+        let at = ptr(&block);
+        std::thread::scope(|s| s.spawn(|| list.give_back(block)).join().unwrap());
         assert_eq!(list.counters(), counters(0, 1, HOST_BLOCK_MIN_BYTES));
         assert_eq!(ptr(&list.take(ScalarKind::F64, N, true)), at);
+    }
+
+    #[test]
+    fn a_give_back_of_a_length_never_lent_is_freed() {
+        let list = HostBlocks::default();
+        list.give_back(f64s(N));
+        assert_eq!(list.counters(), counters(0, 0, 0));
+        // a copy of a lent block was not lent: one of the two is held
+        let lent = list.take(ScalarKind::F64, N, true);
+        list.give_back(lent.clone());
+        list.give_back(lent);
+        assert_eq!(list.counters(), counters(0, 1, HOST_BLOCK_MIN_BYTES));
+    }
+
+    #[test]
+    fn the_lent_table_forgets_a_length_once_none_of_it_is_out() {
+        let list = HostBlocks::default();
+        let lent = |list: &HostBlocks| list.lock().lent.clone();
+        let out: Vec<_> = (1..=3)
+            .map(|k| list.take(ScalarKind::F64, k * N, true))
+            .collect();
+        let twice = list.take(ScalarKind::F64, N, true);
+        assert_eq!(lent(&list).len(), 3);
+        out.into_iter().for_each(|b| list.give_back(b));
+        assert_eq!(lent(&list), [((ScalarKind::F64, N), 1)]);
+        list.give_back(twice);
+        assert_eq!(lent(&list), []);
+        // held blocks taken and given back again leave no entry either
+        for _ in 0..3 {
+            let b = list.take(ScalarKind::F64, 2 * N, true);
+            list.give_back(b);
+        }
+        assert_eq!(lent(&list), []);
+        assert_eq!(list.counters(), counters(3, 4, 7 * HOST_BLOCK_MIN_BYTES));
     }
 
     #[test]

@@ -353,6 +353,7 @@ impl Runtime {
         (s.kernel_hits, s.kernel_fallbacks) = mdh_backend::fast::registry().counters();
         (s.host_reuses, s.host_fresh, s.host_bytes_held) =
             mdh_core::buffer::host_blocks().counters();
+        s.minor_faults = crate::stats::minor_faults();
         s
     }
 

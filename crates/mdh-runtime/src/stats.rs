@@ -14,6 +14,21 @@ fn ratio(n: u64, d: u64) -> f64 {
     }
 }
 
+/// The process's minor page faults so far, 0 where `/proc/self/stat`
+/// cannot be read.
+pub(crate) fn minor_faults() -> u64 {
+    std::fs::read_to_string("/proc/self/stat").map_or(0, |stat| minor_faults_of(&stat))
+}
+
+/// Field 10 (`minflt`) of a `/proc/<pid>/stat` line, 0 if it has none.
+/// The command name in field 2 may hold spaces and `)`, so the fields
+/// resume after the last `)`: field 3 onwards.
+fn minor_faults_of(stat: &str) -> u64 {
+    let rest = stat.rfind(')').map_or("", |i| &stat[i + 1..]);
+    let minflt = rest.split_whitespace().nth(10 - 3);
+    minflt.and_then(|f| f.parse().ok()).unwrap_or(0)
+}
+
 /// The health state that does not count as healing activity.
 const HEALTHY: &str = "healthy";
 
@@ -362,14 +377,19 @@ metrics! {
     /// CPU executions that were fast-path candidates but fell back to the
     /// VM or legacy kernels, with a recorded reason (monotone).
     kernel_fallbacks: u64, fast " kernel-fallbacks={}";
-    /// Large host blocks (outputs of at least 32 MiB) handed out again
-    /// from the free list instead of freshly mapped (monotone;
+    /// Large host blocks (at least `HOST_BLOCK_MIN_BYTES`) handed out
+    /// again from the free list instead of freshly allocated (monotone;
     /// process-wide, `mdh_core::buffer::host_blocks`).
     host_reuses: u64, host " reuses={}";
-    /// Large host blocks that had to be freshly mapped (monotone).
+    /// Large host blocks that had to be freshly allocated (monotone).
     host_fresh: u64, host " fresh={}";
     /// Bytes the free list holds for reuse (gauge).
     host_bytes_held: u64, host " held={}B";
+    /// Minor page faults the process has taken (monotone; process-wide,
+    /// field 10 of `/proc/self/stat`, 0 where it cannot be read). Its
+    /// change over `completed`'s between two snapshots is the faults per
+    /// request.
+    minor_faults: u64, host " minor-faults={}";
     /// Injected shard hangs caught by the watchdog (monotone).
     fault_hangs: u64, healing " hangs={}";
     /// Hung or straggling shards hedged onto a healthy spare (monotone).
@@ -446,6 +466,7 @@ mod tests {
             host_reuses: 6,
             host_fresh: 2,
             host_bytes_held: 1 << 26,
+            minor_faults: 1234,
             fault_hangs: 2,
             fault_hedges: 2,
             health_probes: 5,
@@ -493,7 +514,7 @@ mod tests {
         );
         // the host section added since, after the fast-path one
         let fast = "kernel-fallbacks=7";
-        let host_text = "; host: reuses=6 fresh=2 held=67108864B";
+        let host_text = "; host: reuses=6 fresh=2 held=67108864B minor-faults=1234";
         assert_eq!(
             busy().to_string(),
             want.replace(fast, &format!("{fast}{host_text}"))
@@ -502,7 +523,7 @@ mod tests {
         let added = [
             r#""plan_routes":{"cpu matvec 8x8":"fast","cpu prl 8":"vm: reduction is not builtin pw(add)"},"#,
             r#""batched_requests":12,"#,
-            r#""host_reuses":6,"host_fresh":2,"host_bytes_held":67108864,"#,
+            r#""host_reuses":6,"host_fresh":2,"host_bytes_held":67108864,"minor_faults":1234,"#,
         ];
         let mut json = busy().to_json();
         for key in added {
@@ -609,7 +630,7 @@ mod tests {
             (
                 "host",
                 |s| s.host_bytes_held = 4096,
-                "; host: reuses=0 fresh=0 held=4096B",
+                "; host: reuses=0 fresh=0 held=4096B minor-faults=0",
             ),
             (
                 "edge",
@@ -668,6 +689,27 @@ mod tests {
         for row in ROWS.iter().filter(|r| !r.section.is_empty()) {
             let (pre, _) = row.tpl.split_once('{').unwrap();
             assert!(line.contains(pre.trim()), "{}: {line}", row.key);
+        }
+    }
+
+    #[test]
+    fn minor_faults_are_field_ten_after_the_last_parenthesis() {
+        let stat = "4242 (sut) 1 (x) y) S 1 4242 4242 0 -1 4194560 \
+                    9876 0 3 0 12 7 0 0 20 0 9 0 1234 0";
+        assert_eq!(minor_faults_of(stat), 9876);
+        let garbage = [
+            "",
+            ")",
+            "1 (a) S 1 2",
+            "1 (a) S 1 2 3 4 5 6 -9",
+            "((",
+            "\u{0} )",
+        ];
+        for line in garbage {
+            assert_eq!(minor_faults_of(line), 0, "{line:?}");
+        }
+        if cfg!(target_os = "linux") {
+            assert!(minor_faults() > 0, "this process has touched its own pages");
         }
     }
 

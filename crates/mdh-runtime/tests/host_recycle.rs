@@ -1,10 +1,9 @@
 //! A warm Jacobi3D reuses its output block: eight sequential launches of
-//! a 162³ fp64 stencil through `Runtime::submit`. Its 34 MB output is
-//! just above the 32 MiB floor of `mdh_core::buffer::HostBlocks` (fp64
-//! halves the points an fp32 output that size would need, which keeps the
-//! debug build quick). The first output is kept, so the second launch
-//! allocates a block of its own and every launch after that takes the
-//! block the one before it gave back.
+//! a 162³ fp64 stencil through `Runtime::submit`. Its 34 MB output is a
+//! block glibc maps afresh on every allocation, the largest kind
+//! `mdh_core::buffer::HostBlocks` recycles. The first output is kept, so
+//! the second launch allocates a block of its own and every launch after
+//! that takes the block the one before it gave back.
 //!
 //! One test in its own file: the list and its counters are process-wide,
 //! and no other test shares this process.
