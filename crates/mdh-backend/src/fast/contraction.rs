@@ -352,18 +352,23 @@ impl FastContraction {
             let mut o0 = a0.offset(ir);
             let mut o1 = a1.offset(ir);
             let mut rem = nr;
+            // the chain runs in a local, not through the captured `acc`,
+            // so each add stays in a register; it is written back once
+            // per run
+            let mut sum = acc;
             if first {
-                acc = x0[o0 as usize].widen() * x1[o1 as usize].widen();
+                sum = x0[o0 as usize].widen() * x1[o1 as usize].widen();
                 o0 += sk0;
                 o1 += sk1;
                 rem -= 1;
                 first = false;
             }
             for _ in 0..rem {
-                acc += x0[o0 as usize].widen() * x1[o1 as usize].widen();
+                sum += x0[o0 as usize].widen() * x1[o1 as usize].widen();
                 o0 += sk0;
                 o1 += sk1;
             }
+            acc = sum;
         });
         partial[0] = acc;
     }

@@ -697,6 +697,48 @@ fn adjoint_product_shapes_bit_identical_to_vm() {
     }
 }
 
+/// A Dot over three collapsed dims runs one chain through many runs of
+/// its innermost dim, and a split of that dim starts the second task in
+/// the middle of a run: the chain must carry its sum and its first-product
+/// flag from run to run. All-`-0.0` products must come out `-0.0`, which
+/// a chain that started from `0.0` anywhere would not.
+#[test]
+fn a_dot_chain_carries_across_runs_and_tasks() {
+    let sizes = vec![3usize, 4, 11];
+    let prog = DslBuilder::new("dot3", sizes.clone())
+        .out_buffer("res", BasicType::F64)
+        .out_access("res", IndexFn::affine(vec![AffineExpr::constant(3, 0)]))
+        .inp_buffer("x", BasicType::F64)
+        .inp_access("x", IndexFn::identity(3, 3))
+        .inp_buffer("y", BasicType::F64)
+        .inp_access("y", IndexFn::identity(3, 3))
+        .scalar_function(ScalarFunction::mul2("f_mul", ScalarKind::F64))
+        .combine_ops(vec![CombineOp::pw_add(); 3])
+        .build()
+        .unwrap();
+    let filled = |neg_zero: bool| {
+        let mut ins =
+            ["x", "y"].map(|n| Buffer::zeros(n, BasicType::F64, Shape::new(sizes.clone())));
+        inexact_fill(&mut ins[0], 3);
+        inexact_fill(&mut ins[1], 5);
+        if neg_zero {
+            ins[0].fill_with(|_| -0.0);
+            ins[1].fill_with(|i| 1.0 + i as f64);
+        }
+        ins.to_vec()
+    };
+    for neg_zero in [false, true] {
+        let inputs = filled(neg_zero);
+        for chunks in [[1, 1, 1], [2, 1, 1], [1, 1, 3], [1, 2, 2]] {
+            let plan = build_plan(&prog, &chunks, &[1, 1, 1]);
+            assert_fast_matches_vm(&prog, &plan, &inputs);
+            let out = oracle(&prog, &plan, &inputs);
+            let bits = out[0].as_f64().unwrap()[0].to_bits();
+            assert_eq!(bits == (-0.0f64).to_bits(), neg_zero, "chunks {chunks:?}");
+        }
+    }
+}
+
 /// The full executor must agree bitwise with `vm_exec` on the same plan
 /// for an eligible program — the end-to-end form of the contract,
 /// including the registry, routing, and hit accounting.
