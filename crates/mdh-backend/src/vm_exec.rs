@@ -215,9 +215,9 @@ impl Combiner {
         let mut scratch = cf.point_banks();
         let (mut left, mut right) = (Acc::new(acc.len()), Acc::new(acc.len()));
         for row in rows() {
-            for (o, l) in row.offsets() {
+            for (o, l, r) in row.offsets() {
                 left.read(if let Part::Left(p) = part { p } else { acc }, l);
-                right.read(if let Part::Right(p) = part { p } else { acc }, o);
+                right.read(if let Part::Right(p) = part { p } else { acc }, r);
                 combine_vm(cf, lhs_regs, rhs_regs, &mut left, &right, &mut scratch);
                 left.write(acc, o);
             }
@@ -771,11 +771,12 @@ fn run_task(ctx: &TaskCtx, range: &MdRange) -> Result<Partial> {
 pub(crate) fn scan_rows(extents: &[usize], sd_pos: usize) -> impl Iterator<Item = Row> + Clone {
     let (outer, sd_ext, stride) = axis_split(extents, sd_pos);
     (0..outer).map(move |o| Row {
-        out: ((o * sd_ext + 1) * stride) as i64,
-        step: 1,
         lhs: (o * sd_ext * stride) as i64,
-        lhs_step: 1,
-        len: sd_ext.saturating_sub(1) * stride,
+        ..Row::along(
+            ((o * sd_ext + 1) * stride) as i64,
+            1,
+            sd_ext.saturating_sub(1) * stride,
+        )
     })
 }
 
@@ -799,11 +800,9 @@ pub(crate) fn carry_rows(
     Ok((0..rows).map(move |ot| {
         let (o, t) = (ot / stride, ot % stride);
         Row {
-            out: (o * c_sd * stride + t) as i64,
-            step: stride as i64,
             lhs: (((o + 1) * p_sd - 1) * stride + t) as i64,
             lhs_step: 0,
-            len: c_sd,
+            ..Row::along((o * c_sd * stride + t) as i64, stride as i64, c_sd)
         }
     }))
 }

@@ -141,34 +141,51 @@ row_elems! {
 
 /// One row of a recombination: element `l < len` is written at `out +
 /// l·step` of the accumulator, its left operand is read at `lhs +
-/// l·lhs_step` and its right operand at `out + l·step` — each from the
-/// accumulator or from the partial a [`Part`] names.
+/// l·lhs_step` and its right operand at `rhs + l·rhs_step` — each from the
+/// accumulator or from the partial a [`Part`] names. A partial laid out
+/// like the accumulator is read where the row writes (`rhs`, `rhs_step`
+/// equal to `out`, `step`); a shard's own box is not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Row {
     pub out: i64,
     pub step: i64,
     pub lhs: i64,
     pub lhs_step: i64,
+    pub rhs: i64,
+    pub rhs_step: i64,
     pub len: usize,
 }
 
 impl Row {
-    /// A row whose left operand is the element it overwrites.
+    /// A row whose operands are both read where it writes.
     pub fn along(out: i64, step: i64, len: usize) -> Row {
         Row {
             out,
             step,
             lhs: out,
             lhs_step: step,
+            rhs: out,
+            rhs_step: step,
             len,
         }
     }
 
-    /// `(out, lhs)` offsets of each element, `l` ascending.
-    pub fn offsets(&self) -> impl Iterator<Item = (usize, usize)> {
+    /// `(out, lhs, rhs)` offsets of each element, `l` ascending.
+    pub fn offsets(&self) -> impl Iterator<Item = (usize, usize, usize)> {
         let at = |base: i64, step: i64, l: i64| (base + l * step) as usize;
         let r = *self;
-        (0..r.len as i64).map(move |l| (at(r.out, r.step, l), at(r.lhs, r.lhs_step, l)))
+        (0..r.len as i64).map(move |l| {
+            (
+                at(r.out, r.step, l),
+                at(r.lhs, r.lhs_step, l),
+                at(r.rhs, r.rhs_step, l),
+            )
+        })
+    }
+
+    /// Whether the right operand is the element the row overwrites.
+    fn rhs_in_place(&self) -> bool {
+        (self.rhs, self.rhs_step) == (self.out, self.step)
     }
 }
 
@@ -217,27 +234,32 @@ pub fn fold_row<T: RowElem>(acc: &mut [T], part: &Part<[T]>, row: &Row, op: Opti
 #[inline(always)]
 fn row_loop<T: Copy>(acc: &mut [T], part: &Part<[T]>, r: &Row, g: impl Fn(T, T) -> T) {
     match *part {
-        Part::Right(p) if (r.step, r.lhs, r.lhs_step) == (1, r.out, 1) => {
-            let (o, n) = (r.out as usize, r.len);
-            let pairs = acc[o..o + n].iter_mut().zip(&p[o..o + n]);
+        // a contiguous fold or copy of a contiguous run of the partial
+        Part::Right(p) if (r.step, r.lhs, r.lhs_step, r.rhs_step) == (1, r.out, 1, 1) => {
+            let (o, q, n) = (r.out as usize, r.rhs as usize, r.len);
+            let pairs = acc[o..o + n].iter_mut().zip(&p[q..q + n]);
             pairs.for_each(|(a, &b)| *a = g(*a, b));
         }
         // a carry-fold along a contiguous row: one left operand for all,
         // out of another partial or out of the accumulator ahead of the row
         // (an empty row reads no operand, so it takes the general arm)
-        Part::Left(p) if (r.step, r.lhs_step) == (1, 0) && r.len > 0 => {
+        Part::Left(p) if (r.step, r.lhs_step) == (1, 0) && r.rhs_in_place() && r.len > 0 => {
             let (o, carry) = (r.out as usize, p[r.lhs as usize]);
             acc[o..o + r.len].iter_mut().for_each(|a| *a = g(carry, *a));
         }
-        Part::Right(p) if (r.step, r.lhs_step) == (1, 0) && r.lhs < r.out && r.len > 0 => {
-            let (o, carry) = (r.out as usize, acc[r.lhs as usize]);
-            let pairs = acc[o..o + r.len].iter_mut().zip(&p[o..o + r.len]);
+        Part::Right(p)
+            if (r.step, r.lhs_step, r.rhs_step) == (1, 0, 1) && r.lhs < r.out && r.len > 0 =>
+        {
+            let (o, q, carry) = (r.out as usize, r.rhs as usize, acc[r.lhs as usize]);
+            let pairs = acc[o..o + r.len].iter_mut().zip(&p[q..q + r.len]);
             pairs.for_each(|(a, &b)| *a = g(carry, b));
         }
         // a scan's recurrence: each element combines with the one `k`
         // before it, final by then — a running value when `k` is 1, else
         // `k` independent elements at a time
-        Part::None if (r.step, r.lhs_step) == (1, 1) && r.lhs < r.out && r.len > 0 => {
+        Part::None
+            if (r.step, r.lhs_step) == (1, 1) && r.rhs_in_place() && r.lhs < r.out && r.len > 0 =>
+        {
             let (o, k, end) = (
                 r.out as usize,
                 (r.out - r.lhs) as usize,
@@ -257,9 +279,9 @@ fn row_loop<T: Copy>(acc: &mut [T], part: &Part<[T]>, r: &Row, g: impl Fn(T, T) 
                 }
             }
         }
-        Part::None => r.offsets().for_each(|(o, l)| acc[o] = g(acc[l], acc[o])),
-        Part::Left(p) => r.offsets().for_each(|(o, l)| acc[o] = g(p[l], acc[o])),
-        Part::Right(p) => r.offsets().for_each(|(o, l)| acc[o] = g(acc[l], p[o])),
+        Part::None => r.offsets().for_each(|(o, l, q)| acc[o] = g(acc[l], acc[q])),
+        Part::Left(p) => r.offsets().for_each(|(o, l, q)| acc[o] = g(p[l], acc[q])),
+        Part::Right(p) => r.offsets().for_each(|(o, l, q)| acc[o] = g(acc[l], p[q])),
     }
 }
 
@@ -688,6 +710,21 @@ mod tests {
                     assert_eq!(bits_hash(&[acc]), want, "{kind} {op} {row:?} right={right}");
                     cases += 1;
                 }
+                // the right operand laid out apart from the accumulator: two
+                // elements further on, and back to front
+                let shifted = buffer(&[&vals[..2], &rhs[..]].concat());
+                let backwards: Vec<Value> = rhs.iter().rev().cloned().collect();
+                let backwards = buffer(&backwards);
+                for (part, rhs, rhs_step) in [(&shifted, 2, 1), (&backwards, n as i64 - 1, -1)] {
+                    let row = Row {
+                        rhs,
+                        rhs_step,
+                        ..forward
+                    };
+                    let mut acc = lhs_buf.clone();
+                    assert!(acc.data.fold_row(&Part::Right(&part.data), &row, Some(op)));
+                    assert_eq!(bits_hash(&[acc]), want, "{kind} {op} {row:?}");
+                }
                 // a scan's recurrence `k` elements apart: each element
                 // combines with the one `k` before it, already final
                 for k in [1, 2, 3] {
@@ -699,11 +736,8 @@ mod tests {
                             .clone();
                     }
                     let row = Row {
-                        out: k as i64,
-                        step: 1,
                         lhs: 0,
-                        lhs_step: 1,
-                        len: n - k,
+                        ..Row::along(k as i64, 1, n - k)
                     };
                     let mut acc = lhs_buf.clone();
                     assert!(acc.data.fold_row(&Part::None, &row, Some(op)));
@@ -724,10 +758,9 @@ mod tests {
                     let ahead =
                         |rest: &[Value]| buffer(&[std::slice::from_ref(carry), rest].concat());
                     let row = Row {
-                        out: 1,
                         lhs: 0,
                         lhs_step: 0,
-                        ..forward
+                        ..Row::along(1, 1, n)
                     };
                     let mut acc = ahead(&lhs);
                     assert!(acc

@@ -1,24 +1,25 @@
-//! Stage 3 — **recombine**: fold per-shard partial outputs into the final
-//! result through the original program's combine operators.
+//! Stage 3 — **recombine**: fold per-shard outputs into the final result
+//! through the original program's combine operators.
 //!
-//! Partials are folded in shard-index order — shard 0's outputs are the
-//! accumulator, every later shard combines into it as the right operand —
-//! so the bracketing is a pure function of the plan, and the result is
-//! bit-identical to single-device execution even for merely-associative
-//! (non-commutative) custom functions.
+//! A `cc` or `ps` shard returns only its box of each output
+//! (`mdh_lowering::partition`): the outputs are allocated once, in the
+//! global shape, and every shard's box is copied (`cc`) or carry-folded
+//! (`ps`, Listing 17: `res[j in Q] = f(lhs[last of P], rhs[j])`, the left
+//! operand read from the slice just before the shard's range, final
+//! because shards go in order) into them. A `pw(f)` or `rbi(f)` shard
+//! returns a full-shape partial: shard 0's partials are the accumulator
+//! and every later shard folds into it as the right operand (`rbi` as one
+//! whole-buffer row). Shards go in shard-index order, so the bracketing is
+//! a pure function of the plan, and the result is bit-identical to
+//! single-device execution even for merely-associative (non-commutative)
+//! custom functions.
 //!
-//! One walker visits the region of the output a shard wrote, a row of the
-//! last varying dimension at a time; offsets are the linearised affine
+//! One walker visits the positions a shard wrote, a row of the last
+//! varying dimension at a time; offsets are the linearised affine
 //! accesses of [`mdh_backend::offsets`], stepped by a stride along the row
-//! instead of re-evaluated per point. A row is one of three operations,
-//! which differ only in where the left operand is read:
-//!
-//! * **copy** (`cc`): the shard's row replaces the accumulator's.
-//! * **fold** (`pw(f)`; `rbi(f)` as one whole-buffer row): the shard's row
-//!   combines element-wise into the accumulator's.
-//! * **carry-fold** (`ps(f)`, Listing 17: `res[j in Q] = f(lhs[last of P],
-//!   rhs[j])`): the shard's row combines with the slice just before its
-//!   range, which is final because shards are chained in order.
+//! instead of re-evaluated per point. The accumulator is addressed through
+//! the program's accesses and global shapes, the shard's outputs through
+//! its own program's accesses and box shapes: a [`Row`]'s `out` and `rhs`.
 //!
 //! Builtin operators run through the one typed row loop, `fold_row`;
 //! custom ones (tuple functions over several outputs) and record outputs
@@ -29,23 +30,22 @@ use mdh_core::buffer::Buffer;
 use mdh_core::combine::{DimBehavior, Part, PwFunc, Row};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
+use mdh_core::eval::alloc_outputs;
 use mdh_core::shape::MdRange;
 use mdh_core::types::Tuple;
-use mdh_lowering::partition::{PartitionPlan, PartitionStrategy};
+use mdh_lowering::partition::{PartitionPlan, PartitionStrategy, Shard};
 
-/// Fold per-shard partial outputs into the final result, in shard-index
-/// order, through the original program's combine operators.
+/// Fold per-shard outputs into the final result, in shard-index order,
+/// through the original program's combine operators.
 pub(crate) fn recombine(
     prog: &DslProgram,
     plan: &PartitionPlan,
     shard_outs: Vec<Vec<Buffer>>,
 ) -> Result<Vec<Buffer>> {
-    let mut parts = shard_outs.into_iter();
-    let mut acc = parts
-        .next()
-        .ok_or_else(|| MdhError::Eval(format!("program '{}': no shard outputs", prog.name)))?;
+    let mut parts = plan.shards.iter().zip(shard_outs);
+    let no_outputs = || MdhError::Eval(format!("program '{}': no shard outputs", prog.name));
     let Some((d, strategy)) = plan.partition else {
-        return Ok(acc);
+        return parts.next().map(|(_, outs)| outs).ok_or_else(no_outputs);
     };
     let f = match strategy {
         PartitionStrategy::Concat => None,
@@ -57,28 +57,40 @@ pub(crate) fn recombine(
             ))
         })?),
     };
-    for (shard, outs) in plan.shards.iter().skip(1).zip(parts) {
-        match strategy {
-            PartitionStrategy::Concat => walk(prog, &mut acc, &outs, &shard.range, None, None)?,
+    if let PartitionStrategy::Concat | PartitionStrategy::Scan = strategy {
+        let mut acc = alloc_outputs(prog)?;
+        for (shard, outs) in parts {
+            // the carry is read from the already-final previous region;
+            // shard 0 has none and is copied
+            let carry = (shard.index > 0 && strategy == PartitionStrategy::Scan)
+                .then(|| (d, shard.range.lo[d] as i64 - 1));
+            let f = carry.and(f);
+            walk(prog, &mut acc, shard, &outs, &shard.range, carry, f)?;
+        }
+        return Ok(acc);
+    }
+    let (_, mut acc) = parts.next().ok_or_else(no_outputs)?;
+    for (shard, outs) in parts {
+        if strategy == PartitionStrategy::Reduce {
             // every shard wrote the same positions: the preserved
             // dimensions over the full range
-            PartitionStrategy::Reduce => {
-                walk(prog, &mut acc, &outs, &prog.md_hom.full_range(), None, f)?
-            }
-            // the carry is read from the already-final previous region
-            PartitionStrategy::Scan => {
-                let carry = Some((d, shard.range.lo[d] as i64 - 1));
-                walk(prog, &mut acc, &outs, &shard.range, carry, f)?
-            }
-            // scatter targets are data-dependent, so no sub-region can be
-            // pinned: fold the entire (identically-shaped, declared-shape)
-            // partial buffers element-wise
-            PartitionStrategy::IndexedReduce => {
-                for buf in 0..acc.len() {
-                    let whole = (buf, Row::along(0, 1, acc[buf].len()));
-                    row_op(&mut acc, &outs, f, &[whole])?;
-                }
-            }
+            walk(
+                prog,
+                &mut acc,
+                shard,
+                &outs,
+                &prog.md_hom.full_range(),
+                None,
+                f,
+            )?;
+            continue;
+        }
+        // scatter targets are data-dependent, so no sub-region can be
+        // pinned: fold the entire (identically-shaped, declared-shape)
+        // partial buffers element-wise
+        for buf in 0..acc.len() {
+            let whole = (buf, Row::along(0, 1, acc[buf].len()));
+            row_op(&mut acc, &outs, f, &[whole])?;
         }
     }
     Ok(acc)
@@ -98,13 +110,15 @@ fn clip(span: &mut (i64, i64), v0: i64, c: i64) {
 /// Apply one row operation per row of the positions `range` wrote —
 /// collapsed dimensions contribute a single index, their `lo`: copy when
 /// `f` is `None`, fold when there is no `carry`, carry-fold from index
-/// `carry.1` of dimension `carry.0` otherwise. Rows run along the last
-/// preserved dimension the range varies in; points where an access (or
-/// its carry) has a negative coordinate were never written and are
-/// skipped.
+/// `carry.1` of dimension `carry.0` otherwise. `acc` is addressed through
+/// `prog`'s accesses, `rhs` — `shard`'s outputs — through the shard
+/// program's, at the shard-local index. Rows run along the last preserved
+/// dimension the range varies in; points where an access (or its carry)
+/// has a negative coordinate were never written and are skipped.
 fn walk(
     prog: &DslProgram,
     acc: &mut [Buffer],
+    shard: &Shard,
     rhs: &[Buffer],
     range: &MdRange,
     carry: Option<(usize, i64)>,
@@ -113,8 +127,17 @@ fn walk(
     if range.is_empty() {
         return Ok(());
     }
-    let shapes: Vec<Vec<usize>> = acc.iter().map(|b| b.shape.dims().to_vec()).collect();
-    let linear = linearize_view(&prog.out_view, &shapes, range.rank())?;
+    let shapes = |bufs: &[Buffer]| -> Vec<Vec<usize>> {
+        bufs.iter().map(|b| b.shape.dims().to_vec()).collect()
+    };
+    let linear = linearize_view(&prog.out_view, &shapes(acc), range.rank())?;
+    let mut rhs_linear = linearize_view(&shard.prog.out_view, &shapes(rhs), range.rank())?;
+    // the shard program's index is the global one less the shard's low
+    // corner
+    for la in &mut rhs_linear {
+        let corner = la.offset(&shard.range.lo) - la.constant;
+        la.constant -= corner;
+    }
     let ops = &prog.md_hom.combine_ops;
     let dims: Vec<usize> = (0..range.rank())
         .filter(|&d| ops[d].behavior() == DimBehavior::Preserve && range.extent(d) > 1)
@@ -135,7 +158,7 @@ fn walk(
         let back = carry.map(|(d, at)| (d, at - idx[d] as i64));
         let mut span = (0, row_d.map_or(1, |d| range.extent(d)) as i64);
         lanes.clear();
-        for (la, access) in linear.iter().zip(&prog.out_view.accesses) {
+        for ((la, ra), access) in linear.iter().zip(&rhs_linear).zip(&prog.out_view.accesses) {
             // linearize_view succeeded, so every out access is affine
             for e in access.index_fn.as_affine().unwrap_or(&[]) {
                 let v0 = e.eval(&idx);
@@ -145,7 +168,11 @@ fn walk(
                     clip(&mut span, at_carry, along(&e.coeffs, carry_d));
                 }
             }
-            let mut row = Row::along(la.offset(&idx), along(&la.coeffs, row_d), 0);
+            let mut row = Row {
+                rhs: ra.offset(&idx),
+                rhs_step: along(&ra.coeffs, row_d),
+                ..Row::along(la.offset(&idx), along(&la.coeffs, row_d), 0)
+            };
             if let Some((d, back)) = back {
                 row.lhs += back * la.coeffs[d];
                 row.lhs_step = along(&la.coeffs, carry_d);
@@ -156,6 +183,7 @@ fn walk(
             for (_, row) in &mut lanes {
                 row.out += span.0 * row.step;
                 row.lhs += span.0 * row.lhs_step;
+                row.rhs += span.0 * row.rhs_step;
                 row.len = (span.1 - span.0) as usize;
             }
             row_op(acc, rhs, f, &lanes)?;
@@ -166,8 +194,8 @@ fn walk(
     }
 }
 
-/// `acc[out] = f(acc[lhs], rhs[out])` over one row of every output
-/// access, a `(buffer, row)` lane (copy: `acc[out] = rhs[out]`). A
+/// `acc[out] = f(acc[lhs], rhs[rhs])` over one row of every output
+/// access, a `(buffer, row)` lane (copy: `acc[out] = rhs[rhs]`). A
 /// builtin operator combines tuples position by position, so each of its
 /// lanes is independent and runs through the typed row loop when its
 /// buffers allow; what is left — all lanes of a custom `f`, whose tuple
@@ -190,18 +218,16 @@ fn row_op(
         return Ok(());
     };
     for l in 0..n as i64 {
-        let at = |&(_, r): &(usize, Row)| (r.out + l * r.step) as usize;
-        let mut new: Tuple = by_value
-            .iter()
-            .map(|ln| rhs[ln.0].get_flat(at(ln)))
+        let at = |base: i64, step: i64| (base + l * step) as usize;
+        let mut new: Tuple = (by_value.iter())
+            .map(|&(buf, r)| rhs[buf].get_flat(at(r.rhs, r.rhs_step)))
             .collect();
         if let Some(f) = f {
-            let lhs =
-                |&(buf, r): &(usize, Row)| acc[buf].get_flat((r.lhs + l * r.lhs_step) as usize);
+            let lhs = |&(buf, r): &(usize, Row)| acc[buf].get_flat(at(r.lhs, r.lhs_step));
             new = f.combine(&by_value.iter().map(lhs).collect(), &new)?;
         }
-        for (ln, v) in by_value.iter().zip(&new) {
-            acc[ln.0].set_flat(at(ln), v)?;
+        for (&(buf, r), v) in by_value.iter().zip(&new) {
+            acc[buf].set_flat(at(r.out, r.step), v)?;
         }
     }
     Ok(())
@@ -247,7 +273,14 @@ mod tests {
                 vec![10, 11, 12, 13],
             )];
             let region = MdRange::new(vec![lo], vec![hi]);
-            walk(&shifted(c, k), &mut acc, &rhs, &region, None, None).unwrap();
+            let prog = shifted(c, k);
+            // a shard over the whole range: its outputs are laid out as `acc`
+            let whole = Shard {
+                index: 0,
+                range: prog.md_hom.full_range(),
+                prog: prog.clone(),
+            };
+            walk(&prog, &mut acc, &whole, &rhs, &region, None, None).unwrap();
             acc[0].as_i64().unwrap().to_vec()
         };
         // y[i - 2]: i = 0, 1 fall off the front

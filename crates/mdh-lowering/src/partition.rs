@@ -6,16 +6,19 @@
 //! granularity — it picks the outermost shardable dimension, cuts it into
 //! per-device [`Shard`]s with [`split_even`], and rewrites each shard's
 //! program so it runs as an ordinary single-device program over a local
-//! iteration space while reading and writing the *global* buffers:
+//! iteration space:
 //!
 //! * input accesses are translated by the shard's offset along the split
 //!   dimension (`constant += coeff[d] * lo`), so a shard reads exactly its
 //!   slice of the original input buffers;
-//! * output accesses are translated the same way, and output buffer shapes
-//!   are pinned to the global output shapes, so a `cc`/`ps` shard writes
-//!   its disjoint/ordered region at globally-correct positions while a
-//!   `pw` shard (whose outputs cannot depend on the split dimension)
-//!   produces a full-shape *partial* output.
+//! * output accesses are translated the same way. A `cc` or `ps` shard
+//!   owes only its own slice of each output, so each output buffer is
+//!   shaped to the *box* its accesses reach over the shard's range (the
+//!   bounding box, clipped to the global shape) and the accesses are
+//!   shifted by the box's low corner; the recombination copies or
+//!   carry-folds every box into the global buffer. A `pw` or `rbi` shard
+//!   produces a *partial* of every output position, so its output buffers
+//!   keep the global shapes and fold element-wise.
 //!
 //! Which recombination the executor owes is captured by
 //! [`PartitionStrategy`]; a dimension is eligible when every access touching
@@ -124,7 +127,11 @@ pub struct Shard {
     pub index: usize,
     /// The shard's slice as a *global* iteration sub-range.
     pub range: MdRange,
-    /// The rewritten, self-contained program for this slice.
+    /// The rewritten, self-contained program for this slice: local
+    /// iteration index 0 is global index `range.lo`, inputs are the global
+    /// buffers, and each output is the shard's box of the global one
+    /// (`Concat`, `Scan`) or a full-shape partial (`Reduce`,
+    /// `IndexedReduce`).
     pub prog: DslProgram,
 }
 
@@ -222,7 +229,7 @@ impl PartitionPlan {
             let mut range = prog.md_hom.full_range();
             range.lo[dim] = lo;
             range.hi[dim] = hi;
-            let prog = rewrite_shard(prog, dim, lo, hi, &out_shapes)?;
+            let prog = rewrite_shard(prog, (dim, strategy), lo, hi, &out_shapes)?;
             shards.push(Shard { index, range, prog });
         }
         Ok(PartitionPlan {
@@ -302,7 +309,7 @@ fn dim_translatable(prog: &DslProgram, d: usize) -> bool {
 /// Build the self-contained program for the slice `[lo, hi)` of dim `d`.
 fn rewrite_shard(
     prog: &DslProgram,
-    d: usize,
+    (d, strategy): (usize, PartitionStrategy),
     lo: usize,
     hi: usize,
     out_shapes: &[Vec<usize>],
@@ -312,14 +319,60 @@ fn rewrite_shard(
     shard.md_hom.sizes[d] = hi - lo;
     translate_view(&mut shard.inp_view, d, lo)?;
     translate_view(&mut shard.out_view, d, lo)?;
-    // pin global output shapes: translated writes of later shards land
-    // beyond the shard-local inferred extent, and every shard must
-    // allocate identically for partials to combine element-wise
-    for (decl, shape) in shard.out_view.buffers.iter_mut().zip(out_shapes) {
-        decl.declared_shape = Some(shape.clone());
+    // a cc or ps shard owes only the box its writes reach; a pw or rbi
+    // shard a partial of every position, so all of its partials combine
+    // element-wise in the global shape
+    let boxed = matches!(
+        strategy,
+        PartitionStrategy::Concat | PartitionStrategy::Scan
+    );
+    let local = shard.md_hom.full_range();
+    for (b, shape) in out_shapes.iter().enumerate() {
+        let reach = boxed.then(|| output_box(&shard.out_view, b, &local, shape));
+        let (corner, extents) = reach
+            .flatten()
+            .unwrap_or_else(|| (vec![0; shape.len()], shape.clone()));
+        shift_buffer(&mut shard.out_view, b, &corner);
+        shard.out_view.buffers[b].declared_shape = Some(extents);
     }
     shard.validate()?;
     Ok(shard)
+}
+
+/// The box buffer `b`'s accesses reach over `range` — its low corner and
+/// extents, the bounding box clipped to `shape` — or `None` when an access
+/// is general. A negative coordinate is never written, so the box starts at
+/// 0 at the earliest; a dimension no point reaches keeps one element.
+fn output_box(
+    view: &View,
+    b: usize,
+    range: &MdRange,
+    shape: &[usize],
+) -> Option<(Vec<i64>, Vec<usize>)> {
+    let mut reach = vec![(i64::MAX, i64::MIN); shape.len()];
+    for a in view.accesses_of(b) {
+        for (r, e) in reach.iter_mut().zip(a.index_fn.as_affine()?) {
+            let (lo, hi) = e.bounds_over(range);
+            *r = (r.0.min(lo), r.1.max(hi));
+        }
+    }
+    let corner: Vec<i64> = reach.iter().map(|&(lo, _)| lo.max(0)).collect();
+    let extents = (reach.iter().zip(&corner).zip(shape))
+        .map(|((&(_, hi), &c), &n)| ((hi + 1).min(n as i64).max(c + 1) - c) as usize)
+        .collect();
+    Some((corner, extents))
+}
+
+/// Shift buffer `b`'s (affine) accesses so coordinate `corner` becomes 0.
+fn shift_buffer(view: &mut View, b: usize, corner: &[i64]) {
+    for a in view.accesses.iter_mut().filter(|a| a.buffer == b) {
+        if let IndexFn::Affine(exprs) = &mut a.index_fn {
+            exprs
+                .iter_mut()
+                .zip(corner)
+                .for_each(|(e, c)| e.constant -= c);
+        }
+    }
 }
 
 /// Iteration ranks whose shifted index the shard wrapper of a general
@@ -426,15 +479,89 @@ mod tests {
         assert_eq!(s1.prog.md_hom.sizes, vec![3, 6]);
         let m = s1.prog.inp_view.accesses[0].index_fn.as_affine().unwrap();
         assert_eq!(m[0].constant, 3);
-        // the output access is shifted identically (writes rows 3..6)
+        // the shard writes rows 3..6 into its own box of three rows: the
+        // output access is shifted by 3, then back by the box's corner
         let w = s1.prog.out_view.accesses[0].index_fn.as_affine().unwrap();
-        assert_eq!(w[0].constant, 3);
-        // output shape pinned to the global one
+        assert_eq!(w[0].constant, 0);
         assert_eq!(
             s1.prog.out_view.buffers[0].declared_shape,
-            Some(vec![10usize])
+            Some(vec![3usize])
         );
         s1.prog.validate().unwrap();
+    }
+
+    /// The declared output shapes and output access constants of every
+    /// shard of `p` split `n` ways.
+    fn shard_outputs(p: &DslProgram, n: usize) -> Vec<(Vec<usize>, Vec<i64>)> {
+        let plan = PartitionPlan::build(p, n).unwrap();
+        plan.shards
+            .iter()
+            .map(|s| {
+                let out = &s.prog.out_view;
+                let exprs = out.accesses[0].index_fn.as_affine().unwrap();
+                let shape = out.buffers[0].declared_shape.clone().unwrap();
+                (shape, exprs.iter().map(|e| e.constant).collect())
+            })
+            .collect()
+    }
+
+    /// A one-dimensional program over `n` points writing `out[c·i + k]`
+    /// (declared `[len]`) from `x[i]` under `op`.
+    fn one_d(op: CombineOp, (c, k): (i64, i64), len: usize, n: usize) -> DslProgram {
+        DslBuilder::new("one_d", vec![n])
+            .out_buffer_with_shape("out", BasicType::F64, vec![len])
+            .out_access("out", IndexFn::affine(vec![AffineExpr::new(vec![c], k)]))
+            .inp_buffer("x", BasicType::F64)
+            .inp_access("x", IndexFn::identity(1, 1))
+            .scalar_function(ScalarFunction::identity("id", ScalarKind::F64))
+            .combine_ops(vec![op])
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_scan_shard_owns_the_box_of_its_rows() {
+        // out[2i + 1] over 8 points, split 3 + 3 + 2: shard 1 writes
+        // 7, 9, 11, a box of five elements from 7
+        let p = one_d(CombineOp::ps_add(), (2, 1), 16, 8);
+        assert_eq!(
+            PartitionPlan::build(&p, 3).unwrap().strategy(),
+            Some(PartitionStrategy::Scan)
+        );
+        assert_eq!(
+            shard_outputs(&p, 3),
+            [(vec![5], vec![0]), (vec![5], vec![0]), (vec![3], vec![0])]
+        );
+    }
+
+    #[test]
+    fn pw_and_rbi_shards_keep_the_global_shape() {
+        // a Dot's partial and a scatter's partial cover every position
+        let dot = dot(9);
+        assert_eq!(shard_outputs(&dot, 2), vec![(vec![1], vec![0]); 2]);
+        let scatter = one_d(CombineOp::rbi_add(), (1, 0), 12, 12);
+        let plan = PartitionPlan::build(&scatter, 3).unwrap();
+        assert_eq!(plan.strategy(), Some(PartitionStrategy::IndexedReduce));
+        // shard k's accesses are translated by 4k but not shifted back
+        assert_eq!(
+            shard_outputs(&scatter, 3),
+            [
+                (vec![12], vec![0]),
+                (vec![12], vec![4]),
+                (vec![12], vec![8])
+            ]
+        );
+    }
+
+    #[test]
+    fn a_box_is_clipped_at_coordinate_zero() {
+        // out[i - 2] over 8 points: shard 0 (i in 0..3) writes only
+        // coordinate 0, shard 1 (3..6) coordinates 1..4 from its corner 1
+        let p = one_d(CombineOp::cc(), (1, -2), 6, 8);
+        let shards = shard_outputs(&p, 3);
+        assert_eq!(shards[0], (vec![1], vec![-2]), "box [0, 1), no shift");
+        assert_eq!(shards[1], (vec![3], vec![0]), "box [1, 4)");
+        assert_eq!(shards[2], (vec![2], vec![0]), "box [4, 6)");
     }
 
     #[test]
