@@ -95,14 +95,14 @@ impl BufferData {
 
 /// Scalar blocks of at least this many bytes go through [`HostBlocks`].
 /// From 32 MiB glibc maps every block afresh and unmaps it on `free`;
-/// below that, its heap trimming hands most of a freed megabyte-sized
-/// block back to the kernel when one thread allocates it and another
-/// frees it, as rayon workers and pool shards do. Either way the next
-/// launch pays a page fault per page on first touch. The recurring blocks
-/// measured re-faulting (`scan_256k`'s 2 MiB shard outputs, CCSD(T)
-/// Medium's 3.4 MiB output) sit above this floor; smaller blocks the
-/// allocator reuses.
-pub const HOST_BLOCK_MIN_BYTES: usize = 1 << 20;
+/// below that, its heap trimming hands most of a freed block of half a
+/// megabyte or more back to the kernel when one thread allocates it and
+/// another frees it, as rayon workers and pool shards do. Either way the
+/// next launch pays a page fault per page on first touch. The recurring
+/// blocks measured re-faulting (`scan_256k`'s four 512 KiB pool shard
+/// boxes, CCSD(T) Medium's 3.4 MiB output) sit at or above this floor;
+/// smaller blocks the allocator reuses.
+pub const HOST_BLOCK_MIN_BYTES: usize = 512 << 10;
 
 /// The most bytes a [`HostBlocks`] list holds: room for a few of the
 /// largest outputs, and a bound on the resident memory the list adds.
