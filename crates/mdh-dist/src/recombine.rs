@@ -70,27 +70,21 @@ pub(crate) fn recombine(
         return Ok(acc);
     }
     let (_, mut acc) = parts.next().ok_or_else(no_outputs)?;
+    let full = prog.md_hom.full_range();
     for (shard, outs) in parts {
-        if strategy == PartitionStrategy::Reduce {
+        match strategy {
             // every shard wrote the same positions: the preserved
             // dimensions over the full range
-            walk(
-                prog,
-                &mut acc,
-                shard,
-                &outs,
-                &prog.md_hom.full_range(),
-                None,
-                f,
-            )?;
-            continue;
-        }
-        // scatter targets are data-dependent, so no sub-region can be
-        // pinned: fold the entire (identically-shaped, declared-shape)
-        // partial buffers element-wise
-        for buf in 0..acc.len() {
-            let whole = (buf, Row::along(0, 1, acc[buf].len()));
-            row_op(&mut acc, &outs, f, &[whole])?;
+            PartitionStrategy::Reduce => walk(prog, &mut acc, shard, &outs, &full, None, f)?,
+            // scatter targets are data-dependent, so no sub-region can be
+            // pinned: fold the entire (identically-shaped, declared-shape)
+            // partial buffers element-wise
+            _ => {
+                for buf in 0..acc.len() {
+                    let whole = (buf, Row::along(0, 1, acc[buf].len()));
+                    row_op(&mut acc, &outs, f, &[whole])?;
+                }
+            }
         }
     }
     Ok(acc)

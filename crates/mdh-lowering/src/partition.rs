@@ -38,16 +38,17 @@ use mdh_core::views::View;
 /// to do with per-shard results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionStrategy {
-    /// `cc` dimension: shards write disjoint output regions; recombination
-    /// is a gather with no combine arithmetic.
+    /// `cc` dimension: shards write disjoint output regions, each into a
+    /// buffer of its own box; recombination is a gather with no combine
+    /// arithmetic.
     Concat,
     /// `pw(f)` dimension: shards produce full-shape partial outputs that
     /// must be folded element-wise with `f` (any associative grouping —
     /// serial chain, binary tree, host gather — is legal).
     Reduce,
-    /// `ps(f)` dimension: shards hold local scans; recombination is the
-    /// ordered carry chain of Listing 17 and is inherently serial in the
-    /// shard index.
+    /// `ps(f)` dimension: shards hold local scans of their own boxes;
+    /// recombination is the ordered carry chain of Listing 17 and is
+    /// inherently serial in the shard index.
     Scan,
     /// `rbi(add)` dimension: shards scatter into full-shape partial
     /// outputs; recombination folds the *entire* buffers element-wise with
@@ -320,7 +321,7 @@ fn rewrite_shard(
     translate_view(&mut shard.inp_view, d, lo)?;
     translate_view(&mut shard.out_view, d, lo)?;
     // a cc or ps shard owes only the box its writes reach; a pw or rbi
-    // shard a partial of every position, so all of its partials combine
+    // shard owes a partial of every position, and partials combine
     // element-wise in the global shape
     let boxed = matches!(
         strategy,

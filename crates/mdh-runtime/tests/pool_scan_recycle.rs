@@ -48,7 +48,10 @@ fn a_warm_pool_scan_takes_every_large_block_from_the_list() {
     let first = launch();
     assert_eq!(launch(), first);
     let before = rt.stats();
-    assert!(before.host_fresh >= 5, "four boxes and the output: {before}");
+    assert!(
+        before.host_fresh >= 5,
+        "four boxes and the output: {before}"
+    );
     for i in 0..20 {
         assert_eq!(launch(), first, "launch {i} moved a bit");
     }
