@@ -46,7 +46,7 @@ use mdh_core::buffer::Buffer;
 use mdh_core::combine::CombineOp;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
-use mdh_core::expr::{Expr, ScalarFunction, SfPattern, Stmt};
+use mdh_core::expr::{Expr, ScalarFunction, Stmt};
 use mdh_core::index_fn::{AffineExpr, IndexFn};
 use mdh_core::shape::MdRange;
 use mdh_core::views::{Access, BufferDecl, View};
@@ -285,7 +285,16 @@ fn scan_adjoint(prog: &DslProgram, wrt: &[usize], scan_dims: &[usize]) -> Result
         )));
     }
     let d = scan_dims[0];
-    if !matches!(prog.md_hom.sf.recognize(), SfPattern::Identity(0)) {
+    // `res = p0` and nothing else, whatever the parameter's type
+    let sf = &prog.md_hom.sf;
+    let identity = match &sf.body[..] {
+        [Stmt::Assign {
+            name,
+            value: Expr::Param(0),
+        }] => sf.results.len() == 1 && *name == sf.results[0].0,
+        _ => false,
+    };
+    if !identity {
         return Err(MdhError::Validation(format!(
             "AD of ps programs requires an identity scalar function ('{}' is not)",
             prog.name

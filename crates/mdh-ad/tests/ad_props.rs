@@ -259,6 +259,43 @@ fn scan_adjoint_is_the_reverse_scan() {
     }
 }
 
+/// A `ps` program differentiates when its scalar function is exactly
+/// `res = p0`, whatever the parameter's type; any other body is refused.
+#[test]
+fn scan_adjoint_needs_a_res_equals_p0_body() {
+    let scan_of = |param: BasicType, body: Vec<Stmt>| {
+        let sf = ScalarFunction {
+            name: "f".into(),
+            params: vec![("p".into(), param.clone())],
+            results: vec![("res".into(), BasicType::F64)],
+            body,
+        };
+        DslBuilder::new("scan", vec![9])
+            .out_buffer("y", BasicType::F64)
+            .out_access("y", IndexFn::identity(1, 1))
+            .inp_buffer("x", param)
+            .inp_access("x", IndexFn::identity(1, 1))
+            .scalar_function(sf)
+            .combine_ops(vec![CombineOp::ps_add()])
+            .build()
+            .unwrap()
+    };
+    let assign = |value: Expr| Stmt::Assign {
+        name: "res".into(),
+        value,
+    };
+    let widened = scan_of(BasicType::F32, vec![assign(Expr::Param(0))]);
+    assert_eq!(grad_all(&widened).unwrap().parts.len(), 1);
+    let doubled = Expr::mul(Expr::Param(0), Expr::lit_f64(2.0));
+    for body in [vec![assign(doubled)], vec![assign(Expr::Param(0)); 2]] {
+        let err = grad_all(&scan_of(BasicType::F64, body)).unwrap_err();
+        assert!(
+            err.to_string().contains("identity scalar function"),
+            "{err}"
+        );
+    }
+}
+
 /// Gather forward: y[i] = table[idx[i]] — its adjoint is the
 /// embedding-style scatter-add the `rbi` operator exists for.
 fn gather(n: usize, vocab: usize) -> (DslProgram, Vec<Buffer>, Vec<usize>) {

@@ -4,9 +4,9 @@
 //! accept only expression shapes whose evaluation the kernels reproduce
 //! operation-for-operation (left-nested additions, literal-times-parameter
 //! terms, one literal scale around the whole sum), and reject anything
-//! that would require reassociating floating-point arithmetic
-//! (`SfPattern::recognize` in `mdh-core`, by contrast, matches up to
-//! reassociation and is not used here).
+//! that would require reassociating floating-point arithmetic. They are
+//! the workspace's only scalar-function matchers; `mdh-ad` reads the one
+//! shape it needs, `res = p0`, off the function body itself.
 
 use mdh_core::expr::{BinOp, Expr, ScalarFunction, Stmt};
 use mdh_core::types::Value;

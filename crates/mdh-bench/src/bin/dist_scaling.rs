@@ -31,7 +31,6 @@
 use mdh_apps::{instantiate, Scale, StudyId};
 use mdh_bench::parse_scale;
 use mdh_dist::{DevicePool, DistExecutor, DistReport, FaultPlan, HealPolicy, MemLaunchStats};
-use mdh_lowering::partition::PartitionStrategy;
 use mdh_mem::MemPool;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -78,16 +77,6 @@ struct StudyResult {
     points: Vec<Point>,
 }
 
-fn strategy_tag(r: &DistReport) -> &'static str {
-    match r.strategy {
-        Some(PartitionStrategy::Concat) => "cc",
-        Some(PartitionStrategy::Reduce) => "pw",
-        Some(PartitionStrategy::Scan) => "ps",
-        Some(PartitionStrategy::IndexedReduce) => "rbi",
-        None => "none",
-    }
-}
-
 /// `r`'s value, or `None` once `what` and the error are printed.
 fn reported<T>(what: &str, r: mdh_core::error::Result<T>) -> Option<T> {
     r.map_err(|e| eprintln!("{what}: {e}")).ok()
@@ -120,7 +109,7 @@ fn run_study(name: &'static str, scale: Scale) -> Option<StudyResult> {
             report,
         });
     }
-    let strategy = strategy_tag(&points[1].report);
+    let strategy = points[1].report.strategy_label();
     Some(StudyResult {
         name: app.name.clone(),
         sizes: app.sizes_desc.clone(),
@@ -192,7 +181,7 @@ fn run_resident_study(name: &'static str, scale: Scale, gated: bool) -> Option<R
             warm,
         });
     }
-    let strategy = strategy_tag(&points[points.len() - 1].cold);
+    let strategy = points[points.len() - 1].cold.strategy_label();
     Some(ResidentResult {
         name: app.name.clone(),
         sizes: app.sizes_desc.clone(),

@@ -662,83 +662,6 @@ pub fn eval_bin(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
     }
 }
 
-/// Structural patterns the backend specialisers recognise in a scalar
-/// function (our stand-in for code generation: recognised patterns execute
-/// through tight native loops instead of the interpreter).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SfPattern {
-    /// `res = p_0 * p_1 * ... * p_{n-1}` — tensor-contraction body.
-    ProductOfParams(Vec<usize>),
-    /// `res = sum_j w_j * p_j` — stencil body.
-    WeightedSum(Vec<(usize, f64)>),
-    /// `res = p_0` — identity (copy / scan input).
-    Identity(usize),
-    /// Anything else: interpreted.
-    Opaque,
-}
-
-impl ScalarFunction {
-    /// Recognise the structural pattern of this function (single-result
-    /// functions only; multi-result functions are always `Opaque`).
-    pub fn recognize(&self) -> SfPattern {
-        if self.results.len() != 1 || self.body.len() != 1 {
-            return SfPattern::Opaque;
-        }
-        let Stmt::Assign { name, value } = &self.body[0] else {
-            return SfPattern::Opaque;
-        };
-        if name != &self.results[0].0 {
-            return SfPattern::Opaque;
-        }
-        if let Expr::Param(p) = value {
-            return SfPattern::Identity(*p);
-        }
-        if let Some(ps) = as_product(value) {
-            return SfPattern::ProductOfParams(ps);
-        }
-        if let Some(terms) = as_weighted_sum(value) {
-            return SfPattern::WeightedSum(terms);
-        }
-        SfPattern::Opaque
-    }
-}
-
-fn as_product(e: &Expr) -> Option<Vec<usize>> {
-    match e {
-        Expr::Param(p) => Some(vec![*p]),
-        Expr::Bin(BinOp::Mul, a, b) => {
-            let mut l = as_product(a)?;
-            l.extend(as_product(b)?);
-            Some(l)
-        }
-        _ => None,
-    }
-}
-
-fn as_weighted_sum(e: &Expr) -> Option<Vec<(usize, f64)>> {
-    match e {
-        Expr::Bin(BinOp::Add, a, b) => {
-            let mut l = as_weighted_sum(a)?;
-            l.extend(as_weighted_sum(b)?);
-            Some(l)
-        }
-        Expr::Bin(BinOp::Mul, a, b) => match (a.as_ref(), b.as_ref()) {
-            (Expr::Lit(w), Expr::Param(p)) | (Expr::Param(p), Expr::Lit(w)) => {
-                Some(vec![(*p, w.as_f64()?)])
-            }
-            // distribute a constant over a sum: w * (p0 + p1 + ...)
-            (Expr::Lit(w), inner) | (inner, Expr::Lit(w)) => {
-                let w = w.as_f64()?;
-                let terms = as_weighted_sum(inner)?;
-                Some(terms.into_iter().map(|(p, c)| (p, c * w)).collect())
-            }
-            _ => None,
-        },
-        Expr::Param(p) => Some(vec![(*p, 1.0)]),
-        _ => None,
-    }
-}
-
 impl ScalarFunction {
     /// Append the function with its parameters and results renamed
     /// positionally (`p<i>`, `r<i>`) and its name left out: what the
@@ -828,7 +751,6 @@ mod tests {
         f.validate().unwrap();
         let out = f.eval(&[Value::F32(3.0), Value::F32(4.0)]).unwrap();
         assert_eq!(out, vec![Value::F32(12.0)]);
-        assert_eq!(f.recognize(), SfPattern::ProductOfParams(vec![0, 1]));
     }
 
     #[test]
@@ -838,19 +760,6 @@ mod tests {
             .eval(&[Value::F32(1.0), Value::F32(2.0), Value::F32(3.0)])
             .unwrap();
         assert_eq!(out, vec![Value::F32(0.25 + 1.0 + 0.75)]);
-        match f.recognize() {
-            SfPattern::WeightedSum(terms) => {
-                assert_eq!(terms.len(), 3);
-                assert_eq!(terms[1], (1, 0.5));
-            }
-            other => panic!("expected weighted sum, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn identity_pattern() {
-        let f = ScalarFunction::identity("id", ScalarKind::F64);
-        assert_eq!(f.recognize(), SfPattern::Identity(0));
     }
 
     #[test]
@@ -881,7 +790,6 @@ mod tests {
             f.eval(&[Value::F64(2.0), Value::F64(5.0)]).unwrap(),
             vec![Value::F64(5.0)]
         );
-        assert_eq!(f.recognize(), SfPattern::Opaque);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::dsl::{DslBuilder, DslProgram, MdHom, ProgramStats};
     pub use crate::error::MdhError;
     pub use crate::eval::evaluate_recursive;
-    pub use crate::expr::{BinOp, Expr, MathFn, ScalarFunction, SfPattern, Stmt, UnOp};
+    pub use crate::expr::{BinOp, Expr, MathFn, ScalarFunction, Stmt, UnOp};
     pub use crate::index_fn::{AffineExpr, IndexFn};
     pub use crate::shape::{MdRange, Shape};
     pub use crate::types::{BasicType, FieldType, RecordType, ScalarKind, Tuple, Value};

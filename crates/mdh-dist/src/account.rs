@@ -21,8 +21,9 @@ use crate::exec::DistExecutor;
 use crate::fault::FaultStats;
 use mdh_backend::transfer::{transfer_ms, LinkParams};
 use mdh_core::buffer::Buffer;
+use mdh_core::combine::CombineOp;
 use mdh_core::shape::MdRange;
-use mdh_lowering::partition::{PartitionOutcome, PartitionPlan, PartitionStrategy, Shard};
+use mdh_lowering::partition::{PartitionOutcome, PartitionPlan, Shard};
 use mdh_mem::{double_buffered_phase_ms, Acquire, BlockKey};
 
 /// What one device did for one launch.
@@ -55,7 +56,8 @@ pub struct DistReport {
     pub devices_alive: usize,
     pub shards: usize,
     pub partition_dim: Option<usize>,
-    pub strategy: Option<PartitionStrategy>,
+    /// The split dimension's combine operator: the recombination owed.
+    pub strategy: Option<CombineOp>,
     /// Why the plan did (not) partition — the PR 2 silent single-shard
     /// fallback, now typed and reported.
     pub outcome: PartitionOutcome,
@@ -138,17 +140,22 @@ impl DistReport {
         }
         self.combine.total_ms() / self.hot_ms
     }
+
+    /// The split's combine operator by kind — `cc`, `pw`, `ps` or `rbi` —
+    /// or `none`.
+    pub fn strategy_label(&self) -> &'static str {
+        match self.strategy {
+            Some(CombineOp::Cc) => "cc",
+            Some(CombineOp::Pw(_)) => "pw",
+            Some(CombineOp::Ps(_)) => "ps",
+            Some(CombineOp::Rbi(_)) => "rbi",
+            None => "none",
+        }
+    }
 }
 
 impl std::fmt::Display for DistReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let strat = match self.strategy {
-            Some(PartitionStrategy::Concat) => "cc",
-            Some(PartitionStrategy::Reduce) => "pw",
-            Some(PartitionStrategy::Scan) => "ps",
-            Some(PartitionStrategy::IndexedReduce) => "rbi",
-            None => "none",
-        };
         write!(
             f,
             "devices={} shards={} dim={} strat={} | h2d={:.3}ms exec={:.3}ms \
@@ -157,7 +164,7 @@ impl std::fmt::Display for DistReport {
             self.devices,
             self.shards,
             self.partition_dim.map_or(-1, |d| d as i64),
-            strat,
+            self.strategy_label(),
             self.h2d_ms,
             self.exec_ms,
             self.combine.total_ms(),
@@ -335,8 +342,8 @@ impl DistExecutor {
             }
             phase
         };
-        let combine = combine_cost(plan.strategy(), n, out_bytes, self.pool.combine_bw_gib_s());
-        let d2h_ms = d2h_cost(plan.strategy(), n, out_bytes);
+        let combine = combine_cost(plan.op(), n, out_bytes, self.pool.combine_bw_gib_s());
+        let d2h_ms = d2h_cost(plan.op(), n, out_bytes);
         let device_health = self.device_health();
         let devices_alive = device_health.iter().filter(|h| h.in_rotation()).count();
 
@@ -345,7 +352,7 @@ impl DistExecutor {
             devices_alive,
             shards: n,
             partition_dim: plan.dim(),
-            strategy: plan.strategy(),
+            strategy: plan.op().cloned(),
             outcome: plan.outcome,
             per_shard,
             faults,
@@ -424,21 +431,16 @@ fn pass_ms(bytes: usize, bw_gib_s: f64) -> f64 {
 /// * `cc` shards own disjoint output regions: their gather is the D2H,
 ///   not a combine, and costs nothing here.
 fn combine_cost(
-    strategy: Option<PartitionStrategy>,
+    op: Option<&CombineOp>,
     n: usize,
     out_bytes: usize,
     combine_bw_gib_s: f64,
 ) -> CombineCost {
-    let Some(strategy) = strategy else {
-        return CombineCost::ZERO;
-    };
-    if n <= 1 {
-        return CombineCost::ZERO;
-    }
-    let (steps, bytes) = match strategy {
-        PartitionStrategy::Concat => return CombineCost::ZERO,
-        PartitionStrategy::Scan => (n - 1, out_bytes / n),
-        PartitionStrategy::Reduce | PartitionStrategy::IndexedReduce => {
+    let (steps, bytes) = match op {
+        None | Some(CombineOp::Cc) => return CombineCost::ZERO,
+        _ if n <= 1 => return CombineCost::ZERO,
+        Some(CombineOp::Ps(_)) => (n - 1, out_bytes / n),
+        Some(CombineOp::Pw(_) | CombineOp::Rbi(_)) => {
             ((n as f64).log2().ceil() as usize, out_bytes)
         }
     };
@@ -450,16 +452,15 @@ fn combine_cost(
 }
 
 /// Final D2H: where does the result end up on the host?
-fn d2h_cost(strategy: Option<PartitionStrategy>, n: usize, out_bytes: usize) -> f64 {
+fn d2h_cost(op: Option<&CombineOp>, n: usize, out_bytes: usize) -> f64 {
     let host = &LinkParams::pcie4_x16();
-    match strategy {
+    match op {
         // disjoint regions: each shard downloads its own slice (the
-        // gather IS the recombination for cc)
-        Some(PartitionStrategy::Concat) if n > 1 => {
-            n as f64 * transfer_ms(host, out_bytes / n.max(1))
+        // gather IS the recombination for cc); a scan's shards each
+        // download their locally-finalised region
+        Some(CombineOp::Cc | CombineOp::Ps(_)) if n > 1 => {
+            n as f64 * transfer_ms(host, out_bytes / n)
         }
-        // scan: every shard's locally-finalised region comes down
-        Some(PartitionStrategy::Scan) if n > 1 => n as f64 * transfer_ms(host, out_bytes / n),
         // reduced on-device or unpartitioned: one download
         _ => transfer_ms(host, out_bytes),
     }
@@ -479,7 +480,7 @@ mod tests {
     use mdh_core::index_fn::IndexFn;
     use mdh_core::shape::Shape;
     use mdh_core::types::{BasicType, ScalarKind};
-    use mdh_lowering::partition::{PartitionOutcome, PartitionStrategy};
+    use mdh_lowering::partition::PartitionOutcome;
     use mdh_mem::MemPool;
     use std::sync::Arc;
 
@@ -503,32 +504,27 @@ mod tests {
     #[test]
     fn reductions_combine_in_a_binary_tree() {
         for n in [2usize, 3, 4, 8, 16] {
-            let tree = combine_cost(Some(PartitionStrategy::Reduce), n, 256 << 20, A100_BW);
+            let tree = combine_cost(Some(&CombineOp::pw_add()), n, 256 << 20, A100_BW);
             assert_eq!(tree.steps, (n as f64).log2().ceil() as usize, "n={n}");
-            let rbi = combine_cost(
-                Some(PartitionStrategy::IndexedReduce),
-                n,
-                256 << 20,
-                A100_BW,
-            );
+            let rbi = combine_cost(Some(&CombineOp::rbi_add()), n, 256 << 20, A100_BW);
             assert_eq!(rbi, tree, "rbi partials fold like pw partials");
         }
     }
 
     #[test]
     fn concat_and_degenerate_cost_nothing() {
-        let cc = combine_cost(Some(PartitionStrategy::Concat), 8, 1 << 30, A100_BW);
+        let cc = combine_cost(Some(&CombineOp::Cc), 8, 1 << 30, A100_BW);
         assert_eq!(cc, CombineCost::ZERO);
         assert_eq!(combine_cost(None, 8, 1 << 30, A100_BW), CombineCost::ZERO);
-        let one = combine_cost(Some(PartitionStrategy::Reduce), 1, 1 << 30, A100_BW);
+        let one = combine_cost(Some(&CombineOp::pw_add()), 1, 1 << 30, A100_BW);
         assert_eq!(one, CombineCost::ZERO);
     }
 
     #[test]
     fn scan_chain_is_serial_over_shard_regions() {
-        let scan = combine_cost(Some(PartitionStrategy::Scan), 8, 64 << 20, A100_BW);
+        let scan = combine_cost(Some(&CombineOp::ps_add()), 8, 64 << 20, A100_BW);
         assert_eq!(scan.steps, 7);
-        let tree = combine_cost(Some(PartitionStrategy::Reduce), 8, 64 << 20, A100_BW);
+        let tree = combine_cost(Some(&CombineOp::pw_add()), 8, 64 << 20, A100_BW);
         assert!(scan.steps > tree.steps);
         assert!(scan.transfer_ms > 0.0 && scan.compute_ms > 0.0);
     }

@@ -8,14 +8,15 @@
 //! 2. **settles** each attempt — fault counters, transfer charges, the
 //!    watchdog's hedge, eviction — and re-plans a lost shard's own
 //!    program over the survivors ([`crate::heal`]),
-//! 3. **recombines** the partials in shard-index order through the
-//!    program's combine operators ([`crate::recombine`]), and
+//! 3. **recombines** the partials in the level's group order through the
+//!    split dimension's combine operator ([`crate::recombine`]), and
 //! 4. **accounts** for the launch with the analytic pool timing model
 //!    ([`crate::account`]).
 //!
 //! Values and time are separate: the outputs come from really running
-//! every shard program and are bit-identical to single-device execution
-//! under any fault schedule; the reported times are modelled.
+//! every shard program, and a launch's bits are those of the fault-free
+//! launch on the same rotation under any fault schedule; the reported
+//! times are modelled.
 
 use crate::account::{output_bytes, Ledger};
 pub use crate::account::{DistReport, MemLaunchStats, ShardReport};
@@ -198,7 +199,7 @@ impl DistExecutor {
         // heal before planning: a device reinstated by this cycle joins
         // this launch's rotation
         self.run_probe_cycle(launch, &mut ledger.faults);
-        let (plan, outputs) = self.run_level(prog, launch, deadline, &mut ledger)?;
+        let (plan, outputs) = self.run_level(prog, launch, deadline, &mut ledger, false)?;
         plock(&self.cumulative).absorb(&ledger.faults);
         let report = self.assemble_report(&plan, ledger, output_bytes(&outputs));
         Ok((outputs, report))
@@ -245,24 +246,30 @@ impl DistExecutor {
 
     /// Execute one partitioning level: plan over the currently-healthy
     /// devices, dispatch and settle every shard, and recover each lost
-    /// shard by recursively re-planning *its* program over the survivors
-    /// — MDH re-decomposition is semantics-preserving across device
-    /// counts, so recombining the sub-partials yields exactly the partial
-    /// the dead device owed, and healthy shards' partials are never
-    /// recomputed. Returns the level's plan and recombined outputs.
+    /// shard (`recovering`) by recursively re-planning *its* program over
+    /// the survivors. Healthy shards' partials are never recomputed, and
+    /// the recovered partial is the one the dead device owed, bit for
+    /// bit: a `cc` re-split recombines to the same bytes, and a re-split
+    /// of a reduction dim, which would fold the lost shard's partial in
+    /// another order, is not made — the shard runs whole on the first
+    /// survivor instead. Returns the level's plan and recombined outputs.
     fn run_level(
         &self,
         prog: &DslProgram,
         launch: u64,
         deadline: Option<Instant>,
         ledger: &mut Ledger,
+        recovering: bool,
     ) -> Result<(PartitionPlan, Vec<Buffer>)> {
         let expired = |what: &str| match deadline {
             Some(d) if Instant::now() >= d => Err(MdhError::DeadlineExceeded(what.into())),
             _ => Ok(()),
         };
         expired("deadline expired before pool dispatch; launch not started")?;
-        let (alive, plan) = self.plan_over_rotation(prog)?;
+        let (alive, mut plan) = self.plan_over_rotation(prog)?;
+        if recovering && !plan.level.split_dims.is_empty() {
+            plan = PartitionPlan::build(prog, 1)?;
+        }
         let attempts = self.attempt_all(&plan, &alive, launch, ledger.inputs);
 
         let mut settled = Vec::with_capacity(plan.shards.len());
@@ -278,7 +285,8 @@ impl DistExecutor {
                     expired("deadline expired before crashed-shard recovery; recompute abandoned")?;
                     ledger.faults.repartitions += 1;
                     let first = ledger.per_shard.len();
-                    let (_, partial) = self.run_level(&shard.prog, launch, deadline, ledger)?;
+                    let (_, partial) =
+                        self.run_level(&shard.prog, launch, deadline, ledger, true)?;
                     // recovery re-runs keep the crashed shard's index
                     for report in &mut ledger.per_shard[first..] {
                         report.shard = shard.index;

@@ -3,10 +3,12 @@
 //!
 //! A device crash (injected, or escalation after retries are exhausted)
 //! evicts the device from the executor's health view; the launch then
-//! re-plans the lost shard's *program* across the survivors. Healthy
-//! shards' partials are always preserved — each is independent under every
-//! strategy — so only the lost work is recomputed, and the recovered
-//! launch is bit-identical to the fault-free one. Slow-link events stretch
+//! re-plans the lost shard's *program* across the survivors, or runs it
+//! whole on the first survivor where the re-plan would split a reduction
+//! dim. Healthy shards' partials are always preserved — each is
+//! independent under every combine operator — so only the lost work is
+//! recomputed, and the recovered launch is bit-identical to the
+//! fault-free one on the same rotation. Slow-link events stretch
 //! the modelled H2D; past the policy timeout the transfer is charged at
 //! the timeout and retried once.
 //!

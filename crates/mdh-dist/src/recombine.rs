@@ -1,18 +1,24 @@
 //! Stage 3 — **recombine**: fold per-shard outputs into the final result
-//! through the original program's combine operators.
+//! through the split dimension's combine operator, in the device level's
+//! group order.
 //!
-//! A `cc` or `ps` shard returns only its box of each output
-//! (`mdh_lowering::partition`): the outputs are allocated once, in the
-//! global shape, and every shard's box is copied (`cc`) or carry-folded
+//! The shards are the tasks of the plan's `level`
+//! (`mdh_lowering::partition`), and `ExecutionPlan::grouped` hands
+//! their outputs over group by group, each group's owner first: the one
+//! order every split recombines in, the CPU engines' too. A `cc` split
+//! is one group per shard, a `pw`, `rbi` or `ps` split one group in shard
+//! order. A `cc` or `ps` shard returns only its box of each output: the
+//! outputs are allocated once, in the global shape, and every box is
+//! copied into them (`cc`, and a `ps` group's owner) or carry-folded
 //! (`ps`, Listing 17: `res[j in Q] = f(lhs[last of P], rhs[j])`, the left
 //! operand read from the slice just before the shard's range, final
-//! because shards go in order) into them. A `pw(f)` or `rbi(f)` shard
-//! returns a full-shape partial: shard 0's partials are the accumulator
-//! and every later shard folds into it as the right operand (`rbi` as one
-//! whole-buffer row). Shards go in shard-index order, so the bracketing is
-//! a pure function of the plan, and the result is bit-identical to
-//! single-device execution even for merely-associative (non-commutative)
-//! custom functions.
+//! because a group goes in order). A `pw(f)` or `rbi(f)` shard returns a
+//! full-shape partial: the owner's partials are the accumulator and every
+//! later member folds into it as the right operand (`rbi` as one
+//! whole-buffer row). The bracketing is a function of the level alone,
+//! so it holds for merely-associative (non-commutative) custom functions;
+//! each shard's partial is stored, i.e. narrowed to its output's kind,
+//! before it folds (DESIGN §9).
 //!
 //! One walker visits the positions a shard wrote, a row of the last
 //! varying dimension at a time; offsets are the linearised affine
@@ -20,6 +26,8 @@
 //! instead of re-evaluated per point. The accumulator is addressed through
 //! the program's accesses and global shapes, the shard's outputs through
 //! its own program's accesses and box shapes: a [`Row`]'s `out` and `rhs`.
+//! A shard whose engine ran wrote no coordinate below 0 (its box starts
+//! at 0 at the earliest), so every row is whole.
 //!
 //! Builtin operators run through the one typed row loop, `fold_row`;
 //! custom ones (tuple functions over several outputs) and record outputs
@@ -27,78 +35,62 @@
 
 use mdh_backend::offsets::{advance, linearize_view};
 use mdh_core::buffer::Buffer;
-use mdh_core::combine::{DimBehavior, Part, PwFunc, Row};
+use mdh_core::combine::{CombineOp, DimBehavior, Part, PwFunc, Row};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
 use mdh_core::eval::alloc_outputs;
 use mdh_core::shape::MdRange;
 use mdh_core::types::Tuple;
-use mdh_lowering::partition::{PartitionPlan, PartitionStrategy, Shard};
+use mdh_lowering::partition::{PartitionPlan, Shard};
 
-/// Fold per-shard outputs into the final result, in shard-index order,
-/// through the original program's combine operators.
+/// Fold per-shard outputs (by shard index) into the final result, in the
+/// level's group order, through the split dimension's combine operator.
 pub(crate) fn recombine(
     prog: &DslProgram,
     plan: &PartitionPlan,
     shard_outs: Vec<Vec<Buffer>>,
 ) -> Result<Vec<Buffer>> {
-    let mut parts = plan.shards.iter().zip(shard_outs);
     let no_outputs = || MdhError::Eval(format!("program '{}': no shard outputs", prog.name));
-    let Some((d, strategy)) = plan.partition else {
-        return parts.next().map(|(_, outs)| outs).ok_or_else(no_outputs);
+    let Some((d, op)) = &plan.partition else {
+        return shard_outs.into_iter().next().ok_or_else(no_outputs);
     };
-    let f = match strategy {
-        PartitionStrategy::Concat => None,
-        _ => Some(prog.md_hom.combine_ops[d].pw_func().ok_or_else(|| {
-            MdhError::Eval(format!(
-                "program '{}': dimension {d} is partitioned as {strategy:?} but its combine \
-                 operator has no combine function",
-                prog.name
-            ))
-        })?),
-    };
-    if let PartitionStrategy::Concat | PartitionStrategy::Scan = strategy {
-        let mut acc = alloc_outputs(prog)?;
-        for (shard, outs) in parts {
-            // the carry is read from the already-final previous region;
-            // shard 0 has none and is copied
-            let carry = (shard.index > 0 && strategy == PartitionStrategy::Scan)
-                .then(|| (d, shard.range.lo[d] as i64 - 1));
-            let f = carry.and(f);
-            walk(prog, &mut acc, shard, &outs, &shard.range, carry, f)?;
-        }
-        return Ok(acc);
-    }
-    let (_, mut acc) = parts.next().ok_or_else(no_outputs)?;
-    let full = prog.md_hom.full_range();
-    for (shard, outs) in parts {
-        match strategy {
-            // every shard wrote the same positions: the preserved
-            // dimensions over the full range
-            PartitionStrategy::Reduce => walk(prog, &mut acc, shard, &outs, &full, None, f)?,
-            // scatter targets are data-dependent, so no sub-region can be
-            // pinned: fold the entire (identically-shaped, declared-shape)
-            // partial buffers element-wise
-            _ => {
-                for buf in 0..acc.len() {
-                    let whole = (buf, Row::along(0, 1, acc[buf].len()));
-                    row_op(&mut acc, &outs, f, &[whole])?;
+    let f = op.pw_func();
+    let groups = plan.level.grouped(shard_outs)?;
+    if op.behavior() == DimBehavior::Collapse {
+        // one split dim, a reduction: the level is one group
+        let mut members = groups.into_iter().flatten();
+        let (_, mut acc) = members.next().ok_or_else(no_outputs)?;
+        let full = prog.md_hom.full_range();
+        for (tid, outs) in members {
+            match op {
+                // every shard wrote the same positions: the preserved
+                // dimensions over the full range
+                CombineOp::Pw(_) => walk(prog, &mut acc, &plan.shards[tid], &outs, &full, None, f)?,
+                // scatter targets are data-dependent, so no sub-region can
+                // be pinned: fold the entire (identically-shaped,
+                // declared-shape) partial buffers element-wise
+                _ => {
+                    for buf in 0..acc.len() {
+                        let whole = (buf, Row::along(0, 1, acc[buf].len()));
+                        row_op(&mut acc, &outs, f, &[whole])?;
+                    }
                 }
             }
         }
+        return Ok(acc);
+    }
+    let mut acc = alloc_outputs(prog)?;
+    for group in groups {
+        for (k, (tid, outs)) in group.into_iter().enumerate() {
+            let shard = &plan.shards[tid];
+            // a member carries from the already-final slice before its
+            // range; an owner has none and is copied
+            let carry = (k > 0).then(|| (*d, shard.range.lo[*d] as i64 - 1));
+            let f = carry.and(f);
+            walk(prog, &mut acc, shard, &outs, &shard.range, carry, f)?;
+        }
     }
     Ok(acc)
-}
-
-/// Shrink the row span `lo..hi` to the `l` at which the coordinate
-/// `v0 + l·c` is non-negative.
-fn clip(span: &mut (i64, i64), v0: i64, c: i64) {
-    match c.signum() {
-        0 if v0 < 0 => span.1 = span.0,
-        0 => {}
-        1 => span.0 = span.0.max((c - 1 - v0).div_euclid(c)),
-        _ => span.1 = span.1.min(v0.div_euclid(-c) + 1),
-    }
 }
 
 /// Apply one row operation per row of the positions `range` wrote —
@@ -107,8 +99,7 @@ fn clip(span: &mut (i64, i64), v0: i64, c: i64) {
 /// `carry.1` of dimension `carry.0` otherwise. `acc` is addressed through
 /// `prog`'s accesses, `rhs` — `shard`'s outputs — through the shard
 /// program's, at the shard-local index. Rows run along the last preserved
-/// dimension the range varies in; points where an access (or its carry)
-/// has a negative coordinate were never written and are skipped.
+/// dimension the range varies in.
 fn walk(
     prog: &DslProgram,
     acc: &mut [Buffer],
@@ -140,6 +131,7 @@ fn walk(
         Some((&row_d, outer)) => (outer, Some(row_d)),
         None => (&[][..], None),
     };
+    let len = row_d.map_or(1, |d| range.extent(d));
     // an affine expression may carry fewer coefficients than the rank
     let along = |coeffs: &[i64], d: Option<usize>| d.and_then(|d| coeffs.get(d)).map_or(0, |&c| c);
     // the carry moves with the row — unless the row runs along its own
@@ -148,40 +140,22 @@ fn walk(
     let mut idx = range.lo.clone();
     let mut lanes = Vec::with_capacity(linear.len());
     loop {
-        // how many steps of which dimension the carry sits before the row
-        let back = carry.map(|(d, at)| (d, at - idx[d] as i64));
-        let mut span = (0, row_d.map_or(1, |d| range.extent(d)) as i64);
         lanes.clear();
-        for ((la, ra), access) in linear.iter().zip(&rhs_linear).zip(&prog.out_view.accesses) {
-            // linearize_view succeeded, so every out access is affine
-            for e in access.index_fn.as_affine().unwrap_or(&[]) {
-                let v0 = e.eval(&idx);
-                clip(&mut span, v0, along(&e.coeffs, row_d));
-                if let Some((d, back)) = back {
-                    let at_carry = v0 + back * along(&e.coeffs, Some(d));
-                    clip(&mut span, at_carry, along(&e.coeffs, carry_d));
-                }
-            }
+        for (la, ra) in linear.iter().zip(&rhs_linear) {
             let mut row = Row {
                 rhs: ra.offset(&idx),
                 rhs_step: along(&ra.coeffs, row_d),
-                ..Row::along(la.offset(&idx), along(&la.coeffs, row_d), 0)
+                ..Row::along(la.offset(&idx), along(&la.coeffs, row_d), len)
             };
-            if let Some((d, back)) = back {
-                row.lhs += back * la.coeffs[d];
+            // the carry sits `at - idx[d]` steps of dimension `d` before
+            // the row
+            if let Some((d, at)) = carry {
+                row.lhs += (at - idx[d] as i64) * la.coeffs[d];
                 row.lhs_step = along(&la.coeffs, carry_d);
             }
             lanes.push((la.buffer, row));
         }
-        if span.0 < span.1 {
-            for (_, row) in &mut lanes {
-                row.out += span.0 * row.step;
-                row.lhs += span.0 * row.lhs_step;
-                row.rhs += span.0 * row.rhs_step;
-                row.len = (span.1 - span.0) as usize;
-            }
-            row_op(acc, rhs, f, &lanes)?;
-        }
+        row_op(acc, rhs, f, &lanes)?;
         if !advance(&mut idx, outer, range) {
             return Ok(());
         }
@@ -229,7 +203,6 @@ fn row_op(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::account::CombineCost;
     use crate::device::DevicePool;
     use crate::exec::DistExecutor;
@@ -241,51 +214,28 @@ mod tests {
     use mdh_core::index_fn::{AffineExpr, IndexFn};
     use mdh_core::shape::Shape;
     use mdh_core::types::{BasicType, ScalarKind};
-    use mdh_lowering::partition::{PartitionOutcome, PartitionStrategy};
+    use mdh_lowering::partition::PartitionOutcome;
 
-    /// Points whose output coordinate is negative were never written by
-    /// any shard: the walker clips them off either end of a row, as the
-    /// per-point `IndexFn::eval(..) == None` skip did.
+    /// A write below coordinate 0 is an engine error on one device and on
+    /// a pool alike: `y[i - 2]` over 11 points into `[9]` writes `y[-2]`
+    /// and `y[-1]`, in the first shard's box on four devices.
     #[test]
-    fn rows_are_clipped_to_non_negative_coordinates() {
-        let shifted = |c: i64, k: i64| {
-            DslBuilder::new("shifted", vec![6])
-                .out_buffer_with_shape("y", BasicType::I64, vec![4])
-                .out_access("y", IndexFn::affine(vec![AffineExpr::new(vec![c], k)]))
-                .inp_buffer("x", BasicType::I64)
-                .inp_access("x", IndexFn::identity(1, 1))
-                .scalar_function(ScalarFunction::identity("id", ScalarKind::I64))
-                .combine_ops(vec![CombineOp::cc()])
-                .build()
-                .unwrap()
-        };
-        let walked = |c, k, lo, hi| {
-            let mut acc = vec![Buffer::from_i64("y", Shape::new(vec![4]), vec![0; 4])];
-            let rhs = [Buffer::from_i64(
-                "y",
-                Shape::new(vec![4]),
-                vec![10, 11, 12, 13],
-            )];
-            let region = MdRange::new(vec![lo], vec![hi]);
-            let prog = shifted(c, k);
-            // a shard over the whole range: its outputs are laid out as `acc`
-            let whole = Shard {
-                index: 0,
-                range: prog.md_hom.full_range(),
-                prog: prog.clone(),
-            };
-            walk(&prog, &mut acc, &whole, &rhs, &region, None, None).unwrap();
-            acc[0].as_i64().unwrap().to_vec()
-        };
-        // y[i - 2]: i = 0, 1 fall off the front
-        assert_eq!(walked(1, -2, 0, 6), [10, 11, 12, 13]);
-        assert_eq!(walked(1, -2, 0, 3), [10, 0, 0, 0]);
-        assert_eq!(walked(1, -2, 0, 2), [0, 0, 0, 0]);
-        // y[3 - i]: i = 4, 5 fall off the back
-        assert_eq!(walked(-1, 3, 0, 6), [10, 11, 12, 13]);
-        assert_eq!(walked(-1, 3, 2, 6), [10, 11, 0, 0]);
-        // a constant coordinate is in or out for the whole row
-        assert_eq!(walked(0, -1, 0, 6), [0, 0, 0, 0]);
+    fn a_negative_output_coordinate_is_an_error_on_every_pool_width() {
+        let prog = DslBuilder::new("shifted", vec![11])
+            .out_buffer_with_shape("y", BasicType::I64, vec![9])
+            .out_access("y", IndexFn::affine(vec![AffineExpr::new(vec![1], -2)]))
+            .inp_buffer("x", BasicType::I64)
+            .inp_access("x", IndexFn::identity(1, 1))
+            .scalar_function(ScalarFunction::identity("id", ScalarKind::I64))
+            .combine_ops(vec![CombineOp::cc()])
+            .build()
+            .unwrap();
+        let mut x = Buffer::zeros("x", BasicType::I64, Shape::new(vec![11]));
+        int_fill(&mut x);
+        for n in [1usize, 4] {
+            let dist = DistExecutor::new(DevicePool::gpus(n)).unwrap();
+            assert!(dist.run(&prog, &[x.clone()]).is_err(), "n={n}");
+        }
     }
 
     #[test]
@@ -297,7 +247,7 @@ mod tests {
             let dist = DistExecutor::new(DevicePool::gpus(n)).unwrap();
             let (outs, report) = dist.run(&prog, &inputs).unwrap();
             assert_eq!(outs, reference, "n={n}");
-            assert_eq!(report.strategy, Some(PartitionStrategy::Concat));
+            assert!(matches!(report.strategy, Some(CombineOp::Cc)));
             assert_eq!(report.shards, n);
             assert_eq!(report.outcome, PartitionOutcome::Partitioned);
             assert!(report.faults.is_zero());
@@ -328,7 +278,7 @@ mod tests {
             let dist = DistExecutor::new(DevicePool::gpus(n)).unwrap();
             let (outs, report) = dist.run(&prog, &inputs).unwrap();
             assert_eq!(outs, reference, "n={n}");
-            assert_eq!(report.strategy, Some(PartitionStrategy::Reduce));
+            assert!(matches!(report.strategy, Some(CombineOp::Pw(_))));
             assert!(report.combine.steps > 0, "combine tree must be costed");
         }
     }
@@ -352,7 +302,7 @@ mod tests {
             let dist = DistExecutor::new(DevicePool::gpus(n)).unwrap();
             let (outs, report) = dist.run(&prog, &inputs).unwrap();
             assert_eq!(outs, reference, "n={n}");
-            assert_eq!(report.strategy, Some(PartitionStrategy::Scan));
+            assert!(matches!(report.strategy, Some(CombineOp::Ps(_))));
         }
     }
 

@@ -14,9 +14,9 @@ mod common;
 
 use common::{argmax, grid, reference, row_sums, running_max, variant, VARIANTS};
 use mdh_core::buffer::Buffer;
+use mdh_core::combine::CombineOp;
 use mdh_core::dsl::DslProgram;
 use mdh_dist::{DevicePool, DistExecutor};
-use mdh_lowering::partition::PartitionStrategy;
 use proptest::prelude::*;
 
 /// Run on a fresh fault-free pool; also returns how the plan partitioned.
@@ -24,7 +24,7 @@ fn run_on(
     prog: &DslProgram,
     inputs: &[Buffer],
     devices: usize,
-) -> (Vec<Buffer>, Option<PartitionStrategy>) {
+) -> (Vec<Buffer>, Option<CombineOp>) {
     let dist = DistExecutor::new(DevicePool::gpus(devices)).expect("pool");
     let (outs, report) = dist.run(prog, inputs).expect("distributed run");
     (outs, report.strategy.filter(|_| report.shards > 1))
@@ -46,7 +46,7 @@ proptest! {
         prop_assert_eq!(reference(&prog, &inputs), multi,
             "i={} j={} k={} devices={} {:?}", i, j, k, devices, variant(v));
         if devices > 1 && i.max(j) > 1 {
-            prop_assert_eq!(strategy, Some(PartitionStrategy::Concat));
+            prop_assert!(matches!(strategy, Some(CombineOp::Cc)));
         }
     }
 
@@ -66,7 +66,7 @@ proptest! {
         prop_assert_eq!(reference(&prog, &inputs), multi,
             "j={} n={} devices={} v={}", j, n, devices, v);
         if devices > 1 && n > 1 {
-            prop_assert_eq!(strategy, Some(PartitionStrategy::Reduce));
+            prop_assert!(matches!(strategy, Some(CombineOp::Pw(_))));
         }
     }
 
@@ -85,7 +85,7 @@ proptest! {
         prop_assert_eq!(reference(&prog, &inputs), multi,
             "n={} devices={} v={}", n, devices, v);
         if devices > 1 && n > 1 {
-            prop_assert_eq!(strategy, Some(PartitionStrategy::Scan));
+            prop_assert!(matches!(strategy, Some(CombineOp::Ps(_))));
         }
     }
 

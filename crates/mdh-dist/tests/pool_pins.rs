@@ -1,25 +1,40 @@
-//! Bit pins of device-pool outputs on non-integer inputs.
+//! Device-pool outputs on non-integer inputs: held to the oracle, and
+//! pinned.
 //!
-//! `dist_props` and `registry_identity` fill small integers, so every
-//! reassociation of a fold agrees bitwise there and a recombination that
-//! regrouped a reduction would pass them. Here the inputs are uniform in
-//! `[-1, 1)`: a `pw`/`ps` recombination that folds in another order, a
-//! `cc` copy that reads the wrong shard element, or a carry taken from the
-//! wrong position moves a hash. Each row is one program on an `n`-device
-//! pool; the chaos row hashes every launch of a crash-and-hang schedule
-//! under hedging.
+//! `dist_props` and the registry chaos sweep fill small integers, so
+//! every reassociation of a fold agrees bitwise there and a recombination
+//! that regrouped a reduction would pass them. Here the inputs are
+//! non-integer (uniform in `[-1, 1)` for the cases below, as instantiated
+//! for the Fig. 3 registry):
 //!
-//! On a mismatch the test prints the replacement table; re-baseline only
-//! for a deliberate change of reduction order.
+//! * every fault-free launch at 1–4 devices equals `eval_planned` on
+//!   `PartitionPlan`'s device level — the level's task ranges in its
+//!   group order — except where a split narrows: an f32 `pw` split stores
+//!   each shard's partial as f32 before the fold ([`narrowed_fold`]);
+//! * a crash recovered on the same rotation keeps the fault-free bits;
+//! * `PINNED` hashes each case on an `n`-device pool, and a chaos row
+//!   every launch of a crash-and-hang schedule under hedging, each launch
+//!   first held to a fault-free pool of its shard count. A `pw`/`ps`
+//!   recombination that folds in another order, a `cc` copy that reads
+//!   the wrong shard element, or a carry taken from the wrong position
+//!   moves a hash.
+//!
+//! On a mismatch the pin test prints the replacement table; re-baseline
+//! only for a deliberate change of reduction order.
 
 use mdh_apps::data::{f32_buffer, f64_buffer};
+use mdh_apps::{all_fig3, Scale};
 use mdh_core::buffer::{bits_hash, Buffer};
 use mdh_core::combine::{BuiltinReduce, CombineOp, PwFunc};
 use mdh_core::dsl::{DslBuilder, DslProgram};
+use mdh_core::eval::eval_planned;
 use mdh_core::expr::ScalarFunction;
 use mdh_core::index_fn::{AffineExpr, IndexFn};
+use mdh_core::shape::MdRange;
 use mdh_core::types::{BasicType, ScalarKind};
 use mdh_dist::{DevicePool, DistExecutor, FaultPlan, HealPolicy};
+use mdh_lowering::PartitionPlan;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// `(case, devices, bits_hash of the outputs)`.
@@ -179,9 +194,11 @@ fn cases() -> Vec<(&'static str, DslProgram, Vec<Buffer>)> {
     ]
 }
 
-/// Six launches on four devices under hedging: device 1 crashes at launch
+/// Six rounds of two launches on four devices under hedging, a scan
+/// (order-sensitive carries) and a `cc` MatVec: device 1 crashes at launch
 /// 1 and device 2 hangs at launch 3; every launch's outputs are hashed
-/// together, over a scan (order-sensitive carries) and a `cc` MatVec.
+/// together. Each launch first equals a fault-free pool of its shard
+/// count: a degraded launch's bits are the level over the survivors.
 fn chaos_hash() -> u64 {
     let plan = FaultPlan::parse("crash=1@1,hang=2@3").expect("fault spec");
     let dist = DistExecutor::with_faults(DevicePool::gpus(4), plan)
@@ -199,13 +216,163 @@ fn chaos_hash() -> u64 {
         f32_buffer("pin_M", vec![37, 53]),
         f32_buffer("pin_v", vec![53]),
     ];
+    let mut fault_free = HashMap::new();
     let mut all = Vec::new();
-    for _ in 0..6 {
-        all.extend(dist.run(&scan_prog, &scan_in).expect("chaos scan").0);
-        all.extend(dist.run(&mv, &mv_in).expect("chaos matvec").0);
+    for round in 0..6 {
+        for (prog, inputs) in [(&scan_prog, &scan_in), (&mv, &mv_in)] {
+            let (outs, report) = dist.run(prog, inputs).expect("chaos launch");
+            let clean = fault_free
+                .entry((prog.name.clone(), report.shards))
+                .or_insert_with(|| clean_run(prog, inputs, report.shards));
+            assert_eq!(
+                bits_hash(&outs),
+                bits_hash(clean),
+                "{} in round {round} on {} shards",
+                prog.name,
+                report.shards
+            );
+            all.extend(outs);
+        }
     }
     assert!(dist.fault_stats().injected_crashes > 0, "the crash fired");
     bits_hash(&all)
+}
+
+/// `prog` on a fault-free pool of `devices`.
+fn clean_run(prog: &DslProgram, inputs: &[Buffer], devices: usize) -> Vec<Buffer> {
+    let dist = DistExecutor::new(DevicePool::gpus(devices)).expect("pool");
+    let (outs, _) = dist.run(prog, inputs).expect("fault-free launch");
+    outs
+}
+
+/// The rounding the device level adds to the task level: each shard's
+/// partial is `eval_planned` over the shard's range as one task — stored,
+/// so narrowed to its output's kind — and the partials fold in shard
+/// order through the builtin `f`, one output element at a time.
+fn narrowed_fold(
+    prog: &DslProgram,
+    inputs: &[Buffer],
+    shards: &[(usize, MdRange)],
+    f: &PwFunc,
+) -> Vec<Buffer> {
+    assert!(
+        f.as_builtin().is_some(),
+        "a builtin folds each output alone"
+    );
+    let stored = |r: &MdRange| eval_planned(prog, inputs, &[vec![(0, r.clone())]]).expect("shard");
+    let mut acc = stored(&shards[0].1);
+    for (_, r) in &shards[1..] {
+        for (a, p) in acc.iter_mut().zip(stored(r)) {
+            for i in 0..a.len() {
+                let v = f.combine(&vec![a.get_flat(i)], &vec![p.get_flat(i)]);
+                a.set_flat(i, &v.expect("fold")[0]).expect("store");
+            }
+        }
+    }
+    acc
+}
+
+/// Every fault-free launch at 1–4 devices — each Fig. 3 registry
+/// instantiation on its own inputs and each pinned case — equals
+/// `eval_planned` on the device level, or, where the split narrows (an
+/// f32 `pw` split), [`narrowed_fold`] over the level's one group.
+#[test]
+fn fault_free_launches_equal_eval_planned_on_the_device_level() {
+    let apps = all_fig3(Scale::Small).expect("registry instantiates");
+    let cases = cases();
+    let registry = apps
+        .iter()
+        .map(|a| (&a.name[..], &a.program, &a.inputs, true));
+    let pinned = cases
+        .iter()
+        .map(|(name, prog, inputs)| (*name, prog, inputs, false));
+    let (mut partitioned, mut narrowing_shows) = (0usize, 0usize);
+    for (name, prog, inputs, registered) in registry.chain(pinned) {
+        for n in 1..=4usize {
+            let (outs, report) = (DistExecutor::new(DevicePool::gpus(n)).unwrap())
+                .run(prog, inputs)
+                .unwrap_or_else(|e| panic!("{name} on {n} devices: {e}"));
+            let plan = PartitionPlan::build(prog, n).expect("plan");
+            let ranges = plan.level.tasks.iter().map(|t| t.range.clone()).collect();
+            let groups = plan.level.grouped(ranges).expect("level groups");
+            let level = eval_planned(prog, inputs, &groups).expect("eval_planned");
+            let f32_output = (prog.out_view.buffers.iter()).any(|b| b.ty == BasicType::F32);
+            let want = match plan.op() {
+                Some(CombineOp::Pw(f)) if f32_output => {
+                    let narrowed = narrowed_fold(prog, inputs, &groups[0], f);
+                    narrowing_shows += usize::from(bits_hash(&level) != bits_hash(&narrowed));
+                    narrowed
+                }
+                _ => level,
+            };
+            assert_eq!(
+                bits_hash(&outs),
+                bits_hash(&want),
+                "{name} on {n} devices: the pool is not its device level"
+            );
+            if registered && n == 4 && report.shards > 1 {
+                partitioned += 1;
+            }
+        }
+    }
+    assert!(
+        partitioned >= apps.len() / 2,
+        "only {partitioned}/{} registry apps partitioned — the shard \
+         chooser regressed",
+        apps.len()
+    );
+    assert!(
+        narrowing_shows > 0,
+        "no f32 pw split rounds apart from its unnarrowed level: the \
+         narrowing rule is untested"
+    );
+}
+
+/// A crash on four devices, recovered on the same rotation, keeps the
+/// fault-free launch's bits: the lost shard of a reduction split runs
+/// whole on the first survivor, not re-split along its reduction dim —
+/// an f32 Dot, an f64 scan, and MatVecs whose one-row shards would
+/// re-split `k` (one output element each, so whether a re-split rounds
+/// apart is a coin flip per width: at 257 columns it does).
+#[test]
+fn a_recovered_launch_keeps_the_fault_free_bits() {
+    let n = 1 << 20;
+    let mut recovered = vec![
+        (
+            "dot_f32_2^20".to_string(),
+            dot(n),
+            vec![
+                f32_buffer("pin_x32", vec![n]),
+                f32_buffer("pin_y32", vec![n]),
+            ],
+        ),
+        (
+            "scan_f64_add".to_string(),
+            scan("psum", 1001, BuiltinReduce::Add),
+            vec![f64_buffer("pin_x", vec![1001])],
+        ),
+    ];
+    for k in [53, 257, 4099] {
+        recovered.push((
+            format!("matvec_row_per_shard_k{k}"),
+            matvec_into("matvec", 4, k, IndexFn::select(2, &[0]), 4),
+            vec![
+                f32_buffer("pin_M", vec![4, k]),
+                f32_buffer("pin_v", vec![k]),
+            ],
+        ));
+    }
+    for (name, prog, inputs) in recovered {
+        let plan = FaultPlan::parse("crash=1@0").expect("fault spec");
+        let dist = DistExecutor::with_faults(DevicePool::gpus(4), plan).unwrap();
+        let (outs, report) = dist.run(&prog, &inputs).unwrap();
+        assert_eq!(report.faults.repartitions, 1, "{name}: shard 1 recovered");
+        assert_eq!(
+            bits_hash(&outs),
+            bits_hash(&clean_run(&prog, &inputs, 4)),
+            "{name}: the recovered launch moved off the fault-free bits"
+        );
+    }
 }
 
 #[test]

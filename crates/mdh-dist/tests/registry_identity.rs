@@ -1,12 +1,14 @@
-//! Multi-device vs single-device bit-identity across the full
-//! `mdh-apps` Fig. 3 registry.
+//! The full `mdh-apps` Fig. 3 registry under crash schedules on a
+//! four-device pool, against single-device execution.
 //!
 //! Scalar float inputs are re-filled with small integer values so that
 //! reduction-partitioned dimensions (whose partials are reassociated
-//! across devices) stay exact; record inputs are left as instantiated —
-//! record apps combine by *selection* (e.g. argmax), which involves no
-//! arithmetic and is exact for any values. Apps with no shardable
-//! dimension degrade to one shard and must still match trivially.
+//! across pool widths as devices drop out) stay exact; record inputs are
+//! left as instantiated — record apps combine by *selection* (e.g.
+//! argmax), which involves no arithmetic and is exact for any values.
+//! Apps with no shardable dimension degrade to one shard and must still
+//! match trivially. Fault-free launches on the apps' own inputs are held
+//! to the device level's oracle in `pool_pins.rs`.
 
 use mdh_apps::{all_fig3, Scale};
 use mdh_core::buffer::{Buffer, BufferData};
@@ -21,42 +23,7 @@ fn exactify(inputs: &mut [Buffer]) {
     }
 }
 
-#[test]
-fn registry_apps_are_bit_identical_across_device_counts() {
-    let apps = all_fig3(Scale::Small).expect("registry instantiates");
-    assert!(!apps.is_empty());
-    let mut partitioned = 0usize;
-    for app in &apps {
-        let mut inputs = app.inputs.clone();
-        exactify(&mut inputs);
-        let single = DistExecutor::new(DevicePool::gpus(1)).unwrap();
-        let (reference, _) = single
-            .run(&app.program, &inputs)
-            .unwrap_or_else(|e| panic!("{} single-device run: {e}", app.name));
-        for n in [2usize, 4] {
-            let dist = DistExecutor::new(DevicePool::gpus(n)).unwrap();
-            let (outs, report) = dist
-                .run(&app.program, &inputs)
-                .unwrap_or_else(|e| panic!("{} {n}-device run: {e}", app.name));
-            assert_eq!(
-                outs, reference,
-                "{} (input {}) diverged at {n} devices",
-                app.name, app.input_no
-            );
-            if n == 4 && report.shards > 1 {
-                partitioned += 1;
-            }
-        }
-    }
-    assert!(
-        partitioned >= apps.len() / 2,
-        "only {partitioned}/{} registry apps partitioned — the shard \
-         chooser regressed",
-        apps.len()
-    );
-}
-
-/// Chaos sweep: every Fig. 3 app also runs at 4 devices under a
+/// Chaos sweep: every Fig. 3 app runs at 4 devices under a
 /// one-crash and a two-crash schedule. Identity must hold through the
 /// recovery, and the eviction/repartition counters must match the
 /// schedule — exactly when the app fills the pool (4 shards, so every

@@ -17,6 +17,6 @@ pub mod schedule;
 pub use asm::{Asm, DeviceKind, GpuParams};
 pub use explain::explain;
 pub use heuristics::{default_loop_order, mdh_default_schedule};
-pub use partition::{PartitionOutcome, PartitionPlan, PartitionStrategy, Shard};
+pub use partition::{PartitionOutcome, PartitionPlan, Shard};
 pub use plan::{CombineGroup, ExecutionPlan, Task};
 pub use schedule::{ReductionStrategy, Schedule};

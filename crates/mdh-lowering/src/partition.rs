@@ -1,61 +1,44 @@
-//! Multi-device partitioning of a program's iteration space.
+//! Multi-device partitioning: the device level of a program's
+//! decomposition.
 //!
-//! The MDH decomposition rules are device-agnostic: any contiguous split of
-//! a dimension recombines correctly through that dimension's combine
-//! operator. [`PartitionPlan`] applies one such split at *device*
-//! granularity — it picks the outermost shardable dimension, cuts it into
-//! per-device [`Shard`]s with [`split_even`], and rewrites each shard's
-//! program so it runs as an ordinary single-device program over a local
-//! iteration space:
+//! A split across devices is one more level of the decomposition an
+//! [`ExecutionPlan`] describes for the CPU engines' tasks.
+//! [`PartitionPlan::build`] picks one dimension — `cc` before `pw(f)`
+//! before `rbi(f)` before `ps(f)`, outermost first — and builds the
+//! `ExecutionPlan` of a schedule that cuts that dimension into one chunk
+//! per device and no other: the plan's `level`. Its tasks are the shards,
+//! by shard index, and its groups are the order the shards' partials
+//! recombine in ([`ExecutionPlan::grouped`]), so the pool's bits are
+//! `mdh_core::eval::eval_planned` on the level, up to the rounding of each
+//! shard's stored partial. Each shard's program is rewritten to run as an
+//! ordinary single-device program over a local iteration space:
 //!
 //! * input accesses are translated by the shard's offset along the split
 //!   dimension (`constant += coeff[d] * lo`), so a shard reads exactly its
 //!   slice of the original input buffers;
 //! * output accesses are translated the same way. A `cc` or `ps` shard
 //!   owes only its own slice of each output, so each output buffer is
-//!   shaped to the *box* its accesses reach over the shard's range (the
-//!   bounding box, clipped to the global shape) and the accesses are
-//!   shifted by the box's low corner; the recombination copies or
-//!   carry-folds every box into the global buffer. A `pw` or `rbi` shard
-//!   produces a *partial* of every output position, so its output buffers
-//!   keep the global shapes and fold element-wise.
+//!   shaped to the *box* its accesses reach over the shard's range and the
+//!   accesses are shifted by the box's low corner; the recombination
+//!   copies or carry-folds every box into the global buffer. A `pw` or
+//!   `rbi` shard produces a *partial* of every output position, so its
+//!   output buffers keep the global shapes and fold element-wise.
 //!
-//! Which recombination the executor owes is captured by
-//! [`PartitionStrategy`]; a dimension is eligible when every access touching
-//! it is affine (a general index function cannot be translated). When no
-//! dimension qualifies the plan degrades to a single shard running the
-//! unmodified program.
+//! The split dimension's own [`CombineOp`] is the recombination the
+//! executor owes. A dimension is eligible when every access touching it
+//! is affine (a general index function cannot be translated) or it is an
+//! `rbi` dimension. When no dimension qualifies the plan degrades to a
+//! single shard running the unmodified program.
 
-use crate::plan::split_even;
-use mdh_core::combine::CombineOp;
+use crate::asm::DeviceKind;
+use crate::plan::ExecutionPlan;
+use crate::schedule::Schedule;
+use mdh_core::combine::{CombineOp, DimBehavior};
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::Result;
 use mdh_core::index_fn::IndexFn;
 use mdh_core::shape::MdRange;
 use mdh_core::views::View;
-
-/// What the partitioned dimension's combine operator obliges the executor
-/// to do with per-shard results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PartitionStrategy {
-    /// `cc` dimension: shards write disjoint output regions, each into a
-    /// buffer of its own box; recombination is a gather with no combine
-    /// arithmetic.
-    Concat,
-    /// `pw(f)` dimension: shards produce full-shape partial outputs that
-    /// must be folded element-wise with `f` (any associative grouping —
-    /// serial chain, binary tree, host gather — is legal).
-    Reduce,
-    /// `ps(f)` dimension: shards hold local scans of their own boxes;
-    /// recombination is the ordered carry chain of Listing 17 and is
-    /// inherently serial in the shard index.
-    Scan,
-    /// `rbi(add)` dimension: shards scatter into full-shape partial
-    /// outputs; recombination folds the *entire* buffers element-wise with
-    /// `add` in shard-index order (scatter targets are data-dependent, so
-    /// no sub-region can be pinned).
-    IndexedReduce,
-}
 
 /// Why a plan holds a single shard — or that it split. PR 2 fell back
 /// to one shard silently; the typed reason lets executors and `mdhc
@@ -73,9 +56,6 @@ pub enum PartitionOutcome {
     /// No dimension has a device-shardable combine operator with extent
     /// ≥ 2.
     NoShardableDim,
-    /// The chosen dimension's extent could not be cut into more than
-    /// one interval.
-    IndivisibleExtent,
 }
 
 impl PartitionOutcome {
@@ -86,7 +66,6 @@ impl PartitionOutcome {
             PartitionOutcome::SingleDevice => "single-device",
             PartitionOutcome::GeneralAccess => "general-access",
             PartitionOutcome::NoShardableDim => "no-shardable-dim",
-            PartitionOutcome::IndivisibleExtent => "indivisible-extent",
         }
     }
 }
@@ -124,15 +103,14 @@ pub struct OperandRegion {
 /// One device's slice of the iteration space.
 #[derive(Debug, Clone)]
 pub struct Shard {
-    /// Position in the split (devices combine partials in this order).
+    /// Position in the split: the level's task id.
     pub index: usize,
     /// The shard's slice as a *global* iteration sub-range.
     pub range: MdRange,
     /// The rewritten, self-contained program for this slice: local
     /// iteration index 0 is global index `range.lo`, inputs are the global
     /// buffers, and each output is the shard's box of the global one
-    /// (`Concat`, `Scan`) or a full-shape partial (`Reduce`,
-    /// `IndexedReduce`).
+    /// (`cc`, `ps`) or a full-shape partial (`pw`, `rbi`).
     pub prog: DslProgram,
 }
 
@@ -179,11 +157,14 @@ impl Shard {
 /// A device-granularity split of one program.
 #[derive(Debug, Clone)]
 pub struct PartitionPlan {
-    /// Split dimension and its recombination obligation; `None` when the
-    /// plan degraded to a single shard.
-    pub partition: Option<(usize, PartitionStrategy)>,
+    /// Split dimension and its combine operator, the recombination the
+    /// executor owes; `None` when the plan degraded to a single shard.
+    pub partition: Option<(usize, CombineOp)>,
     /// Whether (and why not) the plan split the iteration space.
     pub outcome: PartitionOutcome,
+    /// The device level: one task per shard, task id = shard index, and
+    /// the groups the shards' partials recombine in.
+    pub level: ExecutionPlan,
     pub shards: Vec<Shard>,
 }
 
@@ -192,108 +173,94 @@ impl PartitionPlan {
     ///
     /// Dimension choice: the outermost `cc` dimension with extent ≥ 2 is
     /// preferred (disjoint outputs, zero combine arithmetic); failing
-    /// that, the outermost `pw` dimension (cheap element-wise combine);
-    /// failing that, the outermost `ps` dimension (serial carry chain).
+    /// that, the outermost `pw` dimension (cheap element-wise combine),
+    /// then `rbi` (whole-buffer folds), then `ps` (serial carry chain).
     /// With no eligible dimension — or `n_devices == 1` — the plan holds
     /// one shard running `prog` unchanged.
     pub fn build(prog: &DslProgram, n_devices: usize) -> Result<PartitionPlan> {
         prog.validate()?;
-        let single = |prog: &DslProgram, outcome: PartitionOutcome| PartitionPlan {
-            partition: None,
-            outcome,
-            shards: vec![Shard {
-                index: 0,
-                range: prog.md_hom.full_range(),
-                prog: prog.clone(),
-            }],
+        let (dim, outcome) = match (n_devices > 1).then(|| choose_dim(prog)) {
+            None => (None, PartitionOutcome::SingleDevice),
+            Some((Some(d), _)) => (Some(d), PartitionOutcome::Partitioned),
+            Some((None, true)) => (None, PartitionOutcome::GeneralAccess),
+            Some((None, false)) => (None, PartitionOutcome::NoShardableDim),
         };
-        if n_devices <= 1 {
-            return Ok(single(prog, PartitionOutcome::SingleDevice));
-        }
-        let (chosen, blocked_by_general) = choose_dim(prog);
-        let Some((dim, strategy)) = chosen else {
-            let outcome = if blocked_by_general {
-                PartitionOutcome::GeneralAccess
-            } else {
-                PartitionOutcome::NoShardableDim
-            };
-            return Ok(single(prog, outcome));
+        let mut schedule = Schedule::sequential(prog.rank(), DeviceKind::Gpu);
+        let Some(d) = dim else {
+            return Ok(PartitionPlan {
+                partition: None,
+                outcome,
+                level: ExecutionPlan::build(prog, &schedule)?,
+                shards: vec![Shard {
+                    index: 0,
+                    range: prog.md_hom.full_range(),
+                    prog: prog.clone(),
+                }],
+            });
         };
-
-        let intervals = split_even(prog.md_hom.sizes[dim], n_devices);
-        if intervals.len() <= 1 {
-            return Ok(single(prog, PartitionOutcome::IndivisibleExtent));
-        }
+        // an extent of at least 2 cut for at least 2 devices: at least
+        // two shards
+        schedule.par_chunks[d] = n_devices;
+        let level = ExecutionPlan::build(prog, &schedule)?;
+        let op = prog.md_hom.combine_ops[d].clone();
         let out_shapes = prog.output_shapes()?;
-        let mut shards = Vec::with_capacity(intervals.len());
-        for (index, (lo, hi)) in intervals.into_iter().enumerate() {
-            let mut range = prog.md_hom.full_range();
-            range.lo[dim] = lo;
-            range.hi[dim] = hi;
-            let prog = rewrite_shard(prog, (dim, strategy), lo, hi, &out_shapes)?;
-            shards.push(Shard { index, range, prog });
-        }
+        let shards = (level.tasks.iter())
+            .map(|t| {
+                Ok(Shard {
+                    index: t.id,
+                    range: t.range.clone(),
+                    prog: rewrite_shard(prog, (d, &op), &t.range, &out_shapes)?,
+                })
+            })
+            .collect::<Result<_>>()?;
         Ok(PartitionPlan {
-            partition: Some((dim, strategy)),
-            outcome: PartitionOutcome::Partitioned,
+            partition: Some((d, op)),
+            outcome,
+            level,
             shards,
         })
     }
 
     /// Whether the plan actually splits the iteration space.
     pub fn is_partitioned(&self) -> bool {
-        self.partition.is_some() && self.shards.len() > 1
+        self.shards.len() > 1
     }
 
-    pub fn strategy(&self) -> Option<PartitionStrategy> {
-        self.partition.map(|(_, s)| s)
+    /// The split dimension's combine operator.
+    pub fn op(&self) -> Option<&CombineOp> {
+        self.partition.as_ref().map(|(_, op)| op)
     }
 
     pub fn dim(&self) -> Option<usize> {
-        self.partition.map(|(d, _)| d)
+        self.partition.as_ref().map(|(d, _)| *d)
     }
 }
 
-/// Pick the split dimension, preferring cc > pw > ps, outermost first.
-/// The second return is `true` when at least one otherwise-eligible
+/// Pick the split dimension, preferring cc > pw > rbi > ps, outermost
+/// first. The second return is `true` when at least one otherwise-eligible
 /// dimension was rejected only because a general access depends on it —
 /// the signal [`PartitionOutcome::GeneralAccess`] reports.
-fn choose_dim(prog: &DslProgram) -> (Option<(usize, PartitionStrategy)>, bool) {
-    let mut best: Option<(usize, PartitionStrategy)> = None;
+fn choose_dim(prog: &DslProgram) -> (Option<usize>, bool) {
+    let ops = &prog.md_hom.combine_ops;
+    let preference = |d: &usize| match ops[*d] {
+        CombineOp::Cc => 0,
+        CombineOp::Pw(_) => 1,
+        CombineOp::Rbi(_) => 2,
+        CombineOp::Ps(_) => 3,
+    };
     let mut blocked_by_general = false;
-    for (d, op) in prog.md_hom.combine_ops.iter().enumerate() {
-        if prog.md_hom.sizes[d] < 2 {
-            continue;
-        }
-        // rbi dims are always translatable: affine accesses absorb the
-        // shard offset into their constants and general (data-dependent)
-        // accesses are wrapped with an index-shift shim
-        if !matches!(op, CombineOp::Rbi(_)) && !dim_translatable(prog, d) {
-            blocked_by_general = true;
-            continue;
-        }
-        let strategy = match op {
-            CombineOp::Cc => PartitionStrategy::Concat,
-            CombineOp::Pw(_) => PartitionStrategy::Reduce,
-            CombineOp::Ps(_) => PartitionStrategy::Scan,
-            CombineOp::Rbi(_) => PartitionStrategy::IndexedReduce,
-        };
-        best = match best {
-            None => Some((d, strategy)),
-            Some((_, prev)) if rank_of(strategy) < rank_of(prev) => Some((d, strategy)),
-            other => other,
-        };
-    }
+    let best = (0..ops.len())
+        .filter(|&d| prog.md_hom.sizes[d] >= 2)
+        .filter(|&d| {
+            // rbi dims are always translatable: affine accesses absorb the
+            // shard offset into their constants and general
+            // (data-dependent) accesses are wrapped with an index-shift shim
+            let ok = ops[d].is_indexed_reduction() || dim_translatable(prog, d);
+            blocked_by_general |= !ok;
+            ok
+        })
+        .min_by_key(preference);
     (best, blocked_by_general)
-}
-
-fn rank_of(s: PartitionStrategy) -> u8 {
-    match s {
-        PartitionStrategy::Concat => 0,
-        PartitionStrategy::Reduce => 1,
-        PartitionStrategy::IndexedReduce => 2,
-        PartitionStrategy::Scan => 3,
-    }
 }
 
 /// A dimension is translatable when every access that depends on it is
@@ -307,14 +274,15 @@ fn dim_translatable(prog: &DslProgram, d: usize) -> bool {
     affine_or_independent(&prog.inp_view) && affine_or_independent(&prog.out_view)
 }
 
-/// Build the self-contained program for the slice `[lo, hi)` of dim `d`.
+/// Build the self-contained program for `range`, the slice `[lo, hi)` of
+/// the split dim `d`.
 fn rewrite_shard(
     prog: &DslProgram,
-    (d, strategy): (usize, PartitionStrategy),
-    lo: usize,
-    hi: usize,
+    (d, op): (usize, &CombineOp),
+    range: &MdRange,
     out_shapes: &[Vec<usize>],
 ) -> Result<DslProgram> {
+    let (lo, hi) = (range.lo[d], range.hi[d]);
     let mut shard = prog.clone();
     shard.name = format!("{}__shard{lo}_{hi}", prog.name);
     shard.md_hom.sizes[d] = hi - lo;
@@ -323,10 +291,7 @@ fn rewrite_shard(
     // a cc or ps shard owes only the box its writes reach; a pw or rbi
     // shard owes a partial of every position, and partials combine
     // element-wise in the global shape
-    let boxed = matches!(
-        strategy,
-        PartitionStrategy::Concat | PartitionStrategy::Scan
-    );
+    let boxed = op.behavior() == DimBehavior::Preserve;
     let local = shard.md_hom.full_range();
     for (b, shape) in out_shapes.iter().enumerate() {
         let reach = boxed.then(|| output_box(&shard.out_view, b, &local, shape));
@@ -342,8 +307,10 @@ fn rewrite_shard(
 
 /// The box buffer `b`'s accesses reach over `range` — its low corner and
 /// extents, the bounding box clipped to `shape` — or `None` when an access
-/// is general. A negative coordinate is never written, so the box starts at
-/// 0 at the earliest; a dimension no point reaches keeps one element.
+/// is general. The box starts at 0 at the earliest, so a write below 0
+/// stays outside it and the shard's engine refuses it, as one device's
+/// engine refuses it on the whole program; a dimension no point reaches
+/// keeps one element.
 fn output_box(
     view: &View,
     b: usize,
@@ -469,7 +436,7 @@ mod tests {
     fn matvec_partitions_cc_dim() {
         let p = matvec(10, 6);
         let plan = PartitionPlan::build(&p, 4).unwrap();
-        assert_eq!(plan.partition, Some((0, PartitionStrategy::Concat)));
+        assert!(matches!(plan.partition, Some((0, CombineOp::Cc))));
         assert_eq!(plan.shards.len(), 4);
         // even split of 10 into 4: 3,3,2,2
         let extents: Vec<usize> = plan.shards.iter().map(|s| s.range.extent(0)).collect();
@@ -525,10 +492,8 @@ mod tests {
         // out[2i + 1] over 8 points, split 3 + 3 + 2: shard 1 writes
         // 7, 9, 11, a box of five elements from 7
         let p = one_d(CombineOp::ps_add(), (2, 1), 16, 8);
-        assert_eq!(
-            PartitionPlan::build(&p, 3).unwrap().strategy(),
-            Some(PartitionStrategy::Scan)
-        );
+        let plan = PartitionPlan::build(&p, 3).unwrap();
+        assert!(matches!(plan.op(), Some(CombineOp::Ps(_))));
         assert_eq!(
             shard_outputs(&p, 3),
             [(vec![5], vec![0]), (vec![5], vec![0]), (vec![3], vec![0])]
@@ -542,7 +507,7 @@ mod tests {
         assert_eq!(shard_outputs(&dot, 2), vec![(vec![1], vec![0]); 2]);
         let scatter = one_d(CombineOp::rbi_add(), (1, 0), 12, 12);
         let plan = PartitionPlan::build(&scatter, 3).unwrap();
-        assert_eq!(plan.strategy(), Some(PartitionStrategy::IndexedReduce));
+        assert!(matches!(plan.op(), Some(CombineOp::Rbi(_))));
         // shard k's accesses are translated by 4k but not shifted back
         assert_eq!(
             shard_outputs(&scatter, 3),
@@ -565,11 +530,35 @@ mod tests {
         assert_eq!(shards[2], (vec![2], vec![0]), "box [4, 6)");
     }
 
+    /// The shards are the level's tasks, and the level groups them as
+    /// the split dim's operator recombines them: a `cc` split is one
+    /// group per shard, a `pw` split one group in shard order.
+    #[test]
+    fn the_level_is_an_execution_plan_over_the_split_dim() {
+        let plan = PartitionPlan::build(&matvec(10, 6), 4).unwrap();
+        let ranges = |plan: &PartitionPlan| -> Vec<(MdRange, MdRange)> {
+            (plan.level.tasks.iter().zip(&plan.shards))
+                .map(|(t, s)| (t.range.clone(), s.range.clone()))
+                .collect()
+        };
+        assert!(ranges(&plan).iter().all(|(t, s)| t == s));
+        assert!(plan.level.split_dims.is_empty());
+        assert_eq!(plan.level.groups.len(), 4);
+        let plan = PartitionPlan::build(&dot(9), 3).unwrap();
+        assert!(ranges(&plan).iter().all(|(t, s)| t == s));
+        assert_eq!(plan.level.split_dims, [0]);
+        assert_eq!(plan.level.groups.len(), 1);
+        assert_eq!(plan.level.groups[0].task_ids, [0, 1, 2]);
+        let single = PartitionPlan::build(&dot(9), 1).unwrap();
+        assert_eq!(single.level.tasks.len(), 1);
+        assert!(single.level.split_dims.is_empty());
+    }
+
     #[test]
     fn dot_partitions_reduction_dim() {
         let p = dot(9);
         let plan = PartitionPlan::build(&p, 2).unwrap();
-        assert_eq!(plan.partition, Some((0, PartitionStrategy::Reduce)));
+        assert!(matches!(plan.partition, Some((0, CombineOp::Pw(_)))));
         assert_eq!(plan.shards.len(), 2);
         let s1 = &plan.shards[1];
         assert_eq!(s1.prog.md_hom.sizes, vec![4]);
@@ -587,7 +576,7 @@ mod tests {
         let p = matvec(8, 1 << 12);
         let plan = PartitionPlan::build(&p, 2).unwrap();
         assert_eq!(plan.dim(), Some(0));
-        assert_eq!(plan.strategy(), Some(PartitionStrategy::Concat));
+        assert!(matches!(plan.op(), Some(CombineOp::Cc)));
     }
 
     #[test]
@@ -602,7 +591,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = PartitionPlan::build(&p, 3).unwrap();
-        assert_eq!(plan.strategy(), Some(PartitionStrategy::Scan));
+        assert!(matches!(plan.op(), Some(CombineOp::Ps(_))));
         assert_eq!(plan.shards.len(), 3);
     }
 
