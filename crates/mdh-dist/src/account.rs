@@ -31,8 +31,8 @@ use mdh_mem::{double_buffered_phase_ms, Acquire, BlockKey};
 pub struct ShardReport {
     /// Device label (`gpu0`, `gpu1`, ...).
     pub device: String,
-    /// Shard index in the partition plan (recovery re-runs keep the
-    /// crashed shard's index, so several reports may share one).
+    /// Shard index in the partition plan (a hung shard's victim attempt
+    /// and its hedge share one).
     pub shard: usize,
     /// Pool index of the device that actually executed the work.
     pub device_index: usize,
@@ -45,6 +45,9 @@ pub struct ShardReport {
     pub exec_ms: f64,
     /// Transient retries this shard needed on its device.
     pub retries: u32,
+    /// A hedge on a spare: charged from the watchdog's firing on a
+    /// timeline of its own, not after the spare's own shards.
+    pub hedge: bool,
 }
 
 /// Timing breakdown of one distributed launch.
@@ -58,8 +61,7 @@ pub struct DistReport {
     pub partition_dim: Option<usize>,
     /// The split dimension's combine operator: the recombination owed.
     pub strategy: Option<CombineOp>,
-    /// Why the plan did (not) partition — the PR 2 silent single-shard
-    /// fallback, now typed and reported.
+    /// Why the plan did (not) partition.
     pub outcome: PartitionOutcome,
     pub per_shard: Vec<ShardReport>,
     /// Faults injected and recovered from during this launch.
@@ -68,7 +70,8 @@ pub struct DistReport {
     pub degraded: bool,
     /// Total modelled H2D time (sum over devices; the link is shared).
     pub h2d_ms: f64,
-    /// Parallel execution phase: max over devices.
+    /// Parallel execution phase: max over devices, each running its
+    /// shards one after another.
     pub exec_ms: f64,
     /// Upload + execution phase length, each device computing once its
     /// own upload lands.
@@ -253,6 +256,7 @@ impl DistExecutor {
             h2d_ms,
             exec_ms,
             retries,
+            hedge: false,
         }
     }
 
@@ -324,21 +328,21 @@ impl DistExecutor {
             ..
         } = ledger;
         let n = plan.shards.len();
-        let exec_ms = per_shard.iter().map(|s| s.exec_ms).fold(0.0, f64::max);
+        let lanes = lanes(&per_shard);
+        let exec_ms = lanes.iter().map(|&(_, exec)| exec).fold(0.0, f64::max);
         let h2d_ms: f64 = per_shard.iter().map(|s| s.h2d_ms).sum();
         // uploads serialise on the shared host link and each device
         // starts computing as soon as its own upload lands — with a memory
         // pool attached, uploads are double-buffered so compute starts
-        // after the *first half* of the shard's transfer
+        // after the *first half* of the device's transfer
         let upload_exec_ms = if self.mem.as_ref().is_some_and(|m| m.enabled()) {
-            let pairs: Vec<(f64, f64)> = per_shard.iter().map(|s| (s.h2d_ms, s.exec_ms)).collect();
-            double_buffered_phase_ms(&pairs)
+            double_buffered_phase_ms(&lanes)
         } else {
             let mut cum = 0.0;
             let mut phase: f64 = 0.0;
-            for s in &per_shard {
-                cum += s.h2d_ms;
-                phase = phase.max(cum + s.exec_ms);
+            for &(h2d, exec) in &lanes {
+                cum += h2d;
+                phase = phase.max(cum + exec);
             }
             phase
         };
@@ -368,6 +372,25 @@ impl DistExecutor {
             device_health,
         }
     }
+}
+
+/// The launch's timelines as `(h2d_ms, exec_ms)`, in report order: one
+/// per device, which uploads and then runs its shards one after another
+/// (several once a degraded rotation doubles devices up), and one per
+/// hedge. With one shard per device each lane is that shard's report.
+fn lanes(per_shard: &[ShardReport]) -> Vec<(f64, f64)> {
+    let mut lanes: Vec<(Option<usize>, f64, f64)> = Vec::new();
+    for s in per_shard {
+        let device = (!s.hedge).then_some(s.device_index);
+        match lanes.iter_mut().find(|l| device.is_some() && l.0 == device) {
+            Some((_, h2d, exec)) => (*h2d, *exec) = (*h2d + s.h2d_ms, *exec + s.exec_ms),
+            None => lanes.push((device, s.h2d_ms, s.exec_ms)),
+        }
+    }
+    lanes
+        .into_iter()
+        .map(|(_, h2d, exec)| (h2d, exec))
+        .collect()
 }
 
 /// Bytes of one input a device needs for its shard: the footprint of the
@@ -654,7 +677,7 @@ mod tests {
         let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults).unwrap();
         dist.run(&prog, &inputs).unwrap();
         let est = dist.estimate(&prog, &inputs).unwrap();
-        assert_eq!(est.shards, 3, "estimate plans over the rotation");
+        assert_eq!(est.shards, 4, "the level is cut for the configured pool");
         assert_eq!(est.device_health[2], DeviceHealth::Evicted);
         assert!(
             est.per_shard.iter().all(|s| s.device_index != 2),
@@ -665,5 +688,28 @@ mod tests {
             line.contains("dev2=evicted"),
             "estimate must say why the device was skipped: {line}"
         );
+    }
+
+    /// After one eviction the rotation is `[0, 1, 3]`, so device 0 holds
+    /// shards 0 and 3 and runs them one after another.
+    #[test]
+    fn estimate_charges_a_doubled_up_device_its_shards_in_sequence() {
+        let prog = matvec(13, 37);
+        let inputs = matvec_inputs(13, 37);
+        let faults = FaultPlan::none().crash(2, 0);
+        let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults).unwrap();
+        dist.run(&prog, &inputs).unwrap();
+        let est = dist.estimate(&prog, &inputs).unwrap();
+        let on_0: Vec<_> = est
+            .per_shard
+            .iter()
+            .filter(|s| s.device_index == 0)
+            .collect();
+        assert_eq!(on_0.iter().map(|s| s.shard).collect::<Vec<_>>(), [0, 3]);
+        let serial = on_0[0].exec_ms + on_0[1].exec_ms;
+        assert_eq!(est.exec_ms, serial, "device 0 runs its two shards in turn");
+        let clean = DistExecutor::new(DevicePool::gpus(4)).unwrap();
+        let fault_free = clean.estimate(&prog, &inputs).unwrap();
+        assert!(est.exec_ms > fault_free.exec_ms);
     }
 }

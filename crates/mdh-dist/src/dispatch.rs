@@ -26,7 +26,7 @@ use mdh_core::dsl::DslProgram;
 use mdh_core::error::Result;
 use mdh_lowering::asm::DeviceKind;
 use mdh_lowering::heuristics::mdh_default_schedule;
-use mdh_lowering::partition::PartitionPlan;
+use mdh_lowering::partition::Shard;
 use mdh_lowering::schedule::Schedule;
 use rayon::prelude::*;
 
@@ -52,20 +52,19 @@ pub(crate) struct Attempt {
 }
 
 impl DistExecutor {
-    /// Attempt every shard of `plan` — shard `i` on device `alive[i]` —
-    /// as one parallel region (transient retries stay on-device).
+    /// Attempt every placed `(device, shard)` as one parallel region
+    /// (transient retries stay on-device).
     pub(crate) fn attempt_all(
         &self,
-        plan: &PartitionPlan,
-        alive: &[usize],
+        placement: &[(usize, &Shard)],
         launch: u64,
         inputs: &[Buffer],
     ) -> Vec<Result<Attempt>> {
         let mut attempts = Vec::new();
         self.exec_pool.install(|| {
-            plan.shards
+            placement
                 .par_iter()
-                .map(|shard| self.attempt_shard(alive[shard.index], launch, &shard.prog, inputs))
+                .map(|&(dev, shard)| self.attempt_shard(dev, launch, &shard.prog, inputs))
                 .collect_into_vec(&mut attempts)
         });
         attempts

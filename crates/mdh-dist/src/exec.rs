@@ -1,13 +1,14 @@
 //! The distributed executor: one launch in four stages.
 //!
-//! [`DistExecutor::run`] partitions a program over the devices in the
-//! rotation (`mdh_lowering::partition::PartitionPlan`) and then
+//! [`DistExecutor::run`] cuts a program's device level once, for the
+//! configured pool size (`mdh_lowering::partition::PartitionPlan`), places
+//! shard `i` on the `i % alive`-th device of the rotation, and then
 //!
 //! 1. **dispatches** every shard to its device as one parallel region on
 //!    the executor's thread pool ([`crate::dispatch`]),
 //! 2. **settles** each attempt — fault counters, transfer charges, the
-//!    watchdog's hedge, eviction — and re-plans a lost shard's own
-//!    program over the survivors ([`crate::heal`]),
+//!    watchdog's hedge, eviction ([`crate::heal`]) — and re-homes every
+//!    lost shard, whole, onto the rotation left after the evictions,
 //! 3. **recombines** the partials in the level's group order through the
 //!    split dimension's combine operator ([`crate::recombine`]), and
 //! 4. **accounts** for the launch with the analytic pool timing model
@@ -15,7 +16,7 @@
 //!
 //! Values and time are separate: the outputs come from really running
 //! every shard program, and a launch's bits are those of the fault-free
-//! launch on the same rotation under any fault schedule; the reported
+//! launch on the configured pool whatever faults fired; the reported
 //! times are modelled.
 
 use crate::account::{output_bytes, Ledger};
@@ -28,21 +29,21 @@ use mdh_backend::gpu::GpuSim;
 use mdh_core::buffer::Buffer;
 use mdh_core::dsl::DslProgram;
 use mdh_core::error::{MdhError, Result};
-use mdh_lowering::partition::PartitionPlan;
+use mdh_lowering::partition::{PartitionPlan, Shard};
 use mdh_mem::MemPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Poison-recovering lock: the executor's shared state (health view,
+/// Poison-tolerant lock: the executor's shared state (health view,
 /// cumulative fault counters) is valid after each completed mutation, so
 /// a panicking launch thread must not brick every later launch.
 pub(crate) fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Executes programs across a [`DevicePool`], injecting and recovering
-/// from the faults of an optional [`FaultPlan`].
+/// Executes programs across a [`DevicePool`], injecting the faults of an
+/// optional [`FaultPlan`] and surviving them.
 pub struct DistExecutor {
     pub(crate) pool: DevicePool,
     /// The one thread pool shards execute on.
@@ -53,11 +54,10 @@ pub struct DistExecutor {
     pub(crate) faults: FaultPlan,
     pub(crate) retry: RetryPolicy,
     /// Self-healing knobs. The default policy disables hedging and
-    /// probing, making evictions permanent and hangs escalate to crashes
-    /// — exactly the pre-healing executor.
+    /// probing, making evictions permanent and hangs escalate to crashes.
     pub(crate) heal: HealPolicy,
-    /// Device-resident buffer pool. `None` (the default) preserves the
-    /// PR 2 model exactly: every launch re-ships every input.
+    /// Device-resident buffer pool. `None` (the default): every launch
+    /// re-ships every input.
     pub(crate) mem: Option<Arc<MemPool>>,
     /// Per-device health state machine (see [`DeviceHealth`]). Without a
     /// probing [`HealPolicy`], devices only ever move Healthy→Evicted
@@ -163,10 +163,7 @@ impl DistExecutor {
     }
 
     pub fn healthy_count(&self) -> usize {
-        plock(&self.health)
-            .iter()
-            .filter(|s| s.state.in_rotation())
-            .count()
+        self.alive_devices().len()
     }
 
     /// Health state of every pool device, indexed by pool position.
@@ -174,20 +171,21 @@ impl DistExecutor {
         plock(&self.health).iter().map(|s| s.state).collect()
     }
 
-    /// Partition `prog` across the healthy devices, execute with fault
+    /// Partition `prog` across the configured pool, execute with fault
     /// injection and recovery, recombine, and model the launch time.
-    /// Shard `i` runs on the `i`-th healthy device; with no shardable
-    /// dimension the whole program runs on the first healthy device.
+    /// Shard `i` runs on the `i % alive`-th healthy device; with no
+    /// shardable dimension the whole program runs on the first healthy
+    /// device.
     pub fn run(&self, prog: &DslProgram, inputs: &[Buffer]) -> Result<(Vec<Buffer>, DistReport)> {
         self.run_with_deadline(prog, inputs, None)
     }
 
     /// [`DistExecutor::run`] with a serve-by deadline: the launch is
     /// refused up front if the deadline already passed, and recovery
-    /// gives up (instead of re-planning crashed shards over the
-    /// survivors) once it expires mid-launch — an expired caller has no
-    /// use for the recovered partial, so the recompute work is saved.
-    /// Shards already executing are not aborted.
+    /// gives up (instead of re-homing crashed shards onto the survivors)
+    /// once it expires mid-launch — an expired caller has no use for the
+    /// recovered partial, so the recompute work is saved. Shards already
+    /// executing are not aborted.
     pub fn run_with_deadline(
         &self,
         prog: &DslProgram,
@@ -196,23 +194,24 @@ impl DistExecutor {
     ) -> Result<(Vec<Buffer>, DistReport)> {
         let launch = self.launches.fetch_add(1, Ordering::SeqCst);
         let mut ledger = Ledger::new(inputs, Some(launch));
-        // heal before planning: a device reinstated by this cycle joins
+        // heal before placing: a device reinstated by this cycle joins
         // this launch's rotation
         self.run_probe_cycle(launch, &mut ledger.faults);
-        let (plan, outputs) = self.run_level(prog, launch, deadline, &mut ledger, false)?;
+        let (plan, outputs) = self.run_level(prog, launch, deadline, &mut ledger)?;
         plock(&self.cumulative).absorb(&ledger.faults);
         let report = self.assemble_report(&plan, ledger, output_bytes(&outputs));
         Ok((outputs, report))
     }
 
-    /// Model a launch without executing it: the same partition plan and
-    /// timing pipeline as [`DistExecutor::run`], with per-shard execution
-    /// taken from the analytic GPU cost model instead of a real run. No
-    /// values are produced, so arbitrarily large problem sizes cost
-    /// nothing to sweep; faults are not injected (the model is the
-    /// fault-free launch).
+    /// Model a launch without executing it: the same partition plan,
+    /// placement and timing pipeline as [`DistExecutor::run`], with
+    /// per-shard execution taken from the analytic GPU cost model instead
+    /// of a real run. No values are produced, so arbitrarily large problem
+    /// sizes cost nothing to sweep; faults are not injected (the model is
+    /// the fault-free launch on the current rotation).
     pub fn estimate(&self, prog: &DslProgram, inputs: &[Buffer]) -> Result<DistReport> {
-        let (alive, plan) = self.plan_over_rotation(prog)?;
+        let alive = self.rotation()?;
+        let plan = PartitionPlan::build(prog, self.pool.len())?;
         // the estimate models the fault-free launch, so injected faults
         // are never charged — the ledger's stats stay zero. With a pool
         // attached, estimates charge residency like real launches: a
@@ -222,17 +221,17 @@ impl DistExecutor {
         for shard in &plan.shards {
             let schedule = self.shard_schedule(&shard.prog);
             let exec_ms = self.sim.estimate(&shard.prog, &schedule)?.time_ms;
-            let report = self.shard_report(&mut ledger, alive[shard.index], shard, exec_ms, 0);
+            let report = self.shard_report(&mut ledger, placed(&alive, shard), shard, exec_ms, 0);
             ledger.per_shard.push(report);
         }
         let out_bytes = output_bytes(&mdh_core::eval::alloc_outputs(prog)?);
         Ok(self.assemble_report(&plan, ledger, out_bytes))
     }
 
-    /// Plan `prog` over the devices in the rotation, not the configured
-    /// pool — the report carries every device's health, so a skipped
+    /// The devices in the rotation, or the replayable error when none is
+    /// left. The report carries every device's health, so a skipped
     /// device is explained (probation vs evicted), not silently absent.
-    fn plan_over_rotation(&self, prog: &DslProgram) -> Result<(Vec<usize>, PartitionPlan)> {
+    fn rotation(&self) -> Result<Vec<usize>> {
         let alive = self.alive_devices();
         if alive.is_empty() {
             return Err(MdhError::Eval(format!(
@@ -240,62 +239,53 @@ impl DistExecutor {
                 self.faults
             )));
         }
-        let plan = PartitionPlan::build(prog, alive.len())?;
-        Ok((alive, plan))
+        Ok(alive)
     }
 
-    /// Execute one partitioning level: plan over the currently-healthy
-    /// devices, dispatch and settle every shard, and recover each lost
-    /// shard (`recovering`) by recursively re-planning *its* program over
-    /// the survivors. Healthy shards' partials are never recomputed, and
-    /// the recovered partial is the one the dead device owed, bit for
-    /// bit: a `cc` re-split recombines to the same bytes, and a re-split
-    /// of a reduction dim, which would fold the lost shard's partial in
-    /// another order, is not made — the shard runs whole on the first
-    /// survivor instead. Returns the level's plan and recombined outputs.
+    /// Execute one partitioning level, cut for the configured pool:
+    /// dispatch and settle every shard on the rotation, then re-dispatch
+    /// the shards whose device was lost, each whole with its own program,
+    /// onto the rotation left after the evictions, until none is lost. A
+    /// shard's partial is one device's run of its own program, so the
+    /// level's bits never depend on where it ran. Returns the level's plan
+    /// and recombined outputs.
     fn run_level(
         &self,
         prog: &DslProgram,
         launch: u64,
         deadline: Option<Instant>,
         ledger: &mut Ledger,
-        recovering: bool,
     ) -> Result<(PartitionPlan, Vec<Buffer>)> {
         let expired = |what: &str| match deadline {
             Some(d) if Instant::now() >= d => Err(MdhError::DeadlineExceeded(what.into())),
             _ => Ok(()),
         };
         expired("deadline expired before pool dispatch; launch not started")?;
-        let (alive, mut plan) = self.plan_over_rotation(prog)?;
-        if recovering && !plan.level.split_dims.is_empty() {
-            plan = PartitionPlan::build(prog, 1)?;
-        }
-        let attempts = self.attempt_all(&plan, &alive, launch, ledger.inputs);
-
-        let mut settled = Vec::with_capacity(plan.shards.len());
-        for (shard, attempt) in plan.shards.iter().zip(attempts) {
-            settled.push(self.settle(ledger, alive[shard.index], shard, attempt?));
-        }
-
-        let mut shard_outs = Vec::with_capacity(settled.len());
-        for (shard, outs) in plan.shards.iter().zip(settled) {
-            shard_outs.push(match outs {
-                Some(outs) => outs,
-                None => {
-                    expired("deadline expired before crashed-shard recovery; recompute abandoned")?;
-                    ledger.faults.repartitions += 1;
-                    let first = ledger.per_shard.len();
-                    let (_, partial) =
-                        self.run_level(&shard.prog, launch, deadline, ledger, true)?;
-                    // recovery re-runs keep the crashed shard's index
-                    for report in &mut ledger.per_shard[first..] {
-                        report.shard = shard.index;
-                    }
-                    partial
+        let plan = PartitionPlan::build(prog, self.pool.len())?;
+        let mut partials: Vec<Option<Vec<Buffer>>> = plan.shards.iter().map(|_| None).collect();
+        let mut pending: Vec<&Shard> = plan.shards.iter().collect();
+        while !pending.is_empty() {
+            let alive = self.rotation()?;
+            let placement: Vec<_> = pending.iter().map(|s| (placed(&alive, s), *s)).collect();
+            let attempts = self.attempt_all(&placement, launch, ledger.inputs);
+            pending.clear();
+            for ((dev, shard), attempt) in placement.into_iter().zip(attempts) {
+                match self.settle(ledger, dev, shard, attempt?) {
+                    Some(outs) => partials[shard.index] = Some(outs),
+                    None => pending.push(shard),
                 }
-            });
+            }
+            if !pending.is_empty() {
+                expired("deadline expired before crashed-shard recovery; recompute abandoned")?;
+                ledger.faults.repartitions += pending.len() as u64;
+            }
         }
-        let outputs = recombine(prog, &plan, shard_outs)?;
+        let outputs = recombine(prog, &plan, partials.into_iter().flatten().collect())?;
         Ok((plan, outputs))
     }
+}
+
+/// Shard `i` runs on `alive[i % alive.len()]`: device `i` if all are healthy.
+fn placed(alive: &[usize], shard: &Shard) -> usize {
+    alive[shard.index % alive.len()]
 }

@@ -10,11 +10,11 @@
 //!   the shard is retried on the *same* device under the capped
 //!   exponential backoff of [`RetryPolicy`];
 //! * **device crashes** (XID-class fatal errors): the device is evicted
-//!   from the pool's health view and the affected partition is re-planned
-//!   across the survivors — safe because MDH re-decomposition over a
-//!   different device count is semantics-preserving. A crash may carry a
-//!   *flap window* (`crash=d@lxW`): the fault clears after `W` launches,
-//!   so a probing executor can reinstate the device;
+//!   from the pool's health view and each shard it held runs whole, with
+//!   its own program, on a survivor — so the launch keeps the bits of the
+//!   fault-free pool. A crash may carry a *flap window* (`crash=d@lxW`):
+//!   the fault clears after `W` launches, so a probing executor can
+//!   reinstate the device;
 //! * **slow links** (degraded PCIe lanes, contended switch): the shard's
 //!   modelled H2D transfer is stretched by a factor; past the policy's
 //!   timeout the transfer counts as failed and is retried once;
@@ -95,9 +95,8 @@ impl RetryPolicy {
 /// Self-healing knobs: the shard watchdog's hedge threshold and the
 /// probe/reinstatement cadence of the device health state machine.
 ///
-/// The default policy disables healing entirely (no hedging, no probes),
-/// which reproduces the pre-healing executor exactly: hangs escalate to
-/// crashes and evictions are permanent.
+/// The default policy disables healing entirely (no hedging, no probes):
+/// hangs escalate to crashes and evictions are permanent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealPolicy {
     /// Modelled hedge slack, ms: a shard whose modelled completion
@@ -162,7 +161,8 @@ pub struct FaultStats {
     pub probes: u64,
     /// Devices reinstated into the rotation after passing their probes.
     pub reinstatements: u64,
-    /// Partitions re-planned over a shrunken pool after an eviction.
+    /// Shards re-homed, whole, onto a survivor after their device was
+    /// lost mid-launch.
     pub repartitions: u64,
 }
 
@@ -190,11 +190,6 @@ impl FaultStats {
         self.probes = self.probes.saturating_add(other.probes);
         self.reinstatements = self.reinstatements.saturating_add(other.reinstatements);
         self.repartitions = self.repartitions.saturating_add(other.repartitions);
-    }
-
-    /// Whether any self-healing machinery fired (watchdog or probes).
-    pub fn any_healing(&self) -> bool {
-        self.hedges != 0 || self.probes != 0 || self.probations != 0 || self.reinstatements != 0
     }
 }
 
@@ -320,14 +315,6 @@ impl FaultPlan {
             && self.slow.is_empty()
             && self.hangs.is_empty()
             && self.corrupt.is_empty()
-    }
-
-    /// Devices with a scheduled crash (deduplicated, any launch).
-    pub fn crash_devices(&self) -> Vec<usize> {
-        let mut ds: Vec<usize> = self.crashes.iter().map(|&(d, _, _)| d).collect();
-        ds.sort_unstable();
-        ds.dedup();
-        ds
     }
 
     /// Does `device` die when used at `launch`? A windowless crash is
@@ -572,7 +559,6 @@ mod tests {
         assert!(p.crash_due(2, 5));
         assert!(p.crash_due(2, 99));
         assert!(!p.crash_due(1, 99));
-        assert_eq!(p.crash_devices(), vec![2]);
     }
 
     #[test]
@@ -739,8 +725,6 @@ mod tests {
         assert_eq!(a.hedges, 1);
         assert_eq!(a.probes, 5);
         assert!(!a.is_zero());
-        assert!(a.any_healing());
-        assert!(!FaultStats::default().any_healing());
         assert!(FaultStats::default().is_zero());
         let line = a.to_string();
         assert!(line.contains("retries=4"), "{line}");

@@ -3,14 +3,12 @@
 //!
 //! A device crash (injected, or escalation after retries are exhausted)
 //! evicts the device from the executor's health view; the launch then
-//! re-plans the lost shard's *program* across the survivors, or runs it
-//! whole on the first survivor where the re-plan would split a reduction
-//! dim. Healthy shards' partials are always preserved — each is
-//! independent under every combine operator — so only the lost work is
-//! recomputed, and the recovered launch is bit-identical to the
-//! fault-free one on the same rotation. Slow-link events stretch
-//! the modelled H2D; past the policy timeout the transfer is charged at
-//! the timeout and retried once.
+//! runs the lost shard's *program* whole on a survivor. Healthy shards'
+//! partials are always preserved — each is independent under every
+//! combine operator — so only the lost work is recomputed, and the
+//! recovered launch is bit-identical to the fault-free one. Slow-link
+//! events stretch the modelled H2D; past the policy timeout the transfer
+//! is charged at the timeout and retried once.
 //!
 //! A [`HealPolicy`](crate::fault::HealPolicy) upgrades fail-and-forget to
 //! a health *state machine* per device ([`DeviceHealth`]):
@@ -130,7 +128,7 @@ impl DistExecutor {
     /// Settle one shard's attempt on `dev`: count its faults, charge its
     /// transfers, hedge it when the watchdog fires, and push its
     /// report(s). Returns the shard's partial, or `None` when the device
-    /// was lost and the shard must be re-planned over the survivors.
+    /// was lost and the shard must run again on a survivor.
     pub(crate) fn settle(
         &self,
         ledger: &mut Ledger,
@@ -240,7 +238,8 @@ impl DistExecutor {
             .enumerate()
             .position(|(i, s)| i != victim && s.state.in_rotation())?;
         ledger.faults.hedges += 1;
-        let report = self.shard_report(ledger, spare, shard, deadline_ms + exec_ms, 0);
+        let mut report = self.shard_report(ledger, spare, shard, deadline_ms + exec_ms, 0);
+        report.hedge = true;
         let hedge_done = deadline_ms + report.h2d_ms + exec_ms;
         (hedge_done < victim_done_ms).then_some(report)
     }
@@ -269,19 +268,24 @@ mod tests {
         assert!(report.degraded);
         assert_eq!(report.devices_alive, 3);
         assert_eq!(dist.alive_devices(), vec![0, 1, 3]);
-        // the crashed shard's range was recomputed on survivors: reports
-        // for shard 2 exist on devices != 2
+        // the crashed shard ran whole on a survivor: one report for
+        // shard 2, on device 3 (index 2 of the rotation [0, 1, 3])
         let recovered: Vec<_> = report
             .per_shard
             .iter()
-            .filter(|s| s.shard == 2 && s.device_index != 2)
+            .filter(|s| s.shard == 2)
+            .map(|s| s.device_index)
             .collect();
-        assert!(!recovered.is_empty(), "recovery reports present");
+        assert_eq!(recovered, vec![3], "shard 2 re-homed whole");
 
-        // the *next* launch plans over 3 survivors up front
+        // the *next* launch keeps the 4-device level, on 3 survivors
         let (outs2, report2) = dist.run(&prog, &inputs).unwrap();
         assert_eq!(outs2, reference);
-        assert_eq!(report2.shards, 3);
+        assert_eq!(report2.shards, 4);
+        assert!(
+            report2.per_shard.iter().all(|s| s.device_index != 2),
+            "no shard placed on the evicted device"
+        );
         assert!(report2.faults.is_zero(), "no new faults on launch 1");
         assert!(report2.degraded, "still on a shrunken pool");
         // cumulative stats carry the launch-0 recovery
@@ -306,9 +310,8 @@ mod tests {
         let prog = matvec(16, 24);
         let inputs = matvec_inputs(16, 24);
         let reference = single_device(&prog, &inputs);
-        // devices 1 and 3 both die at launch 0: shard 1 and shard 3
-        // crash in the top-level plan, each recovery re-plans over the
-        // remaining healthy devices
+        // devices 1 and 3 both die at launch 0: shards 1 and 3 are lost
+        // and both run whole on the remaining healthy devices
         let faults = FaultPlan::none().crash(1, 0).crash(3, 0);
         let dist = DistExecutor::with_faults(DevicePool::gpus(4), faults).unwrap();
         let (outs, report) = dist.run(&prog, &inputs).unwrap();
@@ -376,8 +379,7 @@ mod tests {
             "crashed device must never serve a stale resident buffer"
         );
         assert!(mem.device_stats(2).invalidations > 0);
-        // launch 2 plans over 3 survivors; their shard regions changed,
-        // so re-planned slices miss and then go resident again
+        // launch 2 places shard 2 on device 3, and device 2 holds nothing
         let (out2, _) = dist.run(&prog, &inputs).unwrap();
         assert_eq!(out2, reference);
         assert_eq!(mem.device_stats(2).bytes_resident, 0, "stays cold");
@@ -424,7 +426,7 @@ mod tests {
         assert_eq!(report.faults.hedges, 1);
         assert_eq!(report.faults.probations, 1);
         assert_eq!(report.faults.evictions, 0, "the watchdog saved the device");
-        assert_eq!(report.faults.repartitions, 0, "no recovery re-plan needed");
+        assert_eq!(report.faults.repartitions, 0, "no shard re-homed");
         assert_eq!(dist.device_health()[1], DeviceHealth::Probation);
         assert_eq!(dist.healthy_count(), 3);
         // the hung shard has two reports: the abandoned victim attempt
@@ -499,8 +501,12 @@ mod tests {
         for launch in 0..5u64 {
             let (outs, report) = dist.run(&prog, &inputs).unwrap();
             assert_eq!(outs, reference, "launch {launch}");
+            assert_eq!(report.shards, 4, "the level never follows the rotation");
+            let on_1 = report.per_shard.iter().any(|s| s.device_index == 1);
+            // launch 0 holds the hung victim's report; launch 4 the
+            // reinstated device's own shard
+            assert_eq!(on_1, launch == 0 || launch == 4, "launch {launch}");
             if launch == 4 {
-                assert_eq!(report.shards, 4, "reinstated device takes a shard");
                 assert!(!report.degraded);
             }
         }

@@ -15,9 +15,8 @@
 //!   `ExecutionPlan`, and runs the launch in four stages, one private
 //!   module each — `dispatch` (the shards of a level as one parallel
 //!   region on the executor's one thread pool, every shard on the one
-//!   A100 simulator), `heal` (settle every attempt: retries, eviction and
-//!   re-planning, the watchdog's hedge, the per-device health state
-//!   machine), `recombine` (partials in the level's group order through
+//!   A100 simulator), `heal` (settle every attempt: retries, eviction,
+//!   the watchdog's hedge, the per-device health state machine), `recombine` (partials in the level's group order through
 //!   `cc`/`pw(f)`/`ps(f)`/`rbi(f)`, a row at a time) and `account` (the
 //!   modelled upload/execute/combine/download time — a binary combine
 //!   tree, a serial scan chain — with residency from an attached
@@ -27,11 +26,13 @@
 //!   corruption, and the [`fault::RetryPolicy`] / [`fault::HealPolicy`]
 //!   the executor recovers under.
 //!
-//! Values depend on the rotation's size alone: a launch's bits are
-//! `mdh_core::eval::eval_planned` on the device level over the devices in
-//! the rotation — each shard's partial narrowed by its store before the
-//! fold — whatever faults fired and whatever was resident. On
-//! integer-valued inputs they equal single-device execution.
+//! Values depend on the configured pool size alone: a launch's bits are
+//! `mdh_core::eval::eval_planned` on the device level cut for the pool's
+//! `N` devices — each shard's partial narrowed by its store before the
+//! fold — whichever devices are healthy, whatever faults fired and
+//! whatever was resident. A lost shard runs whole on a survivor, and a
+//! degraded rotation runs several shards per device. On integer-valued
+//! inputs the bits equal single-device execution.
 //! Every reported time is modelled; none is measured on the host.
 //! Programs with no shardable dimension degrade gracefully to one shard.
 

@@ -1,141 +1,122 @@
-//! The full `mdh-apps` Fig. 3 registry under crash schedules on a
-//! four-device pool, against single-device execution.
+//! The full `mdh-apps` Fig. 3 registry under crash, hang and flap
+//! schedules on a four-device pool, against the fault-free 4-device pool.
 //!
-//! Scalar float inputs are re-filled with small integer values so that
-//! reduction-partitioned dimensions (whose partials are reassociated
-//! across pool widths as devices drop out) stay exact; record inputs are
-//! left as instantiated — record apps combine by *selection* (e.g.
-//! argmax), which involves no arithmetic and is exact for any values.
-//! Apps with no shardable dimension degrade to one shard and must still
-//! match trivially. Fault-free launches on the apps' own inputs are held
-//! to the device level's oracle in `pool_pins.rs`.
+//! Every app runs on its own, non-integer inputs, so a launch that
+//! regrouped a reduction — a level cut for the devices that happen to be
+//! healthy, or a lost shard re-split over the survivors — rounds apart
+//! and fails here. Apps with no shardable dimension degrade to one shard
+//! and must still match trivially. Fault-free launches on the same inputs
+//! are held to the device level's oracle in `pool_pins.rs`.
 
 use mdh_apps::{all_fig3, Scale};
-use mdh_core::buffer::{Buffer, BufferData};
-use mdh_dist::{DevicePool, DistExecutor, FaultPlan};
+use mdh_core::buffer::bits_hash;
+use mdh_dist::{DevicePool, DistExecutor, FaultPlan, HealPolicy};
 
-fn exactify(inputs: &mut [Buffer]) {
-    for (salt, buf) in inputs.iter_mut().enumerate() {
-        if matches!(buf.data, BufferData::Record(_)) {
-            continue;
-        }
-        buf.fill_with(move |i| ((i.wrapping_add(salt).wrapping_mul(2654435761)) % 16) as f64 - 8.0);
-    }
-}
+/// `(fault spec, healing armed, devices an app that fills the pool
+/// takes out of the rotation)`: one crash, two crashes, a hang escalated
+/// to a crash (no watchdog), a hang hedged into probation and
+/// reinstated, and a flap — device 1 down for launches 1–2 — evicted and
+/// reinstated.
+const SCHEDULES: [(&str, bool, u64); 5] = [
+    ("crash=1@0", false, 1),
+    ("crash=1@0,crash=3@0", false, 2),
+    ("hang=1@0", false, 1),
+    ("hang=1@0", true, 1),
+    ("crash=1@1x2", true, 1),
+];
 
-/// Chaos sweep: every Fig. 3 app runs at 4 devices under a
-/// one-crash and a two-crash schedule. Identity must hold through the
-/// recovery, and the eviction/repartition counters must match the
-/// schedule — exactly when the app fills the pool (4 shards, so every
-/// scheduled victim is actually used), and bounded by it otherwise
-/// (a victim the plan never dispatches to cannot crash).
+/// Enough launches for every schedule to evict, probe, reinstate (a
+/// probe every 2 launches) and run fault-free on the healed pool.
+const LAUNCHES: usize = 8;
+
+/// Chaos sweep: every Fig. 3 app runs [`LAUNCHES`] launches at 4 devices
+/// under each of [`SCHEDULES`]. Every launch — after an eviction, on a
+/// degraded rotation, after a reinstatement — must have the fault-free
+/// 4-device bits, and the counters must match the schedule: exactly when
+/// the app fills the pool (4 shards, so every scheduled victim is
+/// actually used), and bounded by it otherwise (a victim the placement
+/// never dispatches to cannot fail).
 #[test]
 fn registry_apps_survive_crash_schedules_at_4_devices() {
     let apps = all_fig3(Scale::Small).expect("registry instantiates");
     assert!(!apps.is_empty());
+    let healing = HealPolicy {
+        hedge_ms: 0.05,
+        probe_every: 2,
+        reinstate_after: 1,
+    };
     let mut full_pool_apps = 0usize;
     for app in &apps {
-        let mut inputs = app.inputs.clone();
-        exactify(&mut inputs);
-        let single = DistExecutor::new(DevicePool::gpus(1)).unwrap();
-        let (reference, _) = single
-            .run(&app.program, &inputs)
-            .unwrap_or_else(|e| panic!("{} single-device run: {e}", app.name));
         let fault_free = DistExecutor::new(DevicePool::gpus(4)).unwrap();
-        let (_, base) = fault_free
-            .run(&app.program, &inputs)
+        let (reference, base) = fault_free
+            .run(&app.program, &app.inputs)
             .unwrap_or_else(|e| panic!("{} 4-device run: {e}", app.name));
-        let shards = base.shards;
-        if shards == 4 {
-            full_pool_apps += 1;
-        }
+        let reference = bits_hash(&reference);
+        let full_pool = base.shards == 4;
+        full_pool_apps += usize::from(full_pool);
 
-        for schedule in [&[1usize][..], &[1usize, 3][..]] {
-            let mut plan = FaultPlan::none();
-            for &d in schedule {
-                plan = plan.crash(d, 0);
+        for (spec, heal, out) in SCHEDULES {
+            let plan = FaultPlan::parse(spec).expect("fault spec");
+            let mut dist = DistExecutor::with_faults(DevicePool::gpus(4), plan).unwrap();
+            if heal {
+                dist = dist.with_healing(healing.clone());
             }
-            let spec = plan.to_string();
-            let dist = DistExecutor::with_faults(DevicePool::gpus(4), plan).unwrap();
-            let (outs, _) = dist.run(&app.program, &inputs).unwrap_or_else(|e| {
-                panic!(
-                    "{} crashed run failed (replay: --faults '{spec}'): {e}",
-                    app.name
-                )
-            });
-            assert_eq!(
-                outs, reference,
-                "{} (input {}) diverged under --faults '{spec}'",
-                app.name, app.input_no
+            let mut last = None;
+            for launch in 0..LAUNCHES {
+                let (outs, report) = dist.run(&app.program, &app.inputs).unwrap_or_else(|e| {
+                    panic!(
+                        "{} launch {launch} failed (replay: --faults '{spec}'): {e}",
+                        app.name
+                    )
+                });
+                assert_eq!(
+                    bits_hash(&outs),
+                    reference,
+                    "{} (input {}) launch {launch} on {} alive devices left the \
+                     fault-free bits under --faults '{spec}'",
+                    app.name,
+                    app.input_no,
+                    report.devices_alive
+                );
+                assert_eq!(report.shards, base.shards, "{}: the level moved", app.name);
+                last = Some(report);
+            }
+            let last = last.expect("launched");
+            assert!(
+                last.faults.is_zero(),
+                "{}: pool never settled under '{spec}': {}",
+                app.name,
+                last.faults
             );
             let cum = dist.fault_stats();
-            // every eviction re-plans exactly one lost shard
+            // every eviction re-homes exactly the one shard its device held
             assert_eq!(
                 cum.evictions, cum.repartitions,
                 "{}: evictions/repartitions out of step under '{spec}'",
                 app.name
             );
-            let scheduled = schedule.len() as u64;
-            // victims the top-level plan dispatches to must crash;
-            // others can only be hit if recovery re-plans onto them
-            let top_level_hits = schedule.iter().filter(|&&d| d < shards).count() as u64;
+            let taken_out = cum.evictions + cum.probations;
             assert!(
-                cum.evictions >= top_level_hits && cum.evictions <= scheduled,
-                "{}: {} evictions for schedule '{spec}' ({} shards)",
-                app.name,
-                cum.evictions,
-                shards
+                taken_out <= out,
+                "{}: {taken_out} devices out under '{spec}'",
+                app.name
             );
-            if shards == 4 {
+            if full_pool {
                 assert_eq!(
-                    cum.evictions, scheduled,
+                    taken_out, out,
                     "{}: full-pool app must lose every scheduled victim under '{spec}'",
                     app.name
                 );
             }
-
-            // relaunches on the shrunken pool stay identical. Crashes
-            // are permanent, so a scheduled victim the first plan left
-            // idle can still die when a later (smaller) plan dispatches
-            // to it — within a couple of relaunches every scheduled
-            // victim is either dead or provably never used, and launches
-            // turn fault-free.
-            let mut settled = false;
-            for _ in 0..=schedule.len() {
-                let (outs2, report2) = dist.run(&app.program, &inputs).unwrap_or_else(|e| {
-                    panic!(
-                        "{} degraded relaunch failed (replay: --faults '{spec}'): {e}",
-                        app.name
-                    )
-                });
+            if heal {
+                // the hang victim and the flapper both come back
                 assert_eq!(
-                    outs2, reference,
-                    "{} degraded relaunch diverged under '{spec}'",
+                    cum.reinstatements, taken_out,
+                    "{}: a device stayed out under '{spec}'",
                     app.name
                 );
-                if report2.faults.is_zero() {
-                    settled = true;
-                    break;
-                }
+                assert_eq!(dist.healthy_count(), 4, "{}: '{spec}'", app.name);
             }
-            assert!(
-                settled,
-                "{}: pool never settled under '{spec}' — more faults than victims",
-                app.name
-            );
-            let cum = dist.fault_stats();
-            assert_eq!(
-                cum.evictions, cum.repartitions,
-                "{}: evictions/repartitions out of step after settling under '{spec}'",
-                app.name
-            );
-            assert!(
-                cum.evictions <= scheduled,
-                "{}: {} evictions for a {}-crash schedule '{spec}'",
-                app.name,
-                cum.evictions,
-                scheduled
-            );
         }
     }
     assert!(

@@ -40,9 +40,8 @@ use mdh_core::index_fn::IndexFn;
 use mdh_core::shape::MdRange;
 use mdh_core::views::View;
 
-/// Why a plan holds a single shard — or that it split. PR 2 fell back
-/// to one shard silently; the typed reason lets executors and `mdhc
-/// estimate` report *why* a pool was left idle instead of hiding it.
+/// Why a plan holds a single shard — or that it split. The typed reason
+/// lets executors and `mdhc estimate` report *why* a pool was left idle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionOutcome {
     /// The iteration space was split across devices.

@@ -336,7 +336,7 @@ metrics! {
     fault_retries: u64, faults " retries={}";
     /// Devices evicted from the pool health view after a crash.
     device_evictions: u64, faults " evictions={}";
-    /// Partitions re-planned over a shrunken pool after an eviction.
+    /// Shards re-homed onto a survivor after their device was lost.
     repartitions: u64, faults " repartitions={}";
     /// Requests served while the pool was degraded (at least one device
     /// evicted, or lost during the request itself).

@@ -6,15 +6,17 @@
 //! early, a slow H2D link, and two device crashes at different points of
 //! a 12-launch workload over three Fig. 3 case studies. The executor
 //! retries transients on-device with capped modelled backoff, evicts
-//! each crashed device from its health view, and recovers the lost
-//! shard by re-planning *its* program over the survivors — the MDH
-//! re-decomposition guarantee makes the recovered launch bit-identical
-//! to the fault-free one, which this example asserts on every launch.
+//! each crashed device from its health view, and runs the lost shard
+//! whole, with *its* program, on a survivor. The device level is cut for
+//! the configured 4 devices whichever are healthy, so every launch —
+//! recovered or degraded — is bit-identical to the fault-free 4-device
+//! pool on the apps' own non-integer inputs, which this example asserts
+//! on every launch.
 //!
 //! The `output-hash` lines are FNV-1a over the result bit patterns and
-//! are fully deterministic (seeded faults, integer-valued inputs,
-//! analytic timing): CI runs this example twice and diffs them as a
-//! chaos determinism smoke test.
+//! are fully deterministic (seeded faults, instantiated inputs, analytic
+//! timing): CI runs this example twice and diffs them as a chaos
+//! determinism smoke test.
 //!
 //! Run with `cargo run --release --example fault_tolerance`.
 //!
@@ -27,22 +29,10 @@
 
 use mdh::apps::registry::{instantiate, StudyId};
 use mdh::apps::spec::Scale;
-use mdh::core::buffer::{bits_hash, Buffer, BufferData};
+use mdh::core::buffer::bits_hash;
 use mdh::dist::{DevicePool, DistExecutor, FaultPlan, HealPolicy};
 use mdh::mem::MemPool;
 use std::sync::Arc;
-
-/// Integer-valued refill: exact in f32/f64, so partial-result
-/// reassociation across devices — and across recovery re-plans — cannot
-/// introduce rounding.
-fn exactify(inputs: &mut [Buffer]) {
-    for (salt, buf) in inputs.iter_mut().enumerate() {
-        if matches!(buf.data, BufferData::Record(_)) {
-            continue;
-        }
-        buf.fill_with(move |i| ((i.wrapping_add(salt).wrapping_mul(2654435761)) % 16) as f64 - 8.0);
-    }
-}
 
 fn main() {
     let hang_corrupt = std::env::args().nth(1).as_deref() == Some("hang-corrupt");
@@ -94,13 +84,12 @@ fn main() {
     let mut launches = 0usize;
     for round in 0..4 {
         for name in ["MatMul", "Dot", "Jacobi_3D"] {
-            let mut app =
+            let app =
                 instantiate(StudyId { name, input_no: 1 }, Scale::Small).expect("instantiate");
-            exactify(&mut app.inputs);
 
-            // fault-free single-device reference for this launch
-            let single = DistExecutor::new(DevicePool::gpus(1)).expect("pool");
-            let (reference, _) = single.run(&app.program, &app.inputs).expect("reference");
+            // the fault-free 4-device pool's outputs for this launch
+            let clean = DistExecutor::new(DevicePool::gpus(4)).expect("pool");
+            let (reference, _) = clean.run(&app.program, &app.inputs).expect("reference");
 
             let (outs, report) = dist
                 .run(&app.program, &app.inputs)
@@ -133,7 +122,10 @@ fn main() {
         dist.alive_devices()
     );
 
-    assert_eq!(wrong, 0, "every recovered launch must be bit-identical");
+    assert_eq!(
+        wrong, 0,
+        "every launch must keep the fault-free 4-device bits"
+    );
     assert!(stats.retries > 0, "transient retries must have fired");
     if hang_corrupt {
         assert_eq!(
@@ -157,16 +149,14 @@ fn main() {
             "two scheduled crashes, two evictions"
         );
         assert_eq!(stats.evictions, 2, "both crash victims evicted");
-        assert!(stats.repartitions >= 2, "each lost shard re-planned");
+        assert!(stats.repartitions >= 2, "each lost shard re-homed");
         assert!(stats.slow_links > 0, "the slow-link event must have fired");
     }
 
     // deterministic output hashes for the CI chaos determinism diff:
     // the same seed must replay the same degradation and the same bits
     for name in ["MatMul", "Dot", "Jacobi_3D"] {
-        let mut app =
-            instantiate(StudyId { name, input_no: 1 }, Scale::Small).expect("instantiate");
-        exactify(&mut app.inputs);
+        let app = instantiate(StudyId { name, input_no: 1 }, Scale::Small).expect("instantiate");
         let (outs, _) = dist
             .run(&app.program, &app.inputs)
             .expect("degraded launch");

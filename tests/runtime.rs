@@ -244,8 +244,8 @@ fn multi_device_serving_is_bit_identical_and_counts_dispatches() {
 
 /// Degraded-mode serving: 100 same-signature GPU requests on a 4-device
 /// pool while a deterministic fault plan kills a device mid-stream.
-/// Every request must still succeed bit-identically (the lost shard is
-/// re-planned over the survivors), the plan cache stays hot, and the
+/// Every request must still succeed bit-identically (the lost shard runs
+/// whole on a survivor), the plan cache stays hot, and the
 /// fault counters in the stats are monotone across snapshots.
 #[test]
 fn degraded_pool_keeps_serving_through_a_mid_stream_crash() {
@@ -328,7 +328,7 @@ fn degraded_pool_keeps_serving_through_a_mid_stream_crash() {
         stats.hit_rate()
     );
     assert_eq!(stats.device_evictions, 1, "exactly the scheduled crash");
-    assert!(stats.repartitions >= 1, "the lost shard was re-planned");
+    assert!(stats.repartitions >= 1, "the lost shard was re-homed");
     assert_eq!(stats.fault_retries, 2, "the scheduled transients retried");
     assert!(
         stats.degraded_requests > 0 && stats.degraded_requests < 100,
