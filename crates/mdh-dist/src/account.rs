@@ -45,8 +45,7 @@ pub struct ShardReport {
     pub exec_ms: f64,
     /// Transient retries this shard needed on its device.
     pub retries: u32,
-    /// A hedge on a spare: charged from the watchdog's firing on a
-    /// timeline of its own, not after the spare's own shards.
+    /// A hedge on a spare, charged on a timeline of its own.
     pub hedge: bool,
 }
 
@@ -70,8 +69,7 @@ pub struct DistReport {
     pub degraded: bool,
     /// Total modelled H2D time (sum over devices; the link is shared).
     pub h2d_ms: f64,
-    /// Parallel execution phase: max over devices, each running its
-    /// shards one after another.
+    /// Parallel execution phase: max over devices' serial shard runs.
     pub exec_ms: f64,
     /// Upload + execution phase length, each device computing once its
     /// own upload lands.
@@ -374,23 +372,19 @@ impl DistExecutor {
     }
 }
 
-/// The launch's timelines as `(h2d_ms, exec_ms)`, in report order: one
-/// per device, which uploads and then runs its shards one after another
-/// (several once a degraded rotation doubles devices up), and one per
+/// The launch's `(h2d_ms, exec_ms)` timelines, in report order: one per
+/// device, which uploads and then runs its shards in turn, and one per
 /// hedge. With one shard per device each lane is that shard's report.
 fn lanes(per_shard: &[ShardReport]) -> Vec<(f64, f64)> {
-    let mut lanes: Vec<(Option<usize>, f64, f64)> = Vec::new();
+    let mut lanes: Vec<(Option<usize>, (f64, f64))> = Vec::new();
     for s in per_shard {
         let device = (!s.hedge).then_some(s.device_index);
         match lanes.iter_mut().find(|l| device.is_some() && l.0 == device) {
-            Some((_, h2d, exec)) => (*h2d, *exec) = (*h2d + s.h2d_ms, *exec + s.exec_ms),
-            None => lanes.push((device, s.h2d_ms, s.exec_ms)),
+            Some((_, (h2d, exec))) => (*h2d, *exec) = (*h2d + s.h2d_ms, *exec + s.exec_ms),
+            None => lanes.push((device, (s.h2d_ms, s.exec_ms))),
         }
     }
-    lanes
-        .into_iter()
-        .map(|(_, h2d, exec)| (h2d, exec))
-        .collect()
+    lanes.into_iter().map(|(_, lane)| lane).collect()
 }
 
 /// Bytes of one input a device needs for its shard: the footprint of the

@@ -173,9 +173,7 @@ impl DistExecutor {
 
     /// Partition `prog` across the configured pool, execute with fault
     /// injection and recovery, recombine, and model the launch time.
-    /// Shard `i` runs on the `i % alive`-th healthy device; with no
-    /// shardable dimension the whole program runs on the first healthy
-    /// device.
+    /// Shard `i` runs on the `i % alive`-th healthy device.
     pub fn run(&self, prog: &DslProgram, inputs: &[Buffer]) -> Result<(Vec<Buffer>, DistReport)> {
         self.run_with_deadline(prog, inputs, None)
     }
@@ -242,13 +240,10 @@ impl DistExecutor {
         Ok(alive)
     }
 
-    /// Execute one partitioning level, cut for the configured pool:
-    /// dispatch and settle every shard on the rotation, then re-dispatch
-    /// the shards whose device was lost, each whole with its own program,
-    /// onto the rotation left after the evictions, until none is lost. A
-    /// shard's partial is one device's run of its own program, so the
-    /// level's bits never depend on where it ran. Returns the level's plan
-    /// and recombined outputs.
+    /// Execute the device level, cut for the configured pool: dispatch and
+    /// settle every shard on the rotation, re-dispatching the lost ones
+    /// whole onto the rotation left after the evictions until none is
+    /// lost, and recombine. A partial never depends on where it ran.
     fn run_level(
         &self,
         prog: &DslProgram,

@@ -191,6 +191,11 @@ impl FaultStats {
         self.reinstatements = self.reinstatements.saturating_add(other.reinstatements);
         self.repartitions = self.repartitions.saturating_add(other.repartitions);
     }
+
+    /// Whether any self-healing machinery fired (watchdog or probes).
+    pub fn any_healing(&self) -> bool {
+        self.hedges != 0 || self.probes != 0 || self.probations != 0 || self.reinstatements != 0
+    }
 }
 
 impl fmt::Display for FaultStats {
@@ -315,6 +320,14 @@ impl FaultPlan {
             && self.slow.is_empty()
             && self.hangs.is_empty()
             && self.corrupt.is_empty()
+    }
+
+    /// Devices with a scheduled crash (deduplicated, any launch).
+    pub fn crash_devices(&self) -> Vec<usize> {
+        let mut ds: Vec<usize> = self.crashes.iter().map(|&(d, _, _)| d).collect();
+        ds.sort_unstable();
+        ds.dedup();
+        ds
     }
 
     /// Does `device` die when used at `launch`? A windowless crash is
@@ -559,6 +572,7 @@ mod tests {
         assert!(p.crash_due(2, 5));
         assert!(p.crash_due(2, 99));
         assert!(!p.crash_due(1, 99));
+        assert_eq!(p.crash_devices(), vec![2]);
     }
 
     #[test]
@@ -725,6 +739,8 @@ mod tests {
         assert_eq!(a.hedges, 1);
         assert_eq!(a.probes, 5);
         assert!(!a.is_zero());
+        assert!(a.any_healing());
+        assert!(!FaultStats::default().any_healing());
         assert!(FaultStats::default().is_zero());
         let line = a.to_string();
         assert!(line.contains("retries=4"), "{line}");

@@ -3,12 +3,10 @@
 //!
 //! A device crash (injected, or escalation after retries are exhausted)
 //! evicts the device from the executor's health view; the launch then
-//! runs the lost shard's *program* whole on a survivor. Healthy shards'
-//! partials are always preserved — each is independent under every
-//! combine operator — so only the lost work is recomputed, and the
-//! recovered launch is bit-identical to the fault-free one. Slow-link
-//! events stretch the modelled H2D; past the policy timeout the transfer
-//! is charged at the timeout and retried once.
+//! runs the lost shard's *program* whole on a survivor, keeping every
+//! other partial, so the recovered launch is bit-identical to the
+//! fault-free one. Slow-link events stretch the modelled H2D; past the
+//! policy timeout the transfer is charged at the timeout and retried once.
 //!
 //! A [`HealPolicy`](crate::fault::HealPolicy) upgrades fail-and-forget to
 //! a health *state machine* per device ([`DeviceHealth`]):

@@ -16,7 +16,8 @@
 //!   module each — `dispatch` (the shards of a level as one parallel
 //!   region on the executor's one thread pool, every shard on the one
 //!   A100 simulator), `heal` (settle every attempt: retries, eviction,
-//!   the watchdog's hedge, the per-device health state machine), `recombine` (partials in the level's group order through
+//!   the watchdog's hedge, the per-device health state machine),
+//!   `recombine` (partials in the level's group order through
 //!   `cc`/`pw(f)`/`ps(f)`/`rbi(f)`, a row at a time) and `account` (the
 //!   modelled upload/execute/combine/download time — a binary combine
 //!   tree, a serial scan chain — with residency from an attached
@@ -30,10 +31,9 @@
 //! `mdh_core::eval::eval_planned` on the device level cut for the pool's
 //! `N` devices — each shard's partial narrowed by its store before the
 //! fold — whichever devices are healthy, whatever faults fired and
-//! whatever was resident. A lost shard runs whole on a survivor, and a
-//! degraded rotation runs several shards per device. On integer-valued
-//! inputs the bits equal single-device execution.
-//! Every reported time is modelled; none is measured on the host.
+//! whatever was resident: a lost shard runs whole on a survivor. On
+//! integer-valued inputs the bits equal single-device execution. Every
+//! reported time is modelled; none is measured on the host.
 //! Programs with no shardable dimension degrade gracefully to one shard.
 
 #![allow(clippy::needless_range_loop)]
