@@ -71,19 +71,64 @@ pub fn deterministic_inputs(prog: &DslProgram) -> Result<Vec<Buffer>> {
         .collect()
 }
 
-/// Checksum of a scalar buffer: its elements, as f64, summed front to
-/// back into one accumulator (the printed value depends on that order for
-/// non-integer data). Record buffers have none.
+/// Elements per block of [`checksum`]'s sum.
+const CHECKSUM_BLOCK: usize = 1 << 14;
+
+/// Stripes per block of [`checksum`]'s sum. At 128, one thread sums a
+/// 254³ f32 output as fast as it can read it (EXPERIMENTS.md).
+const CHECKSUM_LANES: usize = 128;
+
+/// Checksum of a scalar buffer: its elements as f64, summed in a fixed
+/// bracketing of the length alone, so the printed value is the same at
+/// every thread count and SIMD width. Each [`CHECKSUM_BLOCK`]-element
+/// block adds its whole rows of [`CHECKSUM_LANES`] into as many stripes
+/// (element `j` of a row to stripe `j`), halves the stripes pairwise
+/// (stripe `i` adds stripe `i + h`, `h` = `CHECKSUM_LANES / 2`, …, 1),
+/// then adds its partial last row front to back. A run of `n` block sums
+/// is split after its first `⌈n/2⌉` and the two halves' sums added. An
+/// integer-valued buffer whose partial sums stay below 2^53 sums exactly,
+/// as it would front to back. Record buffers have none.
 pub fn checksum(buf: &Buffer) -> f64 {
     match &buf.data {
-        BufferData::F32(v) => v.iter().map(|&x| x as f64).sum(),
-        BufferData::F64(v) => v.iter().sum(),
-        BufferData::I32(v) => v.iter().map(|&x| x as f64).sum(),
-        BufferData::I64(v) => v.iter().map(|&x| x as f64).sum(),
-        BufferData::Bool(v) => v.iter().map(|&x| x as i64 as f64).sum(),
-        BufferData::Char(v) => v.iter().map(|&x| x as f64).sum(),
+        BufferData::F32(v) => tree_sum(v, |x| x as f64),
+        BufferData::F64(v) => tree_sum(v, |x| x),
+        BufferData::I32(v) => tree_sum(v, |x| x as f64),
+        BufferData::I64(v) => tree_sum(v, |x| x as f64),
+        BufferData::Bool(v) => tree_sum(v, |x| x as i64 as f64),
+        BufferData::Char(v) => tree_sum(v, |x| x as f64),
         BufferData::Record(_) => f64::NAN,
     }
+}
+
+/// [`checksum`]'s block tree, by recursion on the slice: no allocation.
+fn tree_sum<T: Copy>(xs: &[T], f: impl Fn(T) -> f64 + Copy) -> f64 {
+    if xs.len() <= CHECKSUM_BLOCK {
+        return block_sum(xs, f);
+    }
+    let blocks = xs.len().div_ceil(CHECKSUM_BLOCK);
+    let (front, back) = xs.split_at(blocks.div_ceil(2) * CHECKSUM_BLOCK);
+    tree_sum(front, f) + tree_sum(back, f)
+}
+
+/// One block of [`checksum`]: stripes, halving tree, then the tail. Every
+/// sum starts at `-0.0`, the additive identity, so a block (or a buffer)
+/// of `-0.0`s, or none, sums to `-0.0` as the front-to-back walk does.
+fn block_sum<T: Copy>(xs: &[T], f: impl Fn(T) -> f64) -> f64 {
+    let mut stripes = [-0.0f64; CHECKSUM_LANES];
+    let mut rows = xs.chunks_exact(CHECKSUM_LANES);
+    for row in &mut rows {
+        for (s, &x) in stripes.iter_mut().zip(row) {
+            *s += f(x);
+        }
+    }
+    let mut half = CHECKSUM_LANES;
+    while half > 1 {
+        half /= 2;
+        for i in 0..half {
+            stripes[i] += stripes[i + half];
+        }
+    }
+    rows.remainder().iter().fold(stripes[0], |s, &x| s + f(x))
 }
 
 /// `name=checksum` per buffer, comma-separated.
@@ -313,7 +358,9 @@ impl Submit {
 mod tests {
     use super::*;
     use crate::testing::DOT;
+    use mdh_core::types::{BasicType, ScalarKind};
     use mdh_directive::compile_any;
+    use proptest::prelude::*;
 
     #[test]
     fn compile_any_dispatches_directive() {
@@ -322,31 +369,109 @@ mod tests {
         assert_eq!(prog.md_hom.sizes, vec![64]);
     }
 
+    /// `checksum`'s order written out longhand, one `Value` per element:
+    /// per block, stripe `j` sums elements `j`, `j + L`, … of the whole
+    /// rows, a halving tree adds the stripes, the tail goes in last; the
+    /// block sums meet in a pairwise tree split after the first half
+    /// (rounded up).
+    fn tree_walk(b: &Buffer) -> f64 {
+        const L: usize = CHECKSUM_LANES;
+        let x = |i: usize| b.get_flat(i).as_f64().unwrap_or(0.0);
+        let block = |lo: usize, hi: usize| {
+            let rows = (hi - lo) / L;
+            let mut stripes: Vec<f64> = (0..L)
+                .map(|j| (0..rows).fold(-0.0, |s, r| s + x(lo + r * L + j)))
+                .collect();
+            while stripes.len() > 1 {
+                let h = stripes.len() / 2;
+                stripes = (0..h).map(|i| stripes[i] + stripes[i + h]).collect();
+            }
+            (lo + rows * L..hi).fold(stripes[0], |s, i| s + x(i))
+        };
+        fn pairwise(sums: &[f64]) -> f64 {
+            match sums {
+                [] => -0.0,
+                [one] => *one,
+                _ => {
+                    let (front, back) = sums.split_at(sums.len().div_ceil(2));
+                    pairwise(front) + pairwise(back)
+                }
+            }
+        }
+        let sums: Vec<f64> = (0..b.len())
+            .step_by(CHECKSUM_BLOCK)
+            .map(|lo| block(lo, (lo + CHECKSUM_BLOCK).min(b.len())))
+            .collect();
+        pairwise(&sums)
+    }
+
+    /// The front-to-back walk `checksum` replaced.
+    fn serial_walk(b: &Buffer) -> f64 {
+        (0..b.len())
+            .map(|i| b.get_flat(i).as_f64().unwrap_or(0.0))
+            .sum()
+    }
+
+    const SCALAR_KINDS: [ScalarKind; 6] = [
+        ScalarKind::F32,
+        ScalarKind::F64,
+        ScalarKind::I32,
+        ScalarKind::I64,
+        ScalarKind::Bool,
+        ScalarKind::Char,
+    ];
+
+    fn filled(kind: ScalarKind, len: usize, f: impl Fn(usize) -> f64) -> Buffer {
+        let mut b = Buffer::zeros("b", BasicType::Scalar(kind), Shape::new(vec![len]));
+        b.fill_with(f);
+        b
+    }
+
+    /// Magnitudes from 1e-3 to 1e4 with mixed signs: as f32/f64 the sum
+    /// rounds at almost every step, so any other order shows.
+    fn rounding_fill(i: usize) -> f64 {
+        ((i * 7919) % 1013) as f64 * 10f64.powi(i as i32 % 8 - 3) - 40.0
+    }
+
     #[test]
     fn checksum_equals_the_per_element_walk_on_every_scalar_type() {
-        use mdh_core::types::{BasicType, ScalarKind};
-        // the walk `checksum` replaced: one `Value` per element
-        let walk = |b: &Buffer| -> f64 {
-            (0..b.len())
-                .map(|i| b.get_flat(i).as_f64().unwrap_or(0.0))
-                .sum()
-        };
-        for kind in [
-            ScalarKind::F32,
-            ScalarKind::F64,
-            ScalarKind::I32,
-            ScalarKind::I64,
-            ScalarKind::Bool,
-            ScalarKind::Char,
-        ] {
-            let mut b = Buffer::zeros("b", BasicType::Scalar(kind), Shape::new(vec![1000]));
-            // magnitudes from 1e-3 to 1e4 with mixed signs: as f32/f64 the
-            // sum rounds at almost every step, so any other order shows
-            b.fill_with(|i| ((i * 7919) % 1013) as f64 * 10f64.powi(i as i32 % 8 - 3) - 40.0);
-            assert_eq!(checksum(&b).to_bits(), walk(&b).to_bits(), "{kind}");
+        let (l, block) = (CHECKSUM_LANES, CHECKSUM_BLOCK);
+        // three and five blocks: the pairwise split is uneven there
+        let lens = [0, 1, l - 1, l, l + 1, block - 1, block, block + 1];
+        let lens = lens
+            .into_iter()
+            .chain([3 * block, 3 * block + 5, 5 * block - 1]);
+        for len in lens {
+            for kind in SCALAR_KINDS {
+                let b = filled(kind, len, rounding_fill);
+                let (got, want) = (checksum(&b), tree_walk(&b));
+                assert_eq!(got.to_bits(), want.to_bits(), "{kind} len {len}");
+            }
         }
-        let empty = Buffer::zeros("e", BasicType::F32, Shape::new(vec![0]));
-        assert_eq!(checksum(&empty).to_bits(), walk(&empty).to_bits());
+        // the data does tell the orders apart
+        let b = filled(ScalarKind::F64, 3 * block + 5, rounding_fill);
+        assert_ne!(checksum(&b).to_bits(), serial_walk(&b).to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Integer-valued outputs print what the front-to-back walk
+        /// printed: every partial sum of a small-integer fill is exact, so
+        /// no bracketing rounds; `-0.0` elements and the empty buffer keep
+        /// the walk's signed zero.
+        #[test]
+        fn integer_valued_checksums_equal_the_serial_walk(
+            len in 0usize..5 * CHECKSUM_BLOCK,
+            kind in 0usize..6,
+            seed in any::<u64>(),
+            zeros in any::<bool>(),
+        ) {
+            let b = filled(SCALAR_KINDS[kind], len, |i| {
+                let v = ((i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as f64;
+                if zeros { -0.0 } else { v - 8.0 }
+            });
+            prop_assert_eq!(checksum(&b).to_bits(), serial_walk(&b).to_bits());
+        }
     }
 
     #[test]

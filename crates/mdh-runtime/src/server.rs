@@ -530,9 +530,9 @@ mod tests {
         );
     }
 
-    /// Serve one worker on a fresh unix socket under `tag`; returns once
-    /// the socket accepts.
-    fn start(tag: &str) -> (PathBuf, std::thread::JoinHandle<()>) {
+    /// Serve one worker over `exec_threads` on a fresh unix socket under
+    /// `tag`; returns once the socket accepts.
+    fn start(tag: &str, exec_threads: usize) -> (PathBuf, std::thread::JoinHandle<()>) {
         let dir = std::env::temp_dir().join(format!("mdh-runtime-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let sock = dir.join("rt.sock");
@@ -542,7 +542,7 @@ mod tests {
         };
         let config = RuntimeConfig {
             workers: 1,
-            exec_threads: 2,
+            exec_threads,
             ..RuntimeConfig::default()
         };
         let server = std::thread::spawn(move || serve_opts(opts, config).unwrap());
@@ -564,7 +564,7 @@ mod tests {
 
     #[test]
     fn serve_and_submit_roundtrip() {
-        let (sock, server) = start("test");
+        let (sock, server) = start("test", 2);
         let client = Client::unix(&sock);
         let lines = client.submit(DOT, DeviceKind::Cpu, 5, &n64()).unwrap();
         let oks = lines.iter().filter(|l| l.starts_with("ok ")).count();
@@ -587,7 +587,7 @@ mod tests {
 
     #[test]
     fn serve_grad_roundtrip_and_json_stats() {
-        let (sock, server) = start("grad");
+        let (sock, server) = start("grad", 2);
         let client = Client::unix(&sock);
         let opts = SubmitClientOpts {
             deadline_ms: Some(30_000),
@@ -622,5 +622,41 @@ mod tests {
         assert!(bye[0].starts_with("ok"), "{bye:?}");
         server.join().unwrap();
         let _ = std::fs::remove_dir_all(sock.parent().unwrap());
+    }
+
+    #[test]
+    fn a_non_integer_checksum_is_the_same_at_every_exec_width() {
+        // an f32 Jacobi3D: 0.142 / 0.143 weights on integer inputs, a
+        // 36³ output of three checksum blocks
+        const JACOBI3D: &str = "\
+@mdh( out( y = Buffer[fp32] ),
+      inp( x = Buffer[fp32] ),
+      combine_ops( cc, cc, cc ) )
+def jacobi_3d(y, x):
+    for i in range(N):
+        for j in range(N):
+            for k in range(N):
+                y[i, j, k] = 0.142 * x[i+1, j+1, k+1] + 0.143 * x[i, j+1, k+1] + 0.143 * x[i+2, j+1, k+1] + 0.143 * x[i+1, j, k+1] + 0.143 * x[i+1, j+2, k+1] + 0.143 * x[i+1, j+1, k] + 0.143 * x[i+1, j+1, k+2]
+";
+        let opts = SubmitClientOpts {
+            bindings: vec![("N".into(), 36)],
+            ..SubmitClientOpts::default()
+        };
+        let sums: Vec<String> = [1, 2, 4]
+            .into_iter()
+            .map(|width| {
+                let (sock, server) = start(&format!("width{width}"), width);
+                let client = Client::unix(&sock);
+                let lines = client.submit(JACOBI3D, DeviceKind::Cpu, 1, &opts).unwrap();
+                assert!(lines[0].starts_with("ok "), "{lines:?}");
+                client.shutdown().unwrap();
+                server.join().unwrap();
+                let _ = std::fs::remove_dir_all(sock.parent().unwrap());
+                lines[0].split("checksum=").nth(1).unwrap().to_string()
+            })
+            .collect();
+        let value: f64 = sums[0].strip_prefix("y=").unwrap().parse().unwrap();
+        assert_ne!(value, value.trunc(), "a non-integer output: {}", sums[0]);
+        assert!(sums.iter().all(|s| *s == sums[0]), "{sums:?}");
     }
 }
